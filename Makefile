@@ -71,9 +71,11 @@ soak-cluster:
 # records ns/op + allocs/op in BENCH_smo.json (via cmd/benchjson).
 # BenchmarkSolveInstrumented vs BenchmarkSolve prices the live-timeline
 # overhead; the disabled path is pinned to 0 allocs/op by test.
+# BenchmarkTrainDisSMO is the whole distributed-SMO job of the repository
+# benchmark's dissmo-dense workload (ns/op, allocs/op, msgs/op), ungated.
 bench: bench-kernel
-	$(GO) test ./internal/smo ./internal/kernel ./internal/la \
-		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScanFused|RowCache|BenchmarkDot' \
+	$(GO) test ./internal/smo ./internal/kernel ./internal/la ./internal/core \
+		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScanFused|RowCache|BenchmarkDot|BenchmarkTrainDisSMO$$' \
 		-benchmem -cpu 1,4 | $(GO) run ./cmd/benchjson > BENCH_smo.json
 	@echo wrote BENCH_smo.json
 

@@ -153,6 +153,12 @@ type Params struct {
 	// method implementations (nil when Recovery.Policy is off).
 	rt *recoveryRuntime
 
+	// colCacheRows overrides the capacity of Dis-SMO's replicated column
+	// cache (0 = min(m, 1024)). Settable only from package tests: the model
+	// is bit-identical at every capacity ≥ 2, and the invariance test needs
+	// several.
+	colCacheRows int
+
 	// Telemetry, when non-nil, receives one sample per solver iteration
 	// from every rank (dual objective, KKT gap, active-set/SV counts,
 	// shrink sweeps) — the live-convergence stream served by the `-serve`
@@ -347,6 +353,14 @@ type Stats struct {
 	CommSec    float64
 	CompSec    float64
 
+	// ColCacheHits and ColCacheMisses count lookups in Dis-SMO's replicated
+	// kernel-column cache (two per iteration, identical on every rank; zero
+	// for other methods). A miss is a sample's first use or its return
+	// after eviction: the only times its row crosses the wire and its
+	// column is computed.
+	ColCacheHits   int64
+	ColCacheMisses int64
+
 	// TotalFlops is the summed modeled flop count over all ranks. Flop
 	// accounting is deterministic and thread-count-invariant, so it
 	// doubles as a reproducibility fingerprint of the run.
@@ -404,6 +418,8 @@ type rankResult struct {
 	trainSec float64
 	partSize int
 	kmIters  int
+
+	colHits, colMisses int64 // Dis-SMO column-cache lookups (rank 0)
 
 	// Class structure of the rank's partition (Tables VII–VIII).
 	pos, neg     int

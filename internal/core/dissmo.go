@@ -15,15 +15,18 @@ import (
 // block-partitioned over the ranks. Every iteration:
 //
 //  1. each rank scans its local f for the extreme KKT violators,
-//  2. two Allreduce-with-location operations pick the global (high, low)
-//     pair (the 14·logP·ts term of eqn 9),
-//  3. the owners broadcast the two active samples with their labels and
-//     multipliers (the 2n·logP·tw term),
-//  4. every rank evaluates the identical clipped pair update and applies
-//     it to its local f (the 2mn/P compute term).
+//  2. one allreduce (pairExchange) picks the global (high, low) pair and
+//     brings back, with the verdict, each winner's label, multiplier and —
+//     the first time a sample wins — its row,
+//  3. every rank evaluates the identical clipped pair update and applies it
+//     to its local f from the two samples' cached kernel columns, computing
+//     a column only for a sample it has not seen (or has evicted).
 //
-// The result is bitwise the trajectory of serial SMO on the full set, up to
-// the float32 wire rounding of the initial scatter.
+// The paper's Dis-SMO (eqn 9) runs two location-reductions and two row
+// broadcasts per iteration and recomputes both columns every time; this
+// loop makes the same pair choices from the same arithmetic, so the result
+// is bitwise the trajectory of serial SMO on the full set, up to the
+// float32 wire rounding of the initial scatter.
 func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *rankResult) error {
 	rec := c.Recorder()
 	c.SetPhase("partition")
@@ -40,17 +43,15 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 	// space, so deposits and restores address the epoch arrays by offset.
 	// Any contiguous block layout (any P) slices the same arrays, which is
 	// what lets shrink recovery re-partition without conversion.
-	rowStart := 0
-	for r, rows := range evenBlocks(full.Rows(), c.Size()) {
-		if r == c.Rank() {
-			break
-		}
-		rowStart += len(rows)
-	}
+	m := full.Rows()
+	rowStart := blockStart(m, c.Size(), c.Rank())
 
 	c.SetPhase("solve")
 	spSolve := rec.BeginVirt(trace.CatTrain, "solve", c.Clock())
 	cfg := p.solverConfig()
+	// Kernel values reach this loop through the column cache below; the
+	// solver's own local×local row cache is never read, so keep it minimal.
+	cfg.CacheRows = 2
 	startIter := 0
 	if rt := p.rt; rt != nil {
 		if epoch, ga, gf, ok := rt.store.consistentDis(); ok {
@@ -71,16 +72,16 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 	}
 	maxIter := p.MaxIter
 	if maxIter <= 0 {
-		totalM := c.AllreduceSumInt([]int{local.x.Rows()})[0]
-		maxIter = 100*totalM + 10000
+		maxIter = 100*m + 10000
 	}
 	tol := p.Tol
 	if tol <= 0 {
 		tol = 1e-3
 	}
 
-	bufH := make([]float64, local.x.Rows())
-	bufL := make([]float64, local.x.Rows())
+	// The exchange and its column cache live for this attempt only: after a
+	// restore every rank starts cold at once, so the replicas still agree.
+	ex := newPairExchange(c, local, solver, p, m)
 	iters := startIter
 	lastDep := startIter
 	for iters < maxIter {
@@ -106,43 +107,41 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 		}
 		bh, ih, bl, il := solver.LocalExtremes()
 		c.Charge(solver.TakeFlops())
-		high := c.AllreduceMinLoc(bh, ih)
-		low := c.AllreduceMaxLoc(bl, il)
-		if low.Val-high.Val < 2*tol || high.Index < 0 || low.Index < 0 {
+		high, low, err := ex.reduce(iters, bh, ih, bl, il)
+		if err != nil {
+			return err
+		}
+		if low.val-high.val < 2*tol || high.index < 0 || low.index < 0 {
 			break
 		}
-		// Owners broadcast the active samples: row + y + α.
-		highP := bcastActive(c, solver, local, int(high.Rank), int(high.Index))
-		lowP := bcastActive(c, solver, local, int(low.Rank), int(low.Index))
+		eh, el, err := ex.columns(high, low)
+		if err != nil {
+			return err
+		}
 
 		// Identical update arithmetic on every rank.
-		khh := p.Kernel.Eval(highP.x, 0, highP.x, 0)
-		kll := p.Kernel.Eval(lowP.x, 0, lowP.x, 0)
-		khl := p.Kernel.Eval(highP.x, 0, lowP.x, 0)
+		khl := p.Kernel.Eval(eh.X, 0, el.X, 0)
 		ch, cl := p.C, p.C
 		if p.PosWeight > 0 {
-			if highP.y[0] > 0 {
+			if eh.Y > 0 {
 				ch = p.C * p.PosWeight
 			}
-			if lowP.y[0] > 0 {
+			if el.Y > 0 {
 				cl = p.C * p.PosWeight
 			}
 		}
-		dah, dal := smo.PairSolveWeighted(ch, cl, highP.y[0], lowP.y[0], high.Val, low.Val,
-			highP.alpha[0], lowP.alpha[0], khh, kll, khl)
+		dah, dal := smo.PairSolveWeighted(ch, cl, eh.Y, el.Y, high.val, low.val,
+			high.alpha, low.alpha, eh.Diag, el.Diag, khl)
 		if dah == 0 && dal == 0 {
 			break // numerically stuck pair; matches the serial guard
 		}
-		if c.Rank() == int(high.Rank) {
-			solver.AddAlpha(int(high.Index), dah)
+		if c.Rank() == int(high.rank) {
+			solver.AddAlpha(int(high.index), dah)
 		}
-		if c.Rank() == int(low.Rank) {
-			solver.AddAlpha(int(low.Index), dal)
+		if c.Rank() == int(low.rank) {
+			solver.AddAlpha(int(low.index), dal)
 		}
-		// One fused sweep over the local block computes both cross-kernel
-		// columns (bit-identical to the two sequential updates it replaces).
-		solver.ApplyExternalPair(highP.x, 0, highP.y[0], dah,
-			lowP.x, 0, lowP.y[0], dal, bufH, bufL)
+		solver.ApplyColumns(eh.K, eh.Y, dah, el.K, el.Y, dal)
 		c.Charge(solver.TakeFlops())
 		iters++
 	}
@@ -150,6 +149,15 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 	out.trainSec = c.Clock() - out.initSec
 	rec.EndVirt(spSolve, c.Clock())
 	c.SetPhase("assemble")
+	if c.Rank() == 0 {
+		// Every rank's cache saw the same lookups; rank 0 speaks for all.
+		out.colHits, out.colMisses = ex.cache.Stats()
+		if reg := p.Metrics; reg != nil {
+			reg.Counter("smo_iterations_total", "SMO iterations executed").Add(int64(iters))
+			reg.Counter("smo_row_cache_hits_total", "kernel row-cache hits").Add(out.colHits)
+			reg.Counter("smo_row_cache_misses_total", "kernel row-cache misses").Add(out.colMisses)
+		}
+	}
 
 	// Assemble the global model at rank 0: gather (SV rows, y, α, local
 	// bHigh/bLow contributions).
@@ -200,21 +208,6 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 	out.local = model.FromSolution(merged.x, merged.y, merged.alpha, bias, p.Kernel)
 	out.svs = out.local.NSV()
 	return nil
-}
-
-// bcastActive broadcasts (sample row, label, α) of the owner's local index
-// as a 1-row part.
-func bcastActive(c *mpi.Comm, solver *smo.Solver, local part, owner, index int) part {
-	var payload []byte
-	if c.Rank() == owner {
-		payload = encodePart(local.x, local.y, solver.Alpha(), []int{index})
-	}
-	payload = c.Bcast(owner, payload)
-	q, err := decodePart(payload)
-	if err != nil {
-		panic("core: bcastActive: " + err.Error())
-	}
-	return q
 }
 
 // encodeBias packs the rank's local (bHigh, bLow) thresholds.

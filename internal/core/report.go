@@ -50,23 +50,25 @@ func BuildReport(out *Output, p Params, dataset string, accuracy float64) (*trac
 			Gamma:     p.Kernel.Gamma,
 			PosWeight: p.PosWeight,
 		},
-		Iters:      st.Iters,
-		SVs:        st.SVs,
-		TotalFlops: st.TotalFlops,
-		Accuracy:   accuracy,
-		InitSec:    st.InitSec,
-		TrainSec:   st.TrainSec,
-		TotalSec:   st.TotalSec,
-		WallSec:    st.Wall.Seconds(),
-		CompSec:    st.CompSec,
-		CommSec:    st.CommSec,
-		CommBytes:  st.CommBytes,
-		CommOps:    st.CommOps,
-		CommMatrix: st.CommMatrix,
-		LostRanks:   st.LostRanks,
-		Degraded:    st.Degraded,
-		Recoveries:  st.Recoveries,
-		RecoverySec: st.RecoverySec,
+		Iters:          st.Iters,
+		SVs:            st.SVs,
+		TotalFlops:     st.TotalFlops,
+		ColCacheHits:   st.ColCacheHits,
+		ColCacheMisses: st.ColCacheMisses,
+		Accuracy:       accuracy,
+		InitSec:        st.InitSec,
+		TrainSec:       st.TrainSec,
+		TotalSec:       st.TotalSec,
+		WallSec:        st.Wall.Seconds(),
+		CompSec:        st.CompSec,
+		CommSec:        st.CommSec,
+		CommBytes:      st.CommBytes,
+		CommOps:        st.CommOps,
+		CommMatrix:     st.CommMatrix,
+		LostRanks:      st.LostRanks,
+		Degraded:       st.Degraded,
+		Recoveries:     st.Recoveries,
+		RecoverySec:    st.RecoverySec,
 	}
 	// A schedule-driven injector can describe its realized faults; record
 	// them so any chaos run replays from its report alone.

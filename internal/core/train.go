@@ -279,6 +279,7 @@ func runAttempt(x *la.Matrix, y []float64, p Params, base float64) (*Output, *mp
 	case MethodDisSMO:
 		st.Iters = results[0].iters
 		st.SVs = results[0].svs
+		st.ColCacheHits, st.ColCacheMisses = results[0].colHits, results[0].colMisses
 		set = model.Single(results[0].local, nil)
 	case MethodCascade, MethodDCSVM, MethodDCFilter:
 		st.Layers = lc.snapshot()

@@ -11,30 +11,20 @@ import (
 // cache eliminates most kernel-row recomputation — the same optimisation
 // LIBSVM and the paper's shared-memory SMO rely on.
 //
-// The cache is allocation-free after construction: all cached rows live in
-// one flat preallocated block, the LRU order is an intrusive doubly-linked
-// list over slot numbers backed by two int32 slices, and the row→slot map
-// is a direct-indexed slice. A hit is two array reads and four link writes;
-// a miss recomputes one row in place — no container/list element boxing, no
-// per-miss make, nothing for the garbage collector to trace.
+// The cache is allocation-free after construction: slots, LRU order and the
+// flat row block are an lruSlab (shared with ColumnCache), so a hit is two
+// array reads and four link writes and a miss recomputes one row in place —
+// no container/list element boxing, no per-miss make, nothing for the
+// garbage collector to trace.
 //
 // RowCache is not safe for concurrent use; each solver owns one.
 type RowCache struct {
 	params Params
 	data   *la.Matrix
 
-	capacity int // max rows kept
-	m        int // row length = data.Rows()
-	threads  int // intra-node workers for row fills
-
-	slotOf []int32   // sample index -> slot, or -1
-	rowOf  []int32   // slot -> sample index, or -1 while unused
-	next   []int32   // slot -> next (toward LRU), -1 at tail
-	prev   []int32   // slot -> prev (toward MRU), -1 at head
-	head   int32     // most recently used slot, -1 when empty
-	tail   int32     // least recently used slot, -1 when empty
-	used   int       // slots filled so far (grows to capacity, never shrinks)
-	block  []float64 // slot s holds its row at block[s*m : (s+1)*m]
+	m       int // row length = data.Rows()
+	threads int // intra-node workers for row fills
+	lru     lruSlab
 
 	// diag lazily caches the kernel diagonal for non-Gaussian kernels, so
 	// per-iteration Diag lookups and the WSS2 scan cost O(1) per sample
@@ -76,55 +66,13 @@ func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
 	if capacity > m && m >= 2 {
 		capacity = m
 	}
-	c := &RowCache{
+	return &RowCache{
 		params:   p,
 		data:     data,
-		capacity: capacity,
 		m:        m,
-		slotOf:   make([]int32, m),
-		rowOf:    make([]int32, capacity),
-		next:     make([]int32, capacity),
-		prev:     make([]int32, capacity),
-		head:     -1,
-		tail:     -1,
-		block:    make([]float64, capacity*m),
+		lru:      newLRUSlab(m, capacity, m),
 		prefRows: make([]int, 0, 2),
 		prefDst:  make([][]float64, 0, 2),
-	}
-	for i := range c.slotOf {
-		c.slotOf[i] = -1
-	}
-	for s := range c.rowOf {
-		c.rowOf[s] = -1
-	}
-	return c
-}
-
-// unlink detaches slot s from the LRU list.
-func (c *RowCache) unlink(s int32) {
-	p, n := c.prev[s], c.next[s]
-	if p >= 0 {
-		c.next[p] = n
-	} else {
-		c.head = n
-	}
-	if n >= 0 {
-		c.prev[n] = p
-	} else {
-		c.tail = p
-	}
-}
-
-// pushFront makes slot s the most recently used.
-func (c *RowCache) pushFront(s int32) {
-	c.prev[s] = -1
-	c.next[s] = c.head
-	if c.head >= 0 {
-		c.prev[c.head] = s
-	}
-	c.head = s
-	if c.tail < 0 {
-		c.tail = s
 	}
 }
 
@@ -133,43 +81,17 @@ func (c *RowCache) pushFront(s int32) {
 // until its entry is evicted (SMO's two live rows per iteration are safe
 // for any capacity ≥ 2).
 func (c *RowCache) Row(i int) []float64 {
-	if s := c.slotOf[i]; s >= 0 {
+	if s := c.lru.touch(i); s >= 0 {
 		c.hits++
-		if c.head != s {
-			c.unlink(s)
-			c.pushFront(s)
-		}
-		return c.block[int(s)*c.m : int(s)*c.m+c.m]
+		return c.lru.row(s)
 	}
 	c.misses++
-	row := c.slotFor(i)
+	row := c.lru.row(c.lru.acquire(i))
 	sp := c.rec.Begin(trace.CatKernel, "row-fill")
 	f := c.params.RowParallel(c.data, i, row, c.threads)
 	c.rec.EndFlops(sp, f)
 	c.flops += f
 	return row
-}
-
-// slotFor acquires a slot for the uncached sample i — reusing the LRU
-// victim's slot once the cache is full — updates both index maps, and
-// makes the slot most-recently-used immediately, so a second acquisition
-// in the same batch cannot evict it (capacity ≥ 2 guarantees a distinct
-// tail). It returns the slot's row storage; the caller fills it.
-func (c *RowCache) slotFor(i int) []float64 {
-	var s int32
-	if c.used < c.capacity {
-		s = int32(c.used)
-		c.used++
-	} else {
-		// Evict the least recently used entry, reusing its slot in place.
-		s = c.tail
-		c.slotOf[c.rowOf[s]] = -1
-		c.unlink(s)
-	}
-	c.rowOf[s] = int32(i)
-	c.slotOf[i] = s
-	c.pushFront(s)
-	return c.block[int(s)*c.m : int(s)*c.m+c.m]
 }
 
 // PrefetchPair makes rows i and j resident, filling both misses through one
@@ -182,27 +104,9 @@ func (c *RowCache) slotFor(i int) []float64 {
 func (c *RowCache) PrefetchPair(i, j int) {
 	c.prefRows = c.prefRows[:0]
 	c.prefDst = c.prefDst[:0]
-	if s := c.slotOf[i]; s >= 0 {
-		if c.head != s {
-			c.unlink(s)
-			c.pushFront(s)
-		}
-	} else {
-		c.misses++
-		c.prefRows = append(c.prefRows, i)
-		c.prefDst = append(c.prefDst, c.slotFor(i))
-	}
+	c.prefetch(i)
 	if j != i {
-		if s := c.slotOf[j]; s >= 0 {
-			if c.head != s {
-				c.unlink(s)
-				c.pushFront(s)
-			}
-		} else {
-			c.misses++
-			c.prefRows = append(c.prefRows, j)
-			c.prefDst = append(c.prefDst, c.slotFor(j))
-		}
+		c.prefetch(j)
 	}
 	if len(c.prefRows) == 0 {
 		return
@@ -211,6 +115,17 @@ func (c *RowCache) PrefetchPair(i, j int) {
 	f := c.params.Tile(c.data, c.prefRows, c.prefDst, c.threads)
 	c.rec.EndFlops(sp, f)
 	c.flops += f
+}
+
+// prefetch makes row i most recent when resident, or queues it (slot
+// acquired, miss counted) for PrefetchPair's shared fill.
+func (c *RowCache) prefetch(i int) {
+	if c.lru.touch(i) >= 0 {
+		return
+	}
+	c.misses++
+	c.prefRows = append(c.prefRows, i)
+	c.prefDst = append(c.prefDst, c.lru.row(c.lru.acquire(i)))
 }
 
 // Diag returns the kernel diagonal K(i,i) without touching the row cache;
@@ -247,4 +162,4 @@ func (c *RowCache) ResetFlops() float64 {
 }
 
 // Len returns the number of rows currently cached.
-func (c *RowCache) Len() int { return c.used }
+func (c *RowCache) Len() int { return c.lru.used }

@@ -177,102 +177,3 @@ func (p Params) CrossTile(a *la.Matrix, rows []int, b *la.Matrix, clo, chi int, 
 	}
 	return flops
 }
-
-// CrossRowPair computes two cross-matrix kernel columns in one sweep over
-// a's rows: dstH[i] = K(a_i, bh_jh) and dstL[i] = K(a_i, bl_jl). Each
-// column is bit-identical to the corresponding CrossRow call, and the
-// returned flop charge is the sum of the two CrossRow charges — the fusion
-// only halves the number of passes over a (Dis-SMO applies the high and
-// low updates back to back every iteration).
-func (p Params) CrossRowPair(a *la.Matrix, bh *la.Matrix, jh int, bl *la.Matrix, jl int, dstH, dstL []float64) float64 {
-	m := a.Rows()
-	dstH = dstH[:m]
-	dstL = dstL[:m]
-	if p.Kind == Gaussian {
-		a.EnsureNorms()
-		bh.EnsureNorms()
-		bl.EnsureNorms()
-	}
-	ch := p.openCrossCol(a, bh, jh)
-	cl := p.openCrossCol(a, bl, jl)
-	for i := 0; i < m; i++ {
-		dstH[i] = ch.eval(p, a, i)
-		dstL[i] = cl.eval(p, a, i)
-	}
-	ch.close()
-	cl.close()
-	return float64(2*a.NNZ() + (ch.nnz+1)*m + (cl.nnz+1)*m)
-}
-
-// crossCol is one prepared b-side column of a CrossRow evaluation: the b
-// row in whichever form the matching CrossRow storage path uses.
-type crossCol struct {
-	mode  int // 0: sparse×sparse, 1: dense×dense, 2: mixed (densified)
-	bi    []int32
-	bv    []float64
-	bNorm float64   // sparse×sparse Gaussian: b.SqNormRow(j)
-	xj    []float64 // dense or densified b row
-	xjsq  float64   // mixed Gaussian: la.SqNorm(xj)
-	nnz   int       // CrossRow's nnzJ term
-	buf   *[]float64
-}
-
-func (p Params) openCrossCol(a, b *la.Matrix, j int) crossCol {
-	var c crossCol
-	if b.Sparse() {
-		bi, _ := b.SparseRow(j)
-		c.nnz = len(bi)
-	} else {
-		c.nnz = b.Features()
-	}
-	switch {
-	case a.Sparse() && b.Sparse():
-		c.mode = 0
-		c.bi, c.bv = b.SparseRow(j)
-		if p.Kind == Gaussian {
-			c.bNorm = b.SqNormRow(j)
-		}
-	case !a.Sparse() && !b.Sparse():
-		c.mode = 1
-		c.xj = b.DenseRow(j)
-	default:
-		c.mode = 2
-		c.buf = getScratch(b.Features())
-		c.xj = b.RowInto(j, *c.buf)
-		c.xjsq = la.SqNorm(c.xj)
-	}
-	return c
-}
-
-func (c *crossCol) eval(p Params, a *la.Matrix, i int) float64 {
-	switch c.mode {
-	case 0:
-		ii, iv := a.SparseRow(i)
-		dot := la.SpDot(ii, iv, c.bi, c.bv)
-		if p.Kind == Gaussian {
-			d := a.SqNormRow(i) + c.bNorm - 2*dot
-			if d < 0 {
-				d = 0
-			}
-			return math.Exp(-p.Gamma * d)
-		}
-		return p.fromDot(dot, 0)
-	case 1:
-		if p.Kind == Gaussian {
-			return math.Exp(-p.Gamma * la.SqDist(a.DenseRow(i), c.xj))
-		}
-		return p.fromDot(la.Dot(a.DenseRow(i), c.xj), 0)
-	default:
-		if p.Kind == Gaussian {
-			return math.Exp(-p.Gamma * a.SqDistVec(i, c.xj, c.xjsq))
-		}
-		return p.fromDot(a.DotVec(i, c.xj), 0)
-	}
-}
-
-func (c *crossCol) close() {
-	if c.buf != nil {
-		putScratch(c.buf)
-		c.buf = nil
-	}
-}

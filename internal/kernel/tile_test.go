@@ -149,31 +149,6 @@ func TestCrossTileSameMatrix(t *testing.T) {
 	}
 }
 
-func TestCrossRowPairMatchesCrossRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(85))
-	for pi, pair := range crossMats(rng) {
-		a, b := pair[0], pair[1]
-		for _, p := range tileKinds {
-			m := a.Rows()
-			wantH := make([]float64, m)
-			wantL := make([]float64, m)
-			fw := p.CrossRow(a, b, 2, wantH) + p.CrossRow(a, b, 9, wantL)
-			gotH := make([]float64, m)
-			gotL := make([]float64, m)
-			fg := p.CrossRowPair(a, b, 2, b, 9, gotH, gotL)
-			if fg != fw {
-				t.Fatalf("pair=%d kind=%v: flops %v != %v", pi, p.Kind, fg, fw)
-			}
-			for i := 0; i < m; i++ {
-				if gotH[i] != wantH[i] || gotL[i] != wantL[i] {
-					t.Fatalf("pair=%d kind=%v i=%d: (%v,%v) != (%v,%v)",
-						pi, p.Kind, i, gotH[i], gotL[i], wantH[i], wantL[i])
-				}
-			}
-		}
-	}
-}
-
 // TestPrefetchPairMatchesSequentialRows drives two caches with an identical
 // random pair trace — one calling PrefetchPair before the Row reads, one
 // just calling Row — and demands identical row values, miss counts, flop

@@ -39,7 +39,13 @@ func (a *Matrix) EncodedSize(rows []int) int {
 
 // EncodeRows serialises the given rows (in order) to the wire format.
 func (a *Matrix) EncodeRows(rows []int) []byte {
-	buf := make([]byte, 0, a.EncodedSize(rows))
+	return a.AppendRows(make([]byte, 0, a.EncodedSize(rows)), rows)
+}
+
+// AppendRows appends the wire encoding of the given rows (in order) to buf
+// and returns the extended slice, so a caller with a reusable buffer encodes
+// without allocating.
+func (a *Matrix) AppendRows(buf []byte, rows []int) []byte {
 	le := binary.LittleEndian
 	var hdr [9]byte
 	if a.sparse {

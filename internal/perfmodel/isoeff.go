@@ -28,7 +28,11 @@ func NormalizedIso(mc Machine, features int) IsoParams {
 }
 
 // DisSMOParallelTime evaluates eqn (9): the modeled time of one distributed
-// SMO iteration with m samples, n features, on p processes (tc = 1).
+// SMO iteration with m samples, n features, on p processes (tc = 1). This is
+// the paper's formula for the paper's loop — two location-reductions, two
+// row broadcasts and two fresh kernel columns every iteration — not a model
+// of internal/core's Dis-SMO, which caches columns and exchanges one
+// allreduce per iteration (DESIGN.md §10).
 func (ip IsoParams) DisSMOParallelTime(m, p int) float64 {
 	n := float64(ip.N)
 	pf := float64(p)

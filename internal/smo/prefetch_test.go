@@ -52,43 +52,46 @@ func TestTiledPrefetchMatchesUnprefetched(t *testing.T) {
 	}
 }
 
-// TestApplyExternalPairMatchesSequential pins the fused distributed pair
-// update against the two sequential ApplyExternalUpdate calls it replaces:
-// identical f vectors and identical flop charges, for both storage kinds
-// and both kernel families.
-func TestApplyExternalPairMatchesSequential(t *testing.T) {
+// TestColumnsMatchCrossRowReference pins the distributed pair update —
+// FillColumn for each sample, then ApplyColumns — against the arithmetic it
+// stands for, written out by hand: one CrossRow and one axpy per sample,
+// high before low. Identical f vectors and identical flop charges, for every
+// pairing of local and external storage and both kernel families.
+func TestColumnsMatchCrossRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	de, y := twoBlobs(rng, 80, 2, 0.8)
 	sp := sparseCopy(de)
 	for _, mat := range []struct {
-		name string
-		x    *la.Matrix
-	}{{"dense", de}, {"sparse", sp}} {
+		name   string
+		x, ext *la.Matrix
+	}{{"dense", de, de}, {"sparse", sp, sp}, {"dense×sparse", de, sp}, {"sparse×dense", sp, de}} {
 		for _, p := range []kernel.Params{kernel.RBF(0.4), {Kind: kernel.Linear}} {
-			cfg := Config{C: 1, Tol: 1e-3, Kernel: p}
-			ext := mat.x.Subset([]int{3, 117})
-			mk := func() *Solver {
-				s, err := New(mat.x, y, cfg, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
+			s, err := New(mat.x, y, Config{C: 1, Tol: 1e-3, Kernel: p}, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sSeq := mk()
-			sPair := mk()
+			ext := mat.ext.Subset([]int{3, 117})
 			m := mat.x.Rows()
+			want := append([]float64(nil), s.f...)
+			wantFlops := float64(4 * m)
 			buf := make([]float64, m)
-			sSeq.ApplyExternalUpdate(ext, 0, 1, 0.25, buf)
-			sSeq.ApplyExternalUpdate(ext, 1, -1, 0.5, buf)
-			bufH := make([]float64, m)
-			bufL := make([]float64, m)
-			sPair.ApplyExternalPair(ext, 0, 1, 0.25, ext, 1, -1, 0.5, bufH, bufL)
-			if fs, fp := sSeq.TakeFlops(), sPair.TakeFlops(); fs != fp {
-				t.Fatalf("%s/%v: flops %v vs %v", mat.name, p.Kind, fs, fp)
+			for j, coef := range []float64{0.25 * 1, 0.5 * -1} {
+				wantFlops += p.CrossRow(mat.x, ext, j, buf)
+				la.Axpy(coef, buf, want)
 			}
-			for i := range sSeq.f {
-				if sSeq.f[i] != sPair.f[i] {
-					t.Fatalf("%s/%v: f[%d] %v vs %v", mat.name, p.Kind, i, sSeq.f[i], sPair.f[i])
+
+			s.TakeFlops()
+			colH := make([]float64, m)
+			colL := make([]float64, m)
+			s.FillColumn(ext, 0, colH)
+			s.FillColumn(ext, 1, colL)
+			s.ApplyColumns(colH, 1, 0.25, colL, -1, 0.5)
+			if got := s.TakeFlops(); got != wantFlops {
+				t.Fatalf("%s/%v: flops %v, want %v", mat.name, p.Kind, got, wantFlops)
+			}
+			for i := range want {
+				if s.f[i] != want[i] {
+					t.Fatalf("%s/%v: f[%d] %v, want %v", mat.name, p.Kind, i, s.f[i], want[i])
 				}
 			}
 		}

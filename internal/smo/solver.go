@@ -6,8 +6,8 @@
 // repository.
 //
 // The solver exposes both a one-shot Solve and the per-iteration primitives
-// (LocalExtremes, PairDeltas, ApplyUpdate) that distributed SMO composes
-// with allreduce operations.
+// (LocalExtremes, PairSolveWeighted, FillColumn, ApplyColumns, AddAlpha)
+// that distributed SMO composes with one allreduce per iteration.
 package smo
 
 import (
@@ -440,31 +440,25 @@ func (s *Solver) UpdateF(iHigh, iLow int, u PairUpdate) {
 	s.flops += float64(4 * len(s.f))
 }
 
-// ApplyExternalUpdate is the distributed variant of UpdateF: the high/low
-// samples live in ext (a 1- or 2-row matrix) and may not be local rows.
-// Local alpha changes (when this rank owns the sample) must be applied
-// separately via AddAlpha.
-func (s *Solver) ApplyExternalUpdate(ext *la.Matrix, extIdx int, yExt, dAlpha float64, buf []float64) {
-	s.invalidateExtremes()
-	s.flops += s.cfg.Kernel.CrossRow(s.x, ext, extIdx, buf)
-	la.Axpy(dAlpha*yExt, buf[:len(s.f)], s.f)
-	s.flops += float64(2 * len(s.f))
+// FillColumn computes the cross-kernel column of an external sample against
+// the local block — dst[i] = K(x_i, ext_j), length M() — and charges its
+// flops. Distributed SMO calls it once per sample entering its replicated
+// column cache; every later iteration that picks the sample reuses the
+// column for free.
+func (s *Solver) FillColumn(ext *la.Matrix, j int, dst []float64) {
+	s.flops += s.cfg.Kernel.CrossRow(s.x, ext, j, dst)
 }
 
-// ApplyExternalPair applies both halves of a distributed pair update in one
-// pass: the two cross-kernel columns are computed by a single fused sweep
-// over the local matrix (kernel.Params.CrossRowPair) and f receives both
-// axpy contributions in high-then-low order. Results and flop charges are
-// bit-identical to ApplyExternalUpdate for the high sample followed by
-// ApplyExternalUpdate for the low sample.
-func (s *Solver) ApplyExternalPair(extH *la.Matrix, hIdx int, yH, dAH float64,
-	extL *la.Matrix, lIdx int, yL, dAL float64, bufH, bufL []float64) {
+// ApplyColumns is the distributed variant of UpdateF: the high and low
+// samples may not be local rows, so their kernel columns (FillColumn) are
+// passed in, and f receives both axpy contributions in high-then-low order.
+// Local alpha changes (when this rank owns a sample) are applied separately
+// via AddAlpha.
+func (s *Solver) ApplyColumns(colH []float64, yH, dAH float64, colL []float64, yL, dAL float64) {
 	s.invalidateExtremes()
-	s.flops += s.cfg.Kernel.CrossRowPair(s.x, extH, hIdx, extL, lIdx, bufH, bufL)
-	la.Axpy(dAH*yH, bufH[:len(s.f)], s.f)
-	s.flops += float64(2 * len(s.f))
-	la.Axpy(dAL*yL, bufL[:len(s.f)], s.f)
-	s.flops += float64(2 * len(s.f))
+	la.Axpy(dAH*yH, colH[:len(s.f)], s.f)
+	la.Axpy(dAL*yL, colL[:len(s.f)], s.f)
+	s.flops += float64(4 * len(s.f))
 }
 
 // AddAlpha adds d to alpha[i], clipping to [0, C_i] and snapping edge dust.

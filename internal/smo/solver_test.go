@@ -327,7 +327,7 @@ func TestSparseDenseSameSolution(t *testing.T) {
 	}
 }
 
-func TestApplyExternalUpdateMatchesLocal(t *testing.T) {
+func TestApplyColumnsMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x, y := twoBlobs(rng, 15, 2, 0.5)
 	cfg := defaultCfg()
@@ -341,12 +341,14 @@ func TestApplyExternalUpdateMatchesLocal(t *testing.T) {
 	u := a.PairDeltas(ih, il)
 	a.UpdateF(ih, il, u)
 
-	// Same step on b via the external-update path.
+	// Same step on b via the distributed column path.
 	b.AddAlpha(ih, u.DAlphaHigh)
 	b.AddAlpha(il, u.DAlphaLow)
-	buf := make([]float64, x.Rows())
-	b.ApplyExternalUpdate(x, ih, y[ih], u.DAlphaHigh, buf)
-	b.ApplyExternalUpdate(x, il, y[il], u.DAlphaLow, buf)
+	colH := make([]float64, x.Rows())
+	colL := make([]float64, x.Rows())
+	b.FillColumn(x, ih, colH)
+	b.FillColumn(x, il, colL)
+	b.ApplyColumns(colH, y[ih], u.DAlphaHigh, colL, y[il], u.DAlphaLow)
 
 	for i := range a.F() {
 		if math.Abs(a.F()[i]-b.F()[i]) > 1e-9 {

@@ -47,8 +47,12 @@ type Report struct {
 	Iters      int     `json:"iters"`
 	SVs        int     `json:"svs"`
 	TotalFlops float64 `json:"total_flops"`
-	Accuracy   float64 `json:"accuracy,omitempty"`
-	ModelHash  string  `json:"model_hash,omitempty"`
+	// Dis-SMO's replicated kernel-column cache: lookups served from the
+	// cache and lookups that had to ship a row and compute a column.
+	ColCacheHits   int64   `json:"col_cache_hits,omitempty"`
+	ColCacheMisses int64   `json:"col_cache_misses,omitempty"`
+	Accuracy       float64 `json:"accuracy,omitempty"`
+	ModelHash      string  `json:"model_hash,omitempty"`
 
 	// Time split (virtual α–β seconds, plus real wall time).
 	InitSec  float64 `json:"init_sec"`
@@ -112,9 +116,9 @@ type CritPathReport struct {
 type FaultEvent struct {
 	Kind     string  `json:"kind"`
 	Rank     int     `json:"rank"`
-	Dst      int     `json:"dst,omitempty"`      // receiver for message faults
-	Iter     int     `json:"iter,omitempty"`     // trigger iteration (crash-iter)
-	Send     int     `json:"send,omitempty"`     // 1-based remote-send index (message faults)
+	Dst      int     `json:"dst,omitempty"`  // receiver for message faults
+	Iter     int     `json:"iter,omitempty"` // trigger iteration (crash-iter)
+	Send     int     `json:"send,omitempty"` // 1-based remote-send index (message faults)
 	DelaySec float64 `json:"delay_sec,omitempty"`
 }
 
