@@ -54,7 +54,8 @@
 // Cluster-executor demo — the same machinery productized: an elastic
 // coordinator (internal/cluster) gang-schedules a Remote job onto real
 // executor worker processes, each training its shard ranks in its own
-// process over a tcpmpi mesh bootstrapped through the lease protocol. The
+// process on receipt of one start frame over its lease — RA-CA ranks
+// exchange no messages, so the workers are not connected to each other. The
 // demo runs the job twice — fault-free, then with a kill -9 on a worker
 // mid-epoch — and asserts both land on the same ModelHash:
 //

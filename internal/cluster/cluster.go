@@ -7,15 +7,16 @@
 //
 // Workers execute. A worker dials in, holds a heartbeat-renewed lease, and
 // — for jobs submitted with Remote set — runs its assigned shard ranks'
-// solves inside its own process (cluster.RunExecutor), meshed to its gang
-// over tcpmpi and streaming epoch-boundary checkpoints back to the
-// coordinator as lease control frames. The coordinator holds the global
-// state a node-level fault domain needs: the latest checkpoint per rank
-// and every finished shard model, so a lease expiry — including a real
-// `kill -9` on the worker process — re-gangs the survivors (plus any
-// spare) from the last streamed checkpoints and still lands on the
-// fault-free ModelHash, with the lost work α–β-priced into TotalSec. See
-// remote.go for the coordinator half and executor.go for the worker half.
+// solves inside its own process (cluster.RunExecutor), streaming
+// epoch-boundary checkpoints back to the coordinator as lease control
+// frames; RA-CA ranks exchange no messages, so the lease is the worker's
+// only connection. The coordinator holds the global state a node-level
+// fault domain needs: the latest checkpoint per rank and every finished
+// shard model, so a lease expiry — including a real `kill -9` on the worker
+// process — re-gangs the survivors (plus any spare) from the last streamed
+// checkpoints and still lands on the fault-free ModelHash, with the lost
+// work α–β-priced into TotalSec. See remote.go for the coordinator half and
+// executor.go for the worker half.
 //
 // Jobs without Remote keep the original capacity-token model: workers gate
 // how many ranks the coordinator will model concurrently while the
@@ -83,9 +84,9 @@ type Coordinator struct {
 
 	// membership and job counters (satellite: lease-expiry/join/leave
 	// visibility in the Prometheus registry)
-	cJoins, cLeaves, cExpiries       *trace.Counter
-	cSubmitted, cCompleted, cFailed  *trace.Counter
-	cScaleups                        *trace.Counter
+	cJoins, cLeaves, cExpiries         *trace.Counter
+	cSubmitted, cCompleted, cFailed    *trace.Counter
+	cScaleups                          *trace.Counter
 	gWorkers, gBusy, gRunning, gQueued *trace.Gauge
 
 	mu      sync.Mutex
@@ -95,7 +96,7 @@ type Coordinator struct {
 	jobs    []*Job                    // submission order
 	byID    map[string]*Job
 	byKey   map[string]*Job // client idempotency key -> accepted job
-	queue   []*Job // jobs waiting for a gang, FIFO
+	queue   []*Job          // jobs waiting for a gang, FIFO
 	nextJob int
 	closed  bool
 
@@ -241,7 +242,8 @@ func (c *Coordinator) Job(id string) (*Job, bool) {
 // connection after the submit frame landed can safely resubmit and
 // reattach to the in-flight work.
 func (c *Coordinator) Submit(spec JobSpec) (*Job, error) {
-	if err := spec.validate(); err != nil {
+	pr, ds, err := trainParams(spec)
+	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -264,6 +266,8 @@ func (c *Coordinator) Submit(spec JobSpec) (*Job, error) {
 		c:       c,
 		id:      id,
 		spec:    spec,
+		params:  pr,
+		ds:      ds,
 		inj:     newElasticInjector(spec.P, spec.policy() == core.RecoverShrink),
 		metrics: trace.NewRegistry(),
 		ring:    smo.NewTelemetryRing(0),
@@ -408,31 +412,28 @@ func (c *Coordinator) runJob(j *Job) {
 		return
 	}
 	res := &JobResult{ID: j.id, Method: j.spec.Method, Dataset: datasetName(j.spec), P: j.spec.P}
-	pr, ds, err := trainParams(j.spec)
+	pr, ds := j.params, j.ds
+	pr.Faults = j.inj
+	pr.Metrics = j.metrics
+	pr.Telemetry = j.ring
+	start := time.Now()
+	out, err := core.Train(ds.X, ds.Y, pr)
+	res.WallSec = time.Since(start).Seconds()
 	if err == nil {
-		pr.Faults = j.inj
-		pr.Metrics = j.metrics
-		pr.Telemetry = j.ring
-		start := time.Now()
-		var out *core.Output
-		out, err = core.Train(ds.X, ds.Y, pr)
-		res.WallSec = time.Since(start).Seconds()
-		if err == nil {
-			st := out.Stats
-			res.FinalP = st.P
-			res.Iters = st.Iters
-			res.SVs = st.SVs
-			res.TotalSec = st.TotalSec
-			res.Recoveries = st.Recoveries
-			res.LostRanks = st.LostRanks
-			res.Grows = st.Grows
-			res.JoinedRanks = st.JoinedRanks
-			res.Degraded = st.Degraded
-			if ds.TestX != nil {
-				res.Accuracy = out.Set.Accuracy(ds.TestX, ds.TestY)
-			}
-			res.ModelHash, err = core.ModelHash(out.Set)
+		st := out.Stats
+		res.FinalP = st.P
+		res.Iters = st.Iters
+		res.SVs = st.SVs
+		res.TotalSec = st.TotalSec
+		res.Recoveries = st.Recoveries
+		res.LostRanks = st.LostRanks
+		res.Grows = st.Grows
+		res.JoinedRanks = st.JoinedRanks
+		res.Degraded = st.Degraded
+		if ds.TestX != nil {
+			res.Accuracy = out.Set.Accuracy(ds.TestX, ds.TestY)
 		}
+		res.ModelHash, err = core.ModelHash(out.Set)
 	}
 	if err != nil {
 		res.Err = err.Error()
@@ -452,6 +453,7 @@ func (c *Coordinator) finishJob(j *Job, res *JobResult) {
 	c.gBusy.Set(float64(len(c.owner)))
 	c.gRunning.Add(-1)
 	j.result = res
+	j.ds = nil // the coordinator keeps every Job; it need not keep their data
 	if res.Err == "" {
 		j.state = JobDone
 		c.cCompleted.Inc()

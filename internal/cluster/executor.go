@@ -2,13 +2,13 @@
 // generation protocol.
 //
 // RunExecutor holds a worker lease and serves the exec frame vocabulary:
-// prepare reserves a mesh port, start dials the generation's tcpmpi world
-// and trains the assigned shard ranks with core.RunShard — streaming
+// start trains the assigned shard ranks with core.RunShard — streaming
 // epoch-boundary checkpoints back over the lease as it goes — and abort
-// interrupts in-flight solves at the next iteration poll. Killing the
-// process (`kill -9` included) simply stops the lease heartbeats; the
-// coordinator's expiry callback then drives shrink/respawn recovery from
-// the checkpoints this executor already streamed.
+// interrupts in-flight solves at the next iteration poll. RA-CA ranks never
+// talk to each other, so the lease is the executor's only connection.
+// Killing the process (`kill -9` included) simply stops the lease
+// heartbeats; the coordinator's expiry callback then drives shrink/respawn
+// recovery from the checkpoints this executor already streamed.
 package cluster
 
 import (
@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -55,8 +54,7 @@ type executor struct {
 	opts ExecutorOptions
 
 	mu      sync.Mutex
-	ports   map[string]string // "job/gen" -> reserved mesh address
-	aborted map[string]int    // job -> highest aborted generation
+	aborted map[string]int // job -> highest aborted generation
 }
 
 func (e *executor) logf(format string, args ...any) {
@@ -80,12 +78,7 @@ func RunExecutor(ctx context.Context, addr string, opts ExecutorOptions) error {
 	if err != nil {
 		return fmt.Errorf("cluster: register with %s: %w", addr, err)
 	}
-	e := &executor{
-		l:       l,
-		opts:    opts,
-		ports:   map[string]string{},
-		aborted: map[string]int{},
-	}
+	e := &executor{l: l, opts: opts, aborted: map[string]int{}}
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -97,7 +90,7 @@ func RunExecutor(ctx context.Context, addr string, opts ExecutorOptions) error {
 	}()
 	e.logf("executor: lease %d with %s", l.ID(), addr)
 	for {
-		tag, payload, err := l.RecvAny([]int{tagExecPrepare, tagExecStart, tagExecAbort}, 0)
+		tag, payload, err := l.RecvAny([]int{tagExecStart, tagExecAbort}, 0)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -108,8 +101,6 @@ func RunExecutor(ctx context.Context, addr string, opts ExecutorOptions) error {
 			return err
 		}
 		switch tag {
-		case tagExecPrepare:
-			e.onPrepare(payload)
 		case tagExecAbort:
 			e.onAbort(payload)
 		case tagExecStart:
@@ -118,44 +109,9 @@ func RunExecutor(ctx context.Context, addr string, opts ExecutorOptions) error {
 				e.logf("executor: %v", err)
 				continue
 			}
-			e.mu.Lock()
-			mesh, ok := e.ports[genKey(m.Job, m.Gen)]
-			delete(e.ports, genKey(m.Job, m.Gen))
-			e.mu.Unlock()
-			if !ok {
-				e.sendFail(m, -1, false, "start for a generation this worker never prepared")
-				continue
-			}
 			// Generations run off the serving loop so aborts keep landing.
-			go e.runGeneration(m, mesh)
+			go e.runGeneration(m)
 		}
-	}
-}
-
-func genKey(job string, gen int) string { return fmt.Sprintf("%s/%d", job, gen) }
-
-// onPrepare reserves a TCP port for the generation's mesh listener and
-// answers with the address. The listener is closed immediately — the port
-// stays effectively reserved until tcpmpi re-binds it, the same
-// reserve-then-rebind trick examples/distributed uses.
-func (e *executor) onPrepare(payload []byte) {
-	m, err := decodeExecPrepare(payload)
-	if err != nil {
-		e.logf("executor: %v", err)
-		return
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		e.logf("executor: reserve mesh port: %v", err)
-		return
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	e.mu.Lock()
-	e.ports[genKey(m.Job, m.Gen)] = addr
-	e.mu.Unlock()
-	if err := e.l.Send(tagExecMeshAddr, marshalExec(execMeshAddr{Job: m.Job, Gen: m.Gen, Addr: addr})); err != nil {
-		e.logf("executor: mesh-addr reply: %v", err)
 	}
 }
 
@@ -175,52 +131,31 @@ func (e *executor) onAbort(payload []byte) {
 	e.logf("executor: job %s gen %d aborted: %s", m.Job, m.Gen, m.Reason)
 }
 
-func (e *executor) sendFail(m execStart, rank int, fatal bool, msg string) {
+// sendFail reports a failure no other gang could fix (bad spec, solver
+// error): the coordinator fails the job. A worker that simply dies says
+// nothing — its lease ending is the report.
+func (e *executor) sendFail(m execStart, rank int, msg string) {
 	err := e.l.Send(tagExecFail, marshalExec(execFail{
-		Job: m.Job, Gen: m.Gen, Rank: rank, Fatal: fatal, Err: msg,
+		Job: m.Job, Gen: m.Gen, Rank: rank, Err: msg,
 	}))
 	if err != nil {
 		e.logf("executor: fail report: %v", err)
 	}
 }
 
-// runGeneration executes one generation on this worker: dial the mesh,
-// clear the start barrier, then train the assigned shard ranks in order,
-// streaming checkpoints and finished models back over the lease.
-func (e *executor) runGeneration(m execStart, meshAddr string) {
+// runGeneration executes one generation on this worker: train the
+// assigned shard ranks in order, streaming checkpoints and finished models
+// back over the lease.
+func (e *executor) runGeneration(m execStart) {
 	if e.abortedGen(m.Job) >= m.Gen {
 		return
 	}
 	pr, ds, err := trainParams(m.Spec)
 	if err != nil {
-		// The spec cannot train anywhere; retrying on another gang
-		// cannot fix it.
-		e.sendFail(m, -1, true, err.Error())
+		e.sendFail(m, -1, err.Error())
 		return
 	}
-	peers := append([]string(nil), m.Peers...)
-	peers[m.MeshRank] = meshAddr
-	comm, err := tcpmpi.DialOptions(m.MeshRank, peers, tcpmpi.Options{
-		HeartbeatInterval:   500 * time.Millisecond,
-		HeartbeatTimeout:    2 * time.Second,
-		ReconnectAttempts:   2,
-		ReconnectBackoffMax: 500 * time.Millisecond,
-	})
-	if err != nil {
-		// A gang member died (or never prepared) before the mesh came
-		// up; the coordinator re-gangs the survivors.
-		e.sendFail(m, -1, false, fmt.Sprintf("mesh dial: %v", err))
-		return
-	}
-	defer comm.Close()
-	// Start barrier: no rank trains until every gang member is meshed, so
-	// a generation either launches whole or not at all.
-	if _, err := comm.Bcast(0, []byte("go")); err != nil {
-		e.sendFail(m, -1, false, fmt.Sprintf("start barrier: %v", err))
-		return
-	}
-	e.logf("executor: job %s gen %d mesh rank %d/%d trains shard ranks %v",
-		m.Job, m.Gen, m.MeshRank, len(peers), m.Ranks)
+	e.logf("executor: job %s gen %d trains shard ranks %v", m.Job, m.Gen, m.Ranks)
 
 	// virt is this worker's cumulative α–β virtual time within the
 	// generation: completed shard solves plus every checkpoint deposit's
@@ -232,7 +167,7 @@ func (e *executor) runGeneration(m execStart, meshAddr string) {
 		}
 		restore, err := remoteResumeCheckpoint(m.Resume[rank])
 		if err != nil { // decodeExecStart already vetted the blob
-			e.sendFail(m, rank, true, fmt.Sprintf("resume checkpoint: %v", err))
+			e.sendFail(m, rank, fmt.Sprintf("resume checkpoint: %v", err))
 			return
 		}
 		var rep *fleet.Reporter
@@ -284,13 +219,13 @@ func (e *executor) runGeneration(m execStart, meshAddr string) {
 			if errors.Is(err, errGenAborted) || errors.Is(err, errLeaseLost) {
 				return // the coordinator already knows why
 			}
-			e.sendFail(m, rank, true, err.Error())
+			e.sendFail(m, rank, err.Error())
 			return
 		}
 		virt += sh.VirtSec
 		var buf bytes.Buffer
 		if err := model.SaveSet(&buf, model.Single(sh.Model, sh.Center)); err != nil {
-			e.sendFail(m, rank, true, fmt.Sprintf("serialize shard model: %v", err))
+			e.sendFail(m, rank, fmt.Sprintf("serialize shard model: %v", err))
 			return
 		}
 		done := marshalExec(execRankDone{

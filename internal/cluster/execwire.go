@@ -1,12 +1,11 @@
 // Remote-execution control frames on the lease connection.
 //
 // The coordinator drives a remote job's gang through a small JSON frame
-// vocabulary in the 103–109 tag block (clear of the 101/102 submit pair and
-// the fleet plane's 120–124): prepare → mesh-addr → start bootstraps each
-// generation (the dynamic-discovery handshake from examples/distributed,
-// run over the lease instead of a bespoke registrar), then checkpoint and
-// rank-done frames stream worker → coordinator until the generation either
-// completes or is aborted for a re-gang.
+// vocabulary in the 105–109 tag block (clear of the 101/102 submit pair and
+// the fleet plane's 120–124): one start frame per worker is the whole of a
+// generation's launch, then checkpoint and rank-done frames stream worker →
+// coordinator until the generation either completes or is aborted for a
+// re-gang.
 //
 // Every worker → coordinator payload (and the coordinator → worker start
 // frame on the executor side) crosses a trust boundary — a lease holder is
@@ -22,11 +21,10 @@ import (
 	"casvm/internal/smo"
 )
 
-// Executor control-frame tags.
+// Executor control-frame tags. 103 and 104 are retired and never
+// reassigned: a lease that still sends them is ignored like any unknown tag.
 const (
-	tagExecPrepare  = 103 // coordinator -> worker: reserve a mesh port for (job, gen)
-	tagExecMeshAddr = 104 // worker -> coordinator: the reserved "host:port"
-	tagExecStart    = 105 // coordinator -> worker: spec + rank assignment + peer table + resume blobs
+	tagExecStart    = 105 // coordinator -> worker: spec + rank assignment + resume blobs
 	tagExecCkpt     = 106 // worker -> coordinator: one rank's epoch-boundary checkpoint
 	tagExecRankDone = 107 // worker -> coordinator: one rank's trained shard model
 	tagExecAbort    = 108 // coordinator -> worker: cancel the generation (re-gang pending)
@@ -36,42 +34,21 @@ const (
 // execLimits bound structurally unbounded fields so a hostile frame cannot
 // make the decoder allocate past the payload it paid for.
 const (
-	maxExecGangWidth  = 4096    // peer-table and rank-list entries
+	maxExecGangWidth  = 4096    // world width and rank-list entries
 	maxExecSamples    = 1 << 22 // inline mixture train+test rows
 	maxExecFeatures   = 1 << 14
 	maxExecCenter     = 1 << 20 // routing-center floats in a rank-done frame
 	maxExecModelBytes = 1 << 26 // serialized shard-model set in a rank-done frame
 )
 
-// execPrepare opens a generation: the worker reserves a TCP port for its
-// mesh listener and answers with execMeshAddr.
-type execPrepare struct {
-	Job string `json:"job"`
-	Gen int    `json:"gen"`
-}
-
-// execMeshAddr is the worker's reserved mesh address for one generation.
-type execMeshAddr struct {
-	Job  string `json:"job"`
-	Gen  int    `json:"gen"`
-	Addr string `json:"addr"`
-}
-
 // execStart launches one generation on one worker: the full job spec (the
 // worker re-resolves the dataset deterministically — no sample data crosses
-// the wire), the worker's mesh identity, and its assigned shard ranks with
-// any resume checkpoints the coordinator collected from earlier
-// generations.
+// the wire) and its assigned shard ranks with any resume checkpoints the
+// coordinator collected from earlier generations.
 type execStart struct {
-	Job string  `json:"job"`
-	Gen int     `json:"gen"`
+	Job  string  `json:"job"`
+	Gen  int     `json:"gen"`
 	Spec JobSpec `json:"spec"`
-
-	// MeshRank indexes Peers: this worker's position in the generation's
-	// tcpmpi world. Peers lists every gang member's reserved mesh address
-	// in mesh-rank order.
-	MeshRank int      `json:"mesh_rank"`
-	Peers    []string `json:"peers"`
 
 	// Ranks are the shard ranks (in [0, Spec.P)) this worker trains this
 	// generation, in execution order. Resume maps a rank to the last
@@ -107,32 +84,30 @@ type execRankDone struct {
 	Gen  int    `json:"gen"`
 	Rank int    `json:"rank"`
 
-	Iters   int     `json:"iters"`
-	SVs     int     `json:"svs"`
-	VirtSec float64 `json:"virt_sec"` // cumulative on this worker within the generation
-	Model   []byte  `json:"model"`
+	Iters   int       `json:"iters"`
+	SVs     int       `json:"svs"`
+	VirtSec float64   `json:"virt_sec"` // cumulative on this worker within the generation
+	Model   []byte    `json:"model"`
 	Center  []float64 `json:"center"`
 }
 
 // execAbort cancels a generation: the worker interrupts its in-flight
-// solves and discards the generation's mesh. Checkpoints already streamed
-// remain valid — rank progress survives its generation.
+// solves. Checkpoints already streamed remain valid — rank progress
+// survives its generation.
 type execAbort struct {
 	Job    string `json:"job"`
 	Gen    int    `json:"gen"`
 	Reason string `json:"reason,omitempty"`
 }
 
-// execFail reports a rank solve the worker could not complete. Fatal marks
-// job-level failures (bad spec, unresolvable dataset) that retrying on
-// another generation cannot fix; non-fatal failures (mesh loss) trigger an
-// ordinary re-gang.
+// execFail reports a rank solve the worker could not complete (bad spec,
+// unresolvable dataset, solver error). Shard solves are deterministic, so
+// no other gang would fare better: the coordinator fails the job.
 type execFail struct {
-	Job   string `json:"job"`
-	Gen   int    `json:"gen"`
-	Rank  int    `json:"rank"`
-	Fatal bool   `json:"fatal,omitempty"`
-	Err   string `json:"error"`
+	Job  string `json:"job"`
+	Gen  int    `json:"gen"`
+	Rank int    `json:"rank"`
+	Err  string `json:"error"`
 }
 
 func marshalExec(v any) []byte {
@@ -154,28 +129,6 @@ func execIdent(job string, gen int) error {
 	return nil
 }
 
-func decodeExecPrepare(b []byte) (execPrepare, error) {
-	var m execPrepare
-	if err := json.Unmarshal(b, &m); err != nil {
-		return m, fmt.Errorf("cluster: bad prepare frame: %w", err)
-	}
-	return m, execIdent(m.Job, m.Gen)
-}
-
-func decodeExecMeshAddr(b []byte) (execMeshAddr, error) {
-	var m execMeshAddr
-	if err := json.Unmarshal(b, &m); err != nil {
-		return m, fmt.Errorf("cluster: bad mesh-addr frame: %w", err)
-	}
-	if err := execIdent(m.Job, m.Gen); err != nil {
-		return m, err
-	}
-	if m.Addr == "" || len(m.Addr) > 256 {
-		return m, fmt.Errorf("cluster: mesh-addr frame carries no address")
-	}
-	return m, nil
-}
-
 func decodeExecStart(b []byte) (execStart, error) {
 	var m execStart
 	if err := json.Unmarshal(b, &m); err != nil {
@@ -195,17 +148,6 @@ func decodeExecStart(b []byte) (execStart, error) {
 		}
 	} else if s.Dataset == "" {
 		return m, fmt.Errorf("cluster: start frame names no dataset")
-	}
-	if len(m.Peers) < 1 || len(m.Peers) > maxExecGangWidth {
-		return m, fmt.Errorf("cluster: start frame peer table of %d out of range", len(m.Peers))
-	}
-	if m.MeshRank < 0 || m.MeshRank >= len(m.Peers) {
-		return m, fmt.Errorf("cluster: start frame mesh rank %d outside its %d-peer table", m.MeshRank, len(m.Peers))
-	}
-	for _, a := range m.Peers {
-		if a == "" || len(a) > 256 {
-			return m, fmt.Errorf("cluster: start frame peer table has an empty address")
-		}
 	}
 	if len(m.Ranks) < 1 || len(m.Ranks) > s.P {
 		return m, fmt.Errorf("cluster: start frame assigns %d ranks of %d", len(m.Ranks), s.P)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"casvm/internal/core"
@@ -9,9 +10,7 @@ import (
 
 // Frame-kind selectors for the fuzz corpus: one per exec decoder.
 const (
-	fzPrepare = iota
-	fzMeshAddr
-	fzStart
+	fzStart = iota
 	fzCkpt
 	fzRankDone
 	fzAbort
@@ -31,7 +30,7 @@ func fuzzCheckpointBlob(iters int) []byte {
 }
 
 // fuzzStartFrame is a fully valid execStart seed: the richest frame, with
-// a nested spec, peer table, rank assignment and resume blob.
+// a nested spec, rank assignment and resume blob.
 func fuzzStartFrame() []byte {
 	return marshalExec(execStart{
 		Job: "fz", Gen: 1,
@@ -39,8 +38,6 @@ func fuzzStartFrame() []byte {
 			ID: "fz", Mixture: testMixture(64),
 			Method: string(core.MethodRACA), P: 2, Seed: 1, Policy: "shrink",
 		},
-		MeshRank:        0,
-		Peers:           []string{"127.0.0.1:1", "127.0.0.1:2"},
 		Ranks:           []int{0, 1},
 		Resume:          map[int][]byte{1: fuzzCheckpointBlob(8)},
 		CheckpointEvery: 4,
@@ -63,20 +60,24 @@ func FuzzExecFrames(f *testing.F) {
 	seeds := []seed{
 		// Valid frames of every kind: the fuzzer mutates from working
 		// structure instead of rediscovering JSON.
-		{fzPrepare, marshalExec(execPrepare{Job: "fz", Gen: 1})},
-		{fzMeshAddr, marshalExec(execMeshAddr{Job: "fz", Gen: 1, Addr: "127.0.0.1:9"})},
 		{fzStart, fuzzStartFrame()},
 		{fzCkpt, marshalExec(execCkpt{Job: "fz", Gen: 2, Rank: 1, Iters: 8, VirtSec: 0.5, Blob: fuzzCheckpointBlob(8)})},
 		{fzRankDone, marshalExec(execRankDone{Job: "fz", Gen: 1, Rank: 0, Iters: 9, SVs: 3, VirtSec: 1, Model: []byte("m"), Center: []float64{0.5, -1}})},
 		{fzAbort, marshalExec(execAbort{Job: "fz", Gen: 3, Reason: "re-gang"})},
-		{fzFail, marshalExec(execFail{Job: "fz", Gen: 1, Rank: 0, Fatal: true, Err: "boom"})},
+		{fzFail, marshalExec(execFail{Job: "fz", Gen: 1, Rank: 0, Err: "boom"})},
 		// Hostile shapes the validators must reject without panicking.
-		{fzPrepare, nil},
-		{fzPrepare, []byte(`{"job":"","gen":0}`)},
-		{fzMeshAddr, []byte(`{"job":"fz","gen":1,"addr":""}`)},
+		{fzStart, nil},
+		{fzAbort, []byte(`{"job":"","gen":0}`)},
 		{fzStart, []byte(`{"job":"fz","gen":1,"spec":{"p":-1}}`)},
+		// Keys of the retired mesh bootstrap are unknown fields now: ignored,
+		// and gone after the round-trip.
 		{fzStart, []byte(`{"job":"fz","gen":1,"spec":{"p":2,"dataset":"x"},"peers":["a"],"mesh_rank":7,"ranks":[0],"ckpt_every":4}`)},
-		{fzStart, []byte(`{"job":"fz","gen":1,"spec":{"p":2,"dataset":"x"},"peers":["a","b"],"ranks":[0,0],"ckpt_every":4}`)},
+		{fzStart, []byte(`{"job":"fz","gen":1,"spec":{"p":2,"dataset":"x"},"ranks":[0,0],"ckpt_every":4}`)},
+		{fzStart, []byte(`{"job":"fz","gen":1,"spec":{"p":2,"dataset":"x"},"ranks":[],"ckpt_every":4}`)},
+		{fzStart, []byte(`{"job":"fz","gen":1,"spec":{"p":2,"dataset":"x"},"ranks":[0],"ckpt_every":0}`)},
+		{fzStart, []byte(`{"job":"fz","gen":1,"spec":{"p":2,"dataset":"x"},"ranks":[0],"resume":{"1":"AAAA"},"ckpt_every":4}`)},
+		{fzStart, []byte(`{"job":"fz","gen":1,"spec":{"p":2,"mixture":{"train":0,"features":8}},"ranks":[0],"ckpt_every":4}`)},
+		{fzRankDone, []byte(`{"job":"fz","gen":1,"rank":4096,"iters":1,"model":"bQ==","center":[1]}`)},
 		{fzCkpt, []byte(`{"job":"fz","gen":1,"rank":0,"iters":5,"blob":"AAAA"}`)},
 		{fzCkpt, []byte(`{"job":"fz","gen":1,"rank":-3,"iters":0}`)},
 		{fzRankDone, []byte(`{"job":"fz","gen":1,"rank":0,"iters":1,"model":"","center":[]}`)},
@@ -88,14 +89,6 @@ func FuzzExecFrames(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, kind byte, in []byte) {
 		switch kind % fzKinds {
-		case fzPrepare:
-			if m, err := decodeExecPrepare(in); err == nil {
-				mustReDecode(t, func(b []byte) error { _, err := decodeExecPrepare(b); return err }, marshalExec(m))
-			}
-		case fzMeshAddr:
-			if m, err := decodeExecMeshAddr(in); err == nil {
-				mustReDecode(t, func(b []byte) error { _, err := decodeExecMeshAddr(b); return err }, marshalExec(m))
-			}
 		case fzStart:
 			if m, err := decodeExecStart(in); err == nil {
 				mustReDecode(t, func(b []byte) error { _, err := decodeExecStart(b); return err }, marshalExec(m))
@@ -130,25 +123,38 @@ func mustReDecode(t *testing.T, decode func([]byte) error, b []byte) {
 // TestExecFrameRoundTrips pins the coordinator↔executor wire contract:
 // every frame the sender-side marshals must decode back field-identical.
 func TestExecFrameRoundTrips(t *testing.T) {
-	prep := execPrepare{Job: "rt", Gen: 2}
-	if got, err := decodeExecPrepare(marshalExec(prep)); err != nil || got != prep {
-		t.Fatalf("prepare round-trip: %+v, %v", got, err)
-	}
-	addr := execMeshAddr{Job: "rt", Gen: 2, Addr: "127.0.0.1:7001"}
-	if got, err := decodeExecMeshAddr(marshalExec(addr)); err != nil || got != addr {
-		t.Fatalf("mesh-addr round-trip: %+v, %v", got, err)
-	}
-
 	got, err := decodeExecStart(fuzzStartFrame())
 	if err != nil {
 		t.Fatalf("start round-trip: %v", err)
 	}
-	if got.Spec.P != 2 || len(got.Peers) != 2 || len(got.Ranks) != 2 || got.CheckpointEvery != 4 {
+	if got.Spec.P != 2 || len(got.Ranks) != 2 || got.CheckpointEvery != 4 {
 		t.Fatalf("start round-trip dropped fields: %+v", got)
 	}
 	ck, err := smo.DecodeCheckpoint(got.Resume[1])
 	if err != nil || ck.Iters != 8 {
 		t.Fatalf("start resume blob did not survive: %v", err)
+	}
+
+	// A sender that still writes the retired peers/mesh_rank keys is
+	// understood — unknown fields, not an error — and every bound that
+	// remains still bites.
+	const head = `{"job":"rt","gen":1,"spec":{"p":2,"dataset":"x"},`
+	if m, err := decodeExecStart([]byte(head + `"peers":["a"],"mesh_rank":7,"ranks":[0],"ckpt_every":4}`)); err != nil {
+		t.Fatalf("start frame with retired keys rejected: %v", err)
+	} else if b := string(marshalExec(m)); strings.Contains(b, "peers") || strings.Contains(b, "mesh_rank") {
+		t.Fatalf("retired keys survived the round-trip: %s", b)
+	}
+	for _, tail := range []string{
+		`"ranks":[],"ckpt_every":4}`,
+		`"ranks":[0,0],"ckpt_every":4}`,
+		`"ranks":[2],"ckpt_every":4}`,
+		`"ranks":[0],"ckpt_every":0}`,
+		`"ranks":[0],"resume":{"1":"AAAA"},"ckpt_every":4}`,
+		`"ranks":[0],"resume":{"0":"AAAA"},"ckpt_every":4}`,
+	} {
+		if _, err := decodeExecStart([]byte(head + tail)); err == nil {
+			t.Errorf("hostile start frame accepted: %s", tail)
+		}
 	}
 
 	ckpt := execCkpt{Job: "rt", Gen: 1, Rank: 0, Iters: 8, VirtSec: 0.25, Blob: fuzzCheckpointBlob(8)}
@@ -162,7 +168,7 @@ func TestExecFrameRoundTrips(t *testing.T) {
 		t.Fatal("checkpoint frame with iters disagreeing with its blob was accepted")
 	}
 
-	fail := execFail{Job: "rt", Gen: 1, Rank: 1, Fatal: true, Err: "no such dataset"}
+	fail := execFail{Job: "rt", Gen: 1, Rank: 1, Err: "no such dataset"}
 	if got, err := decodeExecFail(marshalExec(fail)); err != nil || got != fail {
 		t.Fatalf("fail round-trip: %+v, %v", got, err)
 	}

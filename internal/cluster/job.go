@@ -36,9 +36,9 @@ type JobSpec struct {
 	Method string `json:"method"`
 	P      int    `json:"p"`
 
-	C       float64 `json:"c,omitempty"`       // 0 = 1.0
-	Gamma   float64 `json:"gamma,omitempty"`   // 0 = per-dataset heuristic
-	Tol     float64 `json:"tol,omitempty"`     // 0 = 1e-3
+	C       float64 `json:"c,omitempty"`     // 0 = 1.0
+	Gamma   float64 `json:"gamma,omitempty"` // 0 = per-dataset heuristic
+	Tol     float64 `json:"tol,omitempty"`   // 0 = 1e-3
 	MaxIter int     `json:"max_iter,omitempty"`
 	Seed    int64   `json:"seed,omitempty"` // 0 = the DefaultParams seed
 
@@ -51,10 +51,9 @@ type JobSpec struct {
 	// Remote executes each rank's shard solve inside the worker process
 	// holding its lease instead of modeling the world in-process on the
 	// coordinator. Only "ra-ca" qualifies — it is the one
-	// communication-free method, so a shard needs no collectives beyond
-	// the generation's start barrier — and the policy must allow
-	// recovery, since remote worker death is a real fault, not a
-	// simulated one.
+	// communication-free method, so a shard needs no connection to any
+	// other — and the policy must allow recovery, since remote worker
+	// death is a real fault, not a simulated one.
 	Remote bool `json:"remote,omitempty"`
 }
 
@@ -69,7 +68,8 @@ func (s JobSpec) policy() core.RecoveryPolicy {
 	return pol
 }
 
-// validate rejects specs the coordinator could not run.
+// validate rejects specs the coordinator could not run, short of
+// materialising the dataset (trainParams does that, once).
 func (s JobSpec) validate() error {
 	if _, err := core.ParseMethod(s.Method); err != nil {
 		return err
@@ -88,10 +88,6 @@ func (s JobSpec) validate() error {
 	if s.Mixture == nil && s.Dataset == "" {
 		return fmt.Errorf("cluster: job names no dataset")
 	}
-	ds, _, err := resolveDataset(s)
-	if err != nil {
-		return err
-	}
 	if s.Remote {
 		if m, _ := core.ParseMethod(s.Method); m != core.MethodRACA {
 			return fmt.Errorf("cluster: remote execution supports %q only, got %q", core.MethodRACA, s.Method)
@@ -99,12 +95,13 @@ func (s JobSpec) validate() error {
 		if s.policy() == core.RecoverOff {
 			return fmt.Errorf("cluster: remote execution needs a recovery policy (shrink or respawn)")
 		}
-		if ds.X.Rows() < s.P {
-			return fmt.Errorf("cluster: %d samples cannot feed %d remote ranks", ds.X.Rows(), s.P)
-		}
 	}
 	return nil
 }
+
+// generateMixture builds an inline synthetic dataset; a variable so a test
+// can count how often a job materialises its data.
+var generateMixture = data.Generate
 
 // resolveDataset materialises the spec's dataset and the RBF gamma to use.
 func resolveDataset(s JobSpec) (*data.Dataset, float64, error) {
@@ -112,7 +109,7 @@ func resolveDataset(s JobSpec) (*data.Dataset, float64, error) {
 	var ds *data.Dataset
 	var err error
 	if s.Mixture != nil {
-		if ds, err = data.Generate(*s.Mixture); err != nil {
+		if ds, err = generateMixture(*s.Mixture); err != nil {
 			return nil, 0, err
 		}
 		if g == 0 {
@@ -134,16 +131,20 @@ func resolveDataset(s JobSpec) (*data.Dataset, float64, error) {
 	return ds, g, nil
 }
 
-// trainParams builds the core training parameters a coordinator runs the
-// spec with. Tests reuse it to produce bit-identical local reference runs.
+// trainParams validates the spec, materialises its dataset and builds the
+// core training parameters a coordinator runs it with. Tests reuse it to
+// produce bit-identical local reference runs.
 func trainParams(s JobSpec) (core.Params, *data.Dataset, error) {
-	m, err := core.ParseMethod(s.Method)
-	if err != nil {
+	if err := s.validate(); err != nil {
 		return core.Params{}, nil, err
 	}
+	m, _ := core.ParseMethod(s.Method) // validate parsed it
 	ds, gamma, err := resolveDataset(s)
 	if err != nil {
 		return core.Params{}, nil, err
+	}
+	if s.Remote && ds.X.Rows() < s.P {
+		return core.Params{}, nil, fmt.Errorf("cluster: %d samples cannot feed %d remote ranks", ds.X.Rows(), s.P)
 	}
 	pr := core.DefaultParams(m, s.P)
 	if s.C != 0 {
@@ -220,6 +221,11 @@ type Job struct {
 	c    *Coordinator
 	id   string
 	spec JobSpec
+
+	// params and ds are the spec resolved once at Submit; the job
+	// goroutine reads them and finishJob drops the dataset.
+	params core.Params
+	ds     *data.Dataset
 
 	inj     *elasticInjector
 	remote  *remoteRun         // non-nil iff spec.Remote; own lock

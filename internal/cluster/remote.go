@@ -1,10 +1,12 @@
 // Coordinator-side runtime for remotely executed jobs.
 //
-// A remote job's life is a sequence of *generations*. Each generation gangs
-// the job's current workers into a tcpmpi mesh (prepare → mesh-addr →
-// start over the lease connections), assigns every still-pending shard rank
-// to a worker, and waits while the workers stream epoch-boundary
-// checkpoints and finished shard models back as lease control frames. The
+// A remote job's life is a sequence of *generations*. Each generation
+// assigns every still-pending shard rank to one of the job's current
+// workers, sends each of them a single start frame over its lease, and
+// waits while the workers stream epoch-boundary checkpoints and finished
+// shard models back as lease control frames. Remote execution is RA-CA
+// only, and RA-CA ranks exchange no messages, so there is nothing to
+// connect between workers and nothing to synchronise before they train. The
 // coordinator is the only holder of global state: the latest checkpoint per
 // rank and every finished shard survive their generation, so a `kill -9`
 // (surfacing as a lease expiry) costs at most one epoch of the dead
@@ -40,7 +42,6 @@ type genOutcome int
 const (
 	genDone   genOutcome = iota // every shard rank has a model
 	genLost                     // a generation worker's lease ended
-	genSoft                     // a worker reported a retryable failure (mesh loss)
 	genGrew                     // the gang outgrew the generation and a re-spread helps
 	genFatal                    // a worker reported a job-level failure
 	genClosed                   // the coordinator is shutting down
@@ -61,15 +62,13 @@ type remoteRun struct {
 
 	closed bool
 	fatal  string
-	soft   string
 
 	gen        int
 	genActive  bool
 	genBase    float64
-	genWorkers []int          // mesh order of the active generation
-	assign     map[int][]int  // worker id -> assigned shard ranks (active gen)
-	meshAddr   map[int]string // worker id -> reserved mesh address (active gen)
-	lost       bool           // an active-generation worker died
+	genWorkers []int         // assignment order of the active generation
+	assign     map[int][]int // worker id -> assigned shard ranks (active gen)
+	lost       bool          // an active-generation worker died
 
 	ckptBlob  map[int][]byte
 	ckptIters map[int]int
@@ -145,19 +144,6 @@ func (rr *remoteRun) pendingRanksLocked() []int {
 	return out
 }
 
-// onMeshAddr records a worker's reserved mesh address for the generation.
-func (rr *remoteRun) onMeshAddr(workerID int, m execMeshAddr) {
-	rr.mu.Lock()
-	if rr.genActive && m.Gen == rr.gen {
-		if _, expected := rr.assign[workerID]; expected {
-			rr.meshAddr[workerID] = m.Addr
-		}
-	}
-	rr.events++
-	rr.mu.Unlock()
-	rr.cond.Broadcast()
-}
-
 // onCkpt stores the latest checkpoint for a rank. Progress is monotonic:
 // an older deposit (a stale generation's frame arriving late) never
 // regresses the resume point.
@@ -193,15 +179,12 @@ func (rr *remoteRun) onRankDone(m execRankDone, sh *core.ShardResult) {
 	rr.cond.Broadcast()
 }
 
-// onFail records a worker-reported solve failure.
+// onFail records a worker-reported solve failure, which fails the job: a
+// spec or solver error repeats on any gang.
 func (rr *remoteRun) onFail(m execFail) {
 	rr.mu.Lock()
 	if rr.genActive && m.Gen == rr.gen {
-		if m.Fatal {
-			rr.fatal = fmt.Sprintf("rank %d: %s", m.Rank, m.Err)
-		} else if rr.soft == "" {
-			rr.soft = fmt.Sprintf("rank %d: %s", m.Rank, m.Err)
-		}
+		rr.fatal = fmt.Sprintf("rank %d: %s", m.Rank, m.Err)
 	}
 	rr.events++
 	rr.mu.Unlock()
@@ -212,7 +195,7 @@ func (rr *remoteRun) onFail(m execFail) {
 // status reporting and tests.
 type RemoteProgress struct {
 	Generation int         `json:"generation"`
-	Workers    []int       `json:"workers,omitempty"` // active generation, mesh order
+	Workers    []int       `json:"workers,omitempty"` // active generation, assignment order
 	CkptIters  map[int]int `json:"ckpt_iters,omitempty"`
 	DoneRanks  []int       `json:"done_ranks,omitempty"`
 	Recoveries int         `json:"recoveries,omitempty"`
@@ -260,15 +243,6 @@ func (c *Coordinator) onExecFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) 
 		return j.remote
 	}
 	switch tag {
-	case tagExecMeshAddr:
-		m, err := decodeExecMeshAddr(payload)
-		if err != nil {
-			c.logf("cluster: lease %d: %v", w.ID, err)
-			return
-		}
-		if rr := ident(m.Job); rr != nil {
-			rr.onMeshAddr(w.ID, m)
-		}
 	case tagExecCkpt:
 		m, err := decodeExecCkpt(payload)
 		if err != nil {
@@ -308,8 +282,8 @@ func (c *Coordinator) onExecFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) 
 			return
 		}
 		if rr := ident(m.Job); rr != nil {
-			c.logf("cluster: job %s gen %d rank %d failed on lease %d (fatal=%v): %s",
-				m.Job, m.Gen, m.Rank, w.ID, m.Fatal, m.Err)
+			c.logf("cluster: job %s gen %d rank %d failed on lease %d: %s",
+				m.Job, m.Gen, m.Rank, w.ID, m.Err)
 			rr.onFail(m)
 		}
 	}
@@ -354,13 +328,11 @@ func (c *Coordinator) awaitRemoteGang(j *Job) ([]int, error) {
 // full width; survivors absorb a dead worker's ranks after a shrink).
 //
 // A generation never gangs more workers than it has pending ranks: a
-// zero-rank member would have nothing to execute, yet the mesh bootstrap
-// waits on an address from every generation member — so surplus workers
-// (respawn backfill after some ranks finished, spares attached
-// post-shrink) would stall every dispatch into a timeout and burn the
-// recovery budget on healthy workers. The returned gang is the truncated
-// one the generation actually runs on; extra workers stay attached to the
-// job and join the next generation that needs them.
+// zero-rank member (respawn backfill after some ranks finished, a spare
+// attached post-shrink) has nothing to execute, and a start frame that
+// assigns no ranks is one the executor's decoder rejects. The returned gang
+// is the truncated one the generation actually runs on; extra workers stay
+// attached to the job and join the next generation that needs them.
 func (rr *remoteRun) beginGeneration(gang []int) (gen int, genGang []int, assign map[int][]int, pending []int) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
@@ -373,9 +345,7 @@ func (rr *remoteRun) beginGeneration(gang []int) (gen int, genGang []int, assign
 	}
 	rr.genWorkers = append([]int(nil), gang...)
 	rr.assign = map[int][]int{}
-	rr.meshAddr = map[int]string{}
 	rr.lost = false
-	rr.soft = ""
 	for i, r := range pending {
 		id := gang[i%len(gang)]
 		rr.assign[id] = append(rr.assign[id], r)
@@ -388,7 +358,6 @@ func (rr *remoteRun) endGeneration() {
 	rr.mu.Lock()
 	rr.genActive = false
 	rr.assign = map[int][]int{}
-	rr.meshAddr = map[int]string{}
 	rr.mu.Unlock()
 }
 
@@ -396,56 +365,15 @@ func (rr *remoteRun) endGeneration() {
 // moved underneath it; the supervisor prices it and re-gangs.
 var errRegang = fmt.Errorf("cluster: generation dispatch interrupted")
 
-// dispatchGeneration runs the mesh bootstrap for one generation: prepare
-// frames out, mesh addresses back, then a start frame per worker carrying
-// the spec, its shard ranks, the peer table, and the resume checkpoints.
+// dispatchGeneration launches one generation: a single start frame per
+// worker carrying the spec, its shard ranks and their resume checkpoints.
+// There is no barrier — ranks never talk to each other, so a worker that
+// dies before its frame lands and one that dies mid-solve are the same
+// event, and the lease reports both.
 func (c *Coordinator) dispatchGeneration(j *Job, gang []int, gen int, every int) error {
 	rr := j.remote
-	prep := marshalExec(execPrepare{Job: j.id, Gen: gen})
-	for _, id := range gang {
-		if err := c.reg.Send(id, tagExecPrepare, prep); err != nil {
-			c.logf("cluster: job %s gen %d: prepare to worker %d: %v", j.id, gen, id, err)
-			return errRegang
-		}
-	}
-	// Collect every gang member's reserved mesh address. A worker death or
-	// an unresponsive executor aborts the bootstrap into a re-gang.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		rr.mu.Lock()
-		if rr.closed || rr.lost || rr.fatal != "" {
-			rr.mu.Unlock()
-			return errRegang
-		}
-		if len(rr.meshAddr) == len(gang) {
-			rr.mu.Unlock()
-			break
-		}
-		seen := rr.events
-		have := len(rr.meshAddr)
-		rr.mu.Unlock()
-		if time.Now().After(deadline) {
-			c.logf("cluster: job %s gen %d: mesh bootstrap timed out (%d/%d addresses)",
-				j.id, gen, have, len(gang))
-			return errRegang
-		}
-		rr.mu.Lock()
-		if rr.events == seen && !rr.closed {
-			// kick (not a bare Broadcast) so the wakeup cannot land in the
-			// window before this waiter parks and be lost.
-			t := time.AfterFunc(200*time.Millisecond, rr.kick)
-			rr.cond.Wait()
-			t.Stop()
-		}
-		rr.mu.Unlock()
-	}
-
 	rr.mu.Lock()
-	peers := make([]string, len(gang))
-	for i, id := range gang {
-		peers[i] = rr.meshAddr[id]
-	}
-	starts := make(map[int][]byte, len(gang))
+	starts := make([][]byte, len(gang))
 	for i, id := range gang {
 		ranks := rr.assign[id]
 		resume := map[int][]byte{}
@@ -454,16 +382,15 @@ func (c *Coordinator) dispatchGeneration(j *Job, gang []int, gen int, every int)
 				resume[r] = blob
 			}
 		}
-		starts[id] = marshalExec(execStart{
+		starts[i] = marshalExec(execStart{
 			Job: j.id, Gen: gen, Spec: j.spec,
-			MeshRank: i, Peers: peers,
 			Ranks: ranks, Resume: resume,
 			CheckpointEvery: every,
 		})
 	}
 	rr.mu.Unlock()
-	for _, id := range gang {
-		if err := c.reg.Send(id, tagExecStart, starts[id]); err != nil {
+	for i, id := range gang {
+		if err := c.reg.Send(id, tagExecStart, starts[i]); err != nil {
 			c.logf("cluster: job %s gen %d: start to worker %d: %v", j.id, gen, id, err)
 			return errRegang
 		}
@@ -496,9 +423,6 @@ func (c *Coordinator) awaitGeneration(j *Job) genOutcome {
 		case rr.lost:
 			rr.mu.Unlock()
 			return genLost
-		case rr.soft != "":
-			rr.mu.Unlock()
-			return genSoft
 		}
 		pending := len(rr.pendingRanksLocked())
 		width := len(rr.genWorkers)
@@ -551,20 +475,15 @@ func (rr *remoteRun) priceRegang(penalty float64) {
 	rr.mu.Unlock()
 }
 
-// runRemoteJob supervises one remote job end to end: gang → bootstrap →
+// runRemoteJob supervises one remote job end to end: gang → start →
 // stream → (re-gang)* → assemble. It runs on the job goroutine runJob
 // spawns and publishes through finishJob exactly like the in-process path.
 func (c *Coordinator) runRemoteJob(j *Job) {
 	rr := j.remote
 	res := &JobResult{ID: j.id, Method: j.spec.Method, Dataset: datasetName(j.spec), P: j.spec.P}
 	start := time.Now()
-	pr, ds, err := trainParams(j.spec)
-	if err != nil {
-		res.Err = err.Error()
-		c.finishJob(j, res)
-		return
-	}
-	rec := pr.Recovery
+	ds := j.ds
+	rec := j.params.Recovery
 	every := rec.Cadence()
 	budget := rec.RestartBudget()
 	penalty := rec.PenaltySec()
@@ -621,7 +540,7 @@ supervise:
 			c.cScaleups.Inc()
 			j.metrics.Counter("casvm_grows_total", "elastic world scale-ups").Inc()
 			c.logf("cluster: job %s gen %d re-gangs wider (+%d worker(s))", j.id, gen, added)
-		default: // genLost, genSoft: a failure to recover from
+		default: // genLost: a failure to recover from
 			c.abortGeneration(j, gen, "worker lost; re-ganging from last checkpoints")
 			rr.mu.Lock()
 			recov := rr.recoveries
@@ -635,8 +554,8 @@ supervise:
 			rr.mu.Unlock()
 			rr.priceRegang(penalty)
 			j.metrics.Counter("casvm_recoveries_total", "supervised crash recoveries").Inc()
-			c.logf("cluster: job %s gen %d aborted (%s); re-ganging from last streamed checkpoints",
-				j.id, gen, map[genOutcome]string{genLost: "worker lost", genSoft: "worker error"}[outcome])
+			c.logf("cluster: job %s gen %d aborted (worker lost); re-ganging from last streamed checkpoints",
+				j.id, gen)
 		}
 	}
 	res.WallSec = time.Since(start).Seconds()

@@ -1,16 +1,23 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"casvm/internal/core"
+	"casvm/internal/data"
+	"casvm/internal/model"
 	"casvm/internal/tcpmpi"
 )
 
@@ -112,6 +119,347 @@ func TestRemoteJobRunsOnExecutors(t *testing.T) {
 	})
 }
 
+// fakeWorker is a hand-rolled executor on a bare lease. It listens on every
+// tag of the exec block — the retired 103/104 included — records what the
+// coordinator sends it, and answers a start frame with core.RunShard
+// results, so a test sees the coordinator's half of the protocol without
+// RunExecutor's assumptions about it.
+type fakeWorker struct {
+	mu     sync.Mutex
+	tags   []int
+	starts [][]byte
+}
+
+func (w *fakeWorker) received() ([]int, [][]byte) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]int(nil), w.tags...), append([][]byte(nil), w.starts...)
+}
+
+// startFakeWorker registers one fakeWorker. The dataset and parameters are
+// passed in — resolved by the caller — so the worker never touches the
+// spec's dataset itself. onStart, when non-nil, runs after a start frame is
+// recorded and before the first result is sent.
+func startFakeWorker(t *testing.T, c *Coordinator, pr core.Params, ds *data.Dataset, onStart func(*tcpmpi.Lease, execStart)) *fakeWorker {
+	t.Helper()
+	l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &fakeWorker{}
+	done := make(chan struct{})
+	t.Cleanup(func() { l.Close(); <-done })
+	go func() {
+		defer close(done)
+		for {
+			tag, payload, err := l.RecvAny([]int{103, 104, tagExecStart, tagExecCkpt, tagExecRankDone, tagExecAbort, tagExecFail}, 0)
+			if err != nil {
+				return // lease closed: the test is over
+			}
+			w.mu.Lock()
+			w.tags = append(w.tags, tag)
+			if tag == tagExecStart {
+				w.starts = append(w.starts, payload)
+			}
+			w.mu.Unlock()
+			if tag != tagExecStart {
+				continue
+			}
+			m, err := decodeExecStart(payload)
+			if err != nil {
+				t.Errorf("fake worker: %v", err)
+				return
+			}
+			if onStart != nil {
+				onStart(l, m)
+			}
+			for _, rank := range m.Ranks {
+				sh, err := core.RunShard(ds.X, ds.Y, pr, core.ShardRun{Rank: rank, P: m.Spec.P})
+				if err != nil {
+					t.Errorf("fake worker: rank %d: %v", rank, err)
+					return
+				}
+				var buf bytes.Buffer
+				if err := model.SaveSet(&buf, model.Single(sh.Model, sh.Center)); err != nil {
+					t.Errorf("fake worker: rank %d: %v", rank, err)
+					return
+				}
+				if err := l.Send(tagExecRankDone, marshalExec(execRankDone{
+					Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters, SVs: sh.SVs,
+					VirtSec: sh.VirtSec, Model: buf.Bytes(), Center: sh.Center,
+				})); err != nil {
+					select {
+					case <-l.Done(): // the test ended under a worker still answering
+					default:
+						t.Errorf("fake worker: rank-done: %v", err)
+					}
+					return
+				}
+			}
+		}
+	}()
+	return w
+}
+
+// TestGenerationIsOneFrame pins the launch protocol from the worker's side
+// of the wire: the only frame a worker is sent for a healthy job is start,
+// the frame names no peers, and answering it with shard results is all it
+// takes to finish the job on the in-process reference hash. The workers also
+// speak the retired tags 103/104 mid-job; the coordinator logs and ignores
+// them like any unknown tag.
+func TestGenerationIsOneFrame(t *testing.T) {
+	spec := remoteSpec("oneframe", 2, 240, "shrink")
+	want := referenceHash(t, spec)
+	pr, ds, err := trainParams(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var logMu sync.Mutex
+	var logged []string
+	c, err := New("localhost:0", Config{LeaseTTL: time.Second, Logf: func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		logMu.Lock()
+		logged = append(logged, line)
+		logMu.Unlock()
+		t.Log(line)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	retired := func(l *tcpmpi.Lease, m execStart) {
+		for _, tag := range []int{103, 104} {
+			frame := fmt.Sprintf(`{"job":%q,"gen":%d,"addr":"127.0.0.1:1"}`, m.Job, m.Gen)
+			if err := l.Send(tag, []byte(frame)); err != nil {
+				t.Errorf("retired tag %d: %v", tag, err)
+			}
+		}
+	}
+	workers := []*fakeWorker{
+		startFakeWorker(t, c, pr, ds, retired),
+		startFakeWorker(t, c, pr, ds, retired),
+	}
+	waitFor(t, "fake workers registered", func() bool { return len(c.Workers()) == 2 })
+
+	j, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		tags, _ := workers[0].received()
+		t.Fatalf("job never finished; worker 0 was sent tags %v (progress %+v)", tags, j.Remote())
+	}
+	res := j.Result()
+	if res.Err != "" {
+		t.Fatalf("job failed: %s", res.Err)
+	}
+	if res.ModelHash != want || res.Generations != 1 || res.Recoveries != 0 {
+		t.Fatalf("hash %s (want %s) Generations=%d Recoveries=%d, want 1/0",
+			res.ModelHash, want, res.Generations, res.Recoveries)
+	}
+	for i, w := range workers {
+		tags, starts := w.received()
+		if len(tags) != 1 || tags[0] != tagExecStart {
+			t.Fatalf("worker %d was sent tags %v, want exactly one start (%d)", i, tags, tagExecStart)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(starts[0], &keys); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"peers", "mesh_rank"} {
+			if _, ok := keys[k]; ok {
+				t.Errorf("worker %d: start frame still carries %q", i, k)
+			}
+		}
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, tag := range []int{103, 104} {
+		want := fmt.Sprintf("ignoring frame tag %d", tag)
+		n := 0
+		for _, line := range logged {
+			if strings.Contains(line, want) {
+				n++
+			}
+		}
+		if n != 2 {
+			t.Errorf("%q logged %d times, want once per worker", want, n)
+		}
+	}
+}
+
+// TestWorkerFailFrameFailsJob: a worker-reported failure is job-level —
+// shard solves are deterministic, so no re-gang is tried — and the worker's
+// message reaches the client in the result.
+func TestWorkerFailFrameFailsJob(t *testing.T) {
+	spec := remoteSpec("failframe", 1, 160, "shrink")
+	pr, ds, err := trainParams(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCoordinator(t, time.Second)
+	startFakeWorker(t, c, pr, ds, func(l *tcpmpi.Lease, m execStart) {
+		// A stale generation's report carries no authority; this one does.
+		for _, gen := range []int{m.Gen + 1, m.Gen} {
+			frame := marshalExec(execFail{Job: m.Job, Gen: gen, Rank: 0, Err: fmt.Sprintf("disk on fire (gen %d)", gen)})
+			if err := l.Send(tagExecFail, frame); err != nil {
+				t.Errorf("fail frame: %v", err)
+			}
+		}
+	})
+	waitFor(t, "fake worker registered", func() bool { return len(c.Workers()) == 1 })
+	j, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("job never finished (progress %+v)", j.Remote())
+	}
+	res := j.Result()
+	if j.State() != JobFailed || !strings.Contains(res.Err, "disk on fire (gen 1)") {
+		t.Fatalf("state %v, result %+v; want a failure carrying the worker's message", j.State(), res)
+	}
+	if got := c.Metrics().Snapshot()["cluster_remote_generations_total"]; got != 1 {
+		t.Fatalf("cluster_remote_generations_total=%v; a worker-reported failure was retried", got)
+	}
+}
+
+// countMixtureResolves swaps in a counting generateMixture for the test.
+func countMixtureResolves(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var n atomic.Int64
+	orig := generateMixture
+	generateMixture = func(sp data.MixtureSpec) (*data.Dataset, error) {
+		n.Add(1)
+		return orig(sp)
+	}
+	t.Cleanup(func() { generateMixture = orig })
+	return &n
+}
+
+// TestSubmitResolvesDatasetOnce: the coordinator materialises a job's
+// dataset at Submit and the job runs on that copy — validation, the
+// in-process trainer and the remote supervisor do not each build their own.
+func TestSubmitResolvesDatasetOnce(t *testing.T) {
+	t.Run("in-process", func(t *testing.T) {
+		c := newTestCoordinator(t, time.Second)
+		registerWorkers(t, c, 2)
+		n := countMixtureResolves(t)
+		j, err := c.Submit(JobSpec{Mixture: testMixture(160), Method: string(core.MethodRACA), P: 2, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if res := j.Result(); res.Err != "" || res.ModelHash == "" {
+			t.Fatalf("job: %+v", res)
+		}
+		if got := n.Load(); got != 1 {
+			t.Fatalf("dataset resolved %d times for one job, want 1", got)
+		}
+	})
+	t.Run("remote", func(t *testing.T) {
+		spec := remoteSpec("once", 2, 160, "shrink")
+		pr, ds, err := trainParams(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newTestCoordinator(t, time.Second)
+		startFakeWorker(t, c, pr, ds, nil)
+		startFakeWorker(t, c, pr, ds, nil)
+		waitFor(t, "fake workers registered", func() bool { return len(c.Workers()) == 2 })
+		n := countMixtureResolves(t)
+		j, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if res := j.Result(); res.Err != "" || res.ModelHash == "" {
+			t.Fatalf("job: %+v", res)
+		}
+		if got := n.Load(); got != 1 {
+			t.Fatalf("dataset resolved %d times for one remote job, want 1", got)
+		}
+	})
+}
+
+// TestRemoteGenerationsExactlyOne: a healthy remote job is exactly one
+// generation, every time. Workers open no sockets of their own during a
+// job, so a neighbour churning loopback ports — here a goroutine binding
+// and releasing listeners as fast as it can — has nothing to collide with.
+// 200 sequential jobs by default; `make soak-cluster` (CASVM_SOAK_CLUSTER=1)
+// runs 4,000.
+func TestRemoteGenerationsExactlyOne(t *testing.T) {
+	jobs := 200
+	switch {
+	case os.Getenv("CASVM_SOAK_CLUSTER") == "1":
+		jobs = 4000
+	case testing.Short():
+		jobs = 20
+	}
+	spec := remoteSpec("exact", 4, 160, "shrink")
+	want := referenceHash(t, spec)
+
+	c, err := New("localhost:0", Config{LeaseTTL: time.Second}) // silent: thousands of jobs
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	startExecutors(t, c, 4, 0)
+
+	stop := make(chan struct{})
+	churned := make(chan int)
+	go func() {
+		n := 0
+		defer func() { churned <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
+				ln.Close()
+				n++
+			}
+		}
+	}()
+
+	for i := 0; i < jobs; i++ {
+		spec.ID = fmt.Sprintf("exact%d", i)
+		j, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(60 * time.Second):
+			t.Fatalf("job %d never finished (progress %+v)", i, j.Remote())
+		}
+		res := j.Result()
+		if res.Err != "" {
+			t.Fatalf("job %d failed: %s", i, res.Err)
+		}
+		if res.ModelHash != want {
+			t.Fatalf("job %d hash %s != reference %s", i, res.ModelHash, want)
+		}
+		if res.Generations != 1 {
+			t.Fatalf("job %d took %d generations, want exactly 1", i, res.Generations)
+		}
+	}
+	close(stop)
+	n := <-churned
+	if got := c.Metrics().Snapshot()["cluster_remote_generations_total"]; got != float64(jobs) {
+		t.Fatalf("cluster_remote_generations_total=%v over %d jobs", got, jobs)
+	}
+	t.Logf("%d jobs, one generation each, beside %d listener bind/release cycles", jobs, n)
+}
+
 // killGangMemberMidEpoch waits until every rank has streamed a checkpoint
 // and none has finished — the run is mid-epoch — then expires the last
 // generation member's lease.
@@ -210,17 +558,17 @@ func TestRemoteRespawnRecovery(t *testing.T) {
 }
 
 // TestBeginGenerationCapsSurplusGang: a generation never gangs more
-// workers than it has pending ranks. With surplus workers (respawn
-// backfill after ranks finished, spares attached post-shrink) the mesh
-// bootstrap would otherwise wait forever on addresses from members that
-// were assigned nothing, burning the recovery budget on healthy workers.
+// workers than it has pending ranks. Surplus workers (respawn backfill
+// after ranks finished, spares attached post-shrink) would otherwise be
+// sent a start frame that assigns them nothing, which the executor's
+// decoder rejects.
 func TestBeginGenerationCapsSurplusGang(t *testing.T) {
 	j := &Job{spec: JobSpec{P: 3}}
 	rr := newRemoteRun(j)
 	rr.doneRank[0] = &core.ShardResult{}
 	rr.doneRank[2] = &core.ShardResult{}
 
-	gen, gang, assign, pending := rr.beginGeneration([]int{7, 8, 9})
+	_, gang, assign, pending := rr.beginGeneration([]int{7, 8, 9})
 	if len(pending) != 1 || pending[0] != 1 {
 		t.Fatalf("pending = %v, want [1]", pending)
 	}
@@ -229,15 +577,6 @@ func TestBeginGenerationCapsSurplusGang(t *testing.T) {
 	}
 	if len(assign) != 1 || len(assign[7]) != 1 || assign[7][0] != 1 {
 		t.Fatalf("assignment = %v, want worker 7 -> [1]", assign)
-	}
-	// A surplus worker's mesh address is not expected — and not recorded.
-	rr.onMeshAddr(9, execMeshAddr{Job: j.id, Gen: gen, Addr: "127.0.0.1:1"})
-	rr.onMeshAddr(7, execMeshAddr{Job: j.id, Gen: gen, Addr: "127.0.0.1:2"})
-	rr.mu.Lock()
-	got := len(rr.meshAddr)
-	rr.mu.Unlock()
-	if got != 1 {
-		t.Fatalf("meshAddr holds %d entries, want 1 (assigned workers only)", got)
 	}
 	rr.endGeneration()
 
@@ -252,8 +591,7 @@ func TestBeginGenerationCapsSurplusGang(t *testing.T) {
 // TestRemoteSurplusBackfillRecovers: respawn backfill after a rank already
 // finished hands the next generation more workers than pending ranks. The
 // generation must run on the truncated gang and land on the fault-free
-// hash instead of timing out the mesh bootstrap until the recovery budget
-// is exhausted.
+// hash at the cost of the one recovery.
 func TestRemoteSurplusBackfillRecovers(t *testing.T) {
 	spec := remoteSpec("surplus", 2, 240, "respawn")
 	want := referenceHash(t, spec)

@@ -20,15 +20,15 @@ const (
 )
 
 // onFrame handles control frames from lease holders: clients submit jobs,
-// executors stream remote-execution frames (mesh addresses, checkpoints,
-// finished shards) in the 103–109 block, and workers stream fleet
+// executors stream remote-execution frames (checkpoints, finished shards,
+// failures) in the 105–109 block, and workers stream fleet
 // telemetry (spans, metrics, epoch reports) in the 120–129 block.
 func (c *Coordinator) onFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) {
 	if c.fleet.HandleFrame(w, tag, payload) {
 		return
 	}
 	switch tag {
-	case tagExecMeshAddr, tagExecCkpt, tagExecRankDone, tagExecFail:
+	case tagExecCkpt, tagExecRankDone, tagExecFail:
 		c.onExecFrame(w, tag, payload)
 		return
 	}

@@ -70,8 +70,8 @@ type ShardResult struct {
 // RunShard trains rank run.Rank's resident shard of (x, y) exactly as the
 // in-process RA-CA world would: same row block, same block-mean routing
 // center, same solver configuration — therefore the same model bytes. Only
-// MethodRACA is supported; every other method needs collectives the remote
-// mesh does not carry.
+// MethodRACA is supported; every other method needs collectives, and remote
+// workers are not connected to each other.
 func RunShard(x *la.Matrix, y []float64, p Params, run ShardRun) (*ShardResult, error) {
 	if p.Method != MethodRACA {
 		return nil, fmt.Errorf("core: RunShard supports %q only, got %q", MethodRACA, p.Method)

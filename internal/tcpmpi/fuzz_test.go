@@ -73,16 +73,16 @@ func FuzzParseHello(f *testing.F) {
 	seeds := [][]byte{
 		nil,
 		{0x01},
-		helloBytes(1, 0, 0)[:11],                        // one byte short
-		helloBytes(1, 0, helloFresh),                    // fresh incarnation
-		helloBytes(3, 77, 0),                            // mid-run resume watermark
-		helloBytes(0, 0, helloRegister),                 // worker registration
-		helloBytes(0, 0, helloClient),                   // client registration
-		helloBytes(0, 0, helloRegister|helloClient),     // contradictory roles
-		helloBytes(0, 0, helloFresh|helloRegister),      // fresh worker
-		helloBytes(9, 1, 0xFFFFFFFF),                    // all flag bits set
-		helloBytes(9, 1, helloKnownFlags+1<<3),          // one unknown bit
-		helloBytes(0xFFFFFFFF, 0xFFFFFFFF, helloFresh),  // extreme rank/watermark
+		helloBytes(1, 0, 0)[:11],        // one byte short
+		helloBytes(1, 0, helloFresh),    // fresh incarnation
+		helloBytes(3, 77, 0),            // mid-run resume watermark
+		helloBytes(0, 0, helloRegister), // worker registration
+		helloBytes(0, 0, helloClient),   // client registration
+		helloBytes(0, 0, helloRegister|helloClient),      // contradictory roles
+		helloBytes(0, 0, helloFresh|helloRegister),       // fresh worker
+		helloBytes(9, 1, 0xFFFFFFFF),                     // all flag bits set
+		helloBytes(9, 1, helloKnownFlags+1<<3),           // one unknown bit
+		helloBytes(0xFFFFFFFF, 0xFFFFFFFF, helloFresh),   // extreme rank/watermark
 		append(helloBytes(2, 5, helloFresh), 0xAA, 0xBB), // trailing garbage
 	}
 	for _, s := range seeds {
