@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix vet fmt bench-build check benchmark fuzz fuzz-smoke bench bench-kernel bench-e2e bench-serve bench-diff serve-smoke soak soak-cluster cover
+.PHONY: build test race race-matrix vet fmt bench-build check benchmark fuzz fuzz-smoke bench bench-kernel bench-e2e bench-serve bench-diff serve-smoke dist-smoke soak soak-cluster cover
 
 build:
 	$(GO) build ./...
@@ -57,12 +57,26 @@ serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServe' ./internal/telemetry
 	$(GO) test -race -count=1 ./internal/serve
 
+# dist-smoke runs the multi-process example end to end: four forked workers
+# train Dis-SMO and RA-CA over a real TCP mesh with the shared per-rank
+# driver, and rank 0 must report both models on the hash of the in-process
+# core.Train reference (~5 s).
+DIST_BIN = .bench_build/dist-smoke
+dist-smoke:
+	@mkdir -p .bench_build
+	$(GO) build -o $(DIST_BIN) ./examples/distributed
+	@out=$$($(DIST_BIN) -launch -p 4) || { echo "$$out"; echo "dist-smoke: launcher failed"; exit 1; }; \
+	n=$$(echo "$$out" | grep -c '== in-process core.Train'); \
+	if [ "$$n" -ne 2 ]; then echo "$$out"; \
+		echo "dist-smoke: $$n of 2 methods reported the reference hash"; exit 1; fi; \
+	echo "$$out" | grep 'rank 0:'
+
 # check is the full verification gate: gofmt, vet (root module and bench/),
 # the whole suite under the race detector (which includes the TestChaosMatrix fault smoke: six methods ×
 # crash/drop+delay/corrupt under respawn recovery), the 1/4-CPU race matrix
-# over the concurrency-heavy packages, the fuzz seed corpora, and the
-# live-server smoke run.
-check: fmt vet bench-build race race-matrix fuzz-smoke serve-smoke
+# over the concurrency-heavy packages, the fuzz seed corpora, the
+# live-server smoke run, and the multi-process example.
+check: fmt vet bench-build race race-matrix fuzz-smoke serve-smoke dist-smoke
 
 # soak is the randomized chaos soak: seeded random fault schedules over
 # every method family and both recovery policies, each run checked for

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -153,6 +154,10 @@ type Params struct {
 	// method implementations (nil when Recovery.Policy is off).
 	rt *recoveryRuntime
 
+	// shard is RunShard's checkpoint/interrupt wiring for the rank's local
+	// solve (nil everywhere else).
+	shard *ShardRun
+
 	// colCacheRows overrides the capacity of Dis-SMO's replicated column
 	// cache (0 = min(m, 1024)). Settable only from package tests: the model
 	// is bit-identical at every capacity ≥ 2, and the invariance test needs
@@ -229,7 +234,11 @@ func DefaultParams(m Method, p int) Params {
 	}
 }
 
-func (p Params) validate(m int) error {
+func (p Params) validate(x *la.Matrix, y []float64) error {
+	if x == nil || x.Rows() != len(y) {
+		return errors.New("core: samples and labels disagree")
+	}
+	m := x.Rows()
 	if p.P < 1 {
 		return fmt.Errorf("core: P=%d", p.P)
 	}
@@ -248,26 +257,6 @@ func (p Params) validate(m int) error {
 func (p Params) solverConfig() smo.Config {
 	return smo.Config{C: p.C, Tol: p.Tol, MaxIter: p.MaxIter, Kernel: p.Kernel,
 		PosWeight: p.PosWeight, Threads: p.Threads}
-}
-
-// solverConfigAt is solverConfig plus the rank's fault-injection interrupt
-// (a no-op without an injector) and the rank's observability sinks (no-ops
-// without a timeline/registry).
-func (p Params) solverConfigAt(rank int) smo.Config {
-	cfg := p.solverConfig()
-	if p.Faults != nil {
-		cfg.Interrupt = func(iter int) error {
-			if err := p.Faults.CrashCheck(rank, iter); err != nil {
-				return err
-			}
-			return p.joinInterrupt(rank, iter)
-		}
-	}
-	cfg.Trace = p.Timeline.Rank(rank)
-	cfg.Metrics = p.Metrics
-	cfg.Telemetry = p.Telemetry
-	cfg.TelemetryRank = rank
-	return cfg
 }
 
 // NodeStat profiles one node's work within a layer (the rows of Table V).
@@ -407,28 +396,9 @@ type Output struct {
 	Stats Stats
 }
 
-// rankResult is what each rank reports back to the harness through shared
-// memory (the World join provides the happens-before edge).
-type rankResult struct {
-	local    *model.Model // this rank's model (CP/CA) or final model (rank 0, tree methods)
-	center   []float64    // this rank's routing center (CP/CA)
-	iters    int
-	svs      int
-	initSec  float64
-	trainSec float64
-	partSize int
-	kmIters  int
-
-	colHits, colMisses int64 // Dis-SMO column-cache lookups (rank 0)
-
-	// Class structure of the rank's partition (Tables VII–VIII).
-	pos, neg     int
-	svPos, svNeg int
-}
-
 // fillClassCounts records the partition's class structure and, given the
 // solved multipliers, the per-class support-vector counts.
-func (out *rankResult) fillClassCounts(y, alpha []float64) {
+func (out *ShardResult) fillClassCounts(y, alpha []float64) {
 	for i, v := range y {
 		if v > 0 {
 			out.pos++

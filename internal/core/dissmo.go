@@ -27,7 +27,7 @@ import (
 // loop makes the same pair choices from the same arithmetic, so the result
 // is bitwise the trajectory of serial SMO on the full set, up to the
 // float32 wire rounding of the initial scatter.
-func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *rankResult) error {
+func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *ShardResult) error {
 	rec := c.Recorder()
 	c.SetPhase("partition")
 	spInit := rec.BeginVirt(trace.CatInit, "partition", c.Clock())
@@ -35,7 +35,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 	if err != nil {
 		return err
 	}
-	out.partSize = local.x.Rows()
+	out.PartSize = local.x.Rows()
 	out.initSec = c.Clock()
 	rec.EndVirt(spInit, c.Clock())
 
@@ -145,7 +145,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 		c.Charge(solver.TakeFlops())
 		iters++
 	}
-	out.iters = iters
+	out.Iters = iters
 	out.trainSec = c.Clock() - out.initSec
 	rec.EndVirt(spSolve, c.Clock())
 	c.SetPhase("assemble")
@@ -161,14 +161,8 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 
 	// Assemble the global model at rank 0: gather (SV rows, y, α, local
 	// bHigh/bLow contributions).
-	svRows := []int{}
-	for i, a := range solver.Alpha() {
-		if a > 0 {
-			svRows = append(svRows, i)
-		}
-	}
 	payload := packSections(
-		encodePart(local.x, local.y, solver.Alpha(), svRows),
+		encodePart(local.x, local.y, solver.Alpha(), svRows(solver.Alpha())),
 		encodeBias(solver),
 	)
 	gathered := c.Gatherv(0, payload)
@@ -205,8 +199,9 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *r
 	case !math.IsInf(bLow, -1):
 		bias = bLow
 	}
-	out.local = model.FromSolution(merged.x, merged.y, merged.alpha, bias, p.Kernel)
-	out.svs = out.local.NSV()
+	out.Model = model.FromSolution(merged.x, merged.y, merged.alpha, bias, p.Kernel)
+	out.SVs = out.Model.NSV()
+	out.Center = make([]float64, full.Features()) // one model: nothing to route
 	return nil
 }
 

@@ -1,0 +1,139 @@
+package core
+
+import (
+	"fmt"
+	"net"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"casvm/internal/la"
+	"casvm/internal/mpi"
+	"casvm/internal/tcpmpi"
+)
+
+// onMesh dials a p-rank loopback tcpmpi mesh on handed-over listeners and
+// runs f once per rank, each on its own goroutine with its own tcpmpi.Comm —
+// what p worker processes would do, minus the fork.
+func onMesh(t *testing.T, p int, f func(rank int, comm *tcpmpi.Comm) error) {
+	t.Helper()
+	lns := make([]net.Listener, p)
+	addrs := make([]string, p)
+	for r := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[r], addrs[r] = ln, ln.Addr().String()
+	}
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			comm, err := tcpmpi.DialOptions(rank, addrs, tcpmpi.Options{
+				Listener: lns[rank], Timeout: 30 * time.Second})
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			defer comm.Close()
+			errs[rank] = f(rank, comm)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// TestEveryMethodBothLinks: P ranks on a TCP mesh, each running RunRank and
+// GatherOutput on its own world the way a worker process does, land on the
+// model and the world totals of the in-process Train — messages, bytes,
+// iterations and virtual time, exactly.
+func TestEveryMethodBothLinks(t *testing.T) {
+	d := testSet(t, 240)
+	for _, m := range Methods() {
+		for _, p := range []int{1, 3, 4} {
+			t.Run(fmt.Sprintf("%s/P=%d", m, p), func(t *testing.T) {
+				pr := paramsFor(m, p, d)
+				ref, err := Train(d.X, d.Y, pr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got *Output
+				onMesh(t, p, func(rank int, comm *tcpmpi.Comm) error {
+					world := mpi.NewWorld(p, pr.Machine, pr.Seed)
+					return world.RunLink(rank, comm, func(c *mpi.Comm) error {
+						sh, err := RunRank(c, d.X, d.Y, pr)
+						if err != nil {
+							return err
+						}
+						out, err := GatherOutput(c, sh, pr, world.Stats())
+						if rank == 0 {
+							got = out
+						} else if out != nil {
+							return fmt.Errorf("rank %d got an output", rank)
+						}
+						return err
+					})
+				})
+				wantHash, err := ModelHash(ref.Set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotHash, err := ModelHash(got.Set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotHash != wantHash {
+					t.Errorf("model hash %s over TCP, %s in-process", gotHash, wantHash)
+				}
+				g, w := got.Stats, ref.Stats
+				if g.CommOps != w.CommOps || g.CommBytes != w.CommBytes {
+					t.Errorf("messages/bytes %d/%d over TCP, %d/%d in-process", g.CommOps, g.CommBytes, w.CommOps, w.CommBytes)
+				}
+				if g.Iters != w.Iters || g.SVs != w.SVs || g.TotalSec != w.TotalSec {
+					t.Errorf("iters/SVs/TotalSec %d/%d/%v over TCP, %d/%d/%v in-process",
+						g.Iters, g.SVs, g.TotalSec, w.Iters, w.SVs, w.TotalSec)
+				}
+				if g.InitSec != w.InitSec || g.TrainSec != w.TrainSec || g.KMeansIters != w.KMeansIters ||
+					g.ColCacheMisses != w.ColCacheMisses {
+					t.Errorf("profile %v/%v/%d/%d over TCP, %v/%v/%d/%d in-process", g.InitSec, g.TrainSec,
+						g.KMeansIters, g.ColCacheMisses, w.InitSec, w.TrainSec, w.KMeansIters, w.ColCacheMisses)
+				}
+				if !reflect.DeepEqual(g.PartSizes, w.PartSizes) || !reflect.DeepEqual(g.NodeIters, w.NodeIters) ||
+					!reflect.DeepEqual(g.NodeSVPos, w.NodeSVPos) || !reflect.DeepEqual(g.Layers, w.Layers) {
+					t.Errorf("per-node profile differs:\n TCP        %+v\n in-process %+v", g, w)
+				}
+			})
+		}
+	}
+}
+
+// TestGatheredResultIsBounded: a gathered rank result is bytes from another
+// process; anything malformed is an error, never a panic or a short slice.
+func TestGatheredResultIsBounded(t *testing.T) {
+	good := packSections(nil, la.EncodeF64(make([]float64, shardNums+5)))
+	var sh ShardResult
+	if err := sh.decode(2, good); err != nil || len(sh.layers) != 1 || sh.layers[0].Rank != 2 {
+		t.Fatalf("well-formed payload: %v, %+v", err, sh)
+	}
+	bad := [][]byte{
+		nil,
+		good[:len(good)-1],
+		packSections(nil),
+		packSections(nil, la.EncodeF64(make([]float64, shardNums-1))),
+		packSections(nil, la.EncodeF64(make([]float64, shardNums+3))),
+		packSections([]byte("not a model set"), la.EncodeF64(make([]float64, shardNums))),
+	}
+	for i, buf := range bad {
+		if err := sh.decode(0, buf); err == nil {
+			t.Errorf("payload %d decoded without error", i)
+		}
+	}
+}

@@ -85,21 +85,24 @@ type Recovery struct {
 	RestartPenaltySec float64
 }
 
-func (r Recovery) every() int {
+// Cadence is the checkpoint cadence with its default applied.
+func (r Recovery) Cadence() int {
 	if r.CheckpointEvery <= 0 {
 		return 64
 	}
 	return r.CheckpointEvery
 }
 
-func (r Recovery) maxRestarts() int {
+// RestartBudget is the restart bound with its default applied.
+func (r Recovery) RestartBudget() int {
 	if r.MaxRestarts <= 0 {
 		return 3
 	}
 	return r.MaxRestarts
 }
 
-func (r Recovery) penalty() float64 {
+// PenaltySec is the modeled relaunch penalty with its default applied.
+func (r Recovery) PenaltySec() float64 {
 	if r.RestartPenaltySec <= 0 {
 		return 0.5
 	}
@@ -237,17 +240,37 @@ func (rt *recoveryRuntime) chargeCheckpoint(c *mpi.Comm, bytes int) {
 	}
 }
 
-// solverConfigCkpt is solverConfigAt plus checkpoint/restore wiring for the
-// rank's next local solve. It must be called in the same order on every
-// attempt (guaranteed by deterministic re-execution) so sequence numbers
-// line up with the stored snapshots.
+// solverConfigCkpt configures the rank's next local solve: solverConfig plus
+// the rank's fault-injection interrupt and observability sinks (no-ops
+// without an injector, timeline or registry) and checkpoint/restore wiring.
+// It must be called in the same order on every attempt (guaranteed by
+// deterministic re-execution) so sequence numbers line up with the stored
+// snapshots.
 func (p Params) solverConfigCkpt(c *mpi.Comm) smo.Config {
-	cfg := p.solverConfigAt(c.Rank())
+	rank := c.Rank()
+	cfg := p.solverConfig()
+	if p.Faults != nil {
+		cfg.Interrupt = func(iter int) error {
+			if err := p.Faults.CrashCheck(rank, iter); err != nil {
+				return err
+			}
+			return p.joinInterrupt(rank, iter)
+		}
+	}
+	cfg.Trace = p.Timeline.Rank(rank)
+	cfg.Metrics = p.Metrics
+	cfg.Telemetry = p.Telemetry
+	cfg.TelemetryRank = rank
+	if run := p.shard; run != nil {
+		// RunShard: the remote executor owns checkpoints and interrupts.
+		cfg.Interrupt, cfg.CheckpointEvery = run.Interrupt, run.CheckpointEvery
+		cfg.CheckpointSink, cfg.Restore = run.CheckpointSink, run.Restore
+		return cfg
+	}
 	rt := p.rt
 	if rt == nil {
 		return cfg
 	}
-	rank := c.Rank()
 	seq := rt.nextSeq(rank)
 	cfg.CheckpointEvery = rt.every
 	cfg.CheckpointSink = func(ck *smo.Checkpoint) {

@@ -79,7 +79,7 @@ func BuildReport(out *Output, p Params, dataset string, accuracy float64) (*trac
 				fi.Policy = string(p.Recovery.Policy)
 			}
 			if fi.CheckpointEvery == 0 && p.Recovery.Policy != RecoverOff {
-				fi.CheckpointEvery = p.Recovery.every()
+				fi.CheckpointEvery = p.Recovery.Cadence()
 			}
 			r.Faults = fi
 		}

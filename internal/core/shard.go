@@ -1,39 +1,29 @@
-// Remote-execution driver split: the worker half of a CA-SVM training run.
+// The per-rank driver, and the two ways of running a rank somewhere other
+// than the in-process world of Train.
 //
-// The cluster runtime's remote executors run each rank's shard solve inside
-// the worker process that holds the rank's lease, instead of modeling the
-// whole world in-process on the coordinator. That split only works because
-// RA-CA under the casvm2 placement is communication-free: rank r's model
-// depends on nothing but (dataset, r, P, solver params), all of which the
-// worker reproduces deterministically from the job spec. RunShard is that
-// per-rank computation factored out of trainCASVM, bit-identical to what
-// the in-process world would produce for the same rank, so a model set
-// assembled from remotely trained shards lands on the same ModelHash as a
-// fault-free local run.
-//
-// The coordinator half is AssembleShards: given the P rank models and
-// routing centers collected over the lease connections, it rebuilds the
-// model.Set exactly as runAttempt's independent-models branch would.
+// RunRank is the one entry point that runs a rank's share of a method on a
+// communicator. Train's worlds call it for every rank on goroutines; a worker
+// process calls it on a world whose Link is its TCP mesh, then GatherOutput
+// collects the ranks' results at rank 0; RunShard calls it on a world whose
+// link refuses traffic — RA-CA under the casvm2 placement sends nothing, so
+// rank r's model depends on nothing but (dataset, r, P, solver params) and a
+// cluster executor can solve it alone. All three produce the same bytes for
+// the same rank, so a model set assembled from remote shards lands on the
+// ModelHash of a local run.
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
 	"casvm/internal/la"
 	"casvm/internal/model"
+	"casvm/internal/mpi"
 	"casvm/internal/smo"
+	"casvm/internal/trace"
 )
-
-// ShardRows returns rank r's resident row block under the casvm2 placement:
-// the same nearly-even contiguous split every in-process world uses, so a
-// remote worker and the local reference run train on identical rows.
-func ShardRows(m, p, r int) []int {
-	if p < 1 || r < 0 || r >= p {
-		return nil
-	}
-	return evenBlocks(m, p)[r]
-}
 
 // ShardRun configures one remote rank solve on top of Params: the rank
 // identity plus the checkpoint/interrupt wiring the executor threads in.
@@ -49,9 +39,10 @@ type ShardRun struct {
 	Interrupt       func(iter int) error
 }
 
-// ShardResult is one rank's trained shard: the local model and routing
-// center that AssembleShards needs, plus the profile numbers the worker
-// streams back to the coordinator.
+// ShardResult is what one rank produced: the model and routing center
+// AssembleShards needs (the independent-model methods give every rank a
+// model; Dis-SMO and the trees give rank 0 the only one, with a zero center)
+// plus the rank's share of the run profile.
 type ShardResult struct {
 	Model  *model.Model
 	Center []float64
@@ -60,15 +51,52 @@ type ShardResult struct {
 	SVs      int
 	PartSize int
 
-	// Flops is the modeled solver work; VirtSec its α–β-priced virtual
-	// time on Params.Machine (init charge + solve compute), excluding
-	// checkpoint transport, which the executor prices per deposit.
+	// Flops is the modeled work of the rank's local solve (independent-model
+	// methods only); VirtSec the rank's virtual clock on Params.Machine when
+	// it finished, excluding a remote executor's checkpoint transport, which
+	// the executor prices per deposit.
 	Flops   float64
 	VirtSec float64
+
+	initSec, trainSec  float64
+	kmIters            int
+	colHits, colMisses int64       // Dis-SMO column-cache lookups (rank 0)
+	pos, neg           int         // class structure of the rank's partition
+	svPos, svNeg       int         // (Tables VII–VIII)
+	layers             []layerNode // tree methods: this rank's layer entries
+	commOps, commBytes int64       // sent while training; set on gathered results
 }
 
-// RunShard trains rank run.Rank's resident shard of (x, y) exactly as the
-// in-process RA-CA world would: same row block, same block-mean routing
+// RunRank runs rank c.Rank()'s share of p.Method over (x, y) on c, which
+// must span p.P ranks all making the same call. The result is non-nil even
+// with an error: it holds what the rank had reached.
+func RunRank(c *mpi.Comm, x *la.Matrix, y []float64, p Params) (*ShardResult, error) {
+	out := &ShardResult{}
+	var err error
+	switch p.Method {
+	case MethodDisSMO:
+		err = trainDisSMO(c, x, y, p, out)
+	case MethodCascade, MethodDCSVM, MethodDCFilter:
+		err = trainTree(c, x, y, p, out)
+	case MethodCPSVM, MethodFCFSCA, MethodBKMCA, MethodRACA:
+		err = trainIndependent(c, x, y, p, out)
+	default:
+		err = fmt.Errorf("core: unimplemented method %q", p.Method)
+	}
+	out.VirtSec = c.Clock()
+	return out, err
+}
+
+// noLink is the transport of a rank that must not communicate.
+type noLink struct{}
+
+var errNoLink = errors.New("core: RunShard ranks are not connected to each other")
+
+func (noLink) Send(int, int, []byte) error   { return errNoLink }
+func (noLink) Recv(int, int) ([]byte, error) { return nil, errNoLink }
+
+// RunShard trains rank run.Rank's resident shard of (x, y) alone, exactly as
+// that rank of an RA-CA world would: same row block, same block-mean routing
 // center, same solver configuration — therefore the same model bytes. Only
 // MethodRACA is supported; every other method needs collectives, and remote
 // workers are not connected to each other.
@@ -76,49 +104,108 @@ func RunShard(x *la.Matrix, y []float64, p Params, run ShardRun) (*ShardResult, 
 	if p.Method != MethodRACA {
 		return nil, fmt.Errorf("core: RunShard supports %q only, got %q", MethodRACA, p.Method)
 	}
-	if x == nil || x.Rows() != len(y) {
-		return nil, fmt.Errorf("core: shard samples and labels disagree")
-	}
 	if run.P < 1 || run.Rank < 0 || run.Rank >= run.P {
 		return nil, fmt.Errorf("core: shard rank %d of %d out of range", run.Rank, run.P)
 	}
-	if x.Rows() < run.P {
-		return nil, fmt.Errorf("core: %d samples cannot feed %d ranks", x.Rows(), run.P)
-	}
-	if err := p.validate(x.Rows()); err != nil {
+	p.P, p.Placement, p.shard = run.P, PlacementDistributed, &run
+	if err := p.validate(x, y); err != nil {
 		return nil, err
 	}
-
-	rows := evenBlocks(x.Rows(), run.P)[run.Rank]
-	localX := x.Subset(rows)
-	localY := subsetF64(y, rows)
-
-	// The resident block IS the random partition; the routing center is the
-	// block mean (eqn 14) — identical to trainCASVM's MethodRACA branch.
-	center := localX.Mean(nil)
-	virt := p.Machine.Compute(float64(localX.NNZ()))
-
-	cfg := p.solverConfig()
-	cfg.Interrupt = run.Interrupt
-	cfg.CheckpointEvery = run.CheckpointEvery
-	cfg.CheckpointSink = run.CheckpointSink
-	cfg.Restore = run.Restore
-	res, err := smo.Solve(localX, localY, cfg, nil)
+	var sh *ShardResult
+	err := newWorld(p, 0).RunLink(run.Rank, noLink{}, func(c *mpi.Comm) (err error) {
+		sh, err = RunRank(c, x, y, p)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	virt += p.Machine.Compute(res.Flops)
+	return sh, nil
+}
 
-	m := localModel(localX, localY, res, p.Kernel)
-	return &ShardResult{
-		Model:    m,
-		Center:   append([]float64(nil), center...),
-		Iters:    res.Iters,
-		SVs:      m.NSV(),
-		PartSize: localX.Rows(),
-		Flops:    res.Flops,
-		VirtSec:  virt,
-	}, nil
+// GatherOutput collects every rank's RunRank result at rank 0 and assembles
+// there what Train would have returned; other ranks get nil. st is the
+// calling rank's world Stats, read before the gather adds its own traffic.
+// Stats carries what the ranks themselves measured — not Wall, CommMatrix,
+// CommSec, CompSec or TotalFlops, which need the whole world in one process.
+func GatherOutput(c *mpi.Comm, sh *ShardResult, p Params, st *trace.Stats) (*Output, error) {
+	var mb bytes.Buffer
+	if sh.Model != nil {
+		if err := model.SaveSet(&mb, model.Single(sh.Model, sh.Center)); err != nil {
+			return nil, err
+		}
+	}
+	nums := []float64{float64(sh.Iters), float64(sh.SVs), float64(sh.PartSize), sh.Flops, sh.VirtSec,
+		sh.initSec, sh.trainSec, float64(sh.kmIters), float64(sh.colHits), float64(sh.colMisses),
+		float64(sh.pos), float64(sh.neg), float64(sh.svPos), float64(sh.svNeg),
+		float64(st.TotalOps()), float64(st.TotalBytes())}
+	for _, n := range sh.layers {
+		nums = append(nums, float64(n.layer), float64(n.Samples), float64(n.Iters), float64(n.SVs), n.Time)
+	}
+	gathered := c.Gatherv(0, packSections(mb.Bytes(), la.EncodeF64(nums)))
+	if c.Rank() != 0 {
+		return nil, nil
+	}
+	results := make([]ShardResult, len(gathered))
+	for r, buf := range gathered {
+		if err := results[r].decode(r, buf); err != nil {
+			return nil, fmt.Errorf("core: rank %d result: %w", r, err)
+		}
+	}
+	out, err := assemble(p, len(results[0].Center), results, false)
+	if err != nil {
+		return nil, err
+	}
+	for r := range results {
+		out.Stats.CommOps += results[r].commOps
+		out.Stats.CommBytes += results[r].commBytes
+		if results[r].VirtSec > out.Stats.TotalSec {
+			out.Stats.TotalSec = results[r].VirtSec
+		}
+	}
+	return out, nil
+}
+
+// shardNums is the fixed part of a gathered result's number section; five
+// numbers per tree-layer entry follow.
+const shardNums = 16
+
+// decode parses one gathered result. The bytes come from another process:
+// the model goes through model.LoadSet's checks and the numbers are counted
+// before they are indexed.
+func (sh *ShardResult) decode(rank int, buf []byte) error {
+	secs, err := unpackSections(buf)
+	if err != nil {
+		return err
+	}
+	if len(secs) != 2 {
+		return fmt.Errorf("%d sections, want 2", len(secs))
+	}
+	v, err := la.DecodeF64(secs[1])
+	if err != nil {
+		return err
+	}
+	if len(v) < shardNums || (len(v)-shardNums)%5 != 0 {
+		return fmt.Errorf("%d numbers", len(v))
+	}
+	*sh = ShardResult{Iters: int(v[0]), SVs: int(v[1]), PartSize: int(v[2]), Flops: v[3], VirtSec: v[4],
+		initSec: v[5], trainSec: v[6], kmIters: int(v[7]), colHits: int64(v[8]), colMisses: int64(v[9]),
+		pos: int(v[10]), neg: int(v[11]), svPos: int(v[12]), svNeg: int(v[13]),
+		commOps: int64(v[14]), commBytes: int64(v[15])}
+	for v = v[shardNums:]; len(v) > 0; v = v[5:] {
+		sh.layers = append(sh.layers, layerNode{int(v[0]), NodeStat{
+			Rank: rank, Samples: int(v[1]), Iters: int(v[2]), SVs: int(v[3]), Time: v[4]}})
+	}
+	if len(secs[0]) > 0 {
+		set, err := model.LoadSet(bytes.NewReader(secs[0]))
+		if err != nil {
+			return err
+		}
+		if len(set.Models) != 1 {
+			return fmt.Errorf("%d models, want 1", len(set.Models))
+		}
+		sh.Model, sh.Center = set.Models[0], set.Centers.DenseRow(0)
+	}
+	return nil
 }
 
 // AssembleShards rebuilds the routed model set from per-rank shard models
@@ -150,14 +237,3 @@ func AssembleShards(shards map[int]*ShardResult, features int) (*model.Set, erro
 	}
 	return &model.Set{Models: models, Centers: la.NewDense(len(models), features, centers)}, nil
 }
-
-// Cadence exposes the checkpoint cadence with its default applied — the
-// remote executor needs the same effective value the in-process supervisor
-// would use.
-func (r Recovery) Cadence() int { return r.every() }
-
-// RestartBudget exposes the restart bound with its default applied.
-func (r Recovery) RestartBudget() int { return r.maxRestarts() }
-
-// PenaltySec exposes the modeled relaunch penalty with its default applied.
-func (r Recovery) PenaltySec() float64 { return r.penalty() }

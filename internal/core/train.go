@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"casvm/internal/la"
-	"casvm/internal/model"
 	"casvm/internal/mpi"
 	"casvm/internal/trace"
 )
@@ -21,10 +21,7 @@ import (
 // (respawn) or shrunk onto the survivors — until the run completes or the
 // restart budget is spent.
 func Train(x *la.Matrix, y []float64, p Params) (*Output, error) {
-	if x == nil || x.Rows() != len(y) {
-		return nil, errors.New("core: samples and labels disagree")
-	}
-	if err := p.validate(x.Rows()); err != nil {
+	if err := p.validate(x, y); err != nil {
 		return nil, err
 	}
 	if p.Recovery.Policy == RecoverOff {
@@ -43,7 +40,7 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 	rec := p.Recovery
 	rt := &recoveryRuntime{
 		store:   newCkptStore(x.Rows()),
-		every:   rec.every(),
+		every:   rec.Cadence(),
 		machine: p.Machine,
 		tl:      p.Timeline,
 		metrics: p.Metrics,
@@ -97,7 +94,7 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 		if !isCrash && !isResize {
 			return nil, err // genuine algorithmic failure: not recoverable
 		}
-		if isCrash && recoveries >= rec.maxRestarts() {
+		if isCrash && recoveries >= rec.RestartBudget() {
 			return nil, fmt.Errorf("core: recovery budget exhausted after %d restarts: %w",
 				recoveries, err)
 		}
@@ -114,7 +111,7 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 		if failClock < base {
 			failClock = base
 		}
-		newBase := failClock + rec.penalty()
+		newBase := failClock + rec.PenaltySec()
 
 		ws := world.Stats()
 		extra.CommBytes += ws.TotalBytes()
@@ -194,38 +191,32 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 	}
 }
 
-// runAttempt executes the method once on a fresh world of p.P ranks whose
-// virtual clocks start at base, and returns the assembled output, the world
-// (for the supervisor's post-mortem on failure), and the first error.
-func runAttempt(x *la.Matrix, y []float64, p Params, base float64) (*Output, *mpi.World, error) {
+// newWorld builds the world one attempt runs on: p.P ranks on p.Machine
+// whose virtual clocks start at base, with p's fault hook and timeline.
+func newWorld(p Params, base float64) *mpi.World {
 	world := mpi.NewWorld(p.P, p.Machine, p.Seed)
 	world.SetBaseClock(base)
 	if p.Faults != nil {
 		world.SetTransportHook(p.Faults)
 	}
 	world.SetTimeline(p.Timeline)
-	results := make([]rankResult, p.P)
-	lc := newLayerCollector()
+	return world
+}
+
+// runAttempt executes the method once on a fresh world of p.P ranks whose
+// virtual clocks start at base, and returns the assembled output, the world
+// (for the supervisor's post-mortem on failure), and the first error. Ranks
+// report through shared memory; the World join provides the happens-before
+// edge.
+func runAttempt(x *la.Matrix, y []float64, p Params, base float64) (*Output, *mpi.World, error) {
+	world := newWorld(p, base)
+	results := make([]ShardResult, p.P)
 
 	wall0 := time.Now()
 	err := world.Run(func(c *mpi.Comm) error {
-		out := &results[c.Rank()]
-		switch p.Method {
-		case MethodDisSMO:
-			return trainDisSMO(c, x, y, p, out)
-		case MethodCascade:
-			return trainTree(c, x, y, p, out, false, false, lc)
-		case MethodDCSVM:
-			return trainTree(c, x, y, p, out, true, true, lc)
-		case MethodDCFilter:
-			return trainTree(c, x, y, p, out, true, false, lc)
-		case MethodCPSVM:
-			return trainCPSVM(c, x, y, p, out)
-		case MethodFCFSCA, MethodBKMCA, MethodRACA:
-			return trainCASVM(c, x, y, p, out)
-		default:
-			return fmt.Errorf("core: unimplemented method %q", p.Method)
-		}
+		sh, err := RunRank(c, x, y, p)
+		results[c.Rank()] = *sh
+		return err
 	})
 	degraded := false
 	if err != nil {
@@ -241,76 +232,65 @@ func runAttempt(x *la.Matrix, y []float64, p Params, base float64) (*Output, *mp
 	}
 	wall := time.Since(wall0)
 
-	st := Stats{
-		Method: p.Method,
-		P:      p.P,
-		Wall:   wall,
+	out, aerr := assemble(p, x.Features(), results, degraded)
+	if aerr != nil {
+		if degraded {
+			aerr = fmt.Errorf("core: every rank crashed: %w", err)
+		}
+		return nil, world, aerr
 	}
-	st.TotalSec = world.MaxClock()
-	st.PartSizes = make([]int, p.P)
-	st.NodeTrainSec = make([]float64, p.P)
-	st.NodeIters = make([]int, p.P)
-	st.NodePos = make([]int, p.P)
-	st.NodeNeg = make([]int, p.P)
-	st.NodeSVPos = make([]int, p.P)
-	st.NodeSVNeg = make([]int, p.P)
-	for r := range results {
-		st.PartSizes[r] = results[r].partSize
-		st.NodeTrainSec[r] = results[r].trainSec
-		st.NodeIters[r] = results[r].iters
-		st.NodePos[r] = results[r].pos
-		st.NodeNeg[r] = results[r].neg
-		st.NodeSVPos[r] = results[r].svPos
-		st.NodeSVNeg[r] = results[r].svNeg
-		if results[r].initSec > st.InitSec {
-			st.InitSec = results[r].initSec
-		}
-		if results[r].trainSec > st.TrainSec {
-			st.TrainSec = results[r].trainSec
-		}
-		if results[r].kmIters > st.KMeansIters {
-			st.KMeansIters = results[r].kmIters
-		}
-	}
-	fillCommStats(&st, world.Stats())
+	out.Stats.Wall = wall
+	out.Stats.TotalSec = world.MaxClock()
+	fillCommStats(&out.Stats, world.Stats())
+	return out, world, nil
+}
 
-	var set *model.Set
-	switch p.Method {
-	case MethodDisSMO:
-		st.Iters = results[0].iters
-		st.SVs = results[0].svs
+// assemble builds the Output from the ranks' results: the model set through
+// AssembleShards and every Stats field the ranks themselves determine. The
+// caller adds what only the world knows (clocks, communication volumes).
+func assemble(p Params, features int, results []ShardResult, degraded bool) (*Output, error) {
+	n := len(results)
+	st := Stats{Method: p.Method, P: n, Degraded: degraded,
+		PartSizes: make([]int, n), NodeTrainSec: make([]float64, n), NodeIters: make([]int, n),
+		NodePos: make([]int, n), NodeNeg: make([]int, n), NodeSVPos: make([]int, n), NodeSVNeg: make([]int, n)}
+	shards := map[int]*ShardResult{}
+	for r := range results {
+		res := &results[r]
+		st.PartSizes[r] = res.PartSize
+		st.NodeTrainSec[r] = res.trainSec
+		st.NodeIters[r] = res.Iters
+		st.NodePos[r], st.NodeNeg[r] = res.pos, res.neg
+		st.NodeSVPos[r], st.NodeSVNeg[r] = res.svPos, res.svNeg
+		st.InitSec = math.Max(st.InitSec, res.initSec)
+		st.TrainSec = math.Max(st.TrainSec, res.trainSec)
+		if res.kmIters > st.KMeansIters {
+			st.KMeansIters = res.kmIters
+		}
+		// A lost shard (degraded) has no model: survivors carry the
+		// prediction. Single-model methods assemble rank 0 alone.
+		if p.Method.independentModels() && (res.Model != nil || !degraded) {
+			shards[r] = res
+			st.SVs += res.SVs
+			if res.Iters > st.Iters {
+				st.Iters = res.Iters
+			}
+		}
+	}
+	if !p.Method.independentModels() {
+		shards[0] = &results[0]
+		st.SVs = results[0].SVs
 		st.ColCacheHits, st.ColCacheMisses = results[0].colHits, results[0].colMisses
-		set = model.Single(results[0].local, nil)
-	case MethodCascade, MethodDCSVM, MethodDCFilter:
-		st.Layers = lc.snapshot()
+		if p.Method == MethodDisSMO {
+			st.Iters = results[0].Iters // the global count
+		}
+		st.Layers = mergeLayers(results) // tree methods only
 		for _, l := range st.Layers {
 			st.Iters += l.MaxIters()
 		}
-		st.SVs = results[0].svs
-		set = model.Single(results[0].local, nil)
-	default: // CP-SVM and the CA-SVM variants: one model per rank
-		n := x.Features()
-		var centers []float64
-		var models []*model.Model
-		for r := range results {
-			if results[r].local == nil {
-				if degraded {
-					continue // lost shard: survivors carry the prediction
-				}
-				return nil, world, fmt.Errorf("core: rank %d produced no model", r)
-			}
-			models = append(models, results[r].local)
-			centers = append(centers, results[r].center...)
-			st.SVs += results[r].svs
-			if results[r].iters > st.Iters {
-				st.Iters = results[r].iters
-			}
-		}
-		if len(models) == 0 {
-			return nil, world, fmt.Errorf("core: every rank crashed: %w", err)
-		}
-		set = &model.Set{Models: models, Centers: la.NewDense(len(models), n, centers)}
 	}
-	st.Degraded = degraded
-	return &Output{Set: set, Stats: st}, world, nil
+	set, err := AssembleShards(shards, features)
+	if err != nil {
+		return nil, err
+	}
+	return &Output{Set: set, Stats: st}, nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"casvm/internal/kmeans"
 	"casvm/internal/la"
 	"casvm/internal/model"
@@ -11,40 +9,25 @@ import (
 	"casvm/internal/trace"
 )
 
-// layerCollector accumulates per-layer node profiles (Table V) from all
-// rank goroutines.
-type layerCollector struct {
-	mu     sync.Mutex
-	layers map[int][]NodeStat
+// layerNode is one rank's entry in a tree layer's profile (Table V).
+type layerNode struct {
+	layer int
+	NodeStat
 }
 
-func newLayerCollector() *layerCollector {
-	return &layerCollector{layers: map[int][]NodeStat{}}
-}
-
-func (lc *layerCollector) add(layer int, ns NodeStat) {
-	lc.mu.Lock()
-	lc.layers[layer] = append(lc.layers[layer], ns)
-	lc.mu.Unlock()
-}
-
-func (lc *layerCollector) snapshot() []LayerStat {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	out := make([]LayerStat, 0, len(lc.layers))
-	for l := 1; ; l++ {
-		nodes, ok := lc.layers[l]
-		if !ok {
-			break
+// mergeLayers builds the per-layer profile from every rank's own entries.
+// Walking the results in rank order leaves each layer's nodes sorted by
+// rank.
+func mergeLayers(results []ShardResult) []LayerStat {
+	byLayer := map[int][]NodeStat{}
+	for r := range results {
+		for _, n := range results[r].layers {
+			byLayer[n.layer] = append(byLayer[n.layer], n.NodeStat)
 		}
-		// Sort nodes by rank for stable presentation.
-		sorted := append([]NodeStat(nil), nodes...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j].Rank < sorted[j-1].Rank; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
-		out = append(out, LayerStat{Layer: l, Nodes: sorted})
+	}
+	var out []LayerStat
+	for l := 1; byLayer[l] != nil; l++ {
+		out = append(out, LayerStat{Layer: l, Nodes: byLayer[l]})
 	}
 	return out
 }
@@ -70,9 +53,8 @@ func treeLayers(p int) int {
 // p.CascadePasses > 1, the final model's support vectors are redistributed
 // to every node and the whole pass repeats (the feedback loop of Fig 2;
 // the paper notes one pass almost always suffices).
-func trainTree(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params,
-	out *rankResult, useKMeans, passAll bool, lc *layerCollector) error {
-
+func trainTree(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *ShardResult) error {
+	useKMeans, passAll := p.Method != MethodCascade, p.Method == MethodDCSVM
 	rec := c.Recorder()
 	c.SetPhase("partition")
 	spInit := rec.BeginVirt(trace.CatInit, "partition", c.Clock())
@@ -87,7 +69,7 @@ func trainTree(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params,
 			return err
 		}
 	}
-	out.partSize = local.x.Rows()
+	out.PartSize = local.x.Rows()
 	out.initSec = c.Clock()
 	rec.EndVirt(spInit, c.Clock())
 	c.SetPhase("solve")
@@ -99,15 +81,16 @@ func trainTree(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params,
 	current := local
 	layerBase := 0
 	for pass := 0; pass < passes; pass++ {
-		finalPart, finalRes, err := runTreePass(c, current, p, passAll, lc, layerBase)
+		finalPart, finalRes, err := runTreePass(c, current, p, passAll, out, layerBase)
 		if err != nil {
 			return err
 		}
 		layerBase += treeLayers(c.Size())
 		if pass == passes-1 {
 			if c.Rank() == 0 {
-				out.local = model.FromSolution(finalPart.x, finalPart.y, finalRes.Alpha, finalRes.B, p.Kernel)
-				out.svs = out.local.NSV()
+				out.Model = model.FromSolution(finalPart.x, finalPart.y, finalRes.Alpha, finalRes.B, p.Kernel)
+				out.SVs = out.Model.NSV()
+				out.Center = make([]float64, full.Features()) // one model: nothing to route
 			}
 			break
 		}
@@ -115,13 +98,7 @@ func trainTree(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params,
 		// on TD_i ∪ SV, warm-starting the SV multipliers.
 		var svPayload []byte
 		if c.Rank() == 0 {
-			svRows := []int{}
-			for i, a := range finalRes.Alpha {
-				if a > 0 {
-					svRows = append(svRows, i)
-				}
-			}
-			svPayload = encodePart(finalPart.x, finalPart.y, finalRes.Alpha, svRows)
+			svPayload = encodePart(finalPart.x, finalPart.y, finalRes.Alpha, svRows(finalRes.Alpha))
 		}
 		svPayload = c.Bcast(0, svPayload)
 		svPart, err := decodePart(svPayload)
@@ -141,7 +118,7 @@ func trainTree(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params,
 // trained on. layerBase offsets the recorded layer numbers so multi-pass
 // profiles stay distinct.
 func runTreePass(c *mpi.Comm, current part, p Params, passAll bool,
-	lc *layerCollector, layerBase int) (part, *smo.Result, error) {
+	out *ShardResult, layerBase int) (part, *smo.Result, error) {
 
 	active := allRows(c.Size())
 	const tag = 23
@@ -158,25 +135,20 @@ func runTreePass(c *mpi.Comm, current part, p Params, passAll bool,
 		}
 		c.Charge(res.Flops)
 		c.Recorder().EndVirt(sp, c.Clock())
-		svRows := []int{}
-		for i, a := range res.Alpha {
-			if a > 0 {
-				svRows = append(svRows, i)
-			}
-		}
-		lc.add(layerBase+layer, NodeStat{
+		svs := svRows(res.Alpha)
+		out.layers = append(out.layers, layerNode{layerBase + layer, NodeStat{
 			Rank:    c.Rank(),
 			Samples: current.x.Rows(),
 			Iters:   res.Iters,
-			SVs:     len(svRows),
+			SVs:     len(svs),
 			Time:    c.Clock() - t0,
-		})
+		}})
 		if len(active) == 1 {
 			return current, res, nil
 		}
 		// Select what ascends: everything (DC-SVM) or only SVs
 		// (Cascade, DC-Filter), always with multipliers for warm start.
-		rows := svRows
+		rows := svs
 		if passAll {
 			rows = allRows(current.x.Rows())
 		}

@@ -130,6 +130,17 @@ func mergeParts(parts []part) part {
 	return out
 }
 
+// svRows lists the rows whose multiplier is positive: the support vectors.
+func svRows(alpha []float64) []int {
+	rows := []int{}
+	for i, a := range alpha {
+		if a > 0 {
+			rows = append(rows, i)
+		}
+	}
+	return rows
+}
+
 // allRows returns [0, 1, …, m).
 func allRows(m int) []int {
 	rows := make([]int, m)

@@ -15,6 +15,7 @@ import (
 // confined to the goroutine Run started for it.
 type Comm struct {
 	world *World
+	wire  wire // the world's mailboxes, or a Link to ranks in other processes
 	rank  int
 	rng   *rand.Rand
 	rec   *trace.Recorder // per-rank span recorder; nil when no timeline
@@ -43,8 +44,14 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size P.
 func (c *Comm) Size() int { return c.world.p }
 
-// RNG returns this rank's deterministic random stream.
-func (c *Comm) RNG() *rand.Rand { return c.rng }
+// RNG returns this rank's deterministic random stream, seeded on first use
+// (seeding costs ~10 µs, more than a small collective).
+func (c *Comm) RNG() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.world.seed*1000003 + int64(c.rank)))
+	}
+	return c.rng
+}
 
 // Clock returns the rank's current virtual time in seconds.
 func (c *Comm) Clock() float64 { return c.clock }
@@ -108,7 +115,7 @@ func (c *Comm) send(dst, tag int, data []byte) {
 	if dst == c.rank {
 		// Local delivery: no network cost, no accounting, no fault
 		// injection (nothing touches a wire), no flow edge (edgeID 0).
-		c.world.boxes[dst].put(message{src: c.rank, tag: tag, data: data, clock: c.clock})
+		c.wire.put(dst, message{src: c.rank, tag: tag, data: data, clock: c.clock})
 		return
 	}
 	var delay float64
@@ -156,7 +163,7 @@ func (c *Comm) send(dst, tag int, data []byte) {
 	for i := 0; i < copies; i++ {
 		// Duplicate deliveries share the original's edge id; the timeline
 		// dedupes at export.
-		c.world.boxes[dst].put(message{src: c.rank, tag: tag, data: data, clock: arrival,
+		c.wire.put(dst, message{src: c.rank, tag: tag, data: data, clock: arrival,
 			edgeID: edgeID, sendClock: c.clock, sendNs: sendNs})
 	}
 }
@@ -178,7 +185,7 @@ func (c *Comm) RecvFrom(src, tag int) ([]byte, int) {
 }
 
 func (c *Comm) recv(src, tag int) message {
-	m := c.world.boxes[c.rank].take(src, tag)
+	m := c.wire.take(c.rank, src, tag)
 	if m.clock > c.clock {
 		// The message arrived "in the future": the gap is imbalance/
 		// dependency wait, attributed to the edge being waited on.
@@ -221,29 +228,10 @@ func (c *Comm) nextCollTag() int {
 	return collTagBase + c.collSeq
 }
 
-// Barrier blocks until every rank has entered it. Implemented as a
-// binomial-tree gather of empty messages followed by a broadcast.
+// Barrier blocks until every rank has entered it: the reduce-and-broadcast
+// walk of AllreduceBytes over empty payloads.
 func (c *Comm) Barrier() {
-	sp := c.beginColl("Barrier")
-	tag := c.nextCollTag()
-	c.treeGatherSignal(tag)
-	c.treeBcastBytes(0, tag, nil)
-	c.endColl(sp)
-}
-
-// treeGatherSignal performs a binomial-tree reduction of empty messages to
-// rank 0 (used by Barrier).
-func (c *Comm) treeGatherSignal(tag int) {
-	p, r := c.world.p, c.rank
-	for step := 1; step < p; step <<= 1 {
-		if r&step != 0 {
-			c.send(r-step, tag, nil)
-			return
-		}
-		if r+step < p {
-			c.recv(r+step, tag)
-		}
-	}
+	c.allreduceBytes("Barrier", nil, func(acc, _ []byte) ([]byte, error) { return acc, nil })
 }
 
 // treeBcastBytes broadcasts data from root using a binomial tree rooted at
@@ -327,7 +315,9 @@ func (c *Comm) Scatterv(root int, blocks [][]byte) []byte {
 }
 
 // Gatherv collects each rank's data at root; root returns the P blocks in
-// rank order, others return nil.
+// rank order, others return nil. Root receives per source in rank order (a
+// Link has no any-source receive); its clock ends at the latest arrival
+// either way.
 func (c *Comm) Gatherv(root int, data []byte) [][]byte {
 	sp := c.beginColl("Gatherv")
 	defer c.endColl(sp)
@@ -338,9 +328,10 @@ func (c *Comm) Gatherv(root int, data []byte) [][]byte {
 	}
 	out := make([][]byte, c.world.p)
 	out[root] = data
-	for i := 0; i < c.world.p-1; i++ {
-		m := c.recv(AnySource, tag)
-		out[m.src] = m.data
+	for src := range out {
+		if src != root {
+			out[src] = c.recv(src, tag).data
+		}
 	}
 	return out
 }

@@ -1,26 +1,29 @@
 // Package mpi is the message-passing substrate standing in for MPI: a
-// World of P ranks, each a goroutine, exchanging byte-slice messages
-// through selective-receive mailboxes, with the collective operations the
-// CA-SVM training methods need (Barrier, Bcast, Scatterv, Gatherv,
-// Allgather, Allreduce, Allreduce-with-location).
+// World of P ranks exchanging tagged byte-slice messages, with the
+// collective operations the CA-SVM training methods need (Barrier, Bcast,
+// Scatterv, Gatherv, Allgather, Alltoall, Allreduce, Allreduce-with-location)
+// implemented once, as tree walks over point-to-point hops, on a narrow link:
+// the world's selective-receive mailboxes when every rank is a goroutine of
+// this process (Run), or any Link — a TCP mesh — when this process is one
+// rank of P (RunLink).
 //
-// Two things are layered over plain message passing:
+// Two things are layered over plain message passing, identically on both:
 //
 //   - Accounting: every transfer is recorded in a trace.Stats, giving the
 //     paper's Fig 8 byte matrices and Table X/XI measured volumes.
 //   - Virtual time: each rank carries a clock in seconds. Computation is
 //     charged explicitly (Charge/ChargeTime) from flop counts; every
-//     message hop charges ts + tw·bytes on both ends and synchronises the
-//     receiver's clock with the sender's. Collectives built from
-//     tree-structured point-to-point hops therefore cost what the α–β
-//     model of internal/perfmodel says they should. Virtual time makes
-//     scaling experiments independent of how many ranks share the host.
+//     message hop charges ts + tw·bytes on the sender and synchronises the
+//     receiver's clock with the sender's (over a Link the clock rides in an
+//     8-byte frame prefix that is neither counted nor priced). Collectives
+//     therefore cost what the α–β model of internal/perfmodel says they
+//     should, and scaling experiments do not depend on how many ranks share
+//     the host.
 package mpi
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"casvm/internal/perfmodel"
@@ -247,58 +250,7 @@ func (w *World) Run(f func(c *Comm) error) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c := &Comm{
-				world: w,
-				rank:  rank,
-				rng:   rand.New(rand.NewSource(w.seed*1000003 + int64(rank))),
-				rec:   w.tl.Rank(rank),
-				clock: w.base,
-			}
-			defer func() {
-				if rec := recover(); rec != nil {
-					// Commit the rank's clock even on the failure path: a
-					// recovery supervisor reads MaxClock of an aborted
-					// world to price the lost work honestly.
-					w.finalClocks.set(rank, c.clock)
-					var crash *CrashError
-					var resize *ResizeError
-					switch err, ok := rec.(error); {
-					case ok && errors.Is(err, ErrAborted):
-						errs[rank] = ErrAborted
-					case ok && errors.As(err, &resize):
-						// Cooperative resize: no rank was lost, the world is
-						// just the wrong width now.
-						errs[rank] = err
-						w.tl.Rank(rank).Instant(trace.CatRecovery, "resize-requested")
-					case ok && errors.As(err, &crash):
-						// Injected crash: keep the typed error so callers
-						// can elect degraded-mode completion.
-						errs[rank] = err
-						w.stats.RecordLost(rank)
-						w.tl.Rank(rank).Instant(trace.CatFault, "rank-crashed")
-					default:
-						errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
-						w.stats.RecordLost(rank)
-						w.tl.Rank(rank).Instant(trace.CatFault, "rank-panicked")
-					}
-					w.abort()
-				}
-			}()
-			err := f(c)
-			w.finalClocks.set(rank, c.clock)
-			if err != nil {
-				errs[rank] = err
-				var resize *ResizeError
-				switch {
-				case errors.Is(err, ErrAborted):
-				case errors.As(err, &resize):
-					w.tl.Rank(rank).Instant(trace.CatRecovery, "resize-requested")
-				default:
-					w.stats.RecordLost(rank)
-					w.tl.Rank(rank).Instant(trace.CatFault, "rank-failed")
-				}
-				w.abort()
-			}
+			errs[rank] = w.runRank(rank, w, f)
 		}(r)
 	}
 	wg.Wait()
@@ -318,6 +270,70 @@ func (w *World) Run(f func(c *Comm) error) error {
 		}
 	}
 	return first
+}
+
+// runRank runs f as one rank over wr on the calling goroutine and returns
+// its error; a failure (returned or panicked) aborts the world.
+func (w *World) runRank(rank int, wr wire, f func(c *Comm) error) (err error) {
+	c := &Comm{
+		world: w,
+		wire:  wr,
+		rank:  rank,
+		rec:   w.tl.Rank(rank),
+		clock: w.base,
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			// Commit the rank's clock even on the failure path: a
+			// recovery supervisor reads MaxClock of an aborted
+			// world to price the lost work honestly.
+			w.finalClocks.set(rank, c.clock)
+			var crash *CrashError
+			var resize *ResizeError
+			var link *LinkError
+			switch perr, ok := rec.(error); {
+			case ok && errors.Is(perr, ErrAborted):
+				err = ErrAborted
+			case ok && errors.As(perr, &resize):
+				// Cooperative resize: no rank was lost, the world is
+				// just the wrong width now.
+				err = perr
+				w.tl.Rank(rank).Instant(trace.CatRecovery, "resize-requested")
+			case ok && errors.As(perr, &crash):
+				// Injected crash: keep the typed error so callers
+				// can elect degraded-mode completion.
+				err = perr
+				w.stats.RecordLost(rank)
+				w.tl.Rank(rank).Instant(trace.CatFault, "rank-crashed")
+			case ok && errors.As(perr, &link):
+				// The transport failed under this rank: keep the typed
+				// error so a driver can tell a lost peer from a bug.
+				err = perr
+				w.stats.RecordLost(rank)
+				w.tl.Rank(rank).Instant(trace.CatFault, "link-failed")
+			default:
+				err = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
+				w.stats.RecordLost(rank)
+				w.tl.Rank(rank).Instant(trace.CatFault, "rank-panicked")
+			}
+			w.abort()
+		}
+	}()
+	err = f(c)
+	w.finalClocks.set(rank, c.clock)
+	if err != nil {
+		var resize *ResizeError
+		switch {
+		case errors.Is(err, ErrAborted):
+		case errors.As(err, &resize):
+			w.tl.Rank(rank).Instant(trace.CatRecovery, "resize-requested")
+		default:
+			w.stats.RecordLost(rank)
+			w.tl.Rank(rank).Instant(trace.CatFault, "rank-failed")
+		}
+		w.abort()
+	}
+	return err
 }
 
 // MaxClock returns the largest final virtual clock recorded by CommitClock

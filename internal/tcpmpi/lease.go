@@ -628,30 +628,8 @@ func (l *Lease) timeoutBroadcast() {
 // Recv blocks until a control frame with the given tag arrives, the lease
 // ends, or the timeout (0 = no timeout) expires.
 func (l *Lease) Recv(tag int, timeout time.Duration) ([]byte, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		timer := time.AfterFunc(timeout, l.timeoutBroadcast)
-		defer timer.Stop()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if q := l.queues[tag]; len(q) > 0 {
-			b := q[0]
-			l.queues[tag] = q[1:]
-			return b, nil
-		}
-		select {
-		case <-l.done:
-			return nil, l.closed
-		default:
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("tcpmpi: lease recv tag %d: timeout after %v", tag, timeout)
-		}
-		l.cond.Wait()
-	}
+	_, b, err := l.RecvAny([]int{tag}, timeout)
+	return b, err
 }
 
 // RecvAny blocks until a control frame carrying any of the given tags
@@ -683,6 +661,9 @@ func (l *Lease) RecvAny(tags []int, timeout time.Duration) (int, []byte, error) 
 		default:
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			if len(tags) == 1 {
+				return 0, nil, fmt.Errorf("tcpmpi: lease recv tag %d: timeout after %v", tags[0], timeout)
+			}
 			return 0, nil, fmt.Errorf("tcpmpi: lease recv tags %v: timeout after %v", tags, timeout)
 		}
 		l.cond.Wait()

@@ -1,10 +1,11 @@
-// Package tcpmpi is a TCP-backed implementation of the point-to-point and
-// collective operations the CA-SVM methods need, for genuinely
-// multi-process runs (one OS process per rank, possibly on different
-// hosts). It mirrors the semantics of internal/mpi: tagged selective
-// receive, binomial-tree broadcast, gather, scatter, allreduce-sum and
-// barrier — without the virtual clock, since real deployments measure real
-// time.
+// Package tcpmpi is the TCP transport for genuinely multi-process runs (one
+// OS process per rank, possibly on different hosts): a full mesh of
+// connections with tagged selective receive, which is an mpi.Link — the
+// collectives, message accounting and virtual time of a run over it are
+// internal/mpi's own, the same code that runs in-process — and the lease
+// registrar the cluster runtime's membership rides on (lease.go). Barrier and
+// AllreduceSum remain here as error-returning conveniences over those shared
+// tree walks.
 //
 // Wire protocol per frame (little endian):
 //
@@ -55,6 +56,8 @@ import (
 	"sync"
 	"time"
 
+	"casvm/internal/mpi"
+	"casvm/internal/perfmodel"
 	"casvm/internal/trace"
 )
 
@@ -145,6 +148,13 @@ type Options struct {
 	// full-mesh handshake. Nil keeps the complete mesh.
 	Peers []int
 
+	// Listener, when non-nil, is this rank's already-open mesh listener,
+	// which the Comm takes over (and closes on Close). A worker that had to
+	// announce its address before dialing hands over the socket it opened
+	// instead of closing it and binding the port again, which another
+	// process can win. Nil listens on addrs[rank].
+	Listener net.Listener
+
 	// Metrics, when non-nil, receives transport health counters and the
 	// heartbeat-gap histogram (time between keepalives actually observed
 	// per peer — the silence detector's input). Nil records nothing and
@@ -152,11 +162,12 @@ type Options struct {
 	Metrics *trace.Registry
 
 	// Timeline, when non-nil, records this rank's side of the causal
-	// trace: wall-clock collective spans and one flow edge per delivered
-	// data frame (edge ids are synthesized from (src, seq), so they are
-	// unique within the receiving process). Real deployments have no
-	// shared virtual clock, so edges carry wall timestamps only. Nil
-	// keeps every path record-free.
+	// trace: one flow edge per delivered data frame (edge ids are
+	// synthesized from (src, seq), so they are unique within the receiving
+	// process), carrying wall timestamps only. Collective spans come from
+	// the mpi world running over this Comm — attach the same timeline to
+	// it; Barrier and AllreduceSum here do. Nil keeps every path
+	// record-free.
 	Timeline *trace.Timeline
 }
 
@@ -281,7 +292,7 @@ type Comm struct {
 	opt        Options
 	peers      []*peer
 	peerSet    map[int]bool // nil = full mesh; else the ranks this Comm talks to
-	ln         net.Listener // nil for size-1 worlds
+	ln         net.Listener // nil for size-1 worlds without Options.Listener
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -374,16 +385,18 @@ func DialOptions(rank int, addrs []string, opt Options) (*Comm, error) {
 			}
 		}
 	}
+	c.ln = opt.Listener
 	if size == 1 {
 		return c, nil
 	}
-
-	ln, err := net.Listen("tcp", addrs[rank])
-	if err != nil {
-		return nil, fmt.Errorf("tcpmpi: rank %d listen %s: %w", rank, addrs[rank], err)
+	if c.ln == nil {
+		ln, err := net.Listen("tcp", addrs[rank])
+		if err != nil {
+			return nil, fmt.Errorf("tcpmpi: rank %d listen %s: %w", rank, addrs[rank], err)
+		}
+		c.ln = ln
 	}
-	c.ln = ln
-	go c.acceptLoop(ln)
+	go c.acceptLoop(c.ln)
 
 	// Dial every lower rank in the mesh (or peer subset).
 	var wg sync.WaitGroup
@@ -1178,7 +1191,14 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	var deadline time.Time
 	if c.opt.Timeout > 0 {
 		deadline = time.Now().Add(c.opt.Timeout)
-		timer := time.AfterFunc(c.opt.Timeout, c.cond.Broadcast)
+		// Broadcast under c.mu (as Lease.timeoutBroadcast does): a bare
+		// Broadcast can land between the deadline check below and the
+		// Wait, and the receive would then outlive its timeout.
+		timer := time.AfterFunc(c.opt.Timeout, func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.cond.Broadcast()
+		})
 		defer timer.Stop()
 	}
 	c.mu.Lock()
@@ -1219,142 +1239,25 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	}
 }
 
-func (c *Comm) nextCollTag() int {
-	c.collSeq++
-	return 1<<24 + c.collSeq
-}
-
-// Bcast broadcasts root's payload to every rank via a binomial tree; all
-// ranks return it.
-func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	defer c.collSpan("Bcast")()
-	tag := c.nextCollTag()
-	p := c.size
-	vr := (c.rank - root + p) % p
-	if vr != 0 {
-		top := 1
-		for top<<1 <= vr {
-			top <<= 1
-		}
-		src := (vr - top + root) % p
-		var err error
-		if data, err = c.Recv(src, tag); err != nil {
-			return nil, err
-		}
-	}
-	start := 1
-	if vr != 0 {
-		top := 1
-		for top<<1 <= vr {
-			top <<= 1
-		}
-		start = top << 1
-	}
-	for step := start; vr+step < p; step <<= 1 {
-		if err := c.Send((vr+step+root)%p, tag, data); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
-
-// Gatherv collects every rank's payload at root (root gets a slice indexed
-// by rank; others get nil).
-func (c *Comm) Gatherv(root int, data []byte) ([][]byte, error) {
-	defer c.collSpan("Gatherv")()
-	tag := c.nextCollTag()
-	if c.rank != root {
-		return nil, c.Send(root, tag, data)
-	}
-	out := make([][]byte, c.size)
-	out[root] = data
-	for src := 0; src < c.size; src++ {
-		if src == root {
-			continue
-		}
-		b, err := c.Recv(src, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = b
-	}
-	return out, nil
-}
-
-// Scatterv delivers blocks[r] to rank r from root.
-func (c *Comm) Scatterv(root int, blocks [][]byte) ([]byte, error) {
-	defer c.collSpan("Scatterv")()
-	tag := c.nextCollTag()
-	if c.rank == root {
-		if len(blocks) != c.size {
-			return nil, fmt.Errorf("tcpmpi: scatter needs %d blocks, got %d", c.size, len(blocks))
-		}
-		for dst := 0; dst < c.size; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := c.Send(dst, tag, blocks[dst]); err != nil {
-				return nil, err
-			}
-		}
-		return blocks[root], nil
-	}
-	return c.Recv(root, tag)
-}
-
-// collSpan opens a wall-clock collective span (real deployments have no
-// virtual clock); the returned func closes it. No-op without a timeline.
-func (c *Comm) collSpan(name string) func() {
-	if c.rec == nil {
-		return func() {}
-	}
-	sp := c.rec.Begin(trace.CatCollective, name)
-	return func() { c.rec.End(sp) }
+// collective runs one of internal/mpi's collectives over this mesh: the tree
+// walks live there, once, for both transports. The throwaway world prices
+// nothing (zero machine) and restarts the collective tag sequence, which is
+// safe because every rank calls collectives in the same order and the mesh
+// is FIFO per (source, tag).
+func (c *Comm) collective(f func(m *mpi.Comm)) error {
+	w := mpi.NewWorld(c.size, perfmodel.Machine{}, 0)
+	w.SetTimeline(c.opt.Timeline)
+	return w.RunLink(c.rank, c, func(m *mpi.Comm) error { f(m); return nil })
 }
 
 // Barrier blocks until every rank enters it.
 func (c *Comm) Barrier() error {
-	defer c.collSpan("Barrier")()
-	if _, err := c.Gatherv(0, nil); err != nil {
-		return err
-	}
-	_, err := c.Bcast(0, nil)
-	return err
+	return c.collective(func(m *mpi.Comm) { m.Barrier() })
 }
 
 // AllreduceSum element-wise sums x across ranks; every rank returns the
-// total. Implemented as gather-to-0 + broadcast.
-func (c *Comm) AllreduceSum(x []float64) ([]float64, error) {
-	defer c.collSpan("AllreduceSum")()
-	buf := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	parts, err := c.Gatherv(0, buf)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank == 0 {
-		sum := make([]float64, len(x))
-		for _, part := range parts {
-			if len(part) != len(buf) {
-				return nil, fmt.Errorf("tcpmpi: allreduce length mismatch")
-			}
-			for i := range sum {
-				sum[i] += math.Float64frombits(binary.LittleEndian.Uint64(part[8*i:]))
-			}
-		}
-		for i, v := range sum {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-		}
-	}
-	buf, err = c.Bcast(0, buf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(x))
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
+// total.
+func (c *Comm) AllreduceSum(x []float64) (sum []float64, err error) {
+	err = c.collective(func(m *mpi.Comm) { sum = m.AllreduceSum(x) })
+	return sum, err
 }

@@ -98,55 +98,6 @@ func TestTagSelectivity(t *testing.T) {
 	})
 }
 
-func TestBcastGatherScatter(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5} {
-		world(t, n, func(c *Comm) error {
-			var in []byte
-			if c.Rank() == 0 {
-				in = []byte("payload")
-			}
-			out, err := c.Bcast(0, in)
-			if err != nil {
-				return err
-			}
-			if string(out) != "payload" {
-				return fmt.Errorf("bcast got %q", out)
-			}
-			all, err := c.Gatherv(0, []byte{byte(c.Rank() + 1)})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				for r, b := range all {
-					if len(b) != 1 || b[0] != byte(r+1) {
-						return fmt.Errorf("gather[%d]=%v", r, b)
-					}
-				}
-				blocks := make([][]byte, c.Size())
-				for r := range blocks {
-					blocks[r] = []byte{byte(10 * r)}
-				}
-				mine, err := c.Scatterv(0, blocks)
-				if err != nil {
-					return err
-				}
-				if mine[0] != 0 {
-					return fmt.Errorf("root scatter got %v", mine)
-				}
-			} else {
-				mine, err := c.Scatterv(0, nil)
-				if err != nil {
-					return err
-				}
-				if mine[0] != byte(10*c.Rank()) {
-					return fmt.Errorf("scatter got %v", mine)
-				}
-			}
-			return nil
-		})
-	}
-}
-
 func TestAllreduceSum(t *testing.T) {
 	world(t, 4, func(c *Comm) error {
 		out, err := c.AllreduceSum([]float64{1, float64(c.Rank())})
