@@ -49,7 +49,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		addr      = fs.String("addr", "localhost:8480", "listen address")
 		maxBatch  = fs.Int("max-batch", 256, "flush a coalesced batch at this many queries")
-		maxDelay  = fs.Duration("max-delay", 2*time.Millisecond, "flush a coalesced batch after this delay")
+		maxDelay  = fs.Duration("max-delay", 2*time.Millisecond, "longest a pending batch waits for a request that is being decoded to join it; with nothing arriving a batch flushes at once")
 		selfbench = fs.Bool("selfbench", false, "train + compress the face-like dataset, serve it in-process, and run the sustained-load benchmark")
 		benchDur  = fs.Duration("selfbench-duration", 5*time.Second, "selfbench load duration")
 	)

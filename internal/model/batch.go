@@ -27,7 +27,8 @@ import (
 const (
 	// svBlock rows of the SV matrix per tile: bounds tile storage at
 	// svBlock·qBlock floats while keeping the panel deep enough to amortise
-	// the query block's residency.
+	// the query block's residency. A call with fewer support vectors or
+	// queries than a block sizes its scratch to what it was handed.
 	svBlock = 256
 	// qBlock query rows per tile: the panel of query rows kept hot across
 	// one full sweep of the support vectors.
@@ -59,8 +60,9 @@ func (m *Model) DecisionAll(q *la.Matrix) []float64 {
 		q.EnsureNorms()
 	}
 	pool.Shared().ParallelFor(runtime.GOMAXPROCS(0), nq, qBlock, func(lo, hi int) {
-		rows := make([]int, 0, svBlock)
-		dst := make([]float64, svBlock*qBlock)
+		th, tw := min(svBlock, nsv), min(qBlock, hi-lo)
+		rows := make([]int, 0, th)
+		dst := make([]float64, th*tw)
 		for qlo := lo; qlo < hi; qlo += qBlock {
 			qhi := qlo + qBlock
 			if qhi > hi {
@@ -95,6 +97,18 @@ func (m *Model) DecisionAll(q *la.Matrix) []float64 {
 	return out
 }
 
+// label is Predict's sign rule on a decision value: Fallback breaks the
+// exact-zero tie.
+func (m *Model) label(d float64) float64 {
+	switch {
+	case d > 0:
+		return 1
+	case d < 0:
+		return -1
+	}
+	return m.Fallback
+}
+
 // PredictAll labels every row of q from one batched DecisionAll pass,
 // bit-identical to calling Predict per row.
 func (m *Model) PredictAll(q *la.Matrix) []float64 {
@@ -107,14 +121,7 @@ func (m *Model) PredictAll(q *la.Matrix) []float64 {
 	}
 	out := m.DecisionAll(q)
 	for i, d := range out {
-		switch {
-		case d > 0:
-			out[i] = 1
-		case d < 0:
-			out[i] = -1
-		default:
-			out[i] = m.Fallback
-		}
+		out[i] = m.label(d)
 	}
 	return out
 }
@@ -132,8 +139,9 @@ func (s *Set) RouteAll(q *la.Matrix) []int {
 	}
 	s.Centers.EnsureNorms()
 	np := s.Centers.Rows()
-	dots := make([]float64, qBlock*np)
-	rows := make([]int, 0, qBlock)
+	qb := min(qBlock, nq)
+	dots := make([]float64, qb*np)
+	rows := make([]int, 0, qb)
 	for qlo := 0; qlo < nq; qlo += qBlock {
 		qhi := qlo + qBlock
 		if qhi > nq {
@@ -158,37 +166,16 @@ func (s *Set) RouteAll(q *la.Matrix) []int {
 	return out
 }
 
-// PredictAll labels every row of q: one RouteAll pass assigns each query
-// its model, then each model classifies its whole group through the tiled
-// Model.PredictAll. Bit-identical to per-row Predict (Subset copies rows
-// verbatim, so the kernel sees the same operands).
-func (s *Set) PredictAll(q *la.Matrix) []float64 {
-	routes := s.RouteAll(q)
-	out := make([]float64, q.Rows())
+// evalAll is the one routed pass behind every Set batch entry point: a
+// RouteAll pass assigns each query its model, then each model evaluates its
+// whole group through the tiled Model.DecisionAll once, and the group's
+// values scatter into whichever of labels and decs is non-nil. Bit-identical
+// to per-row Predict and Decision (Subset copies rows verbatim, so the
+// kernel sees the same operands), including the tiny fallback-signed
+// decision an SV-less model yields.
+func (s *Set) evalAll(q *la.Matrix, labels, decs []float64) {
 	byModel := make([][]int, s.P())
-	for qi, r := range routes {
-		byModel[r] = append(byModel[r], qi)
-	}
-	for r, group := range byModel {
-		if len(group) == 0 {
-			continue
-		}
-		preds := s.Models[r].PredictAll(q.Subset(group))
-		for k, qi := range group {
-			out[qi] = preds[k]
-		}
-	}
-	return out
-}
-
-// DecisionAll evaluates the routed decision value for every row of q,
-// bit-identical to per-row Set.Decision (including the tiny fallback-signed
-// value an SV-less model yields).
-func (s *Set) DecisionAll(q *la.Matrix) []float64 {
-	routes := s.RouteAll(q)
-	out := make([]float64, q.Rows())
-	byModel := make([][]int, s.P())
-	for qi, r := range routes {
+	for qi, r := range s.RouteAll(q) {
 		byModel[r] = append(byModel[r], qi)
 	}
 	for r, group := range byModel {
@@ -198,14 +185,47 @@ func (s *Set) DecisionAll(q *la.Matrix) []float64 {
 		m := s.Models[r]
 		if m.NSV() == 0 {
 			for _, qi := range group {
-				out[qi] = m.Fallback * 1e-9
+				if labels != nil {
+					labels[qi] = m.Fallback
+				}
+				if decs != nil {
+					decs[qi] = m.Fallback * 1e-9
+				}
 			}
 			continue
 		}
-		decs := m.DecisionAll(q.Subset(group))
+		d := m.DecisionAll(q.Subset(group))
 		for k, qi := range group {
-			out[qi] = decs[k]
+			if labels != nil {
+				labels[qi] = m.label(d[k])
+			}
+			if decs != nil {
+				decs[qi] = d[k]
+			}
 		}
 	}
+}
+
+// PredictAll labels every row of q, bit-identical to per-row Predict.
+func (s *Set) PredictAll(q *la.Matrix) []float64 {
+	out := make([]float64, q.Rows())
+	s.evalAll(q, out, nil)
 	return out
+}
+
+// DecisionAll evaluates the routed decision value for every row of q,
+// bit-identical to per-row Set.Decision.
+func (s *Set) DecisionAll(q *la.Matrix) []float64 {
+	out := make([]float64, q.Rows())
+	s.evalAll(q, nil, out)
+	return out
+}
+
+// EvalAll returns PredictAll's labels and DecisionAll's values from a single
+// routed pass: a caller that wants both pays for one tile sweep, not two.
+func (s *Set) EvalAll(q *la.Matrix) (labels, decisions []float64) {
+	labels = make([]float64, q.Rows())
+	decisions = make([]float64, q.Rows())
+	s.evalAll(q, labels, decisions)
+	return labels, decisions
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"casvm/internal/kernel"
@@ -229,5 +230,106 @@ func BenchmarkPredictAll(b *testing.B) {
 				_ = m.PredictAll(tc.q)
 			}
 		})
+	}
+}
+
+// TestDecisionAllShapesAcrossScratchBounds walks the shapes where the tile
+// scratch changes size — one query, one support vector, and one either side
+// of each block edge — at one thread and at several, since the tile width
+// follows the chunk a worker was handed.
+func TestDecisionAllShapesAcrossScratchBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	const feats = 7
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, nsv := range []int{1, 255, 256, 257} {
+			for _, nq := range []int{1, 63, 64, 65, 257} {
+				for _, k := range []kernel.Params{kernel.RBF(0.2), {Kind: kernel.Linear}} {
+					m := syntheticModel(rng, batchDense(rng, nsv, feats), k)
+					q := batchDense(rng, nq, feats)
+					got := m.DecisionAll(q)
+					for qi := range got {
+						if want := m.Decision(q, qi); got[qi] != want {
+							t.Fatalf("procs=%d nsv=%d nq=%d kind=%v: decision[%d] %v != %v",
+								procs, nsv, nq, k.Kind, qi, got[qi], want)
+						}
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestDecisionAllScratchProportional holds the serving shape — one routed
+// query against a 32-SV compressed model — to scratch sized for it, not for
+// a full svBlock×qBlock tile (128 KB).
+func TestDecisionAllScratchProportional(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	m := syntheticModel(rng, batchDense(rng, 32, 64), kernel.RBF(0.05))
+	q := batchDense(rng, 1, 64)
+	m.DecisionAll(q) // norm caches fill once, outside the measurement
+	if allocs := testing.AllocsPerRun(100, func() { m.DecisionAll(q) }); allocs > 8 {
+		t.Errorf("DecisionAll(1×32): %v allocations per call, want ≤ 8", allocs)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			m.DecisionAll(q)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 2048 {
+		t.Errorf("DecisionAll(1×32): %d bytes per call, want < 2048", got)
+	}
+}
+
+// TestSetEvalAllSinglePass: the one-pass labels and decisions equal the
+// per-row references bit for bit, on a set with an SV-less partition and a
+// query whose decision is exactly zero (so the label is the Fallback).
+func TestSetEvalAllSinglePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	const feats = 6
+	q := batchDense(rng, 41, feats)
+	empty := FromSolution(la.NewDense(2, feats, make([]float64, 2*feats)),
+		[]float64{-1, -1}, []float64{0, 0}, 0, kernel.RBF(1))
+	set := &Set{
+		Models: []*Model{
+			syntheticModel(rng, batchDense(rng, 19, feats), kernel.RBF(0.3)),
+			empty,
+			syntheticModel(rng, batchSparse(rng, 23, feats), kernel.Params{Kind: kernel.Linear}),
+		},
+		Centers: batchDense(rng, 3, feats),
+	}
+	// Shift one model's threshold onto a query it is routed, so that query's
+	// decision is sum − sum = 0 and the label falls to Fallback (−1 here, so
+	// a sign test alone would get it wrong).
+	zeroed := -1
+	for qi, r := range set.RouteAll(q) {
+		if m := set.Models[r]; m.NSV() > 0 {
+			m.B += m.Decision(q, qi)
+			m.Fallback = -1
+			zeroed = qi
+			break
+		}
+	}
+	if zeroed < 0 || set.Decision(q, zeroed) != 0 {
+		t.Fatalf("fixture: no query with a zero decision (query %d)", zeroed)
+	}
+	emptyHit := false
+	labels, decs := set.EvalAll(q)
+	wantL, wantD := set.PredictAll(q), set.DecisionAll(q)
+	for qi := range labels {
+		emptyHit = emptyHit || set.Models[set.Route(q, qi)].NSV() == 0
+		if labels[qi] != set.Predict(q, qi) || labels[qi] != wantL[qi] {
+			t.Fatalf("label[%d] %v, per-row %v, PredictAll %v", qi, labels[qi], set.Predict(q, qi), wantL[qi])
+		}
+		if decs[qi] != set.Decision(q, qi) || decs[qi] != wantD[qi] {
+			t.Fatalf("decision[%d] %v, per-row %v, DecisionAll %v", qi, decs[qi], set.Decision(q, qi), wantD[qi])
+		}
+	}
+	if labels[zeroed] != -1 {
+		t.Fatalf("zero-decision query labelled %v, want the fallback -1", labels[zeroed])
+	}
+	if !emptyHit {
+		t.Fatal("fixture: no query routed to the SV-less model")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"casvm/internal/kernel"
 	"casvm/internal/model"
 	"casvm/internal/serve"
+	"casvm/internal/trace"
 )
 
 // The sustained-load benchmark behind `make bench-serve`: train the
@@ -104,4 +105,65 @@ func BenchmarkServeSustained(b *testing.B) {
 	b.ReportMetric(res.PredsPerSec, "preds/s")
 	b.ReportMetric(float64(res.P99), "p99-ns")
 	b.ReportMetric(float64(res.P50), "p50-ns")
+}
+
+// BenchmarkServeClients is the evidence that coalescing pays where there is
+// something to coalesce: three closed-loop client mixes against the default
+// batcher budgets, from many clients with one query each (the batcher is all
+// the amortisation there is) to few clients with full blocks (each request
+// is a batch by itself). One op is one request; q/batch is the mean number of
+// queries a flush evaluated. Compare preds/s between two commits at the same
+// -cpu: batches may shrink as long as throughput does not.
+func BenchmarkServeClients(b *testing.B) {
+	set := compressedFaceSet(b)
+	feats := set.Centers.Features()
+	cells := []struct {
+		name             string
+		clients, queries int
+		binary           bool
+	}{
+		{"16x1-json", 16, 1, false},
+		{"16x16-b64", 16, 16, true},
+		{"4x256-b64", 4, 256, true},
+	}
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			reg := trace.NewRegistry()
+			s, err := serve.Start("localhost:0", serve.Config{Metrics: reg})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.AddModelSet("default", set); err != nil {
+				b.Fatal(err)
+			}
+			load := serve.LoadOptions{
+				URL: s.URL(), Features: feats, Concurrency: c.clients,
+				QueriesPerRequest: c.queries, Binary: c.binary,
+			}
+			warm := load
+			warm.Requests, warm.Seed = 64, 1
+			if _, err := serve.RunLoad(warm); err != nil {
+				b.Fatal(err)
+			}
+			queries := reg.Counter("casvm_serve_queries_total", "")
+			batches := reg.Counter("casvm_serve_batches_total", "")
+			q0, b0 := queries.Value(), batches.Value()
+
+			load.Requests, load.Seed = int64(b.N), 2
+			b.ResetTimer()
+			res, err := serve.RunLoad(load)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Errors > 0 {
+				b.Fatalf("%d load errors", res.Errors)
+			}
+			b.ReportMetric(res.PredsPerSec, "preds/s")
+			b.ReportMetric(float64(res.P50), "p50-ns")
+			b.ReportMetric(float64(res.P99), "p99-ns")
+			b.ReportMetric(float64(queries.Value()-q0)/float64(batches.Value()-b0), "q/batch")
+		})
+	}
 }

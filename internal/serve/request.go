@@ -4,8 +4,10 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // PredictRequest is the wire form of one prediction call: a block of dense
@@ -138,19 +140,37 @@ func (r *PredictRequest) decodeArrays(lim Limits) error {
 	return nil
 }
 
-// decodeBinary validates the base64 binary form.
+// b64Chunk is how many base64 characters decodeBinary decodes per step: a
+// whole number of 4-character quanta whose 3072 decoded bytes are a whole
+// number of float64 values, small enough for both buffers to live on the stack.
+const b64Chunk = 4096
+
+// decodeBinary validates the base64 binary form and decodes it straight into
+// flat, a chunk at a time. The row count and divisibility are settled from
+// the encoded length and the trailing padding before flat is allocated, so a
+// payload that cannot be accepted costs no query-sized buffer; whatever that
+// arithmetic assumed about the payload being well-formed the chunk decoder
+// then verifies. Accepts exactly what base64.StdEncoding.DecodeString does,
+// CR and LF anywhere included.
 func (r *PredictRequest) decodeBinary(lim Limits) error {
 	if r.FeatureDim < 1 || r.FeatureDim > lim.MaxFeatures {
 		return fmt.Errorf("serve: features %d outside [1, %d] (required with queries_b64)", r.FeatureDim, lim.MaxFeatures)
 	}
-	raw, err := base64.StdEncoding.DecodeString(r.QueriesB64)
-	if err != nil {
-		return fmt.Errorf("serve: bad queries_b64: %w", err)
+	s := r.QueriesB64
+	newlines := strings.Count(s, "\n") + strings.Count(s, "\r")
+	pad := 0
+	for end := len(s); end > 0 && pad < 2; end-- {
+		if c := s[end-1]; c == '=' {
+			pad++
+		} else if c != '\n' && c != '\r' {
+			break
+		}
 	}
-	if len(raw) == 0 || len(raw)%8 != 0 {
-		return fmt.Errorf("serve: queries_b64 decodes to %d bytes, not a positive multiple of 8", len(raw))
+	nbytes := base64.StdEncoding.DecodedLen(len(s)-newlines) - pad
+	if nbytes <= 0 || nbytes%8 != 0 {
+		return fmt.Errorf("serve: queries_b64 decodes to %d bytes, not a positive multiple of 8", max(nbytes, 0))
 	}
-	n := len(raw) / 8
+	n := nbytes / 8
 	if n%r.FeatureDim != 0 {
 		return fmt.Errorf("serve: %d values do not divide into rows of %d features", n, r.FeatureDim)
 	}
@@ -158,9 +178,50 @@ func (r *PredictRequest) decodeBinary(lim Limits) error {
 	if rows > lim.MaxQueries {
 		return fmt.Errorf("serve: %d queries exceeds limit %d", rows, lim.MaxQueries)
 	}
-	flat := make([]float64, n)
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+
+	flat := make([]float64, 0, n)
+	var enc [b64Chunk]byte
+	var dec [b64Chunk / 4 * 3]byte
+	for i := 0; i < len(s); {
+		at := i
+		m := 0
+		if newlines == 0 {
+			m = copy(enc[:], s[i:])
+			i += m
+		} else {
+			// Runs past the newlines behind a full buffer too, so "last
+			// chunk" below means the last with anything in it.
+			for ; i < len(s); i++ {
+				c := s[i]
+				if c == '\n' || c == '\r' {
+					continue
+				}
+				if m == len(enc) {
+					break
+				}
+				enc[m] = c
+				m++
+			}
+		}
+		nd, err := base64.StdEncoding.Decode(dec[:], enc[:m])
+		// Padding is legal only at the very end: a chunk that is not the
+		// last must decode in full.
+		if err == nil && i < len(s) && nd != m/4*3 {
+			err = base64.CorruptInputError(0)
+		}
+		if err != nil {
+			var corrupt base64.CorruptInputError
+			if newlines == 0 && errors.As(err, &corrupt) {
+				err = corrupt + base64.CorruptInputError(at) // offset in the payload, not the chunk
+			}
+			return fmt.Errorf("serve: bad queries_b64: %w", err)
+		}
+		for j := 0; j+8 <= nd; j += 8 {
+			flat = append(flat, math.Float64frombits(binary.LittleEndian.Uint64(dec[j:])))
+		}
+	}
+	if len(flat) != n { // the length arithmetic and the decoder must agree
+		return fmt.Errorf("serve: bad queries_b64: %w", base64.CorruptInputError(len(s)))
 	}
 	r.flat, r.rows, r.width = flat, rows, r.FeatureDim
 	return nil

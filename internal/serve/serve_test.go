@@ -367,6 +367,14 @@ func TestHotReloadNeverTearsModel(t *testing.T) {
 // the flush-path counters can be asserted directly.
 func batcherHarness(t *testing.T, set *model.Set, cfg BatcherConfig) (*Batcher, *trace.Registry) {
 	t.Helper()
+	b, mreg, _ := arrivalsHarness(t, set, cfg)
+	return b, mreg
+}
+
+// arrivalsHarness is batcherHarness plus the arrivals count the batcher
+// consults, which the test announces on in place of the HTTP handler.
+func arrivalsHarness(t *testing.T, set *model.Set, cfg BatcherConfig) (*Batcher, *trace.Registry, *arrivals) {
+	t.Helper()
 	reg := NewRegistry()
 	h, _, err := reg.AddSet("m", set)
 	if err != nil {
@@ -377,12 +385,14 @@ func batcherHarness(t *testing.T, set *model.Set, cfg BatcherConfig) (*Batcher, 
 		batches:    mreg.Counter("batches", ""),
 		flushFull:  mreg.Counter("flush_full", ""),
 		flushTimer: mreg.Counter("flush_timer", ""),
+		flushIdle:  mreg.Counter("flush_idle", ""),
 		batchSize:  mreg.Histogram("batch_size", "", trace.ExpBuckets(1, 2, 13)),
 		queueDepth: mreg.Gauge("queue_depth", ""),
 	}
-	b := newBatcher(h, cfg, bm)
+	arr := &arrivals{}
+	b := newBatcher(h, cfg, bm, arr)
 	t.Cleanup(b.Close)
-	return b, mreg
+	return b, mreg, arr
 }
 
 func flatQueries(rng *rand.Rand, n, feats int) []float64 {
@@ -423,13 +433,15 @@ func TestBatcherFlushOnMaxBatch(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushOnMaxDelay pins the latency path: a lone under-sized
-// request flushes once MaxDelay expires.
+// TestBatcherFlushOnMaxDelay pins the timer path: a request that was
+// announced and then stalls (it never enqueues, never retires) holds the
+// pending batch only until MaxDelay expires.
 func TestBatcherFlushOnMaxDelay(t *testing.T) {
 	set := testSet(3, 4)
-	b, mreg := batcherHarness(t, set, BatcherConfig{MaxBatch: 1 << 20, MaxDelay: 20 * time.Millisecond})
+	b, mreg, arr := arrivalsHarness(t, set, BatcherConfig{MaxBatch: 1 << 20, MaxDelay: 20 * time.Millisecond})
 	rng := rand.New(rand.NewSource(5))
 
+	arr.announce() // the stalled arrival
 	start := time.Now()
 	out, err := b.Predict(flatQueries(rng, 3, 4), 3, 4, true)
 	if err != nil {
@@ -439,11 +451,12 @@ func TestBatcherFlushOnMaxDelay(t *testing.T) {
 		t.Fatalf("got %d labels, %d decisions, want 3 each", len(out.labels), len(out.decisions))
 	}
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("flushed after %v, before the 20ms delay budget — timer path did not gate", elapsed)
+		t.Fatalf("flushed after %v, before the 20ms delay budget — the announced arrival did not gate", elapsed)
 	}
 	snap := mreg.Snapshot()
-	if snap["flush_timer"] != 1 || snap["flush_full"] != 0 {
-		t.Fatalf("flush counters: full=%v timer=%v, want 0, 1", snap["flush_full"], snap["flush_timer"])
+	if snap["flush_timer"] != 1 || snap["flush_full"] != 0 || snap["flush_idle"] != 0 {
+		t.Fatalf("flush counters: full=%v timer=%v idle=%v, want 0, 1, 0",
+			snap["flush_full"], snap["flush_timer"], snap["flush_idle"])
 	}
 }
 

@@ -8,6 +8,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -53,6 +54,10 @@ type Server struct {
 	m  serverMetrics
 	bm batcherMetrics
 
+	// arriving counts /predict requests between body read and enqueue; every
+	// batcher consults it before deciding a batch has no more company coming.
+	arriving arrivals
+
 	mu   sync.Mutex // guards batcher attach/close
 	done chan struct{}
 }
@@ -91,8 +96,9 @@ func Start(addr string, cfg Config) (*Server, error) {
 		},
 		bm: batcherMetrics{
 			batches:    reg.Counter("casvm_serve_batches_total", "coalesced tile batches evaluated"),
-			flushFull:  reg.Counter("casvm_serve_batch_flush_full_total", "batches flushed on the max-batch budget"),
-			flushTimer: reg.Counter("casvm_serve_batch_flush_timer_total", "batches flushed on the max-delay budget"),
+			flushFull:  reg.Counter("casvm_serve_batch_flush_full_total", "batches flushed because pending queries reached max-batch"),
+			flushTimer: reg.Counter("casvm_serve_batch_flush_timer_total", "batches flushed because an announced arrival had not enqueued within max-delay"),
+			flushIdle:  reg.Counter("casvm_serve_batch_flush_idle_total", "batches flushed because the queue was empty and nothing was arriving"),
 			batchSize: reg.Histogram("casvm_serve_batch_size",
 				"queries per coalesced batch", trace.ExpBuckets(1, 2, 13)),
 			queueDepth: reg.Gauge("casvm_serve_queue_depth", "queries pending in the batching window"),
@@ -148,7 +154,7 @@ func (s *Server) ensureBatcher(h *Handle) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h.Batcher() == nil {
-		h.batcher.Store(newBatcher(h, s.cfg.Batch, s.bm))
+		h.batcher.Store(newBatcher(h, s.cfg.Batch, s.bm, &s.arriving))
 	}
 }
 
@@ -181,42 +187,87 @@ func (s *Server) httpError(w http.ResponseWriter, code int, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// handlePredict is the hot path: decode → resolve → enqueue → reply.
+// readBody reads a request body of at most max bytes. A declared length
+// is checked before a byte is read and sizes the buffer exactly; an
+// undeclared one (chunked) falls back to a capped ReadAll.
+func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
+	if r.ContentLength > max {
+		return nil, &http.MaxBytesError{Limit: max}
+	}
+	if r.ContentLength < 0 {
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, max))
+	}
+	body := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(r.Body, body)
+	return body, err
+}
+
+// admit takes a request from body bytes to its model's batcher queue, or
+// rejects it with an HTTP status. It is counted as arriving for exactly that
+// stretch — announced before the decode, retired after the enqueue or on any
+// rejection — so a pending batch waits for it and for nothing slower: the
+// body upload is over before the count starts.
+func (s *Server) admit(body []byte) (b *Batcher, r *batchReq, code int, err error) {
+	s.arriving.announce()
+	defer s.arriving.retire()
+	req, err := DecodePredictRequest(body, s.cfg.Limits)
+	if err != nil {
+		return nil, nil, http.StatusBadRequest, err
+	}
+	h, err := s.reg.Resolve(req.Model)
+	if err != nil {
+		return nil, nil, http.StatusNotFound, err
+	}
+	if b = h.Batcher(); b == nil {
+		return nil, nil, http.StatusServiceUnavailable, fmt.Errorf("serve: model %q not ready", h.Name)
+	}
+	if r, err = b.enqueue(req.flatten(), req.NumQueries(), req.Features(), req.Decisions); err != nil {
+		return nil, nil, predictStatus(err), err
+	}
+	return b, r, 0, nil
+}
+
+// predictStatus maps a batcher error to its HTTP status: the server's own
+// state (queue full, shut down) is 503, anything else is the request's fault.
+func predictStatus(err error) int {
+	var unavailable unavailableError
+	if errors.As(err, &unavailable) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
+}
+
+// handlePredict is the hot path: read → decode → resolve → enqueue → reply.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: POST required"))
 		return
 	}
 	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.Limits.MaxBody))
+	body, err := readBody(w, r, s.cfg.Limits.MaxBody)
 	if err != nil {
-		s.httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: read body: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.httpError(w, code, fmt.Errorf("serve: read body: %w", err))
 		return
 	}
-	req, err := DecodePredictRequest(body, s.cfg.Limits)
+	b, req, code, err := s.admit(body)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+		s.httpError(w, code, err)
 		return
 	}
-	h, err := s.reg.Resolve(req.Model)
+	out, err := b.await(req)
 	if err != nil {
-		s.httpError(w, http.StatusNotFound, err)
-		return
-	}
-	b := h.Batcher()
-	if b == nil {
-		s.httpError(w, http.StatusServiceUnavailable, fmt.Errorf("serve: model %q not ready", h.Name))
-		return
-	}
-	out, err := b.Predict(req.flatten(), req.NumQueries(), req.Features(), req.Decisions)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+		s.httpError(w, predictStatus(err), err)
 		return
 	}
 	s.m.requests.Inc()
-	s.m.queries.Add(int64(req.NumQueries()))
+	s.m.queries.Add(int64(req.nq))
 	resp := PredictResponse{
-		Model:      h.Name,
+		Model:      b.handle.Name,
 		Generation: out.generation,
 		Labels:     out.labels,
 		Decisions:  out.decisions,
