@@ -3,7 +3,7 @@
 // addition to time, so `go test -bench=Ablation` doubles as an ablation
 // study:
 //
-//   - working-set selection: maximal violating pair vs second order
+//   - working-set selection: the maximal violating pair of Alg 1
 //   - warm starting merged Cascade layers vs cold restarts
 //   - pos/neg ratio balancing on vs off (node-time spread)
 //   - one Cascade pass vs two
@@ -35,21 +35,6 @@ func ablationSet(b *testing.B, m int) *data.Dataset {
 func BenchmarkAblationWSSFirstOrder(b *testing.B) {
 	d := ablationSet(b, 1200)
 	cfg := smo.Config{C: 1, Kernel: kernel.RBF(1.0 / 32)}
-	var iters int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := smo.Solve(d.X, d.Y, cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters = res.Iters
-	}
-	b.ReportMetric(float64(iters), "iterations")
-}
-
-func BenchmarkAblationWSSSecondOrder(b *testing.B) {
-	d := ablationSet(b, 1200)
-	cfg := smo.Config{C: 1, Kernel: kernel.RBF(1.0 / 32), SecondOrder: true}
 	var iters int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

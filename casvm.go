@@ -129,15 +129,14 @@ func NewSparseMatrix(m, n int, rowptr, idx []int32, val []float64) *Matrix {
 type Timeline = trace.Timeline
 
 // MetricsRegistry collects counters, gauges and histograms from a run;
-// attach one to Params.Metrics. Expose with WriteProm (Prometheus text) or
-// Publish (expvar).
+// attach one to Params.Metrics. Expose with WriteProm (Prometheus text).
 type MetricsRegistry = trace.Registry
 
 // RunReport is the structured summary written by `casvm-train -report`.
 type RunReport = trace.Report
 
 // TelemetryRing buffers per-iteration solver telemetry (dual objective,
-// KKT gap, active-set and SV counts); attach one to Params.Telemetry. The
+// KKT gap, SV count); attach one to Params.Telemetry. The
 // `-serve` flag of casvm-train streams it over SSE.
 type TelemetryRing = smo.TelemetryRing
 

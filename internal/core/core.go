@@ -131,7 +131,7 @@ type Params struct {
 
 	// Timeline, when non-nil (sized to P, trace.NewTimeline(P)), records
 	// per-rank span events: every collective, the partition/solve phases,
-	// and the solver's scan/update/shrink/row-fill internals, each with
+	// and the solver's scan/update/row-fill internals, each with
 	// wall and (where tracked) virtual time. Export with
 	// Timeline.WriteChromeTrace for chrome://tracing / Perfetto. Nil — the
 	// default — keeps all instrumentation on its zero-allocation path.
@@ -139,8 +139,7 @@ type Params struct {
 
 	// Metrics, when non-nil, receives run counters and histograms
 	// (solver iterations, row-cache hits/misses). Expose it via
-	// Registry.Publish (expvar) or Registry.WriteProm. Nil records
-	// nothing.
+	// Registry.WriteProm. Nil records nothing.
 	Metrics *trace.Registry
 
 	// Recovery enables checkpoint/restart: solver state is snapshotted
@@ -165,9 +164,9 @@ type Params struct {
 	colCacheRows int
 
 	// Telemetry, when non-nil, receives one sample per solver iteration
-	// from every rank (dual objective, KKT gap, active-set/SV counts,
-	// shrink sweeps) — the live-convergence stream served by the `-serve`
-	// telemetry server. Nil records nothing.
+	// from every rank (dual objective, KKT gap, SV count) — the
+	// live-convergence stream served by the `-serve` telemetry server. Nil
+	// records nothing.
 	Telemetry *smo.TelemetryRing
 }
 

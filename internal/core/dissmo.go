@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"casvm/internal/la"
@@ -161,7 +162,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 
 	// Assemble the global model at rank 0: gather (SV rows, y, α, local
 	// bHigh/bLow contributions).
-	payload := packSections(
+	payload := mpi.PackSections(
 		encodePart(local.x, local.y, solver.Alpha(), svRows(solver.Alpha())),
 		encodeBias(solver),
 	)
@@ -171,17 +172,12 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 	}
 	parts := make([]part, 0, c.Size())
 	bHigh, bLow := math.Inf(1), math.Inf(-1)
-	for _, g := range gathered {
-		secs, err := unpackSections(g)
+	for r, g := range gathered {
+		q, h, l, err := decodeDisSMOResult(g)
 		if err != nil {
-			return err
-		}
-		q, err := decodePart(secs[0])
-		if err != nil {
-			return err
+			return fmt.Errorf("core: dis-smo rank %d result: %w", r, err)
 		}
 		parts = append(parts, q)
-		h, l := decodeBias(secs[1])
 		if h < bHigh {
 			bHigh = h
 		}
@@ -220,8 +216,23 @@ func encodeBias(solver *smo.Solver) []byte {
 	return buf
 }
 
-func decodeBias(b []byte) (bHigh, bLow float64) {
+// decodeDisSMOResult parses one rank's final gather payload — its support
+// vectors and its (bHigh, bLow) bias contribution. The bytes come from
+// another process: both the section count and the bias section's length are
+// checked before they are indexed.
+func decodeDisSMOResult(buf []byte) (svs part, bHigh, bLow float64, err error) {
+	secs, err := mpi.UnpackSections(buf, 2)
+	if err != nil {
+		return part{}, 0, 0, err
+	}
+	if svs, err = decodePart(secs[0]); err != nil {
+		return part{}, 0, 0, err
+	}
+	b := secs[1]
+	if len(b) != 16 {
+		return part{}, 0, 0, &mpi.EnvelopeError{Reason: fmt.Sprintf("bias section of %d bytes, want 16", len(b))}
+	}
 	bHigh = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	bLow = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	return
+	return svs, bHigh, bLow, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -118,7 +119,7 @@ func TestEveryMethodBothLinks(t *testing.T) {
 // TestGatheredResultIsBounded: a gathered rank result is bytes from another
 // process; anything malformed is an error, never a panic or a short slice.
 func TestGatheredResultIsBounded(t *testing.T) {
-	good := packSections(nil, la.EncodeF64(make([]float64, shardNums+5)))
+	good := mpi.PackSections(nil, la.EncodeF64(make([]float64, shardNums+5)))
 	var sh ShardResult
 	if err := sh.decode(2, good); err != nil || len(sh.layers) != 1 || sh.layers[0].Rank != 2 {
 		t.Fatalf("well-formed payload: %v, %+v", err, sh)
@@ -126,14 +127,38 @@ func TestGatheredResultIsBounded(t *testing.T) {
 	bad := [][]byte{
 		nil,
 		good[:len(good)-1],
-		packSections(nil),
-		packSections(nil, la.EncodeF64(make([]float64, shardNums-1))),
-		packSections(nil, la.EncodeF64(make([]float64, shardNums+3))),
-		packSections([]byte("not a model set"), la.EncodeF64(make([]float64, shardNums))),
+		mpi.PackSections(nil),
+		mpi.PackSections(nil, la.EncodeF64(make([]float64, shardNums-1))),
+		mpi.PackSections(nil, la.EncodeF64(make([]float64, shardNums+3))),
+		mpi.PackSections([]byte("not a model set"), la.EncodeF64(make([]float64, shardNums))),
 	}
 	for i, buf := range bad {
 		if err := sh.decode(0, buf); err == nil {
 			t.Errorf("payload %d decoded without error", i)
+		}
+	}
+}
+
+// TestDisSMOGatherIsBounded: Dis-SMO's final gather payload is bytes from
+// another process. One section where two are required, or a bias section
+// that is not two float64s, is a typed error — never an index panic.
+func TestDisSMOGatherIsBounded(t *testing.T) {
+	x := la.NewDense(2, 1, []float64{1, -1})
+	svs := encodePart(x, []float64{1, -1}, []float64{0.5, 0.5}, allRows(2))
+	if q, h, l, err := decodeDisSMOResult(mpi.PackSections(svs, make([]byte, 16))); err != nil ||
+		q.x.Rows() != 2 || h != 0 || l != 0 {
+		t.Fatalf("well-formed payload: %v, %+v", err, q)
+	}
+	for name, buf := range map[string][]byte{
+		"one section":    mpi.PackSections(svs),
+		"three sections": mpi.PackSections(svs, make([]byte, 16), nil),
+		"short bias":     mpi.PackSections(svs, make([]byte, 8)),
+		"hostile count":  {0xff, 0xff, 0xff, 0xff},
+	} {
+		_, _, _, err := decodeDisSMOResult(buf)
+		var ee *mpi.EnvelopeError
+		if !errors.As(err, &ee) {
+			t.Errorf("%s: error %v, want *mpi.EnvelopeError", name, err)
 		}
 	}
 }

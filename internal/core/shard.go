@@ -141,7 +141,7 @@ func GatherOutput(c *mpi.Comm, sh *ShardResult, p Params, st *trace.Stats) (*Out
 	for _, n := range sh.layers {
 		nums = append(nums, float64(n.layer), float64(n.Samples), float64(n.Iters), float64(n.SVs), n.Time)
 	}
-	gathered := c.Gatherv(0, packSections(mb.Bytes(), la.EncodeF64(nums)))
+	gathered := c.Gatherv(0, mpi.PackSections(mb.Bytes(), la.EncodeF64(nums)))
 	if c.Rank() != 0 {
 		return nil, nil
 	}
@@ -173,12 +173,9 @@ const shardNums = 16
 // the model goes through model.LoadSet's checks and the numbers are counted
 // before they are indexed.
 func (sh *ShardResult) decode(rank int, buf []byte) error {
-	secs, err := unpackSections(buf)
+	secs, err := mpi.UnpackSections(buf, 2)
 	if err != nil {
 		return err
-	}
-	if len(secs) != 2 {
-		return fmt.Errorf("%d sections, want 2", len(secs))
 	}
 	v, err := la.DecodeF64(secs[1])
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"casvm/internal/la"
@@ -20,60 +19,18 @@ type part struct {
 	alpha []float64 // nil when not carried
 }
 
-func packSections(sections ...[]byte) []byte {
-	total := 4
-	for _, s := range sections {
-		total += 4 + len(s)
-	}
-	out := make([]byte, 0, total)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(sections)))
-	out = append(out, b4[:]...)
-	for _, s := range sections {
-		binary.LittleEndian.PutUint32(b4[:], uint32(len(s)))
-		out = append(out, b4[:]...)
-		out = append(out, s...)
-	}
-	return out
-}
-
-func unpackSections(buf []byte) ([][]byte, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("core: short envelope")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		if len(buf) < 4 {
-			return nil, fmt.Errorf("core: short section header %d", i)
-		}
-		l := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if len(buf) < l {
-			return nil, fmt.Errorf("core: short section %d", i)
-		}
-		out[i] = buf[:l:l]
-		buf = buf[l:]
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes", len(buf))
-	}
-	return out, nil
-}
-
 // encodePart serialises the selected rows of (x, y[, alpha]).
 func encodePart(x *la.Matrix, y, alpha []float64, rows []int) []byte {
 	ys := subsetF64(y, rows)
 	if alpha == nil {
-		return packSections(x.EncodeRows(rows), la.EncodeF64(ys))
+		return mpi.PackSections(x.EncodeRows(rows), la.EncodeF64(ys))
 	}
-	return packSections(x.EncodeRows(rows), la.EncodeF64(ys), la.EncodeF64(subsetF64(alpha, rows)))
+	return mpi.PackSections(x.EncodeRows(rows), la.EncodeF64(ys), la.EncodeF64(subsetF64(alpha, rows)))
 }
 
 // decodePart parses a payload produced by encodePart.
 func decodePart(buf []byte) (part, error) {
-	secs, err := unpackSections(buf)
+	secs, err := mpi.UnpackSections(buf, mpi.AnyCount)
 	if err != nil {
 		return part{}, err
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"casvm/internal/mpi"
 	"casvm/internal/trace"
@@ -134,25 +133,6 @@ type Schedule struct {
 	// the recovery configuration the schedule ran under (optional).
 	Policy          string
 	CheckpointEvery int
-}
-
-// JitterFunc builds a deterministic reconnect-jitter source for one rank,
-// seeded from the schedule seed — wired into
-// tcpmpi.Options.ReconnectJitter when chaos is active, so a replayed fault
-// schedule (`casvm-train -replay-faults`) reproduces identical reconnect
-// timing in the run report instead of drawing from the process-global RNG.
-// The returned func is safe for concurrent use.
-func (s Schedule) JitterFunc(rank int) func(max time.Duration) time.Duration {
-	rng := rand.New(rand.NewSource(s.Seed*2862933555777941757 + int64(rank)*3037000493 + 1))
-	var mu sync.Mutex
-	return func(max time.Duration) time.Duration {
-		if max <= 0 {
-			return 0
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return time.Duration(rng.Int63n(int64(max) + 1))
-	}
 }
 
 // NewSchedule builds the one-shot injector for a schedule. Build a fresh

@@ -27,8 +27,7 @@ type RowCache struct {
 	lru     lruSlab
 
 	// diag lazily caches the kernel diagonal for non-Gaussian kernels, so
-	// per-iteration Diag lookups and the WSS2 scan cost O(1) per sample
-	// after the first fill. (Gaussian diagonals are exactly 1.)
+	// per-iteration Diag lookups cost O(1) per sample after the first fill. (Gaussian diagonals are exactly 1.)
 	diag []float64
 
 	// Stats.
@@ -131,7 +130,7 @@ func (c *RowCache) prefetch(i int) {
 // Diag returns the kernel diagonal K(i,i) without touching the row cache;
 // for the Gaussian kernel this is exactly 1. Non-Gaussian diagonals are
 // computed once for every sample on first use and then served from the
-// cache — the WSS2 second-order scan reads m of them per iteration.
+// cache.
 // Diagonal evaluations are deliberately not charged to the flop counter,
 // matching the per-call evaluation they replace.
 func (c *RowCache) Diag(i int) float64 {

@@ -375,59 +375,12 @@ func (c *Comm) Allgatherv(data []byte) [][]byte {
 	// Root flattens with a length header; everyone decodes.
 	var flat []byte
 	if c.rank == 0 {
-		flat = flattenBlocks(blocks)
+		flat = PackSections(blocks...)
 	}
 	flat = c.Bcast(0, flat)
-	out, err := unflattenBlocks(flat, c.world.p)
+	out, err := UnpackSections(flat, c.world.p)
 	if err != nil {
 		panic(fmt.Sprintf("mpi: Allgatherv: %v", err))
 	}
 	return out
-}
-
-func flattenBlocks(blocks [][]byte) []byte {
-	total := 4
-	for _, b := range blocks {
-		total += 4 + len(b)
-	}
-	out := make([]byte, 0, total)
-	out = appendU32(out, uint32(len(blocks)))
-	for _, b := range blocks {
-		out = appendU32(out, uint32(len(b)))
-		out = append(out, b...)
-	}
-	return out
-}
-
-func unflattenBlocks(flat []byte, wantP int) ([][]byte, error) {
-	if len(flat) < 4 {
-		return nil, fmt.Errorf("short header")
-	}
-	p := int(readU32(flat))
-	if p != wantP {
-		return nil, fmt.Errorf("have %d blocks want %d", p, wantP)
-	}
-	flat = flat[4:]
-	out := make([][]byte, p)
-	for i := 0; i < p; i++ {
-		if len(flat) < 4 {
-			return nil, fmt.Errorf("short block header %d", i)
-		}
-		n := int(readU32(flat))
-		flat = flat[4:]
-		if len(flat) < n {
-			return nil, fmt.Errorf("short block %d", i)
-		}
-		out[i] = flat[:n:n]
-		flat = flat[n:]
-	}
-	return out, nil
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -9,7 +9,7 @@ import (
 // Checkpoint is a deterministic snapshot of a solver's optimisation state:
 // everything Restore needs to resume the exact trajectory from iteration
 // Iters. The kernel-row cache is deliberately excluded — it is a pure
-// performance artifact, and LocalExtremes charges the same 2·|active| flops
+// performance artifact, and LocalExtremes charges the same 2·m flops
 // whether the extremes come from the fused cache or a fresh scan, so a
 // restored solver is bit- and flop-identical to one that never stopped.
 type Checkpoint struct {
@@ -23,13 +23,6 @@ type Checkpoint struct {
 	// Alpha and F are the dual multipliers and optimality values, length m.
 	Alpha []float64
 	F     []float64
-
-	// Shrinking state (nil Active when shrinking is off or the active set
-	// was never initialised).
-	Active      []int32
-	Shrunk      bool
-	SinceShrink int
-	ShrinkCount int
 }
 
 // Clone returns a deep copy.
@@ -37,7 +30,6 @@ func (ck *Checkpoint) Clone() *Checkpoint {
 	out := *ck
 	out.Alpha = append([]float64(nil), ck.Alpha...)
 	out.F = append([]float64(nil), ck.F...)
-	out.Active = append([]int32(nil), ck.Active...)
 	return &out
 }
 
@@ -45,21 +37,11 @@ func (ck *Checkpoint) Clone() *Checkpoint {
 // returned snapshot owns its slices (the solver keeps mutating the live
 // state), so it can be stored or serialized freely.
 func (s *Solver) Snapshot() *Checkpoint {
-	ck := &Checkpoint{
-		Iters:       s.iters,
-		Alpha:       append([]float64(nil), s.alpha...),
-		F:           append([]float64(nil), s.f...),
-		Shrunk:      s.shrunk,
-		SinceShrink: s.sinceShrink,
-		ShrinkCount: s.shrinkCount,
+	return &Checkpoint{
+		Iters: s.iters,
+		Alpha: append([]float64(nil), s.alpha...),
+		F:     append([]float64(nil), s.f...),
 	}
-	if s.cfg.Shrinking && len(s.active) > 0 {
-		ck.Active = make([]int32, len(s.active))
-		for i, v := range s.active {
-			ck.Active[i] = int32(v)
-		}
-	}
-	return ck
 }
 
 // restore overwrites the solver's state from a checkpoint (called by New
@@ -75,129 +57,69 @@ func (s *Solver) restore(ck *Checkpoint) error {
 	copy(s.alpha, ck.Alpha)
 	copy(s.f, ck.F)
 	s.iters = ck.Iters
-	s.shrunk = ck.Shrunk
-	s.sinceShrink = ck.SinceShrink
-	s.shrinkCount = ck.ShrinkCount
-	if ck.Active != nil {
-		s.active = s.active[:0]
-		for _, v := range ck.Active {
-			if int(v) < 0 || int(v) >= m {
-				return fmt.Errorf("smo: checkpoint active index %d outside [0,%d)", v, m)
-			}
-			s.active = append(s.active, int(v))
-		}
-	}
 	s.invalidateExtremes()
 	return nil
 }
 
-// ckptMagic heads the serialized checkpoint format.
-const ckptMagic = "casvm-ckpt v1\n"
+// ckptMagic heads the serialized checkpoint format: magic · flags{Final} ·
+// m (u32) · iters (u64) · α · f.
+const ckptMagic = "casvm-ckpt v2\n"
+
+// ckptHeader is the fixed-size prefix before the two float64 vectors.
+const ckptHeader = len(ckptMagic) + 1 + 4 + 8
 
 // Encode serializes the checkpoint with the repository's little-endian
 // wire conventions (the same layout style internal/model uses): a magic
 // header, fixed-width scalars, then the float64 vectors at full precision
 // — snapshots must be exact for restored trajectories to be bit-identical.
 func (ck *Checkpoint) Encode() []byte {
-	m := len(ck.Alpha)
-	buf := make([]byte, 0, len(ckptMagic)+4+8+1+8+8+16*m+4+4*len(ck.Active))
+	buf := make([]byte, 0, ck.Bytes())
 	buf = append(buf, ckptMagic...)
 	var flags byte
 	if ck.Final {
 		flags |= 1
 	}
-	if ck.Shrunk {
-		flags |= 2
-	}
-	if ck.Active != nil {
-		flags |= 4
-	}
 	buf = append(buf, flags)
-	var w [8]byte
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
-		buf = append(buf, w[:]...)
-	}
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(w[:4], v)
-		buf = append(buf, w[:4]...)
-	}
-	put32(uint32(m))
-	put64(uint64(ck.Iters))
-	put64(uint64(ck.SinceShrink))
-	put64(uint64(ck.ShrinkCount))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ck.Alpha)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(ck.Iters))
 	for _, v := range ck.Alpha {
-		put64(math.Float64bits(v))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	for _, v := range ck.F {
-		put64(math.Float64bits(v))
-	}
-	put32(uint32(len(ck.Active)))
-	for _, v := range ck.Active {
-		put32(uint32(v))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
 }
 
-// DecodeCheckpoint parses a buffer produced by Encode.
+// DecodeCheckpoint parses a buffer produced by Encode. Checkpoints travel
+// only between processes of one build (memory and lease frames, nothing on
+// disk), so any other magic — and any buffer that is not exactly the length
+// its sample count implies — is rejected.
 func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 	if len(buf) < len(ckptMagic) || string(buf[:len(ckptMagic)]) != ckptMagic {
 		return nil, fmt.Errorf("smo: not a checkpoint (bad magic)")
 	}
-	buf = buf[len(ckptMagic):]
-	need := func(n int) error {
-		if len(buf) < n {
-			return fmt.Errorf("smo: truncated checkpoint")
-		}
-		return nil
+	if len(buf) < ckptHeader {
+		return nil, fmt.Errorf("smo: truncated checkpoint")
 	}
-	if err := need(1 + 4 + 24); err != nil {
-		return nil, err
-	}
-	flags := buf[0]
-	buf = buf[1:]
-	m := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	if m < 0 || m > 1<<28 {
-		return nil, fmt.Errorf("smo: checkpoint claims %d samples", m)
+	hdr := buf[len(ckptMagic):ckptHeader]
+	m := int(binary.LittleEndian.Uint32(hdr[1:]))
+	if want := ckptHeader + 16*m; len(buf) != want {
+		return nil, fmt.Errorf("smo: checkpoint of %d samples is %d bytes, want %d", m, len(buf), want)
 	}
 	ck := &Checkpoint{
-		Final:  flags&1 != 0,
-		Shrunk: flags&2 != 0,
+		Final: hdr[0]&1 != 0,
+		Iters: int(binary.LittleEndian.Uint64(hdr[5:])),
+		Alpha: make([]float64, m),
+		F:     make([]float64, m),
 	}
-	ck.Iters = int(binary.LittleEndian.Uint64(buf))
-	ck.SinceShrink = int(binary.LittleEndian.Uint64(buf[8:]))
-	ck.ShrinkCount = int(binary.LittleEndian.Uint64(buf[16:]))
-	buf = buf[24:]
-	if err := need(16 * m); err != nil {
-		return nil, err
-	}
-	ck.Alpha = make([]float64, m)
-	ck.F = make([]float64, m)
+	p := buf[ckptHeader:]
 	for i := range ck.Alpha {
-		ck.Alpha[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		ck.Alpha[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
-	buf = buf[8*m:]
+	p = p[8*m:]
 	for i := range ck.F {
-		ck.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	buf = buf[8*m:]
-	if err := need(4); err != nil {
-		return nil, err
-	}
-	na := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	if na < 0 || na > m {
-		return nil, fmt.Errorf("smo: checkpoint active set of %d in %d samples", na, m)
-	}
-	if flags&4 != 0 {
-		if err := need(4 * na); err != nil {
-			return nil, err
-		}
-		ck.Active = make([]int32, na)
-		for i := range ck.Active {
-			ck.Active[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
+		ck.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return ck, nil
 }
@@ -206,5 +128,5 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 // for cost accounting (the α–β model charges the write to stable store
 // like any other transfer of this many bytes).
 func (ck *Checkpoint) Bytes() int {
-	return len(ckptMagic) + 1 + 4 + 24 + 16*len(ck.Alpha) + 4 + 4*len(ck.Active)
+	return ckptHeader + 16*len(ck.Alpha)
 }

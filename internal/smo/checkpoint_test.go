@@ -50,8 +50,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		cfg  Config
 	}{
 		{"first-order", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5)}},
-		{"second-order", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), SecondOrder: true}},
-		{"shrinking", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), SecondOrder: true, Shrinking: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, cks := collectCheckpoints(t, tc.cfg, 25)
@@ -78,7 +76,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 // TestCheckpointFinalFastForward: restoring a Final snapshot skips the solve
 // entirely and still yields the converged solution.
 func TestCheckpointFinalFastForward(t *testing.T) {
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), SecondOrder: true}
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5)}
 	want, cks := collectCheckpoints(t, cfg, 25)
 	last := cks[len(cks)-1]
 	if !last.Final {
@@ -102,7 +100,7 @@ func TestCheckpointFinalFastForward(t *testing.T) {
 // identity, Bytes predicts the encoded size, and every float survives at
 // full precision.
 func TestCheckpointEncodeRoundTrip(t *testing.T) {
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), Shrinking: true, SecondOrder: true}
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5)}
 	_, cks := collectCheckpoints(t, cfg, 25)
 	for _, ck := range cks {
 		buf := ck.Encode()
@@ -113,8 +111,7 @@ func TestCheckpointEncodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Iters != ck.Iters || got.Final != ck.Final || got.Shrunk != ck.Shrunk ||
-			got.SinceShrink != ck.SinceShrink || got.ShrinkCount != ck.ShrinkCount {
+		if got.Iters != ck.Iters || got.Final != ck.Final {
 			t.Fatalf("scalar mismatch: %+v vs %+v", got, ck)
 		}
 		for i := range ck.Alpha {
@@ -123,19 +120,12 @@ func TestCheckpointEncodeRoundTrip(t *testing.T) {
 				t.Fatalf("vector mismatch at %d", i)
 			}
 		}
-		if len(got.Active) != len(ck.Active) {
-			t.Fatalf("active set %d vs %d", len(got.Active), len(ck.Active))
-		}
-		for i := range ck.Active {
-			if got.Active[i] != ck.Active[i] {
-				t.Fatalf("active[%d] %d vs %d", i, got.Active[i], ck.Active[i])
-			}
-		}
 	}
 }
 
-// TestCheckpointDecodeRejectsGarbage: corrupt headers and truncations fail
-// loudly instead of restoring nonsense.
+// TestCheckpointDecodeRejectsGarbage: corrupt headers, truncations, the
+// retired v1 magic and trailing bytes fail loudly instead of restoring
+// nonsense — a valid checkpoint is exactly Bytes() long.
 func TestCheckpointDecodeRejectsGarbage(t *testing.T) {
 	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5)}
 	_, cks := collectCheckpoints(t, cfg, 25)
@@ -147,6 +137,13 @@ func TestCheckpointDecodeRejectsGarbage(t *testing.T) {
 		if _, err := DecodeCheckpoint(buf[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
+	}
+	if _, err := DecodeCheckpoint(append(buf[:len(buf):len(buf)], 0)); err == nil {
+		t.Fatal("one trailing byte accepted")
+	}
+	v1 := append([]byte("casvm-ckpt v1\n"), buf[len(ckptMagic):]...)
+	if _, err := DecodeCheckpoint(v1); err == nil {
+		t.Fatal("v1 magic accepted")
 	}
 }
 
@@ -167,7 +164,7 @@ func TestCheckpointRestoreValidates(t *testing.T) {
 // cadence (snapshot copies; the sink discards).
 func BenchmarkSolveCheckpointed(b *testing.B) {
 	x, y := benchBlobs(4096)
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60, SecondOrder: true,
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60,
 		Threads: runtime.GOMAXPROCS(0)}
 	cfg.CheckpointEvery = 16
 	cfg.CheckpointSink = func(ck *Checkpoint) {}

@@ -1,13 +1,13 @@
 package smo
 
 // The fused SMO hot path. Every iteration of the seed solver made three
-// to four O(m) passes over f and the two cached kernel rows: UpdateF's two
-// axpy sweeps, the next iteration's LocalExtremes scan, and (under WSS2)
-// the second-order gain scan. This file merges the two axpy sweeps and the
-// *next* iteration's extremes scan into a single pass — each element of f
-// is loaded once, updated with both kernel-row contributions, and
-// immediately tested for the (bHigh, iHigh, bLow, iLow) working-set
-// extremes — halving memory traffic over the solver's dominant arrays.
+// O(m) passes over f and the two cached kernel rows: the f-update's two
+// axpy sweeps and the next iteration's LocalExtremes scan. This file merges
+// the two axpy sweeps and the *next* iteration's extremes scan into a
+// single pass — each element of f is loaded once, updated with both
+// kernel-row contributions, and immediately tested for the (bHigh, iHigh,
+// bLow, iLow) working-set extremes — halving memory traffic over the
+// solver's dominant arrays.
 // The scans parallelize across the persistent worker pool (internal/pool)
 // with deterministic chunking.
 //
@@ -45,12 +45,6 @@ func newExtremes() extremes {
 	return extremes{bHigh: math.Inf(1), iHigh: -1, bLow: math.Inf(-1), iLow: -1}
 }
 
-// gain is one chunk's partial WSS2 second-order scan result.
-type gain struct {
-	best float64
-	j    int
-}
-
 // bounds returns the positive- and negative-class box bounds once, so the
 // hot loops avoid per-element posWeight() calls.
 func (s *Solver) bounds() (cPos, cNeg float64) {
@@ -58,7 +52,7 @@ func (s *Solver) bounds() (cPos, cNeg float64) {
 }
 
 // invalidateExtremes drops the cached working-set extremes; every mutation
-// of alpha, f, or the active set must call it.
+// of alpha or f must call it.
 func (s *Solver) invalidateExtremes() { s.extValid = false }
 
 // setExtremes records a freshly computed scan result as the cached
@@ -111,46 +105,10 @@ func (s *Solver) scanExtremesRange(lo, hi int) extremes {
 	return e
 }
 
-// scanExtremesActive is scanExtremesRange over a slice of active indices.
-func (s *Solver) scanExtremesActive(act []int) extremes {
-	e := newExtremes()
-	cPos, cNeg := s.bounds()
-	f, y, alpha := s.f, s.y, s.alpha
-	for _, i := range act {
-		v := f[i]
-		if y[i] > 0 {
-			if alpha[i] < cPos && v < e.bHigh {
-				e.bHigh, e.iHigh = v, i
-			}
-			if alpha[i] > 0 && v > e.bLow {
-				e.bLow, e.iLow = v, i
-			}
-		} else {
-			if alpha[i] > 0 && v < e.bHigh {
-				e.bHigh, e.iHigh = v, i
-			}
-			if alpha[i] < cNeg && v > e.bLow {
-				e.bLow, e.iLow = v, i
-			}
-		}
-	}
-	return e
-}
-
-// scanExtremes runs the full (or active-set) extremes scan, fanning out
-// across the pool when the range is large enough to pay for it. It does
-// not charge flops; LocalExtremes owns the 2·m charge.
+// scanExtremes runs the full extremes scan, fanning out across the pool
+// when the range is large enough to pay for it. It does not charge flops;
+// LocalExtremes owns the 2·m charge.
 func (s *Solver) scanExtremes() extremes {
-	if s.cfg.Shrinking && len(s.active) > 0 {
-		act := s.active
-		if s.pl != nil && len(act) >= 2*scanGrain {
-			nc := s.pl.ParallelForChunks(s.cfg.Threads, len(act), scanGrain, func(c, lo, hi int) {
-				s.chunkExt[c] = s.scanExtremesActive(act[lo:hi])
-			})
-			return s.reduceExtremes(nc)
-		}
-		return s.scanExtremesActive(act)
-	}
 	n := len(s.f)
 	if s.pl != nil && n >= 2*scanGrain {
 		nc := s.pl.ParallelForChunks(s.cfg.Threads, n, scanGrain, func(c, lo, hi int) {
@@ -192,34 +150,6 @@ func (s *Solver) fusedRange(lo, hi int, rh, rl []float64, ch, cl float64) extrem
 	return e
 }
 
-// fusedActive is fusedRange restricted to a slice of active indices.
-func (s *Solver) fusedActive(act []int, rh, rl []float64, ch, cl float64) extremes {
-	e := newExtremes()
-	cPos, cNeg := s.bounds()
-	f, y, alpha := s.f, s.y, s.alpha
-	for _, i := range act {
-		v := f[i] + ch*rh[i]
-		v += cl * rl[i]
-		f[i] = v
-		if y[i] > 0 {
-			if alpha[i] < cPos && v < e.bHigh {
-				e.bHigh, e.iHigh = v, i
-			}
-			if alpha[i] > 0 && v > e.bLow {
-				e.bLow, e.iLow = v, i
-			}
-		} else {
-			if alpha[i] > 0 && v < e.bHigh {
-				e.bHigh, e.iHigh = v, i
-			}
-			if alpha[i] < cNeg && v > e.bLow {
-				e.bLow, e.iLow = v, i
-			}
-		}
-	}
-	return e
-}
-
 // fusedUpdateScan is the fused hot-path iteration tail: it applies eqn
 // (5)'s f-update for the optimised pair and computes the next iteration's
 // working-set extremes in the same pass over f. It charges only the
@@ -233,19 +163,6 @@ func (s *Solver) fusedUpdateScan(iHigh, iLow int, u PairUpdate) {
 	cl := u.DAlphaLow * s.y[iLow]
 	rh := s.cache.Row(iHigh)
 	rl := s.cache.Row(iLow)
-	if s.cfg.Shrinking && len(s.active) > 0 && s.shrunk {
-		act := s.active
-		if s.pl != nil && len(act) >= 2*scanGrain {
-			nc := s.pl.ParallelForChunks(s.cfg.Threads, len(act), scanGrain, func(c, lo, hi int) {
-				s.chunkExt[c] = s.fusedActive(act[lo:hi], rh, rl, ch, cl)
-			})
-			s.setExtremes(s.reduceExtremes(nc))
-		} else {
-			s.setExtremes(s.fusedActive(act, rh, rl, ch, cl))
-		}
-		s.flops += float64(4 * len(act))
-		return
-	}
 	n := len(s.f)
 	if s.pl != nil && n >= 2*scanGrain {
 		nc := s.pl.ParallelForChunks(s.cfg.Threads, n, scanGrain, func(c, lo, hi int) {
@@ -256,75 +173,4 @@ func (s *Solver) fusedUpdateScan(iHigh, iLow int, u PairUpdate) {
 		s.setExtremes(s.fusedRange(0, n, rh, rl, ch, cl))
 	}
 	s.flops += float64(4 * n)
-}
-
-// gainRange computes the best WSS2 second-order gain over f[lo:hi]:
-// among violating I_low members, maximise (bHigh − f_j)²/η_j.
-func (s *Solver) gainRange(lo, hi int, rowH []float64, khh, bHigh float64) gain {
-	g := gain{best: -1, j: -1}
-	cNeg := s.cfg.C
-	f, y, alpha := s.f, s.y, s.alpha
-	for j := lo; j < hi; j++ {
-		if y[j] > 0 {
-			if alpha[j] <= 0 {
-				continue
-			}
-		} else if alpha[j] >= cNeg {
-			continue
-		}
-		v := f[j]
-		if v <= bHigh {
-			continue
-		}
-		eta := khh + s.cache.Diag(j) - 2*rowH[j]
-		if eta <= 1e-12 {
-			eta = 1e-12
-		}
-		d := bHigh - v
-		if gn := d * d / eta; gn > g.best {
-			g.best, g.j = gn, j
-		}
-	}
-	return g
-}
-
-// gainActive is gainRange over a slice of active indices.
-func (s *Solver) gainActive(act []int, rowH []float64, khh, bHigh float64) gain {
-	g := gain{best: -1, j: -1}
-	cNeg := s.cfg.C
-	f, y, alpha := s.f, s.y, s.alpha
-	for _, j := range act {
-		if y[j] > 0 {
-			if alpha[j] <= 0 {
-				continue
-			}
-		} else if alpha[j] >= cNeg {
-			continue
-		}
-		v := f[j]
-		if v <= bHigh {
-			continue
-		}
-		eta := khh + s.cache.Diag(j) - 2*rowH[j]
-		if eta <= 1e-12 {
-			eta = 1e-12
-		}
-		d := bHigh - v
-		if gn := d * d / eta; gn > g.best {
-			g.best, g.j = gn, j
-		}
-	}
-	return g
-}
-
-// reduceGain folds per-chunk WSS2 partials in chunk order (strict >,
-// earliest chunk wins ties — the serial lowest-index rule).
-func (s *Solver) reduceGain(nc int) int {
-	r := s.chunkGain[0]
-	for c := 1; c < nc; c++ {
-		if g := s.chunkGain[c]; g.best > r.best {
-			r = g
-		}
-	}
-	return r.j
 }

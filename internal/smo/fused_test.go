@@ -1,73 +1,45 @@
 package smo
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"casvm/internal/kernel"
 	"casvm/internal/la"
+	"casvm/internal/trace"
 )
 
-// refStep replicates the seed's unfused iteration: a fresh LocalExtremes
-// scan, optional WSS2, PairDeltas, then the two-axpy UpdateF. Because
-// UpdateF invalidates the cached extremes, LocalExtremes rescans every
-// iteration — exactly the pre-fusion control flow and flop charges.
-func refStep(s *Solver) (done bool) {
-	if s.cfg.Shrinking {
-		return refStepShrinking(s)
-	}
-	bHigh, iHigh, bLow, iLow := s.LocalExtremes()
-	if iHigh < 0 || iLow < 0 || bLow-bHigh < 2*s.cfg.tol() {
-		return true
-	}
-	if s.cfg.SecondOrder {
-		if j := s.secondOrderLow(iHigh, bHigh); j >= 0 {
-			iLow = j
-		}
-	}
-	u := s.PairDeltas(iHigh, iLow)
-	if u.DAlphaHigh == 0 && u.DAlphaLow == 0 {
-		return true
-	}
-	s.UpdateF(iHigh, iLow, u)
-	s.iters++
-	return false
+// refUpdateF is the seed's unfused f-update of eqn (5): f_i +=
+// Δα_high·y_high·K(high,i) + Δα_low·y_low·K(low,i) as two axpy sweeps over
+// the cached rows. It is the reference the fused pass is compared against.
+func refUpdateF(s *Solver, iHigh, iLow int, u PairUpdate) {
+	s.invalidateExtremes()
+	sp := s.rec.Begin(trace.CatSolver, "update")
+	defer s.rec.End(sp)
+	rh := s.cache.Row(iHigh)
+	la.Axpy(u.DAlphaHigh*s.y[iHigh], rh, s.f)
+	rl := s.cache.Row(iLow)
+	la.Axpy(u.DAlphaLow*s.y[iLow], rl, s.f)
+	s.flops += float64(4 * len(s.f))
 }
 
-// refStepShrinking is the seed's stepShrinking with the unfused UpdateF.
-func refStepShrinking(s *Solver) (done bool) {
-	if len(s.active) == 0 {
-		s.initActive()
-	}
-	if s.sinceShrink >= s.shrinkEvery() {
-		s.shrink()
-		s.sinceShrink = 0
-	}
+// refStep replicates the seed's unfused iteration: a fresh LocalExtremes
+// scan, PairDeltas, then the two-axpy refUpdateF. Because refUpdateF
+// invalidates the cached extremes, LocalExtremes rescans every iteration —
+// exactly the pre-fusion control flow and flop charges.
+func refStep(s *Solver) (done bool) {
 	bHigh, iHigh, bLow, iLow := s.LocalExtremes()
 	if iHigh < 0 || iLow < 0 || bLow-bHigh < 2*s.cfg.tol() {
-		if s.shrunk {
-			s.reconstructAndActivate()
-			bHigh, iHigh, bLow, iLow = s.LocalExtremes()
-			if iHigh < 0 || iLow < 0 || bLow-bHigh < 2*s.cfg.tol() {
-				return true
-			}
-		} else {
-			return true
-		}
-	}
-	if s.cfg.SecondOrder {
-		if j := s.secondOrderLow(iHigh, bHigh); j >= 0 {
-			iLow = j
-		}
+		return true
 	}
 	u := s.PairDeltas(iHigh, iLow)
 	if u.DAlphaHigh == 0 && u.DAlphaLow == 0 {
 		return true
 	}
-	s.UpdateF(iHigh, iLow, u)
+	refUpdateF(s, iHigh, iLow, u)
 	s.iters++
-	s.sinceShrink++
 	return false
 }
 
@@ -135,7 +107,7 @@ func sparseCopy(de *la.Matrix) *la.Matrix {
 
 // TestFusedMatchesUnfused proves the fused update/scan pass reproduces the
 // seed's separate-pass solver exactly — values, iteration counts, and flop
-// totals — across kernel selection modes and both storage formats.
+// totals — across box weights, cache sizes and both storage formats.
 func TestFusedMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	de, y := twoBlobs(rng, 150, 2, 0.9)
@@ -145,11 +117,8 @@ func TestFusedMatchesUnfused(t *testing.T) {
 		cfg  Config
 	}{
 		{"first-order", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5)}},
-		{"wss2", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), SecondOrder: true}},
-		{"shrinking", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), Shrinking: true}},
-		{"wss2-shrinking", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), SecondOrder: true, Shrinking: true}},
 		{"weighted", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), PosWeight: 2.5}},
-		{"small-cache", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), CacheRows: 8, SecondOrder: true}},
+		{"small-cache", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), CacheRows: 8}},
 	}
 	for _, tc := range cases {
 		for _, mat := range []struct {
@@ -174,7 +143,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 func TestThreadCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	x, y := twoBlobs(rng, 2048, 2, 1.0)
-	base := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 120, SecondOrder: true}
+	base := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 120}
 	ref, err := Solve(x, y, base, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,22 +155,8 @@ func TestThreadCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, "threads=4", got, ref)
-		_ = threads
+		requireIdentical(t, fmt.Sprintf("threads=%d", threads), got, ref)
 	}
-	// And under shrinking, where the scans run over the active set.
-	shr := base
-	shr.Shrinking = true
-	refS, err := Solve(x, y, shr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shr.Threads = 4
-	gotS, err := Solve(x, y, shr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "shrinking-threads", gotS, refS)
 }
 
 // TestParallelMatchesReferenceLarge: pool-parallel fused solve vs the
@@ -210,7 +165,7 @@ func TestThreadCountInvariance(t *testing.T) {
 func TestParallelMatchesReferenceLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	x, y := twoBlobs(rng, 2048, 2, 0.8)
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 80, SecondOrder: true}
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 80}
 	want := refSolve(t, x, y, cfg)
 	cfg.Threads = 4
 	got, err := Solve(x, y, cfg, nil)
@@ -232,7 +187,7 @@ func benchBlobs(m int) (*la.Matrix, []float64) {
 // either way.
 func BenchmarkSolve(b *testing.B) {
 	x, y := benchBlobs(4096)
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60, SecondOrder: true,
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60,
 		Threads: runtime.GOMAXPROCS(0)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -244,7 +199,7 @@ func BenchmarkSolve(b *testing.B) {
 }
 
 // BenchmarkUpdateScanFused compares one fused update+scan pass against the
-// seed's separate UpdateF + LocalExtremes passes over the same state.
+// seed's separate refUpdateF + LocalExtremes passes over the same state.
 func BenchmarkUpdateScanFused(b *testing.B) {
 	x, y := benchBlobs(4096)
 	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5)}
@@ -273,7 +228,7 @@ func BenchmarkUpdateScanFused(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.UpdateF(0, 1, u)
+			refUpdateF(s, 0, 1, u)
 			s.LocalExtremes()
 		}
 	})

@@ -31,7 +31,7 @@ func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
 		t.Fatalf("fused pass allocated %.1f/op with instrumentation disabled, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		s.UpdateF(0, 1, u)
+		refUpdateF(s, 0, 1, u)
 		s.LocalExtremes()
 	}); allocs != 0 {
 		t.Fatalf("update+scan allocated %.1f/op with instrumentation disabled, want 0", allocs)
@@ -52,7 +52,7 @@ func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
 // must observe the run, not perturb it — the trajectory stays bit-identical.
 func TestInstrumentedSolveMatchesDisabled(t *testing.T) {
 	x, y := benchBlobs(1024)
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 200, SecondOrder: true}
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 200}
 	want, err := Solve(x, y, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestInstrumentedSolveMatchesDisabled(t *testing.T) {
 // TestDisabledInstrumentationZeroAllocs: exactly zero).
 func BenchmarkSolveInstrumented(b *testing.B) {
 	x, y := benchBlobs(4096)
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60, SecondOrder: true,
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60,
 		Threads: runtime.GOMAXPROCS(0)}
 	b.ReportAllocs()
 	b.ResetTimer()

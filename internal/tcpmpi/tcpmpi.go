@@ -126,27 +126,12 @@ type Options struct {
 	// 0 means 2s.
 	ReconnectBackoffMax time.Duration
 
-	// ReconnectJitter, when non-nil, supplies the additive reconnect
-	// backoff jitter: it is called with the jitter ceiling (half the
-	// current backoff) and must return a duration in [0, max]. Nil draws
-	// from the process-global RNG. Chaos runs install a seeded source here
-	// (faults.Schedule.JitterFunc) so a replayed fault schedule reproduces
-	// identical reconnect timing.
-	ReconnectJitter func(max time.Duration) time.Duration
-
 	// ReplayWindow is how many sent data frames each peer connection
 	// retains for the resume handshake: on reconnect, frames the other
 	// side has not acknowledged receiving are replayed (receiver-side seq
 	// dedup keeps delivery exactly-once). 0 means 64; negative disables
 	// replay (reconnects resume without redelivery).
 	ReplayWindow int
-
-	// Peers, when non-nil, restricts the mesh to the listed ranks: only
-	// they are dialed/awaited at setup and heartbeated, and Send/Recv to
-	// any other rank fails immediately. An elastic worker that only talks
-	// to a coordinator joins with Peers: []int{0} instead of paying the
-	// full-mesh handshake. Nil keeps the complete mesh.
-	Peers []int
 
 	// Listener, when non-nil, is this rank's already-open mesh listener,
 	// which the Comm takes over (and closes on Close). A worker that had to
@@ -291,7 +276,6 @@ type Comm struct {
 	addrs      []string
 	opt        Options
 	peers      []*peer
-	peerSet    map[int]bool // nil = full mesh; else the ranks this Comm talks to
 	ln         net.Listener // nil for size-1 worlds without Options.Listener
 
 	mu     sync.Mutex
@@ -377,14 +361,6 @@ func DialOptions(rank int, addrs []string, opt Options) (*Comm, error) {
 		c.mSentBytes = reg.Counter("tcpmpi_sent_bytes_total",
 			"Data payload bytes handed to Send.")
 	}
-	if opt.Peers != nil {
-		c.peerSet = map[int]bool{}
-		for _, r := range opt.Peers {
-			if r >= 0 && r < size && r != rank {
-				c.peerSet[r] = true
-			}
-		}
-	}
 	c.ln = opt.Listener
 	if size == 1 {
 		return c, nil
@@ -398,13 +374,10 @@ func DialOptions(rank int, addrs []string, opt Options) (*Comm, error) {
 	}
 	go c.acceptLoop(c.ln)
 
-	// Dial every lower rank in the mesh (or peer subset).
+	// Dial every lower rank in the mesh.
 	var wg sync.WaitGroup
 	errCh := make(chan error, size)
 	for dst := 0; dst < rank; dst++ {
-		if !c.isPeer(dst) {
-			continue
-		}
 		wg.Add(1)
 		go func(dst int) {
 			defer wg.Done()
@@ -429,9 +402,6 @@ func DialOptions(rank int, addrs []string, opt Options) (*Comm, error) {
 	for {
 		missing := -1
 		for r := rank + 1; r < size; r++ {
-			if !c.isPeer(r) {
-				continue
-			}
 			c.peers[r].mu.Lock()
 			up := c.peers[r].conn != nil
 			c.peers[r].mu.Unlock()
@@ -807,10 +777,6 @@ func (c *Comm) isClosed() bool {
 	return c.closed != nil
 }
 
-// isPeer reports whether this Comm talks to rank r — always true for the
-// full mesh, the Options.Peers subset otherwise.
-func (c *Comm) isPeer(r int) bool { return c.peerSet == nil || c.peerSet[r] }
-
 // parseFrameHeader decodes one 20-byte frame header, rejecting oversized
 // payload lengths.
 func parseFrameHeader(hdr []byte) (tag int, seq uint32, sendNs int64, n uint32, err error) {
@@ -944,7 +910,7 @@ func (c *Comm) recoverPeer(src, gen int, cause error) {
 			}
 			// Additive jitter up to 50% keeps a restarted fleet from
 			// hammering the listener in lockstep.
-			sleep := backoff + c.jitter(backoff/2)
+			sleep := backoff + jitter(backoff/2)
 			c.mReconnBackoff.Add(sleep.Milliseconds())
 			select {
 			case <-c.done:
@@ -995,10 +961,7 @@ func (c *Comm) heartbeatLoop() {
 		case <-ticker.C:
 		}
 		for r := 0; r < c.size; r++ {
-			if r == c.rank || !c.isPeer(r) {
-				continue
-			}
-			if c.isDead(r) {
+			if r == c.rank || c.isDead(r) {
 				continue
 			}
 			p := c.peers[r]
@@ -1035,22 +998,11 @@ func (c *Comm) writeFrame(p *peer, conn net.Conn, tag int, seq uint32, sendNs in
 	return err
 }
 
-// jitter draws the additive reconnect jitter in [0, max] — from the
-// configured deterministic source when one is installed, the process-global
-// RNG otherwise.
-func (c *Comm) jitter(max time.Duration) time.Duration {
+// jitter draws the additive reconnect jitter in [0, max] from the
+// process-global RNG.
+func jitter(max time.Duration) time.Duration {
 	if max <= 0 {
 		return 0
-	}
-	if j := c.opt.ReconnectJitter; j != nil {
-		d := j(max)
-		if d < 0 {
-			d = 0
-		}
-		if d > max {
-			d = max
-		}
-		return d
 	}
 	return time.Duration(rand.Int63n(int64(max) + 1))
 }
@@ -1092,9 +1044,6 @@ func (c *Comm) deadErr(src int) error {
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("tcpmpi: send to invalid rank %d", dst)
-	}
-	if dst != c.rank && !c.isPeer(dst) {
-		return fmt.Errorf("tcpmpi: rank %d is not a configured peer", dst)
 	}
 	if dst == c.rank {
 		// Copy: the caller may mutate data after Send returns, and the
@@ -1185,8 +1134,8 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // declared dead, the Comm closes, or the per-operation deadline
 // (Options.Timeout) expires.
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
-	if src != c.rank && (src < 0 || src >= c.size || !c.isPeer(src)) {
-		return nil, fmt.Errorf("tcpmpi: rank %d is not a configured peer", src)
+	if src < 0 || src >= c.size {
+		return nil, fmt.Errorf("tcpmpi: recv from invalid rank %d", src)
 	}
 	var deadline time.Time
 	if c.opt.Timeout > 0 {

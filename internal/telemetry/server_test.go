@@ -117,7 +117,7 @@ func TestServeSmoke(t *testing.T) {
 	if s.Iter < 1 || (s.Rank != 0 && s.Rank != 1) {
 		t.Fatalf("bad SSE sample: %+v", s)
 	}
-	if s.Active <= 0 || s.DualObj <= 0 {
+	if s.SVs <= 0 || s.DualObj <= 0 {
 		t.Fatalf("empty SSE sample: %+v", s)
 	}
 
@@ -239,7 +239,7 @@ func TestServeClusterNamespaces(t *testing.T) {
 	if rep.ModelHash != res.ModelHash || rep.ModelHash == "" {
 		t.Fatalf("job report hash %q != submitted result hash %q", rep.ModelHash, res.ModelHash)
 	}
-	if s := readFirstSSE(t, base+"/events"); s.Active <= 0 {
+	if s := readFirstSSE(t, base+"/events"); s.SVs <= 0 || s.DualObj <= 0 {
 		t.Fatalf("empty job SSE sample: %+v", s)
 	}
 	// Unknown namespaces 404 instead of aliasing another job.

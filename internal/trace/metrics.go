@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -360,20 +359,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// Publish exposes the registry under the given expvar name as a JSON map
-// of Snapshot(). Publishing the same name twice (or colliding with another
-// package's expvar) returns an error instead of expvar's panic.
-func (r *Registry) Publish(name string) error {
-	if r == nil {
-		return nil
-	}
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("trace: expvar %q already published", name)
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	return nil
 }
 
 // String renders a compact name=value listing (counters and gauges only),

@@ -9,7 +9,7 @@ import (
 // Span categories, used as the Chrome trace_event "cat" field and for
 // phase aggregation in run reports.
 const (
-	CatSolver     = "solver"     // SMO phases: scan, update, shrink
+	CatSolver     = "solver"     // SMO phases: scan, update
 	CatKernel     = "kernel"     // kernel-row fills on cache misses
 	CatCollective = "collective" // mpi collectives: Barrier, Bcast, Allreduce, …
 	CatInit       = "init"       // partitioning and data movement

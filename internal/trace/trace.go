@@ -10,8 +10,8 @@
 //   - Timeline/Recorder: per-rank span events (solver phases, collectives)
 //     carrying wall and virtual time, exportable to Chrome trace_event
 //     JSON for chrome://tracing and Perfetto (chrometrace.go).
-//   - Registry: counters, gauges and fixed-bucket histograms with expvar
-//     and Prometheus-style text exposition (metrics.go).
+//   - Registry: counters, gauges and fixed-bucket histograms with
+//     Prometheus-style text exposition (metrics.go).
 //   - Report: a structured machine-readable run summary (report.go).
 //
 // Everything is designed around a nil-sink fast path: a nil *Timeline,
