@@ -45,7 +45,7 @@ race-matrix:
 # corpora cannot rot; `make fuzz` does the time-boxed exploration.
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' ./internal/data ./internal/tcpmpi ./internal/trace \
-		./internal/serve ./internal/cluster
+		./internal/serve ./internal/cluster ./internal/la
 
 # serve-smoke boots the live telemetry server against a real training run
 # held mid-flight (TestServeSmoke) and against a cluster coordinator with
@@ -109,7 +109,7 @@ soak-cluster:
 # benchmark's dissmo-dense workload (ns/op, allocs/op, msgs/op), ungated.
 bench: bench-kernel
 	$(GO) test ./internal/smo ./internal/kernel ./internal/la ./internal/core \
-		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScanFused|RowCache|BenchmarkDot|BenchmarkTrainDisSMO$$' \
+		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScanFused|RowCache|BenchmarkDot|BenchmarkSpDotFill|BenchmarkTrainDisSMO$$' \
 		-benchmem -cpu 1,4 | $(GO) run ./cmd/benchjson > BENCH_smo.json
 	@echo wrote BENCH_smo.json
 
@@ -165,14 +165,15 @@ loc:
 		| sort -k2
 
 # Short fuzz sweep over every fuzz target (parsers, the wire-frame
-# decoder, and the run-report round trip); seed corpora also run in
-# plain `make test`.
+# decoder, the matrix decoder, and the run-report round trip); seed corpora
+# also run in plain `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime 10s ./internal/data
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/tcpmpi
 	$(GO) test -fuzz FuzzRunReportRoundTrip -fuzztime 10s ./internal/trace
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodePredictRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run 'Fuzz' -fuzz FuzzExecFrames -fuzztime 10s ./internal/cluster
+	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeMatrix -fuzztime 10s ./internal/la
 
 # cover enforces statement-coverage floors on the packages whose
 # regressions are silent: 70% on the observability/modeling set, 75% on the

@@ -3,6 +3,8 @@ package kernel
 import (
 	"math/rand"
 	"testing"
+
+	"casvm/internal/la"
 )
 
 var benchRow []float64
@@ -13,8 +15,8 @@ var benchRow []float64
 func BenchmarkRowCache(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	m := 1024
-	x := denseMat(rng, m, 16)
-	run := func(b *testing.B, capacity int) {
+	dense := denseMat(rng, m, 16)
+	run := func(b *testing.B, x *la.Matrix, capacity int) {
 		c := NewRowCache(RBF(0.1), x, capacity)
 		// Warm the hot set so steady state dominates.
 		for i := 0; i < capacity; i++ {
@@ -34,8 +36,11 @@ func BenchmarkRowCache(b *testing.B) {
 			benchRow = c.Row(idx[i%len(idx)])
 		}
 	}
-	b.Run("cap64", func(b *testing.B) { run(b, 64) })
-	b.Run("cap512", func(b *testing.B) { run(b, 512) })
+	b.Run("cap64", func(b *testing.B) { run(b, dense, 64) })
+	b.Run("cap512", func(b *testing.B) { run(b, dense, 512) })
+	// The sparse workload's shape: a miss is one scattered fill.
+	sparse := sparseMat(rng, m, 2048, 0.02)
+	b.Run("sparse-cap64", func(b *testing.B) { run(b, sparse, 64) })
 }
 
 // BenchmarkRowCacheHit isolates the pure hit path (lookup + LRU bump).

@@ -102,6 +102,17 @@ func TestEvalMixedStorageAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("CrossRow mixed allocates %v/op, want 0", allocs)
 	}
+	// Sparse×sparse (Dis-SMO's remote column on sparse data): the scattered
+	// fill's tables are pooled like the densify buffer above.
+	sb := sparseMat(rng, 30, 16, 0.4)
+	sb.EnsureNorms()
+	p.CrossRow(a, sb, 0, dst)
+	allocs = testing.AllocsPerRun(2000, func() {
+		p.CrossRow(a, sb, 1, dst)
+	})
+	if allocs != 0 {
+		t.Errorf("CrossRow sparse×sparse allocates %v/op, want 0", allocs)
+	}
 }
 
 var sinkRow []float64

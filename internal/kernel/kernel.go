@@ -226,21 +226,11 @@ func (p Params) Row(a *la.Matrix, i int, dst []float64) float64 {
 		a.EnsureNorms()
 	}
 	if a.Sparse() {
-		ix, vx := a.SparseRow(i)
-		for j := 0; j < m; j++ {
-			ji, jv := a.SparseRow(j)
-			dot := la.SpDot(ix, vx, ji, jv)
-			if p.Kind == Gaussian {
-				d := a.SqNormRow(i) + a.SqNormRow(j) - 2*dot
-				if d < 0 {
-					d = 0
-				}
-				dst[j] = math.Exp(-p.Gamma * d)
-			} else {
-				dst[j] = p.fromDot(dot, 0)
-			}
-		}
-		return float64(2*len(vx)*m + m)
+		rows := [1]int{i}
+		dsts := [1][]float64{dst}
+		p.fillSparse(a, rows[:], a, dsts[:], 1)
+		ix, _ := a.SparseRow(i)
+		return float64(2*len(ix)*m + m)
 	}
 	xi := a.DenseRow(i)
 	if p.Kind == Gaussian {
@@ -274,20 +264,10 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 	}
 	switch {
 	case a.Sparse() && b.Sparse():
-		ji, jv := b.SparseRow(j)
-		for i := 0; i < m; i++ {
-			ii, iv := a.SparseRow(i)
-			dot := la.SpDot(ii, iv, ji, jv)
-			if p.Kind == Gaussian {
-				d := a.SqNormRow(i) + b.SqNormRow(j) - 2*dot
-				if d < 0 {
-					d = 0
-				}
-				dst[i] = math.Exp(-p.Gamma * d)
-			} else {
-				dst[i] = p.fromDot(dot, 0)
-			}
-		}
+		// The one b row is the reused side: scatter it, gather the rows of a.
+		rows := [1]int{j}
+		dsts := [1][]float64{dst}
+		p.fillSparse(b, rows[:], a, dsts[:], 1)
 	case !a.Sparse() && !b.Sparse():
 		xj := b.DenseRow(j)
 		for i := 0; i < m; i++ {

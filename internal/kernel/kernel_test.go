@@ -279,6 +279,7 @@ func TestCrossRowAgainstEval(t *testing.T) {
 	for _, p := range []Params{{Kind: Linear}, RBF(0.4), {Kind: Sigmoid, Coef: 0.2}} {
 		for _, pair := range []struct{ A, B *la.Matrix }{
 			{a, bde}, {a, bsp}, {asp, bsp}, {asp, bde},
+			{sparseMat(rng, 15, 2048, 0.02), sparseMat(rng, 9, 2048, 0.02)},
 		} {
 			for j := 0; j < pair.B.Rows(); j++ {
 				flops := p.CrossRow(pair.A, pair.B, j, dst)
@@ -287,7 +288,10 @@ func TestCrossRowAgainstEval(t *testing.T) {
 				}
 				for i := 0; i < pair.A.Rows(); i++ {
 					want := p.Eval(pair.A, i, pair.B, j)
-					if !almostEq(dst[i], want, 1e-9) {
+					// Sparse×sparse is the scattered fill against Eval's
+					// merge: the contract there is bit-identity.
+					bitwise := pair.A.Sparse() && pair.B.Sparse()
+					if !almostEq(dst[i], want, 1e-9) || bitwise && dst[i] != want {
 						t.Fatalf("%v A.sparse=%v B.sparse=%v: [%d,%d]=%v want %v",
 							p.Kind, pair.A.Sparse(), pair.B.Sparse(), i, j, dst[i], want)
 					}

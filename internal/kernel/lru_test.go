@@ -140,6 +140,23 @@ func TestRowCacheAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Row allocates %v objects/op, want 0", allocs)
 	}
+
+	// Sparse: every call a miss (capacity 2, cycling trace), so each run is
+	// one scattered fill. 2000 runs for the reason TestPrefetchPairAllocFree
+	// gives.
+	sp := NewRowCache(RBF(0.3), sparseMat(rng, 200, 2048, 0.02), 2)
+	sp.Row(0)
+	idx = 1
+	allocs = testing.AllocsPerRun(2000, func() {
+		sp.Row(idx % 40)
+		idx++
+	})
+	if allocs != 0 {
+		t.Fatalf("sparse Row miss allocates %v objects/op, want 0", allocs)
+	}
+	if hits, _, _ := sp.Stats(); hits != 0 {
+		t.Fatalf("sparse pin saw %d hits — it must measure misses", hits)
+	}
 }
 
 // TestDiagCacheMatchesEval pins the lazy diagonal cache against direct

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"sync"
 
 	"casvm/internal/la"
 	"casvm/internal/pool"
@@ -44,7 +45,12 @@ func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, threads int) fl
 	for r := range dsts {
 		dsts[r] = dsts[r][:m]
 	}
-	if threads <= 1 || m < 2*rowGrain {
+	if a.Sparse() {
+		for base := 0; base < len(rows); base += tileRowBlock {
+			end := min(base+tileRowBlock, len(rows))
+			p.fillSparse(a, rows[base:end], a, dsts[base:end], threads)
+		}
+	} else if threads <= 1 || m < 2*rowGrain {
 		p.tileCols(a, rows, dsts, 0, m)
 	} else {
 		pool.Shared().ParallelFor(threads, m, rowGrain, func(lo, hi int) {
@@ -69,10 +75,10 @@ func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, threads int) fl
 // short rows, which is exactly the single-row fill of a training scan.
 const tileRowBlock = 8
 
-// tileCols fills the column range [lo, hi) of every tile row. The column
-// row j is loaded once and evaluated against all tile rows (column-outer
-// order); each element's arithmetic is exactly Row's, with the tile row as
-// the first argument of the dot/distance primitive.
+// tileCols fills the column range [lo, hi) of every tile row of a dense
+// matrix. The column row j is loaded once and evaluated against all tile
+// rows (column-outer order); each element's arithmetic is exactly Row's,
+// with the tile row as the first argument of the dot/distance primitive.
 func (p Params) tileCols(a *la.Matrix, rows []int, dsts [][]float64, lo, hi int) {
 	for base := 0; base < len(rows); base += tileRowBlock {
 		n := len(rows) - base
@@ -84,35 +90,6 @@ func (p Params) tileCols(a *la.Matrix, rows []int, dsts [][]float64, lo, hi int)
 }
 
 func (p Params) tileColsBlock(a *la.Matrix, rows []int, dsts [][]float64, lo, hi int) {
-	if a.Sparse() {
-		var ri [tileRowBlock][]int32
-		var rv [tileRowBlock][]float64
-		var rn [tileRowBlock]float64
-		for r, i := range rows {
-			ri[r], rv[r] = a.SparseRow(i)
-			if p.Kind == Gaussian {
-				rn[r] = a.SqNormRow(i)
-			}
-		}
-		for j := lo; j < hi; j++ {
-			ji, jv := a.SparseRow(j)
-			if p.Kind == Gaussian {
-				nj := a.SqNormRow(j)
-				for r := range rows {
-					d := rn[r] + nj - 2*la.SpDot(ri[r], rv[r], ji, jv)
-					if d < 0 {
-						d = 0
-					}
-					dsts[r][j] = math.Exp(-p.Gamma * d)
-				}
-			} else {
-				for r := range rows {
-					dsts[r][j] = p.fromDot(la.SpDot(ri[r], rv[r], ji, jv), 0)
-				}
-			}
-		}
-		return
-	}
 	var xr [tileRowBlock][]float64
 	for r, i := range rows {
 		xr[r] = a.DenseRow(i)
@@ -126,6 +103,77 @@ func (p Params) tileColsBlock(a *la.Matrix, rows []int, dsts [][]float64, lo, hi
 		} else {
 			for r := range rows {
 				dsts[r][j] = p.fromDot(la.Dot(xr[r], xj), 0)
+			}
+		}
+	}
+}
+
+// sparseBlock is the fill state of one block of at most tileRowBlock sparse
+// tile rows: each row scattered over the feature axis (la.ScatteredRow), its
+// squared norm, its destination. The position tables cost 4 bytes × features
+// per row, so blocks are pooled — a fill allocates nothing once tables of the
+// feature width exist — and a parallel fill scatters once and shares the
+// block read-only across its workers.
+type sparseBlock struct {
+	row [tileRowBlock]la.ScatteredRow
+	sq  [tileRowBlock]float64
+	dst [tileRowBlock][]float64
+}
+
+var sparseBlocks = sync.Pool{New: func() any { return new(sparseBlock) }}
+
+// fillSparse is the one sparse×sparse fill loop: dsts[r][c] = K(rows[r] of
+// src, c of cols) for every row c of cols, with len(rows) ≤ tileRowBlock.
+// The reused side — the tile rows — is scattered once and every column is
+// then a single gather per row, bit-identical to the la.SpDot the scalar
+// paths evaluate (which is bitwise symmetric, so which side is scattered does
+// not matter). Row and Tile pass src == cols; CrossRow passes the matrix
+// holding the one remote row as src. Gaussian callers have ensured norms on
+// both matrices.
+func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, dsts [][]float64, threads int) {
+	sb := sparseBlocks.Get().(*sparseBlock)
+	width := max(src.Features(), cols.Features())
+	for r, i := range rows {
+		ix, vx := src.SparseRow(i)
+		sb.row[r].Set(width, ix, vx)
+		if p.Kind == Gaussian {
+			sb.sq[r] = src.SqNormRow(i)
+		}
+		sb.dst[r] = dsts[r]
+	}
+	n, m := len(rows), cols.Rows()
+	if threads <= 1 || m < 2*rowGrain {
+		p.sparseCols(sb, n, cols, 0, m)
+	} else {
+		pool.Shared().ParallelFor(threads, m, rowGrain, func(lo, hi int) {
+			p.sparseCols(sb, n, cols, lo, hi)
+		})
+	}
+	for r := range rows {
+		sb.row[r].Release()
+		sb.dst[r] = nil
+	}
+	sparseBlocks.Put(sb)
+}
+
+// sparseCols fills columns [lo, hi) of the block's first n rows,
+// column-outer like tileCols.
+func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, lo, hi int) {
+	rows, dsts := sb.row[:n], sb.dst[:n]
+	for j := lo; j < hi; j++ {
+		ji, jv := cols.SparseRow(j)
+		if p.Kind == Gaussian {
+			nj := cols.SqNormRow(j)
+			for r := range rows {
+				d := sb.sq[r] + nj - 2*rows[r].Dot(ji, jv)
+				if d < 0 {
+					d = 0
+				}
+				dsts[r][j] = math.Exp(-p.Gamma * d)
+			}
+		} else {
+			for r := range rows {
+				dsts[r][j] = p.fromDot(rows[r].Dot(ji, jv), 0)
 			}
 		}
 	}

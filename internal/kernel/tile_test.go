@@ -17,35 +17,49 @@ var tileKinds = []Params{
 	{Kind: Sigmoid, Coef: 0.5, ScaleA: 0.7},
 }
 
+// wideSparse is the shape the sparse workload has — 2048 features at 2%, so a
+// row is ~40 of 2048 positions — and tall enough (≥ 2·rowGrain rows) that
+// threads > 1 really splits the columns. The small sparse cases elsewhere
+// are 20–40 features at 25–40%, where a position table is nearly full.
+func wideSparse(rng *rand.Rand) *la.Matrix { return sparseMat(rng, 1100, 2048, 0.02) }
+
 func TestTileMatchesRowBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	for _, sparse := range []bool{false, true} {
-		a := denseMat(rng, 200, 11)
-		if sparse {
-			a = sparseMat(rng, 200, 30, 0.3)
-		}
+	for _, a := range []*la.Matrix{denseMat(rng, 200, 11), sparseMat(rng, 200, 30, 0.3), wideSparse(rng)} {
 		for _, p := range tileKinds {
-			for _, rows := range [][]int{{0}, {7, 7}, {3, 199, 0}, {5, 4, 3, 2, 1}} {
-				dsts := make([][]float64, len(rows))
+			for _, rows := range [][]int{{0}, {7, 7}, {3, 199, 0}, {5, 4, 3, 2, 1}, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11}} {
 				want := make([][]float64, len(rows))
-				for r := range rows {
-					dsts[r] = make([]float64, a.Rows())
-					want[r] = make([]float64, a.Rows())
-				}
 				var wantFlops float64
 				for r, i := range rows {
+					want[r] = make([]float64, a.Rows())
 					wantFlops += p.Row(a, i, want[r])
-				}
-				gotFlops := p.Tile(a, rows, dsts, 1)
-				if gotFlops != wantFlops {
-					t.Fatalf("kind=%v sparse=%v rows=%v: flops %v != %v",
-						p.Kind, sparse, rows, gotFlops, wantFlops)
-				}
-				for r := range rows {
+					if !a.Sparse() {
+						continue
+					}
+					// Sparse Row is itself a scattered fill; Eval is the
+					// merge (la.SpDot) it must equal.
 					for j := range want[r] {
-						if dsts[r][j] != want[r][j] {
-							t.Fatalf("kind=%v sparse=%v rows=%v: [%d][%d] %v != %v",
-								p.Kind, sparse, rows, r, j, dsts[r][j], want[r][j])
+						if e := p.Eval(a, i, a, j); want[r][j] != e {
+							t.Fatalf("kind=%v row %d col %d: Row %v != Eval %v", p.Kind, i, j, want[r][j], e)
+						}
+					}
+				}
+				for _, threads := range []int{1, 4} {
+					dsts := make([][]float64, len(rows))
+					for r := range rows {
+						dsts[r] = make([]float64, a.Rows())
+					}
+					gotFlops := p.Tile(a, rows, dsts, threads)
+					if gotFlops != wantFlops {
+						t.Fatalf("kind=%v sparse=%v rows=%v threads=%d: flops %v != %v",
+							p.Kind, a.Sparse(), rows, threads, gotFlops, wantFlops)
+					}
+					for r := range rows {
+						for j := range want[r] {
+							if dsts[r][j] != want[r][j] {
+								t.Fatalf("kind=%v sparse=%v rows=%v threads=%d: [%d][%d] %v != %v",
+									p.Kind, a.Sparse(), rows, threads, r, j, dsts[r][j], want[r][j])
+							}
 						}
 					}
 				}
@@ -81,7 +95,9 @@ func TestTileParallelMatchesSerial(t *testing.T) {
 }
 
 // mats builds the four storage pairings (a, b) the CrossTile dispatch
-// covers, with distinct feature widths kept equal within a pairing.
+// covers, with feature widths kept equal within a pairing, plus the wide
+// low-density sparse pairing and one whose two sides differ in width (the
+// position table must span the wider).
 func crossMats(rng *rand.Rand) [][2]*la.Matrix {
 	n := 13
 	return [][2]*la.Matrix{
@@ -89,6 +105,8 @@ func crossMats(rng *rand.Rand) [][2]*la.Matrix {
 		{sparseMat(rng, 9, n, 0.4), sparseMat(rng, 17, n, 0.4)},
 		{sparseMat(rng, 9, n, 0.4), denseMat(rng, 17, n)},
 		{denseMat(rng, 9, n), sparseMat(rng, 17, n, 0.4)},
+		{sparseMat(rng, 9, 2048, 0.02), sparseMat(rng, 17, 2048, 0.02)},
+		{sparseMat(rng, 9, 40, 0.3), sparseMat(rng, 17, 90, 0.3)},
 	}
 }
 
@@ -155,35 +173,38 @@ func TestCrossTileSameMatrix(t *testing.T) {
 // charges and (via subsequent behavior) identical eviction decisions.
 func TestPrefetchPairMatchesSequentialRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
-	for _, sparse := range []bool{false, true} {
-		a := denseMat(rng, 120, 6)
-		if sparse {
-			a = sparseMat(rng, 120, 25, 0.3)
-		}
+	for _, a := range []*la.Matrix{denseMat(rng, 120, 6), sparseMat(rng, 120, 25, 0.3), wideSparse(rng)} {
 		p := RBF(0.3)
-		for _, capacity := range []int{2, 3, 16} {
-			cp := NewRowCache(p, a, capacity)
-			cs := NewRowCache(p, a, capacity)
-			for step := 0; step < 2000; step++ {
-				i, j := rng.Intn(24), rng.Intn(24)
-				if rng.Intn(5) == 0 {
-					i, j = rng.Intn(120), rng.Intn(120)
+		for _, threads := range []int{1, 4} {
+			for _, capacity := range []int{2, 3, 16} {
+				cp := NewRowCache(p, a, capacity)
+				cp.SetThreads(threads)
+				cs := NewRowCache(p, a, capacity)
+				steps := 2000
+				if a.Rows() > 1000 {
+					steps = 150 // rows are 9× longer; the race matrix runs this
 				}
-				cp.PrefetchPair(i, j)
-				pi, pj := cp.Row(i), cp.Row(j)
-				si, sj := cs.Row(i), cs.Row(j)
-				for k := range si {
-					if pi[k] != si[k] || pj[k] != sj[k] {
-						t.Fatalf("cap=%d step=%d pair(%d,%d): rows differ at %d",
-							capacity, step, i, j, k)
+				for step := 0; step < steps; step++ {
+					i, j := rng.Intn(24), rng.Intn(24)
+					if rng.Intn(5) == 0 {
+						i, j = rng.Intn(120), rng.Intn(120)
+					}
+					cp.PrefetchPair(i, j)
+					pi, pj := cp.Row(i), cp.Row(j)
+					si, sj := cs.Row(i), cs.Row(j)
+					for k := range si {
+						if pi[k] != si[k] || pj[k] != sj[k] {
+							t.Fatalf("cap=%d threads=%d step=%d pair(%d,%d): rows differ at %d",
+								capacity, threads, step, i, j, k)
+						}
 					}
 				}
-			}
-			_, mp, fp := cp.Stats()
-			_, ms, fs := cs.Stats()
-			if mp != ms || fp != fs {
-				t.Fatalf("cap=%d sparse=%v: prefetch (misses=%d flops=%g) vs sequential (misses=%d flops=%g)",
-					capacity, sparse, mp, fp, ms, fs)
+				_, mp, fp := cp.Stats()
+				_, ms, fs := cs.Stats()
+				if mp != ms || fp != fs {
+					t.Fatalf("cap=%d threads=%d sparse=%v: prefetch (misses=%d flops=%g) vs sequential (misses=%d flops=%g)",
+						capacity, threads, a.Sparse(), mp, fp, ms, fs)
+				}
 			}
 		}
 	}
@@ -193,15 +214,23 @@ func TestPrefetchPairMatchesSequentialRows(t *testing.T) {
 // steady state, like Row.
 func TestPrefetchPairAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
-	a := denseMat(rng, 200, 8)
-	c := NewRowCache(RBF(0.3), a, 8)
-	idx := 0
-	allocs := testing.AllocsPerRun(500, func() {
-		c.PrefetchPair(idx%40, (idx*7)%40)
-		idx++
-	})
-	if allocs != 0 {
-		t.Fatalf("PrefetchPair allocates %v objects/op, want 0", allocs)
+	for _, a := range []*la.Matrix{denseMat(rng, 200, 8), sparseMat(rng, 200, 2048, 0.02)} {
+		// Capacity 2 under a cycling trace: every call is a double miss.
+		c := NewRowCache(RBF(0.3), a, 2)
+		idx := 0
+		step := func() {
+			c.PrefetchPair(idx%40, (idx+1)%40)
+			idx += 2
+		}
+		step() // warm-up: the sparse fill's position tables are pooled
+		// 2000 runs: under -race sync.Pool drops a quarter of its Puts, and
+		// AllocsPerRun's integer average has to absorb those refills.
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Fatalf("sparse=%v: PrefetchPair allocates %v objects/op, want 0", a.Sparse(), allocs)
+		}
+		if _, misses, _ := c.Stats(); misses != int64(idx) {
+			t.Fatalf("sparse=%v: %d misses in %d prefetched rows — the pin must measure misses", a.Sparse(), misses, idx)
+		}
 	}
 }
 

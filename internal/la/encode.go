@@ -154,6 +154,9 @@ func DecodeMatrix(buf []byte) (*Matrix, error) {
 		for i := range ix {
 			ix[i] = getI32()
 		}
+		if err := checkCSR(n, rp, ix); err != nil {
+			return nil, err
+		}
 		vx := make([]float64, nnz)
 		for i := range vx {
 			vx[i] = getF32()
@@ -162,6 +165,32 @@ func DecodeMatrix(buf []byte) (*Matrix, error) {
 	default:
 		return nil, fmt.Errorf("la: decode: unknown kind %d", kind)
 	}
+}
+
+// checkCSR verifies what every sparse kernel takes on trust — rowptr starts
+// at 0, never decreases and stays within the entries, and each row's indices
+// are strictly increasing inside [0, n) — in one pass. A buffer off the wire
+// that breaks any of it would otherwise surface as a slice-bounds panic in
+// SparseRow, a silently wrong merge in SpDot, or a write outside
+// ScatteredRow's position table.
+func checkCSR(n int, rowptr, idx []int32) error {
+	if rowptr[0] != 0 {
+		return fmt.Errorf("la: decode sparse: rowptr[0]=%d", rowptr[0])
+	}
+	for i := 0; i+1 < len(rowptr); i++ {
+		lo, hi := rowptr[i], rowptr[i+1]
+		if hi < lo || int(hi) > len(idx) {
+			return fmt.Errorf("la: decode sparse: rowptr[%d..%d]=%d,%d of %d entries", i, i+1, lo, hi, len(idx))
+		}
+		prev := int32(-1)
+		for _, f := range idx[lo:hi] {
+			if f <= prev || int(f) >= n {
+				return fmt.Errorf("la: decode sparse: row %d index %d after %d with %d features", i, f, prev, n)
+			}
+			prev = f
+		}
+	}
+	return nil
 }
 
 // EncodeF64 serialises a []float64 as 8-byte little-endian words with a

@@ -150,7 +150,9 @@ func SqDist4(x, b0, b1, b2, b3 []float64, dst []float64) {
 // scalar primitive the row-at-a-time paths use for that storage pairing:
 //
 //	dense×dense  → Dot(a_r, b_c)           (via the Dot4 microkernel)
-//	sparse×sparse→ SpDot(a_r, b_c)         (a row's indices hoisted)
+//	sparse×sparse→ SpDot(a_r, b_c)         (via ScatteredRow: each a row
+//	                                        scattered once per tile row, one
+//	                                        gather per column)
 //	sparse×dense → SpDenseDot(a_r, b_c)    (DotVec's arithmetic)
 //	dense×sparse → Dot(a_r, densify(b_c))  (each b row densified once per
 //	                                        tile column, not per element)
@@ -193,14 +195,19 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 			}
 		}
 	case a.Sparse() && b.Sparse():
+		s := scatters.Get().(*ScatteredRow)
+		n := max(a.n, b.n)
 		for r, ar := range rows {
 			ri, rv := a.SparseRow(ar)
+			s.Set(n, ri, rv)
 			out := dst[r*ld:]
 			for c := clo; c < chi; c++ {
 				ci, cv := b.SparseRow(c)
-				out[c-clo] = SpDot(ri, rv, ci, cv)
+				out[c-clo] = s.Dot(ci, cv)
 			}
 		}
+		s.Release()
+		scatters.Put(s)
 	case a.Sparse(): // sparse × dense
 		for r, ar := range rows {
 			ri, rv := a.SparseRow(ar)

@@ -76,6 +76,9 @@ func refDot(a *Matrix, i int, b *Matrix, j int, buf []float64) float64 {
 func TestMulTileMatchesScalarBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	mk := func(m, n int, sparse bool) *Matrix {
+		if sparse && n >= 1024 {
+			return randSparse(rng, m, n, 0.02) // wide and low-density: the workload's shape
+		}
 		if sparse {
 			return randSparse(rng, m, n, 0.35)
 		}
@@ -84,7 +87,7 @@ func TestMulTileMatchesScalarBitwise(t *testing.T) {
 	// Ragged shapes on purpose: row counts and column windows that are not
 	// multiples of the 4-wide microkernel.
 	shapes := []struct{ am, bm, n int }{
-		{1, 1, 5}, {3, 7, 13}, {4, 4, 16}, {5, 9, 31}, {8, 6, 64}, {7, 11, 3},
+		{1, 1, 5}, {3, 7, 13}, {4, 4, 16}, {5, 9, 31}, {8, 6, 64}, {7, 11, 3}, {6, 33, 2048},
 	}
 	for _, aSp := range []bool{false, true} {
 		for _, bSp := range []bool{false, true} {

@@ -155,7 +155,9 @@ func ArgMax(x []float64) int {
 // (index, value) pairs. Sparse SVM rows usually share long aligned index
 // runs (dense-ish feature blocks), so the merge loop peels 4 aligned
 // matches at a time into independent accumulators before falling back to
-// the two-pointer step.
+// the two-pointer step. It is the single-pair primitive; a fill that reuses
+// one row against many goes through ScatteredRow, whose result is this
+// function's bit for bit.
 func SpDot(ai []int32, av []float64, bi []int32, bv []float64) float64 {
 	na, nb := len(ai), len(bi)
 	var s0, s1, s2, s3 float64
