@@ -69,26 +69,6 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 	b.ReportMetric(float64(warmIters), "warm-iterations")
 }
 
-func benchCascadePasses(b *testing.B, passes int) {
-	d := ablationSet(b, 960)
-	p := core.DefaultParams(core.MethodCascade, 8)
-	p.Kernel = kernel.RBF(1.0 / 32)
-	p.CascadePasses = passes
-	var acc float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := core.Train(d.X, d.Y, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc = out.Set.Accuracy(d.TestX, d.TestY)
-	}
-	b.ReportMetric(100*acc, "accuracy%")
-}
-
-func BenchmarkAblationCascadeOnePass(b *testing.B)   { benchCascadePasses(b, 1) }
-func BenchmarkAblationCascadeTwoPasses(b *testing.B) { benchCascadePasses(b, 2) }
-
 func benchRatioBalance(b *testing.B, ratio bool) {
 	d, _, err := data.Load("face", 0.4)
 	if err != nil {

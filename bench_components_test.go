@@ -140,18 +140,6 @@ func BenchmarkPartitionFCFS(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitionBKM(b *testing.B) {
-	d := benchDataset(b, 2000)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.BalancedKMeans(d.X, d.Y, 8, partition.Options{}, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPredictRouted(b *testing.B) {
 	ds, entry, err := LoadDataset("toy", 0.5)
 	if err != nil {

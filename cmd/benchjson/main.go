@@ -33,8 +33,8 @@ type Result struct {
 	BPerOp   *int64  `json:"bytes_per_op,omitempty"`
 	AllocsOp *int64  `json:"allocs_per_op,omitempty"`
 	MBPerSec float64 `json:"mb_per_s,omitempty"`
-	// Extra holds custom units reported via b.ReportMetric (e.g. the serve
-	// suite's preds/s and p99-ns), keyed by unit string. Informational:
+	// Extra holds custom units reported via b.ReportMetric (e.g.
+	// BenchmarkTrainDisSMO's msgs/op), keyed by unit string. Informational:
 	// diff mode gates only ns/op.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }

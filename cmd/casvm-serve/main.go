@@ -91,9 +91,9 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runSelfbench reproduces the `make bench-serve` measurement without a test
-// binary: train the face-like dataset, compress it with the golden budget,
-// serve it on a loopback port, and drive the shared load generator.
+// runSelfbench measures sustained serving load without a test binary: train
+// the face-like dataset, compress it with the golden budget, serve it on a
+// loopback port, and drive the shared load generator.
 func runSelfbench(stdout io.Writer, batch serve.BatcherConfig, dur time.Duration) error {
 	fmt.Fprintln(stdout, "selfbench: training face-like dataset...")
 	ds, entry, err := casvm.LoadDataset("face", 1.0)

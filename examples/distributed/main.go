@@ -33,8 +33,7 @@
 //	go run ./cmd/casvm-profile merged.trace
 //
 // Straggler demo — slow one rank's CA-SVM training with an injected delay
-// (driven through the internal/faults machinery) and watch the launcher's
-// online detector flag it against the gang median:
+// and watch the launcher's online detector flag it against the gang median:
 //
 //	go run ./examples/distributed -launch -p 4 -fleet-trace merged.trace \
 //	    -straggle-rank 2 -straggle-sec 2s
@@ -72,7 +71,6 @@ import (
 	"casvm"
 	"casvm/internal/cluster"
 	"casvm/internal/core"
-	"casvm/internal/faults"
 	"casvm/internal/mpi"
 	"casvm/internal/tcpmpi"
 	"casvm/internal/telemetry/fleet"
@@ -614,13 +612,10 @@ func runWorker(rank int, addrs []string, o workerOpts) {
 // shard metrics the launcher's straggler detector reads.
 func reportShard(rank int, tl *trace.Timeline, rep *fleet.Reporter, sh *core.ShardResult, start time.Time, straggle time.Duration) {
 	if straggle > 0 {
-		// The injected slowdown rides the faults machinery: a DelayProb=1
-		// plan yields a deterministic delay verdict, realized here as wall
-		// time inside the training span so the detector sees it.
-		inj := faults.New(faults.Plan{DelayProb: 1, DelaySec: straggle.Seconds()})
-		v := inj.Intercept(rank, rank, 0, nil)
-		fmt.Printf("rank %d: straggling — injected %.2gs training delay\n", rank, v.DelaySec)
-		time.Sleep(time.Duration(v.DelaySec * float64(time.Second)))
+		// The injected slowdown is wall time inside the training span, so
+		// the detector sees it.
+		fmt.Printf("rank %d: straggling — injected %.2gs training delay\n", rank, straggle.Seconds())
+		time.Sleep(straggle)
 	}
 	dur := time.Since(start)
 	if tl != nil {

@@ -98,7 +98,10 @@ type Coordinator struct {
 	byKey   map[string]*Job // client idempotency key -> accepted job
 	queue   []*Job          // jobs waiting for a gang, FIFO
 	nextJob int
-	closed  bool
+	// fleetDone lists the finished jobs whose fleet telemetry is still
+	// held, oldest first; finishJob caps it at fleetKeepJobs.
+	fleetDone []string
+	closed    bool
 
 	wg sync.WaitGroup // running job goroutines
 }
@@ -223,14 +226,6 @@ func (c *Coordinator) Jobs() []*Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]*Job(nil), c.jobs...)
-}
-
-// Job looks a job up by id.
-func (c *Coordinator) Job(id string) (*Job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.byID[id]
-	return j, ok
 }
 
 // Submit validates and enqueues a training job. The job starts as soon as
@@ -429,7 +424,6 @@ func (c *Coordinator) runJob(j *Job) {
 		res.LostRanks = st.LostRanks
 		res.Grows = st.Grows
 		res.JoinedRanks = st.JoinedRanks
-		res.Degraded = st.Degraded
 		if ds.TestX != nil {
 			res.Accuracy = out.Set.Accuracy(ds.TestX, ds.TestY)
 		}
@@ -440,6 +434,12 @@ func (c *Coordinator) runJob(j *Job) {
 	}
 	c.finishJob(j, res)
 }
+
+// fleetKeepJobs is how many finished jobs keep their fleet telemetry (spans,
+// flow edges, metric snapshots, straggler history) in the collector — enough
+// for the telemetry server's /jobs page; the merged trace of an older job is
+// gone, like that of a job the collector never saw.
+const fleetKeepJobs = 256
 
 // finishJob releases the job's surviving workers back to the pool and
 // publishes the result.
@@ -464,9 +464,18 @@ func (c *Coordinator) finishJob(j *Job, res *JobResult) {
 		c.cFailed.Inc()
 		c.logf("cluster: job %s failed: %s", j.id, res.Err)
 	}
+	c.fleetDone = append(c.fleetDone, j.id)
+	var forget string
+	if len(c.fleetDone) > fleetKeepJobs {
+		forget, c.fleetDone = c.fleetDone[0], c.fleetDone[1:]
+	}
 	close(j.done)
 	c.schedule()
 	c.mu.Unlock()
+	if forget != "" {
+		// Outside c.mu: the collector calls back into JobRegistry.
+		c.fleet.Forget(forget)
+	}
 	if c.onJobDone != nil {
 		c.onJobDone(j)
 	}

@@ -103,17 +103,3 @@ func (in *elasticInjector) JoinCheck(iter int) int {
 	}
 	return n
 }
-
-// snapshot returns the injector's progress counters for tests and status
-// reporting.
-func (in *elasticInjector) snapshot() (iters, killed, grown, width int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.iters, in.killed, in.grown, in.width
-}
-
-func (in *elasticInjector) setThrottle(d time.Duration) {
-	in.mu.Lock()
-	in.throttle = d
-	in.mu.Unlock()
-}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,4 +137,72 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 	}, 60*time.Second); err != nil {
 		t.Fatalf("submit after fleet traffic: %v", err)
 	}
+}
+
+// TestFleetStateBoundedAcrossJobs: a coordinator keeps fleet telemetry for
+// the most recent fleetKeepJobs finished jobs and forgets the oldest as new
+// ones finish — the newest job's trace still merges, the oldest job's is
+// refused like an unknown job's.
+func TestFleetStateBoundedAcrossJobs(t *testing.T) {
+	c := newTestCoordinator(t, time.Second)
+	registerWorkers(t, c, 1)
+	l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{Client: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	fl := c.Fleet()
+
+	const extra = 5
+	var rep *fleet.Reporter
+	id := func(i int) string { return fmt.Sprintf("job-%d", i+1) } // the ids Submit assigns
+	for i := 0; i < fleetKeepJobs+extra; i++ {
+		// The job's telemetry exists before it finishes, as a remote
+		// executor's hello does.
+		if rep, err = fleet.NewReporter(l, id(i), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "hello ingested", func() bool { return hasJob(fl, id(i)) })
+		j, err := c.Submit(JobSpec{Mixture: testMixture(40), Method: string(core.MethodRACA), P: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.ID() != id(i) {
+			t.Fatalf("job %d got id %q, telemetry was sent for %q", i, j.ID(), id(i))
+		}
+		<-j.Done()
+		if res := j.Result(); res.Err != "" {
+			t.Fatalf("job %d: %s", i, res.Err)
+		}
+	}
+	waitFor(t, "oldest jobs forgotten", func() bool { return len(fl.Jobs()) <= fleetKeepJobs })
+	if hasJob(fl, id(extra-1)) || !hasJob(fl, id(extra)) {
+		t.Fatalf("retained jobs %v: want %q forgotten and %q kept", fl.Jobs(), id(extra-1), id(extra))
+	}
+	if _, err := fl.MergedTimeline(id(0)); err == nil || !strings.Contains(err.Error(), "no telemetry for job") {
+		t.Fatalf("forgotten job's trace: %v, want the unknown-job error", err)
+	}
+
+	tl := trace.NewTimeline(1)
+	tl.Rank(0).AddEvent(trace.Event{
+		Name: "scan", Cat: trace.CatSolver, Rank: 0,
+		WallStartNs: time.Now().UnixNano(), WallDurNs: int64(time.Millisecond),
+	})
+	if err := rep.ShipTimeline(tl, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	newest := id(fleetKeepJobs + extra - 1)
+	waitFor(t, "newest job's spans ingested", func() bool { return fl.HasTrace(newest) })
+	if _, err := fl.MergedTimeline(newest); err != nil {
+		t.Fatalf("newest job's trace: %v", err)
+	}
+}
+
+func hasJob(fl *fleet.Collector, job string) bool {
+	for _, name := range fl.Jobs() {
+		if name == job {
+			return true
+		}
+	}
+	return false
 }

@@ -208,7 +208,6 @@ type JobResult struct {
 	LostRanks   []int  `json:"lost_ranks,omitempty"`
 	Grows       int    `json:"grows,omitempty"`
 	JoinedRanks int    `json:"joined_ranks,omitempty"`
-	Degraded    bool   `json:"degraded,omitempty"`
 	Generations int    `json:"generations,omitempty"` // remote jobs: gang generations dispatched
 	ModelHash   string `json:"model_hash,omitempty"`
 
@@ -241,9 +240,6 @@ type Job struct {
 
 // ID returns the coordinator-assigned unique job id.
 func (j *Job) ID() string { return j.id }
-
-// Spec returns the submitted job spec.
-func (j *Job) Spec() JobSpec { return j.spec }
 
 // Done is closed when the job reaches JobDone or JobFailed.
 func (j *Job) Done() <-chan struct{} { return j.done }

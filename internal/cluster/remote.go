@@ -465,13 +465,13 @@ func (c *Coordinator) abortGeneration(j *Job, gen int, reason string) {
 // generation — the highest virtual time any rank reached plus the modeled
 // relaunch penalty — mirroring the in-process supervisor's failClock +
 // penalty accounting.
-func (rr *remoteRun) priceRegang(penalty float64) {
+func (rr *remoteRun) priceRegang() {
 	rr.mu.Lock()
 	base := rr.base
 	if rr.maxVirt > base {
 		base = rr.maxVirt
 	}
-	rr.base = base + penalty
+	rr.base = base + core.RestartPenaltySec
 	rr.mu.Unlock()
 }
 
@@ -485,8 +485,6 @@ func (c *Coordinator) runRemoteJob(j *Job) {
 	ds := j.ds
 	rec := j.params.Recovery
 	every := rec.Cadence()
-	budget := rec.RestartBudget()
-	penalty := rec.PenaltySec()
 
 	fail := func(format string, args ...any) {
 		res.Err = fmt.Sprintf(format, args...)
@@ -536,7 +534,7 @@ supervise:
 			rr.grows++
 			rr.joined += added
 			rr.mu.Unlock()
-			rr.priceRegang(penalty)
+			rr.priceRegang()
 			c.cScaleups.Inc()
 			j.metrics.Counter("casvm_grows_total", "elastic world scale-ups").Inc()
 			c.logf("cluster: job %s gen %d re-gangs wider (+%d worker(s))", j.id, gen, added)
@@ -545,14 +543,14 @@ supervise:
 			rr.mu.Lock()
 			recov := rr.recoveries
 			rr.mu.Unlock()
-			if recov >= budget {
+			if recov >= core.MaxRestarts {
 				fail("cluster: recovery budget exhausted after %d restarts of job %s", recov, j.id)
 				break supervise
 			}
 			rr.mu.Lock()
 			rr.recoveries++
 			rr.mu.Unlock()
-			rr.priceRegang(penalty)
+			rr.priceRegang()
 			j.metrics.Counter("casvm_recoveries_total", "supervised crash recoveries").Inc()
 			c.logf("cluster: job %s gen %d aborted (worker lost); re-ganging from last streamed checkpoints",
 				j.id, gen)

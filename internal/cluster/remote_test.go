@@ -467,7 +467,7 @@ func killGangMemberMidEpoch(t *testing.T, c *Coordinator, j *Job) {
 	t.Helper()
 	waitFor(t, "all ranks mid-epoch with checkpoints", func() bool {
 		p := j.Remote()
-		return len(p.Workers) > 0 && len(p.CkptIters) >= j.Spec().P && len(p.DoneRanks) == 0
+		return len(p.Workers) > 0 && len(p.CkptIters) >= j.spec.P && len(p.DoneRanks) == 0
 	})
 	gang := j.Remote().Workers
 	if err := c.Revoke(gang[len(gang)-1]); err != nil {
@@ -515,9 +515,8 @@ func TestRemoteShrinkRecovery(t *testing.T) {
 	}
 	// The re-gang is priced: the relaunch penalty alone dominates the
 	// modeled compute on this dataset.
-	pr, _, _ := trainParams(spec)
-	if res.TotalSec < pr.Recovery.PenaltySec() {
-		t.Fatalf("TotalSec=%.4f carries no recovery penalty (>= %.2f)", res.TotalSec, pr.Recovery.PenaltySec())
+	if res.TotalSec < core.RestartPenaltySec {
+		t.Fatalf("TotalSec=%.4f carries no recovery penalty (>= %.2f)", res.TotalSec, core.RestartPenaltySec)
 	}
 }
 

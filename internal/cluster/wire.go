@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -165,22 +164,4 @@ func SubmitWithRetry(addr string, spec JobSpec, timeout time.Duration, rc RetryC
 		}
 	}
 	return nil, fmt.Errorf("cluster: submit to %s failed after %d attempts: %w", addr, rc.Attempts, lastErr)
-}
-
-// JoinWorker registers with the coordinator at addr as a worker and blocks
-// until the lease ends (coordinator shutdown or revocation) or ctx is
-// cancelled. It returns nil on a clean ctx-driven departure — the
-// coordinator sees a leave, not an expiry.
-func JoinWorker(ctx context.Context, addr string) error {
-	l, err := tcpmpi.Register(addr, tcpmpi.RegisterOptions{})
-	if err != nil {
-		return fmt.Errorf("cluster: register with %s: %w", addr, err)
-	}
-	select {
-	case <-ctx.Done():
-		l.Close()
-		return nil
-	case <-l.Done():
-		return l.Err()
-	}
 }

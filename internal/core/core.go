@@ -105,29 +105,12 @@ type Params struct {
 	// DefaultParams.
 	RatioBalanced bool
 
-	// KMeansMaxIter caps partitioning K-means sweeps (0 = default).
-	KMeansMaxIter int
-
-	// CascadePasses runs the reduction tree this many times for the tree
-	// methods (Cascade, DC-SVM, DC-Filter); after each pass the final
-	// support vectors are broadcast back to every node (the Fig 2
-	// feedback loop). 0 or 1 means a single pass — the paper notes one
-	// pass is almost always enough.
-	CascadePasses int
-
 	// Faults installs a fault injector for chaos testing (usually a
-	// *faults.Injector): its transport hook intercepts every remote
+	// *faults.ScheduleInjector): its transport hook intercepts every remote
 	// message, and CrashCheck is polled by the training loops so a rank
 	// can be killed at iteration k even during the zero-communication
 	// CA-SVM training phase.
 	Faults FaultInjector
-
-	// Degraded lets the independent-model methods (CP-SVM and the CA-SVM
-	// variants) survive rank crashes: training completes with the
-	// surviving shards' models, Stats.LostRanks reports the shards lost,
-	// and prediction routes over the survivors. Methods that genuinely
-	// need every rank (Dis-SMO, the reduction trees) still fail fast.
-	Degraded bool
 
 	// Timeline, when non-nil (sized to P, trace.NewTimeline(P)), records
 	// per-rank span events: every collective, the partition/solve phases,
@@ -146,7 +129,7 @@ type Params struct {
 	// every CheckpointEvery iterations and a rank crash triggers a
 	// supervised restart (respawn at full width, or shrink onto the
 	// survivors) resuming from the last consistent checkpoint, instead of
-	// failing fast or degrading. See recovery.go.
+	// failing fast. See recovery.go.
 	Recovery Recovery
 
 	// rt is the per-Train recovery runtime the supervisor threads into the
@@ -172,7 +155,7 @@ type Params struct {
 
 // FaultInjector is what Params.Faults accepts: a transport hook for
 // message-level faults plus an iteration-crash check for compute-phase
-// faults. faults.Injector implements it.
+// faults. faults.ScheduleInjector implements it.
 type FaultInjector interface {
 	mpi.TransportHook
 	CrashCheck(rank, iter int) error
@@ -368,13 +351,10 @@ type Stats struct {
 	NodeSVPos []int
 	NodeSVNeg []int
 
-	// LostRanks lists ranks that crashed during the run (from
-	// trace.Stats); Degraded is true when training completed without
-	// them. Both are empty/false for a clean run. A run recovered by
-	// respawn has LostRanks but Degraded == false: every shard's work made
-	// it into the final model.
+	// LostRanks lists the ranks that crashed during the run and were
+	// recovered from (from trace.Stats, as original rank ids); empty for a
+	// clean run.
 	LostRanks []int
-	Degraded  bool
 
 	// Recoveries counts supervised restarts (crash → checkpoint resume);
 	// RecoverySec is the virtual time those restarts cost — lost re-work

@@ -63,9 +63,6 @@ func TestDisSMOChurnGoldenHash(t *testing.T) {
 	if out.Stats.JoinedRanks != 2 {
 		t.Fatalf("JoinedRanks=%d, want 2", out.Stats.JoinedRanks)
 	}
-	if out.Stats.Degraded {
-		t.Fatal("churn recovery must not be degraded")
-	}
 	if out.Stats.RecoverySec <= 0 {
 		t.Fatal("RecoverySec not charged")
 	}

@@ -9,45 +9,16 @@ import (
 	"casvm/internal/mpi"
 )
 
-// TestCASVMDegradedSurvivesRankCrash is the acceptance scenario: with P=8
-// and one rank crashed mid-training, the CA-SVM path completes in degraded
-// mode with 7/8 shards' models and prediction accuracy within 2 points of
-// the fault-free run; the lost shard is reported.
-func TestCASVMDegradedSurvivesRankCrash(t *testing.T) {
-	d := testSet(t, 480)
-
-	clean := paramsFor(MethodRACA, 8, d)
-	cleanOut, err := Train(d.X, d.Y, clean)
-	if err != nil {
-		t.Fatal(err)
+// messageFaults schedules one fault of the given kind on each of the first n
+// remote sends of every rank below p.
+func messageFaults(kind string, p, n int, delaySec float64) *faults.ScheduleInjector {
+	var ev []faults.ScheduledFault
+	for r := 0; r < p; r++ {
+		for k := 1; k <= n; k++ {
+			ev = append(ev, faults.ScheduledFault{Kind: kind, Rank: r, Send: k, DelaySec: delaySec})
+		}
 	}
-	cleanAcc := cleanOut.Set.Accuracy(d.TestX, d.TestY)
-
-	pr := paramsFor(MethodRACA, 8, d)
-	pr.Degraded = true
-	pr.Faults = faults.New(faults.Plan{CrashAtIter: map[int]int{3: 10}})
-	out, err := Train(d.X, d.Y, pr)
-	if err != nil {
-		t.Fatalf("degraded training failed: %v", err)
-	}
-	if !out.Stats.Degraded {
-		t.Fatal("Stats.Degraded not set")
-	}
-	if got := out.Stats.LostRanks; len(got) != 1 || got[0] != 3 {
-		t.Fatalf("LostRanks=%v, want [3]", got)
-	}
-	if out.Set.P() != 7 {
-		t.Fatalf("survivor models: %d, want 7", out.Set.P())
-	}
-	acc := out.Set.Accuracy(d.TestX, d.TestY)
-	if acc < cleanAcc-0.02 {
-		t.Fatalf("degraded accuracy %.3f vs clean %.3f: drop exceeds 2 points", acc, cleanAcc)
-	}
-	// Routed voting over survivors must hold up as well.
-	voteAcc := out.Set.AccuracyVote(d.TestX, d.TestY, 3)
-	if voteAcc < cleanAcc-0.02 {
-		t.Fatalf("degraded vote accuracy %.3f vs clean %.3f: drop exceeds 2 points", voteAcc, cleanAcc)
-	}
+	return faults.NewSchedule(faults.Schedule{Events: ev})
 }
 
 // TestDisSMOFailsFastOnCrash: a method that genuinely needs every rank
@@ -56,8 +27,7 @@ func TestCASVMDegradedSurvivesRankCrash(t *testing.T) {
 func TestDisSMOFailsFastOnCrash(t *testing.T) {
 	d := testSet(t, 240)
 	pr := paramsFor(MethodDisSMO, 8, d)
-	pr.Degraded = true // degraded mode cannot save a tightly-coupled method
-	pr.Faults = faults.New(faults.Plan{CrashAtIter: map[int]int{3: 5}})
+	pr.Faults = crashSchedule(3, 5)
 
 	done := make(chan error, 1)
 	go func() {
@@ -78,12 +48,12 @@ func TestDisSMOFailsFastOnCrash(t *testing.T) {
 	}
 }
 
-// TestDegradedOffStillAborts: without the opt-in, a crash aborts even the
-// independent-model methods.
-func TestDegradedOffStillAborts(t *testing.T) {
+// TestCrashWithoutRecoveryAborts: without a recovery policy, a crash aborts
+// even the independent-model methods with the rank's typed error.
+func TestCrashWithoutRecoveryAborts(t *testing.T) {
 	d := testSet(t, 240)
 	pr := paramsFor(MethodRACA, 8, d)
-	pr.Faults = faults.New(faults.Plan{CrashAtIter: map[int]int{2: 5}})
+	pr.Faults = crashSchedule(2, 5)
 	_, err := Train(d.X, d.Y, pr)
 	var crash *mpi.CrashError
 	if !errors.As(err, &crash) || crash.Rank != 2 {
@@ -91,13 +61,13 @@ func TestDegradedOffStillAborts(t *testing.T) {
 	}
 }
 
-// TestCorruptionBoundedOutcome: corrupting every message on the wire must
+// TestCorruptionBoundedOutcome: corrupting the scatter on the wire must
 // never hang or panic the runtime — training either completes (a flipped
 // feature byte decodes to a perturbed but valid sample) or fails with a
 // structural decode error, and is never misreported as a rank crash.
 func TestCorruptionBoundedOutcome(t *testing.T) {
 	d := testSet(t, 240)
-	in := faults.New(faults.Plan{Seed: 5, CorruptProb: 1})
+	in := messageFaults("corrupt", 4, 8, 0)
 	pr := paramsFor(MethodRACA, 4, d)
 	pr.Placement = PlacementRoot // force a scatter so there is traffic to corrupt
 	pr.Faults = in
@@ -115,7 +85,7 @@ func TestCorruptionBoundedOutcome(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("corrupted run hung")
 	}
-	if in.Count("corrupt") == 0 {
+	if len(in.FaultsInfo().Injected) == 0 {
 		t.Fatal("no corruption was injected")
 	}
 }
@@ -130,7 +100,7 @@ func TestDelayInjectionPreservesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr2 := paramsFor(MethodCPSVM, 4, d)
-	pr2.Faults = faults.New(faults.Plan{Seed: 9, DelayProb: 0.5, DelaySec: 1e-3})
+	pr2.Faults = messageFaults("delay", 4, 4, 1e-3)
 	slow, err := Train(d.X, d.Y, pr2)
 	if err != nil {
 		t.Fatal(err)

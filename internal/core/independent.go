@@ -46,7 +46,7 @@ func trainIndependent(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, o
 	opts := partition.Options{RatioBalanced: p.RatioBalanced}
 	switch p.Method {
 	case MethodCPSVM:
-		km := kmeans.RunDistributed(c, local.x, c.Size(), 0, p.KMeansMaxIter)
+		km := kmeans.RunDistributed(c, local.x, c.Size(), 0, 0)
 		out.kmIters = km.Iters
 		if local, err = regroup(c, local, km.Assign); err != nil {
 			return err
@@ -62,7 +62,7 @@ func trainIndependent(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, o
 		}
 		out.Center = append([]float64(nil), pr.Centers.DenseRow(c.Rank())...)
 	case MethodBKMCA:
-		pr, kmIters, err := partition.ParallelBKM(c, local.x, local.y, opts, p.KMeansMaxIter)
+		pr, kmIters, err := partition.ParallelBKM(c, local.x, local.y, opts)
 		if err != nil {
 			return err
 		}

@@ -38,8 +38,8 @@ import (
 type RecoveryPolicy string
 
 const (
-	// RecoverOff (the zero value) keeps the pre-recovery behavior: fail
-	// fast, or degrade when Params.Degraded allows it.
+	// RecoverOff (the zero value) fails fast: a rank crash is the run's
+	// error.
 	RecoverOff RecoveryPolicy = ""
 	// RecoverRespawn restarts the world at full width from the last
 	// checkpoint. The recovered model is bit-identical to the fault-free
@@ -76,14 +76,17 @@ type Recovery struct {
 	Policy RecoveryPolicy
 	// CheckpointEvery snapshots solver state every K iterations (0 = 64).
 	CheckpointEvery int
-	// MaxRestarts bounds recovery attempts before giving up (0 = 3).
-	MaxRestarts int
-	// RestartPenaltySec is the modeled virtual-time cost of detecting the
-	// failure and relaunching — added to the failed attempt's MaxClock to
-	// form the next attempt's base clock (0 = 0.5s, the order of a job
-	// relaunch on the paper's clusters).
-	RestartPenaltySec float64
 }
+
+const (
+	// MaxRestarts bounds recovery attempts before giving up.
+	MaxRestarts = 3
+	// RestartPenaltySec is the modeled virtual-time cost of detecting a
+	// failure and relaunching — added to the failed attempt's MaxClock to
+	// form the next attempt's base clock (the order of a job relaunch on
+	// the paper's clusters).
+	RestartPenaltySec = 0.5
+)
 
 // Cadence is the checkpoint cadence with its default applied.
 func (r Recovery) Cadence() int {
@@ -91,22 +94,6 @@ func (r Recovery) Cadence() int {
 		return 64
 	}
 	return r.CheckpointEvery
-}
-
-// RestartBudget is the restart bound with its default applied.
-func (r Recovery) RestartBudget() int {
-	if r.MaxRestarts <= 0 {
-		return 3
-	}
-	return r.MaxRestarts
-}
-
-// PenaltySec is the modeled relaunch penalty with its default applied.
-func (r Recovery) PenaltySec() float64 {
-	if r.RestartPenaltySec <= 0 {
-		return 0.5
-	}
-	return r.RestartPenaltySec
 }
 
 // ckptKey addresses a local-solve checkpoint: which rank, and which solve

@@ -29,7 +29,7 @@ func hashOf(t *testing.T, out *Output) string {
 // TestDisSMORespawnBitIdentical is the golden acceptance scenario: Dis-SMO
 // on P=8 with rank 3 killed mid-run, recovered by respawn from the last
 // consistent checkpoint, finishes with the exact model of the fault-free
-// run — same SHA-256 — with Degraded false and the recovery accounted.
+// run — same SHA-256 — with the recovery accounted.
 func TestDisSMORespawnBitIdentical(t *testing.T) {
 	d := testSet(t, 480)
 
@@ -50,9 +50,6 @@ func TestDisSMORespawnBitIdentical(t *testing.T) {
 		t.Fatalf("recovered training failed: %v", err)
 	}
 
-	if out.Stats.Degraded {
-		t.Fatal("respawn recovery must not be degraded: every shard contributed")
-	}
 	if out.Stats.Recoveries != 1 {
 		t.Fatalf("Recoveries=%d, want 1", out.Stats.Recoveries)
 	}
@@ -132,9 +129,6 @@ func TestLocalSolveRespawnBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: recovered training failed: %v", m, err)
 			}
-			if out.Stats.Degraded {
-				t.Fatal("respawn must not degrade")
-			}
 			if out.Stats.Recoveries != 1 {
 				t.Fatalf("Recoveries=%d, want 1", out.Stats.Recoveries)
 			}
@@ -197,8 +191,8 @@ func TestRecoveryObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Recoveries != 1 || rep.RecoverySec <= 0 {
-		t.Fatalf("report recovery totals: %d / %v", rep.Recoveries, rep.RecoverySec)
+	if rep.Recoveries != 1 || rep.RecoverySec <= 0 || len(rep.LostRanks) != 1 {
+		t.Fatalf("report recovery totals: %d / %v, lost %v", rep.Recoveries, rep.RecoverySec, rep.LostRanks)
 	}
 	if rep.Faults == nil {
 		t.Fatal("report missing faults block")
@@ -244,7 +238,7 @@ func TestReplayFromReport(t *testing.T) {
 	}
 }
 
-// TestRecoveryBudgetExhausted: more crashes than MaxRestarts fails with a
+// TestRecoveryBudgetExhausted: more crashes than the restart budget fails with a
 // bounded, typed error instead of looping forever.
 func TestRecoveryBudgetExhausted(t *testing.T) {
 	d := testSet(t, 480)
@@ -255,9 +249,10 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 			{Kind: "crash-iter", Rank: 0, Iter: 10},
 			{Kind: "crash-iter", Rank: 1, Iter: 20},
 			{Kind: "crash-iter", Rank: 2, Iter: 30},
+			{Kind: "crash-iter", Rank: 3, Iter: 40},
 		},
 	})
-	pr.Recovery = Recovery{Policy: RecoverRespawn, CheckpointEvery: 8, MaxRestarts: 2}
+	pr.Recovery = Recovery{Policy: RecoverRespawn, CheckpointEvery: 8}
 	_, err := Train(d.X, d.Y, pr)
 	if err == nil {
 		t.Fatal("want budget-exhausted error")

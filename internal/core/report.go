@@ -66,7 +66,6 @@ func BuildReport(out *Output, p Params, dataset string, accuracy float64) (*trac
 		CommOps:        st.CommOps,
 		CommMatrix:     st.CommMatrix,
 		LostRanks:      st.LostRanks,
-		Degraded:       st.Degraded,
 		Recoveries:     st.Recoveries,
 		RecoverySec:    st.RecoverySec,
 	}
@@ -101,7 +100,7 @@ func BuildReport(out *Output, p Params, dataset string, accuracy float64) (*trac
 		case err == nil:
 			r.CritPath = cp.Report()
 		case st.Recoveries > 0 || len(st.LostRanks) > 0:
-			// A recovered or degraded run's causal record includes aborted
+			// A recovered run's causal record includes aborted
 			// attempts whose segment tiling stops mid-flight; omit the
 			// decomposition rather than failing the whole report.
 		default:

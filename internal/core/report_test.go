@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"casvm/internal/faults"
 	"casvm/internal/trace"
 )
 
@@ -74,32 +73,6 @@ func TestBuildReportFullRun(t *testing.T) {
 	}
 	if back.ModelHash != rep.ModelHash || back.Iters != rep.Iters {
 		t.Fatal("round trip changed the report")
-	}
-}
-
-// TestBuildReportDegraded pins the fault outcome fields: a degraded-mode
-// completion with a crashed rank surfaces the loss in the report.
-func TestBuildReportDegraded(t *testing.T) {
-	d := testSet(t, 480)
-	pr := paramsFor(MethodRACA, 8, d)
-	pr.Degraded = true
-	pr.Faults = faults.New(faults.Plan{CrashAtIter: map[int]int{3: 10}})
-	out, err := Train(d.X, d.Y, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := BuildReport(out, pr, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Degraded {
-		t.Fatal("report not marked degraded")
-	}
-	if len(rep.LostRanks) != 1 || rep.LostRanks[0] != 3 {
-		t.Fatalf("LostRanks=%v, want [3]", rep.LostRanks)
-	}
-	if !isHexDigest(rep.ModelHash) {
-		t.Fatal("degraded run should still fingerprint the survivor models")
 	}
 }
 

@@ -151,7 +151,7 @@ func GatherOutput(c *mpi.Comm, sh *ShardResult, p Params, st *trace.Stats) (*Out
 			return nil, fmt.Errorf("core: rank %d result: %w", r, err)
 		}
 	}
-	out, err := assemble(p, len(results[0].Center), results, false)
+	out, err := assemble(p, len(results[0].Center), results)
 	if err != nil {
 		return nil, err
 	}

@@ -15,9 +15,8 @@ import (
 // set plus the run statistics. Labels must be ±1.
 //
 // Without a recovery policy this is one world, one attempt: a rank crash
-// fails the run (or degrades it, when Params.Degraded elects that for the
-// independent-model methods). With Params.Recovery.Policy set, Train
-// supervises: crashes trigger checkpointed restarts — at full width
+// fails the run with its *mpi.CrashError. With Params.Recovery.Policy set,
+// Train supervises: crashes trigger checkpointed restarts — at full width
 // (respawn) or shrunk onto the survivors — until the run completes or the
 // restart budget is spent.
 func Train(x *la.Matrix, y []float64, p Params) (*Output, error) {
@@ -47,9 +46,6 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 	}
 	pp := p
 	pp.rt = rt
-	// The supervisor owns crash handling; in-attempt degraded completion
-	// would swallow the crash before the restart loop could act on it.
-	pp.Degraded = false
 
 	origID := make([]int, p.P) // current rank index -> original rank id
 	for i := range origID {
@@ -94,7 +90,7 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 		if !isCrash && !isResize {
 			return nil, err // genuine algorithmic failure: not recoverable
 		}
-		if isCrash && recoveries >= rec.RestartBudget() {
+		if isCrash && recoveries >= MaxRestarts {
 			return nil, fmt.Errorf("core: recovery budget exhausted after %d restarts: %w",
 				recoveries, err)
 		}
@@ -111,7 +107,7 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 		if failClock < base {
 			failClock = base
 		}
-		newBase := failClock + rec.PenaltySec()
+		newBase := failClock + RestartPenaltySec
 
 		ws := world.Stats()
 		extra.CommBytes += ws.TotalBytes()
@@ -218,26 +214,14 @@ func runAttempt(x *la.Matrix, y []float64, p Params, base float64) (*Output, *mp
 		results[c.Rank()] = *sh
 		return err
 	})
-	degraded := false
 	if err != nil {
-		// A crashed rank costs only its shard for the independent-model
-		// methods when the caller opted into degraded completion; any
-		// other failure — or a method that genuinely needs every rank —
-		// aborts the run with the rank's error.
-		var crash *mpi.CrashError
-		if !(p.Degraded && p.Method.independentModels() && errors.As(err, &crash)) {
-			return nil, world, err
-		}
-		degraded = true
+		return nil, world, err
 	}
 	wall := time.Since(wall0)
 
-	out, aerr := assemble(p, x.Features(), results, degraded)
-	if aerr != nil {
-		if degraded {
-			aerr = fmt.Errorf("core: every rank crashed: %w", err)
-		}
-		return nil, world, aerr
+	out, err := assemble(p, x.Features(), results)
+	if err != nil {
+		return nil, world, err
 	}
 	out.Stats.Wall = wall
 	out.Stats.TotalSec = world.MaxClock()
@@ -248,9 +232,9 @@ func runAttempt(x *la.Matrix, y []float64, p Params, base float64) (*Output, *mp
 // assemble builds the Output from the ranks' results: the model set through
 // AssembleShards and every Stats field the ranks themselves determine. The
 // caller adds what only the world knows (clocks, communication volumes).
-func assemble(p Params, features int, results []ShardResult, degraded bool) (*Output, error) {
+func assemble(p Params, features int, results []ShardResult) (*Output, error) {
 	n := len(results)
-	st := Stats{Method: p.Method, P: n, Degraded: degraded,
+	st := Stats{Method: p.Method, P: n,
 		PartSizes: make([]int, n), NodeTrainSec: make([]float64, n), NodeIters: make([]int, n),
 		NodePos: make([]int, n), NodeNeg: make([]int, n), NodeSVPos: make([]int, n), NodeSVNeg: make([]int, n)}
 	shards := map[int]*ShardResult{}
@@ -266,9 +250,8 @@ func assemble(p Params, features int, results []ShardResult, degraded bool) (*Ou
 		if res.kmIters > st.KMeansIters {
 			st.KMeansIters = res.kmIters
 		}
-		// A lost shard (degraded) has no model: survivors carry the
-		// prediction. Single-model methods assemble rank 0 alone.
-		if p.Method.independentModels() && (res.Model != nil || !degraded) {
+		// Single-model methods assemble rank 0 alone.
+		if p.Method.independentModels() {
 			shards[r] = res
 			st.SVs += res.SVs
 			if res.Iters > st.Iters {

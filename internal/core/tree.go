@@ -32,16 +32,6 @@ func mergeLayers(results []ShardResult) []LayerStat {
 	return out
 }
 
-// treeLayers returns the number of layers a reduction tree over p ranks
-// has: ⌈log₂ p⌉ + 1.
-func treeLayers(p int) int {
-	l := 1
-	for n := p; n > 1; n = (n + 1) / 2 {
-		l++
-	}
-	return l
-}
-
 // trainTree implements the reduction-tree family (Fig 2):
 //
 //   - Cascade:   even block partition, SV-only layer passing
@@ -49,10 +39,9 @@ func treeLayers(p int) int {
 //   - DC-Filter: K-means partition,   SV-only layer passing
 //
 // The active ranks halve every layer; surviving parts carry their Lagrange
-// multipliers to warm-start the next layer (§II-C). When
-// p.CascadePasses > 1, the final model's support vectors are redistributed
-// to every node and the whole pass repeats (the feedback loop of Fig 2;
-// the paper notes one pass almost always suffices).
+// multipliers to warm-start the next layer (§II-C). The tree runs once: the
+// paper notes the feedback loop of Fig 2 (redistribute the final support
+// vectors and repeat) almost never needs a second pass.
 func trainTree(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *ShardResult) error {
 	useKMeans, passAll := p.Method != MethodCascade, p.Method == MethodDCSVM
 	rec := c.Recorder()
@@ -63,7 +52,7 @@ func trainTree(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *Sha
 		return err
 	}
 	if useKMeans {
-		km := kmeans.RunDistributed(c, local.x, c.Size(), 0, p.KMeansMaxIter)
+		km := kmeans.RunDistributed(c, local.x, c.Size(), 0, 0)
 		out.kmIters = km.Iters
 		if local, err = regroup(c, local, km.Assign); err != nil {
 			return err
@@ -74,51 +63,24 @@ func trainTree(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *Sha
 	rec.EndVirt(spInit, c.Clock())
 	c.SetPhase("solve")
 
-	passes := p.CascadePasses
-	if passes < 1 {
-		passes = 1
+	finalPart, finalRes, err := runTreePass(c, local, p, passAll, out)
+	if err != nil {
+		return err
 	}
-	current := local
-	layerBase := 0
-	for pass := 0; pass < passes; pass++ {
-		finalPart, finalRes, err := runTreePass(c, current, p, passAll, out, layerBase)
-		if err != nil {
-			return err
-		}
-		layerBase += treeLayers(c.Size())
-		if pass == passes-1 {
-			if c.Rank() == 0 {
-				out.Model = model.FromSolution(finalPart.x, finalPart.y, finalRes.Alpha, finalRes.B, p.Kernel)
-				out.SVs = out.Model.NSV()
-				out.Center = make([]float64, full.Features()) // one model: nothing to route
-			}
-			break
-		}
-		// Fig 2 feedback: broadcast the final SV set and re-run the pass
-		// on TD_i ∪ SV, warm-starting the SV multipliers.
-		var svPayload []byte
-		if c.Rank() == 0 {
-			svPayload = encodePart(finalPart.x, finalPart.y, finalRes.Alpha, svRows(finalRes.Alpha))
-		}
-		svPayload = c.Bcast(0, svPayload)
-		svPart, err := decodePart(svPayload)
-		if err != nil {
-			return err
-		}
-		base := local
-		base.alpha = make([]float64, base.x.Rows())
-		current = mergeParts([]part{base, svPart})
+	if c.Rank() == 0 {
+		out.Model = model.FromSolution(finalPart.x, finalPart.y, finalRes.Alpha, finalRes.B, p.Kernel)
+		out.SVs = out.Model.NSV()
+		out.Center = make([]float64, full.Features()) // one model: nothing to route
 	}
 	out.trainSec = c.Clock() - out.initSec
 	return nil
 }
 
-// runTreePass executes one full reduction-tree pass. Every rank returns;
-// only the final node (rank 0) gets a non-nil result and the merged part it
-// trained on. layerBase offsets the recorded layer numbers so multi-pass
-// profiles stay distinct.
+// runTreePass executes the reduction-tree pass. Every rank returns; only
+// the final node (rank 0) gets a non-nil result and the merged part it
+// trained on.
 func runTreePass(c *mpi.Comm, current part, p Params, passAll bool,
-	out *ShardResult, layerBase int) (part, *smo.Result, error) {
+	out *ShardResult) (part, *smo.Result, error) {
 
 	active := allRows(c.Size())
 	const tag = 23
@@ -136,7 +98,7 @@ func runTreePass(c *mpi.Comm, current part, p Params, passAll bool,
 		c.Charge(res.Flops)
 		c.Recorder().EndVirt(sp, c.Clock())
 		svs := svRows(res.Alpha)
-		out.layers = append(out.layers, layerNode{layerBase + layer, NodeStat{
+		out.layers = append(out.layers, layerNode{layer, NodeStat{
 			Rank:    c.Rank(),
 			Samples: current.x.Rows(),
 			Iters:   res.Iters,

@@ -253,75 +253,6 @@ func TestLoadUnknown(t *testing.T) {
 	}
 }
 
-func TestSplitAndShuffle(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := 100
-	dataBuf := make([]float64, m)
-	y := make([]float64, m)
-	for i := range dataBuf {
-		dataBuf[i] = float64(i)
-		if i%3 == 0 {
-			y[i] = 1
-		} else {
-			y[i] = -1
-		}
-	}
-	x := la.NewDense(m, 1, dataBuf)
-	trX, trY, teX, teY := Split(x, y, 0.2, rng)
-	if trX.Rows() != 80 || teX.Rows() != 20 {
-		t.Fatalf("split %d/%d", trX.Rows(), teX.Rows())
-	}
-	// Every original value appears exactly once across the two halves.
-	seen := map[float64]int{}
-	for i := 0; i < trX.Rows(); i++ {
-		seen[trX.At(i, 0)]++
-	}
-	for i := 0; i < teX.Rows(); i++ {
-		seen[teX.At(i, 0)]++
-	}
-	if len(seen) != m {
-		t.Fatalf("%d distinct values", len(seen))
-	}
-	_ = trY
-	_ = teY
-
-	d := &Dataset{Name: "s", X: x, Y: y}
-	before := x.At(0, 0)
-	d.Shuffle(rng)
-	moved := false
-	for i := 0; i < d.X.Rows(); i++ {
-		if d.X.At(i, 0) == before && i != 0 {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Log("shuffle may have kept row 0 in place (unlikely but legal)")
-	}
-	// Labels still correspond: y=1 iff value%3==0.
-	for i := 0; i < d.X.Rows(); i++ {
-		want := -1.0
-		if int(d.X.At(i, 0))%3 == 0 {
-			want = 1
-		}
-		if d.Y[i] != want {
-			t.Fatalf("label/row association broken at %d", i)
-		}
-	}
-}
-
-func TestSplitTinyFrac(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := la.NewDense(10, 1, make([]float64, 10))
-	y := make([]float64, 10)
-	for i := range y {
-		y[i] = 1
-	}
-	_, _, teX, _ := Split(x, y, 0.001, rng)
-	if teX.Rows() != 1 {
-		t.Errorf("tiny frac should hold out at least one sample, got %d", teX.Rows())
-	}
-}
-
 func TestBinarize(t *testing.T) {
 	y := Binarize([]float64{0, 1, 2, -3}, 0.5)
 	want := []float64{-1, 1, 1, -1}

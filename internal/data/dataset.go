@@ -7,7 +7,6 @@ package data
 
 import (
 	"fmt"
-	"math/rand"
 
 	"casvm/internal/la"
 )
@@ -63,43 +62,6 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Shuffle permutes the training samples in place (labels follow), using
-// rng. Shuffling matters for block distributions (casvm1) so rank blocks
-// are unbiased.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	m := d.X.Rows()
-	perm := rng.Perm(m)
-	d.X = d.X.Subset(perm)
-	ny := make([]float64, m)
-	for k, i := range perm {
-		ny[k] = d.Y[i]
-	}
-	d.Y = ny
-}
-
-// Split divides the training samples into a train/test pair with testFrac
-// of samples held out (at least 1 when testFrac > 0), after shuffling.
-func Split(x *la.Matrix, y []float64, testFrac float64, rng *rand.Rand) (trainX *la.Matrix, trainY []float64, testX *la.Matrix, testY []float64) {
-	m := x.Rows()
-	nTest := int(float64(m) * testFrac)
-	if testFrac > 0 && nTest == 0 {
-		nTest = 1
-	}
-	perm := rng.Perm(m)
-	testIdx, trainIdx := perm[:nTest], perm[nTest:]
-	trainX = x.Subset(trainIdx)
-	testX = x.Subset(testIdx)
-	trainY = make([]float64, len(trainIdx))
-	for k, i := range trainIdx {
-		trainY[k] = y[i]
-	}
-	testY = make([]float64, len(testIdx))
-	for k, i := range testIdx {
-		testY[k] = y[i]
-	}
-	return
 }
 
 // Binarize maps arbitrary numeric labels onto ±1: values > threshold become

@@ -13,16 +13,25 @@ import (
 	"casvm/internal/la"
 )
 
-// ReadLIBSVMStream parses the same LIBSVM format as ReadLIBSVM but in two
-// passes over a seekable source: the first pass counts rows and feature
-// pairs, the second fills CSR arrays allocated exactly once. No per-line
-// field slices, no append-grown global slices — the only steady-state
-// allocation is the scanner's line buffer, which is what lets this scale
-// to webspam-sized files without doubling peak memory.
+// ReadLIBSVMStream parses the LIBSVM/SVMlight sparse text format:
 //
-// The result is identical to ReadLIBSVM on any input, including the error
-// cases (bad labels/indices/values, duplicate indices) — the equivalence
-// test and fuzz harness pin that.
+//	<label> <index>:<value> <index>:<value> ...
+//
+// Indices are 1-based in the file and converted to 0-based columns. Lines
+// may carry a trailing comment introduced by '#'. The feature count is the
+// maximum index seen unless minFeatures forces a wider matrix (use it to
+// align train and test files). Labels are returned as parsed; callers
+// typically Binarize them.
+//
+// It reads a seekable source in two passes: the first counts rows and
+// feature pairs, the second fills CSR arrays allocated exactly once. No
+// per-line field slices, no append-grown global slices — the only
+// steady-state allocation is the scanner's line buffer, which is what lets
+// this scale to webspam-sized files without doubling peak memory.
+//
+// The result is identical to the grow-as-you-go reference reader in the
+// tests on any input, including the error cases (bad labels/indices/values,
+// duplicate indices) — the equivalence test and fuzz harness pin that.
 func ReadLIBSVMStream(rs io.ReadSeeker, minFeatures int) (*la.Matrix, []float64, error) {
 	rows, pairBound, err := countLIBSVM(rs)
 	if err != nil {
@@ -157,7 +166,7 @@ func trimComment(line string) string {
 
 // skipSpace and fieldEnd split exactly like strings.Fields (Unicode
 // whitespace separators) so the streaming parse accepts and rejects the
-// same inputs as ReadLIBSVM, byte for byte.
+// same inputs as the reference reader, byte for byte.
 func skipSpace(line string, i int) int {
 	for i < len(line) {
 		if c := line[i]; c < utf8.RuneSelf {

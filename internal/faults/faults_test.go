@@ -10,9 +10,9 @@ import (
 	"casvm/internal/perfmodel"
 )
 
-// drive pushes a fixed synthetic message schedule through an injector and
+// drive pushes a fixed synthetic message sequence through an injector and
 // returns the event log.
-func drive(in *Injector) []Event {
+func drive(in *ScheduleInjector) []Event {
 	payload := []byte("0123456789abcdef")
 	for msg := 0; msg < 200; msg++ {
 		src := msg % 4
@@ -23,11 +23,11 @@ func drive(in *Injector) []Event {
 }
 
 func TestScheduleIsDeterministic(t *testing.T) {
-	plan := Plan{Seed: 7, DropProb: 0.1, DupProb: 0.1, CorruptProb: 0.1, DelayProb: 0.2, DelaySec: 1e-3}
-	a := drive(New(plan))
-	b := drive(New(plan))
+	opts := ScheduleOptions{Kinds: []string{"drop", "dup", "corrupt", "delay"}, MaxSend: 40}
+	a := drive(NewSchedule(RandomSchedule(7, 4, 12, opts)))
+	b := drive(NewSchedule(RandomSchedule(7, 4, 12, opts)))
 	if len(a) == 0 {
-		t.Fatal("plan injected nothing")
+		t.Fatal("schedule injected nothing")
 	}
 	if len(a) != len(b) {
 		t.Fatalf("event counts differ: %d vs %d", len(a), len(b))
@@ -38,7 +38,7 @@ func TestScheduleIsDeterministic(t *testing.T) {
 		}
 	}
 	// A different seed must produce a different schedule.
-	c := drive(New(Plan{Seed: 8, DropProb: 0.1, DupProb: 0.1, CorruptProb: 0.1, DelayProb: 0.2, DelaySec: 1e-3}))
+	c := drive(NewSchedule(RandomSchedule(8, 4, 12, opts)))
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
@@ -54,12 +54,12 @@ func TestScheduleIsDeterministic(t *testing.T) {
 }
 
 func TestCorruptionDoesNotAliasPayload(t *testing.T) {
-	in := New(Plan{Seed: 1, CorruptProb: 1})
+	in := NewSchedule(Schedule{Events: []ScheduledFault{{Kind: "corrupt", Rank: 0, Send: 1}}})
 	orig := []byte("do not touch")
 	keep := append([]byte(nil), orig...)
 	v := in.Intercept(0, 1, 3, orig)
 	if v.Payload == nil {
-		t.Fatal("CorruptProb=1 did not corrupt")
+		t.Fatal("scheduled corruption did not fire")
 	}
 	if !bytes.Equal(orig, keep) {
 		t.Fatal("injector mutated the caller's payload")
@@ -69,16 +69,8 @@ func TestCorruptionDoesNotAliasPayload(t *testing.T) {
 	}
 }
 
-func TestMaxFaultsCapsInjection(t *testing.T) {
-	in := New(Plan{Seed: 3, DropProb: 1, MaxFaults: 5})
-	drive(in)
-	if got := in.Count(""); got != 5 {
-		t.Fatalf("injected %d faults, want 5", got)
-	}
-}
-
 func TestCrashAtSendAbortsWorld(t *testing.T) {
-	in := New(Plan{Seed: 1, CrashAtSend: map[int]int{2: 3}})
+	in := NewSchedule(Schedule{Events: []ScheduledFault{{Kind: "crash-send", Rank: 2, Send: 3}}})
 	w := mpi.NewWorld(4, perfmodel.Hopper(), 1)
 	w.SetTransportHook(in)
 	err := w.Run(func(c *mpi.Comm) error {
@@ -99,8 +91,8 @@ func TestCrashAtSendAbortsWorld(t *testing.T) {
 	if lost := w.Stats().LostRanks(); len(lost) != 1 || lost[0] != 2 {
 		t.Fatalf("LostRanks=%v, want [2]", lost)
 	}
-	if in.Count("crash-send") != 1 {
-		t.Fatalf("crash-send events: %d", in.Count("crash-send"))
+	if ev := in.Events(); len(ev) != 1 || ev[0].Kind != "crash-send" {
+		t.Fatalf("events: %v, want one crash-send", ev)
 	}
 }
 
@@ -134,7 +126,11 @@ func TestDelayOnlyStretchesVirtualTime(t *testing.T) {
 		return got, w.MaxClock()
 	}
 	clean, cleanClock := run(nil)
-	delayed, delayedClock := run(New(Plan{Seed: 2, DelayProb: 1, DelaySec: 0.5}))
+	var everyFirstSend []ScheduledFault
+	for r := 0; r < 4; r++ {
+		everyFirstSend = append(everyFirstSend, ScheduledFault{Kind: "delay", Rank: r, Send: 1, DelaySec: 0.5})
+	}
+	delayed, delayedClock := run(NewSchedule(Schedule{Events: everyFirstSend}))
 	if clean[0] != delayed[0] {
 		t.Fatalf("delay changed the result: %v vs %v", clean, delayed)
 	}
@@ -144,7 +140,7 @@ func TestDelayOnlyStretchesVirtualTime(t *testing.T) {
 }
 
 func TestCrashCheck(t *testing.T) {
-	in := New(Plan{CrashAtIter: map[int]int{1: 10}})
+	in := NewSchedule(Schedule{Events: []ScheduledFault{{Kind: "crash-iter", Rank: 1, Iter: 10}}})
 	if err := in.CrashCheck(1, 9); err != nil {
 		t.Fatalf("early crash: %v", err)
 	}

@@ -1,19 +1,26 @@
-// Schedule-based fault injection: an explicit, seeded list of one-shot
-// fault events, built either by hand (golden tests), by RandomSchedule
-// (the chaos soak), or from a run report's faults block (replay).
+// Package faults is a deterministic fault injector for the in-process
+// message-passing runtime. Its ScheduleInjector implements
+// mpi.TransportHook, so installing it on a World
+// (mpi.World.SetTransportHook) subjects every remote transfer of every
+// collective and every training method to planned chaos: message drop,
+// delay, duplication, byte corruption, and rank crashes — either at the
+// k-th message a rank sends or at training iteration k (via CrashCheck,
+// polled by the SMO solvers).
 //
-// The probability-driven Injector re-fires CrashAtIter on every poll past
-// the trigger, which is right for fail-fast tests but fatal for recovery:
-// a respawned rank would crash again at the same iteration forever. A
-// Schedule consumes each event exactly once, so a recovered run proceeds
-// past the fault — the semantics checkpoint/restart needs.
+// A Schedule is an explicit list of one-shot fault events, built either by
+// hand (golden tests), by RandomSchedule (the chaos soak, seeded), or from
+// a run report's faults block (replay). Message faults are keyed by the
+// sending rank's own send index, so the realized faults depend only on
+// (schedule, per-rank message order), not on goroutine interleaving across
+// ranks. Each event is consumed exactly once, so a recovered run proceeds
+// past the fault — a respawned rank does not crash again at the iteration
+// that killed it, the semantics checkpoint/restart needs.
 //
 // Drops deserve a note: the in-process runtime has no retransmission, so a
 // truly dropped message deadlocks the collective waiting for it. A
 // scheduled "drop" therefore models drop-plus-retransmit — the frame is
 // delivered after RetransmitSec of virtual delay, the cost a transport
-// timeout and resend would have charged. Real drops remain available
-// through Plan.DropProb for transports that bound waiting (tcpmpi).
+// timeout and resend would have charged.
 package faults
 
 import (
@@ -24,6 +31,21 @@ import (
 	"casvm/internal/mpi"
 	"casvm/internal/trace"
 )
+
+// Event records one injected fault, for the report and for assertions.
+type Event struct {
+	Kind     string // "drop" | "dup" | "corrupt" | "delay" | "crash-send" | "crash-iter" | "leave" | "join"
+	Src, Dst int    // Dst is -1 for iteration-keyed events
+	Tag      int
+	Iter     int // iteration for crash-iter/leave/join events; -1 otherwise
+}
+
+func (e Event) String() string {
+	if e.Kind == "crash-iter" {
+		return fmt.Sprintf("crash-iter rank %d iter %d", e.Src, e.Iter)
+	}
+	return fmt.Sprintf("%s %d->%d tag %d", e.Kind, e.Src, e.Dst, e.Tag)
+}
 
 // ScheduledFault is one planned fault. Rank triggers by sender (message
 // faults, keyed by the rank's 1-based remote-send index Send) or by the
@@ -228,11 +250,10 @@ func (in *ScheduleInjector) Intercept(src, dst, tag int, data []byte) mpi.Verdic
 }
 
 // CrashCheck implements the iteration-crash poll of core.FaultInjector.
-// Unlike Injector.CrashCheck, each crash fires exactly once: after a
-// recovery the respawned rank sails past the trigger. A "leave" event is a
-// lease expiry: it departs the rank through the same typed error, so the
-// recovery policy decides whether the slot is respawned or the world
-// shrinks onto the survivors.
+// Each crash fires exactly once: after a recovery the respawned rank sails
+// past the trigger. A "leave" event is a lease expiry: it departs the rank
+// through the same typed error, so the recovery policy decides whether the
+// slot is respawned or the world shrinks onto the survivors.
 func (in *ScheduleInjector) CrashCheck(rank, iter int) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -269,13 +290,6 @@ func (in *ScheduleInjector) JoinCheck(iter int) int {
 		n++
 	}
 	return n
-}
-
-// Events returns a copy of the realized-fault log in injection order.
-func (in *ScheduleInjector) Events() []Event {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Event(nil), in.events...)
 }
 
 // FaultsInfo implements trace.FaultReporter: the report's faults block

@@ -220,3 +220,10 @@ func TestScheduleFaultsInfoRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged:\n%v\n%v", s.Events, got.Events)
 	}
 }
+
+// Events returns a copy of the realized-fault log in injection order.
+func (in *ScheduleInjector) Events() []Event {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return append([]Event(nil), in.events...)
+}

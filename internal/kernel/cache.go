@@ -151,14 +151,3 @@ func (c *RowCache) Diag(i int) float64 {
 func (c *RowCache) Stats() (hits, misses int64, flops float64) {
 	return c.hits, c.misses, c.flops
 }
-
-// ResetFlops zeroes the flop counter and returns the previous value. The
-// solver drains this per iteration to charge virtual time.
-func (c *RowCache) ResetFlops() float64 {
-	f := c.flops
-	c.flops = 0
-	return f
-}
-
-// Len returns the number of rows currently cached.
-func (c *RowCache) Len() int { return c.lru.used }

@@ -206,15 +206,6 @@ func (p Params) Eval(a *la.Matrix, i int, b *la.Matrix, j int) float64 {
 	return p.fromDot(dot, 0)
 }
 
-// EvalVec computes K(row_i of a, x) for a dense query vector x with
-// precomputed squared norm xsq.
-func (p Params) EvalVec(a *la.Matrix, i int, x []float64, xsq float64) float64 {
-	if p.Kind == Gaussian {
-		return math.Exp(-p.Gamma * a.SqDistVec(i, x, xsq))
-	}
-	return p.fromDot(a.DotVec(i, x), 0)
-}
-
 // Row computes the full kernel row K(i, ·) against every row of the matrix,
 // writing into dst (length ≥ a.Rows()). It returns the flop count charged:
 // approximately 2·nnz-per-row·m for the inner products plus m for the

@@ -167,22 +167,6 @@ func sparseFromDense(de *la.Matrix) *la.Matrix {
 	return la.NewSparse(m, n, rp, ix, vx)
 }
 
-func TestEvalVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := denseMat(rng, 5, 3)
-	x := []float64{1, -1, 0.5}
-	xsq := la.SqNorm(x)
-	for _, p := range []Params{{Kind: Linear}, RBF(0.4)} {
-		for i := 0; i < 5; i++ {
-			b := la.NewDense(1, 3, append([]float64{}, x...))
-			want := p.Eval(a, i, b, 0)
-			if got := p.EvalVec(a, i, x, xsq); !almostEq(got, want, 1e-9) {
-				t.Errorf("%v EvalVec[%d]=%v want %v", p.Kind, i, got, want)
-			}
-		}
-	}
-}
-
 // Property: kernels are symmetric; the Gaussian kernel is in (0, 1].
 func TestKernelProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -232,8 +216,8 @@ func TestRowCacheLRU(t *testing.T) {
 			t.Fatal("row content corrupted by buffer reuse")
 		}
 	}
-	if c.Len() != 3 {
-		t.Fatalf("Len=%d want 3", c.Len())
+	if c.lru.used != 3 {
+		t.Fatalf("cached rows=%d want 3", c.lru.used)
 	}
 }
 
@@ -243,8 +227,8 @@ func TestRowCacheMinCapacity(t *testing.T) {
 	c := NewRowCache(RBF(1), mat, 0)
 	c.Row(0)
 	c.Row(1)
-	if c.Len() != 2 {
-		t.Fatalf("min capacity should be 2, Len=%d", c.Len())
+	if c.lru.used != 2 {
+		t.Fatalf("min capacity should be 2, cached rows=%d", c.lru.used)
 	}
 }
 
@@ -256,11 +240,8 @@ func TestRowCacheDiagAndFlops(t *testing.T) {
 		t.Error("gaussian diag must be 1")
 	}
 	c.Row(0)
-	if f := c.ResetFlops(); f <= 0 {
+	if _, _, f := c.Stats(); f <= 0 {
 		t.Error("flops should accumulate on miss")
-	}
-	if f := c.ResetFlops(); f != 0 {
-		t.Error("ResetFlops should zero")
 	}
 	lin := NewRowCache(Params{Kind: Linear}, mat, 4)
 	want := la.SqNorm(mat.DenseRow(2))

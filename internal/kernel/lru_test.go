@@ -97,8 +97,8 @@ func TestLRUMatchesReference(t *testing.T) {
 				t.Fatalf("cap=%d sparse=%v: stats (%d,%d,%g) != ref (%d,%d,%g)",
 					cap, sparse, h, m, f, ref.hits, ref.misses, ref.flops)
 			}
-			if c.Len() > cap {
-				t.Fatalf("cap=%d: Len=%d exceeds capacity", cap, c.Len())
+			if c.lru.used > cap {
+				t.Fatalf("cap=%d: %d cached rows exceed capacity", cap, c.lru.used)
 			}
 		}
 	}

@@ -29,9 +29,6 @@ type Result struct {
 	Flops   float64    // computation performed (for virtual-time charging)
 }
 
-// K returns the number of clusters.
-func (r *Result) K() int { return r.Centers.Rows() }
-
 // Seed picks k distinct random rows of x as initial centers (densified).
 func Seed(x *la.Matrix, k int, rng *rand.Rand) *la.Matrix {
 	m := x.Rows()
@@ -219,11 +216,4 @@ func RunDistributed(c *mpi.Comm, x *la.Matrix, k int, threshold float64, maxIter
 		res.Sizes[cc]++
 	}
 	return res
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

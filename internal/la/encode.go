@@ -96,15 +96,6 @@ func (a *Matrix) AppendRows(buf []byte, rows []int) []byte {
 	return buf
 }
 
-// EncodeAll serialises every row of the matrix.
-func (a *Matrix) EncodeAll() []byte {
-	rows := make([]int, a.m)
-	for i := range rows {
-		rows[i] = i
-	}
-	return a.EncodeRows(rows)
-}
-
 // DecodeMatrix parses a buffer produced by EncodeRows back into a Matrix.
 func DecodeMatrix(buf []byte) (*Matrix, error) {
 	le := binary.LittleEndian

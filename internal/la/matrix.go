@@ -284,15 +284,6 @@ func (a *Matrix) Mean(rows []int) []float64 {
 	return mean
 }
 
-// CloneEmpty returns a 0-row matrix with the same feature count and storage
-// kind as a.
-func (a *Matrix) CloneEmpty() *Matrix {
-	if a.sparse {
-		return NewSparse(0, a.n, []int32{0}, nil, nil)
-	}
-	return NewDense(0, a.n, nil)
-}
-
 // Equal reports whether two matrices hold identical values (including
 // storage kind, dimension, and entries within tolerance tol).
 func Equal(a, b *Matrix, tol float64) bool {

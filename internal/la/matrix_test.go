@@ -16,6 +16,15 @@ func randDense(rng *rand.Rand, m, n int) *Matrix {
 
 // randSparse returns a random CSR matrix with roughly density*n nonzeros
 // per row.
+// EncodeAll serialises every row of the matrix.
+func (a *Matrix) EncodeAll() []byte {
+	rows := make([]int, a.m)
+	for i := range rows {
+		rows[i] = i
+	}
+	return a.EncodeRows(rows)
+}
+
 func randSparse(rng *rand.Rand, m, n int, density float64) *Matrix {
 	rp := make([]int32, m+1)
 	var ix []int32

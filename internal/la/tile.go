@@ -10,7 +10,7 @@ package la
 //
 // Bit-identity contract: every output element equals the corresponding
 // scalar kernel's result EXACTLY — Dot4 reproduces Dot's accumulator
-// layout and combination order per column, SqDist4 reproduces SqDist's.
+// layout and combination order per column.
 // The tile engine in internal/kernel leans on this to keep tiled training
 // and prediction bit-identical to the row-at-a-time paths it replaces.
 
@@ -61,82 +61,6 @@ func Dot4(x, b0, b1, b2, b3 []float64, dst []float64) {
 		s1 += xi * b1[i]
 		s2 += xi * b2[i]
 		s3 += xi * b3[i]
-	}
-	dst[0], dst[1], dst[2], dst[3] = s0, s1, s2, s3
-}
-
-// SqDist4 computes dst[c] = SqDist(x, b_c) for four right-hand vectors
-// sharing x. All of b0..b3 must have length ≥ len(x) (no ragged tails);
-// dst must have length ≥ 4. Each output is bit-identical to the
-// corresponding SqDist call on equal-length vectors.
-func SqDist4(x, b0, b1, b2, b3 []float64, dst []float64) {
-	n := len(x)
-	x = x[:n]
-	b0 = b0[:n]
-	b1 = b1[:n]
-	b2 = b2[:n]
-	b3 = b3[:n]
-	var a0, a1, a2, a3 float64
-	var c0, c1, c2, c3 float64
-	var d0, d1, d2, d3 float64
-	var e0, e1, e2, e3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		{
-			t0 := x[i] - b0[i]
-			t1 := x[i+1] - b0[i+1]
-			t2 := x[i+2] - b0[i+2]
-			t3 := x[i+3] - b0[i+3]
-			a0 += t0 * t0
-			a1 += t1 * t1
-			a2 += t2 * t2
-			a3 += t3 * t3
-		}
-		{
-			t0 := x[i] - b1[i]
-			t1 := x[i+1] - b1[i+1]
-			t2 := x[i+2] - b1[i+2]
-			t3 := x[i+3] - b1[i+3]
-			c0 += t0 * t0
-			c1 += t1 * t1
-			c2 += t2 * t2
-			c3 += t3 * t3
-		}
-		{
-			t0 := x[i] - b2[i]
-			t1 := x[i+1] - b2[i+1]
-			t2 := x[i+2] - b2[i+2]
-			t3 := x[i+3] - b2[i+3]
-			d0 += t0 * t0
-			d1 += t1 * t1
-			d2 += t2 * t2
-			d3 += t3 * t3
-		}
-		{
-			t0 := x[i] - b3[i]
-			t1 := x[i+1] - b3[i+1]
-			t2 := x[i+2] - b3[i+2]
-			t3 := x[i+3] - b3[i+3]
-			e0 += t0 * t0
-			e1 += t1 * t1
-			e2 += t2 * t2
-			e3 += t3 * t3
-		}
-	}
-	s0 := (a0 + a1) + (a2 + a3)
-	s1 := (c0 + c1) + (c2 + c3)
-	s2 := (d0 + d1) + (d2 + d3)
-	s3 := (e0 + e1) + (e2 + e3)
-	for ; i < n; i++ {
-		xi := x[i]
-		t0 := xi - b0[i]
-		s0 += t0 * t0
-		t1 := xi - b1[i]
-		s1 += t1 * t1
-		t2 := xi - b2[i]
-		s2 += t2 * t2
-		t3 := xi - b3[i]
-		s3 += t3 * t3
 	}
 	dst[0], dst[1], dst[2], dst[3] = s0, s1, s2, s3
 }

@@ -40,21 +40,6 @@ func TestDot4SymmetricMatchesDotBitwise(t *testing.T) {
 	}
 }
 
-func TestSqDist4MatchesSqDistBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	var dst [4]float64
-	for n := 0; n <= 67; n++ {
-		x := randVec(rng, n)
-		bs := [4][]float64{randVec(rng, n), randVec(rng, n), randVec(rng, n), randVec(rng, n)}
-		SqDist4(x, bs[0], bs[1], bs[2], bs[3], dst[:])
-		for c := 0; c < 4; c++ {
-			if want := SqDist(x, bs[c]); dst[c] != want {
-				t.Fatalf("n=%d col=%d: SqDist4=%v SqDist=%v", n, c, dst[c], want)
-			}
-		}
-	}
-}
-
 // refDot is the scalar primitive the row-at-a-time paths use for the given
 // storage pairing — the reference MulTile must match bitwise.
 func refDot(a *Matrix, i int, b *Matrix, j int, buf []float64) float64 {

@@ -7,8 +7,6 @@
 // inner loop spends nearly all of its time in Dot and SqDist.
 package la
 
-import "math"
-
 // Dot returns the inner product of a and b. The slices must have equal
 // length; only the common prefix is used if they do not, which matches the
 // semantics of zero-padding the shorter vector.
@@ -106,50 +104,8 @@ func Fill(x []float64, v float64) {
 	}
 }
 
-// Sum returns the sum of the elements of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm ||x||.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
 // SqNorm returns ||x||².
 func SqNorm(x []float64) float64 { return Dot(x, x) }
-
-// ArgMin returns the index of the smallest element of x, or -1 if x is
-// empty. Ties resolve to the lowest index.
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, bi := x[0], 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < best {
-			best, bi = x[i], i
-		}
-	}
-	return bi
-}
-
-// ArgMax returns the index of the largest element of x, or -1 if x is empty.
-// Ties resolve to the lowest index.
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, bi := x[0], 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > best {
-			best, bi = x[i], i
-		}
-	}
-	return bi
-}
 
 // SpDot returns the inner product of two sparse vectors given as sorted
 // (index, value) pairs. Sparse SVM rows usually share long aligned index

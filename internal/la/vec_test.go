@@ -82,25 +82,9 @@ func TestAxpyScaleFillSum(t *testing.T) {
 	if y[2] != 3.5 {
 		t.Fatalf("Scale got %v", y)
 	}
-	if s := Sum(y); !almostEq(s, 1.5+2.5+3.5, 1e-12) {
-		t.Fatalf("Sum got %v", s)
-	}
 	Fill(y, -1)
 	if y[0] != -1 || y[2] != -1 {
 		t.Fatalf("Fill got %v", y)
-	}
-}
-
-func TestArgMinArgMax(t *testing.T) {
-	x := []float64{3, 1, 4, 1, 5}
-	if i := ArgMin(x); i != 1 {
-		t.Errorf("ArgMin=%d want 1 (first tie)", i)
-	}
-	if i := ArgMax(x); i != 4 {
-		t.Errorf("ArgMax=%d want 4", i)
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Error("empty ArgMin/ArgMax should be -1")
 	}
 }
 

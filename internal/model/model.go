@@ -8,7 +8,6 @@ package model
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"casvm/internal/kernel"
 	"casvm/internal/la"
@@ -89,20 +88,6 @@ func (m *Model) Predict(q *la.Matrix, qi int) float64 {
 	return m.Fallback
 }
 
-// Accuracy returns the fraction of rows of q whose prediction matches y.
-func (m *Model) Accuracy(q *la.Matrix, y []float64) float64 {
-	if q.Rows() == 0 {
-		return 0
-	}
-	correct := 0
-	for i, p := range m.PredictAll(q) {
-		if p == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(q.Rows())
-}
-
 // Set is the model collection of a partitioned method: Models[j] was
 // trained on partition j whose center is row j of Centers. A query is
 // classified by the model of its nearest center (§IV-A).
@@ -173,59 +158,6 @@ func (s *Set) Accuracy(q *la.Matrix, y []float64) float64 {
 	return float64(correct) / float64(q.Rows())
 }
 
-// RouteK returns the indices of the k centers nearest to row qi of q, in
-// increasing distance order. k is clamped to [1, P].
-func (s *Set) RouteK(q *la.Matrix, qi, k int) []int {
-	if k < 1 {
-		k = 1
-	}
-	if k > s.P() {
-		k = s.P()
-	}
-	s.Centers.EnsureNorms()
-	dists := make([]float64, s.Centers.Rows())
-	order := make([]int, s.Centers.Rows())
-	for c := range dists {
-		dists[c] = q.SqNormRow(qi) + s.Centers.SqNormRow(c) - 2*q.DotVec(qi, s.Centers.DenseRow(c))
-		order[c] = c
-	}
-	sort.Slice(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
-	return order[:k]
-}
-
-// PredictVote classifies row qi by majority vote of the k models with the
-// nearest centers, ties broken toward the nearest model. Degraded-mode
-// prediction uses it so a query whose own shard was lost is still judged
-// by the surviving neighbourhood rather than a single borrowed model.
-func (s *Set) PredictVote(q *la.Matrix, qi, k int) float64 {
-	routes := s.RouteK(q, qi, k)
-	vote := 0.0
-	for _, r := range routes {
-		vote += s.Models[r].Predict(q, qi)
-	}
-	if vote > 0 {
-		return 1
-	}
-	if vote < 0 {
-		return -1
-	}
-	return s.Models[routes[0]].Predict(q, qi)
-}
-
-// AccuracyVote is Accuracy with k-nearest majority voting.
-func (s *Set) AccuracyVote(q *la.Matrix, y []float64, k int) float64 {
-	if q.Rows() == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < q.Rows(); i++ {
-		if s.PredictVote(q, i, k) == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(q.Rows())
-}
-
 // NSV returns the total support vectors across the set.
 func (s *Set) NSV() int {
 	t := 0
@@ -246,23 +178,6 @@ func (c Confusion) Recall() float64 {
 		return 0
 	}
 	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// Precision returns TP/(TP+FP), or 0.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// F1 returns the harmonic mean of precision and recall, or 0.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }
 
 // Confusion evaluates routed predictions against labels.

@@ -43,7 +43,7 @@ func TestFromSolutionAndPredict(t *testing.T) {
 	if m.NSV() == 0 || m.NSV() == x.Rows() {
 		t.Fatalf("NSV=%d", m.NSV())
 	}
-	if acc := m.Accuracy(x, y); acc < 0.98 {
+	if acc := Single(m, nil).Accuracy(x, y); acc < 0.98 {
 		t.Errorf("train accuracy %.3f", acc)
 	}
 	preds := m.PredictAll(x)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"casvm/internal/la"
-	"casvm/internal/perfmodel"
 	"casvm/internal/trace"
 )
 
@@ -55,10 +54,6 @@ func (c *Comm) RNG() *rand.Rand {
 
 // Clock returns the rank's current virtual time in seconds.
 func (c *Comm) Clock() float64 { return c.clock }
-
-// Machine returns the world's α–β cost model, so callers can price
-// non-message work (checkpoint writes, recovery overhead) consistently.
-func (c *Comm) Machine() perfmodel.Machine { return c.world.machine }
 
 // Charge advances the virtual clock by the modeled time of f flops and
 // books it as computation (and the flop count itself, for TotalFlops).
@@ -175,13 +170,6 @@ func (c *Comm) Recv(src, tag int) []byte {
 	checkUserTag(tag)
 	m := c.recv(src, tag)
 	return m.data
-}
-
-// RecvFrom is Recv but also reports the sending rank, for AnySource.
-func (c *Comm) RecvFrom(src, tag int) ([]byte, int) {
-	checkUserTag(tag)
-	m := c.recv(src, tag)
-	return m.data, m.src
 }
 
 func (c *Comm) recv(src, tag int) message {

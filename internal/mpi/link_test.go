@@ -70,7 +70,7 @@ func TestLinkFailureIsTyped(t *testing.T) {
 			if op == "send" {
 				c.Send(0, 3, []byte("x"))
 			} else {
-				c.RecvFrom(AnySource, 3)
+				c.Recv(AnySource, 3)
 			}
 			return nil
 		})

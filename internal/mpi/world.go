@@ -184,10 +184,6 @@ type World struct {
 // charges recovery like any other cost. Call it before Run.
 func (w *World) SetBaseClock(sec float64) { w.base = sec }
 
-// BaseClock returns the virtual-time origin set by SetBaseClock (0 for a
-// fresh world).
-func (w *World) BaseClock() float64 { return w.base }
-
 // SetTransportHook installs a fault-injection hook intercepting every
 // remote transfer. Call it before Run; the hook must be concurrency-safe.
 func (w *World) SetTransportHook(h TransportHook) { w.hook = h }
@@ -198,9 +194,6 @@ func (w *World) SetTransportHook(h TransportHook) { w.hook = h }
 // world; nil (the default) keeps every instrumentation site on its
 // zero-cost path.
 func (w *World) SetTimeline(tl *trace.Timeline) { w.tl = tl }
-
-// Timeline returns the attached timeline (nil when none).
-func (w *World) Timeline() *trace.Timeline { return w.tl }
 
 // NewWorld creates a world of p ranks with the given machine model and RNG
 // seed (each rank derives its own deterministic stream).
@@ -221,15 +214,9 @@ func NewWorld(p int, machine perfmodel.Machine, seed int64) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.p }
-
 // Stats returns the world's communication statistics. Read it only after
 // Run returns.
 func (w *World) Stats() *trace.Stats { return w.stats }
-
-// Machine returns the interconnect/compute cost model.
-func (w *World) Machine() perfmodel.Machine { return w.machine }
 
 func (w *World) abort() {
 	w.abortOnce.Do(func() {

@@ -157,15 +157,6 @@ func (m *Model) Predict(q *la.Matrix, qi int) float64 {
 	}
 }
 
-// PredictAll labels every row of q.
-func (m *Model) PredictAll(q *la.Matrix) []float64 {
-	out := make([]float64, q.Rows())
-	for i := range out {
-		out[i] = m.Predict(q, i)
-	}
-	return out
-}
-
 // Accuracy is the fraction of rows of q whose prediction matches y.
 func (m *Model) Accuracy(q *la.Matrix, y []float64) float64 {
 	if q.Rows() == 0 {

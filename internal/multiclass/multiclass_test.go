@@ -39,9 +39,8 @@ func TestOneVsRest(t *testing.T) {
 	if acc := m.Accuracy(testX, testY); acc < 0.92 {
 		t.Errorf("OVR accuracy %.3f", acc)
 	}
-	preds := m.PredictAll(testX)
-	for _, p := range preds {
-		if p < 0 || p > 3 {
+	for i := 0; i < testX.Rows(); i++ {
+		if p := m.Predict(testX, i); p < 0 || p > 3 {
 			t.Fatalf("prediction %v outside class range", p)
 		}
 	}

@@ -126,13 +126,6 @@ func ParallelFCFS(c *mpi.Comm, local *la.Matrix, y []float64, opts Options) (*Re
 	return res, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ParallelBKM is the distributed balanced-K-means partitioner of BKM-CA:
 // distributed K-means (shared global centers) followed by the same
 // divide-and-conquer trick as Alg 4 — each rank rebalances its own block
@@ -140,13 +133,13 @@ func max(a, b int) int {
 // which bounds every global cluster by ~⌈m/P⌉ without further
 // communication. Returns the rank-local result (global Centers) and the
 // K-means sweep count.
-func ParallelBKM(c *mpi.Comm, local *la.Matrix, y []float64, opts Options, kmMaxIter int) (*Result, int, error) {
+func ParallelBKM(c *mpi.Comm, local *la.Matrix, y []float64, opts Options) (*Result, int, error) {
 	p := c.Size()
 	pm := local.Rows()
 	if opts.RatioBalanced && len(y) != pm {
 		return nil, 0, fmt.Errorf("partition: ratio balancing needs %d labels, got %d", pm, len(y))
 	}
-	km := kmeans.RunDistributed(c, local, p, 0, kmMaxIter)
+	km := kmeans.RunDistributed(c, local, p, 0, 0)
 	res := &Result{
 		Assign:  append([]int(nil), km.Assign...),
 		Centers: km.Centers,

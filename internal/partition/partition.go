@@ -1,8 +1,9 @@
 // Package partition implements the data-partitioning algorithms of the
 // paper's §IV: First-Come-First-Served partitioning (Alg 3) and its
-// distributed form (Alg 4), Balanced K-means (Alg 5), random averaging
-// (RA-CA), and the positive/negative ratio-balanced variants that turn
-// balanced data into balanced load (Tables VI–IX).
+// distributed form (Alg 4), distributed Balanced K-means (Alg 5), and the
+// positive/negative ratio-balanced variants that turn balanced data into
+// balanced load (Tables VI–IX). RA-CA needs no partitioner: the resident
+// block is the random partition (internal/core).
 //
 // Every partitioner produces the same artefacts: an assignment of samples
 // to P clusters (one per machine node), the cluster centers used to route
@@ -33,11 +34,6 @@ type Options struct {
 	// pos/neg ratio matches the global one (Table VIII) and the SMO load
 	// balances (Table IX). Requires labels.
 	RatioBalanced bool
-	// RecomputeCenters averages each cluster's members into its center
-	// after assignment (Alg 3 lines 15–21; "optional" per the paper).
-	// Centers are always recomputed when routing requires them; setting
-	// this false keeps the randomly seeded centers instead.
-	RecomputeCenters bool
 }
 
 // ceilDiv returns ⌈a/b⌉.
@@ -45,7 +41,9 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // FCFS implements Algorithm 3: greedy nearest-center assignment where a
 // node stops accepting samples once it holds ⌈m/P⌉ (per class when
-// ratio-balancing). y may be nil when opts.RatioBalanced is false.
+// ratio-balancing). y may be nil when opts.RatioBalanced is false. Centers
+// are the seed centers: Alg 3's optional recomputation (lines 15–21) is the
+// distributed form's, whose centers route queries.
 func FCFS(x *la.Matrix, y []float64, p int, opts Options, rng *rand.Rand) (*Result, error) {
 	m := x.Rows()
 	if p < 1 || p > m {
@@ -94,10 +92,6 @@ func FCFS(x *la.Matrix, y []float64, p int, opts Options, rng *rand.Rand) (*Resu
 		}
 		res.Flops += float64(2 * m * p * x.Features())
 	}
-	if opts.RecomputeCenters {
-		res.Centers = averageCenters(x, res.Assign, p, centers)
-		res.Flops += float64(x.NNZ())
-	}
 	return res, nil
 }
 
@@ -120,99 +114,6 @@ func nearestUnderloaded(x *la.Matrix, i int, centers *la.Matrix, sizes []int, ca
 		panic("partition: no underloaded center (capacity accounting bug)")
 	}
 	return bi
-}
-
-// averageCenters recomputes each node's center as the mean of its members;
-// empty nodes keep their seed center.
-func averageCenters(x *la.Matrix, assign []int, p int, prev *la.Matrix) *la.Matrix {
-	n := x.Features()
-	sums := make([]float64, p*n)
-	counts := make([]float64, p)
-	for i := 0; i < x.Rows(); i++ {
-		c := assign[i]
-		dst := sums[c*n : (c+1)*n]
-		if x.Sparse() {
-			ix, vx := x.SparseRow(i)
-			for k, j := range ix {
-				dst[j] += vx[k]
-			}
-		} else {
-			for j, v := range x.DenseRow(i) {
-				dst[j] += v
-			}
-		}
-		counts[c]++
-	}
-	data := make([]float64, p*n)
-	for c := 0; c < p; c++ {
-		dst := data[c*n : (c+1)*n]
-		if counts[c] == 0 {
-			copy(dst, prev.DenseRow(c))
-			continue
-		}
-		inv := 1 / counts[c]
-		for j := range dst {
-			dst[j] = sums[c*n+j] * inv
-		}
-	}
-	return la.NewDense(p, n, data)
-}
-
-// BalancedKMeans implements Algorithm 5: run K-means, then repeatedly move
-// the farthest member of each overloaded cluster to its nearest underloaded
-// cluster until every cluster holds at most ⌈m/P⌉ samples (per class when
-// ratio-balancing).
-func BalancedKMeans(x *la.Matrix, y []float64, p int, opts Options, rng *rand.Rand) (*Result, error) {
-	m := x.Rows()
-	if p < 1 || p > m {
-		return nil, fmt.Errorf("partition: BKM with p=%d, m=%d", p, m)
-	}
-	if opts.RatioBalanced && len(y) != m {
-		return nil, fmt.Errorf("partition: ratio balancing needs %d labels, got %d", m, len(y))
-	}
-	km := kmeans.Run(x, kmeans.Seed(x, p, rng), 0, 0)
-	res := &Result{
-		Assign:  append([]int(nil), km.Assign...),
-		Centers: km.Centers,
-		Sizes:   append([]int(nil), km.Sizes...),
-		Flops:   km.Flops,
-	}
-	// Pairwise distance matrix dist[i][j] between samples and centers
-	// (Alg 5 lines 6–8).
-	dist := make([]float64, m*p)
-	res.Centers.EnsureNorms()
-	for i := 0; i < m; i++ {
-		for j := 0; j < p; j++ {
-			d := x.SqNormRow(i) + res.Centers.SqNormRow(j) - 2*x.DotVec(i, res.Centers.DenseRow(j))
-			if d < 0 {
-				d = 0
-			}
-			dist[i*p+j] = d
-		}
-	}
-	res.Flops += float64(2 * m * p * x.Features())
-
-	if opts.RatioBalanced {
-		mPos := 0
-		for _, v := range y {
-			if v > 0 {
-				mPos++
-			}
-		}
-		rebalance(res, dist, p, func(i int) bool { return y[i] > 0 }, ceilDiv(mPos, p))
-		rebalance(res, dist, p, func(i int) bool { return y[i] <= 0 }, ceilDiv(m-mPos, p))
-	} else {
-		rebalance(res, dist, p, func(int) bool { return true }, ceilDiv(m, p))
-	}
-	res.Sizes = make([]int, p)
-	for _, c := range res.Assign {
-		res.Sizes[c]++
-	}
-	if opts.RecomputeCenters {
-		res.Centers = averageCenters(x, res.Assign, p, res.Centers)
-		res.Flops += float64(x.NNZ())
-	}
-	return res, nil
 }
 
 // rebalance moves members of the sub-population selected by want from
@@ -255,46 +156,6 @@ func rebalance(res *Result, dist []float64, p int, want func(i int) bool, capaci
 	}
 }
 
-// RandomAverage implements the RA-CA partition (§IV-B3): deal the samples
-// randomly and evenly onto P nodes, then let each node's center be the mean
-// of its samples (eqn 14). Requires no distance computation and, in casvm2
-// placement, no communication at all.
-func RandomAverage(x *la.Matrix, p int, rng *rand.Rand) (*Result, error) {
-	m := x.Rows()
-	if p < 1 || p > m {
-		return nil, fmt.Errorf("partition: RA with p=%d, m=%d", p, m)
-	}
-	res := &Result{
-		Assign: make([]int, m),
-		Sizes:  make([]int, p),
-	}
-	perm := rng.Perm(m)
-	for pos, i := range perm {
-		c := pos % p
-		res.Assign[i] = c
-		res.Sizes[c]++
-	}
-	res.Centers = averageCenters(x, res.Assign, p, la.Zeros(p, x.Features()))
-	res.Flops += float64(x.NNZ())
-	return res, nil
-}
-
-// KMeansPlain wraps plain (unbalanced) K-means as a partitioner, as used by
-// DC-SVM, DC-Filter and CP-SVM. Empty clusters are permitted.
-func KMeansPlain(x *la.Matrix, p int, rng *rand.Rand) (*Result, error) {
-	m := x.Rows()
-	if p < 1 || p > m {
-		return nil, fmt.Errorf("partition: kmeans with p=%d, m=%d", p, m)
-	}
-	km := kmeans.Run(x, kmeans.Seed(x, p, rng), 0, 0)
-	return &Result{
-		Assign:  km.Assign,
-		Centers: km.Centers,
-		Sizes:   km.Sizes,
-		Flops:   km.Flops,
-	}, nil
-}
-
 // Part is one node's share of a partitioned dataset.
 type Part struct {
 	X     *la.Matrix
@@ -318,18 +179,4 @@ func Materialize(x *la.Matrix, y []float64, assign []int, p int) []Part {
 		}
 	}
 	return parts
-}
-
-// ClassCounts returns (#positive, #negative) per node.
-func ClassCounts(y []float64, assign []int, p int) (pos, neg []int) {
-	pos = make([]int, p)
-	neg = make([]int, p)
-	for i, c := range assign {
-		if y[i] > 0 {
-			pos[c]++
-		} else {
-			neg[c]++
-		}
-	}
-	return
 }

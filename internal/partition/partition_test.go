@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"casvm/internal/kmeans"
 	"casvm/internal/la"
 	"casvm/internal/mpi"
 	"casvm/internal/perfmodel"
@@ -57,7 +58,7 @@ func TestFCFSBalancesSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := imbalancedBlobs(rng, 4, 100, 5, 6)
 	for _, p := range []int{2, 3, 8} {
-		res, err := FCFS(x, y, p, Options{RecomputeCenters: true}, rng)
+		res, err := FCFS(x, y, p, Options{}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,23 +142,60 @@ func TestFCFSRequiresLabelsForRatio(t *testing.T) {
 	}
 }
 
+// rankBlock returns rank's contiguous block of per samples of (x, y).
+func rankBlock(x *la.Matrix, y []float64, rank, per int) (*la.Matrix, []float64) {
+	rows := make([]int, per)
+	for k := range rows {
+		rows[k] = rank*per + k
+	}
+	return x.Subset(rows), y[rank*per : (rank+1)*per]
+}
+
+// runBKM runs ParallelBKM over p ranks holding contiguous even blocks of
+// (x, y) and returns every rank's local assignment and block labels plus
+// the global sizes.
+func runBKM(t *testing.T, x *la.Matrix, y []float64, p int, opts Options) (assign [][]int, localY [][]float64, sizes []int) {
+	t.Helper()
+	per := x.Rows() / p
+	assign, localY = make([][]int, p), make([][]float64, p)
+	w := mpi.NewWorld(p, perfmodel.Hopper(), 3)
+	err := w.Run(func(c *mpi.Comm) error {
+		lx, ly := rankBlock(x, y, c.Rank(), per)
+		res, _, err := ParallelBKM(c, lx, ly, opts)
+		if err != nil {
+			return err
+		}
+		assign[c.Rank()], localY[c.Rank()] = res.Assign, ly
+		if c.Rank() == 0 {
+			sizes = res.Sizes
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return assign, localY, sizes
+}
+
 func TestBalancedKMeans(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x, y := imbalancedBlobs(rng, 3, 150, 4, 8)
 	p := 5
-	res, err := BalancedKMeans(x, y, p, Options{RecomputeCenters: true}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCover(t, res.Assign, p, x.Rows())
-	capacity := ceilDiv(x.Rows(), p)
-	for c, s := range res.Sizes {
-		if s > capacity {
-			t.Errorf("node %d holds %d > cap %d", c, s, capacity)
+	per := x.Rows() / p
+	assign, _, sizes := runBKM(t, x, y, p, Options{})
+	// Each rank caps every cluster at ⌈m_local/P⌉ of its own block, which
+	// bounds every global cluster by P times that.
+	capacity := ceilDiv(per, p)
+	total := 0
+	for r := range assign {
+		checkCover(t, assign[r], p, per)
+		for c, s := range sizesOf(assign[r], p) {
+			if s > capacity {
+				t.Errorf("rank %d node %d holds %d > cap %d", r, c, s, capacity)
+			}
 		}
 	}
-	total := 0
-	for _, s := range res.Sizes {
+	for _, s := range sizes {
 		total += s
 	}
 	if total != x.Rows() {
@@ -169,68 +207,31 @@ func TestBalancedKMeansRatio(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x, y := imbalancedBlobs(rng, 4, 100, 4, 8)
 	p := 4
-	res, err := BalancedKMeans(x, y, p, Options{RatioBalanced: true}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos, neg := ClassCounts(y, res.Assign, p)
-	mPos, mNeg := 0, 0
-	for i := range pos {
-		mPos += pos[i]
-		mNeg += neg[i]
-	}
-	capPos, capNeg := ceilDiv(mPos, p), ceilDiv(mNeg, p)
-	for c := 0; c < p; c++ {
-		if pos[c] > capPos {
-			t.Errorf("node %d pos=%d > cap %d", c, pos[c], capPos)
+	assign, localY, _ := runBKM(t, x, y, p, Options{RatioBalanced: true})
+	for r := range assign {
+		pos, neg := ClassCounts(localY[r], assign[r], p)
+		mPos, mNeg := 0, 0
+		for i := range pos {
+			mPos += pos[i]
+			mNeg += neg[i]
 		}
-		if neg[c] > capNeg {
-			t.Errorf("node %d neg=%d > cap %d", c, neg[c], capNeg)
-		}
-	}
-}
-
-func TestRandomAverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	x, _ := imbalancedBlobs(rng, 2, 101, 3, 5)
-	p := 4
-	res, err := RandomAverage(x, p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCover(t, res.Assign, p, x.Rows())
-	// Sizes differ by at most 1 (round-robin deal).
-	min, max := res.Sizes[0], res.Sizes[0]
-	for _, s := range res.Sizes {
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-	}
-	if max-min > 1 {
-		t.Errorf("RA sizes %v", res.Sizes)
-	}
-	// Centers are the member means (eqn 14): verify node 0.
-	members := []int{}
-	for i, c := range res.Assign {
-		if c == 0 {
-			members = append(members, i)
-		}
-	}
-	want := x.Mean(members)
-	for j := range want {
-		if d := want[j] - res.Centers.At(0, j); d > 1e-9 || d < -1e-9 {
-			t.Fatalf("center mismatch at %d: %v vs %v", j, want[j], res.Centers.At(0, j))
+		capPos, capNeg := ceilDiv(max(mPos, 1), p), ceilDiv(max(mNeg, 1), p)
+		for c := 0; c < p; c++ {
+			if pos[c] > capPos {
+				t.Errorf("rank %d node %d pos=%d > cap %d", r, c, pos[c], capPos)
+			}
+			if neg[c] > capNeg {
+				t.Errorf("rank %d node %d neg=%d > cap %d", r, c, neg[c], capNeg)
+			}
 		}
 	}
 }
 
+// Plain K-means — the partitioner of DC-SVM, DC-Filter and CP-SVM — must NOT
+// balance two tight clusters of very different size (the Fig 5/Fig 7
+// phenomenon CA-SVM fixes).
 func TestKMeansPlainUnbalanced(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Two tight clusters of very different size: plain K-means must NOT
-	// balance (that is the Fig 5/Fig 7 phenomenon CA-SVM fixes).
 	m1, m2 := 300, 20
 	data := make([]float64, 0, (m1+m2)*2)
 	for i := 0; i < m1; i++ {
@@ -240,21 +241,18 @@ func TestKMeansPlainUnbalanced(t *testing.T) {
 		data = append(data, 10+0.1*rng.NormFloat64(), 10+0.1*rng.NormFloat64())
 	}
 	x := la.NewDense(m1+m2, 2, data)
-	res, err := KMeansPlain(x, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, small := res.Sizes[0], res.Sizes[1]
+	sizes := kmeans.Run(x, kmeans.Seed(x, 2, rng), 0, 0).Sizes
+	big, small := sizes[0], sizes[1]
 	if big < small {
 		big, small = small, big
 	}
 	if big < 5*small {
-		t.Errorf("kmeans should be imbalanced on skewed blobs: %v", res.Sizes)
+		t.Errorf("kmeans should be imbalanced on skewed blobs: %v", sizes)
 	}
 }
 
-// Property: every partitioner covers each sample exactly once and, for the
-// balanced ones, respects the capacity ceiling.
+// Property: FCFS covers each sample exactly once and respects the capacity
+// ceiling.
 func TestPartitionInvariants(t *testing.T) {
 	f := func(seed int64, pu, mu uint8) bool {
 		p := int(pu)%6 + 2
@@ -274,30 +272,24 @@ func TestPartitionInvariants(t *testing.T) {
 		}
 		x := la.NewDense(m, 3, data)
 		capacity := ceilDiv(m, p)
-		for name, run := range map[string]func() (*Result, error){
-			"fcfs": func() (*Result, error) { return FCFS(x, y, p, Options{}, rng) },
-			"bkm":  func() (*Result, error) { return BalancedKMeans(x, y, p, Options{}, rng) },
-			"ra":   func() (*Result, error) { return RandomAverage(x, p, rng) },
-		} {
-			res, err := run()
-			if err != nil {
-				t.Logf("%s: %v", name, err)
+		res, err := FCFS(x, y, p, Options{}, rng)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if len(res.Assign) != m {
+			return false
+		}
+		total := 0
+		for c, s := range res.Sizes {
+			if s > capacity {
+				t.Logf("node %d size %d > cap %d (m=%d p=%d)", c, s, capacity, m, p)
 				return false
 			}
-			if len(res.Assign) != m {
-				return false
-			}
-			total := 0
-			for c, s := range res.Sizes {
-				if s > capacity {
-					t.Logf("%s: node %d size %d > cap %d (m=%d p=%d)", name, c, s, capacity, m, p)
-					return false
-				}
-				total += s
-			}
-			if total != m {
-				return false
-			}
+			total += s
+		}
+		if total != m {
+			return false
 		}
 		return true
 	}
@@ -331,15 +323,8 @@ func TestParallelFCFS(t *testing.T) {
 	w := mpi.NewWorld(p, perfmodel.Hopper(), 3)
 	sizes := make([][]int, p)
 	err := w.Run(func(c *mpi.Comm) error {
-		rows := make([]int, 0, per)
-		for i := c.Rank() * per; i < (c.Rank()+1)*per; i++ {
-			rows = append(rows, i)
-		}
-		localY := make([]float64, len(rows))
-		for k, i := range rows {
-			localY[k] = y[i]
-		}
-		res, err := ParallelFCFS(c, x.Subset(rows), localY, Options{})
+		localX, localY := rankBlock(x, y, c.Rank(), per)
+		res, err := ParallelFCFS(c, localX, localY, Options{})
 		if err != nil {
 			return err
 		}
@@ -388,15 +373,8 @@ func TestParallelFCFSRatio(t *testing.T) {
 	per := x.Rows() / p
 	w := mpi.NewWorld(p, perfmodel.Hopper(), 3)
 	err := w.Run(func(c *mpi.Comm) error {
-		rows := make([]int, 0, per)
-		for i := c.Rank() * per; i < (c.Rank()+1)*per; i++ {
-			rows = append(rows, i)
-		}
-		localY := make([]float64, len(rows))
-		for k, i := range rows {
-			localY[k] = y[i]
-		}
-		res, err := ParallelFCFS(c, x.Subset(rows), localY, Options{RatioBalanced: true})
+		localX, localY := rankBlock(x, y, c.Rank(), per)
+		res, err := ParallelFCFS(c, localX, localY, Options{RatioBalanced: true})
 		if err != nil {
 			return err
 		}
@@ -428,4 +406,18 @@ func TestClassCounts(t *testing.T) {
 	if pos[0] != 1 || neg[0] != 1 || pos[1] != 2 || neg[1] != 1 {
 		t.Errorf("pos=%v neg=%v", pos, neg)
 	}
+}
+
+// ClassCounts returns (#positive, #negative) per node.
+func ClassCounts(y []float64, assign []int, p int) (pos, neg []int) {
+	pos = make([]int, p)
+	neg = make([]int, p)
+	for i, c := range assign {
+		if y[i] > 0 {
+			pos[c]++
+		} else {
+			neg[c]++
+		}
+	}
+	return
 }

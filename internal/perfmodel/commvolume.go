@@ -24,7 +24,7 @@ const Word = 4
 
 // DisSMOVolume predicts Θ(26·I·p + 2·p·m + 4·m·n) words for distributed
 // SMO: per-iteration allreduce/broadcast traffic plus the initial
-// distribution of the data. Like eqn (9) it is the paper's prediction for
+// distribution of the data. It is the paper's prediction for
 // the paper's four-collective loop; internal/core's fused, row-eliding
 // exchange measures below it (DESIGN.md §10).
 func DisSMOVolume(in VolumeInput) int {

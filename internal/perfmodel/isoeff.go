@@ -4,8 +4,7 @@ import "math"
 
 // This file reproduces the analytic scaling content of the paper:
 //
-//   - eqn (9):  per-iteration parallel time of distributed SMO,
-//   - eqn (10): its parallel overhead To = P·Tp − W,
+//   - eqn (10): distributed SMO's parallel overhead To = P·Tp − W,
 //   - Table IV: iso-efficiency lower bounds for 1D/2D Mat-Vec-Mul,
 //     Dis-SMO, Cascade and DC-SVM,
 //   - eqn (8):  W = K·To with K = E/(1−E).
@@ -25,25 +24,6 @@ type IsoParams struct {
 // uses.
 func NormalizedIso(mc Machine, features int) IsoParams {
 	return IsoParams{Ts: mc.Ts / mc.Tc, Tw: mc.Tw / mc.Tc, N: features}
-}
-
-// DisSMOParallelTime evaluates eqn (9): the modeled time of one distributed
-// SMO iteration with m samples, n features, on p processes (tc = 1). This is
-// the paper's formula for the paper's loop — two location-reductions, two
-// row broadcasts and two fresh kernel columns every iteration — not a model
-// of internal/core's Dis-SMO, which caches columns and exchanges one
-// allreduce per iteration (DESIGN.md §10).
-func (ip IsoParams) DisSMOParallelTime(m, p int) float64 {
-	n := float64(ip.N)
-	pf := float64(p)
-	logp := math.Log2(pf)
-	if logp < 0 {
-		logp = 0
-	}
-	return 14*logp*ip.Ts +
-		(2*n*logp+4*pf*pf)*ip.Tw +
-		(2*float64(m)*n+4*float64(m))/pf +
-		2*pf + n
 }
 
 // DisSMOOverhead evaluates eqn (10): To = P·Tp − W for one SMO iteration,

@@ -1,11 +1,9 @@
 // Package perfmodel holds the analytic performance machinery of the paper:
 // the machine parameters (tc, ts, tw) used to normalise computation and
-// communication, the α–β collective cost model that drives the virtual
+// communication, the α–β per-hop cost (PtoP) that drives the virtual
 // clocks of internal/mpi, the iso-efficiency functions of Table IV, and the
 // communication-volume formulas of Table X.
 package perfmodel
-
-import "math"
 
 // Machine describes the cost parameters of the simulated cluster, in the
 // notation of the paper's Table II. All values are seconds.
@@ -46,53 +44,6 @@ func (mc Machine) PtoP(nbytes int) float64 {
 		nbytes = 0
 	}
 	return mc.Ts + mc.Tw*float64(nbytes)/4
-}
-
-// log2ceil returns ⌈log₂ p⌉ with log2ceil(1) = 0.
-func log2ceil(p int) int {
-	if p <= 1 {
-		return 0
-	}
-	return int(math.Ceil(math.Log2(float64(p))))
-}
-
-// Bcast returns the modeled time of a binomial-tree broadcast of nbytes to
-// p ranks: ⌈log p⌉ (ts + tw·words).
-func (mc Machine) Bcast(p, nbytes int) float64 {
-	l := float64(log2ceil(p))
-	return l * (mc.Ts + mc.Tw*float64(nbytes)/4)
-}
-
-// Allreduce returns the modeled time of a recursive-doubling allreduce of
-// nbytes across p ranks: ⌈log p⌉ (ts + tw·words) plus the reduction flops.
-func (mc Machine) Allreduce(p, nbytes int) float64 {
-	l := float64(log2ceil(p))
-	words := float64(nbytes) / 4
-	return l * (mc.Ts + mc.Tw*words + mc.Tc*words)
-}
-
-// Gather returns the modeled time of gathering nbytes from each of p ranks
-// to the root (binomial tree; the root receives (p−1)·nbytes in total):
-// ⌈log p⌉·ts + tw·(p−1)·words.
-func (mc Machine) Gather(p, nbytes int) float64 {
-	words := float64(nbytes) / 4
-	return float64(log2ceil(p))*mc.Ts + mc.Tw*float64(p-1)*words
-}
-
-// Scatter returns the modeled time of scattering nbytes to each of p ranks
-// from the root; symmetric with Gather.
-func (mc Machine) Scatter(p, nbytes int) float64 { return mc.Gather(p, nbytes) }
-
-// Allgather returns the modeled time of an allgather where each rank
-// contributes nbytes (ring): (p−1)(ts + tw·words).
-func (mc Machine) Allgather(p, nbytes int) float64 {
-	words := float64(nbytes) / 4
-	return float64(p-1) * (mc.Ts + mc.Tw*words)
-}
-
-// Barrier returns the modeled time of a dissemination barrier.
-func (mc Machine) Barrier(p int) float64 {
-	return float64(log2ceil(p)) * mc.Ts
 }
 
 // Compute returns the modeled time of f flops on one node.

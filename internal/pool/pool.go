@@ -61,14 +61,6 @@ func (p *Pool) run() {
 	}
 }
 
-// Workers returns the pool's width (1 for a nil pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
 var (
 	sharedOnce sync.Once
 	shared     *Pool

@@ -123,7 +123,4 @@ func TestNilPoolServes(t *testing.T) {
 	if sum != 4950 {
 		t.Fatalf("nil pool sum=%d", sum)
 	}
-	if p.Workers() != 1 {
-		t.Fatal("nil pool width")
-	}
 }

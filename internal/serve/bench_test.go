@@ -3,7 +3,6 @@ package serve_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"casvm/internal/compress"
 	"casvm/internal/core"
@@ -14,11 +13,10 @@ import (
 	"casvm/internal/trace"
 )
 
-// The sustained-load benchmark behind `make bench-serve`: train the
-// face-like dataset, compress it with the golden budget, serve it, and
-// hammer it over real HTTP with the shared load generator. The committed
-// BENCH_serve.json records the resulting preds/s and exact p99 latency;
-// `make bench-diff` gates ns/op (≈ per-request wall time) against it.
+// The serving benchmark fixture: train the face-like dataset, compress it
+// with the golden budget, serve it, and hammer it over real HTTP with the
+// shared load generator. End-to-end serving is gated by the repository
+// benchmark's serve-batch and serve-single workloads (`make benchmark`).
 
 var benchFace struct {
 	once sync.Once
@@ -57,54 +55,6 @@ func compressedFaceSet(b *testing.B) *model.Set {
 		b.Fatalf("face fixture: %v", benchFace.err)
 	}
 	return benchFace.set
-}
-
-// BenchmarkServeSustained measures the whole serving plane end to end:
-// HTTP decode → micro-batching → tile predict → HTTP encode, at client
-// concurrency 2·GOMAXPROCS with 64-query request blocks. One op is one
-// request, so ns/op is the per-request wall time under sustained load; the
-// extra metrics carry the headline throughput and tail latency.
-func BenchmarkServeSustained(b *testing.B) {
-	set := compressedFaceSet(b)
-	feats := set.Centers.Features()
-
-	s, err := serve.Start("localhost:0", serve.Config{
-		Batch: serve.BatcherConfig{MaxBatch: 512, MaxDelay: time.Millisecond},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.AddModelSet("default", set); err != nil {
-		b.Fatal(err)
-	}
-
-	// Warm connections and the batcher before the timed run.
-	if _, err := serve.RunLoad(serve.LoadOptions{
-		URL: s.URL(), Features: feats, Requests: 64, Seed: 1,
-	}); err != nil {
-		b.Fatal(err)
-	}
-
-	b.ResetTimer()
-	res, err := serve.RunLoad(serve.LoadOptions{
-		URL:               s.URL(),
-		Features:          feats,
-		QueriesPerRequest: 256,
-		Binary:            true,
-		Requests:          int64(b.N),
-		Seed:              2,
-	})
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Errors > 0 {
-		b.Fatalf("%d load errors", res.Errors)
-	}
-	b.ReportMetric(res.PredsPerSec, "preds/s")
-	b.ReportMetric(float64(res.P99), "p99-ns")
-	b.ReportMetric(float64(res.P50), "p50-ns")
 }
 
 // BenchmarkServeClients is the evidence that coalescing pays where there is

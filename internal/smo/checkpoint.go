@@ -25,14 +25,6 @@ type Checkpoint struct {
 	F     []float64
 }
 
-// Clone returns a deep copy.
-func (ck *Checkpoint) Clone() *Checkpoint {
-	out := *ck
-	out.Alpha = append([]float64(nil), ck.Alpha...)
-	out.F = append([]float64(nil), ck.F...)
-	return &out
-}
-
 // Snapshot captures the solver's current state as a Checkpoint. The
 // returned snapshot owns its slices (the solver keeps mutating the live
 // state), so it can be stored or serialized freely.

@@ -3,6 +3,9 @@ package smo
 import (
 	"math/rand"
 	"testing"
+
+	"casvm/internal/kernel"
+	"casvm/internal/la"
 )
 
 // SMO theory: every successful pair update strictly increases the dual
@@ -21,12 +24,12 @@ func TestDualObjectiveMonotone(t *testing.T) {
 		}
 		cur := s.Objective()
 		if cur < prev-1e-9 {
-			t.Fatalf("iteration %d: objective fell %v -> %v", s.Iters(), prev, cur)
+			t.Fatalf("iteration %d: objective fell %v -> %v", s.iters, prev, cur)
 		}
 		prev = cur
 	}
-	if s.Iters() < 10 {
-		t.Fatalf("too few iterations (%d) to be meaningful", s.Iters())
+	if s.iters < 10 {
+		t.Fatalf("too few iterations (%d) to be meaningful", s.iters)
 	}
 }
 
@@ -47,7 +50,7 @@ func TestDualObjectiveMonotoneVariants(t *testing.T) {
 		}
 		cur := s.Objective()
 		if cur < prev-1e-9 {
-			t.Fatalf("cfg %+v: objective fell %v -> %v at iter %d", cfg, prev, cur, s.Iters())
+			t.Fatalf("cfg %+v: objective fell %v -> %v at iter %d", cfg, prev, cur, s.iters)
 		}
 		prev = cur
 	}
@@ -73,4 +76,34 @@ func TestDualObjectiveValues(t *testing.T) {
 	if got := DualObjective(x, y, res.Alpha, cfg.Kernel); got <= 0 {
 		t.Fatalf("solved objective %v should be positive", got)
 	}
+}
+
+// DualObjective evaluates eqn (1) of the paper,
+//
+//	F(α) = Σᵢ αᵢ − ½ ΣᵢΣⱼ αᵢαⱼyᵢyⱼK(i,j),
+//
+// the quantity SMO maximises. It costs O(s²) kernel evaluations over the
+// support vectors, so it is a diagnostic, not a per-iteration tool. SMO
+// theory guarantees F strictly increases on every successful pair update —
+// the test suite uses that as a correctness invariant.
+func DualObjective(x *la.Matrix, y, alpha []float64, k kernel.Params) float64 {
+	sv := make([]int, 0)
+	for i, a := range alpha {
+		if a != 0 {
+			sv = append(sv, i)
+		}
+	}
+	var sum, quad float64
+	for _, i := range sv {
+		sum += alpha[i]
+		for _, j := range sv {
+			quad += alpha[i] * alpha[j] * y[i] * y[j] * k.Eval(x, i, x, j)
+		}
+	}
+	return sum - quad/2
+}
+
+// Objective evaluates the solver's current dual objective.
+func (s *Solver) Objective() float64 {
+	return DualObjective(s.x, s.y, s.alpha, s.cfg.Kernel)
 }

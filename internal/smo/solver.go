@@ -118,17 +118,6 @@ type Result struct {
 	Converged bool
 }
 
-// SVCount returns the number of nonzero multipliers.
-func (r *Result) SVCount() int {
-	n := 0
-	for _, a := range r.Alpha {
-		if a > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Solver holds the mutable optimisation state for one training set.
 type Solver struct {
 	x   *la.Matrix
@@ -246,17 +235,8 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 	return s, nil
 }
 
-// M returns the number of training samples.
-func (s *Solver) M() int { return len(s.y) }
-
 // Alpha returns the live multiplier vector (owned by the solver).
 func (s *Solver) Alpha() []float64 { return s.alpha }
-
-// F returns the live optimality vector f (owned by the solver).
-func (s *Solver) F() []float64 { return s.f }
-
-// Iters returns the number of iterations executed so far.
-func (s *Solver) Iters() int { return s.iters }
 
 // boundFor returns sample i's box upper bound C_i (class-weighted).
 func (s *Solver) boundFor(i int) float64 {
@@ -264,22 +244,6 @@ func (s *Solver) boundFor(i int) float64 {
 		return s.cfg.C * s.cfg.posWeight()
 	}
 	return s.cfg.C
-}
-
-// inHigh reports membership in I_high = {i : (y=+1 ∧ α<C_i) ∨ (y=−1 ∧ α>0)}.
-func (s *Solver) inHigh(i int) bool {
-	if s.y[i] > 0 {
-		return s.alpha[i] < s.boundFor(i)
-	}
-	return s.alpha[i] > 0
-}
-
-// inLow reports membership in I_low = {i : (y=+1 ∧ α>0) ∨ (y=−1 ∧ α<C_i)}.
-func (s *Solver) inLow(i int) bool {
-	if s.y[i] > 0 {
-		return s.alpha[i] > 0
-	}
-	return s.alpha[i] < s.boundFor(i)
 }
 
 // LocalExtremes scans f for the working pair: bHigh = min f over I_high

@@ -63,8 +63,8 @@ func TestSolveSeparableBlobs(t *testing.T) {
 	if acc := float64(correct) / float64(x.Rows()); acc < 0.98 {
 		t.Errorf("training accuracy %.3f < 0.98", acc)
 	}
-	if res.SVCount() == 0 || res.SVCount() == x.Rows() {
-		t.Errorf("SV count %d should be a strict subset for separable data", res.SVCount())
+	if svCount(res.Alpha) == 0 || svCount(res.Alpha) == x.Rows() {
+		t.Errorf("SV count %d should be a strict subset for separable data", svCount(res.Alpha))
 	}
 }
 
@@ -201,8 +201,8 @@ func TestSingleClassInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iters != 0 || res.SVCount() != 0 {
-		t.Errorf("single-class should converge immediately: iters=%d svs=%d", res.Iters, res.SVCount())
+	if res.Iters != 0 || svCount(res.Alpha) != 0 {
+		t.Errorf("single-class should converge immediately: iters=%d svs=%d", res.Iters, svCount(res.Alpha))
 	}
 }
 
@@ -350,9 +350,9 @@ func TestApplyColumnsMatchesLocal(t *testing.T) {
 	b.FillColumn(x, il, colL)
 	b.ApplyColumns(colH, y[ih], u.DAlphaHigh, colL, y[il], u.DAlphaLow)
 
-	for i := range a.F() {
-		if math.Abs(a.F()[i]-b.F()[i]) > 1e-9 {
-			t.Fatalf("f[%d] %v vs %v", i, a.F()[i], b.F()[i])
+	for i := range a.f {
+		if math.Abs(a.f[i]-b.f[i]) > 1e-9 {
+			t.Fatalf("f[%d] %v vs %v", i, a.f[i], b.f[i])
 		}
 	}
 	for i := range a.Alpha() {
@@ -360,4 +360,15 @@ func TestApplyColumnsMatchesLocal(t *testing.T) {
 			t.Fatalf("alpha[%d] %v vs %v", i, a.Alpha()[i], b.Alpha()[i])
 		}
 	}
+}
+
+// svCount returns the number of nonzero multipliers.
+func svCount(alpha []float64) int {
+	n := 0
+	for _, a := range alpha {
+		if a > 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -70,16 +70,6 @@ func (t *TelemetryRing) Total() uint64 {
 	return t.total
 }
 
-// Len returns how many samples are currently buffered.
-func (t *TelemetryRing) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
 // Since returns every buffered sample with sequence number ≥ cursor, in
 // record order, plus the next cursor (pass it back in to page). Samples
 // older than the ring's capacity are gone; the returned slice is a copy.
@@ -102,19 +92,6 @@ func (t *TelemetryRing) Since(cursor uint64) ([]IterSample, uint64) {
 		out = append(out, t.buf[int(seq)%cap(t.buf)])
 	}
 	return out, t.total
-}
-
-// Latest returns the most recent sample, if any.
-func (t *TelemetryRing) Latest() (IterSample, bool) {
-	if t == nil {
-		return IterSample{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.total == 0 {
-		return IterSample{}, false
-	}
-	return t.buf[int(t.total-1)%cap(t.buf)], true
 }
 
 // sampleTelemetry records one IterSample after an applied step; called

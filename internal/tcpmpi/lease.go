@@ -568,9 +568,6 @@ func Register(addr string, opt RegisterOptions) (*Lease, error) {
 // ID returns the coordinator-assigned worker id.
 func (l *Lease) ID() int { return l.id }
 
-// TTL returns the lease's time-to-live between renewals.
-func (l *Lease) TTL() time.Duration { return l.ttl }
-
 // Close releases the lease: the coordinator sees a clean leave.
 func (l *Lease) Close() error {
 	l.fail(errors.New("tcpmpi: lease closed"))

@@ -77,8 +77,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.TTL() != 300*time.Millisecond {
-		t.Fatalf("TTL=%v, want 300ms", l.TTL())
+	if l.ttl != 300*time.Millisecond {
+		t.Fatalf("TTL=%v, want 300ms", l.ttl)
 	}
 	waitFor(t, "join callback", func() bool { j, _, _ := ev.counts(); return j == 1 })
 	if ws := reg.Workers(); len(ws) != 1 || ws[0].ID != l.ID() || ws[0].Client {
@@ -86,7 +86,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	}
 
 	// Heartbeats (TTL/3 cadence) must carry the lease well past its TTL.
-	time.Sleep(4 * l.TTL())
+	time.Sleep(4 * l.ttl)
 	if _, ex, lv := ev.counts(); ex != 0 || lv != 0 {
 		t.Fatalf("lease fell over while heartbeating: expiries=%d leaves=%d", ex, lv)
 	}

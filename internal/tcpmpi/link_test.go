@@ -139,7 +139,7 @@ func TestCollectivesEqualOnBothLinks(t *testing.T) {
 		overTCP := make([]rankTrace, n)
 		for r, err := range onMesh(t, n, Options{Timeout: 30 * time.Second}, func(comm *Comm) error {
 			w := mpi.NewWorld(n, machine, 7)
-			return w.RunLink(comm.Rank(), comm, func(c *mpi.Comm) (err error) {
+			return w.RunLink(comm.rank, comm, func(c *mpi.Comm) (err error) {
 				overTCP[c.Rank()], err = traceOf(w, c)
 				return err
 			})
@@ -216,7 +216,7 @@ func TestPeerCloseIsLinkError(t *testing.T) {
 	start := time.Now()
 	errs := onMesh(t, 3, Options{Timeout: timeout}, func(comm *Comm) error {
 		w := mpi.NewWorld(3, perfmodel.Hopper(), 1)
-		return w.RunLink(comm.Rank(), comm, func(c *mpi.Comm) error {
+		return w.RunLink(comm.rank, comm, func(c *mpi.Comm) error {
 			if c.Rank() == 2 {
 				return rounds(c, 3) // then its Comm closes under the others
 			}

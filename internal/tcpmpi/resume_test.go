@@ -281,3 +281,17 @@ func TestFreshIncarnationResurrects(t *testing.T) {
 		t.Fatalf("return traffic: %q, %v", got, err)
 	}
 }
+
+// unacked returns the retained frames with seq greater than after, in send
+// order — what the resume handshake replays.
+func (p *peer) unacked(after uint32) []sentFrame {
+	p.sendMu.Lock()
+	defer p.sendMu.Unlock()
+	var out []sentFrame
+	for _, f := range p.ring {
+		if f.seq > after {
+			out = append(out, f)
+		}
+	}
+	return out
+}

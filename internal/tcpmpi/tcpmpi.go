@@ -250,20 +250,6 @@ func (p *peer) remember(f sentFrame, window int) {
 	}
 }
 
-// unacked returns the retained frames with seq greater than after, in send
-// order — what the resume handshake replays.
-func (p *peer) unacked(after uint32) []sentFrame {
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	var out []sentFrame
-	for _, f := range p.ring {
-		if f.seq > after {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 func (p *peer) touch() {
 	p.mu.Lock()
 	p.lastSeen = time.Now()
@@ -742,12 +728,6 @@ func (c *Comm) installConn(src int, conn net.Conn) {
 	c.cond.Broadcast()
 	go c.readLoop(src, conn, gen)
 }
-
-// Rank returns this process's rank.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Comm) Size() int { return c.size }
 
 // Close tears down all connections; blocked receivers fail.
 func (c *Comm) Close() error {

@@ -61,7 +61,7 @@ func world(t *testing.T, n int, f func(c *Comm) error) {
 
 func TestSendRecv(t *testing.T) {
 	world(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
+		if c.rank == 0 {
 			return c.Send(1, 5, []byte("over tcp"))
 		}
 		got, err := c.Recv(0, 5)
@@ -77,7 +77,7 @@ func TestSendRecv(t *testing.T) {
 
 func TestTagSelectivity(t *testing.T) {
 	world(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
+		if c.rank == 0 {
 			if err := c.Send(1, 1, []byte("a")); err != nil {
 				return err
 			}
@@ -100,7 +100,7 @@ func TestTagSelectivity(t *testing.T) {
 
 func TestAllreduceSum(t *testing.T) {
 	world(t, 4, func(c *Comm) error {
-		out, err := c.AllreduceSum([]float64{1, float64(c.Rank())})
+		out, err := c.AllreduceSum([]float64{1, float64(c.rank)})
 		if err != nil {
 			return err
 		}

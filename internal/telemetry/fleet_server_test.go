@@ -24,7 +24,7 @@ func TestHealthz(t *testing.T) {
 	}
 	defer srv.Close()
 	var doc map[string]any
-	if err := json.Unmarshal([]byte(httpGet(t, srv.URL()+"/healthz")), &doc); err != nil {
+	if err := json.Unmarshal([]byte(httpGet(t, baseURL(srv)+"/healthz")), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc["status"] != "ok" {
@@ -40,7 +40,7 @@ func TestHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if err := json.Unmarshal([]byte(httpGet(t, srv2.URL()+"/healthz")), &doc); err != nil {
+	if err := json.Unmarshal([]byte(httpGet(t, baseURL(srv2)+"/healthz")), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc["workers"] != float64(3) || doc["uptime_sec"] != 12.5 {
@@ -75,7 +75,7 @@ func TestCustomStream(t *testing.T) {
 	}
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL() + "/fleet/events")
+	resp, err := http.Get(baseURL(srv) + "/fleet/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,10 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 
-	if body := httpGet(t, srv.URL()+"/jobs/ok-job/trace"); body != `{"traceEvents":[]}` {
+	if body := httpGet(t, baseURL(srv)+"/jobs/ok-job/trace"); body != `{"traceEvents":[]}` {
 		t.Fatalf("trace body %q", body)
 	}
-	resp, err := http.Get(srv.URL() + "/jobs/bad-job/trace")
+	resp, err := http.Get(baseURL(srv) + "/jobs/bad-job/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("merge error status %d, want 500", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL() + "/jobs/plain-job/trace")
+	resp, err = http.Get(baseURL(srv) + "/jobs/plain-job/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSSEClientDisconnectNoLeak(t *testing.T) {
 	const clients = 4
 	for i := 0; i < clients; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		req, err := http.NewRequestWithContext(ctx, "GET", srv.URL()+"/quiet", nil)
+		req, err := http.NewRequestWithContext(ctx, "GET", baseURL(srv)+"/quiet", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

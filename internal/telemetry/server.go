@@ -296,9 +296,6 @@ func StreamSSE(w http.ResponseWriter, r *http.Request, interval time.Duration, n
 // Addr returns the bound address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// URL returns the http:// base URL of the server.
-func (s *Server) URL() string { return "http://" + s.Addr() }
-
 // Close stops the listener and waits for the serve loop to exit. In-flight
 // SSE streams end when their clients notice the closed connection.
 func (s *Server) Close() error {

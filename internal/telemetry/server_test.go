@@ -89,7 +89,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// /metrics mid-run: Prometheus framing with HELP/TYPE per family.
-	body := httpGet(t, srv.URL()+"/metrics")
+	body := httpGet(t, baseURL(srv)+"/metrics")
 	for _, want := range []string{
 		"# HELP casvm_serve_smoke_runs_total Smoke-test runs.",
 		"# TYPE casvm_serve_smoke_runs_total counter",
@@ -105,7 +105,7 @@ func TestServeSmoke(t *testing.T) {
 	var rep struct {
 		TelemetrySamples uint64 `json:"telemetry_samples"`
 	}
-	if err := json.Unmarshal([]byte(httpGet(t, srv.URL()+"/report")), &rep); err != nil {
+	if err := json.Unmarshal([]byte(httpGet(t, baseURL(srv)+"/report")), &rep); err != nil {
 		t.Fatalf("/report: %v", err)
 	}
 	if rep.TelemetrySamples < 10 {
@@ -113,7 +113,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// /events: the first SSE frame decodes as an IterSample.
-	s := readFirstSSE(t, srv.URL()+"/events")
+	s := readFirstSSE(t, baseURL(srv)+"/events")
 	if s.Iter < 1 || (s.Rank != 0 && s.Rank != 1) {
 		t.Fatalf("bad SSE sample: %+v", s)
 	}
@@ -122,7 +122,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// /debug/pprof is wired on this mux.
-	if body := httpGet(t, srv.URL()+"/debug/pprof/cmdline"); body == "" {
+	if body := httpGet(t, baseURL(srv)+"/debug/pprof/cmdline"); body == "" {
 		t.Fatal("/debug/pprof/cmdline empty")
 	}
 
@@ -139,7 +139,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	// The listener is really gone.
-	if _, err := http.Get(srv.URL() + "/metrics"); err == nil {
+	if _, err := http.Get(baseURL(srv) + "/metrics"); err == nil {
 		t.Fatal("server still serving after Close")
 	}
 }
@@ -202,7 +202,7 @@ func TestServeClusterNamespaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body := httpGet(t, srv.URL()+"/metrics")
+	body := httpGet(t, baseURL(srv)+"/metrics")
 	for _, want := range []string{
 		"# TYPE cluster_worker_joins_total counter",
 		"cluster_worker_joins_total 1",
@@ -222,13 +222,13 @@ func TestServeClusterNamespaces(t *testing.T) {
 		ID    string `json:"id"`
 		State string `json:"state"`
 	}
-	if err := json.Unmarshal([]byte(httpGet(t, srv.URL()+"/jobs")), &jobs); err != nil {
+	if err := json.Unmarshal([]byte(httpGet(t, baseURL(srv)+"/jobs")), &jobs); err != nil {
 		t.Fatal(err)
 	}
 	if len(jobs) != 1 || jobs[0].ID != res.ID || jobs[0].State != "done" {
 		t.Fatalf("/jobs = %+v, want the finished job %s", jobs, res.ID)
 	}
-	base := srv.URL() + "/jobs/" + res.ID
+	base := baseURL(srv) + "/jobs/" + res.ID
 	if body := httpGet(t, base+"/metrics"); !strings.Contains(body, "smo_iterations_total") {
 		t.Fatalf("job metrics missing solver counters:\n%s", body)
 	}
@@ -250,6 +250,9 @@ func TestServeClusterNamespaces(t *testing.T) {
 		resp.Body.Close()
 	}
 }
+
+// baseURL returns the http:// base URL of the server.
+func baseURL(s *telemetry.Server) string { return "http://" + s.Addr() }
 
 func httpGet(t *testing.T, url string) string {
 	t.Helper()

@@ -229,7 +229,7 @@ type TraceExtra struct {
 	Segments            [][]Segment `json:"segments"`
 	Edges               []FlowEdge  `json:"edges"`
 
-	// Timebase is TimebaseVirtual (or empty) for in-process α–β traces and
+	// Timebase is empty for in-process α–β traces and
 	// TimebaseWall for fleet-merged multi-process traces whose coordinates
 	// are offset-rebased wall seconds. ClockOffsetsNs, when present, is the
 	// per-rank offset (rank clock − coordinator clock, ns) the merge

@@ -75,7 +75,6 @@ type Report struct {
 
 	// Failures and recovery.
 	LostRanks   []int   `json:"lost_ranks,omitempty"`
-	Degraded    bool    `json:"degraded,omitempty"`
 	Recoveries  int     `json:"recoveries,omitempty"`
 	RecoverySec float64 `json:"recovery_sec,omitempty"`
 

@@ -31,7 +31,6 @@ func sampleReport() *Report {
 		CommMatrix: [][]int64{{0, 512}, {512, 0}},
 
 		LostRanks: []int{3},
-		Degraded:  true,
 	}
 }
 

@@ -155,14 +155,6 @@ func (r *Recorder) Instant(cat, name string) {
 	})
 }
 
-// Rank returns the recorder's rank id (-1 for a nil recorder).
-func (r *Recorder) Rank() int {
-	if r == nil {
-		return -1
-	}
-	return r.rank
-}
-
 // DefaultMaxEventsPerRank bounds each rank's event buffer. Beyond it,
 // events are counted as dropped rather than recorded, so a long run cannot
 // grow memory without bound; Timeline.Dropped reports how many were lost
@@ -181,7 +173,7 @@ type Timeline struct {
 	edgeSeq   atomic.Int64 // flow-edge id allocator (NextEdgeID)
 	causality atomic.Int64 // flow edges that violated recv ≥ send
 
-	// Timebase of the segment/edge "virtual" coordinates: TimebaseVirtual
+	// Timebase of the segment/edge "virtual" coordinates: empty
 	// (the α–β model clock, the default) or TimebaseWall for merged
 	// multi-process timelines whose coordinates are offset-rebased wall
 	// seconds. offsetsNs, when set, records the per-rank clock offset (rank
@@ -190,16 +182,12 @@ type Timeline struct {
 	offsetsNs []int64
 }
 
-// Timebase values for Timeline.SetTimebase / TraceExtra.Timebase.
-const (
-	// TimebaseVirtual marks segment/edge coordinates as α–β-model virtual
-	// seconds (the in-process default; an empty Timebase means the same).
-	TimebaseVirtual = "virtual"
-	// TimebaseWall marks coordinates as wall-clock seconds rebased onto a
-	// common reference clock — produced by the fleet collector when merging
-	// per-rank traces from real multi-process runs.
-	TimebaseWall = "wall"
-)
+// TimebaseWall is the Timeline.SetTimebase / TraceExtra.Timebase value that
+// marks coordinates as wall-clock seconds rebased onto a common reference
+// clock — produced by the fleet collector when merging per-rank traces from
+// real multi-process runs. An empty timebase is the in-process default:
+// α–β-model virtual seconds.
+const TimebaseWall = "wall"
 
 // SetTimebase declares the timeline's coordinate system and, optionally,
 // the per-rank clock offsets (rank − reference, ns) that were applied to
@@ -231,14 +219,6 @@ func NewTimelineCap(p, maxPerRank int) *Timeline {
 			maxFlows: DefaultMaxFlowsPerRank, maxSegs: DefaultMaxSegmentsPerRank}
 	}
 	return tl
-}
-
-// P returns the number of ranks the timeline was sized for (0 for nil).
-func (t *Timeline) P() int {
-	if t == nil {
-		return 0
-	}
-	return t.maxRank
 }
 
 // Rank returns rank r's recorder. It is nil-safe: a nil timeline or an

@@ -21,9 +21,7 @@
 package trace
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"sync/atomic"
 )
 
@@ -81,9 +79,6 @@ func NewStats(p int) *Stats {
 	}
 }
 
-// P returns the number of ranks.
-func (s *Stats) P() int { return s.p }
-
 // RecordSend notes a transfer of n bytes from src to dst as one
 // communication operation. Self-sends (src == dst) are local copies and are
 // deliberately not counted, matching how MPI profilers count network
@@ -96,8 +91,8 @@ func (s *Stats) RecordSend(src, dst, n int) {
 	s.ops[src*s.p+dst].Add(1)
 }
 
-// RecordLost marks rank as failed during the run. Degraded-mode training
-// reads it back through LostRanks to report which shards were lost.
+// RecordLost marks rank as failed during the run. The recovery supervisor
+// reads it back through LostRanks to report which ranks were lost.
 func (s *Stats) RecordLost(rank int) {
 	if rank >= 0 && rank < s.p {
 		s.lost[rank].Store(true)
@@ -116,11 +111,6 @@ func (s *Stats) LostRanks() []int {
 	return out
 }
 
-// Lost reports whether rank was recorded as failed.
-func (s *Stats) Lost(rank int) bool {
-	return rank >= 0 && rank < s.p && s.lost[rank].Load()
-}
-
 // AddComp charges sec seconds of computation virtual time to rank.
 func (s *Stats) AddComp(rank int, sec float64) { s.compSec[rank].Add(sec) }
 
@@ -137,9 +127,6 @@ func (s *Stats) CompSec(rank int) float64 { return s.compSec[rank].Load() }
 
 // CommSec returns rank's accumulated communication virtual time.
 func (s *Stats) CommSec(rank int) float64 { return s.commSec[rank].Load() }
-
-// Flops returns rank's accumulated modeled flop count.
-func (s *Stats) Flops(rank int) float64 { return s.flops[rank].Load() }
 
 // TotalFlops returns the summed modeled flop count over all ranks. Flop
 // accounting is deterministic (thread-count-invariant), so this is a
@@ -188,16 +175,6 @@ func (s *Stats) TotalOps() int64 {
 	return t
 }
 
-// BytesPerOp returns average message size (Table XI's Amount/Operation), or
-// 0 when no messages were sent.
-func (s *Stats) BytesPerOp() float64 {
-	ops := s.TotalOps()
-	if ops == 0 {
-		return 0
-	}
-	return float64(s.TotalBytes()) / float64(ops)
-}
-
 // MaxCompSec returns the largest per-rank computation time — the
 // critical-path compute term.
 func (s *Stats) MaxCompSec() float64 {
@@ -229,23 +206,4 @@ func (s *Stats) CommRatio() float64 {
 		return 0
 	}
 	return comm / (comm + comp)
-}
-
-// FormatMatrix renders the byte matrix as an aligned text table with the
-// given cell width, for terminal reproduction of Fig 8.
-func (s *Stats) FormatMatrix() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%6s", "s\\r")
-	for j := 0; j < s.p; j++ {
-		fmt.Fprintf(&b, " %10d", j)
-	}
-	b.WriteByte('\n')
-	for i := 0; i < s.p; i++ {
-		fmt.Fprintf(&b, "%6d", i)
-		for j := 0; j < s.p; j++ {
-			fmt.Fprintf(&b, " %10d", s.Bytes(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -17,12 +16,6 @@ func TestRecordAndTotals(t *testing.T) {
 	if s.TotalBytes() != 157 || s.TotalOps() != 3 {
 		t.Fatalf("totals %d/%d", s.TotalBytes(), s.TotalOps())
 	}
-	if got := s.BytesPerOp(); got < 52 || got > 53 {
-		t.Fatalf("BytesPerOp=%v", got)
-	}
-	if s.P() != 3 {
-		t.Fatal("P")
-	}
 }
 
 func TestSelfSendIgnored(t *testing.T) {
@@ -30,9 +23,6 @@ func TestSelfSendIgnored(t *testing.T) {
 	s.RecordSend(1, 1, 999)
 	if s.TotalBytes() != 0 || s.TotalOps() != 0 {
 		t.Fatal("self-sends must not count")
-	}
-	if s.BytesPerOp() != 0 {
-		t.Fatal("BytesPerOp with no ops must be 0")
 	}
 }
 
@@ -84,17 +74,5 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 	if s.TotalBytes() != 8000 {
 		t.Fatalf("lost updates: %d", s.TotalBytes())
-	}
-}
-
-func TestFormatMatrix(t *testing.T) {
-	s := NewStats(2)
-	s.RecordSend(0, 1, 42)
-	out := s.FormatMatrix()
-	if !strings.Contains(out, "42") {
-		t.Fatalf("output missing data:\n%s", out)
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 3 {
-		t.Fatalf("want header + 2 rows:\n%s", out)
 	}
 }
