@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix vet fmt dead bench-build check benchmark fuzz fuzz-smoke bench bench-kernel bench-diff serve-smoke dist-smoke soak soak-cluster cover loc
+.PHONY: build test race race-matrix vet fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff serve-smoke dist-smoke soak soak-cluster cover loc
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,16 @@ bench-build:
 # `make benchmark BENCH_ARGS="--workload cluster-remote --trace 1"`.
 benchmark:
 	bash bench/run.sh $(BENCH_ARGS)
+
+# bench-pairs is how a performance claim is made (bench/README.md § Citing):
+# PAIRS alternating runs of PARENT and of this working tree per workload, and
+# a markdown table of medians, quartiles, Δ and "change better in k/n" per
+# workload × end-to-end metric, e.g.
+# `make bench-pairs PARENT=HEAD~1 WORKLOADS="casvm-dense" ARGS="--seed 7"`.
+PARENT ?= HEAD
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(PAIRS) $(WORKLOADS) -- $(ARGS)
 
 race:
 	$(GO) test -race ./...

@@ -64,12 +64,16 @@ func BenchmarkSMOIteration(b *testing.B) {
 func BenchmarkKernelRowDense(b *testing.B) {
 	d := benchDataset(b, 2000)
 	p := kernel.RBF(1.0 / 64)
-	dst := make([]float64, d.M())
+	dsts := [][]float64{make([]float64, d.M())}
+	cols := make([]int32, d.M()) // every column: a fill with nothing to copy
+	for j := range cols {
+		cols[j] = int32(j)
+	}
 	b.ReportAllocs()
 	b.SetBytes(int64(8 * d.M() * d.Features()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Row(d.X, i%d.M(), dst)
+		p.Tile(d.X, []int{i % d.M()}, dsts, cols, 1)
 	}
 }
 

@@ -45,8 +45,8 @@ func goldenParams(m Method, p, threads int) Params {
 // report must agree to the last bit.
 func TestGoldenEndToEnd(t *testing.T) {
 	golden := []goldenRun{
-		{MethodRACA, 4, "6e603d88184ed7fd7a01845da0195d90edf557a950f1535f8b630d4b35b3eb2f", 739, 2.78144e+07},
-		{MethodFCFSCA, 4, "39d1239622cd4d386a42d70151d76b3d26bada66e4929426e56ca3f6ccc58fb4", 604, 2.671318e+07},
+		{MethodRACA, 4, "6e603d88184ed7fd7a01845da0195d90edf557a950f1535f8b630d4b35b3eb2f", 739, 1.72808e+07},
+		{MethodFCFSCA, 4, "39d1239622cd4d386a42d70151d76b3d26bada66e4929426e56ca3f6ccc58fb4", 604, 1.6178788e+07},
 		{MethodDisSMO, 2, "976ca4d880ff9b6a581dab35f7854977444a47ff3aadf35905d1ff74e39a9188", 2148, 1.551584e+08},
 	}
 	ds, _, err := LoadDataset("toy", 1.0)

@@ -41,6 +41,40 @@ func BenchmarkRowCache(b *testing.B) {
 	// The sparse workload's shape: a miss is one scattered fill.
 	sparse := sparseMat(rng, m, 2048, 0.02)
 	b.Run("sparse-cap64", func(b *testing.B) { run(b, sparse, 64) })
+
+	// One rank of casvm-dense: every row of a 450×32 block becomes resident,
+	// pair by pair in a seeded order, nothing evicted — so the k-th fill finds
+	// k rows to copy from. One op is the whole sweep.
+	b.Run("dense-fill-sweep", func(b *testing.B) {
+		x := denseMat(rng, 450, 32)
+		order := rng.Perm(450)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := NewRowCache(RBF(0.1), x, 450)
+			b.StartTimer()
+			for k := 0; k < len(order); k += 2 {
+				c.PrefetchPair(order[k], order[k+1])
+			}
+		}
+	})
+	// Eviction at a 64 KiB row stride (table3's largest single-node shape): a
+	// miss copies 1023 entries that sit one 8192-float row apart in a 64 MiB
+	// block and evaluates the other 7169 — where a strided copy is likeliest
+	// to lose to the evaluation it replaces.
+	b.Run("dense-large-stride", func(b *testing.B) {
+		x := denseMat(rng, 8192, 16)
+		c := NewRowCache(RBF(0.1), x, 1024)
+		for i := 0; i < 1024; i++ {
+			c.Row(i)
+		}
+		idx := rng.Perm(8192)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchRow = c.Row(idx[i%len(idx)])
+		}
+	})
 }
 
 // BenchmarkRowCacheHit isolates the pure hit path (lookup + LRU bump).

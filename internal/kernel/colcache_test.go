@@ -44,7 +44,7 @@ func TestColumnCacheMatchesReference(t *testing.T) {
 				order = []int{gl, gh}
 			}
 			for _, g := range order {
-				ref.Row(g, rowLen)
+				ref.Row(g)
 			}
 			eh, el := c.Get(gh), c.Get(gl)
 			if eh == nil {

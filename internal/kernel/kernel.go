@@ -206,36 +206,6 @@ func (p Params) Eval(a *la.Matrix, i int, b *la.Matrix, j int) float64 {
 	return p.fromDot(dot, 0)
 }
 
-// Row computes the full kernel row K(i, ·) against every row of the matrix,
-// writing into dst (length ≥ a.Rows()). It returns the flop count charged:
-// approximately 2·nnz-per-row·m for the inner products plus m for the
-// nonlinear finish.
-func (p Params) Row(a *la.Matrix, i int, dst []float64) float64 {
-	m := a.Rows()
-	dst = dst[:m]
-	if p.Kind == Gaussian {
-		a.EnsureNorms()
-	}
-	if a.Sparse() {
-		rows := [1]int{i}
-		dsts := [1][]float64{dst}
-		p.fillSparse(a, rows[:], a, dsts[:], 1)
-		ix, _ := a.SparseRow(i)
-		return float64(2*len(ix)*m + m)
-	}
-	xi := a.DenseRow(i)
-	if p.Kind == Gaussian {
-		for j := 0; j < m; j++ {
-			dst[j] = math.Exp(-p.Gamma * la.SqDist(xi, a.DenseRow(j)))
-		}
-	} else {
-		for j := 0; j < m; j++ {
-			dst[j] = p.fromDot(la.Dot(xi, a.DenseRow(j)), 0)
-		}
-	}
-	return float64(2*a.Features()*m + m)
-}
-
 // CrossRow computes dst[i] = K(row_i of a, row_j of b) for every row of a,
 // where b may be a different matrix (e.g. a broadcast remote sample in
 // distributed SMO). Returns the flop count charged.
@@ -258,7 +228,7 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 		// The one b row is the reused side: scatter it, gather the rows of a.
 		rows := [1]int{j}
 		dsts := [1][]float64{dst}
-		p.fillSparse(b, rows[:], a, dsts[:], 1)
+		p.fillSparse(b, rows[:], a, nil, dsts[:], 1)
 	case !a.Sparse() && !b.Sparse():
 		xj := b.DenseRow(j)
 		for i := 0; i < m; i++ {
@@ -283,7 +253,7 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 		putScratch(buf)
 	}
 	// Charge actual stored entries on the a side — a.NNZ() is m·Features()
-	// for dense but the true nonzero count for sparse, mirroring Row's
+	// for dense but the true nonzero count for sparse, mirroring Tile's
 	// nnz-based accounting instead of the dense upper bound.
 	return float64(a.NNZ() + (nnzJ+1)*m)
 }

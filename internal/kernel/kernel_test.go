@@ -296,3 +296,91 @@ func TestFromDotAllKinds(t *testing.T) {
 		t.Errorf("poly scaled=%v want %v", got, wantP)
 	}
 }
+
+// raggedSparse builds CSR rows of very different lengths: an empty row, two
+// 8-long aligned runs sharing no index, a row straddling both, then random
+// rows at random densities.
+func raggedSparse(rng *rand.Rand, m, n int) *la.Matrix {
+	fixed := [][]int32{
+		{},
+		{0, 1, 2, 3, 4, 5, 6, 7},
+		{8, 9, 10, 11, 12, 13, 14, 15},
+		{1, 2, 3, 4, 9, 20},
+	}
+	rp := make([]int32, 1, m+1)
+	var ix []int32
+	var vx []float64
+	for i := 0; i < m; i++ {
+		if i < len(fixed) {
+			ix = append(ix, fixed[i]...)
+		} else {
+			density := rng.Float64()
+			for j := 0; j < n; j++ {
+				if rng.Float64() < density {
+					ix = append(ix, int32(j))
+				}
+			}
+		}
+		for len(vx) < len(ix) {
+			vx = append(vx, rng.NormFloat64())
+		}
+		rp = append(rp, int32(len(ix)))
+	}
+	return la.NewSparse(m, n, rp, ix, vx)
+}
+
+// TestKernelBitwiseSymmetric pins the precondition of RowCache's symmetric
+// fill: K(i, j) and K(j, i) are the same float64, bit for bit, through every
+// recipe that can produce a cached entry or stand in for one — the tile
+// fills (dense and scattered-sparse), CrossRow against the matrix itself,
+// and Eval with and without cached norms — for all four kinds.
+func TestKernelBitwiseSymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	mats := []struct {
+		name  string
+		build func() *la.Matrix // fresh per kind: Eval is first tried before any norm is cached
+	}{
+		{"dense-11", func() *la.Matrix { return denseMat(rng, 23, 11) }},
+		{"dense-4", func() *la.Matrix { return denseMat(rng, 9, 4) }},
+		{"sparse-ragged", func() *la.Matrix { return raggedSparse(rng, 23, 24) }},
+	}
+	bits := math.Float64bits
+	for _, mat := range mats {
+		name := mat.name
+		for _, p := range tileKinds {
+			a := mat.build()
+			m := a.Rows()
+			evalSymmetric := func(when string) {
+				for i := 0; i < m; i++ {
+					for j := 0; j < i; j++ {
+						if x, y := p.Eval(a, i, a, j), p.Eval(a, j, a, i); bits(x) != bits(y) {
+							t.Fatalf("%s %v %s: Eval(%d,%d)=%x but Eval(%d,%d)=%x", name, p.Kind, when, i, j, bits(x), j, i, bits(y))
+						}
+					}
+				}
+			}
+			evalSymmetric("without norms")
+			a.EnsureNorms()
+			evalSymmetric("with norms")
+
+			rows := make([]int, m)
+			k := make([][]float64, m)
+			for i := range rows {
+				rows[i], k[i] = i, make([]float64, m)
+			}
+			p.Tile(a, rows, k, allCols(m), 1)
+			col := make([]float64, m)
+			for j := 0; j < m; j++ {
+				p.CrossRow(a, a, j, col)
+				for i := 0; i < m; i++ {
+					if bits(k[i][j]) != bits(k[j][i]) {
+						t.Fatalf("%s %v: Row(%d)[%d]=%x but Row(%d)[%d]=%x", name, p.Kind, i, j, bits(k[i][j]), j, i, bits(k[j][i]))
+					}
+					if bits(col[i]) != bits(k[j][i]) {
+						t.Fatalf("%s %v: CrossRow(x,x,%d)[%d]=%x but Row(%d)[%d]=%x", name, p.Kind, j, i, bits(col[i]), j, i, bits(k[j][i]))
+					}
+				}
+			}
+		}
+	}
+}

@@ -5,46 +5,6 @@ import (
 	"testing"
 )
 
-func TestRowParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for _, mat := range []int{0, 1} { // dense, sparse
-		var a = denseMat(rng, 3000, 12)
-		if mat == 1 {
-			a = sparseMat(rng, 3000, 40, 0.25)
-		}
-		for _, p := range []Params{RBF(0.1), {Kind: Linear}, {Kind: Polynomial, Coef: 1, Degree: 2}} {
-			serial := make([]float64, a.Rows())
-			par := make([]float64, a.Rows())
-			fs := p.Row(a, 7, serial)
-			fp := p.RowParallel(a, 7, par, 4)
-			if fs != fp {
-				t.Errorf("kind=%v sparse=%v: flops %v vs %v", p.Kind, a.Sparse(), fs, fp)
-			}
-			for j := range serial {
-				if serial[j] != par[j] {
-					t.Fatalf("kind=%v sparse=%v: row[%d] %v vs %v", p.Kind, a.Sparse(), j, serial[j], par[j])
-				}
-			}
-		}
-	}
-}
-
-func TestRowParallelSmallFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	a := denseMat(rng, 100, 5)
-	dst := make([]float64, 100)
-	// Small matrix: must not spawn but still produce correct values.
-	p := RBF(0.5)
-	p.RowParallel(a, 3, dst, 8)
-	want := make([]float64, 100)
-	p.Row(a, 3, want)
-	for j := range want {
-		if dst[j] != want[j] {
-			t.Fatal("fallback path wrong")
-		}
-	}
-}
-
 func TestCacheWithThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	a := denseMat(rng, 2500, 8)

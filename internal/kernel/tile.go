@@ -16,9 +16,9 @@ import (
 // Two flavors exist because the repo has two bit-distinct row-at-a-time
 // paths and the golden E2E hashes pin both:
 //
-//   - Tile matches Params.Row elementwise (dense Gaussian goes through
-//     la.SqDist, not the norms identity) and charges Row's flop formula
-//     per tile row. It feeds training-scan fills (RowCache, RowParallel).
+//   - Tile is the training-scan recipe (dense Gaussian goes through
+//     la.SqDist, not the norms identity), over a list of columns of the
+//     training matrix itself. It is RowCache's one fill.
 //   - CrossTile matches Params.Eval elementwise (cross-matrix Gaussian
 //     always uses the norms identity) and feeds batch prediction.
 //
@@ -26,45 +26,50 @@ import (
 // replaces, so results are bit-identical at every tile shape and thread
 // count; the tile only changes the memory access pattern.
 
-// Tile fills dsts[r][lo:hi] with K(rows[r], j) for j in [lo, hi) over the
-// columns of a single training matrix, streaming each column row once for
-// all tile rows (the row-at-a-time path streams the matrix once per row).
-// Each dsts[r] must have length ≥ a.Rows(). Elementwise results are
-// bit-identical to Params.Row; the returned flop charge is the sum of
-// Row's per-row charges. Work is split over up to `threads` pool workers
-// along the column axis with the same deterministic chunking as
-// RowParallel.
-func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, threads int) float64 {
-	m := a.Rows()
-	if len(rows) == 0 {
+// rowGrain is the minimum number of output elements per chunk worth
+// handing to a pool worker. Each element costs ~2·nnz flops, so even narrow
+// features amortise the single channel handoff. Chunk boundaries depend only
+// on (threads, len(cols), rowGrain), so results and flop counts are identical
+// to the serial path.
+const rowGrain = 512
+
+// Tile fills dsts[r][c] with K(rows[r], c) for every column c listed in
+// cols, over the rows of a single training matrix, streaming each column row
+// once for all tile rows (a row-at-a-time fill streams the matrix once per
+// row). Entries of dsts outside cols are left alone — RowCache has copied
+// them from resident rows. Each dsts[r] must have length ≥ a.Rows().
+// Elementwise results are bit-identical to the scalar recipes (la.SqDist,
+// la.Dot, la.SpDot with the norms identity); the returned flop charge is
+// 2·nnz(row)·len(cols) + len(cols) per tile row. Work is split over up to
+// `threads` pool workers along cols with deterministic chunking.
+func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, cols []int32, threads int) float64 {
+	n := len(cols)
+	if len(rows) == 0 || n == 0 {
 		return 0
 	}
 	if p.Kind == Gaussian {
 		a.EnsureNorms() // not goroutine-safe lazily; force it up front
 	}
-	for r := range dsts {
-		dsts[r] = dsts[r][:m]
-	}
 	if a.Sparse() {
 		for base := 0; base < len(rows); base += tileRowBlock {
 			end := min(base+tileRowBlock, len(rows))
-			p.fillSparse(a, rows[base:end], a, dsts[base:end], threads)
+			p.fillSparse(a, rows[base:end], a, cols, dsts[base:end], threads)
 		}
-	} else if threads <= 1 || m < 2*rowGrain {
-		p.tileCols(a, rows, dsts, 0, m)
+	} else if threads <= 1 || n < 2*rowGrain {
+		p.tileCols(a, rows, dsts, cols)
 	} else {
-		pool.Shared().ParallelFor(threads, m, rowGrain, func(lo, hi int) {
-			p.tileCols(a, rows, dsts, lo, hi)
+		pool.Shared().ParallelFor(threads, n, rowGrain, func(lo, hi int) {
+			p.tileCols(a, rows, dsts, cols[lo:hi])
 		})
 	}
 	var flops float64
 	for _, i := range rows {
+		nnz := a.Features()
 		if a.Sparse() {
 			ix, _ := a.SparseRow(i)
-			flops += float64(2*len(ix)*m + m)
-		} else {
-			flops += float64(2*a.Features()*m + m)
+			nnz = len(ix)
 		}
+		flops += float64(2*nnz*n + n)
 	}
 	return flops
 }
@@ -75,27 +80,28 @@ func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, threads int) fl
 // short rows, which is exactly the single-row fill of a training scan.
 const tileRowBlock = 8
 
-// tileCols fills the column range [lo, hi) of every tile row of a dense
-// matrix. The column row j is loaded once and evaluated against all tile
-// rows (column-outer order); each element's arithmetic is exactly Row's,
-// with the tile row as the first argument of the dot/distance primitive.
-func (p Params) tileCols(a *la.Matrix, rows []int, dsts [][]float64, lo, hi int) {
+// tileCols fills the listed columns of every tile row of a dense matrix. The
+// column row j is loaded once and evaluated against all tile rows
+// (column-outer order), with the tile row as the first argument of the
+// dot/distance primitive — which, both being bitwise symmetric, is the value
+// the column's own row holds at the tile row's index.
+func (p Params) tileCols(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) {
 	for base := 0; base < len(rows); base += tileRowBlock {
 		n := len(rows) - base
 		if n > tileRowBlock {
 			n = tileRowBlock
 		}
-		p.tileColsBlock(a, rows[base:base+n], dsts[base:base+n], lo, hi)
+		p.tileColsBlock(a, rows[base:base+n], dsts[base:base+n], cols)
 	}
 }
 
-func (p Params) tileColsBlock(a *la.Matrix, rows []int, dsts [][]float64, lo, hi int) {
+func (p Params) tileColsBlock(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) {
 	var xr [tileRowBlock][]float64
 	for r, i := range rows {
 		xr[r] = a.DenseRow(i)
 	}
-	for j := lo; j < hi; j++ {
-		xj := a.DenseRow(j)
+	for _, j := range cols {
+		xj := a.DenseRow(int(j))
 		if p.Kind == Gaussian {
 			for r := range rows {
 				dsts[r][j] = math.Exp(-p.Gamma * la.SqDist(xr[r], xj))
@@ -123,14 +129,15 @@ type sparseBlock struct {
 var sparseBlocks = sync.Pool{New: func() any { return new(sparseBlock) }}
 
 // fillSparse is the one sparse×sparse fill loop: dsts[r][c] = K(rows[r] of
-// src, c of cols) for every row c of cols, with len(rows) ≤ tileRowBlock.
-// The reused side — the tile rows — is scattered once and every column is
-// then a single gather per row, bit-identical to the la.SpDot the scalar
-// paths evaluate (which is bitwise symmetric, so which side is scattered does
-// not matter). Row and Tile pass src == cols; CrossRow passes the matrix
-// holding the one remote row as src. Gaussian callers have ensured norms on
-// both matrices.
-func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, dsts [][]float64, threads int) {
+// src, c of cols) for every row c of cols that at lists (nil: all of them),
+// with len(rows) ≤ tileRowBlock. The reused side — the tile rows — is
+// scattered once and every column is then a single gather per row,
+// bit-identical to the la.SpDot the scalar paths evaluate (which is bitwise
+// symmetric, so which side is scattered does not matter). Tile passes
+// src == cols and its column list; CrossRow passes the matrix holding the one
+// remote row as src and no list. Gaussian callers have ensured norms on both
+// matrices.
+func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, at []int32, dsts [][]float64, threads int) {
 	sb := sparseBlocks.Get().(*sparseBlock)
 	width := max(src.Features(), cols.Features())
 	for r, i := range rows {
@@ -142,11 +149,14 @@ func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, dsts [][
 		sb.dst[r] = dsts[r]
 	}
 	n, m := len(rows), cols.Rows()
+	if at != nil {
+		m = len(at)
+	}
 	if threads <= 1 || m < 2*rowGrain {
-		p.sparseCols(sb, n, cols, 0, m)
+		p.sparseCols(sb, n, cols, at, 0, m)
 	} else {
 		pool.Shared().ParallelFor(threads, m, rowGrain, func(lo, hi int) {
-			p.sparseCols(sb, n, cols, lo, hi)
+			p.sparseCols(sb, n, cols, at, lo, hi)
 		})
 	}
 	for r := range rows {
@@ -156,11 +166,15 @@ func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, dsts [][
 	sparseBlocks.Put(sb)
 }
 
-// sparseCols fills columns [lo, hi) of the block's first n rows,
-// column-outer like tileCols.
-func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, lo, hi int) {
+// sparseCols fills columns at[lo:hi] (columns [lo, hi) when at is nil) of the
+// block's first n rows, column-outer like tileCols.
+func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32, lo, hi int) {
 	rows, dsts := sb.row[:n], sb.dst[:n]
-	for j := lo; j < hi; j++ {
+	for k := lo; k < hi; k++ {
+		j := k
+		if at != nil {
+			j = int(at[k])
+		}
 		ji, jv := cols.SparseRow(j)
 		if p.Kind == Gaussian {
 			nj := cols.SqNormRow(j)

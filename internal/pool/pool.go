@@ -4,7 +4,7 @@
 //
 // The pool exists because the SMO inner loop issues one parallel region
 // per iteration: spawning fresh goroutines per region — what the seed's
-// kernel.RowParallel did — costs a scheduler wakeup and a stack for every
+// parallel row fill did — costs a scheduler wakeup and a stack for every
 // chunk of every iteration. Here the workers are long-lived and parked on
 // a channel; a parallel region is just nc−1 channel sends, with the
 // calling goroutine executing chunk 0 itself so a 2-chunk region needs a

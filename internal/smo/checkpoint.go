@@ -8,10 +8,12 @@ import (
 
 // Checkpoint is a deterministic snapshot of a solver's optimisation state:
 // everything Restore needs to resume the exact trajectory from iteration
-// Iters. The kernel-row cache is deliberately excluded — it is a pure
-// performance artifact, and LocalExtremes charges the same 2·m flops
-// whether the extremes come from the fused cache or a fresh scan, so a
-// restored solver is bit- and flop-identical to one that never stopped.
+// Iters — multipliers, f, iteration count, and from them the bias and the
+// model hash, bit for bit. The kernel-row cache is deliberately excluded: it
+// is a pure performance artifact. The flop charge is therefore not part of
+// what a restore reproduces: it depends on which rows are resident, a
+// restored solver starts with none, and it pays again for every row the
+// interrupted one already held (TestRestoreTrajectoryNotFlops).
 type Checkpoint struct {
 	// Iters is the iteration count the snapshot was taken at.
 	Iters int
@@ -37,10 +39,11 @@ func (s *Solver) Snapshot() *Checkpoint {
 }
 
 // restore overwrites the solver's state from a checkpoint (called by New
-// when cfg.Restore is set). The cached working-set extremes are left
-// invalid, so the next LocalExtremes performs a fresh scan — which charges
-// exactly what the fused cache it replaces would have, keeping restored
-// runs flop-identical to uninterrupted ones.
+// when cfg.Restore is set) and re-derives the working-set membership from the
+// restored multipliers. The cached working-set extremes are left invalid, so
+// the next LocalExtremes performs a fresh scan — which charges exactly what
+// the fused cache it replaces would have. The row cache stays cold: the
+// restored run's kernel-row charges are its own, not the interrupted run's.
 func (s *Solver) restore(ck *Checkpoint) error {
 	m := len(s.y)
 	if len(ck.Alpha) != m || len(ck.F) != m {
@@ -48,6 +51,9 @@ func (s *Solver) restore(ck *Checkpoint) error {
 	}
 	copy(s.alpha, ck.Alpha)
 	copy(s.f, ck.F)
+	for i := range s.alpha {
+		s.setMember(i)
+	}
 	s.iters = ck.Iters
 	s.invalidateExtremes()
 	return nil

@@ -2,6 +2,7 @@ package smo
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -70,6 +71,50 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				requireSameSolution(t, tc.name, got, want)
 			}
 		})
+	}
+}
+
+// TestRestoreTrajectoryNotFlops states what a restored solve shares with the
+// uninterrupted one and what it does not. The trajectory — multipliers, bias,
+// iterations — is identical from any snapshot. The flop charge is not: it
+// depends on which kernel rows are resident, a snapshot carries no rows, and
+// the restored solver refills the ones the interrupted solver already held.
+// Work done before the interruption plus work after it is therefore at least
+// the uninterrupted total, and more whenever a row is touched on both sides.
+func TestRestoreTrajectoryNotFlops(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	x, y := twoBlobs(rng, 100, 1.0, 0.9)
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5)}
+	whole, err := Solve(x, y, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 60
+	if whole.Iters <= at {
+		t.Fatalf("solve finished in %d iterations, before the interruption at %d", whole.Iters, at)
+	}
+	s, err := New(x, y, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.iters < at {
+		s.Step()
+	}
+	ck := s.Snapshot()
+	pre := s.TakeFlops()
+
+	rcfg := cfg
+	rcfg.Restore = ck
+	post, err := Solve(x, y, rcfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSolution(t, "restored", post, whole)
+	if pre+post.Flops < whole.Flops {
+		t.Fatalf("interrupted solve charged %v + %v flops, fewer than the uninterrupted %v", pre, post.Flops, whole.Flops)
+	}
+	if pre+post.Flops == whole.Flops {
+		t.Fatalf("restored solve charged exactly the uninterrupted %v flops: it did not start on a cold cache", whole.Flops)
 	}
 }
 

@@ -45,12 +45,6 @@ func newExtremes() extremes {
 	return extremes{bHigh: math.Inf(1), iHigh: -1, bLow: math.Inf(-1), iLow: -1}
 }
 
-// bounds returns the positive- and negative-class box bounds once, so the
-// hot loops avoid per-element posWeight() calls.
-func (s *Solver) bounds() (cPos, cNeg float64) {
-	return s.cfg.C * s.cfg.posWeight(), s.cfg.C
-}
-
 // invalidateExtremes drops the cached working-set extremes; every mutation
 // of alpha or f must call it.
 func (s *Solver) invalidateExtremes() { s.extValid = false }
@@ -79,27 +73,19 @@ func (s *Solver) reduceExtremes(nc int) extremes {
 	return r
 }
 
-// scanExtremesRange computes the working-set extremes over f[lo:hi].
+// scanExtremesRange computes the working-set extremes over f[lo:hi]: the
+// strict comparisons keep the lowest index on ties, and a non-member's +Inf
+// (Solver.outHigh, outLow) keeps it out of both — the two branches are taken
+// only when a new extreme is found, which is rare.
 func (s *Solver) scanExtremesRange(lo, hi int) extremes {
 	e := newExtremes()
-	cPos, cNeg := s.bounds()
-	f, y, alpha := s.f, s.y, s.alpha
-	for i := lo; i < hi; i++ {
-		v := f[i]
-		if y[i] > 0 {
-			if alpha[i] < cPos && v < e.bHigh {
-				e.bHigh, e.iHigh = v, i
-			}
-			if alpha[i] > 0 && v > e.bLow {
-				e.bLow, e.iLow = v, i
-			}
-		} else {
-			if alpha[i] > 0 && v < e.bHigh {
-				e.bHigh, e.iHigh = v, i
-			}
-			if alpha[i] < cNeg && v > e.bLow {
-				e.bLow, e.iLow = v, i
-			}
+	f, outHigh, outLow := s.f[lo:hi], s.outHigh[lo:hi], s.outLow[lo:hi]
+	for k, v := range f {
+		if v+outHigh[k] < e.bHigh {
+			e.bHigh, e.iHigh = v, lo+k
+		}
+		if v-outLow[k] > e.bLow {
+			e.bLow, e.iLow = v, lo+k
 		}
 	}
 	return e
@@ -125,26 +111,17 @@ func (s *Solver) scanExtremes() extremes {
 // sweeps — so values are bit-identical to the unfused path.
 func (s *Solver) fusedRange(lo, hi int, rh, rl []float64, ch, cl float64) extremes {
 	e := newExtremes()
-	cPos, cNeg := s.bounds()
-	f, y, alpha := s.f, s.y, s.alpha
-	for i := lo; i < hi; i++ {
-		v := f[i] + ch*rh[i]
-		v += cl * rl[i]
-		f[i] = v
-		if y[i] > 0 {
-			if alpha[i] < cPos && v < e.bHigh {
-				e.bHigh, e.iHigh = v, i
-			}
-			if alpha[i] > 0 && v > e.bLow {
-				e.bLow, e.iLow = v, i
-			}
-		} else {
-			if alpha[i] > 0 && v < e.bHigh {
-				e.bHigh, e.iHigh = v, i
-			}
-			if alpha[i] < cNeg && v > e.bLow {
-				e.bLow, e.iLow = v, i
-			}
+	f, outHigh, outLow := s.f[lo:hi], s.outHigh[lo:hi], s.outLow[lo:hi]
+	rh, rl = rh[lo:hi], rl[lo:hi]
+	for k, v := range f {
+		v += ch * rh[k]
+		v += cl * rl[k]
+		f[k] = v
+		if v+outHigh[k] < e.bHigh {
+			e.bHigh, e.iHigh = v, lo+k
+		}
+		if v-outLow[k] > e.bLow {
+			e.bLow, e.iLow = v, lo+k
 		}
 	}
 	return e

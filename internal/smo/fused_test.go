@@ -28,12 +28,16 @@ func refUpdateF(s *Solver, iHigh, iLow int, u PairUpdate) {
 // refStep replicates the seed's unfused iteration: a fresh LocalExtremes
 // scan, PairDeltas, then the two-axpy refUpdateF. Because refUpdateF
 // invalidates the cached extremes, LocalExtremes rescans every iteration —
-// exactly the pre-fusion control flow and flop charges.
+// exactly the pre-fusion control flow and flop charges. The pair's rows are
+// made resident the way Step does it: which entries a fill evaluates (and so
+// charges) depends on what is resident when it runs, and the fill is not what
+// these tests compare.
 func refStep(s *Solver) (done bool) {
 	bHigh, iHigh, bLow, iLow := s.LocalExtremes()
 	if iHigh < 0 || iLow < 0 || bLow-bHigh < 2*s.cfg.tol() {
 		return true
 	}
+	s.cache.PrefetchPair(iHigh, iLow)
 	u := s.PairDeltas(iHigh, iLow)
 	if u.DAlphaHigh == 0 && u.DAlphaLow == 0 {
 		return true
@@ -199,7 +203,11 @@ func BenchmarkSolve(b *testing.B) {
 }
 
 // BenchmarkUpdateScanFused compares one fused update+scan pass against the
-// seed's separate refUpdateF + LocalExtremes passes over the same state.
+// seed's separate refUpdateF + LocalExtremes passes over the same state: at
+// α = 0, where set membership follows the label alone, and with half the
+// multipliers at their bound and a quarter inside the box in a seeded random
+// order — the state of a solve under way, where membership looks random along
+// the sample axis.
 func BenchmarkUpdateScanFused(b *testing.B) {
 	x, y := benchBlobs(4096)
 	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5)}
@@ -210,6 +218,14 @@ func BenchmarkUpdateScanFused(b *testing.B) {
 		}
 		s.cache.Row(0) // warm the two rows the passes touch
 		s.cache.Row(1)
+		return s
+	}
+	mixed := func(b *testing.B) *Solver {
+		s := mk(b)
+		rng := rand.New(rand.NewSource(8))
+		for i := range y {
+			s.AddAlpha(i, []float64{0, 0.5, 1, 1}[rng.Intn(4)])
+		}
 		return s
 	}
 	// Zero deltas keep f fixed across iterations while costing the same
@@ -230,6 +246,14 @@ func BenchmarkUpdateScanFused(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			refUpdateF(s, 0, 1, u)
 			s.LocalExtremes()
+		}
+	})
+	b.Run("fused-half-at-bound", func(b *testing.B) {
+		s := mixed(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.fusedUpdateScan(0, 1, u)
 		}
 	})
 }

@@ -68,8 +68,10 @@ type Config struct {
 	// Restore, when non-nil, resumes the solve from a snapshot instead of
 	// starting at α = 0 (it overrides any warm start). A restored solver
 	// replays the exact trajectory of the run that took the snapshot:
-	// results and flop charges are bit-identical to never having stopped.
-	// A Final snapshot fast-forwards the whole solve.
+	// multipliers, f, iterations and bias are bit-identical to never having
+	// stopped. Flop charges are not: the row cache starts cold, so rows the
+	// interrupted run held are evaluated again. A Final snapshot
+	// fast-forwards the whole solve.
 	Restore *Checkpoint
 	// Trace, when non-nil, records per-phase timeline spans (scan, update,
 	// kernel-row fills) into the rank's recorder. Nil — the default — keeps
@@ -128,6 +130,14 @@ type Solver struct {
 	f     []float64 // f_i of eqn (4)
 	cache *kernel.RowCache
 
+	// Keerthi working-set membership, kept where alpha is written (setMember)
+	// instead of re-derived from (y, α, C) for all m on every scan:
+	// outHigh[i] is 0 while i ∈ I_high and +Inf otherwise, outLow[i] likewise
+	// for I_low, so a scan tests f_i + outHigh[i] < bHigh and
+	// f_i − outLow[i] > bLow — a non-member never wins, a member compares
+	// f_i itself.
+	outHigh, outLow []float64
+
 	iters int
 	flops float64
 	// drainedCache remembers how many cache flops TakeFlops has already
@@ -155,7 +165,8 @@ type Solver struct {
 // New prepares a solver for the given samples and ±1 labels, optionally
 // warm-started from inherited multipliers (warm may be nil; otherwise its
 // length must equal x.Rows()). Warm starting rebuilds the f vector from the
-// nonzero multipliers, which is how Cascade/DC layers inherit state.
+// nonzero multipliers' kernel rows, which is how Cascade/DC layers inherit
+// state.
 func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error) {
 	m := x.Rows()
 	if len(y) != m {
@@ -183,13 +194,15 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 		}
 	}
 	s := &Solver{
-		x:     x,
-		y:     y,
-		cfg:   cfg,
-		alpha: make([]float64, m),
-		f:     make([]float64, m),
-		cache: kernel.NewRowCache(cfg.Kernel, x, cacheRows),
-		rec:   cfg.Trace,
+		x:       x,
+		y:       y,
+		cfg:     cfg,
+		alpha:   make([]float64, m),
+		f:       make([]float64, m),
+		cache:   kernel.NewRowCache(cfg.Kernel, x, cacheRows),
+		outHigh: make([]float64, m),
+		outLow:  make([]float64, m),
+		rec:     cfg.Trace,
 	}
 	s.cache.SetThreads(cfg.Threads)
 	s.cache.SetRecorder(cfg.Trace)
@@ -203,8 +216,7 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 	}
 	if cfg.Restore != nil {
 		// Resuming from a snapshot: the checkpoint state supersedes any
-		// warm start (the warm-start f rebuild would be discarded anyway,
-		// and skipping it keeps restored flop charges honest).
+		// warm start (the warm-start f rebuild would be discarded anyway).
 		if err := s.restore(cfg.Restore); err != nil {
 			return nil, err
 		}
@@ -221,16 +233,19 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 				s.alpha[i] = b
 			}
 		}
-		row := make([]float64, m)
-		for j := range s.alpha {
-			if s.alpha[j] == 0 {
-				continue
-			}
-			s.flops += cfg.Kernel.CrossRow(x, x, j, row)
-			coef := s.alpha[j] * y[j]
-			la.Axpy(coef, row, s.f)
-			s.flops += float64(2 * m)
+	}
+	for i := range s.alpha {
+		s.setMember(i)
+	}
+	// The rows of the inherited support vectors come through the cache: they
+	// are the likeliest first working set, so Solve finds them resident
+	// instead of evaluating each a second time (beyond capacity they evict).
+	for j, a := range s.alpha {
+		if a == 0 {
+			continue
 		}
+		la.Axpy(a*y[j], s.cache.Row(j), s.f)
+		s.flops += float64(2 * m)
 	}
 	return s, nil
 }
@@ -244,6 +259,28 @@ func (s *Solver) boundFor(i int) float64 {
 		return s.cfg.C * s.cfg.posWeight()
 	}
 	return s.cfg.C
+}
+
+// setMember records sample i's membership in I_high and I_low from
+// (y_i, α_i, C_i); every write to alpha[i] is followed by it. A multiplier
+// that can still rise puts a positive sample in I_high and a negative one in
+// I_low; one that can still fall, the other way round.
+func (s *Solver) setMember(i int) {
+	rise := outUnless(s.alpha[i] < s.boundFor(i))
+	fall := outUnless(s.alpha[i] > 0)
+	if s.y[i] > 0 {
+		s.outHigh[i], s.outLow[i] = rise, fall
+	} else {
+		s.outHigh[i], s.outLow[i] = fall, rise
+	}
+}
+
+// outUnless is a membership array's entry: 0 for a member, +Inf otherwise.
+func outUnless(member bool) float64 {
+	if member {
+		return 0
+	}
+	return math.Inf(1)
 }
 
 // LocalExtremes scans f for the working pair: bHigh = min f over I_high
@@ -293,6 +330,8 @@ func (s *Solver) pairDeltasRaw(iHigh, iLow int, yh, yl, fh, fl, khh, kll, khl fl
 	dah, dal := PairSolveWeighted(ch, cl, yh, yl, fh, fl, ah, al, khh, kll, khl)
 	s.alpha[iLow] = s.snapTo(al+dal, cl)
 	s.alpha[iHigh] = s.snapTo(math.Min(ch, math.Max(0, ah+dah)), ch)
+	s.setMember(iLow)
+	s.setMember(iHigh)
 	return PairUpdate{DAlphaHigh: dah, DAlphaLow: dal}
 }
 
@@ -373,6 +412,7 @@ func (s *Solver) AddAlpha(i int, d float64) {
 	a := s.alpha[i] + d
 	b := s.boundFor(i)
 	s.alpha[i] = s.snapTo(math.Min(b, math.Max(0, a)), b)
+	s.setMember(i)
 }
 
 // Step runs one full local SMO iteration. It returns done=true when the

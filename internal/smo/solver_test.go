@@ -176,6 +176,74 @@ func TestWarmStartConvergesFast(t *testing.T) {
 	}
 }
 
+// TestWarmStartFillsThroughCache pins what a warm start costs and what it
+// may not change. The reference rebuilds f the way New did before the rows
+// went through the cache — one CrossRow(x, x, j) per inherited support vector
+// into a throwaway buffer, axpy'd in index order — and then solves on a cold
+// cache. Same multipliers, bias and iterations bit for bit (CrossRow(x,x,j)
+// is row j by symmetry, the axpy order is unchanged); strictly fewer cache
+// misses, because the solve finds the support vectors' rows resident.
+func TestWarmStartFillsThroughCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	de, y := twoBlobs(rng, 80, 1.2, 0.9)
+	cfg := defaultCfg()
+	for _, mat := range []struct {
+		name string
+		x    *la.Matrix
+	}{{"dense", de}, {"sparse", sparseCopy(de)}} {
+		// An upper Cascade layer's input: multipliers of a solve stopped early.
+		part := cfg
+		part.MaxIter = 40
+		lower, err := Solve(mat.x, y, part, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if svCount(lower.Alpha) < 10 {
+			t.Fatalf("%s: only %d inherited support vectors", mat.name, svCount(lower.Alpha))
+		}
+
+		ref, err := New(mat.x, y, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make([]float64, mat.x.Rows())
+		for j, a := range lower.Alpha {
+			ref.alpha[j] = a
+			ref.setMember(j)
+			if a != 0 {
+				cfg.Kernel.CrossRow(mat.x, mat.x, j, row)
+				la.Axpy(a*y[j], row, ref.f)
+			}
+		}
+		got, err := New(mat.x, y, cfg, lower.Alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref.f {
+			if got.f[i] != ref.f[i] {
+				t.Fatalf("%s: warm f[%d] %v, reference %v", mat.name, i, got.f[i], ref.f[i])
+			}
+		}
+		for !ref.Step() {
+		}
+		for !got.Step() {
+		}
+		if got.iters != ref.iters || got.Bias() != ref.Bias() {
+			t.Fatalf("%s: iters/bias %d/%v, reference %d/%v", mat.name, got.iters, got.Bias(), ref.iters, ref.Bias())
+		}
+		for i := range ref.alpha {
+			if got.alpha[i] != ref.alpha[i] {
+				t.Fatalf("%s: alpha[%d] %v, reference %v", mat.name, i, got.alpha[i], ref.alpha[i])
+			}
+		}
+		_, gotMisses, _ := got.cache.Stats()
+		_, refMisses, _ := ref.cache.Stats()
+		if refMisses += int64(svCount(lower.Alpha)); gotMisses >= refMisses {
+			t.Fatalf("%s: %d row fills, the throwaway rebuild plus a cold solve made %d", mat.name, gotMisses, refMisses)
+		}
+	}
+}
+
 func TestWarmStartClipsOutOfBox(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x, y := twoBlobs(rng, 10, 2, 0.3)
