@@ -64,7 +64,7 @@ race-matrix:
 # corpora cannot rot; `make fuzz` does the time-boxed exploration.
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' ./internal/data ./internal/tcpmpi ./internal/trace \
-		./internal/serve ./internal/cluster ./internal/la
+		./internal/serve ./internal/cluster ./internal/la ./internal/model
 
 # serve-smoke boots the live telemetry server against a real training run
 # held mid-flight (TestServeSmoke) and against a cluster coordinator with
@@ -126,10 +126,14 @@ soak-cluster:
 # overhead; the disabled path is pinned to 0 allocs/op by test.
 # BenchmarkTrainDisSMO is the whole distributed-SMO job of the repository
 # benchmark's dissmo-dense workload (ns/op, allocs/op, msgs/op), ungated.
+# BenchmarkModelHash, BenchmarkLoadSet and BenchmarkShardCodec (root package)
+# price the text and binary model formats on the cluster-remote job's set.
 bench: bench-kernel
-	$(GO) test ./internal/smo ./internal/kernel ./internal/la ./internal/core \
+	{ $(GO) test ./internal/smo ./internal/kernel ./internal/la ./internal/core \
 		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScanFused|RowCache|BenchmarkDot|BenchmarkSpDotFill|BenchmarkTrainDisSMO$$' \
-		-benchmem -cpu 1,4 | $(GO) run ./cmd/benchjson > BENCH_smo.json
+		-benchmem -cpu 1,4; \
+	  $(GO) test . -run '^$$' -bench 'BenchmarkModelHash$$|BenchmarkLoadSet$$|BenchmarkShardCodec' \
+		-benchmem -cpu 1,4; } | $(GO) run ./cmd/benchjson > BENCH_smo.json
 	@echo wrote BENCH_smo.json
 
 # bench-kernel records the tile-engine suite in BENCH_kernel.json: blocked
@@ -169,7 +173,7 @@ loc:
 		| sort -k2
 
 # Short fuzz sweep over every fuzz target (parsers, the wire-frame
-# decoder, the matrix decoder, and the run-report round trip); seed corpora
+# decoder, the matrix and shard decoders, and the run-report round trip); seed corpora
 # also run in plain `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime 10s ./internal/data
@@ -178,6 +182,7 @@ fuzz:
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodePredictRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run 'Fuzz' -fuzz FuzzExecFrames -fuzztime 10s ./internal/cluster
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeMatrix -fuzztime 10s ./internal/la
+	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeShardModel -fuzztime 10s ./internal/model
 
 # cover enforces statement-coverage floors on the packages whose
 # regressions are silent: 70% on the observability/modeling set, 75% on the

@@ -5,13 +5,16 @@ package casvm
 // building blocks the per-table benchmarks compose.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"casvm/internal/core"
 	"casvm/internal/data"
 	"casvm/internal/kernel"
 	"casvm/internal/kmeans"
 	"casvm/internal/la"
+	"casvm/internal/model"
 	"casvm/internal/mpi"
 	"casvm/internal/partition"
 	"casvm/internal/perfmodel"
@@ -176,5 +179,109 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		if _, err := la.DecodeMatrix(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// remoteJobSets trains the model set of the repository benchmark's
+// cluster-remote job (bench/cluster.go: RA-CA, P=4, 400×16 mixture, 384 SVs)
+// — the set every finished remote job encodes once per shard, decodes once
+// per shard and hashes once — and its CSR twin, which is what loading the
+// dense one's text yields. text is the set's model-file form.
+func remoteJobSets(b *testing.B) (dense, sparse *model.Set, text []byte) {
+	b.Helper()
+	d, err := data.Generate(data.MixtureSpec{
+		Name: "cluster-remote", Train: 400, Test: 400, Features: 16, Clusters: 4,
+		Separation: 6, Noise: 1, PosFrac: []float64{0.5}, LabelNoise: 0.02, Margin: 1, Seed: 2015,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := core.DefaultParams(core.MethodRACA, 4)
+	p.Kernel = kernel.RBF(1.0 / 16)
+	out, err := core.Train(d.X, d.Y, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := model.SaveSet(&buf, out.Set); err != nil {
+		b.Fatal(err)
+	}
+	if sparse, err = model.LoadSet(bytes.NewReader(buf.Bytes())); err != nil {
+		b.Fatal(err)
+	}
+	return out.Set, sparse, buf.Bytes()
+}
+
+// BenchmarkModelHash is the fingerprint of a finished job: the text format
+// streamed through SHA-256.
+func BenchmarkModelHash(b *testing.B) {
+	set, _, text := remoteJobSets(b)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.ModelHash(set); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadSet parses the same set's model file, as the serving registry
+// and casvm.Load do.
+func BenchmarkLoadSet(b *testing.B) {
+	_, _, text := remoteJobSets(b)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.LoadSet(bytes.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardCodec is what crossing a process boundary costs the job's
+// four shards, each way: sections framed by mpi.PackSections, as
+// core.GatherOutput and the cluster's rank-done frame carry them. wire_B/op
+// is the four envelopes together.
+func BenchmarkShardCodec(b *testing.B) {
+	dense, sparse, _ := remoteJobSets(b)
+	for _, tc := range []struct {
+		name string
+		set  *model.Set
+	}{{"dense", dense}, {"sparse", sparse}} {
+		encode := func() (frames [][]byte, wire int) {
+			for j, m := range tc.set.Models {
+				f := mpi.PackSections(model.EncodeShard(m, tc.set.Centers.DenseRow(j))...)
+				frames, wire = append(frames, f), wire+len(f)
+			}
+			return frames, wire
+		}
+		frames, wire := encode()
+		b.Run("encode/"+tc.name, func(b *testing.B) {
+			b.SetBytes(int64(wire))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				encode()
+			}
+			b.ReportMetric(float64(wire), "wire_B/op")
+		})
+		b.Run("decode/"+tc.name, func(b *testing.B) {
+			k, n := tc.set.Models[0].Kernel, tc.set.Centers.Features()
+			b.SetBytes(int64(wire))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, f := range frames {
+					secs, err := mpi.UnpackSections(f, model.ShardSections)
+					if err == nil {
+						_, _, err = model.DecodeShard(secs, k, n)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(wire), "wire_B/op")
+		})
 	}
 }

@@ -81,6 +81,7 @@ type Coordinator struct {
 	fleet     *fleet.Collector
 	onJobDone func(*Job)
 	logf      func(string, ...any)
+	data      datasetMemo // consecutive jobs over one dataset build it once
 
 	// membership and job counters (satellite: lease-expiry/join/leave
 	// visibility in the Prometheus registry)
@@ -237,7 +238,7 @@ func (c *Coordinator) Jobs() []*Job {
 // connection after the submit frame landed can safely resubmit and
 // reattach to the in-flight work.
 func (c *Coordinator) Submit(spec JobSpec) (*Job, error) {
-	pr, ds, err := trainParams(spec)
+	pr, ds, err := c.data.trainParams(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +271,7 @@ func (c *Coordinator) Submit(spec JobSpec) (*Job, error) {
 		state:   JobQueued,
 	}
 	if spec.Remote {
-		j.remote = newRemoteRun(j)
+		j.remote = newRemoteRun(j, ds.X.Rows(), ds.Features())
 	}
 	c.jobs = append(c.jobs, j)
 	c.byID[id] = j

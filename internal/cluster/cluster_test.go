@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,12 @@ func testMixture(train int) *data.MixtureSpec {
 	}
 }
 
+// trainParams resolves a spec the way a coordinator with nothing memoised
+// does: what the tests train their local references on.
+func trainParams(s JobSpec) (core.Params, *data.Dataset, error) {
+	return new(datasetMemo).trainParams(s)
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
@@ -34,13 +41,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// testLog is t.Logf until stop is called. A registrar's frame loops outlive
+// its Close by a moment — a worker killed in a cleanup is reported "gone"
+// from one — and a line logged after the test returned is a panic, so a test
+// coordinator's cleanup stops its log before it closes.
+func testLog(t *testing.T) (logf func(string, ...any), stop func()) {
+	var over atomic.Bool
+	return func(format string, args ...any) {
+		if !over.Load() {
+			t.Logf(format, args...)
+		}
+	}, func() { over.Store(true) }
+}
+
 func newTestCoordinator(t *testing.T, ttl time.Duration) *Coordinator {
 	t.Helper()
-	c, err := New("localhost:0", Config{LeaseTTL: ttl, Logf: t.Logf})
+	logf, stop := testLog(t)
+	c, err := New("localhost:0", Config{LeaseTTL: ttl, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	t.Cleanup(func() { stop(); c.Close() })
 	return c
 }
 

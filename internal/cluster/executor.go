@@ -12,7 +12,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"casvm/internal/core"
-	"casvm/internal/model"
 	"casvm/internal/smo"
 	"casvm/internal/tcpmpi"
 	"casvm/internal/telemetry/fleet"
@@ -52,6 +50,7 @@ var (
 type executor struct {
 	l    *tcpmpi.Lease
 	opts ExecutorOptions
+	data datasetMemo // a re-gang or the next job over the same data builds nothing
 
 	mu      sync.Mutex
 	aborted map[string]int // job -> highest aborted generation
@@ -104,13 +103,13 @@ func RunExecutor(ctx context.Context, addr string, opts ExecutorOptions) error {
 		case tagExecAbort:
 			e.onAbort(payload)
 		case tagExecStart:
-			m, err := decodeExecStart(payload)
+			m, resume, err := decodeExecStart(payload)
 			if err != nil {
 				e.logf("executor: %v", err)
 				continue
 			}
 			// Generations run off the serving loop so aborts keep landing.
-			go e.runGeneration(m)
+			go e.runGeneration(m, resume)
 		}
 	}
 }
@@ -143,14 +142,14 @@ func (e *executor) sendFail(m execStart, rank int, msg string) {
 	}
 }
 
-// runGeneration executes one generation on this worker: train the
-// assigned shard ranks in order, streaming checkpoints and finished models
-// back over the lease.
-func (e *executor) runGeneration(m execStart) {
+// runGeneration executes one generation on this worker: train the assigned
+// shard ranks in order, each from its resume checkpoint if the start frame
+// carried one, streaming checkpoints and finished models back over the lease.
+func (e *executor) runGeneration(m execStart, resume map[int]*smo.Checkpoint) {
 	if e.abortedGen(m.Job) >= m.Gen {
 		return
 	}
-	pr, ds, err := trainParams(m.Spec)
+	pr, ds, err := e.data.trainParams(m.Spec)
 	if err != nil {
 		e.sendFail(m, -1, err.Error())
 		return
@@ -165,11 +164,6 @@ func (e *executor) runGeneration(m execStart) {
 		if e.abortedGen(m.Job) >= m.Gen {
 			return
 		}
-		restore, err := remoteResumeCheckpoint(m.Resume[rank])
-		if err != nil { // decodeExecStart already vetted the blob
-			e.sendFail(m, rank, fmt.Sprintf("resume checkpoint: %v", err))
-			return
-		}
 		var rep *fleet.Reporter
 		if e.opts.Fleet {
 			if rep, err = fleet.NewReporter(e.l, m.Job, rank, m.Spec.P); err != nil {
@@ -181,10 +175,9 @@ func (e *executor) runGeneration(m execStart) {
 		sink := func(ck *smo.Checkpoint) {
 			blob := ck.Encode()
 			virt += pr.Machine.PtoP(len(blob))
-			frame := marshalExec(execCkpt{
-				Job: m.Job, Gen: m.Gen, Rank: rank,
-				Iters: ck.Iters, VirtSec: virt, Blob: blob,
-			})
+			frame := encodeExecCkpt(execRank{
+				Job: m.Job, Gen: m.Gen, Rank: rank, Iters: ck.Iters, VirtSec: virt,
+			}, blob)
 			if err := e.l.Send(tagExecCkpt, frame); err != nil {
 				e.logf("executor: checkpoint deposit: %v", err)
 			}
@@ -212,7 +205,7 @@ func (e *executor) runGeneration(m execStart) {
 			Rank: rank, P: m.Spec.P,
 			CheckpointEvery: m.CheckpointEvery,
 			CheckpointSink:  sink,
-			Restore:         restore,
+			Restore:         resume[rank],
 			Interrupt:       interrupt,
 		})
 		if err != nil {
@@ -223,16 +216,9 @@ func (e *executor) runGeneration(m execStart) {
 			return
 		}
 		virt += sh.VirtSec
-		var buf bytes.Buffer
-		if err := model.SaveSet(&buf, model.Single(sh.Model, sh.Center)); err != nil {
-			e.sendFail(m, rank, fmt.Sprintf("serialize shard model: %v", err))
-			return
-		}
-		done := marshalExec(execRankDone{
-			Job: m.Job, Gen: m.Gen, Rank: rank,
-			Iters: sh.Iters, SVs: sh.SVs, VirtSec: virt,
-			Model: buf.Bytes(), Center: sh.Center,
-		})
+		done := encodeExecRankDone(execRank{
+			Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters, VirtSec: virt,
+		}, sh.Model, sh.Center)
 		if err := e.l.Send(tagExecRankDone, done); err != nil {
 			e.logf("executor: rank-done report: %v", err)
 			return

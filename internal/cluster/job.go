@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
+	"sync"
 
 	"casvm/internal/core"
 	"casvm/internal/data"
@@ -103,50 +105,68 @@ func (s JobSpec) validate() error {
 // can count how often a job materialises its data.
 var generateMixture = data.Generate
 
-// resolveDataset materialises the spec's dataset and the RBF gamma to use.
-func resolveDataset(s JobSpec) (*data.Dataset, float64, error) {
-	g := s.Gamma
-	var ds *data.Dataset
-	var err error
-	if s.Mixture != nil {
-		if ds, err = generateMixture(*s.Mixture); err != nil {
-			return nil, 0, err
-		}
-		if g == 0 {
-			g = 1.0 / float64(ds.Features())
-		}
-		return ds, g, nil
-	}
-	scale := s.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	var entry data.Entry
-	if ds, entry, err = data.Load(s.Dataset, scale); err != nil {
-		return nil, 0, err
-	}
-	if g == 0 {
-		g = entry.GammaOrDefault()
-	}
-	return ds, g, nil
+// datasetMemo holds the dataset its owner — a coordinator, an executor —
+// resolved last, so a re-gang or the next job over the same data builds
+// nothing. One entry, keyed by the spec's dataset fields; the lock is held
+// across a build. Callers share the dataset read-only: the one field a Matrix
+// writes lazily, its row-norm cache, is filled before the dataset is stored.
+type datasetMemo struct {
+	mu    sync.Mutex
+	key   string
+	ds    *data.Dataset
+	gamma float64
 }
 
-// trainParams validates the spec, materialises its dataset and builds the
-// core training parameters a coordinator runs it with. Tests reuse it to
-// produce bit-identical local reference runs.
-func trainParams(s JobSpec) (core.Params, *data.Dataset, error) {
+// resolve materialises the spec's dataset and the RBF gamma to use.
+func (m *datasetMemo) resolve(s JobSpec) (*data.Dataset, float64, error) {
+	key, err := json.Marshal([]any{s.Dataset, s.Scale, s.Mixture})
+	if err != nil {
+		return nil, 0, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.ds == nil || m.key != string(key) {
+		var ds *data.Dataset
+		var entry data.Entry
+		if s.Mixture != nil {
+			ds, err = generateMixture(*s.Mixture)
+		} else {
+			ds, entry, err = data.Load(s.Dataset, s.Scale) // a zero Scale loads at 1.0
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		ds.X.EnsureNorms()
+		if ds.TestX != nil {
+			ds.TestX.EnsureNorms()
+		}
+		m.key, m.ds, m.gamma = string(key), ds, 1/float64(ds.Features())
+		if s.Mixture == nil {
+			m.gamma = entry.GammaOrDefault()
+		}
+	}
+	if s.Gamma != 0 {
+		return m.ds, s.Gamma, nil
+	}
+	return m.ds, m.gamma, nil
+}
+
+// trainParams validates the spec, resolves its dataset and builds the core
+// training parameters a coordinator runs it with. Tests reuse it to produce
+// bit-identical local reference runs.
+func (m *datasetMemo) trainParams(s JobSpec) (core.Params, *data.Dataset, error) {
 	if err := s.validate(); err != nil {
 		return core.Params{}, nil, err
 	}
-	m, _ := core.ParseMethod(s.Method) // validate parsed it
-	ds, gamma, err := resolveDataset(s)
+	method, _ := core.ParseMethod(s.Method) // validate parsed it
+	ds, gamma, err := m.resolve(s)
 	if err != nil {
 		return core.Params{}, nil, err
 	}
 	if s.Remote && ds.X.Rows() < s.P {
 		return core.Params{}, nil, fmt.Errorf("cluster: %d samples cannot feed %d remote ranks", ds.X.Rows(), s.P)
 	}
-	pr := core.DefaultParams(m, s.P)
+	pr := core.DefaultParams(method, s.P)
 	if s.C != 0 {
 		pr.C = s.C
 	}

@@ -24,15 +24,14 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"casvm/internal/core"
 	"casvm/internal/model"
-	"casvm/internal/smo"
 	"casvm/internal/tcpmpi"
 )
 
@@ -52,7 +51,8 @@ const (
 // expiries, scheduler attaches). Guarded by its own mutex; the lock order
 // is c.mu before rr.mu, never the reverse.
 type remoteRun struct {
-	j *Job
+	j              *Job
+	rows, features int // of the job's dataset: what a returned shard is held to
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -72,7 +72,6 @@ type remoteRun struct {
 
 	ckptBlob  map[int][]byte
 	ckptIters map[int]int
-	ckptVirt  map[int]float64
 	doneRank  map[int]*core.ShardResult
 
 	base       float64 // virtual-time origin of the next generation
@@ -83,54 +82,51 @@ type remoteRun struct {
 	lostRanks  []int
 }
 
-func newRemoteRun(j *Job) *remoteRun {
+func newRemoteRun(j *Job, rows, features int) *remoteRun {
 	rr := &remoteRun{
 		j:         j,
+		rows:      rows,
+		features:  features,
 		ckptBlob:  map[int][]byte{},
 		ckptIters: map[int]int{},
-		ckptVirt:  map[int]float64{},
 		doneRank:  map[int]*core.ShardResult{},
 	}
 	rr.cond = sync.NewCond(&rr.mu)
 	return rr
 }
 
-// kick wakes every waiter after external state (gang membership, frames)
-// changed. Callers may hold c.mu; kick only takes rr.mu.
-func (rr *remoteRun) kick() {
+// update applies f to the run's state under its lock, counts the event and
+// wakes every waiter. Callers may hold c.mu; update only takes rr.mu.
+func (rr *remoteRun) update(f func()) {
 	rr.mu.Lock()
+	f()
 	rr.events++
 	rr.mu.Unlock()
 	rr.cond.Broadcast()
 }
 
+// kick wakes every waiter after external state (gang membership) changed.
+func (rr *remoteRun) kick() { rr.update(func() {}) }
+
 // closeRun unblocks the supervising goroutine for coordinator shutdown.
-func (rr *remoteRun) closeRun() {
-	rr.mu.Lock()
-	rr.closed = true
-	rr.events++
-	rr.mu.Unlock()
-	rr.cond.Broadcast()
-}
+func (rr *remoteRun) closeRun() { rr.update(func() { rr.closed = true }) }
 
 // workerLost records a generation member's death: its pending ranks go on
 // the lost ledger and the supervisor is woken to abort and re-gang. Called
 // under c.mu from onGone.
 func (rr *remoteRun) workerLost(id int) {
-	rr.mu.Lock()
-	if rr.genActive {
-		if ranks, ok := rr.assign[id]; ok {
-			rr.lost = true
-			for _, r := range ranks {
-				if rr.doneRank[r] == nil {
-					rr.lostRanks = append(rr.lostRanks, r)
-				}
+	rr.update(func() {
+		ranks, ok := rr.assign[id]
+		if !rr.genActive || !ok {
+			return
+		}
+		rr.lost = true
+		for _, r := range ranks {
+			if rr.doneRank[r] == nil {
+				rr.lostRanks = append(rr.lostRanks, r)
 			}
 		}
-	}
-	rr.events++
-	rr.mu.Unlock()
-	rr.cond.Broadcast()
+	})
 }
 
 // pendingRanks lists shard ranks without a finished model, sorted.
@@ -147,48 +143,51 @@ func (rr *remoteRun) pendingRanksLocked() []int {
 // onCkpt stores the latest checkpoint for a rank. Progress is monotonic:
 // an older deposit (a stale generation's frame arriving late) never
 // regresses the resume point.
-func (rr *remoteRun) onCkpt(m execCkpt) {
-	rr.mu.Lock()
-	if m.Rank < rr.j.spec.P && rr.doneRank[m.Rank] == nil && m.Iters >= rr.ckptIters[m.Rank] {
-		rr.ckptBlob[m.Rank] = m.Blob
-		rr.ckptIters[m.Rank] = m.Iters
-		if v := rr.genBase + m.VirtSec; v > rr.maxVirt {
-			rr.maxVirt = v
+func (rr *remoteRun) onCkpt(m execRank, blob []byte) {
+	rr.update(func() {
+		if m.Rank < rr.j.spec.P && rr.doneRank[m.Rank] == nil && m.Iters >= rr.ckptIters[m.Rank] {
+			rr.ckptBlob[m.Rank] = blob
+			rr.ckptIters[m.Rank] = m.Iters
+			rr.maxVirt = math.Max(rr.maxVirt, rr.genBase+m.VirtSec)
 		}
-		rr.ckptVirt[m.Rank] = rr.genBase + m.VirtSec
-	}
-	rr.events++
-	rr.mu.Unlock()
-	rr.cond.Broadcast()
+	})
 }
 
-// onRankDone stores a finished shard. The model bytes were already parsed
-// at the trust boundary; duplicates from stale generations are ignored —
-// shard solves are deterministic, so the first result is as good as any.
-func (rr *remoteRun) onRankDone(m execRankDone, sh *core.ShardResult) {
-	rr.mu.Lock()
-	if m.Rank < rr.j.spec.P && rr.doneRank[m.Rank] == nil {
-		rr.doneRank[m.Rank] = sh
-		delete(rr.ckptBlob, m.Rank)
-		if v := rr.genBase + m.VirtSec; v > rr.maxVirt {
-			rr.maxVirt = v
-		}
+// decodeShard turns a rank-done frame's sections into a shard result: the
+// model must decode under the job's kernel at the dataset's width and cannot
+// have more support vectors than the dataset has rows.
+func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, error) {
+	m, center, err := model.DecodeShard(secs, rr.j.params.Kernel, rr.features)
+	if err != nil {
+		return nil, err
 	}
-	rr.events++
-	rr.mu.Unlock()
-	rr.cond.Broadcast()
+	if m.NSV() > rr.rows {
+		return nil, fmt.Errorf("cluster: shard of %d support vectors from a dataset of %d rows", m.NSV(), rr.rows)
+	}
+	return &core.ShardResult{Model: m, Center: center, Iters: h.Iters}, nil
+}
+
+// onRankDone stores a finished shard, decoded and checked at the trust
+// boundary; duplicates from stale generations are ignored — shard solves
+// are deterministic, so the first result is as good as any.
+func (rr *remoteRun) onRankDone(m execRank, sh *core.ShardResult) {
+	rr.update(func() {
+		if m.Rank < rr.j.spec.P && rr.doneRank[m.Rank] == nil {
+			rr.doneRank[m.Rank] = sh
+			delete(rr.ckptBlob, m.Rank)
+			rr.maxVirt = math.Max(rr.maxVirt, rr.genBase+m.VirtSec)
+		}
+	})
 }
 
 // onFail records a worker-reported solve failure, which fails the job: a
 // spec or solver error repeats on any gang.
 func (rr *remoteRun) onFail(m execFail) {
-	rr.mu.Lock()
-	if rr.genActive && m.Gen == rr.gen {
-		rr.fatal = fmt.Sprintf("rank %d: %s", m.Rank, m.Err)
-	}
-	rr.events++
-	rr.mu.Unlock()
-	rr.cond.Broadcast()
+	rr.update(func() {
+		if rr.genActive && m.Gen == rr.gen {
+			rr.fatal = fmt.Sprintf("rank %d: %s", m.Rank, m.Err)
+		}
+	})
 }
 
 // RemoteProgress is a snapshot of a remote job's execution state, for
@@ -228,11 +227,10 @@ func (j *Job) Remote() *RemoteProgress {
 	return p
 }
 
-// onExecFrame routes executor control frames from lease holders into the
-// owning job's remote runtime. Frames from leases not currently owned by a
-// remote job are dropped — a departed worker's late frames carry no
-// authority.
-func (c *Coordinator) onExecFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) {
+// execFrame routes an executor control frame into the owning job's remote
+// runtime; the error is a frame refused. Frames from leases the job does not
+// own are dropped — a departed worker's late frames carry no authority.
+func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) error {
 	ident := func(job string) *remoteRun {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -244,42 +242,31 @@ func (c *Coordinator) onExecFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) 
 	}
 	switch tag {
 	case tagExecCkpt:
-		m, err := decodeExecCkpt(payload)
+		m, blob, err := decodeExecCkpt(payload)
 		if err != nil {
-			c.logf("cluster: lease %d: %v", w.ID, err)
-			return
+			return err
 		}
 		if rr := ident(m.Job); rr != nil {
-			rr.onCkpt(m)
+			rr.onCkpt(m, blob)
 		}
 	case tagExecRankDone:
-		m, err := decodeExecRankDone(payload)
+		m, secs, err := decodeExecRankDone(payload)
 		if err != nil {
-			c.logf("cluster: lease %d: %v", w.ID, err)
-			return
+			return err
 		}
 		// Ownership first: only a lease the named job actually holds gets
-		// to spend coordinator cycles parsing model bytes.
-		rr := ident(m.Job)
-		if rr == nil {
-			return
+		// to spend coordinator cycles decoding a model.
+		if rr := ident(m.Job); rr != nil {
+			sh, err := rr.decodeShard(m, secs)
+			if err != nil {
+				return fmt.Errorf("rank-done shard rejected: %w", err)
+			}
+			rr.onRankDone(m, sh)
 		}
-		set, err := model.LoadSet(bytes.NewReader(m.Model))
-		if err != nil || len(set.Models) != 1 {
-			c.logf("cluster: lease %d: rank-done model rejected: %v", w.ID, err)
-			return
-		}
-		rr.onRankDone(m, &core.ShardResult{
-			Model:  set.Models[0],
-			Center: m.Center,
-			Iters:  m.Iters,
-			SVs:    m.SVs,
-		})
 	case tagExecFail:
 		m, err := decodeExecFail(payload)
 		if err != nil {
-			c.logf("cluster: lease %d: %v", w.ID, err)
-			return
+			return err
 		}
 		if rr := ident(m.Job); rr != nil {
 			c.logf("cluster: job %s gen %d rank %d failed on lease %d: %s",
@@ -287,6 +274,7 @@ func (c *Coordinator) onExecFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) 
 			rr.onFail(m)
 		}
 	}
+	return nil
 }
 
 // awaitRemoteGang blocks until the job's gang satisfies its policy —
@@ -375,18 +363,9 @@ func (c *Coordinator) dispatchGeneration(j *Job, gang []int, gen int, every int)
 	rr.mu.Lock()
 	starts := make([][]byte, len(gang))
 	for i, id := range gang {
-		ranks := rr.assign[id]
-		resume := map[int][]byte{}
-		for _, r := range ranks {
-			if blob, ok := rr.ckptBlob[r]; ok {
-				resume[r] = blob
-			}
-		}
-		starts[i] = marshalExec(execStart{
-			Job: j.id, Gen: gen, Spec: j.spec,
-			Ranks: ranks, Resume: resume,
-			CheckpointEvery: every,
-		})
+		starts[i] = encodeExecStart(execStart{
+			Job: j.id, Gen: gen, Spec: j.spec, Ranks: rr.assign[id], CheckpointEvery: every,
+		}, rr.ckptBlob)
 	}
 	rr.mu.Unlock()
 	for i, id := range gang {
@@ -570,7 +549,6 @@ supervise:
 		shards := make(map[int]*core.ShardResult, len(rr.doneRank))
 		for r, sh := range rr.doneRank {
 			shards[r] = sh
-			res.SVs += sh.SVs
 			if sh.Iters > res.Iters {
 				res.Iters = sh.Iters
 			}
@@ -580,6 +558,7 @@ supervise:
 		if err != nil {
 			fail("%v", err)
 		} else {
+			res.SVs = set.NSV() // counted from the models held, never reported
 			if ds.TestX != nil {
 				res.Accuracy = set.Accuracy(ds.TestX, ds.TestY)
 			}
@@ -589,13 +568,4 @@ supervise:
 		}
 	}
 	c.finishJob(j, res)
-}
-
-// remoteResumeCheckpoint decodes a resume blob for the executor; split out
-// so the decoder at the trust boundary and the executor share one path.
-func remoteResumeCheckpoint(blob []byte) (*smo.Checkpoint, error) {
-	if blob == nil {
-		return nil, nil
-	}
-	return smo.DecodeCheckpoint(blob)
 }

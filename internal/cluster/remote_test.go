@@ -1,13 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,9 @@ import (
 
 	"casvm/internal/core"
 	"casvm/internal/data"
+	"casvm/internal/la"
 	"casvm/internal/model"
+	"casvm/internal/mpi"
 	"casvm/internal/tcpmpi"
 )
 
@@ -119,8 +122,42 @@ func TestRemoteJobRunsOnExecutors(t *testing.T) {
 	})
 }
 
+// TestRemoteSparseJobMatchesInProcess: CSR shards cross the rank-done frame
+// as CSR — stored structure, explicit zeros and all — so a remote job over a
+// sparse mixture lands on the hash of the same spec trained in-process.
+func TestRemoteSparseJobMatchesInProcess(t *testing.T) {
+	spec := remoteSpec("sparse", 2, 240, "shrink")
+	spec.Mixture.Features, spec.Mixture.Sparse, spec.Mixture.Density = 64, true, 0.2
+	want := referenceHash(t, spec)
+	if _, ds, err := trainParams(spec); err != nil || !ds.X.Sparse() {
+		t.Fatalf("the spec's dataset is not sparse (%v)", err)
+	}
+
+	c := newTestCoordinator(t, time.Second)
+	startExecutors(t, c, 2, 0)
+	j, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(120 * time.Second):
+		t.Fatal("remote job never finished")
+	}
+	res := j.Result()
+	if res.Err != "" || res.Generations != 1 {
+		t.Fatalf("remote sparse job: %+v", res)
+	}
+	if res.ModelHash != want {
+		t.Fatalf("remote sparse hash %s != in-process %s", res.ModelHash, want)
+	}
+	if res.Accuracy < 0.7 {
+		t.Fatalf("remote sparse accuracy %.3f", res.Accuracy)
+	}
+}
+
 // fakeWorker is a hand-rolled executor on a bare lease. It listens on every
-// tag of the exec block — the retired 103/104 included — records what the
+// tag of the exec block — the retired 103–107 included — records what the
 // coordinator sends it, and answers a start frame with core.RunShard
 // results, so a test sees the coordinator's half of the protocol without
 // RunExecutor's assumptions about it.
@@ -152,7 +189,7 @@ func startFakeWorker(t *testing.T, c *Coordinator, pr core.Params, ds *data.Data
 	go func() {
 		defer close(done)
 		for {
-			tag, payload, err := l.RecvAny([]int{103, 104, tagExecStart, tagExecCkpt, tagExecRankDone, tagExecAbort, tagExecFail}, 0)
+			tag, payload, err := l.RecvAny([]int{103, 104, 105, 106, 107, tagExecStart, tagExecCkpt, tagExecRankDone, tagExecAbort, tagExecFail}, 0)
 			if err != nil {
 				return // lease closed: the test is over
 			}
@@ -165,7 +202,7 @@ func startFakeWorker(t *testing.T, c *Coordinator, pr core.Params, ds *data.Data
 			if tag != tagExecStart {
 				continue
 			}
-			m, err := decodeExecStart(payload)
+			m, _, err := decodeExecStart(payload)
 			if err != nil {
 				t.Errorf("fake worker: %v", err)
 				return
@@ -179,15 +216,9 @@ func startFakeWorker(t *testing.T, c *Coordinator, pr core.Params, ds *data.Data
 					t.Errorf("fake worker: rank %d: %v", rank, err)
 					return
 				}
-				var buf bytes.Buffer
-				if err := model.SaveSet(&buf, model.Single(sh.Model, sh.Center)); err != nil {
-					t.Errorf("fake worker: rank %d: %v", rank, err)
-					return
-				}
-				if err := l.Send(tagExecRankDone, marshalExec(execRankDone{
-					Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters, SVs: sh.SVs,
-					VirtSec: sh.VirtSec, Model: buf.Bytes(), Center: sh.Center,
-				})); err != nil {
+				if err := l.Send(tagExecRankDone, encodeExecRankDone(execRank{
+					Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters, VirtSec: sh.VirtSec,
+				}, sh.Model, sh.Center)); err != nil {
 					select {
 					case <-l.Done(): // the test ended under a worker still answering
 					default:
@@ -205,8 +236,9 @@ func startFakeWorker(t *testing.T, c *Coordinator, pr core.Params, ds *data.Data
 // of the wire: the only frame a worker is sent for a healthy job is start,
 // the frame names no peers, and answering it with shard results is all it
 // takes to finish the job on the in-process reference hash. The workers also
-// speak the retired tags 103/104 mid-job; the coordinator logs and ignores
-// them like any unknown tag.
+// speak the retired tags 103–107 mid-job (the mesh bootstrap and the JSON
+// start/checkpoint/rank-done frames); the coordinator logs and ignores them
+// like any unknown tag.
 func TestGenerationIsOneFrame(t *testing.T) {
 	spec := remoteSpec("oneframe", 2, 240, "shrink")
 	want := referenceHash(t, spec)
@@ -215,22 +247,11 @@ func TestGenerationIsOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var logMu sync.Mutex
-	var logged []string
-	c, err := New("localhost:0", Config{LeaseTTL: time.Second, Logf: func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		logMu.Lock()
-		logged = append(logged, line)
-		logMu.Unlock()
-		t.Log(line)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c, logged := newLoggedCoordinator(t)
 
+	retiredTags := []int{103, 104, 105, 106, 107}
 	retired := func(l *tcpmpi.Lease, m execStart) {
-		for _, tag := range []int{103, 104} {
+		for _, tag := range retiredTags {
 			frame := fmt.Sprintf(`{"job":%q,"gen":%d,"addr":"127.0.0.1:1"}`, m.Job, m.Gen)
 			if err := l.Send(tag, []byte(frame)); err != nil {
 				t.Errorf("retired tag %d: %v", tag, err)
@@ -266,8 +287,12 @@ func TestGenerationIsOneFrame(t *testing.T) {
 		if len(tags) != 1 || tags[0] != tagExecStart {
 			t.Fatalf("worker %d was sent tags %v, want exactly one start (%d)", i, tags, tagExecStart)
 		}
+		secs, err := mpi.UnpackSections(starts[0], 2) // header + one rank's (empty) resume section
+		if err != nil {
+			t.Fatal(err)
+		}
 		var keys map[string]json.RawMessage
-		if err := json.Unmarshal(starts[0], &keys); err != nil {
+		if err := json.Unmarshal(secs[0], &keys); err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []string{"peers", "mesh_rank"} {
@@ -276,19 +301,156 @@ func TestGenerationIsOneFrame(t *testing.T) {
 			}
 		}
 	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	for _, tag := range []int{103, 104} {
+	for _, tag := range retiredTags {
 		want := fmt.Sprintf("ignoring frame tag %d", tag)
+		if n := logged(want); n != 2 {
+			t.Errorf("%q logged %d times, want once per worker", want, n)
+		}
+	}
+}
+
+// newLoggedCoordinator is a test coordinator whose log lines can be counted
+// by substring: how a test sees a frame the coordinator refused.
+func newLoggedCoordinator(t *testing.T) (*Coordinator, func(substr string) int) {
+	t.Helper()
+	var mu sync.Mutex
+	var lines []string
+	logf, stop := testLog(t)
+	c, err := New("localhost:0", Config{LeaseTTL: time.Second, Logf: func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		mu.Lock()
+		lines = append(lines, line)
+		mu.Unlock()
+		logf("%s", line)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stop(); c.Close() })
+	return c, func(substr string) int {
+		mu.Lock()
+		defer mu.Unlock()
 		n := 0
-		for _, line := range logged {
-			if strings.Contains(line, want) {
+		for _, line := range lines {
+			if strings.Contains(line, substr) {
 				n++
 			}
 		}
-		if n != 2 {
-			t.Errorf("%q logged %d times, want once per worker", want, n)
+		return n
+	}
+}
+
+// TestRankDoneShardRejectedAtFrame: a rank-done frame is trusted no further
+// than its bytes. A shard of another width than the job's dataset, with more
+// support vectors than the dataset has rows, or carrying a non-finite
+// multiplier, label, bias or center is refused where the frame is decoded —
+// logged, never stored, the rank still pending — and the job finishes on the
+// honest shard that follows, its SV count taken from the models it holds.
+func TestRankDoneShardRejectedAtFrame(t *testing.T) {
+	spec := remoteSpec("reject", 1, 160, "shrink")
+	pr, ds, err := trainParams(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Train(ds.X, ds.Y, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.ModelHash(ref.Set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := core.RunShard(ds.X, ds.Y, pr, core.ShardRun{Rank: 0, P: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// edit returns a deep-enough copy of the honest shard for one field to
+	// be spoiled in.
+	edit := func(f func(m *model.Model, center []float64)) (*model.Model, []float64) {
+		m := *good.Model
+		m.Alpha = append([]float64(nil), m.Alpha...)
+		m.SVY = append([]float64(nil), m.SVY...)
+		center := append([]float64(nil), good.Center...)
+		f(&m, center)
+		return &m, center
+	}
+	ones := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 1
 		}
+		return v
+	}
+	rows, features := ds.X.Rows(), ds.Features()
+	type hostile struct {
+		name, reason string
+		m            *model.Model
+		center       []float64
+	}
+	cases := []hostile{
+		{name: "another width", reason: "features",
+			m:      &model.Model{Kernel: pr.Kernel, SVX: la.Zeros(2, 100), SVY: []float64{1, -1}, Alpha: ones(2), Fallback: 1},
+			center: make([]float64, 100)},
+		{name: "more SVs than rows", reason: "support vectors",
+			m:      &model.Model{Kernel: pr.Kernel, SVX: la.Zeros(rows+1, features), SVY: ones(rows + 1), Alpha: ones(rows + 1), Fallback: 1},
+			center: make([]float64, features)},
+	}
+	for _, nf := range []struct {
+		name  string
+		spoil func(m *model.Model, center []float64)
+	}{
+		{"NaN alpha", func(m *model.Model, _ []float64) { m.Alpha[0] = math.NaN() }},
+		{"infinite label", func(m *model.Model, _ []float64) { m.SVY[0] = math.Inf(1) }},
+		{"NaN bias", func(m *model.Model, _ []float64) { m.B = math.NaN() }},
+		{"infinite center", func(_ *model.Model, center []float64) { center[features-1] = math.Inf(-1) }},
+	} {
+		m, center := edit(nf.spoil)
+		cases = append(cases, hostile{nf.name, "non-finite", m, center})
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			c, logged := newLoggedCoordinator(t)
+			startFakeWorker(t, c, pr, ds, func(l *tcpmpi.Lease, m execStart) {
+				// The spoiled shard claims the rank first; the fake worker
+				// sends the honest one once this returns.
+				hdr := execRank{Job: m.Job, Gen: m.Gen, Rank: 0, Iters: 1}
+				if err := l.Send(tagExecRankDone, encodeExecRankDone(hdr, tc.m, tc.center)); err != nil {
+					t.Errorf("hostile rank-done: %v", err)
+					return
+				}
+				for deadline := time.Now().Add(10 * time.Second); logged("rank-done shard rejected") == 0; {
+					if time.Now().After(deadline) {
+						t.Error("the coordinator never refused the shard")
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if p := c.Jobs()[0].Remote(); len(p.DoneRanks) != 0 {
+					t.Errorf("the refused shard finished rank(s) %v", p.DoneRanks)
+				}
+			})
+			waitFor(t, "fake worker registered", func() bool { return len(c.Workers()) == 1 })
+			j, err := c.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-j.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatalf("job never finished (progress %+v)", j.Remote())
+			}
+			res := j.Result()
+			if res.Err != "" || res.ModelHash != want {
+				t.Fatalf("result %+v, want hash %s", res, want)
+			}
+			if res.SVs != ref.Set.NSV() {
+				t.Errorf("SVs=%d, want the %d the model set holds", res.SVs, ref.Set.NSV())
+			}
+			if logged("rank-done shard rejected") != 1 || logged(tc.reason) == 0 {
+				t.Errorf("want one refusal naming %q in the log", tc.reason)
+			}
+		})
 	}
 }
 
@@ -388,6 +550,106 @@ func TestSubmitResolvesDatasetOnce(t *testing.T) {
 	})
 }
 
+// TestDatasetMemoKey: the memo hits on the spec's dataset fields and nothing
+// else. A spec differing in any field of its mixture, or in Dataset or Scale,
+// builds anew; one differing only in how the data is trained does not.
+func TestDatasetMemoKey(t *testing.T) {
+	built := countMixtureResolves(t)
+	var memo datasetMemo
+	base := remoteSpec("memo", 2, 80, "shrink")
+	ds, gamma, err := memo.resolve(base)
+	if err != nil || built.Load() != 1 || gamma != 1.0/8 {
+		t.Fatalf("first resolve: built %d, gamma %v, %v", built.Load(), gamma, err)
+	}
+	same := base
+	same.ID, same.Seed, same.P, same.C, same.Policy, same.CheckpointEvery, same.Gamma = "other", 9, 4, 3, "respawn", 7, 0.5
+	mix := *base.Mixture
+	same.Mixture = &mix // an equal mixture behind another pointer
+	if got, g, err := memo.resolve(same); err != nil || got != ds || g != 0.5 || built.Load() != 1 {
+		t.Fatalf("a spec over the same data missed: built %d, gamma %v, %v", built.Load(), g, err)
+	}
+
+	fields := reflect.TypeOf(mix)
+	for i := 0; i < fields.NumField(); i++ {
+		changed := *base.Mixture
+		changed.PosFrac = append([]float64(nil), changed.PosFrac...)
+		switch f := reflect.ValueOf(&changed).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 4)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.25)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Slice:
+			f.Index(0).SetFloat(0.75)
+		default:
+			t.Fatalf("MixtureSpec.%s: a %s this test cannot change", fields.Field(i).Name, f.Kind())
+		}
+		spec := base
+		spec.Mixture = &changed
+		before := built.Load()
+		// A changed field may make the spec one the generator refuses
+		// (Sparse without a Density); asking it is the miss.
+		memo.resolve(spec)
+		if built.Load() != before+1 {
+			t.Errorf("a mixture differing in %s hit the memo", fields.Field(i).Name)
+		}
+	}
+
+	named := JobSpec{Dataset: "toy", Scale: 0.05, Method: string(core.MethodRACA), P: 1}
+	toy, _, err := memo.resolve(named)
+	if err != nil || toy == ds {
+		t.Fatalf("named dataset after a mixture: %v", err)
+	}
+	if again, _, _ := memo.resolve(named); again != toy {
+		t.Error("the same named dataset missed")
+	}
+	named.Scale = 0.1
+	if scaled, _, err := memo.resolve(named); err != nil || scaled == toy || scaled.M() == toy.M() {
+		t.Errorf("a spec differing in Scale hit the memo (%v)", err)
+	}
+}
+
+// TestConcurrentJobsShareDataset: jobs submitted together over one dataset
+// share the coordinator's one copy of it — built once, its norm caches filled
+// before anyone else sees it — train and score on it at the same time, and
+// each land on the reference hash. The race matrix runs this at 1 and 4 CPUs.
+func TestConcurrentJobsShareDataset(t *testing.T) {
+	spec := JobSpec{ID: "shared", Mixture: testMixture(240), Method: string(core.MethodFCFSCA), P: 2, Seed: 3}
+	want := referenceHash(t, spec)
+	c := newTestCoordinator(t, time.Second)
+	registerWorkers(t, c, 4)
+	built := countMixtureResolves(t)
+	jobs := make([]*Job, 2)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if jobs[i], err = c.Submit(spec); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, j := range jobs {
+		<-j.Done()
+		if res := j.Result(); res.Err != "" || res.ModelHash != want || res.Accuracy < 0.85 {
+			t.Errorf("job %s: %+v, want hash %s", j.ID(), res, want)
+		}
+	}
+	if got := built.Load(); got != 1 {
+		t.Errorf("dataset built %d times for two concurrent jobs, want 1", got)
+	}
+}
+
 // TestRemoteGenerationsExactlyOne: a healthy remote job is exactly one
 // generation, every time. Workers open no sockets of their own during a
 // job, so a neighbour churning loopback ports — here a goroutine binding
@@ -485,6 +747,7 @@ func TestRemoteShrinkRecovery(t *testing.T) {
 
 	c := newTestCoordinator(t, 500*time.Millisecond)
 	startExecutors(t, c, 2, time.Millisecond)
+	generated := countMixtureResolves(t)
 	j, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -496,6 +759,11 @@ func TestRemoteShrinkRecovery(t *testing.T) {
 	case <-j.Done():
 	case <-time.After(120 * time.Second):
 		t.Fatal("remote job never recovered")
+	}
+	// The coordinator and each executor built the dataset once; the
+	// survivor's second generation found it where the first left it.
+	if got := generated.Load(); got != 3 {
+		t.Errorf("dataset generated %d times across a re-gang, want 3 (coordinator + one per executor)", got)
 	}
 	res := j.Result()
 	if res.Err != "" {
@@ -563,7 +831,7 @@ func TestRemoteRespawnRecovery(t *testing.T) {
 // decoder rejects.
 func TestBeginGenerationCapsSurplusGang(t *testing.T) {
 	j := &Job{spec: JobSpec{P: 3}}
-	rr := newRemoteRun(j)
+	rr := newRemoteRun(j, 0, 0)
 	rr.doneRank[0] = &core.ShardResult{}
 	rr.doneRank[2] = &core.ShardResult{}
 
@@ -580,7 +848,7 @@ func TestBeginGenerationCapsSurplusGang(t *testing.T) {
 	rr.endGeneration()
 
 	// At full width nothing is truncated: one rank per worker.
-	rr2 := newRemoteRun(&Job{spec: JobSpec{P: 3}})
+	rr2 := newRemoteRun(&Job{spec: JobSpec{P: 3}}, 0, 0)
 	_, gang2, assign2, _ := rr2.beginGeneration([]int{4, 5, 6})
 	if len(gang2) != 3 || len(assign2) != 3 {
 		t.Fatalf("full-width generation truncated: gang %v assign %v", gang2, assign2)

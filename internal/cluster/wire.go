@@ -20,7 +20,7 @@ const (
 
 // onFrame handles control frames from lease holders: clients submit jobs,
 // executors stream remote-execution frames (checkpoints, finished shards,
-// failures) in the 105–109 block, and workers stream fleet
+// failures) in the 105–112 block, and workers stream fleet
 // telemetry (spans, metrics, epoch reports) in the 120–129 block.
 func (c *Coordinator) onFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) {
 	if c.fleet.HandleFrame(w, tag, payload) {
@@ -28,7 +28,9 @@ func (c *Coordinator) onFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) {
 	}
 	switch tag {
 	case tagExecCkpt, tagExecRankDone, tagExecFail:
-		c.onExecFrame(w, tag, payload)
+		if err := c.execFrame(w, tag, payload); err != nil {
+			c.logf("cluster: lease %d: %v", w.ID, err)
+		}
 		return
 	}
 	if tag != tagSubmit {

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"casvm/internal/kernel"
 	"casvm/internal/la"
+	"casvm/internal/model"
 	"casvm/internal/mpi"
 	"casvm/internal/tcpmpi"
 )
@@ -119,21 +121,37 @@ func TestEveryMethodBothLinks(t *testing.T) {
 // TestGatheredResultIsBounded: a gathered rank result is bytes from another
 // process; anything malformed is an error, never a panic or a short slice.
 func TestGatheredResultIsBounded(t *testing.T) {
-	good := mpi.PackSections(nil, la.EncodeF64(make([]float64, shardNums+5)))
+	k := kernel.RBF(0.5)
+	nums := la.EncodeF64(make([]float64, shardNums+5))
+	good := mpi.PackSections(nums)
 	var sh ShardResult
-	if err := sh.decode(2, good); err != nil || len(sh.layers) != 1 || sh.layers[0].Rank != 2 {
+	if err := sh.decode(2, good, k, 2); err != nil || len(sh.layers) != 1 || sh.layers[0].Rank != 2 || sh.Model != nil {
 		t.Fatalf("well-formed payload: %v, %+v", err, sh)
 	}
+	m := model.FromSolution(la.NewDense(2, 2, []float64{1, 2, -1, -2}), []float64{1, -1}, []float64{0.5, 0.5}, 0.1, k)
+	shard := model.EncodeShard(m, []float64{0, 0})
+	withModel := mpi.PackSections(append([][]byte{nums}, shard...)...)
+	if err := sh.decode(0, withModel, k, 2); err != nil || sh.Model.NSV() != 2 || len(sh.Center) != 2 {
+		t.Fatalf("payload with a model: %v, %+v", err, sh)
+	}
+	shortCenter := append([][]byte{nums}, shard...)
+	shortCenter[4] = shortCenter[4][:8]
 	bad := [][]byte{
 		nil,
 		good[:len(good)-1],
-		mpi.PackSections(nil),
-		mpi.PackSections(nil, la.EncodeF64(make([]float64, shardNums-1))),
-		mpi.PackSections(nil, la.EncodeF64(make([]float64, shardNums+3))),
-		mpi.PackSections([]byte("not a model set"), la.EncodeF64(make([]float64, shardNums))),
+		withModel[:len(withModel)-1],
+		mpi.PackSections(),
+		mpi.PackSections(la.EncodeF64(make([]float64, shardNums-1))),
+		mpi.PackSections(la.EncodeF64(make([]float64, shardNums+3))),
+		mpi.PackSections(nums, []byte("not a shard")),
+		mpi.PackSections(append([][]byte{nums}, shard[1:]...)...),
+		mpi.PackSections(shortCenter...),
+	}
+	if err := sh.decode(0, withModel, k, 3); err == nil {
+		t.Error("a 2-feature shard decoded against 3-feature data")
 	}
 	for i, buf := range bad {
-		if err := sh.decode(0, buf); err == nil {
+		if err := sh.decode(0, buf, k, 2); err == nil {
 			t.Errorf("payload %d decoded without error", i)
 		}
 	}

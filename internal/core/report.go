@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -17,12 +16,11 @@ import (
 // same hash regardless of Threads (the solver is bit-identical under
 // shared-memory parallelism).
 func ModelHash(s *model.Set) (string, error) {
-	var buf bytes.Buffer
-	if err := model.SaveSet(&buf, s); err != nil {
+	h := sha256.New()
+	if err := model.SaveSet(h, s); err != nil {
 		return "", fmt.Errorf("core: hashing model: %w", err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // BuildReport assembles the structured run report for a finished training

@@ -13,11 +13,11 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
 
+	"casvm/internal/kernel"
 	"casvm/internal/la"
 	"casvm/internal/model"
 	"casvm/internal/mpi"
@@ -128,12 +128,6 @@ func RunShard(x *la.Matrix, y []float64, p Params, run ShardRun) (*ShardResult, 
 // Stats carries what the ranks themselves measured — not Wall, CommMatrix,
 // CommSec, CompSec or TotalFlops, which need the whole world in one process.
 func GatherOutput(c *mpi.Comm, sh *ShardResult, p Params, st *trace.Stats) (*Output, error) {
-	var mb bytes.Buffer
-	if sh.Model != nil {
-		if err := model.SaveSet(&mb, model.Single(sh.Model, sh.Center)); err != nil {
-			return nil, err
-		}
-	}
 	nums := []float64{float64(sh.Iters), float64(sh.SVs), float64(sh.PartSize), sh.Flops, sh.VirtSec,
 		sh.initSec, sh.trainSec, float64(sh.kmIters), float64(sh.colHits), float64(sh.colMisses),
 		float64(sh.pos), float64(sh.neg), float64(sh.svPos), float64(sh.svNeg),
@@ -141,17 +135,24 @@ func GatherOutput(c *mpi.Comm, sh *ShardResult, p Params, st *trace.Stats) (*Out
 	for _, n := range sh.layers {
 		nums = append(nums, float64(n.layer), float64(n.Samples), float64(n.Iters), float64(n.SVs), n.Time)
 	}
-	gathered := c.Gatherv(0, mpi.PackSections(mb.Bytes(), la.EncodeF64(nums)))
+	secs := [][]byte{la.EncodeF64(nums)}
+	if sh.Model != nil {
+		secs = append(secs, model.EncodeShard(sh.Model, sh.Center)...)
+	}
+	gathered := c.Gatherv(0, mpi.PackSections(secs...))
 	if c.Rank() != 0 {
 		return nil, nil
 	}
+	// Rank 0 holds a model under every method, so its center has the width
+	// every other rank's shard must have.
+	features := len(sh.Center)
 	results := make([]ShardResult, len(gathered))
 	for r, buf := range gathered {
-		if err := results[r].decode(r, buf); err != nil {
+		if err := results[r].decode(r, buf, p.Kernel, features); err != nil {
 			return nil, fmt.Errorf("core: rank %d result: %w", r, err)
 		}
 	}
-	out, err := assemble(p, len(results[0].Center), results)
+	out, err := assemble(p, features, results)
 	if err != nil {
 		return nil, err
 	}
@@ -169,15 +170,19 @@ func GatherOutput(c *mpi.Comm, sh *ShardResult, p Params, st *trace.Stats) (*Out
 // numbers per tree-layer entry follow.
 const shardNums = 16
 
-// decode parses one gathered result. The bytes come from another process:
-// the model goes through model.LoadSet's checks and the numbers are counted
+// decode parses one gathered result: the number section, then the sections
+// of the rank's model if it has one. The bytes come from another process: the
+// model goes through model.DecodeShard's checks and the numbers are counted
 // before they are indexed.
-func (sh *ShardResult) decode(rank int, buf []byte) error {
-	secs, err := mpi.UnpackSections(buf, 2)
+func (sh *ShardResult) decode(rank int, buf []byte, k kernel.Params, features int) error {
+	secs, err := mpi.UnpackSections(buf, mpi.AnyCount)
 	if err != nil {
 		return err
 	}
-	v, err := la.DecodeF64(secs[1])
+	if len(secs) == 0 {
+		return fmt.Errorf("no sections")
+	}
+	v, err := la.DecodeF64(secs[0])
 	if err != nil {
 		return err
 	}
@@ -192,17 +197,10 @@ func (sh *ShardResult) decode(rank int, buf []byte) error {
 		sh.layers = append(sh.layers, layerNode{int(v[0]), NodeStat{
 			Rank: rank, Samples: int(v[1]), Iters: int(v[2]), SVs: int(v[3]), Time: v[4]}})
 	}
-	if len(secs[0]) > 0 {
-		set, err := model.LoadSet(bytes.NewReader(secs[0]))
-		if err != nil {
-			return err
-		}
-		if len(set.Models) != 1 {
-			return fmt.Errorf("%d models, want 1", len(set.Models))
-		}
-		sh.Model, sh.Center = set.Models[0], set.Centers.DenseRow(0)
+	if len(secs) > 1 {
+		sh.Model, sh.Center, err = model.DecodeShard(secs[1:], k, features)
 	}
-	return nil
+	return err
 }
 
 // AssembleShards rebuilds the routed model set from per-rank shard models

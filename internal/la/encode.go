@@ -145,7 +145,7 @@ func DecodeMatrix(buf []byte) (*Matrix, error) {
 		for i := range ix {
 			ix[i] = getI32()
 		}
-		if err := checkCSR(n, rp, ix); err != nil {
+		if err := CheckCSR(n, rp, ix); err != nil {
 			return nil, err
 		}
 		vx := make([]float64, nnz)
@@ -158,13 +158,13 @@ func DecodeMatrix(buf []byte) (*Matrix, error) {
 	}
 }
 
-// checkCSR verifies what every sparse kernel takes on trust — rowptr starts
+// CheckCSR verifies what every sparse kernel takes on trust — rowptr starts
 // at 0, never decreases and stays within the entries, and each row's indices
 // are strictly increasing inside [0, n) — in one pass. A buffer off the wire
 // that breaks any of it would otherwise surface as a slice-bounds panic in
 // SparseRow, a silently wrong merge in SpDot, or a write outside
 // ScatteredRow's position table.
-func checkCSR(n int, rowptr, idx []int32) error {
+func CheckCSR(n int, rowptr, idx []int32) error {
 	if rowptr[0] != 0 {
 		return fmt.Errorf("la: decode sparse: rowptr[0]=%d", rowptr[0])
 	}

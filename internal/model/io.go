@@ -26,17 +26,32 @@ import (
 //
 // Both dense and sparse SV storage serialise to sparse rows; loading
 // produces sparse SV matrices.
+//
+// Text is for what people read and what is hashed: model files (casvm.Save,
+// the CLIs), the serving registry, and core.ModelHash — the golden
+// fingerprints are SHA-256 of these bytes, so the writer below may change
+// how it produces them and never what they are. A model crossing a process
+// boundary does not take this form: shard.go's binary encoding carries it
+// (core.GatherOutput, the cluster's rank-done frame).
 
-// SaveSet writes the model set in the text format above.
+// saveChunk is how much text SaveSet gathers before handing it to the writer.
+const saveChunk = 32 << 10
+
+// SaveSet writes the model set in the text format above. Every number is
+// appended to one scratch buffer with strconv — 'g' at shortest precision is
+// what fmt's %g prints, byte for byte (TestSaveSetBytesUnchanged) — and the
+// buffer goes to w a chunk at a time, so hashing a set never holds its text.
 func SaveSet(w io.Writer, s *Set) error {
-	bw := bufio.NewWriter(w)
-	n := s.Centers.Features()
-	fmt.Fprintf(bw, "casvm-model-set v1\n")
-	fmt.Fprintf(bw, "models %d\n", s.P())
-	fmt.Fprintf(bw, "features %d\n", n)
 	k := s.Models[0].Kernel
-	fmt.Fprintf(bw, "kernel %s gamma %g coef %g scale %g degree %d\n",
-		k.Kind, k.Gamma, k.Coef, k.ScaleA, k.Degree)
+	b := make([]byte, 0, saveChunk+saveChunk/4)
+	b = strconv.AppendInt(append(b, "casvm-model-set v1\nmodels "...), int64(s.P()), 10)
+	b = strconv.AppendInt(append(b, "\nfeatures "...), int64(s.Centers.Features()), 10)
+	b = append(append(b, "\nkernel "...), k.Kind.String()...)
+	b = appendG(append(b, " gamma "...), k.Gamma)
+	b = appendG(append(b, " coef "...), k.Coef)
+	b = appendG(append(b, " scale "...), k.ScaleA)
+	b = strconv.AppendInt(append(b, " degree "...), int64(k.Degree), 10)
+	b = append(b, '\n')
 	if len(s.Meta) > 0 {
 		keys := make([]string, 0, len(s.Meta))
 		for key := range s.Meta {
@@ -47,46 +62,73 @@ func SaveSet(w io.Writer, s *Set) error {
 			if strings.ContainsAny(key, " \n") || strings.ContainsRune(s.Meta[key], '\n') {
 				return fmt.Errorf("model: meta %q unencodable (space in key or newline)", key)
 			}
-			fmt.Fprintf(bw, "meta %s %s\n", key, s.Meta[key])
+			b = append(append(append(append(b, "meta "...), key...), ' '), s.Meta[key]...)
+			b = append(b, '\n')
 		}
 	}
-	fmt.Fprintf(bw, "centers\n")
+	b = append(b, "centers\n"...)
+	var err error
 	for c := 0; c < s.Centers.Rows(); c++ {
-		row := s.Centers.DenseRow(c)
-		for j, v := range row {
+		for j, v := range s.Centers.DenseRow(c) {
 			if j > 0 {
-				bw.WriteByte(' ')
+				b = append(b, ' ')
 			}
-			fmt.Fprintf(bw, "%g", v)
+			b = appendG(b, v)
 		}
-		bw.WriteByte('\n')
+		if b, err = spill(w, append(b, '\n'), saveChunk); err != nil {
+			return err
+		}
 	}
 	for j, m := range s.Models {
-		fmt.Fprintf(bw, "model %d nsv %d bias %g fallback %g\n", j, m.NSV(), m.B, m.Fallback)
+		b = strconv.AppendInt(append(b, "model "...), int64(j), 10)
+		b = strconv.AppendInt(append(b, " nsv "...), int64(m.NSV()), 10)
+		b = appendG(append(b, " bias "...), m.B)
+		b = appendG(append(b, " fallback "...), m.Fallback)
+		b = append(b, '\n')
 		for i := 0; i < m.NSV(); i++ {
-			fmt.Fprintf(bw, "%g %g", m.Alpha[i], m.SVY[i])
+			b = appendG(append(appendG(b, m.Alpha[i]), ' '), m.SVY[i])
 			if m.SVX.Sparse() {
 				ix, vx := m.SVX.SparseRow(i)
 				for t, col := range ix {
-					fmt.Fprintf(bw, " %d:%g", col+1, vx[t])
+					b = appendEntry(b, int(col), vx[t])
 				}
 			} else {
 				for col, v := range m.SVX.DenseRow(i) {
 					if v != 0 {
-						fmt.Fprintf(bw, " %d:%g", col+1, v)
+						b = appendEntry(b, col, v)
 					}
 				}
 			}
-			bw.WriteByte('\n')
+			if b, err = spill(w, append(b, '\n'), saveChunk); err != nil {
+				return err
+			}
 		}
 	}
-	return bw.Flush()
+	_, err = spill(w, b, 0)
+	return err
+}
+
+func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+
+// appendEntry appends " <col+1>:<v>", one stored feature of an SV line.
+func appendEntry(b []byte, col int, v float64) []byte {
+	b = strconv.AppendInt(append(b, ' '), int64(col+1), 10)
+	return appendG(append(b, ':'), v)
+}
+
+// spill writes b to w once it holds at least min bytes and returns it emptied.
+func spill(w io.Writer, b []byte, min int) ([]byte, error) {
+	if len(b) < min {
+		return b, nil
+	}
+	_, err := w.Write(b)
+	return b[:0], err
 }
 
 // LoadSet parses a model set written by SaveSet.
 func LoadSet(r io.Reader) (*Set, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 64<<10), 1<<24) // grows on demand to the 16 MiB line cap
 	next := func() (string, error) {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
@@ -153,16 +195,17 @@ func LoadSet(r io.Reader) (*Set, error) {
 		if line, err = next(); err != nil {
 			return nil, err
 		}
-		fields := strings.Fields(line)
-		if len(fields) != n {
-			return nil, fmt.Errorf("model: center %d has %d values, want %d", c, len(fields), n)
-		}
-		for _, f := range fields {
+		got := 0
+		for f, rest := nextField(line); f != ""; f, rest = nextField(rest) {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, err
 			}
 			centerData = append(centerData, v)
+			got++
+		}
+		if got != n {
+			return nil, fmt.Errorf("model: center %d has %d values, want %d", c, got, n)
 		}
 	}
 	set := &Set{Centers: la.NewDense(p, n, centerData), Meta: meta}
@@ -188,17 +231,18 @@ func LoadSet(r io.Reader) (*Set, error) {
 			if line, err = next(); err != nil {
 				return nil, err
 			}
-			fields := strings.Fields(line)
-			if len(fields) < 2 {
+			a, rest := nextField(line)
+			yv, rest := nextField(rest)
+			if yv == "" {
 				return nil, fmt.Errorf("model: sv line %q", line)
 			}
-			if m.Alpha[i], err = strconv.ParseFloat(fields[0], 64); err != nil {
+			if m.Alpha[i], err = strconv.ParseFloat(a, 64); err != nil {
 				return nil, err
 			}
-			if m.SVY[i], err = strconv.ParseFloat(fields[1], 64); err != nil {
+			if m.SVY[i], err = strconv.ParseFloat(yv, 64); err != nil {
 				return nil, err
 			}
-			for _, f := range fields[2:] {
+			for f, rest := nextField(rest); f != ""; f, rest = nextField(rest) {
 				colon := strings.IndexByte(f, ':')
 				if colon <= 0 {
 					return nil, fmt.Errorf("model: sv feature %q", f)
@@ -223,4 +267,20 @@ func LoadSet(r io.Reader) (*Set, error) {
 		set.Models = append(set.Models, m)
 	}
 	return set, nil
+}
+
+// nextField splits the first blank-separated field off s; it is empty once s
+// holds nothing but blanks. SaveSet separates with one space; tabs and runs
+// of blanks are skipped too.
+func nextField(s string) (field, rest string) {
+	blank := func(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
+	i := 0
+	for i < len(s) && blank(s[i]) {
+		i++
+	}
+	j := i
+	for j < len(s) && !blank(s[j]) {
+		j++
+	}
+	return s[i:j], s[j:]
 }

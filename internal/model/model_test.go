@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"casvm/internal/kernel"
@@ -174,4 +175,50 @@ func TestValidateCatchesBadAlpha(t *testing.T) {
 	if err := m.Validate(); err == nil {
 		t.Error("negative alpha should fail validation")
 	}
+}
+
+// TestLoadSetAllocationBounded: loading a model costs memory in proportion to
+// the model, not a fixed megabyte of scanner buffer — the serving registry
+// and casvm.Load go through here on every (re)load. A 100-SV, 16-feature
+// model is ≈ 37 KB of text and 21 KB of arrays.
+func TestLoadSetAllocationBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const nsv, n = 100, 16
+	vals := make([]float64, nsv*n)
+	for i := range vals {
+		vals[i] = rng.NormFloat64()
+	}
+	m := &Model{Kernel: kernel.RBF(1.0 / n), SVX: la.NewDense(nsv, n, vals),
+		SVY: make([]float64, nsv), Alpha: make([]float64, nsv), B: 0.25, Fallback: 1}
+	for i := range m.Alpha {
+		m.SVY[i], m.Alpha[i] = float64(1-2*(i%2)), rng.Float64()+0.01
+	}
+	var buf bytes.Buffer
+	if err := SaveSet(&buf, Single(m, make([]float64, n))); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.Bytes()
+	load := func() {
+		set, err := LoadSet(bytes.NewReader(text))
+		if err != nil || set.NSV() != nsv {
+			t.Fatalf("load: %v", err)
+		}
+	}
+	load()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		load()
+	}
+	runtime.ReadMemStats(&after)
+	perLoad := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perLoad >= 256<<10 {
+		t.Errorf("LoadSet of a %d-byte model allocated %d bytes, want < 256 KiB", len(text), perLoad)
+	}
+	allocs := testing.AllocsPerRun(runs, load)
+	if allocs >= 2*nsv {
+		t.Errorf("LoadSet made %.0f allocations for %d support vectors; an SV line should cost its text and no slice of fields", allocs, nsv)
+	}
+	t.Logf("%d bytes of text: %d bytes and %.0f allocations per load", len(text), perLoad, allocs)
 }
