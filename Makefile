@@ -128,11 +128,15 @@ soak-cluster:
 # benchmark's dissmo-dense workload (ns/op, allocs/op, msgs/op), ungated.
 # BenchmarkModelHash, BenchmarkLoadSet and BenchmarkShardCodec (root package)
 # price the text and binary model formats on the cluster-remote job's set.
+# BenchmarkDecodePredictRequest prices the serving decoder alone on the
+# serve-batch and serve-single bodies, ungated.
 bench: bench-kernel
 	{ $(GO) test ./internal/smo ./internal/kernel ./internal/la ./internal/core \
 		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScanFused|RowCache|BenchmarkDot|BenchmarkSpDotFill|BenchmarkTrainDisSMO$$' \
 		-benchmem -cpu 1,4; \
 	  $(GO) test . -run '^$$' -bench 'BenchmarkModelHash$$|BenchmarkLoadSet$$|BenchmarkShardCodec' \
+		-benchmem -cpu 1,4; \
+	  $(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkDecodePredictRequest' \
 		-benchmem -cpu 1,4; } | $(GO) run ./cmd/benchjson > BENCH_smo.json
 	@echo wrote BENCH_smo.json
 

@@ -140,6 +140,7 @@ func TestAdmitRetiresOnEveryPath(t *testing.T) {
 		{"bad JSON", `{"queries": [[1,`, http.StatusBadRequest},
 		{"not finite", `{"queries_b64": "` + EncodeQueriesB64([]float64{1, 2, 3, math.NaN()}) + `", "features": 4}`, http.StatusBadRequest},
 		{"over MaxQueries", `{"queries": [[1,2,3,4],[1,2,3,4],[1,2,3,4]]}`, http.StatusBadRequest},
+		{"null feature", `{"queries": [[1,null,3,4]]}`, http.StatusBadRequest},
 		{"unknown model", `{"model": "nope", "queries": [[1,2,3,4]]}`, http.StatusNotFound},
 		{"accepted", `{"queries": [[1,2,3,4]]}`, 0},
 	}

@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"encoding/json"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -55,6 +57,46 @@ func compressedFaceSet(b *testing.B) *model.Set {
 		b.Fatalf("face fixture: %v", benchFace.err)
 	}
 	return benchFace.set
+}
+
+// BenchmarkDecodePredictRequest prices the decoder alone on the two bodies
+// the repository benchmark sends: serve-batch's 256×64 queries_b64 block and
+// serve-single's one 64-wide JSON-array row.
+func BenchmarkDecodePredictRequest(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	row := func() []float64 {
+		q := make([]float64, 64)
+		for i := range q {
+			q[i] = rng.NormFloat64()
+		}
+		return q
+	}
+	var flat []float64
+	for i := 0; i < 256; i++ {
+		flat = append(flat, row()...)
+	}
+	bodies := []struct {
+		name string
+		req  serve.PredictRequest
+	}{
+		{"b64-256x64", serve.PredictRequest{QueriesB64: serve.EncodeQueriesB64(flat), FeatureDim: 64}},
+		{"json-1x64", serve.PredictRequest{Queries: [][]float64{row()}}},
+	}
+	for _, c := range bodies {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := serve.DecodePredictRequest(body, serve.Limits{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkServeClients is the evidence that coalescing pays where there is

@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -79,8 +80,8 @@ func TestDecodeBinaryMatchesStdlib(t *testing.T) {
 			s := d(p)
 			for _, dim := range []int{1, 3} {
 				want, ok := referenceBinary(s, dim, lim)
-				req := PredictRequest{QueriesB64: s, FeatureDim: dim}
-				err := req.decodeBinary(lim)
+				req := PredictRequest{FeatureDim: dim}
+				err := req.decodeBinary([]byte(s), lim)
 				if (err == nil) != ok {
 					t.Fatalf("payload %d damage %d dim %d: chunked err %v, stdlib accepts=%v", pi, di, dim, err, ok)
 				}
@@ -111,18 +112,31 @@ func TestDecodeBinaryCorruptOffset(t *testing.T) {
 	s := EncodeQueriesB64(make([]float64, 1000))
 	at := b64Chunk + 17
 	s = s[:at] + "*" + s[at+1:]
-	req := PredictRequest{QueriesB64: s, FeatureDim: 1}
-	err := req.decodeBinary(Limits{}.Defaulted())
+	req := PredictRequest{FeatureDim: 1}
+	err := req.decodeBinary([]byte(s), Limits{}.Defaulted())
 	_, want := base64.StdEncoding.DecodeString(s)
 	if err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
 		t.Fatalf("err %v, want it to end in %q", err, want)
 	}
 }
 
+// allocPerDecode is the mean number of bytes DecodePredictRequest allocates
+// on body, and the error it returns.
+func allocPerDecode(body []byte, lim Limits) (float64, error) {
+	const runs = 20
+	var before, after runtime.MemStats
+	var err error
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, err = DecodePredictRequest(body, lim)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs, err
+}
+
 // TestDecodeBinaryAllocProportional: decoding a 256×64 binary request costs
-// at most 2.5× the 128 KB of floats it carries — encoding/json's copy of the
-// base64 string (1.33×) plus the flat values (1×), with no decoded-bytes
-// copy beside them.
+// at most 1.1× the 128 KB of floats it carries — the base64 is decoded out of
+// the body itself, so the decoder holds flat and nothing else.
 func TestDecodeBinaryAllocProportional(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	flat := flatQueries(rng, 256, 64)
@@ -130,20 +144,116 @@ func TestDecodeBinaryAllocProportional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := DecodePredictRequest(body, Limits{}); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
+	perCall, err := allocPerDecode(body, Limits{})
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-	runtime.ReadMemStats(&after)
-	perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	payload := float64(8 * len(flat))
-	if perCall > 2.5*payload {
-		t.Fatalf("decode allocates %.0f bytes per call, %.2f× the %.0f-byte payload (want ≤ 2.5×)",
+	if perCall > 1.1*payload {
+		t.Fatalf("decode allocates %.0f bytes per call, %.2f× the %.0f-byte payload (want ≤ 1.1×)",
 			perCall, perCall/payload, payload)
 	}
 	t.Logf("decode: %.2f× payload", perCall/payload)
+}
+
+// TestDecodeArraysAllocNoRows: a 1×64 JSON-array request allocates the
+// request and its flat buffer, sized exactly — no per-row slice, no regrowth.
+func TestDecodeArraysAllocNoRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	body, err := json.Marshal(PredictRequest{Queries: [][]float64{flatQueries(rng, 1, 64)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodePredictRequest(body, Limits{}); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("decode makes %v allocations, want 2 (the request and flat)", allocs)
+	}
+}
+
+// TestDecodeArraysLimitsBeforeAllocation: a JSON-array body over a limit, or
+// cut off inside a row wider than the limit, is refused having stored
+// nothing — not after the whole body was materialised.
+func TestDecodeArraysLimitsBeforeAllocation(t *testing.T) {
+	lim := Limits{}.Defaulted()
+	tooMany := `{"queries": [` + strings.Repeat("[1],", lim.MaxQueries) + `[1]]}`
+	tooWide := `{"queries": [[` + strings.Repeat("1,", 70000) + `1]]}`
+	for _, c := range []struct{ name, body, want string }{
+		{"MaxQueries+1 rows", tooMany, "more than 4096 queries"},
+		{"70k-wide row 0", tooWide, "width 70001 outside"},
+		{"truncated 70k-wide row 0", tooWide[:len(tooWide)-3], "bad request JSON"},
+	} {
+		perCall, err := allocPerDecode([]byte(c.body), Limits{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: err %v, want it to mention %q", c.name, err, c.want)
+		}
+		if perCall >= 64<<10 {
+			t.Fatalf("%s: refused after allocating %.0f bytes per call (want < 64 KiB)", c.name, perCall)
+		}
+	}
+}
+
+// referenceDecode is DecodePredictRequest as it was before the one-pass
+// parser: json.Unmarshal the whole body, then validate. Queries decode into
+// pointers so that a null feature, which encoding/json leaves as 0 in a
+// float64, is seen and refused — the one rule the parser adds — and the
+// binary form goes through referenceBinary. FuzzDecodePredictRequest holds
+// the parser to its verdicts and values.
+func referenceDecode(data []byte, lim Limits) (*PredictRequest, error) {
+	lim = lim.Defaulted()
+	if int64(len(data)) > lim.MaxBody {
+		return nil, errors.New("body over MaxBody")
+	}
+	var wire struct {
+		Model      string       `json:"model"`
+		Queries    [][]*float64 `json:"queries"`
+		QueriesB64 string       `json:"queries_b64"`
+		FeatureDim int          `json:"features"`
+		Decisions  bool         `json:"decisions"`
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		return nil, err
+	}
+	req := &PredictRequest{Model: wire.Model, FeatureDim: wire.FeatureDim, Decisions: wire.Decisions}
+	switch {
+	case len(wire.Queries) > 0 && wire.QueriesB64 != "":
+		return nil, errors.New("both queries and queries_b64")
+	case wire.QueriesB64 != "":
+		if wire.FeatureDim < 1 || wire.FeatureDim > lim.MaxFeatures {
+			return nil, errors.New("features out of range")
+		}
+		flat, ok := referenceBinary(wire.QueriesB64, wire.FeatureDim, lim)
+		if !ok {
+			return nil, errors.New("bad queries_b64")
+		}
+		req.flat, req.rows, req.width = flat, len(flat)/wire.FeatureDim, wire.FeatureDim
+	case len(wire.Queries) > 0:
+		width := len(wire.Queries[0])
+		if len(wire.Queries) > lim.MaxQueries || width < 1 || width > lim.MaxFeatures {
+			return nil, errors.New("shape over limits")
+		}
+		for _, q := range wire.Queries {
+			if len(q) != width {
+				return nil, errors.New("ragged")
+			}
+			for _, v := range q {
+				if v == nil {
+					return nil, errors.New("null feature")
+				}
+				req.flat = append(req.flat, *v)
+			}
+		}
+		req.rows, req.width = len(wire.Queries), width
+	default:
+		return nil, errors.New("no queries")
+	}
+	for _, v := range req.flat {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, errors.New("not finite")
+		}
+	}
+	return req, nil
 }

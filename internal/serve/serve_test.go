@@ -608,21 +608,34 @@ func TestDecodePredictRequestRejects(t *testing.T) {
 		{"ragged", `{"queries": [[1,2],[1]]}`},
 		{"huge literal", `{"queries": [[1e999]]}`},
 		{"body over limit", `{"queries": [[` + strings.Repeat("1,", 40000) + `1]]}`},
+		{"null feature", `{"queries": [[1,null]]}`},
+		{"queries nulled by a duplicate", `{"queries": [[1]], "queries": null}`},
+		{"out of range in a replaced value", `{"queries": [[1,2],[1e400]], "queries": [[1]]}`},
 	}
 	for _, c := range cases {
 		if _, err := DecodePredictRequest([]byte(c.body), lim); err == nil {
 			t.Errorf("%s: accepted %q", c.name, c.body)
 		}
 	}
+	// encoding/json would serve a null feature as 0; the decoder names it.
+	if _, err := DecodePredictRequest([]byte(`{"queries": [[1,null]]}`), lim); err == nil ||
+		err.Error() != "serve: query 0 feature 1 is null" {
+		t.Errorf("null feature: err %v", err)
+	}
 	// And the happy path still decodes.
 	req, err := DecodePredictRequest([]byte(`{"queries": [[1,2],[3,4]], "decisions": true}`), lim)
 	if err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
-	if req.Features() != 2 || len(req.Queries) != 2 || !req.Decisions {
+	if req.Features() != 2 || req.NumQueries() != 2 || !req.Decisions {
 		t.Fatalf("decoded %+v", req)
 	}
 	if got := req.flatten(); len(got) != 4 || got[0] != 1 || got[3] != 4 {
 		t.Fatalf("flatten: %v", got)
+	}
+	// A null queries clears an earlier value, so queries_b64 stands alone.
+	b64 := `{"queries": [[1]], "queries": null, "queries_b64": "` + EncodeQueriesB64([]float64{5}) + `", "features": 1}`
+	if req, err := DecodePredictRequest([]byte(b64), lim); err != nil || req.flatten()[0] != 5 {
+		t.Fatalf("queries nulled before queries_b64: err %v", err)
 	}
 }
