@@ -20,8 +20,9 @@
 // everyone has checked in, and hands the open listener to tcpmpi. No static
 // rank->address table exists anywhere, and no port is released and rebound.
 //
-// This program supervises nothing: a worker that dies fails the run. Surviving
-// a dead process is internal/cluster's job, shown by -cluster below.
+// This program supervises nothing: a worker that dies fails the run — its mesh
+// peers fail at once with a *mpi.LinkError naming its rank. Surviving a dead
+// process is internal/cluster's job, shown by -cluster below.
 //
 // Fleet telemetry — every worker streams its trace spans, flow edges and
 // metrics to the launcher over its registration lease; the launcher probes
@@ -533,11 +534,10 @@ func runWorker(rank int, addrs []string, o workerOpts) {
 		}
 		_ = rep.Goodbye()
 	}()
-	// Short heartbeats and a bounded receive so a dead peer fails this
-	// worker in seconds rather than at the production defaults.
+	// A peer that dies fails this worker at once (its connection breaks);
+	// short heartbeats bound a silent one to 2s, and Timeout a stuck receive.
 	comm, err := tcpmpi.DialOptions(rank, addrs, tcpmpi.Options{
 		HeartbeatInterval: 500 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
 		Timeout:           30 * time.Second,
 		Listener:          o.listener,
 		Timeline:          tl, // nil-safe: no recording without fleet telemetry

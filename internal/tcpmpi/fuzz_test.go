@@ -7,9 +7,9 @@ import (
 )
 
 // frameBytes assembles a well-formed frame for the seed corpus.
-func frameBytes(tag int32, seq uint32, sendNs int64, payload []byte) []byte {
+func frameBytes(tag int32, sendNs int64, payload []byte) []byte {
 	buf := make([]byte, frameHeaderLen+len(payload))
-	putFrameHeader(buf, int(tag), seq, sendNs, len(payload))
+	putFrameHeader(buf, int(tag), sendNs, len(payload))
 	copy(buf[frameHeaderLen:], payload)
 	return buf
 }
@@ -22,27 +22,28 @@ func frameBytes(tag int32, seq uint32, sendNs int64, payload []byte) []byte {
 // normal test mode.
 func FuzzReadFrame(f *testing.F) {
 	oversized := make([]byte, frameHeaderLen)
-	putFrameHeader(oversized, 1, 1, 0, 0)
-	binary.LittleEndian.PutUint32(oversized[16:20], maxFrame+1)
+	putFrameHeader(oversized, 1, 0, 0)
+	binary.LittleEndian.PutUint32(oversized[12:16], maxFrame+1)
 
 	seeds := [][]byte{
 		nil,
 		{0x01},
-		{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07},                              // truncated header
-		frameBytes(5, 1, 0, nil),                                                // zero-length payload
-		frameBytes(5, 0, 0, []byte("control")),                                  // seq-0 (control) frame
-		frameBytes(-2147483648, 0, 0, nil),                                      // heartbeat tag
-		frameBytes(7, 3, 1_700_000_000_000_000_000, []byte("hello world")),      // normal frame
-		frameBytes(7, 3, 1_700_000_000_000_000_000, []byte("hello world"))[:23], // truncated payload
-		frameBytes(7, 3, -1, []byte("x")),                                       // negative sendNs survives
-		oversized,                                                               // length field past maxFrame
-		append(frameBytes(1, 1, 0, []byte("a")), 0xFF, 0xFF),                    // trailing garbage
+		{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07},                           // truncated header
+		frameBytes(5, 0, nil),                                                // zero-length payload
+		frameBytes(5, 0, []byte("control")),                                  // untimed (lease) frame
+		frameBytes(-2147483648, 0, nil),                                      // heartbeat tag
+		frameBytes(7, 1_700_000_000_000_000_000, []byte("hello world")),      // normal frame
+		frameBytes(7, 1_700_000_000_000_000_000, []byte("hello world"))[:19], // truncated payload
+		frameBytes(7, -1, []byte("x")),                                       // negative sendNs survives
+		oversized,                                                            // length field past maxFrame
+		append(frameBytes(1, 0, []byte("a")), 0xFF, 0xFF),                    // trailing garbage
+		frameBytes(9, 42, nil)[:frameHeaderLen-1],                            // one byte short of a header
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		tag, seq, sendNs, payload, err := readFrame(bytes.NewReader(in))
+		tag, sendNs, payload, err := readFrame(bytes.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -50,40 +51,44 @@ func FuzzReadFrame(f *testing.F) {
 		if len(payload) > maxFrame {
 			t.Fatalf("accepted oversized payload: %d bytes", len(payload))
 		}
-		out := frameBytes(int32(tag), seq, sendNs, payload)
+		out := frameBytes(int32(tag), sendNs, payload)
 		if !bytes.Equal(out, in[:len(out)]) {
-			t.Fatalf("frame does not round-trip: tag=%d seq=%d len=%d", tag, seq, len(payload))
+			t.Fatalf("frame does not round-trip: tag=%d len=%d", tag, len(payload))
 		}
 	})
 }
 
 // helloBytes assembles a hello for the seed corpus.
-func helloBytes(rank, recvSeq, flags uint32) []byte {
+func helloBytes(rank, flags uint32) []byte {
 	b := make([]byte, helloLen)
-	putHello(b, helloMsg{rank: rank, recvSeq: recvSeq, flags: flags})
+	putHello(b, helloMsg{rank: rank, flags: flags})
 	return b
 }
 
-// FuzzParseHello asserts the 12-byte resume-handshake decoder never panics
-// and never accepts a hello it cannot fully vouch for: malformed watermark
-// or incarnation (flag) bytes must fail the handshake rather than resume a
-// connection from garbage sequence state. Run with `go test -fuzz
-// FuzzParseHello ./internal/tcpmpi` for extended exploration.
+// FuzzParseHello asserts the 8-byte hello decoder never panics and never
+// accepts a hello it cannot fully vouch for: unknown flag bits — among them
+// bit 0, the retired fresh-incarnation flag — and contradictory roles fail
+// the handshake. Run with `go test -fuzz FuzzParseHello ./internal/tcpmpi`
+// for extended exploration.
 func FuzzParseHello(f *testing.F) {
+	const retiredFresh = 1 << 0
+	if _, err := parseHello(helloBytes(1, retiredFresh)); err == nil {
+		f.Fatal("the retired fresh bit parsed as a known flag")
+	}
 	seeds := [][]byte{
 		nil,
 		{0x01},
-		helloBytes(1, 0, 0)[:11],        // one byte short
-		helloBytes(1, 0, helloFresh),    // fresh incarnation
-		helloBytes(3, 77, 0),            // mid-run resume watermark
-		helloBytes(0, 0, helloRegister), // worker registration
-		helloBytes(0, 0, helloClient),   // client registration
-		helloBytes(0, 0, helloRegister|helloClient),      // contradictory roles
-		helloBytes(0, 0, helloFresh|helloRegister),       // fresh worker
-		helloBytes(9, 1, 0xFFFFFFFF),                     // all flag bits set
-		helloBytes(9, 1, helloKnownFlags+1<<3),           // one unknown bit
-		helloBytes(0xFFFFFFFF, 0xFFFFFFFF, helloFresh),   // extreme rank/watermark
-		append(helloBytes(2, 5, helloFresh), 0xAA, 0xBB), // trailing garbage
+		helloBytes(1, 0)[:helloLen-1],            // one byte short
+		helloBytes(1, 0),                         // mesh hello
+		helloBytes(3, 0),                         // mesh hello from a higher rank
+		helloBytes(0, helloRegister),             // worker registration
+		helloBytes(0, helloClient),               // client registration
+		helloBytes(0, helloRegister|helloClient), // contradictory roles
+		helloBytes(1, retiredFresh),              // retired fresh bit: unknown
+		helloBytes(9, 0xFFFFFFFF),                // all flag bits set
+		helloBytes(9, helloKnownFlags+1<<3),      // one unknown bit
+		helloBytes(0xFFFFFFFF, 0),                // extreme rank
+		append(helloBytes(2, 0), 0xAA, 0xBB),     // trailing garbage
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -104,9 +109,8 @@ func FuzzParseHello(f *testing.F) {
 			t.Fatal("accepted a hello that is both worker and client")
 		}
 		// An accepted hello must round-trip through the encoder: the decoder
-		// read exactly the fields the encoder writes, so a resume handshake
-		// can never act on a watermark the other side did not send.
-		out := helloBytes(h.rank, h.recvSeq, h.flags)
+		// read exactly the fields the encoder writes.
+		out := helloBytes(h.rank, h.flags)
 		if !bytes.Equal(out, in[:helloLen]) {
 			t.Fatalf("hello does not round-trip: %+v", h)
 		}

@@ -1,7 +1,7 @@
 // Lease-based cluster membership on the tcpmpi wire format.
 //
 // A Registrar is the coordinator side: workers dial in and send the same
-// 12-byte hello the rank mesh uses, with the helloRegister (or helloClient)
+// 8-byte hello the rank mesh uses, with the helloRegister (or helloClient)
 // flag set. The reply's first word carries the assigned worker id and its
 // second the lease TTL in milliseconds. The connection then stays open as
 // the lease channel: heartbeat frames (hbTag) renew the lease, data frames
@@ -106,10 +106,11 @@ type Registrar struct {
 
 	mu     sync.Mutex
 	leases map[int]*lease
+	conns  map[net.Conn]struct{} // accepted connections not yet done with
 	nextID int
 
-	done     chan struct{}
-	doneOnce sync.Once
+	done chan struct{}  // closed by Close
+	wg   sync.WaitGroup // every goroutine the registrar starts; Close waits for it
 }
 
 // NewRegistrar listens on addr (":0" picks a free port) and serves worker
@@ -123,31 +124,35 @@ func NewRegistrar(addr string, cfg RegistrarConfig) (*Registrar, error) {
 		ln:     ln,
 		cfg:    cfg.withDefaults(),
 		leases: map[int]*lease{},
+		conns:  map[net.Conn]struct{}{},
 		done:   make(chan struct{}),
 	}
-	go r.acceptLoop()
-	go r.expiryLoop()
+	r.wg.Add(2)
+	go func() { defer r.wg.Done(); r.acceptLoop() }()
+	go func() { defer r.wg.Done(); r.expiryLoop() }()
 	return r, nil
 }
 
 // Addr returns the bound listen address.
 func (r *Registrar) Addr() string { return r.ln.Addr().String() }
 
-// Close stops the registrar and closes every registered connection.
+// Close stops the registrar, closes every connection it accepted, and
+// returns once every goroutine it started — accept loop, expiry loop, and
+// each connection's registration and frame loop — has exited, so no
+// callback runs after Close returns. A callback must therefore never call
+// Close. A connection the shutdown closes is not reported as a leave.
 func (r *Registrar) Close() error {
-	r.doneOnce.Do(func() { close(r.done) })
-	err := r.ln.Close()
 	r.mu.Lock()
-	ls := make([]*lease, 0, len(r.leases))
-	for _, l := range r.leases {
-		ls = append(ls, l)
+	if !r.isClosed() {
+		close(r.done)
 	}
 	r.leases = map[int]*lease{}
-	r.mu.Unlock()
-	for _, l := range ls {
-		l.takeGone() // suppress leave/expire callbacks during shutdown
-		l.conn.Close()
+	for conn := range r.conns {
+		conn.Close()
 	}
+	r.mu.Unlock()
+	err := r.ln.Close()
+	r.wg.Wait()
 	return err
 }
 
@@ -223,27 +228,48 @@ func (r *Registrar) acceptLoop() {
 			}
 			return
 		}
-		go r.register(conn)
+		r.mu.Lock()
+		if r.isClosed() {
+			r.mu.Unlock()
+			conn.Close()
+			return
+		}
+		r.conns[conn] = struct{}{}
+		r.wg.Add(1)
+		r.mu.Unlock()
+		go func() {
+			defer r.wg.Done()
+			r.register(conn)
+		}()
 	}
 }
 
 // register runs the acceptor side of the registration handshake and, on
-// success, the connection's frame loop.
+// success, the connection's frame loop. The connection is closed when it
+// returns.
 func (r *Registrar) register(conn net.Conn) {
+	defer func() {
+		conn.Close()
+		r.mu.Lock()
+		delete(r.conns, conn)
+		r.mu.Unlock()
+	}()
 	var buf [helloLen]byte
 	conn.SetReadDeadline(time.Now().Add(DialTimeout))
 	if _, err := io.ReadFull(conn, buf[:]); err != nil {
-		conn.Close()
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 	h, err := parseHello(buf[:])
 	if err != nil || h.flags&(helloRegister|helloClient) == 0 {
-		conn.Close() // not a registration hello
-		return
+		return // not a registration hello
 	}
 
 	r.mu.Lock()
+	if r.isClosed() {
+		r.mu.Unlock()
+		return
+	}
 	id := r.nextID
 	r.nextID++
 	l := &lease{
@@ -259,7 +285,6 @@ func (r *Registrar) register(conn net.Conn) {
 	conn.SetWriteDeadline(time.Now().Add(DialTimeout))
 	if _, err := conn.Write(reply[:]); err != nil {
 		r.drop(l)
-		conn.Close()
 		return
 	}
 	conn.SetWriteDeadline(time.Time{})
@@ -275,7 +300,7 @@ func (r *Registrar) register(conn net.Conn) {
 // expired or the registrar is closing).
 func (r *Registrar) frameLoop(l *lease) {
 	for {
-		tag, _, _, payload, err := readFrame(l.conn)
+		tag, _, payload, err := readFrame(l.conn)
 		if err != nil {
 			if l.takeGone() && !r.isClosed() {
 				r.drop(l)
@@ -476,10 +501,10 @@ func parseLeaseReply(b []byte) (id, ttlMillis uint32) {
 }
 
 // writeLeaseFrame writes one frame on a lease connection. Lease frames are
-// control traffic: seq 0, no replay, no dedup.
+// control traffic and carry no send timestamp.
 func writeLeaseFrame(conn net.Conn, tag int, payload []byte, deadline time.Duration) error {
 	buf := make([]byte, frameHeaderLen+len(payload))
-	putFrameHeader(buf, tag, 0, 0, len(payload))
+	putFrameHeader(buf, tag, 0, len(payload))
 	copy(buf[frameHeaderLen:], payload)
 	if deadline > 0 {
 		conn.SetWriteDeadline(time.Now().Add(deadline))
@@ -688,7 +713,7 @@ func (l *Lease) heartbeatLoop(interval time.Duration) {
 
 func (l *Lease) readLoop() {
 	for {
-		tag, _, _, payload, err := readFrame(l.conn)
+		tag, _, payload, err := readFrame(l.conn)
 		if err != nil {
 			l.fail(fmt.Errorf("tcpmpi: lease connection lost: %w", err))
 			return

@@ -3,7 +3,9 @@ package tcpmpi
 import (
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -278,20 +280,6 @@ func TestMeshRejectsRegistrationHello(t *testing.T) {
 	}
 }
 
-// TestJitterBounded: reconnect backoff jitter stays inside [0, ceiling],
-// and a zero ceiling yields zero.
-func TestJitterBounded(t *testing.T) {
-	max := 50 * time.Millisecond
-	for i := 0; i < 32; i++ {
-		if d := jitter(max); d < 0 || d > max {
-			t.Fatalf("jitter %v outside [0, %v]", d, max)
-		}
-	}
-	if jitter(0) != 0 {
-		t.Fatal("zero ceiling must yield zero jitter")
-	}
-}
-
 // TestProbeClock runs the NTP-style clock probe against a live worker
 // lease: the offset of two processes sharing one machine clock must come
 // out near zero with a sane RTT, probe frames must stay invisible to
@@ -355,4 +343,86 @@ func TestProbeClock(t *testing.T) {
 	if _, err := reg.ProbeClock(999, 1, 100*time.Millisecond); err == nil {
 		t.Fatal("probe of unknown lease must error")
 	}
+}
+
+// TestRegistrarCloseOwnsItsGoroutines: Close returns only after every
+// goroutine the registrar started has exited, so no callback is running or
+// fires once it has returned, a client that connected before Close but said
+// hello only after it is never admitted, and the goroutine count is back at
+// its baseline. (No callback in this repository calls Close, which would
+// deadlock: the coordinator and the launcher close from their own
+// goroutines.)
+func TestRegistrarCloseOwnsItsGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var running, late atomic.Int32
+	var closed atomic.Bool
+	enter := func() {
+		if closed.Load() {
+			late.Add(1)
+		}
+		running.Add(1)
+	}
+	framing := make(chan struct{}, 1)
+	reg, err := NewRegistrar("127.0.0.1:0", RegistrarConfig{
+		LeaseTTL: time.Minute,
+		OnJoin:   func(WorkerInfo) { enter(); running.Add(-1) },
+		OnLeave:  func(WorkerInfo) { enter(); running.Add(-1) },
+		OnFrame: func(WorkerInfo, int, []byte) {
+			enter()
+			defer running.Add(-1)
+			framing <- struct{}{}
+			time.Sleep(100 * time.Millisecond) // still running when Close is called
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Raw connections keep Lease goroutines out of the count: one parked
+	// before its hello, one registered and mid-frame.
+	parked, err := net.Dial("tcp", reg.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parked.Close()
+	worker, err := net.Dial("tcp", reg.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer worker.Close()
+	var hello [helloLen]byte
+	putHello(hello[:], helloMsg{flags: helloRegister})
+	if _, err := worker.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	var reply [replyLen]byte
+	worker.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(worker, reply[:]); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, frameHeaderLen)
+	putFrameHeader(frame, 7, 0, 0)
+	if _, err := worker.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	<-framing
+
+	reg.Close()
+	closed.Store(true)
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d callbacks still running after Close returned", n)
+	}
+	if _, err := parked.Write(hello[:]); err == nil {
+		parked.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.ReadFull(parked, reply[:]); err == nil {
+			t.Fatal("a closed registrar answered a registration")
+		}
+	}
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%d callbacks fired after Close returned", n)
+	}
+	if n := goroutinesIn("(*Registrar)"); n != 0 {
+		t.Fatalf("%d Registrar goroutines still running after Close returned", n)
+	}
+	backToBaseline(t, base)
 }

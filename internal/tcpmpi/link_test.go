@@ -1,12 +1,17 @@
 package tcpmpi
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,35 +203,39 @@ func TestMeshOnHandedListeners(t *testing.T) {
 	}
 }
 
-// TestPeerCloseIsLinkError: a peer that leaves in the middle of a run of
-// AllreduceBytes fails every survivor with a typed *mpi.LinkError within
-// Options.Timeout — no hang, and no untyped "rank panicked".
-func TestPeerCloseIsLinkError(t *testing.T) {
-	const timeout = 2 * time.Second
-	rounds := func(c *mpi.Comm, n int) error {
-		for i := 0; n < 0 || i < n; i++ {
-			if _, err := c.AllreduceBytes([]byte{byte(c.Rank())}, func(acc, in []byte) ([]byte, error) {
-				return acc, nil
-			}); err != nil {
-				return err
-			}
+// allreduceRounds runs n AllreduceBytes rounds (n < 0: until one fails),
+// counting completed rounds in done when it is non-nil.
+func allreduceRounds(c *mpi.Comm, n int, done *atomic.Int64) error {
+	for i := 0; n < 0 || i < n; i++ {
+		if _, err := c.AllreduceBytes([]byte{byte(c.Rank())}, func(acc, in []byte) ([]byte, error) {
+			return acc, nil
+		}); err != nil {
+			return err
 		}
-		return nil
+		if done != nil {
+			done.Add(1)
+		}
 	}
+	return nil
+}
+
+// TestPeerCloseIsLinkError: a peer that leaves in the middle of a run of
+// AllreduceBytes fails every survivor with a typed *mpi.LinkError at once —
+// well inside Options.Timeout, with no hang and no untyped "rank panicked".
+func TestPeerCloseIsLinkError(t *testing.T) {
+	const timeout = 30 * time.Second
 	start := time.Now()
 	errs := onMesh(t, 3, Options{Timeout: timeout}, func(comm *Comm) error {
 		w := mpi.NewWorld(3, perfmodel.Hopper(), 1)
 		return w.RunLink(comm.rank, comm, func(c *mpi.Comm) error {
 			if c.Rank() == 2 {
-				return rounds(c, 3) // then its Comm closes under the others
+				return allreduceRounds(c, 3, nil) // then its Comm closes under the others
 			}
-			return rounds(c, -1)
+			return allreduceRounds(c, -1, nil)
 		})
 	})
-	// One timeout is the expected cost; the slack is for a busy host. A
-	// survivor that missed the timeout would sit out the 20 s reconnect
-	// budget instead.
-	if took := time.Since(start); took > 5*timeout {
+	// The closed connection is the verdict: nothing waits out a deadline.
+	if took := time.Since(start); took > timeout/10 {
 		t.Fatalf("survivors took %v to notice, Options.Timeout is %v", took, timeout)
 	}
 	if errs[2] != nil {
@@ -237,5 +246,111 @@ func TestPeerCloseIsLinkError(t *testing.T) {
 		if !errors.As(errs[r], &le) {
 			t.Fatalf("survivor %d: %v, want *mpi.LinkError", r, errs[r])
 		}
+	}
+}
+
+// meshRankEnv, set, makes TestMeshRankHelper rank 0 of
+// TestKilledRankIsLinkError's mesh.
+const meshRankEnv = "CASVM_TCPMPI_RANK0"
+
+// TestMeshRankHelper is the re-exec entry point for
+// TestKilledRankIsLinkError: with meshRankEnv set, this "test" is rank 0 of a
+// 3-rank mesh in its own process. It prints its listener's address, then
+// runs AllreduceBytes rounds until it is killed.
+func TestMeshRankHelper(t *testing.T) {
+	if os.Getenv(meshRankEnv) == "" {
+		t.Skip("re-exec helper for TestKilledRankIsLinkError")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Printf("mesh-addr %s\n", ln.Addr())
+	// Rank 0 dials nobody: the other ranks' addresses are never read.
+	comm, err := DialOptions(0, []string{ln.Addr().String(), "", ""},
+		Options{Timeout: 30 * time.Second, Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comm.Close()
+	w := mpi.NewWorld(3, perfmodel.Hopper(), 1)
+	t.Log(w.RunLink(0, comm, func(c *mpi.Comm) error { return allreduceRounds(c, -1, nil) }))
+}
+
+// TestKilledRankIsLinkError: rank 0 of a 3-rank mesh is a real process,
+// SIGKILLed in the middle of an AllreduceBytes loop. Both survivors — each
+// waiting on rank 0 in every round — return a *mpi.LinkError naming rank 0
+// within a second, with Options.Timeout at 30 s: the broken connection is
+// the verdict, not a deadline.
+func TestKilledRankIsLinkError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks a rank process")
+	}
+	const timeout = 30 * time.Second
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestMeshRankHelper$")
+	cmd.Env = append(os.Environ(), meshRankEnv+"=1")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	var addr0 string
+	for sc := bufio.NewScanner(out); addr0 == "" && sc.Scan(); {
+		addr0, _ = strings.CutPrefix(sc.Text(), "mesh-addr ")
+	}
+	if addr0 == "" {
+		t.Fatal("rank 0 process never reported its address")
+	}
+
+	lns, own := listeners(t, 2)
+	addrs := []string{addr0, own[0], own[1]}
+	var rounds atomic.Int64
+	errs := make([]error, 3)
+	ended := make([]time.Time, 3)
+	var wg sync.WaitGroup
+	for r := 1; r <= 2; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			comm, err := DialOptions(rank, addrs, Options{Timeout: timeout, Listener: lns[rank-1]})
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			defer comm.Close()
+			w := mpi.NewWorld(3, perfmodel.Hopper(), 1)
+			errs[rank] = w.RunLink(rank, comm, func(c *mpi.Comm) error { return allreduceRounds(c, -1, &rounds) })
+			ended[rank] = time.Now()
+		}(r)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for rounds.Load() < 100 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	killed := time.Now()
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if rounds.Load() < 100 {
+		t.Fatalf("only %d rounds before the kill: %v", rounds.Load(), errs)
+	}
+	for _, r := range []int{1, 2} {
+		var le *mpi.LinkError
+		if !errors.As(errs[r], &le) || le.Peer != 0 {
+			t.Fatalf("survivor %d: %v, want a *mpi.LinkError with Peer 0", r, errs[r])
+		}
+		took := ended[r].Sub(killed)
+		if took > time.Second {
+			t.Fatalf("survivor %d took %v to fail after the kill; Options.Timeout is %v", r, took, timeout)
+		}
+		t.Logf("survivor %d failed %v after the kill: %v", r, took, errs[r])
 	}
 }

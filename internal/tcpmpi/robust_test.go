@@ -1,10 +1,11 @@
 package tcpmpi
 
 import (
-	"encoding/binary"
-	"fmt"
+	"errors"
 	"io"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -115,15 +116,7 @@ func TestDialRejectsSilentClient(t *testing.T) {
 // blocking forever.
 func TestSilentPeerDetected(t *testing.T) {
 	addrs := freeAddrs(t, 2)
-	opt := Options{
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  250 * time.Millisecond,
-		// Small reconnect budget: the listener side waits it out before
-		// declaring the silent peer dead, and this test wants that verdict
-		// well inside its deadline.
-		ReconnectAttempts:   1,
-		ReconnectBackoffMax: 100 * time.Millisecond,
-	}
+	opt := Options{HeartbeatInterval: 50 * time.Millisecond}
 	done := make(chan error, 1)
 	go func() {
 		c, err := DialOptions(0, addrs, opt)
@@ -149,8 +142,7 @@ func TestSilentPeerDetected(t *testing.T) {
 	}
 	defer conn.Close()
 	var hello [helloLen]byte
-	binary.LittleEndian.PutUint32(hello[0:4], 1)
-	binary.LittleEndian.PutUint32(hello[8:12], helloFresh)
+	putHello(hello[:], helloMsg{rank: 1})
 	if _, err := conn.Write(hello[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -169,67 +161,72 @@ func TestSilentPeerDetected(t *testing.T) {
 	}
 }
 
-// TestSendSurvivesReconnect: severing the underlying connection mid-world
-// must not lose the rank — the dialer side re-dials once, sends retry with
-// backoff across the gap, and traffic resumes.
-func TestSendSurvivesReconnect(t *testing.T) {
+// TestSecondHelloRefused: each peer has one connection for the life of the
+// Comm. A hello for a rank that is already connected is refused — closed
+// without a reply — and the original connection keeps carrying traffic both
+// ways.
+func TestSecondHelloRefused(t *testing.T) {
 	addrs := freeAddrs(t, 2)
-	opt := Options{
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  500 * time.Millisecond,
-		Retries:           8,
-		RetryBackoff:      20 * time.Millisecond,
+	c0, c1 := dialPair(t, addrs, Options{Timeout: 10 * time.Second})
+	defer c0.Close()
+	defer c1.Close()
+
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	comms := make([]*Comm, 2)
-	ready := make(chan struct{}, 2)
-	start := make(chan struct{})
-	wg.Add(2)
-	for r := 0; r < 2; r++ {
-		go func(rank int) {
-			defer wg.Done()
-			c, err := DialOptions(rank, addrs, opt)
-			if err != nil {
-				errs[rank] = err
-				ready <- struct{}{}
-				return
-			}
-			comms[rank] = c
-			defer c.Close()
-			ready <- struct{}{}
-			<-start
-			if rank == 1 {
-				errs[rank] = c.Send(0, 42, []byte("after the storm"))
-				return
-			}
-			got, err := c.Recv(1, 42)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			if string(got) != "after the storm" {
-				errs[rank] = fmt.Errorf("got %q", got)
-			}
-		}(r)
+	defer conn.Close()
+	var hello [helloLen]byte
+	putHello(hello[:], helloMsg{rank: 1})
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
 	}
-	<-ready
-	<-ready
-	if comms[1] != nil {
-		// Sever rank 1's connection to rank 0 out from under it. Rank 1
-		// originally dialed, so it owns the reconnect attempt.
-		p := comms[1].peers[0]
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-		}
-		p.mu.Unlock()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var reply [replyLen]byte
+	if _, err := io.ReadFull(conn, reply[:]); err == nil {
+		t.Fatal("a second hello for rank 1 was answered")
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("a second hello for rank 1 was neither answered nor refused")
 	}
-	close(start)
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
+
+	if err := c1.Send(0, 3, []byte("up")); err != nil {
+		t.Fatal(err)
 	}
+	if got, err := c0.Recv(1, 3); err != nil || string(got) != "up" {
+		t.Fatalf("rank 1 → 0 after the refused hello: %q, %v", got, err)
+	}
+	if err := c0.Send(1, 4, []byte("down")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c1.Recv(0, 4); err != nil || string(got) != "down" {
+		t.Fatalf("rank 0 → 1 after the refused hello: %q, %v", got, err)
+	}
+}
+
+// TestCommCloseOwnsItsGoroutines: Close returns only after every goroutine
+// the Comm started has exited — accept loop, read loops, heartbeat loop, and
+// the handshake of a client that connected but never said hello.
+func TestCommCloseOwnsItsGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	addrs := freeAddrs(t, 2)
+	c0, c1 := dialPair(t, addrs, Options{})
+	if err := c1.Send(0, 1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c0.Recv(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	waitFor(t, "the silent client's handshake", func() bool { return goroutinesIn("(*Comm).handshake") == 1 })
+
+	c0.Close()
+	c1.Close()
+	if n := goroutinesIn("(*Comm)"); n != 0 {
+		t.Fatalf("%d Comm goroutines still running after Close returned", n)
+	}
+	backToBaseline(t, base)
 }

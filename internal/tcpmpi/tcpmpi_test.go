@@ -1,8 +1,11 @@
 package tcpmpi
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +59,56 @@ func world(t *testing.T, n int, f func(c *Comm) error) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
+	}
+}
+
+// dialPair brings up a 2-rank world concurrently and returns both Comms.
+func dialPair(t *testing.T, addrs []string, opt Options) (*Comm, *Comm) {
+	t.Helper()
+	var wg sync.WaitGroup
+	comms := make([]*Comm, 2)
+	errs := make([]error, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			comms[rank], errs[rank] = DialOptions(rank, addrs, opt)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d dial: %v", r, err)
+		}
+	}
+	return comms[0], comms[1]
+}
+
+// goroutinesIn counts the live goroutines running a function of this
+// package whose name contains fn, e.g. "(*Comm)" for any Comm method.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("casvm/internal/tcpmpi."+fn)) {
+			n++
+		}
+	}
+	return n
+}
+
+// backToBaseline fails unless the goroutine count returns to base. It polls
+// briefly: the runtime's finalizer goroutine counts while it runs, and
+// closed sockets give it work.
+func backToBaseline(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d at the start", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -115,9 +168,13 @@ func TestBarrier(t *testing.T) {
 	world(t, 4, func(c *Comm) error { return c.Barrier() })
 }
 
+// TestPeerDisconnectFailsReceivers: a peer that closes fails a receive
+// pending on it at once — the broken connection is the verdict; nothing
+// waits for the peer to come back.
 func TestPeerDisconnectFailsReceivers(t *testing.T) {
 	addrs := freeAddrs(t, 2)
-	opt := Options{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 250 * time.Millisecond}
+	opt := Options{Timeout: 30 * time.Second}
+	start := time.Now()
 	var wg sync.WaitGroup
 	var recvErr error
 	wg.Add(2)
@@ -143,6 +200,12 @@ func TestPeerDisconnectFailsReceivers(t *testing.T) {
 	wg.Wait()
 	if recvErr == nil {
 		t.Fatal("Recv should fail when the peer disconnects")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("the receiver took %v to notice a closed peer", took)
+	}
+	if !strings.Contains(recvErr.Error(), "rank 1") {
+		t.Fatalf("error does not name the lost rank: %v", recvErr)
 	}
 }
 

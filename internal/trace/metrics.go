@@ -12,7 +12,7 @@ import (
 
 // The metrics registry: named counters, gauges and fixed-bucket histograms
 // shared by the runtime layers (collective latencies in mpi, row-cache hit
-// rates in the solver, heartbeat gaps and reconnects in tcpmpi). Metric
+// rates in the solver, membership and job counts in the cluster). Metric
 // handles are resolved once (a mutex-guarded map lookup) and then updated
 // lock-free with atomics; a nil *Registry resolves to nil handles whose
 // update methods are single-branch no-ops, so instrumented code records
