@@ -176,12 +176,14 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
 
-# Short fuzz sweep over every fuzz target (parsers, the wire-frame
-# decoder, the matrix and shard decoders, and the run-report round trip); seed corpora
-# also run in plain `make test`.
+# Short fuzz sweep over every fuzz target (parsers, the wire-frame, hello and
+# registration-reply decoders, the matrix and shard decoders, and the
+# run-report round trip); seed corpora also run in plain `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime 10s ./internal/data
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/tcpmpi
+	$(GO) test -run 'Fuzz' -fuzz FuzzParseHello -fuzztime 10s ./internal/tcpmpi
+	$(GO) test -run 'Fuzz' -fuzz FuzzParseLeaseReply -fuzztime 10s ./internal/tcpmpi
 	$(GO) test -fuzz FuzzRunReportRoundTrip -fuzztime 10s ./internal/trace
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodePredictRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run 'Fuzz' -fuzz FuzzExecFrames -fuzztime 10s ./internal/cluster

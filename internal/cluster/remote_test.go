@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -21,6 +22,7 @@ import (
 	"casvm/internal/la"
 	"casvm/internal/model"
 	"casvm/internal/mpi"
+	"casvm/internal/smo"
 	"casvm/internal/tcpmpi"
 )
 
@@ -862,13 +864,53 @@ func TestBeginGenerationCapsSurplusGang(t *testing.T) {
 func TestRemoteSurplusBackfillRecovers(t *testing.T) {
 	spec := remoteSpec("surplus", 2, 240, "respawn")
 	want := referenceHash(t, spec)
+	pr, ds, err := trainParams(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	c := newTestCoordinator(t, 500*time.Millisecond)
-	// Asymmetric speeds: the fast worker finishes rank 0 while the slow
-	// one is still mid-epoch on rank 1, so killing the slow worker leaves
-	// exactly one pending rank for a full-width replacement gang.
-	startExecutors(t, c, 1, 0)
-	startExecutors(t, c, 1, 3*time.Millisecond)
+	// Rank 0 runs at once. Rank 1 streams one checkpoint in the first
+	// generation and then waits to be revoked, so revoking its worker leaves
+	// exactly one pending rank for a full-width replacement gang; in the next
+	// generation it finishes only once the test has seen that gang.
+	backfilled := make(chan struct{})
+	errHeld := errors.New("held mid-epoch")
+	holdRank1 := func(l *tcpmpi.Lease, m execStart) {
+		if m.Ranks[0] != 1 {
+			return
+		}
+		if m.Gen > 1 {
+			select {
+			case <-backfilled:
+			case <-l.Done():
+			}
+			return
+		}
+		streamed := false
+		_, err := core.RunShard(ds.X, ds.Y, pr, core.ShardRun{
+			Rank: 1, P: m.Spec.P, CheckpointEvery: m.CheckpointEvery,
+			CheckpointSink: func(ck *smo.Checkpoint) {
+				hdr := execRank{Job: m.Job, Gen: m.Gen, Rank: 1, Iters: ck.Iters}
+				if err := l.Send(tagExecCkpt, encodeExecCkpt(hdr, ck.Encode())); err != nil {
+					t.Errorf("checkpoint: %v", err)
+				}
+				streamed = true
+			},
+			Interrupt: func(int) error {
+				if streamed {
+					return errHeld
+				}
+				return nil
+			},
+		})
+		if !errors.Is(err, errHeld) {
+			t.Errorf("rank 1 was not held mid-epoch: %v", err)
+		}
+		<-l.Done()
+	}
+	startFakeWorker(t, c, pr, ds, holdRank1)
+	startFakeWorker(t, c, pr, ds, holdRank1)
 	waitFor(t, "both executors registered", func() bool { return len(c.Workers()) == 2 })
 
 	j, err := c.Submit(spec)
@@ -886,8 +928,9 @@ func TestRemoteSurplusBackfillRecovers(t *testing.T) {
 	waitFor(t, "gang degraded", func() bool { return len(j.Gang()) == 1 })
 
 	// The replacement restores full width: 2 workers, 1 pending rank.
-	startExecutors(t, c, 1, 0)
+	startFakeWorker(t, c, pr, ds, holdRank1)
 	waitFor(t, "gang backfilled", func() bool { return len(j.Gang()) == 2 })
+	close(backfilled)
 
 	select {
 	case <-j.Done():

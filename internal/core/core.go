@@ -82,9 +82,6 @@ type Params struct {
 	Tol     float64
 	MaxIter int // per-solver iteration cap; 0 = default
 	Kernel  kernel.Params
-	// PosWeight scales positive samples' box bound (class-weighted SVM);
-	// 0 means 1.
-	PosWeight float64
 
 	// Threads sets the shared-memory parallelism of each rank's local SMO
 	// solver (kernel-row fills and the fused scan/update passes fan out
@@ -238,7 +235,7 @@ func (p Params) validate(x *la.Matrix, y []float64) error {
 
 func (p Params) solverConfig() smo.Config {
 	return smo.Config{C: p.C, Tol: p.Tol, MaxIter: p.MaxIter, Kernel: p.Kernel,
-		PosWeight: p.PosWeight, Threads: p.Threads}
+		Threads: p.Threads}
 }
 
 // NodeStat profiles one node's work within a layer (the rows of Table V).

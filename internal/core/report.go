@@ -42,11 +42,10 @@ func BuildReport(out *Output, p Params, dataset string, accuracy float64) (*trac
 			TwSec: p.Machine.Tw,
 		},
 		Solver: trace.SolverInfo{
-			C:         p.C,
-			Tol:       p.Tol,
-			Kernel:    p.Kernel.Kind.String(),
-			Gamma:     p.Kernel.Gamma,
-			PosWeight: p.PosWeight,
+			C:      p.C,
+			Tol:    p.Tol,
+			Kernel: p.Kernel.Kind.String(),
+			Gamma:  p.Kernel.Gamma,
 		},
 		Iters:          st.Iters,
 		SVs:            st.SVs,

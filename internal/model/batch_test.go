@@ -186,10 +186,6 @@ func TestSetPredictAllMatchesPerRow(t *testing.T) {
 		if acc := set.Accuracy(q, y); acc != float64(correct)/float64(len(y)) {
 			t.Fatalf("accuracy %v", acc)
 		}
-		con := set.Confusion(q, y)
-		if con.TP+con.FP+con.TN+con.FN != len(y) {
-			t.Fatalf("confusion total %+v", con)
-		}
 	}
 }
 

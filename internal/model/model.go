@@ -167,37 +167,6 @@ func (s *Set) NSV() int {
 	return t
 }
 
-// Confusion counts binary prediction outcomes on (q, y).
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// Recall returns TP/(TP+FN), the positive-class detection rate, or 0.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// Confusion evaluates routed predictions against labels.
-func (s *Set) Confusion(q *la.Matrix, y []float64) Confusion {
-	var c Confusion
-	for i, pred := range s.PredictAll(q) {
-		switch {
-		case pred > 0 && y[i] > 0:
-			c.TP++
-		case pred > 0 && y[i] < 0:
-			c.FP++
-		case pred < 0 && y[i] < 0:
-			c.TN++
-		default:
-			c.FN++
-		}
-	}
-	return c
-}
-
 // Single wraps one model as a degenerate Set (used so every training
 // method returns the same artefact type).
 func Single(m *Model, center []float64) *Set {

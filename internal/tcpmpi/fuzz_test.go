@@ -116,3 +116,45 @@ func FuzzParseHello(f *testing.F) {
 		}
 	})
 }
+
+// replyBytes assembles a registration reply for the seed corpus.
+func replyBytes(id, ttlMillis uint32) []byte {
+	b := make([]byte, replyLen)
+	putLeaseReply(b, id, ttlMillis)
+	return b
+}
+
+// FuzzParseLeaseReply asserts the registration-reply decoder never panics
+// and accepts only a TTL that can be a read deadline: above zero and at most
+// maxLeaseTTL. Run with `go test -fuzz FuzzParseLeaseReply ./internal/tcpmpi`
+// for extended exploration.
+func FuzzParseLeaseReply(f *testing.F) {
+	hour := uint32(maxLeaseTTL.Milliseconds())
+	seeds := [][]byte{
+		nil,
+		{0x01},
+		replyBytes(3, 6000)[:replyLen-1],       // one byte short
+		replyBytes(0, 6000),                    // the default 6s lease
+		replyBytes(7, 1),                       // shortest TTL
+		replyBytes(7, hour),                    // longest TTL
+		replyBytes(7, hour+1),                  // past the bound
+		replyBytes(7, 0),                       // no TTL
+		replyBytes(0xFFFFFFFF, 0xFFFFFFFF),     // every bit set
+		append(replyBytes(1, 300), 0xAA, 0xBB), // trailing garbage
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		id, ttl, err := parseLeaseReply(in)
+		if err != nil {
+			return
+		}
+		if ttl <= 0 || ttl > maxLeaseTTL {
+			t.Fatalf("accepted TTL %v", ttl)
+		}
+		if out := replyBytes(uint32(id), uint32(ttl.Milliseconds())); !bytes.Equal(out, in[:replyLen]) {
+			t.Fatalf("reply does not round-trip: id=%d ttl=%v", id, ttl)
+		}
+	})
+}

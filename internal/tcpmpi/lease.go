@@ -4,11 +4,11 @@
 // 8-byte hello the rank mesh uses, with the helloRegister (or helloClient)
 // flag set. The reply's first word carries the assigned worker id and its
 // second the lease TTL in milliseconds. The connection then stays open as
-// the lease channel: heartbeat frames (hbTag) renew the lease, data frames
-// carry cluster control messages in either direction, and a connection that
-// stays silent past the TTL expires — the failure-detector verdict the
-// cluster runtime feeds into shrink/respawn recovery. A cleanly closed
-// connection is a leave, not an expiry.
+// the lease channel, a link like a mesh peer's: both sides heartbeat every
+// TTL/3, data frames carry cluster control messages either way, and either
+// read loop ends the lease after a TTL of silence — on the registrar an
+// expiry, the failure-detector verdict the cluster runtime feeds into
+// shrink/respawn recovery, as is a Revoke; a clean close is a leave.
 //
 // No static rank table is involved: workers discover the coordinator by
 // address alone, and ids are assigned in registration order.
@@ -19,11 +19,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 )
+
+// maxLeaseTTL bounds the TTL a registration may carry: it becomes a read
+// deadline at both ends.
+const maxLeaseTTL = time.Hour
 
 // WorkerInfo identifies one registered connection.
 type WorkerInfo struct {
@@ -37,66 +42,33 @@ type WorkerInfo struct {
 // for long (they hold up that worker's frame stream, not the whole
 // registrar).
 type RegistrarConfig struct {
-	// LeaseTTL is how long a lease survives without a heartbeat renewal
-	// before it expires. 0 means 6s.
+	// LeaseTTL is how long a lease survives without hearing from its
+	// worker before it expires, at most an hour. 0 means 6s.
 	LeaseTTL time.Duration
-	// CheckInterval is the expiry-scan cadence. 0 means LeaseTTL/4.
-	CheckInterval time.Duration
 
 	// OnJoin fires when a worker (or client) registers.
 	OnJoin func(w WorkerInfo)
-	// OnExpire fires when a lease passes its TTL without renewal — the
+	// OnExpire fires when a lease's worker is silent past its TTL, its
+	// connection breaks or cannot take a frame, or it is revoked — the
 	// failure-detector verdict.
 	OnExpire func(w WorkerInfo)
-	// OnLeave fires when a registered connection closes cleanly (or breaks)
-	// before its lease expires.
+	// OnLeave fires when a registered connection closes cleanly.
 	OnLeave func(w WorkerInfo)
 	// OnFrame receives every non-heartbeat frame a registered connection
 	// sends: the cluster control channel (job submissions, status queries).
 	OnFrame func(w WorkerInfo, tag int, payload []byte)
 }
 
-func (cfg RegistrarConfig) withDefaults() RegistrarConfig {
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 6 * time.Second
-	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = cfg.LeaseTTL / 4
-	}
-	return cfg
-}
-
 // lease is the registrar-side state of one registered connection.
 type lease struct {
+	*link
 	info WorkerInfo
-	conn net.Conn
 
 	// pongs carries clock-probe replies from the frame loop to ProbeClock.
 	// Buffered so a pong arriving after a probe timed out never blocks the
 	// frame loop; ProbeClock discards stale entries by probe id.
 	pongs chan []byte
-
-	mu       sync.Mutex
-	lastSeen time.Time
-	gone     bool // expired or left; the read loop must not double-report
-}
-
-func (l *lease) renew() {
-	l.mu.Lock()
-	l.lastSeen = time.Now()
-	l.mu.Unlock()
-}
-
-// takeGone marks the lease gone and reports whether this caller was first —
-// exactly one of expiry scan and read loop wins.
-func (l *lease) takeGone() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.gone {
-		return false
-	}
-	l.gone = true
-	return true
+	ended chan struct{} // closed once the frame loop has reported the end
 }
 
 // Registrar is the coordinator-side membership endpoint.
@@ -116,20 +88,26 @@ type Registrar struct {
 // NewRegistrar listens on addr (":0" picks a free port) and serves worker
 // registrations until Close.
 func NewRegistrar(addr string, cfg RegistrarConfig) (*Registrar, error) {
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = 6 * time.Second
+	}
+	if cfg.LeaseTTL < time.Millisecond || cfg.LeaseTTL > maxLeaseTTL {
+		return nil, fmt.Errorf("tcpmpi: lease TTL %v outside [1ms, %v]", cfg.LeaseTTL, maxLeaseTTL)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpmpi: registrar listen %s: %w", addr, err)
 	}
 	r := &Registrar{
 		ln:     ln,
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		leases: map[int]*lease{},
 		conns:  map[net.Conn]struct{}{},
 		done:   make(chan struct{}),
 	}
 	r.wg.Add(2)
 	go func() { defer r.wg.Done(); r.acceptLoop() }()
-	go func() { defer r.wg.Done(); r.expiryLoop() }()
+	go func() { defer r.wg.Done(); tick(r.done, r.cfg.LeaseTTL/3, r.heartbeat) }()
 	return r, nil
 }
 
@@ -137,7 +115,7 @@ func NewRegistrar(addr string, cfg RegistrarConfig) (*Registrar, error) {
 func (r *Registrar) Addr() string { return r.ln.Addr().String() }
 
 // Close stops the registrar, closes every connection it accepted, and
-// returns once every goroutine it started — accept loop, expiry loop, and
+// returns once every goroutine it started — accept loop, heartbeats, and
 // each connection's registration and frame loop — has exited, so no
 // callback runs after Close returns. A callback must therefore never call
 // Close. A connection the shutdown closes is not reported as a leave.
@@ -178,55 +156,71 @@ func (r *Registrar) Workers() []WorkerInfo {
 	return out
 }
 
-// Send writes one control frame to a registered connection.
-func (r *Registrar) Send(id, tag int, payload []byte) error {
+func (r *Registrar) lookup(id int) (*lease, error) {
 	r.mu.Lock()
-	l, ok := r.leases[id]
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("tcpmpi: no lease %d", id)
+	defer r.mu.Unlock()
+	if l, ok := r.leases[id]; ok {
+		return l, nil
 	}
-	return writeLeaseFrame(l.conn, tag, payload, r.cfg.LeaseTTL)
+	return nil, fmt.Errorf("tcpmpi: no lease %d", id)
 }
 
-// Revoke force-expires a lease: the connection closes and OnExpire fires as
-// if the TTL had lapsed. Cluster tests (and an admin endpoint) use it to
-// inject a deterministic membership failure.
-func (r *Registrar) Revoke(id int) error {
+func (r *Registrar) drop(id int) {
 	r.mu.Lock()
-	l, ok := r.leases[id]
+	delete(r.leases, id)
 	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("tcpmpi: no lease %d", id)
+}
+
+// Send writes one control frame to a registered connection. A frame the
+// worker does not take within the TTL expires its lease.
+func (r *Registrar) Send(id, tag int, payload []byte) error {
+	l, err := r.lookup(id)
+	if err != nil {
+		return err
 	}
-	if l.takeGone() {
-		r.drop(l)
+	if err := l.write(tag, 0, payload); err != nil {
 		l.conn.Close()
-		if r.cfg.OnExpire != nil {
-			r.cfg.OnExpire(l.info)
-		}
+		return err
 	}
 	return nil
 }
 
-func (r *Registrar) drop(l *lease) {
+// Revoke force-expires a lease: the connection closes, and Revoke returns
+// once OnExpire has fired as if the TTL had lapsed. Cluster tests (and an
+// admin endpoint) use it to inject a deterministic membership failure. A
+// callback must not revoke its own worker's lease, which would wait on
+// itself.
+func (r *Registrar) Revoke(id int) error {
+	l, err := r.lookup(id)
+	if err != nil {
+		return err
+	}
+	l.conn.Close()
+	<-l.ended
+	return nil
+}
+
+// heartbeat sends every lease a heartbeat, each from its own goroutine so a
+// worker that stopped reading holds up no other lease's.
+func (r *Registrar) heartbeat() {
 	r.mu.Lock()
-	delete(r.leases, l.info.ID)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	for _, l := range r.leases {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			if l.beat() != nil {
+				l.conn.Close()
+			}
+		}()
+	}
 }
 
 func (r *Registrar) acceptLoop() {
 	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
-			if r.isClosed() {
-				return
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			return
+			return // closed
 		}
 		r.mu.Lock()
 		if r.isClosed() {
@@ -255,11 +249,10 @@ func (r *Registrar) register(conn net.Conn) {
 		r.mu.Unlock()
 	}()
 	var buf [helloLen]byte
-	conn.SetReadDeadline(time.Now().Add(DialTimeout))
+	conn.SetDeadline(time.Now().Add(DialTimeout))
 	if _, err := io.ReadFull(conn, buf[:]); err != nil {
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
 	h, err := parseHello(buf[:])
 	if err != nil || h.flags&(helloRegister|helloClient) == 0 {
 		return // not a registration hello
@@ -273,99 +266,55 @@ func (r *Registrar) register(conn net.Conn) {
 	id := r.nextID
 	r.nextID++
 	l := &lease{
-		info: WorkerInfo{ID: id, Addr: conn.RemoteAddr().String(), Client: h.flags&helloClient != 0},
-		conn: conn, lastSeen: time.Now(),
+		link:  &link{conn: conn, silence: r.cfg.LeaseTTL, wait: r.cfg.LeaseTTL},
+		info:  WorkerInfo{ID: id, Addr: conn.RemoteAddr().String(), Client: h.flags&helloClient != 0},
 		pongs: make(chan []byte, 8),
+		ended: make(chan struct{}),
 	}
+	l.sendMu.Lock() // the reply goes out before any heartbeat
 	r.leases[id] = l
 	r.mu.Unlock()
+	defer close(l.ended)
 
 	var reply [replyLen]byte
 	putLeaseReply(reply[:], uint32(id), uint32(r.cfg.LeaseTTL.Milliseconds()))
-	conn.SetWriteDeadline(time.Now().Add(DialTimeout))
-	if _, err := conn.Write(reply[:]); err != nil {
-		r.drop(l)
+	_, err = conn.Write(reply[:])
+	l.sendMu.Unlock()
+	if err != nil {
+		r.drop(id)
 		return
 	}
-	conn.SetWriteDeadline(time.Time{})
-
 	if r.cfg.OnJoin != nil {
 		r.cfg.OnJoin(l.info)
 	}
 	r.frameLoop(l)
 }
 
-// frameLoop consumes one lease connection: heartbeats renew, data frames go
-// to OnFrame, and a read error is a leave (unless the lease already
-// expired or the registrar is closing).
+// frameLoop consumes one lease connection until it ends: data frames go to
+// OnFrame, pongs to ProbeClock. A clean EOF is a leave; silence, a broken
+// connection, a failed write and a revocation are an expiry — unless the
+// registrar is closing.
 func (r *Registrar) frameLoop(l *lease) {
-	for {
-		tag, _, payload, err := readFrame(l.conn)
-		if err != nil {
-			if l.takeGone() && !r.isClosed() {
-				r.drop(l)
-				l.conn.Close()
-				if r.cfg.OnLeave != nil {
-					r.cfg.OnLeave(l.info)
-				}
-			}
-			return
-		}
-		l.renew()
-		if tag == hbTag {
-			continue
-		}
-		if tag == pingTag {
-			// Answer a worker-initiated probe inline: t2 is now, t3 is
-			// stamped at encode time inside makePong.
-			if len(payload) == pingLen {
-				_ = writeLeaseFrame(l.conn, pongTag, makePong(payload, time.Now().UnixNano()), r.cfg.LeaseTTL)
-			}
-			continue
-		}
-		if tag == pongTag {
+	err := l.readLoop(func(tag int, _ int64, payload []byte) {
+		switch {
+		case tag == pongTag:
 			select {
 			case l.pongs <- payload:
 			default: // probe gave up; drop rather than block the frame loop
 			}
-			continue
-		}
-		if r.cfg.OnFrame != nil {
+		case r.cfg.OnFrame != nil:
 			r.cfg.OnFrame(l.info, tag, payload)
 		}
-	}
-}
-
-// expiryLoop scans for leases past their TTL.
-func (r *Registrar) expiryLoop() {
-	ticker := time.NewTicker(r.cfg.CheckInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-ticker.C:
+	})
+	r.drop(l.info.ID)
+	switch {
+	case r.isClosed():
+	case errors.Is(err, io.EOF):
+		if r.cfg.OnLeave != nil {
+			r.cfg.OnLeave(l.info)
 		}
-		r.mu.Lock()
-		var expired []*lease
-		for _, l := range r.leases {
-			l.mu.Lock()
-			if !l.gone && time.Since(l.lastSeen) > r.cfg.LeaseTTL {
-				l.gone = true
-				expired = append(expired, l)
-			}
-			l.mu.Unlock()
-		}
-		for _, l := range expired {
-			delete(r.leases, l.info.ID)
-		}
-		r.mu.Unlock()
-		for _, l := range expired {
-			l.conn.Close()
-			if r.cfg.OnExpire != nil {
-				r.cfg.OnExpire(l.info)
-			}
-		}
+	case r.cfg.OnExpire != nil:
+		r.cfg.OnExpire(l.info)
 	}
 }
 
@@ -377,10 +326,8 @@ func (r *Registrar) expiryLoop() {
 //	coordinator t1 --ping--> worker t2 (recv) .. t3 (send) --pong--> t4
 //	offset = ((t2-t1)+(t3-t4))/2   rtt = (t4-t1)-(t3-t2)
 //
-// Both read loops answer pings inline — before any queueing or callback —
-// so scheduling delay on the answering side stays inside the (t3−t2)
-// correction instead of inflating the RTT. Like heartbeats, probe frames
-// renew the lease but are invisible to OnFrame/Recv.
+// Every link's read loop answers pings inline (link.readLoop). Like
+// heartbeats, probe frames are invisible to OnFrame/Recv.
 const (
 	pingTag = hbTag + 1
 	pongTag = hbTag + 2
@@ -433,53 +380,45 @@ var probeSeq atomic.Uint64
 // Probes of one worker must not run concurrently — their pongs would
 // interleave; run bursts sequentially (the fleet collector does).
 func (r *Registrar) ProbeClock(id, n int, timeout time.Duration) (ClockEstimate, error) {
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	r.mu.Lock()
-	l, ok := r.leases[id]
-	r.mu.Unlock()
-	if !ok {
-		return ClockEstimate{}, fmt.Errorf("tcpmpi: no lease %d", id)
+	l, err := r.lookup(id)
+	if err != nil {
+		return ClockEstimate{}, err
 	}
-	deadline := time.Now().Add(timeout)
-	est := ClockEstimate{RTTNs: 1<<63 - 1}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	est := ClockEstimate{RTTNs: math.MaxInt64}
+burst:
 	for i := 0; i < n; i++ {
 		probeID := probeSeq.Add(1)
 		var ping [pingLen]byte
 		t1 := time.Now().UnixNano()
 		putPing(ping[:], probeID, t1)
-		if err := writeLeaseFrame(l.conn, pingTag, ping[:], time.Until(deadline)); err != nil {
+		if err := l.write(pingTag, 0, ping[:]); err != nil {
+			l.conn.Close()
 			break
 		}
-	await:
 		for {
 			var pong []byte
 			select {
 			case pong = <-l.pongs:
-			case <-time.After(time.Until(deadline)):
-				break await
+			case <-timer.C:
+				break burst
 			}
 			t4 := time.Now().UnixNano()
 			id2, pt1, t2, t3, ok := parsePong(pong)
 			if !ok || id2 != probeID || pt1 != t1 {
 				continue // stale pong from an earlier burst
 			}
-			rtt := (t4 - t1) - (t3 - t2)
-			if rtt < 0 {
-				rtt = 0
-			}
+			rtt := max((t4-t1)-(t3-t2), 0)
 			if rtt <= est.RTTNs {
 				est.RTTNs = rtt
 				est.OffsetNs = ((t2 - t1) + (t3 - t4)) / 2
 			}
 			est.Samples++
-			break
-		}
-		if !time.Now().Before(deadline) {
 			break
 		}
 	}
@@ -496,57 +435,43 @@ func putLeaseReply(b []byte, id, ttlMillis uint32) {
 	binary.LittleEndian.PutUint32(b[4:8], ttlMillis)
 }
 
-func parseLeaseReply(b []byte) (id, ttlMillis uint32) {
-	return binary.LittleEndian.Uint32(b[0:4]), binary.LittleEndian.Uint32(b[4:8])
-}
-
-// writeLeaseFrame writes one frame on a lease connection. Lease frames are
-// control traffic and carry no send timestamp.
-func writeLeaseFrame(conn net.Conn, tag int, payload []byte, deadline time.Duration) error {
-	buf := make([]byte, frameHeaderLen+len(payload))
-	putFrameHeader(buf, tag, 0, len(payload))
-	copy(buf[frameHeaderLen:], payload)
-	if deadline > 0 {
-		conn.SetWriteDeadline(time.Now().Add(deadline))
-		defer conn.SetWriteDeadline(time.Time{})
+// parseLeaseReply decodes a registration reply. The TTL becomes the worker's
+// read deadline and heartbeat cadence, so one of zero or past maxLeaseTTL is
+// refused.
+func parseLeaseReply(b []byte) (id int, ttl time.Duration, err error) {
+	if len(b) < replyLen {
+		return 0, 0, fmt.Errorf("tcpmpi: short registration reply (%d bytes)", len(b))
 	}
-	_, err := conn.Write(buf)
-	return err
+	ttl = time.Duration(binary.LittleEndian.Uint32(b[4:8])) * time.Millisecond
+	if ttl <= 0 || ttl > maxLeaseTTL {
+		return 0, 0, fmt.Errorf("tcpmpi: registration reply with lease TTL %v outside (0, %v]", ttl, maxLeaseTTL)
+	}
+	return int(binary.LittleEndian.Uint32(b[0:4])), ttl, nil
 }
 
 // RegisterOptions tunes the worker side of a registration.
 type RegisterOptions struct {
 	// Client registers as a job submitter instead of training capacity.
 	Client bool
-	// DialTimeout bounds the dial and handshake. 0 means 30s.
-	DialTimeout time.Duration
-	// HeartbeatInterval overrides the renewal cadence. 0 means TTL/3.
-	HeartbeatInterval time.Duration
 }
 
 // Lease is the worker-side handle on a registration: a live, heartbeated
 // membership lease plus the control-frame channel to the coordinator.
 type Lease struct {
-	conn net.Conn
-	id   int
-	ttl  time.Duration
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[int][][]byte
-	closed error
+	*link
+	id  int
+	ttl time.Duration
+	mb  *mailbox // one source: the coordinator
 
 	done     chan struct{}
 	doneOnce sync.Once
 }
 
 // Register dials a Registrar at addr, acquires a lease, and renews it in
-// the background until Close (or the coordinator revokes it).
+// the background until Close, a revocation, or the coordinator falling
+// silent past the TTL.
 func Register(addr string, opt RegisterOptions) (*Lease, error) {
-	if opt.DialTimeout <= 0 {
-		opt.DialTimeout = DialTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, opt.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("tcpmpi: register at %s: %w", addr, err)
 	}
@@ -556,37 +481,39 @@ func Register(addr string, opt RegisterOptions) (*Lease, error) {
 	}
 	var hello [helloLen]byte
 	putHello(hello[:], helloMsg{flags: flags})
-	conn.SetWriteDeadline(time.Now().Add(opt.DialTimeout))
+	conn.SetDeadline(time.Now().Add(DialTimeout))
 	if _, err := conn.Write(hello[:]); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("tcpmpi: register hello: %w", err)
 	}
-	conn.SetWriteDeadline(time.Time{})
 	var reply [replyLen]byte
-	conn.SetReadDeadline(time.Now().Add(opt.DialTimeout))
 	if _, err := io.ReadFull(conn, reply[:]); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("tcpmpi: register reply: %w", err)
 	}
-	conn.SetReadDeadline(time.Time{})
-	id, ttlMillis := parseLeaseReply(reply[:])
+	id, ttl, err := parseLeaseReply(reply[:])
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
 	l := &Lease{
-		conn:   conn,
-		id:     int(id),
-		ttl:    time.Duration(ttlMillis) * time.Millisecond,
-		queues: map[int][][]byte{},
-		done:   make(chan struct{}),
+		link: &link{conn: conn, silence: ttl, wait: ttl},
+		id:   id,
+		ttl:  ttl,
+		mb:   newMailbox(1),
+		done: make(chan struct{}),
 	}
-	l.cond = sync.NewCond(&l.mu)
-	hb := opt.HeartbeatInterval
-	if hb <= 0 {
-		hb = l.ttl / 3
-		if hb <= 0 {
-			hb = time.Second
+	go tick(l.done, ttl/3, func() {
+		if err := l.beat(); err != nil {
+			l.fail(fmt.Errorf("tcpmpi: lease heartbeat: %w", err))
 		}
-	}
-	go l.heartbeatLoop(hb)
-	go l.readLoop()
+	})
+	go func() {
+		err := l.readLoop(func(tag int, _ int64, payload []byte) {
+			l.mb.put(0, message{tag: tag, data: payload})
+		})
+		l.fail(fmt.Errorf("tcpmpi: lease connection lost: %w", err))
+	}()
 	return l, nil
 }
 
@@ -599,52 +526,33 @@ func (l *Lease) Close() error {
 	return nil
 }
 
-// Done is closed when the lease ends — by Close, a revocation, or a broken
-// coordinator connection.
+// Done is closed when the lease ends — by Close, a revocation, a broken
+// coordinator connection, or a coordinator silent past the TTL.
 func (l *Lease) Done() <-chan struct{} { return l.done }
 
 // Err returns why the lease ended (nil while it is live).
-func (l *Lease) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	select {
-	case <-l.done:
-		return l.closed
-	default:
-		return nil
-	}
-}
+func (l *Lease) Err() error { return l.mb.err(0) }
 
 func (l *Lease) fail(err error) {
 	l.doneOnce.Do(func() {
-		l.mu.Lock()
-		l.closed = err
-		l.mu.Unlock()
+		l.mb.fail(0, err)
 		close(l.done)
 		l.conn.Close()
-		l.cond.Broadcast()
 	})
 }
 
-// Send writes one control frame to the coordinator.
+// Send writes one control frame to the coordinator. A failed write ends
+// the lease.
 func (l *Lease) Send(tag int, payload []byte) error {
 	if err := l.Err(); err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return writeLeaseFrame(l.conn, tag, payload, l.ttl)
-}
-
-// timeoutBroadcast wakes Recv/RecvAny waiters when their deadline timer
-// fires. It broadcasts under l.mu: a bare Broadcast could land between a
-// waiter's deadline check and its cond.Wait — a lost wakeup that leaves
-// the call blocked past its timeout until unrelated traffic arrives.
-// Holding the mutex forces the timer to wait until the waiter is parked.
-func (l *Lease) timeoutBroadcast() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.cond.Broadcast()
+	if err := l.write(tag, 0, payload); err != nil {
+		err = fmt.Errorf("tcpmpi: lease send: %w", err)
+		l.fail(err)
+		return err
+	}
+	return nil
 }
 
 // Recv blocks until a control frame with the given tag arrives, the lease
@@ -661,81 +569,12 @@ func (l *Lease) Recv(tag int, timeout time.Duration) ([]byte, error) {
 // the lease's terminal error. Executor loops use it to multiplex a small
 // command vocabulary over one lease without a goroutine per tag.
 func (l *Lease) RecvAny(tags []int, timeout time.Duration) (int, []byte, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		timer := time.AfterFunc(timeout, l.timeoutBroadcast)
-		defer timer.Stop()
+	m, err := l.mb.take(0, tags, timeout)
+	if err == errRecvTimeout {
+		return 0, nil, fmt.Errorf("tcpmpi: lease recv tags %v: timeout after %v", tags, timeout)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		for _, tag := range tags {
-			if q := l.queues[tag]; len(q) > 0 {
-				b := q[0]
-				l.queues[tag] = q[1:]
-				return tag, b, nil
-			}
-		}
-		select {
-		case <-l.done:
-			return 0, nil, l.closed
-		default:
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			if len(tags) == 1 {
-				return 0, nil, fmt.Errorf("tcpmpi: lease recv tag %d: timeout after %v", tags[0], timeout)
-			}
-			return 0, nil, fmt.Errorf("tcpmpi: lease recv tags %v: timeout after %v", tags, timeout)
-		}
-		l.cond.Wait()
+	if err != nil {
+		return 0, nil, err
 	}
-}
-
-func (l *Lease) heartbeatLoop(interval time.Duration) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-ticker.C:
-		}
-		l.mu.Lock()
-		err := writeLeaseFrame(l.conn, hbTag, nil, l.ttl)
-		l.mu.Unlock()
-		if err != nil {
-			l.fail(fmt.Errorf("tcpmpi: lease heartbeat: %w", err))
-			return
-		}
-	}
-}
-
-func (l *Lease) readLoop() {
-	for {
-		tag, _, payload, err := readFrame(l.conn)
-		if err != nil {
-			l.fail(fmt.Errorf("tcpmpi: lease connection lost: %w", err))
-			return
-		}
-		if tag == hbTag {
-			continue
-		}
-		if tag == pingTag {
-			// Answer the coordinator's clock probe immediately, before any
-			// queueing, so only the (t3−t2)-corrected turnaround is left in
-			// the RTT. The write shares l.mu with Send/heartbeats.
-			if len(payload) == pingLen {
-				t2 := time.Now().UnixNano()
-				l.mu.Lock()
-				_ = writeLeaseFrame(l.conn, pongTag, makePong(payload, t2), l.ttl)
-				l.mu.Unlock()
-			}
-			continue
-		}
-		l.mu.Lock()
-		l.queues[tag] = append(l.queues[tag], payload)
-		l.mu.Unlock()
-		l.cond.Broadcast()
-	}
+	return m.tag, m.data, nil
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,6 +216,156 @@ func TestLeaseRevoke(t *testing.T) {
 	}
 	if l.Err() == nil {
 		t.Fatal("ended lease reports nil error")
+	}
+}
+
+// registerRaw completes a worker registration by hand and returns the
+// connection and the assigned lease id. The caller decides what the worker
+// does next.
+func registerRaw(t *testing.T, addr string) (net.Conn, int) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	var hello [helloLen]byte
+	putHello(hello[:], helloMsg{flags: helloRegister})
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	var reply [replyLen]byte
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(conn, reply[:]); err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := parseLeaseReply(reply[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, id
+}
+
+// TestConcurrentSendToStalledWorker: four coordinator goroutines send 8 MiB
+// frames at once to a worker that heartbeats but never reads. Each Send must
+// fail within two TTLs: one sender's write deadline must not be cleared by
+// another's, and the first failed write ends the lease for the rest.
+func TestConcurrentSendToStalledWorker(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	reg, err := NewRegistrar("127.0.0.1:0", RegistrarConfig{LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	conn, id := registerRaw(t, reg.Addr())
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() { // heartbeats keep the lease alive; nothing is ever read
+		hb := frameBytes(hbTag, 0, nil)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(ttl / 3):
+			}
+			if _, err := conn.Write(hb); err != nil {
+				return
+			}
+		}
+	}()
+
+	payload := make([]byte, 8<<20)
+	start := time.Now()
+	type result struct {
+		err  error
+		took time.Duration
+	}
+	results := make(chan result, 4)
+	for i := 0; i < 4; i++ {
+		go func() {
+			err := reg.Send(id, 7, payload)
+			results <- result{err, time.Since(start)}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		select {
+		case res := <-results:
+			if res.err == nil {
+				t.Error("an 8 MiB frame to a worker that never reads was sent")
+			}
+			if res.took > 2*ttl {
+				t.Errorf("a Send returned after %v, want within %v", res.took, 2*ttl)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 4 Sends still blocked after 10s", 4-i)
+		}
+	}
+}
+
+// silentCoordinator accepts one registration, answers it with the given
+// TTL in milliseconds, and then holds the connection open without writing.
+func silentCoordinator(t *testing.T, ttlMillis uint32) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan net.Conn, 1)
+	t.Cleanup(func() {
+		ln.Close()
+		select {
+		case conn := <-held:
+			conn.Close()
+		default:
+		}
+	})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		held <- conn
+		var hello [helloLen]byte
+		if _, err := io.ReadFull(conn, hello[:]); err != nil {
+			return
+		}
+		var reply [replyLen]byte
+		putLeaseReply(reply[:], 0, ttlMillis)
+		conn.Write(reply[:])
+	}()
+	return ln.Addr().String()
+}
+
+// TestLeaseEndsWhenCoordinatorSilent: a coordinator that completes the
+// registration and then sends nothing — a stopped process holding its
+// connection open — ends the worker's lease within two TTLs, and the
+// lease's error names the silence. A reply whose TTL could not be a read
+// deadline is refused.
+func TestLeaseEndsWhenCoordinatorSilent(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	l, err := Register(silentCoordinator(t, uint32(ttl.Milliseconds())), RegisterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	start := time.Now()
+	select {
+	case <-l.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the lease outlived a silent coordinator")
+	}
+	if took := time.Since(start); took > 2*ttl {
+		t.Errorf("the lease ended %v after registering, want within %v", took, 2*ttl)
+	}
+	if err := l.Err(); err == nil || !strings.Contains(err.Error(), "silent") {
+		t.Fatalf("Err() = %v, want it to name the silence", err)
+	}
+
+	for _, ms := range []uint32{0, uint32(maxLeaseTTL.Milliseconds()) + 1} {
+		if l, err := Register(silentCoordinator(t, ms), RegisterOptions{}); err == nil {
+			l.Close()
+			t.Errorf("a registration reply with a %dms TTL was accepted", ms)
+		}
 	}
 }
 

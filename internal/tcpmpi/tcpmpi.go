@@ -5,7 +5,7 @@
 // internal/mpi's own, the same code that runs in-process — and the lease
 // registrar the cluster runtime's membership rides on (lease.go). Barrier and
 // AllreduceSum remain here as error-returning conveniences over those shared
-// tree walks.
+// tree walks. Mesh peers and leases run on one connection type (link.go).
 //
 // Wire protocol per frame (little endian):
 //
@@ -23,20 +23,23 @@
 // exactly one connection for the life of the Comm: a hello for a rank that
 // is already connected is refused, so once setup is done every hello is.
 //
-// Failure model: fail-stop, as MPI's is. A read error, a write error, or a
-// peer silent for four heartbeat intervals fails that peer at once — every
-// pending and later Send or Recv that involves it returns an error naming
-// the rank and the cause, which mpi.World.RunLink returns as a
-// *mpi.LinkError — and nothing else: a peer that finishes and exits early
-// does not poison traffic that does not need it. There is no reconnect and
-// no redelivery. The one recovery is checkpoint/restart a layer up
-// (core.Recovery in-process, the cluster runtime's re-gang from streamed
-// checkpoints across processes), which treats the lost peer as a crashed
-// rank. Options.Timeout bounds each Send and Recv, so a peer that is alive
-// but never answers cannot hold a survivor forever either.
+// Failure model: fail-stop, as MPI's is. Every connection, mesh or lease,
+// sends heartbeats and fails when its read loop hears nothing for its
+// silence budget — four heartbeat intervals on the mesh, the TTL on a lease —
+// in both directions. A read error, a write error, or that silence fails a
+// mesh peer at once — every pending and later Send or Recv that involves it
+// returns an error naming the rank and the cause, which mpi.World.RunLink
+// returns as a *mpi.LinkError — and nothing else: a peer that finishes and
+// exits early does not poison traffic that does not need it. There is no
+// reconnect and no redelivery. The one recovery is checkpoint/restart a
+// layer up (core.Recovery in-process, the cluster runtime's re-gang from
+// streamed checkpoints across processes), which treats the lost peer as a
+// crashed rank. Options.Timeout bounds each Send and Recv, so a peer that is
+// alive but never answers cannot hold a survivor forever either.
 package tcpmpi
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -84,8 +87,7 @@ type Options struct {
 	DialTimeout time.Duration
 
 	// HeartbeatInterval is the keepalive period per connection; a peer
-	// silent for four intervals fails. 0 means 2s; negative disables
-	// heartbeats (and silent-peer detection).
+	// silent for four intervals fails. 0 means 2s.
 	HeartbeatInterval time.Duration
 
 	// Listener, when non-nil, is this rank's already-open mesh listener,
@@ -109,41 +111,17 @@ func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = DialTimeout
 	}
-	if o.HeartbeatInterval == 0 {
+	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 2 * time.Second
 	}
 	return o
 }
 
-// silence is how long a peer may stay silent before it fails (0 = forever).
-func (o Options) silence() time.Duration {
-	if o.HeartbeatInterval <= 0 {
-		return 0
-	}
-	return silenceBeats * o.HeartbeatInterval
-}
-
-// writeDeadline returns the bound on one frame write (0 = none).
-func (o Options) writeDeadline() time.Duration {
-	if o.Timeout > 0 {
-		return o.Timeout
-	}
-	return o.silence()
-}
-
-// peer is the connection to one remote rank.
-type peer struct {
-	mu       sync.Mutex
-	conn     net.Conn // set once by install; nil until connected
-	lastSeen time.Time
-
-	sendMu sync.Mutex // serializes frame writes on conn
-}
-
-func (p *peer) touch() {
-	p.mu.Lock()
-	p.lastSeen = time.Now()
-	p.mu.Unlock()
+// newLink wraps one mesh connection: silent past four heartbeat intervals
+// fails it, and a write is bounded by Timeout, else by the same silence.
+func (o Options) newLink(conn net.Conn) *link {
+	silence := silenceBeats * o.HeartbeatInterval
+	return &link{conn: conn, silence: silence, wait: cmp.Or(o.Timeout, silence)}
 }
 
 // Comm is one process's endpoint in a TCP world.
@@ -151,31 +129,23 @@ type Comm struct {
 	rank, size int
 	addrs      []string
 	opt        Options
-	peers      []*peer
 	ln         net.Listener // nil for size-1 worlds without Options.Listener
+	mb         *mailbox     // one source per rank
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	queues  map[int][]message     // per-source unexpected-message queues
-	dead    map[int]error         // per-source failures
-	closed  error                 // set by Close
+	peers   []*link               // set once by install; nil until connected
+	closed  bool                  // set by Close
 	shaking map[net.Conn]struct{} // accepted connections still in the hello handshake
+	up      chan struct{}         // one token per installed peer
 
 	done chan struct{}  // closed by Close; stops the heartbeat loop
 	wg   sync.WaitGroup // every goroutine the Comm starts; Close waits for it
 
 	// rec is this rank's trace recorder (nil without Options.Timeline).
 	// Only the goroutine driving Send/Recv/collectives touches it — the
-	// read loops pass frame metadata through the message queue instead of
+	// read loops pass frame metadata through the mailbox instead of
 	// recording themselves, preserving the recorder's single-owner rule.
 	rec *trace.Recorder
-}
-
-type message struct {
-	tag    int
-	data   []byte
-	n      int64 // arrival number among src's data frames (0 for self-sends: no flow edge)
-	sendNs int64 // sender's wall clock from the frame header
 }
 
 // Dial joins the world with default options. See DialOptions.
@@ -196,15 +166,11 @@ func DialOptions(rank int, addrs []string, opt Options) (*Comm, error) {
 		size:    size,
 		addrs:   append([]string(nil), addrs...),
 		opt:     opt.withDefaults(),
-		peers:   make([]*peer, size),
-		queues:  map[int][]message{},
-		dead:    map[int]error{},
+		mb:      newMailbox(size),
+		peers:   make([]*link, size),
 		shaking: map[net.Conn]struct{}{},
+		up:      make(chan struct{}, size),
 		done:    make(chan struct{}),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	for r := range c.peers {
-		c.peers[r] = &peer{}
 	}
 	c.rec = c.opt.Timeline.Rank(rank) // nil-safe: nil timeline, nil recorder
 	c.ln = opt.Listener
@@ -236,32 +202,26 @@ func DialOptions(rank int, addrs []string, opt Options) (*Comm, error) {
 		return nil, err
 	}
 
-	// Wait for every higher rank's hello, delivered by the accept loop.
-	deadline := time.Now().Add(c.opt.DialTimeout)
-	for {
-		missing := -1
-		for r := rank + 1; r < size; r++ {
-			c.peers[r].mu.Lock()
-			up := c.peers[r].conn != nil
-			c.peers[r].mu.Unlock()
-			if !up {
-				missing = r
-				break
+	// Wait for every peer: the lower ranks just dialed, and every higher
+	// rank's hello, delivered by the accept loop.
+	timer := time.NewTimer(c.opt.DialTimeout)
+	defer timer.Stop()
+	for n := 0; n < size-1; n++ {
+		select {
+		case <-c.up:
+		case <-timer.C:
+			c.mu.Lock()
+			missing := rank + 1
+			for missing < size-1 && c.peers[missing] != nil {
+				missing++
 			}
-		}
-		if missing < 0 {
-			break
-		}
-		if time.Now().After(deadline) {
+			c.mu.Unlock()
 			c.Close()
 			return nil, fmt.Errorf("tcpmpi: rank %d: timed out waiting for hello from rank %d", rank, missing)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
-	if c.opt.HeartbeatInterval > 0 {
-		c.start(c.heartbeatLoop)
-	}
+	c.start(func() { tick(c.done, c.opt.HeartbeatInterval, c.heartbeat) })
 	return c, nil
 }
 
@@ -270,7 +230,7 @@ func DialOptions(rank int, addrs []string, opt Options) (*Comm, error) {
 func (c *Comm) start(f func()) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed != nil {
+	if c.closed {
 		return false
 	}
 	c.wg.Add(1)
@@ -354,7 +314,7 @@ func (c *Comm) dialPeer(dst int) error {
 	}
 	var hello [helloLen]byte
 	putHello(hello[:], helloMsg{rank: uint32(c.rank)})
-	conn.SetDeadline(time.Now().Add(c.opt.DialTimeout))
+	conn.SetDeadline(deadline)
 	if _, err := conn.Write(hello[:]); err != nil {
 		conn.Close()
 		return fmt.Errorf("tcpmpi: hello to rank %d: %w", dst, err)
@@ -364,8 +324,7 @@ func (c *Comm) dialPeer(dst int) error {
 		conn.Close()
 		return fmt.Errorf("tcpmpi: hello reply from rank %d: %w", dst, err)
 	}
-	conn.SetDeadline(time.Time{})
-	if !c.install(dst, conn) {
+	if !c.install(dst, c.opt.newLink(conn)) {
 		conn.Close()
 		return fmt.Errorf("tcpmpi: rank %d: closed while connecting to rank %d", c.rank, dst)
 	}
@@ -402,204 +361,109 @@ func (c *Comm) handshake(conn net.Conn) {
 		c.mu.Unlock()
 	}()
 	var buf [helloLen]byte
-	conn.SetReadDeadline(time.Now().Add(c.opt.DialTimeout))
+	conn.SetDeadline(time.Now().Add(c.opt.DialTimeout))
 	_, err := io.ReadFull(conn, buf[:])
-	conn.SetReadDeadline(time.Time{})
 	h, herr := parseHello(buf[:])
 	src := int(h.rank)
 	if err != nil || herr != nil || h.flags != 0 || src <= c.rank || src >= c.size {
 		conn.Close()
 		return
 	}
-	p := c.peers[src]
 	// Holding the send lock across install and reply keeps every frame of
 	// ours behind the reply on the new connection.
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	if !c.install(src, conn) {
+	k := c.opt.newLink(conn)
+	k.sendMu.Lock()
+	defer k.sendMu.Unlock()
+	if !c.install(src, k) {
 		conn.Close()
 		return
 	}
 	var reply [replyLen]byte
-	conn.SetWriteDeadline(time.Now().Add(c.opt.DialTimeout))
 	if _, err := conn.Write(reply[:]); err != nil {
 		c.fail(src, fmt.Errorf("tcpmpi: hello reply to rank %d: %w", src, err))
-		return
 	}
-	conn.SetWriteDeadline(time.Time{})
 }
 
-// install makes conn src's connection for the life of the Comm and starts
-// its reader. It refuses a second connection for src, and any connection
-// once the Comm is closed.
-func (c *Comm) install(src int, conn net.Conn) bool {
-	p := c.peers[src]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn != nil || !c.start(func() { c.readLoop(src, conn) }) {
+// install makes k src's connection for the life of the Comm and starts its
+// reader. It refuses a second connection for src, and any connection once
+// the Comm is closed.
+func (c *Comm) install(src int, k *link) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || c.peers[src] != nil {
 		return false
 	}
-	p.conn = conn
-	p.lastSeen = time.Now()
+	c.peers[src] = k
+	c.up <- struct{}{}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		c.readLoop(src, k)
+	}()
 	return true
 }
 
 // Close tears down all connections, fails blocked receivers, and returns
 // once every goroutine the Comm started — accept loop, handshakes, read
-// loops and heartbeat loop — has exited.
+// loops and heartbeats — has exited.
 func (c *Comm) Close() error {
+	closed := errors.New("tcpmpi: closed")
+	for src := range c.peers {
+		c.mb.fail(src, closed) // first: the read loops' errors below are not causes
+	}
 	c.mu.Lock()
-	if c.closed == nil {
-		c.closed = errors.New("tcpmpi: closed")
+	if !c.closed {
+		c.closed = true
 		close(c.done)
 	}
 	for conn := range c.shaking {
 		conn.Close()
 	}
+	for _, k := range c.peers {
+		if k != nil {
+			k.conn.Close()
+		}
+	}
 	c.mu.Unlock()
-	c.cond.Broadcast()
 	if c.ln != nil {
 		c.ln.Close()
-	}
-	for _, p := range c.peers {
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-		}
-		p.mu.Unlock()
 	}
 	c.wg.Wait()
 	return nil
 }
 
-// parseFrameHeader decodes one 16-byte frame header, rejecting oversized
-// payload lengths.
-func parseFrameHeader(hdr []byte) (tag int, sendNs int64, n uint32, err error) {
-	if len(hdr) < frameHeaderLen {
-		return 0, 0, 0, fmt.Errorf("tcpmpi: short frame header (%d bytes)", len(hdr))
-	}
-	tag = int(int32(binary.LittleEndian.Uint32(hdr[:4])))
-	sendNs = int64(binary.LittleEndian.Uint64(hdr[4:12]))
-	n = binary.LittleEndian.Uint32(hdr[12:16])
-	if n > maxFrame {
-		return 0, 0, 0, fmt.Errorf("tcpmpi: oversized frame (%d bytes)", n)
-	}
-	return tag, sendNs, n, nil
-}
-
-// putFrameHeader encodes a frame header into hdr (len ≥ frameHeaderLen).
-func putFrameHeader(hdr []byte, tag int, sendNs int64, n int) {
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(int32(tag)))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(sendNs))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(n))
-}
-
-// readFrame reads one complete frame from r.
-func readFrame(r io.Reader) (tag int, sendNs int64, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	var n uint32
-	if tag, sendNs, n, err = parseFrameHeader(hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	return tag, sendNs, payload, nil
-}
-
-func (c *Comm) readLoop(src int, conn net.Conn) {
-	p := c.peers[src]
+func (c *Comm) readLoop(src int, k *link) {
 	var n int64 // data frames received from src
-	for {
-		tag, sendNs, data, err := readFrame(conn)
-		if err != nil {
-			c.fail(src, fmt.Errorf("tcpmpi: read from rank %d: %w", src, err))
-			return
-		}
-		p.touch()
-		if tag == hbTag {
+	err := k.readLoop(func(tag int, sendNs int64, data []byte) {
+		n++
+		c.mb.put(src, message{tag: tag, data: data, n: n, sendNs: sendNs})
+	})
+	c.fail(src, fmt.Errorf("tcpmpi: read from rank %d: %w", src, err))
+}
+
+// heartbeat sends every live peer a heartbeat, each from its own goroutine
+// so a peer that stopped reading holds up no other peer's.
+func (c *Comm) heartbeat() {
+	for r, k := range c.peers { // complete and never replaced once this loop runs
+		if k == nil || c.mb.err(r) != nil {
 			continue
 		}
-		n++
-		c.mu.Lock()
-		c.queues[src] = append(c.queues[src], message{tag: tag, data: data, n: n, sendNs: sendNs})
-		c.mu.Unlock()
-		c.cond.Broadcast()
-	}
-}
-
-// heartbeatLoop sends keepalives on every connection and fails peers that
-// have been silent past the threshold, so a wedged (but not closed) peer is
-// detected within a bounded interval.
-func (c *Comm) heartbeatLoop() {
-	ticker := time.NewTicker(c.opt.HeartbeatInterval)
-	defer ticker.Stop()
-	silence := c.opt.silence()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-ticker.C:
-		}
-		for r, p := range c.peers {
-			if r == c.rank || c.isDead(r) {
-				continue
-			}
-			p.mu.Lock()
-			last := p.lastSeen
-			p.mu.Unlock()
-			if time.Since(last) > silence {
-				c.fail(r, fmt.Errorf("tcpmpi: rank %d silent for %v", r, silence))
-			} else if err := c.writeFrame(p, hbTag, 0, nil); err != nil {
+		c.start(func() {
+			if err := k.beat(); err != nil {
 				c.fail(r, fmt.Errorf("tcpmpi: heartbeat to rank %d: %w", r, err))
 			}
-		}
+		})
 	}
-}
-
-// writeFrame writes one frame (header + payload) under the peer's send
-// lock with the configured write deadline.
-func (c *Comm) writeFrame(p *peer, tag int, sendNs int64, data []byte) error {
-	buf := make([]byte, frameHeaderLen+len(data))
-	putFrameHeader(buf, tag, sendNs, len(data))
-	copy(buf[frameHeaderLen:], data)
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	conn := p.conn // set before DialOptions returns, never replaced
-	if d := c.opt.writeDeadline(); d > 0 {
-		conn.SetWriteDeadline(time.Now().Add(d))
-	}
-	_, err := conn.Write(buf)
-	return err
 }
 
 // fail marks src dead for good and closes its connection: operations that
 // depend on src report err from now on, and only those — a peer that
 // finishes and exits early does not poison unrelated traffic. The first
-// cause sticks; nothing is recorded once the Comm is closed, so a closed
-// Comm reports itself closed.
+// cause sticks, and Close fails every rank first, so a closed Comm reports
+// itself closed.
 func (c *Comm) fail(src int, err error) {
-	c.mu.Lock()
-	if _, ok := c.dead[src]; !ok && c.closed == nil {
-		c.dead[src] = err
-	}
-	c.mu.Unlock()
-	c.cond.Broadcast()
-	p := c.peers[src]
-	p.mu.Lock()
-	p.conn.Close()
-	p.mu.Unlock()
-}
-
-func (c *Comm) isDead(src int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.dead[src]
-	return ok
+	c.mb.fail(src, err)
+	c.peers[src].conn.Close() // installed before anything can fail it
 }
 
 // Send transmits data to rank dst with the given tag. A write that fails
@@ -608,28 +472,21 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("tcpmpi: send to invalid rank %d", dst)
 	}
-	c.mu.Lock()
 	if dst == c.rank {
 		// Copy: the caller may mutate data after Send returns, and the
 		// queued message must not alias it.
-		c.queues[dst] = append(c.queues[dst], message{tag: tag, data: append([]byte(nil), data...)})
-		c.mu.Unlock()
-		c.cond.Broadcast()
+		c.mb.put(dst, message{tag: tag, data: append([]byte(nil), data...)})
 		return nil
 	}
-	err := c.dead[dst]
-	if err == nil {
-		err = c.closed
-	}
-	c.mu.Unlock()
-	if err != nil {
+	if err := c.mb.err(dst); err != nil {
 		return err
 	}
 	var sendNs int64
 	if c.rec != nil {
 		sendNs = time.Now().UnixNano()
 	}
-	if err := c.writeFrame(c.peers[dst], tag, sendNs, data); err != nil {
+	// peers is complete before DialOptions returns and never replaced.
+	if err := c.peers[dst].write(tag, sendNs, data); err != nil {
 		err = fmt.Errorf("tcpmpi: write to rank %d: %w", dst, err)
 		c.fail(dst, err)
 		return err
@@ -644,54 +501,27 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	if src < 0 || src >= c.size {
 		return nil, fmt.Errorf("tcpmpi: recv from invalid rank %d", src)
 	}
-	var deadline time.Time
-	if c.opt.Timeout > 0 {
-		deadline = time.Now().Add(c.opt.Timeout)
-		// Broadcast under c.mu (as Lease.timeoutBroadcast does): a bare
-		// Broadcast can land between the deadline check below and the
-		// Wait, and the receive would then outlive its timeout.
-		timer := time.AfterFunc(c.opt.Timeout, func() {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			c.cond.Broadcast()
+	m, err := c.mb.take(src, []int{tag}, c.opt.Timeout)
+	if err == errRecvTimeout {
+		return nil, fmt.Errorf("tcpmpi: recv from rank %d tag %d: timeout after %v", src, tag, c.opt.Timeout)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c.rec != nil && m.n != 0 {
+		// Wall-only cross-process edge; the id is unique per (src, arrival
+		// number) within this receiver.
+		c.rec.RecordFlow(trace.FlowEdge{
+			ID:         int64(src+1)<<40 | m.n,
+			Src:        src,
+			Dst:        c.rank,
+			Tag:        tag,
+			Bytes:      len(m.data),
+			SendWallNs: m.sendNs,
+			RecvWallNs: time.Now().UnixNano(),
 		})
-		defer timer.Stop()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		q := c.queues[src]
-		for i := range q {
-			if q[i].tag == tag {
-				m := q[i]
-				c.queues[src] = append(q[:i], q[i+1:]...)
-				if c.rec != nil && m.n != 0 {
-					// Wall-only cross-process edge; the id is unique per
-					// (src, arrival number) within this receiver.
-					c.rec.RecordFlow(trace.FlowEdge{
-						ID:         int64(src+1)<<40 | m.n,
-						Src:        src,
-						Dst:        c.rank,
-						Tag:        tag,
-						Bytes:      len(m.data),
-						SendWallNs: m.sendNs,
-						RecvWallNs: time.Now().UnixNano(),
-					})
-				}
-				return m.data, nil
-			}
-		}
-		if err, ok := c.dead[src]; ok {
-			return nil, err
-		}
-		if c.closed != nil {
-			return nil, c.closed
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("tcpmpi: recv from rank %d tag %d: timeout after %v", src, tag, c.opt.Timeout)
-		}
-		c.cond.Wait()
-	}
+	return m.data, nil
 }
 
 // collective runs one of internal/mpi's collectives over this mesh: the tree

@@ -20,11 +20,10 @@ type MachineInfo struct {
 
 // SolverInfo records the hyper-parameters of a run.
 type SolverInfo struct {
-	C         float64 `json:"c"`
-	Tol       float64 `json:"tol"`
-	Kernel    string  `json:"kernel"`
-	Gamma     float64 `json:"gamma,omitempty"`
-	PosWeight float64 `json:"pos_weight,omitempty"`
+	C      float64 `json:"c"`
+	Tol    float64 `json:"tol"`
+	Kernel string  `json:"kernel"`
+	Gamma  float64 `json:"gamma,omitempty"`
 }
 
 // Report is the structured, machine-readable summary of one training run:
