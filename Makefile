@@ -76,19 +76,20 @@ serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServe' ./internal/telemetry
 	$(GO) test -race -count=1 ./internal/serve
 
-# dist-smoke runs the multi-process example end to end: four forked workers
-# train Dis-SMO and RA-CA over a real TCP mesh with the shared per-rank
-# driver, and rank 0 must report both models on the hash of the in-process
-# core.Train reference (~5 s).
+# dist-smoke runs the multi-process example end to end: a cluster
+# coordinator and four forked executor processes train Dis-SMO (over a TCP
+# mesh the executors dial on the listeners they announced) and RA-CA as
+# remote jobs, and both models must land on the hash of the in-process
+# core.Train reference (~2 s).
 DIST_BIN = .bench_build/dist-smoke
 dist-smoke:
 	@mkdir -p .bench_build
 	$(GO) build -o $(DIST_BIN) ./examples/distributed
-	@out=$$($(DIST_BIN) -launch -p 4) || { echo "$$out"; echo "dist-smoke: launcher failed"; exit 1; }; \
+	@out=$$($(DIST_BIN) -p 4) || { echo "$$out"; echo "dist-smoke: example failed"; exit 1; }; \
 	n=$$(echo "$$out" | grep -c '== in-process core.Train'); \
 	if [ "$$n" -ne 2 ]; then echo "$$out"; \
 		echo "dist-smoke: $$n of 2 methods reported the reference hash"; exit 1; fi; \
-	echo "$$out" | grep 'rank 0:'
+	echo "$$out" | grep 'P=4:'
 
 # check is the full verification gate: gofmt, vet (root module and bench/),
 # the reachability gate, the whole suite under the race detector (which includes the TestChaosMatrix fault smoke: six methods ×
@@ -113,9 +114,11 @@ soak:
 # soak then repeats the exercise with real executor processes — Remote jobs
 # train on forked workers while the churn loop kill -9s and replaces them,
 # and every completed job must land on its fault-free ModelHash. The fleet
-# soak then forks the real 4-process examples/distributed launcher with an
-# injected straggler and asserts the merged fleet trace is produced, parses
-# strictly, and analyzes end-to-end.
+# soak then runs examples/distributed — a coordinator and four executor
+# processes started with -exec-delay, the last with five times the others' —
+# and asserts that its Dis-SMO job's merged fleet trace parses strictly and
+# analyzes end-to-end with the slow executor's delay on its critical path, and
+# that its RA-CA job flags the slow executor's rank as a straggler.
 soak-cluster:
 	CASVM_SOAK_CLUSTER=1 $(GO) test -count=1 -timeout 300s -run 'TestClusterSoak|TestRemoteGenerationsExactlyOne|TestRemoteSoak' -v ./internal/cluster
 	CASVM_SOAK_CLUSTER=1 $(GO) test -count=1 -timeout 300s -run TestFleetSoak -v ./internal/telemetry/fleet

@@ -10,15 +10,16 @@
 //
 //	casvm-cluster -listen localhost:7600 -serve localhost:9100
 //
-// Join workers (each an executor that trains remotely submitted jobs'
-// shard ranks in its own process, and gang capacity for in-process jobs;
-// Ctrl-C leaves cleanly):
+// Join workers (each an executor that trains remotely submitted jobs' ranks
+// in its own process — RA-CA shards alone, every other method over a TCP
+// mesh it dials with the rest of the gang on a listener it announced — and
+// gang capacity for in-process jobs; Ctrl-C leaves cleanly):
 //
 //	casvm-cluster -join localhost:7600
 //
-// Submit jobs with the thin client:
+// Submit jobs with the thin client (-remote runs the ranks on the workers):
 //
-//	casvm-train -cluster localhost:7600 -data ijcnn -method dissmo -p 8
+//	casvm-train -cluster localhost:7600 -data ijcnn -method dissmo -p 8 -remote
 //
 // The telemetry server namespaces each job: /jobs lists them and
 // /jobs/<id>/{metrics,report,events,trace} serve one job's counters,
@@ -30,7 +31,8 @@
 // verdicts as SSE.
 //
 // Workers stream trace spans, metric snapshots and per-epoch durations
-// over their leases (internal/telemetry/fleet); with -fleet-trace DIR the
+// over their leases (internal/telemetry/fleet) — a remote job's mesh ranks
+// their collective spans and mesh flow edges; with -fleet-trace DIR the
 // coordinator also writes each finished job's merged Chrome trace to
 // DIR/<job-id>.trace, ready for casvm-profile or Perfetto.
 package main
@@ -56,8 +58,8 @@ func main() {
 		listen     = flag.String("listen", "localhost:7600", "coordinator registration address (workers and clients dial this)")
 		serve      = flag.String("serve", "", "serve live telemetry on this address: /metrics, /healthz, /jobs, /jobs/<id>/{metrics,report,events,trace}, /fleet/events")
 		ttl        = flag.Duration("lease-ttl", 0, "worker lease TTL; a silent worker is expired after this (0 = 6s default)")
-		join       = flag.String("join", "", "worker mode: register with the coordinator at this address and execute assigned shard ranks until interrupted")
-		fleetOff   = flag.Bool("no-fleet", false, "worker mode: do not stream fleet telemetry for executed shard ranks")
+		join       = flag.String("join", "", "worker mode: register with the coordinator at this address and execute assigned ranks until interrupted")
+		fleetOff   = flag.Bool("no-fleet", false, "worker mode: do not stream fleet telemetry for executed ranks")
 		fleetTrace = flag.String("fleet-trace", "", "write each finished job's merged fleet trace to this directory as <job-id>.trace")
 	)
 	flag.Parse()

@@ -17,8 +17,8 @@
 // re-simulated under the scaled α–β model, answering "what would this
 // exact run have cost on that machine" without re-running it.
 //
-// Merged fleet traces (written by casvm-cluster -fleet-trace or the
-// examples/distributed launcher) analyze the same way. Their timebase is
+// Merged fleet traces (written by casvm-cluster -fleet-trace or by
+// examples/distributed -fleet-trace) analyze the same way. Their timebase is
 // "wall": spans were rebased from per-worker clocks onto the
 // coordinator's timeline using probed clock offsets, which are printed
 // per rank. Wall time cannot split a transfer into α and β, so edge cost

@@ -45,7 +45,7 @@ func main() {
 		chaos   = flag.Int64("chaos", 0, "inject a seeded random fault schedule (crashes, drops, delays); pair with -recover")
 		replayF = flag.String("replay-faults", "", "replay the fault schedule recorded in this run report (a JSON file from -report)")
 		clustr  = flag.String("cluster", "", "submit the run as a job to the casvm-cluster coordinator at this address instead of training locally (requires -data; jobs are supervised with shrink recovery unless -recover respawn)")
-		remote  = flag.Bool("remote", false, "with -cluster: execute each rank's shard solve in its worker's own process instead of in-process on the coordinator (ra-ca only)")
+		remote  = flag.Bool("remote", false, "with -cluster: execute each rank in its worker's own process instead of in-process on the coordinator (ra-ca shards alone, every other method over a TCP mesh between the workers)")
 		seed    = flag.Int64("seed", 1, "training seed (partitioning and solver tie-breaks)")
 		list    = flag.Bool("list", false, "list datasets and methods, then exit")
 	)
@@ -94,6 +94,9 @@ func main() {
 		fmt.Printf("job %s done: method=%s P=%d finalP=%d generations=%d\n", res.ID, res.Method, res.P, res.FinalP, res.Generations)
 		fmt.Printf("iterations=%d SVs=%d accuracy=%.2f%%\n", res.Iters, res.SVs, 100*res.Accuracy)
 		fmt.Printf("virtual time: %.4fs  wall: %.3fs\n", res.TotalSec, res.WallSec)
+		if res.Messages > 0 {
+			fmt.Printf("communication: %d bytes in %d messages\n", res.Bytes, res.Messages)
+		}
 		if res.Recoveries > 0 || res.Grows > 0 {
 			fmt.Printf("elasticity: %d recover(ies), lost ranks %v, %d grow(s) adding %d rank(s)\n",
 				res.Recoveries, res.LostRanks, res.Grows, res.JoinedRanks)

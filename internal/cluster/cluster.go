@@ -5,17 +5,19 @@
 // running job shrinks when a lease expires and grows back when a worker
 // joins mid-run.
 //
-// Workers execute. A worker dials in, holds a heartbeat-renewed lease, and
-// — for jobs submitted with Remote set — runs its assigned shard ranks'
-// solves inside its own process (cluster.RunExecutor), streaming
-// epoch-boundary checkpoints back to the coordinator as lease control
-// frames; RA-CA ranks exchange no messages, so the lease is the worker's
-// only connection. The coordinator holds the global state a node-level
-// fault domain needs: the latest checkpoint per rank and every finished
-// shard model, so a lease expiry — including a real `kill -9` on the worker
-// process — re-gangs the survivors (plus any spare) from the last streamed
-// checkpoints and still lands on the fault-free ModelHash, with the lost
-// work α–β-priced into TotalSec. See remote.go for the coordinator half and
+// Workers execute. A worker dials in, holds a heartbeat-renewed lease, keeps
+// one mesh listener open and announces its port, and — for jobs submitted
+// with Remote set — runs its assigned ranks inside its own process
+// (cluster.RunExecutor). Every method runs this way. RA-CA ranks exchange no
+// messages, so a worker solves its shard ranks with the lease as its only
+// connection and streams epoch-boundary checkpoints back as lease control
+// frames; a lease expiry — including a real `kill -9` on the worker process —
+// re-gangs the survivors (plus any spare) from the last streamed checkpoints.
+// Every other method's generation is a tcpmpi mesh the gang dials on the
+// announced listeners, one rank per worker through core.RunRank, and a lost
+// worker reruns the generation from zero on the re-ganged workers. Either
+// way the job lands on the fault-free ModelHash, with the lost work
+// α–β-priced into TotalSec. See remote.go for the coordinator half and
 // executor.go for the worker half.
 //
 // Jobs without Remote keep the original capacity-token model: workers gate
@@ -57,10 +59,6 @@ type Config struct {
 	// (nil = a private registry, available via Coordinator.Metrics).
 	Metrics *trace.Registry
 
-	// Straggler tunes the fleet telemetry plane's online straggler
-	// detector (zero value = defaults).
-	Straggler fleet.StragglerConfig
-
 	// OnJobDone, when non-nil, is invoked (on the job's goroutine, after
 	// its result is published and its workers released) for every job
 	// that finishes — the hook casvm-cluster uses to persist merged
@@ -92,6 +90,7 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers map[int]tcpmpi.WorkerInfo // registered non-client workers
+	ports   map[int]string            // worker id -> its fresh mesh listener, until a generation consumes it
 	free    []int                     // unassigned worker ids, registration order
 	owner   map[int]*Job              // worker id -> job holding it
 	jobs    []*Job                    // submission order
@@ -122,6 +121,7 @@ func New(addr string, cfg Config) (*Coordinator, error) {
 		met:     met,
 		logf:    logf,
 		workers: map[int]tcpmpi.WorkerInfo{},
+		ports:   map[int]string{},
 		owner:   map[int]*Job{},
 		byID:    map[string]*Job{},
 		byKey:   map[string]*Job{},
@@ -143,9 +143,8 @@ func New(addr string, cfg Config) (*Coordinator, error) {
 	// The fleet collector must exist before the registrar: a worker's
 	// hello can arrive the instant the listener is up.
 	c.fleet = fleet.New(fleet.Config{
-		Metrics:   met,
-		Straggler: cfg.Straggler,
-		Logf:      logf,
+		Metrics: met,
+		Logf:    logf,
 		JobRegistry: func(job string) *trace.Registry {
 			c.mu.Lock()
 			defer c.mu.Unlock()
@@ -317,6 +316,7 @@ func (c *Coordinator) onGone(w tcpmpi.WorkerInfo, expired bool) {
 		c.cLeaves.Inc()
 	}
 	delete(c.workers, w.ID)
+	delete(c.ports, w.ID)
 	c.gWorkers.Set(float64(len(c.workers)))
 	if j := c.owner[w.ID]; j != nil {
 		delete(c.owner, w.ID)

@@ -457,9 +457,17 @@ func JoinWorker(ctx context.Context, addr string) error {
 	case <-ctx.Done():
 		l.Close()
 		return nil
-	case <-l.Done():
+	case <-leaseEnded(l):
 		return l.Err()
 	}
+}
+
+// leaseEnded returns a channel closed once l ends. No coordinator frame
+// carries tag -1, so that receive returns only with the lease's end.
+func leaseEnded(l *tcpmpi.Lease) <-chan struct{} {
+	ch := make(chan struct{})
+	go func() { l.Recv(-1, 0); close(ch) }()
+	return ch
 }
 
 // snapshot returns the injector's progress counters.

@@ -1,13 +1,16 @@
 // Remote-execution control frames on the lease connection.
 //
 // The coordinator drives a remote job's gang through a small frame
-// vocabulary in the 105–112 tag block (clear of the 101/102 submit pair and
+// vocabulary in the 105–113 tag block (clear of the 101/102 submit pair and
 // the fleet plane's 120–124): one start frame per worker is the whole of a
 // generation's launch, then checkpoint and rank-done frames stream worker →
 // coordinator until the generation either completes or is aborted for a
-// re-gang. A frame with a payload is an mpi.PackSections envelope — a small
-// JSON header section, the payload beside it as raw sections, nothing binary
-// quoted into JSON (DESIGN §6.2); abort and fail are the bare header.
+// re-gang. Every executor also announces a fresh mesh listener's port, which a
+// generation of a communicating method consumes: its start frame carries the
+// rank-ordered peer table. A frame with a payload is an mpi.PackSections
+// envelope — a small JSON header section, the payload beside it as raw
+// sections, nothing binary quoted into JSON (DESIGN §6.2); abort, fail and
+// port are the bare header.
 //
 // Every worker → coordinator payload (and the coordinator → worker start
 // frame on the executor side) crosses a trust boundary — a lease holder is
@@ -33,7 +36,8 @@ const (
 	tagExecFail     = 109 // worker -> coordinator: a rank's solve failed
 	tagExecStart    = 110 // coordinator -> worker: spec + rank assignment | resume checkpoints
 	tagExecCkpt     = 111 // worker -> coordinator: one rank's progress | its epoch-boundary checkpoint
-	tagExecRankDone = 112 // worker -> coordinator: one rank's profile | its trained shard
+	tagExecRankDone = 112 // worker -> coordinator: one rank's profile | its trained shard, if it holds one
+	tagExecPort     = 113 // worker -> coordinator: the port of its fresh mesh listener
 )
 
 // execLimits bound structurally unbounded fields so a hostile frame cannot
@@ -43,6 +47,7 @@ const (
 	maxExecSamples    = 1 << 22 // inline mixture train+test rows
 	maxExecFeatures   = 1 << 14
 	maxExecModelBytes = 1 << 26 // a rank-done frame: header and shard sections together
+	maxExecAddrLen    = 300     // one peer-table entry, host:port
 )
 
 // execStart heads the frame that launches one generation on one worker: the
@@ -50,6 +55,10 @@ const (
 // sample data crosses the wire) and its assigned shard ranks. One section per
 // entry of Ranks follows: the rank's last checkpoint, or nothing (solve from
 // zero; a Final checkpoint fast-forwards a shard that already converged).
+//
+// A mesh generation (every method but RA-CA) sets Mesh: Spec.P is then the
+// generation's width, Ranks holds this worker's one rank, and every rank
+// starts from zero — its resume section is empty.
 type execStart struct {
 	Job  string  `json:"job"`
 	Gen  int     `json:"gen"`
@@ -62,12 +71,18 @@ type execStart struct {
 	// CheckpointEvery is the effective deposit cadence in solver
 	// iterations (the coordinator applies the spec default).
 	CheckpointEvery int `json:"ckpt_every"`
+
+	// Mesh is the generation's peer table in rank order: the host each
+	// worker's lease connected from and the port it announced.
+	Mesh []string `json:"mesh,omitempty"`
 }
 
 // execRank heads the two frames a rank streams back. A checkpoint frame adds
 // one section, the epoch-boundary solver snapshot (the resume point across
 // generations), whose iteration count Iters must match; a rank-done frame
-// adds the model.ShardSections sections of the trained shard and its center.
+// adds the model.ShardSections sections of the trained shard and its center,
+// or nothing from a mesh rank that holds no model (Dis-SMO's and the tree
+// methods' ranks above 0).
 type execRank struct {
 	Job  string `json:"job"`
 	Gen  int    `json:"gen"`
@@ -78,6 +93,10 @@ type execRank struct {
 	// generation so far (shard solves, init, checkpoint transport); the
 	// coordinator prices re-gangs from the maximum it has seen.
 	VirtSec float64 `json:"virt_sec"`
+
+	// Msgs and Bytes are what a mesh rank sent while training.
+	Msgs  int64 `json:"msgs,omitempty"`
+	Bytes int64 `json:"bytes,omitempty"`
 }
 
 // execAbort cancels a generation: the worker interrupts its in-flight
@@ -97,6 +116,12 @@ type execFail struct {
 	Gen  int    `json:"gen"`
 	Rank int    `json:"rank"`
 	Err  string `json:"error"`
+}
+
+// execPort announces an executor's fresh mesh listener. The coordinator pairs
+// the port with the host the worker's lease connected from.
+type execPort struct {
+	Port int `json:"port"`
 }
 
 func marshalExec(v any) []byte {
@@ -121,8 +146,14 @@ func encodeExecCkpt(h execRank, blob []byte) []byte {
 	return mpi.PackSections(marshalExec(h), blob)
 }
 
+// encodeExecRankDone frames h with the rank's shard; a nil m sends the
+// header alone.
 func encodeExecRankDone(h execRank, m *model.Model, center []float64) []byte {
-	return mpi.PackSections(append([][]byte{marshalExec(h)}, model.EncodeShard(m, center)...)...)
+	secs := [][]byte{marshalExec(h)}
+	if m != nil {
+		secs = append(secs, model.EncodeShard(m, center)...)
+	}
+	return mpi.PackSections(secs...)
 }
 
 // execIdent validates the (job, gen) pair every frame carries.
@@ -174,6 +205,16 @@ func decodeExecStart(b []byte) (execStart, map[int]*smo.Checkpoint, error) {
 	if m.CheckpointEvery < 1 || m.CheckpointEvery > 1<<24 {
 		return m, nil, fmt.Errorf("cluster: start frame checkpoint cadence %d out of range", m.CheckpointEvery)
 	}
+	if m.Mesh != nil {
+		if len(m.Mesh) != s.P || len(m.Ranks) != 1 {
+			return m, nil, fmt.Errorf("cluster: start frame peer table of %d entries assigns %d ranks of %d", len(m.Mesh), len(m.Ranks), s.P)
+		}
+		for _, a := range m.Mesh {
+			if a == "" || len(a) > maxExecAddrLen {
+				return m, nil, fmt.Errorf("cluster: start frame peer address of %d bytes", len(a))
+			}
+		}
+	}
 	if len(secs) != 1+len(m.Ranks) {
 		return m, nil, fmt.Errorf("cluster: start frame carries %d resume sections for %d ranks", len(secs)-1, len(m.Ranks))
 	}
@@ -181,6 +222,9 @@ func decodeExecStart(b []byte) (execStart, map[int]*smo.Checkpoint, error) {
 	for i, r := range m.Ranks {
 		if len(secs[1+i]) == 0 {
 			continue
+		}
+		if m.Mesh != nil {
+			return m, nil, fmt.Errorf("cluster: mesh start frame resumes rank %d", r)
 		}
 		if resume[r], err = smo.DecodeCheckpoint(secs[1+i]); err != nil {
 			return m, nil, fmt.Errorf("cluster: start frame resume for rank %d: %w", r, err)
@@ -201,7 +245,7 @@ func decodeExecRank(kind string, hdr []byte) (execRank, error) {
 	if h.Rank < 0 || h.Rank >= maxExecGangWidth {
 		return h, fmt.Errorf("cluster: %s frame rank %d out of range", kind, h.Rank)
 	}
-	if h.Iters < 0 || h.VirtSec < 0 {
+	if h.Iters < 0 || h.VirtSec < 0 || h.Msgs < 0 || h.Bytes < 0 {
 		return h, fmt.Errorf("cluster: %s frame with negative progress", kind)
 	}
 	return h, nil
@@ -228,12 +272,16 @@ func decodeExecCkpt(b []byte) (execRank, []byte, error) {
 }
 
 // decodeExecRankDone returns the header and the shard's sections, still
-// encoded: the owning job decodes them (remoteRun.decodeShard).
+// encoded (none from a rank without a model): the owning job decodes them
+// (remoteRun.decodeShard).
 func decodeExecRankDone(b []byte) (execRank, [][]byte, error) {
 	if len(b) > maxExecModelBytes {
 		return execRank{}, nil, fmt.Errorf("cluster: rank-done frame of %d bytes out of range", len(b))
 	}
-	secs, err := mpi.UnpackSections(b, 1+model.ShardSections)
+	secs, err := mpi.UnpackSections(b, mpi.AnyCount)
+	if err == nil && len(secs) != 1 && len(secs) != 1+model.ShardSections {
+		err = fmt.Errorf("%d sections", len(secs))
+	}
 	if err != nil {
 		return execRank{}, nil, fmt.Errorf("cluster: bad rank-done frame: %w", err)
 	}
@@ -247,6 +295,17 @@ func decodeExecAbort(b []byte) (execAbort, error) {
 		return m, fmt.Errorf("cluster: bad abort frame: %w", err)
 	}
 	return m, execIdent(m.Job, m.Gen)
+}
+
+func decodeExecPort(b []byte) (execPort, error) {
+	var m execPort
+	if err := json.Unmarshal(b, &m); err != nil {
+		return m, fmt.Errorf("cluster: bad port frame: %w", err)
+	}
+	if m.Port < 1 || m.Port > 65535 {
+		return m, fmt.Errorf("cluster: port frame announces port %d", m.Port)
+	}
+	return m, nil
 }
 
 func decodeExecFail(b []byte) (execFail, error) {

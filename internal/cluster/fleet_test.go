@@ -24,7 +24,6 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 	c, err := New("localhost:0", Config{
 		LeaseTTL:  time.Second,
 		Logf:      t.Logf,
-		Straggler: fleet.StragglerConfig{Factor: 1.5, MinRanks: 3},
 		OnJobDone: func(j *Job) { doneJobs <- j },
 	})
 	if err != nil {

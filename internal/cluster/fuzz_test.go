@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,6 +21,7 @@ const (
 	fzRankDone
 	fzAbort
 	fzFail
+	fzPort
 	fzKinds
 )
 
@@ -46,6 +48,14 @@ func fuzzStartHeader() execStart {
 		Ranks:           []int{0, 1},
 		CheckpointEvery: 4,
 	}
+}
+
+// fuzzMeshStart is a valid mesh start: rank 1 of a two-rank peer table.
+func fuzzMeshStart() execStart {
+	m := fuzzStartHeader()
+	m.Spec.Method = string(core.MethodDisSMO)
+	m.Ranks, m.Mesh = []int{1}, []string{"127.0.0.1:7070", "[::1]:7071"}
+	return m
 }
 
 // fuzzStartFrame is the header with a resume checkpoint for its second rank.
@@ -97,6 +107,9 @@ func FuzzExecFrames(f *testing.F) {
 		{fzRankDone, encodeExecRankDone(done, sparse, center)},
 		{fzAbort, marshalExec(execAbort{Job: "fz", Gen: 3, Reason: "re-gang"})},
 		{fzFail, marshalExec(execFail{Job: "fz", Gen: 1, Rank: 0, Err: "boom"})},
+		{fzPort, marshalExec(execPort{Port: 7070})},
+		{fzStart, encodeExecStart(fuzzMeshStart(), nil)},
+		{fzRankDone, encodeExecRankDone(execRank{Job: "fz", Gen: 1, Rank: 1, Iters: 9, VirtSec: 1, Msgs: 12, Bytes: 480}, nil, nil)},
 		// Hostile shapes the validators must reject without panicking.
 		{fzStart, nil},
 		{fzAbort, []byte(`{"job":"","gen":0}`)},
@@ -124,6 +137,19 @@ func FuzzExecFrames(f *testing.F) {
 		{fzRankDone, denseDone[:len(denseDone)-3]},
 		{fzFail, []byte(`{"job":"fz","gen":1,"error":""}`)},
 		{fzAbort, []byte(`{not json`)},
+		// A peer table: one entry per rank of the generation, each a bounded
+		// address, for exactly one rank, which resumes nothing.
+		{fzStart, frame(startHead+`"ranks":[0],"ckpt_every":4,"mesh":["a:1"]}`, nil)},
+		{fzStart, frame(startHead+`"ranks":[0,1],"ckpt_every":4,"mesh":["a:1","b:2"]}`, nil, nil)},
+		{fzStart, frame(startHead+`"ranks":[0],"ckpt_every":4,"mesh":["a:1",""]}`, nil)},
+		{fzStart, frame(startHead+`"ranks":[0],"ckpt_every":4,"mesh":[]}`, nil)},
+		{fzStart, frame(startHead+`"ranks":[0],"ckpt_every":4,"mesh":["a:1","`+strings.Repeat("b", maxExecAddrLen+1)+`"]}`, nil)},
+		{fzStart, frame(startHead+`"ranks":[1],"ckpt_every":4,"mesh":["a:1","b:2"]}`, fuzzCheckpointBlob(8))},
+		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":1,"msgs":-1}`)},
+		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":1}`, nil)},
+		{fzPort, marshalExec(execPort{Port: 0})},
+		{fzPort, []byte(`{"port":65536}`)},
+		{fzPort, []byte(`"7070"`)},
 	}
 	for _, s := range seeds {
 		f.Add(s.kind, s.in)
@@ -159,6 +185,10 @@ func FuzzExecFrames(f *testing.F) {
 		case fzFail:
 			if m, err := decodeExecFail(in); err == nil {
 				mustReDecode(t, func(b []byte) error { _, err := decodeExecFail(b); return err }, marshalExec(m))
+			}
+		case fzPort:
+			if m, err := decodeExecPort(in); err == nil {
+				mustReDecode(t, func(b []byte) error { _, err := decodeExecPort(b); return err }, marshalExec(m))
 			}
 		}
 	})
@@ -231,6 +261,30 @@ func TestExecFrameRoundTrips(t *testing.T) {
 		if err != nil || back.NSV() != 3 || back.SVX.Sparse() != sparse || len(gotCenter) != 2 {
 			t.Fatalf("rank-done shard (sparse=%v): %+v, %v", sparse, back, err)
 		}
+	}
+
+	mesh := fuzzMeshStart()
+	if got, resume, err := decodeExecStart(encodeExecStart(mesh, nil)); err != nil || !reflect.DeepEqual(got, mesh) || len(resume) != 0 {
+		t.Fatalf("mesh start round-trip: %+v, %v", got, err)
+	}
+	for name, in := range map[string][]byte{
+		"table shorter than the world": frame(head+`"ranks":[0],"ckpt_every":4,"mesh":["a:1"]}`, nil),
+		"two ranks on one worker":      frame(head+`"ranks":[0,1],"ckpt_every":4,"mesh":["a:1","b:2"]}`, nil, nil),
+		"empty address":                frame(head+`"ranks":[0],"ckpt_every":4,"mesh":["a:1",""]}`, nil),
+		"address past the bound":       frame(head+`"ranks":[0],"ckpt_every":4,"mesh":["a:1","`+strings.Repeat("b", maxExecAddrLen+1)+`"]}`, nil),
+		"a mesh rank resumes":          frame(head+`"ranks":[1],"ckpt_every":4,"mesh":["a:1","b:2"]}`, fuzzCheckpointBlob(8)),
+	} {
+		if _, _, err := decodeExecStart(in); err == nil {
+			t.Errorf("hostile mesh start frame accepted: %s", name)
+		}
+	}
+
+	bare := execRank{Job: "rt", Gen: 1, Rank: 1, Iters: 40, VirtSec: 0.5, Msgs: 12, Bytes: 480}
+	if got, secs, err := decodeExecRankDone(encodeExecRankDone(bare, nil, nil)); err != nil || got != bare || len(secs) != 0 {
+		t.Fatalf("header-only rank-done round-trip: %+v, %d sections, %v", got, len(secs), err)
+	}
+	if got, err := decodeExecPort(marshalExec(execPort{Port: 7070})); err != nil || got.Port != 7070 {
+		t.Fatalf("port round-trip: %+v, %v", got, err)
 	}
 
 	fail := execFail{Job: "rt", Gen: 1, Rank: 1, Err: "no such dataset"}

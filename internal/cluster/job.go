@@ -50,12 +50,11 @@ type JobSpec struct {
 	Policy          string `json:"policy,omitempty"`
 	CheckpointEvery int    `json:"ckpt_every,omitempty"`
 
-	// Remote executes each rank's shard solve inside the worker process
-	// holding its lease instead of modeling the world in-process on the
-	// coordinator. Only "ra-ca" qualifies — it is the one
-	// communication-free method, so a shard needs no connection to any
-	// other — and the policy must allow recovery, since remote worker
-	// death is a real fault, not a simulated one.
+	// Remote executes each rank inside the worker process holding its
+	// lease instead of modeling the world in-process on the coordinator:
+	// RA-CA shards alone over the lease, every other method over a tcpmpi
+	// mesh between the gang's workers. The policy must allow recovery,
+	// since remote worker death is a real fault, not a simulated one.
 	Remote bool `json:"remote,omitempty"`
 }
 
@@ -90,13 +89,8 @@ func (s JobSpec) validate() error {
 	if s.Mixture == nil && s.Dataset == "" {
 		return fmt.Errorf("cluster: job names no dataset")
 	}
-	if s.Remote {
-		if m, _ := core.ParseMethod(s.Method); m != core.MethodRACA {
-			return fmt.Errorf("cluster: remote execution supports %q only, got %q", core.MethodRACA, s.Method)
-		}
-		if s.policy() == core.RecoverOff {
-			return fmt.Errorf("cluster: remote execution needs a recovery policy (shrink or respawn)")
-		}
+	if s.Remote && s.policy() == core.RecoverOff {
+		return fmt.Errorf("cluster: remote execution needs a recovery policy (shrink or respawn)")
 	}
 	return nil
 }
@@ -230,6 +224,11 @@ type JobResult struct {
 	JoinedRanks int    `json:"joined_ranks,omitempty"`
 	Generations int    `json:"generations,omitempty"` // remote jobs: gang generations dispatched
 	ModelHash   string `json:"model_hash,omitempty"`
+
+	// Messages and Bytes are what a remote job's mesh ranks sent while
+	// training, summed over the generation that finished it.
+	Messages int64 `json:"messages,omitempty"`
+	Bytes    int64 `json:"bytes,omitempty"`
 
 	Err string `json:"error,omitempty"`
 }

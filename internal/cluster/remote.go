@@ -1,20 +1,28 @@
 // Coordinator-side runtime for remotely executed jobs.
 //
 // A remote job's life is a sequence of *generations*. Each generation
-// assigns every still-pending shard rank to one of the job's current
-// workers, sends each of them a single start frame over its lease, and
-// waits while the workers stream epoch-boundary checkpoints and finished
-// shard models back as lease control frames. Remote execution is RA-CA
-// only, and RA-CA ranks exchange no messages, so there is nothing to
-// connect between workers and nothing to synchronise before they train. The
-// coordinator is the only holder of global state: the latest checkpoint per
-// rank and every finished shard survive their generation, so a `kill -9`
-// (surfacing as a lease expiry) costs at most one epoch of the dead
-// worker's ranks. The next generation re-gangs the survivors — plus any
-// spare the scheduler attached — and resumes each pending rank from its
-// last streamed checkpoint. Because RA-CA shard solves are deterministic in
-// (dataset, rank, P, params), any generation history converges to the same
-// models, and the job lands on the fault-free ModelHash.
+// assigns ranks to the job's current workers and sends each of them a single
+// start frame over its lease, then waits while the workers stream results
+// back as lease control frames. There are two kinds:
+//
+//   - RA-CA ranks exchange no messages, so a generation assigns every
+//     still-pending shard rank round-robin over the gang and connects nothing.
+//     Workers stream epoch-boundary checkpoints and finished shard models; the
+//     latest checkpoint per rank and every finished shard survive their
+//     generation, so a `kill -9` (surfacing as a lease expiry) costs at most
+//     one epoch of the dead worker's ranks, and the next generation resumes
+//     each pending rank from its last streamed checkpoint.
+//   - Every other method communicates, so a generation is a tcpmpi mesh of one
+//     rank per gang worker, dialed on listeners the executors announced. It
+//     starts once every gang worker has a fresh port on record, and commits
+//     only when all of its ranks have reported; a lost worker re-gangs — onto
+//     the survivors, re-partitioned, under shrink; at full width under
+//     respawn — and the generation reruns from zero.
+//
+// Because rank results are deterministic in (dataset, rank, P, params), any
+// generation history converges to the same models, and the job lands on the
+// fault-free ModelHash (for the partitioned methods under shrink, on the hash
+// of the width it finished at).
 //
 // Recovery is α–β-priced like the in-process supervisor: a re-gang sets the
 // next generation's virtual-time base to the highest virtual time any rank
@@ -26,7 +34,9 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"net"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -40,7 +50,7 @@ type genOutcome int
 
 const (
 	genDone   genOutcome = iota // every shard rank has a model
-	genLost                     // a generation worker's lease ended
+	genLost                     // a generation worker's lease ended, or a mesh rank ended unreported
 	genGrew                     // the gang outgrew the generation and a re-spread helps
 	genFatal                    // a worker reported a job-level failure
 	genClosed                   // the coordinator is shutting down
@@ -52,7 +62,8 @@ const (
 // is c.mu before rr.mu, never the reverse.
 type remoteRun struct {
 	j              *Job
-	rows, features int // of the job's dataset: what a returned shard is held to
+	rows, features int  // of the job's dataset: what a returned shard is held to
+	mesh           bool // a communicating method: each generation is a tcpmpi mesh
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -69,10 +80,12 @@ type remoteRun struct {
 	genWorkers []int         // assignment order of the active generation
 	assign     map[int][]int // worker id -> assigned shard ranks (active gen)
 	lost       bool          // an active-generation worker died
+	width      int           // ranks the model is built from: Spec.P, or the mesh generation's width
 
-	ckptBlob  map[int][]byte
-	ckptIters map[int]int
-	doneRank  map[int]*core.ShardResult
+	ckptBlob    map[int][]byte
+	ckptIters   map[int]int
+	doneRank    map[int]*core.ShardResult
+	msgs, bytes int64 // summed over doneRank's headers
 
 	base       float64 // virtual-time origin of the next generation
 	maxVirt    float64 // highest α–β virtual time any rank reached
@@ -87,6 +100,8 @@ func newRemoteRun(j *Job, rows, features int) *remoteRun {
 		j:         j,
 		rows:      rows,
 		features:  features,
+		mesh:      j.spec.Method != string(core.MethodRACA),
+		width:     j.spec.P,
 		ckptBlob:  map[int][]byte{},
 		ckptIters: map[int]int{},
 		doneRank:  map[int]*core.ShardResult{},
@@ -129,10 +144,22 @@ func (rr *remoteRun) workerLost(id int) {
 	})
 }
 
-// pendingRanks lists shard ranks without a finished model, sorted.
+// portFrom wakes the supervisor for a worker's fresh mesh port. From a
+// member of the active mesh generation whose rank has not reported, it means
+// that rank's run ended without a result — a peer failed, or the mesh never
+// came up — so the generation is lost.
+func (rr *remoteRun) portFrom(id int) {
+	rr.update(func() {
+		if ranks, ok := rr.assign[id]; ok && rr.mesh && rr.genActive && rr.doneRank[ranks[0]] == nil {
+			rr.lost = true
+		}
+	})
+}
+
+// pendingRanks lists ranks without a reported result, sorted.
 func (rr *remoteRun) pendingRanksLocked() []int {
 	var out []int
-	for r := 0; r < rr.j.spec.P; r++ {
+	for r := 0; r < rr.width; r++ {
 		if rr.doneRank[r] == nil {
 			out = append(out, r)
 		}
@@ -145,7 +172,7 @@ func (rr *remoteRun) pendingRanksLocked() []int {
 // regresses the resume point.
 func (rr *remoteRun) onCkpt(m execRank, blob []byte) {
 	rr.update(func() {
-		if m.Rank < rr.j.spec.P && rr.doneRank[m.Rank] == nil && m.Iters >= rr.ckptIters[m.Rank] {
+		if m.Rank < rr.width && rr.doneRank[m.Rank] == nil && m.Iters >= rr.ckptIters[m.Rank] {
 			rr.ckptBlob[m.Rank] = blob
 			rr.ckptIters[m.Rank] = m.Iters
 			rr.maxVirt = math.Max(rr.maxVirt, rr.genBase+m.VirtSec)
@@ -153,10 +180,18 @@ func (rr *remoteRun) onCkpt(m execRank, blob []byte) {
 	})
 }
 
-// decodeShard turns a rank-done frame's sections into a shard result: the
-// model must decode under the job's kernel at the dataset's width and cannot
-// have more support vectors than the dataset has rows.
+// decodeShard turns a rank-done frame's sections into a shard result. A rank
+// holds a model exactly when the method trains one per rank, or it is rank 0;
+// the model must decode under the job's kernel at the dataset's width and
+// cannot have more support vectors than the dataset has rows.
 func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, error) {
+	method := rr.j.params.Method
+	if want := h.Rank == 0 || method.IndependentModels(); want != (len(secs) > 0) {
+		return nil, fmt.Errorf("cluster: rank %d of a %s job sent %d model sections", h.Rank, method, len(secs))
+	}
+	if len(secs) == 0 {
+		return &core.ShardResult{Iters: h.Iters}, nil
+	}
 	m, center, err := model.DecodeShard(secs, rr.j.params.Kernel, rr.features)
 	if err != nil {
 		return nil, err
@@ -167,13 +202,19 @@ func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, 
 	return &core.ShardResult{Model: m, Center: center, Iters: h.Iters}, nil
 }
 
-// onRankDone stores a finished shard, decoded and checked at the trust
-// boundary; duplicates from stale generations are ignored — shard solves
-// are deterministic, so the first result is as good as any.
+// onRankDone stores a finished rank, decoded and checked at the trust
+// boundary. An RA-CA duplicate from a stale generation is ignored — shard
+// solves are deterministic, so the first result is as good as any; a mesh
+// rank counts only from the active generation, whose width it was run at.
 func (rr *remoteRun) onRankDone(m execRank, sh *core.ShardResult) {
 	rr.update(func() {
-		if m.Rank < rr.j.spec.P && rr.doneRank[m.Rank] == nil {
+		if rr.mesh && (!rr.genActive || m.Gen != rr.gen) {
+			return
+		}
+		if m.Rank < rr.width && rr.doneRank[m.Rank] == nil {
 			rr.doneRank[m.Rank] = sh
+			rr.msgs += m.Msgs
+			rr.bytes += m.Bytes
 			delete(rr.ckptBlob, m.Rank)
 			rr.maxVirt = math.Max(rr.maxVirt, rr.genBase+m.VirtSec)
 		}
@@ -228,8 +269,9 @@ func (j *Job) Remote() *RemoteProgress {
 }
 
 // execFrame routes an executor control frame into the owning job's remote
-// runtime; the error is a frame refused. Frames from leases the job does not
-// own are dropped — a departed worker's late frames carry no authority.
+// runtime, or records a worker's mesh port; the error is a frame refused.
+// Frames from leases the job does not own are dropped — a departed worker's
+// late frames carry no authority.
 func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) error {
 	ident := func(job string) *remoteRun {
 		c.mu.Lock()
@@ -273,6 +315,26 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 				m.Job, m.Gen, m.Rank, w.ID, m.Err)
 			rr.onFail(m)
 		}
+	case tagExecPort:
+		m, err := decodeExecPort(payload)
+		if err != nil {
+			return err
+		}
+		host, _, err := net.SplitHostPort(w.Addr)
+		if err != nil {
+			return err
+		}
+		// Only the host the lease connected from: a lease cannot aim a gang
+		// at a third machine.
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if _, ok := c.workers[w.ID]; !ok {
+			return nil // a client, or a worker already gone
+		}
+		c.ports[w.ID] = net.JoinHostPort(host, strconv.Itoa(m.Port))
+		if j := c.owner[w.ID]; j != nil && j.remote != nil {
+			j.remote.portFrom(w.ID)
+		}
 	}
 	return nil
 }
@@ -280,7 +342,8 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 // awaitRemoteGang blocks until the job's gang satisfies its policy —
 // respawn insists on the full requested width before (re)launching, shrink
 // proceeds with any survivor, and either policy picks up spares the
-// scheduler attached — or the coordinator closes.
+// scheduler attached; a mesh job also needs a fresh port from every gang
+// worker — or the coordinator closes.
 func (c *Coordinator) awaitRemoteGang(j *Job) ([]int, error) {
 	rr := j.remote
 	need := 1
@@ -295,14 +358,20 @@ func (c *Coordinator) awaitRemoteGang(j *Job) ([]int, error) {
 		c.mu.Lock()
 		gang := append([]int(nil), j.gang...)
 		closed = closed || c.closed
+		ready := 0 // a mesh member is ready once it has a fresh port
+		for _, id := range gang {
+			if _, ok := c.ports[id]; ok || !rr.mesh {
+				ready++
+			}
+		}
 		c.mu.Unlock()
 		if closed {
 			return nil, fmt.Errorf("cluster: coordinator closed while job %s awaited a gang", j.id)
 		}
-		if len(gang) >= need {
+		if len(gang) >= need && ready == len(gang) {
 			return gang, nil
 		}
-		c.logf("cluster: job %s waiting for %d worker(s), have %d", j.id, need, len(gang))
+		c.logf("cluster: job %s waiting for its gang: %d worker(s) needed, %d attached, %d ready", j.id, need, len(gang), ready)
 		rr.mu.Lock()
 		for rr.events == seen && !rr.closed {
 			rr.cond.Wait()
@@ -313,7 +382,8 @@ func (c *Coordinator) awaitRemoteGang(j *Job) ([]int, error) {
 
 // beginGeneration opens generation state for the given gang and assigns
 // every pending shard rank round-robin over it (one rank per worker at
-// full width; survivors absorb a dead worker's ranks after a shrink).
+// full width; survivors absorb a dead worker's ranks after a shrink). A mesh
+// generation is as wide as its gang and starts every rank from zero.
 //
 // A generation never gangs more workers than it has pending ranks: a
 // zero-rank member (respawn backfill after some ranks finished, a spare
@@ -327,6 +397,11 @@ func (rr *remoteRun) beginGeneration(gang []int) (gen int, genGang []int, assign
 	rr.gen++
 	rr.genActive = true
 	rr.genBase = rr.base
+	if rr.mesh {
+		rr.width = len(gang)
+		rr.doneRank = map[int]*core.ShardResult{}
+		rr.msgs, rr.bytes = 0, 0
+	}
 	pending = rr.pendingRanksLocked()
 	if len(pending) > 0 && len(gang) > len(pending) {
 		gang = gang[:len(pending)]
@@ -353,28 +428,75 @@ func (rr *remoteRun) endGeneration() {
 // moved underneath it; the supervisor prices it and re-gangs.
 var errRegang = fmt.Errorf("cluster: generation dispatch interrupted")
 
+// meshReachable refuses a peer table that mixes loopback hosts with others.
+// An executor that joined over loopback listens on loopback, where a peer on
+// another host cannot dial it, and every rerun would use the same table.
+func meshReachable(mesh []string) error {
+	loopback := 0
+	for _, addr := range mesh {
+		host, _, _ := net.SplitHostPort(addr)
+		if ip := net.ParseIP(host); ip != nil && ip.IsLoopback() {
+			loopback++
+		}
+	}
+	if loopback > 0 && loopback < len(mesh) {
+		return fmt.Errorf("cluster: mesh peers %v mix loopback and other hosts; executors on the coordinator's host must join it at an address the other hosts reach", mesh)
+	}
+	return nil
+}
+
 // dispatchGeneration launches one generation: a single start frame per
-// worker carrying the spec, its shard ranks and their resume checkpoints.
-// There is no barrier — ranks never talk to each other, so a worker that
-// dies before its frame lands and one that dies mid-solve are the same
-// event, and the lease reports both.
+// worker carrying the spec, its ranks and, for RA-CA, their resume
+// checkpoints; for a mesh, the peer table of the ports it consumes. There is
+// no barrier: a worker that dies before its frame lands and one that dies
+// mid-solve are the same event, and the lease reports both. Every live worker
+// is sent its frame even when one send fails, so each mesh member whose port
+// was consumed ends its run and announces a new one. A peer table that
+// meshReachable refuses is an error other than errRegang, and sends nothing.
 func (c *Coordinator) dispatchGeneration(j *Job, gang []int, gen int, every int) error {
 	rr := j.remote
+	spec, resume := j.spec, map[int][]byte(nil)
+	var mesh []string
+	if rr.mesh {
+		c.mu.Lock()
+		for _, id := range gang {
+			if addr, ok := c.ports[id]; ok {
+				mesh = append(mesh, addr)
+			}
+		}
+		if len(mesh) < len(gang) { // a member left since the gang was taken
+			c.mu.Unlock()
+			return errRegang
+		}
+		if err := meshReachable(mesh); err != nil {
+			c.mu.Unlock()
+			return err
+		}
+		for _, id := range gang {
+			delete(c.ports, id)
+		}
+		c.mu.Unlock()
+		spec.P = len(gang)
+	}
 	rr.mu.Lock()
+	if !rr.mesh {
+		resume = rr.ckptBlob
+	}
 	starts := make([][]byte, len(gang))
 	for i, id := range gang {
 		starts[i] = encodeExecStart(execStart{
-			Job: j.id, Gen: gen, Spec: j.spec, Ranks: rr.assign[id], CheckpointEvery: every,
-		}, rr.ckptBlob)
+			Job: j.id, Gen: gen, Spec: spec, Ranks: rr.assign[id], CheckpointEvery: every, Mesh: mesh,
+		}, resume)
 	}
 	rr.mu.Unlock()
+	var err error
 	for i, id := range gang {
-		if err := c.reg.Send(id, tagExecStart, starts[i]); err != nil {
-			c.logf("cluster: job %s gen %d: start to worker %d: %v", j.id, gen, id, err)
-			return errRegang
+		if serr := c.reg.Send(id, tagExecStart, starts[i]); serr != nil {
+			c.logf("cluster: job %s gen %d: start to worker %d: %v", j.id, gen, id, serr)
+			err = errRegang
 		}
 	}
-	return nil
+	return err
 }
 
 // awaitGeneration blocks until the active generation resolves and reports
@@ -485,8 +607,13 @@ supervise:
 		c.logf("cluster: job %s gen %d on workers %v (pending ranks %v, assignment %v)",
 			j.id, gen, genGang, pending, assign)
 		outcome := genLost
-		if err := c.dispatchGeneration(j, genGang, gen, every); err == nil {
+		switch err := c.dispatchGeneration(j, genGang, gen, every); {
+		case err == nil:
 			outcome = c.awaitGeneration(j)
+		case err != errRegang: // the gang's peers cannot reach each other
+			rr.endGeneration()
+			fail("%v", err)
+			break supervise
 		}
 		rr.endGeneration()
 		switch outcome {
@@ -539,7 +666,8 @@ supervise:
 
 	if res.Err == "" {
 		rr.mu.Lock()
-		res.FinalP = j.spec.P
+		res.FinalP = rr.width
+		res.Messages, res.Bytes = rr.msgs, rr.bytes
 		res.Recoveries = rr.recoveries
 		res.Grows = rr.grows
 		res.JoinedRanks = rr.joined
@@ -548,7 +676,9 @@ supervise:
 		res.TotalSec = rr.maxVirt
 		shards := make(map[int]*core.ShardResult, len(rr.doneRank))
 		for r, sh := range rr.doneRank {
-			shards[r] = sh
+			if sh.Model != nil {
+				shards[r] = sh
+			}
 			if sh.Iters > res.Iters {
 				res.Iters = sh.Iters
 			}

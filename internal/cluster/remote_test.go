@@ -26,9 +26,9 @@ import (
 	"casvm/internal/tcpmpi"
 )
 
-// remoteSpec is the remote-execution test job: RA-CA (the one remote-capable
-// method) over the shared test mixture, checkpointing often enough that a
-// mid-epoch kill always finds a resume point.
+// remoteSpec is the remote-execution test job: RA-CA over the shared test
+// mixture, checkpointing often enough that a mid-epoch kill always finds a
+// resume point.
 func remoteSpec(id string, p int, train int, policy string) JobSpec {
 	return JobSpec{
 		ID: id, Mixture: testMixture(train), Method: string(core.MethodRACA),
@@ -158,6 +158,50 @@ func TestRemoteSparseJobMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestRemoteEveryMethod: a remote job of every method runs on four executors
+// in one generation and lands on the hash of in-process core.Train — RA-CA as
+// lone shards, the rest as one rank per executor over a tcpmpi mesh — and its
+// messages and bytes are the in-process run's.
+func TestRemoteEveryMethod(t *testing.T) {
+	c := newTestCoordinator(t, time.Second)
+	startExecutors(t, c, 4, 0)
+	for _, method := range core.Methods() {
+		t.Run(string(method), func(t *testing.T) {
+			spec := remoteSpec(string(method), 4, 320, "shrink")
+			spec.Method = string(method)
+			pr, ds, err := trainParams(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := core.Train(ds.X, ds.Y, pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.ModelHash(ref.Set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := c.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-j.Done():
+			case <-time.After(120 * time.Second):
+				t.Fatalf("remote job never finished (progress %+v)", j.Remote())
+			}
+			res := j.Result()
+			if res.Err != "" || res.ModelHash != want || res.Generations != 1 || res.FinalP != 4 {
+				t.Fatalf("result %+v, want hash %s in one generation at P=4", res, want)
+			}
+			if res.Messages != ref.Stats.CommOps || res.Bytes != ref.Stats.CommBytes {
+				t.Fatalf("%d messages, %d bytes; in-process %d, %d",
+					res.Messages, res.Bytes, ref.Stats.CommOps, ref.Stats.CommBytes)
+			}
+		})
+	}
+}
+
 // fakeWorker is a hand-rolled executor on a bare lease. It listens on every
 // tag of the exec block — the retired 103–107 included — records what the
 // coordinator sends it, and answers a start frame with core.RunShard
@@ -221,12 +265,7 @@ func startFakeWorker(t *testing.T, c *Coordinator, pr core.Params, ds *data.Data
 				if err := l.Send(tagExecRankDone, encodeExecRankDone(execRank{
 					Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters, VirtSec: sh.VirtSec,
 				}, sh.Model, sh.Center)); err != nil {
-					select {
-					case <-l.Done(): // the test ended under a worker still answering
-					default:
-						t.Errorf("fake worker: rank-done: %v", err)
-					}
-					return
+					return // a failed send ends the lease: the test ended under a worker still answering
 				}
 			}
 		}
@@ -234,9 +273,10 @@ func startFakeWorker(t *testing.T, c *Coordinator, pr core.Params, ds *data.Data
 	return w
 }
 
-// TestGenerationIsOneFrame pins the launch protocol from the worker's side
-// of the wire: the only frame a worker is sent for a healthy job is start,
-// the frame names no peers, and answering it with shard results is all it
+// TestGenerationIsOneFrame pins the RA-CA launch protocol from the worker's
+// side of the wire: the only frame a worker is sent for a healthy job is
+// start, the frame names no peers — the workers announce no mesh port, and
+// none is waited for — and answering it with shard results is all it
 // takes to finish the job on the in-process reference hash. The workers also
 // speak the retired tags 103–107 mid-job (the mesh bootstrap and the JSON
 // start/checkpoint/rank-done frames); the coordinator logs and ignores them
@@ -297,7 +337,7 @@ func TestGenerationIsOneFrame(t *testing.T) {
 		if err := json.Unmarshal(secs[0], &keys); err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []string{"peers", "mesh_rank"} {
+		for _, k := range []string{"peers", "mesh_rank", "mesh"} {
 			if _, ok := keys[k]; ok {
 				t.Errorf("worker %d: start frame still carries %q", i, k)
 			}
@@ -494,6 +534,66 @@ func TestWorkerFailFrameFailsJob(t *testing.T) {
 	}
 }
 
+// TestMixedLoopbackMeshRefused: a mesh gang whose peer table mixes a worker
+// that joined over loopback with one on another host fails the job at
+// dispatch — no start frame is sent and no port is consumed — instead of
+// handing the remote member a loopback address to dial on every rerun.
+func TestMixedLoopbackMeshRefused(t *testing.T) {
+	for _, tc := range []struct {
+		mesh []string
+		ok   bool
+	}{
+		{[]string{"127.0.0.1:7001", "127.0.0.1:7002"}, true},
+		{[]string{"192.0.2.7:7001", "192.0.2.8:7002"}, true},
+		{[]string{"127.0.0.1:7001", "192.0.2.7:7002"}, false},
+		{[]string{"192.0.2.7:7001", "[::1]:7002"}, false},
+	} {
+		if err := meshReachable(tc.mesh); (err == nil) != tc.ok {
+			t.Errorf("meshReachable(%v) = %v, want ok=%v", tc.mesh, err, tc.ok)
+		}
+	}
+
+	spec := remoteSpec("mixed", 2, 160, "shrink")
+	spec.Method = string(core.MethodDisSMO)
+	pr, ds, err := trainParams(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCoordinator(t, time.Second)
+	fakes := []*fakeWorker{startFakeWorker(t, c, pr, ds, nil), startFakeWorker(t, c, pr, ds, nil)}
+	waitFor(t, "fake workers registered", func() bool { return len(c.Workers()) == 2 })
+	// The second worker's port arrives as if its lease came from another host.
+	for i, w := range c.Workers() {
+		w.Addr = []string{"127.0.0.1:40000", "192.0.2.7:40000"}[i]
+		if err := c.execFrame(w, tagExecPort, marshalExec(execPort{Port: 7001 + i})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("job never finished (progress %+v)", j.Remote())
+	}
+	if res := j.Result(); j.State() != JobFailed || !strings.Contains(res.Err, "mix loopback and other hosts") {
+		t.Fatalf("state %v, result %+v; want the mixed peer table refused", j.State(), res)
+	}
+	for i, w := range fakes {
+		if tags, _ := w.received(); len(tags) != 0 {
+			t.Errorf("worker %d was sent tags %v", i, tags)
+		}
+	}
+	c.mu.Lock()
+	ports := len(c.ports)
+	c.mu.Unlock()
+	if ports != 2 {
+		t.Fatalf("%d ports on record after the refusal, want both kept", ports)
+	}
+}
+
 // countMixtureResolves swaps in a counting generateMixture for the test.
 func countMixtureResolves(t *testing.T) *atomic.Int64 {
 	t.Helper()
@@ -653,9 +753,10 @@ func TestConcurrentJobsShareDataset(t *testing.T) {
 }
 
 // TestRemoteGenerationsExactlyOne: a healthy remote job is exactly one
-// generation, every time. Workers open no sockets of their own during a
-// job, so a neighbour churning loopback ports — here a goroutine binding
-// and releasing listeners as fast as it can — has nothing to collide with.
+// generation, every time. Workers open no sockets during an RA-CA job — the
+// mesh listener each keeps was bound once, at registration — so a neighbour
+// churning loopback ports — here a goroutine binding and releasing listeners
+// as fast as it can — has nothing to collide with.
 // 200 sequential jobs by default; `make soak-cluster` (CASVM_SOAK_CLUSTER=1)
 // runs 4,000.
 func TestRemoteGenerationsExactlyOne(t *testing.T) {
@@ -832,8 +933,8 @@ func TestRemoteRespawnRecovery(t *testing.T) {
 // sent a start frame that assigns them nothing, which the executor's
 // decoder rejects.
 func TestBeginGenerationCapsSurplusGang(t *testing.T) {
-	j := &Job{spec: JobSpec{P: 3}}
-	rr := newRemoteRun(j, 0, 0)
+	raca := JobSpec{Method: string(core.MethodRACA), P: 3}
+	rr := newRemoteRun(&Job{spec: raca}, 0, 0)
 	rr.doneRank[0] = &core.ShardResult{}
 	rr.doneRank[2] = &core.ShardResult{}
 
@@ -850,7 +951,7 @@ func TestBeginGenerationCapsSurplusGang(t *testing.T) {
 	rr.endGeneration()
 
 	// At full width nothing is truncated: one rank per worker.
-	rr2 := newRemoteRun(&Job{spec: JobSpec{P: 3}}, 0, 0)
+	rr2 := newRemoteRun(&Job{spec: raca}, 0, 0)
 	_, gang2, assign2, _ := rr2.beginGeneration([]int{4, 5, 6})
 	if len(gang2) != 3 || len(assign2) != 3 {
 		t.Fatalf("full-width generation truncated: gang %v assign %v", gang2, assign2)
@@ -883,7 +984,7 @@ func TestRemoteSurplusBackfillRecovers(t *testing.T) {
 		if m.Gen > 1 {
 			select {
 			case <-backfilled:
-			case <-l.Done():
+			case <-leaseEnded(l):
 			}
 			return
 		}
@@ -907,7 +1008,7 @@ func TestRemoteSurplusBackfillRecovers(t *testing.T) {
 		if !errors.Is(err, errHeld) {
 			t.Errorf("rank 1 was not held mid-epoch: %v", err)
 		}
-		<-l.Done()
+		<-leaseEnded(l)
 	}
 	startFakeWorker(t, c, pr, ds, holdRank1)
 	startFakeWorker(t, c, pr, ds, holdRank1)
@@ -950,13 +1051,12 @@ func TestRemoteSurplusBackfillRecovers(t *testing.T) {
 }
 
 // TestRemoteSpecValidation: remote execution is opt-in with hard
-// prerequisites — RA-CA only, a live recovery policy, and enough samples
-// to feed every rank.
+// prerequisites — a live recovery policy, and enough samples to feed every
+// rank — whatever the method.
 func TestRemoteSpecValidation(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
 	for name, spec := range map[string]JobSpec{
-		"non-raca method": {Mixture: testMixture(160), Method: string(core.MethodDisSMO), P: 2, Remote: true},
-		"recovery off":    {Mixture: testMixture(160), Method: string(core.MethodRACA), P: 2, Policy: "off", Remote: true},
+		"recovery off":    {Mixture: testMixture(160), Method: string(core.MethodDisSMO), P: 2, Policy: "off", Remote: true},
 		"too few samples": {Mixture: testMixture(160), Method: string(core.MethodRACA), P: 4096, Remote: true},
 	} {
 		if _, err := c.Submit(spec); err == nil {
@@ -1057,28 +1157,34 @@ func spawnWorkerProcess(t *testing.T, addr string, delay time.Duration) *exec.Cm
 }
 
 // TestRemoteKillGolden is the acceptance scenario for real rank executors:
-// a remote job runs on real worker processes, one dies mid-epoch, and both
-// recovery policies re-gang from the streamed checkpoints to the
-// fault-free ModelHash. The kill lands two ways — SIGKILL breaks the lease
-// connection (a leave-on-break), SIGSTOP leaves it open but silent, so
-// only the TTL failure detector can notice (a true lease expiry) — and
-// both must drive the same recovery. Runs under -race via the race matrix.
+// a remote job runs on real worker processes, one dies mid-solve, and both
+// recovery policies re-gang to the fault-free ModelHash — RA-CA from the
+// streamed checkpoints, Dis-SMO by rerunning its mesh generation from zero
+// (onto the survivor under shrink, at full width under respawn). The kill
+// lands two ways — SIGKILL breaks the lease connection (a leave-on-break),
+// SIGSTOP leaves it open but silent, so only the TTL failure detector can
+// notice (a true lease expiry) — and both must drive the same recovery. Runs
+// under -race via the race matrix.
 func TestRemoteKillGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks real worker processes")
 	}
 	cases := []struct {
 		name, policy string
+		method       core.Method
 		stall        bool // SIGSTOP instead of SIGKILL
 	}{
-		{"shrink", "shrink", false},
-		{"respawn", "respawn", false},
-		{"shrink-stall", "shrink", true},
+		{"shrink", "shrink", core.MethodRACA, false},
+		{"respawn", "respawn", core.MethodRACA, false},
+		{"shrink-stall", "shrink", core.MethodRACA, true},
+		{"dissmo-shrink", "shrink", core.MethodDisSMO, false},
+		{"dissmo-respawn", "respawn", core.MethodDisSMO, false},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			spec := remoteSpec("kill-"+tc.name, 2, 240, tc.policy)
+			spec.Method = string(tc.method)
 			want := referenceHash(t, spec)
 
 			c := newTestCoordinator(t, 500*time.Millisecond)
@@ -1090,10 +1196,20 @@ func TestRemoteKillGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "all ranks mid-epoch with checkpoints", func() bool {
-				p := j.Remote()
-				return len(p.CkptIters) >= 2 && len(p.DoneRanks) == 0
-			})
+			if tc.method == core.MethodRACA {
+				waitFor(t, "all ranks mid-epoch with checkpoints", func() bool {
+					p := j.Remote()
+					return len(p.CkptIters) >= 2 && len(p.DoneRanks) == 0
+				})
+			} else {
+				// A mesh streams no checkpoints: let it iterate, at 5ms an
+				// iteration, well short of the hundreds it needs.
+				waitFor(t, "the mesh generation dispatched", func() bool { return len(j.Remote().Workers) == 2 })
+				time.Sleep(300 * time.Millisecond)
+				if p := j.Remote(); len(p.DoneRanks) != 0 {
+					t.Fatalf("ranks %v finished before the kill", p.DoneRanks)
+				}
+			}
 			if tc.stall {
 				// The process freezes with its connection open: only the
 				// TTL failure detector can declare it dead.

@@ -19,15 +19,15 @@ const (
 )
 
 // onFrame handles control frames from lease holders: clients submit jobs,
-// executors stream remote-execution frames (checkpoints, finished shards,
-// failures) in the 105–112 block, and workers stream fleet
+// executors stream remote-execution frames (checkpoints, finished ranks,
+// failures, mesh ports) in the 105–113 block, and workers stream fleet
 // telemetry (spans, metrics, epoch reports) in the 120–129 block.
 func (c *Coordinator) onFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) {
 	if c.fleet.HandleFrame(w, tag, payload) {
 		return
 	}
 	switch tag {
-	case tagExecCkpt, tagExecRankDone, tagExecFail:
+	case tagExecCkpt, tagExecRankDone, tagExecFail, tagExecPort:
 		if err := c.execFrame(w, tag, payload); err != nil {
 			c.logf("cluster: lease %d: %v", w.ID, err)
 		}

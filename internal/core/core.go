@@ -188,9 +188,9 @@ func (p Params) joinInterrupt(rank, iter int) error {
 	return nil
 }
 
-// independentModels reports whether the method trains one independent
+// IndependentModels reports whether the method trains one independent
 // model per rank (so losing a rank costs one shard, not the run).
-func (m Method) independentModels() bool {
+func (m Method) IndependentModels() bool {
 	switch m {
 	case MethodCPSVM, MethodBKMCA, MethodFCFSCA, MethodRACA:
 		return true

@@ -9,9 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"casvm/internal/kernel"
 	"casvm/internal/la"
-	"casvm/internal/model"
 	"casvm/internal/mpi"
 	"casvm/internal/tcpmpi"
 )
@@ -54,10 +52,10 @@ func onMesh(t *testing.T, p int, f func(rank int, comm *tcpmpi.Comm) error) {
 	}
 }
 
-// TestEveryMethodBothLinks: P ranks on a TCP mesh, each running RunRank and
-// GatherOutput on its own world the way a worker process does, land on the
-// model and the world totals of the in-process Train — messages, bytes,
-// iterations and virtual time, exactly.
+// TestEveryMethodBothLinks: P ranks on a TCP mesh, each running RunRank on its
+// own world the way a cluster executor does, assemble to the model and the
+// world totals of the in-process Train — messages, bytes, iterations and
+// virtual time, exactly.
 func TestEveryMethodBothLinks(t *testing.T) {
 	d := testSet(t, 240)
 	for _, m := range Methods() {
@@ -68,23 +66,29 @@ func TestEveryMethodBothLinks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var got *Output
+				results := make([]ShardResult, p)
+				var mu sync.Mutex
+				var ops, bytes int64
 				onMesh(t, p, func(rank int, comm *tcpmpi.Comm) error {
 					world := mpi.NewWorld(p, pr.Machine, pr.Seed)
-					return world.RunLink(rank, comm, func(c *mpi.Comm) error {
+					err := world.RunLink(rank, comm, func(c *mpi.Comm) error {
 						sh, err := RunRank(c, d.X, d.Y, pr)
-						if err != nil {
-							return err
-						}
-						out, err := GatherOutput(c, sh, pr, world.Stats())
-						if rank == 0 {
-							got = out
-						} else if out != nil {
-							return fmt.Errorf("rank %d got an output", rank)
-						}
+						results[rank] = *sh
 						return err
 					})
+					mu.Lock()
+					ops += world.Stats().TotalOps()
+					bytes += world.Stats().TotalBytes()
+					mu.Unlock()
+					return err
 				})
+				got, err := assemble(pr, d.X.Features(), results)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sh := range results {
+					got.Stats.TotalSec = max(got.Stats.TotalSec, sh.VirtSec)
+				}
 				wantHash, err := ModelHash(ref.Set)
 				if err != nil {
 					t.Fatal(err)
@@ -97,8 +101,8 @@ func TestEveryMethodBothLinks(t *testing.T) {
 					t.Errorf("model hash %s over TCP, %s in-process", gotHash, wantHash)
 				}
 				g, w := got.Stats, ref.Stats
-				if g.CommOps != w.CommOps || g.CommBytes != w.CommBytes {
-					t.Errorf("messages/bytes %d/%d over TCP, %d/%d in-process", g.CommOps, g.CommBytes, w.CommOps, w.CommBytes)
+				if ops != w.CommOps || bytes != w.CommBytes {
+					t.Errorf("messages/bytes %d/%d over TCP, %d/%d in-process", ops, bytes, w.CommOps, w.CommBytes)
 				}
 				if g.Iters != w.Iters || g.SVs != w.SVs || g.TotalSec != w.TotalSec {
 					t.Errorf("iters/SVs/TotalSec %d/%d/%v over TCP, %d/%d/%v in-process",
@@ -114,45 +118,6 @@ func TestEveryMethodBothLinks(t *testing.T) {
 					t.Errorf("per-node profile differs:\n TCP        %+v\n in-process %+v", g, w)
 				}
 			})
-		}
-	}
-}
-
-// TestGatheredResultIsBounded: a gathered rank result is bytes from another
-// process; anything malformed is an error, never a panic or a short slice.
-func TestGatheredResultIsBounded(t *testing.T) {
-	k := kernel.RBF(0.5)
-	nums := la.EncodeF64(make([]float64, shardNums+5))
-	good := mpi.PackSections(nums)
-	var sh ShardResult
-	if err := sh.decode(2, good, k, 2); err != nil || len(sh.layers) != 1 || sh.layers[0].Rank != 2 || sh.Model != nil {
-		t.Fatalf("well-formed payload: %v, %+v", err, sh)
-	}
-	m := model.FromSolution(la.NewDense(2, 2, []float64{1, 2, -1, -2}), []float64{1, -1}, []float64{0.5, 0.5}, 0.1, k)
-	shard := model.EncodeShard(m, []float64{0, 0})
-	withModel := mpi.PackSections(append([][]byte{nums}, shard...)...)
-	if err := sh.decode(0, withModel, k, 2); err != nil || sh.Model.NSV() != 2 || len(sh.Center) != 2 {
-		t.Fatalf("payload with a model: %v, %+v", err, sh)
-	}
-	shortCenter := append([][]byte{nums}, shard...)
-	shortCenter[4] = shortCenter[4][:8]
-	bad := [][]byte{
-		nil,
-		good[:len(good)-1],
-		withModel[:len(withModel)-1],
-		mpi.PackSections(),
-		mpi.PackSections(la.EncodeF64(make([]float64, shardNums-1))),
-		mpi.PackSections(la.EncodeF64(make([]float64, shardNums+3))),
-		mpi.PackSections(nums, []byte("not a shard")),
-		mpi.PackSections(append([][]byte{nums}, shard[1:]...)...),
-		mpi.PackSections(shortCenter...),
-	}
-	if err := sh.decode(0, withModel, k, 3); err == nil {
-		t.Error("a 2-feature shard decoded against 3-feature data")
-	}
-	for i, buf := range bad {
-		if err := sh.decode(0, buf, k, 2); err == nil {
-			t.Errorf("payload %d decoded without error", i)
 		}
 	}
 }

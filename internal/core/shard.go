@@ -1,14 +1,14 @@
-// The per-rank driver, and the two ways of running a rank somewhere other
-// than the in-process world of Train.
+// The per-rank driver, and running a rank somewhere other than the
+// in-process world of Train.
 //
 // RunRank is the one entry point that runs a rank's share of a method on a
-// communicator. Train's worlds call it for every rank on goroutines; a worker
-// process calls it on a world whose Link is its TCP mesh, then GatherOutput
-// collects the ranks' results at rank 0; RunShard calls it on a world whose
-// link refuses traffic — RA-CA under the casvm2 placement sends nothing, so
-// rank r's model depends on nothing but (dataset, r, P, solver params) and a
-// cluster executor can solve it alone. All three produce the same bytes for
-// the same rank, so a model set assembled from remote shards lands on the
+// communicator. Train's worlds call it for every rank on goroutines; a cluster
+// executor calls it on a world whose Link is its generation's TCP mesh and
+// reports the rank's ShardResult to the coordinator; RunShard calls it on a
+// world whose link refuses traffic — RA-CA under the casvm2 placement sends
+// nothing, so rank r's model depends on nothing but (dataset, r, P, solver
+// params) and an executor can solve it alone. All three produce the same bytes
+// for the same rank, so a model set assembled from remote ranks lands on the
 // ModelHash of a local run.
 package core
 
@@ -17,12 +17,10 @@ import (
 	"fmt"
 	"sort"
 
-	"casvm/internal/kernel"
 	"casvm/internal/la"
 	"casvm/internal/model"
 	"casvm/internal/mpi"
 	"casvm/internal/smo"
-	"casvm/internal/trace"
 )
 
 // ShardRun configures one remote rank solve on top of Params: the rank
@@ -64,7 +62,6 @@ type ShardResult struct {
 	pos, neg           int         // class structure of the rank's partition
 	svPos, svNeg       int         // (Tables VII–VIII)
 	layers             []layerNode // tree methods: this rank's layer entries
-	commOps, commBytes int64       // sent while training; set on gathered results
 }
 
 // RunRank runs rank c.Rank()'s share of p.Method over (x, y) on c, which
@@ -120,87 +117,6 @@ func RunShard(x *la.Matrix, y []float64, p Params, run ShardRun) (*ShardResult, 
 		return nil, err
 	}
 	return sh, nil
-}
-
-// GatherOutput collects every rank's RunRank result at rank 0 and assembles
-// there what Train would have returned; other ranks get nil. st is the
-// calling rank's world Stats, read before the gather adds its own traffic.
-// Stats carries what the ranks themselves measured — not Wall, CommMatrix,
-// CommSec, CompSec or TotalFlops, which need the whole world in one process.
-func GatherOutput(c *mpi.Comm, sh *ShardResult, p Params, st *trace.Stats) (*Output, error) {
-	nums := []float64{float64(sh.Iters), float64(sh.SVs), float64(sh.PartSize), sh.Flops, sh.VirtSec,
-		sh.initSec, sh.trainSec, float64(sh.kmIters), float64(sh.colHits), float64(sh.colMisses),
-		float64(sh.pos), float64(sh.neg), float64(sh.svPos), float64(sh.svNeg),
-		float64(st.TotalOps()), float64(st.TotalBytes())}
-	for _, n := range sh.layers {
-		nums = append(nums, float64(n.layer), float64(n.Samples), float64(n.Iters), float64(n.SVs), n.Time)
-	}
-	secs := [][]byte{la.EncodeF64(nums)}
-	if sh.Model != nil {
-		secs = append(secs, model.EncodeShard(sh.Model, sh.Center)...)
-	}
-	gathered := c.Gatherv(0, mpi.PackSections(secs...))
-	if c.Rank() != 0 {
-		return nil, nil
-	}
-	// Rank 0 holds a model under every method, so its center has the width
-	// every other rank's shard must have.
-	features := len(sh.Center)
-	results := make([]ShardResult, len(gathered))
-	for r, buf := range gathered {
-		if err := results[r].decode(r, buf, p.Kernel, features); err != nil {
-			return nil, fmt.Errorf("core: rank %d result: %w", r, err)
-		}
-	}
-	out, err := assemble(p, features, results)
-	if err != nil {
-		return nil, err
-	}
-	for r := range results {
-		out.Stats.CommOps += results[r].commOps
-		out.Stats.CommBytes += results[r].commBytes
-		if results[r].VirtSec > out.Stats.TotalSec {
-			out.Stats.TotalSec = results[r].VirtSec
-		}
-	}
-	return out, nil
-}
-
-// shardNums is the fixed part of a gathered result's number section; five
-// numbers per tree-layer entry follow.
-const shardNums = 16
-
-// decode parses one gathered result: the number section, then the sections
-// of the rank's model if it has one. The bytes come from another process: the
-// model goes through model.DecodeShard's checks and the numbers are counted
-// before they are indexed.
-func (sh *ShardResult) decode(rank int, buf []byte, k kernel.Params, features int) error {
-	secs, err := mpi.UnpackSections(buf, mpi.AnyCount)
-	if err != nil {
-		return err
-	}
-	if len(secs) == 0 {
-		return fmt.Errorf("no sections")
-	}
-	v, err := la.DecodeF64(secs[0])
-	if err != nil {
-		return err
-	}
-	if len(v) < shardNums || (len(v)-shardNums)%5 != 0 {
-		return fmt.Errorf("%d numbers", len(v))
-	}
-	*sh = ShardResult{Iters: int(v[0]), SVs: int(v[1]), PartSize: int(v[2]), Flops: v[3], VirtSec: v[4],
-		initSec: v[5], trainSec: v[6], kmIters: int(v[7]), colHits: int64(v[8]), colMisses: int64(v[9]),
-		pos: int(v[10]), neg: int(v[11]), svPos: int(v[12]), svNeg: int(v[13]),
-		commOps: int64(v[14]), commBytes: int64(v[15])}
-	for v = v[shardNums:]; len(v) > 0; v = v[5:] {
-		sh.layers = append(sh.layers, layerNode{int(v[0]), NodeStat{
-			Rank: rank, Samples: int(v[1]), Iters: int(v[2]), SVs: int(v[3]), Time: v[4]}})
-	}
-	if len(secs) > 1 {
-		sh.Model, sh.Center, err = model.DecodeShard(secs[1:], k, features)
-	}
-	return err
 }
 
 // AssembleShards rebuilds the routed model set from per-rank shard models

@@ -251,7 +251,7 @@ func assemble(p Params, features int, results []ShardResult) (*Output, error) {
 			st.KMeansIters = res.kmIters
 		}
 		// Single-model methods assemble rank 0 alone.
-		if p.Method.independentModels() {
+		if p.Method.IndependentModels() {
 			shards[r] = res
 			st.SVs += res.SVs
 			if res.Iters > st.Iters {
@@ -259,7 +259,7 @@ func assemble(p Params, features int, results []ShardResult) (*Output, error) {
 			}
 		}
 	}
-	if !p.Method.independentModels() {
+	if !p.Method.IndependentModels() {
 		shards[0] = &results[0]
 		st.SVs = results[0].SVs
 		st.ColCacheHits, st.ColCacheMisses = results[0].colHits, results[0].colMisses

@@ -72,11 +72,11 @@ func TestScheduleSendFaultsOneShot(t *testing.T) {
 	payload := []byte{1, 2, 3, 4}
 
 	v := in.Intercept(0, 1, 7, payload) // rank 0 send #1: nothing armed yet
-	if v.DelaySec != 0 || v.Duplicates != 0 || v.Payload != nil || v.Drop {
+	if v.DelaySec != 0 || v.Duplicates != 0 || v.Payload != nil {
 		t.Fatalf("send #1 perturbed: %+v", v)
 	}
 	v = in.Intercept(0, 1, 7, payload) // send #2: drop → retransmit delay
-	if v.DelaySec != 5e-3 || v.Drop {
+	if v.DelaySec != 5e-3 {
 		t.Fatalf("drop not modeled as retransmit delay: %+v", v)
 	}
 	v = in.Intercept(0, 1, 7, payload) // send #3: dup (drop already consumed)
@@ -108,7 +108,7 @@ func TestScheduleEmpty(t *testing.T) {
 			t.Fatalf("empty schedule grew the world by %d at iter %d", n, iter)
 		}
 	}
-	if v := in.Intercept(0, 1, 7, []byte{1}); v.DelaySec != 0 || v.Duplicates != 0 || v.Payload != nil || v.Drop || v.CrashErr != nil {
+	if v := in.Intercept(0, 1, 7, []byte{1}); v.DelaySec != 0 || v.Duplicates != 0 || v.Payload != nil || v.CrashErr != nil {
 		t.Fatalf("empty schedule perturbed the wire: %+v", v)
 	}
 	fi := in.FaultsInfo()
@@ -143,7 +143,7 @@ func TestSchedulePastRunEnd(t *testing.T) {
 		if n := in.JoinCheck(iter); n != 0 {
 			t.Fatalf("join fired before its trigger at iter %d", iter)
 		}
-		if v := in.Intercept(0, 1, 7, []byte{1}); v.DelaySec != 0 || v.Duplicates != 0 || v.Payload != nil || v.Drop || v.CrashErr != nil {
+		if v := in.Intercept(0, 1, 7, []byte{1}); v.DelaySec != 0 || v.Duplicates != 0 || v.Payload != nil || v.CrashErr != nil {
 			t.Fatalf("send fault fired before its index: %+v", v)
 		}
 	}

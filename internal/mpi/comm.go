@@ -114,7 +114,6 @@ func (c *Comm) send(dst, tag int, data []byte) {
 		return
 	}
 	var delay float64
-	var drop bool
 	copies := 1
 	if h := c.world.hook; h != nil {
 		v := h.Intercept(c.rank, dst, tag, data)
@@ -128,7 +127,7 @@ func (c *Comm) send(dst, tag int, data []byte) {
 			// carries what was actually transmitted.
 			data = v.Payload
 		}
-		drop, delay = v.Drop, v.DelaySec
+		delay = v.DelaySec
 		copies += v.Duplicates
 	}
 	// The α–β cost splits into the latency (ts) and bandwidth (tw·bytes)
@@ -148,11 +147,6 @@ func (c *Comm) send(dst, tag int, data []byte) {
 	c.world.stats.RecordSend(c.rank, dst, len(data))
 	if c.rec != nil {
 		sendNs = time.Now().UnixNano()
-	}
-	if drop {
-		// The sender paid the wire cost (the bytes left the NIC); the
-		// receiver never sees the message, so no flow edge is delivered.
-		return
 	}
 	arrival := c.clock + delay
 	for i := 0; i < copies; i++ {

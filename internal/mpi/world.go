@@ -70,11 +70,10 @@ func (e *ResizeError) Error() string {
 }
 
 // Verdict is a transport hook's instruction for one intercepted transfer.
-// The zero value delivers the message untouched.
+// The zero value delivers the message untouched. There is no drop: a
+// message the network loses is retransmitted, which a hook models as a delay
+// (internal/faults does).
 type Verdict struct {
-	// Drop silently discards the message. The sender still pays the wire
-	// cost (the bytes left the NIC); the receiver never sees it.
-	Drop bool
 	// Duplicates delivers this many extra copies after the original.
 	Duplicates int
 	// DelaySec adds virtual network latency: the receiver's clock

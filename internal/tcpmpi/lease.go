@@ -520,15 +520,18 @@ func Register(addr string, opt RegisterOptions) (*Lease, error) {
 // ID returns the coordinator-assigned worker id.
 func (l *Lease) ID() int { return l.id }
 
+// TTL returns the lease TTL the coordinator granted.
+func (l *Lease) TTL() time.Duration { return l.ttl }
+
+// LocalAddr returns this end of the lease connection: an address of this
+// worker that the coordinator's host reached.
+func (l *Lease) LocalAddr() net.Addr { return l.conn.LocalAddr() }
+
 // Close releases the lease: the coordinator sees a clean leave.
 func (l *Lease) Close() error {
 	l.fail(errors.New("tcpmpi: lease closed"))
 	return nil
 }
-
-// Done is closed when the lease ends — by Close, a revocation, a broken
-// coordinator connection, or a coordinator silent past the TTL.
-func (l *Lease) Done() <-chan struct{} { return l.done }
 
 // Err returns why the lease ended (nil while it is live).
 func (l *Lease) Err() error { return l.mb.err(0) }

@@ -210,7 +210,7 @@ func TestLeaseRevoke(t *testing.T) {
 	}
 	waitFor(t, "revocation expiry", func() bool { _, ex, _ := ev.counts(); return ex == 1 })
 	select {
-	case <-l.Done():
+	case <-l.done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker never noticed the revocation")
 	}
@@ -350,7 +350,7 @@ func TestLeaseEndsWhenCoordinatorSilent(t *testing.T) {
 	defer l.Close()
 	start := time.Now()
 	select {
-	case <-l.Done():
+	case <-l.done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the lease outlived a silent coordinator")
 	}

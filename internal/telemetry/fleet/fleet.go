@@ -19,6 +19,13 @@ const (
 	maxEdgesPerRank  = 1 << 16
 )
 
+// probeSamples is the clock-probe ping burst per worker; eventCap bounds the
+// straggler SSE ring.
+const (
+	probeSamples = 5
+	eventCap     = 256
+)
+
 // Config wires a Collector to its coordinator.
 type Config struct {
 	// Metrics is the fleet-level registry (the coordinator's own): frame
@@ -30,15 +37,9 @@ type Config struct {
 	// the existing /jobs/<id>/metrics namespace. Returning nil skips that
 	// job's federation.
 	JobRegistry func(job string) *trace.Registry
-	// Straggler tunes the outlier detector.
-	Straggler StragglerConfig
 	// Probe estimates a lease's clock offset. Nil uses the attached
 	// registrar's ProbeClock; tests inject synthetic skews here.
 	Probe func(workerID int) (tcpmpi.ClockEstimate, error)
-	// ProbeSamples is the ping-burst length per worker (default 5).
-	ProbeSamples int
-	// EventCap bounds the straggler SSE ring (default 256).
-	EventCap int
 	// Logf, when non-nil, receives diagnostic lines.
 	Logf func(format string, args ...any)
 }
@@ -69,8 +70,8 @@ type jobState struct {
 }
 
 // Collector is the coordinator side of the fleet plane. Route lease
-// frames into HandleFrame (internal/cluster/wire.go does this for
-// casvm-cluster; examples/distributed wires it onto its own registrar).
+// frames into HandleFrame (internal/cluster/wire.go does this for every
+// coordinator).
 type Collector struct {
 	cfg Config
 
@@ -93,14 +94,11 @@ type Collector struct {
 // New creates a Collector. Call AttachRegistrar before workers say hello
 // if clock probing should use the real lease RTT exchange.
 func New(cfg Config) *Collector {
-	if cfg.ProbeSamples < 1 {
-		cfg.ProbeSamples = 5
-	}
 	c := &Collector{
 		cfg:  cfg,
 		jobs: map[string]*jobState{},
-		det:  newDetector(cfg.Straggler),
-		ring: newEventRing(cfg.EventCap),
+		det:  newDetector(),
+		ring: newEventRing(eventCap),
 	}
 	if m := cfg.Metrics; m != nil {
 		c.framesTotal = m.Counter("cluster_fleet_frames_total", "fleet telemetry frames received")
@@ -223,9 +221,9 @@ func (c *Collector) onHello(workerID int, h Hello) {
 	}
 	probe := c.cfg.Probe
 	if probe == nil && c.reg != nil {
-		reg, n := c.reg, c.cfg.ProbeSamples
+		reg := c.reg
 		probe = func(id int) (tcpmpi.ClockEstimate, error) {
-			return reg.ProbeClock(id, n, 3*time.Second)
+			return reg.ProbeClock(id, probeSamples, 3*time.Second)
 		}
 	}
 	if rs.probeStarted && !rebound {
@@ -428,24 +426,6 @@ func (c *Collector) HasTrace(job string) bool {
 		}
 	}
 	return false
-}
-
-// StreamComplete reports whether every rank of the job's announced world
-// has Done-marked its span stream — the launcher-side signal that a
-// merged trace would be complete.
-func (c *Collector) StreamComplete(job string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.jobs[job]
-	if j == nil || j.p == 0 || len(j.ranks) < j.p {
-		return false
-	}
-	for _, rs := range j.ranks {
-		if !rs.done {
-			return false
-		}
-	}
-	return true
 }
 
 // Forget drops a finished job's accumulated state (after its merged trace

@@ -46,19 +46,19 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestStragglerDetector pins the heuristic: no verdict below MinRanks,
-// none when the median sits under MinSec, a verdict exactly when a rank
-// exceeds Factor × median, and per-(epoch, rank) dedup.
+// TestStragglerDetector pins the heuristic: no verdict below stragglerMinRanks,
+// none when the median sits under stragglerMinSec, a verdict exactly when a rank
+// exceeds stragglerFactor × median, and per-(epoch, rank) dedup.
 func TestStragglerDetector(t *testing.T) {
-	d := newDetector(StragglerConfig{Factor: 1.5, MinRanks: 3, MinSec: 0.01})
+	d := newDetector()
 
 	if ev := d.observe("j", 0, 0, 0.1); len(ev) != 0 {
-		t.Fatalf("verdict below MinRanks: %+v", ev)
+		t.Fatalf("verdict below stragglerMinRanks: %+v", ev)
 	}
 	if ev := d.observe("j", 1, 0, 0.1); len(ev) != 0 {
-		t.Fatalf("verdict below MinRanks: %+v", ev)
+		t.Fatalf("verdict below stragglerMinRanks: %+v", ev)
 	}
-	// Third report crosses MinRanks; rank 2 runs 5× the median.
+	// Third report crosses stragglerMinRanks; rank 2 runs 5× the median.
 	ev := d.observe("j", 2, 0, 0.5)
 	if len(ev) != 1 || ev[0].Rank != 2 || ev[0].Epoch != 0 {
 		t.Fatalf("want rank 2 flagged, got %+v", ev)
@@ -76,7 +76,7 @@ func TestStragglerDetector(t *testing.T) {
 	if ev := d.observe("j", 2, 1, 0.4); len(ev) != 1 {
 		t.Fatalf("new epoch not flagged: %+v", ev)
 	}
-	// Sub-MinSec medians are scheduler noise, never flagged.
+	// Sub-stragglerMinSec medians are scheduler noise, never flagged.
 	d.observe("noise", 0, 0, 1e-5)
 	d.observe("noise", 1, 0, 1e-5)
 	if ev := d.observe("noise", 2, 0, 1.0); len(ev) != 0 {
@@ -132,7 +132,6 @@ func TestCollectorStragglerPath(t *testing.T) {
 	c := New(Config{
 		Metrics:     fleetReg,
 		JobRegistry: func(string) *trace.Registry { return jobReg },
-		Straggler:   StragglerConfig{Factor: 1.5, MinRanks: 3},
 	})
 	for rank := 0; rank < 3; rank++ {
 		sec := 0.1
@@ -468,7 +467,6 @@ func TestFleetOverRealLeases(t *testing.T) {
 	c := New(Config{
 		Metrics:     fleetReg,
 		JobRegistry: func(string) *trace.Registry { return jobReg },
-		Straggler:   StragglerConfig{Factor: 1.5, MinRanks: 3},
 	})
 	reg, err := tcpmpi.NewRegistrar("127.0.0.1:0", tcpmpi.RegistrarConfig{
 		LeaseTTL: 2 * time.Second,

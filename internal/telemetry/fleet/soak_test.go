@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,11 +16,14 @@ import (
 
 // TestFleetSoak is the full-stack fleet acceptance run, gated behind
 // CASVM_SOAK_CLUSTER=1 (`make soak-cluster`): it forks the real
-// examples/distributed launcher — four OS processes, lease discovery,
-// clock probes over loopback, an injected 1s straggler — and asserts the
-// merged trace it writes parses strictly, satisfies causality on every
-// cross-process edge, and analyzes end-to-end with a telescoping
-// critical-path decomposition.
+// examples/distributed program — a cluster coordinator and four executor
+// processes started with a per-iteration delay, the last with five times the
+// others' — and asserts that the merged trace of its Dis-SMO job (a
+// four-process TCP mesh, clock probes over loopback) parses strictly,
+// satisfies causality on every cross-process edge and analyzes end-to-end
+// with a telescoping critical-path decomposition whose makespan carries the
+// slow executor's delay on every iteration, and that the slow executor's rank
+// of its RA-CA job is flagged as a straggler.
 func TestFleetSoak(t *testing.T) {
 	if os.Getenv("CASVM_SOAK_CLUSTER") != "1" {
 		t.Skip("set CASVM_SOAK_CLUSTER=1 (or `make soak-cluster`) to run the multi-process fleet soak")
@@ -29,15 +34,14 @@ func TestFleetSoak(t *testing.T) {
 	}
 	tracePath := filepath.Join(t.TempDir(), "merged.trace")
 	cmd := exec.Command("go", "run", "./examples/distributed",
-		"-launch", "-p", "4", "-fleet-trace", tracePath,
-		"-straggle-rank", "2", "-straggle-sec", "1s")
+		"-p", "4", "-fleet-trace", tracePath, "-straggler", "2ms")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("launcher failed: %v\n%s", err, out)
+		t.Fatalf("example failed: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "STRAGGLER rank 2") {
-		t.Fatalf("straggler verdict missing from launcher output:\n%s", out)
+	if !strings.Contains(string(out), "STRAGGLER rank 3") {
+		t.Fatalf("straggler verdict on the slow executor's rank 3 missing from the output:\n%s", out)
 	}
 
 	f, err := os.Open(tracePath)
@@ -70,9 +74,16 @@ func TestFleetSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The injected 1s delay dominates the makespan.
-	if a.MakespanSec < 0.9 {
-		t.Fatalf("makespan %.3fs, want ≥ 0.9s (straggler not on the path?)", a.MakespanSec)
+	// Every Dis-SMO iteration's reduction waits on the slowed executor, which
+	// sleeps 2.5 ms an iteration, so that sleep dominates the makespan.
+	m := regexp.MustCompile(`dissmo +P=4: .*, (\d+) iterations`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("no Dis-SMO result line in the output:\n%s", out)
+	}
+	iters, _ := strconv.Atoi(string(m[1]))
+	if floor := float64(iters) * 2e-3; iters == 0 || a.MakespanSec < floor {
+		t.Fatalf("makespan %.3fs, want ≥ %d iterations × 2 ms = %.3fs (the slowed rank not on the path?)",
+			a.MakespanSec, iters, floor)
 	}
 	if diff := math.Abs(a.Sum() - a.MakespanSec); diff > 1e-9*a.MakespanSec {
 		t.Fatalf("decomposition %.9fs != makespan %.9fs", a.Sum(), a.MakespanSec)

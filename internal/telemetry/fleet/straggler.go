@@ -6,33 +6,19 @@ import (
 	"time"
 )
 
-// StragglerConfig tunes the online detector. The heuristic follows the
+// The online detector's thresholds. The heuristic follows the
 // adaptive-shrinking literature (1406.5161): within a gang, per-epoch
-// durations are near-identical unless a rank is straggling, so a rank
-// whose epoch runs beyond Factor × the gang median is flagged.
-type StragglerConfig struct {
-	// Factor is the flagging threshold over the gang median (default 1.75).
-	Factor float64
-	// MinRanks is the minimum number of rank reports for one epoch before
-	// a median is trusted (default 3).
-	MinRanks int
-	// MinSec ignores epochs whose median is below this floor — sub-
-	// millisecond epochs are all scheduler noise (default 1ms).
-	MinSec float64
-}
-
-func (c StragglerConfig) withDefaults() StragglerConfig {
-	if c.Factor <= 1 {
-		c.Factor = 1.75
-	}
-	if c.MinRanks < 2 {
-		c.MinRanks = 3
-	}
-	if c.MinSec <= 0 {
-		c.MinSec = 1e-3
-	}
-	return c
-}
+// durations are near-identical unless a rank is straggling, so a rank whose
+// epoch runs beyond stragglerFactor × the gang median is flagged.
+const (
+	stragglerFactor = 1.75
+	// stragglerMinRanks is how many rank reports one epoch needs before its
+	// median is trusted.
+	stragglerMinRanks = 3
+	// stragglerMinSec ignores epochs whose median is below this floor:
+	// sub-millisecond epochs are all scheduler noise.
+	stragglerMinSec = 1e-3
+)
 
 // StragglerEvent is one detector verdict, published on the SSE stream and
 // counted by the cluster_straggler_* metrics.
@@ -52,16 +38,13 @@ type StragglerEvent struct {
 // not-yet-flagged rank beyond the threshold (including ranks reported
 // before the median shifted).
 type detector struct {
-	cfg StragglerConfig
-
 	mu      sync.Mutex
 	epochs  map[string]map[int]map[int]float64 // job → epoch → rank → sec
 	flagged map[string]map[[2]int]bool         // job → (epoch, rank)
 }
 
-func newDetector(cfg StragglerConfig) *detector {
+func newDetector() *detector {
 	return &detector{
-		cfg:     cfg.withDefaults(),
 		epochs:  map[string]map[int]map[int]float64{},
 		flagged: map[string]map[[2]int]bool{},
 	}
@@ -84,7 +67,7 @@ func (d *detector) observe(job string, rank, epoch int, sec float64) []Straggler
 	}
 	ranks[rank] = sec
 
-	if len(ranks) < d.cfg.MinRanks {
+	if len(ranks) < stragglerMinRanks {
 		return nil
 	}
 	durs := make([]float64, 0, len(ranks))
@@ -96,7 +79,7 @@ func (d *detector) observe(job string, rank, epoch int, sec float64) []Straggler
 	if len(durs)%2 == 0 {
 		median = (durs[len(durs)/2-1] + durs[len(durs)/2]) / 2
 	}
-	if median < d.cfg.MinSec {
+	if median < stragglerMinSec {
 		return nil
 	}
 
@@ -108,7 +91,7 @@ func (d *detector) observe(job string, rank, epoch int, sec float64) []Straggler
 	var out []StragglerEvent
 	now := time.Now().UnixNano()
 	for r, s := range ranks {
-		if s <= d.cfg.Factor*median {
+		if s <= stragglerFactor*median {
 			continue
 		}
 		key := [2]int{epoch, r}
@@ -145,9 +128,6 @@ type eventRing struct {
 }
 
 func newEventRing(max int) *eventRing {
-	if max < 1 {
-		max = 256
-	}
 	return &eventRing{max: max}
 }
 

@@ -25,8 +25,8 @@ import (
 
 // Fleet control-frame tags. They share the lease-frame tag space with the
 // cluster's job control (tagSubmit=101, tagResult=102 in
-// internal/cluster/wire.go, which routes this block to the Collector) and
-// the mesh-discovery tags of examples/distributed (77–79).
+// internal/cluster/wire.go, which routes this block to the Collector) and its
+// executor frames (108–113 in internal/cluster/execwire.go).
 const (
 	// TagHello announces a worker's (job, rank, p) before any other fleet
 	// frame; it also triggers the coordinator's clock probe of this lease.
