@@ -212,11 +212,34 @@ func remoteJobSets(b *testing.B) (dense, sparse *model.Set, text []byte) {
 	return out.Set, sparse, buf.Bytes()
 }
 
-// BenchmarkModelHash is the fingerprint of a finished job: the text format
-// streamed through SHA-256.
+// canonicalLen is the length of the binary form Set.Hash streams through
+// SHA-256, counted from the layout model/hash.go documents.
+func canonicalLen(s *model.Set) int {
+	k := s.Models[0].Kernel
+	n := 4 + len("casvm-model-set/bin1") + 4 + 4 + 4 + len(k.Kind.String()) + 3*8 + 4 + 4
+	for key, v := range s.Meta {
+		n += 4 + len(key) + 4 + len(v)
+	}
+	n += 8 * s.Centers.Rows() * s.Centers.Features()
+	for _, m := range s.Models {
+		n += 4 + 8 + 8
+		for i := 0; i < m.NSV(); i++ {
+			n += 8 + 8 + 4
+			for _, v := range m.SVX.RowInto(i, make([]float64, m.SVX.Features())) {
+				if v != 0 {
+					n += 4 + 8
+				}
+			}
+		}
+	}
+	return n
+}
+
+// BenchmarkModelHash is the fingerprint of a finished job: the set's
+// canonical binary form streamed through SHA-256, never formatted as text.
 func BenchmarkModelHash(b *testing.B) {
-	set, _, text := remoteJobSets(b)
-	b.SetBytes(int64(len(text)))
+	set, _, _ := remoteJobSets(b)
+	b.SetBytes(int64(canonicalLen(set)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -241,9 +264,9 @@ func BenchmarkLoadSet(b *testing.B) {
 }
 
 // BenchmarkShardCodec is what crossing a process boundary costs the job's
-// four shards, each way: sections framed by mpi.PackSections, as
-// core.GatherOutput and the cluster's rank-done frame carry them. wire_B/op
-// is the four envelopes together.
+// four shards, each way: sections framed by mpi.PackSections, as the
+// cluster's rank-done frame carries them. wire_B/op is the four envelopes
+// together.
 func BenchmarkShardCodec(b *testing.B) {
 	dense, sparse, _ := remoteJobSets(b)
 	for _, tc := range []struct {

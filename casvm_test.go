@@ -3,6 +3,8 @@ package casvm
 import (
 	"path/filepath"
 	"testing"
+
+	"casvm/internal/serve"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -97,5 +99,37 @@ func TestFacadeGenerate(t *testing.T) {
 func TestLoadModelSetMissingFile(t *testing.T) {
 	if _, err := LoadModelSet("/nonexistent/model.txt"); err == nil {
 		t.Fatal("missing file should fail")
+	}
+}
+
+// TestServedModelHashIsTrainingHash: a model trained, saved and loaded by the
+// serving registry reports the ModelHash of the run that trained it, so a
+// served model links back to its job although the file holds text and the
+// trained set dense rows.
+func TestServedModelHashIsTrainingHash(t *testing.T) {
+	ds, entry, err := LoadDataset("toy", 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams(MethodRACA, 4)
+	p.Kernel = RBF(entry.GammaOrDefault())
+	out, err := Train(ds.X, ds.Y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := BuildReport(out, p, "toy", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.txt")
+	if err := SaveModelSet(path, out.Set); err != nil {
+		t.Fatal(err)
+	}
+	_, snap, err := serve.NewRegistry().AddFile("default", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ModelHash != rep.ModelHash || rep.ModelHash == "" {
+		t.Fatalf("served model hash %q, training run's %q", snap.ModelHash, rep.ModelHash)
 	}
 }

@@ -79,8 +79,8 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "serving %s from %s (%d partitions, %d SVs, sha256 %.12s)\n",
-			name, path, snap.Set.P(), snap.Set.NSV(), snap.FileSHA256)
+		fmt.Fprintf(stdout, "serving %s from %s (%d partitions, %d SVs, model hash %s)\n",
+			name, path, snap.Set.P(), snap.Set.NSV(), snap.ModelHash)
 	}
 	fmt.Fprintf(stdout, "listening on %s\n", s.URL())
 

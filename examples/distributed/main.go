@@ -167,10 +167,7 @@ func runJob(coord *cluster.Coordinator, method core.Method, p int, during func(*
 	if err != nil {
 		log.Fatalf("%s in-process reference: %v", method, err)
 	}
-	want, err := core.ModelHash(ref.Set)
-	if err != nil {
-		log.Fatal(err)
-	}
+	want := ref.Set.Hash()
 	j, err := coord.Submit(cluster.JobSpec{
 		ID: string(method), Dataset: "toy", Method: string(method), P: p, Seed: params.Seed,
 		Policy: "shrink", Remote: true,

@@ -428,7 +428,7 @@ func (c *Coordinator) runJob(j *Job) {
 		if ds.TestX != nil {
 			res.Accuracy = out.Set.Accuracy(ds.TestX, ds.TestY)
 		}
-		res.ModelHash, err = core.ModelHash(out.Set)
+		res.ModelHash = out.Set.Hash()
 	}
 	if err != nil {
 		res.Err = err.Error()

@@ -692,9 +692,7 @@ supervise:
 			if ds.TestX != nil {
 				res.Accuracy = set.Accuracy(ds.TestX, ds.TestY)
 			}
-			if res.ModelHash, err = core.ModelHash(set); err != nil {
-				fail("%v", err)
-			}
+			res.ModelHash = set.Hash()
 		}
 	}
 	c.finishJob(j, res)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"casvm/internal/model"
@@ -10,18 +8,9 @@ import (
 	"casvm/internal/trace/critpath"
 )
 
-// ModelHash returns the SHA-256 hex digest of the serialized model set. The
-// save format is fully deterministic, so the hash is a reproducibility
-// fingerprint: two runs with the same data, parameters and seed produce the
-// same hash regardless of Threads (the solver is bit-identical under
-// shared-memory parallelism).
-func ModelHash(s *model.Set) (string, error) {
-	h := sha256.New()
-	if err := model.SaveSet(h, s); err != nil {
-		return "", fmt.Errorf("core: hashing model: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
+// ModelHash returns the set's reproducibility fingerprint, model.Set.Hash;
+// the error is always nil.
+func ModelHash(s *model.Set) (string, error) { return s.Hash(), nil }
 
 // BuildReport assembles the structured run report for a finished training
 // run: parameters, machine constants, the phase/time split, communication
@@ -81,11 +70,7 @@ func BuildReport(out *Output, p Params, dataset string, accuracy float64) (*trac
 		}
 	}
 	if out.Set != nil {
-		h, err := ModelHash(out.Set)
-		if err != nil {
-			return nil, err
-		}
-		r.ModelHash = h
+		r.ModelHash = out.Set.Hash()
 	}
 	r.AttachTimeline(p.Timeline)
 	r.AttachMetrics(p.Metrics)

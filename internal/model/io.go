@@ -27,12 +27,12 @@ import (
 // Both dense and sparse SV storage serialise to sparse rows; loading
 // produces sparse SV matrices.
 //
-// Text is for what people read and what is hashed: model files (casvm.Save,
-// the CLIs), the serving registry, and core.ModelHash — the golden
-// fingerprints are SHA-256 of these bytes, so the writer below may change
-// how it produces them and never what they are. A model crossing a process
-// boundary does not take this form: shard.go's binary encoding carries it
-// (core.GatherOutput, the cluster's rank-done frame).
+// Text is the file format only: what people read and what model files hold
+// (casvm.SaveModelSet, the CLIs, the serving registry's loads), so the writer
+// below may change how it produces these bytes and never what they are. A
+// model crossing a process boundary takes shard.go's binary encoding (the
+// cluster's rank-done frame), and Set.Hash digests the canonical binary form
+// of hash.go; neither reads this text.
 
 // saveChunk is how much text SaveSet gathers before handing it to the writer.
 const saveChunk = 32 << 10
@@ -40,7 +40,7 @@ const saveChunk = 32 << 10
 // SaveSet writes the model set in the text format above. Every number is
 // appended to one scratch buffer with strconv — 'g' at shortest precision is
 // what fmt's %g prints, byte for byte (TestSaveSetBytesUnchanged) — and the
-// buffer goes to w a chunk at a time, so hashing a set never holds its text.
+// buffer goes to w a chunk at a time, so writing a set never holds its text.
 func SaveSet(w io.Writer, s *Set) error {
 	k := s.Models[0].Kernel
 	b := make([]byte, 0, saveChunk+saveChunk/4)
@@ -52,19 +52,12 @@ func SaveSet(w io.Writer, s *Set) error {
 	b = appendG(append(b, " scale "...), k.ScaleA)
 	b = strconv.AppendInt(append(b, " degree "...), int64(k.Degree), 10)
 	b = append(b, '\n')
-	if len(s.Meta) > 0 {
-		keys := make([]string, 0, len(s.Meta))
-		for key := range s.Meta {
-			keys = append(keys, key)
+	for _, key := range sortedKeys(s.Meta) {
+		if strings.ContainsAny(key, " \n") || strings.ContainsRune(s.Meta[key], '\n') {
+			return fmt.Errorf("model: meta %q unencodable (space in key or newline)", key)
 		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			if strings.ContainsAny(key, " \n") || strings.ContainsRune(s.Meta[key], '\n') {
-				return fmt.Errorf("model: meta %q unencodable (space in key or newline)", key)
-			}
-			b = append(append(append(append(b, "meta "...), key...), ' '), s.Meta[key]...)
-			b = append(b, '\n')
-		}
+		b = append(append(append(append(b, "meta "...), key...), ' '), s.Meta[key]...)
+		b = append(b, '\n')
 	}
 	b = append(b, "centers\n"...)
 	var err error
@@ -106,6 +99,16 @@ func SaveSet(w io.Writer, s *Set) error {
 	}
 	_, err = spill(w, b, 0)
 	return err
+}
+
+// sortedKeys returns meta's keys in order.
+func sortedKeys(meta map[string]string) []string {
+	keys := make([]string, 0, len(meta))
+	for key := range meta {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }

@@ -18,8 +18,8 @@ func metaTestSet(t *testing.T) *Set {
 
 // TestMetaRoundTrip pins the metadata extension of the model format: sorted
 // meta lines survive a save/load cycle, and a set without metadata encodes
-// byte-identically to the historical v1 format (so ModelHash fingerprints
-// from earlier releases stay valid).
+// byte-identically to the historical v1 format (so model files from earlier
+// releases read as they were written).
 func TestMetaRoundTrip(t *testing.T) {
 	s := metaTestSet(t)
 	var plain bytes.Buffer

@@ -97,9 +97,9 @@ type Set struct {
 
 	// Meta carries free-form provenance annotations (compression budget,
 	// measured accuracy delta, source hash). It serialises as sorted
-	// `meta <key> <value>` lines; an empty map writes nothing, so sets
-	// without metadata keep their historical byte-exact encoding (and
-	// therefore their ModelHash).
+	// `meta <key> <value>` lines, and an empty map writes nothing, so sets
+	// without metadata keep their historical byte-exact file encoding. Hash
+	// covers it too: annotating a set changes its fingerprint.
 	Meta map[string]string
 }
 

@@ -19,7 +19,7 @@ import (
 
 // saveSetFmt is the fmt-based writer model.SaveSet replaced, kept verbatim as
 // the oracle of TestSaveSetBytesUnchanged: every %g and %d it prints is what
-// the strconv writer must reproduce byte for byte, or every ModelHash moves.
+// the strconv writer must reproduce byte for byte, or model files change.
 func saveSetFmt(w io.Writer, s *model.Set) error {
 	bw := bufio.NewWriter(w)
 	n := s.Centers.Features()

@@ -11,11 +11,12 @@ import (
 )
 
 // Binary shard encoding: what one rank's trained model and routing center
-// look like wherever they cross a process boundary (core.GatherOutput, the
-// cluster's rank-done frame). The text format of io.go stays for what people
-// read and what is hashed — model files, the serving registry, ModelHash; a
-// shard on the wire is the numbers it is, little endian, as ShardSections
-// byte sections the caller frames with mpi.PackSections beside its own:
+// look like wherever they cross a process boundary (the cluster's rank-done
+// frame). The text format of io.go stays the file format (model files, the
+// serving registry's loads), and Set.Hash digests its own canonical form
+// (hash.go); a shard on the wire is the numbers it is, little endian, as
+// ShardSections byte sections the caller frames with mpi.PackSections beside
+// its own:
 //
 //	head   : storage kind u8 (0 dense, 1 CSR) · bias f64 · fallback f64
 //	alpha  : nsv f64
@@ -82,9 +83,9 @@ func EncodeShard(m *Model, center []float64) [][]byte {
 // model under kernel k and its center. features is the width of the
 // receiver's data; a shard of any other width is an error. Every length is
 // checked against the sections before anything is allocated, the CSR
-// structure goes through la.CheckCSR, and a non-finite number anywhere is an
-// error: what comes back can be assembled, evaluated and hashed without a
-// further look.
+// structure goes through la.CheckCSR, and a non-finite number anywhere or a
+// fallback other than ±1 is an error: what comes back can be assembled,
+// evaluated and hashed without a further look.
 func DecodeShard(secs [][]byte, k kernel.Params, features int) (*Model, []float64, error) {
 	if len(secs) != ShardSections {
 		return nil, nil, fmt.Errorf("model: shard has %d sections, want %d", len(secs), ShardSections)
@@ -119,6 +120,9 @@ func DecodeShard(secs [][]byte, k kernel.Params, features int) (*Model, []float6
 		if !allFinite(v) {
 			return nil, nil, fmt.Errorf("model: shard carries a non-finite number")
 		}
+	}
+	if m.Fallback != 1 && m.Fallback != -1 {
+		return nil, nil, fmt.Errorf("model: shard fallback %v is not a ±1 label", m.Fallback)
 	}
 	if sparse {
 		rowptr, idx := i32s(secs[secRowptr]), i32s(secs[secIdx])

@@ -178,6 +178,7 @@ func hostileShards() map[string][][]byte {
 		"infinite label":             edit(true, secY, putF64(2, math.Inf(-1))),
 		"NaN bias":                   edit(false, secHead, func(b []byte) []byte { putF64(0, math.NaN())(b[1:]); return b }),
 		"infinite fallback":          edit(false, secHead, func(b []byte) []byte { putF64(1, math.Inf(1))(b[1:]); return b }),
+		"fallback not a label":       edit(false, secHead, func(b []byte) []byte { putF64(1, 1e-76)(b[1:]); return b }),
 		"infinite center":            edit(true, secCenter, putF64(2, math.Inf(1))),
 		"NaN support vector":         edit(true, secVal, putF64(3, math.NaN())),
 	}
@@ -206,9 +207,11 @@ func TestDecodeShardRejects(t *testing.T) {
 // FuzzDecodeShardModel drives the shard decoder with hostile envelopes. It
 // sits on both process boundaries a trained model crosses, so it must not
 // panic, must not allocate past the bytes it was handed (the length checks
-// come first), and whatever it accepts must be a model that evaluates, and
-// that re-encodes to the same sections. The seed corpus comes from the
-// encoder — valid dense, CSR and empty shards, and every hostile edit of
+// come first), and whatever it accepts must be a model that evaluates, that
+// re-encodes to the same sections, and whose model file loads back to the
+// same Set.Hash ('g' at shortest precision round-trips every finite float64,
+// so a loaded model hashes as the trained one). The seed corpus comes from
+// the encoder — valid dense, CSR and empty shards, and every hostile edit of
 // TestDecodeShardRejects; it runs in normal test mode and in `make
 // fuzz-smoke`.
 func FuzzDecodeShardModel(f *testing.F) {
@@ -247,6 +250,11 @@ func FuzzDecodeShardModel(f *testing.F) {
 			if !bytes.Equal(again[i], secs[i]) {
 				t.Fatalf("section %d changed across decode and encode", i)
 			}
+		}
+		// A model written to a file and loaded back is the model trained.
+		set := model.Single(m, center)
+		if h, want := textRoundTrip(t, set).Hash(), set.Hash(); h != want {
+			t.Fatalf("loaded from text hashes to %s, want %s", h, want)
 		}
 	})
 }

@@ -72,12 +72,13 @@ func TestServerAddModelFromFile(t *testing.T) {
 	s := startTestServer(t, Config{})
 	dir := t.TempDir()
 	path := dir + "/m.model"
-	saveSetFile(t, path, testSet(5, 4))
+	set := testSet(5, 4)
+	saveSetFile(t, path, set)
 	snap, err := s.AddModel("disk", path)
 	if err != nil {
 		t.Fatalf("AddModel: %v", err)
 	}
-	if snap.Path != path || snap.FileSHA256 == "" || snap.Generation != 1 {
+	if snap.Path != path || snap.ModelHash != set.Hash() || snap.Generation != 1 {
 		t.Fatalf("snapshot %+v", snap)
 	}
 	if got := s.Registry().Names(); len(got) != 1 || got[0] != "disk" {

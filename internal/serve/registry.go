@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"sort"
@@ -24,7 +21,7 @@ type Snapshot struct {
 	Set        *model.Set
 	Generation uint64 // 1 for the initial load, +1 per reload
 	Path       string // source file ("" for in-memory sets)
-	FileSHA256 string // content hash of the source file ("" for in-memory)
+	ModelHash  string // the set's fingerprint, model.Set.Hash, as training reports it
 	LoadedAt   time.Time
 }
 
@@ -45,13 +42,14 @@ func (h *Handle) Snapshot() *Snapshot { return h.cur.Load() }
 // Batcher returns the attached batcher (nil until the server wires one).
 func (h *Handle) Batcher() *Batcher { return h.batcher.Load() }
 
-// swap installs a new model set as the next generation.
-func (h *Handle) swap(set *model.Set, path, sha string) *Snapshot {
+// swap installs a new model set as the next generation, fingerprinted once
+// here so every surface reports the hash of the job that trained it.
+func (h *Handle) swap(set *model.Set, path string) *Snapshot {
 	s := &Snapshot{
 		Set:        set,
 		Generation: h.gen.Add(1),
 		Path:       path,
-		FileSHA256: sha,
+		ModelHash:  set.Hash(),
 		LoadedAt:   time.Now(),
 	}
 	h.cur.Store(s)
@@ -143,7 +141,7 @@ func (r *Registry) AddSet(name string, set *model.Set) (*Handle, *Snapshot, erro
 		return nil, nil, err
 	}
 	h := r.register(name)
-	s := h.swap(set, "", "")
+	s := h.swap(set, "")
 	if r.reloads != nil && s.Generation > 1 {
 		r.reloads()
 	}
@@ -153,12 +151,12 @@ func (r *Registry) AddSet(name string, set *model.Set) (*Handle, *Snapshot, erro
 // AddFile loads a model file and registers it under name. Registering an
 // existing name hot-swaps it (same as Reload).
 func (r *Registry) AddFile(name, path string) (*Handle, *Snapshot, error) {
-	set, sha, err := loadModelFile(path)
+	set, err := loadModelFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	h := r.register(name)
-	s := h.swap(set, path, sha)
+	s := h.swap(set, path)
 	if r.reloads != nil && s.Generation > 1 {
 		r.reloads()
 	}
@@ -175,33 +173,32 @@ func (r *Registry) Reload(h *Handle, path string) (*Snapshot, error) {
 			return nil, fmt.Errorf("serve: model %q was loaded from memory; reload needs an explicit path", h.Name)
 		}
 	}
-	set, sha, err := loadModelFile(path)
+	set, err := loadModelFile(path)
 	if err != nil {
 		return nil, err
 	}
-	s := h.swap(set, path, sha)
+	s := h.swap(set, path)
 	if r.reloads != nil {
 		r.reloads()
 	}
 	return s, nil
 }
 
-// loadModelFile reads, parses and validates a model file, returning the set
-// and the content hash serving surfaces report.
-func loadModelFile(path string) (*model.Set, string, error) {
-	b, err := os.ReadFile(path)
+// loadModelFile reads, parses and validates a model file.
+func loadModelFile(path string) (*model.Set, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, "", fmt.Errorf("serve: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	set, err := model.LoadSet(bytes.NewReader(b))
+	defer f.Close()
+	set, err := model.LoadSet(f)
 	if err != nil {
-		return nil, "", fmt.Errorf("serve: load %s: %w", path, err)
+		return nil, fmt.Errorf("serve: load %s: %w", path, err)
 	}
 	if err := validateSet(set); err != nil {
-		return nil, "", fmt.Errorf("serve: %s: %w", path, err)
+		return nil, fmt.Errorf("serve: %s: %w", path, err)
 	}
-	sum := sha256.Sum256(b)
-	return set, hex.EncodeToString(sum[:]), nil
+	return set, nil
 }
 
 func validateSet(set *model.Set) error {

@@ -218,7 +218,7 @@ func TestHTTPSmoke(t *testing.T) {
 		t.Fatalf("decode reload response: %v", err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || info.Generation != 2 || info.FileSHA256 == "" {
+	if resp.StatusCode != http.StatusOK || info.Generation != 2 || info.ModelHash != set2.Hash() {
 		t.Fatalf("reload: status %d info %+v", resp.StatusCode, info)
 	}
 	pr, resp = postPredict(t, s.URL(), PredictRequest{Queries: qs})

@@ -295,7 +295,7 @@ type modelInfo struct {
 	Name       string            `json:"name"`
 	Generation uint64            `json:"generation"`
 	Path       string            `json:"path,omitempty"`
-	FileSHA256 string            `json:"file_sha256,omitempty"`
+	ModelHash  string            `json:"model_hash"`
 	LoadedAt   time.Time         `json:"loaded_at"`
 	Partitions int               `json:"partitions"`
 	Features   int               `json:"features"`
@@ -308,7 +308,7 @@ func snapshotInfo(name string, snap *Snapshot) modelInfo {
 		Name:       name,
 		Generation: snap.Generation,
 		Path:       snap.Path,
-		FileSHA256: snap.FileSHA256,
+		ModelHash:  snap.ModelHash,
 		LoadedAt:   snap.LoadedAt,
 		Partitions: snap.Set.P(),
 		Features:   snap.Set.Centers.Features(),
