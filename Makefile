@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix vet fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff serve-smoke dist-smoke soak soak-cluster cover loc
+.PHONY: build test race race-matrix vet cross-vet fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff serve-smoke dist-smoke soak soak-cluster cover loc
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# cross-vet vets the module as arm64, where internal/la's assembly kernels
+# are absent: the portable fallback and its build tags must compile and vet
+# clean (amd64 vet already runs asmdecl over the .s files).
+cross-vet:
+	GOARCH=arm64 $(GO) vet ./...
 
 # fmt fails on any file gofmt would rewrite (bench/ included).
 fmt:
@@ -91,12 +97,13 @@ dist-smoke:
 		echo "dist-smoke: $$n of 2 methods reported the reference hash"; exit 1; fi; \
 	echo "$$out" | grep 'P=4:'
 
-# check is the full verification gate: gofmt, vet (root module and bench/),
-# the reachability gate, the whole suite under the race detector (which includes the TestChaosMatrix fault smoke: six methods ×
+# check is the full verification gate: gofmt, vet (root module as amd64 and
+# arm64, and bench/), the reachability gate, the whole suite under the race
+# detector (which includes the TestChaosMatrix fault smoke: six methods ×
 # crash/drop+delay/corrupt under respawn recovery), the 1/4-CPU race matrix
 # over the concurrency-heavy packages, the fuzz seed corpora, the
 # live-server smoke run, and the multi-process example.
-check: fmt vet dead bench-build race race-matrix fuzz-smoke serve-smoke dist-smoke
+check: fmt vet cross-vet dead bench-build race race-matrix fuzz-smoke serve-smoke dist-smoke
 
 # soak is the randomized chaos soak: seeded random fault schedules over
 # every method family and both recovery policies, each run checked for
@@ -147,8 +154,9 @@ bench: bench-kernel
 # MulTile vs the row loop, CrossTile vs per-element Eval, batched
 # PredictAll vs the per-row loop it replaced (the mixed-storage cases are
 # the headline: the row path re-densifies the sparse side per support
-# vector), and the two LIBSVM readers.
-KERNEL_BENCH = BenchmarkMulTile|BenchmarkCrossTile|BenchmarkPredictAll|BenchmarkLoadLIBSVM
+# vector), the two LIBSVM readers, and the Gaussian kernel's four-lane exp
+# and distance fill (ExpScaled, SqDistRows) against the scalar loops.
+KERNEL_BENCH = BenchmarkMulTile|BenchmarkCrossTile|BenchmarkPredictAll|BenchmarkLoadLIBSVM|BenchmarkExpScaled|BenchmarkSqDistRows
 KERNEL_BENCH_PKGS = ./internal/la ./internal/kernel ./internal/model ./internal/data
 bench-kernel:
 	$(GO) test $(KERNEL_BENCH_PKGS) -run '^$$' -bench '$(KERNEL_BENCH)' \
@@ -180,8 +188,9 @@ loc:
 		| sort -k2
 
 # Short fuzz sweep over every fuzz target (parsers, the wire-frame, hello and
-# registration-reply decoders, the matrix and shard decoders, and the
-# run-report round trip); seed corpora also run in plain `make test`.
+# registration-reply decoders, the matrix and shard decoders, the run-report
+# round trip, and the four-lane exp and distance kernels against their scalar
+# oracles); seed corpora also run in plain `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime 10s ./internal/data
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/tcpmpi
@@ -191,6 +200,8 @@ fuzz:
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodePredictRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run 'Fuzz' -fuzz FuzzExecFrames -fuzztime 10s ./internal/cluster
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeMatrix -fuzztime 10s ./internal/la
+	$(GO) test -run 'Fuzz' -fuzz FuzzExpScaled -fuzztime 10s ./internal/la
+	$(GO) test -run 'Fuzz' -fuzz FuzzSqDistRows -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeShardModel -fuzztime 10s ./internal/model
 
 # cover enforces statement-coverage floors on the packages whose

@@ -64,8 +64,9 @@ func (c *RowCache) SetRecorder(rec *trace.Recorder) { c.rec = rec }
 // capacity rows (minimum 2, since SMO needs the high and low rows live at
 // once). The whole block is allocated up front, and Go's allocator zeroes
 // all of it whether or not a row ever lands there: construction costs
-// capacity·m stores (~5% of a casvm-dense job is that memclr), not just
-// address space.
+// capacity·m stores, not just address space — 8.5% of a casvm-dense job's
+// CPU at GOMAXPROCS=1 is that memclr, up from 4.4% once the Gaussian fills
+// ran four lanes wide (la.ExpScaled, la.SqDistRows).
 func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
 	if capacity < 2 {
 		capacity = 2

@@ -231,10 +231,13 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 		p.fillSparse(b, rows[:], a, nil, dsts[:], 1)
 	case !a.Sparse() && !b.Sparse():
 		xj := b.DenseRow(j)
-		for i := 0; i < m; i++ {
-			if p.Kind == Gaussian {
-				dst[i] = math.Exp(-p.Gamma * la.SqDist(a.DenseRow(i), xj))
-			} else {
+		if p.Kind == Gaussian {
+			// SqDist is bitwise symmetric: SqDist(xj, a_i) is the scalar
+			// recipe's SqDist(a_i, xj).
+			la.SqDistRows(xj, a, nil, dst)
+			la.ExpScaled(dst, -p.Gamma)
+		} else {
+			for i := 0; i < m; i++ {
 				dst[i] = p.fromDot(la.Dot(a.DenseRow(i), xj), 0)
 			}
 		}
@@ -245,10 +248,13 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 		xjsq := la.SqNorm(xj)
 		for i := 0; i < m; i++ {
 			if p.Kind == Gaussian {
-				dst[i] = math.Exp(-p.Gamma * a.SqDistVec(i, xj, xjsq))
+				dst[i] = a.SqDistVec(i, xj, xjsq)
 			} else {
 				dst[i] = p.fromDot(a.DotVec(i, xj), 0)
 			}
+		}
+		if p.Kind == Gaussian {
+			la.ExpScaled(dst, -p.Gamma)
 		}
 		putScratch(buf)
 	}

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"math"
 	"sync"
 
 	"casvm/internal/la"
@@ -80,11 +79,18 @@ func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, cols []int32, t
 // short rows, which is exactly the single-row fill of a training scan.
 const tileRowBlock = 8
 
+// fillChunk is how many Gaussian kernel elements per tile row a fill
+// computes as distances into a stack buffer before finishing them with one
+// la.ExpScaled call: enough to amortise the call, small enough that a
+// sparse block's tileRowBlock buffers (8 KiB) stay in L1.
+const fillChunk = 128
+
 // tileCols fills the listed columns of every tile row of a dense matrix. The
 // column row j is loaded once and evaluated against all tile rows
-// (column-outer order), with the tile row as the first argument of the
-// dot/distance primitive — which, both being bitwise symmetric, is the value
-// the column's own row holds at the tile row's index.
+// (column-outer order; the Gaussian kernel goes a chunk of columns at a
+// time), with the tile row as the first argument of the dot/distance
+// primitive — which, both being bitwise symmetric, is the value the column's
+// own row holds at the tile row's index.
 func (p Params) tileCols(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) {
 	for base := 0; base < len(rows); base += tileRowBlock {
 		n := len(rows) - base
@@ -96,20 +102,32 @@ func (p Params) tileCols(a *la.Matrix, rows []int, dsts [][]float64, cols []int3
 }
 
 func (p Params) tileColsBlock(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) {
+	if p.Kind == Gaussian {
+		// A chunk of columns at a time, so its rows stay cache-resident
+		// across the tile rows: distances into d, one batched exp, scatter.
+		var d [fillChunk]float64
+		for lo := 0; lo < len(cols); lo += fillChunk {
+			chunk := cols[lo:min(lo+fillChunk, len(cols))]
+			out := d[:len(chunk)]
+			for r, i := range rows {
+				la.SqDistRows(a.DenseRow(i), a, chunk, out)
+				la.ExpScaled(out, -p.Gamma)
+				dst := dsts[r]
+				for k, j := range chunk {
+					dst[j] = out[k]
+				}
+			}
+		}
+		return
+	}
 	var xr [tileRowBlock][]float64
 	for r, i := range rows {
 		xr[r] = a.DenseRow(i)
 	}
 	for _, j := range cols {
 		xj := a.DenseRow(int(j))
-		if p.Kind == Gaussian {
-			for r := range rows {
-				dsts[r][j] = math.Exp(-p.Gamma * la.SqDist(xr[r], xj))
-			}
-		} else {
-			for r := range rows {
-				dsts[r][j] = p.fromDot(la.Dot(xr[r], xj), 0)
-			}
+		for r := range rows {
+			dsts[r][j] = p.fromDot(la.Dot(xr[r], xj), 0)
 		}
 	}
 }
@@ -170,24 +188,42 @@ func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, at []int
 // block's first n rows, column-outer like tileCols.
 func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32, lo, hi int) {
 	rows, dsts := sb.row[:n], sb.dst[:n]
-	for k := lo; k < hi; k++ {
-		j := k
+	col := func(k int) int {
 		if at != nil {
-			j = int(at[k])
+			return int(at[k])
 		}
-		ji, jv := cols.SparseRow(j)
-		if p.Kind == Gaussian {
-			nj := cols.SqNormRow(j)
-			for r := range rows {
-				d := sb.sq[r] + nj - 2*rows[r].Dot(ji, jv)
-				if d < 0 {
-					d = 0
-				}
-				dsts[r][j] = math.Exp(-p.Gamma * d)
-			}
-		} else {
+		return k
+	}
+	if p.Kind != Gaussian {
+		for k := lo; k < hi; k++ {
+			j := col(k)
+			ji, jv := cols.SparseRow(j)
 			for r := range rows {
 				dsts[r][j] = p.fromDot(rows[r].Dot(ji, jv), 0)
+			}
+		}
+		return
+	}
+	var d [tileRowBlock][fillChunk]float64
+	for c0 := lo; c0 < hi; c0 += fillChunk {
+		w := min(fillChunk, hi-c0)
+		for k := 0; k < w; k++ {
+			j := col(c0 + k)
+			ji, jv := cols.SparseRow(j)
+			nj := cols.SqNormRow(j)
+			for r := range rows {
+				v := sb.sq[r] + nj - 2*rows[r].Dot(ji, jv)
+				if v < 0 {
+					v = 0
+				}
+				d[r][k] = v
+			}
+		}
+		for r := range rows {
+			out := d[r][:w]
+			la.ExpScaled(out, -p.Gamma)
+			for k, v := range out {
+				dsts[r][col(c0+k)] = v
 			}
 		}
 	}
@@ -223,7 +259,10 @@ func (p Params) CrossTile(a *la.Matrix, rows []int, b *la.Matrix, clo, chi int, 
 				if d < 0 {
 					d = 0
 				}
-				out[c-clo] = math.Exp(-p.Gamma * d)
+				out[c-clo] = d
+			}
+			if ld != w {
+				la.ExpScaled(out, -p.Gamma)
 			}
 		} else {
 			for k, dot := range out {
@@ -236,6 +275,10 @@ func (p Params) CrossTile(a *la.Matrix, rows []int, b *la.Matrix, clo, chi int, 
 		} else {
 			flops += float64(2*a.Features()*w + w)
 		}
+	}
+	if p.Kind == Gaussian && ld == w {
+		// A contiguous tile takes one exp call, however few columns a row has.
+		la.ExpScaled(dst[:len(rows)*w], -p.Gamma)
 	}
 	return flops
 }

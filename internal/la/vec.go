@@ -5,7 +5,14 @@
 //
 // Everything here is deliberately allocation-free on the hot paths; the SMO
 // inner loop spends nearly all of its time in Dot and SqDist.
+//
+// ExpScaled and SqDistRows, the Gaussian kernel's batched finish and
+// distance fill, run four lanes wide in amd64 assembly (vec_amd64.s) when
+// the CPU has AVX2 and FMA, and as the portable loops otherwise; both paths
+// give the scalar results bit for bit.
 package la
+
+import "math"
 
 // Dot returns the inner product of a and b. The slices must have equal
 // length; only the common prefix is used if they do not, which matches the
@@ -35,37 +42,82 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// SqDist returns the squared Euclidean distance ||a-b||².
+// SqDist returns the squared Euclidean distance ||a-b||². It is the recipe
+// SqDistRows's lanes replay: four accumulators over the common prefix,
+// combined (s0+s1)+(s2+s3), then the sequential tail.
 func SqDist(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
+	// Consuming both prefixes four at a time lets the compiler drop every
+	// bounds check in the loop.
+	x, y := a[:n], b[:n]
 	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
+	for len(x) >= 4 && len(y) >= 4 {
+		d0 := x[0] - y[0]
+		d1 := x[1] - y[1]
+		d2 := x[2] - y[2]
+		d3 := x[3] - y[3]
 		s0 += d0 * d0
 		s1 += d1 * d1
 		s2 += d2 * d2
 		s3 += d3 * d3
+		x, y = x[4:], y[4:]
 	}
 	s := (s0 + s1) + (s2 + s3)
-	for ; i < n; i++ {
-		d := a[i] - b[i]
+	for i, v := range x {
+		d := v - y[i]
 		s += d * d
 	}
 	// Tails when one vector is longer than the other.
-	for ; i < len(a); i++ {
-		s += a[i] * a[i]
+	for _, v := range a[n:] {
+		s += v * v
 	}
-	for i = n; i < len(b); i++ {
-		s += b[i] * b[i]
+	for _, v := range b[n:] {
+		s += v * v
 	}
 	return s
+}
+
+// SqDistRows sets out[k] = SqDist(x, m.DenseRow(int(rows[k]))) for every k,
+// or out[k] = SqDist(x, m.DenseRow(k)) for every k of out when rows is nil,
+// bit for bit. m must be dense.
+func SqDistRows(x []float64, m *Matrix, rows []int32, out []float64) {
+	if rows != nil {
+		out = out[:len(rows)]
+	}
+	k := 0
+	if vectorKernels && !m.sparse && len(x) == m.n {
+		k = sqDistRowsVec(x, m.dense, m.m, rows, out)
+	}
+	// The rest, if any: a length the lanes do not take, or from a row index
+	// out of range, where DenseRow panics.
+	for ; k < len(out); k++ {
+		i := k
+		if rows != nil {
+			i = int(rows[k])
+		}
+		out[k] = SqDist(x, m.DenseRow(i))
+	}
+}
+
+// ExpScaled sets x[i] = math.Exp(s*x[i]) for every i, bit for bit — the
+// Gaussian kernel's finish over a batch of distances (s = −γ).
+func ExpScaled(x []float64, s float64) {
+	i := 0
+	for vectorKernels {
+		i += expScaledVec(x[i:], s)
+		if len(x)-i < 4 {
+			break
+		}
+		// A lane of this group is outside [−708, 709] or not finite:
+		// math.Exp's own branches handle it.
+		for k := i; k < i+4; k++ {
+			x[k] = math.Exp(s * x[k])
+		}
+		i += 4
+	}
+	for ; i < len(x); i++ {
+		x[i] = math.Exp(s * x[i])
+	}
 }
 
 // Axpy computes y += alpha*x in place. Elementwise updates are
