@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix vet cross-vet fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff serve-smoke dist-smoke soak soak-cluster cover loc
+.PHONY: build test race race-matrix vet cross-vet lanes-off fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff serve-smoke dist-smoke soak soak-cluster cover loc
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,17 @@ vet:
 # clean (amd64 vet already runs asmdecl over the .s files).
 cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
+
+# lanes-off reruns the bit-identity pins — golden hashes, the fused and
+# prefetched solves against their references, ApplyColumns and the Dis-SMO
+# pins — with internal/la's four-lane kernels off, so the portable loops must
+# land on the same numbers (TestVectorKernelsActive fails if the lanes stayed
+# on). GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
+# branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
+# hash with it.
+LANES_OFF_TESTS = Golden|Repin|Fused|ThreadCount|ParallelMatches|Prefetch|ApplyColumns|DisSMO|VectorKernelsActive
+lanes-off:
+	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la
 
 # fmt fails on any file gofmt would rewrite (bench/ included).
 fmt:
@@ -101,9 +112,9 @@ dist-smoke:
 # arm64, and bench/), the reachability gate, the whole suite under the race
 # detector (which includes the TestChaosMatrix fault smoke: six methods ×
 # crash/drop+delay/corrupt under respawn recovery), the 1/4-CPU race matrix
-# over the concurrency-heavy packages, the fuzz seed corpora, the
-# live-server smoke run, and the multi-process example.
-check: fmt vet cross-vet dead bench-build race race-matrix fuzz-smoke serve-smoke dist-smoke
+# over the concurrency-heavy packages, the pins with the lanes off, the fuzz
+# seed corpora, the live-server smoke run, and the multi-process example.
+check: fmt vet cross-vet dead bench-build race race-matrix lanes-off fuzz-smoke serve-smoke dist-smoke
 
 # soak is the randomized chaos soak: seeded random fault schedules over
 # every method family and both recovery policies, each run checked for
@@ -142,7 +153,7 @@ soak-cluster:
 # serve-batch and serve-single bodies, ungated.
 bench: bench-kernel
 	{ $(GO) test ./internal/smo ./internal/kernel ./internal/la ./internal/core \
-		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScanFused|RowCache|BenchmarkDot|BenchmarkSpDotFill|BenchmarkTrainDisSMO$$' \
+		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScan|RowCache|BenchmarkDot|BenchmarkSpDotFill|BenchmarkTrainDisSMO$$' \
 		-benchmem -cpu 1,4; \
 	  $(GO) test . -run '^$$' -bench 'BenchmarkModelHash$$|BenchmarkLoadSet$$|BenchmarkShardCodec' \
 		-benchmem -cpu 1,4; \
@@ -189,8 +200,8 @@ loc:
 
 # Short fuzz sweep over every fuzz target (parsers, the wire-frame, hello and
 # registration-reply decoders, the matrix and shard decoders, the run-report
-# round trip, and the four-lane exp and distance kernels against their scalar
-# oracles); seed corpora also run in plain `make test`.
+# round trip, and the four-lane exp, distance and SMO update-scan kernels
+# against their scalar oracles); seed corpora also run in plain `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime 10s ./internal/data
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/tcpmpi
@@ -202,6 +213,7 @@ fuzz:
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeMatrix -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzExpScaled -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzSqDistRows -fuzztime 10s ./internal/la
+	$(GO) test -run 'Fuzz' -fuzz FuzzUpdateScan -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeShardModel -fuzztime 10s ./internal/model
 
 # cover enforces statement-coverage floors on the packages whose

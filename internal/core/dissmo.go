@@ -50,9 +50,6 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 	c.SetPhase("solve")
 	spSolve := rec.BeginVirt(trace.CatTrain, "solve", c.Clock())
 	cfg := p.solverConfig()
-	// Kernel values reach this loop through the column cache below; the
-	// solver's own local×local row cache is never read, so keep it minimal.
-	cfg.CacheRows = 2
 	startIter := 0
 	if rt := p.rt; rt != nil {
 		if epoch, ga, gf, ok := rt.store.consistentDis(); ok {

@@ -17,11 +17,12 @@ import (
 // evaluates the columns whose rows are absent; with nothing resident that is
 // the whole row.
 //
-// The cache is allocation-free after construction: slots, LRU order and the
-// flat row block are an lruSlab (shared with ColumnCache), so a hit is two
-// array reads and four link writes and a miss fills one row in place — no
-// container/list element boxing, no per-miss make, nothing for the garbage
-// collector to trace.
+// Slots, LRU order and the chunked row storage are an lruSlab (shared with
+// ColumnCache), so a hit is two array reads and four link writes and a miss
+// fills one row in place — no container/list element boxing, no per-miss
+// make, nothing for the garbage collector to trace. The only allocations are
+// the storage chunks, one per chunk of fresh slots; a full cache allocates
+// nothing.
 //
 // RowCache is not safe for concurrent use; each solver owns one.
 type RowCache struct {
@@ -62,11 +63,9 @@ func (c *RowCache) SetRecorder(rec *trace.Recorder) { c.rec = rec }
 
 // NewRowCache creates a cache over the given matrix holding at most
 // capacity rows (minimum 2, since SMO needs the high and low rows live at
-// once). The whole block is allocated up front, and Go's allocator zeroes
-// all of it whether or not a row ever lands there: construction costs
-// capacity·m stores, not just address space — 8.5% of a casvm-dense job's
-// CPU at GOMAXPROCS=1 is that memclr, up from 4.4% once the Gaussian fills
-// ran four lanes wide (la.ExpScaled, la.SqDistRows).
+// once). Row storage is allocated in chunks as misses land (lruSlab), so the
+// allocator zeroes only about the rows a solve touches: a casvm-dense rank
+// fills ~70% of its capacity, and a cache nothing reads allocates no rows.
 func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
 	if capacity < 2 {
 		capacity = 2
@@ -181,15 +180,21 @@ func (c *RowCache) fill() {
 	// Copy after evaluating: the evaluation has just written the new rows
 	// front to back, so these scattered stores land in cache. Copying into a
 	// reused victim's cold row first costs a store miss per entry, more than
-	// evaluating it (BenchmarkRowCache/dense-large-stride).
-	for s := int32(0); s < int32(l.used); s++ {
-		if s == s0 || s == s1 {
-			continue
-		}
-		j := l.keyOf[s]
-		src := l.block[int(s)*m : int(s)*m+m]
-		for r, i := range rows {
-			dsts[r][j] = src[i]
+	// evaluating it (BenchmarkRowCache/dense-large-stride). Sources go chunk
+	// by chunk in slot order, ascending addresses within each. With one
+	// missing row, (i1, d1) is (i0, d0) and the second store repeats the
+	// first, which costs less than a loop over the missing rows.
+	i0, i1 := rows[0], rows[len(rows)-1]
+	d0, d1 := dsts[0], dsts[len(rows)-1]
+	s := int32(0)
+	for _, chunk := range l.chunks {
+		for ; len(chunk) >= m && s < int32(l.used); s++ {
+			src := chunk[:m]
+			chunk = chunk[m:]
+			if s != s0 && s != s1 {
+				j := l.keyOf[s]
+				d0[j], d1[j] = src[i0], src[i1]
+			}
 		}
 	}
 	c.rec.EndFlops(sp, f)

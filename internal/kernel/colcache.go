@@ -34,14 +34,10 @@ func NewColumnCache(keys, capacity, rowLen int) *ColumnCache {
 	if capacity < 2 {
 		capacity = 2
 	}
-	c := &ColumnCache{
+	return &ColumnCache{
 		lru:  newLRUSlab(keys, capacity, rowLen),
 		cols: make([]Column, capacity),
 	}
-	for s := range c.cols {
-		c.cols[s].K = c.lru.row(int32(s))
-	}
-	return c
 }
 
 // Resident reports whether id g is cached, without touching the LRU order.
@@ -64,8 +60,11 @@ func (c *ColumnCache) Get(g int) *Column {
 // fills the returned entry's K and Diag.
 func (c *ColumnCache) Put(g int, x *la.Matrix, y float64) *Column {
 	c.misses++
-	e := &c.cols[c.lru.acquire(g)]
-	e.X, e.Y = x, y
+	s := c.lru.acquire(g)
+	e := &c.cols[s]
+	// Bound here, not at construction, so that a slot's storage is allocated
+	// only once a column lands in it.
+	e.X, e.Y, e.K = x, y, c.lru.row(s)
 	return e
 }
 

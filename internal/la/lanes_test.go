@@ -2,6 +2,7 @@ package la
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -10,9 +11,9 @@ import (
 	"testing"
 )
 
-// ExpScaled and SqDistRows promise the scalar results bit for bit, on the
-// four-lane path and the portable one alike, so every comparison here is
-// same: math.Float64bits equality, NaN payloads aside.
+// ExpScaled, SqDistRows and UpdateScan promise the scalar results bit for
+// bit, on the four-lane path and the portable one alike, so every comparison
+// here is same: math.Float64bits equality, NaN payloads aside.
 
 // same reports whether got is want bit for bit, counting any two NaNs as the
 // same: which operand's payload a NaN sum carries depends on how the compiler
@@ -255,6 +256,12 @@ func TestVectorKernelsActive(t *testing.T) {
 		}
 		return
 	}
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.avx2=off") {
+		if vectorKernels {
+			t.Fatal("GODEBUG turned AVX2 off, yet the lanes run")
+		}
+		return
+	}
 	if !vectorKernels {
 		t.Fatal("AVX2+FMA present but the exp probe disagreed with math.Exp: " +
 			"math.Exp no longer runs the FMA sequence vec_amd64.s replays; update the lanes to match it")
@@ -274,7 +281,7 @@ func TestProbeRejectsNonFMAExp(t *testing.T) {
 		t.Skip("needs AVX2+FMA and a process without GODEBUG settings")
 	}
 	cmd := exec.Command(os.Args[0], "-test.count=1",
-		"-test.run=^(TestVectorKernelsActive|TestExpScaledMatchesExp|TestSqDistRowsMatchesSqDist)$")
+		"-test.run=^(TestVectorKernelsActive|TestExpScaledMatchesExp|TestSqDistRowsMatchesSqDist|TestUpdateScan.*)$")
 	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("under GODEBUG=cpu.fma=off: %v\n%s", err, out)
@@ -334,6 +341,203 @@ func FuzzSqDistRows(f *testing.F) {
 		}
 		checkSqDistRows(t, x, m, rows)
 		checkSqDistRows(t, x, m, nil)
+	})
+}
+
+// scanCase is one UpdateScan input. UpdateScan writes f, so every check runs
+// on copies.
+type scanCase struct {
+	f, rh, rl, outHigh, outLow []float64
+	ch, cl                     float64
+}
+
+// checkUpdateScan runs UpdateScan and the portable loop on copies of c and
+// demands the same f and the same Extremes bit for bit (NaNs aside).
+func checkUpdateScan(t *testing.T, name string, c scanCase) {
+	t.Helper()
+	got, want := append([]float64(nil), c.f...), append([]float64(nil), c.f...)
+	ge := UpdateScan(got, c.rh, c.rl, c.outHigh, c.outLow, c.ch, c.cl)
+	we := updateScanLoop(want, c.rh, c.rl, c.outHigh, c.outLow, c.ch, c.cl, 0, NoExtremes())
+	for k := range want {
+		if !same(got[k], want[k]) {
+			t.Fatalf("%s: f[%d] = %v (%#x), loop %v (%#x)", name, k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+		}
+	}
+	if ge.IHigh != we.IHigh || ge.ILow != we.ILow || !same(ge.BHigh, we.BHigh) || !same(ge.BLow, we.BLow) {
+		t.Fatalf("%s: extremes %+v, loop %+v (f %v, outHigh %v, outLow %v)", name, ge, we, want, c.outHigh, c.outLow)
+	}
+}
+
+// memberships returns n set entries, 0 for a member and +Inf otherwise: no
+// member, one, all, or each a member with probability p.
+func memberships(rng *rand.Rand, n int, p float64) []float64 {
+	out := make([]float64, n)
+	mode, lone := rng.Intn(6), rng.Intn(n+1)
+	for k := range out {
+		in := rng.Float64() < p
+		switch mode {
+		case 0:
+			in = false
+		case 1:
+			in = k == lone
+		case 2:
+			in = true
+		}
+		if !in {
+			out[k] = math.Inf(1)
+		}
+	}
+	return out
+}
+
+// tieValues is a small alphabet, so that equal extremes, ±0 among them, land
+// on every lane and in every tail.
+var tieValues = []float64{-1, -1, 0, math.Copysign(0, -1), 1, 1, 2, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// planted returns a case whose update leaves f as given: (f + 1·(−0)) +
+// 1·(−0) is f for every f, −0 and NaN included.
+func planted(f, outHigh, outLow []float64) scanCase {
+	negZero := make([]float64, len(f))
+	for k := range negZero {
+		negZero[k] = math.Copysign(0, -1)
+	}
+	return scanCase{f: f, rh: negZero, rl: negZero, outHigh: outHigh, outLow: outLow, ch: 1, cl: 1}
+}
+
+// TestUpdateScanMatchesLoop holds UpdateScan to its portable loop: lengths
+// 0–17 at offsets 0–3 of a backing array (both lane groups, the odd quad,
+// the len%4 tails and unaligned loads), equal extremes — ±0 among them — on
+// every lane and in the tails,
+// empty and one-member sets, NaN and ±Inf in f, in the rows and in the
+// coefficients, and the sub-slices the solver's chunked scan passes.
+func TestUpdateScanMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	coefs := []float64{0.75, -1.5, 0, math.Copysign(0, -1), 1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
+	backing := func(n int, gen func() float64) []float64 {
+		b := make([]float64, n)
+		for k := range b {
+			b[k] = gen()
+		}
+		return b
+	}
+	for off := 0; off < 4; off++ {
+		for n := 0; n <= 17; n++ {
+			for trial := 0; trial < 200; trial++ {
+				tie := func() float64 { return tieValues[rng.Intn(len(tieValues))] }
+				c := planted(backing(n+4, tie)[off:off+n],
+					memberships(rng, n+4, 0.7)[off:off+n], memberships(rng, n+4, 0.7)[off:off+n])
+				checkUpdateScan(t, fmt.Sprintf("ties off=%d n=%d", off, n), c)
+
+				val := func() float64 {
+					if rng.Intn(8) == 0 {
+						return specials[rng.Intn(len(specials))]
+					}
+					return rng.NormFloat64()
+				}
+				c = scanCase{
+					f: backing(n+4, val)[off : off+n], rh: backing(n+4, val)[off : off+n], rl: backing(n+4, val)[off : off+n],
+					outHigh: memberships(rng, n+4, 0.6)[off : off+n], outLow: memberships(rng, n+4, 0.6)[off : off+n],
+					ch: rng.NormFloat64(), cl: rng.NormFloat64(),
+				}
+				if rng.Intn(4) == 0 {
+					c.ch = coefs[rng.Intn(len(coefs))]
+				}
+				if rng.Intn(4) == 0 {
+					c.cl = coefs[rng.Intn(len(coefs))]
+				}
+				checkUpdateScan(t, fmt.Sprintf("random off=%d n=%d", off, n), c)
+			}
+		}
+	}
+
+	// Equal minima and maxima on every pair of lanes and between a lane and the
+	// tail: the lower index must win wherever the higher one sits.
+	for n := 2; n <= 19; n++ {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				f, in := make([]float64, n), make([]float64, n)
+				for k := range f {
+					f[k] = float64(k%3) + 0.5
+				}
+				f[i], f[j] = math.Copysign(0, -1), 0 // equal as extremes, not as bits
+				checkUpdateScan(t, fmt.Sprintf("min tie %d,%d of %d", i, j, n), planted(f, in, in))
+				f[i], f[j] = 9, 9
+				checkUpdateScan(t, fmt.Sprintf("max tie %d,%d of %d", i, j, n), planted(f, in, in))
+			}
+		}
+	}
+
+	// The solver's chunked scan hands each pool chunk f[lo:hi] with lo =
+	// c·⌈n/nc⌉: odd offsets, unaligned loads, a short last chunk.
+	const n = 4097
+	c := scanCase{
+		f: make([]float64, n), rh: make([]float64, n), rl: make([]float64, n),
+		outHigh: memberships(rng, n, 0.5), outLow: memberships(rng, n, 0.5), ch: 0.3, cl: -0.7,
+	}
+	for k := 0; k < n; k++ {
+		c.f[k], c.rh[k], c.rl[k] = float64(rng.Intn(5)), rng.NormFloat64(), rng.NormFloat64()
+	}
+	for nc := 2; nc <= 4; nc++ {
+		size := (n + nc - 1) / nc
+		for lo := 0; lo < n; lo += size {
+			hi := min(lo+size, n)
+			checkUpdateScan(t, fmt.Sprintf("chunk [%d,%d)", lo, hi), scanCase{
+				f: c.f[lo:hi], rh: c.rh[lo:hi], rl: c.rl[lo:hi], outHigh: c.outHigh[lo:hi], outLow: c.outLow[lo:hi], ch: c.ch, cl: c.cl,
+			})
+		}
+	}
+}
+
+// FuzzUpdateScan holds UpdateScan to its portable loop on arbitrary bit
+// patterns: raw fills f, rh and rl by thirds, offset%4 shifts all three, and
+// bit 0 (1) of member[k] takes k out of I_high (I_low).
+func FuzzUpdateScan(f *testing.F) {
+	f.Add(bytesOf(-1, -1, 0, 2, 2, -1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), []byte{0, 0, 0, 0, 0, 0}, 1.0, 1.0, uint8(0))
+	f.Add(bytesOf(specials...), []byte{3, 1, 2, 0}, -0.5, 2.0, uint8(1))
+	f.Add(bytesOf(0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		[]byte{}, math.Copysign(0, -1), 0.0, uint8(2))
+	f.Add(bytesOf(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15), []byte{3, 3, 3, 0, 3}, math.Inf(1), math.NaN(), uint8(3))
+	f.Add([]byte{}, []byte{}, 0.0, 0.0, uint8(0))
+	f.Fuzz(func(t *testing.T, raw, member []byte, ch, cl float64, offset uint8) {
+		vals := float64s(raw)
+		n := len(vals) / 3
+		off := min(int(offset%4), n)
+		in := func(k int, bit byte) float64 {
+			if k < len(member) && member[k]&bit != 0 {
+				return math.Inf(1)
+			}
+			return 0
+		}
+		c := scanCase{f: vals[off:n], rh: vals[n+off : 2*n], rl: vals[2*n+off : 3*n], ch: ch, cl: cl}
+		for k := range c.f {
+			c.outHigh = append(c.outHigh, in(k, 1))
+			c.outLow = append(c.outLow, in(k, 2))
+		}
+		checkUpdateScan(t, "fuzz", c)
+	})
+}
+
+// BenchmarkUpdateScan prices one SMO iteration tail on a casvm-dense rank's
+// m = 450, with membership as a solve under way leaves it: UpdateScan
+// against its portable loop. Zero coefficients keep f fixed across
+// iterations while costing the same arithmetic.
+func BenchmarkUpdateScan(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 450
+	c := scanCase{f: make([]float64, n), rh: make([]float64, n), rl: make([]float64, n),
+		outHigh: memberships(rng, n, 0.6), outLow: memberships(rng, n, 0.6)}
+	for k := range c.f {
+		c.f[k], c.rh[k], c.rl[k] = rng.NormFloat64(), rng.Float64(), rng.Float64()
+	}
+	b.Run("lanes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			UpdateScan(c.f, c.rh, c.rl, c.outHigh, c.outLow, 0, 0)
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			updateScanLoop(c.f, c.rh, c.rl, c.outHigh, c.outLow, 0, 0, 0, NoExtremes())
+		}
 	})
 }
 

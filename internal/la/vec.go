@@ -7,9 +7,9 @@
 // inner loop spends nearly all of its time in Dot and SqDist.
 //
 // ExpScaled and SqDistRows, the Gaussian kernel's batched finish and
-// distance fill, run four lanes wide in amd64 assembly (vec_amd64.s) when
-// the CPU has AVX2 and FMA, and as the portable loops otherwise; both paths
-// give the scalar results bit for bit.
+// distance fill, and UpdateScan, the SMO iteration tail, run four lanes wide
+// in amd64 assembly (vec_amd64.s) when the CPU has AVX2 and FMA, and as the
+// portable loops otherwise; both paths give the scalar results bit for bit.
 package la
 
 import "math"
@@ -118,6 +118,79 @@ func ExpScaled(x []float64, s float64) {
 	for ; i < len(x); i++ {
 		x[i] = math.Exp(s * x[i])
 	}
+}
+
+// Extremes is an SMO working-set scan's result: BHigh, the minimum of f over
+// I_high, at its lowest index IHigh, and BLow, the maximum over I_low, at its
+// lowest index ILow. An empty set leaves +Inf (−Inf) at index −1.
+type Extremes struct {
+	BHigh, BLow float64
+	IHigh, ILow int
+}
+
+// NoExtremes is the scan of nothing: both sets empty.
+func NoExtremes() Extremes {
+	return Extremes{BHigh: math.Inf(1), IHigh: -1, BLow: math.Inf(-1), ILow: -1}
+}
+
+// UpdateScan is the SMO iteration tail in one pass over f: eqn (5)'s update
+// f[k] = (f[k] + ch·rh[k]) + cl·rl[k], the arithmetic of Axpy(ch, rh, f)
+// followed by Axpy(cl, rl, f), and the next iteration's scan of the updated
+// f. outHigh and outLow mark the sets, 0 for a member and +Inf otherwise: k
+// is a candidate for BHigh when f[k] + outHigh[k] < BHigh and for BLow when
+// f[k] − outLow[k] > BLow, so a non-member never wins and the first of equal
+// extremes does. rh, rl, outHigh and outLow must hold at least len(f) values.
+//
+// The lanes give the portable loop's f and Extremes bit for bit: each lane
+// keeps its own candidates under the same strict comparisons (a member's
+// test is f[k] < best, whatever else the lane saw), and the lane reduction
+// takes the lower index of equal extremes.
+func UpdateScan(f, rh, rl, outHigh, outLow []float64, ch, cl float64) Extremes {
+	n := len(f)
+	rh, rl, outHigh, outLow = rh[:n], rl[:n], outHigh[:n], outLow[:n]
+	e, k := NoExtremes(), 0
+	if vectorKernels && n >= 4 {
+		var l laneExtremes
+		updateScanVec(f, rh, rl, outHigh, outLow, ch, cl, &l)
+		for j := range l.bHigh {
+			if v, i := l.bHigh[j], int(l.iHigh[j]); v < e.BHigh || v == e.BHigh && i < e.IHigh {
+				e.BHigh, e.IHigh = v, i
+			}
+			if v, i := l.bLow[j], int(l.iLow[j]); v > e.BLow || v == e.BLow && i < e.ILow {
+				e.BLow, e.ILow = v, i
+			}
+		}
+		k = n &^ 3
+	}
+	return updateScanLoop(f, rh, rl, outHigh, outLow, ch, cl, k, e)
+}
+
+// laneExtremes is what updateScanVec leaves: the candidates of its two
+// groups of four lanes, the first group's in [0:4].
+type laneExtremes struct {
+	bHigh [8]float64
+	iHigh [8]int64
+	bLow  [8]float64
+	iLow  [8]int64
+}
+
+// updateScanLoop is UpdateScan's portable loop over f[from:], continuing the
+// scan from e: the whole pass without the lanes, their len%4 tail with them.
+func updateScanLoop(f, rh, rl, outHigh, outLow []float64, ch, cl float64, from int, e Extremes) Extremes {
+	n := len(f)
+	f, rh, rl, outHigh, outLow = f[from:n], rh[from:n], rl[from:n], outHigh[from:n], outLow[from:n]
+	for k, v := range f {
+		v += ch * rh[k]
+		v += cl * rl[k]
+		f[k] = v
+		if v+outHigh[k] < e.BHigh {
+			e.BHigh, e.IHigh = v, from+k
+		}
+		if v-outLow[k] > e.BLow {
+			e.BLow, e.ILow = v, from+k
+		}
+	}
+	return e
 }
 
 // Axpy computes y += alpha*x in place. Elementwise updates are

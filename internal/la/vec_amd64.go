@@ -1,14 +1,21 @@
 package la
 
-import "math"
+import (
+	"math"
+	"os"
+	"strings"
+)
 
-// vectorKernels selects the four-lane assembly behind ExpScaled and
-// SqDistRows (vec_amd64.s): the CPU has AVX2 and FMA, the OS saves YMM
+// vectorKernels selects the four-lane assembly behind ExpScaled, SqDistRows
+// and UpdateScan (vec_amd64.s): the CPU has AVX2 and FMA, the OS saves YMM
 // state, and the exp lanes agree with this process's math.Exp bit for bit.
 // The last condition keeps the path exact wherever math.Exp does not run the
 // FMA sequence the lanes replay — under GODEBUG=cpu.fma=off, or after a Go
 // release changes its algorithm (TestVectorKernelsActive catches the latter).
-var vectorKernels = cpuHasAVX2FMA() && expProbeAgrees()
+// GODEBUG=cpu.avx2=off turns the lanes off as it does the standard library's
+// AVX2 code, and leaves math.Exp on its FMA branch: the portable loops then
+// run against the same kernel values (make lanes-off).
+var vectorKernels = cpuHasAVX2FMA() && !godebugCPUOff("avx2") && expProbeAgrees()
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
@@ -27,6 +34,14 @@ func expScaledVec(x []float64, s float64) int
 //go:noescape
 func sqDistRowsVec(x, dense []float64, m int, rows []int32, out []float64) int
 
+// updateScanVec runs UpdateScan's update and scan over the first len(f)&^3
+// elements and leaves each lane's candidates in e: lane j of group g takes
+// the indices k ≡ 4g+j (mod 8), and the first group also a last odd quad.
+// The other slices are at least len(f) long.
+//
+//go:noescape
+func updateScanVec(f, rh, rl, outHigh, outLow []float64, ch, cl float64, e *laneExtremes)
+
 // cpuHasAVX2FMA reports CPUID's AVX, AVX2, FMA and OSXSAVE bits and XCR0's
 // SSE and YMM state bits.
 func cpuHasAVX2FMA() bool {
@@ -43,6 +58,18 @@ func cpuHasAVX2FMA() bool {
 	}
 	const sse, ymm = 1 << 1, 1 << 2
 	return xgetbv()&(sse|ymm) == sse|ymm
+}
+
+// godebugCPUOff reports whether GODEBUG switches CPU feature name off the way
+// the runtime reads it: cpu.all or cpu.<name>, the last setting winning.
+func godebugCPUOff(name string) bool {
+	off := false
+	for _, kv := range strings.Split(os.Getenv("GODEBUG"), ",") {
+		if k, v, _ := strings.Cut(kv, "="); k == "cpu.all" || k == "cpu."+name {
+			off = v == "off"
+		}
+	}
+	return off
 }
 
 // expProbeAgrees runs the exp lanes over 1024 arguments spread across

@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// Four-lane kernels behind ExpScaled and SqDistRows (vec.go). Each lane
+// Four-lane kernels behind ExpScaled, SqDistRows and UpdateScan (vec.go). Each lane
 // performs exactly the instruction sequence of the scalar code it stands in
 // for, so every result is the scalar result bit for bit.
 
@@ -242,6 +242,94 @@ singlestore:
 
 done:
 	MOVQ R13, ret+104(FP)
+	VZEROUPPER
+	RET
+
+DATA lanec<>+0(SB)/8, $0 // the first group's indices
+DATA lanec<>+8(SB)/8, $1
+DATA lanec<>+16(SB)/8, $2
+DATA lanec<>+24(SB)/8, $3
+DATA lanec<>+32(SB)/8, $4                   // index step
+DATA lanec<>+40(SB)/8, $-1                  // index of an empty set
+DATA lanec<>+48(SB)/8, $0x7ff0000000000000 // +Inf
+DATA lanec<>+56(SB)/8, $0xfff0000000000000 // −Inf
+GLOBL lanec<>(SB), RODATA|NOPTR, $64
+
+// func updateScanVec(f, rh, rl, outHigh, outLow []float64, ch, cl float64, e *laneExtremes)
+//
+// v = (f + ch·rh) + cl·rl with separate multiplies and adds, never fused, as
+// the Go compiler emits them; then a lane takes v as its high candidate when
+// v + outHigh < its best (ordered, so NaN never wins) and as its low one when
+// v − outLow > its best, so a later equal value does not replace an earlier
+// one. Two groups of four lanes take alternate quads of f, each with its own
+// chain of candidates; a last odd quad goes to the first group.
+//
+// UPDATE_SCAN_QUAD(off, bh, ih, bl, il) runs the quad at f[AX:] + off bytes
+// against the lanes' best high (bh, ih) and low (bl, il) and advances Y13,
+// the quad's indices, by four.
+#define UPDATE_SCAN_QUAD(off, bh, ih, bl, il) \
+	VMULPD off(DI)(AX*8), Y15, Y1; \
+	VADDPD off(SI)(AX*8), Y1, Y0; \
+	VMULPD off(R8)(AX*8), Y14, Y2; \
+	VADDPD Y2, Y0, Y0; \
+	VMOVUPD Y0, off(SI)(AX*8); \
+	VADDPD off(R9)(AX*8), Y0, Y1; \
+	VCMPPD $0x11, bh, Y1, Y1; \
+	VBLENDVPD Y1, Y0, bh, bh; \
+	VBLENDVPD Y1, Y13, ih, ih; \
+	VSUBPD off(R10)(AX*8), Y0, Y2; \
+	VCMPPD $0x11, Y2, bl, Y2; \
+	VBLENDVPD Y2, Y0, bl, bl; \
+	VBLENDVPD Y2, Y13, il, il; \
+	VPADDQ Y12, Y13, Y13
+
+TEXT ·updateScanVec(SB), NOSPLIT, $0-144
+	MOVQ f_base+0(FP), SI
+	MOVQ f_len+8(FP), CX
+	MOVQ rh_base+24(FP), DI
+	MOVQ rl_base+48(FP), R8
+	MOVQ outHigh_base+72(FP), R9
+	MOVQ outLow_base+96(FP), R10
+	MOVQ e+136(FP), R11
+	MOVQ CX, DX
+	ANDQ $~7, DX
+	ANDQ $~3, CX
+	VBROADCASTSD ch+120(FP), Y15
+	VBROADCASTSD cl+128(FP), Y14
+	VMOVDQU lanec<>+0(SB), Y13
+	VPBROADCASTQ lanec<>+32(SB), Y12
+	VBROADCASTSD lanec<>+48(SB), Y11 // first group: best high value
+	VPBROADCASTQ lanec<>+40(SB), Y10 // and index
+	VBROADCASTSD lanec<>+56(SB), Y9  // best low value
+	VMOVDQA Y10, Y8                  // and index
+	VMOVAPD Y11, Y7                  // second group: the same
+	VMOVDQA Y10, Y6
+	VMOVAPD Y9, Y5
+	VMOVDQA Y10, Y4
+	XORQ AX, AX
+
+scan:
+	CMPQ AX, DX
+	JGE  scanodd
+	UPDATE_SCAN_QUAD(0, Y11, Y10, Y9, Y8)
+	UPDATE_SCAN_QUAD(32, Y7, Y6, Y5, Y4)
+	ADDQ $8, AX
+	JMP  scan
+
+scanodd:
+	CMPQ AX, CX
+	JGE  scandone
+	UPDATE_SCAN_QUAD(0, Y11, Y10, Y9, Y8)
+
+scandone:
+	VMOVUPD Y11, 0(R11)
+	VMOVUPD Y7, 32(R11)
+	VMOVDQU Y10, 64(R11)
+	VMOVDQU Y6, 96(R11)
+	VMOVUPD Y9, 128(R11)
+	VMOVUPD Y5, 160(R11)
+	VMOVDQU Y8, 192(R11)
+	VMOVDQU Y4, 224(R11)
 	VZEROUPPER
 	RET
 

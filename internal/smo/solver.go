@@ -149,13 +149,13 @@ type Solver struct {
 	// the next mutation of alpha or f. LocalExtremes serves from here when
 	// valid, charging the same 2·m the scan it replaces would have, so flop
 	// totals match the unfused seed exactly.
-	ext      extremes
+	ext      la.Extremes
 	extValid bool
 
 	// Parallel scan machinery: the shared worker pool (nil when serial)
 	// and per-chunk reduction scratch sized to cfg.Threads.
 	pl       *pool.Pool
-	chunkExt []extremes
+	chunkExt []la.Extremes
 
 	// rec mirrors cfg.Trace for the hot paths; nil means every span call
 	// is a single-branch no-op.
@@ -208,7 +208,7 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 	s.cache.SetRecorder(cfg.Trace)
 	if cfg.Threads > 1 {
 		s.pl = pool.Shared()
-		s.chunkExt = make([]extremes, cfg.Threads)
+		s.chunkExt = make([]la.Extremes, cfg.Threads)
 	}
 	// f_i = Σ_j α_j y_j K_ij − y_i ; with α = 0 this is just −y_i.
 	for i := range s.f {
@@ -301,7 +301,7 @@ func (s *Solver) LocalExtremes() (bHigh float64, iHigh int, bLow float64, iLow i
 		s.rec.EndFlops(sp, float64(2*n))
 	}
 	s.flops += float64(2 * n)
-	return s.ext.bHigh, s.ext.iHigh, s.ext.bLow, s.ext.iLow
+	return s.ext.BHigh, s.ext.IHigh, s.ext.BLow, s.ext.ILow
 }
 
 // PairUpdate holds the result of optimising one (high, low) pair: the two
@@ -395,15 +395,13 @@ func (s *Solver) FillColumn(ext *la.Matrix, j int, dst []float64) {
 
 // ApplyColumns is the distributed variant of eqn (5)'s f-update: the high
 // and low samples may not be local rows, so their kernel columns
-// (FillColumn) are passed in, and f receives both axpy contributions in
-// high-then-low order.
-// Local alpha changes (when this rank owns a sample) are applied separately
-// via AddAlpha.
+// (FillColumn) are passed in, and f receives both contributions in
+// high-then-low order. It is the local iteration's fused pass: the next
+// LocalExtremes is served from the scan it makes. So the pair's local alpha
+// changes (when this rank owns a sample) must already be applied through
+// AddAlpha.
 func (s *Solver) ApplyColumns(colH []float64, yH, dAH float64, colL []float64, yL, dAL float64) {
-	s.invalidateExtremes()
-	la.Axpy(dAH*yH, colH[:len(s.f)], s.f)
-	la.Axpy(dAL*yL, colL[:len(s.f)], s.f)
-	s.flops += float64(4 * len(s.f))
+	s.updateScan(colH, colL, dAH*yH, dAL*yL)
 }
 
 // AddAlpha adds d to alpha[i], clipping to [0, C_i] and snapping edge dust.

@@ -428,6 +428,76 @@ func TestApplyColumnsMatchesLocal(t *testing.T) {
 			t.Fatalf("alpha[%d] %v vs %v", i, a.Alpha()[i], b.Alpha()[i])
 		}
 	}
+
+	// ApplyColumns is a fused pass: over a run of distributed-style
+	// iterations, the extremes it caches are a fresh scan's, and f, the
+	// working pairs and the flop total are those of the two-Axpy update it
+	// replaced.
+	old, _ := New(x, y, cfg, nil)
+	old.FillColumn(x, ih, colH)
+	old.FillColumn(x, il, colL)
+	old.AddAlpha(ih, u.DAlphaHigh)
+	old.AddAlpha(il, u.DAlphaLow)
+	refApplyColumns(old, colH, y[ih], u.DAlphaHigh, colL, y[il], u.DAlphaLow)
+	applied := 1
+	for iter := 0; iter < 40; iter++ {
+		if !b.extValid {
+			t.Fatalf("iter %d: ApplyColumns cached no extremes", iter)
+		}
+		cached := b.ext
+		b.invalidateExtremes()
+		if fresh := b.scanExtremes(); !sameExtremes(cached, fresh) {
+			t.Fatalf("iter %d: ApplyColumns cached %+v, a fresh scan finds %+v", iter, cached, fresh)
+		}
+		b.setExtremes(cached)
+		bh, ih, bl, il := b.LocalExtremes()
+		obh, oih, obl, oil := old.LocalExtremes()
+		if ih != oih || il != oil || bh != obh || bl != obl {
+			t.Fatalf("iter %d: pair (%d,%d) vs the Axpy path's (%d,%d)", iter, ih, il, oih, oil)
+		}
+		if ih < 0 || il < 0 || bl-bh < 2*cfg.tol() {
+			break
+		}
+		for _, s := range []*Solver{old, b} {
+			s.FillColumn(x, ih, colH)
+			s.FillColumn(x, il, colL)
+		}
+		dah, dal := PairSolveWeighted(cfg.C, cfg.C, y[ih], y[il], bh, bl,
+			b.alpha[ih], b.alpha[il], 1, 1, colH[il])
+		for _, s := range []*Solver{b, old} {
+			s.AddAlpha(ih, dah)
+			s.AddAlpha(il, dal)
+		}
+		b.ApplyColumns(colH, y[ih], dah, colL, y[il], dal)
+		refApplyColumns(old, colH, y[ih], dah, colL, y[il], dal)
+		applied++
+		for i := range b.f {
+			if math.Float64bits(b.f[i]) != math.Float64bits(old.f[i]) {
+				t.Fatalf("iter %d: f[%d] %v, Axpy path %v", iter, i, b.f[i], old.f[i])
+			}
+		}
+	}
+	if applied < 10 {
+		t.Fatalf("the run converged after %d updates: too few to compare", applied)
+	}
+	if got, want := b.TakeFlops(), old.TakeFlops(); got != want {
+		t.Fatalf("flops %v, Axpy path %v", got, want)
+	}
+}
+
+// refApplyColumns is ApplyColumns before it fused the scan: two Axpy sweeps
+// and invalidated extremes, so the next LocalExtremes rescans.
+func refApplyColumns(s *Solver, colH []float64, yH, dAH float64, colL []float64, yL, dAL float64) {
+	s.invalidateExtremes()
+	la.Axpy(dAH*yH, colH[:len(s.f)], s.f)
+	la.Axpy(dAL*yL, colL[:len(s.f)], s.f)
+	s.flops += float64(4 * len(s.f))
+}
+
+// sameExtremes compares two scans bit for bit.
+func sameExtremes(a, b la.Extremes) bool {
+	return a.IHigh == b.IHigh && a.ILow == b.ILow &&
+		math.Float64bits(a.BHigh) == math.Float64bits(b.BHigh) && math.Float64bits(a.BLow) == math.Float64bits(b.BLow)
 }
 
 // svCount returns the number of nonzero multipliers.

@@ -106,8 +106,8 @@ func (s *Solver) sampleTelemetry() {
 		}
 	}
 	var gap float64
-	if s.extValid && s.ext.iHigh >= 0 && s.ext.iLow >= 0 {
-		gap = s.ext.bLow - s.ext.bHigh
+	if s.extValid && s.ext.IHigh >= 0 && s.ext.ILow >= 0 {
+		gap = s.ext.BLow - s.ext.BHigh
 	}
 	s.cfg.Telemetry.Record(IterSample{
 		Rank:    s.cfg.TelemetryRank,
