@@ -84,11 +84,12 @@ fuzz-smoke:
 		./internal/serve ./internal/cluster ./internal/la ./internal/model
 
 # serve-smoke boots the live telemetry server against a real training run
-# held mid-flight (TestServeSmoke) and against a cluster coordinator with
-# per-job namespaces (TestServeClusterNamespaces), scraping /metrics,
-# /report, /events, /jobs and /debug/pprof — plus the whole inference-plane
-# suite (HTTP smoke, batched-vs-sequential equivalence, hot-reload torn-model
-# hammering) under the race detector.
+# held mid-flight (TestServeSmoke: /metrics, /report, /events, /debug/pprof)
+# and against a cluster coordinator whose job ran on an executor
+# (TestServeClusterNamespaces: /metrics, /jobs and the job's metrics, report
+# and merged fleet trace) — plus the whole inference-plane suite (HTTP smoke,
+# batched-vs-sequential equivalence, hot-reload torn-model hammering) under
+# the race detector.
 serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServe' ./internal/telemetry
 	$(GO) test -race -count=1 ./internal/serve
@@ -123,15 +124,18 @@ check: fmt vet cross-vet dead bench-build race race-matrix lanes-off fuzz-smoke 
 soak:
 	CASVM_SOAK=1 $(GO) test -count=1 -run TestChaosSoak -v ./internal/core
 
-# soak-cluster churns a live coordinator for ~20s: six concurrent jobs over
-# six workers while a chaos goroutine revokes and re-registers leases every
-# 150ms. Every job must terminate (no hangs), at least half must complete,
-# and completed jobs must still converge to accurate models. Then 4,000
-# healthy Remote jobs run beside a loopback port churner and every one must
-# finish in exactly one generation. The remote
-# soak then repeats the exercise with real executor processes — Remote jobs
-# train on forked workers while the churn loop kill -9s and replaces them,
-# and every completed job must land on its fault-free ModelHash. The fleet
+# soak-cluster churns a live coordinator for up to 20s: six concurrent
+# Dis-SMO, RA-CA and Cascade jobs over six executors (RunExecutor
+# goroutines) while a chaos goroutine revokes one and starts a replacement
+# every 250ms, so RA-CA generations resume from streamed checkpoints and mesh
+# generations are torn down and re-ganged. Every job must terminate (no
+# hangs), at least half must complete, and every completed job must land on
+# its fault-free ModelHash (Cascade on that of the width it finished at).
+# Then 4,000 healthy jobs run beside a loopback port churner and every one
+# must finish in exactly one generation. The process soak then repeats the
+# exercise with real executor processes — jobs train on forked workers while
+# the churn loop kill -9s and replaces them, and every completed job must land
+# on its fault-free ModelHash. The fleet
 # soak then runs examples/distributed — a coordinator and four executor
 # processes started with -exec-delay, the last with five times the others' —
 # and asserts that its Dis-SMO job's merged fleet trace parses strictly and

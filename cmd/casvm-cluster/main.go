@@ -1,38 +1,36 @@
 // casvm-cluster is the elastic cluster runtime. In coordinator mode it
 // accepts worker and client registrations, gang-schedules submitted
 // training jobs over the worker pool, and converts lease churn into
-// recovery actions: a worker whose lease expires mid-job shrinks (or
-// respawns into) the running world, and a worker joining mid-run grows it
-// back at the next checkpoint epoch — landing on the fault-free model
-// hash for Dis-SMO.
+// recovery actions: a worker whose lease expires mid-job re-gangs the job
+// onto the survivors (or onto a replacement, under respawn), and a worker
+// joining mid-run widens it again — landing on the fault-free model hash.
 //
 // Start a coordinator with live telemetry:
 //
 //	casvm-cluster -listen localhost:7600 -serve localhost:9100
 //
-// Join workers (each an executor that trains remotely submitted jobs' ranks
-// in its own process — RA-CA shards alone, every other method over a TCP
-// mesh it dials with the rest of the gang on a listener it announced — and
-// gang capacity for in-process jobs; Ctrl-C leaves cleanly):
+// Join workers (each an executor that trains its jobs' ranks in its own
+// process — RA-CA shards alone, every other method over a TCP mesh it dials
+// with the rest of the gang on a listener it announced; Ctrl-C leaves
+// cleanly):
 //
 //	casvm-cluster -join localhost:7600
 //
-// Submit jobs with the thin client (-remote runs the ranks on the workers):
+// Submit jobs with the thin client:
 //
-//	casvm-train -cluster localhost:7600 -data ijcnn -method dissmo -p 8 -remote
+//	casvm-train -cluster localhost:7600 -data ijcnn -method dissmo -p 8
 //
 // The telemetry server namespaces each job: /jobs lists them and
-// /jobs/<id>/{metrics,report,events,trace} serve one job's counters,
-// outcome, live convergence stream, and merged fleet trace; the top-level
-// /metrics carries the cluster_* membership counters (joins, leaves,
-// lease expiries, scale-ups) plus the fleet plane's federated fleet_*
-// aggregates and straggler counters, /healthz answers liveness probes
-// with uptime and worker count, and /fleet/events streams straggler
-// verdicts as SSE.
+// /jobs/<id>/{metrics,report,trace} serve one job's counters, outcome, and
+// merged fleet trace — where its ranks' convergence shows; the top-level
+// /metrics carries the cluster_* membership counters (joins, leaves, lease
+// expiries, scale-ups) plus the fleet plane's federated fleet_* aggregates
+// and straggler counters, /healthz answers liveness probes with uptime and
+// worker count, and /fleet/events streams straggler verdicts as SSE.
 //
 // Workers stream trace spans, metric snapshots and per-epoch durations
-// over their leases (internal/telemetry/fleet) — a remote job's mesh ranks
-// their collective spans and mesh flow edges; with -fleet-trace DIR the
+// over their leases (internal/telemetry/fleet) — a job's mesh ranks their
+// collective spans and mesh flow edges; with -fleet-trace DIR the
 // coordinator also writes each finished job's merged Chrome trace to
 // DIR/<job-id>.trace, ready for casvm-profile or Perfetto.
 package main
@@ -56,7 +54,7 @@ import (
 func main() {
 	var (
 		listen     = flag.String("listen", "localhost:7600", "coordinator registration address (workers and clients dial this)")
-		serve      = flag.String("serve", "", "serve live telemetry on this address: /metrics, /healthz, /jobs, /jobs/<id>/{metrics,report,events,trace}, /fleet/events")
+		serve      = flag.String("serve", "", "serve live telemetry on this address: /metrics, /healthz, /report, /jobs, /jobs/<id>/{metrics,report,trace}, /fleet/events")
 		ttl        = flag.Duration("lease-ttl", 0, "worker lease TTL; a silent worker is expired after this (0 = 6s default)")
 		join       = flag.String("join", "", "worker mode: register with the coordinator at this address and execute assigned ranks until interrupted")
 		fleetOff   = flag.Bool("no-fleet", false, "worker mode: do not stream fleet telemetry for executed ranks")
@@ -168,9 +166,8 @@ func statusReport(coord *cluster.Coordinator) any {
 	}
 }
 
-// jobNamespaces exposes each job's private metrics registry, result,
-// convergence ring and (once workers have shipped spans) merged fleet
-// trace under /jobs/<id>/.
+// jobNamespaces exposes each job's private metrics registry, result and
+// (once workers have shipped spans) merged fleet trace under /jobs/<id>/.
 func jobNamespaces(coord *cluster.Coordinator) []telemetry.JobNamespace {
 	fl := coord.Fleet()
 	var out []telemetry.JobNamespace
@@ -180,7 +177,6 @@ func jobNamespaces(coord *cluster.Coordinator) []telemetry.JobNamespace {
 			ID:      j.ID(),
 			State:   j.State().String(),
 			Metrics: j.Metrics(),
-			Ring:    j.Ring(),
 			Report:  func() any { return j.Result() },
 		}
 		if fl.HasTrace(j.ID()) {

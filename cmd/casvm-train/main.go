@@ -44,8 +44,7 @@ func main() {
 		ckptEv  = flag.Int("ckpt-every", 0, "checkpoint cadence in solver iterations (0 = 64 when recovery is on)")
 		chaos   = flag.Int64("chaos", 0, "inject a seeded random fault schedule (crashes, drops, delays); pair with -recover")
 		replayF = flag.String("replay-faults", "", "replay the fault schedule recorded in this run report (a JSON file from -report)")
-		clustr  = flag.String("cluster", "", "submit the run as a job to the casvm-cluster coordinator at this address instead of training locally (requires -data; jobs are supervised with shrink recovery unless -recover respawn)")
-		remote  = flag.Bool("remote", false, "with -cluster: execute each rank in its worker's own process instead of in-process on the coordinator (ra-ca shards alone, every other method over a TCP mesh between the workers)")
+		clustr  = flag.String("cluster", "", "submit the run as a job to the casvm-cluster coordinator at this address instead of training locally: each rank runs in a joined worker's own process (ra-ca shards alone, every other method over a TCP mesh between the workers); requires -data, and jobs recover with shrink unless -recover respawn")
 		seed    = flag.Int64("seed", 1, "training seed (partitioning and solver tie-breaks)")
 		list    = flag.Bool("list", false, "list datasets and methods, then exit")
 	)
@@ -64,9 +63,9 @@ func main() {
 	}
 
 	if *clustr != "" {
-		// Thin-client mode: the coordinator resolves the dataset and
-		// trains in its own elastic world, so only the spec crosses the
-		// wire. -file paths are not shipped.
+		// Thin-client mode: the coordinator and its workers resolve the
+		// dataset from the spec, so only the spec crosses the wire. -file
+		// paths are not shipped.
 		if *dataset == "" {
 			fail(fmt.Errorf("-cluster needs a named -data dataset (run -list for names)"))
 		}
@@ -77,9 +76,9 @@ func main() {
 		spec := cluster.JobSpec{
 			ID: "train", Dataset: *dataset, Scale: *scale, Method: *method,
 			P: *p, C: *c, Gamma: *gamma, Tol: *tol, Seed: *seed,
-			Policy: policy, CheckpointEvery: *ckptEv, Remote: *remote,
+			Policy: policy, CheckpointEvery: *ckptEv,
 		}
-		fmt.Printf("submitting %s job to %s (p=%d, dataset %s, remote=%v)\n", *method, *clustr, *p, *dataset, *remote)
+		fmt.Printf("submitting %s job to %s (p=%d, dataset %s)\n", *method, *clustr, *p, *dataset)
 		// A coordinator restarting mid-submit surfaces as a registration
 		// or transport error; retry with capped backoff instead of
 		// failing the CLI.

@@ -4,7 +4,7 @@
 //
 // The program runs a coordinator and forks -p executor processes of itself
 // (-executor), which register with it by address alone. It submits each method
-// as a Remote job: RA-CA ranks solve their shards alone over their leases;
+// as a job: RA-CA ranks solve their shards alone over their leases;
 // Dis-SMO's generation is a TCP mesh the executors dial on the listeners they
 // announced, each running the per-rank driver every other run uses
 // (core.RunRank), so messages, bytes and models are those of the in-process
@@ -153,7 +153,7 @@ func spawnExecutors(coord *cluster.Coordinator, delays []time.Duration) []*exec.
 	return cmds
 }
 
-// runJob submits method over the toy set as a Remote job of width p, calls
+// runJob submits method over the toy set as a job of width p, calls
 // during (if non-nil) while it runs, and fails the program unless the job
 // lands on the hash of the same training run in-process.
 func runJob(coord *cluster.Coordinator, method core.Method, p int, during func(*cluster.Job)) (*cluster.Job, *cluster.JobResult) {
@@ -170,7 +170,7 @@ func runJob(coord *cluster.Coordinator, method core.Method, p int, during func(*
 	want := ref.Set.Hash()
 	j, err := coord.Submit(cluster.JobSpec{
 		ID: string(method), Dataset: "toy", Method: string(method), P: p, Seed: params.Seed,
-		Policy: "shrink", Remote: true,
+		Policy: "shrink",
 	})
 	if err != nil {
 		log.Fatal(err)

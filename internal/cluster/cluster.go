@@ -1,40 +1,29 @@
 // Package cluster is the elastic runtime behind casvm-cluster: a
 // coordinator that owns a lease-based membership table (tcpmpi.Registrar),
-// gang-schedules training jobs over the registered worker pool, and feeds
-// membership churn into the checkpoint/restart recovery machinery so a
-// running job shrinks when a lease expires and grows back when a worker
-// joins mid-run.
+// gang-schedules training jobs over the registered worker pool, and turns
+// membership churn into re-gangs of the jobs it supervises, so a running job
+// shrinks when a lease expires and grows back when a worker joins mid-run.
 //
 // Workers execute. A worker dials in, holds a heartbeat-renewed lease, keeps
-// one mesh listener open and announces its port, and — for jobs submitted
-// with Remote set — runs its assigned ranks inside its own process
-// (cluster.RunExecutor). Every method runs this way. RA-CA ranks exchange no
-// messages, so a worker solves its shard ranks with the lease as its only
-// connection and streams epoch-boundary checkpoints back as lease control
-// frames; a lease expiry — including a real `kill -9` on the worker process —
-// re-gangs the survivors (plus any spare) from the last streamed checkpoints.
-// Every other method's generation is a tcpmpi mesh the gang dials on the
-// announced listeners, one rank per worker through core.RunRank, and a lost
-// worker reruns the generation from zero on the re-ganged workers. Either
-// way the job lands on the fault-free ModelHash, with the lost work
-// α–β-priced into TotalSec. See remote.go for the coordinator half and
-// executor.go for the worker half.
-//
-// Jobs without Remote keep the original capacity-token model: workers gate
-// how many ranks the coordinator will model concurrently while the
-// training world executes in-process, where every membership event maps
-// onto fault machinery with exactness guarantees — a lease expiry injects
-// the same CrashError a scheduled "leave" would, and a registration
-// mid-run surfaces as a JoinCheck scale-up at the next checkpoint epoch
-// boundary. Shrink, grow and respawn all converge to the fault-free
-// ModelHash for Dis-SMO.
+// one mesh listener open and announces its port, and runs its assigned ranks
+// inside its own process (cluster.RunExecutor). Every job runs this way.
+// RA-CA ranks exchange no messages, so a worker solves its shard ranks with
+// the lease as its only connection and streams epoch-boundary checkpoints
+// back as lease control frames; a lease expiry — including a real `kill -9`
+// on the worker process — re-gangs the survivors (plus any spare) from the
+// last streamed checkpoints, and a worker that joins mid-run re-spreads the
+// pending ranks onto a wider gang. Every other method's generation is a
+// tcpmpi mesh the gang dials on the announced listeners, one rank per worker
+// through core.RunRank, and a lost worker reruns the generation from zero on
+// the re-ganged workers. Either way the job lands on the fault-free
+// ModelHash, with the lost work α–β-priced into TotalSec. See remote.go for
+// the coordinator half and executor.go for the worker half.
 //
 // The package deliberately does not import the HTTP telemetry server: the
-// coordinator exposes per-job metrics registries, telemetry rings, and the
-// fleet telemetry collector (trace spans, federated metrics, and straggler
-// events streamed in from workers over their leases — see
-// internal/telemetry/fleet), and the casvm-cluster command wires them into
-// an HTTP server.
+// coordinator exposes per-job metrics registries and the fleet telemetry
+// collector (trace spans, federated metrics, and straggler events streamed in
+// from workers over their leases — see internal/telemetry/fleet), and the
+// casvm-cluster command wires them into an HTTP server.
 package cluster
 
 import (
@@ -42,8 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"casvm/internal/core"
-	"casvm/internal/smo"
 	"casvm/internal/tcpmpi"
 	"casvm/internal/telemetry/fleet"
 	"casvm/internal/trace"
@@ -132,7 +119,7 @@ func New(addr string, cfg Config) (*Coordinator, error) {
 		cSubmitted: met.Counter("cluster_jobs_submitted_total", "jobs accepted by the coordinator"),
 		cCompleted: met.Counter("cluster_jobs_completed_total", "jobs that finished training successfully"),
 		cFailed:    met.Counter("cluster_jobs_failed_total", "jobs that ended in an error"),
-		cScaleups:  met.Counter("cluster_job_scaleups_total", "workers attached to a running job to grow its world"),
+		cScaleups:  met.Counter("cluster_job_scaleups_total", "re-gangs that widened a running job onto workers attached mid-run"),
 		gWorkers:   met.Gauge("cluster_workers", "currently registered workers"),
 		gBusy:      met.Gauge("cluster_workers_busy", "workers assigned to running jobs"),
 		gRunning:   met.Gauge("cluster_jobs_running", "jobs currently training"),
@@ -199,10 +186,10 @@ func (c *Coordinator) Close() error {
 		c.cFailed.Inc()
 		close(j.done)
 	}
-	// Wake running remote supervisors so their goroutines observe the
-	// shutdown instead of waiting on frames that will never arrive.
+	// Wake running supervisors so their goroutines observe the shutdown
+	// instead of waiting on frames that will never arrive.
 	for _, j := range c.jobs {
-		if j.remote != nil && j.state == JobRunning {
+		if j.state == JobRunning {
 			j.remote.closeRun()
 		}
 	}
@@ -216,8 +203,7 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) Workers() []tcpmpi.WorkerInfo { return c.reg.Workers() }
 
 // Revoke force-expires a worker's lease — the admin path for draining a
-// machine. Any job holding the worker sees the same lease-expired crash a
-// real expiry injects.
+// machine. Any job holding the worker re-gangs as after a real expiry.
 func (c *Coordinator) Revoke(id int) error { return c.reg.Revoke(id) }
 
 // Jobs returns every job the coordinator has accepted, in submission
@@ -263,15 +249,11 @@ func (c *Coordinator) Submit(spec JobSpec) (*Job, error) {
 		spec:    spec,
 		params:  pr,
 		ds:      ds,
-		inj:     newElasticInjector(spec.P, spec.policy() == core.RecoverShrink),
 		metrics: trace.NewRegistry(),
-		ring:    smo.NewTelemetryRing(0),
 		done:    make(chan struct{}),
 		state:   JobQueued,
 	}
-	if spec.Remote {
-		j.remote = newRemoteRun(j, ds.X.Rows(), ds.Features())
-	}
+	j.remote = newRemoteRun(j, ds.X.Rows(), ds.Features())
 	c.jobs = append(c.jobs, j)
 	c.byID[id] = j
 	if spec.SubmitKey != "" {
@@ -301,9 +283,9 @@ func (c *Coordinator) onJoin(w tcpmpi.WorkerInfo) {
 	c.schedule()
 }
 
-// onGone removes a worker whose lease ended. If a running job held it,
-// the death is injected into that job's world: the recovery supervisor
-// sees a lease-expired crash and shrinks or respawns per the job's policy.
+// onGone removes a worker whose lease ended. If a running job held it, the
+// job's supervisor is told: its generation is lost, and it re-gangs per the
+// job's policy.
 func (c *Coordinator) onGone(w tcpmpi.WorkerInfo, expired bool) {
 	if w.Client {
 		return
@@ -323,13 +305,8 @@ func (c *Coordinator) onGone(w tcpmpi.WorkerInfo, expired bool) {
 		j.gang = removeID(j.gang, w.ID)
 		c.gBusy.Set(float64(len(c.owner)))
 		if j.state == JobRunning {
-			if j.remote != nil {
-				j.remote.workerLost(w.ID)
-				c.logf("cluster: worker %d lost (expired=%v); re-ganging remote job %s", w.ID, expired, j.id)
-			} else {
-				j.inj.kill()
-				c.logf("cluster: worker %d lost (expired=%v); injecting rank death into job %s", w.ID, expired, j.id)
-			}
+			j.remote.workerLost(w.ID)
+			c.logf("cluster: worker %d lost (expired=%v); re-ganging job %s", w.ID, expired, j.id)
 		}
 		return
 	}
@@ -338,47 +315,26 @@ func (c *Coordinator) onGone(w tcpmpi.WorkerInfo, expired bool) {
 }
 
 // schedule runs the gang scheduler with c.mu held. Spare workers first
-// refill running shrink-policy jobs below their requested width — the
-// scale-up path — then admit queued jobs FIFO once a full gang is free.
+// refill running jobs below their requested width, then admit queued jobs
+// FIFO once a full gang is free.
 func (c *Coordinator) schedule() {
 	if c.closed {
 		return
 	}
 	for _, j := range c.jobs {
-		if j.state != JobRunning || len(j.gang) >= j.spec.P {
+		if j.state != JobRunning || len(j.gang) >= j.spec.P || len(c.free) == 0 {
 			continue
 		}
-		pol := j.spec.policy()
-		if pol == core.RecoverOff {
-			continue
-		}
-		attached := 0
 		for len(j.gang) < j.spec.P && len(c.free) > 0 {
 			id := c.free[0]
 			c.free = c.free[1:]
 			j.gang = append(j.gang, id)
 			c.owner[id] = j
-			attached++
-			switch {
-			case j.remote != nil:
-				// The remote supervisor decides whether the new worker
-				// triggers a wider re-gang or backfills the next
-				// generation; it is woken below.
-				c.logf("cluster: worker %d attached to remote job %s", id, j.id)
-			case pol == core.RecoverShrink:
-				// The world grows at the next epoch boundary.
-				j.inj.addJoin(1)
-				c.cScaleups.Inc()
-				c.logf("cluster: worker %d attached to job %s (scale-up to %d)", id, j.id, len(j.gang))
-			default:
-				// Respawn keeps the world width fixed; the worker
-				// backfills lost capacity.
-				c.logf("cluster: worker %d backfills job %s", id, j.id)
-			}
+			c.logf("cluster: worker %d attached to job %s", id, j.id)
 		}
-		if attached > 0 && j.remote != nil {
-			j.remote.kick()
-		}
+		// The supervisor decides whether the new workers widen a re-gang
+		// or backfill the next generation.
+		j.remote.kick()
 	}
 	c.gBusy.Set(float64(len(c.owner)))
 	for len(c.queue) > 0 && len(c.free) >= c.queue[0].spec.P {
@@ -394,46 +350,9 @@ func (c *Coordinator) schedule() {
 		c.gRunning.Add(1)
 		c.logf("cluster: job %s starts on workers %v", j.id, j.gang)
 		c.wg.Add(1)
-		go c.runJob(j)
+		go c.runRemoteJob(j)
 	}
 	c.gQueued.Set(float64(len(c.queue)))
-}
-
-// runJob executes one job — remotely on its gang's worker processes when
-// the spec asks for it, in-process otherwise — and records the outcome.
-func (c *Coordinator) runJob(j *Job) {
-	defer c.wg.Done()
-	if j.remote != nil {
-		c.runRemoteJob(j)
-		return
-	}
-	res := &JobResult{ID: j.id, Method: j.spec.Method, Dataset: datasetName(j.spec), P: j.spec.P}
-	pr, ds := j.params, j.ds
-	pr.Faults = j.inj
-	pr.Metrics = j.metrics
-	pr.Telemetry = j.ring
-	start := time.Now()
-	out, err := core.Train(ds.X, ds.Y, pr)
-	res.WallSec = time.Since(start).Seconds()
-	if err == nil {
-		st := out.Stats
-		res.FinalP = st.P
-		res.Iters = st.Iters
-		res.SVs = st.SVs
-		res.TotalSec = st.TotalSec
-		res.Recoveries = st.Recoveries
-		res.LostRanks = st.LostRanks
-		res.Grows = st.Grows
-		res.JoinedRanks = st.JoinedRanks
-		if ds.TestX != nil {
-			res.Accuracy = out.Set.Accuracy(ds.TestX, ds.TestY)
-		}
-		res.ModelHash = out.Set.Hash()
-	}
-	if err != nil {
-		res.Err = err.Error()
-	}
-	c.finishJob(j, res)
 }
 
 // fleetKeepJobs is how many finished jobs keep their fleet telemetry (spans,

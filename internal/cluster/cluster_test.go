@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,9 +12,9 @@ import (
 	"casvm/internal/tcpmpi"
 )
 
-// testMixture is the in-process test dataset every method learns well —
-// the same construction core's recovery suite uses, so iteration counts
-// are long enough to drive membership churn through mid-run.
+// testMixture is the test dataset every method learns well — the same
+// construction core's recovery suite uses, so iteration counts are long
+// enough to drive membership churn through mid-run.
 func testMixture(train int) *data.MixtureSpec {
 	return &data.MixtureSpec{
 		Name: "cluster-test", Train: train, Test: train / 4, Features: 8,
@@ -65,164 +64,94 @@ func newTestCoordinator(t *testing.T, ttl time.Duration) *Coordinator {
 	return c
 }
 
-func registerWorkers(t *testing.T, c *Coordinator, n int) []*tcpmpi.Lease {
-	t.Helper()
-	leases := make([]*tcpmpi.Lease, n)
-	for i := range leases {
-		l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		leases[i] = l
-	}
-	waitFor(t, "workers registered", func() bool { return len(c.Workers()) >= n })
-	return leases
-}
-
 // TestClusterGoldenScaleUp is the acceptance scenario for the elastic
-// runtime: a Dis-SMO job on a gang of 8 loses two workers to lease
-// revocation mid-run (shrinking the world 8 -> 7 -> 6), two replacement
-// workers dial in, the world grows back to 8 at a checkpoint epoch
-// boundary, and the final model carries the exact fault-free ModelHash.
+// runtime: an RA-CA job on a gang of four executors loses two of them to
+// lease revocation mid-epoch — each loss re-gangs the survivors from the
+// streamed checkpoints — then two replacement executors join, the scheduler
+// attaches them, the supervisor re-spreads the pending ranks onto the wider
+// gang, and the final model carries the exact fault-free ModelHash.
 func TestClusterGoldenScaleUp(t *testing.T) {
-	spec := JobSpec{
-		ID: "golden", Mixture: testMixture(480), Method: string(core.MethodDisSMO),
-		P: 8, Seed: 1, CheckpointEvery: 8, Policy: "shrink",
-	}
-
-	// Local fault-free reference run with the identical parameter build.
-	pr, ds, err := trainParams(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanOut, err := core.Train(ds.X, ds.Y, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanHash, err := core.ModelHash(cleanOut.Set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cleanOut.Stats.Iters < 48 {
-		t.Fatalf("reference run converged in %d iters; churn window unreachable", cleanOut.Stats.Iters)
-	}
+	spec := remoteSpec("golden", 4, 480, "shrink")
+	want := referenceHash(t, spec)
 
 	c := newTestCoordinator(t, 500*time.Millisecond)
+	startExecutors(t, c, 4, time.Millisecond)
 	j, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The job is queued (no workers yet): safe to slow its iteration
-	// clock so the churn sequence lands mid-run deterministically.
-	j.inj.setThrottle(2 * time.Millisecond)
-
-	leases := registerWorkers(t, c, 8)
-	waitFor(t, "job running", func() bool { return j.State() == JobRunning })
-	waitFor(t, "training underway", func() bool { i, _, _, _ := j.inj.snapshot(); return i >= 8 })
-
-	// Two lease revocations: the membership table expires the workers and
-	// the supervisor shrinks the world.
-	if err := c.reg.Revoke(leases[7].ID()); err != nil {
+	// Two lease revocations, each of a member of the generation running at
+	// the time: the first once every rank has streamed a checkpoint.
+	killGangMemberMidEpoch(t, c, j)
+	waitFor(t, "the survivors' generation", func() bool { return j.Remote().Generation == 2 })
+	gang := j.Remote().Workers
+	if err := c.Revoke(gang[len(gang)-1]); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first shrink", func() bool { _, k, _, _ := j.inj.snapshot(); return k >= 1 })
-	if err := c.reg.Revoke(leases[6].ID()); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "second shrink", func() bool { _, k, _, _ := j.inj.snapshot(); return k >= 2 })
+	waitFor(t, "the second re-gang", func() bool { return j.Remote().Generation == 3 })
 
-	// Two replacement workers join mid-run; the scheduler attaches them
-	// to the degraded job and the world grows back at the next epoch.
-	registerWorkers(t, c, 2)
-	waitFor(t, "scale-up back to 8", func() bool {
-		_, _, g, w := j.inj.snapshot()
-		return g >= 2 && w == 8
-	})
-
-	j.inj.setThrottle(0)
+	// Two replacement executors join mid-run: the gang widens back to four.
+	startExecutors(t, c, 2, time.Millisecond)
 	select {
 	case <-j.Done():
 	case <-time.After(120 * time.Second):
-		t.Fatal("job never finished")
+		t.Fatalf("job never finished (progress %+v)", j.Remote())
 	}
 	res := j.Result()
 	if res.Err != "" {
 		t.Fatalf("job failed: %s", res.Err)
 	}
-	if res.FinalP != 8 {
-		t.Fatalf("FinalP=%d, want 8", res.FinalP)
+	if res.ModelHash != want {
+		t.Fatalf("churned run hash %s != fault-free hash %s", res.ModelHash, want)
 	}
-	if res.Recoveries != 2 {
-		t.Fatalf("Recoveries=%d, want 2", res.Recoveries)
+	if res.FinalP != 4 || res.Recoveries != 2 {
+		t.Fatalf("FinalP=%d Recoveries=%d, want 4 and 2", res.FinalP, res.Recoveries)
 	}
 	if res.Grows < 1 || res.JoinedRanks != 2 {
 		t.Fatalf("Grows=%d JoinedRanks=%d, want >=1 and 2", res.Grows, res.JoinedRanks)
-	}
-	if res.ModelHash != cleanHash {
-		t.Fatalf("churned run hash %s != fault-free hash %s", res.ModelHash, cleanHash)
-	}
-	if res.Iters != cleanOut.Stats.Iters {
-		t.Fatalf("churned run iters=%d != fault-free iters=%d", res.Iters, cleanOut.Stats.Iters)
-	}
-	if res.Accuracy < 0.88 {
-		t.Fatalf("accuracy %.3f < 0.88", res.Accuracy)
 	}
 
 	snap := c.Metrics().Snapshot()
 	if got := snap["cluster_lease_expiries_total"]; got != 2 {
 		t.Fatalf("cluster_lease_expiries_total=%v, want 2", got)
 	}
-	if got := snap["cluster_job_scaleups_total"]; got != 2 {
-		t.Fatalf("cluster_job_scaleups_total=%v, want 2", got)
+	if got := snap["cluster_job_scaleups_total"]; got != float64(res.Grows) {
+		t.Fatalf("cluster_job_scaleups_total=%v, want Grows=%d", got, res.Grows)
 	}
-	// The job's private metrics namespace carries the grow counters.
-	jsnap := j.Metrics().Snapshot()
-	if jsnap["casvm_grow_ranks_total"] != 2 {
-		t.Fatalf("job casvm_grow_ranks_total=%v, want 2", jsnap["casvm_grow_ranks_total"])
+	// The job's private metrics namespace carries the grow counter.
+	if got := j.Metrics().Snapshot()["casvm_grows_total"]; got != float64(res.Grows) {
+		t.Fatalf("job casvm_grows_total=%v, want Grows=%d", got, res.Grows)
 	}
 }
 
-// TestRespawnBackfill: under the respawn policy a lost worker's rank
-// restarts from checkpoint at fixed width, and a joining worker backfills
-// pool capacity without growing the world. Dis-SMO respawn is
-// bit-identical, so the hash still matches the fault-free run.
+// TestRespawnBackfill: under the respawn policy a Dis-SMO mesh that loses an
+// executor waits for a joining one to backfill the gang to full width, then
+// reruns the generation; the world never grows, and the rerun lands on the
+// fault-free hash.
 func TestRespawnBackfill(t *testing.T) {
-	spec := JobSpec{
-		Mixture: testMixture(240), Method: string(core.MethodDisSMO),
-		P: 2, Seed: 3, CheckpointEvery: 8, Policy: "respawn",
-	}
-	pr, ds, err := trainParams(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanOut, err := core.Train(ds.X, ds.Y, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanHash, err := core.ModelHash(cleanOut.Set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := remoteSpec("backfill", 2, 240, "respawn")
+	spec.Method = string(core.MethodDisSMO)
+	want := referenceHash(t, spec)
 
 	c := newTestCoordinator(t, 500*time.Millisecond)
+	// The second executor, the one revoked, holds the first mesh open; the
+	// rerun goes at full speed.
+	startExecutors(t, c, 1, 0)
+	startExecutors(t, c, 1, time.Millisecond)
+	waitFor(t, "both executors registered", func() bool { return len(c.Workers()) == 2 })
+	slow := c.Workers()[1].ID
 	j, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.inj.setThrottle(2 * time.Millisecond)
-	leases := registerWorkers(t, c, 2)
-	waitFor(t, "training underway", func() bool { i, _, _, _ := j.inj.snapshot(); return i >= 8 })
-
-	if err := c.reg.Revoke(leases[1].ID()); err != nil {
+	waitFor(t, "the mesh generation dispatched", func() bool { return len(j.Remote().Workers) == 2 })
+	if err := c.Revoke(slow); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "respawn kill", func() bool { _, k, _, _ := j.inj.snapshot(); return k >= 1 })
-	// A fresh worker arrives: it must backfill the gang, not grow the world.
-	registerWorkers(t, c, 1)
-	waitFor(t, "backfill", func() bool { return len(j.Gang()) == 2 })
+	waitFor(t, "gang degraded", func() bool { return len(j.Gang()) == 1 })
+	// A fresh executor arrives: it must backfill the gang, not grow the world.
+	startExecutors(t, c, 1, 0)
 
-	j.inj.setThrottle(0)
 	<-j.Done()
 	res := j.Result()
 	if res.Err != "" {
@@ -232,8 +161,8 @@ func TestRespawnBackfill(t *testing.T) {
 		t.Fatalf("FinalP=%d Recoveries=%d Grows=%d, want 2/1/0",
 			res.FinalP, res.Recoveries, res.Grows)
 	}
-	if res.ModelHash != cleanHash {
-		t.Fatalf("respawned run hash %s != fault-free hash %s", res.ModelHash, cleanHash)
+	if res.ModelHash != want {
+		t.Fatalf("respawned run hash %s != fault-free hash %s", res.ModelHash, want)
 	}
 }
 
@@ -241,19 +170,14 @@ func TestRespawnBackfill(t *testing.T) {
 // free, run FIFO, and released workers are reused by the next job.
 func TestGangScheduling(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
+	startExecutors(t, c, 3, 500*time.Microsecond)
 
-	spec := JobSpec{
-		Mixture: testMixture(160), Method: string(core.MethodRACA),
-		P: 2, Seed: 5,
-	}
-	// Submit before any workers exist: the job queues, which makes it
-	// safe to slow its iteration clock before it starts.
+	spec := remoteSpec("gang", 2, 160, "shrink")
+	spec.Seed = 5
 	j1, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1.inj.setThrottle(2 * time.Millisecond)
-	registerWorkers(t, c, 3)
 	waitFor(t, "first job running", func() bool { return j1.State() == JobRunning })
 
 	// One free worker left: a second 2-wide job must queue.
@@ -261,16 +185,16 @@ func TestGangScheduling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := j2.State(); st != JobQueued {
+	if st := j2.State(); st != JobQueued && j1.State() == JobRunning {
 		t.Fatalf("second job state %v while the pool is exhausted, want queued", st)
 	}
 
-	j1.inj.setThrottle(0)
 	select {
 	case <-j2.Done():
 	case <-time.After(120 * time.Second):
 		t.Fatal("queued job never ran")
 	}
+	<-j1.Done()
 	for _, j := range []*Job{j1, j2} {
 		res := j.Result()
 		if res == nil || res.Err != "" {
@@ -289,16 +213,16 @@ func TestGangScheduling(t *testing.T) {
 	}
 }
 
-// TestWireSubmitAndWait covers the thin-client path: a worker joins via
-// JoinWorker, a client submits over TCP and blocks for the result, and
-// the membership counters record the full join/leave cycle.
+// TestWireSubmitAndWait covers the thin-client path: executors join, a
+// client submits over TCP and blocks for the result, and the membership
+// counters record the full join/leave cycle.
 func TestWireSubmitAndWait(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	workerDone := make(chan error, 1)
-	go func() { workerDone <- JoinWorker(ctx, c.Addr()) }()
-	registerWorkers(t, c, 2) // one more direct lease; JoinWorker's makes 3
+	go func() { workerDone <- RunExecutor(ctx, c.Addr(), ExecutorOptions{}) }()
+	startExecutors(t, c, 2, 0)
 	waitFor(t, "all workers", func() bool { return len(c.Workers()) == 3 })
 
 	res, err := SubmitAndWait(c.Addr(), JobSpec{
@@ -324,7 +248,7 @@ func TestWireSubmitAndWait(t *testing.T) {
 	// Clean worker departure: a leave, not an expiry.
 	cancel()
 	if err := <-workerDone; err != nil {
-		t.Fatalf("JoinWorker: %v", err)
+		t.Fatalf("RunExecutor: %v", err)
 	}
 	waitFor(t, "leave counted", func() bool {
 		return c.Metrics().Snapshot()["cluster_worker_leaves_total"] >= 1
@@ -341,51 +265,18 @@ func TestWireSubmitAndWait(t *testing.T) {
 	}
 }
 
-// TestUnsupervisedExpiryFailsJob: with recovery off, a lease expiry still
-// reaches the job as a crash — and fails it fast instead of hanging the
-// gang.
-func TestUnsupervisedExpiryFailsJob(t *testing.T) {
-	c := newTestCoordinator(t, 500*time.Millisecond)
-	spec := JobSpec{
-		Mixture: testMixture(240), Method: string(core.MethodDisSMO),
-		P: 2, Seed: 9, Policy: "off",
-	}
-	j, err := c.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.inj.setThrottle(2 * time.Millisecond)
-	leases := registerWorkers(t, c, 2)
-	waitFor(t, "training underway", func() bool { i, _, _, _ := j.inj.snapshot(); return i >= 4 })
-
-	if err := c.reg.Revoke(leases[0].ID()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-j.Done():
-	case <-time.After(120 * time.Second):
-		t.Fatal("unsupervised job survived a lease expiry")
-	}
-	res := j.Result()
-	if res.Err == "" || !strings.Contains(res.Err, "lease expired") {
-		t.Fatalf("want a lease-expired failure, got %+v", res)
-	}
-	if c.Metrics().Snapshot()["cluster_jobs_failed_total"] != 1 {
-		t.Fatal("failed job not counted")
-	}
-}
-
-// TestSubmitValidation: broken specs are rejected at submission.
 // TestSubmitIdempotencyKey: a resubmission carrying a SubmitKey the
 // coordinator already accepted attaches to the existing job instead of
 // double-running the work — the guarantee SubmitWithRetry leans on when a
 // transport error lands after the submit frame was delivered.
 func TestSubmitIdempotencyKey(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
+	startExecutors(t, c, 2, 0)
 	spec := JobSpec{
 		ID: "idem", Mixture: testMixture(160), Method: string(core.MethodDisSMO),
 		P: 2, Seed: 1, SubmitKey: "client-key-1",
 	}
+	want := referenceHash(t, spec)
 	j1, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -424,8 +315,21 @@ func TestSubmitIdempotencyKey(t *testing.T) {
 	if _, err := c.Submit(spec); err == nil {
 		t.Fatal("oversize submit key accepted")
 	}
+
+	// Four jobs ran, each once, on the executors.
+	for _, j := range []*Job{j1, j3, j4, j5} {
+		<-j.Done()
+		if res := j.Result(); res.Err != "" || res.ModelHash != want {
+			t.Fatalf("job %s: %+v, want hash %s", j.ID(), res, want)
+		}
+	}
+	if got := c.Metrics().Snapshot()["cluster_jobs_completed_total"]; got != 4 {
+		t.Fatalf("cluster_jobs_completed_total=%v, want 4", got)
+	}
 }
 
+// TestSubmitValidation: broken specs are rejected at submission — among
+// them a job that asks for no recovery, which no worker death could spare.
 func TestSubmitValidation(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
 	for _, spec := range []JobSpec{
@@ -434,6 +338,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Method: string(core.MethodRACA), P: 2},
 		{Method: string(core.MethodRACA), P: 2, Dataset: "no-such-set"},
 		{Method: string(core.MethodRACA), P: 2, Dataset: "toy", Policy: "retry-forever"},
+		{Method: string(core.MethodRACA), P: 2, Dataset: "toy", Policy: "off"},
 	} {
 		if _, err := c.Submit(spec); err == nil {
 			t.Errorf("spec %+v accepted", spec)
@@ -444,41 +349,10 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// JoinWorker registers with the coordinator at addr as a worker and blocks
-// until the lease ends (coordinator shutdown or revocation) or ctx is
-// cancelled. It returns nil on a clean ctx-driven departure — the
-// coordinator sees a leave, not an expiry.
-func JoinWorker(ctx context.Context, addr string) error {
-	l, err := tcpmpi.Register(addr, tcpmpi.RegisterOptions{})
-	if err != nil {
-		return fmt.Errorf("cluster: register with %s: %w", addr, err)
-	}
-	select {
-	case <-ctx.Done():
-		l.Close()
-		return nil
-	case <-leaseEnded(l):
-		return l.Err()
-	}
-}
-
 // leaseEnded returns a channel closed once l ends. No coordinator frame
 // carries tag -1, so that receive returns only with the lease's end.
 func leaseEnded(l *tcpmpi.Lease) <-chan struct{} {
 	ch := make(chan struct{})
 	go func() { l.Recv(-1, 0); close(ch) }()
 	return ch
-}
-
-// snapshot returns the injector's progress counters.
-func (in *elasticInjector) snapshot() (iters, killed, grown, width int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.iters, in.killed, in.grown, in.width
-}
-
-func (in *elasticInjector) setThrottle(d time.Duration) {
-	in.mu.Lock()
-	in.throttle = d
-	in.mu.Unlock()
 }

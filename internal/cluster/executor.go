@@ -352,7 +352,7 @@ func (e *executor) runMesh(ctx context.Context, m execStart, ln net.Listener) {
 	}
 	st := world.Stats()
 	e.rankDone(execRank{Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters, VirtSec: sh.VirtSec,
-		Msgs: st.TotalOps(), Bytes: st.TotalBytes()}, sh, rep, tl)
+		Msgs: st.TotalOps(), Bytes: st.TotalBytes(), Layers: sh.LayerIters}, sh, rep, tl)
 }
 
 // reporter says the rank's fleet hello when fleet telemetry is on; nil

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"casvm/internal/core"
 	"casvm/internal/model"
 	"casvm/internal/mpi"
 	"casvm/internal/smo"
@@ -97,6 +98,10 @@ type execRank struct {
 	// Msgs and Bytes are what a mesh rank sent while training.
 	Msgs  int64 `json:"msgs,omitempty"`
 	Bytes int64 `json:"bytes,omitempty"`
+
+	// Layers is a tree-method rank's solver iterations per layer it solved
+	// (core.ShardResult.LayerIters), at most core.TreeLayers(P) entries.
+	Layers []int `json:"layers,omitempty"`
 }
 
 // execAbort cancels a generation: the worker interrupts its in-flight
@@ -247,6 +252,14 @@ func decodeExecRank(kind string, hdr []byte) (execRank, error) {
 	}
 	if h.Iters < 0 || h.VirtSec < 0 || h.Msgs < 0 || h.Bytes < 0 {
 		return h, fmt.Errorf("cluster: %s frame with negative progress", kind)
+	}
+	if len(h.Layers) > core.TreeLayers(maxExecGangWidth) {
+		return h, fmt.Errorf("cluster: %s frame reports %d tree layers", kind, len(h.Layers))
+	}
+	for _, it := range h.Layers {
+		if it < 0 {
+			return h, fmt.Errorf("cluster: %s frame with negative progress", kind)
+		}
 	}
 	return h, nil
 }

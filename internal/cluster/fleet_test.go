@@ -14,8 +14,8 @@ import (
 )
 
 // TestFleetFramesOverCoordinator is the wiring test for the fleet plane on
-// the real cluster coordinator: a worker lease ships hello, spans, metrics
-// and epoch reports over the same connection that makes it gang capacity,
+// the real cluster coordinator: a lease ships hello, spans, metrics and
+// epoch reports over the same connection an executor's job control rides,
 // and the coordinator routes them to its collector — including federation
 // into a finished job's /jobs/<id>/metrics registry and the OnJobDone hook
 // casvm-cluster persists merged traces from.
@@ -34,7 +34,7 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 	// A real job, so the federated fleet_* gauges land in the registry
 	// the telemetry server serves under /jobs/<id>/metrics.
 	spec := JobSpec{ID: "fleet", Mixture: testMixture(160), Method: string(core.MethodRACA), P: 1, Seed: 1}
-	registerWorkers(t, c, 1)
+	startExecutors(t, c, 1, 0)
 	j, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 // refused like an unknown job's.
 func TestFleetStateBoundedAcrossJobs(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
-	registerWorkers(t, c, 1)
+	startExecutors(t, c, 1, 0)
 	l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{Client: true})
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestFleetStateBoundedAcrossJobs(t *testing.T) {
 	var rep *fleet.Reporter
 	id := func(i int) string { return fmt.Sprintf("job-%d", i+1) } // the ids Submit assigns
 	for i := 0; i < fleetKeepJobs+extra; i++ {
-		// The job's telemetry exists before it finishes, as a remote
-		// executor's hello does.
+		// The job's telemetry exists before it finishes, as an executor's
+		// hello does.
 		if rep, err = fleet.NewReporter(l, id(i), 0, 1); err != nil {
 			t.Fatal(err)
 		}

@@ -150,6 +150,11 @@ func FuzzExecFrames(f *testing.F) {
 		{fzPort, marshalExec(execPort{Port: 0})},
 		{fzPort, []byte(`{"port":65536}`)},
 		{fzPort, []byte(`"7070"`)},
+		// A tree rank's per-layer iterations: bounded by the deepest tree a
+		// gang can run, none negative.
+		{fzRankDone, encodeExecRankDone(execRank{Job: "fz", Gen: 1, Rank: 2, Iters: 0, VirtSec: 1, Msgs: 4, Bytes: 96, Layers: []int{40, 12, 3}}, nil, nil)},
+		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":0,"layers":[5,-1]}`)},
+		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":0,"layers":[` + strings.Repeat("1,", core.TreeLayers(maxExecGangWidth)) + `1]}`)},
 	}
 	for _, s := range seeds {
 		f.Add(s.kind, s.in)
@@ -241,7 +246,7 @@ func TestExecFrameRoundTrips(t *testing.T) {
 
 	ckpt := execRank{Job: "rt", Gen: 1, Rank: 0, Iters: 8, VirtSec: 0.25}
 	gotCk, blob, err := decodeExecCkpt(encodeExecCkpt(ckpt, fuzzCheckpointBlob(8)))
-	if err != nil || gotCk != ckpt || !bytes.Equal(blob, fuzzCheckpointBlob(8)) {
+	if err != nil || !reflect.DeepEqual(gotCk, ckpt) || !bytes.Equal(blob, fuzzCheckpointBlob(8)) {
 		t.Fatalf("checkpoint round-trip: %+v, %v", gotCk, err)
 	}
 	// The iters field is cross-checked against the blob, not trusted.
@@ -254,7 +259,7 @@ func TestExecFrameRoundTrips(t *testing.T) {
 		m, center := fuzzShard(sparse)
 		done := execRank{Job: "rt", Gen: 1, Rank: 1, Iters: 40, VirtSec: 0.5}
 		gotDone, secs, err := decodeExecRankDone(encodeExecRankDone(done, m, center))
-		if err != nil || gotDone != done {
+		if err != nil || !reflect.DeepEqual(gotDone, done) {
 			t.Fatalf("rank-done round-trip (sparse=%v): %+v, %v", sparse, gotDone, err)
 		}
 		back, gotCenter, err := model.DecodeShard(secs, m.Kernel, 2)
@@ -280,8 +285,22 @@ func TestExecFrameRoundTrips(t *testing.T) {
 	}
 
 	bare := execRank{Job: "rt", Gen: 1, Rank: 1, Iters: 40, VirtSec: 0.5, Msgs: 12, Bytes: 480}
-	if got, secs, err := decodeExecRankDone(encodeExecRankDone(bare, nil, nil)); err != nil || got != bare || len(secs) != 0 {
+	if got, secs, err := decodeExecRankDone(encodeExecRankDone(bare, nil, nil)); err != nil || !reflect.DeepEqual(got, bare) || len(secs) != 0 {
 		t.Fatalf("header-only rank-done round-trip: %+v, %d sections, %v", got, len(secs), err)
+	}
+	tree := execRank{Job: "rt", Gen: 1, Rank: 1, Msgs: 4, Bytes: 96, Layers: []int{40, 12}}
+	if got, _, err := decodeExecRankDone(encodeExecRankDone(tree, nil, nil)); err != nil || !reflect.DeepEqual(got, tree) {
+		t.Fatalf("tree rank-done round-trip: %+v, %v", got, err)
+	}
+	for name, layers := range map[string][]int{
+		"a negative layer":     {40, -1},
+		"deeper than any tree": make([]int, core.TreeLayers(maxExecGangWidth)+1),
+	} {
+		h := tree
+		h.Layers = layers
+		if _, _, err := decodeExecRankDone(encodeExecRankDone(h, nil, nil)); err == nil {
+			t.Errorf("rank-done frame with %s accepted", name)
+		}
 	}
 	if got, err := decodeExecPort(marshalExec(execPort{Port: 7070})); err != nil || got.Port != 7070 {
 		t.Fatalf("port round-trip: %+v, %v", got, err)

@@ -8,7 +8,6 @@ import (
 	"casvm/internal/core"
 	"casvm/internal/data"
 	"casvm/internal/kernel"
-	"casvm/internal/smo"
 	"casvm/internal/trace"
 )
 
@@ -44,17 +43,17 @@ type JobSpec struct {
 	MaxIter int     `json:"max_iter,omitempty"`
 	Seed    int64   `json:"seed,omitempty"` // 0 = the DefaultParams seed
 
-	// Policy is the recovery policy ("shrink", "respawn", "off");
-	// "" = shrink, the policy under which lease churn is survivable and
-	// reversible. CheckpointEvery is the snapshot cadence (0 = 64).
+	// Policy is the recovery policy, "shrink" or "respawn"; "" = shrink,
+	// the policy under which lease churn is survivable and reversible.
+	// "off" is refused: a worker's death is a real fault, and a job must
+	// survive it. CheckpointEvery is the snapshot cadence (0 = 64).
 	Policy          string `json:"policy,omitempty"`
 	CheckpointEvery int    `json:"ckpt_every,omitempty"`
 
-	// Remote executes each rank inside the worker process holding its
-	// lease instead of modeling the world in-process on the coordinator:
-	// RA-CA shards alone over the lease, every other method over a tcpmpi
-	// mesh between the gang's workers. The policy must allow recovery,
-	// since remote worker death is a real fault, not a simulated one.
+	// Remote is accepted and ignored: every job runs its ranks in the
+	// worker processes holding its gang's leases. The repository benchmark
+	// (bench/cluster.go) still sets it; ROADMAP item 1 removes the field
+	// together with that line.
 	Remote bool `json:"remote,omitempty"`
 }
 
@@ -89,8 +88,8 @@ func (s JobSpec) validate() error {
 	if s.Mixture == nil && s.Dataset == "" {
 		return fmt.Errorf("cluster: job names no dataset")
 	}
-	if s.Remote && s.policy() == core.RecoverOff {
-		return fmt.Errorf("cluster: remote execution needs a recovery policy (shrink or respawn)")
+	if s.policy() == core.RecoverOff {
+		return fmt.Errorf("cluster: a job needs a recovery policy (shrink or respawn)")
 	}
 	return nil
 }
@@ -157,8 +156,8 @@ func (m *datasetMemo) trainParams(s JobSpec) (core.Params, *data.Dataset, error)
 	if err != nil {
 		return core.Params{}, nil, err
 	}
-	if s.Remote && ds.X.Rows() < s.P {
-		return core.Params{}, nil, fmt.Errorf("cluster: %d samples cannot feed %d remote ranks", ds.X.Rows(), s.P)
+	if ds.X.Rows() < s.P {
+		return core.Params{}, nil, fmt.Errorf("cluster: %d samples cannot feed %d ranks", ds.X.Rows(), s.P)
 	}
 	pr := core.DefaultParams(method, s.P)
 	if s.C != 0 {
@@ -210,7 +209,7 @@ type JobResult struct {
 	Dataset string `json:"dataset,omitempty"`
 
 	P      int `json:"p"`       // requested gang width
-	FinalP int `json:"final_p"` // world width at completion
+	FinalP int `json:"final_p"` // ranks the model was built from
 
 	Iters    int     `json:"iters,omitempty"`
 	SVs      int     `json:"svs,omitempty"`
@@ -222,10 +221,10 @@ type JobResult struct {
 	LostRanks   []int  `json:"lost_ranks,omitempty"`
 	Grows       int    `json:"grows,omitempty"`
 	JoinedRanks int    `json:"joined_ranks,omitempty"`
-	Generations int    `json:"generations,omitempty"` // remote jobs: gang generations dispatched
+	Generations int    `json:"generations,omitempty"` // gang generations dispatched
 	ModelHash   string `json:"model_hash,omitempty"`
 
-	// Messages and Bytes are what a remote job's mesh ranks sent while
+	// Messages and Bytes are what the job's mesh ranks sent while
 	// training, summed over the generation that finished it.
 	Messages int64 `json:"messages,omitempty"`
 	Bytes    int64 `json:"bytes,omitempty"`
@@ -245,10 +244,8 @@ type Job struct {
 	params core.Params
 	ds     *data.Dataset
 
-	inj     *elasticInjector
-	remote  *remoteRun         // non-nil iff spec.Remote; own lock
-	metrics *trace.Registry    // per-job namespace, fed to Params.Metrics
-	ring    *smo.TelemetryRing // per-job convergence stream
+	remote  *remoteRun      // the generations' state; own lock
+	metrics *trace.Registry // per-job namespace: recoveries, grows, fleet aggregates
 	done    chan struct{}
 
 	// guarded by c.mu
@@ -285,11 +282,7 @@ func (j *Job) Result() *JobResult {
 	return j.result
 }
 
-// Metrics is the job's private metrics registry (solver counters plus the
-// run's recovery/grow counters) — one namespace per job for the telemetry
-// server.
+// Metrics is the job's private metrics registry (its recovery and grow
+// counters, plus the fleet plane's federated aggregates and straggler
+// counts) — one namespace per job for the telemetry server.
 func (j *Job) Metrics() *trace.Registry { return j.metrics }
-
-// Ring is the job's live convergence stream (one sample per solver
-// iteration per rank).
-func (j *Job) Ring() *smo.TelemetryRing { return j.ring }

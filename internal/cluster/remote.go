@@ -1,6 +1,6 @@
-// Coordinator-side runtime for remotely executed jobs.
+// Coordinator-side runtime of a job.
 //
-// A remote job's life is a sequence of *generations*. Each generation
+// A job's life is a sequence of *generations*. Each generation
 // assigns ranks to the job's current workers and sends each of them a single
 // start frame over its lease, then waits while the workers stream results
 // back as lease control frames. There are two kinds:
@@ -56,8 +56,8 @@ const (
 	genClosed                   // the coordinator is shutting down
 )
 
-// remoteRun is the mutable state of one remote job, shared between the
-// job's supervising goroutine and the registrar callbacks (frames, lease
+// remoteRun is the mutable state of one job's generations, shared between
+// the job's supervising goroutine and the registrar callbacks (frames, lease
 // expiries, scheduler attaches). Guarded by its own mutex; the lock order
 // is c.mu before rr.mu, never the reverse.
 type remoteRun struct {
@@ -189,8 +189,12 @@ func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, 
 	if want := h.Rank == 0 || method.IndependentModels(); want != (len(secs) > 0) {
 		return nil, fmt.Errorf("cluster: rank %d of a %s job sent %d model sections", h.Rank, method, len(secs))
 	}
+	if len(h.Layers) > core.TreeLayers(rr.width) {
+		return nil, fmt.Errorf("cluster: rank %d reports %d tree layers at p=%d", h.Rank, len(h.Layers), rr.width)
+	}
+	sh := &core.ShardResult{Iters: h.Iters, LayerIters: h.Layers}
 	if len(secs) == 0 {
-		return &core.ShardResult{Iters: h.Iters}, nil
+		return sh, nil
 	}
 	m, center, err := model.DecodeShard(secs, rr.j.params.Kernel, rr.features)
 	if err != nil {
@@ -199,7 +203,8 @@ func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, 
 	if m.NSV() > rr.rows {
 		return nil, fmt.Errorf("cluster: shard of %d support vectors from a dataset of %d rows", m.NSV(), rr.rows)
 	}
-	return &core.ShardResult{Model: m, Center: center, Iters: h.Iters}, nil
+	sh.Model, sh.Center = m, center
+	return sh, nil
 }
 
 // onRankDone stores a finished rank, decoded and checked at the trust
@@ -231,8 +236,8 @@ func (rr *remoteRun) onFail(m execFail) {
 	})
 }
 
-// RemoteProgress is a snapshot of a remote job's execution state, for
-// status reporting and tests.
+// RemoteProgress is a snapshot of a job's execution state, for status
+// reporting and tests.
 type RemoteProgress struct {
 	Generation int         `json:"generation"`
 	Workers    []int       `json:"workers,omitempty"` // active generation, assignment order
@@ -242,13 +247,9 @@ type RemoteProgress struct {
 	Grows      int         `json:"grows,omitempty"`
 }
 
-// Remote reports a remote job's live execution progress, or nil for
-// in-process jobs.
+// Remote reports the job's live execution progress on its workers.
 func (j *Job) Remote() *RemoteProgress {
 	rr := j.remote
-	if rr == nil {
-		return nil
-	}
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
 	p := &RemoteProgress{
@@ -268,7 +269,7 @@ func (j *Job) Remote() *RemoteProgress {
 	return p
 }
 
-// execFrame routes an executor control frame into the owning job's remote
+// execFrame routes an executor control frame into the owning job's
 // runtime, or records a worker's mesh port; the error is a frame refused.
 // Frames from leases the job does not own are dropped — a departed worker's
 // late frames carry no authority.
@@ -277,7 +278,7 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		j := c.byID[job]
-		if j == nil || j.remote == nil || c.owner[w.ID] != j {
+		if j == nil || c.owner[w.ID] != j {
 			return nil
 		}
 		return j.remote
@@ -332,7 +333,7 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 			return nil // a client, or a worker already gone
 		}
 		c.ports[w.ID] = net.JoinHostPort(host, strconv.Itoa(m.Port))
-		if j := c.owner[w.ID]; j != nil && j.remote != nil {
+		if j := c.owner[w.ID]; j != nil {
 			j.remote.portFrom(w.ID)
 		}
 	}
@@ -576,10 +577,11 @@ func (rr *remoteRun) priceRegang() {
 	rr.mu.Unlock()
 }
 
-// runRemoteJob supervises one remote job end to end: gang → start →
-// stream → (re-gang)* → assemble. It runs on the job goroutine runJob
-// spawns and publishes through finishJob exactly like the in-process path.
+// runRemoteJob supervises one job end to end on the goroutine schedule
+// spawns: gang → start → stream → (re-gang)* → assemble, then publishes
+// through finishJob.
 func (c *Coordinator) runRemoteJob(j *Job) {
+	defer c.wg.Done()
 	rr := j.remote
 	res := &JobResult{ID: j.id, Method: j.spec.Method, Dataset: datasetName(j.spec), P: j.spec.P}
 	start := time.Now()
@@ -675,14 +677,14 @@ supervise:
 		res.Generations = rr.gen
 		res.TotalSec = rr.maxVirt
 		shards := make(map[int]*core.ShardResult, len(rr.doneRank))
+		ranks := make([]*core.ShardResult, rr.width)
 		for r, sh := range rr.doneRank {
 			if sh.Model != nil {
 				shards[r] = sh
 			}
-			if sh.Iters > res.Iters {
-				res.Iters = sh.Iters
-			}
+			ranks[r] = sh
 		}
+		res.Iters = core.JobIters(j.params.Method, ranks)
 		rr.mu.Unlock()
 		set, err := core.AssembleShards(shards, ds.Features())
 		if err != nil {

@@ -26,13 +26,13 @@ import (
 	"casvm/internal/tcpmpi"
 )
 
-// remoteSpec is the remote-execution test job: RA-CA over the shared test
-// mixture, checkpointing often enough that a mid-epoch kill always finds a
-// resume point.
+// remoteSpec is the test job: RA-CA over the shared test mixture,
+// checkpointing often enough that a mid-epoch kill always finds a resume
+// point.
 func remoteSpec(id string, p int, train int, policy string) JobSpec {
 	return JobSpec{
 		ID: id, Mixture: testMixture(train), Method: string(core.MethodRACA),
-		P: p, Seed: 1, CheckpointEvery: 4, Policy: policy, Remote: true,
+		P: p, Seed: 1, CheckpointEvery: 4, Policy: policy,
 	}
 }
 
@@ -75,7 +75,7 @@ func startExecutors(t *testing.T, c *Coordinator, n int, delay time.Duration) co
 	return cancel
 }
 
-// TestRemoteJobRunsOnExecutors: a Remote job's shard solves run inside the
+// TestRemoteJobRunsOnExecutors: a job's shard solves run inside the
 // executor workers, stream back over the leases, and assemble to the exact
 // hash the in-process fault-free reference produces.
 func TestRemoteJobRunsOnExecutors(t *testing.T) {
@@ -158,10 +158,12 @@ func TestRemoteSparseJobMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestRemoteEveryMethod: a remote job of every method runs on four executors
-// in one generation and lands on the hash of in-process core.Train — RA-CA as
-// lone shards, the rest as one rank per executor over a tcpmpi mesh — and its
-// messages and bytes are the in-process run's.
+// TestRemoteEveryMethod: a job of every method runs on four executors in one
+// generation and lands on the hash of in-process core.Train — RA-CA as lone
+// shards, the rest as one rank per executor over a tcpmpi mesh — and its
+// messages, bytes, iterations and support vectors are the in-process run's
+// (the tree methods' iterations summed over layers from each rank's per-layer
+// counts).
 func TestRemoteEveryMethod(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
 	startExecutors(t, c, 4, 0)
@@ -197,6 +199,10 @@ func TestRemoteEveryMethod(t *testing.T) {
 			if res.Messages != ref.Stats.CommOps || res.Bytes != ref.Stats.CommBytes {
 				t.Fatalf("%d messages, %d bytes; in-process %d, %d",
 					res.Messages, res.Bytes, ref.Stats.CommOps, ref.Stats.CommBytes)
+			}
+			if res.Iters != ref.Stats.Iters || res.SVs != ref.Stats.SVs {
+				t.Fatalf("%d iterations, %d SVs; in-process %d, %d",
+					res.Iters, res.SVs, ref.Stats.Iters, ref.Stats.SVs)
 			}
 		})
 	}
@@ -561,7 +567,13 @@ func TestMixedLoopbackMeshRefused(t *testing.T) {
 	}
 	c := newTestCoordinator(t, time.Second)
 	fakes := []*fakeWorker{startFakeWorker(t, c, pr, ds, nil), startFakeWorker(t, c, pr, ds, nil)}
-	waitFor(t, "fake workers registered", func() bool { return len(c.Workers()) == 2 })
+	// Admitted by the coordinator, not only leased: a port from a lease it
+	// has not admitted yet is dropped.
+	waitFor(t, "fake workers admitted", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.workers) == 2
+	})
 	// The second worker's port arrives as if its lease came from another host.
 	for i, w := range c.Workers() {
 		w.Addr = []string{"127.0.0.1:40000", "192.0.2.7:40000"}[i]
@@ -608,12 +620,14 @@ func countMixtureResolves(t *testing.T) *atomic.Int64 {
 }
 
 // TestSubmitResolvesDatasetOnce: the coordinator materialises a job's
-// dataset at Submit and the job runs on that copy — validation, the
-// in-process trainer and the remote supervisor do not each build their own.
+// dataset at Submit and the job runs on that copy — validation and the
+// supervisor do not each build their own. Executors running in this process
+// share the counted generator, so each adds its own one build; fake workers
+// (handed the dataset) add none.
 func TestSubmitResolvesDatasetOnce(t *testing.T) {
 	t.Run("in-process", func(t *testing.T) {
 		c := newTestCoordinator(t, time.Second)
-		registerWorkers(t, c, 2)
+		startExecutors(t, c, 2, 0)
 		n := countMixtureResolves(t)
 		j, err := c.Submit(JobSpec{Mixture: testMixture(160), Method: string(core.MethodRACA), P: 2, Seed: 5})
 		if err != nil {
@@ -623,8 +637,8 @@ func TestSubmitResolvesDatasetOnce(t *testing.T) {
 		if res := j.Result(); res.Err != "" || res.ModelHash == "" {
 			t.Fatalf("job: %+v", res)
 		}
-		if got := n.Load(); got != 1 {
-			t.Fatalf("dataset resolved %d times for one job, want 1", got)
+		if got := n.Load(); got != 3 {
+			t.Fatalf("dataset resolved %d times for one job on two executors, want 3 (coordinator + one per executor)", got)
 		}
 	})
 	t.Run("remote", func(t *testing.T) {
@@ -647,7 +661,7 @@ func TestSubmitResolvesDatasetOnce(t *testing.T) {
 			t.Fatalf("job: %+v", res)
 		}
 		if got := n.Load(); got != 1 {
-			t.Fatalf("dataset resolved %d times for one remote job, want 1", got)
+			t.Fatalf("dataset resolved %d times for one job, want 1", got)
 		}
 	})
 }
@@ -716,13 +730,14 @@ func TestDatasetMemoKey(t *testing.T) {
 
 // TestConcurrentJobsShareDataset: jobs submitted together over one dataset
 // share the coordinator's one copy of it — built once, its norm caches filled
-// before anyone else sees it — train and score on it at the same time, and
-// each land on the reference hash. The race matrix runs this at 1 and 4 CPUs.
+// before anyone else sees it — and score on it at the same time, while each
+// executor builds its own once; each job lands on the reference hash. The
+// race matrix runs this at 1 and 4 CPUs.
 func TestConcurrentJobsShareDataset(t *testing.T) {
 	spec := JobSpec{ID: "shared", Mixture: testMixture(240), Method: string(core.MethodFCFSCA), P: 2, Seed: 3}
 	want := referenceHash(t, spec)
 	c := newTestCoordinator(t, time.Second)
-	registerWorkers(t, c, 4)
+	startExecutors(t, c, 4, 0)
 	built := countMixtureResolves(t)
 	jobs := make([]*Job, 2)
 	var wg sync.WaitGroup
@@ -747,13 +762,13 @@ func TestConcurrentJobsShareDataset(t *testing.T) {
 			t.Errorf("job %s: %+v, want hash %s", j.ID(), res, want)
 		}
 	}
-	if got := built.Load(); got != 1 {
-		t.Errorf("dataset built %d times for two concurrent jobs, want 1", got)
+	if got := built.Load(); got != 5 {
+		t.Errorf("dataset built %d times for two concurrent jobs, want 5 (coordinator + one per executor)", got)
 	}
 }
 
-// TestRemoteGenerationsExactlyOne: a healthy remote job is exactly one
-// generation, every time. Workers open no sockets during an RA-CA job — the
+// TestRemoteGenerationsExactlyOne: a healthy job is exactly one generation,
+// every time. Workers open no sockets during an RA-CA job — the
 // mesh listener each keeps was bound once, at registration — so a neighbour
 // churning loopback ports — here a goroutine binding and releasing listeners
 // as fast as it can — has nothing to collide with.
@@ -1050,14 +1065,14 @@ func TestRemoteSurplusBackfillRecovers(t *testing.T) {
 	}
 }
 
-// TestRemoteSpecValidation: remote execution is opt-in with hard
-// prerequisites — a live recovery policy, and enough samples to feed every
-// rank — whatever the method.
+// TestRemoteSpecValidation: running on executors has hard prerequisites — a
+// live recovery policy, and enough samples to feed every rank — whatever the
+// method.
 func TestRemoteSpecValidation(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
 	for name, spec := range map[string]JobSpec{
-		"recovery off":    {Mixture: testMixture(160), Method: string(core.MethodDisSMO), P: 2, Policy: "off", Remote: true},
-		"too few samples": {Mixture: testMixture(160), Method: string(core.MethodRACA), P: 4096, Remote: true},
+		"recovery off":    {Mixture: testMixture(160), Method: string(core.MethodDisSMO), P: 2, Policy: "off"},
+		"too few samples": {Mixture: testMixture(160), Method: string(core.MethodRACA), P: 4096},
 	} {
 		if _, err := c.Submit(spec); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,15 +11,17 @@ import (
 	"time"
 
 	"casvm/internal/core"
-	"casvm/internal/tcpmpi"
 )
 
-// TestClusterSoak churns a live coordinator for a bounded interval:
-// a stream of shrink-policy jobs shares a pool whose workers are randomly
-// revoked and replaced. Every job must terminate (completed or cleanly
-// failed — no hangs), completed jobs must stay accurate, and the
-// membership ledger must balance. Gated behind CASVM_SOAK_CLUSTER=1; run
-// via `make soak-cluster`.
+// TestClusterSoak churns a live coordinator for a bounded interval: a
+// stream of shrink-policy jobs shares a pool of executors (RunExecutor
+// goroutines) that are randomly revoked and replaced, so RA-CA generations
+// resume from streamed checkpoints and mesh generations are torn down and
+// re-ganged. Every job must terminate (completed or cleanly failed — no
+// hangs), and a completed job must land on its fault-free hash: Dis-SMO and
+// RA-CA on the hash of the requested width, Cascade on the hash of the width
+// it finished at. Gated behind CASVM_SOAK_CLUSTER=1; run via
+// `make soak-cluster`.
 func TestClusterSoak(t *testing.T) {
 	if os.Getenv("CASVM_SOAK_CLUSTER") != "1" {
 		t.Skip("set CASVM_SOAK_CLUSTER=1 (or `make soak-cluster`) to run the cluster churn soak")
@@ -26,20 +29,21 @@ func TestClusterSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := newTestCoordinator(t, 400*time.Millisecond)
 
-	const poolSize = 6
-	leases := map[int]*tcpmpi.Lease{}
-	for i := 0; i < poolSize; i++ {
-		l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		leases[l.ID()] = l
+	// Executors end when their lease is revoked; the cleanup stops the rest.
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	spawn := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = RunExecutor(ctx, c.Addr(), ExecutorOptions{IterDelay: time.Millisecond})
+		}()
 	}
-	defer func() {
-		for _, l := range leases {
-			l.Close()
-		}
-	}()
+	t.Cleanup(func() { cancel(); wg.Wait() })
+	const poolSize = 6
+	for i := 0; i < poolSize; i++ {
+		spawn()
+	}
 	waitFor(t, "pool registered", func() bool { return len(c.Workers()) == poolSize })
 
 	methods := []core.Method{core.MethodDisSMO, core.MethodRACA, core.MethodCascade}
@@ -49,7 +53,7 @@ func TestClusterSoak(t *testing.T) {
 			ID:      fmt.Sprintf("soak%d", i),
 			Mixture: testMixture(240),
 			Method:  string(methods[i%len(methods)]),
-			P:       2 + i%3,
+			P:       2 + i%2,
 			Seed:    int64(100 + i),
 			Policy:  "shrink", CheckpointEvery: 8,
 		}
@@ -57,12 +61,12 @@ func TestClusterSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.inj.setThrottle(time.Millisecond)
 		jobs = append(jobs, j)
 	}
 
-	// Churn loop: revoke a random live worker, wait a beat, replace it.
-	// Capacity always recovers, so shrink-policy jobs can grow back.
+	// Churn loop: revoke a random live executor, wait a beat, start a
+	// replacement. Capacity always recovers, so shrink-policy jobs can grow
+	// back.
 	stopChurn := make(chan struct{})
 	churnDone := make(chan int)
 	go func() {
@@ -78,36 +82,33 @@ func TestClusterSoak(t *testing.T) {
 			if len(ws) == 0 {
 				continue
 			}
-			victim := ws[rng.Intn(len(ws))].ID
-			if err := c.reg.Revoke(victim); err != nil {
+			if err := c.Revoke(ws[rng.Intn(len(ws))].ID); err != nil {
 				continue
-			}
-			if l := leases[victim]; l != nil {
-				l.Close()
-				delete(leases, victim)
 			}
 			churns++
 			time.Sleep(100 * time.Millisecond)
-			l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{})
-			if err == nil {
-				leases[l.ID()] = l
-			}
+			spawn()
 		}
 	}()
 
-	// Bounded soak: jobs run throttled under churn for up to 20s, then
-	// full speed to drain.
-	time.Sleep(20 * time.Second)
+	// Bounded soak: jobs run under churn for up to 20s, then drain on the
+	// settled pool.
+	deadline := time.After(20 * time.Second)
+churn:
+	for _, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-deadline:
+			break churn
+		}
+	}
 	close(stopChurn)
 	churns := <-churnDone
-	for _, j := range jobs {
-		j.inj.setThrottle(0)
-	}
 	for _, j := range jobs {
 		select {
 		case <-j.Done():
 		case <-time.After(180 * time.Second):
-			t.Fatalf("job %s hung (state %v)", j.ID(), j.State())
+			t.Fatalf("job %s hung (state %v, progress %+v)", j.ID(), j.State(), j.Remote())
 		}
 	}
 
@@ -119,11 +120,15 @@ func TestClusterSoak(t *testing.T) {
 			continue
 		}
 		completed++
-		if res.Accuracy < 0.85 {
-			t.Errorf("job %s accuracy %.3f under churn", j.ID(), res.Accuracy)
+		spec := j.spec
+		if spec.Method == string(core.MethodCascade) {
+			spec.P = res.FinalP
 		}
-		t.Logf("job %s: iters=%d recoveries=%d grows=%d finalP=%d",
-			j.ID(), res.Iters, res.Recoveries, res.Grows, res.FinalP)
+		if want := referenceHash(t, spec); res.ModelHash != want {
+			t.Errorf("job %s (%s, finalP=%d) hash %s != fault-free %s", j.ID(), spec.Method, res.FinalP, res.ModelHash, want)
+		}
+		t.Logf("job %s: iters=%d generations=%d recoveries=%d grows=%d finalP=%d",
+			j.ID(), res.Iters, res.Generations, res.Recoveries, res.Grows, res.FinalP)
 	}
 	if completed < len(jobs)/2 {
 		t.Fatalf("only %d/%d jobs completed under churn", completed, len(jobs))
@@ -140,8 +145,8 @@ func TestClusterSoak(t *testing.T) {
 	}
 }
 
-// TestRemoteSoak is the remote-execution churn scenario: a stream of
-// Remote jobs trains on a pool of real worker processes while a churn loop
+// TestRemoteSoak is the process churn scenario: a stream of jobs trains on
+// a pool of real worker processes while a churn loop
 // repeatedly kill -9s a random worker and forks a replacement. Every job
 // must terminate, and every job that completes must land on the exact
 // fault-free ModelHash of its local reference — re-ganging across process

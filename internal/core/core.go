@@ -162,8 +162,7 @@ type FaultInjector interface {
 // JoinCheck poll consuming pending worker-join requests. Training loops
 // poll it only at checkpoint epoch boundaries — right after a deposit — so
 // the supervisor can grow the world from a state it can re-slice.
-// faults.ScheduleInjector and the cluster runtime's lease table implement
-// it.
+// faults.ScheduleInjector implements it (its "join" events).
 type ElasticSource interface {
 	JoinCheck(iter int) int
 }

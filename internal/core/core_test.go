@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"casvm/internal/data"
@@ -43,6 +44,21 @@ func TestAllMethodsTrainAndPredict(t *testing.T) {
 		}
 		if out.Stats.Iters <= 0 {
 			t.Errorf("%s: iters=%d", m, out.Stats.Iters)
+		}
+		// Iters is the critical path the per-node profile shows: the sum of
+		// each tree layer's slowest node, the slowest rank otherwise.
+		crit := slices.Max(out.Stats.NodeIters)
+		if layers := out.Stats.Layers; len(layers) > 0 {
+			crit = 0
+			for _, l := range layers {
+				crit += l.MaxIters()
+			}
+			if len(layers) != TreeLayers(4) {
+				t.Errorf("%s: %d tree layers, TreeLayers(4) = %d", m, len(layers), TreeLayers(4))
+			}
+		}
+		if out.Stats.Iters != crit {
+			t.Errorf("%s: iters=%d, the profile's critical path %d", m, out.Stats.Iters, crit)
 		}
 		if out.Stats.SVs <= 0 {
 			t.Errorf("%s: svs=%d", m, out.Stats.SVs)

@@ -119,7 +119,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 
 		// Identical update arithmetic on every rank.
 		khl := p.Kernel.Eval(eh.X, 0, el.X, 0)
-		dah, dal := smo.PairSolveWeighted(p.C, p.C, eh.Y, el.Y, high.val, low.val,
+		dah, dal := smo.PairSolve(p.C, eh.Y, el.Y, high.val, low.val,
 			high.alpha, low.alpha, eh.Diag, el.Diag, khl)
 		if dah == 0 && dal == 0 {
 			break // numerically stuck pair; matches the serial guard

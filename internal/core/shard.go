@@ -49,6 +49,11 @@ type ShardResult struct {
 	SVs      int
 	PartSize int
 
+	// LayerIters holds a tree-method rank's solver iterations at each layer
+	// it solved, layer 1 first (Iters stays 0 there: JobIters sums the
+	// layers' slowest nodes instead).
+	LayerIters []int
+
 	// Flops is the modeled work of the rank's local solve (independent-model
 	// methods only); VirtSec the rank's virtual clock on Params.Machine when
 	// it finished, excluding a remote executor's checkpoint transport, which

@@ -238,8 +238,10 @@ func assemble(p Params, features int, results []ShardResult) (*Output, error) {
 		PartSizes: make([]int, n), NodeTrainSec: make([]float64, n), NodeIters: make([]int, n),
 		NodePos: make([]int, n), NodeNeg: make([]int, n), NodeSVPos: make([]int, n), NodeSVNeg: make([]int, n)}
 	shards := map[int]*ShardResult{}
+	ranks := make([]*ShardResult, n)
 	for r := range results {
 		res := &results[r]
+		ranks[r] = res
 		st.PartSizes[r] = res.PartSize
 		st.NodeTrainSec[r] = res.trainSec
 		st.NodeIters[r] = res.Iters
@@ -254,22 +256,14 @@ func assemble(p Params, features int, results []ShardResult) (*Output, error) {
 		if p.Method.IndependentModels() {
 			shards[r] = res
 			st.SVs += res.SVs
-			if res.Iters > st.Iters {
-				st.Iters = res.Iters
-			}
 		}
 	}
+	st.Iters = JobIters(p.Method, ranks)
 	if !p.Method.IndependentModels() {
 		shards[0] = &results[0]
 		st.SVs = results[0].SVs
 		st.ColCacheHits, st.ColCacheMisses = results[0].colHits, results[0].colMisses
-		if p.Method == MethodDisSMO {
-			st.Iters = results[0].Iters // the global count
-		}
 		st.Layers = mergeLayers(results) // tree methods only
-		for _, l := range st.Layers {
-			st.Iters += l.MaxIters()
-		}
 	}
 	set, err := AssembleShards(shards, features)
 	if err != nil {

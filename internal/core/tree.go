@@ -32,6 +32,45 @@ func mergeLayers(results []ShardResult) []LayerStat {
 	return out
 }
 
+// TreeLayers is how many layers the reduction tree of p ranks runs: the
+// active ranks halve, rounding up, until one is left.
+func TreeLayers(p int) int {
+	n := 1
+	for ; p > 1; p = (p + 1) / 2 {
+		n++
+	}
+	return n
+}
+
+// JobIters is the critical-path iteration count Stats.Iters reports, from the
+// ranks' results in rank order: Dis-SMO's global count (every rank holds it),
+// the sum over tree layers of each layer's slowest node, and the slowest rank
+// of the independent-model methods.
+func JobIters(m Method, ranks []*ShardResult) int {
+	n := 0
+	switch {
+	case m == MethodDisSMO:
+		return ranks[0].Iters
+	case m.IndependentModels():
+		for _, r := range ranks {
+			n = max(n, r.Iters)
+		}
+		return n
+	}
+	for l := 0; ; l++ {
+		slowest := -1
+		for _, r := range ranks {
+			if l < len(r.LayerIters) {
+				slowest = max(slowest, r.LayerIters[l])
+			}
+		}
+		if slowest < 0 {
+			return n
+		}
+		n += slowest
+	}
+}
+
 // trainTree implements the reduction-tree family (Fig 2):
 //
 //   - Cascade:   even block partition, SV-only layer passing
@@ -98,6 +137,7 @@ func runTreePass(c *mpi.Comm, current part, p Params, passAll bool,
 		c.Charge(res.Flops)
 		c.Recorder().EndVirt(sp, c.Clock())
 		svs := svRows(res.Alpha)
+		out.LayerIters = append(out.LayerIters, res.Iters)
 		out.layers = append(out.layers, layerNode{layer, NodeStat{
 			Rank:    c.Rank(),
 			Samples: current.x.Rows(),

@@ -111,7 +111,7 @@ func sparseCopy(de *la.Matrix) *la.Matrix {
 
 // TestFusedMatchesUnfused proves the fused update/scan pass reproduces the
 // seed's separate-pass solver exactly — values, iteration counts, and flop
-// totals — across box weights, cache sizes and both storage formats.
+// totals — across box sizes, cache sizes and both storage formats.
 func TestFusedMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	de, y := twoBlobs(rng, 150, 2, 0.9)
@@ -121,7 +121,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 		cfg  Config
 	}{
 		{"first-order", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5)}},
-		{"weighted", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), PosWeight: 2.5}},
+		{"wide-box", Config{C: 2.5, Tol: 1e-3, Kernel: kernel.RBF(0.5)}},
 		{"small-cache", Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), CacheRows: 8}},
 	}
 	for _, tc := range cases {

@@ -6,21 +6,37 @@ import (
 	"testing"
 
 	"casvm/internal/kernel"
+	"casvm/internal/la"
 )
 
+// buildBlobs makes an imbalanced 2-D problem: mPos positives at (+1,+1)
+// overlap mNeg negatives at (−1,−1).
+func buildBlobs(rng *rand.Rand, mPos, mNeg int) (*la.Matrix, []float64) {
+	m := mPos + mNeg
+	dataBuf := make([]float64, 0, 2*m)
+	y := make([]float64, 0, m)
+	for i := 0; i < mPos; i++ {
+		dataBuf = append(dataBuf, 1+1.2*rng.NormFloat64(), 1+1.2*rng.NormFloat64())
+		y = append(y, 1)
+	}
+	for i := 0; i < mNeg; i++ {
+		dataBuf = append(dataBuf, -1+1.2*rng.NormFloat64(), -1+1.2*rng.NormFloat64())
+		y = append(y, -1)
+	}
+	return la.NewDense(m, 2, dataBuf), y
+}
+
 // requireMembershipDerived holds the kept working-set membership to the one
-// Keerthi's definition derives from (y, α, C): I_high is {y>0, α<C₊} ∪
-// {y<0, α>0}, I_low is {y>0, α>0} ∪ {y<0, α<C₋}. It returns how many
-// multipliers sit at 0, strictly inside the box, and at their bound.
+// Keerthi's definition derives from (y, α, C): I_high is {y>0, α<C} ∪
+// {y<0, α>0}, I_low is {y>0, α>0} ∪ {y<0, α<C}. It returns how many
+// multipliers sit at 0, strictly inside the box, and at C.
 func requireMembershipDerived(t *testing.T, when string, s *Solver) (atZero, interior, atBound int) {
 	t.Helper()
-	cPos, cNeg := s.cfg.C*s.cfg.posWeight(), s.cfg.C
+	c := s.cfg.C
 	for i, a := range s.alpha {
-		high, low := a < cPos, a > 0
-		bound := cPos
+		high, low := a < c, a > 0
 		if s.y[i] < 0 {
-			high, low = a > 0, a < cNeg
-			bound = cNeg
+			high, low = a > 0, a < c
 		}
 		if got := s.outHigh[i] == 0; got != high || (!got && !math.IsInf(s.outHigh[i], 1)) {
 			t.Fatalf("%s: sample %d (y=%v α=%v): outHigh=%v, derived I_high membership %v", when, i, s.y[i], a, s.outHigh[i], high)
@@ -31,7 +47,7 @@ func requireMembershipDerived(t *testing.T, when string, s *Solver) (atZero, int
 		switch a {
 		case 0:
 			atZero++
-		case bound:
+		case c:
 			atBound++
 		default:
 			interior++
@@ -43,13 +59,12 @@ func requireMembershipDerived(t *testing.T, when string, s *Solver) (atZero, int
 // TestMembershipMatchesDerived checks the membership arrays everywhere alpha
 // is written — construction, every Step, AddAlpha (the distributed update),
 // warm start with out-of-box multipliers, and restore — on an overlapping
-// imbalanced problem with PosWeight ≠ 1, so the two classes have different
-// bounds and the solve visits multipliers at 0, inside the box and at both
-// bounds.
+// imbalanced problem, so the solve visits multipliers at 0, inside the box and
+// at C.
 func TestMembershipMatchesDerived(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	x, y := buildBlobs(rng, 30, 90)
-	cfg := Config{C: 0.7, Tol: 1e-3, Kernel: kernel.RBF(0.5), PosWeight: 2.5}
+	cfg := Config{C: 0.7, Tol: 1e-3, Kernel: kernel.RBF(0.5)}
 	s, err := New(x, y, cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -33,12 +33,12 @@ func TestDualObjectiveMonotone(t *testing.T) {
 	}
 }
 
-// The same invariant must hold under class-weighted box bounds.
+// The same invariant must hold under a wider box.
 func TestDualObjectiveMonotoneVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	x, y := twoBlobs(rng, 35, 1.0, 1.0)
 	cfg := defaultCfg()
-	cfg.PosWeight = 3
+	cfg.C = 3
 	s, err := New(x, y, cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@
 // repository.
 //
 // The solver exposes both a one-shot Solve and the per-iteration primitives
-// (LocalExtremes, PairSolveWeighted, FillColumn, ApplyColumns, AddAlpha)
+// (LocalExtremes, PairSolve, FillColumn, ApplyColumns, AddAlpha)
 // that distributed SMO composes with one allreduce per iteration.
 package smo
 
@@ -35,10 +35,6 @@ type Config struct {
 	CacheRows int
 	// Kernel selects the kernel function.
 	Kernel kernel.Params
-	// PosWeight scales the box bound of positive samples: C_i = C·PosWeight
-	// when y_i = +1 (0 means 1). Raising it counters class imbalance by
-	// making positive errors costlier (the usual class-weighted SVM).
-	PosWeight float64
 	// Threads fans the solver's O(m) inner loop — kernel-row fills and the
 	// fused f-update/working-set scan — across up to this many workers of
 	// the shared persistent pool (internal/pool): the shared-memory
@@ -94,13 +90,6 @@ type Config struct {
 	// only from package tests: the prefetched and unprefetched paths are
 	// bit-identical, and the equivalence test needs both.
 	disableTilePrefetch bool
-}
-
-func (c Config) posWeight() float64 {
-	if c.PosWeight <= 0 {
-		return 1
-	}
-	return c.PosWeight
 }
 
 func (c Config) tol() float64 {
@@ -229,8 +218,8 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 		for i := range s.alpha {
 			if s.alpha[i] < 0 {
 				s.alpha[i] = 0
-			} else if b := s.boundFor(i); s.alpha[i] > b {
-				s.alpha[i] = b
+			} else if s.alpha[i] > s.cfg.C {
+				s.alpha[i] = s.cfg.C
 			}
 		}
 	}
@@ -253,20 +242,12 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 // Alpha returns the live multiplier vector (owned by the solver).
 func (s *Solver) Alpha() []float64 { return s.alpha }
 
-// boundFor returns sample i's box upper bound C_i (class-weighted).
-func (s *Solver) boundFor(i int) float64 {
-	if s.y[i] > 0 {
-		return s.cfg.C * s.cfg.posWeight()
-	}
-	return s.cfg.C
-}
-
 // setMember records sample i's membership in I_high and I_low from
-// (y_i, α_i, C_i); every write to alpha[i] is followed by it. A multiplier
+// (y_i, α_i, C); every write to alpha[i] is followed by it. A multiplier
 // that can still rise puts a positive sample in I_high and a negative one in
 // I_low; one that can still fall, the other way round.
 func (s *Solver) setMember(i int) {
-	rise := outUnless(s.alpha[i] < s.boundFor(i))
+	rise := outUnless(s.alpha[i] < s.cfg.C)
 	fall := outUnless(s.alpha[i] > 0)
 	if s.y[i] > 0 {
 		s.outHigh[i], s.outLow[i] = rise, fall
@@ -325,23 +306,21 @@ func (s *Solver) PairDeltas(iHigh, iLow int) PairUpdate {
 // out so distributed SMO can pass remotely-computed kernel entries.
 func (s *Solver) pairDeltasRaw(iHigh, iLow int, yh, yl, fh, fl, khh, kll, khl float64) PairUpdate {
 	s.invalidateExtremes() // alpha changes below shift the Keerthi sets
-	ah, al := s.alpha[iHigh], s.alpha[iLow]
-	ch, cl := s.boundFor(iHigh), s.boundFor(iLow)
-	dah, dal := PairSolveWeighted(ch, cl, yh, yl, fh, fl, ah, al, khh, kll, khl)
-	s.alpha[iLow] = s.snapTo(al+dal, cl)
-	s.alpha[iHigh] = s.snapTo(math.Min(ch, math.Max(0, ah+dah)), ch)
+	ah, al, c := s.alpha[iHigh], s.alpha[iLow], s.cfg.C
+	dah, dal := PairSolve(c, yh, yl, fh, fl, ah, al, khh, kll, khl)
+	s.alpha[iLow] = s.snapTo(al+dal, c)
+	s.alpha[iHigh] = s.snapTo(math.Min(c, math.Max(0, ah+dah)), c)
 	s.setMember(iLow)
 	s.setMember(iHigh)
 	return PairUpdate{DAlphaHigh: dah, DAlphaLow: dal}
 }
 
-// PairSolveWeighted computes the clipped two-variable SMO update of eqns
-// (6)–(7) from the pair's labels, optimality values, current multipliers and
-// kernel entries, returning (Δα_high, Δα_low), with per-sample box bounds
-// (class-weighted SVM): α_high ∈ [0, ch], α_low ∈ [0, cl]. It is a pure
-// function so every rank of distributed SMO can evaluate the identical update
-// from broadcast data.
-func PairSolveWeighted(ch, cl, yh, yl, fh, fl, ah, al, khh, kll, khl float64) (dah, dal float64) {
+// PairSolve computes the clipped two-variable SMO update of eqns (6)–(7) from
+// the pair's labels, optimality values, current multipliers and kernel
+// entries, returning (Δα_high, Δα_low) with both multipliers kept in the box
+// [0, c]. It is a pure function so every rank of distributed SMO can evaluate
+// the identical update from broadcast data.
+func PairSolve(c, yh, yl, fh, fl, ah, al, khh, kll, khl float64) (dah, dal float64) {
 	eta := khh + kll - 2*khl
 	if eta <= 1e-12 {
 		eta = 1e-12 // keep the step finite for degenerate pairs
@@ -353,11 +332,11 @@ func PairSolveWeighted(ch, cl, yh, yl, fh, fl, ah, al, khh, kll, khl float64) (d
 	if yh != yl {
 		// α_low − α_high is invariant.
 		lo = math.Max(0, al-ah)
-		hi = math.Min(cl, ch+al-ah)
+		hi = math.Min(c, c+al-ah)
 	} else {
 		// α_low + α_high is invariant.
-		lo = math.Max(0, al+ah-ch)
-		hi = math.Min(cl, al+ah)
+		lo = math.Max(0, al+ah-c)
+		hi = math.Min(c, al+ah)
 	}
 	if alNew < lo {
 		alNew = lo
@@ -404,12 +383,11 @@ func (s *Solver) ApplyColumns(colH []float64, yH, dAH float64, colL []float64, y
 	s.updateScan(colH, colL, dAH*yH, dAL*yL)
 }
 
-// AddAlpha adds d to alpha[i], clipping to [0, C_i] and snapping edge dust.
+// AddAlpha adds d to alpha[i], clipping to [0, C] and snapping edge dust.
 func (s *Solver) AddAlpha(i int, d float64) {
 	s.invalidateExtremes()
-	a := s.alpha[i] + d
-	b := s.boundFor(i)
-	s.alpha[i] = s.snapTo(math.Min(b, math.Max(0, a)), b)
+	a, c := s.alpha[i]+d, s.cfg.C
+	s.alpha[i] = s.snapTo(math.Min(c, math.Max(0, a)), c)
 	s.setMember(i)
 }
 

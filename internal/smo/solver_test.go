@@ -462,7 +462,7 @@ func TestApplyColumnsMatchesLocal(t *testing.T) {
 			s.FillColumn(x, ih, colH)
 			s.FillColumn(x, il, colL)
 		}
-		dah, dal := PairSolveWeighted(cfg.C, cfg.C, y[ih], y[il], bh, bl,
+		dah, dal := PairSolve(cfg.C, y[ih], y[il], bh, bl,
 			b.alpha[ih], b.alpha[il], 1, 1, colH[il])
 		for _, s := range []*Solver{b, old} {
 			s.AddAlpha(ih, dah)

@@ -1,16 +1,19 @@
 // Package telemetry is the live observability server behind the `-serve`
-// flag of casvm-train and casvm-bench. It exposes, over plain HTTP:
+// flag of casvm-train, casvm-bench and casvm-cluster. It exposes, over plain
+// HTTP:
 //
 //	/metrics       — the trace.Registry in Prometheus text format
 //	/healthz       — a liveness document from the caller's health func
 //	/debug/pprof/* — the standard Go profiling endpoints
 //	/report        — a live JSON snapshot from the caller's report func
-//	/events        — an SSE stream of per-iteration solver telemetry
-//	                 (smo.TelemetryRing samples as JSON `data:` frames)
+//	/events        — an SSE stream of an in-process run's per-iteration
+//	                 solver telemetry (smo.TelemetryRing samples as JSON
+//	                 `data:` frames)
 //	/jobs          — per-job namespaces from a cluster coordinator, each
-//	                 serving /jobs/<id>/{metrics,report,events,trace} with
-//	                 the same formats as the top-level endpoints (trace is
-//	                 the job's merged Chrome trace file, when available)
+//	                 serving /jobs/<id>/{metrics,report,trace}: the job's
+//	                 registry and result in the top-level formats, and its
+//	                 merged fleet Chrome trace (where the job's convergence
+//	                 shows), when available
 //
 // plus any caller-mounted SSE streams (Config.Streams), e.g. the fleet
 // straggler feed of casvm-cluster at /fleet/events.
@@ -50,9 +53,9 @@ type Config struct {
 	PollInterval time.Duration
 	// Jobs, when non-nil, is polled per request for the per-job telemetry
 	// namespaces of a cluster coordinator: /jobs lists them, and
-	// /jobs/<id>/metrics, /jobs/<id>/report and /jobs/<id>/events serve
-	// one job's private registry, result snapshot and convergence stream
-	// with the same formats as the top-level endpoints.
+	// /jobs/<id>/metrics and /jobs/<id>/report serve one job's private
+	// registry and result snapshot with the same formats as the top-level
+	// endpoints.
 	Jobs func() []JobNamespace
 	// Health, when non-nil, is invoked per /healthz request and rendered
 	// as JSON (nil serves {"status":"ok"}). The endpoint always answers
@@ -76,7 +79,6 @@ type JobNamespace struct {
 	State   string // lifecycle state shown in the /jobs listing
 	Metrics *trace.Registry
 	Report  func() any
-	Ring    *smo.TelemetryRing
 	// Trace, when non-nil, writes the job's merged Chrome trace file;
 	// served at /jobs/<id>/trace (404 when nil — e.g. no fleet telemetry
 	// was shipped for the job).
@@ -117,7 +119,16 @@ func Start(addr string, cfg Config) (*Server, error) {
 		_ = enc.Encode(v)
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		serveSSE(w, r, cfg.Ring, cfg.PollInterval)
+		var cursor uint64
+		StreamSSE(w, r, cfg.PollInterval, func() []any {
+			var samples []smo.IterSample
+			samples, cursor = cfg.Ring.Since(cursor) // nil-safe: always empty
+			out := make([]any, len(samples))
+			for i, s := range samples {
+				out[i] = s
+			}
+			return out
+		})
 	})
 	mux.HandleFunc("/jobs", func(w http.ResponseWriter, _ *http.Request) {
 		type entry struct {
@@ -179,8 +190,8 @@ func Start(addr string, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// serveJob routes /jobs/<id>/{metrics,report,events} onto one job's
-// private namespace.
+// serveJob routes /jobs/<id>/{metrics,report,trace} onto one job's private
+// namespace.
 func serveJob(w http.ResponseWriter, r *http.Request, cfg Config) {
 	rest := strings.TrimPrefix(r.URL.Path, "/jobs/")
 	id, endpoint, ok := strings.Cut(rest, "/")
@@ -215,8 +226,6 @@ func serveJob(w http.ResponseWriter, r *http.Request, cfg Config) {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(v)
-	case "events":
-		serveSSE(w, r, job.Ring, cfg.PollInterval)
 	case "trace":
 		if job.Trace == nil {
 			http.NotFound(w, r)
@@ -235,22 +244,6 @@ func serveJob(w http.ResponseWriter, r *http.Request, cfg Config) {
 	default:
 		http.NotFound(w, r)
 	}
-}
-
-// serveSSE streams telemetry-ring samples as server-sent events: one
-// `data:` line per IterSample, JSON-encoded, polled at the configured
-// cadence until the client disconnects or the server closes.
-func serveSSE(w http.ResponseWriter, r *http.Request, ring *smo.TelemetryRing, interval time.Duration) {
-	var cursor uint64
-	StreamSSE(w, r, interval, func() []any {
-		var samples []smo.IterSample
-		samples, cursor = ring.Since(cursor) // nil-safe: always empty
-		out := make([]any, len(samples))
-		for i, s := range samples {
-			out[i] = s
-		}
-		return out
-	})
 }
 
 // StreamSSE writes a server-sent-event response: next is polled at the

@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -16,7 +17,6 @@ import (
 	"casvm/internal/kernel"
 	"casvm/internal/mpi"
 	"casvm/internal/smo"
-	"casvm/internal/tcpmpi"
 	"casvm/internal/telemetry"
 	"casvm/internal/trace"
 )
@@ -147,13 +147,14 @@ func TestServeSmoke(t *testing.T) {
 // TestServeClusterNamespaces is the cluster half of the serve smoke run:
 // a live coordinator's registry backs /metrics (membership and job
 // counters) and its job table backs the /jobs namespaces — one metrics,
-// report and events surface per job.
+// report and merged fleet trace surface per job.
 func TestServeClusterNamespaces(t *testing.T) {
 	coord, err := cluster.New("localhost:0", cluster.Config{LeaseTTL: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	fl := coord.Fleet()
 
 	srv, err := telemetry.Start("127.0.0.1:0", telemetry.Config{
 		Metrics:      coord.Metrics(),
@@ -162,13 +163,16 @@ func TestServeClusterNamespaces(t *testing.T) {
 			var out []telemetry.JobNamespace
 			for _, j := range coord.Jobs() {
 				j := j
-				out = append(out, telemetry.JobNamespace{
+				ns := telemetry.JobNamespace{
 					ID:      j.ID(),
 					State:   j.State().String(),
 					Metrics: j.Metrics(),
-					Ring:    j.Ring(),
 					Report:  func() any { return j.Result() },
-				})
+				}
+				if fl.HasTrace(j.ID()) {
+					ns.Trace = func(w io.Writer) error { return fl.WriteMergedTrace(j.ID(), w) }
+				}
+				out = append(out, ns)
 			}
 			return out
 		},
@@ -178,14 +182,21 @@ func TestServeClusterNamespaces(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// A worker joins, a job runs to completion on it, the worker is
-	// revoked: the counter set must record one join, one completion and
-	// one expiry.
-	worker, err := tcpmpi.Register(coord.Addr(), tcpmpi.RegisterOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// An executor joins, a Dis-SMO job runs to completion on it, the
+	// executor is revoked: the counter set must record one join, one
+	// completion and one expiry.
+	ctx, cancel := context.WithCancel(context.Background())
+	executorDone := make(chan struct{})
+	go func() {
+		defer close(executorDone)
+		_ = cluster.RunExecutor(ctx, coord.Addr(), cluster.ExecutorOptions{Fleet: true})
+	}()
+	defer func() { cancel(); <-executorDone }()
+	for deadline := time.Now().Add(30 * time.Second); len(coord.Workers()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("executor never registered")
+		}
 	}
-	defer worker.Close()
 	res, err := cluster.SubmitAndWait(coord.Addr(), cluster.JobSpec{
 		ID: "smoke",
 		Mixture: &data.MixtureSpec{
@@ -193,12 +204,12 @@ func TestServeClusterNamespaces(t *testing.T) {
 			Clusters: 4, Separation: 7, Noise: 1, PosFrac: []float64{0.5},
 			LabelNoise: 0.02, Margin: 1.0, Seed: 42,
 		},
-		Method: string(core.MethodRACA), P: 1, Seed: 1,
+		Method: string(core.MethodDisSMO), P: 1, Seed: 1,
 	}, 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Revoke(worker.ID()); err != nil {
+	if err := coord.Revoke(coord.Workers()[0].ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -215,9 +226,9 @@ func TestServeClusterNamespaces(t *testing.T) {
 		}
 	}
 
-	// /jobs lists the finished job; its namespace serves per-job solver
-	// metrics, the result report and an SSE stream of its convergence
-	// samples.
+	// /jobs lists the finished job; its namespace serves the job's metrics,
+	// the result report, and the merged trace its mesh rank shipped before
+	// reporting — the solver's spans, where the job's convergence shows.
 	var jobs []struct {
 		ID    string `json:"id"`
 		State string `json:"state"`
@@ -229,9 +240,7 @@ func TestServeClusterNamespaces(t *testing.T) {
 		t.Fatalf("/jobs = %+v, want the finished job %s", jobs, res.ID)
 	}
 	base := baseURL(srv) + "/jobs/" + res.ID
-	if body := httpGet(t, base+"/metrics"); !strings.Contains(body, "smo_iterations_total") {
-		t.Fatalf("job metrics missing solver counters:\n%s", body)
-	}
+	httpGet(t, base+"/metrics")
 	var rep cluster.JobResult
 	if err := json.Unmarshal([]byte(httpGet(t, base+"/report")), &rep); err != nil {
 		t.Fatal(err)
@@ -239,15 +248,24 @@ func TestServeClusterNamespaces(t *testing.T) {
 	if rep.ModelHash != res.ModelHash || rep.ModelHash == "" {
 		t.Fatalf("job report hash %q != submitted result hash %q", rep.ModelHash, res.ModelHash)
 	}
-	if s := readFirstSSE(t, base+"/events"); s.SVs <= 0 || s.DualObj <= 0 {
-		t.Fatalf("empty job SSE sample: %+v", s)
+	x, err := trace.ReadTraceExtra(strings.NewReader(httpGet(t, base+"/trace")))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Unknown namespaces 404 instead of aliasing another job.
-	if resp, err := http.Get(base + "x/metrics"); err == nil {
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("unknown job served status %d", resp.StatusCode)
+	if x.Timebase != trace.TimebaseWall || x.P != 1 || len(x.Segments) != 1 || len(x.Segments[0]) == 0 {
+		t.Fatalf("job trace: timebase %q, p=%d, %d rank lanes", x.Timebase, x.P, len(x.Segments))
+	}
+	// The per-job convergence stream is gone; unknown namespaces 404
+	// instead of aliasing another job.
+	for _, url := range []string{base + "/events", base + "x/metrics"} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
 		}
 		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", url, resp.StatusCode)
+		}
 	}
 }
 
