@@ -18,15 +18,17 @@ cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
 
 # lanes-off reruns the bit-identity pins — golden hashes, the fused and
-# prefetched solves against their references, ApplyColumns and the Dis-SMO
-# pins — with internal/la's four-lane kernels off, so the portable loops must
-# land on the same numbers (TestVectorKernelsActive fails if the lanes stayed
-# on). GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
+# prefetched solves against their references, ApplyColumns, the Dis-SMO pins,
+# and Dot4, MulTile and the batch-prediction paths over them (DecisionAll,
+# RouteAll, Set.PredictAll/EvalAll) against their scalar references — with
+# internal/la's four-lane kernels off, so the portable loops must land on the
+# same numbers (TestVectorKernelsActive fails if the lanes stayed on).
+# GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ThreadCount|ParallelMatches|Prefetch|ApplyColumns|DisSMO|VectorKernelsActive
+LANES_OFF_TESTS = Golden|Repin|Fused|ThreadCount|ParallelMatches|Prefetch|ApplyColumns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll
 lanes-off:
-	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la
+	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model
 
 # fmt fails on any file gofmt would rewrite (bench/ included).
 fmt:
@@ -204,8 +206,9 @@ loc:
 
 # Short fuzz sweep over every fuzz target (parsers, the wire-frame, hello and
 # registration-reply decoders, the matrix and shard decoders, the run-report
-# round trip, and the four-lane exp, distance and SMO update-scan kernels
-# against their scalar oracles); seed corpora also run in plain `make test`.
+# round trip, and the four-lane exp, distance, SMO update-scan and Dot4
+# kernels against their scalar oracles); seed corpora also run in plain
+# `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime 10s ./internal/data
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/tcpmpi
@@ -218,6 +221,7 @@ fuzz:
 	$(GO) test -run 'Fuzz' -fuzz FuzzExpScaled -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzSqDistRows -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzUpdateScan -fuzztime 10s ./internal/la
+	$(GO) test -run 'Fuzz' -fuzz FuzzDot4 -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeShardModel -fuzztime 10s ./internal/model
 
 # cover enforces statement-coverage floors on the packages whose

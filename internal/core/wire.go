@@ -66,23 +66,22 @@ func mergeParts(parts []part) part {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	out := parts[0]
-	haveAlpha := out.alpha != nil
-	for _, q := range parts[1:] {
-		out.x = la.Concat(out.x, q.x)
-		out.y = append(append([]float64(nil), out.y...), q.y...)
-		if q.alpha == nil {
-			haveAlpha = false
-		}
+	xs := make([]*la.Matrix, len(parts))
+	rows, haveAlpha := 0, true
+	for k, q := range parts {
+		xs[k] = q.x
+		rows += len(q.y)
+		haveAlpha = haveAlpha && q.alpha != nil
 	}
-	if haveAlpha {
-		merged := append([]float64(nil), parts[0].alpha...)
-		for _, q := range parts[1:] {
-			merged = append(merged, q.alpha...)
+	out := part{x: la.Concat(xs...), y: make([]float64, 0, rows)}
+	if haveAlpha && rows > 0 { // zero rows carry no alphas, as a fold of empty ones did
+		out.alpha = make([]float64, 0, rows)
+	}
+	for _, q := range parts {
+		out.y = append(out.y, q.y...)
+		if out.alpha != nil {
+			out.alpha = append(out.alpha, q.alpha...)
 		}
-		out.alpha = merged
-	} else {
-		out.alpha = nil
 	}
 	return out
 }

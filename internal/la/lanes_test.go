@@ -273,6 +273,37 @@ func TestVectorKernelsActive(t *testing.T) {
 	}
 }
 
+// TestDot4TakesLanes: with the gate on, Dot4 and MulTile's dense×dense
+// panels are dot4PanelVec's results, and those are Dot's. Off the gate it
+// checks the portable loop the same way (make lanes-off runs it there).
+func TestDot4TakesLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 67; n++ {
+		a := unalignedDense(rng, 4, n)
+		b := unalignedDense(rng, 5, n)
+		rows := []int{0, 1, 2, 3}
+		tile := make([]float64, 4*5)
+		MulTile(a, rows, b, 0, 5, tile, 5)
+		lanes := make([]float64, 4*5)
+		if vectorKernels {
+			dot4PanelVec(a.DenseRow(0), a.DenseRow(1), a.DenseRow(2), a.DenseRow(3), b.dense, 5, lanes, 5)
+		} else {
+			copy(lanes, tile)
+		}
+		var d4 [4]float64
+		for c := 0; c < 5; c++ {
+			Dot4(b.DenseRow(c), a.DenseRow(0), a.DenseRow(1), a.DenseRow(2), a.DenseRow(3), d4[:])
+			for k := range rows {
+				want := Dot(a.DenseRow(k), b.DenseRow(c))
+				if got := tile[k*5+c]; math.Float64bits(got) != math.Float64bits(lanes[k*5+c]) || got != want || d4[k] != want {
+					t.Fatalf("n=%d row %d col %d: MulTile %v, Dot4 %v, lanes %v, Dot %v (lanes on: %v)",
+						n, k, c, got, d4[k], lanes[k*5+c], want, vectorKernels)
+				}
+			}
+		}
+	}
+}
+
 // TestProbeRejectsNonFMAExp reruns the differential tests in a process whose
 // math.Exp takes its non-FMA branch: the probe must turn the lanes off there,
 // and ExpScaled must still equal that math.Exp bit for bit.
@@ -514,6 +545,93 @@ func FuzzUpdateScan(f *testing.F) {
 			c.outLow = append(c.outLow, in(k, 2))
 		}
 		checkUpdateScan(t, "fuzz", c)
+	})
+}
+
+// checkDot4 holds Dot4, its portable loop and a two-column panel (columns x
+// and y against the rows b[k]) to Dot bitwise, NaNs aside.
+func checkDot4(t *testing.T, x, y []float64, b [4][]float64) {
+	t.Helper()
+	var got, loop [4]float64
+	Dot4(x, b[0], b[1], b[2], b[3], got[:])
+	dot4Loop(x, b[0], b[1], b[2], b[3], loop[:])
+	// Two columns at row stride 3, and a guard after the last output.
+	const ld = 3
+	panel := make([]float64, 3*ld+2+1)
+	panel[3*ld+2] = 42
+	cols := append(append([]float64(nil), x...), y...)
+	panel4(b[0], b[1], b[2], b[3], cols, 2, panel[:3*ld+2], ld)
+	for k := range b {
+		want := Dot(b[k], x)
+		if !same(got[k], want) || !same(loop[k], want) {
+			t.Fatalf("n=%d output %d: Dot4 %v (%#x), loop %v (%#x), Dot %v (%#x)", len(x), k,
+				got[k], math.Float64bits(got[k]), loop[k], math.Float64bits(loop[k]), want, math.Float64bits(want))
+		}
+		if wy := Dot(b[k], y); !same(panel[k*ld], want) || !same(panel[k*ld+1], wy) {
+			t.Fatalf("n=%d output %d: panel %v, %v; Dot %v, %v", len(x), k, panel[k*ld], panel[k*ld+1], want, wy)
+		}
+	}
+	if panel[3*ld+2] != 42 {
+		t.Fatalf("n=%d: the panel wrote past its last output", len(x))
+	}
+}
+
+// dot4Specials are the values FuzzDot4 and TestDot4SpecialsMatchLoop plant:
+// signed zeros, subnormals, the smallest normal, ±1e308 (whose products and
+// sums overflow), ±Inf and NaN.
+var dot4Specials = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
+	1e308, -1e308, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// dot4Case cuts x, y and b[0..3], n floats each, from vals shifted by off,
+// cycling through vals (all zeros when it is empty).
+func dot4Case(vals []float64, n, off int) (x, y []float64, b [4][]float64) {
+	buf := make([]float64, off+6*n)
+	if len(vals) > 0 {
+		for i := range buf {
+			buf[i] = vals[i%len(vals)]
+		}
+	}
+	v := buf[off:]
+	x, y = v[:n:n], v[n:2*n:2*n]
+	for k := range b {
+		b[k] = v[(2+k)*n : (3+k)*n : (3+k)*n]
+	}
+	return x, y, b
+}
+
+// TestDot4SpecialsMatchLoop runs every length 0–67 at offsets 0–3 of a
+// backing array with specials planted at random.
+func TestDot4SpecialsMatchLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 4; off++ {
+			for trial := 0; trial < 20; trial++ {
+				vals := make([]float64, 6*n+1)
+				for i := range vals {
+					vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+					if rng.Intn(12) == 0 {
+						vals[i] = dot4Specials[rng.Intn(len(dot4Specials))]
+					}
+				}
+				x, y, b := dot4Case(vals, n, off)
+				checkDot4(t, x, y, b)
+			}
+		}
+	}
+}
+
+// FuzzDot4 holds Dot4 and the dense panels to the portable loop and to Dot
+// bitwise on arbitrary bit patterns: raw, cycled, fills five vectors of
+// length%68 floats and one more, offset%4 floats into a backing array.
+func FuzzDot4(f *testing.F) {
+	f.Add(bytesOf(1, 2, 3, 4, 5, 6, 7, 8, 9), uint8(9), uint8(0))
+	f.Add(bytesOf(dot4Specials...), uint8(67), uint8(1))
+	f.Add(bytesOf(1e308, 1e308, -1e308, 1, math.Copysign(0, -1), 5e-324, 3), uint8(7), uint8(2))
+	f.Add(bytesOf(0.5, -0.25), uint8(3), uint8(3))
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, length, offset uint8) {
+		x, y, b := dot4Case(float64s(raw), int(length%68), int(offset%4))
+		checkDot4(t, x, y, b)
 	})
 }
 

@@ -195,8 +195,22 @@ func (a *Matrix) SqDistVec(i int, x []float64, xsq float64) float64 {
 }
 
 // Subset returns a new matrix containing the given rows in order. Storage
-// kind is preserved; the result owns fresh slices.
+// kind is preserved; the result owns fresh slices. When a holds its norm
+// cache the subset inherits the rows' norms, which are exactly what its own
+// EnsureNorms would compute; otherwise its cache stays lazy.
 func (a *Matrix) Subset(rows []int) *Matrix {
+	out := a.subsetRows(rows)
+	if a.sqnorm != nil {
+		out.sqnorm = make([]float64, len(rows))
+		for k, r := range rows {
+			out.sqnorm[k] = a.sqnorm[r]
+		}
+	}
+	return out
+}
+
+// subsetRows is Subset's copy of the rows, without the norm cache.
+func (a *Matrix) subsetRows(rows []int) *Matrix {
 	if !a.sparse {
 		out := make([]float64, len(rows)*a.n)
 		for k, r := range rows {
@@ -220,34 +234,41 @@ func (a *Matrix) Subset(rows []int) *Matrix {
 	return NewSparse(len(rows), a.n, rp, ix, vx)
 }
 
-// Concat returns a new matrix holding the rows of a followed by the rows of
-// b. Both must have the same feature count and storage kind.
-func Concat(a, b *Matrix) *Matrix {
-	if a.n != b.n {
-		panic(fmt.Sprintf("la: Concat feature mismatch %d vs %d", a.n, b.n))
+// Concat returns a new matrix holding the rows of each part in turn, copied
+// once into storage sized for all of them. The parts must share the first
+// one's feature count and storage kind; there must be at least one.
+func Concat(parts ...*Matrix) *Matrix {
+	first := parts[0]
+	m, nnz := 0, 0
+	for _, p := range parts {
+		if p.n != first.n {
+			panic(fmt.Sprintf("la: Concat feature mismatch %d vs %d", first.n, p.n))
+		}
+		if p.sparse != first.sparse {
+			panic("la: Concat mixes dense and sparse")
+		}
+		m += p.m
+		nnz += p.NNZ()
 	}
-	if a.sparse != b.sparse {
-		panic("la: Concat mixes dense and sparse")
+	if !first.sparse {
+		out := make([]float64, 0, nnz)
+		for _, p := range parts {
+			out = append(out, p.dense...)
+		}
+		return NewDense(m, first.n, out)
 	}
-	if !a.sparse {
-		out := make([]float64, 0, len(a.dense)+len(b.dense))
-		out = append(out, a.dense...)
-		out = append(out, b.dense...)
-		return NewDense(a.m+b.m, a.n, out)
+	rp := make([]int32, 1, m+1)
+	ix := make([]int32, 0, nnz)
+	vx := make([]float64, 0, nnz)
+	for _, p := range parts {
+		off := int32(len(ix))
+		for _, end := range p.rowptr[1:] {
+			rp = append(rp, off+end)
+		}
+		ix = append(ix, p.idx...)
+		vx = append(vx, p.val...)
 	}
-	rp := make([]int32, a.m+b.m+1)
-	copy(rp, a.rowptr)
-	off := a.rowptr[a.m]
-	for i := 1; i <= b.m; i++ {
-		rp[a.m+i] = off + b.rowptr[i]
-	}
-	ix := make([]int32, 0, len(a.idx)+len(b.idx))
-	ix = append(ix, a.idx...)
-	ix = append(ix, b.idx...)
-	vx := make([]float64, 0, len(a.val)+len(b.val))
-	vx = append(vx, a.val...)
-	vx = append(vx, b.val...)
-	return NewSparse(a.m+b.m, a.n, rp, ix, vx)
+	return NewSparse(m, first.n, rp, ix, vx)
 }
 
 // Mean computes the column-wise mean of the given rows (all rows when rows

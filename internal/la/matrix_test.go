@@ -1,6 +1,7 @@
 package la
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -142,6 +143,125 @@ func TestSubsetConcatSparse(t *testing.T) {
 	}
 	if c.NNZ() != a.NNZ()+s.NNZ() {
 		t.Fatal("sparse concat nnz")
+	}
+}
+
+// pairwiseConcat folds the two-matrix Concat that the variadic one replaced
+// over parts: the oracle for the one-allocation form.
+func pairwiseConcat(parts ...*Matrix) *Matrix {
+	out := parts[0].Subset(allRowsOf(parts[0]))
+	for _, b := range parts[1:] {
+		a := out
+		if !a.sparse {
+			out = NewDense(a.m+b.m, a.n, append(append([]float64(nil), a.dense...), b.dense...))
+			continue
+		}
+		rp := make([]int32, a.m+b.m+1)
+		copy(rp, a.rowptr)
+		for i := 1; i <= b.m; i++ {
+			rp[a.m+i] = a.rowptr[a.m] + b.rowptr[i]
+		}
+		out = NewSparse(a.m+b.m, a.n, rp, append(append([]int32(nil), a.idx...), b.idx...),
+			append(append([]float64(nil), a.val...), b.val...))
+	}
+	return out
+}
+
+func allRowsOf(a *Matrix) []int {
+	rows := make([]int, a.Rows())
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
+// sameStorage reports whether a and b hold the same rows in the same storage,
+// every value compared by its bits.
+func sameStorage(a, b *Matrix) bool {
+	if a.m != b.m || a.n != b.n || a.sparse != b.sparse || len(a.dense) != len(b.dense) ||
+		len(a.rowptr) != len(b.rowptr) || len(a.idx) != len(b.idx) || len(a.val) != len(b.val) {
+		return false
+	}
+	for i := range a.dense {
+		if math.Float64bits(a.dense[i]) != math.Float64bits(b.dense[i]) {
+			return false
+		}
+	}
+	for i := range a.rowptr {
+		if a.rowptr[i] != b.rowptr[i] {
+			return false
+		}
+	}
+	for i := range a.idx {
+		if a.idx[i] != b.idx[i] || math.Float64bits(a.val[i]) != math.Float64bits(b.val[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestConcatMatchesPairwiseFold: Concat of 1, 2 and 5 parts, empty parts
+// among them, is the pairwise fold bit for bit, dense and CSR alike.
+func TestConcatMatchesPairwiseFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, sparse := range []bool{false, true} {
+		mk := func(m int) *Matrix {
+			if sparse {
+				return randSparse(rng, m, 9, 0.4)
+			}
+			return randDense(rng, m, 9)
+		}
+		for _, sizes := range [][]int{{3}, {0}, {4, 2}, {0, 5}, {2, 0}, {3, 0, 1, 4, 0}, {0, 0, 0, 0, 0}} {
+			parts := make([]*Matrix, len(sizes))
+			for k, m := range sizes {
+				parts[k] = mk(m)
+			}
+			got, want := Concat(parts...), pairwiseConcat(parts...)
+			if !sameStorage(got, want) {
+				t.Fatalf("sparse=%v sizes %v: Concat differs from the pairwise fold", sparse, sizes)
+			}
+		}
+	}
+	for _, parts := range [][]*Matrix{
+		{Zeros(2, 3), NewSparse(1, 3, []int32{0, 1}, []int32{2}, []float64{1})},
+		{Zeros(1, 3), Zeros(1, 3), NewSparse(0, 3, []int32{0}, nil, nil)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a dense/sparse mix: no panic")
+				}
+			}()
+			Concat(parts...)
+		}()
+	}
+}
+
+// TestSubsetInheritsNorms: a subset of a normed matrix carries its rows'
+// norms, bit for bit what EnsureNorms computes on the subset itself, and a
+// subset of an un-normed matrix stays lazy.
+func TestSubsetInheritsNorms(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, a := range []*Matrix{randDense(rng, 12, 7), randSparse(rng, 12, 30, 0.3)} {
+		rows := []int{11, 0, 4, 4, 7}
+		if s := a.Subset(rows); s.sqnorm != nil {
+			t.Fatalf("sparse=%v: a subset of an un-normed matrix holds norms", a.Sparse())
+		}
+		a.EnsureNorms()
+		s := a.Subset(rows)
+		if s.sqnorm == nil {
+			t.Fatalf("sparse=%v: the subset dropped the norm cache", a.Sparse())
+		}
+		fresh := s.subsetRows(allRowsOf(s))
+		fresh.EnsureNorms()
+		for k := range rows {
+			if math.Float64bits(s.sqnorm[k]) != math.Float64bits(fresh.sqnorm[k]) {
+				t.Fatalf("sparse=%v row %d: inherited norm %v, computed %v", a.Sparse(), k, s.sqnorm[k], fresh.sqnorm[k])
+			}
+		}
+		if e := a.Subset(nil); e.Rows() != 0 || e.sqnorm == nil {
+			t.Fatalf("sparse=%v: the empty subset of a normed matrix: %d rows, norms %v", a.Sparse(), e.Rows(), e.sqnorm)
+		}
 	}
 }
 

@@ -3,22 +3,52 @@ package la
 // Blocked-GEMM tile layer. Kernel matrices are rank-k products in disguise
 // — K = f(X·Zᵀ, ‖x‖², ‖z‖²) — so the dominant flops of both training scans
 // and batch prediction are blocks of inner products. This file computes
-// such blocks with register-blocked microkernels (one left row held in
-// registers against four right rows at a time, each dot 4-way unrolled —
-// a 4×4 blocking of the k-loop) so one pass over the right-hand rows
-// serves four outputs instead of one.
+// such blocks with register-blocked microkernels (one row streamed against
+// four held rows at a time, each dot 4-way unrolled — a 4×4 blocking of the
+// k-loop) so one pass over the streamed rows serves four outputs instead of
+// one. On amd64 with AVX2 the four outputs are four YMM accumulators
+// (dot4PanelVec, vec_amd64.s); elsewhere the same blocking runs as Go.
 //
 // Bit-identity contract: every output element equals the corresponding
 // scalar kernel's result EXACTLY — Dot4 reproduces Dot's accumulator
-// layout and combination order per column.
+// layout and combination order per column, lanes or not.
 // The tile engine in internal/kernel leans on this to keep tiled training
 // and prediction bit-identical to the row-at-a-time paths it replaces.
 
 // Dot4 computes dst[c] = Dot(x, b_c) for four right-hand vectors sharing
 // the left vector x, loading each x element once per group of four
 // outputs. All of b0..b3 must have length ≥ len(x); dst must have length
-// ≥ 4. Each output is bit-identical to the corresponding Dot call.
+// ≥ 4. Each output is bit-identical to the corresponding Dot call. Where
+// the lanes run (vectorKernels) each output is one AVX2 register whose lane
+// j is Dot's accumulator s_j; elsewhere dot4Loop runs.
 func Dot4(x, b0, b1, b2, b3 []float64, dst []float64) {
+	n := len(x)
+	panel4(b0[:n], b1, b2, b3, x, 1, dst, 1)
+}
+
+// panel4 sets dst[k*ld + c] = Dot(x_k, b[c*n : c*n+n]) for the four vectors
+// x0..x3 and each of the w n-float rows of b, n being len(x0): one pass over
+// a row of b serves four outputs. It is Dot4 over a run of columns, and
+// MulTile's dense×dense path calls it once per four tile rows so the lanes
+// sweep every column in one assembly call.
+func panel4(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int) {
+	n := len(x0)
+	x1, x2, x3, b, dst = x1[:n], x2[:n], x3[:n], b[:w*n], dst[:3*ld+w]
+	if vectorKernels {
+		dot4PanelVec(x0, x1, x2, x3, b, w, dst, ld)
+		return
+	}
+	var tmp [4]float64
+	for c := 0; c < w; c++ {
+		dot4Loop(b[c*n:c*n+n], x0, x1, x2, x3, tmp[:])
+		dst[c], dst[ld+c], dst[2*ld+c], dst[3*ld+c] = tmp[0], tmp[1], tmp[2], tmp[3]
+	}
+}
+
+// dot4Loop is Dot4's portable loop: Dot's four stride-4 accumulators per
+// output, combined (s0+s1)+(s2+s3), then the sequential tail. b0..b3 hold at
+// least len(x) floats.
+func dot4Loop(x, b0, b1, b2, b3 []float64, dst []float64) {
 	n := len(x)
 	x = x[:n]
 	b0 = b0[:n]
@@ -93,23 +123,14 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 		// quad of outputs instead of once per output — a 4× cut in b-side
 		// memory traffic, which is what makes large-SV batch predict win.
 		// Dot is bitwise symmetric in its arguments (same products, same
-		// order), so Dot4 with the b row as the shared vector equals
+		// order), so a panel with the b row as the shared vector equals
 		// Dot(a_r, b_c) per row.
-		var tmp [4]float64
+		n := b.n
+		cols := b.dense[clo*n : chi*n]
 		r := 0
 		for ; r+4 <= len(rows); r += 4 {
-			x0 := a.DenseRow(rows[r])
-			x1 := a.DenseRow(rows[r+1])
-			x2 := a.DenseRow(rows[r+2])
-			x3 := a.DenseRow(rows[r+3])
-			for c := clo; c < chi; c++ {
-				Dot4(b.DenseRow(c), x0, x1, x2, x3, tmp[:])
-				o := c - clo
-				dst[r*ld+o] = tmp[0]
-				dst[(r+1)*ld+o] = tmp[1]
-				dst[(r+2)*ld+o] = tmp[2]
-				dst[(r+3)*ld+o] = tmp[3]
-			}
+			panel4(a.DenseRow(rows[r])[:n], a.DenseRow(rows[r+1]), a.DenseRow(rows[r+2]),
+				a.DenseRow(rows[r+3]), cols, w, dst[r*ld:], ld)
 		}
 		for ; r < len(rows); r++ {
 			x := a.DenseRow(rows[r])

@@ -7,9 +7,11 @@
 // inner loop spends nearly all of its time in Dot and SqDist.
 //
 // ExpScaled and SqDistRows, the Gaussian kernel's batched finish and
-// distance fill, and UpdateScan, the SMO iteration tail, run four lanes wide
-// in amd64 assembly (vec_amd64.s) when the CPU has AVX2 and FMA, and as the
-// portable loops otherwise; both paths give the scalar results bit for bit.
+// distance fill, UpdateScan, the SMO iteration tail, and Dot4 with
+// MulTile's dense panels, the inner products of batch prediction, run four
+// lanes wide in amd64 assembly (vec_amd64.s) when the CPU has AVX2 and FMA,
+// and as the portable loops otherwise; both paths give the scalar results
+// bit for bit.
 package la
 
 import "math"
@@ -17,6 +19,13 @@ import "math"
 // Dot returns the inner product of a and b. The slices must have equal
 // length; only the common prefix is used if they do not, which matches the
 // semantics of zero-padding the shorter vector.
+//
+// Dot is also the repository benchmark's calibration loop: bench/measure.go
+// times it over 4096 × 1000 elements and restates every gated timing against
+// its fixed reference speed, so a faster Dot would inflate every workload's
+// figures. It keeps this scalar body and its speed; the lanes go under Dot4
+// and MulTile, which reproduce it bit for bit, and SqNorm, DotVec and
+// MulTile's leftover rows stay on it.
 func Dot(a, b []float64) float64 {
 	n := len(a)
 	if len(b) < n {

@@ -6,9 +6,10 @@ import (
 	"strings"
 )
 
-// vectorKernels selects the four-lane assembly behind ExpScaled, SqDistRows
-// and UpdateScan (vec_amd64.s): the CPU has AVX2 and FMA, the OS saves YMM
-// state, and the exp lanes agree with this process's math.Exp bit for bit.
+// vectorKernels selects the four-lane assembly behind ExpScaled, SqDistRows,
+// UpdateScan, Dot4 and MulTile's dense panels (vec_amd64.s): the CPU has
+// AVX2 and FMA, the OS saves YMM state, and the exp lanes agree with this
+// process's math.Exp bit for bit.
 // The last condition keeps the path exact wherever math.Exp does not run the
 // FMA sequence the lanes replay — under GODEBUG=cpu.fma=off, or after a Go
 // release changes its algorithm (TestVectorKernelsActive catches the latter).
@@ -41,6 +42,13 @@ func sqDistRowsVec(x, dense []float64, m int, rows []int32, out []float64) int
 //
 //go:noescape
 func updateScanVec(f, rh, rl, outHigh, outLow []float64, ch, cl float64, e *laneExtremes)
+
+// dot4PanelVec sets dst[k*ld + c] = Dot(x_k, b[c*n : c*n+n]) for k < 4 and
+// c < w, n being len(x0). x1..x3 hold at least n floats, b at least w·n and
+// dst at least 3·ld + w.
+//
+//go:noescape
+func dot4PanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int)
 
 // cpuHasAVX2FMA reports CPUID's AVX, AVX2, FMA and OSXSAVE bits and XCR0's
 // SSE and YMM state bits.

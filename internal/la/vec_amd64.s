@@ -1,8 +1,9 @@
 #include "textflag.h"
 
-// Four-lane kernels behind ExpScaled, SqDistRows and UpdateScan (vec.go). Each lane
-// performs exactly the instruction sequence of the scalar code it stands in
-// for, so every result is the scalar result bit for bit.
+// Four-lane kernels behind ExpScaled, SqDistRows and UpdateScan (vec.go) and
+// behind Dot4 and MulTile's dense panels (tile.go). Each lane performs
+// exactly the instruction sequence of the scalar code it stands in for, so
+// every result is the scalar result bit for bit.
 
 // The constants of math.archExp (src/math/exp_amd64.s), written with the
 // same literals so the assembler rounds them to the same float64s.
@@ -330,6 +331,111 @@ scandone:
 	VMOVUPD Y5, 160(R11)
 	VMOVDQU Y8, 192(R11)
 	VMOVDQU Y4, 224(R11)
+	VZEROUPPER
+	RET
+
+// func dot4PanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int)
+//
+// Output k of a column is one accumulator register whose lane j is Dot's s_j
+// over x_k and the column, fed by a separate VMULPD and VADDPD per quad, never
+// fused. Two VHADDPDs and a 128-bit transpose combine the four accumulators
+// into the four outputs' (s0+s1)+(s2+s3) at once; each len%4 tail element is
+// then one broadcast of the column's value against (x0[i], x1[i], x2[i],
+// x3[i]), gathered once per call into Y13–Y15, so every output adds its tail
+// products in order.
+//
+// DOT4_TAIL_LANES(off, y, x) gathers x0..x3 at element R12 + off/8 into y.
+#define DOT4_TAIL_LANES(off, y, x) \
+	VMOVSD off(SI)(R12*8), x; \
+	VMOVHPD off(DI)(R12*8), x, x; \
+	VMOVSD off(R8)(R12*8), X12; \
+	VMOVHPD off(R9)(R12*8), X12, X12; \
+	VINSERTF128 $1, X12, y, y
+
+TEXT ·dot4PanelVec(SB), NOSPLIT, $0-160
+	MOVQ x0_base+0(FP), SI
+	MOVQ x0_len+8(FP), CX
+	MOVQ x1_base+24(FP), DI
+	MOVQ x2_base+48(FP), R8
+	MOVQ x3_base+72(FP), R9
+	MOVQ b_base+96(FP), DX
+	MOVQ w+120(FP), R13
+	MOVQ dst_base+128(FP), R10
+	MOVQ ld+152(FP), R11
+	SHLQ $3, R11 // output row stride in bytes
+	MOVQ CX, R12
+	ANDQ $~3, R12
+	MOVQ CX, AX
+	SUBQ R12, AX // tail length, 0–3
+	JZ   col
+	DOT4_TAIL_LANES(0, Y13, X13)
+	CMPQ AX, $1
+	JEQ  col
+	DOT4_TAIL_LANES(8, Y14, X14)
+	CMPQ AX, $2
+	JEQ  col
+	DOT4_TAIL_LANES(16, Y15, X15)
+
+col:
+	TESTQ R13, R13
+	JZ    done
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ BX, BX
+	CMPQ BX, R12
+	JGE  sum
+
+quad:
+	VMOVUPD (DX)(BX*8), Y4
+	VMULPD (SI)(BX*8), Y4, Y5
+	VMULPD (DI)(BX*8), Y4, Y6
+	VMULPD (R8)(BX*8), Y4, Y7
+	VMULPD (R9)(BX*8), Y4, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	ADDQ $4, BX
+	CMPQ BX, R12
+	JLT  quad
+
+sum:
+	VHADDPD Y1, Y0, Y0                // s0+s1 and s2+s3 of outputs 0, 1
+	VHADDPD Y3, Y2, Y2                // and of outputs 2, 3
+	VPERM2F128 $0x20, Y2, Y0, Y1      // the four s0+s1
+	VPERM2F128 $0x31, Y2, Y0, Y3      // the four s2+s3
+	VADDPD Y3, Y1, Y0
+	TESTQ AX, AX
+	JZ    store
+	VBROADCASTSD (DX)(R12*8), Y4
+	VMULPD Y13, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	CMPQ AX, $1
+	JEQ  store
+	VBROADCASTSD 8(DX)(R12*8), Y4
+	VMULPD Y14, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	CMPQ AX, $2
+	JEQ  store
+	VBROADCASTSD 16(DX)(R12*8), Y4
+	VMULPD Y15, Y4, Y4
+	VADDPD Y4, Y0, Y0
+
+store:
+	VMOVSD X0, (R10)
+	VMOVHPD X0, (R10)(R11*1)
+	VEXTRACTF128 $1, Y0, X1
+	LEAQ (R10)(R11*2), BX
+	VMOVSD X1, (BX)
+	VMOVHPD X1, (BX)(R11*1)
+	ADDQ $8, R10
+	LEAQ (DX)(CX*8), DX // the next column
+	DECQ R13
+	JMP  col
+
+done:
 	VZEROUPPER
 	RET
 
