@@ -117,29 +117,3 @@ func benchCacheRows(b *testing.B, rows int) {
 func BenchmarkAblationCache2Rows(b *testing.B)    { benchCacheRows(b, 2) }
 func BenchmarkAblationCache64Rows(b *testing.B)   { benchCacheRows(b, 64) }
 func BenchmarkAblationCache1024Rows(b *testing.B) { benchCacheRows(b, 1024) }
-
-// Intra-rank threading (the paper's OpenMP layer): wall-time effect of
-// fanning kernel-row fills across goroutines on a row-heavy solve. On a
-// single-core host the two variants tie (results stay identical either
-// way); the speedup appears on multicore machines.
-func benchThreads(b *testing.B, threads int) {
-	// Wide features make each kernel row expensive enough to split.
-	d, err := data.Generate(data.MixtureSpec{
-		Name: "wide", Train: 3000, Test: 0, Features: 512, Clusters: 4,
-		Separation: 10, Noise: 1, PosFrac: []float64{0.5}, LabelNoise: 0.02,
-		Margin: 0.8, Seed: 98,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := smo.Config{C: 1, Kernel: kernel.RBF(1.0 / 1024), CacheRows: 8, Threads: threads, MaxIter: 300}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := smo.Solve(d.X, d.Y, cfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationThreads1(b *testing.B) { benchThreads(b, 1) }
-func BenchmarkAblationThreads4(b *testing.B) { benchThreads(b, 4) }

@@ -76,7 +76,7 @@ func BenchmarkKernelRowDense(b *testing.B) {
 	b.SetBytes(int64(8 * d.M() * d.Features()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Tile(d.X, []int{i % d.M()}, dsts, cols, 1)
+		p.Tile(d.X, []int{i % d.M()}, dsts, cols)
 	}
 }
 

@@ -34,7 +34,6 @@ func main() {
 		gamma   = flag.Float64("gamma", 0, "RBF gamma (0 = per-dataset heuristic)")
 		tol     = flag.Float64("tol", 1e-3, "KKT tolerance")
 		ratio   = flag.Bool("ratio-balance", true, "pos/neg ratio balancing (FCFS/BKM-CA)")
-		threads = flag.Int("threads", 0, "per-rank solver threads (0/1 = serial; results are identical for any value)")
 		modelP  = flag.String("model", "casvm.model", "output model path")
 		report  = flag.String("report", "", "write a structured JSON run report to this path")
 		traceP  = flag.String("trace", "", "write a Chrome trace_event JSON timeline to this path (load in chrome://tracing or ui.perfetto.dev)")
@@ -136,7 +135,6 @@ func main() {
 	params.Seed = *seed
 	params.Kernel = casvm.RBF(g)
 	params.RatioBalanced = *ratio
-	params.Threads = *threads
 	pol, err := casvm.ParseRecoveryPolicy(*recPol)
 	if err != nil {
 		fail(err)

@@ -16,8 +16,8 @@ import (
 // goldenRun pins the full-pipeline fingerprint of one training
 // configuration: the model fingerprint (model.Set.Hash), the critical-path
 // iteration count, and the modeled total flop count. All three are
-// bit-deterministic — independent of wall-clock, scheduling and the Threads
-// setting — so any drift means the numerics changed, not the environment.
+// bit-deterministic — independent of wall-clock and scheduling — so any
+// drift means the numerics changed, not the environment.
 type goldenRun struct {
 	method Method
 	p      int
@@ -26,22 +26,18 @@ type goldenRun struct {
 	flops  float64
 }
 
-func goldenParams(m Method, p, threads int) Params {
+func goldenParams(m Method, p int) Params {
 	pr := DefaultParams(m, p)
 	pr.Kernel = RBF(0.5)
-	pr.Threads = threads
 	return pr
 }
 
 // TestGoldenEndToEnd trains on the registered toy dataset and compares the
-// run fingerprint against golden values, at Threads = 1, 2 and 4. The
-// shared-memory parallel solver promises bit-identical results for every
-// thread count; a mismatch between thread counts is a determinism bug, a
-// mismatch against the golden values is a numerics change (update the
-// constants only for an intentional algorithm change).
+// run fingerprint against golden values; a mismatch is a numerics change
+// (update the constants only for an intentional algorithm change).
 //
-// At Threads=1 a Timeline rides along (instrumentation is clock-invariant,
-// so the fingerprints must not move) and the causal trace is held to the
+// A Timeline rides along (instrumentation is clock-invariant, so the
+// fingerprints must not move) and the causal trace is held to the
 // acceptance invariants: the critical-path decomposition sums to the total
 // virtual makespan within 1e-9, and re-analyzing the exported trace file
 // reproduces the in-process split exactly — encoding/json round-trips
@@ -58,35 +54,26 @@ func TestGoldenEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range golden {
-		for _, threads := range []int{1, 2, 4} {
-			pr := goldenParams(g.method, g.p, threads)
-			if threads == 1 {
-				pr.Timeline = NewTimeline(g.p)
-			}
-			out, err := Train(ds.X, ds.Y, pr)
-			if err != nil {
-				t.Fatalf("%s threads=%d: %v", g.method, threads, err)
-			}
-			rep, err := BuildReport(out, pr, "toy", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.ModelHash != g.hash {
-				t.Errorf("%s threads=%d: model hash %s, want %s",
-					g.method, threads, rep.ModelHash, g.hash)
-			}
-			if rep.Iters != g.iters {
-				t.Errorf("%s threads=%d: iters %d, want %d",
-					g.method, threads, rep.Iters, g.iters)
-			}
-			if rep.TotalFlops != g.flops {
-				t.Errorf("%s threads=%d: flops %v, want %v",
-					g.method, threads, rep.TotalFlops, g.flops)
-			}
-			if threads == 1 {
-				checkCritPath(t, string(g.method), pr, out.Stats.TotalSec, rep.CritPath)
-			}
+		pr := goldenParams(g.method, g.p)
+		pr.Timeline = NewTimeline(g.p)
+		out, err := Train(ds.X, ds.Y, pr)
+		if err != nil {
+			t.Fatalf("%s: %v", g.method, err)
 		}
+		rep, err := BuildReport(out, pr, "toy", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ModelHash != g.hash {
+			t.Errorf("%s: model hash %s, want %s", g.method, rep.ModelHash, g.hash)
+		}
+		if rep.Iters != g.iters {
+			t.Errorf("%s: iters %d, want %d", g.method, rep.Iters, g.iters)
+		}
+		if rep.TotalFlops != g.flops {
+			t.Errorf("%s: flops %v, want %v", g.method, rep.TotalFlops, g.flops)
+		}
+		checkCritPath(t, string(g.method), pr, out.Stats.TotalSec, rep.CritPath)
 	}
 }
 
@@ -125,13 +112,13 @@ func TestModelHashRepin(t *testing.T) {
 		pr        Params
 		text, bin string
 	}{
-		{"golden ra-ca", toy, goldenParams(MethodRACA, 4, 1),
+		{"golden ra-ca", toy, goldenParams(MethodRACA, 4),
 			"6e603d88184ed7fd7a01845da0195d90edf557a950f1535f8b630d4b35b3eb2f",
 			"6405d5aacd47b975d7a782790efc98d1d6da32e2be5efa2221cd45d9d0681583"},
-		{"golden fcfs-ca", toy, goldenParams(MethodFCFSCA, 4, 1),
+		{"golden fcfs-ca", toy, goldenParams(MethodFCFSCA, 4),
 			"39d1239622cd4d386a42d70151d76b3d26bada66e4929426e56ca3f6ccc58fb4",
 			"7d82fdb38ac5b024d790c2633dc74b2162b069e762f50c29076e4d409ef392ce"},
-		{"golden dissmo", toy, goldenParams(MethodDisSMO, 2, 1),
+		{"golden dissmo", toy, goldenParams(MethodDisSMO, 2),
 			"976ca4d880ff9b6a581dab35f7854977444a47ff3aadf35905d1ff74e39a9188",
 			"cd944ac7e9fcd523c2a623b9ed05a723183d3447d51c7a8d6a717e1bbf42ba04"},
 		{"dissmo cache capacity", dense, dissmo(4, RBF(1.0/16), 0),

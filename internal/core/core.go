@@ -83,13 +83,6 @@ type Params struct {
 	MaxIter int // per-solver iteration cap; 0 = default
 	Kernel  kernel.Params
 
-	// Threads sets the shared-memory parallelism of each rank's local SMO
-	// solver (kernel-row fills and the fused scan/update passes fan out
-	// across a persistent worker pool). 0 or 1 means serial. Results are
-	// bit-identical for every setting, and virtual-time flop accounting is
-	// unaffected — Threads changes wall-clock only.
-	Threads int
-
 	Machine perfmodel.Machine
 	Seed    int64
 
@@ -233,8 +226,7 @@ func (p Params) validate(x *la.Matrix, y []float64) error {
 }
 
 func (p Params) solverConfig() smo.Config {
-	return smo.Config{C: p.C, Tol: p.Tol, MaxIter: p.MaxIter, Kernel: p.Kernel,
-		Threads: p.Threads}
+	return smo.Config{C: p.C, Tol: p.Tol, MaxIter: p.MaxIter, Kernel: p.Kernel}
 }
 
 // NodeStat profiles one node's work within a layer (the rows of Table V).
@@ -329,8 +321,8 @@ type Stats struct {
 	ColCacheMisses int64
 
 	// TotalFlops is the summed modeled flop count over all ranks. Flop
-	// accounting is deterministic and thread-count-invariant, so it
-	// doubles as a reproducibility fingerprint of the run.
+	// accounting is deterministic, so it doubles as a reproducibility
+	// fingerprint of the run.
 	TotalFlops float64
 
 	// PartSizes are the per-node sample counts after partitioning

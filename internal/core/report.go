@@ -23,7 +23,6 @@ func BuildReport(out *Output, p Params, dataset string, accuracy float64) (*trac
 		Method:  string(st.Method),
 		Dataset: dataset,
 		P:       st.P,
-		Threads: p.Threads,
 		Seed:    p.Seed,
 		Machine: trace.MachineInfo{
 			TcSec: p.Machine.Tc,

@@ -29,9 +29,8 @@ type RowCache struct {
 	params Params
 	data   *la.Matrix
 
-	m       int // row length = data.Rows()
-	threads int // intra-node workers for row fills
-	lru     lruSlab
+	m   int // row length = data.Rows()
+	lru lruSlab
 
 	// diag lazily caches the kernel diagonal for non-Gaussian kernels, so
 	// per-iteration Diag lookups cost O(1) per sample after the first fill. (Gaussian diagonals are exactly 1.)
@@ -51,10 +50,6 @@ type RowCache struct {
 	missDst  [][]float64
 	cols     []int32
 }
-
-// SetThreads lets cache misses evaluate their columns with up to t pool
-// workers (Params.Tile). 0 or 1 keeps the serial path.
-func (c *RowCache) SetThreads(t int) { c.threads = t }
 
 // SetRecorder attaches a timeline recorder; each cache miss then records a
 // "row-fill" span with its flop cost. A nil recorder (the default) keeps
@@ -169,11 +164,11 @@ func (c *RowCache) fill() {
 	cols = cols[:n]
 	var f float64
 	if len(rows) == 2 {
-		f = c.params.Tile(c.data, rows, dsts, cols[:n-1], c.threads)
-		f += c.params.Tile(c.data, rows[:1], dsts[:1], cols[n-1:], c.threads)
+		f = c.params.Tile(c.data, rows, dsts, cols[:n-1])
+		f += c.params.Tile(c.data, rows[:1], dsts[:1], cols[n-1:])
 		dsts[1][rows[0]] = dsts[0][rows[1]]
 	} else {
-		f = c.params.Tile(c.data, rows, dsts, cols, c.threads)
+		f = c.params.Tile(c.data, rows, dsts, cols)
 	}
 	s0 := l.slotOf[rows[0]]
 	s1 := l.slotOf[rows[len(rows)-1]]

@@ -228,7 +228,7 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 		// The one b row is the reused side: scatter it, gather the rows of a.
 		rows := [1]int{j}
 		dsts := [1][]float64{dst}
-		p.fillSparse(b, rows[:], a, nil, dsts[:], 1)
+		p.fillSparse(b, rows[:], a, nil, dsts[:])
 	case !a.Sparse() && !b.Sparse():
 		xj := b.DenseRow(j)
 		if p.Kind == Gaussian {

@@ -368,7 +368,7 @@ func TestKernelBitwiseSymmetric(t *testing.T) {
 			for i := range rows {
 				rows[i], k[i] = i, make([]float64, m)
 			}
-			p.Tile(a, rows, k, allCols(m), 1)
+			p.Tile(a, rows, k, allCols(m))
 			col := make([]float64, m)
 			for j := 0; j < m; j++ {
 				p.CrossRow(a, a, j, col)

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"casvm/internal/la"
-	"casvm/internal/pool"
 )
 
 // Tile engine: blocked evaluation of kernel-matrix blocks. The kernel
@@ -22,15 +21,8 @@ import (
 //     always uses the norms identity) and feeds batch prediction.
 //
 // Every element keeps the exact summation order of the scalar call it
-// replaces, so results are bit-identical at every tile shape and thread
-// count; the tile only changes the memory access pattern.
-
-// rowGrain is the minimum number of output elements per chunk worth
-// handing to a pool worker. Each element costs ~2·nnz flops, so even narrow
-// features amortise the single channel handoff. Chunk boundaries depend only
-// on (threads, len(cols), rowGrain), so results and flop counts are identical
-// to the serial path.
-const rowGrain = 512
+// replaces, so results are bit-identical at every tile shape; the tile only
+// changes the memory access pattern.
 
 // Tile fills dsts[r][c] with K(rows[r], c) for every column c listed in
 // cols, over the rows of a single training matrix, streaming each column row
@@ -39,27 +31,22 @@ const rowGrain = 512
 // them from resident rows. Each dsts[r] must have length ≥ a.Rows().
 // Elementwise results are bit-identical to the scalar recipes (la.SqDist,
 // la.Dot, la.SpDot with the norms identity); the returned flop charge is
-// 2·nnz(row)·len(cols) + len(cols) per tile row. Work is split over up to
-// `threads` pool workers along cols with deterministic chunking.
-func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, cols []int32, threads int) float64 {
+// 2·nnz(row)·len(cols) + len(cols) per tile row.
+func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) float64 {
 	n := len(cols)
 	if len(rows) == 0 || n == 0 {
 		return 0
 	}
 	if p.Kind == Gaussian {
-		a.EnsureNorms() // not goroutine-safe lazily; force it up front
+		a.EnsureNorms() // fillSparse reads the row norms
 	}
 	if a.Sparse() {
 		for base := 0; base < len(rows); base += tileRowBlock {
 			end := min(base+tileRowBlock, len(rows))
-			p.fillSparse(a, rows[base:end], a, cols, dsts[base:end], threads)
+			p.fillSparse(a, rows[base:end], a, cols, dsts[base:end])
 		}
-	} else if threads <= 1 || n < 2*rowGrain {
-		p.tileCols(a, rows, dsts, cols)
 	} else {
-		pool.Shared().ParallelFor(threads, n, rowGrain, func(lo, hi int) {
-			p.tileCols(a, rows, dsts, cols[lo:hi])
-		})
+		p.tileCols(a, rows, dsts, cols)
 	}
 	var flops float64
 	for _, i := range rows {
@@ -135,9 +122,8 @@ func (p Params) tileColsBlock(a *la.Matrix, rows []int, dsts [][]float64, cols [
 // sparseBlock is the fill state of one block of at most tileRowBlock sparse
 // tile rows: each row scattered over the feature axis (la.ScatteredRow), its
 // squared norm, its destination. The position tables cost 4 bytes × features
-// per row, so blocks are pooled — a fill allocates nothing once tables of the
-// feature width exist — and a parallel fill scatters once and shares the
-// block read-only across its workers.
+// per row, so blocks are pooled: a fill allocates nothing once tables of the
+// feature width exist.
 type sparseBlock struct {
 	row [tileRowBlock]la.ScatteredRow
 	sq  [tileRowBlock]float64
@@ -155,7 +141,7 @@ var sparseBlocks = sync.Pool{New: func() any { return new(sparseBlock) }}
 // src == cols and its column list; CrossRow passes the matrix holding the one
 // remote row as src and no list. Gaussian callers have ensured norms on both
 // matrices.
-func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, at []int32, dsts [][]float64, threads int) {
+func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, at []int32, dsts [][]float64) {
 	sb := sparseBlocks.Get().(*sparseBlock)
 	width := max(src.Features(), cols.Features())
 	for r, i := range rows {
@@ -166,17 +152,7 @@ func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, at []int
 		}
 		sb.dst[r] = dsts[r]
 	}
-	n, m := len(rows), cols.Rows()
-	if at != nil {
-		m = len(at)
-	}
-	if threads <= 1 || m < 2*rowGrain {
-		p.sparseCols(sb, n, cols, at, 0, m)
-	} else {
-		pool.Shared().ParallelFor(threads, m, rowGrain, func(lo, hi int) {
-			p.sparseCols(sb, n, cols, at, lo, hi)
-		})
-	}
+	p.sparseCols(sb, len(rows), cols, at)
 	for r := range rows {
 		sb.row[r].Release()
 		sb.dst[r] = nil
@@ -184,10 +160,14 @@ func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, at []int
 	sparseBlocks.Put(sb)
 }
 
-// sparseCols fills columns at[lo:hi] (columns [lo, hi) when at is nil) of the
-// block's first n rows, column-outer like tileCols.
-func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32, lo, hi int) {
+// sparseCols fills the columns at lists (every column of cols when at is nil)
+// of the block's first n rows, column-outer like tileCols.
+func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32) {
 	rows, dsts := sb.row[:n], sb.dst[:n]
+	m := cols.Rows()
+	if at != nil {
+		m = len(at)
+	}
 	col := func(k int) int {
 		if at != nil {
 			return int(at[k])
@@ -195,7 +175,7 @@ func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32, 
 		return k
 	}
 	if p.Kind != Gaussian {
-		for k := lo; k < hi; k++ {
+		for k := range m {
 			j := col(k)
 			ji, jv := cols.SparseRow(j)
 			for r := range rows {
@@ -205,8 +185,8 @@ func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32, 
 		return
 	}
 	var d [tileRowBlock][fillChunk]float64
-	for c0 := lo; c0 < hi; c0 += fillChunk {
-		w := min(fillChunk, hi-c0)
+	for c0 := 0; c0 < m; c0 += fillChunk {
+		w := min(fillChunk, m-c0)
 		for k := 0; k < w; k++ {
 			j := col(c0 + k)
 			ji, jv := cols.SparseRow(j)

@@ -19,9 +19,8 @@ var tileKinds = []Params{
 }
 
 // wideSparse is the shape the sparse workload has — 2048 features at 2%, so a
-// row is ~40 of 2048 positions — and tall enough (≥ 2·rowGrain rows) that
-// threads > 1 really splits the columns. The small sparse cases elsewhere
-// are 20–40 features at 25–40%, where a position table is nearly full.
+// row is ~40 of 2048 positions. The small sparse cases elsewhere are 20–40
+// features at 25–40%, where a position table is nearly full.
 func wideSparse(rng *rand.Rand) *la.Matrix { return sparseMat(rng, 1100, 2048, 0.02) }
 
 func TestTileMatchesRowBitwise(t *testing.T) {
@@ -57,58 +56,29 @@ func TestTileMatchesRowBitwise(t *testing.T) {
 					for _, c := range cols {
 						listed[c] = true
 					}
-					for _, threads := range []int{1, 4} {
-						dsts := make([][]float64, len(rows))
-						for r := range rows {
-							dsts[r] = make([]float64, m)
-							for j := range dsts[r] {
-								dsts[r][j] = -7
-							}
-						}
-						gotFlops := p.Tile(a, rows, dsts, cols, threads)
-						if wf := wantFlops * float64(len(cols)) / float64(m); gotFlops != wf {
-							t.Fatalf("kind=%v sparse=%v rows=%v cols=%d threads=%d: flops %v != %v",
-								p.Kind, a.Sparse(), rows, len(cols), threads, gotFlops, wf)
-						}
-						for r := range rows {
-							for j := range want[r] {
-								w := want[r][j]
-								if !listed[j] {
-									w = -7
-								}
-								if dsts[r][j] != w {
-									t.Fatalf("kind=%v sparse=%v rows=%v cols=%d threads=%d: [%d][%d] %v != %v",
-										p.Kind, a.Sparse(), rows, len(cols), threads, r, j, dsts[r][j], w)
-								}
-							}
+					dsts := make([][]float64, len(rows))
+					for r := range rows {
+						dsts[r] = make([]float64, m)
+						for j := range dsts[r] {
+							dsts[r][j] = -7
 						}
 					}
-				}
-			}
-		}
-	}
-}
-
-func TestTileParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	for _, sparse := range []bool{false, true} {
-		a := denseMat(rng, 3000, 10)
-		if sparse {
-			a = sparseMat(rng, 3000, 40, 0.25)
-		}
-		for _, p := range []Params{RBF(0.15), {Kind: Linear}, {Kind: Polynomial, Coef: 1, Degree: 2}} {
-			rows := []int{11, 2999, 0}
-			serial := [][]float64{make([]float64, a.Rows()), make([]float64, a.Rows()), make([]float64, a.Rows())}
-			par := [][]float64{make([]float64, a.Rows()), make([]float64, a.Rows()), make([]float64, a.Rows())}
-			fs := p.Tile(a, rows, serial, allCols(a.Rows()), 1)
-			fp := p.Tile(a, rows, par, allCols(a.Rows()), 4)
-			if fs != fp {
-				t.Fatalf("kind=%v sparse=%v: flops %v vs %v", p.Kind, sparse, fs, fp)
-			}
-			for r := range rows {
-				for j := range serial[r] {
-					if serial[r][j] != par[r][j] {
-						t.Fatalf("kind=%v sparse=%v: [%d][%d] differs", p.Kind, sparse, r, j)
+					gotFlops := p.Tile(a, rows, dsts, cols)
+					if wf := wantFlops * float64(len(cols)) / float64(m); gotFlops != wf {
+						t.Fatalf("kind=%v sparse=%v rows=%v cols=%d: flops %v != %v",
+							p.Kind, a.Sparse(), rows, len(cols), gotFlops, wf)
+					}
+					for r := range rows {
+						for j := range want[r] {
+							w := want[r][j]
+							if !listed[j] {
+								w = -7
+							}
+							if dsts[r][j] != w {
+								t.Fatalf("kind=%v sparse=%v rows=%v cols=%d: [%d][%d] %v != %v",
+									p.Kind, a.Sparse(), rows, len(cols), r, j, dsts[r][j], w)
+							}
+						}
 					}
 				}
 			}
@@ -201,51 +171,48 @@ func TestPrefetchPairMatchesSequentialRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
 	for _, a := range []*la.Matrix{denseMat(rng, 120, 6), sparseMat(rng, 120, 25, 0.3), wideSparse(rng)} {
 		p := RBF(0.3)
-		for _, threads := range []int{1, 4} {
-			for _, capacity := range []int{2, 3, 16} {
-				cp := NewRowCache(p, a, capacity)
-				cp.SetThreads(threads)
-				cs := NewRowCache(p, a, capacity)
-				steps := 2000
-				if a.Rows() > 1000 {
-					steps = 150 // rows are 9× longer; the race matrix runs this
+		for _, capacity := range []int{2, 3, 16} {
+			cp := NewRowCache(p, a, capacity)
+			cs := NewRowCache(p, a, capacity)
+			steps := 2000
+			if a.Rows() > 1000 {
+				steps = 150 // rows are 9× longer; the race matrix runs this
+			}
+			var pairExtra float64
+			for step := 0; step < steps; step++ {
+				i, j := rng.Intn(24), rng.Intn(24)
+				if rng.Intn(5) == 0 {
+					i, j = rng.Intn(120), rng.Intn(120)
 				}
-				var pairExtra float64
-				for step := 0; step < steps; step++ {
-					i, j := rng.Intn(24), rng.Intn(24)
-					if rng.Intn(5) == 0 {
-						i, j = rng.Intn(120), rng.Intn(120)
+				secondEvicts := cp.lru.used+1 >= capacity
+				before := cp.misses
+				cp.PrefetchPair(i, j)
+				if cp.misses == before+2 && secondEvicts {
+					nnz := a.Features()
+					if a.Sparse() {
+						ix, _ := a.SparseRow(i)
+						nnz = len(ix)
 					}
-					secondEvicts := cp.lru.used+1 >= capacity
-					before := cp.misses
-					cp.PrefetchPair(i, j)
-					if cp.misses == before+2 && secondEvicts {
-						nnz := a.Features()
-						if a.Sparse() {
-							ix, _ := a.SparseRow(i)
-							nnz = len(ix)
-						}
-						pairExtra += float64(2*nnz + 1)
-					}
-					pi, pj := cp.Row(i), cp.Row(j)
-					si, sj := cs.Row(i), cs.Row(j)
-					for k := range si {
-						if pi[k] != si[k] || pj[k] != sj[k] {
-							t.Fatalf("cap=%d threads=%d step=%d pair(%d,%d): rows differ at %d",
-								capacity, threads, step, i, j, k)
-						}
+					pairExtra += float64(2*nnz + 1)
+				}
+				pi, pj := cp.Row(i), cp.Row(j)
+				si, sj := cs.Row(i), cs.Row(j)
+				for k := range si {
+					if pi[k] != si[k] || pj[k] != sj[k] {
+						t.Fatalf("cap=%d step=%d pair(%d,%d): rows differ at %d",
+							capacity, step, i, j, k)
 					}
 				}
-				_, mp, fp := cp.Stats()
-				_, ms, fs := cs.Stats()
-				if mp != ms || fp != fs+pairExtra {
-					t.Fatalf("cap=%d threads=%d sparse=%v: prefetch (misses=%d flops=%g) vs sequential (misses=%d flops=%g + %g)",
-						capacity, threads, a.Sparse(), mp, fp, ms, fs, pairExtra)
-				}
-				if po, so := cp.lru.order(), cs.lru.order(); !slices.Equal(po, so) {
-					t.Fatalf("cap=%d threads=%d sparse=%v: LRU order %v vs sequential %v",
-						capacity, threads, a.Sparse(), po, so)
-				}
+			}
+			_, mp, fp := cp.Stats()
+			_, ms, fs := cs.Stats()
+			if mp != ms || fp != fs+pairExtra {
+				t.Fatalf("cap=%d sparse=%v: prefetch (misses=%d flops=%g) vs sequential (misses=%d flops=%g + %g)",
+					capacity, a.Sparse(), mp, fp, ms, fs, pairExtra)
+			}
+			if po, so := cp.lru.order(), cs.lru.order(); !slices.Equal(po, so) {
+				t.Fatalf("cap=%d sparse=%v: LRU order %v vs sequential %v",
+					capacity, a.Sparse(), po, so)
 			}
 		}
 	}

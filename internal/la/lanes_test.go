@@ -440,7 +440,7 @@ func planted(f, outHigh, outLow []float64) scanCase {
 // the len%4 tails and unaligned loads), equal extremes — ±0 among them — on
 // every lane and in the tails,
 // empty and one-member sets, NaN and ±Inf in f, in the rows and in the
-// coefficients, and the sub-slices the solver's chunked scan passes.
+// coefficients, and unaligned sub-slices of a long row.
 func TestUpdateScanMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	coefs := []float64{0.75, -1.5, 0, math.Copysign(0, -1), 1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -498,8 +498,8 @@ func TestUpdateScanMatchesLoop(t *testing.T) {
 		}
 	}
 
-	// The solver's chunked scan hands each pool chunk f[lo:hi] with lo =
-	// c·⌈n/nc⌉: odd offsets, unaligned loads, a short last chunk.
+	// Sub-slices f[lo:hi] of a long row with lo = c·⌈n/nc⌉: odd offsets,
+	// unaligned loads, a short last slice.
 	const n = 4097
 	c := scanCase{
 		f: make([]float64, n), rh: make([]float64, n), rl: make([]float64, n),

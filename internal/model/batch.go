@@ -2,11 +2,8 @@ package model
 
 import (
 	"math"
-	"runtime"
 
-	"casvm/internal/kernel"
 	"casvm/internal/la"
-	"casvm/internal/pool"
 )
 
 // Batched prediction through the kernel tile engine. Classifying a query
@@ -20,9 +17,6 @@ import (
 // matches Params.Eval exactly (kernel.CrossTile's contract), coefficients
 // multiply in the same (α·y)·K order as Decision, and each query's sum
 // accumulates over support vectors in ascending index order across blocks.
-// Queries are independent, so the batch also parallelises across query
-// blocks on the shared worker pool — every query is still summed serially
-// by exactly one worker, so the result is the same at every thread count.
 
 const (
 	// svBlock rows of the SV matrix per tile: bounds tile storage at
@@ -53,47 +47,33 @@ func (m *Model) DecisionAll(q *la.Matrix) []float64 {
 		// coefficient product folds out of the loop without changing a bit.
 		coef[i] = m.Alpha[i] * m.SVY[i]
 	}
-	// Norm caches fill before the fan-out: CrossTile would otherwise
-	// lazily EnsureNorms from concurrent workers.
-	if m.Kernel.Kind == kernel.Gaussian {
-		m.SVX.EnsureNorms()
-		q.EnsureNorms()
+	th, tw := min(svBlock, nsv), min(qBlock, nq)
+	rows := make([]int, 0, th)
+	dst := make([]float64, th*tw)
+	for qlo := 0; qlo < nq; qlo += qBlock {
+		qhi := min(qlo+qBlock, nq)
+		w := qhi - qlo
+		for slo := 0; slo < nsv; slo += svBlock {
+			shi := min(slo+svBlock, nsv)
+			rows = rows[:0]
+			for i := slo; i < shi; i++ {
+				rows = append(rows, i)
+			}
+			// The SV matrix is the a side and the query the b side, exactly
+			// like Decision's Eval(SVX, i, q, qi).
+			m.Kernel.CrossTile(m.SVX, rows, q, qlo, qhi, dst[:len(rows)*w], w)
+			for r, i := 0, slo; i < shi; r, i = r+1, i+1 {
+				c := coef[i]
+				krow := dst[r*w : r*w+w]
+				for k, kv := range krow {
+					out[qlo+k] += c * kv
+				}
+			}
+		}
 	}
-	pool.Shared().ParallelFor(runtime.GOMAXPROCS(0), nq, qBlock, func(lo, hi int) {
-		th, tw := min(svBlock, nsv), min(qBlock, hi-lo)
-		rows := make([]int, 0, th)
-		dst := make([]float64, th*tw)
-		for qlo := lo; qlo < hi; qlo += qBlock {
-			qhi := qlo + qBlock
-			if qhi > hi {
-				qhi = hi
-			}
-			w := qhi - qlo
-			for slo := 0; slo < nsv; slo += svBlock {
-				shi := slo + svBlock
-				if shi > nsv {
-					shi = nsv
-				}
-				rows = rows[:0]
-				for i := slo; i < shi; i++ {
-					rows = append(rows, i)
-				}
-				// The SV matrix is the a side and the query the b side,
-				// exactly like Decision's Eval(SVX, i, q, qi).
-				m.Kernel.CrossTile(m.SVX, rows, q, qlo, qhi, dst[:len(rows)*w], w)
-				for r, i := 0, slo; i < shi; r, i = r+1, i+1 {
-					c := coef[i]
-					krow := dst[r*w : r*w+w]
-					for k, kv := range krow {
-						out[qlo+k] += c * kv
-					}
-				}
-			}
-		}
-		for i := lo; i < hi; i++ {
-			out[i] -= m.B
-		}
-	})
+	for i := range out {
+		out[i] -= m.B
+	}
 	return out
 }
 

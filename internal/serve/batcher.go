@@ -137,8 +137,7 @@ type unavailableError string
 func (e unavailableError) Error() string { return string(e) }
 
 // Batcher coalesces requests for one model handle. One goroutine owns the
-// pending set; flushes run inline in that goroutine (PredictAll itself
-// fans out across query blocks on the shared worker pool).
+// pending set; flushes run inline in that goroutine.
 type Batcher struct {
 	handle   *Handle
 	cfg      BatcherConfig

@@ -3,7 +3,6 @@ package smo
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"casvm/internal/kernel"
@@ -209,8 +208,7 @@ func TestCheckpointRestoreValidates(t *testing.T) {
 // cadence (snapshot copies; the sink discards).
 func BenchmarkSolveCheckpointed(b *testing.B) {
 	x, y := benchBlobs(4096)
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60,
-		Threads: runtime.GOMAXPROCS(0)}
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60}
 	cfg.CheckpointEvery = 16
 	cfg.CheckpointSink = func(ck *Checkpoint) {}
 	b.ReportAllocs()

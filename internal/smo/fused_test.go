@@ -1,9 +1,7 @@
 package smo
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"casvm/internal/kernel"
@@ -139,44 +137,19 @@ func TestFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestThreadCountInvariance is the acceptance gate: the solver must emit
-// bit-identical multipliers, bias, iteration counts, and flop totals for
-// every Threads setting. m = 4096 clears the 2·scanGrain threshold, so
-// Threads=4 actually exercises the chunked pool scans (deterministic
-// chunk-ordered reduction) rather than the serial fallback.
-func TestThreadCountInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	x, y := twoBlobs(rng, 2048, 2, 1.0)
-	base := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 120}
-	ref, err := Solve(x, y, base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, threads := range []int{1, 2, 4} {
-		cfg := base
-		cfg.Threads = threads
-		got, err := Solve(x, y, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, fmt.Sprintf("threads=%d", threads), got, ref)
-	}
-}
-
-// TestParallelMatchesReferenceLarge: pool-parallel fused solve vs the
-// unfused serial reference on a pool-sized problem. Run under -race this
-// also exercises the worker-pool scan paths for data races.
+// TestParallelMatchesReferenceLarge: the fused solve vs the unfused serial
+// reference on an iteration-capped m = 4096 problem, the size BenchmarkSolve
+// runs, where the lane-wide update/scan tail covers many full blocks.
 func TestParallelMatchesReferenceLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	x, y := twoBlobs(rng, 2048, 2, 0.8)
 	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 80}
 	want := refSolve(t, x, y, cfg)
-	cfg.Threads = 4
 	got, err := Solve(x, y, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, "parallel-vs-serial-ref", got, want)
+	requireIdentical(t, "fused-vs-serial-ref", got, want)
 }
 
 func benchBlobs(m int) (*la.Matrix, []float64) {
@@ -186,13 +159,9 @@ func benchBlobs(m int) (*la.Matrix, []float64) {
 
 // BenchmarkSolve measures the full fused SMO hot path on an RBF problem at
 // the acceptance size m=4096 (iteration-capped so op time stays bounded).
-// Threads follows the -cpu setting, so `-cpu 1,4` contrasts the serial and
-// pool-parallel paths on multicore machines; results are bit-identical
-// either way.
 func BenchmarkSolve(b *testing.B) {
 	x, y := benchBlobs(4096)
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60,
-		Threads: runtime.GOMAXPROCS(0)}
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

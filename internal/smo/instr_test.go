@@ -1,7 +1,6 @@
 package smo
 
 import (
-	"runtime"
 	"testing"
 
 	"casvm/internal/kernel"
@@ -79,8 +78,7 @@ func TestInstrumentedSolveMatchesDisabled(t *testing.T) {
 // TestDisabledInstrumentationZeroAllocs: exactly zero).
 func BenchmarkSolveInstrumented(b *testing.B) {
 	x, y := benchBlobs(4096)
-	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60,
-		Threads: runtime.GOMAXPROCS(0)}
+	cfg := Config{C: 1, Tol: 1e-3, Kernel: kernel.RBF(0.5), MaxIter: 60}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,7 @@ import (
 // working-set kernel rows filled through one shared-streaming tile before
 // PairDeltas) leaves the whole training trajectory untouched: multipliers,
 // bias and iteration counts are bit-identical with the prefetch disabled,
-// across cache sizes, kernels, storage formats and thread counts — the same
+// across cache sizes, kernels, storage formats — the same
 // way TestFusedMatchesUnfused pins the fused pass. Flop totals are equal while
 // nothing is evicted; once the cache is full the pair may evaluate one entry
 // per iteration that the demand fills copy (the second victim's column, see
@@ -34,31 +34,28 @@ func TestTiledPrefetchMatchesUnprefetched(t *testing.T) {
 			name string
 			x    *la.Matrix
 		}{{"dense", de}, {"sparse", sp}} {
-			for _, threads := range []int{1, 4} {
-				on := tc.cfg
-				on.Threads = threads
-				off := on
-				off.disableTilePrefetch = true
-				want, err := Solve(mat.x, y, off, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Solve(mat.x, y, on, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := tc.name + "/" + mat.name
-				if tc.cfg.CacheRows == 0 {
-					requireIdentical(t, name, got, want)
-					continue
-				}
-				extra := got.Flops - want.Flops
-				if bound := float64(got.Iters * (2*mat.x.Features() + 1)); extra < 0 || extra > bound {
-					t.Fatalf("%s: prefetched flops %v, unprefetched %v: difference outside [0, %v]",
-						name, got.Flops, want.Flops, bound)
-				}
-				requireSameSolution(t, name, got, want)
+			on := tc.cfg
+			off := on
+			off.disableTilePrefetch = true
+			want, err := Solve(mat.x, y, off, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, err := Solve(mat.x, y, on, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := tc.name + "/" + mat.name
+			if tc.cfg.CacheRows == 0 {
+				requireIdentical(t, name, got, want)
+				continue
+			}
+			extra := got.Flops - want.Flops
+			if bound := float64(got.Iters * (2*mat.x.Features() + 1)); extra < 0 || extra > bound {
+				t.Fatalf("%s: prefetched flops %v, unprefetched %v: difference outside [0, %v]",
+					name, got.Flops, want.Flops, bound)
+			}
+			requireSameSolution(t, name, got, want)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"casvm/internal/kernel"
 	"casvm/internal/la"
-	"casvm/internal/pool"
 	"casvm/internal/trace"
 )
 
@@ -35,14 +34,10 @@ type Config struct {
 	CacheRows int
 	// Kernel selects the kernel function.
 	Kernel kernel.Params
-	// Threads fans the solver's O(m) inner loop — kernel-row fills and the
-	// fused f-update/working-set scan — across up to this many workers of
-	// the shared persistent pool (internal/pool): the shared-memory
-	// (OpenMP-style) parallelism the paper layers under MPI. 0 or 1 is
-	// serial. Results are bit-identical for every thread count
-	// (deterministic chunking plus in-order reductions), so alphas, bias,
-	// iteration counts, flops and therefore virtual time are all
-	// thread-count-invariant; only wall time improves.
+	// Threads is accepted and ignored: the solver is serial, one goroutine
+	// per rank. It survives only because the repository benchmark's probe
+	// sets it; ROADMAP item 1 deletes the field together with that probe
+	// line.
 	Threads int
 	// Interrupt, when non-nil, is polled with the iteration count before
 	// every Solve step; a non-nil return aborts the solve with that
@@ -141,11 +136,6 @@ type Solver struct {
 	ext      la.Extremes
 	extValid bool
 
-	// Parallel scan machinery: the shared worker pool (nil when serial)
-	// and per-chunk reduction scratch sized to cfg.Threads.
-	pl       *pool.Pool
-	chunkExt []la.Extremes
-
 	// rec mirrors cfg.Trace for the hot paths; nil means every span call
 	// is a single-branch no-op.
 	rec *trace.Recorder
@@ -193,12 +183,7 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 		outLow:  make([]float64, m),
 		rec:     cfg.Trace,
 	}
-	s.cache.SetThreads(cfg.Threads)
 	s.cache.SetRecorder(cfg.Trace)
-	if cfg.Threads > 1 {
-		s.pl = pool.Shared()
-		s.chunkExt = make([]la.Extremes, cfg.Threads)
-	}
 	// f_i = Σ_j α_j y_j K_ij − y_i ; with α = 0 this is just −y_i.
 	for i := range s.f {
 		s.f[i] = -y[i]
@@ -271,9 +256,7 @@ func outUnless(member bool) float64 {
 // When the fused update pass (or an earlier scan with no intervening
 // mutation) already computed the extremes, they are served from cache —
 // with the identical 2·m charge, so flop totals never depend on
-// fusion. The scan itself fans out across the worker pool for large
-// problems when cfg.Threads > 1; chunked reduction is bit-identical to
-// the serial scan.
+// fusion.
 func (s *Solver) LocalExtremes() (bHigh float64, iHigh int, bLow float64, iLow int) {
 	n := len(s.f)
 	if !s.extValid {

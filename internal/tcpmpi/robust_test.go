@@ -225,8 +225,9 @@ func TestCommCloseOwnsItsGoroutines(t *testing.T) {
 
 	c0.Close()
 	c1.Close()
-	if n := goroutinesIn("(*Comm)"); n != 0 {
-		t.Fatalf("%d Comm goroutines still running after Close returned", n)
+	if gs := stacksIn("(*Comm)"); len(gs) != 0 {
+		t.Fatalf("%d Comm goroutines still running after Close returned:\n\n%s",
+			len(gs), strings.Join(gs, "\n\n"))
 	}
 	backToBaseline(t, base)
 }

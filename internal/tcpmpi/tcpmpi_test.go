@@ -1,7 +1,6 @@
 package tcpmpi
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"runtime"
@@ -86,16 +85,42 @@ func dialPair(t *testing.T, addrs []string, opt Options) (*Comm, *Comm) {
 
 // goroutinesIn counts the live goroutines running a function of this
 // package whose name contains fn, e.g. "(*Comm)" for any Comm method.
-func goroutinesIn(fn string) int {
+func goroutinesIn(fn string) int { return len(stacksIn(fn)) }
+
+// stacksIn returns the stack of every live goroutine with a frame in a
+// function of this package whose name contains fn. The "created by" line
+// names the spawner, not a frame, and does not count. Nor does the frame that
+// called sync.(*WaitGroup).Done, with everything it called: a goroutine that
+// deferred wg.Done has returned from its body once Done is on its stack, and
+// Done may release the Wait it pairs with before it returns itself.
+func stacksIn(fn string) []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	n := 0
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("casvm/internal/tcpmpi."+fn)) {
-			n++
+	want := "casvm/internal/tcpmpi." + fn
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		// Line 0 is the goroutine header; each frame is a function line
+		// followed by a tab-indented file:line.
+		var frames []string
+		for _, ln := range strings.Split(g, "\n")[1:] {
+			if !strings.HasPrefix(ln, "\t") && !strings.HasPrefix(ln, "created by ") {
+				frames = append(frames, ln)
+			}
+		}
+		for i, f := range frames {
+			if strings.HasPrefix(f, "sync.(*WaitGroup).Done(") {
+				frames = frames[min(i+2, len(frames)):]
+				break
+			}
+		}
+		for _, f := range frames {
+			if strings.Contains(f, want) {
+				out = append(out, g)
+				break
+			}
 		}
 	}
-	return n
+	return out
 }
 
 // backToBaseline fails unless the goroutine count returns to base. It polls

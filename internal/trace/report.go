@@ -36,7 +36,6 @@ type Report struct {
 	Method  string `json:"method"`
 	Dataset string `json:"dataset,omitempty"`
 	P       int    `json:"p"`
-	Threads int    `json:"threads,omitempty"`
 	Seed    int64  `json:"seed"`
 
 	Machine MachineInfo `json:"machine"`

@@ -12,7 +12,6 @@ func sampleReport() *Report {
 		Method:  "ra-ca",
 		Dataset: "ijcnn",
 		P:       8,
-		Threads: 4,
 		Seed:    1,
 		Machine: MachineInfo{TcSec: 1e-10, TsSec: 1.5e-6, TwSec: 6.7e-10},
 		Solver:  SolverInfo{C: 1, Tol: 1e-3, Kernel: "gaussian", Gamma: 0.05},

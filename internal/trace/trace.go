@@ -129,8 +129,8 @@ func (s *Stats) CompSec(rank int) float64 { return s.compSec[rank].Load() }
 func (s *Stats) CommSec(rank int) float64 { return s.commSec[rank].Load() }
 
 // TotalFlops returns the summed modeled flop count over all ranks. Flop
-// accounting is deterministic (thread-count-invariant), so this is a
-// reproducibility fingerprint of a run.
+// accounting is deterministic, so this is a reproducibility fingerprint of
+// a run.
 func (s *Stats) TotalFlops() float64 {
 	var t float64
 	for r := range s.flops {
