@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix vet cross-vet lanes-off fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff serve-smoke dist-smoke soak soak-cluster cover loc
+.PHONY: build test race race-matrix vet cross-vet lanes-off fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff memprof serve-smoke dist-smoke soak soak-cluster cover loc
 
 build:
 	$(GO) build ./...
@@ -83,7 +83,7 @@ race-matrix:
 # corpora cannot rot; `make fuzz` does the time-boxed exploration.
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' ./internal/data ./internal/tcpmpi ./internal/trace \
-		./internal/serve ./internal/cluster ./internal/la ./internal/model
+		./internal/serve ./internal/cluster ./internal/la ./internal/model ./internal/core
 
 # serve-smoke boots the live telemetry server against a real training run
 # held mid-flight (TestServeSmoke: /metrics, /report, /events, /debug/pprof)
@@ -195,6 +195,17 @@ bench-diff:
 		BENCH_kernel.json BENCH_kernel.new.json
 	@rm -f BENCH_kernel.new.json
 
+# memprof profiles where a CA-SVM training job's memory comes from:
+# BenchmarkTrainFCFSCADense (one casvm-dense job per op: FCFS-CA, P=8,
+# 3,600×32) over 150 jobs, then the top 15 allocation sites by bytes
+# (alloc_space). The profile and test binary stay in .bench_build/memprof.
+MEMPROF_DIR = .bench_build/memprof
+memprof:
+	@mkdir -p $(MEMPROF_DIR)
+	$(GO) test . -run '^$$' -bench 'BenchmarkTrainFCFSCADense$$' -benchmem -benchtime 150x \
+		-memprofile $(MEMPROF_DIR)/mem.out -o $(MEMPROF_DIR)/casvm.test
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 $(MEMPROF_DIR)/casvm.test $(MEMPROF_DIR)/mem.out
+
 # loc prints the root module's non-test Go lines per package and in total
 # (bench/ is its own module and is not counted; testdata/ holds fixtures the
 # go tool does not build) — the number the ROADMAP's "net negative"
@@ -207,7 +218,7 @@ loc:
 		| sort -k2
 
 # Short fuzz sweep over every fuzz target (parsers, the wire-frame, hello and
-# registration-reply decoders, the matrix and shard decoders, the run-report
+# registration-reply decoders, the matrix, shard and sample-part decoders, the run-report
 # round trip, and the four-lane exp, distance, SMO update-scan and Dot4
 # kernels against their scalar oracles); seed corpora also run in plain
 # `make test`.
@@ -225,6 +236,7 @@ fuzz:
 	$(GO) test -run 'Fuzz' -fuzz FuzzUpdateScan -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzDot4 -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeShardModel -fuzztime 10s ./internal/model
+	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeParts -fuzztime 10s ./internal/core
 
 # cover enforces statement-coverage floors on the packages whose
 # regressions are silent: 70% on the observability/modeling set, 75% on the

@@ -147,6 +147,29 @@ func BenchmarkPartitionFCFS(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainFCFSCADense is one whole FCFS-CA P=8 training job on the
+// 3,600×32 mixture of the repository benchmark's casvm-dense workload
+// (gamma by the same rule), so its B/op and allocs/op move with that
+// workload's alloc_mb_per_op. `make memprof` profiles it.
+func BenchmarkTrainFCFSCADense(b *testing.B) {
+	d, err := data.Generate(data.MixtureSpec{
+		Name: "casvm-dense", Train: 3600, Test: 2000, Features: 32, Clusters: 8,
+		Separation: 6, Noise: 1, PosFrac: []float64{0.5}, LabelNoise: 0.03, Margin: 1, Seed: 2015,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := DefaultParams(MethodFCFSCA, 8)
+	p.Kernel = RBF(1.0 / (2 * 32))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(d.X, d.Y, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPredictRouted(b *testing.B) {
 	ds, entry, err := LoadDataset("toy", 0.5)
 	if err != nil {

@@ -134,6 +134,9 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 		c.Charge(solver.TakeFlops())
 		iters++
 	}
+	// Nothing reads a kernel row or column after the loop.
+	solver.Release()
+	ex.cache.Release()
 	out.Iters = iters
 	out.trainSec = c.Clock() - out.initSec
 	rec.EndVirt(spSolve, c.Clock())
@@ -158,7 +161,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 	if c.Rank() != 0 {
 		return nil
 	}
-	parts := make([]part, 0, c.Size())
+	parts := make([][]byte, 0, c.Size())
 	bHigh, bLow := math.Inf(1), math.Inf(-1)
 	for r, g := range gathered {
 		q, h, l, err := decodeDisSMOResult(g)
@@ -173,7 +176,10 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 			bLow = l
 		}
 	}
-	merged := mergeParts(parts)
+	merged, err := decodeParts(parts)
+	if err != nil {
+		return fmt.Errorf("core: dis-smo support vectors: %w", err)
+	}
 	bias := 0.0
 	switch {
 	case !math.IsInf(bHigh, 1) && !math.IsInf(bLow, -1):
@@ -204,21 +210,18 @@ func encodeBias(solver *smo.Solver) []byte {
 	return buf
 }
 
-// decodeDisSMOResult parses one rank's final gather payload — its support
-// vectors and its (bHigh, bLow) bias contribution. The bytes come from
-// another process: both the section count and the bias section's length are
-// checked before they are indexed.
-func decodeDisSMOResult(buf []byte) (svs part, bHigh, bLow float64, err error) {
+// decodeDisSMOResult splits one rank's final gather payload into its support
+// vectors, still encoded for decodeParts, and its (bHigh, bLow) bias
+// contribution. The bytes come from another process: both the section count
+// and the bias section's length are checked before they are indexed.
+func decodeDisSMOResult(buf []byte) (svs []byte, bHigh, bLow float64, err error) {
 	secs, err := mpi.UnpackSections(buf, 2)
 	if err != nil {
-		return part{}, 0, 0, err
+		return nil, 0, 0, err
 	}
-	if svs, err = decodePart(secs[0]); err != nil {
-		return part{}, 0, 0, err
-	}
-	b := secs[1]
+	svs, b := secs[0], secs[1]
 	if len(b) != 16 {
-		return part{}, 0, 0, &mpi.EnvelopeError{Reason: fmt.Sprintf("bias section of %d bytes, want 16", len(b))}
+		return nil, 0, 0, &mpi.EnvelopeError{Reason: fmt.Sprintf("bias section of %d bytes, want 16", len(b))}
 	}
 	bHigh = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	bLow = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))

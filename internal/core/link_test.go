@@ -128,9 +128,12 @@ func TestEveryMethodBothLinks(t *testing.T) {
 func TestDisSMOGatherIsBounded(t *testing.T) {
 	x := la.NewDense(2, 1, []float64{1, -1})
 	svs := encodePart(x, []float64{1, -1}, []float64{0.5, 0.5}, allRows(2))
-	if q, h, l, err := decodeDisSMOResult(mpi.PackSections(svs, make([]byte, 16))); err != nil ||
-		q.x.Rows() != 2 || h != 0 || l != 0 {
-		t.Fatalf("well-formed payload: %v, %+v", err, q)
+	q, h, l, err := decodeDisSMOResult(mpi.PackSections(svs, make([]byte, 16)))
+	if err != nil || h != 0 || l != 0 {
+		t.Fatalf("well-formed payload: %v, bias %v %v", err, h, l)
+	}
+	if p, err := decodeParts([][]byte{q}); err != nil || p.x.Rows() != 2 {
+		t.Fatalf("well-formed payload's support vectors: %v, %+v", err, p)
 	}
 	for name, buf := range map[string][]byte{
 		"one section":    mpi.PackSections(svs),

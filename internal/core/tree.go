@@ -159,19 +159,15 @@ func runTreePass(c *mpi.Comm, current part, p Params, passAll bool,
 			c.Send(active[pos-1], tag, encodePart(current.x, current.y, res.Alpha, rows))
 			return part{}, nil, nil
 		}
-		outgoing, err := decodePart(encodePart(current.x, current.y, res.Alpha, rows))
-		if err != nil {
-			return part{}, nil, err
-		}
+		// What stays goes through the wire form too, so the layer above sees
+		// float32-rounded samples from both children; with an odd active
+		// count the last position passes through unpaired.
+		parts := [][]byte{encodePart(current.x, current.y, res.Alpha, rows)}
 		if pos+1 < len(active) {
-			received, err := decodePart(c.Recv(active[pos+1], tag))
-			if err != nil {
-				return part{}, nil, err
-			}
-			current = mergeParts([]part{outgoing, received})
-		} else {
-			// Odd active count: pass through unpaired.
-			current = outgoing
+			parts = append(parts, c.Recv(active[pos+1], tag))
+		}
+		if current, err = decodeParts(parts); err != nil {
+			return part{}, nil, err
 		}
 		active = evens(active)
 	}

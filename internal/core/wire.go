@@ -19,71 +19,70 @@ type part struct {
 	alpha []float64 // nil when not carried
 }
 
-// encodePart serialises the selected rows of (x, y[, alpha]).
+// encodePart serialises the selected rows of (x, y[, alpha]) as the
+// envelope mpi.PackSections would frame from x.EncodeRows(rows) and
+// la.EncodeF64 of the selected labels (and multipliers), written straight
+// into one buffer sized up front: each sample is copied once.
 func encodePart(x *la.Matrix, y, alpha []float64, rows []int) []byte {
-	ys := subsetF64(y, rows)
-	if alpha == nil {
-		return mpi.PackSections(x.EncodeRows(rows), la.EncodeF64(ys))
+	secs, xs, fs := 2, x.EncodedSize(rows), la.F64Size(len(rows))
+	if alpha != nil {
+		secs = 3
 	}
-	return mpi.PackSections(x.EncodeRows(rows), la.EncodeF64(ys), la.EncodeF64(subsetF64(alpha, rows)))
+	buf := mpi.NewEnvelope(secs, xs+(secs-1)*fs)
+	buf = x.AppendRows(mpi.AppendSectionLen(buf, xs), rows)
+	buf = la.AppendF64Rows(mpi.AppendSectionLen(buf, fs), y, rows)
+	if alpha != nil {
+		buf = la.AppendF64Rows(mpi.AppendSectionLen(buf, fs), alpha, rows)
+	}
+	return buf
 }
 
-// decodePart parses a payload produced by encodePart.
-func decodePart(buf []byte) (part, error) {
-	secs, err := mpi.UnpackSections(buf, mpi.AnyCount)
-	if err != nil {
-		return part{}, err
-	}
-	if len(secs) != 2 && len(secs) != 3 {
-		return part{}, fmt.Errorf("core: envelope has %d sections", len(secs))
-	}
-	x, err := la.DecodeMatrix(secs[0])
-	if err != nil {
-		return part{}, err
-	}
-	y, err := la.DecodeF64(secs[1])
-	if err != nil {
-		return part{}, err
-	}
-	p := part{x: x, y: y}
-	if len(secs) == 3 {
-		if p.alpha, err = la.DecodeF64(secs[2]); err != nil {
-			return part{}, err
+// decodeParts parses payloads produced by encodePart and decodes them, in
+// order, straight into one part: one matrix (la.DecodeMatrices), one label
+// slice and — when every payload carried them — one multiplier slice, each
+// sample written once. The payloads come from other ranks, so everything is
+// checked before it is used: each payload's section count, its matrix as
+// la.DecodeMatrices checks it (which also refuses payloads of mixed storage
+// kinds or feature counts), and its label and multiplier counts against its
+// rows. A malformed payload is an error, never a panic.
+func decodeParts(bufs [][]byte) (part, error) {
+	xs, ys, rows := make([][]byte, len(bufs)), make([][]byte, len(bufs)), make([]int, len(bufs))
+	as, aRows := make([][]byte, 0, len(bufs)), make([]int, 0, len(bufs))
+	for k, buf := range bufs {
+		secs, err := mpi.UnpackSections(buf, mpi.AnyCount)
+		if err != nil {
+			return part{}, fmt.Errorf("core: part %d: %w", k, err)
 		}
-		if len(p.alpha) != len(y) {
-			return part{}, fmt.Errorf("core: %d alphas for %d labels", len(p.alpha), len(y))
+		if len(secs) != 2 && len(secs) != 3 {
+			return part{}, fmt.Errorf("core: part %d: envelope has %d sections", k, len(secs))
 		}
-	}
-	if x.Rows() != len(y) {
-		return part{}, fmt.Errorf("core: %d rows for %d labels", x.Rows(), len(y))
-	}
-	return p, nil
-}
-
-// mergeParts concatenates travelling parts into one training set. Alphas
-// are zero-filled when any contributor lacked them.
-func mergeParts(parts []part) part {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	xs := make([]*la.Matrix, len(parts))
-	rows, haveAlpha := 0, true
-	for k, q := range parts {
-		xs[k] = q.x
-		rows += len(q.y)
-		haveAlpha = haveAlpha && q.alpha != nil
-	}
-	out := part{x: la.Concat(xs...), y: make([]float64, 0, rows)}
-	if haveAlpha && rows > 0 { // zero rows carry no alphas, as a fold of empty ones did
-		out.alpha = make([]float64, 0, rows)
-	}
-	for _, q := range parts {
-		out.y = append(out.y, q.y...)
-		if out.alpha != nil {
-			out.alpha = append(out.alpha, q.alpha...)
+		if rows[k], err = la.EncodedRows(secs[0]); err != nil {
+			return part{}, fmt.Errorf("core: part %d: %w", k, err)
+		}
+		xs[k], ys[k] = secs[0], secs[1]
+		if len(secs) == 3 {
+			as, aRows = append(as, secs[2]), append(aRows, rows[k])
 		}
 	}
-	return out
+	x, err := la.DecodeMatrices(xs)
+	if err != nil {
+		return part{}, fmt.Errorf("core: %w", err)
+	}
+	y, err := la.DecodeF64s(ys, rows)
+	if err != nil {
+		return part{}, fmt.Errorf("core: labels: %w", err)
+	}
+	// Multipliers a payload carries are checked even when another payload
+	// lacks them and none are kept.
+	alpha, err := la.DecodeF64s(as, aRows)
+	if err != nil {
+		return part{}, fmt.Errorf("core: alphas: %w", err)
+	}
+	out := part{x: x, y: y}
+	if len(as) == len(bufs) {
+		out.alpha = alpha
+	}
+	return out, nil
 }
 
 // svRows lists the rows whose multiplier is positive: the support vectors.
@@ -117,8 +116,7 @@ func scatterBlocks(c *mpi.Comm, x *la.Matrix, y []float64) (part, error) {
 			blocks[r] = encodePart(x, y, nil, rows)
 		}
 	}
-	mine := c.Scatterv(0, blocks)
-	return decodePart(mine)
+	return decodeParts([][]byte{c.Scatterv(0, blocks)})
 }
 
 // regroup redistributes local samples so that rank j ends up with every
@@ -134,14 +132,5 @@ func regroup(c *mpi.Comm, local part, assign []int) (part, error) {
 	for dst := 0; dst < p; dst++ {
 		blocks[dst] = encodePart(local.x, local.y, local.alpha, byDst[dst])
 	}
-	received := c.Alltoallv(blocks)
-	parts := make([]part, 0, p)
-	for _, buf := range received {
-		q, err := decodePart(buf)
-		if err != nil {
-			return part{}, err
-		}
-		parts = append(parts, q)
-	}
-	return mergeParts(parts), nil
+	return decodeParts(c.Alltoallv(blocks))
 }

@@ -20,9 +20,9 @@ import (
 // Slots, LRU order and the chunked row storage are an lruSlab (shared with
 // ColumnCache), so a hit is two array reads and four link writes and a miss
 // fills one row in place — no container/list element boxing, no per-miss
-// make, nothing for the garbage collector to trace. The only allocations are
-// the storage chunks, one per chunk of fresh slots; a full cache allocates
-// nothing.
+// make, nothing for the garbage collector to trace. Storage chunks come from
+// a process-wide pool, one per chunk of fresh slots, and go back to it at
+// Release; a full cache allocates nothing.
 //
 // RowCache is not safe for concurrent use; each solver owns one.
 type RowCache struct {
@@ -58,9 +58,10 @@ func (c *RowCache) SetRecorder(rec *trace.Recorder) { c.rec = rec }
 
 // NewRowCache creates a cache over the given matrix holding at most
 // capacity rows (minimum 2, since SMO needs the high and low rows live at
-// once). Row storage is allocated in chunks as misses land (lruSlab), so the
-// allocator zeroes only about the rows a solve touches: a casvm-dense rank
-// fills ~70% of its capacity, and a cache nothing reads allocates no rows.
+// once). Row storage is taken from the chunk pool as misses land (lruSlab),
+// unzeroed, so a cache holds only about the rows a solve touches (a
+// casvm-dense rank fills ~70% of its capacity), a cache nothing reads holds
+// no rows, and a cache that follows a released one reuses its storage.
 func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
 	if capacity < 2 {
 		capacity = 2
@@ -83,7 +84,7 @@ func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
 // Row returns the kernel row K(i, ·) of length data.Rows(). The returned
 // slice is owned by the cache and must not be modified; it stays valid
 // until its entry is evicted (SMO's two live rows per iteration are safe
-// for any capacity ≥ 2).
+// for any capacity ≥ 2) or the cache is released, whichever comes first.
 func (c *RowCache) Row(i int) []float64 {
 	if s := c.lru.touch(i); s >= 0 {
 		c.hits++
@@ -119,6 +120,12 @@ func (c *RowCache) PrefetchPair(i, j int) {
 	}
 }
 
+// Release gives the cache's row storage back to the chunk pool and empties
+// the cache; its hit, miss and flop counters stay. Every row Row returned
+// before is invalid from here on, since another cache may already be writing
+// its storage. A released cache can be used again: it starts cold.
+func (c *RowCache) Release() { c.lru.release() }
+
 // miss counts a miss on the non-resident row i, acquires its slot and queues
 // it for fill.
 func (c *RowCache) miss(i int) {
@@ -128,7 +135,11 @@ func (c *RowCache) miss(i int) {
 }
 
 // fill is the one fill routine: it completes the one or two queued rows,
-// whose slots are already acquired. Column j of a missing row i is copied
+// whose slots are already acquired. It writes every entry of both rows, which
+// is what lets their storage come unzeroed from the chunk pool: the
+// evaluated columns are every absent row's plus the missing rows' own, the
+// copied ones are every other resident row's, and absent, missing and
+// resident together are all of [0, m). Column j of a missing row i is copied
 // from row j's entry i when row j is resident and complete — every slot but
 // the ones acquired in this call, a reused victim's included — and evaluated
 // otherwise. The copy is exact because each scalar recipe is symmetric bit

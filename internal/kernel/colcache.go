@@ -44,8 +44,8 @@ func NewColumnCache(keys, capacity, rowLen int) *ColumnCache {
 func (c *ColumnCache) Resident(g int) bool { return c.lru.slotOf[g] >= 0 }
 
 // Get returns g's entry, made most recently used and counted as a hit, or
-// nil when g is not resident. The entry stays valid until it is evicted;
-// with capacity ≥ 2 a following Put cannot evict it.
+// nil when g is not resident. The entry stays valid until it is evicted or
+// the cache is released; with capacity ≥ 2 a following Put cannot evict it.
 func (c *ColumnCache) Get(g int) *Column {
 	s := c.lru.touch(g)
 	if s < 0 {
@@ -57,7 +57,8 @@ func (c *ColumnCache) Get(g int) *Column {
 
 // Put inserts the non-resident id g with its sample, evicting the least
 // recently used entry once the cache is full, and counts a miss. The caller
-// fills the returned entry's K and Diag.
+// fills the returned entry's K and Diag, every entry of K: its storage comes
+// unzeroed from the chunk pool (smo.Solver.FillColumn writes all of it).
 func (c *ColumnCache) Put(g int, x *la.Matrix, y float64) *Column {
 	c.misses++
 	s := c.lru.acquire(g)
@@ -66,6 +67,15 @@ func (c *ColumnCache) Put(g int, x *la.Matrix, y float64) *Column {
 	// only once a column lands in it.
 	e.X, e.Y, e.K = x, y, c.lru.row(s)
 	return e
+}
+
+// Release gives the cache's column storage back to the chunk pool and
+// empties the cache; its hit and miss counters stay. Every entry Get or Put
+// returned before is invalid from here on. A released cache can be used
+// again: it starts cold.
+func (c *ColumnCache) Release() {
+	c.lru.release()
+	clear(c.cols)
 }
 
 // Stats returns (hits, misses).

@@ -12,7 +12,7 @@ import (
 // pair lookups — both ids touched before either insert, as distributed SMO
 // does — and demands the same hits, misses and resident set at every step,
 // with each resident entry keeping the sample, label and column it was
-// filled with.
+// filled with. The cache starts on NaN-poisoned pool chunks.
 func TestColumnCacheMatchesReference(t *testing.T) {
 	const keys, rowLen = 60, 5
 	rng := rand.New(rand.NewSource(21))
@@ -27,6 +27,7 @@ func TestColumnCacheMatchesReference(t *testing.T) {
 		return 0
 	}
 	for _, capacity := range []int{0, 2, 3, 7, keys} {
+		poisonSlabPool(2)
 		c := NewColumnCache(keys, capacity, rowLen)
 		ref := newRefLRU(capacity, rowLen, fill)
 		insert := func(g int) *Column {
@@ -57,9 +58,13 @@ func TestColumnCacheMatchesReference(t *testing.T) {
 				g int
 				e *Column
 			}{{gh, eh}, {gl, el}} {
-				if pair.e.X != samples[pair.g] || pair.e.Y != float64(pair.g%2*2-1) ||
-					len(pair.e.K) != rowLen || pair.e.K[rowLen-1] != float64(pair.g*100+rowLen-1) {
+				if pair.e.X != samples[pair.g] || pair.e.Y != float64(pair.g%2*2-1) || len(pair.e.K) != rowLen {
 					t.Fatalf("cap=%d step=%d: entry of id %d holds %+v", capacity, step, pair.g, *pair.e)
+				}
+				for i, v := range pair.e.K {
+					if v != float64(pair.g*100+i) {
+						t.Fatalf("cap=%d step=%d: column of id %d holds %v at %d", capacity, step, pair.g, v, i)
+					}
 				}
 			}
 			hits, misses := c.Stats()

@@ -125,7 +125,7 @@ func (l *lruSlab) order() []int {
 // TestLRUMatchesReference drives the new cache and the seed-equivalent
 // reference with an identical random access trace and demands identical
 // rows, stats and flops at every step, across dense and sparse matrices
-// and several capacities.
+// and several capacities. Every cache starts on NaN-poisoned pool chunks.
 func TestLRUMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, sparse := range []bool{false, true} {
@@ -135,6 +135,7 @@ func TestLRUMatchesReference(t *testing.T) {
 		}
 		p := RBF(0.25)
 		for _, cap := range []int{2, 3, 8, 64} {
+			poisonSlabPool(4)
 			c := NewRowCache(p, a, cap)
 			ref := newRefLRU(cap, a.Rows(), func(i int, dst []float64) float64 {
 				return p.Row(a, i, dst)
@@ -174,13 +175,15 @@ func TestLRUMatchesReference(t *testing.T) {
 // oracle's full row bit for bit, whichever entries were copied; hits, misses,
 // and the LRU order (hence every victim) equal the reference's; the flop
 // total equals the formula over the entries the shadow model says were
-// evaluated. Accesses allocate nothing.
+// evaluated. Accesses allocate nothing. Every cache starts on NaN-poisoned
+// pool chunks, so an entry a fill leaves unwritten fails the comparison.
 func TestRowCacheSymmetricFillOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const m = 90
 	for _, a := range []*la.Matrix{denseMat(rng, m, 7), sparseMat(rng, m, 40, 0.15)} {
 		for _, p := range []Params{RBF(0.25), {Kind: Polynomial, Coef: 1, Degree: 2}} {
 			for _, capacity := range []int{2, 3, 64, m} {
+				poisonSlabPool(2)
 				c := NewRowCache(p, a, capacity)
 				ref := newRefLRU(capacity, m, func(i int, dst []float64) float64 {
 					return p.Row(a, i, dst)

@@ -1,5 +1,7 @@
 package kernel
 
+import "sync"
+
 // lruSlab is the bookkeeping the package's two caches share: a fixed number
 // of slots, each owning one row of chunked storage; an intrusive LRU list
 // over slot numbers backed by two int32 slices; and a direct-indexed
@@ -7,13 +9,20 @@ package kernel
 // by local sample index with rows of K(i, ·), ColumnCache by global sample
 // id with columns K(local block, x_g).
 //
-// Row storage grows as rows land: acquire allocates a chunk of up to
-// chunkRows rows when it hands out the first slot of one, so a solve that
-// touches 70% of its capacity allocates (and the allocator zeroes) about
-// 70% of the rows, not all of them. Chunks are never moved or copied, so a
-// row's address is fixed from its first acquisition. Once every slot has
-// been handed out nothing here allocates: a touch is two array reads and
-// four link writes, an acquire reuses the LRU victim's slot in place.
+// Row storage grows as rows land: acquire takes a chunk of up to chunkRows
+// rows from the process-wide chunk pool (slabChunks) when it hands out the
+// first slot of one, and release gives every chunk back, so a job's solves
+// run on the storage of the solves before them instead of on fresh, zeroed
+// allocations. A chunk is a whole pooled array even when it holds fewer
+// rows — a cache's last chunk, or the only one of a cache smaller than a
+// chunk — so a cache holds up to one array (128 KiB) more than its rows
+// need. A pooled chunk arrives holding whatever its last cache wrote; that
+// is safe because both fills write every entry of a row before anything
+// reads it (RowCache.fill, smo.Solver.FillColumn). Chunks are never moved
+// or copied, so a row's address is fixed from its first acquisition until
+// release. Once every slot has been handed out nothing here allocates: a
+// touch is two array reads and four link writes, an acquire reuses the LRU
+// victim's slot in place.
 type lruSlab struct {
 	rowLen    int
 	chunkRows uint32      // rows per chunk; the last may hold fewer
@@ -23,17 +32,30 @@ type lruSlab struct {
 	prev      []int32     // slot -> prev (toward MRU), -1 at head
 	head      int32       // most recently used slot, -1 when empty
 	tail      int32       // least recently used slot, -1 when empty
-	used      int         // slots filled so far (grows to capacity, never shrinks)
+	used      int         // slots filled so far (grows to capacity; release empties it)
 	chunks    [][]float64 // chunk c holds slots c·chunkRows onward, rowLen values each
 }
 
-// slabChunkBytes is the size a chunk of row storage aims at: 16 pages of the
-// Go allocator, which a chunk fills to within one row. Smaller chunks track
-// the rows in use more closely, larger ones allocate less often.
+// slabChunkBytes is the size of a chunk of row storage: 16 pages of the Go
+// allocator, which a chunk fills to within one row. Smaller chunks track the
+// rows in use more closely, larger ones are fetched less often.
 const slabChunkBytes = 128 << 10
 
+// slabChunkLen is how many values a chunk holds.
+const slabChunkLen = slabChunkBytes / 8
+
+// slabChunk is one pooled chunk of row storage.
+type slabChunk [slabChunkLen]float64
+
+// slabChunks recycles chunks across caches and across the rank goroutines
+// that own them. It hands chunks out unzeroed and has no size bound of its
+// own: the garbage collector empties it, as it does every sync.Pool. A row
+// longer than one chunk (more than slabChunkLen values) gets a chunk of
+// its own size, allocated and dropped as before.
+var slabChunks = sync.Pool{New: func() any { return new(slabChunk) }}
+
 // newLRUSlab sizes a slab for keys in [0, keys) holding at most capacity
-// rows of rowLen values. Row storage is allocated as slots are acquired.
+// rows of rowLen values. Row storage is taken as slots are acquired.
 func newLRUSlab(keys, capacity, rowLen int) lruSlab {
 	chunkRows := max(1, min(capacity, slabChunkBytes/(8*max(1, rowLen))))
 	l := lruSlab{
@@ -98,7 +120,7 @@ func (l *lruSlab) touch(key int) int32 {
 }
 
 // acquire gives the non-resident key a slot — a fresh one while the slab
-// has any, allocating the chunk it starts, then the LRU victim's — and
+// has any, taking the chunk it starts, then the LRU victim's — and
 // makes it most recently used immediately, so a second acquisition in the
 // same batch cannot evict it (capacity ≥ 2 guarantees a distinct tail). The
 // caller fills the slot's row.
@@ -108,7 +130,7 @@ func (l *lruSlab) acquire(key int) int32 {
 		s = int32(l.used)
 		if l.used == len(l.chunks)*int(l.chunkRows) {
 			rows := min(int(l.chunkRows), len(l.keyOf)-l.used)
-			l.chunks = append(l.chunks, make([]float64, rows*l.rowLen))
+			l.chunks = append(l.chunks, takeChunk(rows*l.rowLen))
 		}
 		l.used++
 	} else {
@@ -120,4 +142,31 @@ func (l *lruSlab) acquire(key int) int32 {
 	l.slotOf[key] = s
 	l.pushFront(s)
 	return s
+}
+
+// takeChunk returns storage for n values: a pooled chunk when n fits in one,
+// otherwise a fresh allocation.
+func takeChunk(n int) []float64 {
+	if n > slabChunkLen {
+		return make([]float64, n)
+	}
+	return slabChunks.Get().(*slabChunk)[:n]
+}
+
+// release gives every chunk back — pooled ones to the pool — and empties the
+// slab, which keeps its capacity and can be filled again. Rows handed out
+// before are invalid from here on: their storage may already back another
+// cache.
+func (l *lruSlab) release() {
+	for i, c := range l.chunks {
+		if cap(c) == slabChunkLen {
+			slabChunks.Put((*slabChunk)(c[:cap(c)]))
+		}
+		l.chunks[i] = nil
+	}
+	l.chunks = l.chunks[:0]
+	for s := range l.used {
+		l.slotOf[l.keyOf[s]] = -1
+	}
+	l.used, l.head, l.tail = 0, -1, -1
 }

@@ -96,66 +96,131 @@ func (a *Matrix) AppendRows(buf []byte, rows []int) []byte {
 	return buf
 }
 
-// DecodeMatrix parses a buffer produced by EncodeRows back into a Matrix.
+// DecodeMatrix parses a buffer produced by EncodeRows back into a Matrix:
+// DecodeMatrices of that one buffer.
 func DecodeMatrix(buf []byte) (*Matrix, error) {
-	le := binary.LittleEndian
-	if len(buf) < 9 {
-		return nil, errors.New("la: decode: short header")
+	return DecodeMatrices([][]byte{buf})
+}
+
+// EncodedRows reports how many rows the EncodeRows buffer buf holds, after
+// the checks DecodeMatrices makes of its header and length, without
+// decoding a value.
+func EncodedRows(buf []byte) (int, error) {
+	b, err := parseBlock(buf)
+	return b.m, err
+}
+
+// DecodeMatrices parses buffers produced by EncodeRows and decodes them, in
+// order, into one matrix holding every buffer's rows, each value written
+// once. The buffers must share the first one's storage kind and feature
+// count, and there must be at least one. Everything is checked before it is
+// used — each header and the body length it implies, each sparse block's
+// structure (CheckCSR) — and the storage is sized only from checked headers,
+// so a malformed buffer is an error, never a panic.
+func DecodeMatrices(bufs [][]byte) (*Matrix, error) {
+	if len(bufs) == 0 {
+		return nil, errors.New("la: decode: no buffers")
 	}
-	kind := buf[0]
-	m := int(int32(le.Uint32(buf[1:5])))
-	n := int(int32(le.Uint32(buf[5:9])))
-	if m < 0 || n < 0 {
-		return nil, fmt.Errorf("la: decode: bad dims m=%d n=%d", m, n)
-	}
-	p := buf[9:]
-	getF32 := func() float64 {
-		v := math.Float32frombits(le.Uint32(p[:4]))
-		p = p[4:]
-		return float64(v)
-	}
-	getI32 := func() int32 {
-		v := int32(le.Uint32(p[:4]))
-		p = p[4:]
-		return v
-	}
-	switch kind {
-	case wireDense:
-		if len(p) != 4*m*n {
-			return nil, fmt.Errorf("la: decode dense: %d bytes for %d values", len(p), m*n)
-		}
-		data := make([]float64, m*n)
-		for i := range data {
-			data[i] = getF32()
-		}
-		return NewDense(m, n, data), nil
-	case wireSparse:
-		if len(p) < 4*(m+1) {
-			return nil, errors.New("la: decode sparse: short rowptr")
-		}
-		rp := make([]int32, m+1)
-		for i := range rp {
-			rp[i] = getI32()
-		}
-		nnz := int(rp[m])
-		if nnz < 0 || len(p) != 8*nnz {
-			return nil, fmt.Errorf("la: decode sparse: %d bytes for nnz=%d", len(p), nnz)
-		}
-		ix := make([]int32, nnz)
-		for i := range ix {
-			ix[i] = getI32()
-		}
-		if err := CheckCSR(n, rp, ix); err != nil {
+	// A constant capacity keeps the headers of a few buffers — DecodeMatrix's
+	// one among them — off the heap.
+	blocks := make([]wireBlock, 0, 8)
+	m, nnz := 0, 0
+	for k, buf := range bufs {
+		b, err := parseBlock(buf)
+		if err != nil {
 			return nil, err
 		}
-		vx := make([]float64, nnz)
-		for i := range vx {
-			vx[i] = getF32()
+		if k > 0 && (b.kind != blocks[0].kind || b.n != blocks[0].n) {
+			return nil, fmt.Errorf("la: decode: buffer %d is kind %d with %d features, buffer 0 kind %d with %d",
+				k, b.kind, b.n, blocks[0].kind, blocks[0].n)
 		}
-		return NewSparse(m, n, rp, ix, vx), nil
-	default:
-		return nil, fmt.Errorf("la: decode: unknown kind %d", kind)
+		blocks = append(blocks, b)
+		m += b.m
+		nnz += b.nnz
 	}
+	n := blocks[0].n
+	if blocks[0].kind == wireDense {
+		data := make([]float64, 0, m*n)
+		for _, b := range blocks {
+			data = appendF32s(data, b.body)
+		}
+		return NewDense(m, n, data), nil
+	}
+	le := binary.LittleEndian
+	rp := make([]int32, m+1)
+	ix := make([]int32, nnz)
+	vx := make([]float64, 0, nnz)
+	r0, z0 := 0, 0
+	for _, b := range blocks {
+		// The block's own rowptr lands over the previous block's last entry
+		// (its first must be 0), is checked, and is then shifted by the
+		// entries before it.
+		brp, bix := rp[r0:r0+b.m+1], ix[z0:z0+b.nnz]
+		for i := range brp {
+			brp[i] = int32(le.Uint32(b.body[4*i:]))
+		}
+		idx := b.body[4*(b.m+1):]
+		for i := range bix {
+			bix[i] = int32(le.Uint32(idx[4*i:]))
+		}
+		if err := CheckCSR(n, brp, bix); err != nil {
+			return nil, err
+		}
+		for i := range brp {
+			brp[i] += int32(z0)
+		}
+		vx = appendF32s(vx, idx[4*b.nnz:])
+		r0, z0 = r0+b.m, z0+b.nnz
+	}
+	return NewSparse(m, n, rp, ix, vx), nil
+}
+
+// wireBlock is one EncodeRows buffer with its header parsed and its body's
+// length checked against it.
+type wireBlock struct {
+	kind byte
+	m, n int    // rows, features
+	nnz  int    // stored entries of a sparse block
+	body []byte // everything after the header
+}
+
+// parseBlock checks buf's header and that its body holds exactly what the
+// header says: m·n values for a dense block; an (m+1)-entry rowptr and as
+// many indices and values as its last entry for a sparse one.
+func parseBlock(buf []byte) (wireBlock, error) {
+	le := binary.LittleEndian
+	if len(buf) < 9 {
+		return wireBlock{}, errors.New("la: decode: short header")
+	}
+	b := wireBlock{kind: buf[0], m: int(int32(le.Uint32(buf[1:5]))), n: int(int32(le.Uint32(buf[5:9]))), body: buf[9:]}
+	if b.m < 0 || b.n < 0 {
+		return wireBlock{}, fmt.Errorf("la: decode: bad dims m=%d n=%d", b.m, b.n)
+	}
+	switch b.kind {
+	case wireDense:
+		if len(b.body)%4 != 0 || len(b.body)/4 != b.m*b.n {
+			return wireBlock{}, fmt.Errorf("la: decode dense: %d bytes for %d values", len(b.body), b.m*b.n)
+		}
+	case wireSparse:
+		if len(b.body) < 4*(b.m+1) {
+			return wireBlock{}, errors.New("la: decode sparse: short rowptr")
+		}
+		b.nnz = int(int32(le.Uint32(b.body[4*b.m:])))
+		if b.nnz < 0 || len(b.body) != 4*(b.m+1)+8*b.nnz {
+			return wireBlock{}, fmt.Errorf("la: decode sparse: %d bytes for nnz=%d", len(b.body)-4*(b.m+1), b.nnz)
+		}
+	default:
+		return wireBlock{}, fmt.Errorf("la: decode: unknown kind %d", b.kind)
+	}
+	return b, nil
+}
+
+// appendF32s appends the float32 wire values in p, widened.
+func appendF32s(dst []float64, p []byte) []float64 {
+	for ; len(p) > 0; p = p[4:] {
+		dst = append(dst, float64(math.Float32frombits(binary.LittleEndian.Uint32(p))))
+	}
+	return dst
 }
 
 // CheckCSR verifies what every sparse kernel takes on trust — rowptr starts
@@ -196,18 +261,67 @@ func EncodeF64(x []float64) []byte {
 	return buf
 }
 
+// F64Size is the length of EncodeF64's form of n values.
+func F64Size(n int) int { return 4 + 8*n }
+
+// AppendF64Rows appends EncodeF64's form of x's values at rows, in order,
+// to buf.
+func AppendF64Rows(buf []byte, x []float64, rows []int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
+	for _, r := range rows {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x[r]))
+	}
+	return buf
+}
+
 // DecodeF64 parses a buffer produced by EncodeF64.
 func DecodeF64(buf []byte) ([]float64, error) {
+	n, err := f64Count(buf)
+	if err != nil {
+		return nil, err
+	}
+	return appendF64s(make([]float64, 0, n), buf), nil
+}
+
+// DecodeF64s parses buffers produced by EncodeF64 into one slice, in order;
+// buffer k must hold counts[k] values. Every buffer is checked before the
+// slice is allocated.
+func DecodeF64s(bufs [][]byte, counts []int) ([]float64, error) {
+	total := 0
+	for k, buf := range bufs {
+		n, err := f64Count(buf)
+		if err != nil {
+			return nil, err
+		}
+		if n != counts[k] {
+			return nil, fmt.Errorf("la: DecodeF64s: buffer %d holds %d values, want %d", k, n, counts[k])
+		}
+		total += n
+	}
+	out := make([]float64, 0, total)
+	for _, buf := range bufs {
+		out = appendF64s(out, buf)
+	}
+	return out, nil
+}
+
+// f64Count returns how many values the EncodeF64 buffer buf holds, after
+// checking that its length matches.
+func f64Count(buf []byte) (int, error) {
 	if len(buf) < 4 {
-		return nil, errors.New("la: DecodeF64: short header")
+		return 0, errors.New("la: DecodeF64: short header")
 	}
 	n := int(binary.LittleEndian.Uint32(buf[:4]))
 	if len(buf) != 4+8*n {
-		return nil, fmt.Errorf("la: DecodeF64: %d bytes for %d values", len(buf)-4, n)
+		return 0, fmt.Errorf("la: DecodeF64: %d bytes for %d values", len(buf)-4, n)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[4+8*i:]))
+	return n, nil
+}
+
+// appendF64s appends the values of a checked EncodeF64 buffer.
+func appendF64s(dst []float64, buf []byte) []float64 {
+	for p := buf[4:]; len(p) > 0; p = p[8:] {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(p)))
 	}
-	return out, nil
+	return dst
 }

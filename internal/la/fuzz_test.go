@@ -2,6 +2,8 @@ package la
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,10 +47,75 @@ func TestDecodeMatrixRejectsCorruptCSR(t *testing.T) {
 	}
 }
 
+// refDecodeMatrix is the one-buffer decoder DecodeMatrix was before it
+// became DecodeMatrices of one buffer, kept as its oracle.
+func refDecodeMatrix(buf []byte) (*Matrix, error) {
+	le := binary.LittleEndian
+	if len(buf) < 9 {
+		return nil, errors.New("short header")
+	}
+	kind := buf[0]
+	m := int(int32(le.Uint32(buf[1:5])))
+	n := int(int32(le.Uint32(buf[5:9])))
+	if m < 0 || n < 0 {
+		return nil, fmt.Errorf("bad dims m=%d n=%d", m, n)
+	}
+	p := buf[9:]
+	getF32 := func() float64 {
+		v := math.Float32frombits(le.Uint32(p[:4]))
+		p = p[4:]
+		return float64(v)
+	}
+	getI32 := func() int32 {
+		v := int32(le.Uint32(p[:4]))
+		p = p[4:]
+		return v
+	}
+	switch kind {
+	case wireDense:
+		if len(p) != 4*m*n {
+			return nil, fmt.Errorf("dense: %d bytes for %d values", len(p), m*n)
+		}
+		data := make([]float64, m*n)
+		for i := range data {
+			data[i] = getF32()
+		}
+		return NewDense(m, n, data), nil
+	case wireSparse:
+		if len(p) < 4*(m+1) {
+			return nil, errors.New("sparse: short rowptr")
+		}
+		rp := make([]int32, m+1)
+		for i := range rp {
+			rp[i] = getI32()
+		}
+		nnz := int(rp[m])
+		if nnz < 0 || len(p) != 8*nnz {
+			return nil, fmt.Errorf("sparse: %d bytes for nnz=%d", len(p), nnz)
+		}
+		ix := make([]int32, nnz)
+		for i := range ix {
+			ix[i] = getI32()
+		}
+		if err := CheckCSR(n, rp, ix); err != nil {
+			return nil, err
+		}
+		vx := make([]float64, nnz)
+		for i := range vx {
+			vx[i] = getF32()
+		}
+		return NewSparse(m, n, rp, ix, vx), nil
+	default:
+		return nil, fmt.Errorf("unknown kind %d", kind)
+	}
+}
+
 // FuzzDecodeMatrix holds DecodeMatrix to its trust-boundary contract: any
 // buffer either fails with an error or yields a matrix every sparse kernel
 // can run on — SparseRow in bounds, indices inside the position table, and
-// the scattered gather equal to the merge.
+// the scattered gather equal to the merge. It also holds it to
+// refDecodeMatrix: the same buffers refused, the same matrix bit for bit
+// from the rest, whose row count EncodedRows reports.
 func FuzzDecodeMatrix(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	f.Add(randDense(rng, 3, 5).EncodeAll())
@@ -61,8 +128,18 @@ func FuzzDecodeMatrix(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		a, err := DecodeMatrix(buf)
+		want, wantErr := refDecodeMatrix(buf)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("error %v, the old decoder's %v", err, wantErr)
+		}
+		if m, rerr := EncodedRows(buf); err == nil && (rerr != nil || m != a.Rows()) {
+			t.Fatalf("EncodedRows %d, %v of a %d-row matrix", m, rerr, a.Rows())
+		}
 		if err != nil {
 			return
+		}
+		if !sameStorage(a, want) {
+			t.Fatal("decoded a different matrix than the old decoder")
 		}
 		if !a.Sparse() || a.Features() > 1<<16 {
 			return // the table below would be sized by an attacker's n

@@ -1,6 +1,7 @@
 package la
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -237,6 +238,47 @@ func TestConcatMatchesPairwiseFold(t *testing.T) {
 	}
 }
 
+// TestDecodeMatricesMatchesConcat: DecodeMatrices of 1, 2 and 5 encoded
+// parts, empty parts among them, is Concat of each part's DecodeMatrix bit
+// for bit, dense and CSR alike; parts of mixed storage kinds or feature
+// counts, a malformed part among good ones, and no parts are errors.
+func TestDecodeMatricesMatchesConcat(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, sparse := range []bool{false, true} {
+		for _, sizes := range [][]int{{3}, {0}, {4, 2}, {0, 5}, {2, 0}, {3, 0, 1, 4, 0}, {0, 0, 0, 0, 0}} {
+			bufs := make([][]byte, len(sizes))
+			parts := make([]*Matrix, len(sizes))
+			for k, m := range sizes {
+				a := randDense(rng, m, 9)
+				if sparse {
+					a = randSparse(rng, m, 9, 0.4)
+				}
+				bufs[k] = a.EncodeAll()
+				var err error
+				if parts[k], err = DecodeMatrix(bufs[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := DecodeMatrices(bufs)
+			if err != nil || !sameStorage(got, Concat(parts...)) {
+				t.Fatalf("sparse=%v sizes %v: DecodeMatrices differs from Concat (%v)", sparse, sizes, err)
+			}
+		}
+	}
+	d, s := randDense(rng, 2, 3).EncodeAll(), randSparse(rng, 2, 3, 0.5).EncodeAll()
+	for name, bufs := range map[string][][]byte{
+		"dense then sparse": {d, s},
+		"sparse then dense": {s, d},
+		"feature counts":    {d, randDense(rng, 2, 4).EncodeAll()},
+		"truncated second":  {d, d[:len(d)-1]},
+		"none":              nil,
+	} {
+		if _, err := DecodeMatrices(bufs); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+}
+
 // TestSubsetInheritsNorms: a subset of a normed matrix carries its rows'
 // norms, bit for bit what EnsureNorms computes on the subset itself, and a
 // subset of an un-normed matrix stays lazy.
@@ -371,6 +413,20 @@ func TestEncodeDecodeF64(t *testing.T) {
 	y, err = DecodeF64(EncodeF64(nil))
 	if err != nil || len(y) != 0 {
 		t.Error("empty roundtrip should work")
+	}
+	bufs := [][]byte{EncodeF64(x[:1]), EncodeF64(nil), EncodeF64(x[1:])}
+	y, err = DecodeF64s(bufs, []int{1, 0, 3})
+	if err != nil || fmt.Sprint(y) != fmt.Sprint(x) {
+		t.Fatalf("DecodeF64s: %v, %v; want %v", y, err, x)
+	}
+	if _, err := DecodeF64s(bufs, []int{1, 0, 2}); err == nil {
+		t.Error("a buffer holding other than its count should fail")
+	}
+	if _, err := DecodeF64s(bufs[:2:2], []int{1, 0}); err != nil {
+		t.Error(err)
+	}
+	if _, err := DecodeF64s([][]byte{bufs[0][:5]}, []int{1}); err == nil {
+		t.Error("a truncated buffer should fail")
 	}
 }
 

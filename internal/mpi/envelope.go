@@ -21,17 +21,29 @@ const AnyCount = -1
 // repository uses it: Allgatherv's block table, core's sample parts and its
 // gathered results.
 func PackSections(sections ...[]byte) []byte {
-	total := 4
+	body := 0
 	for _, s := range sections {
-		total += 4 + len(s)
+		body += len(s)
 	}
-	out := make([]byte, 0, total)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(sections)))
+	out := NewEnvelope(len(sections), body)
 	for _, s := range sections {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(s)))
-		out = append(out, s...)
+		out = append(AppendSectionLen(out, len(s)), s...)
 	}
 	return out
+}
+
+// NewEnvelope starts the PackSections envelope of count sections whose
+// bodies total body bytes, in a buffer sized for all of it, for a caller
+// that writes each section in place: AppendSectionLen, then the section's
+// bytes, count times.
+func NewEnvelope(count, body int) []byte {
+	return binary.LittleEndian.AppendUint32(make([]byte, 0, 4+4*count+body), uint32(count))
+}
+
+// AppendSectionLen appends the length prefix of an n-byte section to an
+// envelope NewEnvelope started; the caller appends the n bytes next.
+func AppendSectionLen(buf []byte, n int) []byte {
+	return binary.LittleEndian.AppendUint32(buf, uint32(n))
 }
 
 // UnpackSections parses a PackSections buffer into sections aliasing buf.

@@ -109,10 +109,11 @@ func ParallelFCFS(c *mpi.Comm, local *la.Matrix, y []float64, opts Options) (*Re
 		}
 	}
 	c.Charge(float64(local.NNZ()))
+	// The reduced sums are this rank's own copy: scale them into the centers
+	// in place.
 	sums = c.AllreduceSum(sums)
-	data := make([]float64, p*n)
 	for j := 0; j < p; j++ {
-		dst := data[j*n : (j+1)*n]
+		dst := sums[j*n : (j+1)*n]
 		if res.Sizes[j] == 0 {
 			copy(dst, centers.DenseRow(j))
 			continue
@@ -122,7 +123,7 @@ func ParallelFCFS(c *mpi.Comm, local *la.Matrix, y []float64, opts Options) (*Re
 			dst[t] = sums[j*n+t] * inv
 		}
 	}
-	res.Centers = la.NewDense(p, n, data)
+	res.Centers = la.NewDense(p, n, sums)
 	return res, nil
 }
 

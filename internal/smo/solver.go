@@ -224,6 +224,12 @@ func New(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Solver, error)
 	return s, nil
 }
 
+// Release gives the solver's kernel-row storage back to the chunk pool
+// (kernel.RowCache.Release). Call it once nothing will read a kernel row
+// again; the multipliers, f and the counters stay readable. A solver used
+// after Release refills its rows from cold.
+func (s *Solver) Release() { s.cache.Release() }
+
 // Alpha returns the live multiplier vector (owned by the solver).
 func (s *Solver) Alpha() []float64 { return s.alpha }
 
@@ -431,9 +437,17 @@ func Solve(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	return s.solve()
+}
+
+// solve is Solve's loop over a new solver. Every exit releases the solver's
+// kernel rows.
+func (s *Solver) solve() (*Result, error) {
+	defer s.Release()
+	cfg := s.cfg
 	maxIter := cfg.MaxIter
 	if maxIter <= 0 {
-		maxIter = 100*x.Rows() + 10000
+		maxIter = 100*s.x.Rows() + 10000
 	}
 	converged := false
 	if cfg.Restore != nil && cfg.Restore.Final {
