@@ -18,7 +18,8 @@ cross-vet:
 	GOARCH=arm64 $(GO) vet ./...
 
 # lanes-off reruns the bit-identity pins — golden hashes, the fused and
-# prefetched solves against their references, ApplyColumns, the Dis-SMO pins,
+# prefetched solves against their references, the loop over a filled-column
+# exchange and the column update, the Dis-SMO pins,
 # and Dot4, MulTile and the batch-prediction paths over them (DecisionAll,
 # RouteAll, Set.PredictAll/EvalAll) against their scalar references — with
 # internal/la's four-lane kernels off, so the portable loops must land on the
@@ -26,7 +27,7 @@ cross-vet:
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|ApplyColumns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll
 lanes-off:
 	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model
 

@@ -57,23 +57,26 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 	}
 
 	// Three fleet leases report against the finished job's id: spans on
-	// rank 0, a metric snapshot each, and epoch durations with rank 2
-	// running 4× the median.
+	// rank 1, a metric snapshot each, and epoch durations with rank 3
+	// running 4× the median. They report as ranks 1–3 of a 4-rank world,
+	// ranks the P=1 job never ran: its executor ships rank 0's (empty)
+	// metrics snapshot after rank-done, and that frame may land after the
+	// job is done, where it would overwrite a fake rank 0's snapshot.
 	jobID := j.ID()
-	for rank := 0; rank < 3; rank++ {
+	for rank := 1; rank <= 3; rank++ {
 		l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{Client: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		rep, err := fleet.NewReporter(l, jobID, rank, 3)
+		rep, err := fleet.NewReporter(l, jobID, rank, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rank == 0 {
-			tl := trace.NewTimeline(3)
-			tl.Rank(0).AddEvent(trace.Event{
-				Name: "scan", Cat: trace.CatSolver, Rank: 0,
+		if rank == 1 {
+			tl := trace.NewTimeline(4)
+			tl.Rank(1).AddEvent(trace.Event{
+				Name: "scan", Cat: trace.CatSolver, Rank: 1,
 				WallStartNs: time.Now().UnixNano(), WallDurNs: int64(time.Millisecond),
 			})
 			if err := rep.ShipTimeline(tl, 10*time.Second); err != nil {
@@ -81,12 +84,12 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 			}
 		}
 		mreg := trace.NewRegistry()
-		mreg.Counter("casvm_iterations_total", "").Add(int64(10 * (rank + 1)))
+		mreg.Counter("casvm_iterations_total", "").Add(int64(10 * rank))
 		if err := rep.ShipMetrics(mreg); err != nil {
 			t.Fatal(err)
 		}
 		d := 100 * time.Millisecond
-		if rank == 2 {
+		if rank == 3 {
 			d = 400 * time.Millisecond
 		}
 		if err := rep.ReportEpoch(0, d); err != nil {
@@ -100,7 +103,7 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 		return fl.HasTrace(jobID) && len(ev) == 1
 	})
 	ev, _ := fl.Events(0)
-	if ev[0].Rank != 2 || ev[0].Job != jobID {
+	if ev[0].Rank != 3 || ev[0].Job != jobID {
 		t.Fatalf("straggler event %+v", ev[0])
 	}
 
@@ -126,7 +129,7 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Timebase != trace.TimebaseWall || x.P != 3 {
+	if x.Timebase != trace.TimebaseWall || x.P != 4 {
 		t.Fatalf("merged trace: timebase=%q p=%d", x.Timebase, x.P)
 	}
 

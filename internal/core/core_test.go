@@ -7,6 +7,8 @@ import (
 
 	"casvm/internal/data"
 	"casvm/internal/kernel"
+	"casvm/internal/la"
+	"casvm/internal/model"
 	"casvm/internal/smo"
 )
 
@@ -75,44 +77,185 @@ func TestAllMethodsTrainAndPredict(t *testing.T) {
 	}
 }
 
-func TestDisSMOMatchesSerialSMO(t *testing.T) {
-	d := testSet(t, 300)
-	pr := paramsFor(MethodDisSMO, 4, d)
-	out, err := Train(d.X, d.Y, pr)
-	if err != nil {
-		t.Fatal(err)
+// float32Rows rounds d's training features to float32 in place, the
+// precision the scatter ships them at, so that every Dis-SMO rank holds
+// exactly the samples a serial solve on d sees.
+func float32Rows(d *data.Dataset) *data.Dataset {
+	x := d.X
+	for i := range x.Rows() {
+		var vals []float64
+		if x.Sparse() {
+			_, vals = x.SparseRow(i)
+		} else {
+			vals = x.DenseRow(i)
+		}
+		for j, v := range vals {
+			vals[j] = float64(float32(v))
+		}
 	}
+	return d
+}
+
+// fullAlpha spreads a one-model set's multipliers back over d's samples.
+// Dis-SMO assembles its support vectors in global row order, so they are
+// matched to the samples front to back, row for row and label for label.
+func fullAlpha(t *testing.T, d *data.Dataset, set *model.Set) []float64 {
+	t.Helper()
+	mdl := set.Models[0]
+	alpha := make([]float64, d.X.Rows())
+	k := 0
+	for i := range alpha {
+		if k < mdl.NSV() && mdl.SVY[k] == d.Y[i] && sameRow(d.X, i, mdl.SVX, k) {
+			alpha[i] = mdl.Alpha[k]
+			k++
+		}
+	}
+	if k != mdl.NSV() {
+		t.Fatalf("matched %d of %d support vectors to samples", k, mdl.NSV())
+	}
+	return alpha
+}
+
+func sameRow(a *la.Matrix, i int, b *la.Matrix, k int) bool {
+	for j := range a.Features() {
+		if a.At(i, j) != b.At(k, j) {
+			return false
+		}
+	}
+	return true
+}
+
+// serialReference rounds testSet(m) to float32, the precision the scatter
+// ships samples at, so that every Dis-SMO rank holds exactly the samples a
+// serial solve sees, and solves it with smo.Solve under Dis-SMO's params.
+func serialReference(t *testing.T, m int) (*data.Dataset, *smo.Result) {
+	t.Helper()
+	d := float32Rows(testSet(t, m))
+	pr := paramsFor(MethodDisSMO, 1, d)
 	serial, err := smo.Solve(d.X, d.Y, smo.Config{C: pr.C, Tol: pr.Tol, Kernel: pr.Kernel}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same algorithm up to float32 scatter rounding: iteration counts
-	// must be close and accuracies equal-ish.
-	ratio := float64(out.Stats.Iters) / float64(serial.Iters)
-	if ratio < 0.7 || ratio > 1.4 {
-		t.Errorf("distributed iters %d vs serial %d", out.Stats.Iters, serial.Iters)
+	return d, serial
+}
+
+// checkSerialTrajectory asserts that a Dis-SMO run on d took smo.Solve's
+// iterations and that its α agrees with smo.Solve's to within 4e-15.
+func checkSerialTrajectory(t *testing.T, d *data.Dataset, serial *smo.Result, out *Output, m, p int) {
+	t.Helper()
+	if out.Stats.Iters != serial.Iters {
+		t.Errorf("m=%d p=%d: %d iterations, smo.Solve %d", m, p, out.Stats.Iters, serial.Iters)
 	}
-	distAcc := out.Set.Accuracy(d.TestX, d.TestY)
-	// Serial accuracy via a model built from the serial solution.
-	serialSet := Output{}
-	_ = serialSet
-	if distAcc < 0.9 {
-		t.Errorf("dis-smo accuracy %.3f", distAcc)
+	for i, a := range fullAlpha(t, d, out.Set) {
+		if diff := math.Abs(a - serial.Alpha[i]); diff > 4e-15 {
+			t.Fatalf("m=%d p=%d: alpha[%d] %v, smo.Solve %v", m, p, i, a, serial.Alpha[i])
+		}
 	}
 }
 
+// TestDisSMOMatchesSerialSMO: on data already at the scatter's float32
+// precision, Dis-SMO is serial SMO's trajectory. The model is bit-identical
+// at every P; the iterations are smo.Solve's; and α agrees with smo.Solve's
+// to within 4e-15. The one divergence is K(high, low): Dis-SMO evaluates it
+// with Kernel.Eval's norms-and-dot form, where the serial solve reads it
+// from its kernel row, computed with SqDist. That moves α and the bias in
+// their last bits, never a pair choice.
+//
+// Flops are not compared. Dis-SMO fills each new kernel column in full
+// (FillColumn evaluates every entry), where the serial row cache copies each
+// entry whose mirror row is already resident and charges nothing for it, so
+// Dis-SMO charges more for the same iterations.
+func TestDisSMOMatchesSerialSMO(t *testing.T) {
+	for _, m := range []int{200, 300, 480} {
+		d, serial := serialReference(t, m)
+		var ref string
+		for _, p := range []int{1, 2, 4, 8} {
+			out, err := Train(d.X, d.Y, paramsFor(MethodDisSMO, p, d))
+			if err != nil {
+				t.Fatalf("m=%d p=%d: %v", m, p, err)
+			}
+			h := hashOf(t, out)
+			if ref == "" {
+				ref = h
+			}
+			if h != ref {
+				t.Errorf("m=%d p=%d: hash %s, P=1's %s", m, p, h, ref)
+			}
+			checkSerialTrajectory(t, d, serial, out, m, p)
+		}
+	}
+}
+
+// TestDisSMOSingleRankEqualsSerial: one rank is the serial solve with no
+// communication: zero bytes moved, smo.Solve's iterations and its α.
 func TestDisSMOSingleRankEqualsSerial(t *testing.T) {
-	d := testSet(t, 200)
-	pr := paramsFor(MethodDisSMO, 1, d)
-	out, err := Train(d.X, d.Y, pr)
+	const m = 200
+	d, serial := serialReference(t, m)
+	out, err := Train(d.X, d.Y, paramsFor(MethodDisSMO, 1, d))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Stats.CommBytes != 0 {
-		t.Errorf("P=1 should move no bytes, got %d", out.Stats.CommBytes)
+		t.Errorf("P=1 moved %d bytes", out.Stats.CommBytes)
 	}
-	if out.Stats.Iters == 0 {
-		t.Error("no iterations")
+	checkSerialTrajectory(t, d, serial, out, m, 1)
+}
+
+// TestDisSMOKKTCertificate: the model Dis-SMO assembles satisfies the KKT
+// conditions on the full problem, not just on each rank's block. f is
+// recomputed over every sample from the model alone, and the Keerthi
+// thresholds over the full set must meet the loop's stop test, with the
+// slack of smo's TestKKTConditions.
+func TestDisSMOKKTCertificate(t *testing.T) {
+	sparse, err := data.Generate(data.MixtureSpec{
+		Name: "core-sparse", Train: 360, Test: 90, Features: 400, Clusters: 4,
+		Separation: 7, Noise: 1, PosFrac: []float64{0.5}, LabelNoise: 0.02,
+		Margin: 1.0, Sparse: true, Density: 0.05, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := testSet(t, 300)
+	for _, tc := range []struct {
+		name  string
+		d     *data.Dataset
+		gamma float64
+	}{
+		{"dense-rbf", float32Rows(dense), 1.0 / 16},
+		{"sparse-rbf", float32Rows(sparse), 1.0 / 40},
+	} {
+		for _, p := range []int{2, 4} {
+			pr := DefaultParams(MethodDisSMO, p)
+			pr.Kernel = kernel.RBF(tc.gamma)
+			out, err := Train(tc.d.X, tc.d.Y, pr)
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", tc.name, p, err)
+			}
+			if m := tc.d.X.Rows(); out.Stats.Iters >= 100*m+10000 {
+				t.Fatalf("%s p=%d: stopped at MaxIter", tc.name, p)
+			}
+			mdl := out.Set.Models[0]
+			alpha := fullAlpha(t, tc.d, out.Set)
+			bHigh, bLow := math.Inf(1), math.Inf(-1)
+			for i, a := range alpha {
+				yi := tc.d.Y[i]
+				f := -yi
+				for k := range mdl.NSV() {
+					f += mdl.Alpha[k] * mdl.SVY[k] * pr.Kernel.Eval(tc.d.X, i, mdl.SVX, k)
+				}
+				inHigh := (yi > 0 && a < pr.C-1e-9) || (yi < 0 && a > 1e-9)
+				inLow := (yi > 0 && a > 1e-9) || (yi < 0 && a < pr.C-1e-9)
+				if inHigh && f < bHigh {
+					bHigh = f
+				}
+				if inLow && f > bLow {
+					bLow = f
+				}
+			}
+			if gap := bLow - bHigh; gap >= 2*pr.Tol+1e-6 {
+				t.Errorf("%s p=%d: bLow − bHigh = %v over the full set, want < 2·Tol", tc.name, p, gap)
+			}
+		}
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 )
 
 // trainDisSMO implements Cao et al.'s distributed SMO. The samples are
-// block-partitioned over the ranks. Every iteration:
+// block-partitioned over the ranks, and every rank runs smo's one loop over
+// its block with pairExchange as the exchange. Every iteration:
 //
 //  1. each rank scans its local f for the extreme KKT violators,
 //  2. one allreduce (pairExchange) picks the global (high, low) pair and
@@ -25,9 +26,9 @@ import (
 //
 // The paper's Dis-SMO (eqn 9) runs two location-reductions and two row
 // broadcasts per iteration and recomputes both columns every time; this
-// loop makes the same pair choices from the same arithmetic, so the result
-// is bitwise the trajectory of serial SMO on the full set, up to the
-// float32 wire rounding of the initial scatter.
+// makes the same pair choices from the same arithmetic. On data already at
+// the scatter's float32 precision it is serial SMO's trajectory, up to the
+// last bits of K(high, low), which the exchange evaluates with Kernel.Eval.
 func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *ShardResult) error {
 	rec := c.Recorder()
 	c.SetPhase("partition")
@@ -36,7 +37,8 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 	if err != nil {
 		return err
 	}
-	out.PartSize = local.x.Rows()
+	rows := local.x.Rows()
+	out.PartSize = rows
 	out.initSec = c.Clock()
 	rec.EndVirt(spInit, c.Clock())
 
@@ -50,105 +52,63 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 	c.SetPhase("solve")
 	spSolve := rec.BeginVirt(trace.CatTrain, "solve", c.Clock())
 	cfg := p.solverConfig()
+	if c.Rank() == 0 {
+		cfg.Metrics = p.Metrics // every rank's cache sees the same lookups
+	}
 	startIter := 0
 	if rt := p.rt; rt != nil {
 		if epoch, ga, gf, ok := rt.store.consistentDis(); ok {
 			cfg.Restore = &smo.Checkpoint{
 				Iters: epoch,
-				Alpha: ga[rowStart : rowStart+local.x.Rows()],
-				F:     gf[rowStart : rowStart+local.x.Rows()],
+				Alpha: ga[rowStart : rowStart+rows],
+				F:     gf[rowStart : rowStart+rows],
 			}
 			startIter = epoch
 			if rt.metrics != nil && c.Rank() == 0 {
 				rt.metrics.Counter("casvm_restores_total", "solver resumes from checkpoint").Inc()
 			}
 		}
+		cfg.CheckpointEvery = rt.every
+		cfg.CheckpointSink = func(ck *smo.Checkpoint) {
+			if ck.Final {
+				return // a converged Dis-SMO is not resumed, it is done
+			}
+			rt.chargeCheckpoint(c, 16*rows)
+			rt.store.depositDis(ck.Iters, rowStart, ck.Alpha, ck.F)
+		}
+	}
+	if p.Faults != nil {
+		// The loop deposits before it polls, so a rank killed or grown at
+		// iteration k has already contributed epoch k. Pending joins are
+		// absorbed at each epoch boundary but the one restored from.
+		cfg.Interrupt = func(iter int) error {
+			if iter != startIter {
+				if err := p.joinInterrupt(c.Rank(), iter); err != nil {
+					return err
+				}
+			}
+			return p.Faults.CrashCheck(c.Rank(), iter)
+		}
 	}
 	solver, err := smo.New(local.x, local.y, cfg, nil)
 	if err != nil {
 		return err
 	}
-	maxIter := p.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100*m + 10000
-	}
-	tol := p.Tol
-	if tol <= 0 {
-		tol = 1e-3
-	}
-
 	// The exchange and its column cache live for this attempt only: after a
 	// restore every rank starts cold at once, so the replicas still agree.
 	ex := newPairExchange(c, local, solver, p, m)
-	iters := startIter
-	lastDep := startIter
-	for iters < maxIter {
-		// Deposit before the crash poll: a rank killed at iteration k has
-		// already contributed epoch k, so the supervisor can resume from a
-		// state every survivor passed through.
-		if rt := p.rt; rt != nil && iters > 0 && iters%rt.every == 0 && iters != lastDep {
-			lastDep = iters
-			ck := solver.Snapshot()
-			rt.chargeCheckpoint(c, 16*local.x.Rows())
-			rt.store.depositDis(iters, rowStart, ck.Alpha, ck.F)
-			// Epoch boundary: absorb any pending worker joins. The deposit
-			// above already contributed this rank's block, so the supervisor
-			// resumes the grown world from a consistent epoch.
-			if err := p.joinInterrupt(c.Rank(), iters); err != nil {
-				return err
-			}
-		}
-		if p.Faults != nil {
-			if err := p.Faults.CrashCheck(c.Rank(), iters); err != nil {
-				return err
-			}
-		}
-		bh, ih, bl, il := solver.LocalExtremes()
-		c.Charge(solver.TakeFlops())
-		high, low, err := ex.reduce(iters, bh, ih, bl, il)
-		if err != nil {
-			return err
-		}
-		if low.val-high.val < 2*tol || high.index < 0 || low.index < 0 {
-			break
-		}
-		eh, el, err := ex.columns(high, low)
-		if err != nil {
-			return err
-		}
-
-		// Identical update arithmetic on every rank.
-		khl := p.Kernel.Eval(eh.X, 0, el.X, 0)
-		dah, dal := smo.PairSolve(p.C, eh.Y, el.Y, high.val, low.val,
-			high.alpha, low.alpha, eh.Diag, el.Diag, khl)
-		if dah == 0 && dal == 0 {
-			break // numerically stuck pair; matches the serial guard
-		}
-		if c.Rank() == int(high.rank) {
-			solver.AddAlpha(int(high.index), dah)
-		}
-		if c.Rank() == int(low.rank) {
-			solver.AddAlpha(int(low.index), dal)
-		}
-		solver.ApplyColumns(eh.K, eh.Y, dah, el.K, el.Y, dal)
-		c.Charge(solver.TakeFlops())
-		iters++
-	}
-	// Nothing reads a kernel row or column after the loop.
-	solver.Release()
+	res, err := solver.Run(ex, m)
+	// Nothing reads a kernel column after the loop.
 	ex.cache.Release()
-	out.Iters = iters
+	if err != nil {
+		return err
+	}
+	out.Iters = res.Iters
 	out.trainSec = c.Clock() - out.initSec
 	rec.EndVirt(spSolve, c.Clock())
 	c.SetPhase("assemble")
 	if c.Rank() == 0 {
-		// Every rank's cache saw the same lookups; rank 0 speaks for all.
-		out.colHits, out.colMisses = ex.cache.Stats()
-		if reg := p.Metrics; reg != nil {
-			reg.Counter("smo_iterations_total", "SMO iterations executed").Add(int64(iters))
-			reg.Counter("smo_row_cache_hits_total", "kernel row-cache hits").Add(out.colHits)
-			reg.Counter("smo_row_cache_misses_total", "kernel row-cache misses").Add(out.colMisses)
-		}
+		out.colHits, out.colMisses = ex.Stats()
 	}
 
 	// Assemble the global model at rank 0: gather (SV rows, y, α, local
@@ -180,16 +140,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 	if err != nil {
 		return fmt.Errorf("core: dis-smo support vectors: %w", err)
 	}
-	bias := 0.0
-	switch {
-	case !math.IsInf(bHigh, 1) && !math.IsInf(bLow, -1):
-		bias = (bHigh + bLow) / 2
-	case !math.IsInf(bHigh, 1):
-		bias = bHigh
-	case !math.IsInf(bLow, -1):
-		bias = bLow
-	}
-	out.Model = model.FromSolution(merged.x, merged.y, merged.alpha, bias, p.Kernel)
+	out.Model = model.FromSolution(merged.x, merged.y, merged.alpha, smo.Threshold(bHigh, bLow), p.Kernel)
 	out.SVs = out.Model.NSV()
 	out.Center = make([]float64, full.Features()) // one model: nothing to route
 	return nil
@@ -197,13 +148,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 
 // encodeBias packs the rank's local (bHigh, bLow) thresholds.
 func encodeBias(solver *smo.Solver) []byte {
-	bh, ih, bl, il := solver.LocalExtremes()
-	if ih < 0 {
-		bh = math.Inf(1)
-	}
-	if il < 0 {
-		bl = math.Inf(-1)
-	}
+	bh, _, bl, _ := solver.LocalExtremes() // ±Inf for an empty set
 	buf := make([]byte, 16)
 	binary.LittleEndian.PutUint64(buf, math.Float64bits(bh))
 	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(bl))

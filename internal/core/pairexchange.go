@@ -124,16 +124,18 @@ func blockStart(m, p, r int) int {
 	return r*base + rem
 }
 
-// pairExchange is one rank's end of the exchange for one training attempt.
+// pairExchange is one rank's end of the exchange for one training attempt:
+// the smo.Exchange that Dis-SMO runs smo's loop over.
 type pairExchange struct {
-	c      *mpi.Comm
-	local  part
-	solver *smo.Solver
-	kernel kernel.Params
-	m      int // global sample count
-	base   int // global id of local row 0
-	iter   int // the round in flight, for buffer parity and error reports
-	cache  *kernel.ColumnCache
+	c         *mpi.Comm
+	local     part
+	solver    *smo.Solver
+	kernel    kernel.Params
+	m         int // global sample count
+	base      int // global id of local row 0
+	iter      int // the round in flight, for buffer parity and error reports
+	cache     *kernel.ColumnCache
+	high, low candidate // the round's winners, from Select for Columns
 
 	// wire holds the payloads this rank builds — its own candidates and any
 	// merged accumulators — appended back to back, one buffer per parity of
@@ -164,39 +166,51 @@ func (ex *pairExchange) wireErr(format string, args ...any) error {
 }
 
 // appendOwn encodes this rank's candidate for one side of the pair.
-func (ex *pairExchange) appendOwn(buf []byte, val float64, index int) []byte {
-	w := candidate{val: val, rank: int32(ex.c.Rank()), index: int32(index)}
-	if index < 0 {
-		return appendCandidate(buf, w)
-	}
-	w.alpha = ex.solver.Alpha()[index]
-	w.y = int8(ex.local.y[index])
-	if ex.cache.Resident(ex.base + index) {
+func (ex *pairExchange) appendOwn(buf []byte, s smo.Side) []byte {
+	w := candidate{val: s.F, rank: int32(ex.c.Rank()), index: int32(s.Row), alpha: s.Alpha, y: int8(s.Y)}
+	if s.Row < 0 || ex.cache.Resident(ex.base+s.Row) {
 		return appendCandidate(buf, w)
 	}
 	// First use (or evicted since): the row rides along, encoded in place.
-	rows := []int{index}
+	rows := []int{s.Row}
 	buf = appendCandHeader(buf, w, ex.local.x.EncodedSize(rows))
 	return ex.local.x.AppendRows(buf, rows)
 }
 
-// reduce runs the round's allreduce over every rank's local extremes and
+// Select runs the round's allreduce over every rank's local extremes and
 // returns the global pair: the smallest high and the largest low, ties to
-// the lower rank.
-func (ex *pairExchange) reduce(iter int, bHigh float64, iHigh int, bLow float64, iLow int) (high, low candidate, err error) {
+// the lower rank. The scan's flops are charged first, so the clock reaches
+// the collective with the rank's compute.
+func (ex *pairExchange) Select(iter int, high, low smo.Side) (smo.Side, smo.Side, error) {
+	ex.c.Charge(ex.solver.TakeFlops())
 	ex.iter = iter
-	buf := ex.appendOwn(ex.wire[iter&1][:0], bHigh, iHigh)
-	buf = ex.appendOwn(buf, bLow, iLow)
+	buf := ex.appendOwn(ex.appendOwn(ex.wire[iter&1][:0], high), low)
 	ex.wire[iter&1] = buf
 	verdict, err := ex.c.AllreduceBytes(buf, ex.combine)
 	if err == nil {
-		high, low, err = decodePair(verdict)
+		ex.high, ex.low, err = decodePair(verdict)
 	}
 	if err != nil {
-		err = ex.wireErr("%v", err)
+		return high, low, ex.wireErr("%v", err)
 	}
-	return high, low, err
+	return ex.side(ex.high), ex.side(ex.low), nil
 }
+
+// side is a winner as the loop sees it: an empty set's candidate carries
+// label 0, and only the owner gets its row.
+func (ex *pairExchange) side(w candidate) smo.Side {
+	s := smo.Side{F: w.val, Alpha: w.alpha, Y: float64(w.y), Row: -1}
+	if int(w.rank) == ex.c.Rank() {
+		s.Row = int(w.index)
+	}
+	return s
+}
+
+// Applied charges the round's column fills and f-update to the clock.
+func (ex *pairExchange) Applied() { ex.c.Charge(ex.solver.TakeFlops()) }
+
+// Stats returns the column cache's hits and misses.
+func (ex *pairExchange) Stats() (hits, misses int64) { return ex.cache.Stats() }
 
 // combine folds a child's payload into the accumulator: per side, keep the
 // better candidate with whatever row it carries. An unchanged accumulator
@@ -229,34 +243,39 @@ func (ex *pairExchange) combine(acc, in []byte) ([]byte, error) {
 	return buf[n:], nil
 }
 
-// columns returns the two winners' cache entries, inserting a winner whose
-// id is not resident from the row the verdict carries. Both resident winners
-// are touched before either insert, so the entry an insert evicts is never
-// the other winner (capacity ≥ 2); the order is the same on every rank.
-func (ex *pairExchange) columns(high, low candidate) (eh, el *kernel.Column, err error) {
-	gh, err := ex.globalID(high)
+// Columns returns the two winners' kernel values from their cache
+// entries, inserting a winner whose id is not resident from the row the
+// verdict carries. Both resident winners are touched before either insert,
+// so the entry an insert evicts is never the other winner (capacity ≥ 2);
+// the order is the same on every rank. K(high, low) comes from the two
+// samples themselves, identically on every rank.
+func (ex *pairExchange) Columns() (smo.Pair, error) {
+	gh, err := ex.globalID(ex.high)
 	if err != nil {
-		return nil, nil, err
+		return smo.Pair{}, err
 	}
-	gl, err := ex.globalID(low)
+	gl, err := ex.globalID(ex.low)
 	if err != nil {
-		return nil, nil, err
+		return smo.Pair{}, err
 	}
 	if gh == gl {
-		return nil, nil, ex.wireErr("sample %d won both sides", gh)
+		return smo.Pair{}, ex.wireErr("sample %d won both sides", gh)
 	}
-	eh, el = ex.cache.Get(gh), ex.cache.Get(gl)
+	eh, el := ex.cache.Get(gh), ex.cache.Get(gl)
 	if eh == nil {
-		if eh, err = ex.insert(gh, high); err != nil {
-			return nil, nil, err
+		if eh, err = ex.insert(gh, ex.high); err != nil {
+			return smo.Pair{}, err
 		}
 	}
 	if el == nil {
-		if el, err = ex.insert(gl, low); err != nil {
-			return nil, nil, err
+		if el, err = ex.insert(gl, ex.low); err != nil {
+			return smo.Pair{}, err
 		}
 	}
-	return eh, el, nil
+	return smo.Pair{
+		Khh: eh.Diag, Kll: el.Diag, Khl: ex.kernel.Eval(eh.X, 0, el.X, 0),
+		ColH: eh.K, ColL: el.K,
+	}, nil
 }
 
 // globalID validates a winner against the block layout and returns its

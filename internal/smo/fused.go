@@ -1,15 +1,12 @@
 package smo
 
-// The fused SMO hot path. Every iteration of the seed solver made three
-// O(m) passes over f and the two cached kernel rows: the f-update's two
-// axpy sweeps and the next iteration's LocalExtremes scan. This file merges
-// the two axpy sweeps and the *next* iteration's extremes scan into a
-// single pass — each element of f is loaded once, updated with both
-// kernel-row contributions, and immediately tested for the (bHigh, iHigh,
-// bLow, iLow) working-set extremes — halving memory traffic over the
-// solver's dominant arrays. The pass is la.UpdateScan, four AVX2 lanes wide
-// where the CPU has them; Step's local rows and Dis-SMO's replicated
-// columns (ApplyColumns) both go through it.
+// The fused SMO hot path. The seed solver made three O(m) passes per
+// iteration over f and the pair's two kernel columns: the f-update's two
+// axpy sweeps and the next iteration's LocalExtremes scan. updateScan
+// merges them into one pass, la.UpdateScan (four AVX2 lanes wide where the
+// CPU has them): each element of f is loaded once, updated with both
+// columns and tested for the next working-set extremes. It is the tail of
+// every round of the loop (loop.go), whichever exchange supplied the columns.
 //
 // Two invariants are load-bearing:
 //
@@ -26,10 +23,7 @@ package smo
 //     LocalExtremes. Total flops per solve — and hence virtual time —
 //     are exactly the seed's, fused or not.
 
-import (
-	"casvm/internal/la"
-	"casvm/internal/trace"
-)
+import "casvm/internal/la"
 
 // invalidateExtremes drops the cached working-set extremes; every mutation
 // of alpha or f must call it.
@@ -70,15 +64,4 @@ func (s *Solver) updateScan(rh, rl []float64, ch, cl float64) {
 	n := len(s.f)
 	s.setExtremes(la.UpdateScan(s.f, rh, rl, s.outHigh, s.outLow, ch, cl))
 	s.flops += float64(4 * n)
-}
-
-// fusedUpdateScan is the fused hot-path iteration tail for a local pair:
-// updateScan over the pair's cached kernel rows. Must be called after
-// PairDeltas (alpha already holds the pair's new values).
-func (s *Solver) fusedUpdateScan(iHigh, iLow int, u PairUpdate) {
-	sp := s.rec.Begin(trace.CatSolver, "update")
-	defer s.rec.End(sp)
-	rh := s.cache.Row(iHigh)
-	rl := s.cache.Row(iLow)
-	s.updateScan(rh, rl, u.DAlphaHigh*s.y[iHigh], u.DAlphaLow*s.y[iLow])
 }

@@ -1,6 +1,7 @@
 package smo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,35 +13,49 @@ import (
 // refUpdateF is the seed's unfused f-update of eqn (5): f_i +=
 // Δα_high·y_high·K(high,i) + Δα_low·y_low·K(low,i) as two axpy sweeps over
 // the cached rows. It is the reference the fused pass is compared against.
-func refUpdateF(s *Solver, iHigh, iLow int, u PairUpdate) {
+func refUpdateF(s *Solver, iHigh, iLow int, dah, dal float64) {
 	s.invalidateExtremes()
 	sp := s.rec.Begin(trace.CatSolver, "update")
 	defer s.rec.End(sp)
 	rh := s.cache.Row(iHigh)
-	la.Axpy(u.DAlphaHigh*s.y[iHigh], rh, s.f)
+	la.Axpy(dah*s.y[iHigh], rh, s.f)
 	rl := s.cache.Row(iLow)
-	la.Axpy(u.DAlphaLow*s.y[iLow], rl, s.f)
+	la.Axpy(dal*s.y[iLow], rl, s.f)
 	s.flops += float64(4 * len(s.f))
 }
 
 // refStep replicates the seed's unfused iteration: a fresh LocalExtremes
-// scan, PairDeltas, then the two-axpy refUpdateF. Because refUpdateF
-// invalidates the cached extremes, LocalExtremes rescans every iteration —
-// exactly the pre-fusion control flow and flop charges. The pair's rows are
-// made resident the way Step does it: which entries a fill evaluates (and so
-// charges) depends on what is resident when it runs, and the fill is not what
-// these tests compare.
+// scan, the pair update written out as the seed wrote it, then the two-axpy
+// refUpdateF. Because refUpdateF invalidates the cached extremes,
+// LocalExtremes rescans every iteration — exactly the pre-fusion control
+// flow and flop charges. The pair's rows are made resident the way Step
+// does it: which entries a fill evaluates (and so charges) depends on what
+// is resident when it runs, and the fill is not what these tests compare.
+//
+// The multipliers are written the seed's way, not through AddAlpha: low
+// first as snapTo(α_low + Δα_low), then high as snapTo(min(C, max(0, α_high
+// + Δα_high))). Step's AddAlpha clamps the low side into [0, C] as well;
+// snapTo already sends everything below 1e-12·C to 0 and everything above
+// C − 1e-12·C to C, so the two agree, and these tests hold them to it bit
+// for bit.
 func refStep(s *Solver) (done bool) {
 	bHigh, iHigh, bLow, iLow := s.LocalExtremes()
 	if iHigh < 0 || iLow < 0 || bLow-bHigh < 2*s.cfg.tol() {
 		return true
 	}
 	s.cache.PrefetchPair(iHigh, iLow)
-	u := s.PairDeltas(iHigh, iLow)
-	if u.DAlphaHigh == 0 && u.DAlphaLow == 0 {
+	c := s.cfg.C
+	ah, al := s.alpha[iHigh], s.alpha[iLow]
+	dah, dal := PairSolve(c, s.y[iHigh], s.y[iLow], s.f[iHigh], s.f[iLow], ah, al,
+		s.cache.Diag(iHigh), s.cache.Diag(iLow), s.cache.Row(iHigh)[iLow])
+	if dah == 0 && dal == 0 {
 		return true
 	}
-	refUpdateF(s, iHigh, iLow, u)
+	s.alpha[iLow] = s.snapTo(al+dal, c)
+	s.alpha[iHigh] = s.snapTo(math.Min(c, math.Max(0, ah+dah)), c)
+	s.setMember(iLow)
+	s.setMember(iHigh)
+	refUpdateF(s, iHigh, iLow, dah, dal)
 	s.iters++
 	return false
 }
@@ -199,13 +214,13 @@ func BenchmarkUpdateScanFused(b *testing.B) {
 	}
 	// Zero deltas keep f fixed across iterations while costing the same
 	// arithmetic as a real update.
-	u := PairUpdate{}
 	b.Run("fused", func(b *testing.B) {
 		s := mk(b)
+		rh, rl := s.cache.Row(0), s.cache.Row(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.fusedUpdateScan(0, 1, u)
+			s.updateScan(rh, rl, 0, 0)
 		}
 	})
 	b.Run("unfused", func(b *testing.B) {
@@ -213,16 +228,17 @@ func BenchmarkUpdateScanFused(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			refUpdateF(s, 0, 1, u)
+			refUpdateF(s, 0, 1, 0, 0)
 			s.LocalExtremes()
 		}
 	})
 	b.Run("fused-half-at-bound", func(b *testing.B) {
 		s := mixed(b)
+		rh, rl := s.cache.Row(0), s.cache.Row(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.fusedUpdateScan(0, 1, u)
+			s.updateScan(rh, rl, 0, 0)
 		}
 	})
 }

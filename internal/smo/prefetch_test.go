@@ -10,7 +10,7 @@ import (
 
 // TestTiledPrefetchMatchesUnprefetched proves the pair prefetch (both
 // working-set kernel rows filled through one shared-streaming tile before
-// PairDeltas) leaves the whole training trajectory untouched: multipliers,
+// the pair is solved) leaves the whole training trajectory untouched: multipliers,
 // bias and iteration counts are bit-identical with the prefetch disabled,
 // across cache sizes, kernels, storage formats — the same
 // way TestFusedMatchesUnfused pins the fused pass. Flop totals are equal while
@@ -61,7 +61,7 @@ func TestTiledPrefetchMatchesUnprefetched(t *testing.T) {
 }
 
 // TestColumnsMatchCrossRowReference pins the distributed pair update —
-// FillColumn for each sample, then ApplyColumns — against the arithmetic it
+// FillColumn for each sample, then the fused update — against the arithmetic it
 // stands for, written out by hand: one CrossRow and one axpy per sample,
 // high before low. Identical f vectors and identical flop charges, for every
 // pairing of local and external storage and both kernel families.
@@ -93,7 +93,7 @@ func TestColumnsMatchCrossRowReference(t *testing.T) {
 			colL := make([]float64, m)
 			s.FillColumn(ext, 0, colH)
 			s.FillColumn(ext, 1, colL)
-			s.ApplyColumns(colH, 1, 0.25, colL, -1, 0.5)
+			s.updateScan(colH, colL, 0.25*1, 0.5*-1)
 			if got := s.TakeFlops(); got != wantFlops {
 				t.Fatalf("%s/%v: flops %v, want %v", mat.name, p.Kind, got, wantFlops)
 			}

@@ -52,7 +52,7 @@ func TestSolveReleasesOnEveryExit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.solve()
+		res, err := s.Run((*localPair)(s), m)
 		if !errors.Is(err, tc.wantErr) {
 			t.Fatalf("%s: error %v, want %v", tc.name, err, tc.wantErr)
 		}

@@ -5,9 +5,9 @@
 // methods use the same shared-memory SMO underneath, and so does this
 // repository.
 //
-// The solver exposes both a one-shot Solve and the per-iteration primitives
-// (LocalExtremes, PairSolve, FillColumn, ApplyColumns, AddAlpha)
-// that distributed SMO composes with one allreduce per iteration.
+// Every solve runs one loop, Solver.Run, and an Exchange is where solves
+// differ. Solve's is the identity over the solver's own row cache;
+// distributed SMO's is one allreduce per iteration (internal/core).
 package smo
 
 import (
@@ -27,8 +27,8 @@ type Config struct {
 	// Tol is the KKT tolerance ε; training stops when
 	// bLow − bHigh < 2·Tol. Zero means the 1e-3 default.
 	Tol float64
-	// MaxIter caps iterations; 0 means 100·m + 10000, mirroring common
-	// SMO implementations' safety limits.
+	// MaxIter caps iterations; 0 means 100·m + 10000 over the problem's
+	// global m, mirroring common SMO implementations' safety limits.
 	MaxIter int
 	// CacheRows bounds the kernel-row LRU cache; 0 means min(m, 1024).
 	CacheRows int
@@ -40,14 +40,14 @@ type Config struct {
 	// line.
 	Threads int
 	// Interrupt, when non-nil, is polled with the iteration count before
-	// every Solve step; a non-nil return aborts the solve with that
+	// every round of the loop; a non-nil return aborts the solve with that
 	// error. Fault injection uses it to crash a rank at iteration k even
 	// in training phases that never touch the network.
 	Interrupt func(iter int) error
 	// CheckpointEvery takes a state snapshot every this many iterations
 	// (plus one final snapshot at convergence) and hands it to
 	// CheckpointSink. 0 — the default — disables checkpointing entirely;
-	// the Solve loop then pays a single predictable branch per iteration
+	// the loop then pays a single predictable branch per iteration
 	// and the nil-sink hot paths stay allocation-free.
 	CheckpointEvery int
 	// CheckpointSink receives each snapshot. The snapshot owns its slices,
@@ -69,11 +69,12 @@ type Config struct {
 	// every instrumentation site on the zero-allocation nil-receiver fast
 	// path; results are identical either way.
 	Trace *trace.Recorder
-	// Metrics, when non-nil, receives solver counters at the end of Solve
-	// (iterations, row-cache hits/misses). Nil records nothing.
+	// Metrics, when non-nil, receives solver counters at the end of the
+	// loop (iterations, the exchange's cache hits/misses). Nil records
+	// nothing.
 	Metrics *trace.Registry
-	// Telemetry, when non-nil, receives one IterSample per applied Solve
-	// step (dual objective, KKT gap, SV count) for live streaming. Nil — the
+	// Telemetry, when non-nil, receives one IterSample per applied round
+	// (dual objective, KKT gap, SV count) for live streaming. Nil — the
 	// default — skips sampling entirely.
 	Telemetry *TelemetryRing
 	// TelemetryRank labels this solver's samples in the shared ring
@@ -274,36 +275,6 @@ func (s *Solver) LocalExtremes() (bHigh float64, iHigh int, bLow float64, iLow i
 	return s.ext.BHigh, s.ext.IHigh, s.ext.BLow, s.ext.ILow
 }
 
-// PairUpdate holds the result of optimising one (high, low) pair: the two
-// multiplier deltas of eqns (6)–(7).
-type PairUpdate struct {
-	DAlphaHigh, DAlphaLow float64
-}
-
-// PairDeltas solves the two-variable subproblem for local indices iHigh,
-// iLow given current bHigh = f[iHigh], bLow = f[iLow], with box clipping.
-// It mutates alpha but not f; Step follows it with the fused f-update.
-func (s *Solver) PairDeltas(iHigh, iLow int) PairUpdate {
-	yh, yl := s.y[iHigh], s.y[iLow]
-	khh := s.cache.Diag(iHigh)
-	kll := s.cache.Diag(iLow)
-	khl := s.cache.Row(iHigh)[iLow]
-	return s.pairDeltasRaw(iHigh, iLow, yh, yl, s.f[iHigh], s.f[iLow], khh, kll, khl)
-}
-
-// pairDeltasRaw implements the clipped update given kernel values; split
-// out so distributed SMO can pass remotely-computed kernel entries.
-func (s *Solver) pairDeltasRaw(iHigh, iLow int, yh, yl, fh, fl, khh, kll, khl float64) PairUpdate {
-	s.invalidateExtremes() // alpha changes below shift the Keerthi sets
-	ah, al, c := s.alpha[iHigh], s.alpha[iLow], s.cfg.C
-	dah, dal := PairSolve(c, yh, yl, fh, fl, ah, al, khh, kll, khl)
-	s.alpha[iLow] = s.snapTo(al+dal, c)
-	s.alpha[iHigh] = s.snapTo(math.Min(c, math.Max(0, ah+dah)), c)
-	s.setMember(iLow)
-	s.setMember(iHigh)
-	return PairUpdate{DAlphaHigh: dah, DAlphaLow: dal}
-}
-
 // PairSolve computes the clipped two-variable SMO update of eqns (6)–(7) from
 // the pair's labels, optimality values, current multipliers and kernel
 // entries, returning (Δα_high, Δα_low) with both multipliers kept in the box
@@ -361,47 +332,12 @@ func (s *Solver) FillColumn(ext *la.Matrix, j int, dst []float64) {
 	s.flops += s.cfg.Kernel.CrossRow(s.x, ext, j, dst)
 }
 
-// ApplyColumns is the distributed variant of eqn (5)'s f-update: the high
-// and low samples may not be local rows, so their kernel columns
-// (FillColumn) are passed in, and f receives both contributions in
-// high-then-low order. It is the local iteration's fused pass: the next
-// LocalExtremes is served from the scan it makes. So the pair's local alpha
-// changes (when this rank owns a sample) must already be applied through
-// AddAlpha.
-func (s *Solver) ApplyColumns(colH []float64, yH, dAH float64, colL []float64, yL, dAL float64) {
-	s.updateScan(colH, colL, dAH*yH, dAL*yL)
-}
-
 // AddAlpha adds d to alpha[i], clipping to [0, C] and snapping edge dust.
 func (s *Solver) AddAlpha(i int, d float64) {
 	s.invalidateExtremes()
 	a, c := s.alpha[i]+d, s.cfg.C
 	s.alpha[i] = s.snapTo(math.Min(c, math.Max(0, a)), c)
 	s.setMember(i)
-}
-
-// Step runs one full local SMO iteration. It returns done=true when the
-// stopping criterion held before the update (in which case no update was
-// applied).
-func (s *Solver) Step() (done bool) {
-	bHigh, iHigh, bLow, iLow := s.LocalExtremes()
-	if iHigh < 0 || iLow < 0 || bLow-bHigh < 2*s.cfg.tol() {
-		return true
-	}
-	// Both working-set rows are needed by PairDeltas and the fused update;
-	// filling any misses through one tile streams the training matrix once
-	// for the pair. Cache state and flops are identical to the demand fills.
-	if !s.cfg.disableTilePrefetch {
-		s.cache.PrefetchPair(iHigh, iLow)
-	}
-	u := s.PairDeltas(iHigh, iLow)
-	if u.DAlphaHigh == 0 && u.DAlphaLow == 0 {
-		// Maximal violating pair cannot move: numerically stuck.
-		return true
-	}
-	s.fusedUpdateScan(iHigh, iLow, u)
-	s.iters++
-	return false
 }
 
 // TakeFlops drains the solver's accumulated flop counter (including kernel
@@ -417,96 +353,20 @@ func (s *Solver) TakeFlops() float64 {
 
 // Bias returns the Keerthi bias estimate (bHigh+bLow)/2 from the current f.
 func (s *Solver) Bias() float64 {
-	bHigh, iHigh, bLow, iLow := s.LocalExtremes()
-	if iHigh < 0 && iLow < 0 {
+	bHigh, _, bLow, _ := s.LocalExtremes()
+	return Threshold(bHigh, bLow)
+}
+
+// Threshold is the Keerthi bias (bHigh+bLow)/2, or the one finite side when
+// the other set is empty (bHigh = +Inf, bLow = −Inf), or 0 for neither.
+func Threshold(bHigh, bLow float64) float64 {
+	switch {
+	case math.IsInf(bHigh, 1) && math.IsInf(bLow, -1):
 		return 0
-	}
-	if iHigh < 0 {
+	case math.IsInf(bHigh, 1):
 		return bLow
-	}
-	if iLow < 0 {
+	case math.IsInf(bLow, -1):
 		return bHigh
 	}
 	return (bHigh + bLow) / 2
-}
-
-// Solve runs SMO to convergence and returns the result. x and y are as in
-// New.
-func Solve(x *la.Matrix, y []float64, cfg Config, warm []float64) (*Result, error) {
-	s, err := New(x, y, cfg, warm)
-	if err != nil {
-		return nil, err
-	}
-	return s.solve()
-}
-
-// solve is Solve's loop over a new solver. Every exit releases the solver's
-// kernel rows.
-func (s *Solver) solve() (*Result, error) {
-	defer s.Release()
-	cfg := s.cfg
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100*s.x.Rows() + 10000
-	}
-	converged := false
-	if cfg.Restore != nil && cfg.Restore.Final {
-		// The snapshot was taken after convergence: fast-forward. The bias
-		// recomputation below reads the restored f, so the result matches
-		// the original solve exactly.
-		converged = true
-	}
-	lastCkpt := -1
-	if cfg.Restore != nil {
-		lastCkpt = cfg.Restore.Iters // don't immediately re-deposit the restore point
-	}
-	for !converged && s.iters < maxIter {
-		if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil &&
-			s.iters > 0 && s.iters%cfg.CheckpointEvery == 0 && s.iters != lastCkpt {
-			lastCkpt = s.iters
-			cfg.CheckpointSink(s.Snapshot())
-		}
-		if cfg.Interrupt != nil {
-			if err := cfg.Interrupt(s.iters); err != nil {
-				return nil, err
-			}
-		}
-		if s.Step() {
-			converged = true
-			break
-		}
-		if cfg.Telemetry != nil {
-			s.sampleTelemetry()
-		}
-	}
-	if converged && cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil &&
-		!(cfg.Restore != nil && cfg.Restore.Final) {
-		// Final snapshot: a replay after a later crash skips this solve.
-		ck := s.Snapshot()
-		ck.Final = true
-		cfg.CheckpointSink(ck)
-	}
-	b := s.Bias()
-	s.recordMetrics()
-	return &Result{
-		Alpha:     s.alpha,
-		B:         b,
-		Iters:     s.iters,
-		Flops:     s.TakeFlops(),
-		Converged: converged,
-	}, nil
-}
-
-// recordMetrics publishes end-of-solve counters (iterations, row-cache
-// hits/misses — the hit rate is their ratio) into cfg.Metrics; a nil
-// registry records nothing.
-func (s *Solver) recordMetrics() {
-	reg := s.cfg.Metrics
-	if reg == nil {
-		return
-	}
-	hits, misses, _ := s.cache.Stats()
-	reg.Counter("smo_iterations_total", "SMO iterations executed").Add(int64(s.iters))
-	reg.Counter("smo_row_cache_hits_total", "kernel row-cache hits").Add(hits)
-	reg.Counter("smo_row_cache_misses_total", "kernel row-cache misses").Add(misses)
 }

@@ -395,99 +395,94 @@ func TestSparseDenseSameSolution(t *testing.T) {
 	}
 }
 
-func TestApplyColumnsMatchesLocal(t *testing.T) {
+// fillExchange is Dis-SMO's exchange on one rank, written out for tests:
+// the pair is the local extremes, and its columns are filled by FillColumn
+// every round, the column path instead of the row cache. Select also checks
+// that the extremes the loop hands over — cached by the previous round's
+// fused pass — are a fresh scan's.
+type fillExchange struct {
+	t          *testing.T
+	s          *Solver
+	x          *la.Matrix
+	ih, il     int
+	colH, colL []float64
+}
+
+func (ex *fillExchange) Select(iter int, high, low Side) (Side, Side, error) {
+	e := la.Extremes{BHigh: high.F, IHigh: high.Row, BLow: low.F, ILow: low.Row}
+	if fresh := ex.s.scanExtremes(); !sameExtremes(e, fresh) {
+		ex.t.Fatalf("iter %d: the loop handed over %+v, a fresh scan finds %+v", iter, e, fresh)
+	}
+	ex.ih, ex.il = high.Row, low.Row
+	return high, low, nil
+}
+
+func (ex *fillExchange) Columns() (Pair, error) {
+	ex.s.FillColumn(ex.x, ex.ih, ex.colH)
+	ex.s.FillColumn(ex.x, ex.il, ex.colL)
+	return Pair{Khh: 1, Kll: 1, Khl: ex.colH[ex.il], ColH: ex.colH, ColL: ex.colL}, nil
+}
+
+func (*fillExchange) Applied() {}
+
+func (*fillExchange) Stats() (hits, misses int64) { return 0, 0 }
+
+// TestExchangeColumnsMatchAxpyReference: the loop over an exchange that
+// supplies filled columns (Dis-SMO's path) runs the trajectory of the
+// same rounds written out by hand with the two-Axpy update the fused pass
+// replaced — f, multipliers, iterations and flops bit for bit — and lands
+// on the serial solve's result.
+func TestExchangeColumnsMatchAxpyReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x, y := twoBlobs(rng, 15, 2, 0.5)
 	cfg := defaultCfg()
-	a, _ := New(x, y, cfg, nil)
+	m := x.Rows()
+
 	b, _ := New(x, y, cfg, nil)
-
-	// One local step on a.
-	bh, ih, bl, il := a.LocalExtremes()
-	_ = bh
-	_ = bl
-	u := a.PairDeltas(ih, il)
-	refUpdateF(a, ih, il, u)
-
-	// Same step on b via the distributed column path.
-	b.AddAlpha(ih, u.DAlphaHigh)
-	b.AddAlpha(il, u.DAlphaLow)
-	colH := make([]float64, x.Rows())
-	colL := make([]float64, x.Rows())
-	b.FillColumn(x, ih, colH)
-	b.FillColumn(x, il, colL)
-	b.ApplyColumns(colH, y[ih], u.DAlphaHigh, colL, y[il], u.DAlphaLow)
-
-	for i := range a.f {
-		if math.Abs(a.f[i]-b.f[i]) > 1e-9 {
-			t.Fatalf("f[%d] %v vs %v", i, a.f[i], b.f[i])
-		}
-	}
-	for i := range a.Alpha() {
-		if math.Abs(a.Alpha()[i]-b.Alpha()[i]) > 1e-12 {
-			t.Fatalf("alpha[%d] %v vs %v", i, a.Alpha()[i], b.Alpha()[i])
-		}
+	got, err := b.Run(&fillExchange{t: t, s: b, x: x, colH: make([]float64, m), colL: make([]float64, m)}, m)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// ApplyColumns is a fused pass: over a run of distributed-style
-	// iterations, the extremes it caches are a fresh scan's, and f, the
-	// working pairs and the flop total are those of the two-Axpy update it
-	// replaced.
 	old, _ := New(x, y, cfg, nil)
-	old.FillColumn(x, ih, colH)
-	old.FillColumn(x, il, colL)
-	old.AddAlpha(ih, u.DAlphaHigh)
-	old.AddAlpha(il, u.DAlphaLow)
-	refApplyColumns(old, colH, y[ih], u.DAlphaHigh, colL, y[il], u.DAlphaLow)
-	applied := 1
-	for iter := 0; iter < 40; iter++ {
-		if !b.extValid {
-			t.Fatalf("iter %d: ApplyColumns cached no extremes", iter)
-		}
-		cached := b.ext
-		b.invalidateExtremes()
-		if fresh := b.scanExtremes(); !sameExtremes(cached, fresh) {
-			t.Fatalf("iter %d: ApplyColumns cached %+v, a fresh scan finds %+v", iter, cached, fresh)
-		}
-		b.setExtremes(cached)
-		bh, ih, bl, il := b.LocalExtremes()
-		obh, oih, obl, oil := old.LocalExtremes()
-		if ih != oih || il != oil || bh != obh || bl != obl {
-			t.Fatalf("iter %d: pair (%d,%d) vs the Axpy path's (%d,%d)", iter, ih, il, oih, oil)
-		}
+	colH, colL := make([]float64, m), make([]float64, m)
+	for {
+		bh, ih, bl, il := old.LocalExtremes()
 		if ih < 0 || il < 0 || bl-bh < 2*cfg.tol() {
 			break
 		}
-		for _, s := range []*Solver{old, b} {
-			s.FillColumn(x, ih, colH)
-			s.FillColumn(x, il, colL)
+		old.FillColumn(x, ih, colH)
+		old.FillColumn(x, il, colL)
+		dah, dal := PairSolve(cfg.C, y[ih], y[il], bh, bl, old.alpha[ih], old.alpha[il], 1, 1, colH[il])
+		if dah == 0 && dal == 0 {
+			break
 		}
-		dah, dal := PairSolve(cfg.C, y[ih], y[il], bh, bl,
-			b.alpha[ih], b.alpha[il], 1, 1, colH[il])
-		for _, s := range []*Solver{b, old} {
-			s.AddAlpha(ih, dah)
-			s.AddAlpha(il, dal)
-		}
-		b.ApplyColumns(colH, y[ih], dah, colL, y[il], dal)
-		refApplyColumns(old, colH, y[ih], dah, colL, y[il], dal)
-		applied++
-		for i := range b.f {
-			if math.Float64bits(b.f[i]) != math.Float64bits(old.f[i]) {
-				t.Fatalf("iter %d: f[%d] %v, Axpy path %v", iter, i, b.f[i], old.f[i])
-			}
+		old.AddAlpha(ih, dah)
+		old.AddAlpha(il, dal)
+		refColumnUpdate(old, colH, y[ih], dah, colL, y[il], dal)
+		old.iters++
+	}
+	want := &Result{Alpha: old.alpha, B: old.Bias(), Iters: old.iters, Flops: old.TakeFlops(), Converged: true}
+	if got.Iters < 10 {
+		t.Fatalf("the run converged after %d updates: too few to compare", got.Iters)
+	}
+	requireIdentical(t, "fill-exchange-vs-axpy", got, want)
+	for i := range b.f {
+		if math.Float64bits(b.f[i]) != math.Float64bits(old.f[i]) {
+			t.Fatalf("f[%d] %v, Axpy path %v", i, b.f[i], old.f[i])
 		}
 	}
-	if applied < 10 {
-		t.Fatalf("the run converged after %d updates: too few to compare", applied)
+
+	serial, err := Solve(x, y, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := b.TakeFlops(), old.TakeFlops(); got != want {
-		t.Fatalf("flops %v, Axpy path %v", got, want)
-	}
+	requireSameSolution(t, "fill-exchange-vs-serial", got, serial)
 }
 
-// refApplyColumns is ApplyColumns before it fused the scan: two Axpy sweeps
-// and invalidated extremes, so the next LocalExtremes rescans.
-func refApplyColumns(s *Solver, colH []float64, yH, dAH float64, colL []float64, yL, dAL float64) {
+// refColumnUpdate is the column update before it fused the scan: two Axpy
+// sweeps and invalidated extremes, so the next LocalExtremes rescans.
+func refColumnUpdate(s *Solver, colH []float64, yH, dAH float64, colL []float64, yL, dAL float64) {
 	s.invalidateExtremes()
 	la.Axpy(dAH*yH, colH[:len(s.f)], s.f)
 	la.Axpy(dAL*yL, colL[:len(s.f)], s.f)
