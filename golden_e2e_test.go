@@ -19,6 +19,8 @@ import (
 // bit-deterministic — independent of wall-clock and scheduling — so any
 // drift means the numerics changed, not the environment.
 type goldenRun struct {
+	data   string // registered dataset, loaded at scale
+	scale  float64
 	method Method
 	p      int
 	hash   string
@@ -32,7 +34,7 @@ func goldenParams(m Method, p int) Params {
 	return pr
 }
 
-// TestGoldenEndToEnd trains on the registered toy dataset and compares the
+// TestGoldenEndToEnd trains on registered datasets and compares the
 // run fingerprint against golden values; a mismatch is a numerics change
 // (update the constants only for an intentional algorithm change).
 //
@@ -44,36 +46,48 @@ func goldenParams(m Method, p int) Params {
 // float64 bit-for-bit, so file-based casvm-profile analysis and the run
 // report must agree to the last bit.
 func TestGoldenEndToEnd(t *testing.T) {
+	// The K-means-driven methods (CP-SVM, BKM-CA, DC-SVM, DC-Filter) and the
+	// two partitioners on sparse rows pin every nearest-center distance:
+	// Lloyd's convergence test counts changed assignments, so one flipped
+	// argmin shows in the iterations and the hash. DC-SVM and DC-Filter
+	// train the same model on toy.
 	golden := []goldenRun{
-		{MethodRACA, 4, "6405d5aacd47b975d7a782790efc98d1d6da32e2be5efa2221cd45d9d0681583", 739, 1.72808e+07},
-		{MethodFCFSCA, 4, "7d82fdb38ac5b024d790c2633dc74b2162b069e762f50c29076e4d409ef392ce", 604, 1.6178788e+07},
-		{MethodDisSMO, 2, "cd944ac7e9fcd523c2a623b9ed05a723183d3447d51c7a8d6a717e1bbf42ba04", 2148, 1.551584e+08},
-	}
-	ds, _, err := LoadDataset("toy", 1.0)
-	if err != nil {
-		t.Fatal(err)
+		{"toy", 1, MethodRACA, 4, "6405d5aacd47b975d7a782790efc98d1d6da32e2be5efa2221cd45d9d0681583", 739, 1.72808e+07},
+		{"toy", 1, MethodFCFSCA, 4, "7d82fdb38ac5b024d790c2633dc74b2162b069e762f50c29076e4d409ef392ce", 604, 1.6178788e+07},
+		{"toy", 1, MethodDisSMO, 2, "cd944ac7e9fcd523c2a623b9ed05a723183d3447d51c7a8d6a717e1bbf42ba04", 2148, 1.551584e+08},
+		{"toy", 1, MethodCPSVM, 4, "0f9e16b7b7061910e4427ada9ab36250ab912fc4a87628b58287f697df0fca98", 1061, 2.0862451e+07},
+		{"toy", 1, MethodBKMCA, 4, "c230e7bf47b82453b9e34f2b7440061073aa85c480f8e5dc2c412a3d62416bac", 611, 1.7429232e+07},
+		{"toy", 1, MethodDCSVM, 4, "6caf51967344b525ab6ca049bd3d692f2b6f23ca7283c63ca2d163f2b5d8aed5", 3648, 1.40896381e+08},
+		{"toy", 1, MethodDCFilter, 4, "6caf51967344b525ab6ca049bd3d692f2b6f23ca7283c63ca2d163f2b5d8aed5", 3648, 1.40896381e+08},
+		{"webspam", 0.25, MethodFCFSCA, 4, "ea9b74dee2df6be924c04eb037749f01091ffb2bfbbb10651513ac1d16b7b9bc", 884, 5.506668e+07},
+		{"webspam", 0.25, MethodBKMCA, 4, "fe113dcb812b444531be5adeb2c0f29631f73534fc417dbd9b1a7fc87fa475cb", 898, 1.28988024e+08},
 	}
 	for _, g := range golden {
+		ds, _, err := LoadDataset(g.data, g.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := g.data + "/" + string(g.method)
 		pr := goldenParams(g.method, g.p)
 		pr.Timeline = NewTimeline(g.p)
 		out, err := Train(ds.X, ds.Y, pr)
 		if err != nil {
-			t.Fatalf("%s: %v", g.method, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		rep, err := BuildReport(out, pr, "toy", 0)
+		rep, err := BuildReport(out, pr, g.data, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.ModelHash != g.hash {
-			t.Errorf("%s: model hash %s, want %s", g.method, rep.ModelHash, g.hash)
+			t.Errorf("%s: model hash %s, want %s", name, rep.ModelHash, g.hash)
 		}
 		if rep.Iters != g.iters {
-			t.Errorf("%s: iters %d, want %d", g.method, rep.Iters, g.iters)
+			t.Errorf("%s: iters %d, want %d", name, rep.Iters, g.iters)
 		}
 		if rep.TotalFlops != g.flops {
-			t.Errorf("%s: flops %v, want %v", g.method, rep.TotalFlops, g.flops)
+			t.Errorf("%s: flops %v, want %v", name, rep.TotalFlops, g.flops)
 		}
-		checkCritPath(t, string(g.method), pr, out.Stats.TotalSec, rep.CritPath)
+		checkCritPath(t, name, pr, out.Stats.TotalSec, rep.CritPath)
 	}
 }
 
