@@ -20,16 +20,19 @@ cross-vet:
 # lanes-off reruns the bit-identity pins — golden hashes, the fused and
 # prefetched solves against their references, the loop over a filled-column
 # exchange and the column update, the Dis-SMO pins,
-# and Dot4, MulTile and the batch-prediction paths over them (DecisionAll,
-# RouteAll, Set.PredictAll/EvalAll) against their scalar references — with
-# internal/la's four-lane kernels off, so the portable loops must land on the
-# same numbers (TestVectorKernelsActive fails if the lanes stayed on).
+# Dot4, MulTile and the batch-prediction paths over them (DecisionAll,
+# RouteAll, Set.PredictAll/EvalAll), and the nearest-center distance block
+# (la.SqDistTile, ArgMin) under Lloyd sweeps, FCFS, routing and CrossTile,
+# against their scalar references — with internal/la's four-lane kernels off,
+# so the portable loops must land on the same numbers
+# (TestVectorKernelsActive fails if the lanes stayed on).
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile
 lanes-off:
-	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model
+	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model \
+		./internal/kmeans ./internal/partition ./internal/kernel
 
 # fmt fails on any file gofmt would rewrite (bench/ included).
 fmt:

@@ -210,11 +210,11 @@ func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32) 
 }
 
 // CrossTile fills dst[r*ld + (c-clo)] = K(rows[r] of a, c of b) for
-// c in [clo, chi), computing the whole inner-product block with one
-// la.MulTile call and finishing elementwise. Every element is bit-identical
-// to Params.Eval(a, rows[r], b, c) — the cross-matrix Gaussian path always
-// goes through the norms identity, like Eval. a and b may be the same
-// matrix provided norms are cached (CrossTile ensures them for Gaussian).
+// c in [clo, chi), computing the whole block with one la.MulTile call — one
+// la.SqDistTile call for the Gaussian kernel — and finishing elementwise.
+// Every element is bit-identical to Params.Eval(a, rows[r], b, c): the
+// cross-matrix Gaussian path always goes through the clamped norms identity,
+// like Eval. a and b may be the same matrix.
 //
 // dst must have length ≥ (len(rows)-1)*ld + (chi-clo) and ld ≥ chi-clo.
 // The returned flop charge follows Row-style accounting per tile row:
@@ -224,30 +224,20 @@ func (p Params) CrossTile(a *la.Matrix, rows []int, b *la.Matrix, clo, chi int, 
 	if w <= 0 || len(rows) == 0 {
 		return 0
 	}
-	if p.Kind == Gaussian {
-		a.EnsureNorms()
-		b.EnsureNorms()
-	}
-	la.MulTile(a, rows, b, clo, chi, dst, ld)
 	var flops float64
+	if p.Kind == Gaussian {
+		la.SqDistTile(a, rows, b, clo, chi, dst, ld)
+	} else {
+		la.MulTile(a, rows, b, clo, chi, dst, ld)
+	}
 	for r, i := range rows {
 		out := dst[r*ld : r*ld+w]
-		if p.Kind == Gaussian {
-			ni := a.SqNormRow(i)
-			for c := clo; c < chi; c++ {
-				d := ni + b.SqNormRow(c) - 2*out[c-clo]
-				if d < 0 {
-					d = 0
-				}
-				out[c-clo] = d
-			}
-			if ld != w {
-				la.ExpScaled(out, -p.Gamma)
-			}
-		} else {
+		if p.Kind != Gaussian {
 			for k, dot := range out {
 				out[k] = p.fromDot(dot, 0)
 			}
+		} else if ld != w {
+			la.ExpScaled(out, -p.Gamma)
 		}
 		if a.Sparse() {
 			ix, _ := a.SparseRow(i)

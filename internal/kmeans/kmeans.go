@@ -6,7 +6,6 @@ package kmeans
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"casvm/internal/la"
@@ -31,56 +30,57 @@ type Result struct {
 
 // Seed picks k distinct random rows of x as initial centers (densified).
 func Seed(x *la.Matrix, k int, rng *rand.Rand) *la.Matrix {
-	m := x.Rows()
-	if k > m {
-		panic(fmt.Sprintf("kmeans: k=%d > m=%d", k, m))
+	if k > x.Rows() {
+		panic(fmt.Sprintf("kmeans: k=%d > m=%d", k, x.Rows()))
 	}
-	perm := rng.Perm(m)[:k]
-	data := make([]float64, k*x.Features())
-	buf := make([]float64, x.Features())
-	for c, i := range perm {
-		copy(data[c*x.Features():(c+1)*x.Features()], x.RowInto(i, buf))
-	}
-	return la.NewDense(k, x.Features(), data)
+	return la.NewDense(k, x.Features(), seedRows(x, k, k, rng))
 }
 
-// AssignAll maps every row of x to its nearest center (Euclidean), writing
-// into assign and returning (changed count, flops).
+// seedRows returns k densified rows, row-major: s ≤ x.Rows() distinct random
+// rows of x, then copies of the first (zeros when s is 0).
+func seedRows(x *la.Matrix, s, k int, rng *rand.Rand) []float64 {
+	n := x.Features()
+	data := make([]float64, k*n)
+	for c, i := range rng.Perm(x.Rows())[:s] {
+		x.RowInto(i, data[c*n:])
+	}
+	for c := s; c < k && s > 0; c++ {
+		copy(data[c*n:], data[:n])
+	}
+	return data
+}
+
+// SeedShared is the distributed seeding step (Alg 4 lines 1–5): rank 0
+// seeds k centers from its block, repeating the first when the block holds
+// fewer than k rows, and broadcasts them, so every rank returns the same
+// k×n centers.
+func SeedShared(c *mpi.Comm, x *la.Matrix, k int) *la.Matrix {
+	var data []float64
+	if c.Rank() == 0 {
+		data = seedRows(x, min(k, x.Rows()), k, c.RNG())
+	}
+	return la.NewDense(k, x.Features(), c.BcastF64(0, data))
+}
+
+// AssignAll maps every row of x to its nearest center (Euclidean, la.ArgMin
+// over la.SqDistEach), writing into assign and returning (changed count,
+// flops).
 func AssignAll(x *la.Matrix, centers *la.Matrix, assign []int) (int, float64) {
-	m, k := x.Rows(), centers.Rows()
-	centers.EnsureNorms()
 	changed := 0
-	for i := 0; i < m; i++ {
-		best, bi := math.Inf(1), 0
-		for c := 0; c < k; c++ {
-			d := distRowCenter(x, i, centers, c)
-			if d < best {
-				best, bi = d, c
-			}
-		}
-		if assign[i] != bi {
-			assign[i] = bi
+	la.SqDistEach(x, centers, func(i int, d []float64) {
+		if c := la.ArgMin(d); assign[i] != c {
+			assign[i] = c
 			changed++
 		}
-	}
-	return changed, float64(2 * m * k * x.Features())
+	})
+	return changed, float64(2 * x.Rows() * centers.Rows() * x.Features())
 }
 
-// distRowCenter computes ‖x_i − center_c‖² using cached norms, so sparse
-// rows cost O(nnz) rather than O(n).
-func distRowCenter(x *la.Matrix, i int, centers *la.Matrix, c int) float64 {
-	d := x.SqNormRow(i) + centers.SqNormRow(c) - 2*x.DotVec(i, centers.DenseRow(c))
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// accumulate sums assigned rows into sums (k×n flat) and counts.
-func accumulate(x *la.Matrix, assign []int, k int, sums []float64, counts []float64) {
+// Accumulate adds every row of x into its cluster's row of sums (k×n, flat):
+// the centroid numerators of Alg 2 and Alg 4 lines 18–22.
+func Accumulate(x *la.Matrix, assign []int, sums []float64) {
 	n := x.Features()
-	for i := 0; i < x.Rows(); i++ {
-		c := assign[i]
+	for i, c := range assign {
 		dst := sums[c*n : (c+1)*n]
 		if x.Sparse() {
 			ix, vx := x.SparseRow(i)
@@ -88,70 +88,46 @@ func accumulate(x *la.Matrix, assign []int, k int, sums []float64, counts []floa
 				dst[j] += vx[kk]
 			}
 		} else {
-			row := x.DenseRow(i)
-			for j, v := range row {
+			for j, v := range x.DenseRow(i) {
 				dst[j] += v
 			}
 		}
-		counts[c]++
 	}
 }
 
-// rebuildCenters divides sums by counts; empty clusters keep their previous
-// center to avoid NaN centroids.
-func rebuildCenters(prev *la.Matrix, sums []float64, counts []float64) *la.Matrix {
-	k, n := prev.Rows(), prev.Features()
-	data := make([]float64, k*n)
-	for c := 0; c < k; c++ {
-		dst := data[c*n : (c+1)*n]
-		if counts[c] == 0 {
+// Centroids turns per-cluster sums (k×n, flat) into the k×n centers in
+// place: each row divided by its cluster's count, and an empty cluster keeps
+// its row of prev, so no centroid is NaN.
+func Centroids[T int | float64](prev *la.Matrix, sums []float64, counts []T) *la.Matrix {
+	n := prev.Features()
+	for c, cnt := range counts {
+		dst := sums[c*n : (c+1)*n]
+		if cnt == 0 {
 			copy(dst, prev.DenseRow(c))
 			continue
 		}
-		inv := 1 / counts[c]
-		src := sums[c*n : (c+1)*n]
+		inv := 1 / float64(cnt)
 		for j := range dst {
-			dst[j] = src[j] * inv
+			dst[j] *= inv
 		}
 	}
-	return la.NewDense(k, n, data)
+	return la.NewDense(len(counts), n, sums[:len(counts)*n])
+}
+
+// Sizes counts the samples assigned to each of k clusters.
+func Sizes(assign []int, k int) []int {
+	sizes := make([]int, k)
+	for _, c := range assign {
+		sizes[c]++
+	}
+	return sizes
 }
 
 // Run executes serial Lloyd K-means from the given initial centers until
 // fewer than threshold·m samples change cluster, or maxIter sweeps.
 // threshold ≤ 0 and maxIter ≤ 0 select the defaults.
 func Run(x *la.Matrix, centers *la.Matrix, threshold float64, maxIter int) *Result {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
-	m := x.Rows()
-	k := centers.Rows()
-	assign := make([]int, m)
-	for i := range assign {
-		assign[i] = -1
-	}
-	res := &Result{Assign: assign, Centers: centers}
-	for res.Iters < maxIter {
-		changed, fl := AssignAll(x, res.Centers, assign)
-		res.Flops += fl
-		res.Iters++
-		sums := make([]float64, k*x.Features())
-		counts := make([]float64, k)
-		accumulate(x, assign, k, sums, counts)
-		res.Flops += float64(x.NNZ())
-		res.Centers = rebuildCenters(res.Centers, sums, counts)
-		if float64(changed)/float64(m) <= threshold {
-			break
-		}
-	}
-	res.Sizes = make([]int, k)
-	for _, c := range assign {
-		res.Sizes[c]++
-	}
-	return res
+	return lloyd(nil, x, centers, x.Rows(), threshold, maxIter)
 }
 
 // RunDistributed executes K-means over the ranks of c: each rank holds a
@@ -161,29 +137,24 @@ func Run(x *la.Matrix, centers *la.Matrix, threshold float64, maxIter int) *Resu
 // Centers and Iters are global. Computation and communication are charged
 // to the rank's virtual clock.
 func RunDistributed(c *mpi.Comm, x *la.Matrix, k int, threshold float64, maxIter int) *Result {
+	centers := SeedShared(c, x, k)
+	total := c.AllreduceSumInt([]int{x.Rows()})[0]
+	return lloyd(c, x, centers, total, threshold, maxIter)
+}
+
+// lloyd runs Lloyd sweeps from centers until at most threshold·total samples
+// change cluster, or maxIter sweeps. With a communicator every sweep sums
+// its [sums | counts | changed] payload over the ranks in one allreduce and
+// charges its work to the rank's clock, and Flops counts the assignments
+// only; serially Flops counts the accumulation too.
+func lloyd(c *mpi.Comm, x *la.Matrix, centers *la.Matrix, total int, threshold float64, maxIter int) *Result {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
 	}
-	n := x.Features()
-	var centerData []float64
-	if c.Rank() == 0 {
-		centerData = make([]float64, 0, k*n)
-		seed := Seed(x, min(k, x.Rows()), c.RNG())
-		for i := 0; i < seed.Rows(); i++ {
-			centerData = append(centerData, seed.DenseRow(i)...)
-		}
-		// If rank 0 has fewer rows than k (tiny blocks), repeat rows.
-		for len(centerData) < k*n {
-			centerData = append(centerData, centerData[:n]...)
-		}
-	}
-	centerData = c.BcastF64(0, centerData)
-	centers := la.NewDense(k, n, centerData)
-
-	totalM := c.AllreduceSumInt([]int{x.Rows()})[0]
+	k, n := centers.Rows(), x.Features()
 	assign := make([]int, x.Rows())
 	for i := range assign {
 		assign[i] = -1
@@ -191,29 +162,27 @@ func RunDistributed(c *mpi.Comm, x *la.Matrix, k int, threshold float64, maxIter
 	res := &Result{Assign: assign}
 	for res.Iters < maxIter {
 		changed, fl := AssignAll(x, centers, assign)
-		c.Charge(fl)
 		res.Flops += fl
 		res.Iters++
-		sums := make([]float64, k*n)
-		counts := make([]float64, k)
-		accumulate(x, assign, k, sums, counts)
-		c.Charge(float64(x.NNZ()))
-		// One fused allreduce: [sums | counts | changed].
-		payload := make([]float64, 0, k*n+k+1)
-		payload = append(payload, sums...)
-		payload = append(payload, counts...)
-		payload = append(payload, float64(changed))
-		payload = c.AllreduceSum(payload)
-		centers = rebuildCenters(centers, payload[:k*n], payload[k*n:k*n+k])
-		globalChanged := payload[k*n+k]
-		if globalChanged/float64(totalM) <= threshold {
+		payload := make([]float64, k*n+k+1)
+		Accumulate(x, assign, payload[:k*n])
+		for _, a := range assign {
+			payload[k*n+a]++
+		}
+		payload[k*n+k] = float64(changed)
+		if c == nil {
+			res.Flops += float64(x.NNZ())
+		} else {
+			c.Charge(fl)
+			c.Charge(float64(x.NNZ()))
+			payload = c.AllreduceSum(payload)
+		}
+		centers = Centroids(centers, payload[:k*n], payload[k*n:k*n+k])
+		if payload[k*n+k]/float64(total) <= threshold {
 			break
 		}
 	}
 	res.Centers = centers
-	res.Sizes = make([]int, k)
-	for _, cc := range assign {
-		res.Sizes[cc]++
-	}
+	res.Sizes = Sizes(assign, k)
 	return res
 }

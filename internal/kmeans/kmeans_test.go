@@ -267,3 +267,79 @@ func TestRunDistributedKLargerThanRankBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// sparseDrop returns x as CSR with about half of its entries dropped.
+func sparseDrop(rng *rand.Rand, x *la.Matrix) *la.Matrix {
+	m, n := x.Rows(), x.Features()
+	rp := make([]int32, m+1)
+	var ix []int32
+	var vx []float64
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				ix = append(ix, int32(j))
+				vx = append(vx, x.At(i, j))
+			}
+		}
+		rp[i+1] = int32(len(ix))
+	}
+	return la.NewSparse(m, n, rp, ix, vx)
+}
+
+// TestAssignAllMatchesScalar holds AssignAll to the scalar sweep it
+// replaced — one clamped ‖x‖² + ‖c‖² − 2·DotVec per (row, center) pair and a
+// strict-< argmin — on dense and sparse rows whose count is not a multiple
+// of la.SqDistEach's block.
+func TestAssignAllMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	de, _ := blobs(rng, 5, 27, 6, 2)
+	for _, x := range []*la.Matrix{de, sparseDrop(rng, de)} {
+		centers := Seed(x, 5, rng)
+		want := make([]int, x.Rows())
+		for i := range want {
+			best := math.Inf(1)
+			for c := 0; c < centers.Rows(); c++ {
+				d := x.SqNormRow(i) + centers.SqNormRow(c) - 2*x.DotVec(i, centers.DenseRow(c))
+				if d < 0 {
+					d = 0
+				}
+				if d < best {
+					best, want[i] = d, c
+				}
+			}
+		}
+		got := make([]int, x.Rows())
+		for i := range got {
+			got[i] = -1
+		}
+		changed, _ := AssignAll(x, centers, got)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("sparse=%v row %d: assigned %d, scalar %d", x.Sparse(), i, got[i], want[i])
+			}
+		}
+		if changed != x.Rows() {
+			t.Errorf("sparse=%v: %d of %d rows changed", x.Sparse(), changed, x.Rows())
+		}
+	}
+}
+
+// TestAssignAllTiesLowestIndex: a row equal to a center, and a center
+// duplicated at another index, go to the lowest index among the tied
+// centers — the rule Route, RouteAll and FCFS share (la.ArgMin).
+func TestAssignAllTiesLowestIndex(t *testing.T) {
+	a, b := []float64{0.3, -1.7, 2.2}, []float64{4.1, 0.6, -0.9}
+	var cdata, xdata []float64
+	for _, r := range [][]float64{a, b, b, a} {
+		cdata = append(cdata, r...)
+	}
+	for _, r := range [][]float64{b, a, b} {
+		xdata = append(xdata, r...)
+	}
+	x, centers := la.NewDense(3, 3, xdata), la.NewDense(4, 3, cdata)
+	assign := []int{-1, -1, -1}
+	AssignAll(x, centers, assign)
+	if assign[0] != 1 || assign[1] != 0 || assign[2] != 1 {
+		t.Errorf("assign %v, want [1 0 1]", assign)
+	}
+}

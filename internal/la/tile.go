@@ -1,5 +1,7 @@
 package la
 
+import "math"
+
 // Blocked-GEMM tile layer. Kernel matrices are rank-k products in disguise
 // — K = f(X·Zᵀ, ‖x‖², ‖z‖²) — so the dominant flops of both training scans
 // and batch prediction are blocks of inner products. This file computes
@@ -181,4 +183,79 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 			}
 		}
 	}
+}
+
+// SqDistTile computes the squared-distance block
+//
+//	dst[r*ld + (c-clo)] = max(0, ‖a_row(rows[r])‖² + ‖b_row(c)‖² − 2·<a_r, b_c>)
+//
+// for c in [clo, chi): one MulTile block finished with each matrix's norm
+// cache (EnsureNorms). It is the one nearest-center distance — Lloyd sweeps,
+// FCFS, balanced K-means and query routing — and the cross-matrix Gaussian
+// kernel's distance. The expression keeps the a-norm-first order, and the
+// clamp at 0 is the one rounding rule: a distance the identity rounds below
+// zero reads as zero. Each element is bit-identical to that expression over
+// the scalar dot MulTile matches for the storage pairing (DotVec when b is
+// dense). Same dst and ld contract as MulTile.
+func SqDistTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld int) {
+	if chi <= clo || len(rows) == 0 {
+		return
+	}
+	MulTile(a, rows, b, clo, chi, dst, ld)
+	a.EnsureNorms()
+	b.EnsureNorms()
+	bn := b.sqnorm[clo:chi]
+	for r, i := range rows {
+		ni := a.sqnorm[i]
+		out := dst[r*ld : r*ld+len(bn)]
+		for k, nc := range bn {
+			d := ni + nc - 2*out[k]
+			if d < 0 {
+				d = 0
+			}
+			out[k] = d
+		}
+	}
+}
+
+// distBlock is how many rows of a SqDistEach takes per SqDistTile call: the
+// scratch is one block of distances, and the b matrix is streamed once per
+// block instead of once per row. The b side is a handful of centers that
+// stays in cache, so four MulTile panels a block already amortise the call,
+// and the scratch stays small beside the caller's own allocations.
+const distBlock = 16
+
+// SqDistEach calls fn(i, d) for every row i of a in ascending order, with
+// d[c] the SqDistTile distance from row i to row c of b. d is scratch the
+// next call overwrites: fn must not keep it.
+func SqDistEach(a, b *Matrix, fn func(i int, d []float64)) {
+	m, k := a.Rows(), b.Rows()
+	if m == 0 || k == 0 {
+		return
+	}
+	rows := make([]int, 0, min(distBlock, m))
+	dst := make([]float64, cap(rows)*k)
+	for lo := 0; lo < m; lo += distBlock {
+		rows = rows[:0]
+		for i := lo; i < min(lo+distBlock, m); i++ {
+			rows = append(rows, i)
+		}
+		SqDistTile(a, rows, b, 0, k, dst, k)
+		for r, i := range rows {
+			fn(i, dst[r*k:r*k+k])
+		}
+	}
+}
+
+// ArgMin returns the index of the smallest value in d, the lowest index on a
+// tie, and 0 when no value is below +Inf (NaN never wins): the one
+// nearest-center rule.
+func ArgMin(d []float64) int {
+	best, bi := math.Inf(1), 0
+	for i, v := range d {
+		if v < best {
+			best, bi = v, i
+		}
+	}
+	return bi
 }

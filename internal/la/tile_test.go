@@ -1,6 +1,7 @@
 package la
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -128,6 +129,122 @@ func TestMulTileEmpty(t *testing.T) {
 	a := randDense(rand.New(rand.NewSource(36)), 3, 8)
 	MulTile(a, nil, a, 0, 3, nil, 3)      // no rows
 	MulTile(a, []int{0}, a, 2, 2, nil, 0) // empty column window
+}
+
+// sqDistRef is the scalar nearest-center distance SqDistTile replaced:
+// max(0, ‖a_i‖² + ‖b_c‖² − 2·dot), the dot being the scalar primitive of the
+// storage pairing (DotVec whenever b is dense).
+func sqDistRef(a *Matrix, i int, b *Matrix, c int, buf []float64) float64 {
+	return max(0, a.SqNormRow(i)+b.SqNormRow(c)-2*refDot(a, i, b, c, buf))
+}
+
+// TestSqDistTileMatchesScalar holds the distance block, and SqDistEach's
+// walk over it, to the scalar expression bit for bit in all four storage
+// pairings, at row counts around the 4-row panel and the 16-row walk block,
+// with column windows that start past 0 and ld wider than the window.
+func TestSqDistTileMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const n, k = 23, 7
+	for _, aSp := range []bool{false, true} {
+		for _, bSp := range []bool{false, true} {
+			for _, m := range []int{1, 4, 15, 16, 17, 63, 64, 65, 131} {
+				mk := func(rows int, sp bool) *Matrix {
+					if sp {
+						return randSparse(rng, rows, n, 0.35)
+					}
+					return randDense(rng, rows, n)
+				}
+				a, b := mk(m, aSp), mk(k, bSp)
+				buf := make([]float64, n)
+				rows := rng.Perm(m)
+				clo, chi := 1, k
+				ld := chi - clo + 2
+				dst := make([]float64, m*ld)
+				for i := range dst {
+					dst[i] = -1 // the padding past the window must stay untouched
+				}
+				SqDistTile(a, rows, b, clo, chi, dst, ld)
+				for r, i := range rows {
+					for c := clo; c < chi; c++ {
+						got, want := dst[r*ld+c-clo], sqDistRef(a, i, b, c, buf)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("aSp=%v bSp=%v m=%d row %d col %d: tile %v, scalar %v",
+								aSp, bSp, m, i, c, got, want)
+						}
+					}
+					for pad := chi - clo; pad < ld; pad++ {
+						if dst[r*ld+pad] != -1 {
+							t.Fatalf("aSp=%v bSp=%v m=%d: padding written", aSp, bSp, m)
+						}
+					}
+				}
+				next := 0
+				SqDistEach(a, b, func(i int, d []float64) {
+					if i != next || len(d) != k {
+						t.Fatalf("aSp=%v bSp=%v m=%d: visit %d with %d distances, want %d with %d",
+							aSp, bSp, m, i, len(d), next, k)
+					}
+					next++
+					for c, got := range d {
+						if want := sqDistRef(a, i, b, c, buf); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("aSp=%v bSp=%v m=%d: SqDistEach row %d col %d: %v, scalar %v",
+								aSp, bSp, m, i, c, got, want)
+						}
+					}
+				})
+				if next != m {
+					t.Fatalf("aSp=%v bSp=%v m=%d: SqDistEach visited %d rows", aSp, bSp, m, next)
+				}
+			}
+		}
+	}
+}
+
+// TestArgMinLowestIndex pins the one nearest-center rule: the smallest value
+// wins, a tie goes to the lowest index, NaN never wins, and a slice with
+// nothing below +Inf answers 0.
+func TestArgMinLowestIndex(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		d    []float64
+		want int
+	}{
+		{[]float64{3, 1, 2}, 1},
+		{[]float64{2, 0, 5, 0}, 1},
+		{[]float64{0, 0}, 0},
+		{[]float64{nan, 4, nan, 4}, 1},
+		{[]float64{inf, inf}, 0},
+		{[]float64{nan}, 0},
+	} {
+		if got := ArgMin(tc.d); got != tc.want {
+			t.Errorf("ArgMin(%v) = %d, want %d", tc.d, got, tc.want)
+		}
+	}
+}
+
+// TestSqDistTileClampsAtZero: between these two 1-feature points the norms
+// identity rounds to −4.4e-16. The clamp reads it as 0 in every pairing, so
+// a point ties at 0 with its exact copy, and ArgMin takes the lower index:
+// the copy, where the unclamped value would have picked the other point.
+func TestSqDistTileClampsAtZero(t *testing.T) {
+	p, q := 1.000000008468023, 1.000000016969414
+	if p*p+q*q-2*(p*q) >= 0 {
+		t.Fatal("the identity no longer rounds below zero here")
+	}
+	dense := NewDense(2, 1, []float64{p, q})
+	sparse := NewSparse(2, 1, []int32{0, 1, 2}, []int32{0, 0}, []float64{p, q})
+	for _, a := range []*Matrix{dense, sparse} {
+		for _, b := range []*Matrix{dense, sparse} {
+			d := make([]float64, 2)
+			SqDistTile(a, []int{0}, b, 0, 2, d, 2)
+			if math.Float64bits(d[0]) != 0 || math.Float64bits(d[1]) != 0 {
+				t.Errorf("aSp=%v bSp=%v: distances %v, want +0 +0", a.Sparse(), b.Sparse(), d)
+			}
+			if ArgMin(d) != 0 {
+				t.Errorf("aSp=%v bSp=%v: ArgMin %d, want 0", a.Sparse(), b.Sparse(), ArgMin(d))
+			}
+		}
+	}
 }
 
 // BenchmarkMulTile prices the blocked tile against the equivalent scalar

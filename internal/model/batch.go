@@ -1,10 +1,6 @@
 package model
 
-import (
-	"math"
-
-	"casvm/internal/la"
-)
+import "casvm/internal/la"
 
 // Batched prediction through the kernel tile engine. Classifying a query
 // block against the support vectors is a K(Q_blk, SV_blk) tile (one GEMM
@@ -106,43 +102,13 @@ func (m *Model) PredictAll(q *la.Matrix) []float64 {
 	return out
 }
 
-// RouteAll returns the nearest-center index for every row of q. The
-// query-center inner products come from one la.MulTile call per query
-// block, so the centroid matrix is streamed once per block instead of once
-// per query; the distance expression and strict-< argmin match Route
-// exactly, so the assignment is bit-identical.
+// RouteAll returns the nearest-center index for every row of q: Route's
+// distances and argmin, taken from one la.SqDistTile block per la.SqDistEach
+// block of queries, so the centroid matrix is streamed once per block instead
+// of once per query.
 func (s *Set) RouteAll(q *la.Matrix) []int {
-	nq := q.Rows()
-	out := make([]int, nq)
-	if nq == 0 {
-		return out
-	}
-	s.Centers.EnsureNorms()
-	np := s.Centers.Rows()
-	qb := min(qBlock, nq)
-	dots := make([]float64, qb*np)
-	rows := make([]int, 0, qb)
-	for qlo := 0; qlo < nq; qlo += qBlock {
-		qhi := qlo + qBlock
-		if qhi > nq {
-			qhi = nq
-		}
-		rows = rows[:0]
-		for i := qlo; i < qhi; i++ {
-			rows = append(rows, i)
-		}
-		la.MulTile(q, rows, s.Centers, 0, np, dots, np)
-		for r, qi := 0, qlo; qi < qhi; r, qi = r+1, qi+1 {
-			best, bi := math.Inf(1), 0
-			for c := 0; c < np; c++ {
-				d := q.SqNormRow(qi) + s.Centers.SqNormRow(c) - 2*dots[r*np+c]
-				if d < best {
-					best, bi = d, c
-				}
-			}
-			out[qi] = bi
-		}
-	}
+	out := make([]int, q.Rows())
+	la.SqDistEach(q, s.Centers, func(i int, d []float64) { out[i] = la.ArgMin(d) })
 	return out
 }
 

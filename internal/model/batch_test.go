@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -113,9 +114,23 @@ func TestPredictAllNoSVsFallback(t *testing.T) {
 	}
 }
 
-// TestRouteAllMatchesRouteBitwise checks the blocked centroid assignment
-// against per-row Route for dense and sparse queries, including a center
-// count of 1 and ties (duplicated centers must keep the strict-< winner).
+// routeRef is the scalar nearest-center loop: one clamped
+// ‖q‖² + ‖c‖² − 2·DotVec per center, strict-< from +Inf.
+func routeRef(s *Set, q *la.Matrix, qi int) int {
+	best, bi := math.Inf(1), 0
+	for c := 0; c < s.Centers.Rows(); c++ {
+		d := max(0, q.SqNormRow(qi)+s.Centers.SqNormRow(c)-2*q.DotVec(qi, s.Centers.DenseRow(c)))
+		if d < best {
+			best, bi = d, c
+		}
+	}
+	return bi
+}
+
+// TestRouteAllMatchesRouteBitwise checks the blocked centroid assignment and
+// per-row Route against the scalar loop for dense and sparse queries,
+// including a center count of 1 and ties (duplicated centers must keep the
+// strict-< winner).
 func TestRouteAllMatchesRouteBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	feats := 9
@@ -138,9 +153,37 @@ func TestRouteAllMatchesRouteBitwise(t *testing.T) {
 		for _, q := range []*la.Matrix{batchDense(rng, 131, feats), batchSparse(rng, 131, feats)} {
 			got := set.RouteAll(q)
 			for qi := range got {
-				if want := set.Route(q, qi); got[qi] != want {
-					t.Fatalf("np=%d: route[%d] %d != %d", np, qi, got[qi], want)
+				want := routeRef(set, q, qi)
+				if got[qi] != want {
+					t.Fatalf("np=%d: RouteAll[%d] %d, scalar %d", np, qi, got[qi], want)
 				}
+				if r := set.Route(q, qi); r != want {
+					t.Fatalf("np=%d: Route(%d) %d, scalar %d", np, qi, r, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRouteTiesLowestIndex: a query equal to a center, with that center
+// duplicated at a higher index, routes to the lowest index in Route and
+// RouteAll, dense and sparse. The distance is clamped at 0, which is new for
+// Route: it can change an argmin only when two centers with different values
+// both come out ≤ 0 for the same query, and then the lower index wins.
+func TestRouteTiesLowestIndex(t *testing.T) {
+	a, b := []float64{0.3, -1.7, 2.2}, []float64{4.1, 0.6, -0.9}
+	var cdata []float64
+	for _, r := range [][]float64{b, a, b, a} {
+		cdata = append(cdata, r...)
+	}
+	set := &Set{Centers: la.NewDense(4, 3, cdata)}
+	dense := la.NewDense(2, 3, append(append([]float64(nil), a...), b...))
+	sparse := la.NewSparse(2, 3, []int32{0, 3, 6}, []int32{0, 1, 2, 0, 1, 2}, dense.DenseRow(0)[:6])
+	for _, q := range []*la.Matrix{dense, sparse} {
+		all := set.RouteAll(q)
+		for qi, want := range []int{1, 0} {
+			if r := set.Route(q, qi); r != want || all[qi] != want {
+				t.Errorf("sparse=%v query %d: Route %d RouteAll %d, want %d", q.Sparse(), qi, r, all[qi], want)
 			}
 		}
 	}

@@ -114,17 +114,13 @@ func (s *Set) SetMeta(key, value string) {
 // P returns the number of partitions/models.
 func (s *Set) P() int { return len(s.Models) }
 
-// Route returns the index of the center nearest to row qi of q.
+// Route returns the index of the center nearest to row qi of q: la.ArgMin
+// over the row's la.SqDistTile distances, the lowest index on a tie.
 func (s *Set) Route(q *la.Matrix, qi int) int {
-	s.Centers.EnsureNorms()
-	best, bi := math.Inf(1), 0
-	for c := 0; c < s.Centers.Rows(); c++ {
-		d := q.SqNormRow(qi) + s.Centers.SqNormRow(c) - 2*q.DotVec(qi, s.Centers.DenseRow(c))
-		if d < best {
-			best, bi = d, c
-		}
-	}
-	return bi
+	np := s.Centers.Rows()
+	d := make([]float64, np)
+	la.SqDistTile(q, []int{qi}, s.Centers, 0, np, d, np)
+	return la.ArgMin(d)
 }
 
 // Predict routes row qi to its nearest center's model and classifies.

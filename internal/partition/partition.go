@@ -39,6 +39,34 @@ type Options struct {
 // ceilDiv returns ⌈a/b⌉.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// checkLabels refuses ratio balancing without one label per sample.
+func checkLabels(opts Options, y []float64, m int) error {
+	if opts.RatioBalanced && len(y) != m {
+		return fmt.Errorf("partition: ratio balancing needs %d labels, got %d", m, len(y))
+	}
+	return nil
+}
+
+// classes sorts m samples into the classes capacities are counted over: with
+// ratio balancing class 0 holds the positive samples and class 1 the rest,
+// otherwise every sample is class 1. Each class's per-center capacity is
+// ⌈max(count, 1)/p⌉, so at least one center always has room.
+func classes(y []float64, m, p int, ratio bool) (class func(i int) int, caps [2]int) {
+	class = func(i int) int {
+		if ratio && y[i] > 0 {
+			return 0
+		}
+		return 1
+	}
+	for i := range m {
+		caps[class(i)]++
+	}
+	for k, n := range caps {
+		caps[k] = ceilDiv(max(n, 1), p)
+	}
+	return class, caps
+}
+
 // FCFS implements Algorithm 3: greedy nearest-center assignment where a
 // node stops accepting samples once it holds ⌈m/P⌉ (per class when
 // ratio-balancing). y may be nil when opts.RatioBalanced is false. Centers
@@ -49,71 +77,38 @@ func FCFS(x *la.Matrix, y []float64, p int, opts Options, rng *rand.Rand) (*Resu
 	if p < 1 || p > m {
 		return nil, fmt.Errorf("partition: FCFS with p=%d, m=%d", p, m)
 	}
-	if opts.RatioBalanced && len(y) != m {
-		return nil, fmt.Errorf("partition: ratio balancing needs %d labels, got %d", m, len(y))
+	if err := checkLabels(opts, y, m); err != nil {
+		return nil, err
 	}
-	centers := kmeans.Seed(x, p, rng)
-	res := &Result{
-		Assign:  make([]int, m),
-		Centers: centers,
-		Sizes:   make([]int, p),
-	}
-	if opts.RatioBalanced {
-		mPos := 0
-		for _, v := range y {
-			if v > 0 {
-				mPos++
-			}
-		}
-		capPos := ceilDiv(mPos, p)
-		capNeg := ceilDiv(m-mPos, p)
-		posSizes := make([]int, p)
-		negSizes := make([]int, p)
-		for i := 0; i < m; i++ {
-			var sizes []int
-			var capacity int
-			if y[i] > 0 {
-				sizes, capacity = posSizes, capPos
-			} else {
-				sizes, capacity = negSizes, capNeg
-			}
-			j := nearestUnderloaded(x, i, centers, sizes, capacity)
-			sizes[j]++
-			res.Sizes[j]++
-			res.Assign[i] = j
-		}
-		res.Flops += float64(2 * m * p * x.Features())
-	} else {
-		capacity := ceilDiv(m, p)
-		for i := 0; i < m; i++ {
-			j := nearestUnderloaded(x, i, centers, res.Sizes, capacity)
-			res.Sizes[j]++
-			res.Assign[i] = j
-		}
-		res.Flops += float64(2 * m * p * x.Features())
-	}
+	res := &Result{Centers: kmeans.Seed(x, p, rng)}
+	walk(x, y, opts.RatioBalanced, res)
 	return res, nil
 }
 
-// nearestUnderloaded returns the closest center whose size is still below
-// capacity (Alg 3 lines 8–12). At least one center always qualifies because
-// capacity is ⌈quota⌉.
-func nearestUnderloaded(x *la.Matrix, i int, centers *la.Matrix, sizes []int, capacity int) int {
-	centers.EnsureNorms()
-	best, bi := math.Inf(1), -1
-	for j := 0; j < centers.Rows(); j++ {
-		if sizes[j] >= capacity {
-			continue
+// walk is FCFS's capacity walk (Alg 3 lines 6–14; Alg 4 lines 8–17 on a
+// rank's block): in sample order, each row of x goes to the nearest of
+// res.Centers still below its class's capacity (classes), the lowest index
+// on a tie. Distances come a block at a time from la.SqDistEach, since
+// capacities never change a distance. It fills Assign and Sizes and charges
+// 2·m·P·n flops.
+func walk(x *la.Matrix, y []float64, ratio bool, res *Result) {
+	m, p := x.Rows(), res.Centers.Rows()
+	class, caps := classes(y, m, p, ratio)
+	sizes := [2][]int{make([]int, p), make([]int, p)}
+	res.Assign, res.Sizes = make([]int, m), make([]int, p)
+	la.SqDistEach(x, res.Centers, func(i int, d []float64) {
+		k := class(i)
+		j := -1
+		for c, dc := range d {
+			if sizes[k][c] < caps[k] && (j < 0 || dc < d[j]) {
+				j = c
+			}
 		}
-		d := x.SqNormRow(i) + centers.SqNormRow(j) - 2*x.DotVec(i, centers.DenseRow(j))
-		if d < best {
-			best, bi = d, j
-		}
-	}
-	if bi < 0 {
-		panic("partition: no underloaded center (capacity accounting bug)")
-	}
-	return bi
+		sizes[k][j]++
+		res.Sizes[j]++
+		res.Assign[i] = j
+	})
+	res.Flops += float64(2 * m * p * x.Features())
 }
 
 // rebalance moves members of the sub-population selected by want from

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -189,7 +190,7 @@ func TestBalancedKMeans(t *testing.T) {
 	total := 0
 	for r := range assign {
 		checkCover(t, assign[r], p, per)
-		for c, s := range sizesOf(assign[r], p) {
+		for c, s := range kmeans.Sizes(assign[r], p) {
 			if s > capacity {
 				t.Errorf("rank %d node %d holds %d > cap %d", r, c, s, capacity)
 			}
@@ -420,4 +421,232 @@ func ClassCounts(y []float64, assign []int, p int) (pos, neg []int) {
 		}
 	}
 	return
+}
+
+// sparseDrop returns x as CSR with about half of its entries dropped.
+func sparseDrop(rng *rand.Rand, x *la.Matrix) *la.Matrix {
+	m, n := x.Rows(), x.Features()
+	rp := make([]int32, m+1)
+	var ix []int32
+	var vx []float64
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				ix = append(ix, int32(j))
+				vx = append(vx, x.At(i, j))
+			}
+		}
+		rp[i+1] = int32(len(ix))
+	}
+	return la.NewSparse(m, n, rp, ix, vx)
+}
+
+// fcfsStepRef is the scalar FCFS step the capacity walk replaced:
+// one unclamped ‖x‖² + ‖c‖² − 2·DotVec per center still below capacity,
+// strict-< from +Inf.
+func fcfsStepRef(x *la.Matrix, i int, centers *la.Matrix, sizes []int, capacity int) int {
+	best, bi := math.Inf(1), -1
+	for j := 0; j < centers.Rows(); j++ {
+		if sizes[j] >= capacity {
+			continue
+		}
+		d := x.SqNormRow(i) + centers.SqNormRow(j) - 2*x.DotVec(i, centers.DenseRow(j))
+		if d < best {
+			best, bi = d, j
+		}
+	}
+	return bi
+}
+
+// fcfsWalkRef is the sample-order walk over fcfsStepRef, with
+// capacity quota(count) for the whole block or, ratio-balancing, for each
+// class.
+func fcfsWalkRef(x *la.Matrix, y []float64, centers *la.Matrix, ratio bool, quota func(int) int) (assign, sizes []int) {
+	m, p := x.Rows(), centers.Rows()
+	mPos := 0
+	for _, v := range y {
+		if v > 0 {
+			mPos++
+		}
+	}
+	assign, sizes = make([]int, m), make([]int, p)
+	pos, neg := make([]int, p), make([]int, p)
+	for i := range m {
+		var j int
+		switch {
+		case !ratio:
+			j = fcfsStepRef(x, i, centers, sizes, quota(m))
+		case y[i] > 0:
+			j = fcfsStepRef(x, i, centers, pos, quota(mPos))
+			pos[j]++
+		default:
+			j = fcfsStepRef(x, i, centers, neg, quota(m-mPos))
+			neg[j]++
+		}
+		sizes[j]++
+		assign[i] = j
+	}
+	return assign, sizes
+}
+
+// fcfsCases are the shapes both FCFS equivalence tests run: dense and sparse
+// rows, ratio balancing off and on, 287 rows split over 5 centers, or 4 ranks
+// of 70 — neither a multiple of la.SqDistEach's 16-row block.
+func fcfsCases(rng *rand.Rand) (xs []*la.Matrix, y []float64) {
+	x, y := imbalancedBlobs(rng, 7, 41, 5, 6)
+	return []*la.Matrix{x, sparseDrop(rng, x)}, y
+}
+
+// TestFCFSMatchesScalarWalk holds FCFS to the scalar walk it replaced. The
+// clamp at 0 and the masked argmin can only differ from it when two centers
+// both come out ≤ 0 for one row, which these blobs never produce.
+func TestFCFSMatchesScalarWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	xs, y := fcfsCases(rng)
+	const p = 5
+	for _, x := range xs {
+		for _, ratio := range []bool{false, true} {
+			res, err := FCFS(x, y, p, Options{RatioBalanced: ratio}, rand.New(rand.NewSource(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			centers := kmeans.Seed(x, p, rand.New(rand.NewSource(5)))
+			assign, sizes := fcfsWalkRef(x, y, centers, ratio, func(n int) int { return ceilDiv(n, p) })
+			if !la.Equal(res.Centers, centers, 0) {
+				t.Fatalf("sparse=%v ratio=%v: centers are not the seed", x.Sparse(), ratio)
+			}
+			for i := range assign {
+				if res.Assign[i] != assign[i] {
+					t.Fatalf("sparse=%v ratio=%v row %d: node %d, scalar walk %d",
+						x.Sparse(), ratio, i, res.Assign[i], assign[i])
+				}
+			}
+			for j := range sizes {
+				if res.Sizes[j] != sizes[j] {
+					t.Fatalf("sparse=%v ratio=%v: sizes %v, scalar walk %v", x.Sparse(), ratio, res.Sizes, sizes)
+				}
+			}
+		}
+	}
+}
+
+// parallelFCFSRef is ParallelFCFS before the shared primitives: rank 0's
+// seed broadcast, the scalar walk at ⌈max(count, 1)/P⌉ per rank, and the
+// allreduced centroid rebuild.
+func parallelFCFSRef(c *mpi.Comm, local *la.Matrix, y []float64, ratio bool) ([]int, []int, *la.Matrix) {
+	p, n := c.Size(), local.Features()
+	var data []float64
+	if c.Rank() == 0 {
+		k := min(p, local.Rows())
+		seed := kmeans.Seed(local, k, c.RNG())
+		for i := 0; i < k; i++ {
+			data = append(data, seed.DenseRow(i)...)
+		}
+		for len(data) < p*n {
+			data = append(data, data[:n]...)
+		}
+	}
+	centers := la.NewDense(p, n, c.BcastF64(0, data))
+	assign, sizes := fcfsWalkRef(local, y, centers, ratio, func(m int) int { return ceilDiv(max(m, 1), p) })
+	sizes = c.AllreduceSumInt(sizes)
+	sums := make([]float64, p*n)
+	buf := make([]float64, n)
+	for i, j := range assign {
+		la.Axpy(1, local.RowInto(i, buf), sums[j*n:(j+1)*n])
+	}
+	sums = c.AllreduceSum(sums)
+	out := make([]float64, p*n)
+	for j := 0; j < p; j++ {
+		if sizes[j] == 0 {
+			copy(out[j*n:], centers.DenseRow(j))
+			continue
+		}
+		inv := 1 / float64(sizes[j])
+		for k := 0; k < n; k++ {
+			out[j*n+k] = sums[j*n+k] * inv
+		}
+	}
+	return assign, sizes, la.NewDense(p, n, out)
+}
+
+// TestParallelFCFSMatchesScalarWalk runs ParallelFCFS and its scalar
+// reference in two worlds with the same seed: every rank's assignment, the
+// global sizes and the rebuilt centers must agree bit for bit.
+func TestParallelFCFSMatchesScalarWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	xs, y := fcfsCases(rng)
+	const p, per = 4, 70
+	type out struct {
+		assign, sizes []int
+		centers       *la.Matrix
+	}
+	for _, x := range xs {
+		for _, ratio := range []bool{false, true} {
+			run := func(f func(c *mpi.Comm, lx *la.Matrix, ly []float64) out) []out {
+				outs := make([]out, p)
+				err := mpi.NewWorld(p, perfmodel.Hopper(), 3).Run(func(c *mpi.Comm) error {
+					lx, ly := rankBlock(x, y, c.Rank(), per)
+					outs[c.Rank()] = f(c, lx, ly)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return outs
+			}
+			got := run(func(c *mpi.Comm, lx *la.Matrix, ly []float64) out {
+				res, err := ParallelFCFS(c, lx, ly, Options{RatioBalanced: ratio})
+				if err != nil {
+					t.Error(err)
+					return out{}
+				}
+				return out{res.Assign, res.Sizes, res.Centers}
+			})
+			want := run(func(c *mpi.Comm, lx *la.Matrix, ly []float64) out {
+				a, s, ct := parallelFCFSRef(c, lx, ly, ratio)
+				return out{a, s, ct}
+			})
+			for r := range p {
+				g, w := got[r], want[r]
+				for i := range w.assign {
+					if g.assign[i] != w.assign[i] {
+						t.Fatalf("sparse=%v ratio=%v rank %d row %d: node %d, scalar walk %d",
+							x.Sparse(), ratio, r, i, g.assign[i], w.assign[i])
+					}
+				}
+				for j := range w.sizes {
+					if g.sizes[j] != w.sizes[j] {
+						t.Fatalf("sparse=%v ratio=%v rank %d: sizes %v, want %v", x.Sparse(), ratio, r, g.sizes, w.sizes)
+					}
+				}
+				if !la.Equal(g.centers, w.centers, 0) {
+					t.Fatalf("sparse=%v ratio=%v rank %d: centers differ from the scalar rebuild", x.Sparse(), ratio, r)
+				}
+			}
+		}
+	}
+}
+
+// TestFCFSTiesLowestIndex: rows equal to a center, against centers [a b b a],
+// go to the lowest-index tied center that still has room. The distance is
+// clamped at 0, which is new for FCFS: it can change an argmin only when two
+// centers with different values both come out ≤ 0 for the same row, and then
+// the lower index wins.
+func TestFCFSTiesLowestIndex(t *testing.T) {
+	a, b := []float64{0.3, -1.7, 2.2}, []float64{4.1, 0.6, -0.9}
+	var cdata, xdata []float64
+	for _, r := range [][]float64{a, b, b, a} {
+		cdata = append(cdata, r...)
+	}
+	for i := 0; i < 4; i++ {
+		xdata = append(append(xdata, b...), a...)
+	}
+	res := &Result{Centers: la.NewDense(4, 3, cdata)}
+	walk(la.NewDense(8, 3, xdata), nil, false, res) // capacity ⌈8/4⌉ = 2
+	want := []int{1, 0, 1, 0, 2, 3, 2, 3}
+	for i, j := range want {
+		if res.Assign[i] != j {
+			t.Fatalf("assign %v, want %v", res.Assign, want)
+		}
+	}
 }
