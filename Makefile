@@ -21,15 +21,17 @@ cross-vet:
 # prefetched solves against their references, the loop over a filled-column
 # exchange and the column update, the Dis-SMO pins,
 # Dot4, MulTile and the batch-prediction paths over them (DecisionAll,
-# RouteAll, Set.PredictAll/EvalAll), and the nearest-center distance block
+# RouteAll, Set.PredictAll/EvalAll), the nearest-center distance block
 # (la.SqDistTile, ArgMin) under Lloyd sweeps, FCFS, routing and CrossTile,
+# DotList and SqDistList under the lazy row fill and Dis-SMO's columns, the
+# whole-matrix fill, and the one kernel recipe across every fill (OneRecipe)
 # against their scalar references — with internal/la's four-lane kernels off,
 # so the portable loops must land on the same numbers
 # (TestVectorKernelsActive fails if the lanes stayed on).
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|SqDistList|WholeFill|OneRecipe
 lanes-off:
 	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model \
 		./internal/kmeans ./internal/partition ./internal/kernel
@@ -178,8 +180,9 @@ bench: bench-kernel
 # PredictAll vs the per-row loop it replaced (the mixed-storage cases are
 # the headline: the row path re-densifies the sparse side per support
 # vector), the two LIBSVM readers, and the Gaussian kernel's four-lane exp
-# and distance fill (ExpScaled, SqDistRows) against the scalar loops.
-KERNEL_BENCH = BenchmarkMulTile|BenchmarkCrossTile|BenchmarkPredictAll|BenchmarkLoadLIBSVM|BenchmarkExpScaled|BenchmarkSqDistRows
+# and its inner products of one row against listed rows (ExpScaled, DotList)
+# against the scalar loops.
+KERNEL_BENCH = BenchmarkMulTile|BenchmarkCrossTile|BenchmarkPredictAll|BenchmarkLoadLIBSVM|BenchmarkExpScaled|BenchmarkDotList
 KERNEL_BENCH_PKGS = ./internal/la ./internal/kernel ./internal/model ./internal/data
 bench-kernel:
 	$(GO) test $(KERNEL_BENCH_PKGS) -run '^$$' -bench '$(KERNEL_BENCH)' \

@@ -208,17 +208,17 @@ func appendClassCentroids(m *model.Model, idx []int, budget int, maxIter int, rn
 // (K_zz + λI)·w = K_zx·(αy) for the centroid weights. K_zz is symmetric
 // positive semi-definite for the kernels in use; a tiny relative ridge
 // keeps the Cholesky factorisation stable when centroids nearly coincide.
+// K_zz is one CrossTile block, each entry Eval's (and so symmetric bit for
+// bit).
 func reducedSetWeights(m *model.Model, z *la.Matrix) []float64 {
 	nz := z.Rows()
 	k := m.Kernel
-	kzz := make([]float64, nz*nz)
-	for i := 0; i < nz; i++ {
-		for j := i; j < nz; j++ {
-			v := k.Eval(z, i, z, j)
-			kzz[i*nz+j] = v
-			kzz[j*nz+i] = v
-		}
+	rows := make([]int, nz)
+	for i := range rows {
+		rows[i] = i
 	}
+	kzz := make([]float64, nz*nz)
+	k.CrossTile(z, rows, z, 0, nz, kzz, nz)
 	// λ scaled to the mean diagonal so the ridge is dimensionless.
 	trace := 0.0
 	for i := 0; i < nz; i++ {

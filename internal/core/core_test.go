@@ -139,27 +139,29 @@ func serialReference(t *testing.T, m int) (*data.Dataset, *smo.Result) {
 	return d, serial
 }
 
-// checkSerialTrajectory asserts that a Dis-SMO run on d took smo.Solve's
-// iterations and that its α agrees with smo.Solve's to within 4e-15.
+// checkSerialTrajectory asserts that a Dis-SMO run on d is smo.Solve's
+// solve bit for bit: its iterations, every α and the bias.
 func checkSerialTrajectory(t *testing.T, d *data.Dataset, serial *smo.Result, out *Output, m, p int) {
 	t.Helper()
 	if out.Stats.Iters != serial.Iters {
 		t.Errorf("m=%d p=%d: %d iterations, smo.Solve %d", m, p, out.Stats.Iters, serial.Iters)
 	}
 	for i, a := range fullAlpha(t, d, out.Set) {
-		if diff := math.Abs(a - serial.Alpha[i]); diff > 4e-15 {
-			t.Fatalf("m=%d p=%d: alpha[%d] %v, smo.Solve %v", m, p, i, a, serial.Alpha[i])
+		if diff := math.Abs(a - serial.Alpha[i]); diff > 0 {
+			t.Fatalf("m=%d p=%d: alpha[%d] %v, smo.Solve %v (off by %g)", m, p, i, a, serial.Alpha[i], diff)
 		}
+	}
+	if b := out.Set.Models[0].B; math.Float64bits(b) != math.Float64bits(serial.B) {
+		t.Errorf("m=%d p=%d: bias %v, smo.Solve %v", m, p, b, serial.B)
 	}
 }
 
 // TestDisSMOMatchesSerialSMO: on data already at the scatter's float32
-// precision, Dis-SMO is serial SMO's trajectory. The model is bit-identical
-// at every P; the iterations are smo.Solve's; and α agrees with smo.Solve's
-// to within 4e-15. The one divergence is K(high, low): Dis-SMO evaluates it
-// with Kernel.Eval's norms-and-dot form, where the serial solve reads it
-// from its kernel row, computed with SqDist. That moves α and the bias in
-// their last bits, never a pair choice.
+// precision, Dis-SMO is serial SMO, bit for bit. The model is identical at
+// every P, and its iterations, α and bias are smo.Solve's. Every kernel
+// value on both sides is Kernel.Eval's one recipe: the serial row cache's
+// entries, Dis-SMO's columns (CrossRow) and its K(high, low), which the pair
+// exchange evaluates from the two samples themselves.
 //
 // Flops are not compared. Dis-SMO fills each new kernel column in full
 // (FillColumn evaluates every entry), where the serial row cache copies each
@@ -187,7 +189,8 @@ func TestDisSMOMatchesSerialSMO(t *testing.T) {
 }
 
 // TestDisSMOSingleRankEqualsSerial: one rank is the serial solve with no
-// communication: zero bytes moved, smo.Solve's iterations and its α.
+// communication: zero bytes moved, smo.Solve's iterations, α and bias, bit
+// for bit.
 func TestDisSMOSingleRankEqualsSerial(t *testing.T) {
 	const m = 200
 	d, serial := serialReference(t, m)

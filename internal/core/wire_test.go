@@ -293,11 +293,11 @@ func TestGoldenFCFSCAOverPoisonedPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "7d82fdb38ac5b024d790c2633dc74b2162b069e762f50c29076e4d409ef392ce"
+	const want = "f57fcd063f9466c596dc1442c65066dd8691ec686ec995ca97c9f07bbd2b7dd6"
 	if h := hashOf(t, out); h != want {
 		t.Fatalf("model hash %s over a poisoned pool, want %s", h, want)
 	}
-	if out.Stats.Iters != 604 || out.Stats.TotalFlops != 1.6178788e+07 {
-		t.Fatalf("iters %d flops %v, want 604 and 1.6178788e+07", out.Stats.Iters, out.Stats.TotalFlops)
+	if out.Stats.Iters != 604 || out.Stats.TotalFlops != 1.6531327e+07 {
+		t.Fatalf("iters %d flops %v, want 604 and 1.6531327e+07", out.Stats.Iters, out.Stats.TotalFlops)
 	}
 }

@@ -11,11 +11,18 @@ import (
 // cache eliminates most kernel-row recomputation — the same optimisation
 // LIBSVM and the paper's shared-memory SMO rely on.
 //
-// A miss evaluates only what the cache does not already hold. K is symmetric
-// and every scalar recipe under it is symmetric bit for bit (see fill), so a
-// missing row i takes column j from the resident row j's entry i and
-// evaluates the columns whose rows are absent; with nothing resident that is
-// the whole row.
+// A cache whose capacity covers every row holds the whole kernel matrix, and
+// its first Row or PrefetchPair computes all of it at once (fillWhole): the
+// upper triangle in blocks of rows on the Dot4 panels, the lower one
+// mirrored. That is a CA-SVM rank's case — its m/P samples fit the default
+// capacity — and it evaluates each entry about once, where row-at-a-time
+// misses evaluate and copy most of the matrix piecemeal.
+//
+// A smaller cache fills lazily: a miss evaluates only what the cache does not
+// already hold. K is symmetric and every entry is symmetric bit for bit (see
+// fill), so a missing row i takes column j from the resident row j's entry i
+// and evaluates the columns whose rows are absent; with nothing resident that
+// is the whole row.
 //
 // Slots, LRU order and the chunked row storage are an lruSlab (shared with
 // ColumnCache), so a hit is two array reads and four link writes and a miss
@@ -44,8 +51,13 @@ type RowCache struct {
 	// kernel-row fill is the solver's dominant non-O(m) cost).
 	rec *trace.Recorder
 
-	// Preallocated fill scratch: the missing rows of the current call (at
-	// most two) with their slots' storage, and the columns fill evaluates.
+	// whole marks a cache whose capacity covers every row: it fills them all
+	// at its first miss (fillWhole) and never misses again until Release.
+	whole bool
+
+	// Preallocated lazy-fill scratch: the missing rows of the current call
+	// (at most two) with their slots' storage, and the columns fill
+	// evaluates. A whole cache has none.
 	missRows []int
 	missDst  [][]float64
 	cols     []int32
@@ -58,10 +70,11 @@ func (c *RowCache) SetRecorder(rec *trace.Recorder) { c.rec = rec }
 
 // NewRowCache creates a cache over the given matrix holding at most
 // capacity rows (minimum 2, since SMO needs the high and low rows live at
-// once). Row storage is taken from the chunk pool as misses land (lruSlab),
-// unzeroed, so a cache holds only about the rows a solve touches (a
-// casvm-dense rank fills ~70% of its capacity), a cache nothing reads holds
-// no rows, and a cache that follows a released one reuses its storage.
+// once). Row storage is taken from the chunk pool (lruSlab), unzeroed: all
+// of it at the first miss when the capacity covers every row, and as misses
+// land otherwise, so a smaller cache holds only about the rows a solve
+// touches. A cache nothing reads holds no rows, and a cache that follows a
+// released one reuses its storage.
 func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
 	if capacity < 2 {
 		capacity = 2
@@ -70,15 +83,19 @@ func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
 	if capacity > m && m >= 2 {
 		capacity = m
 	}
-	return &RowCache{
-		params:   p,
-		data:     data,
-		m:        m,
-		lru:      newLRUSlab(m, capacity, m),
-		missRows: make([]int, 0, 2),
-		missDst:  make([][]float64, 0, 2),
-		cols:     make([]int32, m),
+	c := &RowCache{
+		params: p,
+		data:   data,
+		m:      m,
+		lru:    newLRUSlab(m, capacity, m),
+		whole:  capacity >= m,
 	}
+	if !c.whole {
+		c.missRows = make([]int, 0, 2)
+		c.missDst = make([][]float64, 0, 2)
+		c.cols = make([]int32, m)
+	}
+	return c
 }
 
 // Row returns the kernel row K(i, ·) of length data.Rows(). The returned
@@ -89,6 +106,10 @@ func (c *RowCache) Row(i int) []float64 {
 	if s := c.lru.touch(i); s >= 0 {
 		c.hits++
 		return c.lru.row(s)
+	}
+	if c.whole {
+		c.fillWhole()
+		return c.lru.row(c.lru.touch(i))
 	}
 	c.missRows, c.missDst = c.missRows[:0], c.missDst[:0]
 	c.miss(i)
@@ -106,8 +127,17 @@ func (c *RowCache) Row(i int) []float64 {
 // equals the sequential one (K(i,j) is evaluated once either way) except in
 // a double miss whose second acquisition evicts: Row(i) would still find that
 // victim resident and copy its column, while the pair has evicted both
-// victims before it fills and evaluates that one entry more.
+// victims before it fills and evaluates that one entry more. On a whole
+// cache the pair's first call fills every row, as Row(i) would.
 func (c *RowCache) PrefetchPair(i, j int) {
+	if c.whole {
+		if c.lru.used == 0 {
+			c.fillWhole()
+		}
+		c.lru.touch(i)
+		c.lru.touch(j)
+		return
+	}
 	c.missRows, c.missDst = c.missRows[:0], c.missDst[:0]
 	if c.lru.touch(i) < 0 {
 		c.miss(i)
@@ -142,11 +172,10 @@ func (c *RowCache) miss(i int) {
 // resident together are all of [0, m). Column j of a missing row i is copied
 // from row j's entry i when row j is resident and complete — every slot but
 // the ones acquired in this call, a reused victim's included — and evaluated
-// otherwise. The copy is exact because each scalar recipe is symmetric bit
-// for bit: la.SqDist squares (a−b), and (b−a)² is the same float; la.Dot and
-// la.SpDot multiply the same pairs into the same accumulators in the same
-// order, and products commute; the sparse Gaussian adds the two norms before
-// subtracting 2·dot, and the sum commutes (TestKernelBitwiseSymmetric). A
+// otherwise. The copy is exact because Eval's recipe is symmetric bit for
+// bit: la.Dot and la.SpDot multiply the same pairs into the same accumulators
+// in the same order, and products commute; the Gaussian adds the two norms
+// before subtracting 2·dot, and the sum commutes (TestKernelBitwiseSymmetric). A
 // double miss evaluates K(i0, i1) once: both rows share every absent column
 // except i0 itself, which only row i0 still needs once K(i1, i0) is mirrored.
 //
@@ -202,6 +231,51 @@ func (c *RowCache) fill() {
 				d0[j], d1[j] = src[i0], src[i1]
 			}
 		}
+	}
+	c.rec.EndFlops(sp, f)
+	c.flops += f
+}
+
+// wholeBlock is how many rows fillWhole evaluates per CrossTile call: four
+// Dot4 panels, so every column row streamed serves sixteen entries, while the
+// block's own rows stay in L1.
+const wholeBlock = 16
+
+// fillWhole fills every row of an empty whole cache: m misses, slots acquired
+// in row order so that slot s holds row s. The upper triangle is evaluated in
+// blocks of up to wholeBlock consecutive rows, each one CrossTile over
+// columns [lo, m) written straight into the block's rows (ld = m; a block
+// never straddles a storage chunk, so its rows are back to back). That
+// evaluates a block's own lower triangle too; every column left of a block is
+// then copied from the rows above it, a block of destination rows per source
+// row. The copies are exact for the reason fill's are, every entry is
+// Eval's, and a pooled chunk's stale contents are all overwritten.
+//
+// Flops follow the work, as in fill: CrossTile's charge for every evaluated
+// entry, nothing for a copied one.
+func (c *RowCache) fillWhole() {
+	sp := c.rec.Begin(trace.CatKernel, "row-fill")
+	l, m := &c.lru, c.m
+	for i := range m {
+		l.acquire(i)
+	}
+	c.misses += int64(m)
+	var rows [wholeBlock]int
+	var dst [wholeBlock][]float64
+	var f float64
+	for lo := 0; lo < m; {
+		hi := min(lo+wholeBlock, (lo/int(l.chunkRows)+1)*int(l.chunkRows), m)
+		for k := range hi - lo {
+			rows[k] = lo + k
+			dst[k] = l.row(int32(lo + k))
+		}
+		f += c.params.CrossTile(c.data, rows[:hi-lo], c.data, lo, m, l.rowsFrom(int32(lo))[lo:], m)
+		for j := range lo {
+			for k, v := range l.row(int32(j))[lo:hi] {
+				dst[k][j] = v
+			}
+		}
+		lo = hi
 	}
 	c.rec.EndFlops(sp, f)
 	c.flops += f

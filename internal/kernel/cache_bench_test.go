@@ -43,21 +43,30 @@ func BenchmarkRowCache(b *testing.B) {
 	b.Run("sparse-cap64", func(b *testing.B) { run(b, sparse, 64) })
 
 	// One rank of casvm-dense: every row of a 450×32 block becomes resident,
-	// pair by pair in a seeded order, nothing evicted — so the k-th fill finds
-	// k rows to copy from. One op is the whole sweep.
-	b.Run("dense-fill-sweep", func(b *testing.B) {
-		x := denseMat(rng, 450, 32)
-		order := rng.Perm(450)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c := NewRowCache(RBF(0.1), x, 450)
-			b.StartTimer()
-			for k := 0; k < len(order); k += 2 {
-				c.PrefetchPair(order[k], order[k+1])
+	// pair by pair in a seeded order. One op is the whole sweep. At capacity
+	// 450 the cache is whole, so the first pair fills all of K; at 449 it
+	// fills lazily, nothing evicted until the last pair, so the k-th fill
+	// finds about k rows to copy from.
+	sweep := func(capacity int) func(b *testing.B) {
+		return func(b *testing.B) {
+			x := denseMat(rng, 450, 32)
+			order := rng.Perm(450)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := NewRowCache(RBF(0.1), x, capacity)
+				b.StartTimer()
+				for k := 0; k < len(order); k += 2 {
+					c.PrefetchPair(order[k], order[k+1])
+				}
+				b.StopTimer()
+				c.Release()
+				b.StartTimer()
 			}
 		}
-	})
+	}
+	b.Run("dense-fill-sweep", sweep(450))
+	b.Run("dense-fill-sweep-lazy", sweep(449))
 	// Eviction at a 64 KiB row stride (table3's largest single-node shape): a
 	// miss copies 1023 entries that sit one 8192-float row apart in a 64 MiB
 	// block and evaluates the other 7169 — where a strided copy is likeliest

@@ -130,20 +130,18 @@ func (p Params) degree() int {
 	return p.Degree
 }
 
-// fromDot finishes a kernel evaluation given the inner product (and, for
-// Gaussian, the squared distance).
-func (p Params) fromDot(dot, sqdist float64) float64 {
+// fromDot finishes a dot-product kernel — every kind but the Gaussian, whose
+// value needs the two norms as well (Eval) — from the inner product.
+func (p Params) fromDot(dot float64) float64 {
 	switch p.Kind {
 	case Linear:
 		return dot
 	case Polynomial:
 		return intPow(p.scaleA()*dot+p.Coef, p.degree())
-	case Gaussian:
-		return math.Exp(-p.Gamma * sqdist)
 	case Sigmoid:
 		return math.Tanh(p.scaleA()*dot + p.Coef)
 	default:
-		panic("kernel: invalid kind")
+		panic("kernel: fromDot of a Gaussian or invalid kind")
 	}
 }
 
@@ -158,40 +156,14 @@ func intPow(x float64, d int) float64 {
 	return r
 }
 
-// Eval computes K(row_i of a, row_j of b) where a and b may be the same
-// matrix. For the Gaussian kernel both matrices must have cached norms
-// (la.Matrix.EnsureNorms) or be dense.
+// Eval computes K(row_i of a, row_j of b), where a and b may be the same
+// matrix. It is the package's one scalar recipe: every fill, tile and column
+// here equals it bit for bit. The Gaussian kernel takes its distance from
+// the norms identity, la.SqDistOf over the matrices' norm caches (computed
+// on first use), whether or not a and b are the same matrix.
 func (p Params) Eval(a *la.Matrix, i int, b *la.Matrix, j int) float64 {
-	if p.Kind == Gaussian {
-		if a == b {
-			return math.Exp(-p.Gamma * a.SqDistRows(i, j))
-		}
-		// Cross-matrix distance via norms and dot.
-		a.EnsureNorms()
-		b.EnsureNorms()
-		var dot float64
-		if a.Sparse() && b.Sparse() {
-			ai, av := a.SparseRow(i)
-			bi, bv := b.SparseRow(j)
-			dot = la.SpDot(ai, av, bi, bv)
-		} else if !a.Sparse() && !b.Sparse() {
-			dot = la.Dot(a.DenseRow(i), b.DenseRow(j))
-		} else {
-			// Mixed: densify the b row into a pooled scratch buffer.
-			buf := getScratch(b.Features())
-			dot = a.DotVec(i, b.RowInto(j, *buf))
-			putScratch(buf)
-		}
-		d := a.SqNormRow(i) + b.SqNormRow(j) - 2*dot
-		if d < 0 {
-			d = 0
-		}
-		return math.Exp(-p.Gamma * d)
-	}
 	var dot float64
 	switch {
-	case a == b:
-		dot = a.DotRows(i, j)
 	case a.Sparse() && b.Sparse():
 		ai, av := a.SparseRow(i)
 		bi, bv := b.SparseRow(j)
@@ -199,23 +171,24 @@ func (p Params) Eval(a *la.Matrix, i int, b *la.Matrix, j int) float64 {
 	case !a.Sparse() && !b.Sparse():
 		dot = la.Dot(a.DenseRow(i), b.DenseRow(j))
 	default:
+		// Mixed: densify the b row into a pooled scratch buffer.
 		buf := getScratch(b.Features())
 		dot = a.DotVec(i, b.RowInto(j, *buf))
 		putScratch(buf)
 	}
-	return p.fromDot(dot, 0)
+	if p.Kind == Gaussian {
+		return math.Exp(-p.Gamma * la.SqDistOf(a.SqNormRow(i), b.SqNormRow(j), dot))
+	}
+	return p.fromDot(dot)
 }
 
 // CrossRow computes dst[i] = K(row_i of a, row_j of b) for every row of a,
 // where b may be a different matrix (e.g. a broadcast remote sample in
-// distributed SMO). Returns the flop count charged.
+// distributed SMO), each entry bit for bit Eval(a, i, b, j). Returns the
+// flop count charged.
 func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float64 {
 	m := a.Rows()
 	dst = dst[:m]
-	if p.Kind == Gaussian {
-		a.EnsureNorms()
-		b.EnsureNorms()
-	}
 	var nnzJ int
 	if b.Sparse() {
 		ji, _ := b.SparseRow(j)
@@ -230,36 +203,49 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 		dsts := [1][]float64{dst}
 		p.fillSparse(b, rows[:], a, nil, dsts[:])
 	case !a.Sparse() && !b.Sparse():
-		xj := b.DenseRow(j)
-		if p.Kind == Gaussian {
-			// SqDist is bitwise symmetric: SqDist(xj, a_i) is the scalar
-			// recipe's SqDist(a_i, xj).
-			la.SqDistRows(xj, a, nil, dst)
-			la.ExpScaled(dst, -p.Gamma)
-		} else {
-			for i := 0; i < m; i++ {
-				dst[i] = p.fromDot(la.Dot(a.DenseRow(i), xj), 0)
-			}
-		}
+		p.denseRow(b, j, a, nil, dst)
 	default:
 		// Mixed storage: densify the single b row once into pooled scratch.
 		buf := getScratch(b.Features())
 		xj := b.RowInto(j, *buf)
-		xjsq := la.SqNorm(xj)
-		for i := 0; i < m; i++ {
-			if p.Kind == Gaussian {
-				dst[i] = a.SqDistVec(i, xj, xjsq)
-			} else {
-				dst[i] = p.fromDot(a.DotVec(i, xj), 0)
-			}
-		}
-		if p.Kind == Gaussian {
-			la.ExpScaled(dst, -p.Gamma)
+		for i := range dst {
+			dst[i] = a.DotVec(i, xj)
 		}
 		putScratch(buf)
+		if p.Kind != Gaussian {
+			for i, dot := range dst {
+				dst[i] = p.fromDot(dot)
+			}
+			break
+		}
+		xsq := b.SqNormRow(j)
+		for i, dot := range dst {
+			dst[i] = la.SqDistOf(a.SqNormRow(i), xsq, dot)
+		}
+		la.ExpScaled(dst, -p.Gamma)
 	}
 	// Charge actual stored entries on the a side — a.NNZ() is m·Features()
 	// for dense but the true nonzero count for sparse, mirroring Tile's
 	// nnz-based accounting instead of the dense upper bound.
 	return float64(a.NNZ() + (nnzJ+1)*m)
+}
+
+// denseRow sets out[k] = K(row j of b, row rows[k] of a) (row k of a when rows
+// is nil) for dense a and b: one la.DotList pass, four rows of a per pass
+// where the lanes run, then the kernel's finish over the batch. Each entry is
+// Eval(a, rows[k], b, j) bit for bit: Dot and the sum of the two norms are
+// both symmetric in their operands.
+func (p Params) denseRow(b *la.Matrix, j int, a *la.Matrix, rows []int32, out []float64) {
+	if rows != nil {
+		out = out[:len(rows)]
+	}
+	if p.Kind == Gaussian {
+		la.SqDistList(b.DenseRow(j), b.SqNormRow(j), a, rows, out)
+		la.ExpScaled(out, -p.Gamma)
+		return
+	}
+	la.DotList(b.DenseRow(j), a, rows, out)
+	for k, dot := range out {
+		out[k] = p.fromDot(dot)
+	}
 }

@@ -7,35 +7,34 @@ import (
 )
 
 // Row is the tests' oracle for every fill in the package: the full kernel
-// row K(i, ·), one entry at a time straight through the scalar primitives
-// (la.SqDist, la.Dot, la.SpDot with the norms identity) with row i as the
-// first argument, sharing no loop with Tile, fillSparse or RowCache. It
-// returns Tile's flop formula over all m columns — what a fill with nothing
-// to copy charges.
+// row K(i, ·), one entry at a time straight through the scalar primitives —
+// la.Dot or la.SpDot, and for the Gaussian kernel the norms identity over
+// the row norms, Eval's recipe — with row i as the first argument, sharing
+// no loop with Tile, CrossTile, fillSparse or RowCache. It returns Tile's
+// flop formula over all m columns — what a fill with nothing to copy
+// charges.
 func (p Params) Row(a *la.Matrix, i int, dst []float64) float64 {
 	m := a.Rows()
 	nnz := a.Features()
 	for j := 0; j < m; j++ {
-		switch {
-		case !a.Sparse() && p.Kind == Gaussian:
-			dst[j] = math.Exp(-p.Gamma * la.SqDist(a.DenseRow(i), a.DenseRow(j)))
-		case !a.Sparse():
-			dst[j] = p.fromDot(la.Dot(a.DenseRow(i), a.DenseRow(j)), 0)
-		default:
+		var dot float64
+		if a.Sparse() {
 			ii, iv := a.SparseRow(i)
 			ji, jv := a.SparseRow(j)
 			nnz = len(ii)
-			dot := la.SpDot(ii, iv, ji, jv)
-			if p.Kind != Gaussian {
-				dst[j] = p.fromDot(dot, 0)
-				continue
-			}
-			d := a.SqNormRow(i) + a.SqNormRow(j) - 2*dot
-			if d < 0 {
-				d = 0
-			}
-			dst[j] = math.Exp(-p.Gamma * d)
+			dot = la.SpDot(ii, iv, ji, jv)
+		} else {
+			dot = la.Dot(a.DenseRow(i), a.DenseRow(j))
 		}
+		if p.Kind != Gaussian {
+			dst[j] = p.fromDot(dot)
+			continue
+		}
+		d := a.SqNormRow(i) + a.SqNormRow(j) - 2*dot
+		if d < 0 {
+			d = 0
+		}
+		dst[j] = math.Exp(-p.Gamma * d)
 	}
 	return float64(2*nnz*m + m)
 }

@@ -18,7 +18,7 @@ import "sync"
 // chunk — so a cache holds up to one array (128 KiB) more than its rows
 // need. A pooled chunk arrives holding whatever its last cache wrote; that
 // is safe because both fills write every entry of a row before anything
-// reads it (RowCache.fill, smo.Solver.FillColumn). Chunks are never moved
+// reads it (RowCache.fill and fillWhole, smo.Solver.FillColumn). Chunks are never moved
 // or copied, so a row's address is fixed from its first acquisition until
 // release. Once every slot has been handed out nothing here allocates: a
 // touch is two array reads and four link writes, an acquire reuses the LRU
@@ -78,6 +78,13 @@ func newLRUSlab(keys, capacity, rowLen int) lruSlab {
 func (l *lruSlab) row(s int32) []float64 {
 	c, r := uint32(s)/l.chunkRows, uint32(s)%l.chunkRows
 	return l.chunks[c][int(r)*l.rowLen : int(r+1)*l.rowLen]
+}
+
+// rowsFrom returns the storage of slot s's row and of the slots after it in
+// the same chunk, back to back, rowLen values each.
+func (l *lruSlab) rowsFrom(s int32) []float64 {
+	c, r := uint32(s)/l.chunkRows, uint32(s)%l.chunkRows
+	return l.chunks[c][int(r)*l.rowLen:]
 }
 
 // unlink detaches slot s from the LRU list.

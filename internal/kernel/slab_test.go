@@ -19,11 +19,13 @@ func (l *lruSlab) allocatedRows() int {
 // TestSlabGrowsAsRowsLand: a new cache holds no row storage, and after k
 // distinct misses it holds at least k rows and at most k rounded up to a
 // whole chunk — never more than its capacity, however the chunks divide it.
+// A cache whose capacity covers every row is the exception: its first miss
+// fills, and so allocates, every row.
 func TestSlabGrowsAsRowsLand(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	// 2048-value rows: 8 rows to a chunk, so the test crosses many chunks.
 	a := denseMat(rng, 2048, 3)
-	for _, capacity := range []int{2, 7, 8, 9, 100, 2048} {
+	for _, capacity := range []int{2, 7, 8, 9, 100, 2047, 2048} {
 		c := NewRowCache(RBF(0.5), a, capacity)
 		l := &c.lru
 		if got := l.allocatedRows(); got != 0 {
@@ -34,6 +36,9 @@ func TestSlabGrowsAsRowsLand(t *testing.T) {
 			c.Row(i)
 			k++ // distinct misses so far
 			got, most := l.allocatedRows(), min(capacity, (k+chunk-1)/chunk*chunk)
+			if capacity >= a.Rows() {
+				k, most = a.Rows(), a.Rows()
+			}
 			if got < k || got > most {
 				t.Fatalf("cap=%d chunk=%d: %d rows allocated after %d misses, want [%d, %d]",
 					capacity, chunk, got, k, k, most)

@@ -11,34 +11,35 @@ import (
 // block of K rows or a query×SV panel is one GEMM block plus an
 // elementwise finish, not len(rows) independent row scans.
 //
-// Two flavors exist because the repo has two bit-distinct row-at-a-time
-// paths and the golden E2E hashes pin both:
+// There is one recipe, Params.Eval's: the inner product of the storage
+// pairing's scalar dot (la.Dot, la.SpDot, la.SpDenseDot) and, for the
+// Gaussian kernel, exp(−γ·la.SqDistOf(‖a‖², ‖b‖², dot)), the norms identity.
+// Every entry each fill below writes is that value bit for bit, so a row
+// filled lazily, a row of a whole-filled RowCache, a Dis-SMO column
+// (CrossRow) and a batch-prediction tile (CrossTile) agree to the last bit.
+// The fills differ only in what they hold and stream:
 //
-//   - Tile is the training-scan recipe (dense Gaussian goes through
-//     la.SqDist, not the norms identity), over a list of columns of the
-//     training matrix itself. It is RowCache's one fill.
-//   - CrossTile matches Params.Eval elementwise (cross-matrix Gaussian
-//     always uses the norms identity) and feeds batch prediction.
+//   - Tile fills listed columns of rows of the training matrix itself, a
+//     row at a time against a chunk of columns (la.DotList, or la.SqDistList
+//     for the Gaussian: four columns a pass); it is RowCache's lazy fill.
+//   - CrossTile fills a contiguous block between two matrices (or one) on
+//     la.MulTile's Dot4 panels; it is RowCache's whole fill and batch
+//     prediction's tile.
 //
-// Every element keeps the exact summation order of the scalar call it
-// replaces, so results are bit-identical at every tile shape; the tile only
-// changes the memory access pattern.
+// Entries are bitwise symmetric — Dot, SpDot and the sum of the two norms
+// commute — so a cache may copy K(j, i) into K(i, j) instead of evaluating
+// it.
 
 // Tile fills dsts[r][c] with K(rows[r], c) for every column c listed in
-// cols, over the rows of a single training matrix, streaming each column row
-// once for all tile rows (a row-at-a-time fill streams the matrix once per
-// row). Entries of dsts outside cols are left alone — RowCache has copied
-// them from resident rows. Each dsts[r] must have length ≥ a.Rows().
-// Elementwise results are bit-identical to the scalar recipes (la.SqDist,
-// la.Dot, la.SpDot with the norms identity); the returned flop charge is
-// 2·nnz(row)·len(cols) + len(cols) per tile row.
+// cols, over the rows of a single training matrix. Entries of dsts outside
+// cols are left alone — RowCache has copied them from resident rows. Each
+// dsts[r] must have length ≥ a.Rows(). Elementwise results are Eval's bit
+// for bit; the returned flop charge is 2·nnz(row)·len(cols) + len(cols) per
+// tile row.
 func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) float64 {
 	n := len(cols)
 	if len(rows) == 0 || n == 0 {
 		return 0
-	}
-	if p.Kind == Gaussian {
-		a.EnsureNorms() // fillSparse reads the row norms
 	}
 	if a.Sparse() {
 		for base := 0; base < len(rows); base += tileRowBlock {
@@ -66,55 +67,26 @@ func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) f
 // short rows, which is exactly the single-row fill of a training scan.
 const tileRowBlock = 8
 
-// fillChunk is how many Gaussian kernel elements per tile row a fill
-// computes as distances into a stack buffer before finishing them with one
-// la.ExpScaled call: enough to amortise the call, small enough that a
+// fillChunk is how many kernel elements per tile row a fill computes into a
+// stack buffer before finishing them in one batch (one la.ExpScaled call for
+// the Gaussian kernel): enough to amortise the call, small enough that a
 // sparse block's tileRowBlock buffers (8 KiB) stay in L1.
 const fillChunk = 128
 
-// tileCols fills the listed columns of every tile row of a dense matrix. The
-// column row j is loaded once and evaluated against all tile rows
-// (column-outer order; the Gaussian kernel goes a chunk of columns at a
-// time), with the tile row as the first argument of the dot/distance
-// primitive — which, both being bitwise symmetric, is the value the column's
-// own row holds at the tile row's index.
+// tileCols fills the listed columns of every tile row of a dense matrix, a
+// chunk of columns at a time so the chunk's rows stay cache-resident across
+// the tile rows: one denseRow into a stack buffer, then a scatter.
 func (p Params) tileCols(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) {
-	for base := 0; base < len(rows); base += tileRowBlock {
-		n := len(rows) - base
-		if n > tileRowBlock {
-			n = tileRowBlock
-		}
-		p.tileColsBlock(a, rows[base:base+n], dsts[base:base+n], cols)
-	}
-}
-
-func (p Params) tileColsBlock(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) {
-	if p.Kind == Gaussian {
-		// A chunk of columns at a time, so its rows stay cache-resident
-		// across the tile rows: distances into d, one batched exp, scatter.
-		var d [fillChunk]float64
-		for lo := 0; lo < len(cols); lo += fillChunk {
-			chunk := cols[lo:min(lo+fillChunk, len(cols))]
-			out := d[:len(chunk)]
-			for r, i := range rows {
-				la.SqDistRows(a.DenseRow(i), a, chunk, out)
-				la.ExpScaled(out, -p.Gamma)
-				dst := dsts[r]
-				for k, j := range chunk {
-					dst[j] = out[k]
-				}
+	var d [fillChunk]float64
+	for lo := 0; lo < len(cols); lo += fillChunk {
+		chunk := cols[lo:min(lo+fillChunk, len(cols))]
+		out := d[:len(chunk)]
+		for r, i := range rows {
+			p.denseRow(a, i, a, chunk, out)
+			dst := dsts[r]
+			for k, j := range chunk {
+				dst[j] = out[k]
 			}
-		}
-		return
-	}
-	var xr [tileRowBlock][]float64
-	for r, i := range rows {
-		xr[r] = a.DenseRow(i)
-	}
-	for _, j := range cols {
-		xj := a.DenseRow(int(j))
-		for r := range rows {
-			dsts[r][j] = p.fromDot(la.Dot(xr[r], xj), 0)
 		}
 	}
 }
@@ -139,8 +111,7 @@ var sparseBlocks = sync.Pool{New: func() any { return new(sparseBlock) }}
 // bit-identical to the la.SpDot the scalar paths evaluate (which is bitwise
 // symmetric, so which side is scattered does not matter). Tile passes
 // src == cols and its column list; CrossRow passes the matrix holding the one
-// remote row as src and no list. Gaussian callers have ensured norms on both
-// matrices.
+// remote row as src and no list.
 func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, at []int32, dsts [][]float64) {
 	sb := sparseBlocks.Get().(*sparseBlock)
 	width := max(src.Features(), cols.Features())
@@ -161,7 +132,8 @@ func (p Params) fillSparse(src *la.Matrix, rows []int, cols *la.Matrix, at []int
 }
 
 // sparseCols fills the columns at lists (every column of cols when at is nil)
-// of the block's first n rows, column-outer like tileCols.
+// of the block's first n rows, column-outer: each column row is read once for
+// all the block's rows.
 func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32) {
 	rows, dsts := sb.row[:n], sb.dst[:n]
 	m := cols.Rows()
@@ -179,7 +151,7 @@ func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32) 
 			j := col(k)
 			ji, jv := cols.SparseRow(j)
 			for r := range rows {
-				dsts[r][j] = p.fromDot(rows[r].Dot(ji, jv), 0)
+				dsts[r][j] = p.fromDot(rows[r].Dot(ji, jv))
 			}
 		}
 		return
@@ -192,11 +164,7 @@ func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32) 
 			ji, jv := cols.SparseRow(j)
 			nj := cols.SqNormRow(j)
 			for r := range rows {
-				v := sb.sq[r] + nj - 2*rows[r].Dot(ji, jv)
-				if v < 0 {
-					v = 0
-				}
-				d[r][k] = v
+				d[r][k] = la.SqDistOf(sb.sq[r], nj, rows[r].Dot(ji, jv))
 			}
 		}
 		for r := range rows {
@@ -212,9 +180,8 @@ func (p Params) sparseCols(sb *sparseBlock, n int, cols *la.Matrix, at []int32) 
 // CrossTile fills dst[r*ld + (c-clo)] = K(rows[r] of a, c of b) for
 // c in [clo, chi), computing the whole block with one la.MulTile call — one
 // la.SqDistTile call for the Gaussian kernel — and finishing elementwise.
-// Every element is bit-identical to Params.Eval(a, rows[r], b, c): the
-// cross-matrix Gaussian path always goes through the clamped norms identity,
-// like Eval. a and b may be the same matrix.
+// Every element is bit-identical to Params.Eval(a, rows[r], b, c). a and b
+// may be the same matrix.
 //
 // dst must have length ≥ (len(rows)-1)*ld + (chi-clo) and ld ≥ chi-clo.
 // The returned flop charge follows Row-style accounting per tile row:
@@ -234,7 +201,7 @@ func (p Params) CrossTile(a *la.Matrix, rows []int, b *la.Matrix, clo, chi int, 
 		out := dst[r*ld : r*ld+w]
 		if p.Kind != Gaussian {
 			for k, dot := range out {
-				out[k] = p.fromDot(dot, 0)
+				out[k] = p.fromDot(dot)
 			}
 		} else if ld != w {
 			la.ExpScaled(out, -p.Gamma)

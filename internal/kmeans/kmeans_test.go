@@ -3,6 +3,7 @@ package kmeans
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"casvm/internal/la"
@@ -64,7 +65,7 @@ func TestSeed(t *testing.T) {
 	for c := 0; c < 5; c++ {
 		found := false
 		for i := 0; i < x.Rows(); i++ {
-			if la.SqDist(s.DenseRow(c), x.DenseRow(i)) == 0 {
+			if slices.Equal(s.DenseRow(c), x.DenseRow(i)) {
 				found = true
 				break
 			}
@@ -116,7 +117,10 @@ func TestRunObjectiveDecreases(t *testing.T) {
 		var s float64
 		buf := make([]float64, x.Features())
 		for i := 0; i < x.Rows(); i++ {
-			s += la.SqDist(x.RowInto(i, buf), centers.DenseRow(assign[i]))
+			for j, v := range x.RowInto(i, buf) {
+				d := v - centers.At(assign[i], j)
+				s += d * d
+			}
 		}
 		return s
 	}

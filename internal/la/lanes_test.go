@@ -11,50 +11,27 @@ import (
 	"testing"
 )
 
-// ExpScaled, SqDistRows and UpdateScan promise the scalar results bit for
-// bit, on the four-lane path and the portable one alike, so every comparison
-// here is same: math.Float64bits equality, NaN payloads aside.
+// ExpScaled, DotList and UpdateScan promise the scalar results bit for bit,
+// on the four-lane path and the portable one alike, so every comparison here
+// is same: math.Float64bits equality, NaN payloads aside.
 
 // same reports whether got is want bit for bit, counting any two NaNs as the
 // same: which operand's payload a NaN sum carries depends on how the compiler
-// orders a commutative add, which Go leaves open — a fuzzing build of SqDist
-// itself returns another payload than a plain one
-// (testdata/fuzz/FuzzSqDistRows/2ea1eb461fbf213d).
+// orders a commutative add, which Go leaves open — a fuzzing build of the
+// scalar loops returns another payload than a plain one
+// (testdata/fuzz/FuzzDotList/2ea1eb461fbf213d).
 func same(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
 }
 
-// referenceSqDist is SqDist as written before it consumed its prefixes four
-// at a time: the oracle for that rewrite.
+// referenceSqDist is the one distance recipe written out from scratch: the
+// two norms by Dot, their sum, less twice the dot, clamped at zero.
 func referenceSqDist(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	d := Dot(a, a) + Dot(b, b) - 2*Dot(a, b)
+	if d < 0 {
+		d = 0
 	}
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < n; i++ {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	for ; i < len(a); i++ {
-		s += a[i] * a[i]
-	}
-	for i = n; i < len(b); i++ {
-		s += b[i] * b[i]
-	}
-	return s
+	return d
 }
 
 // specials are the arguments where exp leaves its ordinary branch or an
@@ -141,7 +118,7 @@ func unalignedDense(rng *rand.Rand, m, n int) *Matrix {
 	return NewDense(m, n, data[1:])
 }
 
-func checkSqDistRows(t *testing.T, x []float64, m *Matrix, rows []int32) {
+func checkDotList(t *testing.T, x []float64, m *Matrix, rows []int32) {
 	t.Helper()
 	n := len(rows)
 	if rows == nil {
@@ -149,26 +126,48 @@ func checkSqDistRows(t *testing.T, x []float64, m *Matrix, rows []int32) {
 	}
 	out := make([]float64, n+1)
 	out[n] = 42
-	SqDistRows(x, m, rows, out[:n])
+	DotList(x, m, rows, out[:n])
 	for k := 0; k < n; k++ {
 		i := k
 		if rows != nil {
 			i = int(rows[k])
 		}
-		want := SqDist(x, m.DenseRow(i))
+		want := Dot(x, m.DenseRow(i))
 		if !same(out[k], want) {
-			t.Fatalf("features=%d len(x)=%d row %d: SqDistRows %v, SqDist %v", m.Features(), len(x), i, out[k], want)
+			t.Fatalf("features=%d len(x)=%d row %d: DotList %v, Dot %v", m.Features(), len(x), i, out[k], want)
 		}
 	}
 	if out[n] != 42 {
-		t.Fatalf("SqDistRows wrote past its %d outputs", n)
+		t.Fatalf("DotList wrote past its %d outputs", n)
+	}
+	// The distance form: the same dots finished in the lanes.
+	xsq := SqNorm(x)
+	SqDistList(x, xsq, m, rows, out[:n])
+	for k := 0; k < n; k++ {
+		i := k
+		if rows != nil {
+			i = int(rows[k])
+		}
+		want := SqDistOf(xsq, m.SqNormRow(i), Dot(x, m.DenseRow(i)))
+		if !same(out[k], want) {
+			t.Fatalf("features=%d len(x)=%d row %d: SqDistList %v, SqDistOf %v", m.Features(), len(x), i, out[k], want)
+		}
+	}
+	if out[n] != 42 {
+		t.Fatalf("SqDistList wrote past its %d outputs", n)
 	}
 }
 
-func TestSqDistRowsMatchesSqDist(t *testing.T) {
+// TestDotListMatchesDot: DotList against Dot and SqDistList against
+// SqDistOf over Dot, at every row width 0–67 (each len%4 tail, lanes or
+// not), listed rows in every count mod 4 (each leftover-row count after the
+// quads), all rows, no rows, misaligned storage, overflow and poison values
+// (NaN and ±Inf distances, a clamp at zero for a row against itself), and a
+// vector shorter or longer than the rows.
+func TestDotListMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31, 32, 33} {
-		m := unalignedDense(rng, 40, n)
+	for n := 0; n <= 67; n++ {
+		m := unalignedDense(rng, 41, n)
 		if n > 0 {
 			// Values that overflow an accumulator or poison it.
 			m.DenseRow(3)[n-1] = 1e300
@@ -181,37 +180,76 @@ func TestSqDistRowsMatchesSqDist(t *testing.T) {
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
-			rows := make([]int32, 100)
+			rows := make([]int32, 103)
 			for k := range rows {
 				rows[k] = int32(rng.Intn(m.Rows()))
 			}
-			checkSqDistRows(t, x, m, rows)
-			checkSqDistRows(t, x, m, nil)
-			checkSqDistRows(t, x, m, []int32{})
-			// A vector shorter or longer than the rows: SqDist's zero-padding.
-			checkSqDistRows(t, append(x[:len(x):len(x)], 2.5), m, rows[:9])
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 103} {
+				checkDotList(t, x, m, rows[:k])
+			}
+			checkDotList(t, x, m, nil)
+			checkDotList(t, x, m, []int32{})
+			// A vector shorter or longer than the rows: Dot's common prefix.
+			checkDotList(t, append(x[:len(x):len(x)], 2.5), m, rows[:9])
 			if n > 0 {
-				checkSqDistRows(t, x[:n-1], m, rows[:9])
+				checkDotList(t, x[:n-1], m, rows[:9])
 			}
 		}
 	}
 }
 
-// TestSqDistRowsIndexOutOfRange: a row outside the matrix panics, as
-// DenseRow does, wherever it sits in a pair of the lanes.
-func TestSqDistRowsIndexOutOfRange(t *testing.T) {
+// TestSqDistListClampsAtZero: a pair whose identity rounds below zero reads
+// +0 in the lanes' quads and single rows alike, as SqDistOf clamps it.
+func TestSqDistListClampsAtZero(t *testing.T) {
+	p, q := 1.000000008468023, 1.000000016969414
+	m := NewDense(2, 1, []float64{p, q})
+	x := []float64{p}
+	out := make([]float64, 7)
+	SqDistList(x, p*p, m, []int32{1, 0, 1, 1, 0, 1, 1}, out)
+	for k, v := range out {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("distance %d: %v, want +0", k, v)
+		}
+	}
+}
+
+// TestDotListIndexOutOfRange: a row outside the matrix panics, as DenseRow
+// does, wherever it sits in a quad of the lanes or after one; the lanes stop
+// at it having set every output before it.
+func TestDotListIndexOutOfRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := unalignedDense(rng, 10, 8)
 	x := m.DenseRow(0)
-	for _, rows := range [][]int32{{10}, {0, 10}, {10, 0}, {1, 2, -1}, {3, 4, 5, 6, 1 << 30}} {
+	for _, rows := range [][]int32{{10}, {0, 10}, {10, 0}, {1, 2, -1}, {3, 4, 5, 6, 1 << 30},
+		{1, 2, 3, 10, 4}, {1, 2, 3, 4, 5, 6, 7, 8, 9, -5}} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("rows %v of a 10-row matrix: no panic", rows)
 				}
 			}()
-			SqDistRows(x, m, rows, make([]float64, len(rows)))
+			DotList(x, m, rows, make([]float64, len(rows)))
 		}()
+		if !vectorKernels {
+			continue
+		}
+		out := make([]float64, len(rows))
+		bad := 0
+		for bad < len(rows) && rows[bad] >= 0 && rows[bad] < 10 {
+			bad++
+		}
+		if k := dotRowsVec(x, m.dense, m.Rows(), rows, out, nil, 0); k != bad {
+			t.Errorf("rows %v: the lanes set %d outputs, want the %d before the bad index", rows, k, bad)
+		}
+		m.EnsureNorms()
+		if k := dotRowsVec(x, m.dense, m.Rows(), rows, make([]float64, len(rows)), m.sqnorm, 1); k != bad {
+			t.Errorf("rows %v with norms: the lanes set %d outputs, want the %d before the bad index", rows, k, bad)
+		}
+		for k := range bad {
+			if want := Dot(x, m.DenseRow(int(rows[k]))); !same(out[k], want) {
+				t.Errorf("rows %v: output %d is %v before the bad index, Dot %v", rows, k, out[k], want)
+			}
+		}
 	}
 	func() {
 		defer func() {
@@ -219,14 +257,17 @@ func TestSqDistRowsIndexOutOfRange(t *testing.T) {
 				t.Error("nil rows with 11 outputs on a 10-row matrix: no panic")
 			}
 		}()
-		SqDistRows(x, m, nil, make([]float64, 11))
+		DotList(x, m, nil, make([]float64, 11))
 	}()
 }
 
+// TestSqDistMatchesReference: SqDistList and SqDistTile give the recipe
+// written out from scratch bit for bit, at every length and with specials.
 func TestSqDistMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 5000; trial++ {
-		a, b := make([]float64, rng.Intn(20)), make([]float64, rng.Intn(20))
+		n := rng.Intn(20)
+		a, b := make([]float64, n), make([]float64, n)
 		for _, v := range [][]float64{a, b} {
 			for i := range v {
 				v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
@@ -235,8 +276,14 @@ func TestSqDistMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if got, want := SqDist(a, b), referenceSqDist(a, b); !same(got, want) {
-			t.Fatalf("SqDist(%v, %v) = %v, reference %v", a, b, got, want)
+		want := referenceSqDist(a, b)
+		if got := sqDist(a, b); !same(got, want) {
+			t.Fatalf("SqDistList(%v, %v) = %v, reference %v", a, b, got, want)
+		}
+		var tile [1]float64
+		SqDistTile(NewDense(1, n, a), []int{0}, NewDense(1, n, b), 0, 1, tile[:], 1)
+		if !same(tile[0], want) {
+			t.Fatalf("SqDistTile(%v, %v) = %v, reference %v", a, b, tile[0], want)
 		}
 	}
 }
@@ -312,7 +359,7 @@ func TestProbeRejectsNonFMAExp(t *testing.T) {
 		t.Skip("needs AVX2+FMA and a process without GODEBUG settings")
 	}
 	cmd := exec.Command(os.Args[0], "-test.count=1",
-		"-test.run=^(TestVectorKernelsActive|TestExpScaledMatchesExp|TestSqDistRowsMatchesSqDist|TestUpdateScan.*)$")
+		"-test.run=^(TestVectorKernelsActive|TestExpScaledMatchesExp|TestDotListMatchesDot|TestUpdateScan.*)$")
 	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("under GODEBUG=cpu.fma=off: %v\n%s", err, out)
@@ -349,10 +396,10 @@ func FuzzExpScaled(f *testing.F) {
 	})
 }
 
-// FuzzSqDistRows holds SqDistRows to SqDist bitwise: raw fills a matrix of
+// FuzzDotList holds DotList to Dot bitwise: raw fills a matrix of
 // features%12 columns, x is its first row shifted by offset%3 floats, and
 // pick lists the rows.
-func FuzzSqDistRows(f *testing.F) {
+func FuzzDotList(f *testing.F) {
 	f.Add(bytesOf(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), uint8(4), uint8(0), []byte{0, 1, 2, 2})
 	f.Add(bytesOf(specials...), uint8(5), uint8(1), []byte{1, 0})
 	f.Add(bytesOf(0.5, -1, 1e300, 3, 4, 5, 6, 7, 8), uint8(9), uint8(2), []byte{0})
@@ -370,8 +417,8 @@ func FuzzSqDistRows(f *testing.F) {
 		for k, b := range pick {
 			rows[k] = int32(int(b) % rowsN)
 		}
-		checkSqDistRows(t, x, m, rows)
-		checkSqDistRows(t, x, m, nil)
+		checkDotList(t, x, m, rows)
+		checkDotList(t, x, m, nil)
 	})
 }
 
@@ -685,9 +732,9 @@ func BenchmarkExpScaled(b *testing.B) {
 	})
 }
 
-// BenchmarkSqDistRows prices one dense RowCache fill's distances — a row
-// against every row of a 450×32 block — against the SqDist loop.
-func BenchmarkSqDistRows(b *testing.B) {
+// BenchmarkDotList prices one dense RowCache fill's inner products — a row
+// against every row of a 450×32 block — against the Dot loop.
+func BenchmarkDotList(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	m := unalignedDense(rng, 450, 32)
 	rows := make([]int32, m.Rows())
@@ -699,14 +746,14 @@ func BenchmarkSqDistRows(b *testing.B) {
 	b.Run("lanes", func(b *testing.B) {
 		b.SetBytes(int64(8 * len(rows) * 32))
 		for i := 0; i < b.N; i++ {
-			SqDistRows(x, m, rows, out)
+			DotList(x, m, rows, out)
 		}
 	})
-	b.Run("sqdist", func(b *testing.B) {
+	b.Run("dot", func(b *testing.B) {
 		b.SetBytes(int64(8 * len(rows) * 32))
 		for i := 0; i < b.N; i++ {
 			for k, r := range rows {
-				out[k] = SqDist(x, m.DenseRow(int(r)))
+				out[k] = Dot(x, m.DenseRow(int(r)))
 			}
 		}
 	})

@@ -124,9 +124,8 @@ func (a *Matrix) At(i, j int) float64 {
 	return 0
 }
 
-// EnsureNorms computes and caches the squared norm of every row. It must be
-// called before SqDistRows / SqDistVec on sparse matrices; dense matrices
-// also benefit. It is idempotent.
+// EnsureNorms computes and caches the squared norm of every row, the norms
+// every squared distance (SqDistOf) takes. It is idempotent.
 func (a *Matrix) EnsureNorms() {
 	if a.sqnorm != nil {
 		return
@@ -149,16 +148,6 @@ func (a *Matrix) SqNormRow(i int) float64 {
 	return a.sqnorm[i]
 }
 
-// DotRows returns <row_i, row_j>.
-func (a *Matrix) DotRows(i, j int) float64 {
-	if a.sparse {
-		ii, iv := a.SparseRow(i)
-		ji, jv := a.SparseRow(j)
-		return SpDot(ii, iv, ji, jv)
-	}
-	return Dot(a.DenseRow(i), a.DenseRow(j))
-}
-
 // DotVec returns <row_i, x> where x is dense (length n).
 func (a *Matrix) DotVec(i int, x []float64) float64 {
 	if a.sparse {
@@ -166,32 +155,6 @@ func (a *Matrix) DotVec(i int, x []float64) float64 {
 		return SpDenseDot(ix, vx, x)
 	}
 	return Dot(a.DenseRow(i), x)
-}
-
-// SqDistRows returns ||row_i − row_j||², using cached norms when available.
-func (a *Matrix) SqDistRows(i, j int) float64 {
-	if a.sqnorm != nil {
-		d := a.sqnorm[i] + a.sqnorm[j] - 2*a.DotRows(i, j)
-		if d < 0 {
-			d = 0
-		}
-		return d
-	}
-	if a.sparse {
-		a.EnsureNorms()
-		return a.SqDistRows(i, j)
-	}
-	return SqDist(a.DenseRow(i), a.DenseRow(j))
-}
-
-// SqDistVec returns ||row_i − x||² for a dense x with precomputed ||x||².
-func (a *Matrix) SqDistVec(i int, x []float64, xsq float64) float64 {
-	a.EnsureNorms()
-	d := a.sqnorm[i] + xsq - 2*a.DotVec(i, x)
-	if d < 0 {
-		d = 0
-	}
-	return d
 }
 
 // Subset returns a new matrix containing the given rows in order. Storage

@@ -51,11 +51,11 @@ func TestDenseBasics(t *testing.T) {
 	if a.At(1, 2) != 6 {
 		t.Fatalf("At(1,2)=%v", a.At(1, 2))
 	}
-	if got := a.DotRows(0, 1); got != 4+10+18 {
-		t.Fatalf("DotRows=%v", got)
+	if got := rowDot(a, 0, 1); got != 4+10+18 {
+		t.Fatalf("rowDot=%v", got)
 	}
-	if got := a.SqDistRows(0, 1); got != 27 {
-		t.Fatalf("SqDistRows=%v", got)
+	if got := SqDistOf(a.SqNormRow(0), a.SqNormRow(1), rowDot(a, 0, 1)); got != 27 {
+		t.Fatalf("SqDistOf=%v", got)
 	}
 	if a.NNZ() != 6 {
 		t.Fatalf("NNZ=%d", a.NNZ())
@@ -71,11 +71,11 @@ func TestSparseBasics(t *testing.T) {
 	if a.At(0, 2) != 5 || a.At(0, 0) != 0 || a.At(1, 0) != 1 {
 		t.Fatal("At wrong")
 	}
-	if got := a.DotRows(0, 1); got != 10 {
-		t.Fatalf("DotRows=%v", got)
+	if got := rowDot(a, 0, 1); got != 10 {
+		t.Fatalf("rowDot=%v", got)
 	}
-	if got := a.SqDistRows(0, 1); got != 1+9 {
-		t.Fatalf("SqDistRows=%v", got)
+	if got := SqDistOf(a.SqNormRow(0), a.SqNormRow(1), rowDot(a, 0, 1)); got != 1+9 {
+		t.Fatalf("SqDistOf=%v", got)
 	}
 	buf := make([]float64, 3)
 	r := a.RowInto(1, buf)
@@ -97,11 +97,13 @@ func TestSparseDenseAgree(t *testing.T) {
 	de := NewDense(20, 15, data)
 	for i := 0; i < 20; i++ {
 		for j := 0; j < 20; j++ {
-			if !almostEq(sp.DotRows(i, j), de.DotRows(i, j), 1e-12) {
-				t.Fatalf("DotRows disagree at %d,%d", i, j)
+			if !almostEq(rowDot(sp, i, j), rowDot(de, i, j), 1e-12) {
+				t.Fatalf("rowDot disagree at %d,%d", i, j)
 			}
-			if !almostEq(sp.SqDistRows(i, j), de.SqDistRows(i, j), 1e-9) {
-				t.Fatalf("SqDistRows disagree at %d,%d", i, j)
+			spd := SqDistOf(sp.SqNormRow(i), sp.SqNormRow(j), rowDot(sp, i, j))
+			ded := SqDistOf(de.SqNormRow(i), de.SqNormRow(j), rowDot(de, i, j))
+			if !almostEq(spd, ded, 1e-9) {
+				t.Fatalf("SqDistOf disagree at %d,%d", i, j)
 			}
 		}
 		x := de.DenseRow((i + 3) % 20)
@@ -324,15 +326,30 @@ func TestMean(t *testing.T) {
 	}
 }
 
+// TestSqDistVec: the distances from a vector to listed rows, and to every
+// row when no list is given.
 func TestSqDistVec(t *testing.T) {
 	a := NewDense(2, 2, []float64{3, 4, 0, 0})
 	x := []float64{0, 0}
-	if got := a.SqDistVec(0, x, 0); got != 25 {
-		t.Fatalf("SqDistVec=%v", got)
+	out := make([]float64, 2)
+	SqDistList(x, 0, a, []int32{1, 0}, out)
+	if out[0] != 0 || out[1] != 25 {
+		t.Fatalf("SqDistList listed=%v, want [0 25]", out)
 	}
-	if got := a.SqDistVec(1, x, 0); got != 0 {
-		t.Fatalf("SqDistVec self=%v", got)
+	SqDistList(x, 0, a, nil, out)
+	if out[0] != 25 || out[1] != 0 {
+		t.Fatalf("SqDistList all=%v, want [25 0]", out)
 	}
+}
+
+// rowDot is <row_i, row_j> by the storage's scalar dot.
+func rowDot(a *Matrix, i, j int) float64 {
+	if a.Sparse() {
+		ii, iv := a.SparseRow(i)
+		ji, jv := a.SparseRow(j)
+		return SpDot(ii, iv, ji, jv)
+	}
+	return Dot(a.DenseRow(i), a.DenseRow(j))
 }
 
 func TestEncodeDecodeDense(t *testing.T) {

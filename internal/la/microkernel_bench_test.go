@@ -22,19 +22,6 @@ func BenchmarkDot(b *testing.B) {
 	}
 }
 
-func BenchmarkSqDistMicro(b *testing.B) {
-	for _, n := range []int{16, 256, 4096} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		x, y := randVec(rng, n), randVec(rng, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.SetBytes(int64(16 * n))
-			for i := 0; i < b.N; i++ {
-				benchSink = SqDist(x, y)
-			}
-		})
-	}
-}
-
 func BenchmarkSpDotAligned(b *testing.B) {
 	rng := rand.New(rand.NewSource(99))
 	ai, av := randSparseVec(rng, 4096, 1, false)

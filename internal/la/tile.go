@@ -105,7 +105,8 @@ func dot4Loop(x, b0, b1, b2, b3 []float64, dst []float64) {
 // a and b may be the same matrix. Each element is bit-identical to the
 // scalar primitive the row-at-a-time paths use for that storage pairing:
 //
-//	dense×dense  → Dot(a_r, b_c)           (via the Dot4 microkernel)
+//	dense×dense  → Dot(a_r, b_c)           (via the Dot4 microkernel, and
+//	                                        DotList for the last len%4 rows)
 //	sparse×sparse→ SpDot(a_r, b_c)         (via ScatteredRow: each a row
 //	                                        scattered once per tile row, one
 //	                                        gather per column)
@@ -135,11 +136,7 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 				a.DenseRow(rows[r+3]), cols, w, dst[r*ld:], ld)
 		}
 		for ; r < len(rows); r++ {
-			x := a.DenseRow(rows[r])
-			out := dst[r*ld:]
-			for c := clo; c < chi; c++ {
-				out[c-clo] = Dot(x, b.DenseRow(c))
-			}
+			dotList(a.DenseRow(rows[r]), b, clo, nil, dst[r*ld:r*ld+w], nil, 0)
 		}
 	case a.Sparse() && b.Sparse():
 		s := scatters.Get().(*ScatteredRow)
@@ -190,12 +187,10 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 //	dst[r*ld + (c-clo)] = max(0, ‖a_row(rows[r])‖² + ‖b_row(c)‖² − 2·<a_r, b_c>)
 //
 // for c in [clo, chi): one MulTile block finished with each matrix's norm
-// cache (EnsureNorms). It is the one nearest-center distance — Lloyd sweeps,
-// FCFS, balanced K-means and query routing — and the cross-matrix Gaussian
-// kernel's distance. The expression keeps the a-norm-first order, and the
-// clamp at 0 is the one rounding rule: a distance the identity rounds below
-// zero reads as zero. Each element is bit-identical to that expression over
-// the scalar dot MulTile matches for the storage pairing (DotVec when b is
+// cache (EnsureNorms) through SqDistOf. It is the one nearest-center distance
+// — Lloyd sweeps, FCFS, balanced K-means and query routing — and the Gaussian
+// kernel's distance. Each element is bit-identical to SqDistOf over the
+// scalar dot MulTile matches for the storage pairing (DotVec when b is
 // dense). Same dst and ld contract as MulTile.
 func SqDistTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld int) {
 	if chi <= clo || len(rows) == 0 {
@@ -209,11 +204,7 @@ func SqDistTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, l
 		ni := a.sqnorm[i]
 		out := dst[r*ld : r*ld+len(bn)]
 		for k, nc := range bn {
-			d := ni + nc - 2*out[k]
-			if d < 0 {
-				d = 0
-			}
-			out[k] = d
+			out[k] = SqDistOf(ni, nc, out[k])
 		}
 	}
 }

@@ -117,8 +117,8 @@ func TestMulTileSameMatrix(t *testing.T) {
 		MulTile(a, rows, a, 0, a.Rows(), dst, a.Rows())
 		for r, ar := range rows {
 			for c := 0; c < a.Rows(); c++ {
-				if got, want := dst[r*a.Rows()+c], a.DotRows(ar, c); got != want {
-					t.Fatalf("sp=%v r=%d c=%d: tile=%v DotRows=%v", sp, ar, c, got, want)
+				if got, want := dst[r*a.Rows()+c], rowDot(a, ar, c); got != want {
+					t.Fatalf("sp=%v r=%d c=%d: tile=%v rowDot=%v", sp, ar, c, got, want)
 				}
 			}
 		}

@@ -4,14 +4,18 @@
 // or CSR-encoded sparse rows behind one interface.
 //
 // Everything here is deliberately allocation-free on the hot paths; the SMO
-// inner loop spends nearly all of its time in Dot and SqDist.
+// inner loop spends nearly all of its time in inner products.
 //
-// ExpScaled and SqDistRows, the Gaussian kernel's batched finish and
-// distance fill, UpdateScan, the SMO iteration tail, and Dot4 with
-// MulTile's dense panels, the inner products of batch prediction, run four
-// lanes wide in amd64 assembly (vec_amd64.s) when the CPU has AVX2 and FMA,
-// and as the portable loops otherwise; both paths give the scalar results
-// bit for bit.
+// There is one squared distance, SqDistOf: the norms identity
+// ‖a‖² + ‖b‖² − 2·a·b clamped at zero, over the inner product the storage
+// pairing's scalar dot gives. SqDistTile, SqDistList and every Gaussian
+// kernel value above this package are that expression.
+//
+// ExpScaled, the Gaussian kernel's batched finish, DotList, one row against
+// listed rows, UpdateScan, the SMO iteration tail, and Dot4 with MulTile's
+// dense panels run four lanes wide in amd64 assembly (vec_amd64.s) when the
+// CPU has AVX2 and FMA, and as the portable loops otherwise; both paths give
+// the scalar results bit for bit.
 package la
 
 import "math"
@@ -23,9 +27,9 @@ import "math"
 // Dot is also the repository benchmark's calibration loop: bench/measure.go
 // times it over 4096 × 1000 elements and restates every gated timing against
 // its fixed reference speed, so a faster Dot would inflate every workload's
-// figures. It keeps this scalar body and its speed; the lanes go under Dot4
-// and MulTile, which reproduce it bit for bit, and SqNorm, DotVec and
-// MulTile's leftover rows stay on it.
+// figures. It keeps this scalar body and its speed; the lanes go under Dot4,
+// MulTile and DotList, which reproduce it bit for bit, and SqNorm and DotVec
+// stay on it.
 func Dot(a, b []float64) float64 {
 	n := len(a)
 	if len(b) < n {
@@ -51,51 +55,43 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// SqDist returns the squared Euclidean distance ||a-b||². It is the recipe
-// SqDistRows's lanes replay: four accumulators over the common prefix,
-// combined (s0+s1)+(s2+s3), then the sequential tail.
-func SqDist(a, b []float64) float64 {
-	n := min(len(a), len(b))
-	// Consuming both prefixes four at a time lets the compiler drop every
-	// bounds check in the loop.
-	x, y := a[:n], b[:n]
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 && len(y) >= 4 {
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		x, y = x[4:], y[4:]
+// SqDistOf is the one squared distance: that of two vectors with squared
+// norms na and nb and inner product dot, by the norms identity, clamped at
+// zero (a distance the identity rounds below zero reads as zero). The sum of
+// the norms commutes, so the result does not depend on which vector is a.
+func SqDistOf(na, nb, dot float64) float64 {
+	d := na + nb - 2*dot
+	if d < 0 {
+		d = 0
 	}
-	s := (s0 + s1) + (s2 + s3)
-	for i, v := range x {
-		d := v - y[i]
-		s += d * d
-	}
-	// Tails when one vector is longer than the other.
-	for _, v := range a[n:] {
-		s += v * v
-	}
-	for _, v := range b[n:] {
-		s += v * v
-	}
-	return s
+	return d
 }
 
-// SqDistRows sets out[k] = SqDist(x, m.DenseRow(int(rows[k]))) for every k,
-// or out[k] = SqDist(x, m.DenseRow(k)) for every k of out when rows is nil,
-// bit for bit. m must be dense.
-func SqDistRows(x []float64, m *Matrix, rows []int32, out []float64) {
+// DotList sets out[k] = Dot(x, m.DenseRow(int(rows[k]))) for every k, or
+// out[k] = Dot(x, m.DenseRow(k)) for every k of out when rows is nil, bit for
+// bit. m must be dense.
+func DotList(x []float64, m *Matrix, rows []int32, out []float64) {
+	dotList(x, m, 0, rows, out, nil, 0)
+}
+
+// SqDistList sets out[k] = SqDistOf(xsq, ‖row‖², Dot(x, row)) for row
+// rows[k] of the dense m (row k when rows is nil), xsq being ‖x‖²: the
+// distances from one vector to listed rows, each bit for bit SqDistTile's
+// element for the pair. The lanes finish each distance in registers.
+func SqDistList(x []float64, xsq float64, m *Matrix, rows []int32, out []float64) {
+	m.EnsureNorms()
+	dotList(x, m, 0, rows, out, m.sqnorm, xsq)
+}
+
+// dotList is DotList with every row index counted from row lo of m and, when
+// norms is not nil, each dot finished as SqDistOf(xsq, norms[index], dot).
+func dotList(x []float64, m *Matrix, lo int, rows []int32, out, norms []float64, xsq float64) {
 	if rows != nil {
 		out = out[:len(rows)]
 	}
 	k := 0
-	if vectorKernels && !m.sparse && len(x) == m.n {
-		k = sqDistRowsVec(x, m.dense, m.m, rows, out)
+	if vectorKernels && !m.sparse && len(x) == m.n && lo <= m.m {
+		k = dotRowsVec(x, m.dense[lo*m.n:], m.m-lo, rows, out, norms, xsq)
 	}
 	// The rest, if any: a length the lanes do not take, or from a row index
 	// out of range, where DenseRow panics.
@@ -104,7 +100,11 @@ func SqDistRows(x []float64, m *Matrix, rows []int32, out []float64) {
 		if rows != nil {
 			i = int(rows[k])
 		}
-		out[k] = SqDist(x, m.DenseRow(i))
+		d := Dot(x, m.DenseRow(lo+i))
+		if norms != nil {
+			d = SqDistOf(xsq, norms[i], d)
+		}
+		out[k] = d
 	}
 }
 

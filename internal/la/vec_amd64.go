@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// vectorKernels selects the four-lane assembly behind ExpScaled, SqDistRows,
+// vectorKernels selects the four-lane assembly behind ExpScaled, DotList,
 // UpdateScan, Dot4 and MulTile's dense panels (vec_amd64.s): the CPU has
 // AVX2 and FMA, the OS saves YMM state, and the exp lanes agree with this
 // process's math.Exp bit for bit.
@@ -28,12 +28,13 @@ func xgetbv() (eax uint32)
 //go:noescape
 func expScaledVec(x []float64, s float64) int
 
-// sqDistRowsVec sets out[k] = SqDist(x, row rows[k] of the row-major m-row
-// dense) (row k when rows is nil), rows being len(x) floats long, and returns
-// how many it set: it stops at the first row index outside [0, m).
+// dotRowsVec sets out[k] = Dot(x, row rows[k] of the row-major m-row dense)
+// (row k when rows is nil), rows being len(x) floats long, or, when norms is
+// not empty, SqDistOf(xsq, norms[row], that dot); it returns how many it set:
+// it stops at the first row index outside [0, m).
 //
 //go:noescape
-func sqDistRowsVec(x, dense []float64, m int, rows []int32, out []float64) int
+func dotRowsVec(x, dense []float64, m int, rows []int32, out, norms []float64, xsq float64) int
 
 // updateScanVec runs UpdateScan's update and scan over the first len(f)&^3
 // elements and leaves each lane's candidates in e: lane j of group g takes

@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// Four-lane kernels behind ExpScaled, SqDistRows and UpdateScan (vec.go) and
+// Four-lane kernels behind ExpScaled, DotList and UpdateScan (vec.go) and
 // behind Dot4 and MulTile's dense panels (tile.go). Each lane performs
 // exactly the instruction sequence of the scalar code it stands in for, so
 // every result is the scalar result bit for bit.
@@ -112,88 +112,131 @@ done:
 	VZEROUPPER
 	RET
 
-// func sqDistRowsVec(x, dense []float64, m int, rows []int32, out []float64) int
+// func dotRowsVec(x, dense []float64, m int, rows []int32, out, norms []float64, xsq float64) int
 //
-// Rows go two at a time, their accumulator chains interleaved; a row's four
-// lanes are SqDist's accumulators s0..s3, combined (s0+s1)+(s2+s3) before
-// its sequential tail. A row index outside [0, m) ends the call.
-TEXT ·sqDistRowsVec(SB), NOSPLIT, $0-112
+// Rows go four at a time against the one x: each quad of x is loaded once
+// and multiplied into four accumulators, one per row, whose lanes are Dot's
+// s0..s3, fed by a separate VMULPD and VADDPD, never fused. The combine and
+// the tail are dot4PanelVec's with x as the shared vector: two VHADDPDs and a
+// 128-bit transpose give the four (s0+s1)+(s2+s3) at once, and each len%4
+// tail element is one broadcast of x[i] against the four rows' elements.
+// With norms, each output is then SqDistOf(xsq, norms[row], dot):
+// (xsq + norm) − (dot + dot), and VMAXPD's (0 > d ? 0 : d) for the clamp,
+// which passes NaN and −0 through as the Go comparison does. The last
+// len(out)%4 rows, and the rows of a quad holding an index outside [0, m),
+// go one at a time; a row index outside [0, m) ends the call.
+TEXT ·dotRowsVec(SB), NOSPLIT, $0-144
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), CX
 	MOVQ dense_base+24(FP), DI
 	MOVQ rows_base+56(FP), R9
 	MOVQ out_base+80(FP), R10
 	MOVQ out_len+88(FP), R11
-	MOVQ CX, R8
-	SHLQ $3, R8 // row stride in bytes
 	MOVQ CX, R12
 	ANDQ $~3, R12
 	XORQ R13, R13
 
-pair:
-	LEAQ 2(R13), AX
+quad:
+	LEAQ 4(R13), AX
 	CMPQ AX, R11
 	JGT  single
 	MOVQ R13, AX
 	LEAQ 1(R13), DX
+	LEAQ 2(R13), R8
+	LEAQ 3(R13), R14
 	TESTQ R9, R9
-	JZ   pairat
+	JZ   quadat
 	MOVLQSX (R9)(R13*4), AX
 	MOVLQSX 4(R9)(R13*4), DX
+	MOVLQSX 8(R9)(R13*4), R8
+	MOVLQSX 12(R9)(R13*4), R14
 
-pairat:
+quadat:
 	CMPQ AX, m+48(FP)
-	JAE  done
+	JAE  single
 	CMPQ DX, m+48(FP)
-	JAE  done
-	IMULQ R8, AX
-	ADDQ DI, AX
-	IMULQ R8, DX
-	ADDQ DI, DX
+	JAE  single
+	CMPQ R8, m+48(FP)
+	JAE  single
+	CMPQ R14, m+48(FP)
+	JAE  single
+	MOVQ norms_len+112(FP), BX
+	TESTQ BX, BX
+	JZ   quadrows
+	MOVQ norms_base+104(FP), BX
+	VMOVSD (BX)(AX*8), X9
+	VMOVHPD (BX)(DX*8), X9, X9
+	VMOVSD (BX)(R8*8), X10
+	VMOVHPD (BX)(R14*8), X10, X10
+	VINSERTF128 $1, X10, Y9, Y9 // the four rows' norms
+
+quadrows:
+	IMULQ CX, AX
+	LEAQ (DI)(AX*8), AX
+	IMULQ CX, DX
+	LEAQ (DI)(DX*8), DX
+	IMULQ CX, R8
+	LEAQ (DI)(R8*8), R8
+	IMULQ CX, R14
+	LEAQ (DI)(R14*8), R14
 	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
 	XORQ BX, BX
 	CMPQ BX, R12
-	JGE  pairsum
+	JGE  quadsum
 
-pairquad:
+quadloop:
 	VMOVUPD (SI)(BX*8), Y4
-	VSUBPD (AX)(BX*8), Y4, Y1
-	VSUBPD (DX)(BX*8), Y4, Y3
-	VMULPD Y1, Y1, Y1
-	VMULPD Y3, Y3, Y3
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
+	VMULPD (AX)(BX*8), Y4, Y5
+	VMULPD (DX)(BX*8), Y4, Y6
+	VMULPD (R8)(BX*8), Y4, Y7
+	VMULPD (R14)(BX*8), Y4, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
 	ADDQ $4, BX
 	CMPQ BX, R12
-	JLT  pairquad
+	JLT  quadloop
 
-pairsum:
-	VEXTRACTF128 $1, Y0, X1
-	VHADDPD X1, X0, X0 // s0+s1, s2+s3
-	VHADDPD X0, X0, X0
-	VEXTRACTF128 $1, Y2, X3
-	VHADDPD X3, X2, X2
-	VHADDPD X2, X2, X2
+quadsum:
+	VHADDPD Y1, Y0, Y0           // s0+s1 and s2+s3 of rows 0, 1
+	VHADDPD Y3, Y2, Y2           // and of rows 2, 3
+	VPERM2F128 $0x20, Y2, Y0, Y1 // the four s0+s1
+	VPERM2F128 $0x31, Y2, Y0, Y3 // the four s2+s3
+	VADDPD Y3, Y1, Y0
 
-pairtail:
+quadtail:
 	CMPQ BX, CX
-	JGE  pairstore
-	VMOVSD (SI)(BX*8), X4
-	VSUBSD (AX)(BX*8), X4, X1
-	VSUBSD (DX)(BX*8), X4, X3
-	VMULSD X1, X1, X1
-	VMULSD X3, X3, X3
-	VADDSD X1, X0, X0
-	VADDSD X3, X2, X2
+	JGE  quadstore
+	VBROADCASTSD (SI)(BX*8), Y4
+	VMOVSD (AX)(BX*8), X5
+	VMOVHPD (DX)(BX*8), X5, X5
+	VMOVSD (R8)(BX*8), X6
+	VMOVHPD (R14)(BX*8), X6, X6
+	VINSERTF128 $1, X6, Y5, Y5
+	VMULPD Y5, Y4, Y5
+	VADDPD Y5, Y0, Y0
 	INCQ BX
-	JMP  pairtail
+	JMP  quadtail
 
-pairstore:
-	VMOVSD X0, (R10)(R13*8)
-	VMOVSD X2, 8(R10)(R13*8)
-	ADDQ $2, R13
-	JMP  pair
+quadstore:
+	MOVQ norms_len+112(FP), BX
+	TESTQ BX, BX
+	JZ   quadput
+	VADDPD Y0, Y0, Y0 // 2·dot
+	VBROADCASTSD xsq+128(FP), Y10
+	VADDPD Y9, Y10, Y10 // xsq + norm
+	VSUBPD Y0, Y10, Y0
+	VXORPD Y10, Y10, Y10
+	VMAXPD Y0, Y10, Y0
+
+quadput:
+	VMOVUPD Y0, (R10)(R13*8)
+	ADDQ $4, R13
+	JMP  quad
 
 single:
 	CMPQ R13, R11
@@ -206,8 +249,8 @@ single:
 singleat:
 	CMPQ AX, m+48(FP)
 	JAE  done
-	IMULQ R8, AX
-	ADDQ DI, AX
+	IMULQ CX, AX
+	LEAQ (DI)(AX*8), AX
 	VXORPD Y0, Y0, Y0
 	XORQ BX, BX
 	CMPQ BX, R12
@@ -215,8 +258,7 @@ singleat:
 
 singlequad:
 	VMOVUPD (SI)(BX*8), Y1
-	VSUBPD (AX)(BX*8), Y1, Y1
-	VMULPD Y1, Y1, Y1
+	VMULPD (AX)(BX*8), Y1, Y1
 	VADDPD Y1, Y0, Y0
 	ADDQ $4, BX
 	CMPQ BX, R12
@@ -224,25 +266,43 @@ singlequad:
 
 singlesum:
 	VEXTRACTF128 $1, Y0, X1
-	VHADDPD X1, X0, X0
+	VHADDPD X1, X0, X0 // s0+s1, s2+s3
 	VHADDPD X0, X0, X0
 
 singletail:
 	CMPQ BX, CX
 	JGE  singlestore
 	VMOVSD (SI)(BX*8), X1
-	VSUBSD (AX)(BX*8), X1, X1
-	VMULSD X1, X1, X1
+	VMULSD (AX)(BX*8), X1, X1
 	VADDSD X1, X0, X0
 	INCQ BX
 	JMP  singletail
 
 singlestore:
+	MOVQ norms_len+112(FP), BX
+	TESTQ BX, BX
+	JZ   singleput
+	MOVQ norms_base+104(FP), BX
+	MOVQ R13, DX
+	TESTQ R9, R9
+	JZ   singlenorm
+	MOVLQSX (R9)(R13*4), DX
+
+singlenorm:
+	VADDSD X0, X0, X0
+	VMOVSD xsq+128(FP), X1
+	VADDSD (BX)(DX*8), X1, X1
+	VSUBSD X0, X1, X0
+	VXORPD X1, X1, X1
+	VMAXSD X0, X1, X0
+
+singleput:
 	VMOVSD X0, (R10)(R13*8)
 	INCQ R13
+	JMP  single
 
 done:
-	MOVQ R13, ret+104(FP)
+	MOVQ R13, ret+136(FP)
 	VZEROUPPER
 	RET
 

@@ -2,7 +2,7 @@
 
 package la
 
-// vectorKernels is false off amd64: ExpScaled, SqDistRows, UpdateScan, Dot4
+// vectorKernels is false off amd64: ExpScaled, DotList, UpdateScan, Dot4
 // and MulTile run their portable loops, and the lane kernels below are never
 // called.
 const vectorKernels = false
@@ -11,7 +11,9 @@ func cpuHasAVX2FMA() bool { return false }
 
 func expScaledVec(x []float64, s float64) int { return 0 }
 
-func sqDistRowsVec(x, dense []float64, m int, rows []int32, out []float64) int { return 0 }
+func dotRowsVec(x, dense []float64, m int, rows []int32, out, norms []float64, xsq float64) int {
+	return 0
+}
 
 func updateScanVec(f, rh, rl, outHigh, outLow []float64, ch, cl float64, e *laneExtremes) {}
 

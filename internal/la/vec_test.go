@@ -46,25 +46,36 @@ func TestDotUnrollMatchesNaive(t *testing.T) {
 	}
 }
 
+// sqDist is SqDistList's distance from a to b, b as a one-row matrix.
+func sqDist(a, b []float64) float64 {
+	var out [1]float64
+	SqDistList(a, SqNorm(a), NewDense(1, len(b), b), nil, out[:])
+	return out[0]
+}
+
 func TestSqDist(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 6, 3}
-	if got := SqDist(a, b); !almostEq(got, 25, 1e-12) {
+	if got := sqDist(a, b); !almostEq(got, 25, 1e-12) {
 		t.Errorf("SqDist=%v want 25", got)
 	}
-	if got := SqDist(a, a); got != 0 {
+	if got := sqDist(a, a); got != 0 {
 		t.Errorf("SqDist(a,a)=%v want 0", got)
+	}
+	if got := SqDistOf(1, 1, 1+1e-16); got != 0 {
+		t.Errorf("SqDistOf below zero=%v want the clamp's 0", got)
 	}
 }
 
 func TestSqDistUnequalLengths(t *testing.T) {
-	// Shorter vector behaves as zero-padded.
+	// Shorter vector behaves as zero-padded: the norms are whole, the dot
+	// runs over the common prefix.
 	a := []float64{1, 2}
 	b := []float64{1, 2, 3}
-	if got := SqDist(a, b); !almostEq(got, 9, 1e-12) {
+	if got := sqDist(a, b); !almostEq(got, 9, 1e-12) {
 		t.Errorf("SqDist=%v want 9", got)
 	}
-	if got := SqDist(b, a); !almostEq(got, 9, 1e-12) {
+	if got := sqDist(b, a); !almostEq(got, 9, 1e-12) {
 		t.Errorf("SqDist reversed=%v want 9", got)
 	}
 }
@@ -142,7 +153,8 @@ func TestDotProperties(t *testing.T) {
 	}
 }
 
-// Property: SqDist(a,b) == ||a||² + ||b||² − 2<a,b> and is non-negative.
+// Property: the norms-identity distance is non-negative and agrees with the
+// difference form Σ(a−b)² to rounding.
 func TestSqDistIdentity(t *testing.T) {
 	f := func(a, b []float64) bool {
 		n := len(a)
@@ -150,6 +162,7 @@ func TestSqDistIdentity(t *testing.T) {
 			n = len(b)
 		}
 		a, b = a[:n], b[:n]
+		var diff float64
 		for i := range a {
 			if math.IsNaN(a[i]) || math.IsInf(a[i], 0) || math.Abs(a[i]) > 1e6 {
 				return true
@@ -157,10 +170,10 @@ func TestSqDistIdentity(t *testing.T) {
 			if math.IsNaN(b[i]) || math.IsInf(b[i], 0) || math.Abs(b[i]) > 1e6 {
 				return true
 			}
+			diff += (a[i] - b[i]) * (a[i] - b[i])
 		}
-		d := SqDist(a, b)
-		id := SqNorm(a) + SqNorm(b) - 2*Dot(a, b)
-		return d >= 0 && almostEq(d, id, 1e-9)
+		d := sqDist(a, b)
+		return d >= 0 && math.Abs(d-diff) <= 1e-9*(1+SqNorm(a)+SqNorm(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
