@@ -202,16 +202,24 @@ bench-diff:
 		BENCH_kernel.json BENCH_kernel.new.json
 	@rm -f BENCH_kernel.new.json
 
-# memprof profiles where a CA-SVM training job's memory comes from:
-# BenchmarkTrainFCFSCADense (one casvm-dense job per op: FCFS-CA, P=8,
-# 3,600×32) over 150 jobs, then the top 15 allocation sites by bytes
-# (alloc_space). The profile and test binary stay in .bench_build/memprof.
+# memprof profiles where a training job's memory comes from, for each of
+# the repository benchmark's three training workloads:
+# BenchmarkTrainFCFSCADense (casvm-dense: FCFS-CA, P=8, 3,600×32),
+# BenchmarkTrainFCFSCASparse (casvm-sparse: FCFS-CA, P=8, 1,500×2,048 CSR)
+# and BenchmarkTrainDisSMODense (dissmo-dense: Dis-SMO, P=4, 640×32), 150
+# jobs each, then each one's top 15 allocation sites by bytes
+# (alloc_space). The profiles and test binary stay in .bench_build/memprof.
 MEMPROF_DIR = .bench_build/memprof
+MEMPROF_BENCHES = FCFSCADense FCFSCASparse DisSMODense
 memprof:
 	@mkdir -p $(MEMPROF_DIR)
-	$(GO) test . -run '^$$' -bench 'BenchmarkTrainFCFSCADense$$' -benchmem -benchtime 150x \
-		-memprofile $(MEMPROF_DIR)/mem.out -o $(MEMPROF_DIR)/casvm.test
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 $(MEMPROF_DIR)/casvm.test $(MEMPROF_DIR)/mem.out
+	$(GO) test -c -o $(MEMPROF_DIR)/casvm.test .
+	@for b in $(MEMPROF_BENCHES); do \
+		$(MEMPROF_DIR)/casvm.test -test.run '^$$' -test.bench "BenchmarkTrain$$b\$$" -test.benchmem \
+			-test.benchtime 150x -test.memprofile $(MEMPROF_DIR)/$$b.out || exit 1; \
+		$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 $(MEMPROF_DIR)/casvm.test \
+			$(MEMPROF_DIR)/$$b.out || exit 1; \
+	done
 
 # loc prints the root module's non-test Go lines per package and in total
 # (bench/ is its own module and is not counted; testdata/ holds fixtures the

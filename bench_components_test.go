@@ -147,27 +147,55 @@ func BenchmarkPartitionFCFS(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainFCFSCADense is one whole FCFS-CA P=8 training job on the
-// 3,600×32 mixture of the repository benchmark's casvm-dense workload
-// (gamma by the same rule), so its B/op and allocs/op move with that
-// workload's alloc_mb_per_op. `make memprof` profiles it.
-func BenchmarkTrainFCFSCADense(b *testing.B) {
-	d, err := data.Generate(data.MixtureSpec{
-		Name: "casvm-dense", Train: 3600, Test: 2000, Features: 32, Clusters: 8,
-		Separation: 6, Noise: 1, PosFrac: []float64{0.5}, LabelNoise: 0.03, Margin: 1, Seed: 2015,
-	})
+// benchTrain times one whole training job per op on the training rows of
+// spec, so its B/op and allocs/op move with the matching repository
+// benchmark workload's alloc_mb_per_op. `make memprof` profiles the three
+// below.
+func benchTrain(b *testing.B, spec data.MixtureSpec, method Method, p int, gamma float64) {
+	d, err := data.Generate(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := DefaultParams(MethodFCFSCA, 8)
-	p.Kernel = RBF(1.0 / (2 * 32))
+	params := DefaultParams(method, p)
+	params.Kernel = RBF(gamma)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(d.X, d.Y, p); err != nil {
+		if _, err := Train(d.X, d.Y, params); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// denseBenchMixture is the 32-feature mixture of the dense workloads.
+func denseBenchMixture(name string, train int) data.MixtureSpec {
+	return data.MixtureSpec{
+		Name: name, Train: train, Test: 2000, Features: 32, Clusters: 8,
+		Separation: 6, Noise: 1, PosFrac: []float64{0.5}, LabelNoise: 0.03, Margin: 1, Seed: 2015,
+	}
+}
+
+// BenchmarkTrainFCFSCADense is the casvm-dense workload's job: FCFS-CA,
+// P = 8, on the 3,600×32 mixture, gamma by the benchmark's rule.
+func BenchmarkTrainFCFSCADense(b *testing.B) {
+	benchTrain(b, denseBenchMixture("casvm-dense", 3600), MethodFCFSCA, 8, 1.0/(2*32))
+}
+
+// BenchmarkTrainFCFSCASparse is the casvm-sparse workload's job: FCFS-CA,
+// P = 8, on 1,500×2,048 CSR rows of density 0.02, gamma by the benchmark's
+// rule (the stored features of a row).
+func BenchmarkTrainFCFSCASparse(b *testing.B) {
+	benchTrain(b, data.MixtureSpec{
+		Name: "casvm-sparse", Train: 1500, Test: 1500, Features: 2048, Clusters: 6,
+		Separation: 8, Noise: 1, PosFrac: []float64{0.6}, LabelNoise: 0.008, Margin: 0.8,
+		Sparse: true, Density: 0.02, Seed: 2015,
+	}, MethodFCFSCA, 8, 1/(2*2048*0.02))
+}
+
+// BenchmarkTrainDisSMODense is the dissmo-dense workload's job: Dis-SMO,
+// P = 4, on the 640×32 mixture.
+func BenchmarkTrainDisSMODense(b *testing.B) {
+	benchTrain(b, denseBenchMixture("dissmo-dense", 640), MethodDisSMO, 4, 1.0/(2*32))
 }
 
 func BenchmarkPredictRouted(b *testing.B) {

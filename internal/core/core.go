@@ -413,15 +413,6 @@ func evenBlocks(m, p int) [][]int {
 	return out
 }
 
-// subsetF64 gathers y[rows].
-func subsetF64(y []float64, rows []int) []float64 {
-	out := make([]float64, len(rows))
-	for k, i := range rows {
-		out[k] = y[i]
-	}
-	return out
-}
-
 // localModel builds a model from a rank's solved problem.
 func localModel(x *la.Matrix, y []float64, res *smo.Result, k kernel.Params) *model.Model {
 	return model.FromSolution(x, y, res.Alpha, res.B, k)

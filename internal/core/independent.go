@@ -36,11 +36,12 @@ func trainIndependent(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, o
 			return err
 		}
 	} else {
-		// casvm2: the block is already resident on this node. Pull it
-		// from the shared input without any message traffic, modelling
-		// data generated or stored in place.
-		rows := evenBlocks(full.Rows(), c.Size())[c.Rank()]
-		local = part{x: full.Subset(rows), y: subsetF64(fullY, rows)}
+		// casvm2: the block is already resident on this node. It is a
+		// view of the shared input, with no message traffic and no copy,
+		// modelling data generated or stored in place.
+		m, r := full.Rows(), c.Rank()
+		lo, hi := blockStart(m, c.Size(), r), blockStart(m, c.Size(), r+1)
+		local = part{x: full.RowRange(lo, hi), y: fullY[lo:hi:hi]}
 	}
 
 	opts := partition.Options{RatioBalanced: p.RatioBalanced}

@@ -301,3 +301,12 @@ func TestGoldenFCFSCAOverPoisonedPool(t *testing.T) {
 		t.Fatalf("iters %d flops %v, want 604 and 1.6531327e+07", out.Stats.Iters, out.Stats.TotalFlops)
 	}
 }
+
+// subsetF64 gathers y[rows].
+func subsetF64(y []float64, rows []int) []float64 {
+	out := make([]float64, len(rows))
+	for k, i := range rows {
+		out[k] = y[i]
+	}
+	return out
+}

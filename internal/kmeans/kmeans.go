@@ -53,13 +53,13 @@ func seedRows(x *la.Matrix, s, k int, rng *rand.Rand) []float64 {
 // SeedShared is the distributed seeding step (Alg 4 lines 1–5): rank 0
 // seeds k centers from its block, repeating the first when the block holds
 // fewer than k rows, and broadcasts them, so every rank returns the same
-// k×n centers.
-func SeedShared(c *mpi.Comm, x *la.Matrix, k int) *la.Matrix {
+// k×n centers, row-major, in storage of its own.
+func SeedShared(c *mpi.Comm, x *la.Matrix, k int) []float64 {
 	var data []float64
 	if c.Rank() == 0 {
 		data = seedRows(x, min(k, x.Rows()), k, c.RNG())
 	}
-	return la.NewDense(k, x.Features(), c.BcastF64(0, data))
+	return c.BcastF64(0, data)
 }
 
 // AssignAll maps every row of x to its nearest center (Euclidean, la.ArgMin
@@ -137,7 +137,7 @@ func Run(x *la.Matrix, centers *la.Matrix, threshold float64, maxIter int) *Resu
 // Centers and Iters are global. Computation and communication are charged
 // to the rank's virtual clock.
 func RunDistributed(c *mpi.Comm, x *la.Matrix, k int, threshold float64, maxIter int) *Result {
-	centers := SeedShared(c, x, k)
+	centers := la.NewDense(k, x.Features(), SeedShared(c, x, k))
 	total := c.AllreduceSumInt([]int{x.Rows()})[0]
 	return lloyd(c, x, centers, total, threshold, maxIter)
 }
@@ -159,12 +159,16 @@ func lloyd(c *mpi.Comm, x *la.Matrix, centers *la.Matrix, total int, threshold f
 	for i := range assign {
 		assign[i] = -1
 	}
+	// Two payloads alternate: a sweep's centers live in its payload, and
+	// Centroids reads them while the next sweep fills the other.
+	bufs := [2][]float64{make([]float64, k*n+k+1), make([]float64, k*n+k+1)}
 	res := &Result{Assign: assign}
 	for res.Iters < maxIter {
 		changed, fl := AssignAll(x, centers, assign)
 		res.Flops += fl
+		payload := bufs[res.Iters%2]
+		clear(payload)
 		res.Iters++
-		payload := make([]float64, k*n+k+1)
 		Accumulate(x, assign, payload[:k*n])
 		for _, a := range assign {
 			payload[k*n+a]++
@@ -175,7 +179,7 @@ func lloyd(c *mpi.Comm, x *la.Matrix, centers *la.Matrix, total int, threshold f
 		} else {
 			c.Charge(fl)
 			c.Charge(float64(x.NNZ()))
-			payload = c.AllreduceSum(payload)
+			c.AllreduceSum(payload)
 		}
 		centers = Centroids(centers, payload[:k*n], payload[k*n:k*n+k])
 		if payload[k*n+k]/float64(total) <= threshold {

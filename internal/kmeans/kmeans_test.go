@@ -347,3 +347,97 @@ func TestAssignAllTiesLowestIndex(t *testing.T) {
 		t.Errorf("assign %v, want [1 0 1]", assign)
 	}
 }
+
+// lloydRef is lloyd before its payloads alternated: a fresh payload every
+// sweep, reduced into a new slice.
+func lloydRef(c *mpi.Comm, x *la.Matrix, centers *la.Matrix, total int) *Result {
+	k, n := centers.Rows(), x.Features()
+	assign := make([]int, x.Rows())
+	for i := range assign {
+		assign[i] = -1
+	}
+	res := &Result{Assign: assign}
+	for res.Iters < DefaultMaxIter {
+		changed, fl := AssignAll(x, centers, assign)
+		res.Flops += fl
+		res.Iters++
+		payload := make([]float64, k*n+k+1)
+		Accumulate(x, assign, payload[:k*n])
+		for _, a := range assign {
+			payload[k*n+a]++
+		}
+		payload[k*n+k] = float64(changed)
+		if c == nil {
+			res.Flops += float64(x.NNZ())
+		} else {
+			c.Charge(fl)
+			c.Charge(float64(x.NNZ()))
+			c.AllreduceSum(payload)
+		}
+		centers = Centroids(centers, payload[:k*n], payload[k*n:k*n+k])
+		if payload[k*n+k]/float64(total) <= DefaultThreshold {
+			break
+		}
+	}
+	res.Centers = centers
+	res.Sizes = Sizes(assign, k)
+	return res
+}
+
+// sameResult reports whether two clusterings agree bit for bit.
+func sameResult(a, b *Result) bool {
+	if a.Iters != b.Iters || a.Flops != b.Flops || !slices.Equal(a.Assign, b.Assign) || !slices.Equal(a.Sizes, b.Sizes) {
+		return false
+	}
+	for i := 0; i < a.Centers.Rows(); i++ {
+		for j, v := range a.Centers.DenseRow(i) {
+			if math.Float64bits(v) != math.Float64bits(b.Centers.At(i, j)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestLloydMatchesFreshPayloads: serial and distributed Lloyd, whose two
+// sweep payloads alternate, agree bit for bit with the loop that allocated
+// a fresh payload every sweep, over runs of several sweeps, dense and CSR.
+func TestLloydMatchesFreshPayloads(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	de, _ := blobs(rng, 6, 30, 4, 1.5)
+	for _, x := range []*la.Matrix{de, sparseDrop(rng, de)} {
+		seed := Seed(x, 6, rand.New(rand.NewSource(3)))
+		got, want := Run(x, seed, 0, 0), lloydRef(nil, x, seed, x.Rows())
+		if want.Iters < 3 {
+			t.Fatalf("sparse=%v: %d sweeps, want at least 3", x.Sparse(), want.Iters)
+		}
+		if !sameResult(got, want) {
+			t.Fatalf("sparse=%v: serial Lloyd differs from the fresh-payload loop", x.Sparse())
+		}
+		const p = 3
+		per := x.Rows() / p
+		run := func(f func(c *mpi.Comm, local *la.Matrix) *Result) []*Result {
+			out := make([]*Result, p)
+			if err := mpi.NewWorld(p, perfmodel.Hopper(), 7).Run(func(c *mpi.Comm) error {
+				out[c.Rank()] = f(c, x.RowRange(c.Rank()*per, (c.Rank()+1)*per))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		gotD := run(func(c *mpi.Comm, local *la.Matrix) *Result { return RunDistributed(c, local, 6, 0, 0) })
+		wantD := run(func(c *mpi.Comm, local *la.Matrix) *Result {
+			centers := la.NewDense(6, local.Features(), SeedShared(c, local, 6))
+			return lloydRef(c, local, centers, c.AllreduceSumInt([]int{local.Rows()})[0])
+		})
+		for r := range gotD {
+			if !sameResult(gotD[r], wantD[r]) {
+				t.Fatalf("sparse=%v rank %d: distributed Lloyd differs from the fresh-payload loop", x.Sparse(), r)
+			}
+		}
+		if wantD[0].Iters < 3 {
+			t.Fatalf("sparse=%v: %d distributed sweeps, want at least 3", x.Sparse(), wantD[0].Iters)
+		}
+	}
+}

@@ -283,6 +283,20 @@ func DecodeF64(buf []byte) ([]float64, error) {
 	return appendF64s(make([]float64, 0, n), buf), nil
 }
 
+// DecodeF64Into parses a buffer produced by EncodeF64 into dst, which must
+// have exactly the buffer's length.
+func DecodeF64Into(dst []float64, buf []byte) error {
+	n, err := f64Count(buf)
+	if err != nil {
+		return err
+	}
+	if n != len(dst) {
+		return fmt.Errorf("la: DecodeF64Into: buffer holds %d values, want %d", n, len(dst))
+	}
+	appendF64s(dst[:0], buf)
+	return nil
+}
+
 // DecodeF64s parses buffers produced by EncodeF64 into one slice, in order;
 // buffer k must hold counts[k] values. Every buffer is checked before the
 // slice is allocated.

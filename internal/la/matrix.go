@@ -172,6 +172,33 @@ func (a *Matrix) Subset(rows []int) *Matrix {
 	return out
 }
 
+// RowRange returns rows lo..hi−1 of a as a view: dense rows are a subslice
+// of a's storage, CSR rows a rebased rowptr over subslices of a's indices and
+// values, so the view holds exactly what Subset of those rows would, without
+// copying a row. The view shares the rows with a and must not be written
+// through. When a holds its norm cache the view reads that cache's range;
+// otherwise its own EnsureNorms fills a cache of its own, never a's.
+func (a *Matrix) RowRange(lo, hi int) *Matrix {
+	if lo < 0 || hi < lo || hi > a.m {
+		panic(fmt.Sprintf("la: RowRange [%d, %d) of %d rows", lo, hi, a.m))
+	}
+	var out *Matrix
+	if a.sparse {
+		start, end := a.rowptr[lo], a.rowptr[hi]
+		rp := make([]int32, hi-lo+1)
+		for k := range rp {
+			rp[k] = a.rowptr[lo+k] - start
+		}
+		out = NewSparse(hi-lo, a.n, rp, a.idx[start:end:end], a.val[start:end:end])
+	} else {
+		out = NewDense(hi-lo, a.n, a.dense[lo*a.n:hi*a.n:hi*a.n])
+	}
+	if a.sqnorm != nil {
+		out.sqnorm = a.sqnorm[lo:hi:hi]
+	}
+	return out
+}
+
 // subsetRows is Subset's copy of the rows, without the norm cache.
 func (a *Matrix) subsetRows(rows []int) *Matrix {
 	if !a.sparse {

@@ -309,6 +309,73 @@ func TestSubsetInheritsNorms(t *testing.T) {
 	}
 }
 
+// withEmptyRows returns a CSR matrix like randSparse whose every third row
+// is empty.
+func withEmptyRows(rng *rand.Rand, m, n int, density float64) *Matrix {
+	a := randSparse(rng, m, n, density)
+	var keep []int
+	for i := 0; i < m; i++ {
+		if i%3 != 1 {
+			keep = append(keep, i)
+		}
+	}
+	b := a.Subset(keep)
+	rp := make([]int32, m+1)
+	for i, k := 0, 0; i < m; i++ {
+		if i%3 != 1 {
+			k++
+		}
+		rp[i+1] = b.rowptr[k]
+	}
+	return NewSparse(m, n, rp, b.idx, b.val)
+}
+
+// TestRowRangeMatchesSubset: every row range of a dense and a CSR matrix
+// (empty rows among them, empty ranges, and matrices of fewer rows than
+// an 8-rank block layout has blocks) is Subset of the same rows bit for bit,
+// norms included, whether or not the parent holds its norm cache; a view's
+// own norms never land in the parent.
+func TestRowRangeMatchesSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	var cases []*Matrix
+	for _, m := range []int{0, 3, 13} {
+		cases = append(cases, randDense(rng, m, 5), withEmptyRows(rng, m, 40, 0.1), randSparse(rng, m, 9, 0))
+	}
+	for _, a := range cases {
+		for _, normed := range []bool{false, true} {
+			if normed {
+				a.EnsureNorms()
+			}
+			for lo := 0; lo <= a.Rows(); lo++ {
+				for hi := lo; hi <= a.Rows(); hi++ {
+					rows := make([]int, 0, hi-lo)
+					for i := lo; i < hi; i++ {
+						rows = append(rows, i)
+					}
+					v, s := a.RowRange(lo, hi), a.Subset(rows)
+					where := fmt.Sprintf("sparse=%v m=%d normed=%v [%d,%d)", a.Sparse(), a.Rows(), normed, lo, hi)
+					if !sameStorage(v, s) {
+						t.Fatalf("%s: the view differs from the subset", where)
+					}
+					if (v.sqnorm == nil) != (s.sqnorm == nil) {
+						t.Fatalf("%s: view norms %v, subset norms %v", where, v.sqnorm, s.sqnorm)
+					}
+					v.EnsureNorms()
+					s.EnsureNorms()
+					for k := range rows {
+						if math.Float64bits(v.sqnorm[k]) != math.Float64bits(s.sqnorm[k]) {
+							t.Fatalf("%s row %d: view norm %v, subset norm %v", where, k, v.sqnorm[k], s.sqnorm[k])
+						}
+					}
+					if !normed && a.sqnorm != nil {
+						t.Fatalf("%s: the view's EnsureNorms wrote the parent's norm cache", where)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMean(t *testing.T) {
 	a := NewDense(3, 2, []float64{0, 0, 2, 4, 4, 8})
 	m := a.Mean(nil)
@@ -430,6 +497,16 @@ func TestEncodeDecodeF64(t *testing.T) {
 	y, err = DecodeF64(EncodeF64(nil))
 	if err != nil || len(y) != 0 {
 		t.Error("empty roundtrip should work")
+	}
+	into := make([]float64, len(x))
+	if err := DecodeF64Into(into, EncodeF64(x)); err != nil || fmt.Sprint(into) != fmt.Sprint(x) {
+		t.Fatalf("DecodeF64Into: %v, %v; want %v", into, err, x)
+	}
+	if err := DecodeF64Into(into[:3], EncodeF64(x)); err == nil {
+		t.Error("DecodeF64Into a slice of another length should fail")
+	}
+	if err := DecodeF64Into(into[:1], EncodeF64(x)[:10]); err == nil {
+		t.Error("DecodeF64Into from a truncated buffer should fail")
 	}
 	bufs := [][]byte{EncodeF64(x[:1]), EncodeF64(nil), EncodeF64(x[1:])}
 	y, err = DecodeF64s(bufs, []int{1, 0, 3})

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -187,32 +188,113 @@ func TestAllgatherv(t *testing.T) {
 	}
 }
 
+// TestAllreduceOps: every float reduction overwrites x with the result and
+// returns x itself.
 func TestAllreduceOps(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		w := testWorld(p)
 		err := w.Run(func(c *Comm) error {
-			x := []float64{float64(c.Rank() + 1), -float64(c.Rank())}
-			sum := c.AllreduceSum(x)
-			wantSum := float64(p*(p+1)) / 2
-			if sum[0] != wantSum {
-				return fmt.Errorf("sum=%v want %v", sum[0], wantSum)
-			}
-			mx := c.AllreduceMax(x)
-			if mx[0] != float64(p) || mx[1] != 0 {
-				return fmt.Errorf("max=%v", mx)
-			}
-			mn := c.AllreduceMin(x)
-			if mn[0] != 1 || mn[1] != -float64(p-1) {
-				return fmt.Errorf("min=%v", mn)
-			}
-			// Input must be untouched.
-			if x[0] != float64(c.Rank()+1) {
-				return errors.New("allreduce modified input")
+			in := []float64{float64(c.Rank() + 1), -float64(c.Rank())}
+			for _, tc := range []struct {
+				name string
+				f    func([]float64) []float64
+				want []float64
+			}{
+				{"sum", c.AllreduceSum, []float64{float64(p*(p+1)) / 2, -float64(p*(p-1)) / 2}},
+				{"max", c.AllreduceMax, []float64{float64(p), 0}},
+				{"min", c.AllreduceMin, []float64{1, -float64(p - 1)}},
+			} {
+				x := append([]float64(nil), in...)
+				got := tc.f(x)
+				if &got[0] != &x[0] {
+					return fmt.Errorf("%s returned a slice other than x", tc.name)
+				}
+				if x[0] != tc.want[0] || x[1] != tc.want[1] {
+					return fmt.Errorf("%s: x=%v want %v", tc.name, x, tc.want)
+				}
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// treeFold is the binomial-tree order AllreduceBytes folds in: at step s,
+// every rank that is a multiple of 2s folds in rank r+s's accumulator.
+func treeFold(vals [][]float64, op func(a, b float64) float64) []float64 {
+	acc := make([][]float64, len(vals))
+	for r, v := range vals {
+		acc[r] = append([]float64(nil), v...)
+	}
+	for step := 1; step < len(vals); step <<= 1 {
+		for r := 0; r+step < len(vals); r += 2 * step {
+			for i := range acc[r] {
+				acc[r][i] = op(acc[r][i], acc[r+step][i])
+			}
+		}
+	}
+	return acc[0]
+}
+
+// TestAllreduceMatchesTreeFold: the in-place reductions give every rank the
+// tree-order fold bit for bit, on values whose sum depends on the order
+// (magnitudes 1e-8 to 1e8, signed zeros).
+func TestAllreduceMatchesTreeFold(t *testing.T) {
+	ops := []struct {
+		name string
+		fold func(a, b float64) float64
+		run  func(c *Comm, x []float64) []float64
+	}{
+		{"sum", func(a, b float64) float64 { return a + b }, (*Comm).AllreduceSum},
+		{"max", func(a, b float64) float64 {
+			if b > a {
+				return b
+			}
+			return a
+		}, (*Comm).AllreduceMax},
+		{"min", func(a, b float64) float64 {
+			if b < a {
+				return b
+			}
+			return a
+		}, (*Comm).AllreduceMin},
+	}
+	rng := rand.New(rand.NewSource(40))
+	for _, p := range []int{1, 2, 3, 5, 8} {
+		for _, n := range []int{0, 1, 7} {
+			vals := make([][]float64, p)
+			for r := range vals {
+				vals[r] = make([]float64, n)
+				for i := range vals[r] {
+					switch rng.Intn(6) {
+					case 0:
+						vals[r][i] = math.Copysign(0, -1)
+					default:
+						vals[r][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8))
+					}
+				}
+			}
+			for _, op := range ops {
+				want := treeFold(vals, op.fold)
+				err := testWorld(p).Run(func(c *Comm) error {
+					x := append(make([]float64, 0, n), vals[c.Rank()]...)
+					got := op.run(c, x)
+					if len(got) != n || (n > 0 && &got[0] != &x[0]) {
+						return fmt.Errorf("result is not x: len %d", len(got))
+					}
+					for i := range want {
+						if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+							return fmt.Errorf("x[%d]=%v (%#x) want %v (%#x)", i, x[i], math.Float64bits(x[i]), want[i], math.Float64bits(want[i]))
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("p=%d n=%d %s: %v", p, n, op.name, err)
+				}
+			}
 		}
 	}
 }

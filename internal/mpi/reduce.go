@@ -69,7 +69,8 @@ func (op reduceOp) apply(a, b float64) float64 {
 }
 
 // allreduce combines x across all ranks with op, element-wise on the
-// EncodeF64 wire form, charging the reduction flops.
+// EncodeF64 wire form, charging the reduction flops, and decodes the result
+// into x.
 func (c *Comm) allreduce(x []float64, op reduceOp) []float64 {
 	out, err := c.allreduceBytes("Allreduce", la.EncodeF64(x), func(acc, in []byte) ([]byte, error) {
 		if len(in) != len(acc) || len(in) < 4 || binary.LittleEndian.Uint32(in) != uint32(len(x)) {
@@ -83,24 +84,26 @@ func (c *Comm) allreduce(x []float64, op reduceOp) []float64 {
 		c.Charge(float64(len(x))) // one flop per element combined
 		return acc, nil
 	})
-	var res []float64
 	if err == nil {
-		res, err = la.DecodeF64(out)
+		err = la.DecodeF64Into(x, out)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("mpi: allreduce: %v", err))
 	}
-	return res
+	return x
 }
 
-// AllreduceSum returns the element-wise sum of x across all ranks. Every
-// rank receives the same result; x is not modified.
+// AllreduceSum overwrites x with the element-wise sum of x across all ranks
+// and returns x. Every rank receives the same values, folded in the same
+// order (the binomial tree's), so they agree bit for bit.
 func (c *Comm) AllreduceSum(x []float64) []float64 { return c.allreduce(x, opSum) }
 
-// AllreduceMax returns the element-wise maximum of x across all ranks.
+// AllreduceMax overwrites x with the element-wise maximum across all ranks
+// and returns x.
 func (c *Comm) AllreduceMax(x []float64) []float64 { return c.allreduce(x, opMax) }
 
-// AllreduceMin returns the element-wise minimum of x across all ranks.
+// AllreduceMin overwrites x with the element-wise minimum across all ranks
+// and returns x.
 func (c *Comm) AllreduceMin(x []float64) []float64 { return c.allreduce(x, opMin) }
 
 // AllreduceSumInt sums integer counts across ranks (used by the

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 
 	"casvm/internal/kmeans"
 	"casvm/internal/la"
@@ -27,16 +28,30 @@ func ParallelFCFS(c *mpi.Comm, local *la.Matrix, y []float64, opts Options) (*Re
 		return nil, fmt.Errorf("partition: rank 0 has no samples to seed from")
 	}
 	// Lines 1–17: shared seed centers, then local FCFS against them.
-	res := &Result{Centers: kmeans.SeedShared(c, local, c.Size())}
+	p, n := c.Size(), local.Features()
+	seeds := kmeans.SeedShared(c, local, p)
+	res := &Result{Centers: la.NewDense(p, n, seeds)}
 	walk(local, y, opts.RatioBalanced, res)
 	c.Charge(res.Flops)
 
-	// Lines 18–27: recompute global sizes and centers with allreduce.
+	// Lines 18–27: recompute global sizes and centers with allreduce. The
+	// seeds are dead once walk has assigned, so the sums accumulate into
+	// their storage. A globally empty cluster keeps its seed row, as
+	// Centroids keeps a previous center: rank 0 contributes the row and
+	// every other rank −0, which adds to any value without changing a bit.
 	res.Sizes = c.AllreduceSumInt(res.Sizes)
-	sums := make([]float64, c.Size()*local.Features())
-	kmeans.Accumulate(local, res.Assign, sums)
+	for j, size := range res.Sizes {
+		switch row := seeds[j*n : (j+1)*n]; {
+		case size > 0:
+			clear(row)
+		case c.Rank() > 0:
+			la.Fill(row, math.Copysign(0, -1))
+		}
+	}
+	kmeans.Accumulate(local, res.Assign, seeds)
 	c.Charge(float64(local.NNZ()))
-	res.Centers = kmeans.Centroids(res.Centers, c.AllreduceSum(sums), res.Sizes)
+	// A fresh matrix over the sums: the seed matrix's norm cache is stale.
+	res.Centers = kmeans.Centroids(res.Centers, c.AllreduceSum(seeds), res.Sizes)
 	return res, nil
 }
 

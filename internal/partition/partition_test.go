@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -647,6 +648,80 @@ func TestFCFSTiesLowestIndex(t *testing.T) {
 	for i, j := range want {
 		if res.Assign[i] != j {
 			t.Fatalf("assign %v, want %v", res.Assign, want)
+		}
+	}
+}
+
+// TestParallelFCFSEmptyClusterKeepsSeed: rank 0 holds one row, so all five
+// seeds are that row, every distance ties, and the walk fills the lowest
+// centers first: with blocks of at most two rows, centers 2–4 end up empty
+// on every rank. Their centers keep the seed row bit for bit (its −0 entries
+// included), and every center is bitwise what parallelFCFSRef's rebuild
+// from fresh sums gives, dense and CSR.
+func TestParallelFCFSEmptyClusterKeepsSeed(t *testing.T) {
+	const p = 5
+	per := []int{1, 2, 1, 2, 1}
+	negZero := math.Copysign(0, -1)
+	rows := [][]float64{{negZero, 1.5, -2.25, negZero}, {0.5, negZero, 3, 1}, {-1, 2, 0.25, 7}}
+	var data []float64
+	for r, k := range per {
+		for i := 0; i < k; i++ {
+			data = append(data, rows[(r+i)%len(rows)]...)
+		}
+	}
+	dense := la.NewDense(len(data)/4, 4, data)
+	var rp, ix []int32
+	var vx []float64
+	rp = append(rp, 0)
+	for i := 0; i < dense.Rows(); i++ {
+		for j, v := range dense.DenseRow(i) {
+			if v != 0 || math.Signbit(v) {
+				ix, vx = append(ix, int32(j)), append(vx, v)
+			}
+		}
+		rp = append(rp, int32(len(ix)))
+	}
+	sparse := la.NewSparse(dense.Rows(), 4, rp, ix, vx)
+	for _, x := range []*la.Matrix{dense, sparse} {
+		blocks := make([]*la.Matrix, p)
+		for r, lo := 0, 0; r < p; r++ {
+			blocks[r] = x.RowRange(lo, lo+per[r])
+			lo += per[r]
+		}
+		got := make([]*la.Matrix, p)
+		if err := mpi.NewWorld(p, perfmodel.Hopper(), 3).Run(func(c *mpi.Comm) error {
+			res, err := ParallelFCFS(c, blocks[c.Rank()], nil, Options{})
+			if err == nil {
+				got[c.Rank()] = res.Centers
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var want *la.Matrix
+		var sizes []int
+		if err := mpi.NewWorld(p, perfmodel.Hopper(), 3).Run(func(c *mpi.Comm) error {
+			if _, sz, ct := parallelFCFSRef(c, blocks[c.Rank()], nil, false); c.Rank() == 0 {
+				want, sizes = ct, sz
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(sizes) != "[5 2 0 0 0]" {
+			t.Fatalf("sparse=%v: global sizes %v, want [5 2 0 0 0]", x.Sparse(), sizes)
+		}
+		for r, g := range got {
+			for j := 0; j < p; j++ {
+				for k, v := range g.DenseRow(j) {
+					if math.Float64bits(v) != math.Float64bits(want.At(j, k)) {
+						t.Fatalf("sparse=%v rank %d center %d[%d] = %v, old rebuild %v", x.Sparse(), r, j, k, v, want.At(j, k))
+					}
+					if sizes[j] == 0 && math.Float64bits(v) != math.Float64bits(rows[0][k]) {
+						t.Fatalf("sparse=%v rank %d empty center %d[%d] = %v, seed %v", x.Sparse(), r, j, k, v, rows[0][k])
+					}
+				}
+			}
 		}
 	}
 }

@@ -96,10 +96,11 @@ func everyCollective(c *mpi.Comm) ([]string, error) {
 		to[d] = []byte{byte(r), byte(d)}
 	}
 	rec("Alltoallv", c.Alltoallv(to))
-	x := []float64{float64(r), 1.5, -float64(r * r)}
-	rec("AllreduceSum", c.AllreduceSum(x))
-	rec("AllreduceMin", c.AllreduceMin(x))
-	rec("AllreduceMax", c.AllreduceMax(x))
+	// The float reductions overwrite their input: each gets a fresh copy.
+	x := func() []float64 { return []float64{float64(r), 1.5, -float64(r * r)} }
+	rec("AllreduceSum", c.AllreduceSum(x()))
+	rec("AllreduceMin", c.AllreduceMin(x()))
+	rec("AllreduceMax", c.AllreduceMax(x()))
 	rec("AllreduceMinLoc", c.AllreduceMinLoc(float64((r+2)%p), 100+r))
 	rec("AllreduceMaxLoc", c.AllreduceMaxLoc(float64((r+2)%p), 100+r))
 	folded, err := c.AllreduceBytes([]byte{byte(r), byte(p - r)}, func(acc, in []byte) ([]byte, error) {

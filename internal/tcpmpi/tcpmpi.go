@@ -540,8 +540,8 @@ func (c *Comm) Barrier() error {
 	return c.collective(func(m *mpi.Comm) { m.Barrier() })
 }
 
-// AllreduceSum element-wise sums x across ranks; every rank returns the
-// total.
+// AllreduceSum element-wise sums x across ranks in place; every rank
+// returns x holding the total.
 func (c *Comm) AllreduceSum(x []float64) (sum []float64, err error) {
 	err = c.collective(func(m *mpi.Comm) { sum = m.AllreduceSum(x) })
 	return sum, err
