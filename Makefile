@@ -89,7 +89,8 @@ race-matrix:
 # corpora cannot rot; `make fuzz` does the time-boxed exploration.
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' ./internal/data ./internal/tcpmpi ./internal/trace \
-		./internal/serve ./internal/cluster ./internal/la ./internal/model ./internal/core
+		./internal/serve ./internal/cluster ./internal/la ./internal/model ./internal/core \
+		./internal/telemetry/fleet
 
 # serve-smoke boots the live telemetry server against a real training run
 # held mid-flight (TestServeSmoke: /metrics, /report, /events, /debug/pprof)
@@ -233,10 +234,10 @@ loc:
 		| sort -k2
 
 # Short fuzz sweep over every fuzz target (parsers, the wire-frame, hello and
-# registration-reply decoders, the matrix, shard and sample-part decoders, the run-report
-# round trip, and the four-lane exp, distance, SMO update-scan and Dot4
-# kernels against their scalar oracles); seed corpora also run in plain
-# `make test`.
+# registration-reply decoders, the fleet telemetry frames, the matrix, shard
+# and sample-part decoders, the run-report round trip, and the four-lane exp,
+# distance, SMO update-scan and Dot4 kernels against their scalar oracles);
+# seed corpora also run in plain `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime 10s ./internal/data
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/tcpmpi
@@ -245,6 +246,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRunReportRoundTrip -fuzztime 10s ./internal/trace
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodePredictRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run 'Fuzz' -fuzz FuzzExecFrames -fuzztime 10s ./internal/cluster
+	$(GO) test -run 'Fuzz' -fuzz FuzzFleetFrames -fuzztime 10s ./internal/telemetry/fleet
 	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeMatrix -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzExpScaled -fuzztime 10s ./internal/la
 	$(GO) test -run 'Fuzz' -fuzz FuzzSqDistRows -fuzztime 10s ./internal/la

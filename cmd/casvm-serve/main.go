@@ -12,11 +12,9 @@
 // Usage:
 //
 //	casvm-serve -addr :8480 -model default=small.model [-model extra=other.model]
-//	casvm-serve -selfbench                # sustained-load benchmark, JSON to stdout
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +24,6 @@ import (
 	"syscall"
 	"time"
 
-	"casvm"
 	"casvm/internal/serve"
 )
 
@@ -47,25 +44,19 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("casvm-serve", flag.ContinueOnError)
 	var models modelFlags
 	var (
-		addr      = fs.String("addr", "localhost:8480", "listen address")
-		maxBatch  = fs.Int("max-batch", 256, "flush a coalesced batch at this many queries")
-		maxDelay  = fs.Duration("max-delay", 2*time.Millisecond, "longest a pending batch waits for a request that is being decoded to join it; with nothing arriving a batch flushes at once")
-		selfbench = fs.Bool("selfbench", false, "train + compress the face-like dataset, serve it in-process, and run the sustained-load benchmark")
-		benchDur  = fs.Duration("selfbench-duration", 5*time.Second, "selfbench load duration")
+		addr     = fs.String("addr", "localhost:8480", "listen address")
+		maxBatch = fs.Int("max-batch", 256, "flush a coalesced batch at this many queries")
+		maxDelay = fs.Duration("max-delay", 2*time.Millisecond, "longest a pending batch waits for a request that is being decoded to join it; with nothing arriving a batch flushes at once")
 	)
 	fs.Var(&models, "model", "model to serve, as name=path (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	batch := serve.BatcherConfig{MaxBatch: *maxBatch, MaxDelay: *maxDelay}
-	if *selfbench {
-		return runSelfbench(stdout, batch, *benchDur)
-	}
 	if len(models) == 0 {
-		return fmt.Errorf("at least one -model name=path is required (or -selfbench)")
+		return fmt.Errorf("at least one -model name=path is required")
 	}
 
-	s, err := serve.Start(*addr, serve.Config{Batch: batch})
+	s, err := serve.Start(*addr, serve.Config{Batch: serve.BatcherConfig{MaxBatch: *maxBatch, MaxDelay: *maxDelay}})
 	if err != nil {
 		return err
 	}
@@ -89,62 +80,4 @@ func run(args []string, stdout io.Writer) error {
 	<-sig
 	fmt.Fprintln(stdout, "shutting down")
 	return nil
-}
-
-// runSelfbench measures sustained serving load without a test binary: train
-// the face-like dataset, compress it with the golden budget, serve it on a
-// loopback port, and drive the shared load generator.
-func runSelfbench(stdout io.Writer, batch serve.BatcherConfig, dur time.Duration) error {
-	fmt.Fprintln(stdout, "selfbench: training face-like dataset...")
-	ds, entry, err := casvm.LoadDataset("face", 1.0)
-	if err != nil {
-		return err
-	}
-	p := casvm.DefaultParams(casvm.MethodRACA, 8)
-	p.Kernel = casvm.RBF(entry.GammaOrDefault())
-	out, err := casvm.Train(ds.X, ds.Y, p)
-	if err != nil {
-		return err
-	}
-	small, st, err := casvm.CompressModelSet(out.Set, casvm.CompressOptions{
-		Budget: 32, PruneFrac: 0.01, Seed: 7,
-	})
-	if err != nil {
-		return err
-	}
-	fullAcc, compAcc := casvm.AnnotateCompression(small, out.Set, ds.TestX, ds.TestY)
-	fmt.Fprintf(stdout, "selfbench: compressed %d → %d SVs, accuracy %.4f → %.4f\n",
-		st.SVBefore, st.SVAfter, fullAcc, compAcc)
-
-	s, err := serve.Start("localhost:0", serve.Config{Batch: batch})
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	if _, err := s.AddModelSet("default", small); err != nil {
-		return err
-	}
-	// Warm connections and the batcher outside the measured window.
-	if _, err := serve.RunLoad(serve.LoadOptions{
-		URL: s.URL(), Features: small.Centers.Features(), Requests: 64, Binary: true, Seed: 1,
-	}); err != nil {
-		return err
-	}
-	res, err := serve.RunLoad(serve.LoadOptions{
-		URL:               s.URL(),
-		Features:          small.Centers.Features(),
-		QueriesPerRequest: 256,
-		Binary:            true,
-		Duration:          dur,
-		Seed:              2,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "selfbench: %.0f preds/s sustained over %v (p50 %v, p99 %v, %d errors)\n",
-		res.PredsPerSec, res.Elapsed.Round(time.Millisecond), res.P50.Round(time.Microsecond),
-		res.P99.Round(time.Microsecond), res.Errors)
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }

@@ -81,10 +81,8 @@ func main() {
 		// A coordinator restarting mid-submit surfaces as a registration
 		// or transport error; retry with capped backoff instead of
 		// failing the CLI.
-		res, err := cluster.SubmitWithRetry(*clustr, spec, 0, cluster.RetryConfig{
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "casvm-train: "+format+"\n", args...)
-			},
+		res, err := cluster.SubmitWithRetry(*clustr, spec, 0, func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "casvm-train: "+format+"\n", args...)
 		})
 		if err != nil {
 			fail(err)

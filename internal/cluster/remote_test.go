@@ -1114,9 +1114,7 @@ func TestSubmitWithRetry(t *testing.T) {
 	})
 
 	spec := JobSpec{ID: "retry", Mixture: testMixture(160), Method: string(core.MethodRACA), P: 1, Seed: 7}
-	res, err := SubmitWithRetry(addr, spec, 120*time.Second, RetryConfig{
-		Attempts: 10, BaseDelay: 100 * time.Millisecond, Logf: t.Logf,
-	})
+	res, err := SubmitWithRetry(addr, spec, 120*time.Second, t.Logf)
 	if err != nil {
 		t.Fatalf("SubmitWithRetry: %v", err)
 	}
@@ -1127,9 +1125,9 @@ func TestSubmitWithRetry(t *testing.T) {
 	// A job-level failure is NOT retried: the coordinator answered, and a
 	// resubmission would double the work.
 	if _, err := SubmitWithRetry(addr, JobSpec{Method: "nope", P: 1, Dataset: "toy"},
-		30*time.Second, RetryConfig{Attempts: 3, BaseDelay: 50 * time.Millisecond}); err == nil {
+		30*time.Second, nil); err == nil {
 		t.Fatal("bogus method accepted")
-	} else if strings.Contains(err.Error(), "after 3 attempts") {
+	} else if strings.Contains(err.Error(), "after 5 attempts") {
 		t.Fatalf("job-level failure was retried: %v", err)
 	}
 }

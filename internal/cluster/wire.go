@@ -95,56 +95,34 @@ func SubmitAndWait(addr string, spec JobSpec, timeout time.Duration) (*JobResult
 	return &res, nil
 }
 
-// RetryConfig tunes SubmitWithRetry's capped exponential backoff.
-type RetryConfig struct {
-	// Attempts bounds registration/submission tries (0 = 5).
-	Attempts int
-	// BaseDelay is the first backoff (0 = 100ms); each retry doubles it
-	// up to MaxDelay (0 = 2s), with up to 50% uniform jitter on top so
-	// simultaneous clients do not re-dial in lockstep.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Jitter draws the backoff perturbation (nil = seeded from the
-	// clock; tests inject a deterministic source).
-	Jitter *rand.Rand
-	// Logf receives one line per failed attempt (nil = silent).
-	Logf func(format string, args ...any)
-}
-
-func (r RetryConfig) withDefaults() RetryConfig {
-	if r.Attempts == 0 {
-		r.Attempts = 5
-	}
-	if r.BaseDelay == 0 {
-		r.BaseDelay = 100 * time.Millisecond
-	}
-	if r.MaxDelay == 0 {
-		r.MaxDelay = 2 * time.Second
-	}
-	if r.Jitter == nil {
-		r.Jitter = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	return r
-}
+// SubmitWithRetry's backoff: submitAttempts tries, the first retry after
+// submitBaseDelay, doubling up to submitMaxDelay.
+const (
+	submitAttempts  = 5
+	submitBaseDelay = 100 * time.Millisecond
+	submitMaxDelay  = 2 * time.Second
+)
 
 // SubmitWithRetry is SubmitAndWait hardened against a coordinator that is
 // restarting: registration refusals and transport errors are retried with
-// capped exponential backoff plus jitter. A result frame that reports a
-// *job* failure is returned immediately — the coordinator answered;
-// retrying would rerun a run that already failed on its merits.
+// capped exponential backoff plus up to 50% uniform jitter, drawn from a
+// clock-seeded source so simultaneous clients do not re-dial in lockstep.
+// logf receives one line per failed attempt (nil = silent). A result frame
+// that reports a *job* failure is returned immediately — the coordinator
+// answered; retrying would rerun a run that already failed on its merits.
 //
 // Every attempt carries the same idempotency key (spec.SubmitKey, drawn
-// from rc.Jitter when the caller left it empty), so a retry after the
-// submit frame landed — the coordinator may still be running the first
+// from the jitter source when the caller left it empty), so a retry after
+// the submit frame landed — the coordinator may still be running the first
 // job — reattaches to the in-flight job instead of double-running it.
-func SubmitWithRetry(addr string, spec JobSpec, timeout time.Duration, rc RetryConfig) (*JobResult, error) {
-	rc = rc.withDefaults()
+func SubmitWithRetry(addr string, spec JobSpec, timeout time.Duration, logf func(format string, args ...any)) (*JobResult, error) {
+	jitter := rand.New(rand.NewSource(time.Now().UnixNano()))
 	if spec.SubmitKey == "" {
-		spec.SubmitKey = fmt.Sprintf("retry-%016x%016x", rc.Jitter.Uint64(), rc.Jitter.Uint64())
+		spec.SubmitKey = fmt.Sprintf("retry-%016x%016x", jitter.Uint64(), jitter.Uint64())
 	}
 	var lastErr error
-	delay := rc.BaseDelay
-	for attempt := 1; attempt <= rc.Attempts; attempt++ {
+	delay := submitBaseDelay
+	for attempt := 1; attempt <= submitAttempts; attempt++ {
 		res, err := SubmitAndWait(addr, spec, timeout)
 		if err == nil || res != nil {
 			// res != nil means the coordinator answered: the job ran and
@@ -152,18 +130,16 @@ func SubmitWithRetry(addr string, spec JobSpec, timeout time.Duration, rc RetryC
 			return res, err
 		}
 		lastErr = err
-		if attempt == rc.Attempts {
+		if attempt == submitAttempts {
 			break
 		}
-		sleep := delay + time.Duration(rc.Jitter.Int63n(int64(delay)/2+1))
-		if rc.Logf != nil {
-			rc.Logf("cluster: submit attempt %d/%d failed (%v); retrying in %v",
-				attempt, rc.Attempts, err, sleep)
+		sleep := delay + time.Duration(jitter.Int63n(int64(delay)/2+1))
+		if logf != nil {
+			logf("cluster: submit attempt %d/%d failed (%v); retrying in %v",
+				attempt, submitAttempts, err, sleep)
 		}
 		time.Sleep(sleep)
-		if delay *= 2; delay > rc.MaxDelay {
-			delay = rc.MaxDelay
-		}
+		delay = min(2*delay, submitMaxDelay)
 	}
-	return nil, fmt.Errorf("cluster: submit to %s failed after %d attempts: %w", addr, rc.Attempts, lastErr)
+	return nil, fmt.Errorf("cluster: submit to %s failed after %d attempts: %w", addr, submitAttempts, lastErr)
 }

@@ -37,9 +37,10 @@ type Options struct {
 	PruneFrac float64
 	// Seed drives the K-means initialisation; same seed ⇒ same reduced set.
 	Seed int64
-	// MaxIter caps Lloyd sweeps per class (≤ 0 selects 30).
-	MaxIter int
 }
+
+// lloydSweeps caps the K-means sweeps that place one class's centroids.
+const lloydSweeps = 30
 
 // ModelStats describes one constituent model's reduction.
 type ModelStats struct {
@@ -71,17 +72,13 @@ func Set(s *model.Set, o Options) (*model.Set, Stats, error) {
 	if o.Budget < 0 || o.PruneFrac < 0 || o.PruneFrac >= 1 {
 		return nil, Stats{}, fmt.Errorf("compress: bad options budget=%d prune=%v", o.Budget, o.PruneFrac)
 	}
-	maxIter := o.MaxIter
-	if maxIter <= 0 {
-		maxIter = 30
-	}
 	out := &model.Set{Centers: s.Centers, Models: make([]*model.Model, s.P())}
 	st := Stats{PerModel: make([]ModelStats, s.P())}
 	for j, m := range s.Models {
 		// Each model draws from its own seeded stream, so per-model results
 		// do not depend on how many SVs the models before it clustered.
 		rng := rand.New(rand.NewSource(o.Seed + int64(j)))
-		cm, ms := compressModel(m, o, maxIter, rng)
+		cm, ms := compressModel(m, o, rng)
 		if err := cm.Validate(); err != nil {
 			return nil, Stats{}, fmt.Errorf("compress: model %d: %w", j, err)
 		}
@@ -113,7 +110,7 @@ func Annotate(compressed, full *model.Set, q *la.Matrix, y []float64) (float64, 
 
 // compressModel reduces one model: α-prune, then per-class centroid
 // budgeting when the survivor count exceeds the budget.
-func compressModel(m *model.Model, o Options, maxIter int, rng *rand.Rand) (*model.Model, ModelStats) {
+func compressModel(m *model.Model, o Options, rng *rand.Rand) (*model.Model, ModelStats) {
 	st := ModelStats{SVBefore: m.NSV()}
 	if m.NSV() == 0 {
 		st.SVAfter = 0
@@ -152,8 +149,8 @@ func compressModel(m *model.Model, o Options, maxIter int, rng *rand.Rand) (*mod
 	var rows []float64
 	// Positive class first, then negative: a fixed order keeps the output
 	// deterministic and the per-class RNG consumption stable.
-	rows = appendClassCentroids(m, pos, budPos, maxIter, rng, rows)
-	rows = appendClassCentroids(m, neg, budNeg, maxIter, rng, rows)
+	rows = appendClassCentroids(m, pos, budPos, rng, rows)
+	rows = appendClassCentroids(m, neg, budNeg, rng, rows)
 	z := la.NewDense(len(rows)/n, n, rows)
 
 	// Reduced-set weights: rather than summing member α (which ignores how
@@ -184,7 +181,7 @@ func compressModel(m *model.Model, o Options, maxIter int, rng *rand.Rand) (*mod
 
 // appendClassCentroids appends one class's reduced vectors (densified): the
 // raw SVs when within budget, otherwise K-means centroids.
-func appendClassCentroids(m *model.Model, idx []int, budget int, maxIter int, rng *rand.Rand, rows []float64) []float64 {
+func appendClassCentroids(m *model.Model, idx []int, budget int, rng *rand.Rand, rows []float64) []float64 {
 	if len(idx) == 0 {
 		return rows
 	}
@@ -197,7 +194,7 @@ func appendClassCentroids(m *model.Model, idx []int, budget int, maxIter int, rn
 		return rows
 	}
 	sub := m.SVX.Subset(idx)
-	res := kmeans.Run(sub, kmeans.Seed(sub, budget, rng), 0, maxIter)
+	res := kmeans.Run(sub, kmeans.Seed(sub, budget, rng), 0, lloydSweeps)
 	for c := 0; c < budget; c++ {
 		rows = append(rows, res.Centers.DenseRow(c)...)
 	}
@@ -236,17 +233,16 @@ func reducedSetWeights(m *model.Model, z *la.Matrix) []float64 {
 		}
 		rhs[c] = s
 	}
-	if !cholSolve(kzz, rhs, nz) {
-		// Factorisation failed despite the ridge (degenerate kernel):
-		// fall back to the raw projection, which is always usable.
-		return rhs
-	}
+	// When the factorisation fails despite the ridge (a degenerate kernel),
+	// cholSolve leaves rhs untouched: the weights fall back to the raw
+	// projection, which is always usable.
+	cholSolve(kzz, rhs, nz)
 	return rhs
 }
 
 // cholSolve solves A·x = b in place (b becomes x) for symmetric positive
-// definite A (n×n row-major, clobbered). Returns false if a pivot is not
-// strictly positive.
+// definite A (n×n row-major, clobbered). Returns false, with b untouched,
+// if a pivot is not strictly positive.
 func cholSolve(a, b []float64, n int) bool {
 	// A = L·Lᵀ, L lower-triangular stored in a.
 	for j := 0; j < n; j++ {

@@ -39,13 +39,6 @@ func TestCrossRowFlopAccounting(t *testing.T) {
 	if want >= denseBound {
 		t.Fatalf("test matrix not sparse enough: nnz charge %v !< dense bound %v", want, denseBound)
 	}
-
-	// Mixed sparse a × dense b row: same nnz-based a-side charge.
-	db := denseMat(rng, 10, 50)
-	want = float64(sparse.NNZ() + (db.Features()+1)*m)
-	if got := p.CrossRow(sparse, db, 2, dst); got != want {
-		t.Errorf("sparse×dense: flops=%v want %v", got, want)
-	}
 }
 
 // TestRowVsCrossRowSparseConsistency: K(i,·) computed via Row and via
@@ -73,9 +66,9 @@ func TestRowVsCrossRowSparseConsistency(t *testing.T) {
 	}
 }
 
-// TestEvalMixedStorageAllocFree proves the mixed dense/sparse paths reuse
+// TestEvalMixedStorageAllocFree proves the mixed dense/sparse Eval reuses
 // pooled scratch instead of allocating per evaluation (the predict path
-// calls Eval millions of times).
+// calls Eval millions of times), and that CrossRow's sparse fill does too.
 func TestEvalMixedStorageAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := sparseMat(rng, 30, 16, 0.4)
@@ -93,21 +86,14 @@ func TestEvalMixedStorageAllocFree(t *testing.T) {
 			t.Errorf("kind=%v: Eval allocates %v/op, want 0", p.Kind, allocs)
 		}
 	}
+	// Sparse×sparse (Dis-SMO's remote column on sparse data): the scattered
+	// fill's tables are pooled like Eval's densify buffer.
 	dst := make([]float64, a.Rows())
 	p := RBF(0.2)
-	p.CrossRow(a, b, 0, dst)
-	allocs := testing.AllocsPerRun(200, func() {
-		p.CrossRow(a, b, 1, dst)
-	})
-	if allocs != 0 {
-		t.Errorf("CrossRow mixed allocates %v/op, want 0", allocs)
-	}
-	// Sparse×sparse (Dis-SMO's remote column on sparse data): the scattered
-	// fill's tables are pooled like the densify buffer above.
 	sb := sparseMat(rng, 30, 16, 0.4)
 	sb.EnsureNorms()
 	p.CrossRow(a, sb, 0, dst)
-	allocs = testing.AllocsPerRun(2000, func() {
+	allocs := testing.AllocsPerRun(2000, func() {
 		p.CrossRow(a, sb, 1, dst)
 	})
 	if allocs != 0 {

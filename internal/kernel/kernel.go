@@ -17,10 +17,10 @@ import (
 )
 
 // scratch recycles the dense buffers the mixed-storage (sparse×dense)
-// paths need to densify one row. Eval and CrossRow sit on the predict hot
-// path, where a per-evaluation make([]float64, n) would dominate the
-// allocation profile; a sync.Pool keeps the buffers alive across calls and
-// stays safe for the concurrent multi-rank training paths.
+// Eval needs to densify one row. Eval sits on the predict hot path, where a
+// per-evaluation make([]float64, n) would dominate the allocation profile;
+// a sync.Pool keeps the buffers alive across calls and stays safe for the
+// concurrent multi-rank training paths.
 var scratch sync.Pool
 
 // getScratch returns a pooled dense buffer of length n via a stable
@@ -184,8 +184,10 @@ func (p Params) Eval(a *la.Matrix, i int, b *la.Matrix, j int) float64 {
 
 // CrossRow computes dst[i] = K(row_i of a, row_j of b) for every row of a,
 // where b may be a different matrix (e.g. a broadcast remote sample in
-// distributed SMO), each entry bit for bit Eval(a, i, b, j). Returns the
-// flop count charged.
+// distributed SMO), each entry bit for bit Eval(a, i, b, j). a and b must
+// share a storage, both dense or both sparse: its one caller,
+// smo.Solver.FillColumn, is handed only rows the local block's storage
+// already admitted. Returns the flop count charged.
 func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float64 {
 	m := a.Rows()
 	dst = dst[:m]
@@ -205,24 +207,7 @@ func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float
 	case !a.Sparse() && !b.Sparse():
 		p.denseRow(b, j, a, nil, dst)
 	default:
-		// Mixed storage: densify the single b row once into pooled scratch.
-		buf := getScratch(b.Features())
-		xj := b.RowInto(j, *buf)
-		for i := range dst {
-			dst[i] = a.DotVec(i, xj)
-		}
-		putScratch(buf)
-		if p.Kind != Gaussian {
-			for i, dot := range dst {
-				dst[i] = p.fromDot(dot)
-			}
-			break
-		}
-		xsq := b.SqNormRow(j)
-		for i, dot := range dst {
-			dst[i] = la.SqDistOf(a.SqNormRow(i), xsq, dot)
-		}
-		la.ExpScaled(dst, -p.Gamma)
+		panic("kernel: CrossRow over mixed storage")
 	}
 	// Charge actual stored entries on the a side — a.NNZ() is m·Features()
 	// for dense but the true nonzero count for sparse, mirroring Tile's

@@ -347,22 +347,3 @@ func (c *Comm) Alltoallv(blocks [][]byte) [][]byte {
 	}
 	return out
 }
-
-// Allgatherv gathers every rank's block on all ranks (gather + broadcast of
-// the concatenation with a length table).
-func (c *Comm) Allgatherv(data []byte) [][]byte {
-	sp := c.beginColl("Allgatherv")
-	defer c.endColl(sp)
-	blocks := c.Gatherv(0, data)
-	// Root flattens with a length header; everyone decodes.
-	var flat []byte
-	if c.rank == 0 {
-		flat = PackSections(blocks...)
-	}
-	flat = c.Bcast(0, flat)
-	out, err := UnpackSections(flat, c.world.p)
-	if err != nil {
-		panic(fmt.Sprintf("mpi: Allgatherv: %v", err))
-	}
-	return out
-}

@@ -18,8 +18,7 @@ const AnyCount = -1
 
 // PackSections frames sections as one buffer: a little-endian u32 count,
 // then each section behind its u32 length. Every multi-part payload in the
-// repository uses it: Allgatherv's block table, core's sample parts and its
-// gathered results.
+// repository uses it: core's sample parts and its gathered results.
 func PackSections(sections ...[]byte) []byte {
 	body := 0
 	for _, s := range sections {

@@ -110,7 +110,11 @@ func TestInstrumentationClockInvariance(t *testing.T) {
 		clocks := make([]float64, 4)
 		if err := w.Run(func(c *Comm) error {
 			c.Charge(float64(777 * (c.Rank() + 1)))
-			c.Allgatherv(make([]byte, 100*(c.Rank()+1)))
+			blocks := make([][]byte, 4)
+			for dst := range blocks {
+				blocks[dst] = make([]byte, 100*(c.Rank()+1))
+			}
+			c.Alltoallv(blocks)
 			c.Barrier()
 			clocks[c.Rank()] = c.Clock()
 			return nil

@@ -169,49 +169,20 @@ func TestScattervGatherv(t *testing.T) {
 	}
 }
 
-func TestAllgatherv(t *testing.T) {
-	w := testWorld(4)
-	err := w.Run(func(c *Comm) error {
-		out := c.Allgatherv([]byte{byte(c.Rank() + 1)})
-		if len(out) != 4 {
-			return fmt.Errorf("len=%d", len(out))
-		}
-		for i, b := range out {
-			if len(b) != 1 || b[0] != byte(i+1) {
-				return fmt.Errorf("block %d = %v", i, b)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAllreduceOps: every float reduction overwrites x with the result and
+// TestAllreduceOps: the float reduction overwrites x with the sum and
 // returns x itself.
 func TestAllreduceOps(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		w := testWorld(p)
 		err := w.Run(func(c *Comm) error {
-			in := []float64{float64(c.Rank() + 1), -float64(c.Rank())}
-			for _, tc := range []struct {
-				name string
-				f    func([]float64) []float64
-				want []float64
-			}{
-				{"sum", c.AllreduceSum, []float64{float64(p*(p+1)) / 2, -float64(p*(p-1)) / 2}},
-				{"max", c.AllreduceMax, []float64{float64(p), 0}},
-				{"min", c.AllreduceMin, []float64{1, -float64(p - 1)}},
-			} {
-				x := append([]float64(nil), in...)
-				got := tc.f(x)
-				if &got[0] != &x[0] {
-					return fmt.Errorf("%s returned a slice other than x", tc.name)
-				}
-				if x[0] != tc.want[0] || x[1] != tc.want[1] {
-					return fmt.Errorf("%s: x=%v want %v", tc.name, x, tc.want)
-				}
+			x := []float64{float64(c.Rank() + 1), -float64(c.Rank())}
+			want := []float64{float64(p*(p+1)) / 2, -float64(p*(p-1)) / 2}
+			got := c.AllreduceSum(x)
+			if &got[0] != &x[0] {
+				return fmt.Errorf("sum returned a slice other than x")
+			}
+			if x[0] != want[0] || x[1] != want[1] {
+				return fmt.Errorf("sum: x=%v want %v", x, want)
 			}
 			return nil
 		})
@@ -221,9 +192,9 @@ func TestAllreduceOps(t *testing.T) {
 	}
 }
 
-// treeFold is the binomial-tree order AllreduceBytes folds in: at step s,
-// every rank that is a multiple of 2s folds in rank r+s's accumulator.
-func treeFold(vals [][]float64, op func(a, b float64) float64) []float64 {
+// treeSum is the binomial-tree order AllreduceBytes folds in: at step s,
+// every rank that is a multiple of 2s adds in rank r+s's accumulator.
+func treeSum(vals [][]float64) []float64 {
 	acc := make([][]float64, len(vals))
 	for r, v := range vals {
 		acc[r] = append([]float64(nil), v...)
@@ -231,36 +202,17 @@ func treeFold(vals [][]float64, op func(a, b float64) float64) []float64 {
 	for step := 1; step < len(vals); step <<= 1 {
 		for r := 0; r+step < len(vals); r += 2 * step {
 			for i := range acc[r] {
-				acc[r][i] = op(acc[r][i], acc[r+step][i])
+				acc[r][i] += acc[r+step][i]
 			}
 		}
 	}
 	return acc[0]
 }
 
-// TestAllreduceMatchesTreeFold: the in-place reductions give every rank the
+// TestAllreduceMatchesTreeFold: the in-place sum gives every rank the
 // tree-order fold bit for bit, on values whose sum depends on the order
 // (magnitudes 1e-8 to 1e8, signed zeros).
 func TestAllreduceMatchesTreeFold(t *testing.T) {
-	ops := []struct {
-		name string
-		fold func(a, b float64) float64
-		run  func(c *Comm, x []float64) []float64
-	}{
-		{"sum", func(a, b float64) float64 { return a + b }, (*Comm).AllreduceSum},
-		{"max", func(a, b float64) float64 {
-			if b > a {
-				return b
-			}
-			return a
-		}, (*Comm).AllreduceMax},
-		{"min", func(a, b float64) float64 {
-			if b < a {
-				return b
-			}
-			return a
-		}, (*Comm).AllreduceMin},
-	}
 	rng := rand.New(rand.NewSource(40))
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for _, n := range []int{0, 1, 7} {
@@ -276,24 +228,22 @@ func TestAllreduceMatchesTreeFold(t *testing.T) {
 					}
 				}
 			}
-			for _, op := range ops {
-				want := treeFold(vals, op.fold)
-				err := testWorld(p).Run(func(c *Comm) error {
-					x := append(make([]float64, 0, n), vals[c.Rank()]...)
-					got := op.run(c, x)
-					if len(got) != n || (n > 0 && &got[0] != &x[0]) {
-						return fmt.Errorf("result is not x: len %d", len(got))
-					}
-					for i := range want {
-						if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
-							return fmt.Errorf("x[%d]=%v (%#x) want %v (%#x)", i, x[i], math.Float64bits(x[i]), want[i], math.Float64bits(want[i]))
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("p=%d n=%d %s: %v", p, n, op.name, err)
+			want := treeSum(vals)
+			err := testWorld(p).Run(func(c *Comm) error {
+				x := append(make([]float64, 0, n), vals[c.Rank()]...)
+				got := c.AllreduceSum(x)
+				if len(got) != n || (n > 0 && &got[0] != &x[0]) {
+					return fmt.Errorf("result is not x: len %d", len(got))
 				}
+				for i := range want {
+					if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+						return fmt.Errorf("x[%d]=%v (%#x) want %v (%#x)", i, x[i], math.Float64bits(x[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("p=%d n=%d: %v", p, n, err)
 			}
 		}
 	}

@@ -49,29 +49,11 @@ func (c *Comm) allreduceBytes(name string, acc []byte, combine func(acc, in []by
 	return c.treeBcastBytes(0, c.nextCollTag(), acc), nil
 }
 
-// Reduction operators over []float64.
-type reduceOp int
-
-const (
-	opSum reduceOp = iota
-	opMax
-	opMin
-)
-
-func (op reduceOp) apply(a, b float64) float64 {
-	switch {
-	case op == opSum:
-		return a + b
-	case op == opMax && b > a, op == opMin && b < a:
-		return b
-	}
-	return a
-}
-
-// allreduce combines x across all ranks with op, element-wise on the
-// EncodeF64 wire form, charging the reduction flops, and decodes the result
-// into x.
-func (c *Comm) allreduce(x []float64, op reduceOp) []float64 {
+// AllreduceSum overwrites x with the element-wise sum of x across all ranks
+// and returns x: one allreduce walk over x's EncodeF64 wire form, charging
+// one flop per element combined. Every rank receives the same values, folded
+// in the same order (the binomial tree's), so they agree bit for bit.
+func (c *Comm) AllreduceSum(x []float64) []float64 {
 	out, err := c.allreduceBytes("Allreduce", la.EncodeF64(x), func(acc, in []byte) ([]byte, error) {
 		if len(in) != len(acc) || len(in) < 4 || binary.LittleEndian.Uint32(in) != uint32(len(x)) {
 			return nil, fmt.Errorf("payload of %d bytes, want %d", len(in), len(acc))
@@ -79,9 +61,9 @@ func (c *Comm) allreduce(x []float64, op reduceOp) []float64 {
 		for off := 4; off < len(acc); off += 8 {
 			a := math.Float64frombits(binary.LittleEndian.Uint64(acc[off:]))
 			b := math.Float64frombits(binary.LittleEndian.Uint64(in[off:]))
-			binary.LittleEndian.PutUint64(acc[off:], math.Float64bits(op.apply(a, b)))
+			binary.LittleEndian.PutUint64(acc[off:], math.Float64bits(a+b))
 		}
-		c.Charge(float64(len(x))) // one flop per element combined
+		c.Charge(float64(len(x)))
 		return acc, nil
 	})
 	if err == nil {
@@ -92,19 +74,6 @@ func (c *Comm) allreduce(x []float64, op reduceOp) []float64 {
 	}
 	return x
 }
-
-// AllreduceSum overwrites x with the element-wise sum of x across all ranks
-// and returns x. Every rank receives the same values, folded in the same
-// order (the binomial tree's), so they agree bit for bit.
-func (c *Comm) AllreduceSum(x []float64) []float64 { return c.allreduce(x, opSum) }
-
-// AllreduceMax overwrites x with the element-wise maximum across all ranks
-// and returns x.
-func (c *Comm) AllreduceMax(x []float64) []float64 { return c.allreduce(x, opMax) }
-
-// AllreduceMin overwrites x with the element-wise minimum across all ranks
-// and returns x.
-func (c *Comm) AllreduceMin(x []float64) []float64 { return c.allreduce(x, opMin) }
 
 // AllreduceSumInt sums integer counts across ranks (used by the
 // partitioners for cluster sizes).

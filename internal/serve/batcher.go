@@ -44,9 +44,10 @@ type BatcherConfig struct {
 	// to enqueue (≤ 0 selects 2ms). It is not a latency floor: with nothing
 	// arriving the batch flushes immediately.
 	MaxDelay time.Duration
-	// QueueDepth bounds requests waiting to enter a batch (≤ 0 selects 1024).
-	QueueDepth int
 }
+
+// queueDepth bounds the requests waiting to enter a batch.
+const queueDepth = 1024
 
 // Defaulted returns cfg with zero fields resolved.
 func (cfg BatcherConfig) Defaulted() BatcherConfig {
@@ -55,9 +56,6 @@ func (cfg BatcherConfig) Defaulted() BatcherConfig {
 	}
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 2 * time.Millisecond
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
 	}
 	return cfg
 }
@@ -156,7 +154,7 @@ func newBatcher(h *Handle, cfg BatcherConfig, m batcherMetrics, arriving *arriva
 		cfg:      cfg.Defaulted(),
 		m:        m,
 		arriving: arriving,
-		reqs:     make(chan *batchReq, cfg.Defaulted().QueueDepth),
+		reqs:     make(chan *batchReq, queueDepth),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}

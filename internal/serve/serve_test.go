@@ -639,3 +639,74 @@ func TestDecodePredictRequestRejects(t *testing.T) {
 		t.Fatalf("queries nulled before queries_b64: err %v", err)
 	}
 }
+
+// TestServerAddModelFromFile covers the file-backed registration path the
+// CLI uses, plus the /models listing it feeds.
+func TestServerAddModelFromFile(t *testing.T) {
+	s := startTestServer(t, Config{})
+	dir := t.TempDir()
+	path := dir + "/m.model"
+	set := testSet(5, 4)
+	saveSetFile(t, path, set)
+	snap, err := s.AddModel("disk", path)
+	if err != nil {
+		t.Fatalf("AddModel: %v", err)
+	}
+	if snap.Path != path || snap.ModelHash != set.Hash() || snap.Generation != 1 {
+		t.Fatalf("snapshot %+v", snap)
+	}
+	if got := s.Registry().Names(); len(got) != 1 || got[0] != "disk" {
+		t.Fatalf("names %v", got)
+	}
+	if _, err := s.AddModel("bad", dir+"/missing.model"); err == nil {
+		t.Fatal("missing file should error")
+	}
+
+	// Method and path guards on the mutation endpoints.
+	resp, err := http.Get(s.URL() + "/models/disk/reload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET reload: %d, want 405", resp.StatusCode)
+	}
+	resp, err = http.Post(s.URL()+"/models/ghost/reload", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("reload unknown model: %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Post(s.URL()+"/models/disk/reload", "application/json",
+		strings.NewReader(`{"path": not-json`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("reload bad body: %d, want 400", resp.StatusCode)
+	}
+	resp, err = http.Get(s.URL() + "/predict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /predict: %d, want 405", resp.StatusCode)
+	}
+
+	// Implicit-path reload (no body) re-reads the same file.
+	resp, err = http.Post(s.URL()+"/models/disk/reload", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("implicit reload: %d, want 200", resp.StatusCode)
+	}
+	if gen := s.Registry().Handles()[0].Snapshot().Generation; gen != 2 {
+		t.Fatalf("generation %d after reload, want 2", gen)
+	}
+}

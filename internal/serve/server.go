@@ -131,7 +131,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns the http:// base URL of the server.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Registry exposes the model registry (tests and the selfbench drive it).
+// Registry exposes the model registry (tests and bench/serve.go drive it).
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Close stops the listener, waits for the serve loop, and shuts down every

@@ -325,9 +325,10 @@ func (s *Solver) snapTo(a, c float64) float64 {
 
 // FillColumn computes the cross-kernel column of an external sample against
 // the local block — dst[i] = K(x_i, ext_j), length M() — and charges its
-// flops. Distributed SMO calls it once per sample entering its replicated
-// column cache; every later iteration that picks the sample reuses the
-// column for free.
+// flops. ext must have the local block's storage (both dense or both
+// sparse); Distributed SMO refuses any other row before it gets here. It
+// calls FillColumn once per sample entering its replicated column cache;
+// every later iteration that picks the sample reuses the column for free.
 func (s *Solver) FillColumn(ext *la.Matrix, j int, dst []float64) {
 	s.flops += s.cfg.Kernel.CrossRow(s.x, ext, j, dst)
 }

@@ -13,10 +13,13 @@ import (
 
 // Per-rank ingestion caps, mirroring the worker-side timeline caps: a
 // chatty or buggy worker cannot grow coordinator memory without bound.
-// Overflow is counted (fleet_dropped_total), never silent.
+// Overflow is counted (fleet_dropped_total), never silent. maxRank bounds
+// the rank ids, and so the job width, a frame can claim: a merge sizes its
+// per-rank tables by the width.
 const (
 	maxEventsPerRank = 1 << 15
 	maxEdgesPerRank  = 1 << 16
+	maxRank          = 1 << 16
 )
 
 // probeSamples is the clock-probe ping burst per worker; eventCap bounds the
@@ -182,7 +185,7 @@ func (c *Collector) HandleFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) bo
 
 // rankLocked resolves (job, rank), creating state as needed. c.mu held.
 func (c *Collector) rankLocked(job string, rank, workerID int) *rankState {
-	if rank < 0 || rank > 1<<16 {
+	if rank < 0 || rank > maxRank {
 		return nil
 	}
 	j := c.jobs[job]
@@ -216,7 +219,7 @@ func (c *Collector) onHello(workerID int, h Hello) {
 	// offset in the merged trace.
 	rebound := rs.probeStarted && rs.workerID != workerID
 	rs.workerID = workerID
-	if j := c.jobs[h.Job]; h.P > j.p {
+	if j := c.jobs[h.Job]; h.P > j.p && h.P <= maxRank+1 {
 		j.p = h.P
 	}
 	probe := c.cfg.Probe
