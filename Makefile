@@ -234,26 +234,23 @@ loc:
 		| sort -k2
 
 # Short fuzz sweep over every fuzz target (parsers, the wire-frame, hello and
-# registration-reply decoders, the fleet telemetry frames, the matrix, shard
-# and sample-part decoders, the run-report round trip, and the four-lane exp,
-# distance, SMO update-scan and Dot4 kernels against their scalar oracles);
-# seed corpora also run in plain `make test`.
+# registration-reply decoders, the fleet telemetry frames, the matrix, shard,
+# model-file and sample-part decoders, the run-report round trip, and the
+# four-lane exp, distance, SMO update-scan and Dot4 kernels against their
+# scalar oracles); seed corpora also run in plain `make test`. The targets
+# are whatever `go test -list` finds, so a renamed or new one cannot fall
+# off the sweep, and a package whose tests do not build fails it.
 fuzz:
-	$(GO) test -fuzz FuzzReadLIBSVM -fuzztime 10s ./internal/data
-	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/tcpmpi
-	$(GO) test -run 'Fuzz' -fuzz FuzzParseHello -fuzztime 10s ./internal/tcpmpi
-	$(GO) test -run 'Fuzz' -fuzz FuzzParseLeaseReply -fuzztime 10s ./internal/tcpmpi
-	$(GO) test -fuzz FuzzRunReportRoundTrip -fuzztime 10s ./internal/trace
-	$(GO) test -run 'Fuzz' -fuzz FuzzDecodePredictRequest -fuzztime 10s ./internal/serve
-	$(GO) test -run 'Fuzz' -fuzz FuzzExecFrames -fuzztime 10s ./internal/cluster
-	$(GO) test -run 'Fuzz' -fuzz FuzzFleetFrames -fuzztime 10s ./internal/telemetry/fleet
-	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeMatrix -fuzztime 10s ./internal/la
-	$(GO) test -run 'Fuzz' -fuzz FuzzExpScaled -fuzztime 10s ./internal/la
-	$(GO) test -run 'Fuzz' -fuzz FuzzSqDistRows -fuzztime 10s ./internal/la
-	$(GO) test -run 'Fuzz' -fuzz FuzzUpdateScan -fuzztime 10s ./internal/la
-	$(GO) test -run 'Fuzz' -fuzz FuzzDot4 -fuzztime 10s ./internal/la
-	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeShardModel -fuzztime 10s ./internal/model
-	$(GO) test -run 'Fuzz' -fuzz FuzzDecodeParts -fuzztime 10s ./internal/core
+	@set -e; n=0; \
+	for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || { echo "$$list"; exit 1; }; \
+		for f in $$(echo "$$list" | grep '^Fuzz' || true); do \
+			echo "fuzz $$f $$pkg"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s $$pkg; \
+			n=$$((n + 1)); \
+		done; \
+	done; \
+	test $$n -gt 0 || { echo "fuzz: no fuzz targets found"; exit 1; }
 
 # cover enforces statement-coverage floors on the packages whose
 # regressions are silent: 70% on the observability/modeling set, 75% on the

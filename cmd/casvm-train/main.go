@@ -144,12 +144,17 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		sched := faults.ScheduleFromFaults(fi)
+		sched, err := faults.ScheduleFromFaults(fi)
+		if err != nil {
+			fail(fmt.Errorf("%s: %w", *replayF, err))
+		}
 		params.Faults = faults.NewSchedule(sched)
 		// The report pins the policy that handled the original run; explicit
 		// -recover still wins.
-		if pol == casvm.RecoverOff && fi.Policy != "" {
-			params.Recovery.Policy = casvm.RecoveryPolicy(fi.Policy)
+		if pol == casvm.RecoverOff {
+			if params.Recovery.Policy, err = casvm.ParseRecoveryPolicy(fi.Policy); err != nil {
+				fail(fmt.Errorf("%s: %w", *replayF, err))
+			}
 		}
 		if params.Recovery.CheckpointEvery == 0 {
 			params.Recovery.CheckpointEvery = fi.CheckpointEvery
@@ -158,7 +163,6 @@ func main() {
 			sched.Seed, len(sched.Events), params.Recovery.Policy)
 	case *chaos != 0:
 		sched := faults.RandomSchedule(*chaos, *p, 4, faults.ScheduleOptions{})
-		sched.Policy = string(params.Recovery.Policy)
 		params.Faults = faults.NewSchedule(sched)
 		fmt.Printf("chaos schedule: seed=%d events=%d policy=%s\n",
 			sched.Seed, len(sched.Events), params.Recovery.Policy)

@@ -81,8 +81,7 @@ func TestChaosMatrix(t *testing.T) {
 			{Kind: "corrupt", Rank: 0, Send: 4},
 		}}, RecoverRespawn},
 		{"churn", faults.Schedule{Seed: 14, Events: []faults.ScheduledFault{
-			{Kind: "leave", Rank: 1, Iter: 12},
-			{Kind: "join", Iter: 20},
+			{Kind: "crash-iter", Rank: 1, Iter: 12},
 		}}, RecoverRespawn},
 	}
 	for _, m := range chaosMethods {
@@ -90,8 +89,8 @@ func TestChaosMatrix(t *testing.T) {
 			pol := sc.pol
 			if sc.name == "churn" && m == MethodDisSMO {
 				// Dis-SMO's global-row checkpoints survive re-partitioning,
-				// so its churn column exercises the full shrink-then-grow
-				// path; the other methods churn under respawn.
+				// so its churn column loses the rank for good (shrink); the
+				// other methods churn under respawn.
 				pol = RecoverShrink
 			}
 			t.Run(string(m)+"/"+sc.name, func(t *testing.T) {
@@ -124,7 +123,6 @@ func TestChaosSoak(t *testing.T) {
 				sched := faults.RandomSchedule(seed, 4, 4, faults.ScheduleOptions{
 					MaxIter: 48, MaxSend: 16, MaxCrashes: 2,
 				})
-				sched.Policy = string(pol)
 				t.Logf("schedule seed=%d events=%v", sched.Seed, sched.Events)
 				out := chaosRun(t, m, 4, sched, pol)
 				if out != nil && out.Stats.Recoveries > 3 {

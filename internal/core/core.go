@@ -151,35 +151,6 @@ type FaultInjector interface {
 	CrashCheck(rank, iter int) error
 }
 
-// ElasticSource is the optional membership side of a fault injector: a
-// JoinCheck poll consuming pending worker-join requests. Training loops
-// poll it only at checkpoint epoch boundaries — right after a deposit — so
-// the supervisor can grow the world from a state it can re-slice.
-// faults.ScheduleInjector implements it (its "join" events).
-type ElasticSource interface {
-	JoinCheck(iter int) int
-}
-
-// joinInterrupt polls the injector's elastic-join source at checkpoint
-// epoch boundaries and converts pending joins into a cooperative
-// *mpi.ResizeError. It is a no-op unless a recovery supervisor is attached
-// (only trainSupervised can act on a resize) and the injector implements
-// ElasticSource.
-func (p Params) joinInterrupt(rank, iter int) error {
-	rt := p.rt
-	if rt == nil || p.Faults == nil || iter <= 0 || iter%rt.every != 0 {
-		return nil
-	}
-	src, ok := p.Faults.(ElasticSource)
-	if !ok {
-		return nil
-	}
-	if n := src.JoinCheck(iter); n > 0 {
-		return &mpi.ResizeError{Rank: rank, Iter: iter, Delta: n, Reason: "worker-join"}
-	}
-	return nil
-}
-
 // IndependentModels reports whether the method trains one independent
 // model per rank (so losing a rank costs one shard, not the run).
 func (m Method) IndependentModels() bool {
@@ -349,12 +320,6 @@ type Stats struct {
 	// plus restart penalties — already included in TotalSec.
 	Recoveries  int
 	RecoverySec float64
-
-	// Grows counts elastic scale-ups (worker joins absorbed at checkpoint
-	// epoch boundaries); JoinedRanks is the total ranks those grows added.
-	// P already reflects the final, grown width.
-	Grows       int
-	JoinedRanks int
 }
 
 // Output bundles the trained model set with the run statistics.

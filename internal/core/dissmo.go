@@ -55,7 +55,6 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 	if c.Rank() == 0 {
 		cfg.Metrics = p.Metrics // every rank's cache sees the same lookups
 	}
-	startIter := 0
 	if rt := p.rt; rt != nil {
 		if epoch, ga, gf, ok := rt.store.consistentDis(); ok {
 			cfg.Restore = &smo.Checkpoint{
@@ -63,7 +62,6 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 				Alpha: ga[rowStart : rowStart+rows],
 				F:     gf[rowStart : rowStart+rows],
 			}
-			startIter = epoch
 			if rt.metrics != nil && c.Rank() == 0 {
 				rt.metrics.Counter("casvm_restores_total", "solver resumes from checkpoint").Inc()
 			}
@@ -78,17 +76,9 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 		}
 	}
 	if p.Faults != nil {
-		// The loop deposits before it polls, so a rank killed or grown at
-		// iteration k has already contributed epoch k. Pending joins are
-		// absorbed at each epoch boundary but the one restored from.
-		cfg.Interrupt = func(iter int) error {
-			if iter != startIter {
-				if err := p.joinInterrupt(c.Rank(), iter); err != nil {
-					return err
-				}
-			}
-			return p.Faults.CrashCheck(c.Rank(), iter)
-		}
+		// The loop deposits before it polls, so a rank killed at
+		// iteration k has already contributed epoch k.
+		cfg.Interrupt = func(iter int) error { return p.Faults.CrashCheck(c.Rank(), iter) }
 	}
 	solver, err := smo.New(local.x, local.y, cfg, nil)
 	if err != nil {

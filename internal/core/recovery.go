@@ -1,7 +1,9 @@
-// Checkpoint/restart and elastic rank recovery.
+// Checkpoint/restart.
 //
-// The in-process runtime recovers by gang restart: when a rank crashes the
-// world aborts, the supervisor in train.go prices the lost work (the failed
+// The in-process runtime recovers from one fault, a lost rank (a
+// *mpi.CrashError), by gang restart at the same or a smaller width; growing
+// a running job is internal/cluster's. When a rank crashes the world
+// aborts, the supervisor in train.go prices the lost work (the failed
 // world's MaxClock plus a restart penalty becomes the next attempt's base
 // clock), and the whole computation re-runs. Because every attempt is
 // deterministic — same seed, same partitioning, same RNG streams — the only
@@ -237,12 +239,7 @@ func (p Params) solverConfigCkpt(c *mpi.Comm) smo.Config {
 	rank := c.Rank()
 	cfg := p.solverConfig()
 	if p.Faults != nil {
-		cfg.Interrupt = func(iter int) error {
-			if err := p.Faults.CrashCheck(rank, iter); err != nil {
-				return err
-			}
-			return p.joinInterrupt(rank, iter)
-		}
+		cfg.Interrupt = func(iter int) error { return p.Faults.CrashCheck(rank, iter) }
 	}
 	cfg.Trace = p.Timeline.Rank(rank)
 	cfg.Metrics = p.Metrics

@@ -139,6 +139,65 @@ func TestLocalSolveRespawnBitIdentical(t *testing.T) {
 	}
 }
 
+// TestShrinkLocalSolveMethods: the independent-model and tree methods also
+// absorb a shrink — their (rank, seq) checkpoints cannot survive the
+// re-partition, so the shrunk run restarts from scratch at the new width and
+// is checked for convergence, not hash identity.
+func TestShrinkLocalSolveMethods(t *testing.T) {
+	d := testSet(t, 480)
+	for _, m := range []Method{MethodRACA, MethodCascade} {
+		t.Run(string(m), func(t *testing.T) {
+			pr := paramsFor(m, 4, d)
+			pr.Faults = crashSchedule(1, 10)
+			pr.Recovery = Recovery{Policy: RecoverShrink, CheckpointEvery: 8}
+			out, err := Train(d.X, d.Y, pr)
+			if err != nil {
+				t.Fatalf("%s: shrink training failed: %v", m, err)
+			}
+			if out.Stats.P != 3 {
+				t.Fatalf("%s: final P=%d, want 3", m, out.Stats.P)
+			}
+			if out.Stats.Recoveries != 1 {
+				t.Fatalf("%s: Recoveries=%d, want 1", m, out.Stats.Recoveries)
+			}
+			if got := out.Stats.LostRanks; len(got) != 1 || got[0] != 1 {
+				t.Fatalf("%s: LostRanks=%v, want [1]", m, got)
+			}
+			acc := out.Set.Accuracy(d.TestX, d.TestY)
+			if acc < 0.85 {
+				t.Fatalf("%s: shrunk accuracy %.3f < 0.85", m, acc)
+			}
+		})
+	}
+}
+
+// TestJoinIgnoredWithoutSupervisor: "join" is no fault kind — growing a
+// running job is the cluster's, not the in-process supervisor's — so a
+// hand-built schedule carrying one leaves an unsupervised run untouched: it
+// completes at its width with the fault-free model, not with a stray resize.
+func TestJoinIgnoredWithoutSupervisor(t *testing.T) {
+	d := testSet(t, 480)
+	cleanOut, err := Train(d.X, d.Y, paramsFor(MethodDisSMO, 4, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := paramsFor(MethodDisSMO, 4, d)
+	pr.Faults = faults.NewSchedule(faults.Schedule{
+		Seed:   5,
+		Events: []faults.ScheduledFault{{Kind: "join", Iter: 10}},
+	})
+	out, err := Train(d.X, d.Y, pr)
+	if err != nil {
+		t.Fatalf("unsupervised run with a join event failed: %v", err)
+	}
+	if out.Stats.P != 4 || out.Stats.Recoveries != 0 {
+		t.Fatalf("P=%d Recoveries=%d, want 4/0", out.Stats.P, out.Stats.Recoveries)
+	}
+	if got, want := hashOf(t, out), hashOf(t, cleanOut); got != want {
+		t.Fatalf("join-event hash %s != fault-free %s", got, want)
+	}
+}
+
 // TestRecoveryObservability: recovery emits checkpoint and recovery spans
 // into the timeline and counters into the metrics registry, and the run
 // report carries the realized fault schedule plus recovery totals.
@@ -223,7 +282,11 @@ func TestReplayFromReport(t *testing.T) {
 	}
 
 	replay := paramsFor(MethodDisSMO, 8, d)
-	replay.Faults = faults.NewSchedule(faults.ScheduleFromFaults(rep.Faults))
+	sched, err := faults.ScheduleFromFaults(rep.Faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay.Faults = faults.NewSchedule(sched)
 	replay.Recovery = Recovery{Policy: RecoveryPolicy(rep.Faults.Policy),
 		CheckpointEvery: rep.Faults.CheckpointEvery}
 	out2, err := Train(d.X, d.Y, replay)
@@ -235,6 +298,97 @@ func TestReplayFromReport(t *testing.T) {
 	}
 	if got, want := hashOf(t, out2), hashOf(t, out); got != want {
 		t.Fatalf("replay hash %s != original %s", got, want)
+	}
+}
+
+// TestReplayReportRecordsRecoveryRun: a replay may run a recorded schedule
+// under a different recovery than the one that recorded it, and its report
+// must name the recovery it ran — not echo the recorded one — or replaying
+// that report reruns the wrong policy at the wrong width.
+func TestReplayReportRecordsRecoveryRun(t *testing.T) {
+	d := testSet(t, 480)
+	recorded := &trace.FaultsInfo{Seed: 4, Policy: "respawn", CheckpointEvery: 8,
+		Schedule: []trace.FaultEvent{{Kind: "crash-iter", Rank: 3, Iter: 40}}}
+	for _, rec := range []Recovery{{Policy: RecoverShrink, CheckpointEvery: 16}, {}} {
+		sched, err := faults.ScheduleFromFaults(recorded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Policy == RecoverOff {
+			sched.Events = nil // an unsupervised crash fails the run
+		}
+		pr := paramsFor(MethodDisSMO, 8, d)
+		pr.Faults = faults.NewSchedule(sched)
+		pr.Recovery = rec
+		out, err := Train(d.X, d.Y, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := BuildReport(out, pr, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi := rep.Faults
+		if fi == nil || fi.Seed != 4 {
+			t.Fatalf("%q: faults block %+v, want seed 4", rec.Policy, fi)
+		}
+		if fi.Policy != string(rec.Policy) || fi.CheckpointEvery != rec.CheckpointEvery {
+			t.Fatalf("report records %q every %d, but the run used %q every %d",
+				fi.Policy, fi.CheckpointEvery, rec.Policy, rec.CheckpointEvery)
+		}
+		if rec.Policy == RecoverShrink && out.Stats.P != 7 {
+			t.Fatalf("replay ran at P=%d, want the shrunk 7", out.Stats.P)
+		}
+	}
+}
+
+// TestDisSMOChurnGoldenHash: a Dis-SMO run on P=8 loses two workers in
+// turn (shrinking to 7, then 6) and still lands on the fault-free
+// ModelHash — successive shrinks compose over the global-row-space
+// checkpoints because Dis-SMO's trajectory is partition-independent.
+func TestDisSMOChurnGoldenHash(t *testing.T) {
+	d := testSet(t, 480)
+
+	clean := paramsFor(MethodDisSMO, 8, d)
+	cleanOut, err := Train(d.X, d.Y, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cleanOut.Stats.Iters < 48 {
+		t.Fatalf("fault-free run converged in %d iters; churn sites unreachable", cleanOut.Stats.Iters)
+	}
+
+	pr := paramsFor(MethodDisSMO, 8, d)
+	pr.Faults = faults.NewSchedule(faults.Schedule{Seed: 7, Events: []faults.ScheduledFault{
+		{Kind: "crash-iter", Rank: 6, Iter: 20},
+		{Kind: "crash-iter", Rank: 5, Iter: 30},
+	}})
+	pr.Recovery = Recovery{Policy: RecoverShrink, CheckpointEvery: 8}
+	out, err := Train(d.X, d.Y, pr)
+	if err != nil {
+		t.Fatalf("churn training failed: %v", err)
+	}
+	if out.Stats.P != 6 {
+		t.Fatalf("final P=%d, want 6 (8 shrunk twice)", out.Stats.P)
+	}
+	if out.Stats.Recoveries != 2 {
+		t.Fatalf("Recoveries=%d, want 2", out.Stats.Recoveries)
+	}
+	if got := out.Stats.LostRanks; len(got) != 2 || got[0] != 6 || got[1] != 5 {
+		t.Fatalf("LostRanks=%v, want [6 5]", got)
+	}
+	if out.Stats.RecoverySec <= 0 {
+		t.Fatal("RecoverySec not charged")
+	}
+	if out.Stats.TotalSec <= cleanOut.Stats.TotalSec {
+		t.Fatalf("churn TotalSec %.4f not above clean %.4f: lost work unpriced",
+			out.Stats.TotalSec, cleanOut.Stats.TotalSec)
+	}
+	if got, want := hashOf(t, out), hashOf(t, cleanOut); got != want {
+		t.Fatalf("churn model hash %s != fault-free %s", got, want)
+	}
+	if out.Stats.Iters != cleanOut.Stats.Iters {
+		t.Fatalf("churn iters %d != clean %d", out.Stats.Iters, cleanOut.Stats.Iters)
 	}
 }
 

@@ -55,14 +55,12 @@ func BuildReport(out *Output, p Params, dataset string, accuracy float64) (*trac
 		RecoverySec:    st.RecoverySec,
 	}
 	// A schedule-driven injector can describe its realized faults; record
-	// them so any chaos run replays from its report alone.
+	// them, with the recovery this run actually ran under, so any chaos run
+	// replays from its report alone.
 	if fr, ok := p.Faults.(trace.FaultReporter); ok && p.Faults != nil {
-		fi := fr.FaultsInfo()
-		if fi != nil {
-			if fi.Policy == "" {
-				fi.Policy = string(p.Recovery.Policy)
-			}
-			if fi.CheckpointEvery == 0 && p.Recovery.Policy != RecoverOff {
+		if fi := fr.FaultsInfo(); fi != nil {
+			fi.Policy = string(p.Recovery.Policy)
+			if p.Recovery.Policy != RecoverOff {
 				fi.CheckpointEvery = p.Recovery.Cadence()
 			}
 			r.Faults = fi

@@ -51,15 +51,9 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 	for i := range origID {
 		origID[i] = i
 	}
-	nextID := p.P // fresh original ids for ranks joining mid-run
 	var lostOrig []int
 	base := 0.0
 	recoveries := 0
-	grows, joined := 0, 0
-	// maxGrows bounds elastic scale-ups separately from the crash-restart
-	// budget: joins are cooperative and one-shot, so the bound is a backstop
-	// against a misbehaving membership source, not a retry budget.
-	const maxGrows = 32
 	// Failed attempts' measured work, folded into the final run's stats so
 	// recovery overhead is visible, not vanished.
 	var extra Stats
@@ -71,8 +65,6 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 			st := &out.Stats
 			st.Recoveries = recoveries
 			st.RecoverySec = base
-			st.Grows = grows
-			st.JoinedRanks = joined
 			st.LostRanks = append(append([]int{}, lostOrig...), st.LostRanks...)
 			st.CommBytes += extra.CommBytes
 			st.CommOps += extra.CommOps
@@ -81,28 +73,18 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 			st.CompSec += extra.CompSec
 			return out, nil
 		}
-		// A crash outranks a cooperative resize when both race within one
-		// attempt: the lost rank must be accounted before any grow.
 		var crash *mpi.CrashError
-		var resize *mpi.ResizeError
-		isCrash := errors.As(err, &crash)
-		isResize := !isCrash && errors.As(err, &resize)
-		if !isCrash && !isResize {
+		if !errors.As(err, &crash) {
 			return nil, err // genuine algorithmic failure: not recoverable
 		}
-		if isCrash && recoveries >= MaxRestarts {
+		if recoveries >= MaxRestarts {
 			return nil, fmt.Errorf("core: recovery budget exhausted after %d restarts: %w",
 				recoveries, err)
-		}
-		if isResize && grows >= maxGrows {
-			return nil, fmt.Errorf("core: elastic grow budget exhausted after %d grows: %w",
-				grows, err)
 		}
 
 		// Price the lost attempt: its work (MaxClock includes the base it
 		// started from) plus the modeled relaunch penalty becomes the next
-		// attempt's virtual-time origin. A grow pays the same relaunch
-		// penalty — the world is torn down and rebuilt either way.
+		// attempt's virtual-time origin.
 		failClock := world.MaxClock()
 		if failClock < base {
 			failClock = base
@@ -122,7 +104,7 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 				lostOrig = append(lostOrig, origID[l])
 			}
 		}
-		if isCrash && rec.Policy == RecoverShrink {
+		if rec.Policy == RecoverShrink {
 			if pp.P-len(lost) < 1 {
 				return nil, fmt.Errorf("core: no survivors to shrink onto: %w", err)
 			}
@@ -142,46 +124,15 @@ func trainSupervised(x *la.Matrix, y []float64, p Params) (*Output, error) {
 			// Dis-SMO's global-row-space epochs survive the re-slice.
 			rt.store.dropLocal()
 		}
-		if isResize {
-			// Elastic scale-up: widen the world by the joined workers,
-			// bounded by the sample count (a rank needs at least one row).
-			delta := resize.Delta
-			if room := x.Rows() - pp.P; delta > room {
-				delta = room
-			}
-			for i := 0; i < delta; i++ {
-				origID = append(origID, nextID)
-				nextID++
-			}
-			pp.P = len(origID)
-			// Narrower shards invalidate every (rank, seq) snapshot, same as
-			// shrink; Dis-SMO's global-row-space epochs re-slice over the
-			// wider block layout.
-			rt.store.dropLocal()
-			grows++
-			joined += delta
-		}
-
-		spanName := "recovery:" + string(rec.Policy)
-		if isResize {
-			spanName = "recovery:grow"
-		} else {
-			recoveries++
-		}
+		recoveries++
 		if r0 := p.Timeline.Rank(0); r0 != nil {
-			sp := r0.BeginVirt(trace.CatRecovery, spanName, failClock)
+			sp := r0.BeginVirt(trace.CatRecovery, "recovery:"+string(rec.Policy), failClock)
 			r0.EndVirt(sp, newBase)
 		}
 		if p.Metrics != nil {
-			if isResize {
-				p.Metrics.Counter("casvm_grows_total", "elastic world scale-ups").Inc()
-				p.Metrics.Counter("casvm_grow_ranks_total", "ranks added by elastic scale-ups").
-					Add(int64(resize.Delta))
-			} else {
-				p.Metrics.Counter("casvm_recoveries_total", "supervised crash recoveries").Inc()
-				p.Metrics.Counter("casvm_recovery_lost_ranks_total", "ranks lost across recoveries").
-					Add(int64(len(lost)))
-			}
+			p.Metrics.Counter("casvm_recoveries_total", "supervised crash recoveries").Inc()
+			p.Metrics.Counter("casvm_recovery_lost_ranks_total", "ranks lost across recoveries").
+				Add(int64(len(lost)))
 		}
 		base = newBase
 	}

@@ -19,13 +19,14 @@
 // Drops deserve a note: the in-process runtime has no retransmission, so a
 // truly dropped message deadlocks the collective waiting for it. A
 // scheduled "drop" therefore models drop-plus-retransmit — the frame is
-// delivered after RetransmitSec of virtual delay, the cost a transport
+// delivered after retransmitSec of virtual delay, the cost a transport
 // timeout and resend would have charged.
 package faults
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"casvm/internal/mpi"
@@ -34,10 +35,10 @@ import (
 
 // Event records one injected fault, for the report and for assertions.
 type Event struct {
-	Kind     string // "drop" | "dup" | "corrupt" | "delay" | "crash-send" | "crash-iter" | "leave" | "join"
-	Src, Dst int    // Dst is -1 for iteration-keyed events
+	Kind     string // "drop" | "dup" | "corrupt" | "delay" | "crash-send" | "crash-iter"
+	Src, Dst int    // Dst is -1 for crash-iter
 	Tag      int
-	Iter     int // iteration for crash-iter/leave/join events; -1 otherwise
+	Iter     int // iteration for crash-iter; -1 otherwise
 }
 
 func (e Event) String() string {
@@ -49,35 +50,29 @@ func (e Event) String() string {
 
 // ScheduledFault is one planned fault. Rank triggers by sender (message
 // faults, keyed by the rank's 1-based remote-send index Send) or by the
-// training loop's iteration count (crash-iter/leave, keyed by Iter).
-//
-// Two membership events ride alongside the classic faults:
-//
-//   - "leave" models a lease expiry: the rank departs the world at
-//     iteration ≥ Iter. It surfaces as a *mpi.CrashError (site
-//     "lease expired"), so the existing respawn/shrink recovery policies
-//     handle it exactly like a failure-detector verdict.
-//   - "join" models a worker registering mid-run: consumed by JoinCheck
-//     (polled at epoch boundaries, right after a checkpoint deposit), it
-//     asks the supervisor to grow the world by one rank. Rank is ignored —
-//     the joiner gets the next fresh rank id.
+// training loop's iteration count (crash-iter, keyed by Iter).
 type ScheduledFault struct {
-	Kind     string  // "crash-iter" | "crash-send" | "drop" | "delay" | "dup" | "corrupt" | "leave" | "join"
-	Rank     int     // the faulting rank (sender for message faults; ignored for "join")
-	Iter     int     // crash-iter/leave/join: fires at the first poll with iter ≥ Iter
+	Kind     string  // one of kinds
+	Rank     int     // the faulting rank (the sender for message faults)
+	Iter     int     // crash-iter: fires at the first poll with iter ≥ Iter
 	Send     int     // message faults: fires at the rank's first remote send with index ≥ Send
 	DelaySec float64 // extra virtual latency for "delay" events
 }
 
 func (e ScheduledFault) String() string {
-	switch e.Kind {
-	case "crash-iter", "leave":
-		return fmt.Sprintf("%s rank %d iter %d", e.Kind, e.Rank, e.Iter)
-	case "join":
-		return fmt.Sprintf("join iter %d", e.Iter)
+	if e.Kind == "crash-iter" {
+		return fmt.Sprintf("crash-iter rank %d iter %d", e.Rank, e.Iter)
 	}
 	return fmt.Sprintf("%s rank %d send #%d", e.Kind, e.Rank, e.Send)
 }
+
+// kinds is the fault vocabulary: a lost rank (at an iteration or at a
+// send) and the four message perturbations.
+var kinds = []string{"crash-iter", "crash-send", "drop", "delay", "dup", "corrupt"}
+
+// retransmitSec is the virtual delay standing in for a dropped-then-
+// retransmitted frame (see the package note on drops).
+const retransmitSec = 2e-3
 
 // ScheduleOptions shapes RandomSchedule's draw.
 type ScheduleOptions struct {
@@ -94,13 +89,13 @@ type ScheduleOptions struct {
 	MaxCrashes int
 }
 
-// RandomSchedule draws n seeded events over p ranks. The same (seed, p, n,
-// opts) always yields the same schedule, so a soak failure reproduces from
-// its logged seed alone.
+// RandomSchedule draws n seeded events over p ranks (none when p < 1: there
+// is no rank to fault). The same (seed, p, n, opts) always yields the same
+// schedule, so a soak failure reproduces from its logged seed alone.
 func RandomSchedule(seed int64, p, n int, opts ScheduleOptions) Schedule {
-	kinds := opts.Kinds
-	if kinds == nil {
-		kinds = []string{"crash-iter", "crash-send", "drop", "delay", "dup", "corrupt"}
+	draw := opts.Kinds
+	if draw == nil {
+		draw = kinds
 	}
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
@@ -120,18 +115,19 @@ func RandomSchedule(seed int64, p, n int, opts ScheduleOptions) Schedule {
 	}
 	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
 	s := Schedule{Seed: seed}
+	if p < 1 {
+		return s
+	}
 	crashes := 0
 	for len(s.Events) < n {
 		e := ScheduledFault{
-			Kind: kinds[rng.Intn(len(kinds))],
+			Kind: draw[rng.Intn(len(draw))],
 			Rank: rng.Intn(p),
 			Iter: 1 + rng.Intn(maxIter),
 			Send: 1 + rng.Intn(maxSend),
 		}
 		switch e.Kind {
-		case "crash-iter", "crash-send", "leave":
-			// A leave departs the world like a crash, so it draws from the
-			// same bounded budget.
+		case "crash-iter", "crash-send":
 			if crashes >= maxCrashes {
 				continue
 			}
@@ -148,21 +144,11 @@ func RandomSchedule(seed int64, p, n int, opts ScheduleOptions) Schedule {
 type Schedule struct {
 	Seed   int64
 	Events []ScheduledFault
-	// RetransmitSec is the virtual delay standing in for a dropped-then-
-	// retransmitted frame (see the package note on drops); 0 means 2e-3.
-	RetransmitSec float64
-	// Policy and CheckpointEvery annotate the report's faults block with
-	// the recovery configuration the schedule ran under (optional).
-	Policy          string
-	CheckpointEvery int
 }
 
 // NewSchedule builds the one-shot injector for a schedule. Build a fresh
 // injector per run: consumed-event state is not resettable.
 func NewSchedule(s Schedule) *ScheduleInjector {
-	if s.RetransmitSec <= 0 {
-		s.RetransmitSec = 2e-3
-	}
 	return &ScheduleInjector{
 		sched: s,
 		sends: map[int]int{},
@@ -172,15 +158,19 @@ func NewSchedule(s Schedule) *ScheduleInjector {
 
 // ScheduleFromFaults reconstructs a schedule from a report's faults block,
 // so `casvm-train -replay-faults report.json` re-injects the exact
-// schedule a failed chaos run recorded.
-func ScheduleFromFaults(fi *trace.FaultsInfo) Schedule {
-	s := Schedule{Seed: fi.Seed, Policy: fi.Policy, CheckpointEvery: fi.CheckpointEvery}
-	for _, e := range fi.Schedule {
+// schedule a failed chaos run recorded. The block is outside input: a kind
+// the injector does not know is refused rather than consumed silently.
+func ScheduleFromFaults(fi *trace.FaultsInfo) (Schedule, error) {
+	s := Schedule{Seed: fi.Seed}
+	for i, e := range fi.Schedule {
+		if !slices.Contains(kinds, e.Kind) {
+			return Schedule{}, fmt.Errorf("faults: schedule event %d has unknown kind %q (want one of %v)", i, e.Kind, kinds)
+		}
 		s.Events = append(s.Events, ScheduledFault{
 			Kind: e.Kind, Rank: e.Rank, Iter: e.Iter, Send: e.Send, DelaySec: e.DelaySec,
 		})
 	}
-	return s
+	return s, nil
 }
 
 // ScheduleInjector applies a Schedule. It implements core.FaultInjector
@@ -206,10 +196,8 @@ func (in *ScheduleInjector) Intercept(src, dst, tag int, data []byte) mpi.Verdic
 
 	var v mpi.Verdict
 	for i, e := range in.sched.Events {
-		// Iteration-keyed kinds (crash-iter/leave/join) belong to the
-		// CrashCheck/JoinCheck polls, not the wire.
-		if in.done[i] || e.Rank != src || sent < e.Send ||
-			e.Kind == "crash-iter" || e.Kind == "leave" || e.Kind == "join" {
+		// crash-iter belongs to the CrashCheck poll, not the wire.
+		if in.done[i] || e.Rank != src || sent < e.Send || e.Kind == "crash-iter" {
 			continue
 		}
 		in.done[i] = true
@@ -222,8 +210,8 @@ func (in *ScheduleInjector) Intercept(src, dst, tag int, data []byte) mpi.Verdic
 			// Drop-plus-retransmit: the receiver sees the frame after the
 			// modeled resend timeout instead of never (see package note).
 			in.events = append(in.events, Event{Kind: "drop", Src: src, Dst: dst, Tag: tag, Iter: -1})
-			if in.sched.RetransmitSec > v.DelaySec {
-				v.DelaySec = in.sched.RetransmitSec
+			if retransmitSec > v.DelaySec {
+				v.DelaySec = retransmitSec
 			}
 		case "delay":
 			in.events = append(in.events, Event{Kind: "delay", Src: src, Dst: dst, Tag: tag, Iter: -1})
@@ -251,57 +239,28 @@ func (in *ScheduleInjector) Intercept(src, dst, tag int, data []byte) mpi.Verdic
 
 // CrashCheck implements the iteration-crash poll of core.FaultInjector.
 // Each crash fires exactly once: after a recovery the respawned rank sails
-// past the trigger. A "leave" event is a lease expiry: it departs the rank
-// through the same typed error, so the recovery policy decides whether the
-// slot is respawned or the world shrinks onto the survivors.
+// past the trigger.
 func (in *ScheduleInjector) CrashCheck(rank, iter int) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for i, e := range in.sched.Events {
-		if in.done[i] || (e.Kind != "crash-iter" && e.Kind != "leave") || e.Rank != rank || iter < e.Iter {
+		if in.done[i] || e.Kind != "crash-iter" || e.Rank != rank || iter < e.Iter {
 			continue
 		}
 		in.done[i] = true
-		in.events = append(in.events, Event{Kind: e.Kind, Src: rank, Dst: -1, Tag: -1, Iter: iter})
-		site := "training loop"
-		if e.Kind == "leave" {
-			site = "lease expired"
-		}
-		return &mpi.CrashError{Rank: rank, Iter: iter, Site: site}
+		in.events = append(in.events, Event{Kind: "crash-iter", Src: rank, Dst: -1, Tag: -1, Iter: iter})
+		return &mpi.CrashError{Rank: rank, Iter: iter, Site: "training loop"}
 	}
 	return nil
 }
 
-// JoinCheck implements the elastic-join poll of core.ElasticSource: it
-// consumes every due "join" event (iter ≥ the event's trigger) and returns
-// how many workers want in. The training loops poll it only at epoch
-// boundaries — right after a checkpoint deposit — so a grow always resumes
-// from a state the supervisor can re-slice.
-func (in *ScheduleInjector) JoinCheck(iter int) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := 0
-	for i, e := range in.sched.Events {
-		if in.done[i] || e.Kind != "join" || iter < e.Iter {
-			continue
-		}
-		in.done[i] = true
-		in.events = append(in.events, Event{Kind: "join", Src: -1, Dst: -1, Tag: -1, Iter: iter})
-		n++
-	}
-	return n
-}
-
 // FaultsInfo implements trace.FaultReporter: the report's faults block
-// with both the configured schedule and the realized events.
+// with both the configured schedule and the realized events. The recovery
+// the run used is the trainer's to record, not the schedule's.
 func (in *ScheduleInjector) FaultsInfo() *trace.FaultsInfo {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	fi := &trace.FaultsInfo{
-		Seed:            in.sched.Seed,
-		Policy:          in.sched.Policy,
-		CheckpointEvery: in.sched.CheckpointEvery,
-	}
+	fi := &trace.FaultsInfo{Seed: in.sched.Seed}
 	for _, e := range in.sched.Events {
 		fi.Schedule = append(fi.Schedule, trace.FaultEvent{
 			Kind: e.Kind, Rank: e.Rank, Iter: e.Iter, Send: e.Send, DelaySec: e.DelaySec,

@@ -3,9 +3,12 @@ package faults
 import (
 	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"casvm/internal/mpi"
+	"casvm/internal/trace"
 )
 
 // TestRandomScheduleDeterministic: the same (seed, p, n, opts) draw yields
@@ -67,7 +70,6 @@ func TestScheduleSendFaultsOneShot(t *testing.T) {
 			{Kind: "dup", Rank: 0, Send: 3},
 			{Kind: "corrupt", Rank: 1, Send: 1},
 		},
-		RetransmitSec: 5e-3,
 	})
 	payload := []byte{1, 2, 3, 4}
 
@@ -76,7 +78,7 @@ func TestScheduleSendFaultsOneShot(t *testing.T) {
 		t.Fatalf("send #1 perturbed: %+v", v)
 	}
 	v = in.Intercept(0, 1, 7, payload) // send #2: drop → retransmit delay
-	if v.DelaySec != 5e-3 {
+	if v.DelaySec != 2e-3 {
 		t.Fatalf("drop not modeled as retransmit delay: %+v", v)
 	}
 	v = in.Intercept(0, 1, 7, payload) // send #3: dup (drop already consumed)
@@ -104,9 +106,6 @@ func TestScheduleEmpty(t *testing.T) {
 				t.Fatalf("empty schedule crashed rank %d at iter %d: %v", rank, iter, err)
 			}
 		}
-		if n := in.JoinCheck(iter); n != 0 {
-			t.Fatalf("empty schedule grew the world by %d at iter %d", n, iter)
-		}
 	}
 	if v := in.Intercept(0, 1, 7, []byte{1}); v.DelaySec != 0 || v.Duplicates != 0 || v.Payload != nil || v.CrashErr != nil {
 		t.Fatalf("empty schedule perturbed the wire: %+v", v)
@@ -115,8 +114,8 @@ func TestScheduleEmpty(t *testing.T) {
 	if fi.Seed != 9 || len(fi.Schedule) != 0 || len(fi.Injected) != 0 {
 		t.Fatalf("empty faults block: %+v", fi)
 	}
-	got := ScheduleFromFaults(fi)
-	if got.Seed != 9 || len(got.Events) != 0 {
+	got, err := ScheduleFromFaults(fi)
+	if err != nil || got.Seed != 9 || len(got.Events) != 0 {
 		t.Fatalf("empty round trip diverged: %+v", got)
 	}
 }
@@ -128,8 +127,6 @@ func TestScheduleEmpty(t *testing.T) {
 func TestSchedulePastRunEnd(t *testing.T) {
 	s := Schedule{Events: []ScheduledFault{
 		{Kind: "crash-iter", Rank: 1, Iter: 1000},
-		{Kind: "leave", Rank: 0, Iter: 1000},
-		{Kind: "join", Iter: 1000},
 		{Kind: "drop", Rank: 0, Send: 1 << 20},
 	}}
 	in := NewSchedule(s)
@@ -140,9 +137,6 @@ func TestSchedulePastRunEnd(t *testing.T) {
 				t.Fatalf("fired before its trigger: %v", err)
 			}
 		}
-		if n := in.JoinCheck(iter); n != 0 {
-			t.Fatalf("join fired before its trigger at iter %d", iter)
-		}
 		if v := in.Intercept(0, 1, 7, []byte{1}); v.DelaySec != 0 || v.Duplicates != 0 || v.Payload != nil || v.CrashErr != nil {
 			t.Fatalf("send fault fired before its index: %+v", v)
 		}
@@ -151,56 +145,36 @@ func TestSchedulePastRunEnd(t *testing.T) {
 		t.Fatalf("%d events realized in a run that ends before every trigger", n)
 	}
 	fi := in.FaultsInfo()
-	if len(fi.Schedule) != 4 || len(fi.Injected) != 0 {
+	if len(fi.Schedule) != 2 || len(fi.Injected) != 0 {
 		t.Fatalf("report must keep unfired events in the schedule (got %d) and out of the realized log (got %d)",
 			len(fi.Schedule), len(fi.Injected))
 	}
-	if got := ScheduleFromFaults(fi); !reflect.DeepEqual(got.Events, s.Events) {
+	if got, err := ScheduleFromFaults(fi); err != nil || !reflect.DeepEqual(got.Events, s.Events) {
 		t.Fatalf("unfired events lost in round trip:\n%v\n%v", s.Events, got.Events)
 	}
 }
 
-// TestScheduleSameRankSameEpoch: two departure events armed for the same
-// rank at the same iteration consume one per poll, in schedule order — the
-// first poll kills the rank once, and only the respawned incarnation's
-// next poll takes the second hit. A join armed at the same epoch is
-// consumed independently of the crash poll.
+// TestScheduleSameRankSameEpoch: two crashes armed for the same rank at
+// the same iteration consume one per poll — the first poll kills the rank
+// once, and only the respawned incarnation's next poll takes the second hit.
 func TestScheduleSameRankSameEpoch(t *testing.T) {
 	in := NewSchedule(Schedule{Events: []ScheduledFault{
 		{Kind: "crash-iter", Rank: 2, Iter: 8},
-		{Kind: "leave", Rank: 2, Iter: 8},
-		{Kind: "join", Iter: 8},
-		{Kind: "join", Iter: 8},
+		{Kind: "crash-iter", Rank: 2, Iter: 8},
 	}})
-	err1 := in.CrashCheck(2, 8)
-	if err1 == nil {
-		t.Fatal("first poll did not fire")
-	}
 	var ce *mpi.CrashError
-	if !errors.As(err1, &ce) || ce.Site != "training loop" {
-		t.Fatalf("events must fire in schedule order; first poll got %v", err1)
+	if err := in.CrashCheck(2, 8); !errors.As(err, &ce) || ce.Site != "training loop" {
+		t.Fatalf("first poll got %v, want a crash", err)
 	}
 	// The respawned incarnation replays the epoch and takes the second hit.
-	err2 := in.CrashCheck(2, 8)
-	if err2 == nil {
-		t.Fatal("second event swallowed: one poll must consume exactly one departure")
-	}
-	if !errors.As(err2, &ce) || ce.Site != "lease expired" {
-		t.Fatalf("second poll got %v, want the leave event", err2)
+	if err := in.CrashCheck(2, 8); err == nil {
+		t.Fatal("second event swallowed: one poll must consume exactly one crash")
 	}
 	if err := in.CrashCheck(2, 8); err != nil {
 		t.Fatalf("third poll re-fired a consumed event: %v", err)
 	}
-	// Both joins due at the same epoch are handed over in one poll: the
-	// supervisor grows the world once, by two ranks.
-	if n := in.JoinCheck(8); n != 2 {
-		t.Fatalf("JoinCheck = %d, want both same-epoch joins at once", n)
-	}
-	if n := in.JoinCheck(8); n != 0 {
-		t.Fatalf("joins re-fired: %d", n)
-	}
-	if n := len(in.Events()); n != 4 {
-		t.Fatalf("realized events = %d, want 4", n)
+	if n := len(in.Events()); n != 2 {
+		t.Fatalf("realized events = %d, want 2", n)
 	}
 }
 
@@ -208,16 +182,55 @@ func TestScheduleSameRankSameEpoch(t *testing.T) {
 // reconstructs the schedule (the -replay-faults path).
 func TestScheduleFaultsInfoRoundTrip(t *testing.T) {
 	s := RandomSchedule(3, 4, 5, ScheduleOptions{})
-	s.Policy = "respawn"
-	s.CheckpointEvery = 16
-	in := NewSchedule(s)
-	fi := in.FaultsInfo()
-	if fi.Seed != 3 || fi.Policy != "respawn" || fi.CheckpointEvery != 16 {
-		t.Fatalf("faults block header: %+v", fi)
+	fi := NewSchedule(s).FaultsInfo()
+	if fi.Seed != 3 {
+		t.Fatalf("faults block seed = %d, want 3", fi.Seed)
 	}
-	got := ScheduleFromFaults(fi)
+	got, err := ScheduleFromFaults(fi)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Seed != s.Seed || !reflect.DeepEqual(got.Events, s.Events) {
 		t.Fatalf("round trip diverged:\n%v\n%v", s.Events, got.Events)
+	}
+}
+
+// TestScheduleFromFaultsKinds: a replay file is outside input, so a kind
+// the injector does not know — a typo, or the retired "leave" and "join" —
+// is refused by name instead of being consumed silently at a rank's first
+// send; every kind the injector fires is accepted.
+func TestScheduleFromFaultsKinds(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		ok   bool
+	}{
+		{"crash-iter", true}, {"crash-send", true}, {"drop", true},
+		{"delay", true}, {"dup", true}, {"corrupt", true},
+		{"crash_iter", false}, {"leave", false}, {"join", false},
+	} {
+		fi := &trace.FaultsInfo{Seed: 1, Schedule: []trace.FaultEvent{
+			{Kind: "drop", Rank: 0, Send: 1},
+			{Kind: tc.kind, Rank: 1, Iter: 4, Send: 2},
+		}}
+		s, err := ScheduleFromFaults(fi)
+		switch {
+		case tc.ok && (err != nil || len(s.Events) != 2 || s.Events[1].Kind != tc.kind):
+			t.Errorf("%q: got %v, %v; want it accepted", tc.kind, s.Events, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%q: accepted, want refused", tc.kind)
+		case !tc.ok && !strings.Contains(err.Error(), strconv.Quote(tc.kind)):
+			t.Errorf("%q: error %q does not name the kind", tc.kind, err)
+		}
+	}
+}
+
+// TestRandomScheduleNoRanks: with no rank to fault the draw is empty rather
+// than a panic, so a bad -p reaches the trainer's own validation.
+func TestRandomScheduleNoRanks(t *testing.T) {
+	for _, p := range []int{0, -1} {
+		if s := RandomSchedule(3, p, 4, ScheduleOptions{}); s.Seed != 3 || len(s.Events) != 0 {
+			t.Fatalf("p=%d: drew %v, want no events", p, s.Events)
+		}
 	}
 }
 

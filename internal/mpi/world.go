@@ -52,23 +52,6 @@ func (e *CrashError) Error() string {
 	return fmt.Sprintf("mpi: rank %d crashed (%s)", e.Rank, e.Site)
 }
 
-// ResizeError is a cooperative world-resize request: a rank raises it (at
-// an epoch boundary, after a globally consistent checkpoint exists) when
-// the membership layer wants the world wider. Unlike a crash it marks no
-// rank lost — the world aborts cleanly and a supervising driver rebuilds it
-// with Delta extra ranks, resuming from the last consistent checkpoint.
-type ResizeError struct {
-	Rank   int    // the rank that observed the request
-	Iter   int    // training iteration at the resize point
-	Delta  int    // ranks to add (elastic scale-up)
-	Reason string // what asked for the resize ("worker-join", …)
-}
-
-func (e *ResizeError) Error() string {
-	return fmt.Sprintf("mpi: rank %d requested +%d ranks at iteration %d (%s)",
-		e.Rank, e.Delta, e.Iter, e.Reason)
-}
-
 // Verdict is a transport hook's instruction for one intercepted transfer.
 // The zero value delivers the message untouched. There is no drop: a
 // message the network loses is retransmitted, which a hook models as a delay
@@ -275,16 +258,10 @@ func (w *World) runRank(rank int, wr wire, f func(c *Comm) error) (err error) {
 			// world to price the lost work honestly.
 			w.finalClocks.set(rank, c.clock)
 			var crash *CrashError
-			var resize *ResizeError
 			var link *LinkError
 			switch perr, ok := rec.(error); {
 			case ok && errors.Is(perr, ErrAborted):
 				err = ErrAborted
-			case ok && errors.As(perr, &resize):
-				// Cooperative resize: no rank was lost, the world is
-				// just the wrong width now.
-				err = perr
-				w.tl.Rank(rank).Instant(trace.CatRecovery, "resize-requested")
 			case ok && errors.As(perr, &crash):
 				// Injected crash: keep the typed error so callers
 				// can elect degraded-mode completion.
@@ -308,12 +285,7 @@ func (w *World) runRank(rank int, wr wire, f func(c *Comm) error) (err error) {
 	err = f(c)
 	w.finalClocks.set(rank, c.clock)
 	if err != nil {
-		var resize *ResizeError
-		switch {
-		case errors.Is(err, ErrAborted):
-		case errors.As(err, &resize):
-			w.tl.Rank(rank).Instant(trace.CatRecovery, "resize-requested")
-		default:
+		if !errors.Is(err, ErrAborted) {
 			w.stats.RecordLost(rank)
 			w.tl.Rank(rank).Instant(trace.CatFault, "rank-failed")
 		}
