@@ -24,14 +24,16 @@ cross-vet:
 # RouteAll, Set.PredictAll/EvalAll), the nearest-center distance block
 # (la.SqDistTile, ArgMin) under Lloyd sweeps, FCFS, routing and CrossTile,
 # DotList and SqDistList under the lazy row fill and Dis-SMO's columns, the
-# whole-matrix fill, and the one kernel recipe across every fill (OneRecipe)
+# whole-matrix fill, a CSR block's whole fill over its dense copy (Compacted:
+# Dot4 panels over the compacted rows), and the one kernel recipe across
+# every fill (OneRecipe)
 # against their scalar references — with internal/la's four-lane kernels off,
 # so the portable loops must land on the same numbers
 # (TestVectorKernelsActive fails if the lanes stayed on).
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|SqDistList|WholeFill|OneRecipe
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|SqDistList|WholeFill|Compacted|OneRecipe
 lanes-off:
 	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model \
 		./internal/kmeans ./internal/partition ./internal/kernel

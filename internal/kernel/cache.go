@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"sync"
+
 	"casvm/internal/la"
 	"casvm/internal/trace"
 )
@@ -16,7 +18,12 @@ import (
 // upper triangle in blocks of rows on the Dot4 panels, the lower one
 // mirrored. That is a CA-SVM rank's case — its m/P samples fit the default
 // capacity — and it evaluates each entry about once, where row-at-a-time
-// misses evaluate and copy most of the matrix piecemeal.
+// misses evaluate and copy most of the matrix piecemeal. A CSR block dense
+// enough on its column support is evaluated as the dense matrix it is copied
+// into, over that support (compact): its entries are Eval over the compacted
+// matrix, which equals CSR Eval up to rounding because dot products and norms
+// do not depend on the order of the columns, nor on columns zero in every
+// row.
 //
 // A smaller cache fills lazily: a miss evaluates only what the cache does not
 // already hold. K is symmetric and every entry is symmetric bit for bit (see
@@ -108,7 +115,7 @@ func (c *RowCache) Row(i int) []float64 {
 		return c.lru.row(s)
 	}
 	if c.whole {
-		c.fillWhole()
+		c.fillWhole(compactDensity)
 		return c.lru.row(c.lru.touch(i))
 	}
 	c.missRows, c.missDst = c.missRows[:0], c.missDst[:0]
@@ -132,7 +139,7 @@ func (c *RowCache) Row(i int) []float64 {
 func (c *RowCache) PrefetchPair(i, j int) {
 	if c.whole {
 		if c.lru.used == 0 {
-			c.fillWhole()
+			c.fillWhole(compactDensity)
 		}
 		c.lru.touch(i)
 		c.lru.touch(j)
@@ -248,28 +255,52 @@ const wholeBlock = 16
 // never straddles a storage chunk, so its rows are back to back). That
 // evaluates a block's own lower triangle too; every column left of a block is
 // then copied from the rows above it, a block of destination rows per source
-// row. The copies are exact for the reason fill's are, every entry is
-// Eval's, and a pooled chunk's stale contents are all overwritten.
+// row. The copies are exact for the reason fill's are, and a pooled chunk's
+// stale contents are all overwritten.
 //
-// Flops follow the work, as in fill: CrossTile's charge for every evaluated
-// entry, nothing for a copied one.
-func (c *RowCache) fillWhole() {
+// A CSR block dense enough on its column support (compact, at minDensity;
+// Row and PrefetchPair pass compactDensity) is evaluated over its dense copy
+// instead, the same blocks on the Dot4 panels where CSR rows take a gather
+// per stored entry. Every entry is then Eval over the compacted matrix, bit
+// for bit, rather than over the CSR one: a kernel of Table I depends only on
+// dot products and norms, and dropping columns that are zero in every row
+// changes those only by rounding (within 1e-14 of CSR Eval, which
+// TestCompactedFillOracle holds). A Gaussian diagonal entry is still exactly
+// 1, Diag's value, since the copy's norm is the Dot of its row with itself.
+// Every other block's entries are Eval's over the CSR rows. Slots are
+// acquired a block at a time and each part of the copy goes back to the pool
+// once the blocks have passed its rows, so the cache's later chunks can reuse
+// the copy's earlier ones: with 8 ranks filling at once, taking the cache's
+// chunks up front held both sets and added fresh chunks to every collection
+// cycle (+1.5% B/op on BenchmarkTrainFCFSCASparse against +0.4%).
+//
+// Flops follow the work, as in fill: every evaluated entry charges the
+// storage's per-row formula, 2·nnz(row)·w + w over the block's w = m − lo
+// columns, nnz counted in the CSR row whether or not the block was
+// compacted; a copied entry charges nothing.
+func (c *RowCache) fillWhole(minDensity float64) {
 	sp := c.rec.Begin(trace.CatKernel, "row-fill")
 	l, m := &c.lru, c.m
-	for i := range m {
-		l.acquire(i)
-	}
 	c.misses += int64(m)
+	dc, compacted := compact(c.data, minDensity)
 	var rows [wholeBlock]int
 	var dst [wholeBlock][]float64
 	var f float64
 	for lo := 0; lo < m; {
+		dc.releaseBelow(lo)
 		hi := min(lo+wholeBlock, (lo/int(l.chunkRows)+1)*int(l.chunkRows), m)
 		for k := range hi - lo {
+			l.acquire(lo + k)
 			rows[k] = lo + k
 			dst[k] = l.row(int32(lo + k))
+			f += tileFlops(c.data, lo+k, m-lo)
 		}
-		f += c.params.CrossTile(c.data, rows[:hi-lo], c.data, lo, m, l.rowsFrom(int32(lo))[lo:], m)
+		block := l.rowsFrom(int32(lo))[lo:]
+		if compacted {
+			dc.tile(c.params, lo, hi, block, m)
+		} else {
+			c.params.CrossTile(c.data, rows[:hi-lo], c.data, lo, m, block, m)
+		}
 		for j := range lo {
 			for k, v := range l.row(int32(j))[lo:hi] {
 				dst[k][j] = v
@@ -277,8 +308,99 @@ func (c *RowCache) fillWhole() {
 		}
 		lo = hi
 	}
+	dc.releaseBelow(m)
 	c.rec.EndFlops(sp, f)
 	c.flops += f
+}
+
+// compactDensity is the least density on its column support, stored entries
+// over rows × support width, at which fillWhole evaluates a CSR block over
+// its dense copy. BenchmarkRowCache's sparse-whole cases (188 rows of 40
+// entries, BENCH_smo.json, -cpu 1/4) put the crossover here: the copy's fill
+// took 1.68/1.83 ms against the CSR fill's 2.66/2.54 ms at density 0.05,
+// 0.89/0.90 against 2.48/2.86 at 0.1, 0.74/0.71 against 4.81/4.18 at 0.2 and
+// 0.29/0.45 against 7.75/6.71 at 0.4. The copy's cost grows with the support
+// width, as 1/density, and the CSR fill's does not: at half the density it
+// would take about twice as long and lose. 0.05 is the lowest density
+// measured to win.
+const compactDensity = 0.05
+
+// maxCompactWidth is the widest column support a block is compacted over:
+// wholeBlock compacted rows must fit one storage chunk.
+const maxCompactWidth = slabChunkLen / wholeBlock
+
+// supports recycles the feature-wide position table compact needs.
+var supports = sync.Pool{New: func() any { return new(la.ColumnSupport) }}
+
+// denseCopy is a CSR block copied densely over its column support
+// (la.ColumnSupport.Compact) into storage chunks borrowed from the chunk
+// pool: part k is one dense matrix over one chunk holding rows
+// [k·partRows, (k+1)·partRows) of the block, partRows a multiple of
+// wholeBlock. The zero value holds nothing.
+type denseCopy struct {
+	rows     int
+	partRows int
+	parts    []*la.Matrix
+	chunks   []*slabChunk
+}
+
+// compact copies a into pooled chunks over its column support when a is
+// sparse, the support is at most maxCompactWidth wide and a's density on it
+// is at least minDensity, and reports whether it did. A declined block takes
+// no chunk.
+func compact(a *la.Matrix, minDensity float64) (d denseCopy, ok bool) {
+	if !a.Sparse() {
+		return d, false
+	}
+	s := supports.Get().(*la.ColumnSupport)
+	defer supports.Put(s)
+	defer s.Release()
+	m, w := a.Rows(), s.Set(a, maxCompactWidth)
+	if w == 0 || float64(a.NNZ()) < minDensity*float64(m)*float64(w) {
+		return d, false
+	}
+	d.rows, d.partRows = m, slabChunkLen/(w*wholeBlock)*wholeBlock
+	for lo := 0; lo < m; lo += d.partRows {
+		ch := slabChunks.Get().(*slabChunk)
+		d.chunks = append(d.chunks, ch)
+		d.parts = append(d.parts, s.Compact(a, lo, min(lo+d.partRows, m), ch[:]))
+	}
+	return d, true
+}
+
+// tile sets dst[r*ld + (c−lo)] = K(lo+r, c) over the copy for the rows
+// [lo, hi), at most wholeBlock of them, and the columns [lo, d.rows): one
+// CrossTile for every part the rows span against every part the columns
+// span.
+func (d *denseCopy) tile(p Params, lo, hi int, dst []float64, ld int) {
+	var rows [wholeBlock]int
+	for r0 := lo; r0 < hi; {
+		pr := r0 / d.partRows
+		r1 := min(hi, (pr+1)*d.partRows)
+		for k := range r1 - r0 {
+			rows[k] = r0 - pr*d.partRows + k
+		}
+		for c0 := lo; c0 < d.rows; {
+			pc := c0 / d.partRows
+			c1 := min(d.rows, (pc+1)*d.partRows)
+			p.CrossTile(d.parts[pr], rows[:r1-r0], d.parts[pc], c0-pc*d.partRows, c1-pc*d.partRows,
+				dst[(r0-lo)*ld+c0-lo:], ld)
+			c0 = c1
+		}
+		r0 = r1
+	}
+}
+
+// releaseBelow gives back to the pool the chunks of the parts whose rows all
+// lie before row lo, which no block from lo on reads; releaseBelow(rows)
+// gives back every chunk.
+func (d *denseCopy) releaseBelow(lo int) {
+	for k, ch := range d.chunks {
+		if ch != nil && min((k+1)*d.partRows, d.rows) <= lo {
+			slabChunks.Put(ch)
+			d.chunks[k] = nil
+		}
+	}
 }
 
 // Diag returns the kernel diagonal K(i,i) without touching the row cache;

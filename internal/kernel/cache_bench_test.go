@@ -1,7 +1,10 @@
 package kernel
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"casvm/internal/la"
@@ -65,6 +68,32 @@ func BenchmarkRowCache(b *testing.B) {
 			}
 		}
 	}
+	// The whole fill of one FCFS block of casvm-sparse's shape: 188 CSR rows
+	// of 40 stored entries over 2,048 features, every row's columns drawn
+	// from one support of 40/d columns, so that d is the block's density on
+	// its support. "compacted" fills it over its dense copy, "csr" over the
+	// CSR rows; compactDensity sits at their crossover. "random" draws every
+	// row's 40 columns from all 2,048, as real webspam rows would: its
+	// support is about 2,000 columns wide, and it fills on CSR. One op is one
+	// whole fill.
+	whole := func(x *la.Matrix, minDensity float64) func(b *testing.B) {
+		return func(b *testing.B) {
+			c := NewRowCache(RBF(1.0/80), x, x.Rows())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.fillWhole(minDensity)
+				b.StopTimer()
+				c.Release()
+				b.StartTimer()
+			}
+		}
+	}
+	for _, d := range []int{5, 10, 20, 40} {
+		x := supportMat(rng, 188, 2048, 40, 40*100/d)
+		b.Run(fmt.Sprintf("sparse-whole-d%02d-compacted", d), whole(x, 0))
+		b.Run(fmt.Sprintf("sparse-whole-d%02d-csr", d), whole(x, math.Inf(1)))
+	}
+	b.Run("sparse-whole-random", whole(supportMat(rng, 188, 2048, 40, 2048), compactDensity))
 	b.Run("dense-fill-sweep", sweep(450))
 	b.Run("dense-fill-sweep-lazy", sweep(449))
 	// Eviction at a 64 KiB row stride (table3's largest single-node shape): a
@@ -84,6 +113,30 @@ func BenchmarkRowCache(b *testing.B) {
 			benchRow = c.Row(idx[i%len(idx)])
 		}
 	})
+}
+
+// supportMat returns m CSR rows over n features, each storing k entries at
+// columns drawn from one support of u columns (itself drawn from the n), so
+// the block's density on its support is about k/u; u = n draws every row's
+// columns from all of them.
+func supportMat(rng *rand.Rand, m, n, k, u int) *la.Matrix {
+	support := rng.Perm(n)[:u]
+	rp := make([]int32, m+1)
+	ix := make([]int32, 0, m*k)
+	vx := make([]float64, 0, m*k)
+	for i := range m {
+		row := make([]int32, k)
+		for j, c := range rng.Perm(u)[:k] {
+			row[j] = int32(support[c])
+		}
+		slices.Sort(row)
+		for _, c := range row {
+			ix = append(ix, c)
+			vx = append(vx, rng.NormFloat64())
+		}
+		rp[i+1] = int32(len(ix))
+	}
+	return la.NewSparse(m, n, rp, ix, vx)
 }
 
 // BenchmarkRowCacheHit isolates the pure hit path (lookup + LRU bump).

@@ -222,7 +222,10 @@ func TestLRUMatchesReference(t *testing.T) {
 // evaluated. Accesses allocate nothing. Every cache starts on NaN-poisoned
 // pool chunks, so an entry a fill leaves unwritten fails the comparison. At
 // capacity m the cache is whole: its first access fills every row, with m
-// misses and the whole fill's charge, and it never misses again.
+// misses and the whole fill's charge, and it never misses again. The CSR
+// block compacts, so its whole cache's oracle is Params.Row over the
+// compacted matrix, held within compactTol of Row over the CSR rows; the
+// charge is the CSR one.
 func TestRowCacheSymmetricFillOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const m = 90
@@ -231,8 +234,16 @@ func TestRowCacheSymmetricFillOracle(t *testing.T) {
 			for _, capacity := range []int{2, 3, 64, m} {
 				poisonSlabPool(2)
 				c := NewRowCache(p, a, capacity)
+				oracle := a
+				if cm := compacted(a); cm != nil && capacity >= m {
+					oracle = cm
+				}
 				ref := newRefLRU(capacity, m, func(i int, dst []float64) float64 {
-					return p.Row(a, i, dst)
+					f := p.Row(oracle, i, dst)
+					if oracle != a {
+						nearCSR(t, p, a, i, dst)
+					}
+					return f
 				})
 				if capacity >= m {
 					ref.whole, ref.wholeFlops = true, wholeFillFlops(a, int(c.lru.chunkRows))

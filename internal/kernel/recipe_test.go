@@ -24,6 +24,10 @@ func fresh(a *la.Matrix) *la.Matrix {
 // matrices (the pair exchange's K(high, low)) give it bit for bit, dense and
 // CSR. Before one recipe, Eval(a, i, a, j) took the difference form on a
 // dense matrix without norms and the norms identity with them.
+//
+// The CSR block here compacts (fillWhole), so its whole RowCache is Eval over
+// the compacted matrix bit for bit instead, and within compactTol of the
+// recipe over the CSR rows.
 func TestOneRecipeEverywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for _, base := range []*la.Matrix{denseMat(rng, 37, 9), sparseMat(rng, 37, 30, 0.3)} {
@@ -38,6 +42,7 @@ func TestOneRecipeEverywhere(t *testing.T) {
 			}
 			a := fresh(base)
 			a.EnsureNorms()
+			cm := compacted(base)
 			cache := NewRowCache(p, fresh(base), m)
 			block := make([]float64, m*m)
 			p.CrossTile(a, allRows(m), a, 0, m, block, m)
@@ -57,12 +62,22 @@ func TestOneRecipeEverywhere(t *testing.T) {
 						"CrossRow":              col[j],
 						"CrossTile":             block[i*m+j],
 					}
+					if cm != nil {
+						if v := p.Eval(cm, i, cm, j); whole[j] != v {
+							t.Fatalf("kind=%v (%d,%d): whole RowCache %v, Eval over the compacted block %v",
+								p.Kind, i, j, whole[j], v)
+						}
+						delete(got, "whole RowCache")
+					}
 					for name, v := range got {
 						if v != want {
 							t.Fatalf("sparse=%v kind=%v (%d,%d): %s %v, Eval without norms %v",
 								a.Sparse(), p.Kind, i, j, name, v, want)
 						}
 					}
+				}
+				if cm != nil {
+					nearCSR(t, p, a, i, whole)
 				}
 			}
 			one := make([]float64, m)
@@ -94,17 +109,27 @@ func allRows(m int) []int {
 // boundaries inside and between the 16-row blocks (a 450-value row leaves 36
 // rows to a chunk), and include the one- and two-row caches (a one-row cache
 // has two slots, the minimum). After Release
-// the cache fills whole again, over its own stale storage.
+// the cache fills whole again, over its own stale storage. The oracle of a
+// CSR block that compacts is Params.Row over its compacted matrix, and its
+// rows are held within compactTol of Row over the CSR rows too; the charge is
+// the CSR one either way.
 func TestWholeFillMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for _, a := range []*la.Matrix{denseMat(rng, 450, 5), sparseMat(rng, 450, 60, 0.1),
 		denseMat(rng, 1, 3), denseMat(rng, 2, 3), denseMat(rng, 17, 4), sparseMat(rng, 33, 20, 0.3)} {
 		m := a.Rows()
+		oracle := a
+		if cm := compacted(a); cm != nil {
+			oracle = cm
+		}
 		for _, p := range []Params{RBF(0.3), {Kind: Polynomial, Coef: 1, Degree: 2}} {
 			want := make([][]float64, m)
 			for i := range want {
 				want[i] = make([]float64, m)
-				p.Row(a, i, want[i])
+				p.Row(oracle, i, want[i])
+				if oracle != a {
+					nearCSR(t, p, a, i, want[i])
+				}
 			}
 			poisonSlabPool(int(m*m/slabChunkLen) + 2)
 			c := NewRowCache(p, a, m)

@@ -18,7 +18,9 @@ import "sync"
 // chunk — so a cache holds up to one array (128 KiB) more than its rows
 // need. A pooled chunk arrives holding whatever its last cache wrote; that
 // is safe because both fills write every entry of a row before anything
-// reads it (RowCache.fill and fillWhole, smo.Solver.FillColumn). Chunks are never moved
+// reads it (RowCache.fill and fillWhole, smo.Solver.FillColumn), and a
+// block's dense copy, which borrows chunks for one whole fill, clears its
+// rows before it copies into them (compact). Chunks are never moved
 // or copied, so a row's address is fixed from its first acquisition until
 // release. Once every slot has been handed out nothing here allocates: a
 // touch is two array reads and four link writes, an acquire reuses the LRU

@@ -17,7 +17,11 @@ import (
 // Every entry each fill below writes is that value bit for bit, so a row
 // filled lazily, a row of a whole-filled RowCache, a Dis-SMO column
 // (CrossRow) and a batch-prediction tile (CrossTile) agree to the last bit.
-// The fills differ only in what they hold and stream:
+// The one exception is deliberate: a whole RowCache over a CSR block that
+// compacts runs CrossTile over the block's dense copy (compact), so its
+// entries are Eval over that compacted matrix bit for bit — dot products and
+// norms are invariant under the column permutation, so they are CSR Eval's
+// up to rounding. The fills differ only in what they hold and stream:
 //
 //   - Tile fills listed columns of rows of the training matrix itself, a
 //     row at a time against a chunk of columns (la.DotList, or la.SqDistList
@@ -51,14 +55,21 @@ func (p Params) Tile(a *la.Matrix, rows []int, dsts [][]float64, cols []int32) f
 	}
 	var flops float64
 	for _, i := range rows {
-		nnz := a.Features()
-		if a.Sparse() {
-			ix, _ := a.SparseRow(i)
-			nnz = len(ix)
-		}
-		flops += float64(2*nnz*n + n)
+		flops += tileFlops(a, i, n)
 	}
 	return flops
+}
+
+// tileFlops is the flop charge of row i of a evaluated against w columns:
+// 2·nnz(row)·w + w, nnz counting a CSR row's stored entries and a dense
+// row's features.
+func tileFlops(a *la.Matrix, i, w int) float64 {
+	nnz := a.Features()
+	if a.Sparse() {
+		ix, _ := a.SparseRow(i)
+		nnz = len(ix)
+	}
+	return float64(2*nnz*w + w)
 }
 
 // tileRowBlock bounds how many tile rows have their handles hoisted into
@@ -206,12 +217,7 @@ func (p Params) CrossTile(a *la.Matrix, rows []int, b *la.Matrix, clo, chi int, 
 		} else if ld != w {
 			la.ExpScaled(out, -p.Gamma)
 		}
-		if a.Sparse() {
-			ix, _ := a.SparseRow(i)
-			flops += float64(2*len(ix)*w + w)
-		} else {
-			flops += float64(2*a.Features()*w + w)
-		}
+		flops += tileFlops(a, i, w)
 	}
 	if p.Kind == Gaussian && ld == w {
 		// A contiguous tile takes one exp call, however few columns a row has.
