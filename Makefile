@@ -23,7 +23,9 @@ cross-vet:
 # Dot4, MulTile and the batch-prediction paths over them (DecisionAll,
 # RouteAll, Set.PredictAll/EvalAll), the nearest-center distance block
 # (la.SqDistTile, ArgMin) under Lloyd sweeps, FCFS, routing and CrossTile,
-# DotList and SqDistList under the lazy row fill and Dis-SMO's columns, the
+# the one-column tile under the lazy row fill and Dis-SMO's columns
+# (DotList: MulTile's and SqDistTile's one-column path; ColumnTile and
+# TileMatchesRow: CrossTile's columns and the lazy fill's transposed tile), the
 # whole-matrix fill, a CSR block's whole fill over its dense copy (Compacted:
 # Dot4 panels over the compacted rows), and the one kernel recipe across
 # every fill (OneRecipe)
@@ -33,7 +35,7 @@ cross-vet:
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|SqDistList|WholeFill|Compacted|OneRecipe
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe
 lanes-off:
 	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model \
 		./internal/kmeans ./internal/partition ./internal/kernel
@@ -183,8 +185,8 @@ bench: bench-kernel
 # PredictAll vs the per-row loop it replaced (the mixed-storage cases are
 # the headline: the row path re-densifies the sparse side per support
 # vector), the two LIBSVM readers, and the Gaussian kernel's four-lane exp
-# and its inner products of one row against listed rows (ExpScaled, DotList)
-# against the scalar loops.
+# (ExpScaled) and the one-column MulTile, one row against listed rows
+# (DotList), against the scalar loops.
 KERNEL_BENCH = BenchmarkMulTile|BenchmarkCrossTile|BenchmarkPredictAll|BenchmarkLoadLIBSVM|BenchmarkExpScaled|BenchmarkDotList
 KERNEL_BENCH_PKGS = ./internal/la ./internal/kernel ./internal/model ./internal/data
 bench-kernel:

@@ -64,19 +64,23 @@ func BenchmarkSMOIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelRowDense prices one whole kernel row as the lazy fill
+// evaluates it with nothing to copy: a one-column CrossTile of every row
+// against the missing one.
 func BenchmarkKernelRowDense(b *testing.B) {
 	d := benchDataset(b, 2000)
 	p := kernel.RBF(1.0 / 64)
-	dsts := [][]float64{make([]float64, d.M())}
-	cols := make([]int32, d.M()) // every column: a fill with nothing to copy
-	for j := range cols {
-		cols[j] = int32(j)
+	dst := make([]float64, d.M())
+	rows := make([]int, d.M())
+	for j := range rows {
+		rows[j] = j
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(8 * d.M() * d.Features()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Tile(d.X, []int{i % d.M()}, dsts, cols)
+		j := i % d.M()
+		p.CrossTile(d.X, rows, d.X, j, j+1, dst, 1)
 	}
 }
 

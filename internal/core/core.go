@@ -139,7 +139,9 @@ type Params struct {
 	// Telemetry, when non-nil, receives one sample per solver iteration
 	// from every rank (dual objective, KKT gap, SV count) — the
 	// live-convergence stream served by the `-serve` telemetry server. Nil
-	// records nothing.
+	// records nothing. Dis-SMO records no samples: each rank solves one
+	// block of a single problem, and a block's share of the dual objective
+	// is not the objective.
 	Telemetry *smo.TelemetryRing
 }
 
@@ -354,28 +356,6 @@ func fillCommStats(st *Stats, ts *trace.Stats) {
 	st.CompSec = ts.MaxCompSec()
 	st.TotalFlops = ts.TotalFlops()
 	st.LostRanks = ts.LostRanks()
-}
-
-// evenBlocks splits m samples into P nearly-even contiguous blocks and
-// returns the row-index slices.
-func evenBlocks(m, p int) [][]int {
-	out := make([][]int, p)
-	base := m / p
-	rem := m % p
-	start := 0
-	for r := 0; r < p; r++ {
-		size := base
-		if r < rem {
-			size++
-		}
-		rows := make([]int, size)
-		for i := range rows {
-			rows[i] = start + i
-		}
-		start += size
-		out[r] = rows
-	}
-	return out
 }
 
 // localModel builds a model from a rank's solved problem.

@@ -160,7 +160,7 @@ func checkSerialTrajectory(t *testing.T, d *data.Dataset, serial *smo.Result, ou
 // precision, Dis-SMO is serial SMO, bit for bit. The model is identical at
 // every P, and its iterations, α and bias are smo.Solve's. Every kernel
 // value on both sides is Kernel.Eval's one recipe: the serial row cache's
-// entries, Dis-SMO's columns (CrossRow) and its K(high, low), which the pair
+// entries, Dis-SMO's columns (FillColumn's CrossTile) and its K(high, low), which the pair
 // exchange evaluates from the two samples themselves.
 //
 // Flops are not compared. Dis-SMO fills each new kernel column in full

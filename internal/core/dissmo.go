@@ -52,6 +52,7 @@ func trainDisSMO(c *mpi.Comm, full *la.Matrix, fullY []float64, p Params, out *S
 	c.SetPhase("solve")
 	spSolve := rec.BeginVirt(trace.CatTrain, "solve", c.Clock())
 	cfg := p.solverConfig()
+	cfg.Trace = c.Recorder()
 	if c.Rank() == 0 {
 		cfg.Metrics = p.Metrics // every rank's cache sees the same lookups
 	}

@@ -14,17 +14,57 @@ import (
 	"casvm/internal/trace"
 )
 
+// TestBlockStartMatchesEvenBlocks: blockStart splits m rows into p
+// contiguous blocks from 0 to m whose sizes differ by at most one, the
+// longer ones first.
 func TestBlockStartMatchesEvenBlocks(t *testing.T) {
 	for _, m := range []int{1, 7, 8, 9, 300, 641} {
 		for p := 1; p <= 9 && p <= m; p++ {
-			blocks := evenBlocks(m, p)
-			for r, rows := range blocks {
-				if got := blockStart(m, p, r); got != rows[0] {
-					t.Fatalf("m=%d p=%d r=%d: start %d, want %d", m, p, r, got, rows[0])
+			if got := blockStart(m, p, 0); got != 0 {
+				t.Fatalf("m=%d p=%d: start %d", m, p, got)
+			}
+			for r := range p {
+				size := m / p
+				if r < m%p {
+					size++
+				}
+				if got := blockStart(m, p, r+1) - blockStart(m, p, r); got != size {
+					t.Fatalf("m=%d p=%d r=%d: block of %d rows, want %d", m, p, r, got, size)
 				}
 			}
 			if got := blockStart(m, p, p); got != m {
 				t.Fatalf("m=%d p=%d: end %d", m, p, got)
+			}
+		}
+	}
+}
+
+// TestRunRankRecordsSolverSpans: a rank whose timeline is its world's, with
+// no Params.Timeline — a cluster executor's mesh rank — records its local
+// solver's spans on every rank, for Dis-SMO, a tree method and FCFS-CA. The
+// fleet merge takes a remote rank's compute from such spans.
+func TestRunRankRecordsSolverSpans(t *testing.T) {
+	d := testSet(t, 240)
+	for _, m := range []Method{MethodDisSMO, MethodCascade, MethodFCFSCA} {
+		pr := paramsFor(m, 3, d)
+		w := mpi.NewWorld(pr.P, pr.Machine, pr.Seed)
+		tl := trace.NewTimeline(pr.P)
+		w.SetTimeline(tl)
+		if err := w.Run(func(c *mpi.Comm) error {
+			_, err := RunRank(c, d.X, d.Y, pr)
+			return err
+		}); err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		spans := make([]int, pr.P)
+		for _, e := range tl.Events() {
+			if e.Cat == trace.CatSolver {
+				spans[e.Rank]++
+			}
+		}
+		for r, n := range spans {
+			if n == 0 {
+				t.Errorf("%s: rank %d recorded no solver spans (per rank: %v)", m, r, spans)
 			}
 		}
 	}

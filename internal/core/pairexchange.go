@@ -114,8 +114,9 @@ func (e *pairWireError) Error() string {
 }
 
 // blockStart is the first global row of rank r's block when m rows are
-// split into p nearly-even contiguous blocks (the evenBlocks layout): the
-// base of the rank's global sample ids.
+// split into p nearly-even contiguous blocks, the first m%p of them one row
+// longer (scatterBlocks' layout): the base of the rank's global sample ids.
+// blockStart(m, p, p) is m.
 func blockStart(m, p, r int) int {
 	base, rem := m/p, m%p
 	if r < rem {

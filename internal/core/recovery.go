@@ -241,7 +241,7 @@ func (p Params) solverConfigCkpt(c *mpi.Comm) smo.Config {
 	if p.Faults != nil {
 		cfg.Interrupt = func(iter int) error { return p.Faults.CrashCheck(rank, iter) }
 	}
-	cfg.Trace = p.Timeline.Rank(rank)
+	cfg.Trace = c.Recorder()
 	cfg.Metrics = p.Metrics
 	cfg.Telemetry = p.Telemetry
 	cfg.TelemetryRank = rank

@@ -111,9 +111,11 @@ func scatterBlocks(c *mpi.Comm, x *la.Matrix, y []float64) (part, error) {
 	p := c.Size()
 	var blocks [][]byte
 	if c.Rank() == 0 {
+		m := x.Rows()
+		rows := allRows(m)
 		blocks = make([][]byte, p)
-		for r, rows := range evenBlocks(x.Rows(), p) {
-			blocks[r] = encodePart(x, y, nil, rows)
+		for r := range blocks {
+			blocks[r] = encodePart(x, y, nil, rows[blockStart(m, p, r):blockStart(m, p, r+1)])
 		}
 	}
 	return decodeParts([][]byte{c.Scatterv(0, blocks)})

@@ -28,8 +28,9 @@ import (
 // A smaller cache fills lazily: a miss evaluates only what the cache does not
 // already hold. K is symmetric and every entry is symmetric bit for bit (see
 // fill), so a missing row i takes column j from the resident row j's entry i
-// and evaluates the columns whose rows are absent; with nothing resident that
-// is the whole row.
+// and evaluates the columns whose rows are absent — with nothing resident
+// that is the whole row — as CrossTile columns: the absent rows against row
+// i.
 //
 // Slots, LRU order and the chunked row storage are an lruSlab (shared with
 // ColumnCache), so a hit is two array reads and four link writes and a miss
@@ -63,11 +64,12 @@ type RowCache struct {
 	whole bool
 
 	// Preallocated lazy-fill scratch: the missing rows of the current call
-	// (at most two) with their slots' storage, and the columns fill
-	// evaluates. A whole cache has none.
+	// (at most two) with their slots' storage, the columns fill evaluates
+	// and a tile's outputs. A whole cache has none.
 	missRows []int
 	missDst  [][]float64
-	cols     []int32
+	cols     []int
+	out      []float64
 }
 
 // SetRecorder attaches a timeline recorder; each cache miss then records a
@@ -100,7 +102,8 @@ func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
 	if !c.whole {
 		c.missRows = make([]int, 0, 2)
 		c.missDst = make([][]float64, 0, 2)
-		c.cols = make([]int32, m)
+		c.cols = make([]int, m)
+		c.out = make([]float64, m)
 	}
 	return c
 }
@@ -124,18 +127,18 @@ func (c *RowCache) Row(i int) []float64 {
 	return c.missDst[0]
 }
 
-// PrefetchPair makes rows i and j resident, filling both misses through one
-// shared-streaming tile (Params.Tile) so the training matrix is scanned
-// once for the pair instead of once per row — SMO touches exactly this pair
-// every iteration. Row contents, the resident set, eviction victims, LRU
-// order and the miss count afterwards are identical to Row(i) followed by
-// Row(j); rows already present are made most-recent but not counted as
-// hits, so the later Row() reads account for themselves. The flop charge
-// equals the sequential one (K(i,j) is evaluated once either way) except in
-// a double miss whose second acquisition evicts: Row(i) would still find that
-// victim resident and copy its column, while the pair has evicted both
-// victims before it fills and evaluates that one entry more. On a whole
-// cache the pair's first call fills every row, as Row(i) would.
+// PrefetchPair makes rows i and j resident, filling both misses in one pass
+// (fill: each chunk of columns serves both rows) so the training matrix is
+// scanned once for the pair instead of once per row — SMO touches exactly
+// this pair every iteration. Row contents, the resident set, eviction
+// victims, LRU order and the miss count afterwards are identical to Row(i)
+// followed by Row(j); rows already present are made most-recent but not
+// counted as hits, so the later Row() reads account for themselves. The flop
+// charge equals the sequential one (K(i,j) is evaluated once either way)
+// except in a double miss whose second acquisition evicts: Row(i) would
+// still find that victim resident and copy its column, while the pair has
+// evicted both victims before it fills and evaluates that one entry more. On
+// a whole cache the pair's first call fills every row, as Row(i) would.
 func (c *RowCache) PrefetchPair(i, j int) {
 	if c.whole {
 		if c.lru.used == 0 {
@@ -186,8 +189,15 @@ func (c *RowCache) miss(i int) {
 // double miss evaluates K(i0, i1) once: both rows share every absent column
 // except i0 itself, which only row i0 still needs once K(i1, i0) is mirrored.
 //
+// The evaluation is CrossTile transposed — the listed columns are the tile's
+// rows, against the missing row as a one-column block — which is exact for
+// the same symmetry. A double miss goes fillChunk columns at a time, both
+// missing rows per chunk, so it streams the chunk's rows once for both; a
+// single miss streams every row once however it is cut, and makes one tile.
+//
 // Flops follow the work: a copied entry charges nothing, as a hit charges
-// nothing; evaluated columns charge Tile's per-row formula.
+// nothing; a missing row charges 2·nnz(row)·w + w for its w evaluated
+// columns (tileFlops), nnz counted in the missing row.
 func (c *RowCache) fill() {
 	sp := c.rec.Begin(trace.CatKernel, "row-fill")
 	rows, dsts := c.missRows, c.missDst
@@ -199,23 +209,37 @@ func (c *RowCache) fill() {
 	// branch per resident column costs what evaluating a narrow one does.
 	cols, n := c.cols, 0
 	for j, s := range l.slotOf {
-		cols[n] = int32(j)
+		cols[n] = j
 		if s < 0 {
 			n++
 		}
 	}
 	for k := len(rows) - 1; k >= 0; k-- {
-		cols[n] = int32(rows[k])
+		cols[n] = rows[k]
 		n++
 	}
-	cols = cols[:n]
-	var f float64
+	// Missing row k evaluates cols[:n-k]: the second row leaves out the
+	// first's, which it mirrors afterwards.
+	step, out := n, c.out
 	if len(rows) == 2 {
-		f = c.params.Tile(c.data, rows, dsts, cols[:n-1])
-		f += c.params.Tile(c.data, rows[:1], dsts[:1], cols[n-1:])
+		step = fillChunk
+	}
+	for lo := 0; lo < n; lo += step {
+		for k, i := range rows {
+			chunk := cols[lo:min(lo+step, n-k)]
+			c.params.CrossTile(c.data, chunk, c.data, i, i+1, out[:len(chunk)], 1)
+			dst := dsts[k]
+			for r, j := range chunk {
+				dst[j] = out[r]
+			}
+		}
+	}
+	var f float64
+	for k, i := range rows {
+		f += tileFlops(c.data, i, n-k)
+	}
+	if len(rows) == 2 {
 		dsts[1][rows[0]] = dsts[0][rows[1]]
-	} else {
-		f = c.params.Tile(c.data, rows, dsts, cols)
 	}
 	s0 := l.slotOf[rows[0]]
 	s1 := l.slotOf[rows[len(rows)-1]]
@@ -242,6 +266,11 @@ func (c *RowCache) fill() {
 	c.rec.EndFlops(sp, f)
 	c.flops += f
 }
+
+// fillChunk is how many columns a double miss evaluates per CrossTile call:
+// enough to amortise the call and the Gaussian's exp batch, few enough that
+// the chunk's rows stay cache-resident while both missing rows take them.
+const fillChunk = 128
 
 // wholeBlock is how many rows fillWhole evaluates per CrossTile call: four
 // Dot4 panels, so every column row streamed serves sixteen entries, while the

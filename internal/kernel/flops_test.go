@@ -7,68 +7,35 @@ import (
 	"casvm/internal/la"
 )
 
-// TestCrossRowFlopAccounting pins the flop charges for both storage
-// kinds. Dense a charges the dense bound (n + nnzJ)·m + m; sparse a must
-// charge its actual stored nonzeros — a.NNZ() + (nnzJ+1)·m — not the
-// dense Features()·m upper bound the seed used.
-func TestCrossRowFlopAccounting(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	p := RBF(0.2)
-
-	dense := denseMat(rng, 40, 7)
-	sparse := sparseMat(rng, 40, 50, 0.2)
-	dst := make([]float64, 40)
-
-	j := 3
-	// Dense a × dense b: (n + n)·m + m.
-	m, n := dense.Rows(), dense.Features()
-	if got, want := p.CrossRow(dense, dense, j, dst), float64((n+n)*m+m); got != want {
-		t.Errorf("dense×dense: flops=%v want %v", got, want)
-	}
-
-	// Sparse a × sparse b: a.NNZ() + (nnzJ+1)·m, strictly below the dense
-	// bound for any genuinely sparse a.
-	ji, _ := sparse.SparseRow(j)
-	nnzJ := len(ji)
-	m = sparse.Rows()
-	want := float64(sparse.NNZ() + (nnzJ+1)*m)
-	if got := p.CrossRow(sparse, sparse, j, dst); got != want {
-		t.Errorf("sparse×sparse: flops=%v want %v", got, want)
-	}
-	denseBound := float64((sparse.Features()+nnzJ)*m + m)
-	if want >= denseBound {
-		t.Fatalf("test matrix not sparse enough: nnz charge %v !< dense bound %v", want, denseBound)
-	}
-}
-
-// TestRowVsCrossRowSparseConsistency: K(i,·) computed via Row and via
-// CrossRow(a, a, i) must agree in values, and both must charge nnz-based
-// (not dense-bound) flops for sparse inputs.
+// TestRowVsCrossRowSparseConsistency: on sparse data K(i,·) reads the same
+// through the oracle Row, a lazy RowCache miss and the one-column CrossTile
+// of a Dis-SMO column K(·, i), and the miss charges the stored entries of
+// the row (2·nnz·m + m, the oracle's charge), not the dense bound.
 func TestRowVsCrossRowSparseConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	a := sparseMat(rng, 60, 30, 0.25)
 	p := RBF(0.15)
-	r1 := make([]float64, 60)
-	r2 := make([]float64, 60)
-	fRow := p.Row(a, 5, r1)
-	fCross := p.CrossRow(a, a, 5, r2)
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("row[%d]: %v vs %v", i, r1[i], r2[i])
+	oracle := make([]float64, 60)
+	fRow := p.Row(a, 5, oracle)
+	lazy := NewRowCache(p, a, 2)
+	row := lazy.Row(5)
+	col := make([]float64, 60)
+	column(p, a, a, 5, col)
+	for i := range oracle {
+		if row[i] != oracle[i] || col[i] != oracle[i] {
+			t.Fatalf("row[%d]: cache %v, column %v, oracle %v", i, row[i], col[i], oracle[i])
 		}
 	}
-	if fRow <= 0 || fCross <= 0 {
-		t.Fatal("flops must be positive")
-	}
 	bound := float64(2*a.Features()*a.Rows() + a.Rows())
-	if fRow >= bound || fCross >= bound {
-		t.Errorf("sparse charges (%v, %v) should undercut dense bound %v", fRow, fCross, bound)
+	if _, _, f := lazy.Stats(); f <= 0 || f != fRow || f >= bound {
+		t.Errorf("sparse miss charged %v, want the oracle's %v below the dense bound %v", f, fRow, bound)
 	}
 }
 
 // TestEvalMixedStorageAllocFree proves the mixed dense/sparse Eval reuses
 // pooled scratch instead of allocating per evaluation (the predict path
-// calls Eval millions of times), and that CrossRow's sparse fill does too.
+// calls Eval millions of times), and that a sparse one-column CrossTile — a
+// Dis-SMO column — does too.
 func TestEvalMixedStorageAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := sparseMat(rng, 30, 16, 0.4)
@@ -89,15 +56,16 @@ func TestEvalMixedStorageAllocFree(t *testing.T) {
 	// Sparse×sparse (Dis-SMO's remote column on sparse data): the scattered
 	// fill's tables are pooled like Eval's densify buffer.
 	dst := make([]float64, a.Rows())
+	rows := allRows(a.Rows())
 	p := RBF(0.2)
 	sb := sparseMat(rng, 30, 16, 0.4)
 	sb.EnsureNorms()
-	p.CrossRow(a, sb, 0, dst)
+	p.CrossTile(a, rows, sb, 0, 1, dst, 1)
 	allocs := testing.AllocsPerRun(2000, func() {
-		p.CrossRow(a, sb, 1, dst)
+		p.CrossTile(a, rows, sb, 1, 2, dst, 1)
 	})
 	if allocs != 0 {
-		t.Errorf("CrossRow sparse×sparse allocates %v/op, want 0", allocs)
+		t.Errorf("sparse×sparse CrossTile column allocates %v/op, want 0", allocs)
 	}
 }
 

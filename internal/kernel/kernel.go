@@ -181,56 +181,3 @@ func (p Params) Eval(a *la.Matrix, i int, b *la.Matrix, j int) float64 {
 	}
 	return p.fromDot(dot)
 }
-
-// CrossRow computes dst[i] = K(row_i of a, row_j of b) for every row of a,
-// where b may be a different matrix (e.g. a broadcast remote sample in
-// distributed SMO), each entry bit for bit Eval(a, i, b, j). a and b must
-// share a storage, both dense or both sparse: its one caller,
-// smo.Solver.FillColumn, is handed only rows the local block's storage
-// already admitted. Returns the flop count charged.
-func (p Params) CrossRow(a *la.Matrix, b *la.Matrix, j int, dst []float64) float64 {
-	m := a.Rows()
-	dst = dst[:m]
-	var nnzJ int
-	if b.Sparse() {
-		ji, _ := b.SparseRow(j)
-		nnzJ = len(ji)
-	} else {
-		nnzJ = b.Features()
-	}
-	switch {
-	case a.Sparse() && b.Sparse():
-		// The one b row is the reused side: scatter it, gather the rows of a.
-		rows := [1]int{j}
-		dsts := [1][]float64{dst}
-		p.fillSparse(b, rows[:], a, nil, dsts[:])
-	case !a.Sparse() && !b.Sparse():
-		p.denseRow(b, j, a, nil, dst)
-	default:
-		panic("kernel: CrossRow over mixed storage")
-	}
-	// Charge actual stored entries on the a side — a.NNZ() is m·Features()
-	// for dense but the true nonzero count for sparse, mirroring Tile's
-	// nnz-based accounting instead of the dense upper bound.
-	return float64(a.NNZ() + (nnzJ+1)*m)
-}
-
-// denseRow sets out[k] = K(row j of b, row rows[k] of a) (row k of a when rows
-// is nil) for dense a and b: one la.DotList pass, four rows of a per pass
-// where the lanes run, then the kernel's finish over the batch. Each entry is
-// Eval(a, rows[k], b, j) bit for bit: Dot and the sum of the two norms are
-// both symmetric in their operands.
-func (p Params) denseRow(b *la.Matrix, j int, a *la.Matrix, rows []int32, out []float64) {
-	if rows != nil {
-		out = out[:len(rows)]
-	}
-	if p.Kind == Gaussian {
-		la.SqDistList(b.DenseRow(j), b.SqNormRow(j), a, rows, out)
-		la.ExpScaled(out, -p.Gamma)
-		return
-	}
-	la.DotList(b.DenseRow(j), a, rows, out)
-	for k, dot := range out {
-		out[k] = p.fromDot(dot)
-	}
-}

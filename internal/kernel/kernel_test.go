@@ -248,9 +248,13 @@ func TestRowCacheDiagAndFlops(t *testing.T) {
 	if got := lin.Diag(2); !almostEq(got, want, 1e-12) {
 		t.Errorf("linear diag=%v want %v", got, want)
 	}
+
 }
 
-func TestCrossRowAgainstEval(t *testing.T) {
+// TestColumnTileAgainstEval holds a Dis-SMO column — a one-column CrossTile
+// of the local block against an external sample — to Eval bit for bit,
+// dense and sparse, for every sample.
+func TestColumnTileAgainstEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := denseMat(rng, 15, 6)
 	bsp := sparseMat(rng, 9, 6, 0.5)
@@ -263,16 +267,9 @@ func TestCrossRowAgainstEval(t *testing.T) {
 			{sparseMat(rng, 15, 2048, 0.02), sparseMat(rng, 9, 2048, 0.02)},
 		} {
 			for j := 0; j < pair.B.Rows(); j++ {
-				flops := p.CrossRow(pair.A, pair.B, j, dst)
-				if flops <= 0 {
-					t.Fatalf("%v: flops=%v", p.Kind, flops)
-				}
+				column(p, pair.A, pair.B, j, dst)
 				for i := 0; i < pair.A.Rows(); i++ {
-					want := p.Eval(pair.A, i, pair.B, j)
-					// Sparse×sparse is the scattered fill against Eval's
-					// merge: the contract there is bit-identity.
-					bitwise := pair.A.Sparse() && pair.B.Sparse()
-					if !almostEq(dst[i], want, 1e-9) || bitwise && dst[i] != want {
+					if want := p.Eval(pair.A, i, pair.B, j); dst[i] != want {
 						t.Fatalf("%v A.sparse=%v B.sparse=%v: [%d,%d]=%v want %v",
 							p.Kind, pair.A.Sparse(), pair.B.Sparse(), i, j, dst[i], want)
 					}
@@ -331,9 +328,10 @@ func raggedSparse(rng *rand.Rand, m, n int) *la.Matrix {
 
 // TestKernelBitwiseSymmetric pins the precondition of RowCache's symmetric
 // fill: K(i, j) and K(j, i) are the same float64, bit for bit, through every
-// recipe that can produce a cached entry or stand in for one — the tile
-// fills (dense and scattered-sparse), CrossRow against the matrix itself,
-// and Eval with and without cached norms — for all four kinds.
+// recipe that can produce a cached entry or stand in for one — a CrossTile
+// block (dense panels and scattered sparse rows), a one-column CrossTile
+// against the matrix itself (the lazy fill's transposed tile and a Dis-SMO
+// column), and Eval with and without cached norms — for all four kinds.
 func TestKernelBitwiseSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	mats := []struct {
@@ -363,21 +361,17 @@ func TestKernelBitwiseSymmetric(t *testing.T) {
 			a.EnsureNorms()
 			evalSymmetric("with norms")
 
-			rows := make([]int, m)
-			k := make([][]float64, m)
-			for i := range rows {
-				rows[i], k[i] = i, make([]float64, m)
-			}
-			p.Tile(a, rows, k, allCols(m))
+			k := make([]float64, m*m)
+			p.CrossTile(a, allRows(m), a, 0, m, k, m)
 			col := make([]float64, m)
 			for j := 0; j < m; j++ {
-				p.CrossRow(a, a, j, col)
+				column(p, a, a, j, col)
 				for i := 0; i < m; i++ {
-					if bits(k[i][j]) != bits(k[j][i]) {
-						t.Fatalf("%s %v: Row(%d)[%d]=%x but Row(%d)[%d]=%x", name, p.Kind, i, j, bits(k[i][j]), j, i, bits(k[j][i]))
+					if bits(k[i*m+j]) != bits(k[j*m+i]) {
+						t.Fatalf("%s %v: tile (%d,%d)=%x but (%d,%d)=%x", name, p.Kind, i, j, bits(k[i*m+j]), j, i, bits(k[j*m+i]))
 					}
-					if bits(col[i]) != bits(k[j][i]) {
-						t.Fatalf("%s %v: CrossRow(x,x,%d)[%d]=%x but Row(%d)[%d]=%x", name, p.Kind, j, i, bits(col[i]), j, i, bits(k[j][i]))
+					if bits(col[i]) != bits(k[j*m+i]) {
+						t.Fatalf("%s %v: column %d [%d]=%x but tile (%d,%d)=%x", name, p.Kind, j, i, bits(col[i]), j, i, bits(k[j*m+i]))
 					}
 				}
 			}

@@ -35,7 +35,7 @@ type refLRU struct {
 
 // wholeFillFlops is the charge of a whole fill of a's rows stored chunkRows to
 // a chunk: blocks of up to 16 rows that restart at every chunk, each row of a
-// block charged Tile's formula over the columns from the block's first row on.
+// block charged tileFlops over the columns from the block's first row on.
 func wholeFillFlops(a *la.Matrix, chunkRows int) float64 {
 	m := a.Rows()
 	var f float64

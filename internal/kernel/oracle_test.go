@@ -10,9 +10,8 @@ import (
 // row K(i, ·), one entry at a time straight through the scalar primitives —
 // la.Dot or la.SpDot, and for the Gaussian kernel the norms identity over
 // the row norms, Eval's recipe — with row i as the first argument, sharing
-// no loop with Tile, CrossTile, fillSparse or RowCache. It returns Tile's
-// flop formula over all m columns — what a fill with nothing to copy
-// charges.
+// no loop with CrossTile or RowCache. It returns the lazy fill's flop formula
+// over all m columns — what a fill with nothing to copy charges.
 func (p Params) Row(a *la.Matrix, i int, dst []float64) float64 {
 	m := a.Rows()
 	nnz := a.Features()
@@ -39,12 +38,17 @@ func (p Params) Row(a *la.Matrix, i int, dst []float64) float64 {
 	return float64(2*nnz*m + m)
 }
 
-// allCols lists every column of an m-row matrix: the column list of a fill
-// that copies nothing.
-func allCols(m int) []int32 {
-	cols := make([]int32, m)
-	for j := range cols {
-		cols[j] = int32(j)
+func allRows(m int) []int {
+	rows := make([]int, m)
+	for i := range rows {
+		rows[i] = i
 	}
-	return cols
+	return rows
+}
+
+// column sets dst[i] = K(row i of a, row j of b) for every row of a, the way
+// smo.Solver.FillColumn asks for a Dis-SMO column: one CrossTile of a against
+// the one row.
+func column(p Params, a, b *la.Matrix, j int, dst []float64) {
+	p.CrossTile(a, allRows(a.Rows()), b, j, j+1, dst, 1)
 }

@@ -31,8 +31,8 @@ func emptySlabPool() {
 }
 
 // TestColumnCacheFillOverPoison: a column filled the way distributed SMO
-// fills one (CrossRow of an external sample against the local block, which
-// smo.Solver.FillColumn calls) into NaN-poisoned pool storage equals the
+// fills one (a one-column CrossTile of the local block against an external
+// sample, which smo.Solver.FillColumn calls) into NaN-poisoned pool storage equals the
 // same column filled into zeroed storage, bit for bit, dense and sparse,
 // through evictions, single inserts and pairs of inserts.
 func TestColumnCacheFillOverPoison(t *testing.T) {
@@ -47,7 +47,7 @@ func TestColumnCacheFillOverPoison(t *testing.T) {
 		want := make([][]float64, keys)
 		for g := range want {
 			want[g] = make([]float64, local.Rows())
-			p.CrossRow(local, ext, g, want[g])
+			column(p, local, ext, g, want[g])
 		}
 		for _, capacity := range []int{2, 5, keys} {
 			poisonSlabPool(2)
@@ -58,11 +58,11 @@ func TestColumnCacheFillOverPoison(t *testing.T) {
 				eh, el := c.Get(gh), c.Get(gl)
 				if eh == nil {
 					eh = c.Put(gh, nil, 1)
-					p.CrossRow(local, ext, gh, eh.K)
+					column(p, local, ext, gh, eh.K)
 				}
 				if el == nil {
 					el = c.Put(gl, nil, 1)
-					p.CrossRow(local, ext, gl, el.K)
+					column(p, local, ext, gl, el.K)
 				}
 				for _, e := range []struct {
 					g int

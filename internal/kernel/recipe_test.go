@@ -18,11 +18,11 @@ func fresh(a *la.Matrix) *la.Matrix {
 
 // TestOneRecipeEverywhere pins the package's one kernel recipe: Eval(a, i, a,
 // j) is the same float whether a's norm cache exists yet or not, and every
-// fill — a lazily filled row (Tile), a row of a whole-filled RowCache, a
-// Dis-SMO column (CrossRow, also of a one-row matrix holding the sample, as
-// the pair exchange has it), a CrossTile block — and Eval across two one-row
-// matrices (the pair exchange's K(high, low)) give it bit for bit, dense and
-// CSR. Before one recipe, Eval(a, i, a, j) took the difference form on a
+// fill — a row of a lazily filled RowCache, a row of a whole-filled RowCache,
+// a Dis-SMO column (a one-column CrossTile, also of a one-row matrix holding
+// the sample, as the pair exchange has it), a CrossTile block — and Eval
+// across two one-row matrices (the pair exchange's K(high, low)) give it bit
+// for bit, dense and CSR. Before one recipe, Eval(a, i, a, j) took the difference form on a
 // dense matrix without norms and the norms identity with them.
 //
 // The CSR block here compacts (fillWhole), so its whole RowCache is Eval over
@@ -44,22 +44,22 @@ func TestOneRecipeEverywhere(t *testing.T) {
 			a.EnsureNorms()
 			cm := compacted(base)
 			cache := NewRowCache(p, fresh(base), m)
+			lazyCache := NewRowCache(p, fresh(base), 2)
 			block := make([]float64, m*m)
 			p.CrossTile(a, allRows(m), a, 0, m, block, m)
-			lazy := make([]float64, m)
 			col := make([]float64, m)
 			for i := range m {
-				p.Tile(a, []int{i}, [][]float64{lazy}, allCols(m))
+				lazy := lazyCache.Row(i)
 				whole := cache.Row(i)
-				p.CrossRow(a, a, i, col)
+				column(p, a, a, i, col)
 				for j := range m {
 					want := cold[i][j]
 					got := map[string]float64{
 						"Eval with norms":       p.Eval(a, i, a, j),
 						"Eval of one-row pairs": p.Eval(a.Subset([]int{i}), 0, a.Subset([]int{j}), 0),
-						"Tile":                  lazy[j],
+						"lazy RowCache":         lazy[j],
 						"whole RowCache":        whole[j],
-						"CrossRow":              col[j],
+						"CrossTile column":      col[j],
 						"CrossTile":             block[i*m+j],
 					}
 					if cm != nil {
@@ -82,24 +82,16 @@ func TestOneRecipeEverywhere(t *testing.T) {
 			}
 			one := make([]float64, m)
 			for j := range m {
-				p.CrossRow(a, a.Subset([]int{j}), 0, one)
+				column(p, a, a.Subset([]int{j}), 0, one)
 				for i, v := range one {
 					if v != cold[i][j] {
-						t.Fatalf("sparse=%v kind=%v: CrossRow of one-row sample %d at %d: %v, Eval %v",
+						t.Fatalf("sparse=%v kind=%v: column of one-row sample %d at %d: %v, Eval %v",
 							a.Sparse(), p.Kind, j, i, v, cold[i][j])
 					}
 				}
 			}
 		}
 	}
-}
-
-func allRows(m int) []int {
-	rows := make([]int, m)
-	for i := range rows {
-		rows[i] = i
-	}
-	return rows
 }
 
 // TestWholeFillMatchesOracle: a cache whose capacity covers every row fills

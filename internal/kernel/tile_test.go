@@ -23,62 +23,43 @@ var tileKinds = []Params{
 // features at 25–40%, where a position table is nearly full.
 func wideSparse(rng *rand.Rand) *la.Matrix { return sparseMat(rng, 1100, 2048, 0.02) }
 
+// TestTileMatchesRowBitwise holds the lazy fill's tile — CrossTile
+// transposed, listed columns as the tile's rows against the missing row as a
+// one-column block — to the oracle row bit for bit: every column, then a
+// shuffled third of them, a row listed among its own columns, and the outputs
+// contiguous with nothing written past them.
 func TestTileMatchesRowBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for _, a := range []*la.Matrix{denseMat(rng, 200, 11), sparseMat(rng, 200, 30, 0.3), wideSparse(rng)} {
+		m := a.Rows()
 		for _, p := range tileKinds {
-			for _, rows := range [][]int{{0}, {7, 7}, {3, 199, 0}, {5, 4, 3, 2, 1}, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11}} {
-				want := make([][]float64, len(rows))
-				var wantFlops float64
-				for r, i := range rows {
-					want[r] = make([]float64, a.Rows())
-					wantFlops += p.Row(a, i, want[r])
-					if !a.Sparse() {
-						continue
-					}
+			for _, i := range []int{0, 7, 3, 199, 11} {
+				want := make([]float64, m)
+				p.Row(a, i, want)
+				if a.Sparse() {
 					// The oracle and Eval are the same merge (la.SpDot)
 					// written twice.
-					for j := range want[r] {
-						if e := p.Eval(a, i, a, j); want[r][j] != e {
-							t.Fatalf("kind=%v row %d col %d: Row %v != Eval %v", p.Kind, i, j, want[r][j], e)
+					for j := range want {
+						if e := p.Eval(a, i, a, j); want[j] != e {
+							t.Fatalf("kind=%v row %d col %d: Row %v != Eval %v", p.Kind, i, j, want[j], e)
 						}
 					}
 				}
-				// Every column, then a shuffled third of them: a fill that
-				// copies the rest must find them untouched and be charged
-				// for the listed columns only.
-				m := a.Rows()
-				part := allCols(m)
+				part := allRows(m)
 				rng.Shuffle(m, func(x, y int) { part[x], part[y] = part[y], part[x] })
 				part = part[:m/3]
-				for _, cols := range [][]int32{allCols(m), part} {
-					listed := make([]bool, m)
-					for _, c := range cols {
-						listed[c] = true
-					}
-					dsts := make([][]float64, len(rows))
-					for r := range rows {
-						dsts[r] = make([]float64, m)
-						for j := range dsts[r] {
-							dsts[r][j] = -7
+				for _, cols := range [][]int{allRows(m), part, {i, i, 5, i}} {
+					out := make([]float64, len(cols)+1)
+					out[len(cols)] = -7
+					p.CrossTile(a, cols, a, i, i+1, out[:len(cols)], 1)
+					for k, j := range cols {
+						if out[k] != want[j] {
+							t.Fatalf("kind=%v sparse=%v row %d cols=%d: column %d %v != %v",
+								p.Kind, a.Sparse(), i, len(cols), j, out[k], want[j])
 						}
 					}
-					gotFlops := p.Tile(a, rows, dsts, cols)
-					if wf := wantFlops * float64(len(cols)) / float64(m); gotFlops != wf {
-						t.Fatalf("kind=%v sparse=%v rows=%v cols=%d: flops %v != %v",
-							p.Kind, a.Sparse(), rows, len(cols), gotFlops, wf)
-					}
-					for r := range rows {
-						for j := range want[r] {
-							w := want[r][j]
-							if !listed[j] {
-								w = -7
-							}
-							if dsts[r][j] != w {
-								t.Fatalf("kind=%v sparse=%v rows=%v cols=%d: [%d][%d] %v != %v",
-									p.Kind, a.Sparse(), rows, len(cols), r, j, dsts[r][j], w)
-							}
-						}
+					if out[len(cols)] != -7 {
+						t.Fatalf("kind=%v sparse=%v row %d: wrote past %d outputs", p.Kind, a.Sparse(), i, len(cols))
 					}
 				}
 			}

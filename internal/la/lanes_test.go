@@ -11,7 +11,8 @@ import (
 	"testing"
 )
 
-// ExpScaled, DotList and UpdateScan promise the scalar results bit for bit,
+// ExpScaled, dotList (MulTile's one-column tiles) and UpdateScan promise the
+// scalar results bit for bit,
 // on the four-lane path and the portable one alike, so every comparison here
 // is same: math.Float64bits equality, NaN payloads aside.
 
@@ -118,52 +119,49 @@ func unalignedDense(rng *rand.Rand, m, n int) *Matrix {
 	return NewDense(m, n, data[1:])
 }
 
-func checkDotList(t *testing.T, x []float64, m *Matrix, rows []int32) {
+// checkDotList holds MulTile's and SqDistTile's one-column path — the b row
+// col against the listed rows of a, into contiguous outputs — to Dot and to
+// SqDistOf over Dot, bit for bit, and checks that it writes nothing past its
+// outputs.
+func checkDotList(t *testing.T, a *Matrix, rows []int, b *Matrix, col int) {
 	t.Helper()
 	n := len(rows)
-	if rows == nil {
-		n = m.Rows()
-	}
+	x := b.DenseRow(col)
 	out := make([]float64, n+1)
 	out[n] = 42
-	DotList(x, m, rows, out[:n])
-	for k := 0; k < n; k++ {
-		i := k
-		if rows != nil {
-			i = int(rows[k])
-		}
-		want := Dot(x, m.DenseRow(i))
+	MulTile(a, rows, b, col, col+1, out[:n], 1)
+	for k, i := range rows {
+		want := Dot(x, a.DenseRow(i))
 		if !same(out[k], want) {
-			t.Fatalf("features=%d len(x)=%d row %d: DotList %v, Dot %v", m.Features(), len(x), i, out[k], want)
+			t.Fatalf("features=%d len(x)=%d row %d: MulTile %v, Dot %v", a.Features(), len(x), i, out[k], want)
 		}
 	}
 	if out[n] != 42 {
-		t.Fatalf("DotList wrote past its %d outputs", n)
+		t.Fatalf("MulTile wrote past its %d outputs", n)
 	}
 	// The distance form: the same dots finished in the lanes.
-	xsq := SqNorm(x)
-	SqDistList(x, xsq, m, rows, out[:n])
-	for k := 0; k < n; k++ {
-		i := k
-		if rows != nil {
-			i = int(rows[k])
-		}
-		want := SqDistOf(xsq, m.SqNormRow(i), Dot(x, m.DenseRow(i)))
+	SqDistTile(a, rows, b, col, col+1, out[:n], 1)
+	for k, i := range rows {
+		want := SqDistOf(b.SqNormRow(col), a.SqNormRow(i), Dot(x, a.DenseRow(i)))
 		if !same(out[k], want) {
-			t.Fatalf("features=%d len(x)=%d row %d: SqDistList %v, SqDistOf %v", m.Features(), len(x), i, out[k], want)
+			t.Fatalf("features=%d len(x)=%d row %d: SqDistTile %v, SqDistOf %v", a.Features(), len(x), i, out[k], want)
 		}
 	}
 	if out[n] != 42 {
-		t.Fatalf("SqDistList wrote past its %d outputs", n)
+		t.Fatalf("SqDistTile wrote past its %d outputs", n)
 	}
 }
 
-// TestDotListMatchesDot: DotList against Dot and SqDistList against
-// SqDistOf over Dot, at every row width 0–67 (each len%4 tail, lanes or
-// not), listed rows in every count mod 4 (each leftover-row count after the
+// oneRow is x as a one-row dense matrix: the b side of a one-column tile.
+func oneRow(x []float64) *Matrix { return NewDense(1, len(x), x) }
+
+// TestDotListMatchesDot: the one-column MulTile against Dot and SqDistTile
+// against SqDistOf over Dot, at every row width 0–67 (each len%4 tail, lanes
+// or not), listed rows in every count mod 4 (each leftover-row count after the
 // quads), all rows, no rows, misaligned storage, overflow and poison values
-// (NaN and ±Inf distances, a clamp at zero for a row against itself), and a
-// vector shorter or longer than the rows.
+// (NaN and ±Inf distances, a clamp at zero for a row against itself), a
+// column of a itself that the list hits, and a b row shorter or longer than
+// the rows of a.
 func TestDotListMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for n := 0; n <= 67; n++ {
@@ -180,32 +178,43 @@ func TestDotListMatchesDot(t *testing.T) {
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
-			rows := make([]int32, 103)
+			rows := make([]int, 103)
 			for k := range rows {
-				rows[k] = int32(rng.Intn(m.Rows()))
+				rows[k] = rng.Intn(m.Rows())
 			}
 			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 103} {
-				checkDotList(t, x, m, rows[:k])
+				checkDotList(t, m, rows[:k], oneRow(x), 0)
 			}
-			checkDotList(t, x, m, nil)
-			checkDotList(t, x, m, []int32{})
-			// A vector shorter or longer than the rows: Dot's common prefix.
-			checkDotList(t, append(x[:len(x):len(x)], 2.5), m, rows[:9])
+			checkDotList(t, m, allRows(m.Rows()), oneRow(x), 0)
+			checkDotList(t, m, []int{}, oneRow(x), 0)
+			// A column of m itself, which the list hits.
+			col := rows[0]
+			checkDotList(t, m, append([]int{col, col}, rows[:9]...), m, col)
+			// A b row shorter or longer than the rows: Dot's common prefix.
+			checkDotList(t, m, rows[:9], oneRow(append(x[:len(x):len(x)], 2.5)), 0)
 			if n > 0 {
-				checkDotList(t, x[:n-1], m, rows[:9])
+				checkDotList(t, m, rows[:9], oneRow(x[:n-1]), 0)
 			}
 		}
 	}
 }
 
+func allRows(m int) []int {
+	rows := make([]int, m)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
 // TestSqDistListClampsAtZero: a pair whose identity rounds below zero reads
-// +0 in the lanes' quads and single rows alike, as SqDistOf clamps it.
+// +0 on SqDistTile's one-column path, which finishes in the lanes: in their
+// quads and single rows alike, as SqDistOf clamps it.
 func TestSqDistListClampsAtZero(t *testing.T) {
 	p, q := 1.000000008468023, 1.000000016969414
 	m := NewDense(2, 1, []float64{p, q})
-	x := []float64{p}
 	out := make([]float64, 7)
-	SqDistList(x, p*p, m, []int32{1, 0, 1, 1, 0, 1, 1}, out)
+	SqDistTile(m, []int{1, 0, 1, 1, 0, 1, 1}, NewDense(1, 1, []float64{p}), 0, 1, out, 1)
 	for k, v := range out {
 		if math.Float64bits(v) != 0 {
 			t.Fatalf("distance %d: %v, want +0", k, v)
@@ -220,16 +229,18 @@ func TestDotListIndexOutOfRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := unalignedDense(rng, 10, 8)
 	x := m.DenseRow(0)
-	for _, rows := range [][]int32{{10}, {0, 10}, {10, 0}, {1, 2, -1}, {3, 4, 5, 6, 1 << 30},
-		{1, 2, 3, 10, 4}, {1, 2, 3, 4, 5, 6, 7, 8, 9, -5}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("rows %v of a 10-row matrix: no panic", rows)
-				}
+	for _, rows := range [][]int{{10}, {0, 10}, {10, 0}, {1, 2, -1}, {3, 4, 5, 6, 1 << 30},
+		{1, 2, 3, 10, 4}, {1, 2, 3, 4, 5, 6, 7, 8, 9, -5}, {1, 2, 3, 1 << 40}} {
+		for _, tile := range []func(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld int){MulTile, SqDistTile} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("rows %v of a 10-row matrix: no panic", rows)
+					}
+				}()
+				tile(m, rows, m, 0, 1, make([]float64, len(rows)), 1)
 			}()
-			DotList(x, m, rows, make([]float64, len(rows)))
-		}()
+		}
 		if !vectorKernels {
 			continue
 		}
@@ -246,7 +257,7 @@ func TestDotListIndexOutOfRange(t *testing.T) {
 			t.Errorf("rows %v with norms: the lanes set %d outputs, want the %d before the bad index", rows, k, bad)
 		}
 		for k := range bad {
-			if want := Dot(x, m.DenseRow(int(rows[k]))); !same(out[k], want) {
+			if want := Dot(x, m.DenseRow(rows[k])); !same(out[k], want) {
 				t.Errorf("rows %v: output %d is %v before the bad index, Dot %v", rows, k, out[k], want)
 			}
 		}
@@ -257,12 +268,13 @@ func TestDotListIndexOutOfRange(t *testing.T) {
 				t.Error("nil rows with 11 outputs on a 10-row matrix: no panic")
 			}
 		}()
-		DotList(x, m, nil, make([]float64, 11))
+		dotList(x, m, 0, nil, make([]float64, 11), nil, 0)
 	}()
 }
 
-// TestSqDistMatchesReference: SqDistList and SqDistTile give the recipe
-// written out from scratch bit for bit, at every length and with specials.
+// TestSqDistMatchesReference: SqDistTile's one-column path and its general
+// one give the recipe written out from scratch bit for bit, at every length
+// and with specials.
 func TestSqDistMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 5000; trial++ {
@@ -278,10 +290,10 @@ func TestSqDistMatchesReference(t *testing.T) {
 		}
 		want := referenceSqDist(a, b)
 		if got := sqDist(a, b); !same(got, want) {
-			t.Fatalf("SqDistList(%v, %v) = %v, reference %v", a, b, got, want)
+			t.Fatalf("one-column SqDistTile(%v, %v) = %v, reference %v", a, b, got, want)
 		}
-		var tile [1]float64
-		SqDistTile(NewDense(1, n, a), []int{0}, NewDense(1, n, b), 0, 1, tile[:], 1)
+		var tile [2]float64 // ld = 2: not the one-column path
+		SqDistTile(NewDense(1, n, a), []int{0}, NewDense(1, n, b), 0, 1, tile[:], 2)
 		if !same(tile[0], want) {
 			t.Fatalf("SqDistTile(%v, %v) = %v, reference %v", a, b, tile[0], want)
 		}
@@ -396,9 +408,9 @@ func FuzzExpScaled(f *testing.F) {
 	})
 }
 
-// FuzzDotList holds DotList to Dot bitwise: raw fills a matrix of
-// features%12 columns, x is its first row shifted by offset%3 floats, and
-// pick lists the rows.
+// FuzzDotList holds the one-column MulTile and SqDistTile to Dot bitwise:
+// raw fills a matrix of features%12 columns, x, the one b row, is its first
+// row shifted by offset%3 floats, and pick lists the rows.
 func FuzzDotList(f *testing.F) {
 	f.Add(bytesOf(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), uint8(4), uint8(0), []byte{0, 1, 2, 2})
 	f.Add(bytesOf(specials...), uint8(5), uint8(1), []byte{1, 0})
@@ -413,12 +425,12 @@ func FuzzDotList(f *testing.F) {
 		x := vals[off : off+n]
 		rowsN := (len(vals) - off) / n
 		m := NewDense(rowsN, n, vals[off:off+rowsN*n])
-		rows := make([]int32, len(pick))
+		rows := make([]int, len(pick))
 		for k, b := range pick {
-			rows[k] = int32(int(b) % rowsN)
+			rows[k] = int(b) % rowsN
 		}
-		checkDotList(t, x, m, rows)
-		checkDotList(t, x, m, nil)
+		checkDotList(t, m, rows, oneRow(x), 0)
+		checkDotList(t, m, allRows(rowsN), oneRow(x), 0)
 	})
 }
 
@@ -732,28 +744,26 @@ func BenchmarkExpScaled(b *testing.B) {
 	})
 }
 
-// BenchmarkDotList prices one dense RowCache fill's inner products — a row
-// against every row of a 450×32 block — against the Dot loop.
+// BenchmarkDotList prices one dense RowCache fill's inner products — the
+// one-column MulTile of every row of a 450×32 block against one of its rows —
+// against the Dot loop.
 func BenchmarkDotList(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	m := unalignedDense(rng, 450, 32)
-	rows := make([]int32, m.Rows())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
+	rows := allRows(m.Rows())
 	x := m.DenseRow(7)
 	out := make([]float64, len(rows))
 	b.Run("lanes", func(b *testing.B) {
 		b.SetBytes(int64(8 * len(rows) * 32))
 		for i := 0; i < b.N; i++ {
-			DotList(x, m, rows, out)
+			MulTile(m, rows, m, 7, 8, out, 1)
 		}
 	})
 	b.Run("dot", func(b *testing.B) {
 		b.SetBytes(int64(8 * len(rows) * 32))
 		for i := 0; i < b.N; i++ {
 			for k, r := range rows {
-				out[k] = Dot(x, m.DenseRow(int(r)))
+				out[k] = Dot(x, m.DenseRow(r))
 			}
 		}
 	})

@@ -399,13 +399,13 @@ func TestSqDistVec(t *testing.T) {
 	a := NewDense(2, 2, []float64{3, 4, 0, 0})
 	x := []float64{0, 0}
 	out := make([]float64, 2)
-	SqDistList(x, 0, a, []int32{1, 0}, out)
+	SqDistTile(a, []int{1, 0}, NewDense(1, 2, x), 0, 1, out, 1)
 	if out[0] != 0 || out[1] != 25 {
-		t.Fatalf("SqDistList listed=%v, want [0 25]", out)
+		t.Fatalf("SqDistTile listed=%v, want [0 25]", out)
 	}
-	SqDistList(x, 0, a, nil, out)
+	SqDistTile(a, []int{0, 1}, NewDense(1, 2, x), 0, 1, out, 1)
 	if out[0] != 25 || out[1] != 0 {
-		t.Fatalf("SqDistList all=%v, want [25 0]", out)
+		t.Fatalf("SqDistTile all=%v, want [25 0]", out)
 	}
 }
 

@@ -106,13 +106,21 @@ func dot4Loop(x, b0, b1, b2, b3 []float64, dst []float64) {
 // scalar primitive the row-at-a-time paths use for that storage pairing:
 //
 //	dense×dense  → Dot(a_r, b_c)           (via the Dot4 microkernel, and
-//	                                        DotList for the last len%4 rows)
-//	sparse×sparse→ SpDot(a_r, b_c)         (via ScatteredRow: each a row
-//	                                        scattered once per tile row, one
-//	                                        gather per column)
+//	                                        dotList for the last len%4 rows)
+//	sparse×sparse→ SpDot(a_r, b_c)         (via ScatteredRow: the side used
+//	                                        more often scattered once per
+//	                                        row, one gather per element)
 //	sparse×dense → SpDenseDot(a_r, b_c)    (DotVec's arithmetic)
 //	dense×sparse → Dot(a_r, densify(b_c))  (each b row densified once per
 //	                                        tile column, not per element)
+//
+// A dense×dense tile of one column into contiguous dst (chi-clo == 1,
+// ld == 1) — a kernel column, a lazy fill's listed rows against one row, a
+// one-query prediction block — is one dotList pass of the b row against the listed a rows, four rows per
+// pass where the lanes run. Dot is bitwise symmetric in its operands (the
+// same products, in the same order), so every element is still Dot(a_r,
+// b_c). A row index outside a stops the lanes and panics in DenseRow, as in
+// the panels.
 //
 // dst must have length ≥ (len(rows)-1)*ld + (chi-clo) and ld ≥ chi-clo.
 func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld int) {
@@ -121,6 +129,8 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 		return
 	}
 	switch {
+	case oneColumn(a, b, w, ld):
+		dotList(b.DenseRow(clo), a, 0, rows, dst[:len(rows)], nil, 0)
 	case !a.Sparse() && !b.Sparse():
 		// Column-outer, 4 a-rows per pass: each b row is streamed once per
 		// quad of outputs instead of once per output — a 4× cut in b-side
@@ -139,15 +149,29 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 			dotList(a.DenseRow(rows[r]), b, clo, nil, dst[r*ld:r*ld+w], nil, 0)
 		}
 	case a.Sparse() && b.Sparse():
+		// Scatter the side whose rows are each reused more: SpDot is
+		// bitwise symmetric, so gathering a rows against a scattered b row
+		// gives the same element.
 		s := scatters.Get().(*ScatteredRow)
 		n := max(a.n, b.n)
-		for r, ar := range rows {
-			ri, rv := a.SparseRow(ar)
-			s.Set(n, ri, rv)
-			out := dst[r*ld:]
+		if len(rows) > w {
 			for c := clo; c < chi; c++ {
 				ci, cv := b.SparseRow(c)
-				out[c-clo] = s.Dot(ci, cv)
+				s.Set(n, ci, cv)
+				for r, ar := range rows {
+					ri, rv := a.SparseRow(ar)
+					dst[r*ld+c-clo] = s.Dot(ri, rv)
+				}
+			}
+		} else {
+			for r, ar := range rows {
+				ri, rv := a.SparseRow(ar)
+				s.Set(n, ri, rv)
+				out := dst[r*ld:]
+				for c := clo; c < chi; c++ {
+					ci, cv := b.SparseRow(c)
+					out[c-clo] = s.Dot(ci, cv)
+				}
 			}
 		}
 		s.Release()
@@ -191,14 +215,20 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 // — Lloyd sweeps, FCFS, balanced K-means and query routing — and the Gaussian
 // kernel's distance. Each element is bit-identical to SqDistOf over the
 // scalar dot MulTile matches for the storage pairing (DotVec when b is
-// dense). Same dst and ld contract as MulTile.
+// dense). A one-column tile (MulTile's one-column path) finishes each
+// distance in the lanes, as SqDistOf(‖b_c‖², ‖a_r‖², dot): the sum of the
+// norms commutes. Same dst and ld contract as MulTile.
 func SqDistTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld int) {
 	if chi <= clo || len(rows) == 0 {
 		return
 	}
-	MulTile(a, rows, b, clo, chi, dst, ld)
 	a.EnsureNorms()
 	b.EnsureNorms()
+	if oneColumn(a, b, chi-clo, ld) {
+		dotList(b.DenseRow(clo), a, 0, rows, dst[:len(rows)], a.sqnorm, b.sqnorm[clo])
+		return
+	}
+	MulTile(a, rows, b, clo, chi, dst, ld)
 	bn := b.sqnorm[clo:chi]
 	for r, i := range rows {
 		ni := a.sqnorm[i]
@@ -207,6 +237,12 @@ func SqDistTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, l
 			out[k] = SqDistOf(ni, nc, out[k])
 		}
 	}
+}
+
+// oneColumn reports whether a tile of w columns at stride ld takes the
+// one-column path: dense×dense, one column, contiguous.
+func oneColumn(a, b *Matrix, w, ld int) bool {
+	return !a.sparse && !b.sparse && w == 1 && ld == 1
 }
 
 // distBlock is how many rows of a SqDistEach takes per SqDistTile call: the

@@ -247,6 +247,48 @@ func TestSqDistTileClampsAtZero(t *testing.T) {
 	}
 }
 
+// TestMulTileSparseSides: a sparse×sparse tile scatters whichever side is
+// reused more — its b rows when it has more rows than columns, its a rows
+// otherwise — and either way every element is SpDot of the pair bit for bit,
+// in both argument orders.
+func TestMulTileSparseSides(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, n := range []int{13, 2048} {
+		density := 0.35
+		if n > 1000 {
+			density = 0.02
+		}
+		a, b := randSparse(rng, 23, n, density), randSparse(rng, 19, n+7, density)
+		for _, sh := range []struct {
+			rows     []int
+			clo, chi int
+		}{
+			{[]int{4, 0, 22, 4, 9}, 3, 5},                // more rows than columns
+			{[]int{1}, 7, 8},                             // one by one
+			{[]int{2, 3}, 0, 19},                         // fewer rows than columns
+			{[]int{5, 6, 7}, 10, 13},                     // as many
+			{allRows(23), 18, 19},                        // a whole block against one row
+			{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 9, 10}, // a column of b the rows reach
+		} {
+			for _, ld := range []int{sh.chi - sh.clo, sh.chi - sh.clo + 2} {
+				dst := make([]float64, len(sh.rows)*ld)
+				MulTile(a, sh.rows, b, sh.clo, sh.chi, dst, ld)
+				for r, i := range sh.rows {
+					ai, av := a.SparseRow(i)
+					for c := sh.clo; c < sh.chi; c++ {
+						bi, bv := b.SparseRow(c)
+						got := dst[r*ld+c-sh.clo]
+						if want := SpDot(ai, av, bi, bv); got != want || got != SpDot(bi, bv, ai, av) {
+							t.Fatalf("n=%d rows=%v [%d,%d) ld=%d: (%d,%d) tile %v, SpDot %v",
+								n, sh.rows, sh.clo, sh.chi, ld, i, c, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkMulTile prices the blocked tile against the equivalent scalar
 // row-at-a-time loop — the microbench half of BENCH_kernel.json.
 func BenchmarkMulTile(b *testing.B) {

@@ -8,14 +8,14 @@
 //
 // There is one squared distance, SqDistOf: the norms identity
 // ‖a‖² + ‖b‖² − 2·a·b clamped at zero, over the inner product the storage
-// pairing's scalar dot gives. SqDistTile, SqDistList and every Gaussian
-// kernel value above this package are that expression.
+// pairing's scalar dot gives. SqDistTile and every Gaussian kernel value
+// above this package are that expression.
 //
-// ExpScaled, the Gaussian kernel's batched finish, DotList, one row against
-// listed rows, UpdateScan, the SMO iteration tail, and Dot4 with MulTile's
-// dense panels run four lanes wide in amd64 assembly (vec_amd64.s) when the
-// CPU has AVX2 and FMA, and as the portable loops otherwise; both paths give
-// the scalar results bit for bit.
+// ExpScaled, the Gaussian kernel's batched finish, UpdateScan, the SMO
+// iteration tail, Dot4, and MulTile's dense panels and one-column tiles (one
+// row against listed rows) run four lanes wide in amd64 assembly
+// (vec_amd64.s) when the CPU has AVX2 and FMA, and as the portable loops
+// otherwise; both paths give the scalar results bit for bit.
 package la
 
 import "math"
@@ -27,8 +27,8 @@ import "math"
 // Dot is also the repository benchmark's calibration loop: bench/measure.go
 // times it over 4096 × 1000 elements and restates every gated timing against
 // its fixed reference speed, so a faster Dot would inflate every workload's
-// figures. It keeps this scalar body and its speed; the lanes go under Dot4,
-// MulTile and DotList, which reproduce it bit for bit, and SqNorm and DotVec
+// figures. It keeps this scalar body and its speed; the lanes go under Dot4
+// and MulTile, which reproduce it bit for bit, and SqNorm and DotVec
 // stay on it.
 func Dot(a, b []float64) float64 {
 	n := len(a)
@@ -67,25 +67,13 @@ func SqDistOf(na, nb, dot float64) float64 {
 	return d
 }
 
-// DotList sets out[k] = Dot(x, m.DenseRow(int(rows[k]))) for every k, or
-// out[k] = Dot(x, m.DenseRow(k)) for every k of out when rows is nil, bit for
-// bit. m must be dense.
-func DotList(x []float64, m *Matrix, rows []int32, out []float64) {
-	dotList(x, m, 0, rows, out, nil, 0)
-}
-
-// SqDistList sets out[k] = SqDistOf(xsq, ‖row‖², Dot(x, row)) for row
-// rows[k] of the dense m (row k when rows is nil), xsq being ‖x‖²: the
-// distances from one vector to listed rows, each bit for bit SqDistTile's
-// element for the pair. The lanes finish each distance in registers.
-func SqDistList(x []float64, xsq float64, m *Matrix, rows []int32, out []float64) {
-	m.EnsureNorms()
-	dotList(x, m, 0, rows, out, m.sqnorm, xsq)
-}
-
-// dotList is DotList with every row index counted from row lo of m and, when
-// norms is not nil, each dot finished as SqDistOf(xsq, norms[index], dot).
-func dotList(x []float64, m *Matrix, lo int, rows []int32, out, norms []float64, xsq float64) {
+// dotList sets out[k] = Dot(x, row lo+rows[k] of m) for every k, or
+// Dot(x, row lo+k) for every k of out when rows is nil, bit for bit; when
+// norms is not nil, each dot is finished as SqDistOf(xsq, norms[index], dot),
+// index counted from lo as the row is. It is MulTile's engine for one row
+// against many: the last len(rows)%4 rows of a dense panel, and the whole of
+// a one-column tile.
+func dotList(x []float64, m *Matrix, lo int, rows []int, out, norms []float64, xsq float64) {
 	if rows != nil {
 		out = out[:len(rows)]
 	}
@@ -98,7 +86,7 @@ func dotList(x []float64, m *Matrix, lo int, rows []int32, out, norms []float64,
 	for ; k < len(out); k++ {
 		i := k
 		if rows != nil {
-			i = int(rows[k])
+			i = rows[k]
 		}
 		d := Dot(x, m.DenseRow(lo+i))
 		if norms != nil {

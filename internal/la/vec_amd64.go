@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// vectorKernels selects the four-lane assembly behind ExpScaled, DotList,
-// UpdateScan, Dot4 and MulTile's dense panels (vec_amd64.s): the CPU has
-// AVX2 and FMA, the OS saves YMM state, and the exp lanes agree with this
-// process's math.Exp bit for bit.
+// vectorKernels selects the four-lane assembly behind ExpScaled, UpdateScan,
+// Dot4 and MulTile's dense panels and one-column tiles (vec_amd64.s): the
+// CPU has AVX2 and FMA, the OS saves YMM state, and the exp lanes agree with
+// this process's math.Exp bit for bit.
 // The last condition keeps the path exact wherever math.Exp does not run the
 // FMA sequence the lanes replay — under GODEBUG=cpu.fma=off, or after a Go
 // release changes its algorithm (TestVectorKernelsActive catches the latter).
@@ -34,7 +34,7 @@ func expScaledVec(x []float64, s float64) int
 // it stops at the first row index outside [0, m).
 //
 //go:noescape
-func dotRowsVec(x, dense []float64, m int, rows []int32, out, norms []float64, xsq float64) int
+func dotRowsVec(x, dense []float64, m int, rows []int, out, norms []float64, xsq float64) int
 
 // updateScanVec runs UpdateScan's update and scan over the first len(f)&^3
 // elements and leaves each lane's candidates in e: lane j of group g takes

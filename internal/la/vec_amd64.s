@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// Four-lane kernels behind ExpScaled, DotList and UpdateScan (vec.go) and
-// behind Dot4 and MulTile's dense panels (tile.go). Each lane performs
+// Four-lane kernels behind ExpScaled and UpdateScan (vec.go) and behind
+// Dot4 and MulTile's dense panels and one-column tiles (tile.go). Each lane performs
 // exactly the instruction sequence of the scalar code it stands in for, so
 // every result is the scalar result bit for bit.
 
@@ -112,7 +112,7 @@ done:
 	VZEROUPPER
 	RET
 
-// func dotRowsVec(x, dense []float64, m int, rows []int32, out, norms []float64, xsq float64) int
+// func dotRowsVec(x, dense []float64, m int, rows []int, out, norms []float64, xsq float64) int
 //
 // Rows go four at a time against the one x: each quad of x is loaded once
 // and multiplied into four accumulators, one per row, whose lanes are Dot's
@@ -146,10 +146,10 @@ quad:
 	LEAQ 3(R13), R14
 	TESTQ R9, R9
 	JZ   quadat
-	MOVLQSX (R9)(R13*4), AX
-	MOVLQSX 4(R9)(R13*4), DX
-	MOVLQSX 8(R9)(R13*4), R8
-	MOVLQSX 12(R9)(R13*4), R14
+	MOVQ (R9)(R13*8), AX
+	MOVQ 8(R9)(R13*8), DX
+	MOVQ 16(R9)(R13*8), R8
+	MOVQ 24(R9)(R13*8), R14
 
 quadat:
 	CMPQ AX, m+48(FP)
@@ -244,7 +244,7 @@ single:
 	MOVQ R13, AX
 	TESTQ R9, R9
 	JZ   singleat
-	MOVLQSX (R9)(R13*4), AX
+	MOVQ (R9)(R13*8), AX
 
 singleat:
 	CMPQ AX, m+48(FP)
@@ -286,7 +286,7 @@ singlestore:
 	MOVQ R13, DX
 	TESTQ R9, R9
 	JZ   singlenorm
-	MOVLQSX (R9)(R13*4), DX
+	MOVQ (R9)(R13*8), DX
 
 singlenorm:
 	VADDSD X0, X0, X0

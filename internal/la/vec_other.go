@@ -2,8 +2,8 @@
 
 package la
 
-// vectorKernels is false off amd64: ExpScaled, DotList, UpdateScan, Dot4
-// and MulTile run their portable loops, and the lane kernels below are never
+// vectorKernels is false off amd64: ExpScaled, UpdateScan, Dot4 and
+// MulTile run their portable loops, and the lane kernels below are never
 // called.
 const vectorKernels = false
 
@@ -11,7 +11,7 @@ func cpuHasAVX2FMA() bool { return false }
 
 func expScaledVec(x []float64, s float64) int { return 0 }
 
-func dotRowsVec(x, dense []float64, m int, rows []int32, out, norms []float64, xsq float64) int {
+func dotRowsVec(x, dense []float64, m int, rows []int, out, norms []float64, xsq float64) int {
 	return 0
 }
 

@@ -46,10 +46,11 @@ func TestDotUnrollMatchesNaive(t *testing.T) {
 	}
 }
 
-// sqDist is SqDistList's distance from a to b, b as a one-row matrix.
+// sqDist is the one-column SqDistTile's distance from a to b, each a
+// one-row matrix.
 func sqDist(a, b []float64) float64 {
 	var out [1]float64
-	SqDistList(a, SqNorm(a), NewDense(1, len(b), b), nil, out[:])
+	SqDistTile(NewDense(1, len(b), b), []int{0}, NewDense(1, len(a), a), 0, 1, out[:], 1)
 	return out[0]
 }
 

@@ -62,10 +62,11 @@ func TestTiledPrefetchMatchesUnprefetched(t *testing.T) {
 
 // TestColumnsMatchCrossRowReference pins the distributed pair update —
 // FillColumn for each sample, then the fused update — against the arithmetic it
-// stands for, written out by hand: one CrossRow and one axpy per sample,
-// high before low. Identical f vectors and identical flop charges, for both
-// storages (the external sample always has the local block's) and both
-// kernel families.
+// stands for, written out by hand: one cross-kernel row per sample (Eval of
+// every local row against it) charged nnz(block) + (nnz_j+1)·m, and one axpy
+// per sample, high before low. Identical f vectors and identical flop
+// charges, for both storages (the external sample always has the local
+// block's) and both kernel families.
 func TestColumnsMatchCrossRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	de, y := twoBlobs(rng, 80, 2, 0.8)
@@ -85,7 +86,10 @@ func TestColumnsMatchCrossRowReference(t *testing.T) {
 			wantFlops := float64(4 * m)
 			buf := make([]float64, m)
 			for j, coef := range []float64{0.25 * 1, 0.5 * -1} {
-				wantFlops += p.CrossRow(mat.x, ext, j, buf)
+				for i := range buf {
+					buf[i] = p.Eval(mat.x, i, ext, j)
+				}
+				wantFlops += float64(mat.x.NNZ() + (nnz(ext, j)+1)*m)
 				la.Axpy(coef, buf, want)
 			}
 
@@ -103,6 +107,53 @@ func TestColumnsMatchCrossRowReference(t *testing.T) {
 					t.Fatalf("%s/%v: f[%d] %v, want %v", mat.name, p.Kind, i, s.f[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// nnz is the stored entries of row j of a: its features when dense.
+func nnz(a *la.Matrix, j int) int {
+	if !a.Sparse() {
+		return a.Features()
+	}
+	ix, _ := a.SparseRow(j)
+	return len(ix)
+}
+
+// TestFillColumnFlopAccounting pins FillColumn's charge for both storage
+// kinds. A dense block charges the dense bound (n + n)·m + m; a sparse one
+// charges its stored entries, nnz(block) + (nnz_j+1)·m, not the dense
+// Features()·m upper bound.
+func TestFillColumnFlopAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const m, n = 40, 50
+	data := make([]float64, m*n)
+	for k := range data {
+		if rng.Intn(5) == 0 {
+			data[k] = rng.NormFloat64()
+		}
+	}
+	de := la.NewDense(m, n, data)
+	y := make([]float64, m)
+	for i := range y {
+		y[i] = float64(1 - 2*(i%2))
+	}
+	for _, x := range []*la.Matrix{de, sparseCopy(de)} {
+		s, err := New(x, y, Config{C: 1, Kernel: kernel.RBF(0.2)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := float64((n+n)*m + m)
+		if x.Sparse() {
+			want = float64(x.NNZ() + (nnz(x, 3)+1)*m)
+			if bound := float64((n+nnz(x, 3))*m + m); want >= bound {
+				t.Fatalf("test matrix not sparse enough: nnz charge %v !< dense bound %v", want, bound)
+			}
+		}
+		s.TakeFlops()
+		s.FillColumn(x, 3, make([]float64, m))
+		if got := s.TakeFlops(); got != want {
+			t.Errorf("sparse=%v: flops %v, want %v", x.Sparse(), got, want)
 		}
 	}
 }

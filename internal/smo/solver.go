@@ -140,6 +140,10 @@ type Solver struct {
 	// rec mirrors cfg.Trace for the hot paths; nil means every span call
 	// is a single-branch no-op.
 	rec *trace.Recorder
+
+	// rows lists every local row, the tile rows of FillColumn's CrossTile;
+	// built at the first call.
+	rows []int
 }
 
 // New prepares a solver for the given samples and ±1 labels, optionally
@@ -324,13 +328,28 @@ func (s *Solver) snapTo(a, c float64) float64 {
 }
 
 // FillColumn computes the cross-kernel column of an external sample against
-// the local block — dst[i] = K(x_i, ext_j), length M() — and charges its
-// flops. ext must have the local block's storage (both dense or both
-// sparse); Distributed SMO refuses any other row before it gets here. It
-// calls FillColumn once per sample entering its replicated column cache;
+// the local block — dst[i] = K(x_i, ext_j), length M(), one CrossTile of the
+// block against the sample's row — and charges its flops: the block's stored
+// entries plus (nnz_j + 1)·m, nnz_j counting the sample's stored entries (its
+// features when dense). ext must have the local block's storage (both dense
+// or both sparse); Distributed SMO refuses any other row before it gets here.
+// It calls FillColumn once per sample entering its replicated column cache;
 // every later iteration that picks the sample reuses the column for free.
 func (s *Solver) FillColumn(ext *la.Matrix, j int, dst []float64) {
-	s.flops += s.cfg.Kernel.CrossRow(s.x, ext, j, dst)
+	m := s.x.Rows()
+	if s.rows == nil {
+		s.rows = make([]int, m)
+		for i := range s.rows {
+			s.rows[i] = i
+		}
+	}
+	s.cfg.Kernel.CrossTile(s.x, s.rows, ext, j, j+1, dst[:m], 1)
+	nnzJ := ext.Features()
+	if ext.Sparse() {
+		ji, _ := ext.SparseRow(j)
+		nnzJ = len(ji)
+	}
+	s.flops += float64(s.x.NNZ() + (nnzJ+1)*m)
 }
 
 // AddAlpha adds d to alpha[i], clipping to [0, C] and snapping edge dust.

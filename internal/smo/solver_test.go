@@ -178,11 +178,12 @@ func TestWarmStartConvergesFast(t *testing.T) {
 
 // TestWarmStartFillsThroughCache pins what a warm start costs and what it
 // may not change. The reference rebuilds f the way New did before the rows
-// went through the cache — one CrossRow(x, x, j) per inherited support vector
-// into a throwaway buffer, axpy'd in index order — and then solves on a cold
-// cache. Same multipliers, bias and iterations bit for bit (CrossRow(x,x,j)
-// is row j by symmetry, the axpy order is unchanged); strictly fewer cache
-// misses, because the solve finds the support vectors' rows resident.
+// went through the cache — one kernel column K(·, j) per inherited support
+// vector (a one-column CrossTile) into a throwaway buffer, axpy'd in index
+// order — and then solves on a cold cache. Same multipliers, bias and
+// iterations bit for bit (column j is row j by symmetry, the axpy order is
+// unchanged); strictly fewer cache misses, because the solve finds the
+// support vectors' rows resident.
 func TestWarmStartFillsThroughCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	de, y := twoBlobs(rng, 80, 1.2, 0.9)
@@ -207,11 +208,15 @@ func TestWarmStartFillsThroughCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		row := make([]float64, mat.x.Rows())
+		rows := make([]int, mat.x.Rows())
+		for i := range rows {
+			rows[i] = i
+		}
 		for j, a := range lower.Alpha {
 			ref.alpha[j] = a
 			ref.setMember(j)
 			if a != 0 {
-				cfg.Kernel.CrossRow(mat.x, mat.x, j, row)
+				cfg.Kernel.CrossTile(mat.x, rows, mat.x, j, j+1, row, 1)
 				la.Axpy(a*y[j], row, ref.f)
 			}
 		}

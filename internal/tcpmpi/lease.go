@@ -465,6 +465,7 @@ type Lease struct {
 
 	done     chan struct{}
 	doneOnce sync.Once
+	readDone chan struct{} // closed when the read loop returns
 }
 
 // Register dials a Registrar at addr, acquires a lease, and renews it in
@@ -497,11 +498,12 @@ func Register(addr string, opt RegisterOptions) (*Lease, error) {
 		return nil, err
 	}
 	l := &Lease{
-		link: &link{conn: conn, silence: ttl, wait: ttl},
-		id:   id,
-		ttl:  ttl,
-		mb:   newMailbox(1),
-		done: make(chan struct{}),
+		link:     &link{conn: conn, silence: ttl, wait: ttl},
+		id:       id,
+		ttl:      ttl,
+		mb:       newMailbox(1),
+		done:     make(chan struct{}),
+		readDone: make(chan struct{}),
 	}
 	go tick(l.done, ttl/3, func() {
 		if err := l.beat(); err != nil {
@@ -512,6 +514,7 @@ func Register(addr string, opt RegisterOptions) (*Lease, error) {
 		err := l.readLoop(func(tag int, _ int64, payload []byte) {
 			l.mb.put(0, message{tag: tag, data: payload})
 		})
+		close(l.readDone)
 		l.fail(fmt.Errorf("tcpmpi: lease connection lost: %w", err))
 	}()
 	return l, nil
@@ -527,9 +530,31 @@ func (l *Lease) TTL() time.Duration { return l.ttl }
 // worker that the coordinator's host reached.
 func (l *Lease) LocalAddr() net.Addr { return l.conn.LocalAddr() }
 
-// Close releases the lease: the coordinator sees a clean leave.
+// Close releases the lease: the coordinator sees a clean leave, after every
+// frame sent before Close. It half-closes the connection and reads on until
+// the coordinator closes its end, or for at most the TTL: closing with a
+// frame unread — a heartbeat, a clock ping — would reset the connection and
+// discard the frames still in flight.
 func (l *Lease) Close() error {
-	l.fail(errors.New("tcpmpi: lease closed"))
+	l.doneOnce.Do(func() {
+		l.mb.fail(0, errors.New("tcpmpi: lease closed"))
+		close(l.done)
+		l.sendMu.Lock()
+		if c, ok := l.conn.(interface{ CloseWrite() error }); ok {
+			c.CloseWrite()
+		}
+		l.sendMu.Unlock()
+		// The read loop ends at the coordinator's close, or earlier on a
+		// pong it can no longer write; the rest is drained here.
+		deadline := time.Now().Add(l.ttl)
+		select {
+		case <-l.readDone:
+			l.conn.SetReadDeadline(deadline)
+			io.Copy(io.Discard, l.conn)
+		case <-time.After(time.Until(deadline)):
+		}
+		l.conn.Close()
+	})
 	return nil
 }
 

@@ -496,6 +496,74 @@ func TestProbeClock(t *testing.T) {
 	}
 }
 
+// TestLeaseCloseDeliversQueuedFrames: frames a worker sent before Close
+// reach the coordinator even when it reads them only after Close returned
+// and clock pings keep arriving at the worker meanwhile, and the end is a
+// leave. A close that reset the connection dropped them.
+func TestLeaseCloseDeliversQueuedFrames(t *testing.T) {
+	for round := range 5 {
+		gate := make(chan struct{})
+		ev := &leaseEvents{}
+		cfg := ev.config(2 * time.Second)
+		onFrame := cfg.OnFrame
+		cfg.OnFrame = func(w WorkerInfo, tag int, payload []byte) {
+			<-gate
+			onFrame(w, tag, payload)
+		}
+		reg, err := NewRegistrar("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := Register(reg.Addr(), RegisterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "join", func() bool { j, _, _ := ev.counts(); return j == 1 })
+		stop := make(chan struct{})
+		probing := make(chan struct{})
+		go func() {
+			defer close(probing)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					reg.ProbeClock(l.ID(), 1, 20*time.Millisecond)
+				}
+			}
+		}()
+		const frames = 8
+		for i := range frames {
+			if err := l.Send(10+i, make([]byte, 16<<10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		closed := make(chan struct{})
+		go func() {
+			l.Close()
+			close(closed)
+		}()
+		time.Sleep(50 * time.Millisecond)
+		close(gate)
+		<-closed
+		waitFor(t, "leave or expiry", func() bool { _, ex, lv := ev.counts(); return ex+lv == 1 })
+		close(stop)
+		<-probing
+		reg.Close()
+		ev.mu.Lock()
+		got := append([]int(nil), ev.frames...)
+		ev.mu.Unlock()
+		if _, ex, _ := ev.counts(); ex != 0 || len(got) != frames {
+			t.Fatalf("round %d: %d of %d frames arrived, expiries %d", round, len(got), frames, ex)
+		}
+		for i, tag := range got {
+			if tag != 10+i {
+				t.Fatalf("round %d: frame %d has tag %d, want %d", round, i, tag, 10+i)
+			}
+		}
+	}
+}
+
 // TestRegistrarCloseOwnsItsGoroutines: Close returns only after every
 // goroutine the registrar started has exited, so no callback is running or
 // fires once it has returned, a client that connected before Close but said
