@@ -24,15 +24,17 @@
 // /jobs/<id>/{metrics,report,trace} serve one job's counters, outcome, and
 // merged fleet trace — where its ranks' convergence shows; the top-level
 // /metrics carries the cluster_* membership counters (joins, leaves, lease
-// expiries, scale-ups) plus the fleet plane's federated fleet_* aggregates
-// and straggler counters, /healthz answers liveness probes with uptime and
-// worker count, and /fleet/events streams straggler verdicts as SSE.
+// expiries, scale-ups) and straggler counters, /healthz answers liveness
+// probes with uptime and worker count, and /fleet/events streams straggler
+// verdicts as SSE.
 //
-// Workers stream trace spans, metric snapshots and per-epoch durations
-// over their leases (internal/telemetry/fleet) — a job's mesh ranks their
-// collective spans and mesh flow edges; with -fleet-trace DIR the
-// coordinator also writes each finished job's merged Chrome trace to
-// DIR/<job-id>.trace, ready for casvm-profile or Perfetto.
+// A rank reports over its lease in the exec frames that carry its work
+// (internal/telemetry/fleet): every checkpoint the epoch's wall time, which
+// the straggler detector judges, and a mesh rank's rank-done frame the
+// timeline it recorded — its collective spans and mesh flow edges (-no-fleet
+// turns the recording off); with -fleet-trace DIR the coordinator also
+// writes each finished job's merged Chrome trace to DIR/<job-id>.trace, ready
+// for casvm-profile or Perfetto.
 package main
 
 import (
@@ -57,7 +59,7 @@ func main() {
 		serve      = flag.String("serve", "", "serve live telemetry on this address: /metrics, /healthz, /report, /jobs, /jobs/<id>/{metrics,report,trace}, /fleet/events")
 		ttl        = flag.Duration("lease-ttl", 0, "worker lease TTL; a silent worker is expired after this (0 = 6s default)")
 		join       = flag.String("join", "", "worker mode: register with the coordinator at this address and execute assigned ranks until interrupted")
-		fleetOff   = flag.Bool("no-fleet", false, "worker mode: do not stream fleet telemetry for executed ranks")
+		fleetOff   = flag.Bool("no-fleet", false, "worker mode: do not record mesh ranks' timelines")
 		fleetTrace = flag.String("fleet-trace", "", "write each finished job's merged fleet trace to this directory as <job-id>.trace")
 	)
 	flag.Parse()

@@ -14,13 +14,14 @@
 //
 //	go run ./examples/distributed -p 4
 //
-// Fleet telemetry — every executor streams its trace spans, flow edges and
-// epoch times to the coordinator over its lease; the coordinator probes each
-// lease's clock offset and writes the Dis-SMO job's merged Chrome trace
-// (cross-process Perfetto arrows included), which casvm-profile analyzes. With
-// -straggler the last executor sleeps five times as long an iteration as the
-// rest, and the online detector flags its rank of the RA-CA job against the
-// gang median:
+// Fleet telemetry — every executor reports over its lease in the exec frames
+// that carry its work: an RA-CA rank's checkpoints each carry the epoch's wall
+// time, and a Dis-SMO rank's rank-done frame its trace spans and flow edges;
+// the coordinator probes each lease's clock offset and writes the Dis-SMO
+// job's merged Chrome trace (cross-process Perfetto arrows included), which
+// casvm-profile analyzes. With -straggler the last executor sleeps five times
+// as long an iteration as the rest, and the online detector flags its rank of
+// the RA-CA job against the gang median:
 //
 //	go run ./examples/distributed -p 4 -fleet-trace merged.trace -straggler 2ms
 //	go run ./cmd/casvm-profile merged.trace
@@ -114,8 +115,9 @@ func main() {
 			if *straggler == 0 {
 				continue
 			}
-			// Every epoch report of a rank precedes its rank-done frame on
-			// the lease, so the finished job's have all been judged.
+			// Every checkpoint of a rank, and the epoch it ends, precedes its
+			// rank-done frame on the lease, so the finished job's have all
+			// been judged.
 			events, _ := coord.Fleet().Events(0)
 			for _, e := range events {
 				if e.Job == j.ID() {
@@ -211,8 +213,9 @@ func killDemo(coord *cluster.Coordinator, p int, victim *exec.Cmd, stamp func(st
 }
 
 // writeMergedTrace writes the job's offset-rebased merged Chrome trace —
-// every rank shipped its timeline before reporting, so the finished job's is
-// complete — and summarizes the cross-process critical path inline.
+// every rank's timeline rides its rank-done frame and is stored before the
+// rank counts, so the finished job's is complete — and summarizes the
+// cross-process critical path inline.
 func writeMergedTrace(coord *cluster.Coordinator, job, path string, stamp func(string, ...any)) error {
 	f, err := os.Create(path)
 	if err != nil {

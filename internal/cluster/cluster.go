@@ -21,8 +21,9 @@
 //
 // The package deliberately does not import the HTTP telemetry server: the
 // coordinator exposes per-job metrics registries and the fleet telemetry
-// collector (trace spans, federated metrics, and straggler events streamed in
-// from workers over their leases — see internal/telemetry/fleet), and the
+// collector (the merged traces of mesh ranks' timelines and the straggler
+// verdicts on RA-CA ranks' epochs, both taken from the exec frames of the
+// leases that own the job — see internal/telemetry/fleet), and the
 // casvm-cluster command wires them into an HTTP server.
 package cluster
 
@@ -68,12 +69,12 @@ type Coordinator struct {
 	logf      func(string, ...any)
 	data      datasetMemo // consecutive jobs over one dataset build it once
 
-	// membership and job counters (satellite: lease-expiry/join/leave
-	// visibility in the Prometheus registry)
+	// membership, job and straggler counters
 	cJoins, cLeaves, cExpiries         *trace.Counter
 	cSubmitted, cCompleted, cFailed    *trace.Counter
-	cScaleups                          *trace.Counter
+	cScaleups, cStragglers             *trace.Counter
 	gWorkers, gBusy, gRunning, gQueued *trace.Gauge
+	gStragglerFactor                   *trace.Gauge
 
 	mu      sync.Mutex
 	workers map[int]tcpmpi.WorkerInfo // registered non-client workers
@@ -125,20 +126,17 @@ func New(addr string, cfg Config) (*Coordinator, error) {
 		gRunning:   met.Gauge("cluster_jobs_running", "jobs currently training"),
 		gQueued:    met.Gauge("cluster_jobs_queued", "jobs waiting for a gang of free workers"),
 
+		cStragglers:      met.Counter("cluster_straggler_detections_total", "straggler verdicts raised by the online detector"),
+		gStragglerFactor: met.Gauge("cluster_straggler_last_factor", "sec/median ratio of the most recent straggler verdict"),
+
 		onJobDone: cfg.OnJobDone,
 	}
-	// The fleet collector must exist before the registrar: a worker's
-	// hello can arrive the instant the listener is up.
+	// A rank's first spans from a worker start a 5-ping clock probe of it.
 	c.fleet = fleet.New(fleet.Config{
 		Metrics: met,
 		Logf:    logf,
-		JobRegistry: func(job string) *trace.Registry {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			if j := c.byID[job]; j != nil {
-				return j.metrics
-			}
-			return nil
+		Probe: func(id int) (tcpmpi.ClockEstimate, error) {
+			return c.reg.ProbeClock(id, 5, 3*time.Second)
 		},
 	})
 	reg, err := tcpmpi.NewRegistrar(addr, tcpmpi.RegistrarConfig{
@@ -152,7 +150,6 @@ func New(addr string, cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.reg = reg
-	c.fleet.AttachRegistrar(reg)
 	return c, nil
 }
 
@@ -162,9 +159,9 @@ func (c *Coordinator) Addr() string { return c.reg.Addr() }
 // Metrics is the registry holding the cluster_* counters.
 func (c *Coordinator) Metrics() *trace.Registry { return c.met }
 
-// Fleet is the telemetry collector behind the coordinator's leases:
-// workers stream trace spans, metric snapshots and epoch durations to it,
-// and it serves merged traces, federated aggregates and straggler events.
+// Fleet is the telemetry collector: the coordinator hands it the timelines
+// and epoch durations its jobs' owning leases report in their exec frames,
+// and it serves merged traces and straggler events.
 func (c *Coordinator) Fleet() *fleet.Collector { return c.fleet }
 
 // Close stops accepting registrations, fails every queued job, and waits
@@ -356,7 +353,7 @@ func (c *Coordinator) schedule() {
 }
 
 // fleetKeepJobs is how many finished jobs keep their fleet telemetry (spans,
-// flow edges, metric snapshots, straggler history) in the collector — enough
+// flow edges, epoch durations) in the collector — enough
 // for the telemetry server's /jobs page; the merged trace of an older job is
 // gone, like that of a job the collector never saw.
 const fleetKeepJobs = 256
@@ -385,17 +382,13 @@ func (c *Coordinator) finishJob(j *Job, res *JobResult) {
 		c.logf("cluster: job %s failed: %s", j.id, res.Err)
 	}
 	c.fleetDone = append(c.fleetDone, j.id)
-	var forget string
 	if len(c.fleetDone) > fleetKeepJobs {
-		forget, c.fleetDone = c.fleetDone[0], c.fleetDone[1:]
+		c.fleet.Forget(c.fleetDone[0])
+		c.fleetDone = c.fleetDone[1:]
 	}
 	close(j.done)
 	c.schedule()
 	c.mu.Unlock()
-	if forget != "" {
-		// Outside c.mu: the collector calls back into JobRegistry.
-		c.fleet.Forget(forget)
-	}
 	if c.onJobDone != nil {
 		c.onJobDone(j)
 	}

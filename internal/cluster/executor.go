@@ -4,14 +4,15 @@
 // RunExecutor holds a worker lease and serves the exec frame vocabulary. It
 // keeps one fresh mesh listener open on the lease connection's local address
 // and announces its port. An RA-CA start trains the assigned shard ranks with
-// core.RunShard — streaming epoch-boundary checkpoints back over the lease as
-// it goes — and needs no other connection. A start that carries a peer table
-// dials the generation's tcpmpi mesh on that listener and runs its one rank
-// with core.RunRank, the per-rank driver in-process worlds call; the executor
-// then announces a new listener. An abort interrupts in-flight solves at the
-// next iteration poll and closes the mesh. Killing the process (`kill -9`
-// included) simply stops the lease heartbeats; the coordinator's expiry
-// callback then drives shrink/respawn recovery.
+// core.RunShard — streaming epoch-boundary checkpoints, each with its epoch's
+// wall time, back over the lease as it goes — and needs no other connection. A
+// start that carries a peer table dials the generation's tcpmpi mesh on that
+// listener and runs its one rank with core.RunRank, the per-rank driver
+// in-process worlds call, recording its timeline if Fleet is set; the
+// executor then announces a new listener. An abort interrupts in-flight
+// solves at the next iteration poll and closes the mesh. Killing the process
+// (`kill -9` included) simply stops the lease heartbeats; the coordinator's
+// expiry callback then drives shrink/respawn recovery.
 package cluster
 
 import (
@@ -26,15 +27,14 @@ import (
 	"casvm/internal/mpi"
 	"casvm/internal/smo"
 	"casvm/internal/tcpmpi"
-	"casvm/internal/telemetry/fleet"
 	"casvm/internal/trace"
 )
 
 // ExecutorOptions tunes a RunExecutor worker.
 type ExecutorOptions struct {
-	// Fleet streams fleet telemetry (hello, epoch reports, metrics, and a
-	// mesh rank's timeline) for every rank the executor trains, letting the
-	// coordinator's collector merge traces across gang generations.
+	// Fleet records a mesh rank's timeline — its spans and the flow edges of
+	// the messages it received — and ships it in the rank's rank-done frame,
+	// for the coordinator's merged trace of the job.
 	Fleet bool
 
 	// IterDelay throttles the solver by sleeping this long every
@@ -257,22 +257,17 @@ func (e *executor) runShards(ctx context.Context, m execStart, resume map[int]*s
 		if ctx.Err() != nil {
 			return
 		}
-		rep := e.reporter(m, rank)
-		epoch := 0
 		epochStart := time.Now()
 		sink := func(ck *smo.Checkpoint) {
 			blob := ck.Encode()
 			virt += pr.Machine.PtoP(len(blob))
 			frame := encodeExecCkpt(execRank{
 				Job: m.Job, Gen: m.Gen, Rank: rank, Iters: ck.Iters, VirtSec: virt,
+				EpochSec: time.Since(epochStart).Seconds(),
 			}, blob)
 			if err := e.l.Send(tagExecCkpt, frame); err != nil {
 				e.logf("executor: checkpoint deposit: %v", err)
 			}
-			if rep != nil {
-				rep.ReportEpoch(epoch, time.Since(epochStart))
-			}
-			epoch++
 			epochStart = time.Now()
 		}
 		sh, err := core.RunShard(ds.X, ds.Y, pr, core.ShardRun{
@@ -291,7 +286,7 @@ func (e *executor) runShards(ctx context.Context, m execStart, resume map[int]*s
 		}
 		virt += sh.VirtSec
 		h := execRank{Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters, VirtSec: virt}
-		if !e.rankDone(h, sh, rep, nil) {
+		if !e.rankDone(h, sh, nil) {
 			return
 		}
 	}
@@ -310,9 +305,8 @@ func (e *executor) runMesh(ctx context.Context, m execStart, ln net.Listener) {
 		}
 		return
 	}
-	rep := e.reporter(m, rank)
 	var tl *trace.Timeline
-	if rep != nil {
+	if e.opts.Fleet {
 		tl = trace.NewTimeline(m.Spec.P)
 	}
 	comm, err := tcpmpi.DialOptions(rank, m.Mesh, tcpmpi.Options{
@@ -352,39 +346,28 @@ func (e *executor) runMesh(ctx context.Context, m execStart, ln net.Listener) {
 	}
 	st := world.Stats()
 	e.rankDone(execRank{Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters, VirtSec: sh.VirtSec,
-		Msgs: st.TotalOps(), Bytes: st.TotalBytes(), Layers: sh.LayerIters}, sh, rep, tl)
+		Msgs: st.TotalOps(), Bytes: st.TotalBytes(), Layers: sh.LayerIters}, sh, tl)
 }
 
-// reporter says the rank's fleet hello when fleet telemetry is on; nil
-// otherwise, or when the hello could not be sent.
-func (e *executor) reporter(m execStart, rank int) *fleet.Reporter {
-	if !e.opts.Fleet {
-		return nil
-	}
-	rep, err := fleet.NewReporter(e.l, m.Job, rank, m.Spec.P)
+// rankDone reports one finished rank in its rank-done frame: the header, the
+// timeline tl recorded (none from a nil tl), and the rank's shard, if it holds
+// one. A timeline that would push the frame past maxExecModelBytes is dropped
+// with one log line; the rank is reported without it. It reports whether the
+// frame went out.
+func (e *executor) rankDone(h execRank, sh *core.ShardResult, tl *trace.Timeline) bool {
+	spans, err := encodeExecSpans(tl)
 	if err != nil {
-		e.logf("executor: fleet hello: %v", err)
+		e.logf("executor: job %s gen %d rank %d: timeline dropped: %v", h.Job, h.Gen, h.Rank, err)
 	}
-	return rep
-}
-
-// rankDone reports one finished rank: a mesh rank's timeline first, so the
-// coordinator holds it by the time the job commits, then the rank-done frame
-// (the header alone from a rank without a model), then the rank's metrics and
-// goodbye. It reports whether the rank-done frame went out.
-func (e *executor) rankDone(h execRank, sh *core.ShardResult, rep *fleet.Reporter, tl *trace.Timeline) bool {
-	if rep != nil && tl != nil {
-		if err := rep.ShipTimeline(tl, 0); err != nil {
-			e.logf("executor: %v", err)
-		}
+	frame := encodeExecRankDone(h, spans, sh.Model, sh.Center)
+	if len(frame) > maxExecModelBytes && len(spans) > 0 {
+		e.logf("executor: job %s gen %d rank %d: timeline of %d bytes dropped: the rank-done frame would exceed %d bytes",
+			h.Job, h.Gen, h.Rank, len(spans), maxExecModelBytes)
+		frame = encodeExecRankDone(h, nil, sh.Model, sh.Center)
 	}
-	if err := e.l.Send(tagExecRankDone, encodeExecRankDone(h, sh.Model, sh.Center)); err != nil {
+	if err := e.l.Send(tagExecRankDone, frame); err != nil {
 		e.logf("executor: rank-done report: %v", err)
 		return false
-	}
-	if rep != nil {
-		rep.ShipMetrics(nil)
-		rep.Goodbye()
 	}
 	e.logf("executor: job %s gen %d rank %d done (iters=%d svs=%d)", h.Job, h.Gen, h.Rank, sh.Iters, sh.SVs)
 	return true

@@ -1,16 +1,18 @@
 // Remote-execution control frames on the lease connection.
 //
 // The coordinator drives a remote job's gang through a small frame
-// vocabulary in the 105–113 tag block (clear of the 101/102 submit pair and
-// the fleet plane's 120–124): one start frame per worker is the whole of a
-// generation's launch, then checkpoint and rank-done frames stream worker →
-// coordinator until the generation either completes or is aborted for a
-// re-gang. Every executor also announces a fresh mesh listener's port, which a
-// generation of a communicating method consumes: its start frame carries the
-// rank-ordered peer table. A frame with a payload is an mpi.PackSections
-// envelope — a small JSON header section, the payload beside it as raw
-// sections, nothing binary quoted into JSON (DESIGN §6.2); abort, fail and
-// port are the bare header.
+// vocabulary in the 105–113 tag block (clear of the 101/102 submit pair): one
+// start frame per worker is the whole of a generation's launch, then
+// checkpoint and rank-done frames stream worker → coordinator until the
+// generation either completes or is aborted for a re-gang. They are also a
+// rank's only report stream: a checkpoint carries the epoch's wall seconds
+// for the straggler detector, and a mesh rank's rank-done its timeline for
+// the merged trace (internal/telemetry/fleet). Every executor also announces
+// a fresh mesh listener's port, which a generation of a communicating method
+// consumes: its start frame carries the rank-ordered peer table. A frame with
+// a payload is an mpi.PackSections envelope — a small JSON header section,
+// the payload beside it as raw sections, nothing binary quoted into JSON
+// (DESIGN §6.2); abort, fail and port are the bare header.
 //
 // Every worker → coordinator payload (and the coordinator → worker start
 // frame on the executor side) crosses a trust boundary — a lease holder is
@@ -27,11 +29,13 @@ import (
 	"casvm/internal/model"
 	"casvm/internal/mpi"
 	"casvm/internal/smo"
+	"casvm/internal/trace"
 )
 
-// Executor control-frame tags. 103–104 (mesh bootstrap) and 105–107 (start,
-// checkpoint, rank-done with base64 payloads) are retired and never
-// reassigned: a lease that still sends them is ignored like any unknown tag.
+// Executor control-frame tags. 103–104 (mesh bootstrap), 105–107 (start,
+// checkpoint, rank-done with base64 payloads) and 120–124 (the fleet frames:
+// hello, spans, metrics, epoch, goodbye) are retired and never reassigned: a
+// lease that still sends them is ignored like any unknown tag.
 const (
 	tagExecAbort    = 108 // coordinator -> worker: cancel the generation (re-gang pending)
 	tagExecFail     = 109 // worker -> coordinator: a rank's solve failed
@@ -47,8 +51,9 @@ const (
 	maxExecGangWidth  = 4096    // world width and rank-list entries
 	maxExecSamples    = 1 << 22 // inline mixture train+test rows
 	maxExecFeatures   = 1 << 14
-	maxExecModelBytes = 1 << 26 // a rank-done frame: header and shard sections together
+	maxExecModelBytes = 1 << 26 // a rank-done frame: header, spans and shard sections together
 	maxExecAddrLen    = 300     // one peer-table entry, host:port
+	maxExecEpochSec   = 1 << 20 // a checkpoint's epoch wall seconds (about 12 days)
 )
 
 // execStart heads the frame that launches one generation on one worker: the
@@ -81,8 +86,9 @@ type execStart struct {
 // execRank heads the two frames a rank streams back. A checkpoint frame adds
 // one section, the epoch-boundary solver snapshot (the resume point across
 // generations), whose iteration count Iters must match; a rank-done frame
-// adds the model.ShardSections sections of the trained shard and its center,
-// or nothing from a mesh rank that holds no model (Dis-SMO's and the tree
+// adds the rank's timeline (execSpans, empty when nothing was recorded), then
+// the model.ShardSections sections of the trained shard and its center, or
+// nothing from a mesh rank that holds no model (Dis-SMO's and the tree
 // methods' ranks above 0).
 type execRank struct {
 	Job  string `json:"job"`
@@ -102,6 +108,17 @@ type execRank struct {
 	// Layers is a tree-method rank's solver iterations per layer it solved
 	// (core.ShardResult.LayerIters), at most core.TreeLayers(P) entries.
 	Layers []int `json:"layers,omitempty"`
+
+	// EpochSec is a checkpoint's epoch in wall seconds: since the rank's
+	// previous deposit, or since its solve started in this generation.
+	EpochSec float64 `json:"epoch_sec,omitempty"`
+}
+
+// execSpans is a rank-done frame's timeline section: what a mesh rank's
+// trace recorded, its spans and the flow edges of the messages it received.
+type execSpans struct {
+	Events []trace.Event    `json:"events,omitempty"`
+	Edges  []trace.FlowEdge `json:"edges,omitempty"`
 }
 
 // execAbort cancels a generation: the worker interrupts its in-flight
@@ -151,10 +168,20 @@ func encodeExecCkpt(h execRank, blob []byte) []byte {
 	return mpi.PackSections(marshalExec(h), blob)
 }
 
-// encodeExecRankDone frames h with the rank's shard; a nil m sends the
-// header alone.
-func encodeExecRankDone(h execRank, m *model.Model, center []float64) []byte {
-	secs := [][]byte{marshalExec(h)}
+// encodeExecSpans is the timeline section of a rank-done frame: nil when tl
+// recorded nothing.
+func encodeExecSpans(tl *trace.Timeline) ([]byte, error) {
+	s := execSpans{Events: tl.Events(), Edges: tl.FlowEdges()}
+	if len(s.Events)+len(s.Edges) == 0 {
+		return nil, nil
+	}
+	return json.Marshal(s)
+}
+
+// encodeExecRankDone frames h with the rank's timeline section and its shard;
+// a nil m sends no shard.
+func encodeExecRankDone(h execRank, spans []byte, m *model.Model, center []float64) []byte {
+	secs := [][]byte{marshalExec(h), spans}
 	if m != nil {
 		secs = append(secs, model.EncodeShard(m, center)...)
 	}
@@ -253,6 +280,9 @@ func decodeExecRank(kind string, hdr []byte) (execRank, error) {
 	if h.Iters < 0 || h.VirtSec < 0 || h.Msgs < 0 || h.Bytes < 0 {
 		return h, fmt.Errorf("cluster: %s frame with negative progress", kind)
 	}
+	if !(h.EpochSec >= 0 && h.EpochSec <= maxExecEpochSec) {
+		return h, fmt.Errorf("cluster: %s frame epoch of %g seconds out of range", kind, h.EpochSec)
+	}
 	if len(h.Layers) > core.TreeLayers(maxExecGangWidth) {
 		return h, fmt.Errorf("cluster: %s frame reports %d tree layers", kind, len(h.Layers))
 	}
@@ -284,22 +314,50 @@ func decodeExecCkpt(b []byte) (execRank, []byte, error) {
 	return h, secs[1], nil
 }
 
-// decodeExecRankDone returns the header and the shard's sections, still
-// encoded (none from a rank without a model): the owning job decodes them
-// (remoteRun.decodeShard).
-func decodeExecRankDone(b []byte) (execRank, [][]byte, error) {
+// decodeExecRankDone returns the header, the timeline section and the
+// shard's sections (none from a rank without a model), all still encoded: the
+// owning job decodes them (decodeExecSpans, remoteRun.decodeShard).
+func decodeExecRankDone(b []byte) (execRank, []byte, [][]byte, error) {
 	if len(b) > maxExecModelBytes {
-		return execRank{}, nil, fmt.Errorf("cluster: rank-done frame of %d bytes out of range", len(b))
+		return execRank{}, nil, nil, fmt.Errorf("cluster: rank-done frame of %d bytes out of range", len(b))
 	}
 	secs, err := mpi.UnpackSections(b, mpi.AnyCount)
-	if err == nil && len(secs) != 1 && len(secs) != 1+model.ShardSections {
+	if err == nil && len(secs) != 2 && len(secs) != 2+model.ShardSections {
 		err = fmt.Errorf("%d sections", len(secs))
 	}
 	if err != nil {
-		return execRank{}, nil, fmt.Errorf("cluster: bad rank-done frame: %w", err)
+		return execRank{}, nil, nil, fmt.Errorf("cluster: bad rank-done frame: %w", err)
 	}
 	h, err := decodeExecRank("rank-done", secs[0])
-	return h, secs[1:], err
+	return h, secs[1], secs[2:], err
+}
+
+// decodeExecSpans parses and bounds a rank-done frame's timeline section:
+// no more events and edges than a worker's trace records, every event on the
+// reporting rank, and every edge a message that rank received from a rank
+// in the gang-width range.
+func decodeExecSpans(h execRank, b []byte) (execSpans, error) {
+	var s execSpans
+	if len(b) == 0 {
+		return s, nil
+	}
+	if err := json.Unmarshal(b, &s); err != nil {
+		return s, fmt.Errorf("cluster: bad rank-done spans: %w", err)
+	}
+	if len(s.Events) > trace.DefaultMaxEventsPerRank || len(s.Edges) > trace.DefaultMaxFlowsPerRank {
+		return s, fmt.Errorf("cluster: rank-done spans of %d events and %d edges", len(s.Events), len(s.Edges))
+	}
+	for _, e := range s.Events {
+		if e.Rank != h.Rank {
+			return s, fmt.Errorf("cluster: rank %d shipped an event of rank %d", h.Rank, e.Rank)
+		}
+	}
+	for _, e := range s.Edges {
+		if e.Dst != h.Rank || e.Src < 0 || e.Src >= maxExecGangWidth {
+			return s, fmt.Errorf("cluster: rank %d shipped an edge %d -> %d", h.Rank, e.Src, e.Dst)
+		}
+	}
+	return s, nil
 }
 
 func decodeExecAbort(b []byte) (execAbort, error) {

@@ -1,200 +1,414 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"casvm/internal/core"
+	"casvm/internal/la"
+	"casvm/internal/model"
 	"casvm/internal/tcpmpi"
 	"casvm/internal/telemetry/fleet"
 	"casvm/internal/trace"
 )
 
-// TestFleetFramesOverCoordinator is the wiring test for the fleet plane on
-// the real cluster coordinator: a lease ships hello, spans, metrics and
-// epoch reports over the same connection an executor's job control rides,
-// and the coordinator routes them to its collector — including federation
-// into a finished job's /jobs/<id>/metrics registry and the OnJobDone hook
-// casvm-cluster persists merged traces from.
-func TestFleetFramesOverCoordinator(t *testing.T) {
-	doneJobs := make(chan *Job, 4)
-	c, err := New("localhost:0", Config{
-		LeaseTTL:  time.Second,
-		Logf:      t.Logf,
-		OnJobDone: func(j *Job) { doneJobs <- j },
+// spansSection is the timeline section a rank of a p-rank mesh ships: one
+// span named name, and the message it received from the next rank.
+func spansSection(t *testing.T, rank, p int, name string) []byte {
+	t.Helper()
+	tl := trace.NewTimeline(p)
+	now := time.Now().UnixNano()
+	tl.Rank(rank).AddEvent(trace.Event{Name: name, Cat: trace.CatSolver, WallStartNs: now, WallDurNs: int64(time.Millisecond)})
+	tl.Rank(rank).RecordFlow(trace.FlowEdge{
+		ID: int64(rank+1) << 40, Src: (rank + 1) % p, Dst: rank, Bytes: 8,
+		SendWallNs: now, RecvWallNs: now + int64(time.Millisecond),
 	})
+	b, err := encodeExecSpans(tl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	return b
+}
 
-	// A real job, so the federated fleet_* gauges land in the registry
-	// the telemetry server serves under /jobs/<id>/metrics.
-	spec := JobSpec{ID: "fleet", Mixture: testMixture(160), Method: string(core.MethodRACA), P: 1, Seed: 1}
-	startExecutors(t, c, 1, 0)
+// mergedNames returns the span names of the job's merged trace and its width.
+func mergedNames(t *testing.T, fl *fleet.Collector, job string) (map[string]int, int) {
+	t.Helper()
+	tl, err := fl.MergedTimeline(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]int{}
+	for _, e := range tl.Events() {
+		names[e.Name]++
+	}
+	return names, tl.Extra().P
+}
+
+// TestFleetFramesOverCoordinator: a rank's telemetry is honoured under the
+// exec frames' trust rule and no other. The retired fleet frames (tags
+// 120–124), from a client lease or a worker lease alike, are logged as
+// ignored; checkpoint and rank-done frames that carry epoch seconds and spans
+// for a job their lease does not own change nothing — not the collector, not
+// the coordinator's registry, not the job's. The owners' spans merge at the
+// job's width, and the owners' one slow epoch raises exactly one straggler
+// verdict, counted in both registries. The OnJobDone hook, which
+// casvm-cluster writes its merged trace from, hands over the finished job.
+func TestFleetFramesOverCoordinator(t *testing.T) {
+	spec := remoteSpec("fleet", 3, 240, "shrink")
+	pr, ds, err := trainParams(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doneJobs := make(chan *Job, 1)
+	c, logged := newLoggedCoordinator(t, Config{OnJobDone: func(j *Job) { doneJobs <- j }})
+	fl := c.Fleet()
+
+	// Each owner reports its rank once released: a checkpoint ending epoch 0
+	// (rank 2's five times the others'), then its shard with a timeline. The
+	// fake worker's own rank-done after it is a duplicate, ignored.
+	release := make(chan struct{})
+	report := func(l *tcpmpi.Lease, m execStart) {
+		<-release
+		for _, rank := range m.Ranks {
+			sec := 0.1
+			if rank == 2 {
+				sec = 0.5
+			}
+			h := execRank{Job: m.Job, Gen: m.Gen, Rank: rank, Iters: m.CheckpointEvery, EpochSec: sec}
+			if err := l.Send(tagExecCkpt, encodeExecCkpt(h, fuzzCheckpointBlob(m.CheckpointEvery))); err != nil {
+				t.Errorf("checkpoint: %v", err)
+			}
+			sh, err := core.RunShard(ds.X, ds.Y, pr, core.ShardRun{Rank: rank, P: m.Spec.P})
+			if err != nil {
+				t.Errorf("rank %d: %v", rank, err)
+				return
+			}
+			h = execRank{Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters}
+			if err := l.Send(tagExecRankDone, encodeExecRankDone(h, spansSection(t, rank, m.Spec.P, "owner"), sh.Model, sh.Center)); err != nil {
+				t.Errorf("rank-done: %v", err)
+			}
+		}
+	}
+	owners := []*fakeWorker{
+		startFakeWorker(t, c, pr, ds, report),
+		startFakeWorker(t, c, pr, ds, report),
+		startFakeWorker(t, c, pr, ds, report),
+	}
+	// Cleanups run last-in first-out: a failed test releases the owners
+	// before their leases close and their goroutines are awaited.
+	releaseOwners := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOwners)
+	waitFor(t, "owners registered", func() bool { return len(c.Workers()) == 3 })
 	j, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	waitFor(t, "the generation dispatched", func() bool {
+		for _, w := range owners {
+			if tags, _ := w.received(); len(tags) == 0 {
+				return false
+			}
+		}
+		return true
+	})
+
+	// Two strangers: a client lease, and a worker that joined after the gang
+	// formed and so holds no part of the job.
+	var strangers []*tcpmpi.Lease
+	for _, client := range []bool{true, false} {
+		l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{Client: client})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		strangers = append(strangers, l)
+	}
+	waitFor(t, "the stranger worker admitted", func() bool {
+		snap := c.Metrics().Snapshot()
+		return snap["cluster_worker_joins_total"] == 4 && snap["cluster_workers"] == 4
+	})
+	before := []map[string]float64{c.Metrics().Snapshot(), j.Metrics().Snapshot()}
+	const marker = 199 // an unknown tag: once it is logged, everything before it was handled
+	for _, l := range strangers {
+		for tag := 120; tag <= 124; tag++ {
+			payload := fmt.Sprintf(`{"job":%q,"rank":0,"p":3,"epoch":0,"sec":9,"values":{"casvm_iterations_total":1}}`, j.ID())
+			if err := l.Send(tag, []byte(payload)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ck := execRank{Job: j.ID(), Gen: 1, Rank: 0, Iters: spec.CheckpointEvery, EpochSec: 9}
+		if err := l.Send(tagExecCkpt, encodeExecCkpt(ck, fuzzCheckpointBlob(spec.CheckpointEvery))); err != nil {
+			t.Fatal(err)
+		}
+		done := execRank{Job: j.ID(), Gen: 1, Rank: 1, Iters: 1}
+		if err := l.Send(tagExecRankDone, encodeExecRankDone(done, spansSection(t, 1, 3, "stranger"), nil, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Send(marker, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the strangers' frames handled", func() bool {
+		return logged(fmt.Sprintf("ignoring frame tag %d", marker)) == len(strangers)
+	})
+	for tag := 120; tag <= 124; tag++ {
+		if n := logged(fmt.Sprintf("ignoring frame tag %d from lease", tag)); n != len(strangers) {
+			t.Errorf("retired tag %d logged as ignored %d times, want once per stranger", tag, n)
+		}
+	}
+	if jobs := fl.Jobs(); len(jobs) != 0 {
+		t.Fatalf("strangers left collector state for jobs %v", jobs)
+	}
+	if ev, _ := fl.Events(0); len(ev) != 0 {
+		t.Fatalf("strangers raised verdicts %+v", ev)
+	}
+	if p := j.Remote(); len(p.CkptIters) != 0 || len(p.DoneRanks) != 0 {
+		t.Fatalf("strangers moved the job: %+v", p)
+	}
+	if after := []map[string]float64{c.Metrics().Snapshot(), j.Metrics().Snapshot()}; !reflect.DeepEqual(before, after) {
+		t.Fatalf("strangers moved the registries:\n%v\n%v", before, after)
+	}
+
+	releaseOwners()
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job never finished (progress %+v)", j.Remote())
+	}
+	if res := j.Result(); res.Err != "" {
+		t.Fatalf("job failed: %s", res.Err)
 	}
 	select {
 	case dj := <-doneJobs:
 		if dj != j {
 			t.Fatalf("OnJobDone delivered %v, want %v", dj.ID(), j.ID())
 		}
-	case <-j.Done():
-		// finishJob calls the hook before Done observers run their next
-		// poll, but either order is fine — drain the hook now.
-		select {
-		case <-doneJobs:
-		case <-time.After(5 * time.Second):
-			t.Fatal("OnJobDone never fired")
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("job never finished")
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnJobDone never fired")
 	}
-
-	// Three fleet leases report against the finished job's id: spans on
-	// rank 1, a metric snapshot each, and epoch durations with rank 3
-	// running 4× the median. They report as ranks 1–3 of a 4-rank world,
-	// ranks the P=1 job never ran: its executor ships rank 0's (empty)
-	// metrics snapshot after rank-done, and that frame may land after the
-	// job is done, where it would overwrite a fake rank 0's snapshot.
-	jobID := j.ID()
-	for rank := 1; rank <= 3; rank++ {
-		l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{Client: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		rep, err := fleet.NewReporter(l, jobID, rank, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rank == 1 {
-			tl := trace.NewTimeline(4)
-			tl.Rank(1).AddEvent(trace.Event{
-				Name: "scan", Cat: trace.CatSolver, Rank: 1,
-				WallStartNs: time.Now().UnixNano(), WallDurNs: int64(time.Millisecond),
-			})
-			if err := rep.ShipTimeline(tl, 10*time.Second); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mreg := trace.NewRegistry()
-		mreg.Counter("casvm_iterations_total", "").Add(int64(10 * rank))
-		if err := rep.ShipMetrics(mreg); err != nil {
-			t.Fatal(err)
-		}
-		d := 100 * time.Millisecond
-		if rank == 3 {
-			d = 400 * time.Millisecond
-		}
-		if err := rep.ReportEpoch(0, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	fl := c.Fleet()
-	waitFor(t, "spans and straggler ingested", func() bool {
-		ev, _ := fl.Events(0)
-		return fl.HasTrace(jobID) && len(ev) == 1
-	})
 	ev, _ := fl.Events(0)
-	if ev[0].Rank != 3 || ev[0].Job != jobID {
-		t.Fatalf("straggler event %+v", ev[0])
+	if len(ev) != 1 || ev[0].Job != j.ID() || ev[0].Rank != 2 || ev[0].Epoch != 0 {
+		t.Fatalf("straggler verdicts %+v, want rank 2 of epoch 0", ev)
 	}
+	for name, reg := range map[string]*trace.Registry{"coordinator": c.Metrics(), "job": j.Metrics()} {
+		if got := reg.Snapshot()["cluster_straggler_detections_total"]; got != 1 {
+			t.Errorf("%s registry counts %v straggler verdicts, want 1", name, got)
+		}
+	}
+	// Rank 2's 0.5 s against the 0.1 s median.
+	if f := c.Metrics().Snapshot()["cluster_straggler_last_factor"]; f < 4.9 || f > 5.1 {
+		t.Errorf("cluster_straggler_last_factor %v, want ~5", f)
+	}
+	names, p := mergedNames(t, fl, j.ID())
+	if p != spec.P || names["owner"] != spec.P || names["stranger"] != 0 {
+		t.Fatalf("merged trace of width %d with spans %v, want %d owner spans", p, names, spec.P)
+	}
+}
 
-	waitFor(t, "metrics federated", func() bool {
-		return j.Metrics().Snapshot()["fleet_casvm_iterations_total"] == 60
-	})
-	snap := c.Metrics().Snapshot()
-	if snap["fleet_casvm_iterations_total"] != 60 {
-		t.Fatalf("fleet-level federated sum %v, want 60", snap["fleet_casvm_iterations_total"])
-	}
-	if snap["cluster_straggler_detections_total"] != 1 {
-		t.Fatalf("straggler total %v, want 1", snap["cluster_straggler_detections_total"])
-	}
-	if j.Metrics().Snapshot()["cluster_straggler_detections_total"] != 1 {
-		t.Fatal("straggler count missing from the job registry")
-	}
-
-	var buf bytes.Buffer
-	if err := fl.WriteMergedTrace(jobID, &buf); err != nil {
-		t.Fatal(err)
-	}
-	x, err := trace.ReadTraceExtra(bytes.NewReader(buf.Bytes()))
+// meshWorker is a hand-rolled mesh executor on a bare lease: it announces a
+// port, hands every start frame to onStart, and announces a fresh port
+// afterwards, as RunExecutor does when a mesh rank ends. Nobody dials the
+// ports: onStart reports the rank, or does not.
+func meshWorker(t *testing.T, c *Coordinator, onStart func(*tcpmpi.Lease, execStart)) {
+	t.Helper()
+	l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Timebase != trace.TimebaseWall || x.P != 4 {
-		t.Fatalf("merged trace: timebase=%q p=%d", x.Timebase, x.P)
+	port := 20000
+	announce := func() error {
+		port++
+		return l.Send(tagExecPort, marshalExec(execPort{Port: port}))
 	}
+	if err := announce(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() { l.Close(); <-done })
+	go func() {
+		defer close(done)
+		for {
+			tag, payload, err := l.RecvAny([]int{tagExecStart, tagExecAbort}, 0)
+			if err != nil {
+				return
+			}
+			if tag != tagExecStart {
+				continue
+			}
+			m, _, err := decodeExecStart(payload)
+			if err != nil {
+				t.Errorf("mesh worker: %v", err)
+				return
+			}
+			onStart(l, m)
+			if announce() != nil {
+				return
+			}
+		}
+	}()
+}
 
-	// Job-control traffic still works with the fleet routing in front.
-	if _, err := SubmitAndWait(c.Addr(), JobSpec{
-		Mixture: testMixture(160), Method: string(core.MethodRACA), P: 1, Seed: 1,
-	}, 60*time.Second); err != nil {
-		t.Fatalf("submit after fleet traffic: %v", err)
+// TestMergedTraceOneGeneration: a mesh job's merged trace holds the
+// committing generation's spans only, at that generation's width — after a
+// re-gang at the same width that followed a rank's report, and after a shrink
+// from four ranks to three that left a reported rank of the first generation
+// outside the second.
+func TestMergedTraceOneGeneration(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		width int // of the committing generation
+	}{{"regang", 4}, {"shrink", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := JobSpec{ID: tc.name, Mixture: testMixture(160), Method: string(core.MethodDisSMO), P: 4, Seed: 1, Policy: "shrink"}
+			pr, ds, err := trainParams(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := newTestCoordinator(t, time.Second)
+			job := func() *Job { return c.Jobs()[0] }
+			// await polls from a worker's goroutine, where a test may not stop.
+			await := func(what string, cond func() bool) {
+				for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Errorf("timed out waiting for %s", what)
+						return
+					}
+				}
+			}
+			reported := func() bool {
+				done := job().Remote().DoneRanks
+				return len(done) == 1 && done[0] == 3
+			}
+			// Generation 1: rank 3 reports, then the generation is lost — to a
+			// rank that ends unreported (a fresh port, as after a mesh
+			// failure), or to rank 2's worker leaving. Generation 2 reports
+			// every rank.
+			onStart := func(l *tcpmpi.Lease, m execStart) {
+				rank := m.Ranks[0]
+				if m.Gen == 1 && rank != 3 {
+					await("rank 3 reported", reported)
+					switch {
+					case tc.name == "shrink" && rank == 2:
+						l.Close()
+					case tc.name == "shrink":
+						await("the gang shrunk", func() bool { return len(job().Gang()) == 3 })
+					}
+					return
+				}
+				var sh *model.Model
+				var center []float64
+				if rank == 0 {
+					sh = model.FromSolution(la.Zeros(1, ds.Features()), []float64{1}, []float64{0.5}, 0, pr.Kernel)
+					center = make([]float64, ds.Features())
+				}
+				h := execRank{Job: m.Job, Gen: m.Gen, Rank: rank, Iters: 1}
+				name := fmt.Sprintf("gen%d", m.Gen)
+				if err := l.Send(tagExecRankDone, encodeExecRankDone(h, spansSection(t, rank, m.Spec.P, name), sh, center)); err != nil {
+					t.Errorf("rank-done: %v", err)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				meshWorker(t, c, onStart)
+			}
+			waitFor(t, "mesh workers registered", func() bool { return len(c.Workers()) == 4 })
+			j, err := c.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-j.Done():
+			case <-time.After(60 * time.Second):
+				t.Fatalf("job never finished (progress %+v)", j.Remote())
+			}
+			res := j.Result()
+			if res.Err != "" || res.Generations != 2 || res.FinalP != tc.width {
+				t.Fatalf("result %+v, want 2 generations finishing at P=%d", res, tc.width)
+			}
+			names, p := mergedNames(t, c.Fleet(), j.ID())
+			if p != tc.width || names["gen2"] != tc.width || len(names) != 1 {
+				t.Fatalf("merged trace of width %d with spans %v, want %d gen2 spans and nothing else", p, names, tc.width)
+			}
+			if x, err := c.Fleet().MergedTimeline(j.ID()); err != nil {
+				t.Fatal(err)
+			} else if edges := x.Extra().Edges; len(edges) != tc.width {
+				t.Fatalf("%d merged edges, want one per rank of the committing generation", len(edges))
+			}
+		})
+	}
+}
+
+// TestResumedRankEpochIndex: the coordinator numbers a rank's epochs from the
+// cadence it dispatched, so a rank resumed in a later generation goes on
+// where it stopped — its first deposit after resuming from iteration 128 at
+// cadence 64 ends epoch 2, not the gang's epoch 0 — and a deposit that does
+// not advance the rank's iteration count (a stale generation's, or a Final
+// one at the count of the last) ends no epoch.
+func TestResumedRankEpochIndex(t *testing.T) {
+	spec := JobSpec{Method: string(core.MethodRACA), P: 2, CheckpointEvery: 64}
+	rr := newRemoteRun(&Job{spec: spec, params: core.Params{Recovery: core.Recovery{CheckpointEvery: 64}}}, 0, 0)
+	for _, d := range []struct {
+		gen, rank, iters int
+		epoch            int
+		ended            bool
+	}{
+		{1, 1, 64, 0, true},
+		{1, 1, 128, 1, true},
+		{1, 0, 10, 0, true}, // a Final deposit before the first cadence
+		// Generation 2 resumes rank 1 from its checkpoint at 128.
+		{1, 1, 128, 1, false}, // generation 1's late duplicate
+		{2, 1, 192, 2, true},
+		{2, 1, 192, 2, false}, // the Final deposit at the same count
+		{2, 1, 200, 3, true},  // a Final deposit past it ends a short epoch
+		{1, 1, 130, 0, false}, // a stale deposit behind the resume point
+	} {
+		epoch, ended := rr.onCkpt(execRank{Gen: d.gen, Rank: d.rank, Iters: d.iters}, nil)
+		if ended != d.ended || (ended && epoch != d.epoch) {
+			t.Errorf("gen %d rank %d deposit at %d: epoch %d ended=%v, want %d ended=%v",
+				d.gen, d.rank, d.iters, epoch, ended, d.epoch, d.ended)
+		}
 	}
 }
 
 // TestFleetStateBoundedAcrossJobs: a coordinator keeps fleet telemetry for
 // the most recent fleetKeepJobs finished jobs and forgets the oldest as new
-// ones finish — the newest job's trace still merges, the oldest job's is
-// refused like an unknown job's.
+// ones finish — every job (a one-rank Dis-SMO mesh) ships its timeline, the
+// newest job's trace still merges, the oldest job's is refused like an
+// unknown job's.
 func TestFleetStateBoundedAcrossJobs(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
 	startExecutors(t, c, 1, 0)
-	l, err := tcpmpi.Register(c.Addr(), tcpmpi.RegisterOptions{Client: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
 	fl := c.Fleet()
 
 	const extra = 5
-	var rep *fleet.Reporter
-	id := func(i int) string { return fmt.Sprintf("job-%d", i+1) } // the ids Submit assigns
+	var ids []string
 	for i := 0; i < fleetKeepJobs+extra; i++ {
-		// The job's telemetry exists before it finishes, as an executor's
-		// hello does.
-		if rep, err = fleet.NewReporter(l, id(i), 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "hello ingested", func() bool { return hasJob(fl, id(i)) })
-		j, err := c.Submit(JobSpec{Mixture: testMixture(40), Method: string(core.MethodRACA), P: 1, Seed: 1})
+		j, err := c.Submit(JobSpec{Mixture: testMixture(40), Method: string(core.MethodDisSMO), P: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if j.ID() != id(i) {
-			t.Fatalf("job %d got id %q, telemetry was sent for %q", i, j.ID(), id(i))
 		}
 		<-j.Done()
 		if res := j.Result(); res.Err != "" {
 			t.Fatalf("job %d: %s", i, res.Err)
 		}
+		if !fl.HasTrace(j.ID()) {
+			t.Fatalf("job %s left no trace", j.ID())
+		}
+		ids = append(ids, j.ID())
 	}
-	waitFor(t, "oldest jobs forgotten", func() bool { return len(fl.Jobs()) <= fleetKeepJobs })
-	if hasJob(fl, id(extra-1)) || !hasJob(fl, id(extra)) {
-		t.Fatalf("retained jobs %v: want %q forgotten and %q kept", fl.Jobs(), id(extra-1), id(extra))
+	if n := len(fl.Jobs()); n != fleetKeepJobs {
+		t.Fatalf("the collector holds %d jobs, want %d", n, fleetKeepJobs)
 	}
-	if _, err := fl.MergedTimeline(id(0)); err == nil || !strings.Contains(err.Error(), "no telemetry for job") {
+	if hasJob(fl, ids[extra-1]) || !hasJob(fl, ids[extra]) {
+		t.Fatalf("want %q forgotten and %q kept", ids[extra-1], ids[extra])
+	}
+	if _, err := fl.MergedTimeline(ids[0]); err == nil || !strings.Contains(err.Error(), "no telemetry for job") {
 		t.Fatalf("forgotten job's trace: %v, want the unknown-job error", err)
 	}
-
-	tl := trace.NewTimeline(1)
-	tl.Rank(0).AddEvent(trace.Event{
-		Name: "scan", Cat: trace.CatSolver, Rank: 0,
-		WallStartNs: time.Now().UnixNano(), WallDurNs: int64(time.Millisecond),
-	})
-	if err := rep.ShipTimeline(tl, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	newest := id(fleetKeepJobs + extra - 1)
-	waitFor(t, "newest job's spans ingested", func() bool { return fl.HasTrace(newest) })
+	newest := ids[len(ids)-1]
 	if _, err := fl.MergedTimeline(newest); err != nil {
 		t.Fatalf("newest job's trace: %v", err)
 	}

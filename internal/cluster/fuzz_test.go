@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"casvm/internal/model"
 	"casvm/internal/mpi"
 	"casvm/internal/smo"
+	"casvm/internal/trace"
 )
 
 // Frame-kind selectors for the fuzz corpus: one per exec decoder.
@@ -73,6 +75,20 @@ func fuzzShard(sparse bool) (*model.Model, []float64) {
 	return m, []float64{0.5, -1}
 }
 
+// fuzzSpans is the timeline section of rank 1 of a two-rank mesh: two spans
+// and the message it received from rank 0.
+func fuzzSpans() []byte {
+	tl := trace.NewTimeline(2)
+	tl.Rank(1).AddEvent(trace.Event{Name: "smo", Cat: trace.CatSolver, WallStartNs: 1000, WallDurNs: 500})
+	tl.Rank(1).AddEvent(trace.Event{Name: "allreduce", Cat: trace.CatCollective, WallStartNs: 1500, WallDurNs: 100})
+	tl.Rank(1).RecordFlow(trace.FlowEdge{ID: 1<<40 | 1, Src: 0, Dst: 1, Bytes: 64, SendWallNs: 1200, RecvWallNs: 1400})
+	b, err := encodeExecSpans(tl)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // frame packs a JSON header with raw sections, the way a hostile sender
 // would: nothing checks that they belong together.
 func frame(hdr string, secs ...[]byte) []byte {
@@ -96,7 +112,10 @@ func FuzzExecFrames(f *testing.F) {
 	dense, center := fuzzShard(false)
 	sparse, _ := fuzzShard(true)
 	done := execRank{Job: "fz", Gen: 1, Rank: 0, Iters: 9, VirtSec: 1}
-	denseDone := encodeExecRankDone(done, dense, center)
+	denseDone := encodeExecRankDone(done, nil, dense, center)
+	meshDone := execRank{Job: "fz", Gen: 1, Rank: 1, Iters: 9, VirtSec: 1, Msgs: 12, Bytes: 480}
+	const meshHead = `{"job":"fz","gen":1,"rank":1,"iters":9}`
+	const ckptHead = `{"job":"fz","gen":1,"rank":0,"iters":8,"epoch_sec":`
 	seeds := []seed{
 		// Valid frames of every kind, from the encoders the senders use: the
 		// fuzzer mutates from working structure instead of rediscovering it.
@@ -104,12 +123,12 @@ func FuzzExecFrames(f *testing.F) {
 		{fzStart, encodeExecStart(fuzzStartHeader(), nil)},
 		{fzCkpt, encodeExecCkpt(execRank{Job: "fz", Gen: 2, Rank: 1, Iters: 8, VirtSec: 0.5}, fuzzCheckpointBlob(8))},
 		{fzRankDone, denseDone},
-		{fzRankDone, encodeExecRankDone(done, sparse, center)},
+		{fzRankDone, encodeExecRankDone(done, nil, sparse, center)},
 		{fzAbort, marshalExec(execAbort{Job: "fz", Gen: 3, Reason: "re-gang"})},
 		{fzFail, marshalExec(execFail{Job: "fz", Gen: 1, Rank: 0, Err: "boom"})},
 		{fzPort, marshalExec(execPort{Port: 7070})},
 		{fzStart, encodeExecStart(fuzzMeshStart(), nil)},
-		{fzRankDone, encodeExecRankDone(execRank{Job: "fz", Gen: 1, Rank: 1, Iters: 9, VirtSec: 1, Msgs: 12, Bytes: 480}, nil, nil)},
+		{fzRankDone, encodeExecRankDone(meshDone, nil, nil, nil)},
 		// Hostile shapes the validators must reject without panicking.
 		{fzStart, nil},
 		{fzAbort, []byte(`{"job":"","gen":0}`)},
@@ -132,7 +151,7 @@ func FuzzExecFrames(f *testing.F) {
 		{fzCkpt, frame(`{"job":"fz","gen":1,"rank":-3,"iters":0}`, fuzzCheckpointBlob(0))},
 		{fzCkpt, frame(`{"job":"fz","gen":1,"rank":0,"iters":9}`, fuzzCheckpointBlob(8))},
 		{fzCkpt, frame(`{"job":"fz","gen":1,"rank":0,"iters":8}`)},
-		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":4096,"iters":1}`, model.EncodeShard(dense, center)...)},
+		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":4096,"iters":1}`, append([][]byte{nil}, model.EncodeShard(dense, center)...)...)},
 		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":0,"iters":1}`, []byte("m"), nil)},
 		{fzRankDone, denseDone[:len(denseDone)-3]},
 		{fzFail, []byte(`{"job":"fz","gen":1,"error":""}`)},
@@ -145,16 +164,33 @@ func FuzzExecFrames(f *testing.F) {
 		{fzStart, frame(startHead+`"ranks":[0],"ckpt_every":4,"mesh":[]}`, nil)},
 		{fzStart, frame(startHead+`"ranks":[0],"ckpt_every":4,"mesh":["a:1","`+strings.Repeat("b", maxExecAddrLen+1)+`"]}`, nil)},
 		{fzStart, frame(startHead+`"ranks":[1],"ckpt_every":4,"mesh":["a:1","b:2"]}`, fuzzCheckpointBlob(8))},
-		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":1,"msgs":-1}`)},
-		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":1}`, nil)},
+		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":1,"msgs":-1}`, nil)},
+		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":1}`, nil, nil)},
 		{fzPort, marshalExec(execPort{Port: 0})},
 		{fzPort, []byte(`{"port":65536}`)},
 		{fzPort, []byte(`"7070"`)},
 		// A tree rank's per-layer iterations: bounded by the deepest tree a
 		// gang can run, none negative.
-		{fzRankDone, encodeExecRankDone(execRank{Job: "fz", Gen: 1, Rank: 2, Iters: 0, VirtSec: 1, Msgs: 4, Bytes: 96, Layers: []int{40, 12, 3}}, nil, nil)},
-		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":0,"layers":[5,-1]}`)},
-		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":0,"layers":[` + strings.Repeat("1,", core.TreeLayers(maxExecGangWidth)) + `1]}`)},
+		{fzRankDone, encodeExecRankDone(execRank{Job: "fz", Gen: 1, Rank: 2, Iters: 0, VirtSec: 1, Msgs: 4, Bytes: 96, Layers: []int{40, 12, 3}}, nil, nil, nil)},
+		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":0,"layers":[5,-1]}`, nil)},
+		{fzRankDone, frame(`{"job":"fz","gen":1,"rank":1,"iters":0,"layers":[`+strings.Repeat("1,", core.TreeLayers(maxExecGangWidth))+`1]}`, nil)},
+		// A rank's telemetry: a checkpoint's epoch seconds, finite and
+		// bounded, and a rank-done frame's timeline section, every event on
+		// the reporting rank and every edge a message it received.
+		{fzCkpt, encodeExecCkpt(execRank{Job: "fz", Gen: 1, Rank: 0, Iters: 8, EpochSec: 0.125}, fuzzCheckpointBlob(8))},
+		{fzRankDone, encodeExecRankDone(meshDone, fuzzSpans(), nil, nil)},
+		{fzRankDone, encodeExecRankDone(done, fuzzSpans(), dense, center)},
+		{fzCkpt, frame(ckptHead+`NaN}`, fuzzCheckpointBlob(8))},
+		{fzCkpt, frame(ckptHead+`-0.5}`, fuzzCheckpointBlob(8))},
+		{fzCkpt, frame(ckptHead+`1e300}`, fuzzCheckpointBlob(8))},
+		{fzCkpt, frame(ckptHead+`1e400}`, fuzzCheckpointBlob(8))},
+		{fzRankDone, frame(meshHead, []byte(`{"events":[{"Name":"smo","Rank":3}]}`))},
+		{fzRankDone, frame(meshHead, []byte(`{"edges":[{"src":0,"dst":0}]}`))},
+		{fzRankDone, frame(meshHead, []byte(`{"edges":[{"src":-1,"dst":1}]}`))},
+		{fzRankDone, frame(meshHead, []byte(`{"edges":[{"src":4096,"dst":1}]}`))},
+		{fzRankDone, frame(meshHead, []byte(`{"events":`+strings.Repeat(`{"Rank":1},`, trace.DefaultMaxEventsPerRank)+`{"Rank":1}]}`))},
+		{fzRankDone, frame(meshHead, []byte(`{"events":[{"Name":"smo","Rank":1,"WallDurNs":1e300}]}`))},
+		{fzRankDone, frame(meshHead, []byte(`{not json`))},
 	}
 	for _, s := range seeds {
 		f.Add(s.kind, s.in)
@@ -174,13 +210,22 @@ func FuzzExecFrames(f *testing.F) {
 				mustReDecode(t, func(b []byte) error { _, _, err := decodeExecCkpt(b); return err }, encodeExecCkpt(h, blob))
 			}
 		case fzRankDone:
-			if h, secs, err := decodeExecRankDone(in); err == nil {
-				mustReDecode(t, func(b []byte) error { _, _, err := decodeExecRankDone(b); return err },
-					mpi.PackSections(append([][]byte{marshalExec(h)}, secs...)...))
-				// The shard sections are still hostile here; decoding them as
-				// the owning job would must not panic either.
+			if h, spans, secs, err := decodeExecRankDone(in); err == nil {
+				reDecode := func(b []byte) error { _, _, _, err := decodeExecRankDone(b); return err }
+				mustReDecode(t, reDecode, mpi.PackSections(append([][]byte{marshalExec(h), spans}, secs...)...))
+				// The timeline and shard sections are still hostile here;
+				// decoding them as the owning job would must not panic either,
+				// and what it accepts must survive the sender's encoding.
+				sp, err := decodeExecSpans(h, spans)
+				if err == nil {
+					b, err := json.Marshal(sp)
+					if err != nil {
+						t.Fatalf("accepted spans do not re-encode: %v", err)
+					}
+					mustReDecode(t, func(b []byte) error { _, err := decodeExecSpans(h, b); return err }, b)
+				}
 				if m, c, err := model.DecodeShard(secs, kernel.RBF(0.5), 2); err == nil {
-					mustReDecode(t, func(b []byte) error { _, _, err := decodeExecRankDone(b); return err }, encodeExecRankDone(h, m, c))
+					mustReDecode(t, reDecode, encodeExecRankDone(h, spans, m, c))
 				}
 			}
 		case fzAbort:
@@ -258,8 +303,8 @@ func TestExecFrameRoundTrips(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		m, center := fuzzShard(sparse)
 		done := execRank{Job: "rt", Gen: 1, Rank: 1, Iters: 40, VirtSec: 0.5}
-		gotDone, secs, err := decodeExecRankDone(encodeExecRankDone(done, m, center))
-		if err != nil || !reflect.DeepEqual(gotDone, done) {
+		gotDone, spans, secs, err := decodeExecRankDone(encodeExecRankDone(done, nil, m, center))
+		if err != nil || !reflect.DeepEqual(gotDone, done) || len(spans) != 0 {
 			t.Fatalf("rank-done round-trip (sparse=%v): %+v, %v", sparse, gotDone, err)
 		}
 		back, gotCenter, err := model.DecodeShard(secs, m.Kernel, 2)
@@ -285,11 +330,38 @@ func TestExecFrameRoundTrips(t *testing.T) {
 	}
 
 	bare := execRank{Job: "rt", Gen: 1, Rank: 1, Iters: 40, VirtSec: 0.5, Msgs: 12, Bytes: 480}
-	if got, secs, err := decodeExecRankDone(encodeExecRankDone(bare, nil, nil)); err != nil || !reflect.DeepEqual(got, bare) || len(secs) != 0 {
+	if got, spans, secs, err := decodeExecRankDone(encodeExecRankDone(bare, nil, nil, nil)); err != nil || !reflect.DeepEqual(got, bare) || len(spans) != 0 || len(secs) != 0 {
 		t.Fatalf("header-only rank-done round-trip: %+v, %d sections, %v", got, len(secs), err)
 	}
+	// A mesh rank's timeline rides its rank-done frame and comes back whole.
+	spanned := encodeExecRankDone(bare, fuzzSpans(), nil, nil)
+	if got, spans, _, err := decodeExecRankDone(spanned); err != nil || !reflect.DeepEqual(got, bare) || !bytes.Equal(spans, fuzzSpans()) {
+		t.Fatalf("rank-done with spans round-trip: %+v, %v", got, err)
+	} else if sp, err := decodeExecSpans(got, spans); err != nil || len(sp.Events) != 2 || len(sp.Edges) != 1 || sp.Edges[0].Src != 0 {
+		t.Fatalf("spans section: %+v, %v", sp, err)
+	}
+	for name, spans := range map[string]string{
+		"another rank's event":             `{"events":[{"Rank":0}]}`,
+		"an edge it sent":                  `{"edges":[{"src":1,"dst":0}]}`,
+		"a negative source":                `{"edges":[{"src":-1,"dst":1}]}`,
+		"a source past the cap":            `{"edges":[{"src":4096,"dst":1}]}`,
+		"more events than a trace records": `{"events":[` + strings.Repeat(`{"Rank":1},`, trace.DefaultMaxEventsPerRank) + `{"Rank":1}]}`,
+	} {
+		if _, err := decodeExecSpans(bare, []byte(spans)); err == nil {
+			t.Errorf("rank-done spans with %s accepted", name)
+		}
+	}
+	ck := execRank{Job: "rt", Gen: 1, Rank: 0, Iters: 8, EpochSec: 0.5}
+	if got, _, err := decodeExecCkpt(encodeExecCkpt(ck, fuzzCheckpointBlob(8))); err != nil || !reflect.DeepEqual(got, ck) {
+		t.Fatalf("checkpoint with epoch seconds round-trip: %+v, %v", got, err)
+	}
+	for _, sec := range []string{"-1", "1e300", "NaN"} {
+		if _, _, err := decodeExecCkpt(frame(`{"job":"rt","gen":1,"rank":0,"iters":8,"epoch_sec":`+sec+`}`, fuzzCheckpointBlob(8))); err == nil {
+			t.Errorf("checkpoint with epoch_sec %s accepted", sec)
+		}
+	}
 	tree := execRank{Job: "rt", Gen: 1, Rank: 1, Msgs: 4, Bytes: 96, Layers: []int{40, 12}}
-	if got, _, err := decodeExecRankDone(encodeExecRankDone(tree, nil, nil)); err != nil || !reflect.DeepEqual(got, tree) {
+	if got, _, _, err := decodeExecRankDone(encodeExecRankDone(tree, nil, nil, nil)); err != nil || !reflect.DeepEqual(got, tree) {
 		t.Fatalf("tree rank-done round-trip: %+v, %v", got, err)
 	}
 	for name, layers := range map[string][]int{
@@ -298,7 +370,7 @@ func TestExecFrameRoundTrips(t *testing.T) {
 	} {
 		h := tree
 		h.Layers = layers
-		if _, _, err := decodeExecRankDone(encodeExecRankDone(h, nil, nil)); err == nil {
+		if _, _, _, err := decodeExecRankDone(encodeExecRankDone(h, nil, nil, nil)); err == nil {
 			t.Errorf("rank-done frame with %s accepted", name)
 		}
 	}
@@ -322,8 +394,8 @@ func TestRankDoneModelBound(t *testing.T) {
 	m, center := fuzzShard(false)
 	secs := model.EncodeShard(m, center)
 	secs[len(secs)-1] = make([]byte, maxExecModelBytes+1)
-	big := frame(`{"job":"rt","gen":1,"rank":0,"iters":1}`, secs...)
-	if _, _, err := decodeExecRankDone(big); err == nil {
+	big := frame(`{"job":"rt","gen":1,"rank":0,"iters":1}`, append([][]byte{nil}, secs...)...)
+	if _, _, _, err := decodeExecRankDone(big); err == nil {
 		t.Fatal("rank-done frame with an oversize model accepted")
 	}
 }

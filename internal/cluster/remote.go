@@ -169,15 +169,22 @@ func (rr *remoteRun) pendingRanksLocked() []int {
 
 // onCkpt stores the latest checkpoint for a rank. Progress is monotonic:
 // an older deposit (a stale generation's frame arriving late) never
-// regresses the resume point.
-func (rr *remoteRun) onCkpt(m execRank, blob []byte) {
+// regresses the resume point. A deposit that advances the rank's iteration
+// count ends one of its epochs, whose index onCkpt returns: ⌈Iters/cadence⌉ −
+// 1 at the cadence the coordinator dispatched, the same for a rank resumed in
+// a later generation as for one that never stopped. A Final deposit at the
+// count of the last one ends no epoch.
+func (rr *remoteRun) onCkpt(m execRank, blob []byte) (epoch int, ended bool) {
 	rr.update(func() {
 		if m.Rank < rr.width && rr.doneRank[m.Rank] == nil && m.Iters >= rr.ckptIters[m.Rank] {
+			every := rr.j.params.Recovery.Cadence()
+			epoch, ended = (m.Iters+every-1)/every-1, m.Iters > rr.ckptIters[m.Rank]
 			rr.ckptBlob[m.Rank] = blob
 			rr.ckptIters[m.Rank] = m.Iters
 			rr.maxVirt = math.Max(rr.maxVirt, rr.genBase+m.VirtSec)
 		}
 	})
+	return epoch, ended
 }
 
 // decodeShard turns a rank-done frame's sections into a shard result. A rank
@@ -208,15 +215,19 @@ func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, 
 }
 
 // onRankDone stores a finished rank, decoded and checked at the trust
-// boundary. An RA-CA duplicate from a stale generation is ignored — shard
+// boundary, and hands its timeline, shipped by worker, to the fleet
+// collector. An RA-CA duplicate from a stale generation is ignored — shard
 // solves are deterministic, so the first result is as good as any; a mesh
 // rank counts only from the active generation, whose width it was run at.
-func (rr *remoteRun) onRankDone(m execRank, sh *core.ShardResult) {
+func (rr *remoteRun) onRankDone(worker int, m execRank, sh *core.ShardResult, sp execSpans) {
 	rr.update(func() {
 		if rr.mesh && (!rr.genActive || m.Gen != rr.gen) {
 			return
 		}
 		if m.Rank < rr.width && rr.doneRank[m.Rank] == nil {
+			// Before the rank counts: the job can commit, and its merged
+			// trace be written, the moment it does.
+			rr.j.c.fleet.StoreSpans(rr.j.id, m.Rank, rr.width, worker, sp.Events, sp.Edges)
 			rr.doneRank[m.Rank] = sh
 			rr.msgs += m.Msgs
 			rr.bytes += m.Bytes
@@ -272,7 +283,7 @@ func (j *Job) Remote() *RemoteProgress {
 // execFrame routes an executor control frame into the owning job's
 // runtime, or records a worker's mesh port; the error is a frame refused.
 // Frames from leases the job does not own are dropped — a departed worker's
-// late frames carry no authority.
+// late frames carry no authority, and neither does the telemetry they carry.
 func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) error {
 	ident := func(job string) *remoteRun {
 		c.mu.Lock()
@@ -290,21 +301,27 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 			return err
 		}
 		if rr := ident(m.Job); rr != nil {
-			rr.onCkpt(m, blob)
+			if epoch, ended := rr.onCkpt(m, blob); ended {
+				c.observeEpoch(rr.j, m.Rank, epoch, m.EpochSec)
+			}
 		}
 	case tagExecRankDone:
-		m, secs, err := decodeExecRankDone(payload)
+		m, spans, secs, err := decodeExecRankDone(payload)
 		if err != nil {
 			return err
 		}
 		// Ownership first: only a lease the named job actually holds gets
-		// to spend coordinator cycles decoding a model.
+		// to spend coordinator cycles decoding a model or a timeline.
 		if rr := ident(m.Job); rr != nil {
 			sh, err := rr.decodeShard(m, secs)
 			if err != nil {
 				return fmt.Errorf("rank-done shard rejected: %w", err)
 			}
-			rr.onRankDone(m, sh)
+			sp, err := decodeExecSpans(m, spans)
+			if err != nil {
+				return err
+			}
+			rr.onRankDone(w.ID, m, sh, sp)
 		}
 	case tagExecFail:
 		m, err := decodeExecFail(payload)
@@ -338,6 +355,18 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 		}
 	}
 	return nil
+}
+
+// observeEpoch feeds one rank's epoch to the straggler detector and counts
+// each verdict in the coordinator's registry and the job's.
+func (c *Coordinator) observeEpoch(j *Job, rank, epoch int, sec float64) {
+	for _, e := range c.fleet.ObserveEpoch(j.id, rank, epoch, sec) {
+		c.cStragglers.Inc()
+		c.gStragglerFactor.Set(e.Factor)
+		j.metrics.Counter("cluster_straggler_detections_total", "straggler verdicts for this job").Inc()
+		c.logf("cluster: straggler: job %s rank %d epoch %d ran %.3fs vs median %.3fs (%.2fx)",
+			e.Job, e.Rank, e.Epoch, e.Sec, e.MedianSec, e.Factor)
+	}
 }
 
 // awaitRemoteGang blocks until the job's gang satisfies its policy —

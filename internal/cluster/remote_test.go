@@ -113,15 +113,11 @@ func TestRemoteJobRunsOnExecutors(t *testing.T) {
 	if got := c.Metrics().Snapshot()["cluster_remote_generations_total"]; got != 1 {
 		t.Fatalf("cluster_remote_generations_total=%v, want 1", got)
 	}
-	// The executors' fleet hellos reached the collector under this job id.
-	waitFor(t, "fleet stream", func() bool {
-		for _, job := range c.Fleet().Jobs() {
-			if job == j.ID() {
-				return true
-			}
-		}
-		return false
-	})
+	// Every rank's checkpoints were accepted from its owner: the deposits
+	// that feed the straggler detector.
+	if p := j.Remote(); len(p.CkptIters) != spec.P {
+		t.Fatalf("checkpoints accepted for ranks %v, want all %d", p.CkptIters, spec.P)
+	}
 }
 
 // TestRemoteSparseJobMatchesInProcess: CSR shards cross the rank-done frame
@@ -270,7 +266,7 @@ func startFakeWorker(t *testing.T, c *Coordinator, pr core.Params, ds *data.Data
 				}
 				if err := l.Send(tagExecRankDone, encodeExecRankDone(execRank{
 					Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters, VirtSec: sh.VirtSec,
-				}, sh.Model, sh.Center)); err != nil {
+				}, nil, sh.Model, sh.Center)); err != nil {
 					return // a failed send ends the lease: the test ended under a worker still answering
 				}
 			}
@@ -295,7 +291,7 @@ func TestGenerationIsOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, logged := newLoggedCoordinator(t)
+	c, logged := newLoggedCoordinator(t, Config{})
 
 	retiredTags := []int{103, 104, 105, 106, 107}
 	retired := func(l *tcpmpi.Lease, m execStart) {
@@ -358,19 +354,22 @@ func TestGenerationIsOneFrame(t *testing.T) {
 }
 
 // newLoggedCoordinator is a test coordinator whose log lines can be counted
-// by substring: how a test sees a frame the coordinator refused.
-func newLoggedCoordinator(t *testing.T) (*Coordinator, func(substr string) int) {
+// by substring: how a test sees a frame the coordinator refused. cfg gives
+// any other settings; its lease TTL and logger are replaced.
+func newLoggedCoordinator(t *testing.T, cfg Config) (*Coordinator, func(substr string) int) {
 	t.Helper()
 	var mu sync.Mutex
 	var lines []string
 	logf, stop := testLog(t)
-	c, err := New("localhost:0", Config{LeaseTTL: time.Second, Logf: func(format string, args ...any) {
+	cfg.LeaseTTL = time.Second
+	cfg.Logf = func(format string, args ...any) {
 		line := fmt.Sprintf(format, args...)
 		mu.Lock()
 		lines = append(lines, line)
 		mu.Unlock()
 		logf("%s", line)
-	}})
+	}
+	c, err := New("localhost:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,12 +457,12 @@ func TestRankDoneShardRejectedAtFrame(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			c, logged := newLoggedCoordinator(t)
+			c, logged := newLoggedCoordinator(t, Config{})
 			startFakeWorker(t, c, pr, ds, func(l *tcpmpi.Lease, m execStart) {
 				// The spoiled shard claims the rank first; the fake worker
 				// sends the honest one once this returns.
 				hdr := execRank{Job: m.Job, Gen: m.Gen, Rank: 0, Iters: 1}
-				if err := l.Send(tagExecRankDone, encodeExecRankDone(hdr, tc.m, tc.center)); err != nil {
+				if err := l.Send(tagExecRankDone, encodeExecRankDone(hdr, nil, tc.m, tc.center)); err != nil {
 					t.Errorf("hostile rank-done: %v", err)
 					return
 				}

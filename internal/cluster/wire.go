@@ -19,13 +19,10 @@ const (
 )
 
 // onFrame handles control frames from lease holders: clients submit jobs,
-// executors stream remote-execution frames (checkpoints, finished ranks,
-// failures, mesh ports) in the 105–113 block, and workers stream fleet
-// telemetry (spans, metrics, epoch reports) in the 120–129 block.
+// and executors stream remote-execution frames (checkpoints, finished ranks,
+// failures, mesh ports) in the 105–113 block, which also carry their ranks'
+// telemetry. Any other tag is logged and ignored.
 func (c *Coordinator) onFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) {
-	if c.fleet.HandleFrame(w, tag, payload) {
-		return
-	}
 	switch tag {
 	case tagExecCkpt, tagExecRankDone, tagExecFail, tagExecPort:
 		if err := c.execFrame(w, tag, payload); err != nil {

@@ -1,101 +1,76 @@
+// Package fleet is the telemetry plane of a casvm cluster: the coordinator
+// hands it what its ranks report in the exec frames it has already
+// authorized — a mesh rank's trace spans and flow edges from its rank-done
+// frame, an RA-CA rank's epoch durations from its checkpoint frames — and the
+// collector merges the spans into one offset-rebased timeline per job (a
+// single Chrome trace file with cross-process Perfetto arrows that
+// casvm-profile can analyze) and runs an online straggler detector against
+// the gang. It reads no wire: every input arrives through StoreSpans and
+// ObserveEpoch, after the coordinator's ownership check.
 package fleet
 
 import (
-	"encoding/json"
 	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"casvm/internal/tcpmpi"
 	"casvm/internal/trace"
 )
 
-// Per-rank ingestion caps, mirroring the worker-side timeline caps: a
-// chatty or buggy worker cannot grow coordinator memory without bound.
-// Overflow is counted (fleet_dropped_total), never silent. maxRank bounds
-// the rank ids, and so the job width, a frame can claim: a merge sizes its
-// per-rank tables by the width.
+// maxRank bounds the job width a call can claim: a merge sizes its per-rank
+// tables by the width. eventCap bounds the straggler SSE ring. A rank's
+// timeline is bounded where the coordinator decodes it, at the worker-side
+// trace caps.
 const (
-	maxEventsPerRank = 1 << 15
-	maxEdgesPerRank  = 1 << 16
-	maxRank          = 1 << 16
-)
-
-// probeSamples is the clock-probe ping burst per worker; eventCap bounds the
-// straggler SSE ring.
-const (
-	probeSamples = 5
-	eventCap     = 256
+	maxRank  = 1 << 16
+	eventCap = 256
 )
 
 // Config wires a Collector to its coordinator.
 type Config struct {
-	// Metrics is the fleet-level registry (the coordinator's own): frame
-	// counters, straggler totals, and fleet-wide federated aggregates land
-	// here. Nil disables those metrics.
+	// Metrics is the coordinator's registry: ingestion counters and the
+	// merge's repair and clamp counts land here. Nil disables them.
 	Metrics *trace.Registry
-	// JobRegistry, when non-nil, resolves a job id to its private registry
-	// so federated per-job aggregates and straggler counts appear under
-	// the existing /jobs/<id>/metrics namespace. Returning nil skips that
-	// job's federation.
-	JobRegistry func(job string) *trace.Registry
-	// Probe estimates a lease's clock offset. Nil uses the attached
-	// registrar's ProbeClock; tests inject synthetic skews here.
+	// Probe estimates a worker's clock offset over its lease (the
+	// coordinator's is tcpmpi.Registrar.ProbeClock; tests inject synthetic
+	// skews here). Nil leaves every offset 0, for the merge's repair pass.
 	Probe func(workerID int) (tcpmpi.ClockEstimate, error)
 	// Logf, when non-nil, receives diagnostic lines.
 	Logf func(format string, args ...any)
 }
 
-// rankState is one rank's accumulated telemetry within a job.
+// rankState is one rank's stored timeline within a job.
 type rankState struct {
 	workerID int
 	events   []trace.Event
 	edges    []trace.FlowEdge
-	dropped  int64
 
-	offsetNs     int64
-	rttNs        int64
-	probed       bool
-	probeStarted bool
-	probeDone    chan struct{} // closed when the clock probe settles
-
-	done bool // Done-marked span stream or goodbye received
+	offsetNs  int64
+	probeDone chan struct{} // closed when the clock probe settles; nil before one started
 }
 
-// jobState is one job's fleet-side accumulation.
+// jobState is one job's stored timelines.
 type jobState struct {
-	name  string
 	p     int
 	ranks map[int]*rankState
-	// fed holds each rank's latest metric snapshot for federation.
-	fed map[int]map[string]float64
 }
 
-// Collector is the coordinator side of the fleet plane. Route lease
-// frames into HandleFrame (internal/cluster/wire.go does this for every
-// coordinator).
+// Collector is the coordinator side of the fleet plane.
 type Collector struct {
 	cfg Config
 
 	mu   sync.Mutex
-	reg  *tcpmpi.Registrar
 	jobs map[string]*jobState
 
 	det  *detector
 	ring *eventRing
 
-	framesTotal    *trace.Counter
-	eventsTotal    *trace.Counter
-	edgesTotal     *trace.Counter
-	droppedTotal   *trace.Counter
-	stragglerTotal *trace.Counter
-	stragglerLast  *trace.Gauge
-	probeFailures  *trace.Counter
+	eventsTotal   *trace.Counter
+	edgesTotal    *trace.Counter
+	probeFailures *trace.Counter
 }
 
-// New creates a Collector. Call AttachRegistrar before workers say hello
-// if clock probing should use the real lease RTT exchange.
+// New creates a Collector.
 func New(cfg Config) *Collector {
 	c := &Collector{
 		cfg:  cfg,
@@ -104,23 +79,11 @@ func New(cfg Config) *Collector {
 		ring: newEventRing(eventCap),
 	}
 	if m := cfg.Metrics; m != nil {
-		c.framesTotal = m.Counter("cluster_fleet_frames_total", "fleet telemetry frames received")
 		c.eventsTotal = m.Counter("cluster_fleet_events_total", "trace events ingested from workers")
 		c.edgesTotal = m.Counter("cluster_fleet_edges_total", "flow edges ingested from workers")
-		c.droppedTotal = m.Counter("cluster_fleet_dropped_total", "telemetry items dropped at ingestion caps")
-		c.stragglerTotal = m.Counter("cluster_straggler_detections_total", "straggler verdicts raised by the online detector")
-		c.stragglerLast = m.Gauge("cluster_straggler_last_factor", "sec/median ratio of the most recent straggler verdict")
 		c.probeFailures = m.Counter("cluster_fleet_probe_failures_total", "clock probes that returned no samples")
 	}
 	return c
-}
-
-// AttachRegistrar hands the Collector the registrar whose leases carry the
-// fleet frames, enabling real clock probes. Call once, before jobs run.
-func (c *Collector) AttachRegistrar(r *tcpmpi.Registrar) {
-	c.mu.Lock()
-	c.reg = r
-	c.mu.Unlock()
 }
 
 func (c *Collector) logf(format string, args ...any) {
@@ -129,258 +92,80 @@ func (c *Collector) logf(format string, args ...any) {
 	}
 }
 
-// HandleFrame consumes one lease frame if its tag belongs to the fleet
-// block, reporting whether it did. It is safe to call from registrar
-// OnFrame callbacks: the clock probe it triggers runs on its own
-// goroutine (probing inline would deadlock — the pong arrives on the very
-// frame loop that is executing the callback).
-func (c *Collector) HandleFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) bool {
-	if !IsFleetTag(tag) {
-		return false
+// StoreSpans stores rank's timeline, shipped by worker workerID, for job at
+// width p: it replaces the rank's earlier spans, and p, the width of the
+// generation that reported last, is the merged trace's. The first spans a
+// worker ships for a rank start a clock probe of that worker on its own
+// goroutine; spans from a later generation start another only if the rank
+// moved to another worker, whose clock the stored offset does not describe.
+// An empty timeline for a job the collector holds nothing of stores nothing.
+func (c *Collector) StoreSpans(job string, rank, p, workerID int, events []trace.Event, edges []trace.FlowEdge) {
+	if p < 1 || p > maxRank || rank < 0 || rank >= p {
+		return
 	}
-	if c.framesTotal != nil {
-		c.framesTotal.Inc()
+	shipped := len(events)+len(edges) > 0
+	if c.eventsTotal != nil {
+		c.eventsTotal.Add(int64(len(events)))
+		c.edgesTotal.Add(int64(len(edges)))
 	}
-	switch tag {
-	case TagHello:
-		var h Hello
-		if err := json.Unmarshal(payload, &h); err != nil || h.Job == "" || h.Rank < 0 {
-			c.logf("fleet: bad hello from lease %d: %v", w.ID, err)
-			return true
-		}
-		c.onHello(w.ID, h)
-	case TagSpans:
-		var p SpanPayload
-		if err := json.Unmarshal(payload, &p); err != nil || p.Job == "" || p.Rank < 0 {
-			c.logf("fleet: bad span payload from lease %d: %v", w.ID, err)
-			return true
-		}
-		c.onSpans(w.ID, p)
-	case TagMetrics:
-		var p MetricsPayload
-		if err := json.Unmarshal(payload, &p); err != nil || p.Job == "" || p.Rank < 0 {
-			c.logf("fleet: bad metrics payload from lease %d: %v", w.ID, err)
-			return true
-		}
-		c.onMetrics(p)
-	case TagEpoch:
-		var p EpochPayload
-		if err := json.Unmarshal(payload, &p); err != nil || p.Job == "" || p.Rank < 0 {
-			c.logf("fleet: bad epoch payload from lease %d: %v", w.ID, err)
-			return true
-		}
-		c.onEpoch(p)
-	case TagGoodbye:
-		var h Hello
-		if err := json.Unmarshal(payload, &h); err == nil && h.Job != "" {
-			c.mu.Lock()
-			if rs := c.rankLocked(h.Job, h.Rank, w.ID); rs != nil {
-				rs.done = true
-			}
-			c.mu.Unlock()
-		}
-	}
-	return true
-}
 
-// rankLocked resolves (job, rank), creating state as needed. c.mu held.
-func (c *Collector) rankLocked(job string, rank, workerID int) *rankState {
-	if rank < 0 || rank > maxRank {
-		return nil
-	}
+	c.mu.Lock()
 	j := c.jobs[job]
+	if j == nil && !shipped {
+		c.mu.Unlock()
+		return
+	}
 	if j == nil {
-		j = &jobState{name: job, ranks: map[int]*rankState{}, fed: map[int]map[string]float64{}}
+		j = &jobState{ranks: map[int]*rankState{}}
 		c.jobs[job] = j
 	}
+	j.p = p
 	rs := j.ranks[rank]
 	if rs == nil {
-		rs = &rankState{workerID: workerID, probeDone: make(chan struct{})}
+		rs = &rankState{}
 		j.ranks[rank] = rs
 	}
-	if rank >= j.p {
-		j.p = rank + 1
-	}
-	return rs
-}
-
-func (c *Collector) onHello(workerID int, h Hello) {
-	c.mu.Lock()
-	rs := c.rankLocked(h.Job, h.Rank, workerID)
-	if rs == nil {
+	rs.events, rs.edges = events, edges
+	if !shipped || (rs.probeDone != nil && rs.workerID == workerID) {
 		c.mu.Unlock()
 		return
 	}
-	// A re-gang can move a rank to a different worker process mid-job
-	// (remote execution recovers dead workers' ranks onto survivors or
-	// respawns). The stored clock offset belongs to the previous process's
-	// clock, so a hello from a new worker must re-probe — otherwise every
-	// span the new worker ships would be rebased with a dead worker's
-	// offset in the merged trace.
-	rebound := rs.probeStarted && rs.workerID != workerID
+	// Merge snapshots taken before this point hold the previous probe's
+	// (closed) channel; those taken from here on wait for this one.
 	rs.workerID = workerID
-	if j := c.jobs[h.Job]; h.P > j.p && h.P <= maxRank+1 {
-		j.p = h.P
-	}
-	probe := c.cfg.Probe
-	if probe == nil && c.reg != nil {
-		reg := c.reg
-		probe = func(id int) (tcpmpi.ClockEstimate, error) {
-			return reg.ProbeClock(id, probeSamples, 3*time.Second)
-		}
-	}
-	if rs.probeStarted && !rebound {
-		c.mu.Unlock()
-		return
-	}
-	if rebound {
-		// Earlier merge snapshots hold the old (already closed) probeDone;
-		// snapshots taken from here on wait for the fresh probe.
-		rs.probed = false
-		rs.probeDone = make(chan struct{})
-	}
-	rs.probeStarted = true
+	rs.probeDone = make(chan struct{})
 	doneCh := rs.probeDone
 	c.mu.Unlock()
 
+	probe := c.cfg.Probe
 	if probe == nil {
-		close(doneCh) // nothing to wait for; offset stays 0
+		close(doneCh) // nothing to wait for; the offset stays
 		return
 	}
 	go func() {
 		est, err := probe(workerID)
 		c.mu.Lock()
 		if err != nil {
-			c.logf("fleet: clock probe of lease %d (job %s rank %d): %v", workerID, h.Job, h.Rank, err)
+			c.logf("fleet: clock probe of lease %d (job %s rank %d): %v", workerID, job, rank, err)
 			if c.probeFailures != nil {
 				c.probeFailures.Inc()
 			}
-		} else {
+		} else if rs.workerID == workerID { // the rank did not move again meanwhile
 			rs.offsetNs = est.OffsetNs
-			rs.rttNs = est.RTTNs
-			rs.probed = true
 		}
 		c.mu.Unlock()
 		close(doneCh)
 	}()
 }
 
-func (c *Collector) onSpans(workerID int, p SpanPayload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rs := c.rankLocked(p.Job, p.Rank, workerID)
-	if rs == nil {
-		return
-	}
-	for _, e := range p.Events {
-		if len(rs.events) >= maxEventsPerRank {
-			rs.dropped++
-			continue
-		}
-		rs.events = append(rs.events, e)
-	}
-	for _, e := range p.Edges {
-		if len(rs.edges) >= maxEdgesPerRank {
-			rs.dropped++
-			continue
-		}
-		rs.edges = append(rs.edges, e)
-	}
-	if c.eventsTotal != nil {
-		c.eventsTotal.Add(int64(len(p.Events)))
-		c.edgesTotal.Add(int64(len(p.Edges)))
-	}
-	if rs.dropped > 0 && c.droppedTotal != nil {
-		c.droppedTotal.Add(rs.dropped)
-		rs.dropped = 0
-	}
-	if p.Done {
-		rs.done = true
-	}
-}
-
-// onMetrics federates one rank's snapshot: every shipped metric appears as
-// a fleet_<name> gauge summed across the job's ranks in the job registry,
-// and summed across every job in the fleet registry. Gauges (not the
-// original kinds) because a sum of counters snapshotted at different
-// instants is itself a sampled value — and because re-registering a name
-// with a different kind panics by design in trace.Registry.
-func (c *Collector) onMetrics(p MetricsPayload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.jobs[p.Job]
-	if j == nil {
-		j = &jobState{name: p.Job, ranks: map[int]*rankState{}, fed: map[int]map[string]float64{}}
-		c.jobs[p.Job] = j
-	}
-	j.fed[p.Rank] = p.Values
-
-	var jobReg *trace.Registry
-	if c.cfg.JobRegistry != nil {
-		jobReg = c.cfg.JobRegistry(p.Job)
-	}
-	for name := range p.Values {
-		if !validFedName(name) {
-			continue
-		}
-		if jobReg != nil {
-			var sum float64
-			for _, vals := range j.fed {
-				sum += vals[name]
-			}
-			jobReg.Gauge("fleet_"+name, "sum of "+name+" across the job's ranks").Set(sum)
-		}
-		if c.cfg.Metrics != nil {
-			var sum float64
-			for _, job := range c.jobs {
-				for _, vals := range job.fed {
-					sum += vals[name]
-				}
-			}
-			c.cfg.Metrics.Gauge("fleet_"+name, "sum of "+name+" across all jobs' ranks").Set(sum)
-		}
-	}
-}
-
-// validFedName guards the federated namespace: only casvm's own metric
-// families are mirrored, and only names that stay valid Prometheus
-// identifiers after prefixing.
-func validFedName(name string) bool {
-	if name == "" || len(name) > 200 {
-		return false
-	}
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
-		default:
-			return false
-		}
-	}
-	return strings.HasPrefix(name, "casvm_") || strings.HasPrefix(name, "cluster_") ||
-		strings.HasPrefix(name, "tcpmpi_") || strings.HasPrefix(name, "smo_")
-}
-
-func (c *Collector) onEpoch(p EpochPayload) {
-	events := c.det.observe(p.Job, p.Rank, p.Epoch, p.Sec)
-	if len(events) == 0 {
-		return
-	}
-	var jobReg *trace.Registry
-	if c.cfg.JobRegistry != nil {
-		jobReg = c.cfg.JobRegistry(p.Job)
-	}
+// ObserveEpoch feeds one rank's epoch duration to the straggler detector and
+// returns the verdicts it raises, which also go on the Events stream.
+func (c *Collector) ObserveEpoch(job string, rank, epoch int, sec float64) []StragglerEvent {
+	events := c.det.observe(job, rank, epoch, sec)
 	for _, e := range events {
 		c.ring.add(e)
-		if c.stragglerTotal != nil {
-			c.stragglerTotal.Inc()
-			c.stragglerLast.Set(e.Factor)
-		}
-		if jobReg != nil {
-			jobReg.Counter("cluster_straggler_detections_total", "straggler verdicts for this job").Inc()
-		}
-		c.logf("fleet: straggler: job %s rank %d epoch %d ran %.3fs vs median %.3fs (%.2fx)",
-			e.Job, e.Rank, e.Epoch, e.Sec, e.MedianSec, e.Factor)
 	}
+	return events
 }
 
 // Events returns straggler events at cursors ≥ cursor plus the next
@@ -402,7 +187,7 @@ func (c *Collector) StreamSource() func(cursor uint64) ([]any, uint64) {
 	}
 }
 
-// Jobs lists the job ids with fleet telemetry, sorted.
+// Jobs lists the job ids with stored spans, sorted.
 func (c *Collector) Jobs() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

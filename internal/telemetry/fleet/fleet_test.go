@@ -13,19 +13,6 @@ import (
 	"casvm/internal/trace/critpath"
 )
 
-// frame drives HandleFrame directly with a JSON payload, standing in for
-// the lease frame loop.
-func frame(t *testing.T, c *Collector, workerID, tag int, v any) {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.HandleFrame(tcpmpi.WorkerInfo{ID: workerID}, tag, b) {
-		t.Fatalf("tag %d not consumed as a fleet frame", tag)
-	}
-}
-
 // mkEvent builds a completed span on a rank's local clock.
 func mkEvent(rank int, cat, name string, startNs, durNs int64) trace.Event {
 	return trace.Event{Name: name, Cat: cat, Rank: rank, WallStartNs: startNs, WallDurNs: durNs}
@@ -123,93 +110,44 @@ func TestEventRing(t *testing.T) {
 	}
 }
 
-// TestCollectorStragglerPath drives epoch reports through HandleFrame and
-// asserts the verdict reaches all three surfaces: the SSE ring, the fleet
-// registry, and the job registry.
+// TestCollectorStragglerPath drives epochs through ObserveEpoch and asserts
+// the verdict is returned to the caller, who counts it, and reaches the SSE
+// ring, once; Forget drops the detector's state for the job.
 func TestCollectorStragglerPath(t *testing.T) {
-	fleetReg := trace.NewRegistry()
-	jobReg := trace.NewRegistry()
-	c := New(Config{
-		Metrics:     fleetReg,
-		JobRegistry: func(string) *trace.Registry { return jobReg },
-	})
+	c := New(Config{Metrics: trace.NewRegistry()})
+	var verdicts []StragglerEvent
 	for rank := 0; rank < 3; rank++ {
 		sec := 0.1
 		if rank == 1 {
 			sec = 0.9
 		}
-		frame(t, c, rank, TagEpoch, EpochPayload{Job: "j", Rank: rank, Epoch: 3, Sec: sec})
+		verdicts = append(verdicts, c.ObserveEpoch("j", rank, 3, sec)...)
+	}
+	if len(verdicts) != 1 || verdicts[0].Rank != 1 || verdicts[0].Epoch != 3 ||
+		verdicts[0].Factor < 8 || verdicts[0].Factor > 10 {
+		t.Fatalf("verdicts: %+v, want rank 1 of epoch 3 at ~9x", verdicts)
 	}
 	ev, next := c.Events(0)
-	if len(ev) != 1 || ev[0].Rank != 1 || ev[0].Job != "j" || ev[0].Epoch != 3 {
+	if len(ev) != 1 || ev[0] != verdicts[0] || ev[0].Job != "j" {
 		t.Fatalf("events: %+v", ev)
 	}
 	if next != 1 {
 		t.Fatalf("cursor %d, want 1", next)
 	}
-	if got := fleetReg.Snapshot()["cluster_straggler_detections_total"]; got != 1 {
-		t.Fatalf("fleet detections %v, want 1", got)
-	}
-	if got := jobReg.Snapshot()["cluster_straggler_detections_total"]; got != 1 {
-		t.Fatalf("job detections %v, want 1", got)
-	}
-	if got := fleetReg.Snapshot()["cluster_straggler_last_factor"]; got < 8 || got > 10 {
-		t.Fatalf("last factor %v, want ~9", got)
+	if again := c.ObserveEpoch("j", 2, 3, 0.1); len(again) != 0 {
+		t.Fatalf("a later report of the epoch raised %+v again", again)
 	}
 	// The stream source adapts the same ring.
 	items, n2 := c.StreamSource()(0)
 	if len(items) != 1 || n2 != 1 {
 		t.Fatalf("stream source: %d items, cursor %d", len(items), n2)
 	}
-}
-
-// TestFederation pins the aggregate rule: fleet_<name> gauges are sums
-// across ranks in the job registry and across jobs in the fleet registry;
-// non-casvm or malformed names never cross the boundary.
-func TestFederation(t *testing.T) {
-	fleetReg := trace.NewRegistry()
-	jobRegs := map[string]*trace.Registry{"a": trace.NewRegistry(), "b": trace.NewRegistry()}
-	c := New(Config{
-		Metrics:     fleetReg,
-		JobRegistry: func(j string) *trace.Registry { return jobRegs[j] },
-	})
-	frame(t, c, 0, TagMetrics, MetricsPayload{Job: "a", Rank: 0, Values: map[string]float64{
-		"casvm_iterations_total": 10,
-		"tcpmpi_sent_bytes":      100,
-		"bogus metric":           5, // invalid characters: dropped
-		"other_family_total":     7, // foreign prefix: dropped
-	}})
-	frame(t, c, 1, TagMetrics, MetricsPayload{Job: "a", Rank: 1, Values: map[string]float64{
-		"casvm_iterations_total": 32,
-	}})
-	frame(t, c, 2, TagMetrics, MetricsPayload{Job: "b", Rank: 0, Values: map[string]float64{
-		"casvm_iterations_total": 100,
-	}})
-
-	if got := jobRegs["a"].Snapshot()["fleet_casvm_iterations_total"]; got != 42 {
-		t.Fatalf("job a sum %v, want 42", got)
+	if len(c.det.epochs["j"]) != 1 || len(c.det.flagged["j"]) != 1 {
+		t.Fatalf("detector state %v / %v, want epoch 3 and its verdict", c.det.epochs, c.det.flagged)
 	}
-	if got := jobRegs["b"].Snapshot()["fleet_casvm_iterations_total"]; got != 100 {
-		t.Fatalf("job b sum %v, want 100", got)
-	}
-	if got := fleetReg.Snapshot()["fleet_casvm_iterations_total"]; got != 142 {
-		t.Fatalf("fleet sum %v, want 142", got)
-	}
-	if got := jobRegs["a"].Snapshot()["fleet_tcpmpi_sent_bytes"]; got != 100 {
-		t.Fatalf("tcpmpi family not federated: %v", got)
-	}
-	snap := fleetReg.Snapshot()
-	for name := range snap {
-		if name == "fleet_bogus metric" || name == "fleet_other_family_total" {
-			t.Fatalf("invalid name crossed federation: %s", name)
-		}
-	}
-	// A rank re-shipping replaces (not double-counts) its contribution.
-	frame(t, c, 1, TagMetrics, MetricsPayload{Job: "a", Rank: 1, Values: map[string]float64{
-		"casvm_iterations_total": 40,
-	}})
-	if got := jobRegs["a"].Snapshot()["fleet_casvm_iterations_total"]; got != 50 {
-		t.Fatalf("re-ship sum %v, want 50", got)
+	c.Forget("j")
+	if len(c.det.epochs) != 0 || len(c.det.flagged) != 0 {
+		t.Fatalf("forget left detector state %v / %v", c.det.epochs, c.det.flagged)
 	}
 }
 
@@ -228,33 +166,28 @@ func skewedFixture(t *testing.T, c *Collector, skew [3]int64) {
 	origin := time.Now().UnixNano()
 	at := func(rank int, trueNs int64) int64 { return origin + trueNs + skew[rank] }
 
-	frame(t, c, 0, TagHello, Hello{Job: "j", Rank: 0, P: 3})
-	frame(t, c, 1, TagHello, Hello{Job: "j", Rank: 1, P: 3})
-	frame(t, c, 2, TagHello, Hello{Job: "j", Rank: 2, P: 3})
-
-	frame(t, c, 0, TagSpans, SpanPayload{Job: "j", Rank: 0, Events: []trace.Event{
+	// Rank r runs on worker r.
+	c.StoreSpans("j", 0, 3, 0, []trace.Event{
 		mkEvent(0, trace.CatSolver, "scan", at(0, 0), 10*ms),
-	}, Done: true})
-	frame(t, c, 1, TagSpans, SpanPayload{Job: "j", Rank: 1,
-		Events: []trace.Event{
+	}, nil)
+	c.StoreSpans("j", 1, 3, 1,
+		[]trace.Event{
 			mkEvent(1, trace.CatSolver, "scan", at(1, 0), 4*ms),
 			mkEvent(1, trace.CatSolver, "scan", at(1, 12*ms), 8*ms),
 		},
-		Edges: []trace.FlowEdge{{
+		[]trace.FlowEdge{{
 			ID: tcpEdgeID(0, 7), Src: 0, Dst: 1, Tag: 5, Bytes: 64,
 			SendWallNs: at(0, 10*ms), RecvWallNs: at(1, 12*ms),
-		}},
-		Done: true})
-	frame(t, c, 2, TagSpans, SpanPayload{Job: "j", Rank: 2,
-		Events: []trace.Event{
+		}})
+	c.StoreSpans("j", 2, 3, 2,
+		[]trace.Event{
 			mkEvent(2, trace.CatSolver, "scan", at(2, 0), 6*ms),
 			mkEvent(2, trace.CatSolver, "scan", at(2, 22*ms), 8*ms),
 		},
-		Edges: []trace.FlowEdge{{
+		[]trace.FlowEdge{{
 			ID: tcpEdgeID(1, 7), Src: 1, Dst: 2, Tag: 5, Bytes: 64,
 			SendWallNs: at(1, 20*ms), RecvWallNs: at(2, 22*ms),
-		}},
-		Done: true})
+		}})
 }
 
 // checkMerged asserts the merged trace invariants every fixture must
@@ -396,20 +329,16 @@ func TestMergeClampsResidualViolation(t *testing.T) {
 	reg := trace.NewRegistry()
 	c := New(Config{Metrics: reg})
 	origin := time.Now().UnixNano()
-	frame(t, c, 0, TagHello, Hello{Job: "j", Rank: 0, P: 2})
-	frame(t, c, 1, TagSpans, SpanPayload{Job: "j", Rank: 1,
-		Events: []trace.Event{mkEvent(1, trace.CatSolver, "scan", origin, 30*ms)},
-		Edges: []trace.FlowEdge{
+	c.StoreSpans("j", 1, 2, 1,
+		[]trace.Event{mkEvent(1, trace.CatSolver, "scan", origin, 30*ms)},
+		[]trace.FlowEdge{
 			// Edge A: recv 5ms before send. Repair shifts rank 1 +5ms.
 			{ID: tcpEdgeID(0, 1), Src: 0, Dst: 1, SendWallNs: origin + 10*ms, RecvWallNs: origin + 5*ms},
 			// Edge B in the opposite direction with a tight margin: after
 			// repairing A, B violates and only the clamp can fix it.
 			{ID: tcpEdgeID(1, 2), Src: 1, Dst: 0, SendWallNs: origin + 6*ms, RecvWallNs: origin + 7*ms},
-		},
-		Done: true})
-	frame(t, c, 0, TagSpans, SpanPayload{Job: "j", Rank: 0,
-		Events: []trace.Event{mkEvent(0, trace.CatSolver, "scan", origin, 20*ms)},
-		Done:   true})
+		})
+	c.StoreSpans("j", 0, 2, 0, []trace.Event{mkEvent(0, trace.CatSolver, "scan", origin, 20*ms)}, nil)
 
 	var buf bytes.Buffer
 	if err := c.WriteMergedTrace("j", &buf); err != nil {
@@ -434,13 +363,20 @@ func TestMergeClampsResidualViolation(t *testing.T) {
 }
 
 // TestMergeErrors pins the failure modes: unknown jobs and span-less jobs
-// refuse to merge instead of writing empty traces.
+// refuse to merge instead of writing empty traces, and an empty timeline
+// creates no job.
 func TestMergeErrors(t *testing.T) {
 	c := New(Config{})
 	if _, err := c.MergedTimeline("nope"); err == nil {
 		t.Fatal("unknown job must error")
 	}
-	frame(t, c, 0, TagHello, Hello{Job: "empty", Rank: 0, P: 2})
+	c.StoreSpans("nope", 0, 2, 0, nil, nil)
+	if jobs := c.Jobs(); len(jobs) != 0 {
+		t.Fatalf("an empty timeline created jobs %v", jobs)
+	}
+	// A later generation's empty timeline replaces the rank's spans.
+	c.StoreSpans("empty", 0, 2, 0, []trace.Event{mkEvent(0, trace.CatSolver, "scan", 1, 1)}, nil)
+	c.StoreSpans("empty", 0, 2, 0, nil, nil)
 	if _, err := c.MergedTimeline("empty"); err == nil {
 		t.Fatal("span-less job must error")
 	}
@@ -456,120 +392,61 @@ func TestMergeErrors(t *testing.T) {
 	}
 }
 
-// TestFleetOverRealLeases is the transport-level end-to-end: three worker
-// goroutines register real leases, ship real timelines (chunked past the
-// 512-event frame limit), metrics, and epoch reports through the lease
-// frame loop, with real clock probes over loopback. The merged trace must
-// parse strictly and flag the injected straggler.
+// TestFleetOverRealLeases is the transport-level end-to-end: three workers
+// hold real leases, their ranks' timelines are stored, and the first spans of
+// each start a real clock probe over its lease. The merge waits for the
+// probes, and the merged trace must parse strictly, keep every event, and
+// carry same-host offsets.
 func TestFleetOverRealLeases(t *testing.T) {
-	fleetReg := trace.NewRegistry()
-	jobReg := trace.NewRegistry()
-	c := New(Config{
-		Metrics:     fleetReg,
-		JobRegistry: func(string) *trace.Registry { return jobReg },
-	})
-	reg, err := tcpmpi.NewRegistrar("127.0.0.1:0", tcpmpi.RegistrarConfig{
-		LeaseTTL: 2 * time.Second,
-		OnFrame: func(w tcpmpi.WorkerInfo, tag int, payload []byte) {
-			c.HandleFrame(w, tag, payload)
-		},
-	})
+	reg, err := tcpmpi.NewRegistrar("127.0.0.1:0", tcpmpi.RegistrarConfig{LeaseTTL: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	c.AttachRegistrar(reg)
+	metrics := trace.NewRegistry()
+	c := New(Config{
+		Metrics: metrics,
+		Probe: func(id int) (tcpmpi.ClockEstimate, error) {
+			return reg.ProbeClock(id, 5, 3*time.Second)
+		},
+	})
 
 	const p = 3
 	const ms = int64(time.Millisecond)
+	const rank0Events = 800
 	origin := time.Now().UnixNano()
-	errs := make(chan error, p)
 	for rank := 0; rank < p; rank++ {
-		go func(rank int) {
-			errs <- func() error {
-				l, err := tcpmpi.Register(reg.Addr(), tcpmpi.RegisterOptions{})
-				if err != nil {
-					return err
-				}
-				defer l.Close()
-				rep, err := NewReporter(l, "j", rank, p)
-				if err != nil {
-					return err
-				}
-				// A local timeline with enough events to force chunking on
-				// rank 0, plus one cross-rank edge recorded by receivers.
-				tl := trace.NewTimelineCap(p, 2048)
-				rec := tl.Rank(rank)
-				n := 8
-				if rank == 0 {
-					n = spanChunk + 300
-				}
-				for i := 0; i < n; i++ {
-					rec.AddEvent(mkEvent(rank, trace.CatSolver, "scan",
-						origin+int64(i)*ms, ms/2))
-				}
-				if rank > 0 {
-					rec.RecordFlow(trace.FlowEdge{
-						ID: tcpEdgeID(rank-1, 9), Src: rank - 1, Dst: rank,
-						Tag: 3, Bytes: 128,
-						SendWallNs: origin + int64(n)*ms, RecvWallNs: origin + int64(n+2)*ms,
-					})
-				}
-				mreg := trace.NewRegistry()
-				mreg.Counter("casvm_iterations_total", "").Add(int64(100 * (rank + 1)))
-				if err := rep.ShipMetrics(mreg); err != nil {
-					return err
-				}
-				epoch := 100 * time.Millisecond
-				if rank == 2 {
-					epoch = 600 * time.Millisecond // injected straggler
-				}
-				if err := rep.ReportEpoch(0, epoch); err != nil {
-					return err
-				}
-				if err := rep.ShipTimeline(tl, 10*time.Second); err != nil {
-					return err
-				}
-				return rep.Goodbye()
-			}()
-		}(rank)
-	}
-	for i := 0; i < p; i++ {
-		if err := <-errs; err != nil {
+		l, err := tcpmpi.Register(reg.Addr(), tcpmpi.RegisterOptions{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	waitUntil(t, "all spans ingested", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		j := c.jobs["j"]
-		if j == nil || len(j.ranks) != p {
-			return false
+		defer l.Close()
+		// A local timeline, plus one cross-rank edge recorded by receivers.
+		tl := trace.NewTimelineCap(p, 2048)
+		rec := tl.Rank(rank)
+		n := 8
+		if rank == 0 {
+			n = rank0Events
 		}
-		for _, rs := range j.ranks {
-			if !rs.done {
-				return false
-			}
+		for i := 0; i < n; i++ {
+			rec.AddEvent(mkEvent(rank, trace.CatSolver, "scan", origin+int64(i)*ms, ms/2))
 		}
-		return true
-	})
-
-	// Straggler: rank 2 ran 6× the gang median.
-	ev, _ := c.Events(0)
-	if len(ev) != 1 || ev[0].Rank != 2 {
-		t.Fatalf("straggler events: %+v", ev)
-	}
-	if fleetReg.Snapshot()["cluster_straggler_detections_total"] != 1 {
-		t.Fatal("fleet straggler counter not raised")
-	}
-	if jobReg.Snapshot()["fleet_casvm_iterations_total"] != 600 {
-		t.Fatalf("federated sum %v, want 600", jobReg.Snapshot()["fleet_casvm_iterations_total"])
+		if rank > 0 {
+			rec.RecordFlow(trace.FlowEdge{
+				ID: tcpEdgeID(rank-1, 9), Src: rank - 1, Dst: rank,
+				Tag: 3, Bytes: 128,
+				SendWallNs: origin + int64(n)*ms, RecvWallNs: origin + int64(n+2)*ms,
+			})
+		}
+		c.StoreSpans("j", rank, p, l.ID(), tl.Events(), tl.FlowEdges())
 	}
 
 	var buf bytes.Buffer
 	if err := c.WriteMergedTrace("j", &buf); err != nil {
 		t.Fatal(err)
+	}
+	if got := metrics.Snapshot()["cluster_fleet_probe_failures_total"]; got != 0 {
+		t.Fatalf("%v clock probes failed over live leases", got)
 	}
 	x, err := trace.ReadTraceExtra(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -586,7 +463,6 @@ func TestFleetOverRealLeases(t *testing.T) {
 			t.Fatalf("causality violated: %+v", e)
 		}
 	}
-	// All of rank 0's chunked events survived the ship.
 	nEvents := 0
 	var whole map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &whole); err != nil {
@@ -598,8 +474,8 @@ func TestFleetOverRealLeases(t *testing.T) {
 			nEvents++
 		}
 	}
-	if want := spanChunk + 300; nEvents != want {
-		t.Fatalf("rank 0 events in trace: %d, want %d (chunking lost data?)", nEvents, want)
+	if nEvents != rank0Events {
+		t.Fatalf("rank 0 events in trace: %d, want %d", nEvents, rank0Events)
 	}
 	if a, err := critpath.Analyze(critpath.FromExtra(x)); err != nil || a.MakespanSec <= 0 {
 		t.Fatalf("analysis: %+v, %v", a, err)
@@ -614,10 +490,9 @@ func TestFleetOverRealLeases(t *testing.T) {
 
 // TestReHelloReprobesNewWorker covers telemetry merging across gang
 // generations: when a re-gang moves a rank to a different worker process,
-// the rank re-hellos from a new lease, and the collector must probe the
-// new process's clock instead of rebasing its spans with the dead
-// worker's offset. A duplicate hello from the same worker must not
-// re-probe.
+// the rank's spans arrive from a new lease, and the collector must probe the
+// new process's clock instead of rebasing its spans with the dead worker's
+// offset. Spans for the rank from the same worker again must not re-probe.
 func TestReHelloReprobesNewWorker(t *testing.T) {
 	offsets := map[int]int64{1: 1000, 2: 777_000}
 	var probes atomic.Int64
@@ -628,30 +503,41 @@ func TestReHelloReprobesNewWorker(t *testing.T) {
 			return tcpmpi.ClockEstimate{OffsetNs: offsets[workerID], RTTNs: 10, Samples: 3}, nil
 		},
 	})
-	rankOffset := func() (int64, bool) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		rs := c.jobs["j"].ranks[0]
-		return rs.offsetNs, rs.probed
+	// The merge waits for the probes its snapshot saw, so its offset is the
+	// settled one.
+	rankOffset := func() int64 {
+		t.Helper()
+		tl, err := c.MergedTimeline("j")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tl.Extra().ClockOffsetsNs[0]
 	}
+	spans := []trace.Event{mkEvent(0, trace.CatSolver, "scan", 1000, 10)}
 
-	// Generation 1: rank 0 lives on worker 1.
-	frame(t, c, 1, TagHello, Hello{Job: "j", Rank: 0, P: 2})
-	waitUntil(t, "worker 1 probed", func() bool { _, ok := rankOffset(); return ok })
-	if off, _ := rankOffset(); off != 1000 {
-		t.Fatalf("offset %d after first hello, want worker 1's 1000", off)
+	// An empty timeline probes nothing.
+	c.StoreSpans("j", 0, 2, 1, nil, nil)
+	if n := probes.Load(); n != 0 {
+		t.Fatalf("%d probes for an empty timeline", n)
 	}
-	// A duplicate hello (same worker, e.g. the next rank's reporter on a
-	// shared lease) leaves the settled probe alone.
-	frame(t, c, 1, TagHello, Hello{Job: "j", Rank: 0, P: 2})
+	// Generation 1: rank 0 lives on worker 1.
+	c.StoreSpans("j", 0, 2, 1, spans, nil)
+	if off := rankOffset(); off != 1000 {
+		t.Fatalf("offset %d after the first spans, want worker 1's 1000", off)
+	}
+	// The same worker again (the next generation kept the rank there)
+	// leaves the settled probe alone.
+	c.StoreSpans("j", 0, 2, 1, spans, nil)
 	if n := probes.Load(); n != 1 {
-		t.Fatalf("%d probes after duplicate hello, want 1", n)
+		t.Fatalf("%d probes after spans from the same worker, want 1", n)
 	}
 
 	// Generation 2: the re-gang moved rank 0 to worker 2.
-	frame(t, c, 2, TagHello, Hello{Job: "j", Rank: 0, P: 2})
-	waitUntil(t, "worker 2 probed", func() bool { off, ok := rankOffset(); return ok && off == 777_000 })
+	c.StoreSpans("j", 0, 2, 2, spans, nil)
+	if off := rankOffset(); off != 777_000 {
+		t.Fatalf("offset %d after the move, want worker 2's 777000", off)
+	}
 	if n := probes.Load(); n != 2 {
-		t.Fatalf("%d probes after re-gang hello, want 2", n)
+		t.Fatalf("%d probes after the rank moved, want 2", n)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // Worker timestamps are wall clocks from different machines; the merge
 // rebases them onto the coordinator's clock in three steps:
 //
-//  1. Probe: each rank's hello triggered an NTP-style lease exchange
-//     (tcpmpi.ProbeClock) giving offset ≈ rank clock − coordinator clock;
-//     rebased = raw − offset.
+//  1. Probe: a rank's first spans from a worker triggered an NTP-style
+//     lease exchange (tcpmpi.ProbeClock) giving offset ≈ rank clock −
+//     coordinator clock; rebased = raw − offset.
 //  2. Repair: probe error is bounded by half the RTT, so a rebased edge
 //     can still violate recv ≥ send. Each violated edge is a difference
 //     constraint on the two ranks' offsets; lowering the receiver's
@@ -81,7 +81,7 @@ func (c *Collector) snapshotJob(job string) (*mergeInput, error) {
 		}
 		in.events[rank] = rs.events[:len(rs.events):len(rs.events)]
 		in.offsets[rank] = rs.offsetNs
-		if rs.probeStarted {
+		if rs.probeDone != nil {
 			in.probes = append(in.probes, rs.probeDone)
 		}
 		for _, e := range rs.edges {
@@ -98,7 +98,7 @@ func (c *Collector) snapshotJob(job string) (*mergeInput, error) {
 
 // waitProbes blocks until every in-flight clock probe of the snapshot has
 // settled or the timeout lapses, then refreshes the offsets from the
-// collector state (probes complete asynchronously after hello).
+// collector state (probes complete asynchronously after the spans land).
 func (c *Collector) waitProbes(job string, in *mergeInput, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for _, ch := range in.probes {

@@ -21,7 +21,7 @@ const (
 )
 
 // StragglerEvent is one detector verdict, published on the SSE stream and
-// counted by the cluster_straggler_* metrics.
+// counted by the coordinator's cluster_straggler_* metrics.
 type StragglerEvent struct {
 	TimeNs    int64   `json:"time_ns"`
 	Job       string  `json:"job"`
