@@ -27,15 +27,17 @@ cross-vet:
 # (DotList: MulTile's and SqDistTile's one-column path; ColumnTile and
 # TileMatchesRow: CrossTile's columns and the lazy fill's transposed tile), the
 # whole-matrix fill, a CSR block's whole fill over its dense copy (Compacted:
-# Dot4 panels over the compacted rows), and the one kernel recipe across
-# every fill (OneRecipe)
+# Dot4 panels over the compacted rows), the Dis-SMO column cache's slots
+# (ColumnCache: decoded samples, norms, columns, diagonals and K(high, low)
+# over poisoned storage; DecodeRowInto: a slot's row and norm against
+# DecodeMatrix), and the one kernel recipe across every fill (OneRecipe)
 # against their scalar references — with internal/la's four-lane kernels off,
 # so the portable loops must land on the same numbers
 # (TestVectorKernelsActive fails if the lanes stayed on).
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe|ColumnCache|DecodeRowInto
 lanes-off:
 	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model \
 		./internal/kmeans ./internal/partition ./internal/kernel
@@ -90,11 +92,15 @@ race-matrix:
 		./internal/telemetry ./internal/telemetry/fleet ./internal/smo
 
 # fuzz-smoke runs every fuzz target's seed corpus (no exploration) so the
-# corpora cannot rot; `make fuzz` does the time-boxed exploration.
+# corpora cannot rot; `make fuzz` does the time-boxed exploration. The
+# packages are those `go test -list` finds a target in, as for `make fuzz`,
+# so a new target's package cannot fall off the list, and a package whose
+# tests do not build fails it.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/data ./internal/tcpmpi ./internal/trace \
-		./internal/serve ./internal/cluster ./internal/la ./internal/model ./internal/core \
-		./internal/telemetry/fleet
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	pkgs=$$(echo "$$list" | awk '/^Fuzz/ { f = 1 } /^ok / { if (f) print $$2; f = 0 }'); \
+	test -n "$$pkgs" || { echo "fuzz-smoke: no fuzz targets found"; exit 1; }; \
+	$(GO) test -run '^Fuzz' $$pkgs
 
 # serve-smoke boots the live telemetry server against a real training run
 # held mid-flight (TestServeSmoke: /metrics, /report, /events, /debug/pprof)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"casvm/internal/data"
 	"casvm/internal/faults"
 	"casvm/internal/kernel"
+	"casvm/internal/la"
 	"casvm/internal/mpi"
 	"casvm/internal/trace"
 )
@@ -224,10 +226,55 @@ func trainBounded(t *testing.T, d *data.Dataset, pr Params) (*Output, error) {
 	}
 }
 
+// reshapeRow returns a pairTamper mutation that replaces the first row a
+// payload carries with f of it, re-encoded.
+func reshapeRow(f func(x *la.Matrix) *la.Matrix) func(high, low candidate, _ []byte) []byte {
+	return func(high, low candidate, _ []byte) []byte {
+		w := &high
+		if len(w.row) == 0 {
+			w = &low
+		}
+		if len(w.row) == 0 {
+			return nil // wait for a payload that carries a row
+		}
+		x, err := la.DecodeMatrix(w.row)
+		if err != nil {
+			panic(err)
+		}
+		y := f(x)
+		w.row = y.EncodeRows(allRows(y.Rows()))
+		return appendCandidate(appendCandidate(nil, high), low)
+	}
+}
+
+// Wrong-shaped sample rows, each from a dense 1-row matrix: one feature too
+// many, two rows, and the same row in CSR storage.
+var wrongRows = []struct {
+	name string
+	f    func(x *la.Matrix) *la.Matrix
+}{
+	{"row-wide-down", func(x *la.Matrix) *la.Matrix {
+		return la.NewDense(1, x.Features()+1, append(slices.Clone(x.DenseRow(0)), 1))
+	}},
+	{"row-two-rows-down", func(x *la.Matrix) *la.Matrix { return la.Concat(x, x) }},
+	{"row-other-kind-down", func(x *la.Matrix) *la.Matrix {
+		var ix []int32
+		var vx []float64
+		for j, v := range x.DenseRow(0) {
+			if v != 0 {
+				ix, vx = append(ix, int32(j)), append(vx, v)
+			}
+		}
+		return la.NewSparse(1, x.Features(), []int32{0, int32(len(ix))}, ix, vx)
+	}},
+}
+
 // TestDisSMOTamperedExchangeFailsTyped: a pair-exchange payload that
-// arrives truncated, emptied, or without the row a receiver needs stops the
-// run with the typed wire error — on the way up the tree (a child's
-// payload) and on the way down (rank 0's verdict) alike.
+// arrives truncated, emptied, without the row a receiver needs, or with a
+// row of the wrong shape — a feature too many, two rows, the other storage
+// kind — stops the run with the typed wire error, on the way up the tree (a
+// child's payload) and on the way down (rank 0's verdict) alike. A
+// wrong-shaped row is refused before it takes a column-cache slot.
 func TestDisSMOTamperedExchangeFailsTyped(t *testing.T) {
 	d := testSet(t, 240)
 	cases := []struct {
@@ -260,6 +307,33 @@ func TestDisSMOTamperedExchangeFailsTyped(t *testing.T) {
 			var werr *pairWireError
 			if !errors.As(err, &werr) {
 				t.Fatalf("want a pair wire error, got %v", err)
+			}
+		})
+	}
+	for _, tc := range wrongRows {
+		t.Run(tc.name, func(t *testing.T) {
+			pr := paramsFor(MethodDisSMO, 4, d)
+			pr.Faults = &pairTamper{src: 0, mutate: reshapeRow(tc.f)}
+			_, err := trainBounded(t, d, pr)
+			var werr *pairWireError
+			if !errors.As(err, &werr) {
+				t.Fatalf("want a pair wire error, got %v", err)
+			}
+			// The same row offered straight to an exchange's insert.
+			local := part{x: d.X, y: d.Y}
+			bad := tc.f(d.X.Subset([]int{7}))
+			err = mpi.NewWorld(1, pr.Machine, pr.Seed).Run(func(c *mpi.Comm) error {
+				ex := newPairExchange(c, local, nil, pr, d.X.Rows())
+				if _, err := ex.insert(7, candidate{y: 1, row: bad.EncodeRows(allRows(bad.Rows()))}); !errors.As(err, &werr) {
+					t.Errorf("insert: want a pair wire error, got %v", err)
+				}
+				if _, misses := ex.cache.Stats(); misses != 0 || ex.cache.Resident(7) {
+					t.Errorf("a refused row took a slot: %d misses, resident %v", misses, ex.cache.Resident(7))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

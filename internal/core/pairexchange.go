@@ -158,7 +158,7 @@ func newPairExchange(c *mpi.Comm, local part, solver *smo.Solver, p Params, m in
 	return &pairExchange{
 		c: c, local: local, solver: solver, kernel: p.Kernel, m: m,
 		base:  blockStart(m, c.Size(), c.Rank()),
-		cache: kernel.NewColumnCache(m, capacity, local.x.Rows()),
+		cache: kernel.NewColumnCache(m, capacity, local.x),
 	}
 }
 
@@ -244,12 +244,12 @@ func (ex *pairExchange) combine(acc, in []byte) ([]byte, error) {
 	return buf[n:], nil
 }
 
-// Columns returns the two winners' kernel values from their cache
-// entries, inserting a winner whose id is not resident from the row the
-// verdict carries. Both resident winners are touched before either insert,
-// so the entry an insert evicts is never the other winner (capacity ≥ 2);
-// the order is the same on every rank. K(high, low) comes from the two
-// samples themselves, identically on every rank.
+// Columns returns the two winners' kernel values from their cache slots,
+// inserting a winner whose id is not resident from the row the verdict
+// carries. Both resident winners are touched before either insert, so the
+// slot an insert evicts is never the other winner's (capacity ≥ 2); the
+// order is the same on every rank. K(high, low) comes from the two
+// resident samples themselves, identically on every rank.
 func (ex *pairExchange) Columns() (smo.Pair, error) {
 	gh, err := ex.globalID(ex.high)
 	if err != nil {
@@ -262,20 +262,23 @@ func (ex *pairExchange) Columns() (smo.Pair, error) {
 	if gh == gl {
 		return smo.Pair{}, ex.wireErr("sample %d won both sides", gh)
 	}
-	eh, el := ex.cache.Get(gh), ex.cache.Get(gl)
-	if eh == nil {
-		if eh, err = ex.insert(gh, ex.high); err != nil {
+	c := ex.cache
+	sh, sl := c.Get(gh), c.Get(gl)
+	if sh < 0 {
+		if sh, err = ex.insert(gh, ex.high); err != nil {
 			return smo.Pair{}, err
 		}
 	}
-	if el == nil {
-		if el, err = ex.insert(gl, ex.low); err != nil {
+	if sl < 0 {
+		if sl, err = ex.insert(gl, ex.low); err != nil {
 			return smo.Pair{}, err
 		}
 	}
+	xh, rh := c.Sample(sh)
+	xl, rl := c.Sample(sl)
 	return smo.Pair{
-		Khh: eh.Diag, Kll: el.Diag, Khl: ex.kernel.Eval(eh.X, 0, el.X, 0),
-		ColH: eh.K, ColL: el.K,
+		Khh: c.Diag(sh), Kll: c.Diag(sl), Khl: ex.kernel.Eval(xh, rh, xl, rl),
+		ColH: c.Column(sh), ColL: c.Column(sl),
 	}, nil
 }
 
@@ -296,23 +299,37 @@ func (ex *pairExchange) globalID(w candidate) (int, error) {
 	return start + int(w.index), nil
 }
 
-// insert decodes a winner's attached row into the cache and fills its
-// kernel column and diagonal — the only kernel evaluations against the
-// local block this rank pays for the sample while it stays resident.
-func (ex *pairExchange) insert(g int, w candidate) (*kernel.Column, error) {
+// insert checks a winner's attached row — one row of the local block's
+// width and storage kind — before it takes a cache slot, then decodes the
+// row into the slot and fills its kernel column and diagonal: the only
+// kernel evaluations against the local block this rank pays for the sample
+// while it stays resident. A dense row decodes straight into the slot's row
+// of the working set; a CSR row keeps its own 1-row matrix, decoded (and
+// its structure checked) before the slot is taken.
+func (ex *pairExchange) insert(g int, w candidate) (int32, error) {
 	if len(w.row) == 0 {
-		return nil, ex.wireErr("row of sample %d is neither cached nor attached", g)
+		return -1, ex.wireErr("row of sample %d is neither cached nor attached", g)
 	}
-	x, err := la.DecodeMatrix(w.row)
+	lx := ex.local.x
+	rows, n, sparse, err := la.EncodedShape(w.row)
+	if err == nil && (rows != 1 || n != lx.Features() || sparse != lx.Sparse()) {
+		err = fmt.Errorf("%d×%d (sparse=%v), want 1×%d (sparse=%v)", rows, n, sparse, lx.Features(), lx.Sparse())
+	}
+	var x *la.Matrix
+	if err == nil && sparse {
+		x, err = la.DecodeMatrix(w.row)
+	}
 	if err != nil {
-		return nil, ex.wireErr("row of sample %d: %v", g, err)
+		return -1, ex.wireErr("row of sample %d: %v", g, err)
 	}
-	if lx := ex.local.x; x.Rows() != 1 || x.Features() != lx.Features() || x.Sparse() != lx.Sparse() {
-		return nil, ex.wireErr("row of sample %d is %d×%d (sparse=%v), want 1×%d (sparse=%v)",
-			g, x.Rows(), x.Features(), x.Sparse(), lx.Features(), lx.Sparse())
+	s := ex.cache.Put(g, x)
+	ws, r := ex.cache.Sample(s)
+	if !sparse {
+		if err := ws.DecodeRowInto(r, w.row); err != nil {
+			return -1, ex.wireErr("row of sample %d: %v", g, err)
+		}
 	}
-	e := ex.cache.Put(g, x, float64(w.y))
-	e.Diag = ex.kernel.Eval(x, 0, x, 0)
-	ex.solver.FillColumn(x, 0, e.K)
-	return e, nil
+	ex.cache.SetDiag(s, ex.kernel.Eval(ws, r, ws, r))
+	ex.solver.FillColumn(ws, r, ex.cache.Column(s))
+	return s, nil
 }

@@ -56,7 +56,7 @@ func decodeParts(bufs [][]byte) (part, error) {
 		if len(secs) != 2 && len(secs) != 3 {
 			return part{}, fmt.Errorf("core: part %d: envelope has %d sections", k, len(secs))
 		}
-		if rows[k], err = la.EncodedRows(secs[0]); err != nil {
+		if rows[k], _, _, err = la.EncodedShape(secs[0]); err != nil {
 			return part{}, fmt.Errorf("core: part %d: %w", k, err)
 		}
 		xs[k], ys[k] = secs[0], secs[1]

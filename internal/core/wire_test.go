@@ -264,12 +264,13 @@ func TestEncodePartWireBytes(t *testing.T) {
 
 // poisonChunkPool hands NaN-filled storage to the kernel caches' chunk pool
 // through the public API: a column cache whose 1,024-value columns fill its
-// chunks exactly, every entry written NaN, then released.
+// chunks exactly, every entry written NaN, then released. Its samples have
+// no features, so its working set takes no chunk.
 func poisonChunkPool(chunks int) {
 	const rowLen, perChunk = 1024, 16
-	c := kernel.NewColumnCache(chunks*perChunk, chunks*perChunk, rowLen)
+	c := kernel.NewColumnCache(chunks*perChunk, chunks*perChunk, la.Zeros(rowLen, 0))
 	for g := range chunks * perChunk {
-		for i, k := 0, c.Put(g, nil, 0).K; i < len(k); i++ {
+		for i, k := 0, c.Column(c.Put(g, nil)); i < len(k); i++ {
 			k[i] = math.NaN()
 		}
 	}

@@ -30,11 +30,14 @@ func emptySlabPool() {
 	runtime.GC()
 }
 
-// TestColumnCacheFillOverPoison: a column filled the way distributed SMO
-// fills one (a one-column CrossTile of the local block against an external
-// sample, which smo.Solver.FillColumn calls) into NaN-poisoned pool storage equals the
-// same column filled into zeroed storage, bit for bit, dense and sparse,
-// through evictions, single inserts and pairs of inserts.
+// TestColumnCacheFillOverPoison: a sample inserted the way distributed SMO
+// inserts one — its wire row decoded into a working-set slot, its column
+// one CrossTile of the local block against that slot (which
+// smo.Solver.FillColumn calls), its diagonal and K(high, low) Evals between
+// slots — over NaN-poisoned pool storage gives the same columns, diagonals
+// and K(high, low) as zeroed storage would, bit for bit: the Evals and
+// CrossTiles of the decoded samples themselves. Dense and sparse, through
+// evictions, single inserts and pairs of inserts.
 func TestColumnCacheFillOverPoison(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const keys = 40
@@ -43,6 +46,7 @@ func TestColumnCacheFillOverPoison(t *testing.T) {
 		if sparse {
 			local, ext = sparseMat(rng, 70, 50, 0.2), sparseMat(rng, keys, 50, 0.2)
 		}
+		wire, ext := wireRows(ext)
 		p := RBF(0.3)
 		want := make([][]float64, keys)
 		for g := range want {
@@ -50,32 +54,46 @@ func TestColumnCacheFillOverPoison(t *testing.T) {
 			column(p, local, ext, g, want[g])
 		}
 		for _, capacity := range []int{2, 5, keys} {
-			poisonSlabPool(2)
-			c := NewColumnCache(keys, capacity, local.Rows())
+			poisonSlabPool(4)
+			c := NewColumnCache(keys, capacity, local)
+			insert := func(g int) int32 {
+				s, _ := putSample(t, c, g, wire[g])
+				x, r := c.Sample(s)
+				c.SetDiag(s, p.Eval(x, r, x, r))
+				column(p, local, x, r, c.Column(s))
+				return s
+			}
 			for step := 0; step < 400; step++ {
 				gh := rng.Intn(keys)
 				gl := (gh + 1 + rng.Intn(keys-1)) % keys
-				eh, el := c.Get(gh), c.Get(gl)
-				if eh == nil {
-					eh = c.Put(gh, nil, 1)
-					column(p, local, ext, gh, eh.K)
+				sh, sl := c.Get(gh), c.Get(gl)
+				if sh < 0 {
+					sh = insert(gh)
 				}
-				if el == nil {
-					el = c.Put(gl, nil, 1)
-					column(p, local, ext, gl, el.K)
+				if sl < 0 {
+					sl = insert(gl)
+				}
+				xh, rh := c.Sample(sh)
+				xl, rl := c.Sample(sl)
+				if got, want := p.Eval(xh, rh, xl, rl), p.Eval(ext, gh, ext, gl); !sameBits(got, want) {
+					t.Fatalf("sparse=%v cap=%d step=%d: K(%d, %d) is %v, want %v", sparse, capacity, step, gh, gl, got, want)
 				}
 				for _, e := range []struct {
 					g int
-					k []float64
-				}{{gh, eh.K}, {gl, el.K}} {
-					for i, v := range e.k {
-						if v != want[e.g][i] {
+					s int32
+				}{{gh, sh}, {gl, sl}} {
+					if got, want := c.Diag(e.s), p.Eval(ext, e.g, ext, e.g); !sameBits(got, want) {
+						t.Fatalf("sparse=%v cap=%d step=%d: diagonal of %d is %v, want %v", sparse, capacity, step, e.g, got, want)
+					}
+					for i, v := range c.Column(e.s) {
+						if !sameBits(v, want[e.g][i]) {
 							t.Fatalf("sparse=%v cap=%d step=%d: column %d entry %d is %v, want %v",
 								sparse, capacity, step, e.g, i, v, want[e.g][i])
 						}
 					}
 				}
 			}
+			c.Release()
 		}
 	}
 }
@@ -95,10 +113,12 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	addrs := func(l *lruSlab) map[*float64]bool {
+	addrs := func(stores ...*rowStore) map[*float64]bool {
 		out := map[*float64]bool{}
-		for _, c := range l.chunks {
-			out[&c[:1][0]] = true
+		for _, st := range stores {
+			for _, c := range st.chunks {
+				out[&c[:1][0]] = true
+			}
 		}
 		return out
 	}
@@ -125,7 +145,7 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	if n := len(first.lru.chunks); n != 5 {
 		t.Fatalf("40 rows of 8 to a chunk: the slab has %d chunks", n)
 	}
-	was := addrs(&first.lru)
+	was := addrs(&first.lru.rowStore)
 	first.Release()
 	if len(first.lru.chunks) != 0 || first.lru.used != 0 {
 		t.Fatalf("after Release the slab keeps %d chunks and %d slots", len(first.lru.chunks), first.lru.used)
@@ -134,7 +154,7 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	for i := range 40 {
 		second.Row(40 + i)
 	}
-	if !same(was, addrs(&second.lru)) {
+	if !same(was, addrs(&second.lru.rowStore)) {
 		t.Fatal("the second row cache did not get the first one's chunks back")
 	}
 	want := make([]float64, a.Rows())
@@ -154,22 +174,23 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	first.Release()
 	second.Release()
 
-	// 4 columns to a chunk: seven full chunks and a last one of two columns.
-	cc := NewColumnCache(100, 30, 4096)
-	x := la.NewDense(1, 1, []float64{1})
+	// 4 columns to a chunk: seven full chunks and a last one of two columns;
+	// the working set's 30 one-feature samples fill a ninth.
+	local := la.Zeros(4096, 1)
+	cc := NewColumnCache(100, 30, local)
 	for g := range 30 {
-		cc.Put(g, x, 1)
+		cc.Put(g, nil)
 	}
-	was = addrs(&cc.lru)
+	was = addrs(&cc.lru.rowStore, &cc.ws)
 	cc.Release()
-	if cc.Resident(0) || cc.cols[0].X != nil {
+	if cc.Resident(0) || len(cc.ws.chunks) != 0 || len(cc.blocks) != 0 {
 		t.Fatal("a released column cache still holds its entries")
 	}
-	cc2 := NewColumnCache(100, 30, 4096)
+	cc2 := NewColumnCache(100, 30, local)
 	for g := range 30 {
-		cc2.Put(g, x, 1)
+		cc2.Put(g, nil)
 	}
-	if len(was) != 8 || !same(was, addrs(&cc2.lru)) {
+	if len(was) != 9 || !same(was, addrs(&cc2.lru.rowStore, &cc2.ws)) {
 		t.Fatal("the second column cache did not get the first one's chunks back")
 	}
 	cc2.Release()
@@ -185,10 +206,10 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 
 	// Rows longer than a pooled array: one row to a chunk of its own size.
 	emptySlabPool()
-	big := NewColumnCache(4, 2, slabChunkLen+1)
-	big.Put(0, x, 1)
-	big.Put(1, x, 1)
-	was = addrs(&big.lru)
+	big := NewColumnCache(4, 2, la.Zeros(slabChunkLen+1, 0))
+	big.Put(0, nil)
+	big.Put(1, nil)
+	was = addrs(&big.lru.rowStore)
 	big.Release()
 	for range 4 {
 		if c := slabChunks.Get().(*slabChunk); was[&c[0]] {

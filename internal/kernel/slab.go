@@ -18,23 +18,33 @@ import "sync"
 // chunk — so a cache holds up to one array (128 KiB) more than its rows
 // need. A pooled chunk arrives holding whatever its last cache wrote; that
 // is safe because both fills write every entry of a row before anything
-// reads it (RowCache.fill and fillWhole, smo.Solver.FillColumn), and a
-// block's dense copy, which borrows chunks for one whole fill, clears its
-// rows before it copies into them (compact). Chunks are never moved
+// reads it (RowCache.fill and fillWhole, smo.Solver.FillColumn), a
+// ColumnCache working-set row is decoded whole, norm included, before it
+// is read (la.Matrix.DecodeRowInto), and a block's dense copy, which
+// borrows chunks for one whole fill, clears its rows before it copies into
+// them (compact). Chunks are never moved
 // or copied, so a row's address is fixed from its first acquisition until
 // release. Once every slot has been handed out nothing here allocates: a
 // touch is two array reads and four link writes, an acquire reuses the LRU
 // victim's slot in place.
 type lruSlab struct {
+	rowStore         // slot s's row
+	slotOf   []int32 // key -> slot, or -1
+	keyOf    []int32 // slot -> key (meaningful for slots < used)
+	next     []int32 // slot -> next (toward LRU), -1 at tail
+	prev     []int32 // slot -> prev (toward MRU), -1 at head
+	head     int32   // most recently used slot, -1 when empty
+	tail     int32   // least recently used slot, -1 when empty
+	used     int     // slots filled so far (grows to capacity; release empties it)
+}
+
+// rowStore is one row of rowLen values per slot, in chunks taken from the
+// chunk pool as slots are first handed out (grow) and given back by
+// release. lruSlab keeps a cache's rows in one; ColumnCache keeps a second,
+// its working set, whose rows are the samples themselves.
+type rowStore struct {
 	rowLen    int
 	chunkRows uint32      // rows per chunk; the last may hold fewer
-	slotOf    []int32     // key -> slot, or -1
-	keyOf     []int32     // slot -> key (meaningful for slots < used)
-	next      []int32     // slot -> next (toward LRU), -1 at tail
-	prev      []int32     // slot -> prev (toward MRU), -1 at head
-	head      int32       // most recently used slot, -1 when empty
-	tail      int32       // least recently used slot, -1 when empty
-	used      int         // slots filled so far (grows to capacity; release empties it)
 	chunks    [][]float64 // chunk c holds slots c·chunkRows onward, rowLen values each
 }
 
@@ -59,16 +69,14 @@ var slabChunks = sync.Pool{New: func() any { return new(slabChunk) }}
 // newLRUSlab sizes a slab for keys in [0, keys) holding at most capacity
 // rows of rowLen values. Row storage is taken as slots are acquired.
 func newLRUSlab(keys, capacity, rowLen int) lruSlab {
-	chunkRows := max(1, min(capacity, slabChunkBytes/(8*max(1, rowLen))))
 	l := lruSlab{
-		rowLen:    rowLen,
-		chunkRows: uint32(chunkRows),
-		slotOf:    make([]int32, keys),
-		keyOf:     make([]int32, capacity),
-		next:      make([]int32, capacity),
-		prev:      make([]int32, capacity),
-		head:      -1,
-		tail:      -1,
+		rowStore: newRowStore(capacity, rowLen),
+		slotOf:   make([]int32, keys),
+		keyOf:    make([]int32, capacity),
+		next:     make([]int32, capacity),
+		prev:     make([]int32, capacity),
+		head:     -1,
+		tail:     -1,
 	}
 	for i := range l.slotOf {
 		l.slotOf[i] = -1
@@ -76,17 +84,49 @@ func newLRUSlab(keys, capacity, rowLen int) lruSlab {
 	return l
 }
 
+// newRowStore sizes an empty store for up to capacity rows of rowLen values.
+func newRowStore(capacity, rowLen int) rowStore {
+	chunkRows := max(1, min(capacity, slabChunkBytes/(8*max(1, rowLen))))
+	return rowStore{rowLen: rowLen, chunkRows: uint32(chunkRows)}
+}
+
 // row returns slot s's storage.
-func (l *lruSlab) row(s int32) []float64 {
-	c, r := uint32(s)/l.chunkRows, uint32(s)%l.chunkRows
-	return l.chunks[c][int(r)*l.rowLen : int(r+1)*l.rowLen]
+func (st *rowStore) row(s int32) []float64 {
+	c, r := uint32(s)/st.chunkRows, uint32(s)%st.chunkRows
+	return st.chunks[c][int(r)*st.rowLen : int(r+1)*st.rowLen]
 }
 
 // rowsFrom returns the storage of slot s's row and of the slots after it in
 // the same chunk, back to back, rowLen values each.
-func (l *lruSlab) rowsFrom(s int32) []float64 {
-	c, r := uint32(s)/l.chunkRows, uint32(s)%l.chunkRows
-	return l.chunks[c][int(r)*l.rowLen:]
+func (st *rowStore) rowsFrom(s int32) []float64 {
+	c, r := uint32(s)/st.chunkRows, uint32(s)%st.chunkRows
+	return st.chunks[c][int(r)*st.rowLen:]
+}
+
+// grow takes the chunk that slot s starts when s is the first slot past the
+// chunks held (slots are handed out in order, from 0), sized to hold the
+// rows up to capacity, and returns that chunk's row count; otherwise it
+// takes nothing and returns 0.
+func (st *rowStore) grow(s int32, capacity int) int {
+	if int(s) != len(st.chunks)*int(st.chunkRows) {
+		return 0
+	}
+	rows := min(int(st.chunkRows), capacity-int(s))
+	st.chunks = append(st.chunks, takeChunk(rows*st.rowLen))
+	return rows
+}
+
+// release gives every chunk back, pooled ones to the pool. Rows handed out
+// before are invalid from here on: their storage may already back another
+// cache.
+func (st *rowStore) release() {
+	for i, c := range st.chunks {
+		if cap(c) == slabChunkLen {
+			slabChunks.Put((*slabChunk)(c[:cap(c)]))
+		}
+		st.chunks[i] = nil
+	}
+	st.chunks = st.chunks[:0]
 }
 
 // unlink detaches slot s from the LRU list.
@@ -137,10 +177,7 @@ func (l *lruSlab) acquire(key int) int32 {
 	var s int32
 	if l.used < len(l.keyOf) {
 		s = int32(l.used)
-		if l.used == len(l.chunks)*int(l.chunkRows) {
-			rows := min(int(l.chunkRows), len(l.keyOf)-l.used)
-			l.chunks = append(l.chunks, takeChunk(rows*l.rowLen))
-		}
+		l.grow(s, len(l.keyOf))
 		l.used++
 	} else {
 		s = l.tail
@@ -153,27 +190,22 @@ func (l *lruSlab) acquire(key int) int32 {
 	return s
 }
 
-// takeChunk returns storage for n values: a pooled chunk when n fits in one,
-// otherwise a fresh allocation.
+// takeChunk returns storage for n values: none for none, a pooled chunk
+// when n fits in one, otherwise a fresh allocation.
 func takeChunk(n int) []float64 {
+	if n == 0 {
+		return nil
+	}
 	if n > slabChunkLen {
 		return make([]float64, n)
 	}
 	return slabChunks.Get().(*slabChunk)[:n]
 }
 
-// release gives every chunk back — pooled ones to the pool — and empties the
-// slab, which keeps its capacity and can be filled again. Rows handed out
-// before are invalid from here on: their storage may already back another
-// cache.
+// release gives every chunk back (rowStore.release) and empties the slab,
+// which keeps its capacity and can be filled again.
 func (l *lruSlab) release() {
-	for i, c := range l.chunks {
-		if cap(c) == slabChunkLen {
-			slabChunks.Put((*slabChunk)(c[:cap(c)]))
-		}
-		l.chunks[i] = nil
-	}
-	l.chunks = l.chunks[:0]
+	l.rowStore.release()
 	for s := range l.used {
 		l.slotOf[l.keyOf[s]] = -1
 	}

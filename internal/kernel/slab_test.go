@@ -72,25 +72,24 @@ func TestSlabRowsStayPut(t *testing.T) {
 	}
 
 	const keys, rowLen = 400, 1000
-	cc := NewColumnCache(keys, keys, rowLen)
-	x := la.NewDense(1, 1, []float64{1})
-	e := cc.Put(3, x, 1)
-	for i := range e.K {
-		e.K[i] = float64(i)
+	cc := NewColumnCache(keys, keys, la.Zeros(rowLen, 0))
+	k := cc.Column(cc.Put(3, nil))
+	for i := range k {
+		k[i] = float64(i)
 	}
 	for g := 0; g < keys; g++ {
 		if g != 3 {
-			cc.Put(g, x, 1)
+			cc.Put(g, nil)
 		}
 	}
 	if len(cc.lru.chunks) < 3 {
 		t.Fatalf("only %d column chunks: the trace did not grow the slab", len(cc.lru.chunks))
 	}
-	got := cc.Get(3)
-	if &got.K[0] != &e.K[0] || len(got.K) != rowLen {
+	got := cc.Column(cc.Get(3))
+	if &got[0] != &k[0] || len(got) != rowLen {
 		t.Fatal("column 3 moved when the slab grew")
 	}
-	for i, v := range got.K {
+	for i, v := range got {
 		if v != float64(i) {
 			t.Fatalf("column 3 entry %d: %v after growth", i, v)
 		}

@@ -102,12 +102,32 @@ func DecodeMatrix(buf []byte) (*Matrix, error) {
 	return DecodeMatrices([][]byte{buf})
 }
 
-// EncodedRows reports how many rows the EncodeRows buffer buf holds, after
-// the checks DecodeMatrices makes of its header and length, without
-// decoding a value.
-func EncodedRows(buf []byte) (int, error) {
+// EncodedShape reports the rows, features and storage kind of the
+// EncodeRows buffer buf, after the checks DecodeMatrices makes of its header
+// and length, without decoding a value.
+func EncodedShape(buf []byte) (rows, features int, sparse bool, err error) {
 	b, err := parseBlock(buf)
-	return b.m, err
+	return b.m, b.n, b.kind == wireSparse, err
+}
+
+// DecodeRowInto decodes buf, an EncodeRows buffer of one row, into row i of
+// the dense matrix a, and sets that row's entry of a's norm cache to its
+// squared norm (computing the rest of the cache first when a has none), so
+// the cache stays what EnsureNorms would compute. It accepts exactly the
+// buffers DecodeMatrix turns into a 1×a.Features() dense matrix, and writes
+// the same values; any other buffer is an error and writes nothing.
+func (a *Matrix) DecodeRowInto(i int, buf []byte) error {
+	b, err := parseBlock(buf)
+	if err != nil {
+		return err
+	}
+	if a.sparse || b.kind != wireDense || b.m != 1 || b.n != a.n {
+		return fmt.Errorf("la: decode row: kind %d, %d×%d into a dense row of %d (sparse=%v)", b.kind, b.m, b.n, a.n, a.sparse)
+	}
+	a.EnsureNorms()
+	row := appendF32s(a.DenseRow(i)[:0], b.body)
+	a.sqnorm[i] = SqNorm(row)
+	return nil
 }
 
 // DecodeMatrices parses buffers produced by EncodeRows and decodes them, in

@@ -115,7 +115,7 @@ func refDecodeMatrix(buf []byte) (*Matrix, error) {
 // can run on — SparseRow in bounds, indices inside the position table, and
 // the scattered gather equal to the merge. It also holds it to
 // refDecodeMatrix: the same buffers refused, the same matrix bit for bit
-// from the rest, whose row count EncodedRows reports.
+// from the rest, whose shape EncodedShape reports.
 func FuzzDecodeMatrix(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	f.Add(randDense(rng, 3, 5).EncodeAll())
@@ -132,8 +132,9 @@ func FuzzDecodeMatrix(f *testing.F) {
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("error %v, the old decoder's %v", err, wantErr)
 		}
-		if m, rerr := EncodedRows(buf); err == nil && (rerr != nil || m != a.Rows()) {
-			t.Fatalf("EncodedRows %d, %v of a %d-row matrix", m, rerr, a.Rows())
+		if m, n, sp, rerr := EncodedShape(buf); err == nil && (rerr != nil || m != a.Rows() || n != a.Features() || sp != a.Sparse()) {
+			t.Fatalf("EncodedShape %d×%d (sparse=%v), %v of a %d×%d (sparse=%v) matrix",
+				m, n, sp, rerr, a.Rows(), a.Features(), a.Sparse())
 		}
 		if err != nil {
 			return
@@ -158,6 +159,72 @@ func FuzzDecodeMatrix(f *testing.F) {
 					t.Fatalf("rows %d,%d: scattered %v, SpDot %v", i, j, got, want)
 				}
 			}
+		}
+	})
+}
+
+// FuzzDecodeRowInto holds DecodeRowInto, which writes a sample off the wire
+// into shared working-set storage, to DecodeMatrix: it accepts exactly the
+// buffers DecodeMatrix turns into a 1×n dense matrix, for a target of n
+// features, and for those writes the same values and the same norm. It never
+// panics, and it writes nothing outside its row and that row's norm —
+// nothing at all on a refused buffer. The target's storage runs on past its
+// last row, so an overlong write is seen there too.
+func FuzzDecodeRowInto(f *testing.F) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 1, 5, 32} {
+		f.Add(randDense(rng, 1, n).EncodeAll(), uint8(n), uint8(n%3))
+	}
+	f.Add(randDense(rng, 1, 6).EncodeAll(), uint8(5), uint8(0))       // a feature too many
+	f.Add(randDense(rng, 2, 5).EncodeAll(), uint8(5), uint8(1))       // two rows
+	f.Add(randDense(rng, 0, 5).EncodeAll(), uint8(5), uint8(2))       // no row
+	f.Add(randSparse(rng, 1, 5, 0.6).EncodeAll(), uint8(5), uint8(0)) // the other kind
+	short := randDense(rng, 1, 5).EncodeAll()
+	f.Add(short[:len(short)-1], uint8(5), uint8(0))
+	f.Fuzz(func(t *testing.T, buf []byte, nb, rb uint8) {
+		const rows, guard = 3, 8
+		n, r := int(nb%40), int(rb%rows)
+		poison := math.Float64frombits(0x7ff8_dead_beef_0001)
+		store := make([]float64, rows*n+guard)
+		for k := range store {
+			store[k] = poison
+		}
+		a := NewDense(rows, n, store[:rows*n])
+		for k := range rows * n {
+			store[k] = float64(k) - 7.5
+		}
+		a.EnsureNorms()
+		before, norms := append([]float64(nil), store...), append([]float64(nil), a.sqnorm...)
+
+		err := a.DecodeRowInto(r, buf)
+		want, werr := DecodeMatrix(buf)
+		ok := werr == nil && want.Rows() == 1 && want.Features() == n && !want.Sparse()
+		if (err == nil) != ok {
+			t.Fatalf("DecodeRowInto: %v; DecodeMatrix: %v", err, werr)
+		}
+		same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+		for k, v := range store {
+			if (!ok || k/max(n, 1) != r || k >= rows*n) && !same(v, before[k]) {
+				t.Fatalf("word %d of the storage changed (row %d of %d×%d, accepted=%v)", k, r, rows, n, ok)
+			}
+		}
+		for i, v := range a.sqnorm {
+			if (!ok || i != r) && !same(v, norms[i]) {
+				t.Fatalf("norm of row %d changed (target row %d, accepted=%v)", i, r, ok)
+			}
+		}
+		if !ok {
+			return
+		}
+		for j, v := range a.DenseRow(r) {
+			if !same(v, want.DenseRow(0)[j]) {
+				t.Fatalf("feature %d: %v, DecodeMatrix %v", j, v, want.DenseRow(0)[j])
+			}
+		}
+		// NaN against NaN is a match: which operand's payload a NaN sum
+		// carries is the compiler's choice, not the code's.
+		if got, w := a.sqnorm[r], want.SqNormRow(0); !same(got, w) && !(math.IsNaN(got) && math.IsNaN(w)) {
+			t.Fatalf("norm %v, DecodeMatrix's row %v", got, w)
 		}
 	})
 }
