@@ -30,17 +30,20 @@ cross-vet:
 # Dot4 panels over the compacted rows), the Dis-SMO column cache's slots
 # (ColumnCache: decoded samples, norms, columns, diagonals and K(high, low)
 # over poisoned storage; DecodeRowInto: a slot's row and norm against
-# DecodeMatrix), and the one kernel recipe across every fill (OneRecipe)
+# DecodeMatrix), the one kernel recipe across every fill (OneRecipe), and the
+# served queries_b64 decode (DecodeBase64F64: the base64 lanes against
+# encoding/base64; DecodeBinary and DecodePredictRequest: serve's chunked
+# decoder, its pinned queries and error strings and its fuzz seeds)
 # against their scalar references — with internal/la's four-lane kernels off,
 # so the portable loops must land on the same numbers
 # (TestVectorKernelsActive fails if the lanes stayed on).
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe|ColumnCache|DecodeRowInto
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe|ColumnCache|DecodeRowInto|DecodeBase64F64|DecodeBinary|DecodePredictRequest
 lanes-off:
 	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model \
-		./internal/kmeans ./internal/partition ./internal/kernel
+		./internal/kmeans ./internal/partition ./internal/kernel ./internal/serve
 
 # fmt fails on any file gofmt would rewrite (bench/ included).
 fmt:
@@ -175,10 +178,12 @@ soak-cluster:
 # BenchmarkModelHash, BenchmarkLoadSet and BenchmarkShardCodec (root package)
 # price the text and binary model formats on the cluster-remote job's set.
 # BenchmarkDecodePredictRequest prices the serving decoder alone on the
-# serve-batch and serve-single bodies, ungated.
+# serve-batch and serve-single bodies, and BenchmarkDecodeBase64F64 its
+# base64 lanes against the portable loop on serve-batch's 175 KB body,
+# ungated.
 bench: bench-kernel
 	{ $(GO) test ./internal/smo ./internal/kernel ./internal/la ./internal/core \
-		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScan|RowCache|BenchmarkDot|BenchmarkSpDotFill|BenchmarkTrainDisSMO$$' \
+		-run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveInstrumented$$|BenchmarkSolveCheckpointed$$|UpdateScan|RowCache|BenchmarkDot|BenchmarkSpDotFill|BenchmarkTrainDisSMO$$|BenchmarkDecodeBase64F64' \
 		-benchmem -cpu 1,4; \
 	  $(GO) test . -run '^$$' -bench 'BenchmarkModelHash$$|BenchmarkLoadSet$$|BenchmarkShardCodec' \
 		-benchmem -cpu 1,4; \

@@ -138,8 +138,8 @@ func AssembleShards(shards map[int]*ShardResult, features int) (*model.Set, erro
 		ranks = append(ranks, r)
 	}
 	sort.Ints(ranks)
-	var models []*model.Model
-	var centers []float64
+	models := make([]*model.Model, 0, len(ranks))
+	centers := make([]float64, 0, len(ranks)*features)
 	for _, r := range ranks {
 		sh := shards[r]
 		if sh == nil || sh.Model == nil {

@@ -269,6 +269,22 @@ func CheckCSR(n int, rowptr, idx []int32) error {
 	return nil
 }
 
+// DecodeBase64F64 decodes the whole 32-character blocks at the front of src,
+// standard base64 of little-endian float64 values, three values a block,
+// straight into dst, and returns how many values it wrote. It stops before
+// the first block holding a byte outside A–Z a–z 0–9 + / ('=', CR and LF
+// included) or a NaN or ±Inf, before a tail shorter than 32 characters, and
+// when dst has room for fewer than three more values. What it writes is
+// base64.StdEncoding's bytes, bit for bit; it is the AVX2 lanes, and without
+// them it writes nothing and returns 0, so the caller decodes whatever it
+// leaves with encoding/base64.
+func DecodeBase64F64(dst []float64, src []byte) int {
+	if !vectorKernels {
+		return 0
+	}
+	return base64F64Vec(dst, src)
+}
+
 // EncodeF64 serialises a []float64 as 8-byte little-endian words with a
 // 4-byte length prefix. Used for labels and Lagrange multipliers, which
 // travel at full precision.

@@ -330,6 +330,11 @@ func TestVectorKernelsActive(t *testing.T) {
 	if n := expScaledVec(x, 1); n != len(x) {
 		t.Fatalf("expScaledVec replaced %d of %d in-range elements", n, len(x))
 	}
+	// And two whole base64 blocks of finite values.
+	q := make([]float64, 6)
+	if n := DecodeBase64F64(q, b64Values(1, -2, 3.5, 0, 1e300, -5e-324)); n != len(q) || q[4] != 1e300 {
+		t.Fatalf("DecodeBase64F64 decoded %d of %d finite values: %v", n, len(q), q)
+	}
 }
 
 // TestDot4TakesLanes: with the gate on, Dot4 and MulTile's dense×dense

@@ -7,7 +7,8 @@ import (
 )
 
 // vectorKernels selects the four-lane assembly behind ExpScaled, UpdateScan,
-// Dot4 and MulTile's dense panels and one-column tiles (vec_amd64.s): the
+// Dot4 and MulTile's dense panels and one-column tiles, and the base64 decode
+// behind DecodeBase64F64 (vec_amd64.s): the
 // CPU has AVX2 and FMA, the OS saves YMM state, and the exp lanes agree with
 // this process's math.Exp bit for bit.
 // The last condition keeps the path exact wherever math.Exp does not run the
@@ -50,6 +51,15 @@ func updateScanVec(f, rh, rl, outHigh, outLow []float64, ch, cl float64, e *lane
 //
 //go:noescape
 func dot4PanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int)
+
+// base64F64Vec decodes src's 32-character standard-base64 blocks into dst,
+// three little-endian float64 values each, and returns how many values it
+// wrote: it stops before a src tail shorter than 32, when dst has room for
+// fewer than three, and before the first block holding a byte outside
+// A–Z a–z 0–9 + / or a value with an all-ones exponent (NaN or ±Inf).
+//
+//go:noescape
+func base64F64Vec(dst []float64, src []byte) int
 
 // cpuHasAVX2FMA reports CPUID's AVX, AVX2, FMA and OSXSAVE bits and XCR0's
 // SSE and YMM state bits.

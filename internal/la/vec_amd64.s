@@ -3,7 +3,8 @@
 // Four-lane kernels behind ExpScaled and UpdateScan (vec.go) and behind
 // Dot4 and MulTile's dense panels and one-column tiles (tile.go). Each lane performs
 // exactly the instruction sequence of the scalar code it stands in for, so
-// every result is the scalar result bit for bit.
+// every result is the scalar result bit for bit. The base64 decode behind
+// DecodeBase64F64 (encode.go) writes encoding/base64's bytes.
 
 // The constants of math.archExp (src/math/exp_amd64.s), written with the
 // same literals so the assembler rounds them to the same float64s.
@@ -496,6 +497,113 @@ store:
 	JMP  col
 
 done:
+	VZEROUPPER
+	RET
+
+// The tables of Muła and Lemire's AVX2 base64 decode ("Faster Base64
+// Encoding and Decoding Using AVX2 Instructions", arXiv:1704.00605), one
+// 128-bit half each, broadcast to both. A character c is in the alphabet
+// exactly when b64lo[c & 15] & b64hi[c >> 4] is zero; b64roll, indexed by
+// c >> 4 (less one for '/'), is what c + roll needs to be its 6-bit value.
+DATA b64lo<>+0(SB)/8, $0x1111111111111115
+DATA b64lo<>+8(SB)/8, $0x1a1b1b1b1a131111
+GLOBL b64lo<>(SB), RODATA|NOPTR, $16
+DATA b64hi<>+0(SB)/8, $0x0804080402011010
+DATA b64hi<>+8(SB)/8, $0x1010101010101010
+GLOBL b64hi<>(SB), RODATA|NOPTR, $16
+DATA b64roll<>+0(SB)/8, $0xb9b9bfbf04131000
+DATA b64roll<>+8(SB)/8, $0x0000000000000000
+GLOBL b64roll<>(SB), RODATA|NOPTR, $16
+
+// b64pack gathers each dword's three decoded bytes, first byte first, into
+// the low 12 bytes of its half and zeroes the other four; b64perm then joins
+// the halves' 12 bytes into 24 and puts the zeroed dwords in the top quad.
+DATA b64pack<>+0(SB)/8, $0x090a040506000102
+DATA b64pack<>+8(SB)/8, $0xffffffff0c0d0e08
+GLOBL b64pack<>(SB), RODATA|NOPTR, $16
+DATA b64perm<>+0(SB)/8, $0x0000000100000000
+DATA b64perm<>+8(SB)/8, $0x0000000400000002
+DATA b64perm<>+16(SB)/8, $0x0000000600000005
+DATA b64perm<>+24(SB)/8, $0x0000000700000003
+GLOBL b64perm<>(SB), RODATA|NOPTR, $32
+
+// '/' and the nibble mask; the two multiply-add weights merging four 6-bit
+// values into 24 bits; float64's exponent field.
+DATA b64c<>+0(SB)/4, $0x2f2f2f2f
+DATA b64c<>+4(SB)/4, $0x01400140
+DATA b64c<>+8(SB)/4, $0x00011000
+DATA b64c<>+16(SB)/8, $0x7ff0000000000000
+GLOBL b64c<>(SB), RODATA|NOPTR, $24
+
+// func base64F64Vec(dst []float64, src []byte) int
+//
+// One 32-character block of src a step: validate and translate it to 6-bit
+// values with three nibble lookups, merge them into 24 bytes with two
+// multiply-adds, a byte shuffle and a dword permute, and store those as
+// dst's next three values once none has an all-ones exponent. A block with
+// a character outside the alphabet or a NaN or ±Inf ends the call, as do a
+// src tail under 32 characters and a dst with room for fewer than three.
+TEXT ·base64F64Vec(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), DX
+	VBROADCASTI128 b64lo<>(SB), Y15
+	VBROADCASTI128 b64hi<>(SB), Y14
+	VBROADCASTI128 b64roll<>(SB), Y13
+	VPBROADCASTD b64c<>+0(SB), Y12   // '/' = 0x2f, also the nibble mask
+	VPBROADCASTD b64c<>+4(SB), Y11
+	VPBROADCASTD b64c<>+8(SB), Y10
+	VBROADCASTI128 b64pack<>(SB), Y9
+	VMOVDQU b64perm<>(SB), Y8
+	VPBROADCASTQ b64c<>+16(SB), Y7
+	XORQ AX, AX // values written
+	XORQ BX, BX // characters read
+
+block:
+	LEAQ 3(AX), R8
+	CMPQ R8, CX
+	JGT  b64done
+	LEAQ 32(BX), R9
+	CMPQ R9, DX
+	JGT  b64done
+	VMOVDQU (SI)(BX*1), Y0
+
+	// c & 0x2f keeps the low nibble (and bit 5, which VPSHUFB ignores);
+	// the dword shift brings the high nibble down, and the mask drops the
+	// next byte's bits but for one VPSHUFB ignores too.
+	VPSRLD   $4, Y0, Y1
+	VPAND    Y12, Y0, Y2
+	VPAND    Y12, Y1, Y1
+	VPSHUFB  Y2, Y15, Y2
+	VPSHUFB  Y1, Y14, Y3
+	VPTEST   Y2, Y3
+	JNE      b64done
+	VPCMPEQB Y12, Y0, Y2
+	VPADDB   Y2, Y1, Y1
+	VPSHUFB  Y1, Y13, Y1
+	VPADDB   Y1, Y0, Y0
+
+	// (a, b, c, d) → a<<18 | b<<12 | c<<6 | d per dword, then bytes 2, 1,
+	// 0 of each dword in order.
+	VPMADDUBSW Y11, Y0, Y0
+	VPMADDWD   Y10, Y0, Y0
+	VPSHUFB    Y9, Y0, Y0
+	VPERMD     Y0, Y8, Y0
+
+	VPAND    Y7, Y0, Y1
+	VPCMPEQQ Y7, Y1, Y1
+	VPTEST   Y1, Y1
+	JNE      b64done
+	VMOVDQU      X0, (DI)(AX*8)
+	VEXTRACTI128 $1, Y0, X1
+	VMOVQ        X1, 16(DI)(AX*8)
+	MOVQ R8, AX
+	MOVQ R9, BX
+	JMP  block
+
+b64done:
+	MOVQ AX, ret+48(FP)
 	VZEROUPPER
 	RET
 

@@ -103,6 +103,24 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		`{"queries": [[1]], "features": 2.0}`,
 		`{"queries": [[1]], "features": -0, "model": "é\ud800", "decisions": false}`,
 	}
+	// Multi-chunk bodies, 64×16 values over two whole b64Chunk chunks and a
+	// tail: clean, and with a bad byte or a NaN in chunk 0, chunk 1 or the
+	// tail, where the lanes take a chunk whole or leave it to the loop.
+	many := make([]float64, 64*16)
+	for i := range many {
+		many[i] = float64(i%97) - 48.5
+	}
+	multi := func(s string) string { return `{"queries_b64": "` + s + `", "features": 16}` }
+	seeds = append(seeds, multi(EncodeQueriesB64(many)))
+	for _, at := range []int{100, b64Chunk + 100, 2*b64Chunk + 100} {
+		s := EncodeQueriesB64(many)
+		seeds = append(seeds, multi(s[:at]+"!"+s[at+1:]))
+	}
+	for _, k := range []int{5, 400, 800} {
+		x := append([]float64(nil), many...)
+		x[k] = math.NaN()
+		seeds = append(seeds, multi(EncodeQueriesB64(x)))
+	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"runtime"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"casvm/internal/la"
 	"casvm/internal/trace"
 )
 
@@ -189,5 +192,95 @@ func TestChunkedBodyStillServed(t *testing.T) {
 	}
 	if len(pr.Labels) != 2 {
 		t.Fatalf("got %d labels, want 2", len(pr.Labels))
+	}
+}
+
+// TestRecycledBodyLeavesRequestIntact: handlePredict hands a body buffer to
+// the next request once admit returns, so nothing admit queued or returned
+// may alias it. Each body here is scribbled over as soon as admit returns:
+// the queued queries, their answers and every error must come out as they
+// would from an untouched body (and under -race a batcher still reading the
+// body would be reported). Two same-length requests over HTTP then share one
+// recycled buffer and must both be answered right.
+func TestRecycledBodyLeavesRequestIntact(t *testing.T) {
+	s := startTestServer(t, Config{})
+	set := testSet(3, 4)
+	if _, err := s.AddModelSet("default", set); err != nil {
+		t.Fatalf("AddModelSet: %v", err)
+	}
+	rng := rand.New(rand.NewSource(48))
+	flat := flatQueries(rng, 300, 4) // 1200 values: three whole chunks and a tail
+	b64 := EncodeQueriesB64(flat)
+	nan := append([]float64(nil), flat...)
+	nan[700] = math.NaN()
+	scribble := func(body []byte) {
+		for i := range body {
+			body[i] = 'A'
+		}
+	}
+
+	body := []byte(`{"queries_b64": "` + b64 + `", "features": 4, "decisions": true}`)
+	b, r, _, err := s.admit(body)
+	if err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	scribble(body)
+	for i, v := range r.rows {
+		if math.Float64bits(v) != math.Float64bits(flat[i]) {
+			t.Fatalf("queued value %d changed with the body: %v, want %v", i, v, flat[i])
+		}
+	}
+	out, err := b.await(r)
+	if err != nil {
+		t.Fatalf("await: %v", err)
+	}
+	qm := la.NewDense(300, 4, flat)
+	wantLabels, wantDecs := set.PredictAll(qm), set.DecisionAll(qm)
+	for i := range wantLabels {
+		if out.labels[i] != wantLabels[i] || out.decisions[i] != wantDecs[i] {
+			t.Fatalf("query %d: label %v decision %v, want %v %v", i, out.labels[i], out.decisions[i], wantLabels[i], wantDecs[i])
+		}
+	}
+
+	for _, c := range []struct{ name, body, want string }{
+		{"bad JSON", `{"queries": [[1,`, "bad request JSON"},
+		{"bad byte", `{"queries_b64": "` + b64[:5000] + "!" + b64[5001:] + `", "features": 4}`, "illegal base64 data at input byte 5000"},
+		{"NaN", `{"queries_b64": "` + EncodeQueriesB64(nan) + `", "features": 4}`, "query 175 feature 0 is not finite"},
+		{"unknown model", `{"model": "nosuch", "queries": [[1,2,3,4]]}`, `"nosuch"`},
+	} {
+		body := []byte(c.body)
+		_, _, code, err := s.admit(body)
+		if err == nil {
+			t.Fatalf("%s: admitted", c.name)
+		}
+		msg := err.Error()
+		scribble(body)
+		if err.Error() != msg || !strings.Contains(msg, c.want) || code < 400 {
+			t.Fatalf("%s: error %q (status %d) became %q with the body, want it to mention %s", c.name, msg, code, err, c.want)
+		}
+	}
+	// A width the model refuses is queued, and fails at its flush.
+	body = []byte(`{"queries": [[1,2,3]]}`)
+	b, r, _, err = s.admit(body)
+	if err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	scribble(body)
+	if r.width != 3 || r.rows[2] != 3 {
+		t.Fatalf("queued a %d-wide request %v after the body changed", r.width, r.rows)
+	}
+	if _, err := b.await(r); err == nil || !strings.Contains(err.Error(), "features") {
+		t.Fatalf("width mismatch: err %v", err)
+	}
+
+	for _, q := range [][]float64{flat[:8], flat[8:16]} {
+		pr, resp := postPredict(t, s.URL(), PredictRequest{QueriesB64: EncodeQueriesB64(q), FeatureDim: 4})
+		if pr == nil {
+			t.Fatalf("predict: status %d", resp.StatusCode)
+		}
+		want := set.PredictAll(la.NewDense(2, 4, q))
+		if len(pr.Labels) != 2 || pr.Labels[0] != want[0] || pr.Labels[1] != want[1] {
+			t.Fatalf("labels %v, want %v", pr.Labels, want)
+		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -117,6 +119,92 @@ func TestDecodeBinaryCorruptOffset(t *testing.T) {
 	_, want := base64.StdEncoding.DecodeString(s)
 	if err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
 		t.Fatalf("err %v, want it to end in %q", err, want)
+	}
+}
+
+// TestDecodeBinaryLanes pins what DecodePredictRequest makes of a
+// queries_b64 body of three whole chunks and a tail, clean and with a bad
+// byte, '=' or a NaN in chunk 0, chunk 1 or the tail, with two faults in one
+// chunk or in two, and with escaped line breaks: the queries bit for bit,
+// or the error string. The lanes take whole clean chunks and hand any other
+// chunk to the loop from its start, so the pins hold with the lanes on and
+// off alike; TestDecodeBinaryLanesOff reruns this test with them off.
+func TestDecodeBinaryLanes(t *testing.T) {
+	const width = 64
+	vals := flatQueries(rand.New(rand.NewSource(47)), 20, width) // 1280 values: chunks 0–2, 128 in the tail
+	clean := EncodeQueriesB64(vals)
+	const chunk1, tail = b64Chunk, 3 * b64Chunk
+	put := func(s string, at int, c byte) string { return s[:at] + string(c) + s[at+1:] }
+	nan := func(ks ...int) string {
+		x := append([]float64(nil), vals...)
+		for _, k := range ks {
+			x[k] = math.NaN()
+		}
+		return EncodeQueriesB64(x)
+	}
+	mime := func(s string) string { // escaped CR LF every 76 characters
+		var b strings.Builder
+		for i := 0; i < len(s); i += 76 {
+			b.WriteString(s[i:min(i+76, len(s))])
+			b.WriteString(`\r\n`)
+		}
+		return b.String()
+	}
+	bad := "serve: bad queries_b64: illegal base64 data at input byte "
+	for _, c := range []struct{ name, b64, err string }{
+		{"clean", clean, ""},
+		{"bad byte in chunk 0", put(clean, 100, '!'), bad + "100"},
+		{"bad byte in chunk 1", put(clean, chunk1+100, '!'), bad + "4196"},
+		{"bad byte in the tail", put(clean, tail+100, '!'), bad + "12388"},
+		{"= in chunk 0", put(clean, 101, '='), bad + "101"},
+		{"= in chunk 1", put(clean, chunk1+102, '='), bad + "4198"},
+		{"= in the tail", put(clean, tail+103, '='), bad + "12392"},
+		{"NaN in chunk 0", nan(5), "serve: query 0 feature 5 is not finite"},
+		{"NaN in chunk 1", nan(400), "serve: query 6 feature 16 is not finite"},
+		{"NaN in the tail", nan(1200), "serve: query 18 feature 48 is not finite"},
+		{"NaN before a bad byte in chunk 1", put(nan(400), chunk1+4000, '!'), bad + "8096"},
+		{"NaN in chunk 0, bad byte in chunk 1", put(nan(5), chunk1+4000, '!'), "serve: query 0 feature 5 is not finite"},
+		{"two NaNs in chunk 2", nan(900, 800), "serve: query 12 feature 32 is not finite"},
+		{"escaped CR LF", mime(clean), ""},
+		{"escaped CR LF, bad byte in chunk 1", mime(put(clean, chunk1+100, '!')), bad + "100"}, // offset in its chunk,
+		{"escaped CR LF, NaN in chunk 1", mime(nan(400)), "serve: query 6 feature 16 is not finite"},
+	} {
+		body := `{"queries_b64": "` + c.b64 + `", "features": 64}`
+		req, err := DecodePredictRequest([]byte(body), Limits{})
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%s: err %v, want %q", c.name, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if req.rows != 20 || req.width != width {
+			t.Errorf("%s: decoded %d×%d, want 20×%d", c.name, req.rows, req.width, width)
+		}
+		for i, v := range req.flatten() {
+			if math.Float64bits(v) != math.Float64bits(vals[i]) {
+				t.Fatalf("%s: value %d is %#x, want %#x", c.name, i, math.Float64bits(v), math.Float64bits(vals[i]))
+			}
+		}
+	}
+}
+
+// TestDecodeBinaryLanesOff reruns the decoder's pins and its fuzz seeds in
+// a process with AVX2 off (GODEBUG=cpu.avx2=off), where la's lanes stay off
+// and decodeBinary runs its loop alone: both processes must land on the same
+// queries and the same error strings.
+func TestDecodeBinaryLanesOff(t *testing.T) {
+	if os.Getenv("GODEBUG") != "" {
+		t.Skip("needs a process without GODEBUG settings")
+	}
+	cmd := exec.Command(os.Args[0], "-test.count=1",
+		"-test.run=^(TestDecodeBinaryLanes|TestDecodeBinaryMatchesStdlib|FuzzDecodePredictRequest)$")
+	cmd.Env = append(os.Environ(), "GODEBUG=cpu.avx2=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("under GODEBUG=cpu.avx2=off: %v\n%s", err, out)
 	}
 }
 

@@ -188,8 +188,9 @@ func (s *Server) httpError(w http.ResponseWriter, code int, err error) {
 }
 
 // readBody reads a request body of at most max bytes. A declared length
-// is checked before a byte is read and sizes the buffer exactly; an
-// undeclared one (chunked) falls back to a capped ReadAll.
+// is checked before a byte is read and sizes the buffer exactly, taken from
+// bodies when a recycled one is large enough; an undeclared one (chunked)
+// falls back to a capped ReadAll.
 func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
 	if r.ContentLength > max {
 		return nil, &http.MaxBytesError{Limit: max}
@@ -197,10 +198,21 @@ func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error)
 	if r.ContentLength < 0 {
 		return io.ReadAll(http.MaxBytesReader(w, r.Body, max))
 	}
-	body := make([]byte, r.ContentLength)
+	var body []byte
+	if p, _ := bodies.Get().(*[]byte); p != nil && int64(cap(*p)) >= r.ContentLength {
+		body = (*p)[:r.ContentLength]
+	} else {
+		body = make([]byte, r.ContentLength)
+	}
 	_, err := io.ReadFull(r.Body, body)
 	return body, err
 }
+
+// bodies recycles /predict body buffers. A body is dead once admit returns:
+// nothing DecodePredictRequest returns aliases it (Model is a copied string,
+// the queries are decoded into their own buffer, errors are formatted), so
+// the next request reads into it instead of zeroing a fresh allocation.
+var bodies sync.Pool // of *[]byte
 
 // admit takes a request from body bytes to its model's batcher queue, or
 // rejects it with an HTTP status. It is counted as arriving for exactly that
@@ -255,6 +267,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b, req, code, err := s.admit(body)
+	bodies.Put(&body)
 	if err != nil {
 		s.httpError(w, code, err)
 		return
