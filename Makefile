@@ -176,7 +176,8 @@ soak-cluster:
 # BenchmarkTrainDisSMO is the whole distributed-SMO job of the repository
 # benchmark's dissmo-dense workload (ns/op, allocs/op, msgs/op), ungated.
 # BenchmarkModelHash, BenchmarkLoadSet and BenchmarkShardCodec (root package)
-# price the text and binary model formats on the cluster-remote job's set.
+# price the fingerprint, the binary model file and the rank-done shard codec
+# on the cluster-remote job's set.
 # BenchmarkDecodePredictRequest prices the serving decoder alone on the
 # serve-batch and serve-single bodies, and BenchmarkDecodeBase64F64 its
 # base64 lanes against the portable loop on serve-batch's 175 KB body,

@@ -240,9 +240,9 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 // remoteJobSets trains the model set of the repository benchmark's
 // cluster-remote job (bench/cluster.go: RA-CA, P=4, 400×16 mixture, 384 SVs)
 // — the set every finished remote job encodes once per shard, decodes once
-// per shard and hashes once — and its CSR twin, which is what loading the
-// dense one's text yields. text is the set's model-file form.
-func remoteJobSets(b *testing.B) (dense, sparse *model.Set, text []byte) {
+// per shard and hashes once — and its CSR twin, zeros dropped. file is the
+// set's model file.
+func remoteJobSets(b *testing.B) (dense, sparse *model.Set, file []byte) {
 	b.Helper()
 	d, err := data.Generate(data.MixtureSpec{
 		Name: "cluster-remote", Train: 400, Test: 400, Features: 16, Clusters: 4,
@@ -257,11 +257,23 @@ func remoteJobSets(b *testing.B) (dense, sparse *model.Set, text []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sparse = &model.Set{Centers: out.Set.Centers, Meta: out.Set.Meta}
+	for _, m := range out.Set.Models {
+		rowptr, idx, val := []int32{0}, []int32(nil), []float64(nil)
+		for i := 0; i < m.NSV(); i++ {
+			for col, v := range m.SVX.DenseRow(i) {
+				if v != 0 {
+					idx, val = append(idx, int32(col)), append(val, v)
+				}
+			}
+			rowptr = append(rowptr, int32(len(idx)))
+		}
+		twin := *m
+		twin.SVX = la.NewSparse(m.NSV(), m.SVX.Features(), rowptr, idx, val)
+		sparse.Models = append(sparse.Models, &twin)
+	}
 	var buf bytes.Buffer
 	if err := model.SaveSet(&buf, out.Set); err != nil {
-		b.Fatal(err)
-	}
-	if sparse, err = model.LoadSet(bytes.NewReader(buf.Bytes())); err != nil {
 		b.Fatal(err)
 	}
 	return out.Set, sparse, buf.Bytes()
@@ -291,7 +303,7 @@ func canonicalLen(s *model.Set) int {
 }
 
 // BenchmarkModelHash is the fingerprint of a finished job: the set's
-// canonical binary form streamed through SHA-256, never formatted as text.
+// canonical binary form streamed through SHA-256.
 func BenchmarkModelHash(b *testing.B) {
 	set, _, _ := remoteJobSets(b)
 	b.SetBytes(int64(canonicalLen(set)))
@@ -304,15 +316,15 @@ func BenchmarkModelHash(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadSet parses the same set's model file, as the serving registry
-// and casvm.Load do.
+// BenchmarkLoadSet decodes the same set's model file, as the serving
+// registry and casvm.LoadModelSet do.
 func BenchmarkLoadSet(b *testing.B) {
-	_, _, text := remoteJobSets(b)
-	b.SetBytes(int64(len(text)))
+	_, _, file := remoteJobSets(b)
+	b.SetBytes(int64(len(file)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.LoadSet(bytes.NewReader(text)); err != nil {
+		if _, err := model.LoadSet(bytes.NewReader(file)); err != nil {
 			b.Fatal(err)
 		}
 	}

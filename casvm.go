@@ -271,8 +271,9 @@ func WriteLIBSVMFile(path string, ds *Dataset) error {
 	return f.Close()
 }
 
-// SaveModelSet writes a trained model set to path in the casvm text model
-// format.
+// SaveModelSet writes a trained model set to path in the casvm binary model
+// format: the set's head, then each model as the shard sections a cluster
+// rank sends (internal/model's io.go). Each model keeps its storage kind.
 func SaveModelSet(path string, s *ModelSet) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -285,7 +286,9 @@ func SaveModelSet(path string, s *ModelSet) error {
 	return f.Close()
 }
 
-// LoadModelSet reads a model set written by SaveModelSet.
+// LoadModelSet reads a model set written by SaveModelSet. A truncated or
+// otherwise malformed file is an error, and so is a text model file from an
+// earlier release, which is no longer read: train or save the set again.
 func LoadModelSet(path string) (*ModelSet, error) {
 	f, err := os.Open(path)
 	if err != nil {

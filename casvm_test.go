@@ -26,7 +26,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Model persistence round trip.
-	path := filepath.Join(t.TempDir(), "model.txt")
+	path := filepath.Join(t.TempDir(), "set.model")
 	if err := SaveModelSet(path, out.Set); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestServedModelHashIsTrainingHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.txt")
+	path := filepath.Join(t.TempDir(), "set.model")
 	if err := SaveModelSet(path, out.Set); err != nil {
 		t.Fatal(err)
 	}

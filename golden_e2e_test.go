@@ -119,11 +119,14 @@ func TestGoldenEndToEnd(t *testing.T) {
 // over the text model file to Set.Hash over the canonical binary form, for
 // the six pinned configurations: the three runs of TestGoldenEndToEnd and the
 // three Dis-SMO runs internal/core pins (the cache-capacity invariant, whose
-// hash is the same at every width, and TestDisSMOPreRewriteHashes' two). Each
-// trains once; the text digest is recomputed here from model.SaveSet, so the
-// mapping old → new stays readable beside the constants that moved. The four
-// dense Gaussian runs moved once more, both digests, when dense kernel rows
-// took the norms identity; the digests before that stand beside them.
+// hash is the same at every width, and TestDisSMOPreRewriteHashes' two). The
+// text digest each run had is kept as history in the comment above its row;
+// the text model file is gone. Each trains once, and the row pins both
+// Set.Hash and the SHA-256 of its binary model file (model.SaveSet), so a
+// change of file layout shows here beside the fingerprint it must not move.
+// The four dense Gaussian runs moved once more, both digests, when dense
+// kernel rows took the norms identity; the digests before that stand beside
+// them.
 func TestModelHashRepin(t *testing.T) {
 	gen := func(spec MixtureSpec) *Dataset {
 		d, err := GenerateDataset(spec)
@@ -150,25 +153,31 @@ func TestModelHashRepin(t *testing.T) {
 		name      string
 		d         *Dataset
 		pr        Params
-		text, bin string
+		file, bin string
 	}{
+		// text 41c587f7fb230a274866bac8e6d93a9a3cced0e8ca361ae51c9af03aecc34ddc
 		{"golden ra-ca", toy, goldenParams(MethodRACA, 4),
-			"41c587f7fb230a274866bac8e6d93a9a3cced0e8ca361ae51c9af03aecc34ddc",
+			"2e49f47a335f30c174026c081b9d813a6462f426a7cddfd209fcfd61f1f4e641",
 			"5396ea16de1519dd3898f42c564d82b90b798f49eccdbf64217a1b10c3d9036d"}, // was 6e603d88184e… 6405d5aacd47…
+		// text 3cf96cffe546c41388bde5920638772fc89eb1406478c912a3143f981e6ab8ce
 		{"golden fcfs-ca", toy, goldenParams(MethodFCFSCA, 4),
-			"3cf96cffe546c41388bde5920638772fc89eb1406478c912a3143f981e6ab8ce",
+			"4ce7fed369684983688e4bc2b12c35a7b397f8e9590c168c4c864cbb9f96b201",
 			"f57fcd063f9466c596dc1442c65066dd8691ec686ec995ca97c9f07bbd2b7dd6"}, // was 39d1239622cd… 7d82fdb38ac5…
+		// text 1e26d3b427135f00b111a221c8c07f19c016ec1e329e63e78fe270203db9fedd
 		{"golden dissmo", toy, goldenParams(MethodDisSMO, 2),
-			"1e26d3b427135f00b111a221c8c07f19c016ec1e329e63e78fe270203db9fedd",
+			"1a6637e018a311f2397a0d3f522f9e68a6afc631507dfa6a90a4234d8a601c2f",
 			"58b719daa6d8eb6efcbee1cc55e4e0db489ad24b5306879d8c942a1fb0e59884"}, // was 976ca4d880ff… cd944ac7e9fc…
+		// text 15f68703f8eee70c09b222ee86c6d67d584d64f8189b1b9d7b9ca1f1e65b841f
 		{"dissmo cache capacity", dense, dissmo(4, RBF(1.0/16), 0),
-			"15f68703f8eee70c09b222ee86c6d67d584d64f8189b1b9d7b9ca1f1e65b841f",
+			"9919158df93ba897bc884ede87ba7cc99a300497a6ec2e0da257825ef17bab71",
 			"e91b5c586ccba2b50471560ea9e7ff8513f98a60547e9d8fed9a9aec6b93e000"}, // was aa03a395bce7… ac59fae48645…
+		// text d5f757fc8eac58db7286d84e6ceba9f26fba0f4486cfe6c9ac72064612bfdd48
 		{"dissmo sparse-rbf", sparse, dissmo(3, RBF(1.0/40), 0),
-			"d5f757fc8eac58db7286d84e6ceba9f26fba0f4486cfe6c9ac72064612bfdd48",
+			"10d5cc88dd7939e7063bf1b5590847990bd937f39cbfdefb2d8da48246f5a4ae",
 			"97caeeed9787a5e9d1a67ef5682b8800a4f18874b3d3af8db8963b40cdfadd09"},
+		// text 01d96cbff4e43fddc7f80307bfe1d7967b3c769864c6cc6eda50a79d9d1680f3
 		{"dissmo dense-linear", dense, dissmo(3, Kernel{Kind: kernel.Linear}, 3000),
-			"01d96cbff4e43fddc7f80307bfe1d7967b3c769864c6cc6eda50a79d9d1680f3",
+			"8ff44fcf4bf2242dd38705d232ea020c2687b0308a724d5c8e0585eb64d7b136",
 			"b646d4f4330446e6459b2403b5677a09e1e93289a53795b105caab0261feaa56"},
 	} {
 		out, err := Train(tc.d.X, tc.d.Y, tc.pr)
@@ -179,8 +188,8 @@ func TestModelHashRepin(t *testing.T) {
 		if err := model.SaveSet(h, out.Set); err != nil {
 			t.Fatal(err)
 		}
-		if text, bin := hex.EncodeToString(h.Sum(nil)), out.Set.Hash(); text != tc.text || bin != tc.bin {
-			t.Errorf("%s: text digest %s binary digest %s, want %s %s", tc.name, text, bin, tc.text, tc.bin)
+		if file, bin := hex.EncodeToString(h.Sum(nil)), out.Set.Hash(); file != tc.file || bin != tc.bin {
+			t.Errorf("%s: file digest %s binary digest %s, want %s %s", tc.name, file, bin, tc.file, tc.bin)
 		}
 	}
 }

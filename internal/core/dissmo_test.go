@@ -120,7 +120,7 @@ func TestDisSMOCacheCapacityInvariant(t *testing.T) {
 	// iterations, and its hash up to the last bits the one Gaussian recipe
 	// moved (ac59fae48645680205fc33cfb790917673d721c5f6ae3ce7fd560c007a024990
 	// before dense kernel rows took the norms identity; the root package's
-	// TestModelHashRepin maps both to the text form of the fingerprint).
+	// TestModelHashRepin keeps the text form of the fingerprint as history).
 	if want := "e91b5c586ccba2b50471560ea9e7ff8513f98a60547e9d8fed9a9aec6b93e000"; refHash != want || refIters != 969 {
 		t.Errorf("hash %s iters %d, want %s 969", refHash, refIters, want)
 	}

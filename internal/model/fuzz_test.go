@@ -2,42 +2,64 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
-	"casvm/internal/kernel"
 	"casvm/internal/la"
 )
 
-// FuzzLoadSet asserts the model-file parser never panics and that any set
-// it accepts can actually predict.
+// FuzzLoadSet asserts the model-file decoder never panics and that any set
+// it accepts can predict and re-saves to the bytes it was read from. The
+// committed seeds (testdata/fuzz/FuzzLoadSet) are a dense set, a CSR set, a
+// set with meta, a text model file's header, an envelope declaring 2³⁰
+// sections and a head with its meta keys out of order; the ones added here
+// are a one-model file, nothing, that file cut and lengthened by a byte, a
+// kernel under its alias and a head declaring two models over one.
 func FuzzLoadSet(f *testing.F) {
-	// A well-formed file as the anchor seed.
-	x := la.NewDense(2, 2, []float64{1, 2, -1, -2})
-	m := FromSolution(x, []float64{1, -1}, []float64{0.5, 0.5}, 0.1, kernel.RBF(0.5))
-	var buf bytes.Buffer
-	if err := SaveSet(&buf, Single(m, []float64{0, 0})); err != nil {
-		f.Fatal(err)
+	good := handFile(rawHead("gaussian", 0.5), 1)
+	twoModels := rawHead("gaussian", 0.5)
+	binary.LittleEndian.PutUint32(twoModels[4+len(headTag):], 2)
+	for _, seed := range [][]byte{good, nil, good[:len(good)-1], append(good[:len(good):len(good)], 0),
+		handFile(rawHead("rbf", 0.5), 1), handFile(twoModels, 1)} {
+		f.Add(seed)
 	}
-	f.Add(buf.String())
-	f.Add("")
-	f.Add("casvm-model-set v1\nmodels 1\n")
-	f.Add("casvm-model-set v1\nmodels 999999\nfeatures 2\n")
-	f.Add(strings.Replace(buf.String(), "gaussian", "bogus", 1))
-	f.Add(strings.Replace(buf.String(), "nsv 2", "nsv 99", 1))
-
-	f.Fuzz(func(t *testing.T, in string) {
-		set, err := LoadSet(strings.NewReader(in))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		set, err := LoadSet(bytes.NewReader(in))
 		if err != nil {
 			return
 		}
-		if set.P() < 1 {
-			t.Fatal("accepted a set with no models")
-		}
 		q := la.NewDense(1, set.Centers.Features(), make([]float64, set.Centers.Features()))
-		pred := set.Predict(q, 0)
-		if pred != 1 && pred != -1 {
+		if pred := set.Predict(q, 0); pred != 1 && pred != -1 {
 			t.Fatalf("prediction %v not ±1", pred)
 		}
+		var again bytes.Buffer
+		if err := SaveSet(&again, set); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), in) {
+			t.Fatal("an accepted file re-saves to other bytes")
+		}
 	})
+}
+
+// TestFuzzLoadSetSeedsLoad keeps FuzzLoadSet's valid seeds valid, so the
+// fuzzer starts from files the decoder accepts as well as ones it refuses.
+func TestFuzzLoadSetSeedsLoad(t *testing.T) {
+	for _, name := range []string{"dense-set", "csr-set", "meta-set"} {
+		raw, err := os.ReadFile("testdata/fuzz/FuzzLoadSet/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		in, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := LoadSet(strings.NewReader(in)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
 }

@@ -4,43 +4,33 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"math"
 )
 
-// hashTag opens what Hash digests; hashChunk is how much it writes at a time.
+// headTag opens a set's head; hashChunk is how much Hash writes at a time.
 const (
-	hashTag   = "casvm-model-set/bin1"
+	headTag   = "casvm-model-set/bin1"
 	hashChunk = 4 << 10
 )
 
 // Hash returns the set's fingerprint: the SHA-256 hex digest of a canonical
 // binary form of its numbers. Every count is a u32, every float64 its bits,
-// every string a u32 length and its bytes, all little endian:
+// all little endian:
 //
-//	tag     : "casvm-model-set/bin1"
-//	head    : P · features · kernel kind (its name) · gamma · coef · scale · degree
-//	meta    : entry count, then key · value per entry, sorted by key
+//	head    : appendHead, the model file's section 0 (io.go)
 //	centers : P·features f64, row-major
 //	model j : nsv · bias · fallback, then per SV
 //	          α · y · nonzeros · (column u32 · value f64) per nonzero entry
 //
-// An SV contributes only its nonzero entries, as in the text format, so a
-// dense set, the CSR set LoadSet(SaveSet(set)) returns, and a CSR set storing
-// explicit zeros hash equal: the digest is independent of storage.
+// An SV contributes only its nonzero entries, so a dense set, its CSR twin
+// and a CSR set storing explicit zeros hash equal: the digest is independent
+// of storage, which is why it is not the SHA-256 of the model file (io.go).
 func (s *Set) Hash() string {
 	h := sha256.New()
-	k := s.Models[0].Kernel
-	b := appendStr(make([]byte, 0, hashChunk+hashChunk/4), hashTag)
-	b = binary.LittleEndian.AppendUint32(b, uint32(s.P()))
-	b = binary.LittleEndian.AppendUint32(b, uint32(s.Centers.Features()))
-	b = appendF64s(appendStr(b, k.Kind.String()), []float64{k.Gamma, k.Coef, k.ScaleA})
-	b = binary.LittleEndian.AppendUint32(b, uint32(k.Degree))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Meta)))
-	for _, key := range sortedKeys(s.Meta) {
-		b = appendStr(appendStr(b, key), s.Meta[key])
-	}
+	b := appendHead(make([]byte, 0, hashChunk+hashChunk/4), s)
 	for c := 0; c < s.Centers.Rows(); c++ {
-		b, _ = spill(h, appendF64s(b, s.Centers.DenseRow(c)), hashChunk)
+		b = spill(h, appendF64s(b, s.Centers.DenseRow(c)))
 	}
 	for _, m := range s.Models {
 		b = binary.LittleEndian.AppendUint32(b, uint32(m.NSV()))
@@ -60,11 +50,21 @@ func (s *Set) Hash() string {
 				}
 			}
 			binary.LittleEndian.PutUint32(b[at:], uint32((len(b)-at-4)/12))
-			b, _ = spill(h, b, hashChunk) // SHA-256 never fails a write
+			b = spill(h, b)
 		}
 	}
 	h.Write(b)
 	return hex.EncodeToString(h.Sum(b[:0]))
+}
+
+// spill writes b to w once it holds hashChunk bytes and returns it emptied;
+// SHA-256 never fails a write.
+func spill(w io.Writer, b []byte) []byte {
+	if len(b) < hashChunk {
+		return b
+	}
+	w.Write(b)
+	return b[:0]
 }
 
 func appendStr(b []byte, s string) []byte {

@@ -1,289 +1,162 @@
 package model
 
 import (
-	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"casvm/internal/kernel"
 	"casvm/internal/la"
+	"casvm/internal/mpi"
 )
 
-// Text model-file format, in the spirit of LIBSVM model files:
+// Model-file format: one mpi.PackSections envelope of 1 + P·ShardSections
+// sections. Every count is a u32, every float64 its bits, every string a u32
+// length and its bytes, all little endian:
 //
-//	casvm-model-set v1
-//	models <P>
-//	features <n>
-//	kernel <kind> gamma <g> coef <r> scale <a> degree <d>
-//	meta <key> <value>                         (optional, sorted by key)
-//	centers
-//	<P lines of n space-separated floats>
-//	model <j> nsv <k> bias <b> fallback <±1>
-//	<k lines: "<alpha> <y> <idx>:<val> ...">   (1-based sparse indices)
+//	section 0 : the head (appendHead) — tag "casvm-model-set/bin1" · P ·
+//	            features · kernel kind (its name) · gamma · coef · scale ·
+//	            degree · meta entry count, then key · value per entry,
+//	            sorted by key
+//	model j   : the ShardSections sections EncodeShard(model j, center j)
+//	            writes, the bytes a rank-done frame carries
 //
-// Both dense and sparse SV storage serialise to sparse rows; loading
-// produces sparse SV matrices.
-//
-// Text is the file format only: what people read and what model files hold
-// (casvm.SaveModelSet, the CLIs, the serving registry's loads), so the writer
-// below may change how it produces these bytes and never what they are. A
-// model crossing a process boundary takes shard.go's binary encoding (the
-// cluster's rank-done frame), and Set.Hash digests the canonical binary form
-// of hash.go; neither reads this text.
+// There is one encoder per part: the head is what Set.Hash digests first,
+// and a model is its shard. A model keeps its storage kind across a file, so
+// a dense set loads dense and decides bit for bit as it did. Set.Hash is not
+// the SHA-256 of the file: after the head it digests each SV's nonzero
+// entries, so the fingerprint does not depend on storage, and writing that
+// form as the file would drop the storage kind and spell a dense SV as
+// 12-byte (column, value) pairs instead of 8 bytes a feature.
 
-// saveChunk is how much text SaveSet gathers before handing it to the writer.
-const saveChunk = 32 << 10
+// textHeader opens the text model files earlier releases wrote; LoadSet
+// names it rather than reporting a malformed envelope.
+const textHeader = "casvm-model-set v1"
 
-// SaveSet writes the model set in the text format above. Every number is
-// appended to one scratch buffer with strconv — 'g' at shortest precision is
-// what fmt's %g prints, byte for byte (TestSaveSetBytesUnchanged) — and the
-// buffer goes to w a chunk at a time, so writing a set never holds its text.
+// SaveSet writes the model set in the format above.
 func SaveSet(w io.Writer, s *Set) error {
-	k := s.Models[0].Kernel
-	b := make([]byte, 0, saveChunk+saveChunk/4)
-	b = strconv.AppendInt(append(b, "casvm-model-set v1\nmodels "...), int64(s.P()), 10)
-	b = strconv.AppendInt(append(b, "\nfeatures "...), int64(s.Centers.Features()), 10)
-	b = append(append(b, "\nkernel "...), k.Kind.String()...)
-	b = appendG(append(b, " gamma "...), k.Gamma)
-	b = appendG(append(b, " coef "...), k.Coef)
-	b = appendG(append(b, " scale "...), k.ScaleA)
-	b = strconv.AppendInt(append(b, " degree "...), int64(k.Degree), 10)
-	b = append(b, '\n')
-	for _, key := range sortedKeys(s.Meta) {
-		if strings.ContainsAny(key, " \n") || strings.ContainsRune(s.Meta[key], '\n') {
-			return fmt.Errorf("model: meta %q unencodable (space in key or newline)", key)
-		}
-		b = append(append(append(append(b, "meta "...), key...), ' '), s.Meta[key]...)
-		b = append(b, '\n')
-	}
-	b = append(b, "centers\n"...)
-	var err error
-	for c := 0; c < s.Centers.Rows(); c++ {
-		for j, v := range s.Centers.DenseRow(c) {
-			if j > 0 {
-				b = append(b, ' ')
-			}
-			b = appendG(b, v)
-		}
-		if b, err = spill(w, append(b, '\n'), saveChunk); err != nil {
-			return err
-		}
-	}
+	secs := [][]byte{appendHead(nil, s)}
 	for j, m := range s.Models {
-		b = strconv.AppendInt(append(b, "model "...), int64(j), 10)
-		b = strconv.AppendInt(append(b, " nsv "...), int64(m.NSV()), 10)
-		b = appendG(append(b, " bias "...), m.B)
-		b = appendG(append(b, " fallback "...), m.Fallback)
-		b = append(b, '\n')
-		for i := 0; i < m.NSV(); i++ {
-			b = appendG(append(appendG(b, m.Alpha[i]), ' '), m.SVY[i])
-			if m.SVX.Sparse() {
-				ix, vx := m.SVX.SparseRow(i)
-				for t, col := range ix {
-					b = appendEntry(b, int(col), vx[t])
-				}
-			} else {
-				for col, v := range m.SVX.DenseRow(i) {
-					if v != 0 {
-						b = appendEntry(b, col, v)
-					}
-				}
-			}
-			if b, err = spill(w, append(b, '\n'), saveChunk); err != nil {
-				return err
-			}
-		}
+		secs = append(secs, EncodeShard(m, s.Centers.DenseRow(j))...)
 	}
-	_, err = spill(w, b, 0)
+	_, err := w.Write(mpi.PackSections(secs...))
 	return err
 }
 
-// sortedKeys returns meta's keys in order.
-func sortedKeys(meta map[string]string) []string {
-	keys := make([]string, 0, len(meta))
-	for key := range meta {
+// appendHead appends the set's head, the file's section 0.
+func appendHead(b []byte, s *Set) []byte {
+	k := s.Models[0].Kernel
+	b = appendStr(b, headTag)
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.P()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.Centers.Features()))
+	b = appendF64s(appendStr(b, k.Kind.String()), []float64{k.Gamma, k.Coef, k.ScaleA})
+	b = binary.LittleEndian.AppendUint32(b, uint32(k.Degree))
+	keys := make([]string, 0, len(s.Meta))
+	for key := range s.Meta {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	return keys
-}
-
-func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
-
-// appendEntry appends " <col+1>:<v>", one stored feature of an SV line.
-func appendEntry(b []byte, col int, v float64) []byte {
-	b = strconv.AppendInt(append(b, ' '), int64(col+1), 10)
-	return appendG(append(b, ':'), v)
-}
-
-// spill writes b to w once it holds at least min bytes and returns it emptied.
-func spill(w io.Writer, b []byte, min int) ([]byte, error) {
-	if len(b) < min {
-		return b, nil
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
+	for _, key := range keys {
+		b = appendStr(appendStr(b, key), s.Meta[key])
 	}
-	_, err := w.Write(b)
-	return b[:0], err
+	return b
 }
 
-// LoadSet parses a model set written by SaveSet.
+// LoadSet reads a model set SaveSet wrote. Every count is held to the bytes
+// that carry it before anything is allocated, the head's floats must be
+// finite, its kernel named as Kind.String prints it and its meta keys
+// strictly increasing, and each model goes through DecodeShard under the
+// head's kernel and width, so a set that loads re-saves to the same bytes.
+// A truncated file, a trailing byte and a text model file are errors.
 func LoadSet(r io.Reader) (*Set, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<24) // grows on demand to the 16 MiB line cap
-	next := func() (string, error) {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return "", err
-			}
-			return "", io.ErrUnexpectedEOF
-		}
-		return sc.Text(), nil
-	}
-	line, err := next()
-	if err != nil || line != "casvm-model-set v1" {
-		return nil, fmt.Errorf("model: bad header %q (%v)", line, err)
-	}
-	var p, n int
-	if line, err = next(); err != nil || strings.HasPrefix(line, "models ") == false {
-		return nil, fmt.Errorf("model: want models line, got %q (%v)", line, err)
-	}
-	if _, err = fmt.Sscanf(line, "models %d", &p); err != nil {
+	buf, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if line, err = next(); err != nil {
-		return nil, err
+	if bytes.HasPrefix(buf, []byte(textHeader)) {
+		return nil, fmt.Errorf("model: a %q text model file; that format is no longer read, save the set again", textHeader)
 	}
-	if _, err = fmt.Sscanf(line, "features %d", &n); err != nil {
-		return nil, err
+	secs, err := mpi.UnpackSections(buf, mpi.AnyCount)
+	if err != nil {
+		return nil, fmt.Errorf("model: not a model file: %w", err)
 	}
-	if p < 1 || n < 1 {
-		return nil, fmt.Errorf("model: bad dims p=%d n=%d", p, n)
+	if len(secs) == 0 {
+		return nil, fmt.Errorf("model: not a model file: no head")
 	}
-	if line, err = next(); err != nil {
-		return nil, err
-	}
-	var kindStr string
-	var kp kernel.Params
-	if _, err = fmt.Sscanf(line, "kernel %s gamma %g coef %g scale %g degree %d",
-		&kindStr, &kp.Gamma, &kp.Coef, &kp.ScaleA, &kp.Degree); err != nil {
-		return nil, fmt.Errorf("model: kernel line %q: %v", line, err)
-	}
-	if kp.Kind, err = kernel.ParseKind(kindStr); err != nil {
-		return nil, err
-	}
-	if line, err = next(); err != nil {
-		return nil, err
-	}
+	h := headReader{b: secs[0]}
+	tag, p, n, name := h.str(), int(h.u32()), int(h.u32()), h.str()
+	k := kernel.Params{Gamma: h.f64(), Coef: h.f64(), ScaleA: h.f64(), Degree: int(int32(h.u32()))}
 	var meta map[string]string
-	for strings.HasPrefix(line, "meta ") {
-		key, value, ok := strings.Cut(strings.TrimPrefix(line, "meta "), " ")
-		if !ok || key == "" {
-			return nil, fmt.Errorf("model: bad meta line %q", line)
-		}
+	sorted := true
+	for i, count, last := uint32(0), h.u32(), ""; i < count && !h.short; i++ {
+		key, value := h.str(), h.str()
 		if meta == nil {
 			meta = map[string]string{}
 		}
-		meta[key] = value
-		if line, err = next(); err != nil {
-			return nil, err
-		}
+		sorted = sorted && (i == 0 || key > last)
+		meta[key], last = value, key
 	}
-	if line != "centers" {
-		return nil, fmt.Errorf("model: want centers, got %q", line)
+	switch {
+	case h.short || len(h.b) != 0 || tag != headTag:
+		return nil, fmt.Errorf("model: not a model file: head of %d bytes", len(secs[0]))
+	case !allFinite([]float64{k.Gamma, k.Coef, k.ScaleA}):
+		return nil, fmt.Errorf("model: kernel carries a non-finite number")
+	case !sorted:
+		return nil, fmt.Errorf("model: meta keys out of order")
+	case p < 1 || len(secs) != 1+ShardSections*p:
+		return nil, fmt.Errorf("model: %d models in %d sections", p, len(secs))
+	case n < 1 || n > len(buf)/(8*p):
+		return nil, fmt.Errorf("model: %d features in a %d-byte file", n, len(buf))
 	}
-	centerData := make([]float64, 0, p*n)
-	for c := 0; c < p; c++ {
-		if line, err = next(); err != nil {
-			return nil, err
-		}
-		got := 0
-		for f, rest := nextField(line); f != ""; f, rest = nextField(rest) {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, err
-			}
-			centerData = append(centerData, v)
-			got++
-		}
-		if got != n {
-			return nil, fmt.Errorf("model: center %d has %d values, want %d", c, got, n)
-		}
+	if k.Kind, err = kernel.ParseKind(name); err != nil || k.Kind.String() != name {
+		return nil, fmt.Errorf("model: kernel %q", name)
 	}
-	set := &Set{Centers: la.NewDense(p, n, centerData), Meta: meta}
-	for j := 0; j < p; j++ {
-		if line, err = next(); err != nil {
-			return nil, err
+	set := &Set{Models: make([]*Model, p), Meta: meta}
+	centers := make([]float64, 0, p*n)
+	for j := range set.Models {
+		m, center, err := DecodeShard(secs[1+ShardSections*j:1+ShardSections*(j+1)], k, n)
+		if err != nil {
+			return nil, fmt.Errorf("model %d: %w", j, err)
 		}
-		var jj, nsv int
-		var bias, fallback float64
-		if _, err = fmt.Sscanf(line, "model %d nsv %d bias %g fallback %g", &jj, &nsv, &bias, &fallback); err != nil {
-			return nil, fmt.Errorf("model: model line %q: %v", line, err)
-		}
-		if jj != j {
-			return nil, fmt.Errorf("model: out-of-order model %d, want %d", jj, j)
-		}
-		m := &Model{Kernel: kp, B: bias, Fallback: fallback}
-		rowptr := make([]int32, 1, nsv+1)
-		var idx []int32
-		var val []float64
-		m.SVY = make([]float64, nsv)
-		m.Alpha = make([]float64, nsv)
-		for i := 0; i < nsv; i++ {
-			if line, err = next(); err != nil {
-				return nil, err
-			}
-			a, rest := nextField(line)
-			yv, rest := nextField(rest)
-			if yv == "" {
-				return nil, fmt.Errorf("model: sv line %q", line)
-			}
-			if m.Alpha[i], err = strconv.ParseFloat(a, 64); err != nil {
-				return nil, err
-			}
-			if m.SVY[i], err = strconv.ParseFloat(yv, 64); err != nil {
-				return nil, err
-			}
-			for f, rest := nextField(rest); f != ""; f, rest = nextField(rest) {
-				colon := strings.IndexByte(f, ':')
-				if colon <= 0 {
-					return nil, fmt.Errorf("model: sv feature %q", f)
-				}
-				col, err := strconv.Atoi(f[:colon])
-				if err != nil || col < 1 || col > n {
-					return nil, fmt.Errorf("model: sv index %q", f[:colon])
-				}
-				v, err := strconv.ParseFloat(f[colon+1:], 64)
-				if err != nil {
-					return nil, err
-				}
-				idx = append(idx, int32(col-1))
-				val = append(val, v)
-			}
-			rowptr = append(rowptr, int32(len(idx)))
-		}
-		m.SVX = la.NewSparse(nsv, n, rowptr, idx, val)
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		set.Models = append(set.Models, m)
+		set.Models[j], centers = m, append(centers, center...)
 	}
+	set.Centers = la.NewDense(p, n, centers)
 	return set, nil
 }
 
-// nextField splits the first blank-separated field off s; it is empty once s
-// holds nothing but blanks. SaveSet separates with one space; tabs and runs
-// of blanks are skipped too.
-func nextField(s string) (field, rest string) {
-	blank := func(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
-	i := 0
-	for i < len(s) && blank(s[i]) {
-		i++
+// headReader takes a head apart. A read past the end sets short and returns
+// zero; so does every read after it.
+type headReader struct {
+	b     []byte
+	short bool
+}
+
+func (r *headReader) u32() uint32 {
+	if r.short || len(r.b) < 4 {
+		r.short = true
+		return 0
 	}
-	j := i
-	for j < len(s) && !blank(s[j]) {
-		j++
+	v := binary.LittleEndian.Uint32(r.b)
+	r.b = r.b[4:]
+	return v
+}
+
+func (r *headReader) f64() float64 {
+	lo := r.u32()
+	return math.Float64frombits(uint64(lo) | uint64(r.u32())<<32)
+}
+
+func (r *headReader) str() string {
+	n := r.u32()
+	if r.short || uint64(n) > uint64(len(r.b)) {
+		r.short = true
+		return ""
 	}
-	return s[i:j], s[j:]
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
 }

@@ -96,10 +96,9 @@ type Set struct {
 	Centers *la.Matrix
 
 	// Meta carries free-form provenance annotations (compression budget,
-	// measured accuracy delta, source hash). It serialises as sorted
-	// `meta <key> <value>` lines, and an empty map writes nothing, so sets
-	// without metadata keep their historical byte-exact file encoding. Hash
-	// covers it too: annotating a set changes its fingerprint.
+	// measured accuracy delta, source hash). It serialises in the model
+	// file's head as key/value strings sorted by key, and Hash covers it
+	// too: annotating a set changes its fingerprint.
 	Meta map[string]string
 }
 

@@ -2,13 +2,16 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"casvm/internal/kernel"
 	"casvm/internal/la"
+	"casvm/internal/mpi"
 	"casvm/internal/smo"
 )
 
@@ -112,55 +115,143 @@ func TestSingleWrapper(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	m1, x, y := trainBlobModel(t, 3)
-	m2, _, _ := trainBlobModel(t, 4)
-	set := &Set{
-		Models:  []*Model{m1, m2},
-		Centers: la.NewDense(2, 2, []float64{2, 2, -2, -2}),
-	}
-	var buf bytes.Buffer
-	if err := SaveSet(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSet(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.P() != 2 || got.NSV() != set.NSV() {
-		t.Fatalf("P=%d NSV=%d want %d/%d", got.P(), got.NSV(), 2, set.NSV())
-	}
-	// Predictions must agree everywhere.
-	for i := 0; i < x.Rows(); i++ {
-		if set.Predict(x, i) != got.Predict(x, i) {
-			t.Fatalf("prediction changed after round trip at %d", i)
+// csrTwin returns m with its SVs stored as CSR, zeros dropped.
+func csrTwin(m *Model) *Model {
+	rowptr, idx, val := []int32{0}, []int32(nil), []float64(nil)
+	for i := 0; i < m.NSV(); i++ {
+		for col, v := range m.SVX.RowInto(i, make([]float64, m.SVX.Features())) {
+			if v != 0 {
+				idx, val = append(idx, int32(col)), append(val, v)
+			}
 		}
+		rowptr = append(rowptr, int32(len(idx)))
 	}
-	// Decisions numerically close (float formatting via %g is exact for
-	// round-trippable values).
-	for i := 0; i < 5; i++ {
-		d1 := set.Models[0].Decision(x, i)
-		d2 := got.Models[0].Decision(x, i)
-		if math.Abs(d1-d2) > 1e-9 {
-			t.Fatalf("decision drift %v vs %v", d1, d2)
-		}
-	}
-	_ = y
+	twin := *m
+	twin.SVX = la.NewSparse(m.NSV(), m.SVX.Features(), rowptr, idx, val)
+	return &twin
 }
 
-func TestLoadSetErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"bogus header\n",
-		"casvm-model-set v1\nmodels x\n",
-		"casvm-model-set v1\nmodels 1\nfeatures 2\nkernel bogus gamma 1 coef 0 scale 0 degree 0\n",
-		"casvm-model-set v1\nmodels 1\nfeatures 2\nkernel gaussian gamma 1 coef 0 scale 0 degree 0\ncenters\n1 2\nmodel 0 nsv 1 bias 0 fallback 1\nbadline\n",
-		"casvm-model-set v1\nmodels 1\nfeatures 2\nkernel gaussian gamma 1 coef 0 scale 0 degree 0\ncenters\n1\n",
+// saveLoadSets are a dense two-model set, a CSR one, and one of each.
+func saveLoadSets(t *testing.T) map[string]*Set {
+	m1, _, _ := trainBlobModel(t, 3)
+	m2, _, _ := trainBlobModel(t, 4)
+	set := func(a, b *Model) *Set {
+		return &Set{Models: []*Model{a, b}, Centers: la.NewDense(2, 2, []float64{2, 2, -2, -2})}
 	}
-	for i, in := range cases {
-		if _, err := LoadSet(bytes.NewReader([]byte(in))); err == nil {
-			t.Errorf("case %d should fail", i)
+	return map[string]*Set{"dense": set(m1, m2), "csr": set(csrTwin(m1), csrTwin(m2)), "mixed": set(m1, csrTwin(m2))}
+}
+
+func saveBytes(t *testing.T, s *Set) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveSet(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSaveLoadRoundTrip: a loaded set is the saved one — each model keeps
+// its storage kind, labels and decisions agree bit for bit, and it re-saves
+// to the same bytes and hashes alike.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	_, x, _ := trainBlobModel(t, 3)
+	for name, set := range saveLoadSets(t) {
+		file := saveBytes(t, set)
+		got, err := LoadSet(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if got.P() != 2 || got.NSV() != set.NSV() {
+			t.Fatalf("%s: P=%d NSV=%d want %d/%d", name, got.P(), got.NSV(), 2, set.NSV())
+		}
+		for j, m := range got.Models {
+			if m.SVX.Sparse() != set.Models[j].SVX.Sparse() {
+				t.Errorf("%s: model %d loaded with the other storage kind", name, j)
+			}
+		}
+		wantL, wantD := set.EvalAll(x)
+		gotL, gotD := got.EvalAll(x)
+		for i := range wantD {
+			if gotL[i] != wantL[i] || math.Float64bits(gotD[i]) != math.Float64bits(wantD[i]) {
+				t.Fatalf("%s: row %d decides %v (%v) after the round trip, want %v (%v)", name, i, gotD[i], gotL[i], wantD[i], wantL[i])
+			}
+		}
+		if !bytes.Equal(saveBytes(t, got), file) || got.Hash() != set.Hash() {
+			t.Errorf("%s: the loaded set re-saves or hashes differently", name)
+		}
+	}
+}
+
+// TestLoadSetRefusesPrefixes: a model file cut anywhere, or one byte longer,
+// is an error, never a different model — a hot reload racing the file's
+// writer cannot install half of it.
+func TestLoadSetRefusesPrefixes(t *testing.T) {
+	sets := saveLoadSets(t)
+	for _, name := range []string{"dense", "csr"} {
+		file := saveBytes(t, sets[name])
+		for i := 0; i < len(file); i++ {
+			if _, err := LoadSet(bytes.NewReader(file[:i])); err == nil {
+				t.Fatalf("%s: the first %d of %d bytes loaded", name, i, len(file))
+			}
+		}
+		if _, err := LoadSet(bytes.NewReader(append(file, 0))); err == nil {
+			t.Errorf("%s: a trailing byte loaded", name)
+		}
+	}
+}
+
+// rawHead is a one-model, two-feature head spelled out by hand, with the
+// kernel name, gamma and meta keys given.
+func rawHead(kind string, gamma float64, keys ...string) []byte {
+	b := appendStr(nil, headTag)
+	b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(b, 1), 2)
+	b = appendF64s(appendStr(b, kind), []float64{gamma, 0, 0})
+	b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(b, 0), uint32(len(keys)))
+	for _, key := range keys {
+		b = appendStr(appendStr(b, key), "v")
+	}
+	return b
+}
+
+// handFile is a model file of the given head and n copies of one
+// two-feature model.
+func handFile(head []byte, n int) []byte {
+	x := la.NewDense(2, 2, []float64{1, 2, -1, -2})
+	secs := [][]byte{head}
+	for i := 0; i < n; i++ {
+		secs = append(secs, EncodeShard(FromSolution(x, []float64{1, -1}, []float64{0.5, 0.5}, 0.1, kernel.RBF(0.5)), []float64{0, 0})...)
+	}
+	return mpi.PackSections(secs...)
+}
+
+// TestLoadSetErrors: every malformed or non-canonical file is an error — a
+// set that loads re-saves to its own bytes — and a text model file is
+// refused by name.
+func TestLoadSetErrors(t *testing.T) {
+	if _, err := LoadSet(bytes.NewReader(handFile(rawHead("gaussian", 0.5, "a", "b"), 1))); err != nil {
+		t.Fatalf("the hand-spelled file: %v", err)
+	}
+	cases := map[string][]byte{
+		"empty":             nil,
+		"junk":              []byte("bogus header\n"),
+		"other tag":         bytes.Replace(handFile(rawHead("gaussian", 0.5), 1), []byte(headTag), []byte("casvm-model-set/bin2"), 1),
+		"kernel alias":      handFile(rawHead("rbf", 0.5), 1),
+		"unknown kernel":    handFile(rawHead("bogus", 0.5), 1),
+		"NaN gamma":         handFile(rawHead("gaussian", math.NaN()), 1),
+		"infinite gamma":    handFile(rawHead("gaussian", math.Inf(1)), 1),
+		"meta out of order": handFile(rawHead("gaussian", 0.5, "b", "a"), 1),
+		"meta repeated":     handFile(rawHead("gaussian", 0.5, "a", "a"), 1),
+		"head trailing":     handFile(append(rawHead("gaussian", 0.5), 0), 1),
+		"a model too many":  handFile(rawHead("gaussian", 0.5), 2),
+	}
+	for name, in := range cases {
+		if _, err := LoadSet(bytes.NewReader(in)); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
+	}
+	_, err := LoadSet(strings.NewReader("casvm-model-set v1\nmodels 1\nfeatures 2\n"))
+	if err == nil || !strings.Contains(err.Error(), "text model file") {
+		t.Errorf("a text model file: %v, want an error naming the format", err)
 	}
 }
 
@@ -178,9 +269,9 @@ func TestValidateCatchesBadAlpha(t *testing.T) {
 }
 
 // TestLoadSetAllocationBounded: loading a model costs memory in proportion to
-// the model, not a fixed megabyte of scanner buffer — the serving registry
-// and casvm.Load go through here on every (re)load. A 100-SV, 16-feature
-// model is ≈ 37 KB of text and 21 KB of arrays.
+// the model — the serving registry and casvm.LoadModelSet go through here on
+// every (re)load. A 100-SV, 16-feature model is a ≈ 14 KB file and 15 KB of
+// arrays.
 func TestLoadSetAllocationBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const nsv, n = 100, 16
@@ -197,9 +288,9 @@ func TestLoadSetAllocationBounded(t *testing.T) {
 	if err := SaveSet(&buf, Single(m, make([]float64, n))); err != nil {
 		t.Fatal(err)
 	}
-	text := buf.Bytes()
+	file := buf.Bytes()
 	load := func() {
-		set, err := LoadSet(bytes.NewReader(text))
+		set, err := LoadSet(bytes.NewReader(file))
 		if err != nil || set.NSV() != nsv {
 			t.Fatalf("load: %v", err)
 		}
@@ -214,11 +305,11 @@ func TestLoadSetAllocationBounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perLoad := (after.TotalAlloc - before.TotalAlloc) / runs
 	if perLoad >= 256<<10 {
-		t.Errorf("LoadSet of a %d-byte model allocated %d bytes, want < 256 KiB", len(text), perLoad)
+		t.Errorf("LoadSet of a %d-byte model allocated %d bytes, want < 256 KiB", len(file), perLoad)
 	}
 	allocs := testing.AllocsPerRun(runs, load)
 	if allocs >= 2*nsv {
-		t.Errorf("LoadSet made %.0f allocations for %d support vectors; an SV line should cost its text and no slice of fields", allocs, nsv)
+		t.Errorf("LoadSet made %.0f allocations for %d support vectors; a support vector should cost none of its own", allocs, nsv)
 	}
-	t.Logf("%d bytes of text: %d bytes and %.0f allocations per load", len(text), perLoad, allocs)
+	t.Logf("%d-byte file: %d bytes and %.0f allocations per load", len(file), perLoad, allocs)
 }

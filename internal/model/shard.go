@@ -11,12 +11,10 @@ import (
 )
 
 // Binary shard encoding: what one rank's trained model and routing center
-// look like wherever they cross a process boundary (the cluster's rank-done
-// frame). The text format of io.go stays the file format (model files, the
-// serving registry's loads), and Set.Hash digests its own canonical form
-// (hash.go); a shard on the wire is the numbers it is, little endian, as
-// ShardSections byte sections the caller frames with mpi.PackSections beside
-// its own:
+// look like wherever they leave the process — the cluster's rank-done frame,
+// and each model of a model file (io.go), which is the set's head and then
+// its shards. A shard is the numbers it is, little endian, as ShardSections
+// byte sections the caller frames with mpi.PackSections beside its own:
 //
 //	head   : storage kind u8 (0 dense, 1 CSR) · bias f64 · fallback f64
 //	alpha  : nsv f64

@@ -208,9 +208,8 @@ func TestDecodeShardRejects(t *testing.T) {
 // sits on both process boundaries a trained model crosses, so it must not
 // panic, must not allocate past the bytes it was handed (the length checks
 // come first), and whatever it accepts must be a model that evaluates, that
-// re-encodes to the same sections, and whose model file loads back to the
-// same Set.Hash ('g' at shortest precision round-trips every finite float64,
-// so a loaded model hashes as the trained one). The seed corpus comes from
+// re-encodes to the same sections, and whose model file loads back to a set
+// that re-saves to the same bytes and hashes alike. The seed corpus comes from
 // the encoder — valid dense, CSR and empty shards, and every hostile edit of
 // TestDecodeShardRejects; it runs in normal test mode and in `make
 // fuzz-smoke`.
@@ -253,8 +252,19 @@ func FuzzDecodeShardModel(f *testing.F) {
 		}
 		// A model written to a file and loaded back is the model trained.
 		set := model.Single(m, center)
-		if h, want := textRoundTrip(t, set).Hash(), set.Hash(); h != want {
-			t.Fatalf("loaded from text hashes to %s, want %s", h, want)
+		var file, resaved bytes.Buffer
+		if err := model.SaveSet(&file, set); err != nil {
+			t.Fatal(err)
+		}
+		back, err := model.LoadSet(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := model.SaveSet(&resaved, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), file.Bytes()) || back.Hash() != set.Hash() {
+			t.Fatalf("its file loads as a set that re-saves or hashes differently")
 		}
 	})
 }
