@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix vet cross-vet lanes-off fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff memprof serve-smoke dist-smoke soak soak-cluster cover loc
+.PHONY: build test race race-matrix vet cross-vet lanes-off fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff memprof serve-smoke dist-smoke paper-golden soak soak-cluster cover loc
 
 build:
 	$(GO) build ./...
@@ -116,28 +116,62 @@ serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServe' ./internal/telemetry
 	$(GO) test -race -count=1 ./internal/serve
 
-# dist-smoke runs the multi-process example end to end: a cluster
-# coordinator and four forked executor processes train Dis-SMO (over a TCP
-# mesh the executors dial on the listeners they announced) and RA-CA as
-# remote jobs, and both models must land on the hash of the in-process
-# core.Train reference (~2 s).
+# dist-smoke runs the multi-process example's three README command lines
+# end to end. `-p 4`: a cluster coordinator and four forked executor
+# processes train Dis-SMO (over a TCP mesh the executors dial on the
+# listeners they announced) and RA-CA as remote jobs, and both models must
+# land on the hash of the in-process core.Train reference (~1 s). `-p 3
+# -kill`: an executor is killed with SIGKILL mid-solve, and the recovered
+# Dis-SMO model must land on that hash (~3 s). `-fleet-trace -straggler
+# 2ms`: both hashes again with every executor sleeping each iteration
+# (~10 s, mostly asleep), and casvm-profile, as text and as -json, must
+# analyze the merged trace on its wall timebase. The straggler verdicts themselves are timing-bound
+# and asserted by TestFleetSoak (`make soak-cluster`), not here.
 DIST_BIN = .bench_build/dist-smoke
+PROFILE_BIN = .bench_build/casvm-profile
 dist-smoke:
 	@mkdir -p .bench_build
 	$(GO) build -o $(DIST_BIN) ./examples/distributed
+	$(GO) build -o $(PROFILE_BIN) ./cmd/casvm-profile
 	@out=$$($(DIST_BIN) -p 4) || { echo "$$out"; echo "dist-smoke: example failed"; exit 1; }; \
 	n=$$(echo "$$out" | grep -c '== in-process core.Train'); \
 	if [ "$$n" -ne 2 ]; then echo "$$out"; \
 		echo "dist-smoke: $$n of 2 methods reported the reference hash"; exit 1; fi; \
 	echo "$$out" | grep 'P=4:'
+	@out=$$($(DIST_BIN) -p 3 -kill) || { echo "$$out"; echo "dist-smoke: -kill failed"; exit 1; }; \
+	echo "$$out" | grep 'recovered hash [0-9a-f]* == in-process core.Train' || { echo "$$out"; \
+		echo "dist-smoke: -kill did not report the recovered reference hash"; exit 1; }
+	@out=$$($(DIST_BIN) -p 4 -fleet-trace .bench_build/merged.trace -straggler 2ms) || { echo "$$out"; \
+		echo "dist-smoke: -fleet-trace failed"; exit 1; }; \
+	n=$$(echo "$$out" | grep -c '== in-process core.Train'); \
+	if [ "$$n" -ne 2 ]; then echo "$$out"; \
+		echo "dist-smoke: $$n of 2 methods reported the reference hash with -straggler"; exit 1; fi; \
+	prof=$$($(PROFILE_BIN) .bench_build/merged.trace) || { echo "$$prof"; echo "dist-smoke: casvm-profile failed"; exit 1; }; \
+	echo "$$prof" | grep 'timebase=wall' || { echo "$$prof"; echo "dist-smoke: the merged trace is not on the wall timebase"; exit 1; }; \
+	prof=$$($(PROFILE_BIN) -top 20 -json .bench_build/merged.trace) || { echo "$$prof"; echo "dist-smoke: casvm-profile -json failed"; exit 1; }; \
+	echo "$$prof" | grep -q '"timebase": "wall"' || { echo "$$prof"; echo "dist-smoke: casvm-profile -json lacks the wall timebase"; exit 1; }
+
+# paper-golden reruns every experiment of the paper's evaluation at the
+# committed scale and diffs its stdout against experiments_raw.txt (~80 s
+# on a 2-core host; each experiment's wall time goes to stderr). A change
+# that moves a cell regenerates the file with the same command and names
+# the cause: `go run ./cmd/casvm-bench -exp all -scale 1 -p 8 -maxp 64 >
+# experiments_raw.txt`.
+GOLDEN_BIN = .bench_build/casvm-bench
+paper-golden:
+	@mkdir -p .bench_build
+	$(GO) build -o $(GOLDEN_BIN) ./cmd/casvm-bench
+	$(GOLDEN_BIN) -exp all -scale 1 -p 8 -maxp 64 > .bench_build/paper-golden.txt
+	diff -u experiments_raw.txt .bench_build/paper-golden.txt
 
 # check is the full verification gate: gofmt, vet (root module as amd64 and
 # arm64, and bench/), the reachability gate, the whole suite under the race
 # detector (which includes the TestChaosMatrix fault smoke: six methods ×
 # crash/drop+delay/corrupt under respawn recovery), the 1/4-CPU race matrix
 # over the concurrency-heavy packages, the pins with the lanes off, the fuzz
-# seed corpora, the live-server smoke run, and the multi-process example.
-check: fmt vet cross-vet dead bench-build race race-matrix lanes-off fuzz-smoke serve-smoke dist-smoke
+# seed corpora, the live-server smoke run, the multi-process example, and
+# the reproduced paper against its committed output.
+check: fmt vet cross-vet dead bench-build race race-matrix lanes-off fuzz-smoke serve-smoke dist-smoke paper-golden
 
 # soak is the randomized chaos soak: seeded random fault schedules over
 # every method family and both recovery policies, each run checked for

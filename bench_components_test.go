@@ -216,7 +216,7 @@ func BenchmarkPredictRouted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out.Set.Predict(ds.TestX, i%ds.TestX.Rows())
+		out.Set.PredictAll(ds.TestX.Subset([]int{i % ds.TestX.Rows()}))
 	}
 }
 
@@ -324,7 +324,7 @@ func BenchmarkLoadSet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.LoadSet(bytes.NewReader(file)); err != nil {
+		if _, err := model.LoadSet(file); err != nil {
 			b.Fatal(err)
 		}
 	}

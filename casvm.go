@@ -290,12 +290,11 @@ func SaveModelSet(path string, s *ModelSet) error {
 // otherwise malformed file is an error, and so is a text model file from an
 // earlier release, which is no longer read: train or save the set again.
 func LoadModelSet(path string) (*ModelSet, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s, err := model.LoadSet(f)
+	s, err := model.LoadSet(buf)
 	if err != nil {
 		return nil, fmt.Errorf("casvm: load %s: %w", path, err)
 	}

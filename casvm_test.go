@@ -34,8 +34,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < ds.TestX.Rows(); i++ {
-		if loaded.Predict(ds.TestX, i) != out.Set.Predict(ds.TestX, i) {
+	want := out.Set.PredictAll(ds.TestX)
+	for i, label := range loaded.PredictAll(ds.TestX) {
+		if label != want[i] {
 			t.Fatalf("prediction drift at %d", i)
 		}
 	}

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"casvm/internal/expt"
@@ -22,30 +23,38 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "casvm-bench:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("casvm-bench", flag.ContinueOnError)
 	var (
-		exp    = flag.String("exp", "", "experiment id (table3..table22, fig5, fig7, fig8, fig9, all)")
-		scale  = flag.Float64("scale", 1.0, "dataset scale multiplier")
-		p      = flag.Int("p", 8, "ranks for the fixed-size experiments")
-		maxP   = flag.Int("maxp", 64, "largest rank count in the scaling sweeps")
-		seed   = flag.Int64("seed", 1, "run seed")
-		report = flag.String("report", "", "write a JSON array of per-run structured reports to this path")
-		serve  = flag.String("serve", "", "serve live telemetry on this address while experiments run: /metrics, /events (SSE), /report, /debug/pprof")
-		list   = flag.Bool("list", false, "list experiments and exit")
+		exp    = fs.String("exp", "", "experiment id (table3..table22, fig5, fig7, fig8, fig9, all)")
+		scale  = fs.Float64("scale", 1.0, "dataset scale multiplier")
+		p      = fs.Int("p", 8, "ranks for the fixed-size experiments")
+		maxP   = fs.Int("maxp", 64, "largest rank count in the scaling sweeps")
+		seed   = fs.Int64("seed", 1, "run seed")
+		report = fs.String("report", "", "write a JSON array of per-run structured reports to this path")
+		serve  = fs.String("serve", "", "serve live telemetry on this address while experiments run: /metrics, /events (SSE), /report, /debug/pprof")
+		list   = fs.Bool("list", false, "list experiments and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, r := range expt.Runners() {
-			fmt.Printf("%-8s %s\n", r.ID, r.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", r.ID, r.Title)
 		}
-		return
+		return nil
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "casvm-bench: -exp is required (or -list)")
-		flag.Usage()
-		os.Exit(2)
+		return fmt.Errorf("-exp is required (or -list)")
 	}
-	cfg := expt.Config{Out: os.Stdout, Scale: *scale, P: *p, MaxP: *maxP, Seed: *seed}
+	cfg := expt.Config{Out: stdout, Scale: *scale, P: *p, MaxP: *maxP, Seed: *seed}
 	if *report != "" {
 		cfg.Reports = &expt.ReportSink{}
 	}
@@ -64,40 +73,37 @@ func main() {
 			Report:  func() any { return cfg.Reports.Snapshot() },
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "casvm-bench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer srv.Close()
-		fmt.Printf("telemetry: http://%s  (/metrics /events /report /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(stdout, "telemetry: http://%s  (/metrics /events /report /debug/pprof)\n", srv.Addr())
 	}
 	if *exp == "all" {
 		if err := expt.RunAll(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "casvm-bench:", err)
-			os.Exit(1)
+			return err
 		}
 	} else {
 		r, err := expt.Find(*exp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "casvm-bench:", err)
-			os.Exit(2)
+			return err
 		}
 		if err := expt.RunOne(r, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "casvm-bench:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if *report != "" {
 		f, err := os.Create(*report)
-		if err == nil {
-			err = cfg.Reports.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
+		if err != nil {
+			return err
+		}
+		err = cfg.Reports.WriteJSON(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "casvm-bench:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("%d run reports written to %s\n", cfg.Reports.Len(), *report)
+		fmt.Fprintf(stdout, "%d run reports written to %s\n", cfg.Reports.Len(), *report)
 	}
+	return nil
 }

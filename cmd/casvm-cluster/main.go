@@ -54,34 +54,51 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "casvm-cluster:", err)
+		os.Exit(1)
+	}
+}
+
+// run runs a coordinator, or with -join an executor, until ctx is done.
+// Its banners go to stdout; the runtime's own events are logged to stderr.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("casvm-cluster", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: casvm-cluster [-listen addr] [-serve addr] [-lease-ttl d] | -join addr\n")
+		fs.PrintDefaults()
+	}
 	var (
-		listen     = flag.String("listen", "localhost:7600", "coordinator registration address (workers and clients dial this)")
-		serve      = flag.String("serve", "", "serve live telemetry on this address: /metrics, /healthz, /report, /jobs, /jobs/<id>/{metrics,report,trace}, /fleet/events")
-		ttl        = flag.Duration("lease-ttl", 0, "worker lease TTL; a silent worker is expired after this (0 = 6s default)")
-		join       = flag.String("join", "", "worker mode: register with the coordinator at this address and execute assigned ranks until interrupted")
-		fleetOff   = flag.Bool("no-fleet", false, "worker mode: do not record mesh ranks' timelines")
-		fleetTrace = flag.String("fleet-trace", "", "write each finished job's merged fleet trace to this directory as <job-id>.trace")
+		listen     = fs.String("listen", "localhost:7600", "coordinator registration address (workers and clients dial this)")
+		serve      = fs.String("serve", "", "serve live telemetry on this address: /metrics, /healthz, /report, /jobs, /jobs/<id>/{metrics,report,trace}, /fleet/events")
+		ttl        = fs.Duration("lease-ttl", 0, "worker lease TTL; a silent worker is expired after this (0 = 6s default)")
+		join       = fs.String("join", "", "worker mode: register with the coordinator at this address and execute assigned ranks until interrupted")
+		fleetOff   = fs.Bool("no-fleet", false, "worker mode: do not record mesh ranks' timelines")
+		fleetTrace = fs.String("fleet-trace", "", "write each finished job's merged fleet trace to this directory as <job-id>.trace")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *join != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		log.Printf("casvm-cluster: joining %s as an executor worker (Ctrl-C to leave)", *join)
+		fmt.Fprintf(stdout, "joining %s as an executor worker (Ctrl-C to leave)\n", *join)
 		err := cluster.RunExecutor(ctx, *join, cluster.ExecutorOptions{
 			Fleet: !*fleetOff,
 			Logf:  log.Printf,
 		})
 		if err != nil {
-			log.Fatalf("casvm-cluster: %v", err)
+			return err
 		}
-		log.Printf("casvm-cluster: lease ended, leaving cleanly")
-		return
+		fmt.Fprintln(stdout, "lease ended, leaving cleanly")
+		return nil
 	}
 
 	if *fleetTrace != "" {
 		if err := os.MkdirAll(*fleetTrace, 0o755); err != nil {
-			log.Fatalf("casvm-cluster: -fleet-trace: %v", err)
+			return fmt.Errorf("-fleet-trace: %w", err)
 		}
 	}
 	start := time.Now()
@@ -99,13 +116,12 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatalf("casvm-cluster: %v", err)
+		return err
 	}
-	log.Printf("casvm-cluster: coordinator listening on %s", coord.Addr())
+	fmt.Fprintf(stdout, "coordinator listening on %s\n", coord.Addr())
 
-	var srv *telemetry.Server
 	if *serve != "" {
-		srv, err = telemetry.Start(*serve, telemetry.Config{
+		srv, err := telemetry.Start(*serve, telemetry.Config{
 			Metrics: met,
 			Report:  func() any { return statusReport(coord) },
 			Jobs:    func() []telemetry.JobNamespace { return jobNamespaces(coord) },
@@ -121,21 +137,19 @@ func main() {
 			},
 		})
 		if err != nil {
-			log.Fatalf("casvm-cluster: %v", err)
+			coord.Close()
+			return err
 		}
-		log.Printf("casvm-cluster: telemetry at http://%s (/metrics /healthz /report /jobs /fleet/events)", srv.Addr())
+		defer srv.Close()
+		fmt.Fprintf(stdout, "telemetry at http://%s (/metrics /healthz /report /jobs /fleet/events)\n", srv.Addr())
 	}
 
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	<-ch
-	log.Printf("casvm-cluster: shutting down")
-	if srv != nil {
-		_ = srv.Close()
-	}
+	<-ctx.Done()
+	fmt.Fprintln(stdout, "shutting down")
 	if err := coord.Close(); err != nil {
-		log.Fatalf("casvm-cluster: close: %v", err)
+		return fmt.Errorf("close: %w", err)
 	}
+	return nil
 }
 
 // statusReport is the /report document: the membership table and every
@@ -211,11 +225,4 @@ func writeFleetTrace(coord *cluster.Coordinator, jobID, dir string) {
 		return
 	}
 	log.Printf("casvm-cluster: merged fleet trace for %s written to %s", jobID, path)
-}
-
-func init() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: casvm-cluster [-listen addr] [-serve addr] [-lease-ttl d] | -join addr\n")
-		flag.PrintDefaults()
-	}
 }

@@ -65,3 +65,38 @@ func TestRunCompressRoundTrip(t *testing.T) {
 		t.Fatal("missing -out should error")
 	}
 }
+
+// TestRunFaceModel runs the README's compression command on the model of
+// its `casvm-train -data face -method ra-ca -p 8 -model full.model` run,
+// measured on the face set's held-out split written as face-test.svm, and
+// holds the output to the README's transcript.
+func TestRunFaceModel(t *testing.T) {
+	ds, entry, err := casvm.LoadDataset("face", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := casvm.DefaultParams(casvm.MethodRACA, 8)
+	p.Kernel = casvm.RBF(entry.GammaOrDefault())
+	out, _, err := casvm.TrainDataset(ds, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	full, small, eval := filepath.Join(dir, "full.model"), filepath.Join(dir, "small.model"), filepath.Join(dir, "face-test.svm")
+	if err := casvm.SaveModelSet(full, out.Set); err != nil {
+		t.Fatal(err)
+	}
+	if err := casvm.WriteLIBSVMFile(eval, &casvm.Dataset{X: ds.TestX, Y: ds.TestY}); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := run([]string{"-in", full, "-out", small, "-budget", "32", "-eval", eval}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "compressed 1058 → 256 SVs (ratio 0.242) across 8 models\n" +
+		"accuracy: full 0.9480 → compressed 0.9440 (delta -0.0040)\n" +
+		"wrote " + small + "\n"
+	if buf.String() != want {
+		t.Errorf("output:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}

@@ -41,7 +41,7 @@ func TestRunMatchesPerRowPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: the per-row entry point the CLI used before batching.
+	// Reference: each row classified alone, a one-row batch at a time.
 	set, err := casvm.LoadModelSet(modelPath)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestRunMatchesPerRowPredict(t *testing.T) {
 	var want strings.Builder
 	correct := 0
 	for i := 0; i < reload.X.Rows(); i++ {
-		pred := set.Predict(reload.X, i)
+		pred := set.PredictAll(reload.X.Subset([]int{i}))[0]
 		fmt.Fprintf(&want, "%+.0f\n", pred)
 		if pred == reload.Y[i] {
 			correct++

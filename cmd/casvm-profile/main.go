@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"casvm/internal/trace"
@@ -37,46 +38,57 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "casvm-profile:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("casvm-profile", flag.ContinueOnError)
 	var (
-		top    = flag.Int("top", 10, "print the k largest critical-path attributions")
-		whatIf = flag.String("what-if", "", "re-cost spec, e.g. \"tw=0.5x\" or \"ts=2,tw=0.1\"")
-		asJSON = flag.Bool("json", false, "emit the analysis as JSON instead of text")
+		top    = fs.Int("top", 10, "print the k largest critical-path attributions")
+		whatIf = fs.String("what-if", "", "re-cost spec, e.g. \"tw=0.5x\" or \"ts=2,tw=0.1\"")
+		asJSON = fs.Bool("json", false, "emit the analysis as JSON instead of text")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "casvm-profile: exactly one trace file required")
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return fmt.Errorf("exactly one trace file required")
+	}
+	path := fs.Arg(0)
+	var factors critpath.Factors
+	if *whatIf != "" {
+		var err error
+		if factors, err = critpath.ParseFactors(*whatIf); err != nil {
+			return err
+		}
 	}
 
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	extra, err := trace.ReadTraceExtra(f)
 	f.Close()
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", flag.Arg(0), err))
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	in := critpath.FromExtra(extra)
 	a, err := critpath.Analyze(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var what *critpath.Analysis
-	var factors critpath.Factors
 	if *whatIf != "" {
-		factors, err = critpath.ParseFactors(*whatIf)
-		if err != nil {
-			fatal(err)
-		}
 		recosted, err := critpath.Recost(in, factors)
 		if err != nil {
-			fatal(fmt.Errorf("what-if: %w", err))
+			return fmt.Errorf("what-if: %w", err)
 		}
 		if what, err = critpath.Analyze(recosted); err != nil {
-			fatal(fmt.Errorf("what-if: %w", err))
+			return fmt.Errorf("what-if: %w", err)
 		}
 	}
 
@@ -91,59 +103,57 @@ func main() {
 		if what != nil {
 			out["what_if"] = map[string]any{"factors": factors, "analysis": what}
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(out)
 	}
 
-	fmt.Printf("trace: %s  (P=%d", flag.Arg(0), extra.P)
+	fmt.Fprintf(stdout, "trace: %s  (P=%d", path, extra.P)
 	if extra.Timebase != "" {
-		fmt.Printf(", timebase=%s", extra.Timebase)
+		fmt.Fprintf(stdout, ", timebase=%s", extra.Timebase)
 	}
 	if extra.CausalityViolations > 0 {
-		fmt.Printf(", CAUSALITY VIOLATIONS=%d", extra.CausalityViolations)
+		fmt.Fprintf(stdout, ", CAUSALITY VIOLATIONS=%d", extra.CausalityViolations)
 	}
-	fmt.Println(")")
+	fmt.Fprintln(stdout, ")")
 	if extra.Timebase == trace.TimebaseWall {
 		if len(extra.ClockOffsetsNs) > 0 {
-			fmt.Print("  clock offsets (ns, subtracted per rank):")
+			fmt.Fprint(stdout, "  clock offsets (ns, subtracted per rank):")
 			for r, off := range extra.ClockOffsetsNs {
-				fmt.Printf("  %d:%d", r, off)
+				fmt.Fprintf(stdout, "  %d:%d", r, off)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Println("  note: wall timebase — transfer cost is all latency; bandwidth is not separable (a tw re-cost is a no-op, scale ts instead)")
+		fmt.Fprintln(stdout, "  note: wall timebase — transfer cost is all latency; bandwidth is not separable (a tw re-cost is a no-op, scale ts instead)")
 	}
-	printAnalysis("critical path", a)
+	printAnalysis(stdout, "critical path", a)
 	if *top > 0 && len(a.Path()) > 0 {
-		fmt.Printf("\ntop %d attributions:\n", *top)
+		fmt.Fprintf(stdout, "\ntop %d attributions:\n", *top)
 		for _, s := range a.TopSteps(*top) {
 			phase := s.Phase
 			if phase == "" {
 				phase = "-"
 			}
-			fmt.Printf("  %12.6fs  rank %-3d %-9s %-10s [%.6f, %.6f)",
+			fmt.Fprintf(stdout, "  %12.6fs  rank %-3d %-9s %-10s [%.6f, %.6f)",
 				s.AttrSec, s.Rank, s.KindStr, phase, s.Start, s.End)
 			if s.EdgeID != 0 {
-				fmt.Printf("  edge %d", s.EdgeID)
+				fmt.Fprintf(stdout, "  edge %d", s.EdgeID)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 	if what != nil {
-		fmt.Printf("\nwhat-if (tc×%g, ts×%g, tw×%g):\n", factors.Tc, factors.Ts, factors.Tw)
-		printAnalysis("re-costed path", what)
+		fmt.Fprintf(stdout, "\nwhat-if (tc×%g, ts×%g, tw×%g):\n", factors.Tc, factors.Ts, factors.Tw)
+		printAnalysis(stdout, "re-costed path", what)
 		if a.MakespanSec > 0 {
-			fmt.Printf("  speedup: %.3fx\n", a.MakespanSec/what.MakespanSec)
+			fmt.Fprintf(stdout, "  speedup: %.3fx\n", a.MakespanSec/what.MakespanSec)
 		}
 	}
+	return nil
 }
 
-func printAnalysis(title string, a *critpath.Analysis) {
-	fmt.Printf("%s: makespan %.6fs ending on rank %d (%d steps, %d cross-rank hops)\n",
+func printAnalysis(stdout io.Writer, title string, a *critpath.Analysis) {
+	fmt.Fprintf(stdout, "%s: makespan %.6fs ending on rank %d (%d steps, %d cross-rank hops)\n",
 		title, a.MakespanSec, a.EndRank, a.Steps, a.Hops)
 	pct := func(v float64) float64 {
 		if a.MakespanSec == 0 {
@@ -151,17 +161,12 @@ func printAnalysis(title string, a *critpath.Analysis) {
 		}
 		return 100 * v / a.MakespanSec
 	}
-	fmt.Printf("  compute    %12.6fs  %5.1f%%\n", a.CompSec, pct(a.CompSec))
-	fmt.Printf("  latency    %12.6fs  %5.1f%%\n", a.LatencySec, pct(a.LatencySec))
-	fmt.Printf("  bandwidth  %12.6fs  %5.1f%%\n", a.BandwidthSec, pct(a.BandwidthSec))
-	fmt.Printf("  wait       %12.6fs  %5.1f%%\n", a.WaitSec, pct(a.WaitSec))
+	fmt.Fprintf(stdout, "  compute    %12.6fs  %5.1f%%\n", a.CompSec, pct(a.CompSec))
+	fmt.Fprintf(stdout, "  latency    %12.6fs  %5.1f%%\n", a.LatencySec, pct(a.LatencySec))
+	fmt.Fprintf(stdout, "  bandwidth  %12.6fs  %5.1f%%\n", a.BandwidthSec, pct(a.BandwidthSec))
+	fmt.Fprintf(stdout, "  wait       %12.6fs  %5.1f%%\n", a.WaitSec, pct(a.WaitSec))
 	for _, p := range a.Phases {
-		fmt.Printf("  phase %-10s %12.6fs  (comp %.6f, lat %.6f, bw %.6f, wait %.6f)\n",
+		fmt.Fprintf(stdout, "  phase %-10s %12.6fs  (comp %.6f, lat %.6f, bw %.6f, wait %.6f)\n",
 			p.Phase, p.TotalSec(), p.CompSec, p.LatencySec, p.BandwidthSec, p.WaitSec)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "casvm-profile:", err)
-	os.Exit(1)
 }

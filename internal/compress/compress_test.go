@@ -112,7 +112,7 @@ func TestCompressionDeterministic(t *testing.T) {
 	if err := model.SaveSet(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := model.LoadSet(&buf)
+	loaded, err := model.LoadSet(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -187,7 +188,9 @@ func RunAll(cfg Config) error {
 	return nil
 }
 
-// RunOne executes a single experiment with a header and timing footer.
+// RunOne executes a single experiment under a header on cfg.Out. Its wall
+// time goes to stderr, so cfg.Out holds only what the run computes and
+// repeats byte for byte (experiments_raw.txt is that output).
 func RunOne(r Runner, cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(cfg.Out, "\n=== %s — %s ===\n", r.ID, r.Title)
@@ -195,7 +198,7 @@ func RunOne(r Runner, cfg Config) error {
 	if err := r.Run(cfg); err != nil {
 		return err
 	}
-	fmt.Fprintf(cfg.Out, "[%s completed in %.1fs wall]\n", r.ID, time.Since(t0).Seconds())
+	fmt.Fprintf(os.Stderr, "[%s completed in %.1fs wall]\n", r.ID, time.Since(t0).Seconds())
 	return nil
 }
 

@@ -9,9 +9,10 @@ import "casvm/internal/la"
 // of once per query, and the inner products run through the register-
 // blocked microkernels (la.MulTile).
 //
-// Every result is bit-identical to the per-row path: each kernel element
-// matches Params.Eval exactly (kernel.CrossTile's contract), coefficients
-// multiply in the same (α·y)·K order as Decision, and each query's sum
+// Every result is bit-identical to the scalar per-row oracle (one Eval per
+// support vector, oracle_test.go): each kernel element matches Params.Eval
+// exactly (kernel.CrossTile's contract), coefficients multiply in the same
+// (α·y)·K order, and each query's sum
 // accumulates over support vectors in ascending index order across blocks.
 
 const (
@@ -26,7 +27,7 @@ const (
 )
 
 // DecisionAll evaluates the decision value Σᵢ αᵢyᵢK(q_row, svᵢ) − B for
-// every row of q, bit-identical to calling Decision per row.
+// every row of q, bit-identical to the per-row oracle.
 func (m *Model) DecisionAll(q *la.Matrix) []float64 {
 	nq := q.Rows()
 	out := make([]float64, nq)
@@ -39,7 +40,7 @@ func (m *Model) DecisionAll(q *la.Matrix) []float64 {
 	}
 	coef := make([]float64, nsv)
 	for i := range coef {
-		// Decision's term is (Alpha[i]*SVY[i])*K — left-associative, so the
+		// The oracle's term is (Alpha[i]*SVY[i])*K — left-associative, so the
 		// coefficient product folds out of the loop without changing a bit.
 		coef[i] = m.Alpha[i] * m.SVY[i]
 	}
@@ -56,7 +57,7 @@ func (m *Model) DecisionAll(q *la.Matrix) []float64 {
 				rows = append(rows, i)
 			}
 			// The SV matrix is the a side and the query the b side, exactly
-			// like Decision's Eval(SVX, i, q, qi).
+			// like the oracle's Eval(SVX, i, q, qi).
 			m.Kernel.CrossTile(m.SVX, rows, q, qlo, qhi, dst[:len(rows)*w], w)
 			for r, i := 0, slo; i < shi; r, i = r+1, i+1 {
 				c := coef[i]
@@ -73,7 +74,7 @@ func (m *Model) DecisionAll(q *la.Matrix) []float64 {
 	return out
 }
 
-// label is Predict's sign rule on a decision value: Fallback breaks the
+// label is the sign rule on a decision value: Fallback breaks the
 // exact-zero tie.
 func (m *Model) label(d float64) float64 {
 	switch {
@@ -86,7 +87,7 @@ func (m *Model) label(d float64) float64 {
 }
 
 // PredictAll labels every row of q from one batched DecisionAll pass,
-// bit-identical to calling Predict per row.
+// bit-identical to the per-row oracle.
 func (m *Model) PredictAll(q *la.Matrix) []float64 {
 	if m.NSV() == 0 {
 		out := make([]float64, q.Rows())
@@ -116,7 +117,7 @@ func (s *Set) RouteAll(q *la.Matrix) []int {
 // RouteAll pass assigns each query its model, then each model evaluates its
 // whole group through the tiled Model.DecisionAll once, and the group's
 // values scatter into whichever of labels and decs is non-nil. Bit-identical
-// to per-row Predict and Decision (Subset copies rows verbatim, so the
+// to the per-row oracles (Subset copies rows verbatim, so the
 // kernel sees the same operands), including the tiny fallback-signed
 // decision an SV-less model yields.
 func (s *Set) evalAll(q *la.Matrix, labels, decs []float64) {
@@ -152,7 +153,7 @@ func (s *Set) evalAll(q *la.Matrix, labels, decs []float64) {
 	}
 }
 
-// PredictAll labels every row of q, bit-identical to per-row Predict.
+// PredictAll labels every row of q, bit-identical to the per-row oracle.
 func (s *Set) PredictAll(q *la.Matrix) []float64 {
 	out := make([]float64, q.Rows())
 	s.evalAll(q, out, nil)
@@ -160,7 +161,7 @@ func (s *Set) PredictAll(q *la.Matrix) []float64 {
 }
 
 // DecisionAll evaluates the routed decision value for every row of q,
-// bit-identical to per-row Set.Decision.
+// bit-identical to the per-row oracle.
 func (s *Set) DecisionAll(q *la.Matrix) []float64 {
 	out := make([]float64, q.Rows())
 	s.evalAll(q, nil, out)

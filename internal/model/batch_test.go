@@ -79,7 +79,7 @@ func TestDecisionAllMatchesDecisionBitwise(t *testing.T) {
 					m := syntheticModel(rng, sv, k)
 					got := m.DecisionAll(q)
 					for qi := range got {
-						want := m.Decision(q, qi)
+						want := decision(m, q, qi)
 						if got[qi] != want {
 							t.Fatalf("nsv=%d kind=%v: decision[%d] %v != %v",
 								nsv, k.Kind, qi, got[qi], want)
@@ -87,7 +87,7 @@ func TestDecisionAllMatchesDecisionBitwise(t *testing.T) {
 					}
 					preds := m.PredictAll(q)
 					for qi := range preds {
-						if want := m.Predict(q, qi); preds[qi] != want {
+						if want := predict(m, q, qi); preds[qi] != want {
 							t.Fatalf("nsv=%d kind=%v: pred[%d] %v != %v",
 								nsv, k.Kind, qi, preds[qi], want)
 						}
@@ -157,7 +157,7 @@ func TestRouteAllMatchesRouteBitwise(t *testing.T) {
 				if got[qi] != want {
 					t.Fatalf("np=%d: RouteAll[%d] %d, scalar %d", np, qi, got[qi], want)
 				}
-				if r := set.Route(q, qi); r != want {
+				if r := route(set, q, qi); r != want {
 					t.Fatalf("np=%d: Route(%d) %d, scalar %d", np, qi, r, want)
 				}
 			}
@@ -182,7 +182,7 @@ func TestRouteTiesLowestIndex(t *testing.T) {
 	for _, q := range []*la.Matrix{dense, sparse} {
 		all := set.RouteAll(q)
 		for qi, want := range []int{1, 0} {
-			if r := set.Route(q, qi); r != want || all[qi] != want {
+			if r := route(set, q, qi); r != want || all[qi] != want {
 				t.Errorf("sparse=%v query %d: Route %d RouteAll %d, want %d", q.Sparse(), qi, r, all[qi], want)
 			}
 		}
@@ -212,7 +212,7 @@ func TestSetPredictAllMatchesPerRow(t *testing.T) {
 		got := set.PredictAll(q)
 		correct := 0
 		for qi := range got {
-			want := set.Predict(q, qi)
+			want := setPredict(set, q, qi)
 			if got[qi] != want {
 				t.Fatalf("pred[%d] %v != %v", qi, got[qi], want)
 			}
@@ -222,7 +222,7 @@ func TestSetPredictAllMatchesPerRow(t *testing.T) {
 		}
 		decs := set.DecisionAll(q)
 		for qi := range decs {
-			if want := set.Decision(q, qi); decs[qi] != want {
+			if want := setDecision(set, q, qi); decs[qi] != want {
 				t.Fatalf("decision[%d] %v != %v", qi, decs[qi], want)
 			}
 		}
@@ -259,7 +259,7 @@ func BenchmarkPredictAll(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
 				for qi := range out {
-					out[qi] = m.Predict(tc.q, qi)
+					out[qi] = predict(m, tc.q, qi)
 				}
 			}
 		})
@@ -288,7 +288,7 @@ func TestDecisionAllShapesAcrossScratchBounds(t *testing.T) {
 					q := batchDense(rng, nq, feats)
 					got := m.DecisionAll(q)
 					for qi := range got {
-						if want := m.Decision(q, qi); got[qi] != want {
+						if want := decision(m, q, qi); got[qi] != want {
 							t.Fatalf("procs=%d nsv=%d nq=%d kind=%v: decision[%d] %v != %v",
 								procs, nsv, nq, k.Kind, qi, got[qi], want)
 						}
@@ -344,25 +344,25 @@ func TestSetEvalAllSinglePass(t *testing.T) {
 	zeroed := -1
 	for qi, r := range set.RouteAll(q) {
 		if m := set.Models[r]; m.NSV() > 0 {
-			m.B += m.Decision(q, qi)
+			m.B += decision(m, q, qi)
 			m.Fallback = -1
 			zeroed = qi
 			break
 		}
 	}
-	if zeroed < 0 || set.Decision(q, zeroed) != 0 {
+	if zeroed < 0 || setDecision(set, q, zeroed) != 0 {
 		t.Fatalf("fixture: no query with a zero decision (query %d)", zeroed)
 	}
 	emptyHit := false
 	labels, decs := set.EvalAll(q)
 	wantL, wantD := set.PredictAll(q), set.DecisionAll(q)
 	for qi := range labels {
-		emptyHit = emptyHit || set.Models[set.Route(q, qi)].NSV() == 0
-		if labels[qi] != set.Predict(q, qi) || labels[qi] != wantL[qi] {
-			t.Fatalf("label[%d] %v, per-row %v, PredictAll %v", qi, labels[qi], set.Predict(q, qi), wantL[qi])
+		emptyHit = emptyHit || set.Models[route(set, q, qi)].NSV() == 0
+		if labels[qi] != setPredict(set, q, qi) || labels[qi] != wantL[qi] {
+			t.Fatalf("label[%d] %v, per-row %v, PredictAll %v", qi, labels[qi], setPredict(set, q, qi), wantL[qi])
 		}
-		if decs[qi] != set.Decision(q, qi) || decs[qi] != wantD[qi] {
-			t.Fatalf("decision[%d] %v, per-row %v, DecisionAll %v", qi, decs[qi], set.Decision(q, qi), wantD[qi])
+		if decs[qi] != setDecision(set, q, qi) || decs[qi] != wantD[qi] {
+			t.Fatalf("decision[%d] %v, per-row %v, DecisionAll %v", qi, decs[qi], setDecision(set, q, qi), wantD[qi])
 		}
 	}
 	if labels[zeroed] != -1 {

@@ -27,12 +27,12 @@ func FuzzLoadSet(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		set, err := LoadSet(bytes.NewReader(in))
+		set, err := LoadSet(in)
 		if err != nil {
 			return
 		}
 		q := la.NewDense(1, set.Centers.Features(), make([]float64, set.Centers.Features()))
-		if pred := set.Predict(q, 0); pred != 1 && pred != -1 {
+		if pred := setPredict(set, q, 0); pred != 1 && pred != -1 {
 			t.Fatalf("prediction %v not ±1", pred)
 		}
 		var again bytes.Buffer
@@ -58,7 +58,7 @@ func TestFuzzLoadSetSeedsLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := LoadSet(strings.NewReader(in)); err != nil {
+		if _, err := LoadSet([]byte(in)); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

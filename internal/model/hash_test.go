@@ -19,7 +19,7 @@ func fileRoundTrip(t *testing.T, s *model.Set) *model.Set {
 	if err := model.SaveSet(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	back, err := model.LoadSet(&buf)
+	back, err := model.LoadSet(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

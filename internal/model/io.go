@@ -72,11 +72,7 @@ func appendHead(b []byte, s *Set) []byte {
 // strictly increasing, and each model goes through DecodeShard under the
 // head's kernel and width, so a set that loads re-saves to the same bytes.
 // A truncated file, a trailing byte and a text model file are errors.
-func LoadSet(r io.Reader) (*Set, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
+func LoadSet(buf []byte) (*Set, error) {
 	if bytes.HasPrefix(buf, []byte(textHeader)) {
 		return nil, fmt.Errorf("model: a %q text model file; that format is no longer read, save the set again", textHeader)
 	}

@@ -27,7 +27,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	if err := SaveSet(&annotated, s); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSet(bytes.NewReader(annotated.Bytes()))
+	loaded, err := LoadSet(annotated.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

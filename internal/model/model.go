@@ -64,30 +64,6 @@ func FromSolution(x *la.Matrix, y, alpha []float64, b float64, k kernel.Params) 
 // NSV returns the number of support vectors.
 func (m *Model) NSV() int { return len(m.Alpha) }
 
-// Decision evaluates Σᵢ αᵢyᵢK(q_row, svᵢ) − B for row qi of q.
-func (m *Model) Decision(q *la.Matrix, qi int) float64 {
-	var s float64
-	for i := 0; i < m.NSV(); i++ {
-		s += m.Alpha[i] * m.SVY[i] * m.Kernel.Eval(m.SVX, i, q, qi)
-	}
-	return s - m.B
-}
-
-// Predict returns the ±1 label for row qi of q.
-func (m *Model) Predict(q *la.Matrix, qi int) float64 {
-	if m.NSV() == 0 {
-		return m.Fallback
-	}
-	d := m.Decision(q, qi)
-	if d > 0 {
-		return 1
-	}
-	if d < 0 {
-		return -1
-	}
-	return m.Fallback
-}
-
 // Set is the model collection of a partitioned method: Models[j] was
 // trained on partition j whose center is row j of Centers. A query is
 // classified by the model of its nearest center (§IV-A).
@@ -112,32 +88,6 @@ func (s *Set) SetMeta(key, value string) {
 
 // P returns the number of partitions/models.
 func (s *Set) P() int { return len(s.Models) }
-
-// Route returns the index of the center nearest to row qi of q: la.ArgMin
-// over the row's la.SqDistTile distances, the lowest index on a tie.
-func (s *Set) Route(q *la.Matrix, qi int) int {
-	np := s.Centers.Rows()
-	d := make([]float64, np)
-	la.SqDistTile(q, []int{qi}, s.Centers, 0, np, d, np)
-	return la.ArgMin(d)
-}
-
-// Predict routes row qi to its nearest center's model and classifies.
-func (s *Set) Predict(q *la.Matrix, qi int) float64 {
-	return s.Models[s.Route(q, qi)].Predict(q, qi)
-}
-
-// Decision routes row qi to its nearest center's model and returns the
-// real-valued decision Σ αyK − B. A model with no support vectors yields a
-// tiny value with the sign of its fallback label, so one-vs-rest argmax
-// still orders sensibly.
-func (s *Set) Decision(q *la.Matrix, qi int) float64 {
-	m := s.Models[s.Route(q, qi)]
-	if m.NSV() == 0 {
-		return m.Fallback * 1e-9
-	}
-	return m.Decision(q, qi)
-}
 
 // Accuracy returns the routed-prediction accuracy on (q, y).
 func (s *Set) Accuracy(q *la.Matrix, y []float64) float64 {

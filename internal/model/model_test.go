@@ -68,12 +68,12 @@ func TestFallbackNoSVs(t *testing.T) {
 	if m.NSV() != 0 {
 		t.Fatal("no SVs expected")
 	}
-	if m.Predict(x, 0) != 1 {
+	if predict(m, x, 0) != 1 {
 		t.Error("fallback should be the majority label +1")
 	}
 	yn := []float64{-1, -1, 1}
 	mn := FromSolution(x, yn, []float64{0, 0, 0}, 0, kernel.RBF(1))
-	if mn.Predict(x, 0) != -1 {
+	if predict(mn, x, 0) != -1 {
 		t.Error("fallback should be -1")
 	}
 }
@@ -90,10 +90,10 @@ func TestSetRouting(t *testing.T) {
 		Centers: la.NewDense(2, 2, []float64{5, 5, -5, -5}),
 	}
 	q := la.NewDense(2, 2, []float64{4, 4, -6, -4})
-	if set.Route(q, 0) != 0 || set.Route(q, 1) != 1 {
+	if route(set, q, 0) != 0 || route(set, q, 1) != 1 {
 		t.Fatal("routing wrong")
 	}
-	if set.Predict(q, 0) != 1 || set.Predict(q, 1) != -1 {
+	if setPredict(set, q, 0) != 1 || setPredict(set, q, 1) != -1 {
 		t.Fatal("set predictions wrong")
 	}
 	if acc := set.Accuracy(q, []float64{1, -1}); acc != 1 {
@@ -157,7 +157,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	_, x, _ := trainBlobModel(t, 3)
 	for name, set := range saveLoadSets(t) {
 		file := saveBytes(t, set)
-		got, err := LoadSet(bytes.NewReader(file))
+		got, err := LoadSet(file)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -190,11 +190,11 @@ func TestLoadSetRefusesPrefixes(t *testing.T) {
 	for _, name := range []string{"dense", "csr"} {
 		file := saveBytes(t, sets[name])
 		for i := 0; i < len(file); i++ {
-			if _, err := LoadSet(bytes.NewReader(file[:i])); err == nil {
+			if _, err := LoadSet(file[:i]); err == nil {
 				t.Fatalf("%s: the first %d of %d bytes loaded", name, i, len(file))
 			}
 		}
-		if _, err := LoadSet(bytes.NewReader(append(file, 0))); err == nil {
+		if _, err := LoadSet(append(file, 0)); err == nil {
 			t.Errorf("%s: a trailing byte loaded", name)
 		}
 	}
@@ -228,7 +228,7 @@ func handFile(head []byte, n int) []byte {
 // set that loads re-saves to its own bytes — and a text model file is
 // refused by name.
 func TestLoadSetErrors(t *testing.T) {
-	if _, err := LoadSet(bytes.NewReader(handFile(rawHead("gaussian", 0.5, "a", "b"), 1))); err != nil {
+	if _, err := LoadSet(handFile(rawHead("gaussian", 0.5, "a", "b"), 1)); err != nil {
 		t.Fatalf("the hand-spelled file: %v", err)
 	}
 	cases := map[string][]byte{
@@ -245,11 +245,11 @@ func TestLoadSetErrors(t *testing.T) {
 		"a model too many":  handFile(rawHead("gaussian", 0.5), 2),
 	}
 	for name, in := range cases {
-		if _, err := LoadSet(bytes.NewReader(in)); err == nil {
+		if _, err := LoadSet(in); err == nil {
 			t.Errorf("%s: loaded", name)
 		}
 	}
-	_, err := LoadSet(strings.NewReader("casvm-model-set v1\nmodels 1\nfeatures 2\n"))
+	_, err := LoadSet([]byte("casvm-model-set v1\nmodels 1\nfeatures 2\n"))
 	if err == nil || !strings.Contains(err.Error(), "text model file") {
 		t.Errorf("a text model file: %v, want an error naming the format", err)
 	}
@@ -290,7 +290,7 @@ func TestLoadSetAllocationBounded(t *testing.T) {
 	}
 	file := buf.Bytes()
 	load := func() {
-		set, err := LoadSet(bytes.NewReader(file))
+		set, err := LoadSet(file)
 		if err != nil || set.NSV() != nsv {
 			t.Fatalf("load: %v", err)
 		}

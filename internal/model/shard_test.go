@@ -241,7 +241,7 @@ func FuzzDecodeShardModel(f *testing.F) {
 				m.SVX.Rows(), m.SVX.Features(), len(center), features)
 		}
 		q := la.NewDense(1, int(features), make([]float64, features))
-		if p := model.Single(m, center).Predict(q, 0); p != 1 && p != -1 {
+		if p := model.Single(m, center).PredictAll(q)[0]; p != 1 && p != -1 {
 			t.Fatalf("prediction %v not ±1", p)
 		}
 		again := model.EncodeShard(m, center)
@@ -256,7 +256,7 @@ func FuzzDecodeShardModel(f *testing.F) {
 		if err := model.SaveSet(&file, set); err != nil {
 			t.Fatal(err)
 		}
-		back, err := model.LoadSet(bytes.NewReader(file.Bytes()))
+		back, err := model.LoadSet(file.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,34 +127,48 @@ func Train(x *la.Matrix, y []float64, params core.Params, scheme Scheme) (*Model
 	return m, nil
 }
 
-// Predict returns the class label for row qi of q.
-func (m *Model) Predict(q *la.Matrix, qi int) float64 {
+// PredictAll returns the class label of every row of q. Each binary set
+// classifies the whole block in one batched pass: one-vs-rest takes the
+// class of the largest decision value (the first on a tie), one-vs-one the
+// majority vote (ties to the smaller class label).
+func (m *Model) PredictAll(q *la.Matrix) []float64 {
+	best := make([]int, q.Rows())
 	switch m.Scheme {
 	case OneVsRest:
-		best, bi := m.Sets[0].Decision(q, qi), 0
+		top := m.Sets[0].DecisionAll(q)
 		for i := 1; i < len(m.Sets); i++ {
-			if d := m.Sets[i].Decision(q, qi); d > best {
-				best, bi = d, i
+			for qi, d := range m.Sets[i].DecisionAll(q) {
+				if d > top[qi] {
+					top[qi], best[qi] = d, i
+				}
 			}
 		}
-		return m.Classes[bi]
 	default: // OneVsOne
-		votes := make([]int, len(m.Classes))
-		for k, set := range m.Sets {
-			if set.Predict(q, qi) > 0 {
-				votes[m.PairA[k]]++
-			} else {
-				votes[m.PairB[k]]++
+		k := len(m.Classes)
+		votes := make([]int, q.Rows()*k)
+		for s, set := range m.Sets {
+			for qi, label := range set.PredictAll(q) {
+				if label > 0 {
+					votes[qi*k+m.PairA[s]]++
+				} else {
+					votes[qi*k+m.PairB[s]]++
+				}
 			}
 		}
-		bi := 0
-		for i, v := range votes {
-			if v > votes[bi] {
-				bi = i
+		for qi := range best {
+			v := votes[qi*k : (qi+1)*k]
+			for i := range v {
+				if v[i] > v[best[qi]] {
+					best[qi] = i
+				}
 			}
 		}
-		return m.Classes[bi]
 	}
+	out := make([]float64, len(best))
+	for qi, c := range best {
+		out[qi] = m.Classes[c]
+	}
+	return out
 }
 
 // Accuracy is the fraction of rows of q whose prediction matches y.
@@ -163,13 +177,10 @@ func (m *Model) Accuracy(q *la.Matrix, y []float64) float64 {
 		return 0
 	}
 	correct := 0
-	for i := 0; i < q.Rows(); i++ {
-		if m.Predict(q, i) == y[i] {
+	for i, p := range m.PredictAll(q) {
+		if p == y[i] {
 			correct++
 		}
 	}
 	return float64(correct) / float64(q.Rows())
 }
-
-// Machines returns the number of constituent binary machines.
-func (m *Model) Machines() int { return len(m.Sets) }

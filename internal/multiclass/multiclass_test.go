@@ -33,15 +33,32 @@ func TestOneVsRest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Machines() != 4 {
-		t.Fatalf("machines=%d want 4", m.Machines())
+	if len(m.Sets) != 4 {
+		t.Fatalf("machines=%d want 4", len(m.Sets))
 	}
 	if acc := m.Accuracy(testX, testY); acc < 0.92 {
 		t.Errorf("OVR accuracy %.3f", acc)
 	}
-	for i := 0; i < testX.Rows(); i++ {
-		if p := m.Predict(testX, i); p < 0 || p > 3 {
+	for _, p := range m.PredictAll(testX) {
+		if p < 0 || p > 3 {
 			t.Fatalf("prediction %v outside class range", p)
+		}
+	}
+}
+
+// TestPredictAllMatchesOneRowBlocks holds both schemes' block prediction to
+// the same rows classified one at a time.
+func TestPredictAllMatchesOneRowBlocks(t *testing.T) {
+	trainX, trainY, testX, _ := fourClassSet(t)
+	for _, scheme := range []Scheme{OneVsRest, OneVsOne} {
+		m, err := Train(trainX, trainY, mcParams(core.MethodRACA, 2), scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, label := range m.PredictAll(testX) {
+			if one := m.PredictAll(testX.Subset([]int{i}))[0]; one != label {
+				t.Fatalf("scheme %d row %d: block label %v, alone %v", scheme, i, label, one)
+			}
 		}
 	}
 }
@@ -52,8 +69,8 @@ func TestOneVsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Machines() != 6 { // 4·3/2
-		t.Fatalf("machines=%d want 6", m.Machines())
+	if len(m.Sets) != 6 { // 4·3/2
+		t.Fatalf("machines=%d want 6", len(m.Sets))
 	}
 	if acc := m.Accuracy(testX, testY); acc < 0.92 {
 		t.Errorf("OVO accuracy %.3f", acc)
@@ -70,9 +87,9 @@ func TestSchemesAgreeOnEasyData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agree := 0
-	for i := 0; i < testX.Rows(); i++ {
-		if ovr.Predict(testX, i) == ovo.Predict(testX, i) {
+	agree, ovoLabels := 0, ovo.PredictAll(testX)
+	for i, label := range ovr.PredictAll(testX) {
+		if label == ovoLabels[i] {
 			agree++
 		}
 	}
@@ -94,8 +111,8 @@ func TestBinaryLabelsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Machines() != 1 {
-		t.Fatalf("machines=%d want 1", m.Machines())
+	if len(m.Sets) != 1 {
+		t.Fatalf("machines=%d want 1", len(m.Sets))
 	}
 	if acc := m.Accuracy(trainX, trainY); acc < 0.95 {
 		t.Errorf("binary OVO train accuracy %.3f", acc)

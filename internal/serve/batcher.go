@@ -33,7 +33,7 @@ import (
 //
 // A request is an atomic unit: all its queries land in the same flush and
 // are therefore evaluated against the same model Snapshot. Batching never
-// changes results — PredictAll is bit-identical to per-row Predict no
+// changes results — PredictAll is bit-identical to each row alone no
 // matter how requests interleave, which TestBatchEquivalence pins.
 
 // BatcherConfig bounds the coalescing window.

@@ -186,12 +186,11 @@ func (r *Registry) Reload(h *Handle, path string) (*Snapshot, error) {
 
 // loadModelFile reads, parses and validates a model file.
 func loadModelFile(path string) (*model.Set, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	defer f.Close()
-	set, err := model.LoadSet(f)
+	set, err := model.LoadSet(buf)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load %s: %w", path, err)
 	}
