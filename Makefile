@@ -124,8 +124,9 @@ serve-smoke:
 # -kill`: an executor is killed with SIGKILL mid-solve, and the recovered
 # Dis-SMO model must land on that hash (~3 s). `-fleet-trace -straggler
 # 2ms`: both hashes again with every executor sleeping each iteration
-# (~10 s, mostly asleep), and casvm-profile, as text and as -json, must
-# analyze the merged trace on its wall timebase. The straggler verdicts themselves are timing-bound
+# (~10 s, mostly asleep), the Dis-SMO job's merged trace must hold one flow
+# edge per message it counted, carrying its bytes, and casvm-profile, as text
+# and as -json, must analyze that trace on its wall timebase. The straggler verdicts themselves are timing-bound
 # and asserted by TestFleetSoak (`make soak-cluster`), not here.
 DIST_BIN = .bench_build/dist-smoke
 PROFILE_BIN = .bench_build/casvm-profile
@@ -146,6 +147,8 @@ dist-smoke:
 	n=$$(echo "$$out" | grep -c '== in-process core.Train'); \
 	if [ "$$n" -ne 2 ]; then echo "$$out"; \
 		echo "dist-smoke: $$n of 2 methods reported the reference hash with -straggler"; exit 1; fi; \
+	echo "$$out" | grep "fleet: merged trace holds [0-9]* edges, [0-9]* bytes == the job's messages and bytes" || { echo "$$out"; \
+		echo "dist-smoke: the merged trace does not hold the Dis-SMO job's messages and bytes"; exit 1; }; \
 	prof=$$($(PROFILE_BIN) .bench_build/merged.trace) || { echo "$$prof"; echo "dist-smoke: casvm-profile failed"; exit 1; }; \
 	echo "$$prof" | grep 'timebase=wall' || { echo "$$prof"; echo "dist-smoke: the merged trace is not on the wall timebase"; exit 1; }; \
 	prof=$$($(PROFILE_BIN) -top 20 -json .bench_build/merged.trace) || { echo "$$prof"; echo "dist-smoke: casvm-profile -json failed"; exit 1; }; \

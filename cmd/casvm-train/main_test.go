@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -96,12 +97,13 @@ func TestRunCommands(t *testing.T) {
 }
 
 // TestRunServeLinger runs the README's live-telemetry command: after
-// training, /report serves the final report until an interrupt arrives.
+// training, /report serves the final report and /events streams the run's
+// convergence samples until an interrupt arrives.
 func TestRunServeLinger(t *testing.T) {
 	var stdout syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-data", "toy", "-method", "dissmo", "-p", "8", "-serve", "127.0.0.1:0",
+		done <- run([]string{"-data", "toy", "-method", "ra-ca", "-p", "8", "-serve", "127.0.0.1:0",
 			"-serve-linger", "-model", filepath.Join(t.TempDir(), "m.model")}, &stdout)
 	}()
 	var url string
@@ -123,8 +125,31 @@ func TestRunServeLinger(t *testing.T) {
 	}
 	err = json.NewDecoder(resp.Body).Decode(&rep)
 	resp.Body.Close()
-	if err != nil || rep.Method != "dissmo" || rep.ModelHash == "" {
+	if err != nil || rep.Method != "ra-ca" || rep.ModelHash == "" {
 		t.Errorf("/report: %+v, %v", rep, err)
+	}
+	// /events replays the samples still in the ring, so one frame arrives
+	// after training too.
+	events := strings.TrimSuffix(url, "/report") + "/events"
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, events, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := ""
+	for sc := bufio.NewScanner(resp.Body); frame == "" && sc.Scan(); {
+		if f, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			frame = f
+		}
+	}
+	resp.Body.Close()
+	if !strings.Contains(frame, "{") {
+		t.Errorf("/events streamed no data frame (got %q)", frame)
 	}
 	// run has registered for the interrupt before it printed the line.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {

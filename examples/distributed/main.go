@@ -19,7 +19,8 @@
 // time, and a Dis-SMO rank's rank-done frame its trace spans and flow edges;
 // the coordinator probes each lease's clock offset and writes the Dis-SMO
 // job's merged Chrome trace (cross-process Perfetto arrows included), which
-// casvm-profile analyzes. With -straggler the last executor sleeps five times
+// casvm-profile analyzes. The program exits non-zero unless that trace holds
+// one flow edge per message the job counted, carrying the job's bytes. With -straggler the last executor sleeps five times
 // as long an iteration as the rest, and the online detector flags its rank of
 // the RA-CA job against the gang median:
 //
@@ -126,7 +127,7 @@ func main() {
 				}
 			}
 		case *fleetTrace != "":
-			if err := writeMergedTrace(coord, j.ID(), *fleetTrace, stamp); err != nil {
+			if err := writeMergedTrace(coord, j.ID(), res, *fleetTrace, stamp); err != nil {
 				log.Fatalf("fleet trace: %v", err)
 			}
 		}
@@ -214,9 +215,10 @@ func killDemo(coord *cluster.Coordinator, p int, victim *exec.Cmd, stamp func(st
 
 // writeMergedTrace writes the job's offset-rebased merged Chrome trace —
 // every rank's timeline rides its rank-done frame and is stored before the
-// rank counts, so the finished job's is complete — and summarizes the
-// cross-process critical path inline.
-func writeMergedTrace(coord *cluster.Coordinator, job, path string, stamp func(string, ...any)) error {
+// rank counts, so the finished job's is complete — checks that it holds one
+// flow edge per message the job counted, carrying the job's bytes, and
+// summarizes the cross-process critical path inline.
+func writeMergedTrace(coord *cluster.Coordinator, job string, res *cluster.JobResult, path string, stamp func(string, ...any)) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -238,6 +240,15 @@ func writeMergedTrace(coord *cluster.Coordinator, job, path string, stamp func(s
 	if err != nil {
 		return fmt.Errorf("re-reading merged trace: %w", err)
 	}
+	var bytes int64
+	for _, e := range extra.Edges {
+		bytes += int64(e.Bytes)
+	}
+	if int64(len(extra.Edges)) != res.Messages || bytes != res.Bytes {
+		return fmt.Errorf("the merged trace holds %d edges carrying %d bytes; the job counted %d messages, %d bytes",
+			len(extra.Edges), bytes, res.Messages, res.Bytes)
+	}
+	stamp("fleet: merged trace holds %d edges, %d bytes == the job's messages and bytes", len(extra.Edges), bytes)
 	a, err := critpath.Analyze(critpath.FromExtra(extra))
 	if err != nil {
 		return fmt.Errorf("analyzing merged trace: %w", err)

@@ -225,8 +225,8 @@ func (e *executor) poll(ctx context.Context) error {
 }
 
 // genPoll is a generation's poll as a core.FaultInjector: the hook through
-// which core.RunRank's training loops are interrupted. The world of a mesh
-// rank installs no transport hook, so Intercept never runs.
+// which a mesh or shard rank's training loops are interrupted. Intercept never
+// runs: a shard's world installs it as a hook, but RA-CA sends nothing.
 type genPoll struct {
 	e   *executor
 	ctx context.Context
@@ -247,6 +247,7 @@ func (e *executor) runShards(ctx context.Context, m execStart, resume map[int]*s
 		e.sendFail(m, -1, err.Error())
 		return
 	}
+	pr.Faults = genPoll{e, ctx}
 	e.logf("executor: job %s gen %d trains shard ranks %v", m.Job, m.Gen, m.Ranks)
 
 	// virt is this worker's cumulative α–β virtual time within the
@@ -275,7 +276,6 @@ func (e *executor) runShards(ctx context.Context, m execStart, resume map[int]*s
 			CheckpointEvery: m.CheckpointEvery,
 			CheckpointSink:  sink,
 			Restore:         resume[rank],
-			Interrupt:       func(int) error { return e.poll(ctx) },
 		})
 		if err != nil {
 			if errors.Is(err, errGenAborted) {
@@ -310,7 +310,7 @@ func (e *executor) runMesh(ctx context.Context, m execStart, ln net.Listener) {
 		tl = trace.NewTimeline(m.Spec.P)
 	}
 	comm, err := tcpmpi.DialOptions(rank, m.Mesh, tcpmpi.Options{
-		Listener: ln, DialTimeout: e.l.TTL(), Timeline: tl,
+		Listener: ln, DialTimeout: e.l.TTL(),
 	})
 	if err != nil {
 		e.logf("executor: job %s gen %d rank %d: %v", m.Job, m.Gen, rank, err)

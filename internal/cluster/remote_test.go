@@ -159,7 +159,8 @@ func TestRemoteSparseJobMatchesInProcess(t *testing.T) {
 // shards, the rest as one rank per executor over a tcpmpi mesh — and its
 // messages, bytes, iterations and support vectors are the in-process run's
 // (the tree methods' iterations summed over layers from each rank's per-layer
-// counts).
+// counts). A mesh job's merged fleet trace holds one flow edge per message,
+// and its edges' bytes sum to the job's.
 func TestRemoteEveryMethod(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
 	startExecutors(t, c, 4, 0)
@@ -199,6 +200,24 @@ func TestRemoteEveryMethod(t *testing.T) {
 			if res.Iters != ref.Stats.Iters || res.SVs != ref.Stats.SVs {
 				t.Fatalf("%d iterations, %d SVs; in-process %d, %d",
 					res.Iters, res.SVs, ref.Stats.Iters, ref.Stats.SVs)
+			}
+			if res.Messages == 0 {
+				return // RA-CA's shard ranks send nothing and ship no trace
+			}
+			// The merged trace accounts for exactly the job's traffic: one
+			// edge per message, carrying the bytes the job counted.
+			merged, err := c.Fleet().MergedTimeline(j.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := merged.FlowEdges()
+			var bytes int64
+			for _, e := range edges {
+				bytes += int64(e.Bytes)
+			}
+			if int64(len(edges)) != res.Messages || bytes != res.Bytes {
+				t.Fatalf("merged trace: %d edges carrying %d bytes; the job counted %d messages, %d bytes",
+					len(edges), bytes, res.Messages, res.Bytes)
 			}
 		})
 	}
@@ -972,6 +991,13 @@ func TestBeginGenerationCapsSurplusGang(t *testing.T) {
 	}
 }
 
+// pollOnly is a core.FaultInjector that only interrupts: f is polled every
+// solver iteration, the way an executor's genPoll is.
+type pollOnly func() error
+
+func (pollOnly) Intercept(int, int, int, []byte) mpi.Verdict { return mpi.Verdict{} }
+func (f pollOnly) CrashCheck(int, int) error                 { return f() }
+
 // TestRemoteSurplusBackfillRecovers: respawn backfill after a rank already
 // finished hands the next generation more workers than pending ranks. The
 // generation must run on the truncated gang and land on the fault-free
@@ -1003,7 +1029,14 @@ func TestRemoteSurplusBackfillRecovers(t *testing.T) {
 			return
 		}
 		streamed := false
-		_, err := core.RunShard(ds.X, ds.Y, pr, core.ShardRun{
+		held := pr
+		held.Faults = pollOnly(func() error {
+			if streamed {
+				return errHeld
+			}
+			return nil
+		})
+		_, err := core.RunShard(ds.X, ds.Y, held, core.ShardRun{
 			Rank: 1, P: m.Spec.P, CheckpointEvery: m.CheckpointEvery,
 			CheckpointSink: func(ck *smo.Checkpoint) {
 				hdr := execRank{Job: m.Job, Gen: m.Gen, Rank: 1, Iters: ck.Iters}
@@ -1011,12 +1044,6 @@ func TestRemoteSurplusBackfillRecovers(t *testing.T) {
 					t.Errorf("checkpoint: %v", err)
 				}
 				streamed = true
-			},
-			Interrupt: func(int) error {
-				if streamed {
-					return errHeld
-				}
-				return nil
 			},
 		})
 		if !errors.Is(err, errHeld) {

@@ -246,9 +246,8 @@ func (p Params) solverConfigCkpt(c *mpi.Comm) smo.Config {
 	cfg.Telemetry = p.Telemetry
 	cfg.TelemetryRank = rank
 	if run := p.shard; run != nil {
-		// RunShard: the remote executor owns checkpoints and interrupts.
-		cfg.Interrupt, cfg.CheckpointEvery = run.Interrupt, run.CheckpointEvery
-		cfg.CheckpointSink, cfg.Restore = run.CheckpointSink, run.Restore
+		// RunShard: the remote executor owns checkpoints.
+		cfg.CheckpointEvery, cfg.CheckpointSink, cfg.Restore = run.CheckpointEvery, run.CheckpointSink, run.Restore
 		return cfg
 	}
 	rt := p.rt

@@ -24,9 +24,10 @@ import (
 )
 
 // ShardRun configures one remote rank solve on top of Params: the rank
-// identity plus the checkpoint/interrupt wiring the executor threads in.
-// CheckpointEvery, CheckpointSink and Restore mirror smo.Config; Interrupt
-// is polled every iteration (abort frames and lease loss surface there).
+// identity plus the checkpoint wiring the executor threads in.
+// CheckpointEvery, CheckpointSink and Restore mirror smo.Config. The
+// executor interrupts the solve through Params.Faults, as it does a mesh
+// rank's.
 type ShardRun struct {
 	Rank int
 	P    int
@@ -34,7 +35,6 @@ type ShardRun struct {
 	CheckpointEvery int
 	CheckpointSink  func(*smo.Checkpoint)
 	Restore         *smo.Checkpoint
-	Interrupt       func(iter int) error
 }
 
 // ShardResult is what one rank produced: the model and routing center

@@ -137,7 +137,7 @@ func (c *Comm) send(dst, tag int, data []byte) {
 	// the single `chargeComm(cost)` below is the only mutation.
 	var edgeID, sendNs int64
 	if c.rec != nil {
-		edgeID = c.world.tl.NextEdgeID()
+		edgeID = c.world.edgeBase | c.world.tl.NextEdgeID()
 		lat := c.world.machine.Ts
 		cost := c.world.machine.PtoP(len(data))
 		c.rec.RecordSegment(trace.SegLatency, c.clock, c.clock+lat, edgeID)
@@ -157,9 +157,9 @@ func (c *Comm) send(dst, tag int, data []byte) {
 	}
 }
 
-// Recv blocks until a message with the given tag arrives from src
-// (AnySource matches anyone) and returns its payload. The receiver's clock
-// advances to at least the sender's post-send clock.
+// Recv blocks until a message with the given tag arrives from src and
+// returns its payload. The receiver's clock advances to at least the
+// sender's post-send clock.
 func (c *Comm) Recv(src, tag int) []byte {
 	checkUserTag(tag)
 	m := c.recv(src, tag)
@@ -167,6 +167,9 @@ func (c *Comm) Recv(src, tag int) []byte {
 }
 
 func (c *Comm) recv(src, tag int) message {
+	if src < 0 || src >= c.world.p {
+		panic(fmt.Sprintf("mpi: recv from invalid rank %d", src))
+	}
 	m := c.wire.take(c.rank, src, tag)
 	if m.clock > c.clock {
 		// The message arrived "in the future": the gap is imbalance/
@@ -297,9 +300,8 @@ func (c *Comm) Scatterv(root int, blocks [][]byte) []byte {
 }
 
 // Gatherv collects each rank's data at root; root returns the P blocks in
-// rank order, others return nil. Root receives per source in rank order (a
-// Link has no any-source receive); its clock ends at the latest arrival
-// either way.
+// rank order, others return nil. Root receives per source in rank order;
+// its clock ends at the latest arrival.
 func (c *Comm) Gatherv(root int, data []byte) [][]byte {
 	sp := c.beginColl("Gatherv")
 	defer c.endColl(sp)

@@ -11,8 +11,7 @@ import (
 // with an error. *tcpmpi.Comm is one. Everything above it — the collectives'
 // tree walks, trace.Stats accounting, α–β virtual time, the fault hook — is
 // the same code that runs over the in-process mailboxes, so message and byte
-// counts are transport-independent. A Link has no any-source receive;
-// RecvFrom(AnySource) over one fails with a *LinkError.
+// counts are transport-independent.
 type Link interface {
 	Send(dst, tag int, data []byte) error
 	Recv(src, tag int) ([]byte, error)
@@ -46,18 +45,24 @@ func (w *World) put(dst int, m message) { w.boxes[dst].put(m) }
 
 func (w *World) take(self, src, tag int) message { return w.boxes[self].take(src, tag) }
 
-// clockPrefix is the link frame header: the message's virtual arrival time
-// (sender's post-send clock plus injected delay) as a little-endian float64.
-// Accounted bytes and α–β costs are those of the payload alone, which keeps
-// the Table X/XI counts identical on both transports.
-const clockPrefix = 8
+// linkPrefix precedes every payload mpi sends over a Link: four little-endian
+// words, the virtual arrival time (sender's post-send clock plus injected
+// delay), the sender's clock and wall time (unix ns) at send completion, and
+// the flow-edge id, from which the receiver records the FlowEdge it records
+// in-process. Bytes and α–β costs are the payload's alone, which keeps the
+// Table X/XI counts identical on both transports.
+const linkPrefix = 32
 
 type linkWire struct{ l Link }
 
 func (lw linkWire) put(dst int, m message) {
-	buf := make([]byte, clockPrefix+len(m.data))
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(m.clock))
-	copy(buf[clockPrefix:], m.data)
+	buf := make([]byte, linkPrefix+len(m.data))
+	le := binary.LittleEndian
+	le.PutUint64(buf, math.Float64bits(m.clock))
+	le.PutUint64(buf[8:], math.Float64bits(m.sendClock))
+	le.PutUint64(buf[16:], uint64(m.sendNs))
+	le.PutUint64(buf[24:], uint64(m.edgeID))
+	copy(buf[linkPrefix:], m.data)
 	if err := lw.l.Send(dst, m.tag, buf); err != nil {
 		panic(&LinkError{Rank: m.src, Op: "send", Peer: dst, Err: err})
 	}
@@ -65,24 +70,31 @@ func (lw linkWire) put(dst int, m message) {
 
 func (lw linkWire) take(self, src, tag int) message {
 	b, err := lw.l.Recv(src, tag)
-	if err == nil && len(b) < clockPrefix {
-		err = fmt.Errorf("frame of %d bytes is shorter than the %d-byte clock prefix", len(b), clockPrefix)
+	if err == nil && len(b) < linkPrefix {
+		err = fmt.Errorf("frame of %d bytes is shorter than the %d-byte link prefix", len(b), linkPrefix)
 	}
 	if err != nil {
 		panic(&LinkError{Rank: self, Op: "recv", Peer: src, Err: err})
 	}
-	return message{src: src, tag: tag, data: b[clockPrefix:],
-		clock: math.Float64frombits(binary.LittleEndian.Uint64(b))}
+	le := binary.LittleEndian
+	return message{src: src, tag: tag, data: b[linkPrefix:],
+		clock:     math.Float64frombits(le.Uint64(b)),
+		sendClock: math.Float64frombits(le.Uint64(b[8:])),
+		sendNs:    int64(le.Uint64(b[16:])),
+		edgeID:    int64(le.Uint64(b[24:]))}
 }
 
 // RunLink runs f as rank `rank` of the world on the calling goroutine, its
 // messages carried by l to peers that run the other ranks elsewhere (each in
 // its own World of the same size, machine and seed). Errors and panics are
 // handled as in Run; a failed link operation returns a *LinkError. The
-// world's Stats and MaxClock then hold this rank's share only.
+// world's Stats and MaxClock then hold this rank's share only. The rank's
+// flow-edge ids are (rank+1)<<40 | n, so the edges every process of a job
+// records stay distinct when their timelines are merged.
 func (w *World) RunLink(rank int, l Link, f func(c *Comm) error) error {
 	if rank < 0 || rank >= w.p {
 		return fmt.Errorf("mpi: rank %d outside [0,%d)", rank, w.p)
 	}
+	w.edgeBase = int64(rank+1) << 40
 	return w.runRank(rank, linkWire{l}, f)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -60,24 +61,17 @@ func TestRecvSelectiveByTag(t *testing.T) {
 	}
 }
 
-func TestRecvAnySource(t *testing.T) {
-	w := testWorld(4)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() != 0 {
-			c.Send(0, 3, []byte{byte(c.Rank())})
+// TestRecvFromInvalidRank: a receive from a rank outside the world fails
+// the rank at once, as a send to one does, instead of waiting forever.
+func TestRecvFromInvalidRank(t *testing.T) {
+	for _, src := range []int{-1, 4} {
+		err := testWorld(4).Run(func(c *Comm) error {
+			c.Recv(src, 3)
 			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "recv from invalid rank") {
+			t.Fatalf("Recv(%d): %v", src, err)
 		}
-		seen := map[int]bool{}
-		for i := 0; i < 3; i++ {
-			seen[int(c.Recv(AnySource, 3)[0])] = true
-		}
-		if len(seen) != 3 {
-			return fmt.Errorf("saw %v", seen)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

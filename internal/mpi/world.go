@@ -14,8 +14,8 @@
 //   - Virtual time: each rank carries a clock in seconds. Computation is
 //     charged explicitly (Charge/ChargeTime) from flop counts; every
 //     message hop charges ts + tw·bytes on the sender and synchronises the
-//     receiver's clock with the sender's (over a Link the clock rides in an
-//     8-byte frame prefix that is neither counted nor priced). Collectives
+//     receiver's clock with the sender's (over a Link the clock rides in a
+//     frame prefix that is neither counted nor priced). Collectives
 //     therefore cost what the α–β model of internal/perfmodel says they
 //     should, and scaling experiments do not depend on how many ranks share
 //     the host.
@@ -114,8 +114,7 @@ func (mb *mailbox) put(m message) {
 }
 
 // take blocks until a message matching (src, tag) is available and removes
-// it. src == AnySource matches any sender. It panics with ErrAborted when
-// the world is shutting down.
+// it. It panics with ErrAborted when the world is shutting down.
 func (mb *mailbox) take(src, tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -125,7 +124,7 @@ func (mb *mailbox) take(src, tag int) message {
 		}
 		for i := range mb.queue {
 			m := mb.queue[i]
-			if (src == AnySource || m.src == src) && m.tag == tag {
+			if m.src == src && m.tag == tag {
 				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
 				return m
 			}
@@ -141,9 +140,6 @@ func (mb *mailbox) abort() {
 	mb.cond.Broadcast()
 }
 
-// AnySource matches any sending rank in Recv.
-const AnySource = -1
-
 // World is a set of P ranks sharing an interconnect model and statistics.
 type World struct {
 	p       int
@@ -153,6 +149,10 @@ type World struct {
 	seed    int64
 	hook    TransportHook
 	tl      *trace.Timeline
+
+	// edgeBase is or'ed into every flow-edge id: 0 in-process, (rank+1)<<40
+	// on a RunLink world.
+	edgeBase int64
 
 	base float64 // virtual-time origin of every rank's clock (recovery resume)
 

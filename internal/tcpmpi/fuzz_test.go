@@ -7,9 +7,9 @@ import (
 )
 
 // frameBytes assembles a well-formed frame for the seed corpus.
-func frameBytes(tag int32, sendNs int64, payload []byte) []byte {
+func frameBytes(tag int32, payload []byte) []byte {
 	buf := make([]byte, frameHeaderLen+len(payload))
-	putFrameHeader(buf, int(tag), sendNs, len(payload))
+	putFrameHeader(buf, int(tag), len(payload))
 	copy(buf[frameHeaderLen:], payload)
 	return buf
 }
@@ -22,28 +22,34 @@ func frameBytes(tag int32, sendNs int64, payload []byte) []byte {
 // normal test mode.
 func FuzzReadFrame(f *testing.F) {
 	oversized := make([]byte, frameHeaderLen)
-	putFrameHeader(oversized, 1, 0, 0)
-	binary.LittleEndian.PutUint32(oversized[12:16], maxFrame+1)
+	putFrameHeader(oversized, 1, 0)
+	binary.LittleEndian.PutUint32(oversized[4:8], maxFrame+1)
+	// A retired 16-byte header (tag, wall-clock ns, length) read as this
+	// one: the clock's low word becomes the length.
+	retired := binary.LittleEndian.AppendUint32(nil, 7)
+	retired = binary.LittleEndian.AppendUint64(retired, 1_700_000_000_000_000_000)
+	retired = binary.LittleEndian.AppendUint32(retired, 2)
+	retired = append(retired, "hi"...)
 
 	seeds := [][]byte{
 		nil,
 		{0x01},
-		{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07},                           // truncated header
-		frameBytes(5, 0, nil),                                                // zero-length payload
-		frameBytes(5, 0, []byte("control")),                                  // untimed (lease) frame
-		frameBytes(-2147483648, 0, nil),                                      // heartbeat tag
-		frameBytes(7, 1_700_000_000_000_000_000, []byte("hello world")),      // normal frame
-		frameBytes(7, 1_700_000_000_000_000_000, []byte("hello world"))[:19], // truncated payload
-		frameBytes(7, -1, []byte("x")),                                       // negative sendNs survives
-		oversized,                                                            // length field past maxFrame
-		append(frameBytes(1, 0, []byte("a")), 0xFF, 0xFF),                    // trailing garbage
-		frameBytes(9, 42, nil)[:frameHeaderLen-1],                            // one byte short of a header
+		{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07}, // truncated header
+		frameBytes(5, nil),                         // zero-length payload
+		frameBytes(5, []byte("control")),           // lease frame
+		frameBytes(-2147483648, nil),               // heartbeat tag
+		frameBytes(7, []byte("hello world")),       // normal frame
+		frameBytes(7, []byte("hello world"))[:11],  // truncated payload
+		oversized, // length field past maxFrame
+		retired,   // retired 16-byte header
+		append(frameBytes(1, []byte("a")), 0xFF, 0xFF), // trailing garbage
+		frameBytes(9, nil)[:frameHeaderLen-1],          // one byte short of a header
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		tag, sendNs, payload, err := readFrame(bytes.NewReader(in))
+		tag, payload, err := readFrame(bytes.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -51,7 +57,7 @@ func FuzzReadFrame(f *testing.F) {
 		if len(payload) > maxFrame {
 			t.Fatalf("accepted oversized payload: %d bytes", len(payload))
 		}
-		out := frameBytes(int32(tag), sendNs, payload)
+		out := frameBytes(int32(tag), payload)
 		if !bytes.Equal(out, in[:len(out)]) {
 			t.Fatalf("frame does not round-trip: tag=%d len=%d", tag, len(payload))
 		}
@@ -67,28 +73,33 @@ func helloBytes(rank, flags uint32) []byte {
 
 // FuzzParseHello asserts the 8-byte hello decoder never panics and never
 // accepts a hello it cannot fully vouch for: unknown flag bits — among them
-// bit 0, the retired fresh-incarnation flag — and contradictory roles fail
-// the handshake. Run with `go test -fuzz FuzzParseHello ./internal/tcpmpi`
-// for extended exploration.
+// bit 0, the retired fresh-incarnation flag — contradictory roles and a
+// missing helloHeader8 (a dialer of the 16-byte-header wire) fail the
+// handshake. Run with `go test -fuzz FuzzParseHello ./internal/tcpmpi` for
+// extended exploration.
 func FuzzParseHello(f *testing.F) {
 	const retiredFresh = 1 << 0
-	if _, err := parseHello(helloBytes(1, retiredFresh)); err == nil {
+	if _, err := parseHello(helloBytes(1, retiredFresh|helloHeader8)); err == nil {
 		f.Fatal("the retired fresh bit parsed as a known flag")
 	}
+	const h8 = helloHeader8
 	seeds := [][]byte{
 		nil,
 		{0x01},
-		helloBytes(1, 0)[:helloLen-1],            // one byte short
-		helloBytes(1, 0),                         // mesh hello
-		helloBytes(3, 0),                         // mesh hello from a higher rank
-		helloBytes(0, helloRegister),             // worker registration
-		helloBytes(0, helloClient),               // client registration
-		helloBytes(0, helloRegister|helloClient), // contradictory roles
-		helloBytes(1, retiredFresh),              // retired fresh bit: unknown
-		helloBytes(9, 0xFFFFFFFF),                // all flag bits set
-		helloBytes(9, helloKnownFlags+1<<3),      // one unknown bit
-		helloBytes(0xFFFFFFFF, 0),                // extreme rank
-		append(helloBytes(2, 0), 0xAA, 0xBB),     // trailing garbage
+		helloBytes(1, h8)[:helloLen-1],  // one byte short
+		helloBytes(1, h8),               // mesh hello
+		helloBytes(3, h8),               // mesh hello from a higher rank
+		helloBytes(1, 0),                // old-wire mesh hello: no h8
+		helloBytes(0, helloRegister|h8), // worker registration
+		helloBytes(0, helloClient|h8),   // client registration
+		helloBytes(0, helloRegister),    // old-wire worker registration
+		helloBytes(0, helloClient),      // old-wire client registration
+		helloBytes(0, helloRegister|helloClient|h8), // contradictory roles
+		helloBytes(1, retiredFresh|h8),              // retired fresh bit: unknown
+		helloBytes(9, 0xFFFFFFFF),                   // all flag bits set
+		helloBytes(9, helloKnownFlags+1<<4),         // one unknown bit
+		helloBytes(0xFFFFFFFF, h8),                  // extreme rank
+		append(helloBytes(2, h8), 0xAA, 0xBB),       // trailing garbage
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -107,6 +118,9 @@ func FuzzParseHello(f *testing.F) {
 		}
 		if h.flags&helloRegister != 0 && h.flags&helloClient != 0 {
 			t.Fatal("accepted a hello that is both worker and client")
+		}
+		if h.flags&helloHeader8 == 0 {
+			t.Fatal("accepted a hello without the 8-byte frame header flag")
 		}
 		// An accepted hello must round-trip through the encoder: the decoder
 		// read exactly the fields the encoder writes.

@@ -2,13 +2,14 @@
 //
 // A Registrar is the coordinator side: workers dial in and send the same
 // 8-byte hello the rank mesh uses, with the helloRegister (or helloClient)
-// flag set. The reply's first word carries the assigned worker id and its
-// second the lease TTL in milliseconds. The connection then stays open as
-// the lease channel, a link like a mesh peer's: both sides heartbeat every
-// TTL/3, data frames carry cluster control messages either way, and either
-// read loop ends the lease after a TTL of silence — on the registrar an
-// expiry, the failure-detector verdict the cluster runtime feeds into
-// shrink/respawn recovery, as is a Revoke; a clean close is a leave.
+// flag set beside helloHeader8. The reply's first word carries the assigned
+// worker id and its second the lease TTL in milliseconds. The connection
+// then stays open as the lease channel, a link like a mesh peer's: both sides
+// heartbeat every TTL/3, data frames carry cluster control messages either
+// way, and either read loop ends the lease after a TTL of silence — on the
+// registrar an expiry, the failure-detector verdict the cluster runtime
+// feeds into shrink/respawn recovery, as is a Revoke; a clean close is a
+// leave.
 //
 // No static rank table is involved: workers discover the coordinator by
 // address alone, and ids are assigned in registration order.
@@ -178,7 +179,7 @@ func (r *Registrar) Send(id, tag int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := l.write(tag, 0, payload); err != nil {
+	if err := l.write(tag, payload); err != nil {
 		l.conn.Close()
 		return err
 	}
@@ -295,7 +296,7 @@ func (r *Registrar) register(conn net.Conn) {
 // connection, a failed write and a revocation are an expiry — unless the
 // registrar is closing.
 func (r *Registrar) frameLoop(l *lease) {
-	err := l.readLoop(func(tag int, _ int64, payload []byte) {
+	err := l.readLoop(func(tag int, payload []byte) {
 		switch {
 		case tag == pongTag:
 			select {
@@ -397,7 +398,7 @@ burst:
 		var ping [pingLen]byte
 		t1 := time.Now().UnixNano()
 		putPing(ping[:], probeID, t1)
-		if err := l.write(pingTag, 0, ping[:]); err != nil {
+		if err := l.write(pingTag, ping[:]); err != nil {
 			l.conn.Close()
 			break
 		}
@@ -476,9 +477,9 @@ func Register(addr string, opt RegisterOptions) (*Lease, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcpmpi: register at %s: %w", addr, err)
 	}
-	flags := uint32(helloRegister)
+	flags := uint32(helloRegister | helloHeader8)
 	if opt.Client {
-		flags = helloClient
+		flags = helloClient | helloHeader8
 	}
 	var hello [helloLen]byte
 	putHello(hello[:], helloMsg{flags: flags})
@@ -511,7 +512,7 @@ func Register(addr string, opt RegisterOptions) (*Lease, error) {
 		}
 	})
 	go func() {
-		err := l.readLoop(func(tag int, _ int64, payload []byte) {
+		err := l.readLoop(func(tag int, payload []byte) {
 			l.mb.put(0, message{tag: tag, data: payload})
 		})
 		close(l.readDone)
@@ -575,7 +576,7 @@ func (l *Lease) Send(tag int, payload []byte) error {
 	if err := l.Err(); err != nil {
 		return err
 	}
-	if err := l.write(tag, 0, payload); err != nil {
+	if err := l.write(tag, payload); err != nil {
 		err = fmt.Errorf("tcpmpi: lease send: %w", err)
 		l.fail(err)
 		return err

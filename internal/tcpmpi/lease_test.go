@@ -172,7 +172,7 @@ func TestLeaseExpiry(t *testing.T) {
 	}
 	defer conn.Close()
 	var hello [helloLen]byte
-	putHello(hello[:], helloMsg{flags: helloRegister})
+	putHello(hello[:], helloMsg{flags: helloRegister | helloHeader8})
 	if _, err := conn.Write(hello[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func registerRaw(t *testing.T, addr string) (net.Conn, int) {
 	}
 	t.Cleanup(func() { conn.Close() })
 	var hello [helloLen]byte
-	putHello(hello[:], helloMsg{flags: helloRegister})
+	putHello(hello[:], helloMsg{flags: helloRegister | helloHeader8})
 	if _, err := conn.Write(hello[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestConcurrentSendToStalledWorker(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() { // heartbeats keep the lease alive; nothing is ever read
-		hb := frameBytes(hbTag, 0, nil)
+		hb := frameBytes(hbTag, nil)
 		for {
 			select {
 			case <-stop:
@@ -421,7 +421,7 @@ func TestMeshRejectsRegistrationHello(t *testing.T) {
 	}
 	defer conn.Close()
 	var hello [helloLen]byte
-	putHello(hello[:], helloMsg{rank: 1, flags: helloRegister})
+	putHello(hello[:], helloMsg{rank: 1, flags: helloRegister | helloHeader8})
 	if _, err := conn.Write(hello[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestRegistrarCloseOwnsItsGoroutines(t *testing.T) {
 	}
 	defer worker.Close()
 	var hello [helloLen]byte
-	putHello(hello[:], helloMsg{flags: helloRegister})
+	putHello(hello[:], helloMsg{flags: helloRegister | helloHeader8})
 	if _, err := worker.Write(hello[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +620,7 @@ func TestRegistrarCloseOwnsItsGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := make([]byte, frameHeaderLen)
-	putFrameHeader(frame, 7, 0, 0)
+	putFrameHeader(frame, 7, 0)
 	if _, err := worker.Write(frame); err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,9 @@ type link struct {
 }
 
 // write sends one frame (header + payload).
-func (k *link) write(tag int, sendNs int64, data []byte) error {
+func (k *link) write(tag int, data []byte) error {
 	buf := make([]byte, frameHeaderLen+len(data))
-	putFrameHeader(buf, tag, sendNs, len(data))
+	putFrameHeader(buf, tag, len(data))
 	copy(buf[frameHeaderLen:], data)
 	k.sendMu.Lock()
 	defer k.sendMu.Unlock()
@@ -50,7 +50,7 @@ func (k *link) beat() error {
 	}
 	defer k.sendMu.Unlock()
 	var hb [frameHeaderLen]byte
-	putFrameHeader(hb[:], hbTag, 0, 0)
+	putFrameHeader(hb[:], hbTag, 0)
 	return k.send(hb[:])
 }
 
@@ -59,10 +59,10 @@ func (k *link) beat() error {
 // are dropped, pings answered inline — before any queueing or callback, so
 // only the (t3−t2)-corrected turnaround is left in the prober's RTT — and
 // every other frame goes to deliver.
-func (k *link) readLoop(deliver func(tag int, sendNs int64, payload []byte)) error {
+func (k *link) readLoop(deliver func(tag int, payload []byte)) error {
 	for {
 		k.conn.SetReadDeadline(time.Now().Add(k.silence))
-		tag, sendNs, payload, err := readFrame(k.conn)
+		tag, payload, err := readFrame(k.conn)
 		switch {
 		case errors.Is(err, os.ErrDeadlineExceeded):
 			return fmt.Errorf("silent for %v", k.silence)
@@ -70,52 +70,50 @@ func (k *link) readLoop(deliver func(tag int, sendNs int64, payload []byte)) err
 			return err
 		case tag == hbTag, tag == pingTag && len(payload) != pingLen:
 		case tag == pingTag:
-			if err := k.write(pongTag, 0, makePong(payload, time.Now().UnixNano())); err != nil {
+			if err := k.write(pongTag, makePong(payload, time.Now().UnixNano())); err != nil {
 				return err
 			}
 		default:
-			deliver(tag, sendNs, payload)
+			deliver(tag, payload)
 		}
 	}
 }
 
 // readFrame reads one complete frame from r.
-func readFrame(r io.Reader) (tag int, sendNs int64, payload []byte, err error) {
+func readFrame(r io.Reader) (tag int, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	var n uint32
-	if tag, sendNs, n, err = parseFrameHeader(hdr[:]); err != nil {
-		return 0, 0, nil, err
+	if tag, n, err = parseFrameHeader(hdr[:]); err != nil {
+		return 0, nil, err
 	}
 	payload = make([]byte, n)
 	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
-	return tag, sendNs, payload, nil
+	return tag, payload, nil
 }
 
-// parseFrameHeader decodes one 16-byte frame header, rejecting oversized
+// parseFrameHeader decodes one 8-byte frame header, rejecting oversized
 // payload lengths.
-func parseFrameHeader(hdr []byte) (tag int, sendNs int64, n uint32, err error) {
+func parseFrameHeader(hdr []byte) (tag int, n uint32, err error) {
 	if len(hdr) < frameHeaderLen {
-		return 0, 0, 0, fmt.Errorf("tcpmpi: short frame header (%d bytes)", len(hdr))
+		return 0, 0, fmt.Errorf("tcpmpi: short frame header (%d bytes)", len(hdr))
 	}
 	tag = int(int32(binary.LittleEndian.Uint32(hdr[:4])))
-	sendNs = int64(binary.LittleEndian.Uint64(hdr[4:12]))
-	n = binary.LittleEndian.Uint32(hdr[12:16])
+	n = binary.LittleEndian.Uint32(hdr[4:8])
 	if n > maxFrame {
-		return 0, 0, 0, fmt.Errorf("tcpmpi: oversized frame (%d bytes)", n)
+		return 0, 0, fmt.Errorf("tcpmpi: oversized frame (%d bytes)", n)
 	}
-	return tag, sendNs, n, nil
+	return tag, n, nil
 }
 
 // putFrameHeader encodes a frame header into hdr (len ≥ frameHeaderLen).
-func putFrameHeader(hdr []byte, tag int, sendNs int64, n int) {
+func putFrameHeader(hdr []byte, tag int, n int) {
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(int32(tag)))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(sendNs))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n))
 }
 
 // tick calls f every interval until done closes. Each owner sends its
@@ -134,10 +132,8 @@ func tick(done <-chan struct{}, every time.Duration, f func()) {
 }
 
 type message struct {
-	tag    int
-	data   []byte
-	n      int64 // arrival number among src's data frames (0 for self-sends and lease frames: no flow edge)
-	sendNs int64 // sender's wall clock from the frame header
+	tag  int
+	data []byte
 }
 
 // mailbox is the selective receive shared by Comm.Recv and Lease.RecvAny:

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 
 	"casvm/internal/mpi"
 	"casvm/internal/perfmodel"
+	"casvm/internal/trace"
 )
 
 // listeners opens n loopback mesh listeners and returns them with their
@@ -122,15 +124,34 @@ func traceOf(w *mpi.World, c *mpi.Comm) (rankTrace, error) {
 	return tr, err
 }
 
+// flowsAt returns the flow edges rank recorded in tl, each without its id and
+// wall times (which differ between runs and transports), in a canonical order.
+func flowsAt(tl *trace.Timeline, rank int) []string {
+	var out []string
+	for _, e := range tl.FlowEdges() {
+		if e.Dst == rank {
+			e.ID, e.SendWallNs, e.RecvWallNs = 0, 0, 0
+			out = append(out, fmt.Sprintf("%+v", e))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestCollectivesEqualOnBothLinks: every collective gives every rank the same
-// result, the same virtual clock and the same per-destination message and
-// byte counts whether the world's ranks share mailboxes or a TCP mesh. The
-// collectives exist once, in internal/mpi; this is what that buys.
+// result, the same virtual clock, the same per-destination message and byte
+// counts, and the same flow edges (source, tag, bytes, virtual send and
+// receive times, α–β split) whether the world's ranks share mailboxes or a
+// TCP mesh. The collectives and their causal record exist once, in
+// internal/mpi; this is what that buys. Over TCP every segment's edge id
+// names an edge some rank recorded, so the processes' traces stitch.
 func TestCollectivesEqualOnBothLinks(t *testing.T) {
 	machine := perfmodel.Hopper()
 	for _, n := range []int{1, 2, 3, 5} {
 		inproc := make([]rankTrace, n)
 		w := mpi.NewWorld(n, machine, 7)
+		tl := trace.NewTimeline(n)
+		w.SetTimeline(tl)
 		if err := w.Run(func(c *mpi.Comm) (err error) {
 			inproc[c.Rank()], err = traceOf(w, c)
 			return err
@@ -138,8 +159,11 @@ func TestCollectivesEqualOnBothLinks(t *testing.T) {
 			t.Fatalf("P=%d in-process: %v", n, err)
 		}
 		overTCP := make([]rankTrace, n)
+		tls := make([]*trace.Timeline, n)
 		for r, err := range onMesh(t, n, Options{Timeout: 30 * time.Second}, func(comm *Comm) error {
 			w := mpi.NewWorld(n, machine, 7)
+			tls[comm.rank] = trace.NewTimeline(n)
+			w.SetTimeline(tls[comm.rank])
 			return w.RunLink(comm.rank, comm, func(c *mpi.Comm) (err error) {
 				overTCP[c.Rank()], err = traceOf(w, c)
 				return err
@@ -149,9 +173,26 @@ func TestCollectivesEqualOnBothLinks(t *testing.T) {
 				t.Fatalf("P=%d rank %d over TCP: %v", n, r, err)
 			}
 		}
+		recorded := map[int64]bool{}
+		for _, tl := range tls {
+			for _, e := range tl.FlowEdges() {
+				recorded[e.ID] = true
+			}
+		}
 		for r := range inproc {
 			if !reflect.DeepEqual(inproc[r], overTCP[r]) {
 				t.Errorf("P=%d rank %d:\n in-process %+v\n over TCP   %+v", n, r, inproc[r], overTCP[r])
+			}
+			if want, got := flowsAt(tl, r), flowsAt(tls[r], r); !reflect.DeepEqual(want, got) {
+				t.Errorf("P=%d rank %d flow edges:\n in-process %v\n over TCP   %v", n, r, want, got)
+			}
+			if n > 1 && len(flowsAt(tls[r], r)) == 0 {
+				t.Errorf("P=%d rank %d recorded no flow edge over TCP", n, r)
+			}
+			for _, sg := range tls[r].Segments()[r] {
+				if sg.EdgeID != 0 && !recorded[sg.EdgeID] {
+					t.Errorf("P=%d rank %d: segment %+v names no recorded edge", n, r, sg)
+				}
 			}
 		}
 	}

@@ -142,7 +142,7 @@ func TestSilentPeerDetected(t *testing.T) {
 	}
 	defer conn.Close()
 	var hello [helloLen]byte
-	putHello(hello[:], helloMsg{rank: 1})
+	putHello(hello[:], helloMsg{rank: 1, flags: helloHeader8})
 	if _, err := conn.Write(hello[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSecondHelloRefused(t *testing.T) {
 	}
 	defer conn.Close()
 	var hello [helloLen]byte
-	putHello(hello[:], helloMsg{rank: 1})
+	putHello(hello[:], helloMsg{rank: 1, flags: helloHeader8})
 	if _, err := conn.Write(hello[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +201,68 @@ func TestSecondHelloRefused(t *testing.T) {
 	if got, err := c1.Recv(0, 4); err != nil || string(got) != "down" {
 		t.Fatalf("rank 0 → 1 after the refused hello: %q, %v", got, err)
 	}
+}
+
+// TestOldWireHelloRefused: a dialer of the retired wire version writes
+// 16-byte frame headers and so sends no helloHeader8 flag. A rank mesh and a
+// registrar both close it at its hello without a reply, before a frame of
+// its could be misread, and neither installs it.
+func TestOldWireHelloRefused(t *testing.T) {
+	refused := func(t *testing.T, addr string, h helloMsg) {
+		t.Helper()
+		var conn net.Conn
+		for i := 0; i < 200; i++ {
+			var err error
+			if conn, err = net.Dial("tcp", addr); err == nil {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if conn == nil {
+			t.Fatalf("could not reach %s", addr)
+		}
+		defer conn.Close()
+		var hello [helloLen]byte
+		putHello(hello[:], h)
+		if _, err := conn.Write(hello[:]); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var reply [replyLen]byte
+		if _, err := io.ReadFull(conn, reply[:]); err == nil {
+			t.Fatalf("hello %+v was answered", h)
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("hello %+v was neither answered nor refused", h)
+		}
+	}
+	t.Run("mesh", func(t *testing.T) {
+		addrs := freeAddrs(t, 2)
+		done := make(chan error, 1)
+		go func() {
+			c, err := DialOptions(0, addrs, Options{DialTimeout: time.Second})
+			if err == nil {
+				c.Close()
+			}
+			done <- err
+		}()
+		refused(t, addrs[0], helloMsg{rank: 1})
+		if err := <-done; err == nil {
+			t.Fatal("the mesh installed rank 1 from an old-wire hello")
+		}
+	})
+	t.Run("registrar", func(t *testing.T) {
+		ev := &leaseEvents{}
+		reg, err := NewRegistrar("127.0.0.1:0", ev.config(5*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		refused(t, reg.Addr(), helloMsg{flags: helloRegister})
+		refused(t, reg.Addr(), helloMsg{flags: helloClient})
+		if j, _, _ := ev.counts(); j != 0 {
+			t.Fatalf("%d old-wire registrations joined", j)
+		}
+	})
 }
 
 // TestCommCloseOwnsItsGoroutines: Close returns only after every goroutine

@@ -9,19 +9,22 @@
 //
 // Wire protocol per frame (little endian):
 //
-//	int32 tag | int64 sendNs | uint32 len | len bytes payload
+//	int32 tag | uint32 len | len bytes payload
 //
-// sendNs is the sender's wall clock (unix nanoseconds) at Send time; with
-// Options.Timeline set, the receiver records a cross-process flow edge
-// (send→recv, bytes, wall timestamps) per delivered data frame, matching
-// the causal trace internal/mpi records for simulated worlds. It is 0 on
-// heartbeats and lease frames and purely observational otherwise.
+// The payload is opaque here: a frame internal/mpi sends starts with its own
+// prefix (virtual clocks, wall time and flow-edge id), from which the
+// receiving mpi.Comm records the message's causal trace; this package
+// records none.
 //
 // Connection setup: rank i listens on addrs[i]; every pair (i < j) shares
 // one connection dialed by j, which introduces itself with an 8-byte hello
-// (rank, flags); the acceptor answers with an 8-byte reply. Each peer has
-// exactly one connection for the life of the Comm: a hello for a rank that
-// is already connected is refused, so once setup is done every hello is.
+// (rank, flags); the acceptor answers with an 8-byte reply. Every hello, mesh
+// or registration, carries the helloHeader8 flag: it says the dialer frames
+// with this 8-byte header. A peer that still writes the retired 16-byte
+// header (tag, wall clock, length) sends no such flag and is refused at its
+// hello, never misparsed. Each peer has exactly one connection for the life
+// of the Comm: a hello for a rank that is already connected is refused, so
+// once setup is done every hello is.
 //
 // Failure model: fail-stop, as MPI's is. Every connection, mesh or lease,
 // sends heartbeats and fails when its read loop hears nothing for its
@@ -51,7 +54,6 @@ import (
 
 	"casvm/internal/mpi"
 	"casvm/internal/perfmodel"
-	"casvm/internal/trace"
 )
 
 // DialTimeout is the default bound on connection establishment
@@ -62,8 +64,8 @@ const DialTimeout = 30 * time.Second
 // hostile stream.
 const maxFrame = 1 << 30
 
-// frameHeaderLen is tag (4) + sendNs (8) + len (4).
-const frameHeaderLen = 16
+// frameHeaderLen is tag (4) + len (4).
+const frameHeaderLen = 8
 
 // hbTag marks heartbeat frames; it lives outside the int32 range user and
 // collective tags occupy (they are non-negative).
@@ -96,15 +98,6 @@ type Options struct {
 	// instead of closing it and binding the port again, which another
 	// process can win. Nil listens on addrs[rank].
 	Listener net.Listener
-
-	// Timeline, when non-nil, records this rank's side of the causal
-	// trace: one flow edge per delivered data frame (edge ids are
-	// synthesized from the source rank and its frames' arrival order, so
-	// they are unique within the receiving process), carrying wall
-	// timestamps only. Collective spans come from the mpi world running over
-	// this Comm — attach the same timeline to it; Barrier and AllreduceSum
-	// here do. Nil keeps every path record-free.
-	Timeline *trace.Timeline
 }
 
 func (o Options) withDefaults() Options {
@@ -140,12 +133,6 @@ type Comm struct {
 
 	done chan struct{}  // closed by Close; stops the heartbeat loop
 	wg   sync.WaitGroup // every goroutine the Comm starts; Close waits for it
-
-	// rec is this rank's trace recorder (nil without Options.Timeline).
-	// Only the goroutine driving Send/Recv/collectives touches it — the
-	// read loops pass frame metadata through the mailbox instead of
-	// recording themselves, preserving the recorder's single-owner rule.
-	rec *trace.Recorder
 }
 
 // Dial joins the world with default options. See DialOptions.
@@ -172,7 +159,6 @@ func DialOptions(rank int, addrs []string, opt Options) (*Comm, error) {
 		up:      make(chan struct{}, size),
 		done:    make(chan struct{}),
 	}
-	c.rec = c.opt.Timeline.Rank(rank) // nil-safe: nil timeline, nil recorder
 	c.ln = opt.Listener
 	if size == 1 {
 		return c, nil
@@ -249,9 +235,10 @@ const (
 	replyLen = 8
 )
 
-// Hello flag bits. A mesh hello sets none. Any other bit — including bit 0,
-// which is retired — marks a malformed or incompatible-version hello, which
-// the decoder rejects outright.
+// Hello flag bits. A mesh hello sets helloHeader8 alone; a registration
+// hello adds helloRegister or helloClient. A hello without helloHeader8, or
+// with an unknown bit — including bit 0, which is retired — is a malformed or
+// incompatible-version hello, which the decoder rejects outright.
 const (
 	// helloRegister marks a worker registering with a cluster Registrar
 	// instead of joining a rank mesh: the rank field is ignored, the reply's
@@ -261,8 +248,12 @@ const (
 	// helloClient marks a cluster client (job submitter): registered like a
 	// worker but never counted as training capacity.
 	helloClient = 1 << 2
+	// helloHeader8 says the dialer frames with the 8-byte header (tag, len).
+	// It is required: a dialer without it writes 16-byte headers, whose
+	// wall-clock word this parser would read as a length.
+	helloHeader8 = 1 << 3
 
-	helloKnownFlags = helloRegister | helloClient
+	helloKnownFlags = helloRegister | helloClient | helloHeader8
 )
 
 // helloMsg is the decoded 8-byte hello.
@@ -271,8 +262,9 @@ type helloMsg struct {
 	flags uint32
 }
 
-// parseHello decodes and validates a hello. Unknown flag bits are rejected:
-// a corrupt or version-skewed hello must fail the handshake.
+// parseHello decodes and validates a hello. Unknown flag bits and a missing
+// helloHeader8 are rejected: a corrupt or version-skewed hello must fail the
+// handshake.
 func parseHello(b []byte) (helloMsg, error) {
 	if len(b) < helloLen {
 		return helloMsg{}, fmt.Errorf("tcpmpi: short hello (%d bytes)", len(b))
@@ -283,6 +275,9 @@ func parseHello(b []byte) (helloMsg, error) {
 	}
 	if h.flags&^uint32(helloKnownFlags) != 0 {
 		return helloMsg{}, fmt.Errorf("tcpmpi: hello with unknown flags %#x", h.flags)
+	}
+	if h.flags&helloHeader8 == 0 {
+		return helloMsg{}, errors.New("tcpmpi: hello without the 8-byte frame header flag (a peer of an older wire version)")
 	}
 	if h.flags&helloRegister != 0 && h.flags&helloClient != 0 {
 		return helloMsg{}, errors.New("tcpmpi: hello is both worker and client registration")
@@ -313,7 +308,7 @@ func (c *Comm) dialPeer(dst int) error {
 		return fmt.Errorf("tcpmpi: dial rank %d at %s: %w", dst, c.addrs[dst], err)
 	}
 	var hello [helloLen]byte
-	putHello(hello[:], helloMsg{rank: uint32(c.rank)})
+	putHello(hello[:], helloMsg{rank: uint32(c.rank), flags: helloHeader8})
 	conn.SetDeadline(deadline)
 	if _, err := conn.Write(hello[:]); err != nil {
 		conn.Close()
@@ -365,7 +360,7 @@ func (c *Comm) handshake(conn net.Conn) {
 	_, err := io.ReadFull(conn, buf[:])
 	h, herr := parseHello(buf[:])
 	src := int(h.rank)
-	if err != nil || herr != nil || h.flags != 0 || src <= c.rank || src >= c.size {
+	if err != nil || herr != nil || h.flags != helloHeader8 || src <= c.rank || src >= c.size {
 		conn.Close()
 		return
 	}
@@ -433,10 +428,8 @@ func (c *Comm) Close() error {
 }
 
 func (c *Comm) readLoop(src int, k *link) {
-	var n int64 // data frames received from src
-	err := k.readLoop(func(tag int, sendNs int64, data []byte) {
-		n++
-		c.mb.put(src, message{tag: tag, data: data, n: n, sendNs: sendNs})
+	err := k.readLoop(func(tag int, data []byte) {
+		c.mb.put(src, message{tag: tag, data: data})
 	})
 	c.fail(src, fmt.Errorf("tcpmpi: read from rank %d: %w", src, err))
 }
@@ -481,12 +474,8 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if err := c.mb.err(dst); err != nil {
 		return err
 	}
-	var sendNs int64
-	if c.rec != nil {
-		sendNs = time.Now().UnixNano()
-	}
 	// peers is complete before DialOptions returns and never replaced.
-	if err := c.peers[dst].write(tag, sendNs, data); err != nil {
+	if err := c.peers[dst].write(tag, data); err != nil {
 		err = fmt.Errorf("tcpmpi: write to rank %d: %w", dst, err)
 		c.fail(dst, err)
 		return err
@@ -508,19 +497,6 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.rec != nil && m.n != 0 {
-		// Wall-only cross-process edge; the id is unique per (src, arrival
-		// number) within this receiver.
-		c.rec.RecordFlow(trace.FlowEdge{
-			ID:         int64(src+1)<<40 | m.n,
-			Src:        src,
-			Dst:        c.rank,
-			Tag:        tag,
-			Bytes:      len(m.data),
-			SendWallNs: m.sendNs,
-			RecvWallNs: time.Now().UnixNano(),
-		})
-	}
 	return m.data, nil
 }
 
@@ -531,7 +507,6 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 // is FIFO per (source, tag).
 func (c *Comm) collective(f func(m *mpi.Comm)) error {
 	w := mpi.NewWorld(c.size, perfmodel.Machine{}, 0)
-	w.SetTimeline(c.opt.Timeline)
 	return w.RunLink(c.rank, c, func(m *mpi.Comm) error { f(m); return nil })
 }
 

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"casvm/internal/mpi"
+	"casvm/internal/perfmodel"
 	"casvm/internal/trace"
 )
 
@@ -253,56 +255,39 @@ func TestDialValidation(t *testing.T) {
 	c.Close()
 }
 
-// TestTimelineFlowEdges: with Options.Timeline, every delivered data frame
-// leaves a wall-clock flow edge on the receiver, and collectives leave
-// spans — the real-transport mirror of internal/mpi's causal trace.
+// TestTimelineFlowEdges: an mpi world over the mesh, with a timeline on each
+// process, records every delivered message as a flow edge on the receiver —
+// carrying the sender's edge id, virtual clocks and wall time across the wire
+// — and every collective as a span: the causal trace of an in-process world,
+// recorded by internal/mpi alone.
 func TestTimelineFlowEdges(t *testing.T) {
-	addrs := freeAddrs(t, 2)
+	machine := perfmodel.Hopper()
 	tls := []*trace.Timeline{trace.NewTimeline(2), trace.NewTimeline(2)}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c, err := DialOptions(rank, addrs, Options{Timeline: tls[rank]})
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			defer c.Close()
-			if err := c.Barrier(); err != nil {
-				errs[rank] = err
-				return
-			}
-			if rank == 0 {
-				if err := c.Send(1, 7, []byte("payload")); err != nil {
-					errs[rank] = err
-					return
-				}
-				_, errs[rank] = c.Recv(1, 8)
+	for r, err := range onMesh(t, 2, Options{Timeout: 30 * time.Second}, func(comm *Comm) error {
+		w := mpi.NewWorld(2, machine, 1)
+		w.SetTimeline(tls[comm.rank])
+		return w.RunLink(comm.rank, comm, func(c *mpi.Comm) error {
+			c.Barrier()
+			if c.Rank() == 0 {
+				c.Send(1, 7, []byte("payload"))
+				c.Recv(1, 8)
 			} else {
-				if _, err := c.Recv(0, 7); err != nil {
-					errs[rank] = err
-					return
-				}
-				errs[rank] = c.Send(0, 8, []byte("ack"))
+				c.Recv(0, 7)
+				c.Send(0, 8, []byte("ack"))
 			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
+			return nil
+		})
+	}) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
 
-	// Rank 1's world saw the barrier traffic plus the tag-7 payload; find
-	// the payload edge and check its identity and wall ordering.
+	// Rank 1's timeline holds the barrier traffic plus the tag-7 payload;
+	// find the payload edge and check its identity, costs and ordering.
 	var got *trace.FlowEdge
 	for _, e := range tls[1].FlowEdges() {
 		if e.Tag == 7 {
-			e := e
 			got = &e
 		}
 	}
@@ -313,17 +298,30 @@ func TestTimelineFlowEdges(t *testing.T) {
 		t.Fatalf("edge: %+v", got)
 	}
 	if got.ID>>40 != int64(got.Src+1) {
-		t.Fatalf("edge id %d does not encode src %d", got.ID, got.Src)
+		t.Fatalf("edge id %#x does not name sender rank %d", got.ID, got.Src)
+	}
+	if got.LatencySec != machine.Ts || got.BandwidthSec != machine.PtoP(got.Bytes)-machine.Ts {
+		t.Fatalf("α–β split %v + %v, want %v + %v", got.LatencySec, got.BandwidthSec, machine.Ts, machine.PtoP(got.Bytes)-machine.Ts)
+	}
+	if got.SendVirtSec <= 0 || got.RecvVirtSec < got.SendVirtSec {
+		t.Fatalf("virtual ordering: send=%v recv=%v", got.SendVirtSec, got.RecvVirtSec)
 	}
 	if got.SendWallNs <= 0 || got.RecvWallNs < got.SendWallNs {
 		t.Fatalf("wall ordering: send=%d recv=%d", got.SendWallNs, got.RecvWallNs)
 	}
-	if tls[1].CausalityViolations() != 0 {
-		t.Fatalf("wall-only edges must not trip the virtual causality counter")
+	// The sender's latency segment names the edge the receiver recorded.
+	named := false
+	for _, sg := range tls[0].Segments()[0] {
+		named = named || (sg.Kind == trace.SegLatency && sg.EdgeID == got.ID)
+	}
+	if !named {
+		t.Fatalf("rank 0 recorded no latency segment for edge %#x", got.ID)
 	}
 
-	// Both ranks recorded the Barrier collective span.
 	for r, tl := range tls {
+		if v := tl.CausalityViolations(); v != 0 {
+			t.Fatalf("rank %d: %d causality violations", r, v)
+		}
 		found := false
 		for _, ev := range tl.Events() {
 			if ev.Cat == trace.CatCollective && ev.Name == "Barrier" {

@@ -21,8 +21,8 @@ import (
 //     can still violate recv ≥ send. Each violated edge is a difference
 //     constraint on the two ranks' offsets; lowering the receiver's
 //     offset by the violation amount (≤ p+2 relaxation passes) resolves
-//     what the probes got wrong, exactly like the sendNs-based bound the
-//     frame headers already carry.
+//     what the probes got wrong, from the send and receive wall times
+//     every edge carries.
 //  3. Clamp: any residual violation is clamped to recv = send and
 //     counted — the exported trace always satisfies the causality
 //     invariant the critical-path walker assumes.
@@ -217,8 +217,8 @@ func (c *Collector) MergedTimeline(job string) (*trace.Timeline, error) {
 	}
 	toSec := func(ns int64) float64 { return float64(ns-base) / 1e9 }
 
-	// Fresh edge ids: worker-local ids ((src+1)<<40|seq from tcpmpi) are
-	// only unique per receiver; reassign 1..n in arrival order.
+	// Fresh edge ids 1..n in arrival order: the processes' ids
+	// ((rank+1)<<40 | seq, from internal/mpi) are distinct but sparse.
 	sort.SliceStable(redges, func(i, j int) bool { return redges[i].recvNs < redges[j].recvNs })
 	tl := trace.NewTimelineCap(in.p, maxPerRank+16)
 	tl.SetTimebase(trace.TimebaseWall, append([]int64(nil), in.offsets...))
