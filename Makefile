@@ -287,7 +287,7 @@ loc:
 		| sort -k2
 
 # Short fuzz sweep over every fuzz target (parsers, the wire-frame, hello and
-# registration-reply decoders, the fleet collector's inputs, the matrix, shard,
+# registration-reply decoders, the fleet merge's inputs, the matrix, shard,
 # model-file and sample-part decoders, the run-report round trip, and the
 # four-lane exp, distance, SMO update-scan and Dot4 kernels against their
 # scalar oracles); seed corpora also run in plain `make test`. The targets

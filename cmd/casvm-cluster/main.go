@@ -38,10 +38,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"os"
 	"os/signal"
@@ -112,7 +115,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			if *fleetTrace == "" {
 				return
 			}
-			writeFleetTrace(coord, j.ID(), *fleetTrace)
+			writeFleetTrace(j, *fleetTrace)
 		},
 	})
 	if err != nil {
@@ -133,7 +136,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				}
 			},
 			Streams: map[string]telemetry.StreamSource{
-				"fleet/events": coord.Fleet().StreamSource(),
+				"fleet/events": coord.Stragglers().Stream,
 			},
 		})
 		if err != nil {
@@ -185,44 +188,35 @@ func statusReport(coord *cluster.Coordinator) any {
 // jobNamespaces exposes each job's private metrics registry, result and
 // (once workers have shipped spans) merged fleet trace under /jobs/<id>/.
 func jobNamespaces(coord *cluster.Coordinator) []telemetry.JobNamespace {
-	fl := coord.Fleet()
 	var out []telemetry.JobNamespace
 	for _, j := range coord.Jobs() {
 		j := j
-		ns := telemetry.JobNamespace{
+		out = append(out, telemetry.JobNamespace{
 			ID:      j.ID(),
 			State:   j.State().String(),
 			Metrics: j.Metrics(),
 			Report:  func() any { return j.Result() },
-		}
-		if fl.HasTrace(j.ID()) {
-			ns.Trace = func(w io.Writer) error { return fl.WriteMergedTrace(j.ID(), w) }
-		}
-		out = append(out, ns)
+			Trace:   j.WriteTrace,
+		})
 	}
 	return out
 }
 
 // writeFleetTrace persists one finished job's merged trace (a no-op when
 // its workers shipped no spans).
-func writeFleetTrace(coord *cluster.Coordinator, jobID, dir string) {
-	fl := coord.Fleet()
-	if !fl.HasTrace(jobID) {
+func writeFleetTrace(j *cluster.Job, dir string) {
+	var buf bytes.Buffer
+	err := j.WriteTrace(&buf)
+	if errors.Is(err, fs.ErrNotExist) {
 		return
 	}
-	path := filepath.Join(dir, jobID+".trace")
-	f, err := os.Create(path)
-	if err != nil {
-		log.Printf("casvm-cluster: fleet trace for %s: %v", jobID, err)
-		return
-	}
-	err = fl.WriteMergedTrace(jobID, f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	path := filepath.Join(dir, j.ID()+".trace")
+	if err == nil {
+		err = os.WriteFile(path, buf.Bytes(), 0o666)
 	}
 	if err != nil {
-		log.Printf("casvm-cluster: fleet trace for %s: %v", jobID, err)
+		log.Printf("casvm-cluster: fleet trace for %s: %v", j.ID(), err)
 		return
 	}
-	log.Printf("casvm-cluster: merged fleet trace for %s written to %s", jobID, path)
+	log.Printf("casvm-cluster: merged fleet trace for %s written to %s", j.ID(), path)
 }

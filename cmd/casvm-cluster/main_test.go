@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"casvm"
 	"casvm/internal/cluster"
+	"casvm/internal/trace"
 )
 
 // syncBuffer is a stdout the test reads while run writes it.
@@ -54,14 +57,17 @@ func after(t *testing.T, w *syncBuffer, prefix string) string {
 // toy -method ra-ca -p 2` (the spec that command builds from its defaults;
 // casvm-train's TestRunClusterSubmit runs the command itself), and the
 // job's model hash must be the one the same training run produces in
-// process. Cancelling the runs' contexts shuts all three down cleanly.
+// process. With -fleet-trace, a Dis-SMO job's merged trace lands in the
+// directory and the RA-CA job, whose ranks ship none, leaves no file.
+// Cancelling the runs' contexts shuts all three down cleanly.
 func TestRunCoordinatorAndExecutors(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var coordOut syncBuffer
 	coordDone := make(chan error, 1)
+	traces := t.TempDir()
 	go func() {
-		coordDone <- run(ctx, []string{"-listen", "127.0.0.1:0", "-serve", "127.0.0.1:0"}, &coordOut)
+		coordDone <- run(ctx, []string{"-listen", "127.0.0.1:0", "-serve", "127.0.0.1:0", "-fleet-trace", traces}, &coordOut)
 	}()
 	addr := after(t, &coordOut, "coordinator listening on ")
 	health := after(t, &coordOut, "telemetry at ") + "/healthz"
@@ -97,6 +103,26 @@ func TestRunCoordinatorAndExecutors(t *testing.T) {
 	if res.Generations != 1 || res.FinalP != 2 || res.ModelHash != ref.Set.Hash() {
 		t.Errorf("job: %d generations at P=%d, hash %s; want 1 at P=2, hash %s",
 			res.Generations, res.FinalP, res.ModelHash, ref.Set.Hash())
+	}
+	mesh, err := cluster.SubmitAndWait(addr, cluster.JobSpec{ID: "mesh", Dataset: "toy", Scale: 1, Method: "dissmo", P: 2, Seed: 1}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshTrace := filepath.Join(traces, mesh.ID+".trace")
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if f, err := os.Open(meshTrace); err == nil {
+			x, err := trace.ReadTraceExtra(f)
+			f.Close()
+			if err == nil && x.P == 2 && x.Timebase == trace.TimebaseWall {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no merged trace of the Dis-SMO job at %s", meshTrace)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(traces, res.ID+".trace")); !os.IsNotExist(err) {
+		t.Errorf("the RA-CA job, whose ranks ship no spans, left a trace file: %v", err)
 	}
 
 	leave()

@@ -16,13 +16,14 @@
 //
 // Fleet telemetry — every executor reports over its lease in the exec frames
 // that carry its work: an RA-CA rank's checkpoints each carry the epoch's wall
-// time, and a Dis-SMO rank's rank-done frame its trace spans and flow edges;
-// the coordinator probes each lease's clock offset and writes the Dis-SMO
-// job's merged Chrome trace (cross-process Perfetto arrows included), which
-// casvm-profile analyzes. The program exits non-zero unless that trace holds
-// one flow edge per message the job counted, carrying the job's bytes. With -straggler the last executor sleeps five times
-// as long an iteration as the rest, and the online detector flags its rank of
-// the RA-CA job against the gang median:
+// time, and a Dis-SMO rank's rank-done frame its trace spans and flow edges,
+// which the job keeps. Writing the Dis-SMO job's merged Chrome trace
+// (cross-process Perfetto arrows included), which casvm-profile analyzes, the
+// coordinator probes the clock offset of each executor that shipped spans.
+// The program exits non-zero unless that trace holds one flow edge per
+// message the job counted, carrying the job's bytes. With -straggler the last
+// executor sleeps five times as long an iteration as the rest, and the RA-CA
+// job's epoch table flags its rank against the gang median:
 //
 //	go run ./examples/distributed -p 4 -fleet-trace merged.trace -straggler 2ms
 //	go run ./cmd/casvm-profile merged.trace
@@ -119,7 +120,7 @@ func main() {
 			// Every checkpoint of a rank, and the epoch it ends, precedes its
 			// rank-done frame on the lease, so the finished job's have all
 			// been judged.
-			events, _ := coord.Fleet().Events(0)
+			events, _ := coord.Stragglers().Since(0)
 			for _, e := range events {
 				if e.Job == j.ID() {
 					stamp("fleet: STRAGGLER rank %d epoch %d: %.3fs vs gang median %.3fs (%.1fx)",
@@ -127,7 +128,7 @@ func main() {
 				}
 			}
 		case *fleetTrace != "":
-			if err := writeMergedTrace(coord, j.ID(), res, *fleetTrace, stamp); err != nil {
+			if err := writeMergedTrace(j, res, *fleetTrace, stamp); err != nil {
 				log.Fatalf("fleet trace: %v", err)
 			}
 		}
@@ -218,12 +219,12 @@ func killDemo(coord *cluster.Coordinator, p int, victim *exec.Cmd, stamp func(st
 // rank counts, so the finished job's is complete — checks that it holds one
 // flow edge per message the job counted, carrying the job's bytes, and
 // summarizes the cross-process critical path inline.
-func writeMergedTrace(coord *cluster.Coordinator, job string, res *cluster.JobResult, path string, stamp func(string, ...any)) error {
+func writeMergedTrace(j *cluster.Job, res *cluster.JobResult, path string, stamp func(string, ...any)) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = coord.Fleet().WriteMergedTrace(job, f)
+	err = j.WriteTrace(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

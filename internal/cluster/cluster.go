@@ -19,12 +19,16 @@
 // ModelHash, with the lost work α–β-priced into TotalSec. See remote.go for
 // the coordinator half and executor.go for the worker half.
 //
-// The package deliberately does not import the HTTP telemetry server: the
-// coordinator exposes per-job metrics registries and the fleet telemetry
-// collector (the merged traces of mesh ranks' timelines and the straggler
-// verdicts on RA-CA ranks' epochs, both taken from the exec frames of the
-// leases that own the job — see internal/telemetry/fleet), and the
-// casvm-cluster command wires them into an HTTP server.
+// A job owns its ranks' telemetry, taken from the exec frames of the leases
+// that own the job: a mesh rank's timeline from its rank-done frame, which
+// Job.Timeline merges onto the coordinator's clock, probing each worker that
+// shipped spans once at merge time; and an RA-CA rank's epoch seconds from
+// its checkpoints, which the job's epoch table judges into the coordinator's
+// straggler feed (see internal/telemetry/fleet for the arithmetic). The
+// package deliberately does not import the HTTP telemetry server: the
+// coordinator exposes per-job metrics registries, merged traces and the
+// straggler feed, and the casvm-cluster command wires them into an HTTP
+// server.
 package cluster
 
 import (
@@ -50,7 +54,7 @@ type Config struct {
 	// OnJobDone, when non-nil, is invoked (on the job's goroutine, after
 	// its result is published and its workers released) for every job
 	// that finishes — the hook casvm-cluster uses to persist merged
-	// fleet traces.
+	// fleet traces (Job.Timeline may be called from it).
 	OnJobDone func(*Job)
 
 	// Logf, when non-nil, receives one line per membership and job
@@ -64,7 +68,6 @@ type Config struct {
 type Coordinator struct {
 	reg       *tcpmpi.Registrar
 	met       *trace.Registry
-	fleet     *fleet.Collector
 	onJobDone func(*Job)
 	logf      func(string, ...any)
 	data      datasetMemo // consecutive jobs over one dataset build it once
@@ -75,6 +78,13 @@ type Coordinator struct {
 	cScaleups, cStragglers             *trace.Counter
 	gWorkers, gBusy, gRunning, gQueued *trace.Gauge
 	gStragglerFactor                   *trace.Gauge
+	cFleetEvents, cFleetEdges          *trace.Counter
+	cProbeFailures                     *trace.Counter
+
+	stragglers *trace.Ring[fleet.StragglerEvent] // every job's verdicts, the /fleet/events feed
+	// probeMu serializes clock-probe bursts: two to one worker would take
+	// each other's pongs.
+	probeMu sync.Mutex
 
 	mu      sync.Mutex
 	workers map[int]tcpmpi.WorkerInfo // registered non-client workers
@@ -88,7 +98,7 @@ type Coordinator struct {
 	nextJob int
 	// fleetDone lists the finished jobs whose fleet telemetry is still
 	// held, oldest first; finishJob caps it at fleetKeepJobs.
-	fleetDone []string
+	fleetDone []*Job
 	closed    bool
 
 	wg sync.WaitGroup // running job goroutines
@@ -128,17 +138,13 @@ func New(addr string, cfg Config) (*Coordinator, error) {
 
 		cStragglers:      met.Counter("cluster_straggler_detections_total", "straggler verdicts raised by the online detector"),
 		gStragglerFactor: met.Gauge("cluster_straggler_last_factor", "sec/median ratio of the most recent straggler verdict"),
+		cFleetEvents:     met.Counter("cluster_fleet_events_total", "trace events ingested from workers"),
+		cFleetEdges:      met.Counter("cluster_fleet_edges_total", "flow edges ingested from workers"),
+		cProbeFailures:   met.Counter("cluster_fleet_probe_failures_total", "clock probes that returned no samples"),
+		stragglers:       trace.NewRing[fleet.StragglerEvent](256),
 
 		onJobDone: cfg.OnJobDone,
 	}
-	// A rank's first spans from a worker start a 5-ping clock probe of it.
-	c.fleet = fleet.New(fleet.Config{
-		Metrics: met,
-		Logf:    logf,
-		Probe: func(id int) (tcpmpi.ClockEstimate, error) {
-			return c.reg.ProbeClock(id, 5, 3*time.Second)
-		},
-	})
 	reg, err := tcpmpi.NewRegistrar(addr, tcpmpi.RegistrarConfig{
 		LeaseTTL: cfg.LeaseTTL,
 		OnJoin:   c.onJoin,
@@ -159,10 +165,25 @@ func (c *Coordinator) Addr() string { return c.reg.Addr() }
 // Metrics is the registry holding the cluster_* counters.
 func (c *Coordinator) Metrics() *trace.Registry { return c.met }
 
-// Fleet is the telemetry collector: the coordinator hands it the timelines
-// and epoch durations its jobs' owning leases report in their exec frames,
-// and it serves merged traces and straggler events.
-func (c *Coordinator) Fleet() *fleet.Collector { return c.fleet }
+// Stragglers is the feed of every job's straggler verdicts, the most recent
+// 256 of them.
+func (c *Coordinator) Stragglers() *trace.Ring[fleet.StragglerEvent] { return c.stragglers }
+
+// probeClock estimates worker id's clock offset with one 5-ping burst. A
+// probe that fails — the worker is already gone — is counted and logged, and
+// leaves the offset 0 for the merge's causality repair. It must not run on a
+// registrar frame loop, which delivers the pongs.
+func (c *Coordinator) probeClock(id int) int64 {
+	c.probeMu.Lock()
+	est, err := c.reg.ProbeClock(id, 5, 3*time.Second)
+	c.probeMu.Unlock()
+	if err != nil {
+		c.cProbeFailures.Inc()
+		c.logf("cluster: clock probe of worker %d: %v", id, err)
+		return 0
+	}
+	return est.OffsetNs
+}
 
 // Close stops accepting registrations, fails every queued job, and waits
 // for running jobs to finish. Worker leases end when the registrar closes.
@@ -353,9 +374,9 @@ func (c *Coordinator) schedule() {
 }
 
 // fleetKeepJobs is how many finished jobs keep their fleet telemetry (spans,
-// flow edges, epoch durations) in the collector — enough
-// for the telemetry server's /jobs page; the merged trace of an older job is
-// gone, like that of a job the collector never saw.
+// flow edges, epoch durations) — enough for the telemetry server's /jobs
+// page; an older job has no merged trace, like a job whose ranks shipped
+// none.
 const fleetKeepJobs = 256
 
 // finishJob releases the job's surviving workers back to the pool and
@@ -381,9 +402,9 @@ func (c *Coordinator) finishJob(j *Job, res *JobResult) {
 		c.cFailed.Inc()
 		c.logf("cluster: job %s failed: %s", j.id, res.Err)
 	}
-	c.fleetDone = append(c.fleetDone, j.id)
+	c.fleetDone = append(c.fleetDone, j)
 	if len(c.fleetDone) > fleetKeepJobs {
-		c.fleet.Forget(c.fleetDone[0])
+		c.fleetDone[0].remote.dropTelemetry()
 		c.fleetDone = c.fleetDone[1:]
 	}
 	close(j.done)

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"reflect"
 	"strings"
 	"sync"
@@ -12,20 +15,20 @@ import (
 	"casvm/internal/la"
 	"casvm/internal/model"
 	"casvm/internal/tcpmpi"
-	"casvm/internal/telemetry/fleet"
 	"casvm/internal/trace"
 )
 
 // spansSection is the timeline section a rank of a p-rank mesh ships: one
-// span named name, and the message it received from the next rank.
-func spansSection(t *testing.T, rank, p int, name string) []byte {
+// span named name, and the message it received from the next rank, whose
+// receive is stamped early by early (a clock the merge must repair).
+func spansSection(t *testing.T, rank, p int, name string, early time.Duration) []byte {
 	t.Helper()
 	tl := trace.NewTimeline(p)
 	now := time.Now().UnixNano()
 	tl.Rank(rank).AddEvent(trace.Event{Name: name, Cat: trace.CatSolver, WallStartNs: now, WallDurNs: int64(time.Millisecond)})
 	tl.Rank(rank).RecordFlow(trace.FlowEdge{
 		ID: int64(rank+1) << 40, Src: (rank + 1) % p, Dst: rank, Bytes: 8,
-		SendWallNs: now, RecvWallNs: now + int64(time.Millisecond),
+		SendWallNs: now, RecvWallNs: now + int64(time.Millisecond) - int64(early),
 	})
 	b, err := encodeExecSpans(tl)
 	if err != nil {
@@ -35,9 +38,9 @@ func spansSection(t *testing.T, rank, p int, name string) []byte {
 }
 
 // mergedNames returns the span names of the job's merged trace and its width.
-func mergedNames(t *testing.T, fl *fleet.Collector, job string) (map[string]int, int) {
+func mergedNames(t *testing.T, j *Job) (map[string]int, int) {
 	t.Helper()
-	tl, err := fl.MergedTimeline(job)
+	tl, err := j.Timeline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +55,8 @@ func mergedNames(t *testing.T, fl *fleet.Collector, job string) (map[string]int,
 // exec frames' trust rule and no other. The retired fleet frames (tags
 // 120–124), from a client lease or a worker lease alike, are logged as
 // ignored; checkpoint and rank-done frames that carry epoch seconds and spans
-// for a job their lease does not own change nothing — not the collector, not
-// the coordinator's registry, not the job's. The owners' spans merge at the
+// for a job their lease does not own change nothing — not the job's trace,
+// not the straggler feed, not the coordinator's registry, not the job's. The owners' spans merge at the
 // job's width, and the owners' one slow epoch raises exactly one straggler
 // verdict, counted in both registries. The OnJobDone hook, which
 // casvm-cluster writes its merged trace from, hands over the finished job.
@@ -65,7 +68,6 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 	}
 	doneJobs := make(chan *Job, 1)
 	c, logged := newLoggedCoordinator(t, Config{OnJobDone: func(j *Job) { doneJobs <- j }})
-	fl := c.Fleet()
 
 	// Each owner reports its rank once released: a checkpoint ending epoch 0
 	// (rank 2's five times the others'), then its shard with a timeline. The
@@ -88,7 +90,7 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 				return
 			}
 			h = execRank{Job: m.Job, Gen: m.Gen, Rank: rank, Iters: sh.Iters}
-			if err := l.Send(tagExecRankDone, encodeExecRankDone(h, spansSection(t, rank, m.Spec.P, "owner"), sh.Model, sh.Center)); err != nil {
+			if err := l.Send(tagExecRankDone, encodeExecRankDone(h, spansSection(t, rank, m.Spec.P, "owner", 0), sh.Model, sh.Center)); err != nil {
 				t.Errorf("rank-done: %v", err)
 			}
 		}
@@ -145,7 +147,7 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := execRank{Job: j.ID(), Gen: 1, Rank: 1, Iters: 1}
-		if err := l.Send(tagExecRankDone, encodeExecRankDone(done, spansSection(t, 1, 3, "stranger"), nil, nil)); err != nil {
+		if err := l.Send(tagExecRankDone, encodeExecRankDone(done, spansSection(t, 1, 3, "stranger", 0), nil, nil)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Send(marker, nil); err != nil {
@@ -160,10 +162,10 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 			t.Errorf("retired tag %d logged as ignored %d times, want once per stranger", tag, n)
 		}
 	}
-	if jobs := fl.Jobs(); len(jobs) != 0 {
-		t.Fatalf("strangers left collector state for jobs %v", jobs)
+	if _, err := j.Timeline(); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("strangers left the job a trace: %v", err)
 	}
-	if ev, _ := fl.Events(0); len(ev) != 0 {
+	if ev, _ := c.Stragglers().Since(0); len(ev) != 0 {
 		t.Fatalf("strangers raised verdicts %+v", ev)
 	}
 	if p := j.Remote(); len(p.CkptIters) != 0 || len(p.DoneRanks) != 0 {
@@ -190,7 +192,7 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("OnJobDone never fired")
 	}
-	ev, _ := fl.Events(0)
+	ev, _ := c.Stragglers().Since(0)
 	if len(ev) != 1 || ev[0].Job != j.ID() || ev[0].Rank != 2 || ev[0].Epoch != 0 {
 		t.Fatalf("straggler verdicts %+v, want rank 2 of epoch 0", ev)
 	}
@@ -203,7 +205,7 @@ func TestFleetFramesOverCoordinator(t *testing.T) {
 	if f := c.Metrics().Snapshot()["cluster_straggler_last_factor"]; f < 4.9 || f > 5.1 {
 		t.Errorf("cluster_straggler_last_factor %v, want ~5", f)
 	}
-	names, p := mergedNames(t, fl, j.ID())
+	names, p := mergedNames(t, j)
 	if p != spec.P || names["owner"] != spec.P || names["stranger"] != 0 {
 		t.Fatalf("merged trace of width %d with spans %v, want %d owner spans", p, names, spec.P)
 	}
@@ -307,7 +309,7 @@ func TestMergedTraceOneGeneration(t *testing.T) {
 				}
 				h := execRank{Job: m.Job, Gen: m.Gen, Rank: rank, Iters: 1}
 				name := fmt.Sprintf("gen%d", m.Gen)
-				if err := l.Send(tagExecRankDone, encodeExecRankDone(h, spansSection(t, rank, m.Spec.P, name), sh, center)); err != nil {
+				if err := l.Send(tagExecRankDone, encodeExecRankDone(h, spansSection(t, rank, m.Spec.P, name, 0), sh, center)); err != nil {
 					t.Errorf("rank-done: %v", err)
 				}
 			}
@@ -328,11 +330,11 @@ func TestMergedTraceOneGeneration(t *testing.T) {
 			if res.Err != "" || res.Generations != 2 || res.FinalP != tc.width {
 				t.Fatalf("result %+v, want 2 generations finishing at P=%d", res, tc.width)
 			}
-			names, p := mergedNames(t, c.Fleet(), j.ID())
+			names, p := mergedNames(t, j)
 			if p != tc.width || names["gen2"] != tc.width || len(names) != 1 {
 				t.Fatalf("merged trace of width %d with spans %v, want %d gen2 spans and nothing else", p, names, tc.width)
 			}
-			if x, err := c.Fleet().MergedTimeline(j.ID()); err != nil {
+			if x, err := j.Timeline(); err != nil {
 				t.Fatal(err)
 			} else if edges := x.Extra().Edges; len(edges) != tc.width {
 				t.Fatalf("%d merged edges, want one per rank of the committing generation", len(edges))
@@ -374,17 +376,16 @@ func TestResumedRankEpochIndex(t *testing.T) {
 }
 
 // TestFleetStateBoundedAcrossJobs: a coordinator keeps fleet telemetry for
-// the most recent fleetKeepJobs finished jobs and forgets the oldest as new
+// the most recent fleetKeepJobs finished jobs and drops the oldest's as new
 // ones finish — every job (a one-rank Dis-SMO mesh) ships its timeline, the
-// newest job's trace still merges, the oldest job's is refused like an
-// unknown job's.
+// newest job's trace still merges, the oldest job's is refused like that of
+// a job that shipped none.
 func TestFleetStateBoundedAcrossJobs(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
 	startExecutors(t, c, 1, 0)
-	fl := c.Fleet()
 
 	const extra = 5
-	var ids []string
+	var jobs []*Job
 	for i := 0; i < fleetKeepJobs+extra; i++ {
 		j, err := c.Submit(JobSpec{Mixture: testMixture(40), Method: string(core.MethodDisSMO), P: 1, Seed: 1})
 		if err != nil {
@@ -394,31 +395,208 @@ func TestFleetStateBoundedAcrossJobs(t *testing.T) {
 		if res := j.Result(); res.Err != "" {
 			t.Fatalf("job %d: %s", i, res.Err)
 		}
-		if !fl.HasTrace(j.ID()) {
+		if !hasTrace(j) {
 			t.Fatalf("job %s left no trace", j.ID())
 		}
-		ids = append(ids, j.ID())
+		jobs = append(jobs, j)
 	}
-	if n := len(fl.Jobs()); n != fleetKeepJobs {
-		t.Fatalf("the collector holds %d jobs, want %d", n, fleetKeepJobs)
+	held := 0
+	for _, j := range jobs {
+		if hasTrace(j) {
+			held++
+		}
 	}
-	if hasJob(fl, ids[extra-1]) || !hasJob(fl, ids[extra]) {
-		t.Fatalf("want %q forgotten and %q kept", ids[extra-1], ids[extra])
+	if held != fleetKeepJobs {
+		t.Fatalf("%d jobs hold a trace, want %d", held, fleetKeepJobs)
 	}
-	if _, err := fl.MergedTimeline(ids[0]); err == nil || !strings.Contains(err.Error(), "no telemetry for job") {
-		t.Fatalf("forgotten job's trace: %v, want the unknown-job error", err)
+	if hasTrace(jobs[extra-1]) || !hasTrace(jobs[extra]) {
+		t.Fatalf("want %q dropped and %q kept", jobs[extra-1].ID(), jobs[extra].ID())
 	}
-	newest := ids[len(ids)-1]
-	if _, err := fl.MergedTimeline(newest); err != nil {
+	if _, err := jobs[0].Timeline(); !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "holds no trace") {
+		t.Fatalf("dropped job's trace: %v, want the no-trace error", err)
+	}
+	if _, err := jobs[len(jobs)-1].Timeline(); err != nil {
 		t.Fatalf("newest job's trace: %v", err)
 	}
 }
 
-func hasJob(fl *fleet.Collector, job string) bool {
-	for _, name := range fl.Jobs() {
-		if name == job {
-			return true
+// hasTrace reports whether the job holds shipped spans, without merging.
+func hasTrace(j *Job) bool {
+	j.remote.mu.Lock()
+	defer j.remote.mu.Unlock()
+	return len(j.remote.spans) > 0
+}
+
+// TestConcurrentTracesShareWorkers: two mesh jobs run one after the other on
+// the same two executors, the second's trace read while its ranks report,
+// and then both traces are written at once. Every probe burst goes to a
+// worker both jobs shipped spans from; the bursts are serialized, so none
+// loses its pongs to the other, and both traces carry every rank's same-host
+// offset.
+func TestConcurrentTracesShareWorkers(t *testing.T) {
+	c := newTestCoordinator(t, time.Second)
+	startExecutors(t, c, 2, 0)
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		j, err := c.Submit(JobSpec{Mixture: testMixture(80), Method: string(core.MethodDisSMO), P: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for running := true; running; {
+			select {
+			case <-j.Done():
+				running = false
+			case <-time.After(time.Millisecond):
+				if _, err := j.Timeline(); err != nil && !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("job %d: trace read mid-run: %v", i, err)
+				}
+			}
+		}
+		if res := j.Result(); res.Err != "" {
+			t.Fatalf("job %d: %s", i, res.Err)
+		}
+		jobs = append(jobs, j)
+	}
+	traces := make([]bytes.Buffer, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = j.WriteTrace(&traces[i])
+		}()
+	}
+	wg.Wait()
+	if got := c.Metrics().Snapshot()["cluster_fleet_probe_failures_total"]; got != 0 {
+		t.Fatalf("%v clock probes failed while two traces were written", got)
+	}
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("job %s: %v", j.ID(), errs[i])
+		}
+		x, err := trace.ReadTraceExtra(&traces[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(x.ClockOffsetsNs) != 2 {
+			t.Fatalf("job %s: offsets %v, want one per rank", j.ID(), x.ClockOffsetsNs)
+		}
+		for r, off := range x.ClockOffsetsNs {
+			if off < -int64(time.Second) || off > int64(time.Second) {
+				t.Fatalf("job %s rank %d: same-host offset %v", j.ID(), r, time.Duration(off))
+			}
 		}
 	}
-	return false
+}
+
+// TestMovedRankProbedOnItsWorker: a rank reported by one worker and, after a
+// re-gang, by another is probed on the worker that reported it last. Under
+// respawn, rank 1 reports from worker B, B leaves, a fresh worker C takes its
+// place, and the second generation runs rank 1 on C: the merge probes C, the
+// only live worker with rank 1's clock, and no probe of the departed B fails.
+func TestMovedRankProbedOnItsWorker(t *testing.T) {
+	spec := JobSpec{ID: "moved", Mixture: testMixture(80), Method: string(core.MethodDisSMO), P: 2, Seed: 1, Policy: "respawn"}
+	pr, ds, err := trainParams(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCoordinator(t, time.Second)
+	var mu sync.Mutex
+	reporter := map[[2]int]int{} // (generation, rank) -> reporting worker
+	bGone := func() bool {
+		mu.Lock()
+		b, reported := reporter[[2]int{1, 1}]
+		mu.Unlock()
+		if !reported {
+			return false
+		}
+		for _, w := range c.Workers() {
+			if w.ID == b {
+				return false
+			}
+		}
+		return true
+	}
+	onStart := func(l *tcpmpi.Lease, m execStart) {
+		rank := m.Ranks[0]
+		if m.Gen == 1 && rank == 0 {
+			// Hold rank 0 unreported until rank 1's worker has left.
+			for deadline := time.Now().Add(10 * time.Second); !bGone(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("rank 1's worker never left")
+					return
+				}
+			}
+			return
+		}
+		var sh *model.Model
+		var center []float64
+		if rank == 0 {
+			sh = model.FromSolution(la.Zeros(1, ds.Features()), []float64{1}, []float64{0.5}, 0, pr.Kernel)
+			center = make([]float64, ds.Features())
+		}
+		mu.Lock()
+		reporter[[2]int{m.Gen, rank}] = l.ID()
+		mu.Unlock()
+		var early time.Duration
+		if m.Gen == 2 && rank == 1 {
+			early = time.Second // its receive lands before the send: a repair, then a clamp
+		}
+		h := execRank{Job: m.Job, Gen: m.Gen, Rank: rank, Iters: 1}
+		if err := l.Send(tagExecRankDone, encodeExecRankDone(h, spansSection(t, rank, m.Spec.P, fmt.Sprintf("gen%d", m.Gen), early), sh, center)); err != nil {
+			t.Errorf("rank-done: %v", err)
+		}
+		if m.Gen == 1 {
+			l.Close() // worker B leaves once its rank has reported
+		}
+	}
+	meshWorker(t, c, onStart)
+	waitFor(t, "worker A registered", func() bool { return len(c.Workers()) == 1 })
+	meshWorker(t, c, onStart)
+	waitFor(t, "worker B registered", func() bool { return len(c.Workers()) == 2 })
+	j, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "rank 1 reported and its worker gone", bGone)
+	meshWorker(t, c, onStart) // worker C
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job never finished (progress %+v)", j.Remote())
+	}
+	if res := j.Result(); res.Err != "" || res.Generations != 2 || res.FinalP != 2 {
+		t.Fatalf("result %+v, want 2 generations finishing at P=2", res)
+	}
+	mu.Lock()
+	b := reporter[[2]int{1, 1}]
+	moved, ok := reporter[[2]int{2, 1}]
+	mu.Unlock()
+	if !ok || moved == b {
+		t.Fatalf("rank 1 reported by worker %d, then %d: the re-gang did not move it", b, moved)
+	}
+	j.remote.mu.Lock()
+	w := j.remote.spans[1].worker
+	j.remote.mu.Unlock()
+	if w != moved {
+		t.Fatalf("rank 1's timeline is recorded as worker %d's, want %d's", w, moved)
+	}
+	names, p := mergedNames(t, j)
+	if p != 2 || names["gen2"] != 2 || len(names) != 1 {
+		t.Fatalf("merged trace of width %d with spans %v, want 2 gen2 spans", p, names)
+	}
+	snap := c.Metrics().Snapshot()
+	if got := snap["cluster_fleet_probe_failures_total"]; got != 0 {
+		t.Fatalf("%v probes failed: the merge probed the departed worker", got)
+	}
+	// Three timelines were accepted, each of one span and one edge; the
+	// second generation's crossed edges violate causality both ways.
+	if snap["cluster_fleet_events_total"] != 3 || snap["cluster_fleet_edges_total"] != 3 {
+		t.Fatalf("ingested %v events and %v edges, want 3 and 3", snap["cluster_fleet_events_total"], snap["cluster_fleet_edges_total"])
+	}
+	if snap["cluster_fleet_offset_repairs_total"] < 1 || snap["cluster_fleet_clamped_edges_total"] < 1 {
+		t.Fatalf("%v offset repairs and %v clamps, want both counted",
+			snap["cluster_fleet_offset_repairs_total"], snap["cluster_fleet_clamped_edges_total"])
+	}
 }

@@ -244,8 +244,8 @@ type Job struct {
 	params core.Params
 	ds     *data.Dataset
 
-	remote  *remoteRun      // the generations' state; own lock
-	metrics *trace.Registry // per-job namespace: recoveries, grows, fleet aggregates
+	remote  *remoteRun      // the generations' state and the ranks' telemetry; own lock
+	metrics *trace.Registry // per-job namespace: recoveries, grows, straggler verdicts
 	done    chan struct{}
 
 	// guarded by c.mu
@@ -282,7 +282,7 @@ func (j *Job) Result() *JobResult {
 	return j.result
 }
 
-// Metrics is the job's private metrics registry (its recovery and grow
-// counters, plus the fleet plane's federated aggregates and straggler
-// counts) — one namespace per job for the telemetry server.
+// Metrics is the job's private metrics registry (its recovery, grow and
+// straggler-verdict counters) — one namespace per job for the telemetry
+// server.
 func (j *Job) Metrics() *trace.Registry { return j.metrics }

@@ -33,6 +33,8 @@ package cluster
 
 import (
 	"fmt"
+	"io"
+	"io/fs"
 	"math"
 	"net"
 	"sort"
@@ -43,6 +45,8 @@ import (
 	"casvm/internal/core"
 	"casvm/internal/model"
 	"casvm/internal/tcpmpi"
+	"casvm/internal/telemetry/fleet"
+	"casvm/internal/trace"
 )
 
 // genOutcome is why awaitGeneration returned.
@@ -87,6 +91,9 @@ type remoteRun struct {
 	doneRank    map[int]*core.ShardResult
 	msgs, bytes int64 // summed over doneRank's headers
 
+	spans  map[int]rankSpans // doneRank's shipped timelines, those not empty
+	epochs fleet.Epochs      // the ranks' epoch seconds and the verdicts raised
+
 	base       float64 // virtual-time origin of the next generation
 	maxVirt    float64 // highest α–β virtual time any rank reached
 	recoveries int
@@ -105,9 +112,25 @@ func newRemoteRun(j *Job, rows, features int) *remoteRun {
 		ckptBlob:  map[int][]byte{},
 		ckptIters: map[int]int{},
 		doneRank:  map[int]*core.ShardResult{},
+		spans:     map[int]rankSpans{},
 	}
 	rr.cond = sync.NewCond(&rr.mu)
 	return rr
+}
+
+// rankSpans is one accepted rank's timeline and the worker that shipped it.
+type rankSpans struct {
+	worker int
+	events []trace.Event
+	edges  []trace.FlowEdge
+}
+
+// dropTelemetry forgets the job's timelines and epoch table: the job has
+// left the coordinator's retention window.
+func (rr *remoteRun) dropTelemetry() {
+	rr.mu.Lock()
+	rr.spans, rr.epochs = map[int]rankSpans{}, fleet.Epochs{}
+	rr.mu.Unlock()
 }
 
 // update applies f to the run's state under its lock, counts the event and
@@ -215,19 +238,21 @@ func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, 
 }
 
 // onRankDone stores a finished rank, decoded and checked at the trust
-// boundary, and hands its timeline, shipped by worker, to the fleet
-// collector. An RA-CA duplicate from a stale generation is ignored — shard
-// solves are deterministic, so the first result is as good as any; a mesh
-// rank counts only from the active generation, whose width it was run at.
+// boundary, with its timeline and the worker that shipped it. An RA-CA
+// duplicate from a stale generation is ignored — shard solves are
+// deterministic, so the first result is as good as any; a mesh rank counts
+// only from the active generation, whose width it was run at.
 func (rr *remoteRun) onRankDone(worker int, m execRank, sh *core.ShardResult, sp execSpans) {
 	rr.update(func() {
 		if rr.mesh && (!rr.genActive || m.Gen != rr.gen) {
 			return
 		}
 		if m.Rank < rr.width && rr.doneRank[m.Rank] == nil {
-			// Before the rank counts: the job can commit, and its merged
-			// trace be written, the moment it does.
-			rr.j.c.fleet.StoreSpans(rr.j.id, m.Rank, rr.width, worker, sp.Events, sp.Edges)
+			if len(sp.Events)+len(sp.Edges) > 0 {
+				rr.spans[m.Rank] = rankSpans{worker, sp.Events, sp.Edges}
+				rr.j.c.cFleetEvents.Add(int64(len(sp.Events)))
+				rr.j.c.cFleetEdges.Add(int64(len(sp.Edges)))
+			}
 			rr.doneRank[m.Rank] = sh
 			rr.msgs += m.Msgs
 			rr.bytes += m.Bytes
@@ -280,6 +305,56 @@ func (j *Job) Remote() *RemoteProgress {
 	return p
 }
 
+// Timeline merges the job's accepted rank timelines — those of the mesh
+// generation that reported last — onto the coordinator's clock (fleet.Merge),
+// counting the merge's offset repairs and edge clamps. Each worker that
+// shipped spans gets one clock-probe burst, so it must not be called from a
+// registrar frame loop, which delivers the pongs. A job whose ranks shipped
+// no spans, or that has left the retention window, has no timeline: the
+// error wraps fs.ErrNotExist.
+func (j *Job) Timeline() (*trace.Timeline, error) {
+	rr := j.remote
+	rr.mu.Lock()
+	ranks := make([]fleet.Rank, rr.width)
+	byWorker := map[int][]int{} // the ranks each worker shipped
+	for r, sp := range rr.spans {
+		ranks[r] = fleet.Rank{Events: sp.events, Edges: sp.edges}
+		byWorker[sp.worker] = append(byWorker[sp.worker], r)
+	}
+	rr.mu.Unlock()
+	if len(byWorker) == 0 {
+		return nil, fmt.Errorf("cluster: job %s holds no trace: %w", j.id, fs.ErrNotExist)
+	}
+	for w, rs := range byWorker {
+		off := j.c.probeClock(w)
+		for _, r := range rs {
+			ranks[r].OffsetNs = off
+		}
+	}
+	tl, repairs, clamped, err := fleet.Merge(ranks)
+	if repairs > 0 {
+		j.c.met.Counter("cluster_fleet_offset_repairs_total",
+			"per-rank offset corrections forced by violated causality constraints").Add(int64(repairs))
+	}
+	if clamped > 0 {
+		j.c.met.Counter("cluster_fleet_clamped_edges_total",
+			"edges clamped to recv = send after offset repair").Add(int64(clamped))
+	}
+	return tl, err
+}
+
+// WriteTrace writes the job's merged Timeline as one Chrome trace_event
+// file — all ranks as threads of one process, cross-rank Perfetto arrows
+// included, with the casvm section carrying the synthesized tilings,
+// rebased edges, wall timebase, and the per-rank clock offsets applied.
+func (j *Job) WriteTrace(w io.Writer) error {
+	tl, err := j.Timeline()
+	if err != nil {
+		return err
+	}
+	return tl.WriteChromeTrace(w)
+}
+
 // execFrame routes an executor control frame into the owning job's
 // runtime, or records a worker's mesh port; the error is a frame refused.
 // Frames from leases the job does not own are dropped — a departed worker's
@@ -302,7 +377,7 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 		}
 		if rr := ident(m.Job); rr != nil {
 			if epoch, ended := rr.onCkpt(m, blob); ended {
-				c.observeEpoch(rr.j, m.Rank, epoch, m.EpochSec)
+				c.observeEpoch(rr, m.Rank, epoch, m.EpochSec)
 			}
 		}
 	case tagExecRankDone:
@@ -357,10 +432,16 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 	return nil
 }
 
-// observeEpoch feeds one rank's epoch to the straggler detector and counts
-// each verdict in the coordinator's registry and the job's.
-func (c *Coordinator) observeEpoch(j *Job, rank, epoch int, sec float64) {
-	for _, e := range c.fleet.ObserveEpoch(j.id, rank, epoch, sec) {
+// observeEpoch enters one rank's epoch in the job's epoch table and puts
+// each verdict it raises on the straggler feed, counted in the coordinator's
+// registry and the job's.
+func (c *Coordinator) observeEpoch(rr *remoteRun, rank, epoch int, sec float64) {
+	j := rr.j
+	rr.mu.Lock()
+	verdicts := rr.epochs.Observe(j.id, rank, epoch, sec)
+	rr.mu.Unlock()
+	for _, e := range verdicts {
+		c.stragglers.Record(e)
 		c.cStragglers.Inc()
 		c.gStragglerFactor.Set(e.Factor)
 		j.metrics.Counter("cluster_straggler_detections_total", "straggler verdicts for this job").Inc()
@@ -430,6 +511,7 @@ func (rr *remoteRun) beginGeneration(gang []int) (gen int, genGang []int, assign
 	if rr.mesh {
 		rr.width = len(gang)
 		rr.doneRank = map[int]*core.ShardResult{}
+		rr.spans = map[int]rankSpans{}
 		rr.msgs, rr.bytes = 0, 0
 	}
 	pending = rr.pendingRanksLocked()

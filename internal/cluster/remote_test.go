@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"net"
 	"os"
@@ -202,11 +203,16 @@ func TestRemoteEveryMethod(t *testing.T) {
 					res.Iters, res.SVs, ref.Stats.Iters, ref.Stats.SVs)
 			}
 			if res.Messages == 0 {
-				return // RA-CA's shard ranks send nothing and ship no trace
+				// RA-CA's shard ranks send nothing and ship no trace, so
+				// the job holds none.
+				if _, err := j.Timeline(); !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("a job whose ranks shipped no spans merged: %v", err)
+				}
+				return
 			}
 			// The merged trace accounts for exactly the job's traffic: one
 			// edge per message, carrying the bytes the job counted.
-			merged, err := c.Fleet().MergedTimeline(j.ID())
+			merged, err := j.Timeline()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -122,6 +122,10 @@ func DecodePredictRequest(data []byte, lim Limits) (*PredictRequest, error) {
 	switch q := &p.queries; {
 	case q.rows > 0 && len(p.b64) > 0:
 		return nil, fmt.Errorf("serve: request has both queries and queries_b64")
+	case p.b64Raw && len(p.b64) > 0: // queriesB64 refused its CR and LF
+		if err := req.decodeB64(p.b64, 0, lim); err != nil {
+			return nil, err
+		}
 	case len(p.b64) > 0:
 		if err := req.decodeBinary(p.b64, lim); err != nil {
 			return nil, err
@@ -582,10 +586,14 @@ const b64Chunk = 4096
 // Accepts exactly what base64.StdEncoding.Decode does, CR and LF anywhere
 // included.
 func (r *PredictRequest) decodeBinary(s []byte, lim Limits) error {
+	return r.decodeB64(s, bytes.Count(s, []byte{'\n'})+bytes.Count(s, []byte{'\r'}), lim)
+}
+
+// decodeB64 is decodeBinary for an s holding exactly newlines CRs and LFs.
+func (r *PredictRequest) decodeB64(s []byte, newlines int, lim Limits) error {
 	if r.FeatureDim < 1 || r.FeatureDim > lim.MaxFeatures {
 		return fmt.Errorf("serve: features %d outside [1, %d] (required with queries_b64)", r.FeatureDim, lim.MaxFeatures)
 	}
-	newlines := bytes.Count(s, []byte{'\n'}) + bytes.Count(s, []byte{'\r'})
 	pad := 0
 	for end := len(s); end > 0 && pad < 2; end-- {
 		if c := s[end-1]; c == '=' {

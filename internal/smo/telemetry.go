@@ -1,8 +1,9 @@
 package smo
 
 import (
-	"sync"
 	"time"
+
+	"casvm/internal/trace"
 )
 
 // Per-iteration solver telemetry: when Config.Telemetry is set, Solve
@@ -26,73 +27,15 @@ type IterSample struct {
 	UnixNs int64 `json:"unix_ns"`
 }
 
-// TelemetryRing is a fixed-capacity, concurrency-safe ring of iteration
-// samples. Writers (the solver goroutines) overwrite the oldest entries;
-// readers page through with Since cursors, so a slow reader loses old
-// samples instead of stalling training. All methods are nil-safe.
-type TelemetryRing struct {
-	mu    sync.Mutex
-	buf   []IterSample
-	total uint64 // samples ever recorded; buf holds the trailing len(buf)
-}
+// TelemetryRing is the ring of iteration samples Config.Telemetry names:
+// writers (the solver goroutines) overwrite the oldest entries, and readers
+// page through with Since cursors, so a slow reader loses old samples
+// instead of stalling training. All methods are nil-safe.
+type TelemetryRing = trace.Ring[IterSample]
 
 // NewTelemetryRing creates a ring holding the last n samples (n ≤ 0 means
 // 1024).
-func NewTelemetryRing(n int) *TelemetryRing {
-	if n <= 0 {
-		n = 1024
-	}
-	return &TelemetryRing{buf: make([]IterSample, 0, n)}
-}
-
-// Record appends a sample, overwriting the oldest once full. Nil-safe.
-func (t *TelemetryRing) Record(s IterSample) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, s)
-	} else {
-		t.buf[int(t.total)%cap(t.buf)] = s
-	}
-	t.total++
-	t.mu.Unlock()
-}
-
-// Total returns how many samples have ever been recorded (0 for nil).
-func (t *TelemetryRing) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Since returns every buffered sample with sequence number ≥ cursor, in
-// record order, plus the next cursor (pass it back in to page). Samples
-// older than the ring's capacity are gone; the returned slice is a copy.
-func (t *TelemetryRing) Since(cursor uint64) ([]IterSample, uint64) {
-	if t == nil {
-		return nil, cursor
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	oldest := t.total - uint64(len(t.buf))
-	if cursor < oldest {
-		cursor = oldest
-	}
-	if cursor >= t.total {
-		return nil, t.total
-	}
-	n := int(t.total - cursor)
-	out := make([]IterSample, 0, n)
-	for seq := cursor; seq < t.total; seq++ {
-		out = append(out, t.buf[int(seq)%cap(t.buf)])
-	}
-	return out, t.total
-}
+func NewTelemetryRing(n int) *TelemetryRing { return trace.NewRing[IterSample](n) }
 
 // sampleTelemetry records one IterSample after an applied step; called
 // from Solve only when a ring is attached.

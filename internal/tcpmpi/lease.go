@@ -379,7 +379,10 @@ var probeSeq atomic.Uint64
 // ProbeClock estimates worker id's clock offset with a burst of n pings
 // (min 1) over the lease connection, keeping the minimum-RTT sample.
 // Probes of one worker must not run concurrently — their pongs would
-// interleave; run bursts sequentially (the fleet collector does).
+// interleave; run bursts sequentially (the cluster coordinator serializes
+// the bursts it sends when it merges a job's trace). Never call it from the
+// registrar's frame loop (an OnFrame callback): that loop delivers the
+// pongs.
 func (r *Registrar) ProbeClock(id, n int, timeout time.Duration) (ClockEstimate, error) {
 	n = max(n, 1)
 	if timeout <= 0 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,141 +17,146 @@ func mkEvent(rank int, cat, name string, startNs, durNs int64) trace.Event {
 	return trace.Event{Name: name, Cat: cat, Rank: rank, WallStartNs: startNs, WallDurNs: durNs}
 }
 
-// tcpEdgeID mimics tcpmpi's receiver-local edge ids, which collide across
-// receivers — the merge must key dedup by (dst, id) and re-id afterwards.
-func tcpEdgeID(src int, seq uint32) int64 { return int64(src+1)<<40 | int64(seq) }
-
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
+// linkEdgeID mimics the edge ids of a link world (internal/mpi's RunLink),
+// (sender+1)<<40 | seq: distinct across a job's processes but sparse, so the
+// merge re-ids them.
+func linkEdgeID(src int, seq uint32) int64 { return int64(src+1)<<40 | int64(seq) }
 
 // TestStragglerDetector pins the heuristic: no verdict below stragglerMinRanks,
 // none when the median sits under stragglerMinSec, a verdict exactly when a rank
-// exceeds stragglerFactor × median, and per-(epoch, rank) dedup.
+// exceeds stragglerFactor × median, and per-(epoch, rank) dedup within one
+// job's table.
 func TestStragglerDetector(t *testing.T) {
-	d := newDetector()
+	var j, noise, ok Epochs
 
-	if ev := d.observe("j", 0, 0, 0.1); len(ev) != 0 {
+	if ev := j.Observe("j", 0, 0, 0.1); len(ev) != 0 {
 		t.Fatalf("verdict below stragglerMinRanks: %+v", ev)
 	}
-	if ev := d.observe("j", 1, 0, 0.1); len(ev) != 0 {
+	if ev := j.Observe("j", 1, 0, 0.1); len(ev) != 0 {
 		t.Fatalf("verdict below stragglerMinRanks: %+v", ev)
 	}
 	// Third report crosses stragglerMinRanks; rank 2 runs 5× the median.
-	ev := d.observe("j", 2, 0, 0.5)
-	if len(ev) != 1 || ev[0].Rank != 2 || ev[0].Epoch != 0 {
-		t.Fatalf("want rank 2 flagged, got %+v", ev)
+	ev := j.Observe("j", 2, 0, 0.5)
+	if len(ev) != 1 || ev[0].Rank != 2 || ev[0].Epoch != 0 || ev[0].Job != "j" {
+		t.Fatalf("want rank 2 of job j flagged, got %+v", ev)
 	}
 	if ev[0].Factor < 4.9 || ev[0].Factor > 5.1 {
 		t.Fatalf("factor %v, want ~5", ev[0].Factor)
 	}
 	// Same rank, same epoch: deduplicated even as more reports arrive.
-	if ev := d.observe("j", 3, 0, 0.1); len(ev) != 0 {
+	if ev := j.Observe("j", 3, 0, 0.1); len(ev) != 0 {
 		t.Fatalf("duplicate verdict: %+v", ev)
 	}
 	// A fresh epoch flags again.
-	d.observe("j", 0, 1, 0.1)
-	d.observe("j", 1, 1, 0.1)
-	if ev := d.observe("j", 2, 1, 0.4); len(ev) != 1 {
+	j.Observe("j", 0, 1, 0.1)
+	j.Observe("j", 1, 1, 0.1)
+	if ev := j.Observe("j", 2, 1, 0.4); len(ev) != 1 {
 		t.Fatalf("new epoch not flagged: %+v", ev)
 	}
 	// Sub-stragglerMinSec medians are scheduler noise, never flagged.
-	d.observe("noise", 0, 0, 1e-5)
-	d.observe("noise", 1, 0, 1e-5)
-	if ev := d.observe("noise", 2, 0, 1.0); len(ev) != 0 {
+	noise.Observe("noise", 0, 0, 1e-5)
+	noise.Observe("noise", 1, 0, 1e-5)
+	if ev := noise.Observe("noise", 2, 0, 1.0); len(ev) != 0 {
 		t.Fatalf("noise-floor epoch flagged: %+v", ev)
 	}
 	// A rank within the factor is not flagged.
-	d.observe("ok", 0, 0, 0.1)
-	d.observe("ok", 1, 0, 0.1)
-	if ev := d.observe("ok", 2, 0, 0.14); len(ev) != 0 {
+	ok.Observe("ok", 0, 0, 0.1)
+	ok.Observe("ok", 1, 0, 0.1)
+	if ev := ok.Observe("ok", 2, 0, 0.14); len(ev) != 0 {
 		t.Fatalf("in-band rank flagged: %+v", ev)
 	}
-	d.forget("j")
-	d.observe("j", 0, 0, 0.1)
-	d.observe("j", 1, 0, 0.1)
-	if ev := d.observe("j", 2, 0, 0.5); len(ev) != 1 {
-		t.Fatal("forget must clear dedup state")
+	j = Epochs{} // what the coordinator does with an evicted job's table
+	j.Observe("j", 0, 0, 0.1)
+	j.Observe("j", 1, 0, 0.1)
+	if ev := j.Observe("j", 2, 0, 0.5); len(ev) != 1 {
+		t.Fatal("a fresh table must hold no dedup state")
 	}
 }
 
 // TestEventRing pins the cursor contract: monotonic cursors, wrap-around
 // drops the oldest prefix, and a stale cursor resumes at the window start.
 func TestEventRing(t *testing.T) {
-	r := newEventRing(4)
-	if ev, next := r.since(0); len(ev) != 0 || next != 0 {
+	r := trace.NewRing[StragglerEvent](4)
+	if ev, next := r.Since(0); len(ev) != 0 || next != 0 {
 		t.Fatalf("empty ring: %v %d", ev, next)
 	}
 	for i := 0; i < 6; i++ {
-		r.add(StragglerEvent{Rank: i})
+		r.Record(StragglerEvent{Rank: i})
 	}
-	ev, next := r.since(0)
+	ev, next := r.Since(0)
 	if len(ev) != 4 || ev[0].Rank != 2 || ev[3].Rank != 5 {
 		t.Fatalf("wrapped window: %+v", ev)
 	}
 	if next != 6 {
 		t.Fatalf("next cursor %d, want 6", next)
 	}
-	if ev, _ := r.since(next); len(ev) != 0 {
+	if ev, _ := r.Since(next); len(ev) != 0 {
 		t.Fatalf("drained ring returned %+v", ev)
 	}
-	r.add(StragglerEvent{Rank: 6})
-	ev, next = r.since(next)
+	r.Record(StragglerEvent{Rank: 6})
+	ev, next = r.Since(next)
 	if len(ev) != 1 || ev[0].Rank != 6 || next != 7 {
 		t.Fatalf("incremental read: %+v %d", ev, next)
 	}
+	if r.Total() != 7 {
+		t.Fatalf("total %d, want 7", r.Total())
+	}
+	// A nil ring records nothing and pages nowhere.
+	var nilRing *trace.Ring[StragglerEvent]
+	nilRing.Record(StragglerEvent{})
+	if ev, next := nilRing.Since(5); len(ev) != 0 || next != 5 || nilRing.Total() != 0 {
+		t.Fatalf("nil ring: %v %d", ev, next)
+	}
 }
 
-// TestCollectorStragglerPath drives epochs through ObserveEpoch and asserts
-// the verdict is returned to the caller, who counts it, and reaches the SSE
-// ring, once; Forget drops the detector's state for the job.
-func TestCollectorStragglerPath(t *testing.T) {
-	c := New(Config{Metrics: trace.NewRegistry()})
+// TestStragglerFeed drives epochs through a job's table as the coordinator
+// does and asserts the verdict is returned to the caller, who counts it and
+// puts it on the feed ring the SSE stream pages, once; the table holds the
+// epoch and its verdict, and an emptied table holds nothing.
+func TestStragglerFeed(t *testing.T) {
+	var tab Epochs
+	feed := trace.NewRing[StragglerEvent](8)
+	observe := func(rank, epoch int, sec float64) []StragglerEvent {
+		v := tab.Observe("j", rank, epoch, sec)
+		for _, e := range v {
+			feed.Record(e)
+		}
+		return v
+	}
 	var verdicts []StragglerEvent
 	for rank := 0; rank < 3; rank++ {
 		sec := 0.1
 		if rank == 1 {
 			sec = 0.9
 		}
-		verdicts = append(verdicts, c.ObserveEpoch("j", rank, 3, sec)...)
+		verdicts = append(verdicts, observe(rank, 3, sec)...)
 	}
 	if len(verdicts) != 1 || verdicts[0].Rank != 1 || verdicts[0].Epoch != 3 ||
 		verdicts[0].Factor < 8 || verdicts[0].Factor > 10 {
 		t.Fatalf("verdicts: %+v, want rank 1 of epoch 3 at ~9x", verdicts)
 	}
-	ev, next := c.Events(0)
+	ev, next := feed.Since(0)
 	if len(ev) != 1 || ev[0] != verdicts[0] || ev[0].Job != "j" {
 		t.Fatalf("events: %+v", ev)
 	}
 	if next != 1 {
 		t.Fatalf("cursor %d, want 1", next)
 	}
-	if again := c.ObserveEpoch("j", 2, 3, 0.1); len(again) != 0 {
+	if again := observe(2, 3, 0.1); len(again) != 0 {
 		t.Fatalf("a later report of the epoch raised %+v again", again)
 	}
 	// The stream source adapts the same ring.
-	items, n2 := c.StreamSource()(0)
-	if len(items) != 1 || n2 != 1 {
+	items, n2 := feed.Stream(0)
+	if len(items) != 1 || n2 != 1 || items[0] != any(verdicts[0]) {
 		t.Fatalf("stream source: %d items, cursor %d", len(items), n2)
 	}
-	if len(c.det.epochs["j"]) != 1 || len(c.det.flagged["j"]) != 1 {
-		t.Fatalf("detector state %v / %v, want epoch 3 and its verdict", c.det.epochs, c.det.flagged)
-	}
-	c.Forget("j")
-	if len(c.det.epochs) != 0 || len(c.det.flagged) != 0 {
-		t.Fatalf("forget left detector state %v / %v", c.det.epochs, c.det.flagged)
+	if len(tab.secs) != 1 || len(tab.flagged) != 1 {
+		t.Fatalf("table state %v / %v, want epoch 3 and its verdict", tab.secs, tab.flagged)
 	}
 }
 
-// skewedFixture ships a three-rank job whose ranks run on clocks skewed by
-// the given offsets (ns). True timeline, relative to an arbitrary origin:
+// skewedFixture is a three-rank job whose ranks run on clocks skewed by the
+// given offsets (ns), each rank's offset left 0 for the caller to set. True timeline, relative to an arbitrary origin:
 //
 //	rank 0: comp [0ms, 10ms), send → 1 at 10ms
 //	rank 1: comp [0ms, 4ms), recv from 0 at 12ms, comp [12ms, 20ms), send → 2 at 20ms
@@ -160,49 +164,57 @@ func TestCollectorStragglerPath(t *testing.T) {
 //
 // Every shipped timestamp is true time + skew[rank]; a perfect merge
 // recovers the true relative timeline exactly.
-func skewedFixture(t *testing.T, c *Collector, skew [3]int64) {
-	t.Helper()
+func skewedFixture(skew [3]int64) []Rank {
 	const ms = int64(time.Millisecond)
 	origin := time.Now().UnixNano()
 	at := func(rank int, trueNs int64) int64 { return origin + trueNs + skew[rank] }
-
-	// Rank r runs on worker r.
-	c.StoreSpans("j", 0, 3, 0, []trace.Event{
-		mkEvent(0, trace.CatSolver, "scan", at(0, 0), 10*ms),
-	}, nil)
-	c.StoreSpans("j", 1, 3, 1,
-		[]trace.Event{
+	return []Rank{
+		{Events: []trace.Event{
+			mkEvent(0, trace.CatSolver, "scan", at(0, 0), 10*ms),
+		}},
+		{Events: []trace.Event{
 			mkEvent(1, trace.CatSolver, "scan", at(1, 0), 4*ms),
 			mkEvent(1, trace.CatSolver, "scan", at(1, 12*ms), 8*ms),
-		},
-		[]trace.FlowEdge{{
-			ID: tcpEdgeID(0, 7), Src: 0, Dst: 1, Tag: 5, Bytes: 64,
+		}, Edges: []trace.FlowEdge{{
+			ID: linkEdgeID(0, 7), Src: 0, Dst: 1, Tag: 5, Bytes: 64,
 			SendWallNs: at(0, 10*ms), RecvWallNs: at(1, 12*ms),
-		}})
-	c.StoreSpans("j", 2, 3, 2,
-		[]trace.Event{
+		}}},
+		{Events: []trace.Event{
 			mkEvent(2, trace.CatSolver, "scan", at(2, 0), 6*ms),
 			mkEvent(2, trace.CatSolver, "scan", at(2, 22*ms), 8*ms),
-		},
-		[]trace.FlowEdge{{
-			ID: tcpEdgeID(1, 7), Src: 1, Dst: 2, Tag: 5, Bytes: 64,
+		}, Edges: []trace.FlowEdge{{
+			ID: linkEdgeID(1, 7), Src: 1, Dst: 2, Tag: 5, Bytes: 64,
 			SendWallNs: at(1, 20*ms), RecvWallNs: at(2, 22*ms),
-		}})
+		}}},
+	}
+}
+
+// writeMerged merges ranks, writes the merged timeline as a Chrome trace and
+// reads its casvm section back strictly, returning it with the trace bytes
+// and the merge's repair and clamp counts.
+func writeMerged(t *testing.T, ranks []Rank) (x *trace.TraceExtra, file []byte, repairs, clamped int) {
+	t.Helper()
+	tl, repairs, clamped, err := Merge(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	x, err = trace.ReadTraceExtra(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, buf.Bytes(), repairs, clamped
 }
 
 // checkMerged asserts the merged trace invariants every fixture must
 // satisfy: strict schema, wall timebase, recv ≥ send on every edge, and a
 // critical-path decomposition whose buckets telescope to the makespan.
-func checkMerged(t *testing.T, c *Collector, wantOffsets *[3]int64) *trace.TraceExtra {
+func checkMerged(t *testing.T, ranks []Rank, wantOffsets *[3]int64) (x *trace.TraceExtra, repairs int) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := c.WriteMergedTrace("j", &buf); err != nil {
-		t.Fatal(err)
-	}
-	x, err := trace.ReadTraceExtra(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	x, _, repairs, _ = writeMerged(t, ranks)
 	if x.Timebase != trace.TimebaseWall {
 		t.Fatalf("timebase %q, want %q", x.Timebase, trace.TimebaseWall)
 	}
@@ -243,25 +255,24 @@ func checkMerged(t *testing.T, c *Collector, wantOffsets *[3]int64) *trace.Trace
 	if diff := math.Abs(a.Sum() - a.MakespanSec); diff > 1e-9*math.Max(1, a.MakespanSec) {
 		t.Fatalf("buckets sum %v != makespan %v (diff %g)", a.Sum(), a.MakespanSec, diff)
 	}
-	return x
+	return x, repairs
 }
 
-// TestMergeWithProbedSkew injects large known skews and a probe that
-// reports them exactly: the merge must recover the true relative timeline
+// TestMergeWithProbedSkew injects large known skews and passes them as the
+// probed offsets: the merge must recover the true relative timeline
 // bit-exactly (integer nanosecond arithmetic) and the critical path must
 // thread comp → latency hop → comp across all three ranks.
 func TestMergeWithProbedSkew(t *testing.T) {
 	skew := [3]int64{0, 2 * int64(time.Second), -int64(1500 * time.Millisecond)}
-	c := New(Config{
-		Metrics: trace.NewRegistry(),
-		Probe: func(workerID int) (tcpmpi.ClockEstimate, error) {
-			return tcpmpi.ClockEstimate{OffsetNs: skew[workerID], RTTNs: 1000, Samples: 3}, nil
-		},
-	})
-	skewedFixture(t, c, skew)
-	waitUntil(t, "trace shipped", func() bool { return c.HasTrace("j") })
+	ranks := skewedFixture(skew)
+	for r := range ranks {
+		ranks[r].OffsetNs = skew[r]
+	}
 
-	x := checkMerged(t, c, &skew)
+	x, repairs := checkMerged(t, ranks, &skew)
+	if repairs != 0 {
+		t.Fatalf("%d offset repairs of exact offsets", repairs)
+	}
 
 	// The true timeline: rank 2's last comp ends at 30ms after origin.
 	a, err := critpath.Analyze(critpath.FromExtra(x))
@@ -303,16 +314,11 @@ func TestMergeWithProbedSkew(t *testing.T) {
 // repair passes must absorb — every exported edge still satisfies
 // recv ≥ send and the analysis still telescopes.
 func TestMergeRepairsUnprobedSkew(t *testing.T) {
-	reg := trace.NewRegistry()
-	c := New(Config{Metrics: reg})
-	skewedFixture(t, c, [3]int64{0, 2 * int64(time.Second), -int64(1500 * time.Millisecond)})
-	waitUntil(t, "trace shipped", func() bool { return c.HasTrace("j") })
-
-	x := checkMerged(t, c, nil)
+	x, repairs := checkMerged(t, skewedFixture([3]int64{0, 2 * int64(time.Second), -int64(1500 * time.Millisecond)}), nil)
 	// Rank 2's raw clock runs 1.5s behind rank 1's: its recv appears
 	// ~1.5s before the send, so repair must have lowered offsets.
-	if got := reg.Snapshot()["cluster_fleet_offset_repairs_total"]; got < 1 {
-		t.Fatalf("offset repairs %v, want ≥ 1", got)
+	if repairs < 1 {
+		t.Fatalf("offset repairs %v, want ≥ 1", repairs)
 	}
 	off := x.ClockOffsetsNs
 	if off[2] >= off[1] {
@@ -326,95 +332,64 @@ func TestMergeRepairsUnprobedSkew(t *testing.T) {
 // satisfies recv ≥ send and the clamp is counted.
 func TestMergeClampsResidualViolation(t *testing.T) {
 	const ms = int64(time.Millisecond)
-	reg := trace.NewRegistry()
-	c := New(Config{Metrics: reg})
 	origin := time.Now().UnixNano()
-	c.StoreSpans("j", 1, 2, 1,
-		[]trace.Event{mkEvent(1, trace.CatSolver, "scan", origin, 30*ms)},
-		[]trace.FlowEdge{
-			// Edge A: recv 5ms before send. Repair shifts rank 1 +5ms.
-			{ID: tcpEdgeID(0, 1), Src: 0, Dst: 1, SendWallNs: origin + 10*ms, RecvWallNs: origin + 5*ms},
-			// Edge B in the opposite direction with a tight margin: after
-			// repairing A, B violates and only the clamp can fix it.
-			{ID: tcpEdgeID(1, 2), Src: 1, Dst: 0, SendWallNs: origin + 6*ms, RecvWallNs: origin + 7*ms},
-		})
-	c.StoreSpans("j", 0, 2, 0, []trace.Event{mkEvent(0, trace.CatSolver, "scan", origin, 20*ms)}, nil)
-
-	var buf bytes.Buffer
-	if err := c.WriteMergedTrace("j", &buf); err != nil {
-		t.Fatal(err)
-	}
-	x, err := trace.ReadTraceExtra(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	x, _, repairs, clamped := writeMerged(t, []Rank{
+		{Events: []trace.Event{mkEvent(0, trace.CatSolver, "scan", origin, 20*ms)}},
+		{Events: []trace.Event{mkEvent(1, trace.CatSolver, "scan", origin, 30*ms)},
+			Edges: []trace.FlowEdge{
+				// Edge A: recv 5ms before send. Repair shifts rank 1 +5ms.
+				{ID: linkEdgeID(0, 1), Src: 0, Dst: 1, SendWallNs: origin + 10*ms, RecvWallNs: origin + 5*ms},
+				// Edge B in the opposite direction with a tight margin: after
+				// repairing A, B violates and only the clamp can fix it.
+				{ID: linkEdgeID(1, 2), Src: 1, Dst: 0, SendWallNs: origin + 6*ms, RecvWallNs: origin + 7*ms},
+			}},
+	})
 	for _, e := range x.Edges {
 		if e.RecvVirtSec < e.SendVirtSec || e.RecvWallNs < e.SendWallNs {
 			t.Fatalf("edge escaped the clamp: %+v", e)
 		}
 	}
-	snap := reg.Snapshot()
-	if snap["cluster_fleet_offset_repairs_total"] < 1 {
-		t.Fatalf("expected repairs, got %v", snap["cluster_fleet_offset_repairs_total"])
+	if repairs < 1 {
+		t.Fatalf("expected repairs, got %v", repairs)
 	}
-	if snap["cluster_fleet_clamped_edges_total"] < 1 {
-		t.Fatalf("expected a clamped edge, got %v", snap["cluster_fleet_clamped_edges_total"])
+	if clamped < 1 {
+		t.Fatalf("expected a clamped edge, got %v", clamped)
 	}
 }
 
-// TestMergeErrors pins the failure modes: unknown jobs and span-less jobs
-// refuse to merge instead of writing empty traces, and an empty timeline
-// creates no job.
+// TestMergeErrors pins the failure modes: no ranks, span-less ranks, and
+// ranks whose only edges lie outside the job refuse to merge instead of
+// writing empty traces. (A job whose ranks shipped nothing has no trace at
+// all: cluster.TestRemoteEveryMethod.)
 func TestMergeErrors(t *testing.T) {
-	c := New(Config{})
-	if _, err := c.MergedTimeline("nope"); err == nil {
-		t.Fatal("unknown job must error")
+	if _, _, _, err := Merge(nil); err == nil {
+		t.Fatal("a merge of no ranks must error")
 	}
-	c.StoreSpans("nope", 0, 2, 0, nil, nil)
-	if jobs := c.Jobs(); len(jobs) != 0 {
-		t.Fatalf("an empty timeline created jobs %v", jobs)
+	if _, _, _, err := Merge(make([]Rank, 2)); err == nil {
+		t.Fatal("span-less ranks must error")
 	}
-	// A later generation's empty timeline replaces the rank's spans.
-	c.StoreSpans("empty", 0, 2, 0, []trace.Event{mkEvent(0, trace.CatSolver, "scan", 1, 1)}, nil)
-	c.StoreSpans("empty", 0, 2, 0, nil, nil)
-	if _, err := c.MergedTimeline("empty"); err == nil {
-		t.Fatal("span-less job must error")
-	}
-	if c.HasTrace("empty") {
-		t.Fatal("HasTrace on span-less job")
-	}
-	if jobs := c.Jobs(); len(jobs) != 1 || jobs[0] != "empty" {
-		t.Fatalf("jobs: %v", jobs)
-	}
-	c.Forget("empty")
-	if jobs := c.Jobs(); len(jobs) != 0 {
-		t.Fatalf("forget left: %v", jobs)
+	foreign := []trace.FlowEdge{{ID: 1, Src: 2, Dst: 0, SendWallNs: 1, RecvWallNs: 2}}
+	if _, _, _, err := Merge([]Rank{{Edges: foreign}, {}}); err == nil {
+		t.Fatal("an edge from outside the job must be dropped, leaving nothing to merge")
 	}
 }
 
 // TestFleetOverRealLeases is the transport-level end-to-end: three workers
-// hold real leases, their ranks' timelines are stored, and the first spans of
-// each start a real clock probe over its lease. The merge waits for the
-// probes, and the merged trace must parse strictly, keep every event, and
-// carry same-host offsets.
+// hold real leases, each rank's offset comes from a real clock probe over its
+// worker's lease, and the merged trace must parse strictly, keep every event,
+// and carry same-host offsets.
 func TestFleetOverRealLeases(t *testing.T) {
 	reg, err := tcpmpi.NewRegistrar("127.0.0.1:0", tcpmpi.RegistrarConfig{LeaseTTL: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	metrics := trace.NewRegistry()
-	c := New(Config{
-		Metrics: metrics,
-		Probe: func(id int) (tcpmpi.ClockEstimate, error) {
-			return reg.ProbeClock(id, 5, 3*time.Second)
-		},
-	})
 
 	const p = 3
 	const ms = int64(time.Millisecond)
 	const rank0Events = 800
 	origin := time.Now().UnixNano()
+	ranks := make([]Rank, p)
 	for rank := 0; rank < p; rank++ {
 		l, err := tcpmpi.Register(reg.Addr(), tcpmpi.RegisterOptions{})
 		if err != nil {
@@ -433,25 +408,19 @@ func TestFleetOverRealLeases(t *testing.T) {
 		}
 		if rank > 0 {
 			rec.RecordFlow(trace.FlowEdge{
-				ID: tcpEdgeID(rank-1, 9), Src: rank - 1, Dst: rank,
+				ID: linkEdgeID(rank-1, 9), Src: rank - 1, Dst: rank,
 				Tag: 3, Bytes: 128,
 				SendWallNs: origin + int64(n)*ms, RecvWallNs: origin + int64(n+2)*ms,
 			})
 		}
-		c.StoreSpans("j", rank, p, l.ID(), tl.Events(), tl.FlowEdges())
+		est, err := reg.ProbeClock(l.ID(), 5, 3*time.Second)
+		if err != nil {
+			t.Fatalf("clock probe over a live lease: %v", err)
+		}
+		ranks[rank] = Rank{Events: tl.Events(), Edges: tl.FlowEdges(), OffsetNs: est.OffsetNs}
 	}
 
-	var buf bytes.Buffer
-	if err := c.WriteMergedTrace("j", &buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := metrics.Snapshot()["cluster_fleet_probe_failures_total"]; got != 0 {
-		t.Fatalf("%v clock probes failed over live leases", got)
-	}
-	x, err := trace.ReadTraceExtra(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	x, file, _, _ := writeMerged(t, ranks)
 	if x.P != p || x.Timebase != trace.TimebaseWall {
 		t.Fatalf("merged extra: p=%d timebase=%q", x.P, x.Timebase)
 	}
@@ -465,7 +434,7 @@ func TestFleetOverRealLeases(t *testing.T) {
 	}
 	nEvents := 0
 	var whole map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &whole); err != nil {
+	if err := json.Unmarshal(file, &whole); err != nil {
 		t.Fatal(err)
 	}
 	for _, raw := range whole["traceEvents"].([]any) {
@@ -485,59 +454,5 @@ func TestFleetOverRealLeases(t *testing.T) {
 		if off < -int64(time.Second) || off > int64(time.Second) {
 			t.Fatalf("rank %d same-host offset %v", r, time.Duration(off))
 		}
-	}
-}
-
-// TestReHelloReprobesNewWorker covers telemetry merging across gang
-// generations: when a re-gang moves a rank to a different worker process,
-// the rank's spans arrive from a new lease, and the collector must probe the
-// new process's clock instead of rebasing its spans with the dead worker's
-// offset. Spans for the rank from the same worker again must not re-probe.
-func TestReHelloReprobesNewWorker(t *testing.T) {
-	offsets := map[int]int64{1: 1000, 2: 777_000}
-	var probes atomic.Int64
-	c := New(Config{
-		Metrics: trace.NewRegistry(),
-		Probe: func(workerID int) (tcpmpi.ClockEstimate, error) {
-			probes.Add(1)
-			return tcpmpi.ClockEstimate{OffsetNs: offsets[workerID], RTTNs: 10, Samples: 3}, nil
-		},
-	})
-	// The merge waits for the probes its snapshot saw, so its offset is the
-	// settled one.
-	rankOffset := func() int64 {
-		t.Helper()
-		tl, err := c.MergedTimeline("j")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tl.Extra().ClockOffsetsNs[0]
-	}
-	spans := []trace.Event{mkEvent(0, trace.CatSolver, "scan", 1000, 10)}
-
-	// An empty timeline probes nothing.
-	c.StoreSpans("j", 0, 2, 1, nil, nil)
-	if n := probes.Load(); n != 0 {
-		t.Fatalf("%d probes for an empty timeline", n)
-	}
-	// Generation 1: rank 0 lives on worker 1.
-	c.StoreSpans("j", 0, 2, 1, spans, nil)
-	if off := rankOffset(); off != 1000 {
-		t.Fatalf("offset %d after the first spans, want worker 1's 1000", off)
-	}
-	// The same worker again (the next generation kept the rank there)
-	// leaves the settled probe alone.
-	c.StoreSpans("j", 0, 2, 1, spans, nil)
-	if n := probes.Load(); n != 1 {
-		t.Fatalf("%d probes after spans from the same worker, want 1", n)
-	}
-
-	// Generation 2: the re-gang moved rank 0 to worker 2.
-	c.StoreSpans("j", 0, 2, 2, spans, nil)
-	if off := rankOffset(); off != 777_000 {
-		t.Fatalf("offset %d after the move, want worker 2's 777000", off)
-	}
-	if n := probes.Load(); n != 2 {
-		t.Fatalf("%d probes after the rank moved, want 2", n)
 	}
 }

@@ -9,13 +9,14 @@ import (
 	"casvm/internal/trace"
 )
 
-// FuzzFleetFrames feeds the collector what a rank's exec frames can carry
-// once the coordinator has accepted them: a timeline of any shape (the JSON
-// of a rank-done frame's spans section) for a rank of a job of any claimed
-// width, stored twice — the second time as if the rank had moved to another
-// worker — and epoch durations of any value. Neither call may panic, and
-// every reader of the state they leave — the job list, the merged timeline
-// and its Chrome trace — must return, with an error or without. Run with
+// FuzzFleetFrames feeds the package what a rank's exec frames can carry once
+// the coordinator has accepted them: a timeline of any shape (the JSON of a
+// rank-done frame's spans section) for a rank of a job of any claimed width,
+// merged twice — the second time as if the rank had moved to a worker whose
+// clock is off by epoch ns — and epoch durations of any value, entered in one
+// job's table. Nothing may panic: each merge returns, with an error or a
+// timeline that writes as a Chrome trace, and every verdict names a rank
+// beyond the factor of a median above the noise floor. Run with
 // `go test -fuzz FuzzFleetFrames ./internal/telemetry/fleet` for extended
 // exploration; the seed corpus (testdata/fuzz plus the seeds below) runs in
 // normal test mode and in `make fuzz-smoke`.
@@ -36,7 +37,7 @@ func FuzzFleetFrames(f *testing.F) {
 			mkEvent(0, trace.CatSolver, "smo", 1000, 500),
 			mkEvent(0, trace.CatCollective, "allreduce", 1500, 100),
 		},
-		Edges: []trace.FlowEdge{{ID: tcpEdgeID(1, 1), Src: 1, Dst: 0, Bytes: 64, SendWallNs: 1200, RecvWallNs: 1400}},
+		Edges: []trace.FlowEdge{{ID: linkEdgeID(1, 1), Src: 1, Dst: 0, Bytes: 64, SendWallNs: 1200, RecvWallNs: 1400}},
 	})
 	for _, s := range []struct {
 		p, rank int
@@ -55,20 +56,26 @@ func FuzzFleetFrames(f *testing.F) {
 		f.Add(s.p, s.rank, s.spans, s.epoch, s.sec)
 	}
 	f.Fuzz(func(t *testing.T, p, rank int, spans []byte, epoch int, sec float64) {
-		c := New(Config{Metrics: trace.NewRegistry()})
 		var s section
-		_ = json.Unmarshal(spans, &s) // a section that does not parse stores nothing
-		c.StoreSpans("j", rank, p, 1, s.Events, s.Edges)
-		c.StoreSpans("j", rank, p, 2, s.Events, s.Edges)
-		for r := 0; r < 3; r++ {
-			c.ObserveEpoch("j", rank+r, epoch, sec*float64(r+1))
+		_ = json.Unmarshal(spans, &s) // a section that does not parse ships nothing
+		// The coordinator holds a job's width to its gang; a merge sizes
+		// its per-rank tables by it.
+		if p >= 1 && p <= 1<<16 && rank >= 0 && rank < p {
+			ranks := make([]Rank, p)
+			for _, off := range []int64{0, int64(epoch)} {
+				ranks[rank] = Rank{Events: s.Events, Edges: s.Edges, OffsetNs: off}
+				if tl, _, _, err := Merge(ranks); err == nil {
+					_ = tl.WriteChromeTrace(io.Discard)
+				}
+			}
 		}
-		c.Events(0)
-		c.HasTrace("j")
-		_ = c.WriteMergedTrace("j", io.Discard)
-		c.Forget("j")
-		if len(c.Jobs()) != 0 || len(c.det.epochs) != 0 {
-			t.Fatal("forget left state behind")
+		var tab Epochs
+		for r := 0; r < 3; r++ {
+			for _, v := range tab.Observe("j", rank+r, epoch, sec*float64(r+1)) {
+				if v.Sec <= stragglerFactor*v.MedianSec || v.MedianSec < stragglerMinSec {
+					t.Fatalf("verdict %+v", v)
+				}
+			}
 		}
 	})
 }

@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"time"
 
 	"casvm/internal/trace"
 )
@@ -14,9 +12,10 @@ import (
 // Worker timestamps are wall clocks from different machines; the merge
 // rebases them onto the coordinator's clock in three steps:
 //
-//  1. Probe: a rank's first spans from a worker triggered an NTP-style
-//     lease exchange (tcpmpi.ProbeClock) giving offset ≈ rank clock −
-//     coordinator clock; rebased = raw − offset.
+//  1. Probe: the caller measured each rank's offset ≈ rank clock −
+//     coordinator clock (the coordinator, with one NTP-style lease
+//     exchange per worker, tcpmpi.Registrar.ProbeClock); rebased = raw −
+//     offset.
 //  2. Repair: probe error is bounded by half the RTT, so a rebased edge
 //     can still violate recv ≥ send. Each violated edge is a difference
 //     constraint on the two ranks' offsets; lowering the receiver's
@@ -46,77 +45,6 @@ var compCats = map[string]bool{
 	trace.CatInit:       true,
 	trace.CatCheckpoint: true,
 	trace.CatRecovery:   true,
-}
-
-// mergeInput is the under-lock snapshot of one job's telemetry.
-type mergeInput struct {
-	p       int
-	events  [][]trace.Event   // by rank
-	edges   []trace.FlowEdge  // deduplicated by (dst, id)
-	offsets []int64           // by rank, ns (rank − coordinator)
-	probes  []<-chan struct{} // pending probe completions
-}
-
-func (c *Collector) snapshotJob(job string) (*mergeInput, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.jobs[job]
-	if j == nil {
-		return nil, fmt.Errorf("fleet: no telemetry for job %q", job)
-	}
-	in := &mergeInput{p: j.p}
-	if in.p < 1 {
-		return nil, fmt.Errorf("fleet: job %q has no ranks", job)
-	}
-	in.events = make([][]trace.Event, in.p)
-	in.offsets = make([]int64, in.p)
-	type edgeKey struct {
-		dst int
-		id  int64
-	}
-	seen := map[edgeKey]bool{}
-	for rank, rs := range j.ranks {
-		if rank >= in.p {
-			continue
-		}
-		in.events[rank] = rs.events[:len(rs.events):len(rs.events)]
-		in.offsets[rank] = rs.offsetNs
-		if rs.probeDone != nil {
-			in.probes = append(in.probes, rs.probeDone)
-		}
-		for _, e := range rs.edges {
-			k := edgeKey{e.Dst, e.ID}
-			if seen[k] || e.Src < 0 || e.Src >= in.p || e.Dst < 0 || e.Dst >= in.p {
-				continue
-			}
-			seen[k] = true
-			in.edges = append(in.edges, e)
-		}
-	}
-	return in, nil
-}
-
-// waitProbes blocks until every in-flight clock probe of the snapshot has
-// settled or the timeout lapses, then refreshes the offsets from the
-// collector state (probes complete asynchronously after the spans land).
-func (c *Collector) waitProbes(job string, in *mergeInput, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for _, ch := range in.probes {
-		select {
-		case <-ch:
-		case <-time.After(time.Until(deadline)):
-			c.logf("fleet: job %s: clock probe still pending at merge; using current estimates", job)
-		}
-	}
-	c.mu.Lock()
-	if j := c.jobs[job]; j != nil {
-		for rank, rs := range j.ranks {
-			if rank < len(in.offsets) {
-				in.offsets[rank] = rs.offsetNs
-			}
-		}
-	}
-	c.mu.Unlock()
 }
 
 // repairOffsets relaxes the per-rank offsets against the causality
@@ -150,22 +78,34 @@ func repairOffsets(offsets []int64, edges []trace.FlowEdge) (adjustments int) {
 	return adjustments
 }
 
-// MergedTimeline builds one offset-rebased wall-timebase timeline from the
-// job's shipped telemetry: all ranks' spans on the coordinator clock,
-// cross-process flow edges with fresh ids, and synthesized per-rank
-// segment tilings that make the trace analyzable by critpath.
-func (c *Collector) MergedTimeline(job string) (*trace.Timeline, error) {
-	in, err := c.snapshotJob(job)
-	if err != nil {
-		return nil, err
+// Merge builds one offset-rebased wall-timebase timeline from per-rank
+// telemetry, ranks[r] being rank r's: all ranks' spans on the coordinator
+// clock, cross-process flow edges (deduplicated by (dst, id), and dropped
+// when an end lies outside the ranks) with fresh ids, and synthesized
+// per-rank segment tilings that make the trace analyzable by critpath. It
+// returns how many per-rank offset repairs and how many edge clamps it
+// applied, and an error when the ranks shipped no span and no edge.
+func Merge(ranks []Rank) (tl *trace.Timeline, repairs, clamped int, err error) {
+	p := len(ranks)
+	offsets := make([]int64, p)
+	var edges []trace.FlowEdge
+	type edgeKey struct {
+		dst int
+		id  int64
 	}
-	c.waitProbes(job, in, 3*time.Second)
-
-	repairs := repairOffsets(in.offsets, in.edges)
-	if repairs > 0 && c.cfg.Metrics != nil {
-		c.cfg.Metrics.Counter("cluster_fleet_offset_repairs_total",
-			"per-rank offset corrections forced by violated causality constraints").Add(int64(repairs))
+	seen := map[edgeKey]bool{}
+	for r, rk := range ranks {
+		offsets[r] = rk.OffsetNs
+		for _, e := range rk.Edges {
+			k := edgeKey{e.Dst, e.ID}
+			if seen[k] || e.Src < 0 || e.Src >= p || e.Dst < 0 || e.Dst >= p {
+				continue
+			}
+			seen[k] = true
+			edges = append(edges, e)
+		}
 	}
+	repairs = repairOffsets(offsets, edges)
 
 	// Rebase everything and find the common origin.
 	type redge struct {
@@ -179,13 +119,13 @@ func (c *Collector) MergedTimeline(job string) (*trace.Timeline, error) {
 			base, haveBase = ns, true
 		}
 	}
-	events := make([][]trace.Event, in.p)
+	events := make([][]trace.Event, p)
 	maxPerRank := 0
-	for rank := range in.events {
-		evs := make([]trace.Event, 0, len(in.events[rank]))
-		for _, e := range in.events[rank] {
+	for rank, rk := range ranks {
+		evs := make([]trace.Event, 0, len(rk.Events))
+		for _, e := range rk.Events {
 			e.Rank = rank
-			e.WallStartNs -= in.offsets[rank]
+			e.WallStartNs -= offsets[rank]
 			evs = append(evs, e)
 			observe(e.WallStartNs)
 		}
@@ -195,12 +135,11 @@ func (c *Collector) MergedTimeline(job string) (*trace.Timeline, error) {
 			maxPerRank = len(evs)
 		}
 	}
-	redges := make([]redge, 0, len(in.edges))
-	clamped := 0
-	for _, e := range in.edges {
+	redges := make([]redge, 0, len(edges))
+	for _, e := range edges {
 		re := redge{FlowEdge: e}
-		re.sendNs = e.SendWallNs - in.offsets[e.Src]
-		re.recvNs = e.RecvWallNs - in.offsets[e.Dst]
+		re.sendNs = e.SendWallNs - offsets[e.Src]
+		re.recvNs = e.RecvWallNs - offsets[e.Dst]
 		if re.recvNs < re.sendNs {
 			re.recvNs = re.sendNs // final causality clamp (counted, never silent)
 			clamped++
@@ -208,20 +147,16 @@ func (c *Collector) MergedTimeline(job string) (*trace.Timeline, error) {
 		observe(re.sendNs)
 		redges = append(redges, re)
 	}
-	if clamped > 0 && c.cfg.Metrics != nil {
-		c.cfg.Metrics.Counter("cluster_fleet_clamped_edges_total",
-			"edges clamped to recv = send after offset repair").Add(int64(clamped))
-	}
 	if !haveBase {
-		return nil, fmt.Errorf("fleet: job %q shipped no spans or edges", job)
+		return nil, repairs, clamped, fmt.Errorf("fleet: the ranks shipped no spans or edges")
 	}
 	toSec := func(ns int64) float64 { return float64(ns-base) / 1e9 }
 
 	// Fresh edge ids 1..n in arrival order: the processes' ids
 	// ((rank+1)<<40 | seq, from internal/mpi) are distinct but sparse.
 	sort.SliceStable(redges, func(i, j int) bool { return redges[i].recvNs < redges[j].recvNs })
-	tl := trace.NewTimelineCap(in.p, maxPerRank+16)
-	tl.SetTimebase(trace.TimebaseWall, append([]int64(nil), in.offsets...))
+	tl = trace.NewTimelineCap(p, maxPerRank+16)
+	tl.SetTimebase(trace.TimebaseWall, offsets)
 	final := make([]trace.FlowEdge, len(redges))
 	for i, re := range redges {
 		sendSec, recvSec := toSec(re.sendNs), toSec(re.recvNs)
@@ -235,7 +170,7 @@ func (c *Collector) MergedTimeline(job string) (*trace.Timeline, error) {
 		}
 	}
 
-	for rank := 0; rank < in.p; rank++ {
+	for rank := 0; rank < p; rank++ {
 		rec := tl.Rank(rank)
 		for _, e := range events[rank] {
 			rec.AddEvent(e)
@@ -245,7 +180,7 @@ func (c *Collector) MergedTimeline(job string) (*trace.Timeline, error) {
 		tl.Rank(e.Dst).RecordFlow(e)
 	}
 	synthesizeSegments(tl, events, final, toSec)
-	return tl, nil
+	return tl, repairs, clamped, nil
 }
 
 // synthSeg is one synthesized segment before it is recorded.
@@ -374,17 +309,4 @@ func synthesizeSegments(tl *trace.Timeline, events [][]trace.Event, edges []trac
 		}
 		rec.SetPhase("")
 	}
-}
-
-// WriteMergedTrace merges the job's telemetry (MergedTimeline) and writes
-// it as one Chrome trace_event file — all ranks as threads of one
-// process, cross-rank Perfetto arrows included, with the casvm section
-// carrying the synthesized tilings, rebased edges, wall timebase, and the
-// per-rank clock offsets applied.
-func (c *Collector) WriteMergedTrace(job string, w io.Writer) error {
-	tl, err := c.MergedTimeline(job)
-	if err != nil {
-		return err
-	}
-	return tl.WriteChromeTrace(w)
 }

@@ -2,11 +2,10 @@ package fleet
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
-// The online detector's thresholds. The heuristic follows the
+// The straggler verdict's thresholds. The heuristic follows the
 // adaptive-shrinking literature (1406.5161): within a gang, per-epoch
 // durations are near-identical unless a rank is straggling, so a rank whose
 // epoch runs beyond stragglerFactor × the gang median is flagged.
@@ -20,8 +19,8 @@ const (
 	stragglerMinSec = 1e-3
 )
 
-// StragglerEvent is one detector verdict, published on the SSE stream and
-// counted by the coordinator's cluster_straggler_* metrics.
+// StragglerEvent is one verdict, published on the coordinator's SSE stream
+// and counted by its cluster_straggler_* metrics.
 type StragglerEvent struct {
 	TimeNs    int64   `json:"time_ns"`
 	Job       string  `json:"job"`
@@ -33,37 +32,26 @@ type StragglerEvent struct {
 	Factor float64 `json:"factor"`
 }
 
-// detector keeps per-(job, epoch) duration maps and flags outliers
-// incrementally: every report recomputes that epoch's median and flags any
-// not-yet-flagged rank beyond the threshold (including ranks reported
-// before the median shifted).
-type detector struct {
-	mu      sync.Mutex
-	epochs  map[string]map[int]map[int]float64 // job → epoch → rank → sec
-	flagged map[string]map[[2]int]bool         // job → (epoch, rank)
+// Epochs is one job's epoch table: each epoch's per-rank durations and the
+// verdicts already raised. Observe flags outliers incrementally: every report
+// recomputes that epoch's median and flags any not-yet-flagged rank beyond
+// the threshold (including ranks reported before the median shifted). The
+// zero value is an empty table; its owner serializes the calls.
+type Epochs struct {
+	secs    map[int]map[int]float64 // epoch → rank → sec
+	flagged map[[2]int]bool         // (epoch, rank)
 }
 
-func newDetector() *detector {
-	return &detector{
-		epochs:  map[string]map[int]map[int]float64{},
-		flagged: map[string]map[[2]int]bool{},
-	}
-}
-
-// observe records one (job, rank, epoch, sec) report and returns any new
+// Observe records one (rank, epoch, sec) report of job and returns any new
 // straggler verdicts it produces.
-func (d *detector) observe(job string, rank, epoch int, sec float64) []StragglerEvent {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	je := d.epochs[job]
-	if je == nil {
-		je = map[int]map[int]float64{}
-		d.epochs[job] = je
+func (t *Epochs) Observe(job string, rank, epoch int, sec float64) []StragglerEvent {
+	if t.secs == nil {
+		t.secs, t.flagged = map[int]map[int]float64{}, map[[2]int]bool{}
 	}
-	ranks := je[epoch]
+	ranks := t.secs[epoch]
 	if ranks == nil {
 		ranks = map[int]float64{}
-		je[epoch] = ranks
+		t.secs[epoch] = ranks
 	}
 	ranks[rank] = sec
 
@@ -83,22 +71,14 @@ func (d *detector) observe(job string, rank, epoch int, sec float64) []Straggler
 		return nil
 	}
 
-	fl := d.flagged[job]
-	if fl == nil {
-		fl = map[[2]int]bool{}
-		d.flagged[job] = fl
-	}
 	var out []StragglerEvent
 	now := time.Now().UnixNano()
 	for r, s := range ranks {
-		if s <= stragglerFactor*median {
-			continue
-		}
 		key := [2]int{epoch, r}
-		if fl[key] {
+		if s <= stragglerFactor*median || t.flagged[key] {
 			continue
 		}
-		fl[key] = true
+		t.flagged[key] = true
 		out = append(out, StragglerEvent{
 			TimeNs: now, Job: job, Rank: r, Epoch: epoch,
 			Sec: s, MedianSec: median, Factor: s / median,
@@ -106,54 +86,4 @@ func (d *detector) observe(job string, rank, epoch int, sec float64) []Straggler
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
 	return out
-}
-
-// forget drops a finished job's detector state.
-func (d *detector) forget(job string) {
-	d.mu.Lock()
-	delete(d.epochs, job)
-	delete(d.flagged, job)
-	d.mu.Unlock()
-}
-
-// eventRing is a fixed-capacity cursor-paged buffer of straggler events —
-// the backing store of the fleet SSE stream, mirroring the shape of
-// smo.TelemetryRing (monotonic cursors survive wrap-around; a lagging
-// reader loses the overwritten prefix, never sees duplicates).
-type eventRing struct {
-	mu    sync.Mutex
-	buf   []StragglerEvent
-	start uint64 // cursor of buf[0]
-	max   int
-}
-
-func newEventRing(max int) *eventRing {
-	return &eventRing{max: max}
-}
-
-func (r *eventRing) add(e StragglerEvent) {
-	r.mu.Lock()
-	r.buf = append(r.buf, e)
-	if len(r.buf) > r.max {
-		drop := len(r.buf) - r.max
-		r.buf = append(r.buf[:0], r.buf[drop:]...)
-		r.start += uint64(drop)
-	}
-	r.mu.Unlock()
-}
-
-// since returns events at cursors ≥ cursor and the next cursor to poll
-// from. A cursor before the retained window skips to its start.
-func (r *eventRing) since(cursor uint64) ([]StragglerEvent, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	end := r.start + uint64(len(r.buf))
-	if cursor < r.start {
-		cursor = r.start
-	}
-	if cursor >= end {
-		return nil, end
-	}
-	out := append([]StragglerEvent(nil), r.buf[cursor-r.start:]...)
-	return out, end
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"runtime"
 	"strings"
@@ -103,7 +104,7 @@ func TestCustomStream(t *testing.T) {
 
 // TestJobTraceEndpoint pins /jobs/<id>/trace: the writer's bytes are
 // served verbatim on success, a merge error becomes a clean 500, and a
-// job without a trace func 404s.
+// job without a trace func, or whose func finds no trace, 404s.
 func TestJobTraceEndpoint(t *testing.T) {
 	srv, err := telemetry.Start("127.0.0.1:0", telemetry.Config{
 		Jobs: func() []telemetry.JobNamespace {
@@ -116,6 +117,9 @@ func TestJobTraceEndpoint(t *testing.T) {
 					return fmt.Errorf("no spans shipped")
 				}},
 				{ID: "plain-job"},
+				{ID: "traceless-job", Trace: func(io.Writer) error {
+					return fmt.Errorf("job holds no trace: %w", fs.ErrNotExist)
+				}},
 			}
 		},
 	})
@@ -135,13 +139,15 @@ func TestJobTraceEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("merge error status %d, want 500", resp.StatusCode)
 	}
-	resp, err = http.Get(baseURL(srv) + "/jobs/plain-job/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("trace-less job status %d, want 404", resp.StatusCode)
+	for _, id := range []string{"plain-job", "traceless-job"} {
+		resp, err = http.Get(baseURL(srv) + "/jobs/" + id + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: trace-less job status %d, want 404", id, resp.StatusCode)
+		}
 	}
 }
 

@@ -26,8 +26,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -80,8 +82,9 @@ type JobNamespace struct {
 	Metrics *trace.Registry
 	Report  func() any
 	// Trace, when non-nil, writes the job's merged Chrome trace file;
-	// served at /jobs/<id>/trace (404 when nil — e.g. no fleet telemetry
-	// was shipped for the job).
+	// served at /jobs/<id>/trace (404 when nil, or when it returns an error
+	// wrapping fs.ErrNotExist — e.g. no fleet telemetry was shipped for
+	// the job).
 	Trace func(w io.Writer) error
 }
 
@@ -118,18 +121,6 @@ func Start(addr string, cfg Config) (*Server, error) {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(v)
 	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		var cursor uint64
-		StreamSSE(w, r, cfg.PollInterval, func() []any {
-			var samples []smo.IterSample
-			samples, cursor = cfg.Ring.Since(cursor) // nil-safe: always empty
-			out := make([]any, len(samples))
-			for i, s := range samples {
-				out[i] = s
-			}
-			return out
-		})
-	})
 	mux.HandleFunc("/jobs", func(w http.ResponseWriter, _ *http.Request) {
 		type entry struct {
 			ID    string `json:"id"`
@@ -159,7 +150,11 @@ func Start(addr string, cfg Config) (*Server, error) {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(v)
 	})
+	streams := map[string]StreamSource{"events": cfg.Ring.Stream} // nil-safe: always empty
 	for name, src := range cfg.Streams {
+		streams[name] = src
+	}
+	for name, src := range streams {
 		src := src
 		mux.HandleFunc("/"+name, func(w http.ResponseWriter, r *http.Request) {
 			var cursor uint64
@@ -234,7 +229,10 @@ func serveJob(w http.ResponseWriter, r *http.Request, cfg Config) {
 		// Buffer so a mid-trace merge error becomes a clean 500 instead
 		// of a truncated download.
 		var buf bytes.Buffer
-		if err := job.Trace(&buf); err != nil {
+		if err := job.Trace(&buf); errors.Is(err, fs.ErrNotExist) {
+			http.NotFound(w, r)
+			return
+		} else if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -154,7 +154,6 @@ func TestServeClusterNamespaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	fl := coord.Fleet()
 
 	srv, err := telemetry.Start("127.0.0.1:0", telemetry.Config{
 		Metrics:      coord.Metrics(),
@@ -163,16 +162,13 @@ func TestServeClusterNamespaces(t *testing.T) {
 			var out []telemetry.JobNamespace
 			for _, j := range coord.Jobs() {
 				j := j
-				ns := telemetry.JobNamespace{
+				out = append(out, telemetry.JobNamespace{
 					ID:      j.ID(),
 					State:   j.State().String(),
 					Metrics: j.Metrics(),
 					Report:  func() any { return j.Result() },
-				}
-				if fl.HasTrace(j.ID()) {
-					ns.Trace = func(w io.Writer) error { return fl.WriteMergedTrace(j.ID(), w) }
-				}
-				out = append(out, ns)
+					Trace:   j.WriteTrace,
+				})
 			}
 			return out
 		},

@@ -121,8 +121,8 @@ func (r *Recorder) emit(sp Span, virtEnd, flops float64) {
 // AddEvent appends an already-completed event to the recorder, honoring
 // the buffer cap. The event's Rank is overwritten with the recorder's
 // rank so merged timelines cannot misattribute spans. This is the
-// ingestion path for externally recorded spans (the fleet collector
-// rebasing worker events onto a common clock); live instrumentation
+// ingestion path for externally recorded spans (the fleet merge rebasing
+// worker events onto a common clock); live instrumentation
 // should keep using Begin/End.
 func (r *Recorder) AddEvent(e Event) {
 	if r == nil {
@@ -184,7 +184,7 @@ type Timeline struct {
 
 // TimebaseWall is the Timeline.SetTimebase / TraceExtra.Timebase value that
 // marks coordinates as wall-clock seconds rebased onto a common reference
-// clock — produced by the fleet collector when merging per-rank traces from
+// clock — produced by the fleet merge of per-rank traces from
 // real multi-process runs. An empty timebase is the in-process default:
 // α–β-model virtual seconds.
 const TimebaseWall = "wall"
