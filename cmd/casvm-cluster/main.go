@@ -31,10 +31,11 @@
 // A rank reports over its lease in the exec frames that carry its work
 // (internal/telemetry/fleet): every checkpoint the epoch's wall time, which
 // the straggler detector judges, and a mesh rank's rank-done frame the
-// timeline it recorded — its collective spans and mesh flow edges (-no-fleet
-// turns the recording off); with -fleet-trace DIR the coordinator also
-// writes each finished job's merged Chrome trace to DIR/<job-id>.trace, ready
-// for casvm-profile or Perfetto.
+// timeline it recorded — its collective spans and mesh flow edges, whose
+// send and receive wall times also give the merge each rank's clock offset;
+// with -fleet-trace DIR the coordinator also writes each finished job's
+// merged Chrome trace to DIR/<job-id>.trace, ready for casvm-profile or
+// Perfetto.
 package main
 
 import (
@@ -79,7 +80,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		serve      = fs.String("serve", "", "serve live telemetry on this address: /metrics, /healthz, /report, /jobs, /jobs/<id>/{metrics,report,trace}, /fleet/events")
 		ttl        = fs.Duration("lease-ttl", 0, "worker lease TTL; a silent worker is expired after this (0 = 6s default)")
 		join       = fs.String("join", "", "worker mode: register with the coordinator at this address and execute assigned ranks until interrupted")
-		fleetOff   = fs.Bool("no-fleet", false, "worker mode: do not record mesh ranks' timelines")
 		fleetTrace = fs.String("fleet-trace", "", "write each finished job's merged fleet trace to this directory as <job-id>.trace")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -89,7 +89,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *join != "" {
 		fmt.Fprintf(stdout, "joining %s as an executor worker (Ctrl-C to leave)\n", *join)
 		err := cluster.RunExecutor(ctx, *join, cluster.ExecutorOptions{
-			Fleet: !*fleetOff,
+			Fleet: true,
 			Logf:  log.Printf,
 		})
 		if err != nil {

@@ -19,9 +19,10 @@
 //
 // Merged fleet traces (written by casvm-cluster -fleet-trace or by
 // examples/distributed -fleet-trace) analyze the same way. Their timebase is
-// "wall": spans were rebased from per-worker clocks onto the
-// coordinator's timeline using probed clock offsets, which are printed
-// per rank. Wall time cannot split a transfer into α and β, so edge cost
+// "wall": spans were rebased from per-worker clocks onto rank 0's, using
+// clock offsets read off the job's own messages (a pair's edges both ways
+// bound its offset; the merge takes the midpoint), which are printed per
+// rank. Wall time cannot split a transfer into α and β, so edge cost
 // is carried entirely as latency there and a tw re-cost is a no-op —
 // re-cost ts to scale transfers instead.
 package main

@@ -17,9 +17,9 @@
 // Fleet telemetry — every executor reports over its lease in the exec frames
 // that carry its work: an RA-CA rank's checkpoints each carry the epoch's wall
 // time, and a Dis-SMO rank's rank-done frame its trace spans and flow edges,
-// which the job keeps. Writing the Dis-SMO job's merged Chrome trace
-// (cross-process Perfetto arrows included), which casvm-profile analyzes, the
-// coordinator probes the clock offset of each executor that shipped spans.
+// which the job keeps. The Dis-SMO job's merged Chrome trace (cross-process
+// Perfetto arrows included), which casvm-profile analyzes, puts every rank on
+// rank 0's clock, with offsets read off the flow edges the ranks exchanged.
 // The program exits non-zero unless that trace holds one flow edge per
 // message the job counted, carrying the job's bytes. With -straggler the last
 // executor sleeps five times as long an iteration as the rest, and the RA-CA

@@ -21,11 +21,11 @@
 //
 // A job owns its ranks' telemetry, taken from the exec frames of the leases
 // that own the job: a mesh rank's timeline from its rank-done frame, which
-// Job.Timeline merges onto the coordinator's clock, probing each worker that
-// shipped spans once at merge time; and an RA-CA rank's epoch seconds from
-// its checkpoints, which the job's epoch table judges into the coordinator's
-// straggler feed (see internal/telemetry/fleet for the arithmetic). The
-// package deliberately does not import the HTTP telemetry server: the
+// Job.Timeline merges onto rank 0's clock with offsets read off the ranks'
+// own flow edges; and an RA-CA rank's epoch seconds from its checkpoints,
+// which the job's epoch table judges into the coordinator's straggler feed
+// (see internal/telemetry/fleet for the arithmetic). The package
+// deliberately does not import the HTTP telemetry server: the
 // coordinator exposes per-job metrics registries, merged traces and the
 // straggler feed, and the casvm-cluster command wires them into an HTTP
 // server.
@@ -54,7 +54,8 @@ type Config struct {
 	// OnJobDone, when non-nil, is invoked (on the job's goroutine, after
 	// its result is published and its workers released) for every job
 	// that finishes — the hook casvm-cluster uses to persist merged
-	// fleet traces (Job.Timeline may be called from it).
+	// fleet traces. Job.Timeline and Job.WriteTrace do no network I/O, so
+	// they may be called from it, or from anywhere else.
 	OnJobDone func(*Job)
 
 	// Logf, when non-nil, receives one line per membership and job
@@ -79,12 +80,8 @@ type Coordinator struct {
 	gWorkers, gBusy, gRunning, gQueued *trace.Gauge
 	gStragglerFactor                   *trace.Gauge
 	cFleetEvents, cFleetEdges          *trace.Counter
-	cProbeFailures                     *trace.Counter
 
 	stragglers *trace.Ring[fleet.StragglerEvent] // every job's verdicts, the /fleet/events feed
-	// probeMu serializes clock-probe bursts: two to one worker would take
-	// each other's pongs.
-	probeMu sync.Mutex
 
 	mu      sync.Mutex
 	workers map[int]tcpmpi.WorkerInfo // registered non-client workers
@@ -140,7 +137,6 @@ func New(addr string, cfg Config) (*Coordinator, error) {
 		gStragglerFactor: met.Gauge("cluster_straggler_last_factor", "sec/median ratio of the most recent straggler verdict"),
 		cFleetEvents:     met.Counter("cluster_fleet_events_total", "trace events ingested from workers"),
 		cFleetEdges:      met.Counter("cluster_fleet_edges_total", "flow edges ingested from workers"),
-		cProbeFailures:   met.Counter("cluster_fleet_probe_failures_total", "clock probes that returned no samples"),
 		stragglers:       trace.NewRing[fleet.StragglerEvent](256),
 
 		onJobDone: cfg.OnJobDone,
@@ -168,22 +164,6 @@ func (c *Coordinator) Metrics() *trace.Registry { return c.met }
 // Stragglers is the feed of every job's straggler verdicts, the most recent
 // 256 of them.
 func (c *Coordinator) Stragglers() *trace.Ring[fleet.StragglerEvent] { return c.stragglers }
-
-// probeClock estimates worker id's clock offset with one 5-ping burst. A
-// probe that fails — the worker is already gone — is counted and logged, and
-// leaves the offset 0 for the merge's causality repair. It must not run on a
-// registrar frame loop, which delivers the pongs.
-func (c *Coordinator) probeClock(id int) int64 {
-	c.probeMu.Lock()
-	est, err := c.reg.ProbeClock(id, 5, 3*time.Second)
-	c.probeMu.Unlock()
-	if err != nil {
-		c.cProbeFailures.Inc()
-		c.logf("cluster: clock probe of worker %d: %v", id, err)
-		return 0
-	}
-	return est.OffsetNs
-}
 
 // Close stops accepting registrations, fails every queued job, and waits
 // for running jobs to finish. Worker leases end when the registrar closes.

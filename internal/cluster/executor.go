@@ -34,7 +34,9 @@ import (
 type ExecutorOptions struct {
 	// Fleet records a mesh rank's timeline — its spans and the flow edges of
 	// the messages it received — and ships it in the rank's rank-done frame,
-	// for the coordinator's merged trace of the job.
+	// for the coordinator's merged trace of the job. casvm-cluster workers
+	// always set it; it stays an option because the repository benchmark's
+	// fleet.overhead_pct probe (bench/cluster.go) runs with it on and off.
 	Fleet bool
 
 	// IterDelay throttles the solver by sleeping this long every

@@ -429,10 +429,8 @@ func hasTrace(j *Job) bool {
 
 // TestConcurrentTracesShareWorkers: two mesh jobs run one after the other on
 // the same two executors, the second's trace read while its ranks report,
-// and then both traces are written at once. Every probe burst goes to a
-// worker both jobs shipped spans from; the bursts are serialized, so none
-// loses its pongs to the other, and both traces carry every rank's same-host
-// offset.
+// and then both traces are written at once, and both carry every rank's
+// same-host offset, read off the job's own messages.
 func TestConcurrentTracesShareWorkers(t *testing.T) {
 	c := newTestCoordinator(t, time.Second)
 	startExecutors(t, c, 2, 0)
@@ -468,9 +466,6 @@ func TestConcurrentTracesShareWorkers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Metrics().Snapshot()["cluster_fleet_probe_failures_total"]; got != 0 {
-		t.Fatalf("%v clock probes failed while two traces were written", got)
-	}
 	for i, j := range jobs {
 		if errs[i] != nil {
 			t.Fatalf("job %s: %v", j.ID(), errs[i])
@@ -490,18 +485,19 @@ func TestConcurrentTracesShareWorkers(t *testing.T) {
 	}
 }
 
-// TestMovedRankProbedOnItsWorker: a rank reported by one worker and, after a
-// re-gang, by another is probed on the worker that reported it last. Under
-// respawn, rank 1 reports from worker B, B leaves, a fresh worker C takes its
-// place, and the second generation runs rank 1 on C: the merge probes C, the
-// only live worker with rank 1's clock, and no probe of the departed B fails.
-func TestMovedRankProbedOnItsWorker(t *testing.T) {
+// TestMovedRankMergedFromLastReport: a rank reported by one worker and,
+// after a re-gang, by another merges from its last report. Under respawn,
+// rank 1 reports from worker B, B leaves, a fresh worker C takes its place,
+// and the second generation runs rank 1 on C: the trace holds the second
+// generation's spans only, and the coordinator logs that the lost mesh
+// generation reruns from zero, not from checkpoints.
+func TestMovedRankMergedFromLastReport(t *testing.T) {
 	spec := JobSpec{ID: "moved", Mixture: testMixture(80), Method: string(core.MethodDisSMO), P: 2, Seed: 1, Policy: "respawn"}
 	pr, ds, err := trainParams(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTestCoordinator(t, time.Second)
+	c, logged := newLoggedCoordinator(t, Config{})
 	var mu sync.Mutex
 	reporter := map[[2]int]int{} // (generation, rank) -> reporting worker
 	bGone := func() bool {
@@ -576,20 +572,17 @@ func TestMovedRankProbedOnItsWorker(t *testing.T) {
 	if !ok || moved == b {
 		t.Fatalf("rank 1 reported by worker %d, then %d: the re-gang did not move it", b, moved)
 	}
-	j.remote.mu.Lock()
-	w := j.remote.spans[1].worker
-	j.remote.mu.Unlock()
-	if w != moved {
-		t.Fatalf("rank 1's timeline is recorded as worker %d's, want %d's", w, moved)
+	if n := logged("aborted (worker lost); re-ganging to rerun the generation from zero"); n != 1 {
+		t.Fatalf("%d mesh re-gang lines logged, want 1", n)
+	}
+	if n := logged("checkpoints"); n != 0 {
+		t.Fatalf("%d log lines name checkpoints for a mesh job, which has none", n)
 	}
 	names, p := mergedNames(t, j)
 	if p != 2 || names["gen2"] != 2 || len(names) != 1 {
 		t.Fatalf("merged trace of width %d with spans %v, want 2 gen2 spans", p, names)
 	}
 	snap := c.Metrics().Snapshot()
-	if got := snap["cluster_fleet_probe_failures_total"]; got != 0 {
-		t.Fatalf("%v probes failed: the merge probed the departed worker", got)
-	}
 	// Three timelines were accepted, each of one span and one edge; the
 	// second generation's crossed edges violate causality both ways.
 	if snap["cluster_fleet_events_total"] != 3 || snap["cluster_fleet_edges_total"] != 3 {
@@ -598,5 +591,31 @@ func TestMovedRankProbedOnItsWorker(t *testing.T) {
 	if snap["cluster_fleet_offset_repairs_total"] < 1 || snap["cluster_fleet_clamped_edges_total"] < 1 {
 		t.Fatalf("%v offset repairs and %v clamps, want both counted",
 			snap["cluster_fleet_offset_repairs_total"], snap["cluster_fleet_clamped_edges_total"])
+	}
+}
+
+// TestTraceWrittenTwiceIsIdentical: a merged trace is a function of what the
+// ranks shipped, so one Dis-SMO job's trace written twice is the same file
+// byte for byte.
+func TestTraceWrittenTwiceIsIdentical(t *testing.T) {
+	c := newTestCoordinator(t, time.Second)
+	startExecutors(t, c, 2, 0)
+	j, err := c.Submit(JobSpec{Mixture: testMixture(80), Method: string(core.MethodDisSMO), P: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if res := j.Result(); res.Err != "" {
+		t.Fatal(res.Err)
+	}
+	var first, second bytes.Buffer
+	if err := j.WriteTrace(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteTrace(&second); err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() == 0 || !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("two writes of one job's trace differ (%d and %d bytes)", first.Len(), second.Len())
 	}
 }

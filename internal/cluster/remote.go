@@ -91,8 +91,8 @@ type remoteRun struct {
 	doneRank    map[int]*core.ShardResult
 	msgs, bytes int64 // summed over doneRank's headers
 
-	spans  map[int]rankSpans // doneRank's shipped timelines, those not empty
-	epochs fleet.Epochs      // the ranks' epoch seconds and the verdicts raised
+	spans  map[int]fleet.Rank // doneRank's shipped timelines, those not empty
+	epochs fleet.Epochs       // the ranks' epoch seconds and the verdicts raised
 
 	base       float64 // virtual-time origin of the next generation
 	maxVirt    float64 // highest α–β virtual time any rank reached
@@ -112,24 +112,17 @@ func newRemoteRun(j *Job, rows, features int) *remoteRun {
 		ckptBlob:  map[int][]byte{},
 		ckptIters: map[int]int{},
 		doneRank:  map[int]*core.ShardResult{},
-		spans:     map[int]rankSpans{},
+		spans:     map[int]fleet.Rank{},
 	}
 	rr.cond = sync.NewCond(&rr.mu)
 	return rr
-}
-
-// rankSpans is one accepted rank's timeline and the worker that shipped it.
-type rankSpans struct {
-	worker int
-	events []trace.Event
-	edges  []trace.FlowEdge
 }
 
 // dropTelemetry forgets the job's timelines and epoch table: the job has
 // left the coordinator's retention window.
 func (rr *remoteRun) dropTelemetry() {
 	rr.mu.Lock()
-	rr.spans, rr.epochs = map[int]rankSpans{}, fleet.Epochs{}
+	rr.spans, rr.epochs = map[int]fleet.Rank{}, fleet.Epochs{}
 	rr.mu.Unlock()
 }
 
@@ -238,18 +231,18 @@ func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, 
 }
 
 // onRankDone stores a finished rank, decoded and checked at the trust
-// boundary, with its timeline and the worker that shipped it. An RA-CA
-// duplicate from a stale generation is ignored — shard solves are
-// deterministic, so the first result is as good as any; a mesh rank counts
-// only from the active generation, whose width it was run at.
-func (rr *remoteRun) onRankDone(worker int, m execRank, sh *core.ShardResult, sp execSpans) {
+// boundary, with its timeline. An RA-CA duplicate from a stale generation is
+// ignored — shard solves are deterministic, so the first result is as good
+// as any; a mesh rank counts only from the active generation, whose width it
+// was run at.
+func (rr *remoteRun) onRankDone(m execRank, sh *core.ShardResult, sp execSpans) {
 	rr.update(func() {
 		if rr.mesh && (!rr.genActive || m.Gen != rr.gen) {
 			return
 		}
 		if m.Rank < rr.width && rr.doneRank[m.Rank] == nil {
 			if len(sp.Events)+len(sp.Edges) > 0 {
-				rr.spans[m.Rank] = rankSpans{worker, sp.Events, sp.Edges}
+				rr.spans[m.Rank] = fleet.Rank(sp)
 				rr.j.c.cFleetEvents.Add(int64(len(sp.Events)))
 				rr.j.c.cFleetEdges.Add(int64(len(sp.Edges)))
 			}
@@ -306,30 +299,23 @@ func (j *Job) Remote() *RemoteProgress {
 }
 
 // Timeline merges the job's accepted rank timelines — those of the mesh
-// generation that reported last — onto the coordinator's clock (fleet.Merge),
-// counting the merge's offset repairs and edge clamps. Each worker that
-// shipped spans gets one clock-probe burst, so it must not be called from a
-// registrar frame loop, which delivers the pongs. A job whose ranks shipped
-// no spans, or that has left the retention window, has no timeline: the
-// error wraps fs.ErrNotExist.
+// generation that reported last — onto rank 0's clock (fleet.Merge, which
+// reads the clock offsets off the ranks' own flow edges), counting the
+// merge's offset repairs and edge clamps. It is a function of what the ranks
+// shipped and does no network I/O. A job whose ranks shipped no spans, or
+// that has left the retention window, has no timeline: the error wraps
+// fs.ErrNotExist.
 func (j *Job) Timeline() (*trace.Timeline, error) {
 	rr := j.remote
 	rr.mu.Lock()
 	ranks := make([]fleet.Rank, rr.width)
-	byWorker := map[int][]int{} // the ranks each worker shipped
 	for r, sp := range rr.spans {
-		ranks[r] = fleet.Rank{Events: sp.events, Edges: sp.edges}
-		byWorker[sp.worker] = append(byWorker[sp.worker], r)
+		ranks[r] = sp
 	}
+	shipped := len(rr.spans)
 	rr.mu.Unlock()
-	if len(byWorker) == 0 {
+	if shipped == 0 {
 		return nil, fmt.Errorf("cluster: job %s holds no trace: %w", j.id, fs.ErrNotExist)
-	}
-	for w, rs := range byWorker {
-		off := j.c.probeClock(w)
-		for _, r := range rs {
-			ranks[r].OffsetNs = off
-		}
 	}
 	tl, repairs, clamped, err := fleet.Merge(ranks)
 	if repairs > 0 {
@@ -396,7 +382,7 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 			if err != nil {
 				return err
 			}
-			rr.onRankDone(w.ID, m, sh, sp)
+			rr.onRankDone(m, sh, sp)
 		}
 	case tagExecFail:
 		m, err := decodeExecFail(payload)
@@ -511,7 +497,7 @@ func (rr *remoteRun) beginGeneration(gang []int) (gen int, genGang []int, assign
 	if rr.mesh {
 		rr.width = len(gang)
 		rr.doneRank = map[int]*core.ShardResult{}
-		rr.spans = map[int]rankSpans{}
+		rr.spans = map[int]fleet.Rank{}
 		rr.msgs, rr.bytes = 0, 0
 	}
 	pending = rr.pendingRanksLocked()
@@ -758,7 +744,13 @@ supervise:
 			j.metrics.Counter("casvm_grows_total", "elastic world scale-ups").Inc()
 			c.logf("cluster: job %s gen %d re-gangs wider (+%d worker(s))", j.id, gen, added)
 		default: // genLost: a failure to recover from
-			c.abortGeneration(j, gen, "worker lost; re-ganging from last checkpoints")
+			// RA-CA ranks resume from their streamed checkpoints; a mesh
+			// generation streams none and reruns from zero.
+			regang := "re-ganging from last streamed checkpoints"
+			if rr.mesh {
+				regang = "re-ganging to rerun the generation from zero"
+			}
+			c.abortGeneration(j, gen, "worker lost; "+regang)
 			rr.mu.Lock()
 			recov := rr.recoveries
 			rr.mu.Unlock()
@@ -771,8 +763,7 @@ supervise:
 			rr.mu.Unlock()
 			rr.priceRegang()
 			j.metrics.Counter("casvm_recoveries_total", "supervised crash recoveries").Inc()
-			c.logf("cluster: job %s gen %d aborted (worker lost); re-ganging from last streamed checkpoints",
-				j.id, gen)
+			c.logf("cluster: job %s gen %d aborted (worker lost); %s", j.id, gen, regang)
 		}
 	}
 	res.WallSec = time.Since(start).Seconds()

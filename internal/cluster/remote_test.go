@@ -225,6 +225,25 @@ func TestRemoteEveryMethod(t *testing.T) {
 				t.Fatalf("merged trace: %d edges carrying %d bytes; the job counted %d messages, %d bytes",
 					len(edges), bytes, res.Messages, res.Bytes)
 			}
+			// One host, one clock: the offsets read off the job's messages
+			// are relative to rank 0 and, on loopback, within a millisecond.
+			// Cascade's ranks exchange one message each way per pair, so its
+			// estimate is only as good as those two transits, which a read
+			// loop waiting for a core on a host running four ranks can
+			// stretch past that; it is held to the same-host bound.
+			bound := time.Millisecond
+			if method == core.MethodCascade {
+				bound = time.Second
+			}
+			off := merged.Extra().ClockOffsetsNs
+			if len(off) != 4 || off[0] != 0 {
+				t.Fatalf("clock offsets %v, want 4 with rank 0's 0", off)
+			}
+			for r, o := range off {
+				if o < -int64(bound) || o > int64(bound) {
+					t.Fatalf("rank %d: loopback offset %v, want within %v", r, time.Duration(o), bound)
+				}
+			}
 		})
 	}
 }

@@ -94,8 +94,8 @@ type noLink struct{}
 
 var errNoLink = errors.New("core: RunShard ranks are not connected to each other")
 
-func (noLink) Send(int, int, []byte) error   { return errNoLink }
-func (noLink) Recv(int, int) ([]byte, error) { return nil, errNoLink }
+func (noLink) Send(int, int, []byte) error            { return errNoLink }
+func (noLink) RecvAt(int, int) ([]byte, int64, error) { return nil, 0, errNoLink }
 
 // RunShard trains rank run.Rank's resident shard of (x, y) alone, exactly as
 // that rank of an RA-CA world would: same row block, same block-mean routing

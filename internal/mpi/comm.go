@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -170,7 +171,7 @@ func (c *Comm) recv(src, tag int) message {
 	if src < 0 || src >= c.world.p {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d", src))
 	}
-	m := c.wire.take(c.rank, src, tag)
+	m, arrivedNs := c.wire.take(c.rank, src, tag)
 	if m.clock > c.clock {
 		// The message arrived "in the future": the gap is imbalance/
 		// dependency wait, attributed to the edge being waited on.
@@ -186,7 +187,7 @@ func (c *Comm) recv(src, tag int) message {
 		c.rec.RecordFlow(trace.FlowEdge{
 			ID: m.edgeID, Src: m.src, Dst: c.rank, Tag: m.tag, Bytes: len(m.data),
 			SendVirtSec: m.sendClock, RecvVirtSec: c.clock,
-			SendWallNs: m.sendNs, RecvWallNs: time.Now().UnixNano(),
+			SendWallNs: m.sendNs, RecvWallNs: cmp.Or(arrivedNs, time.Now().UnixNano()),
 			LatencySec:   c.world.machine.Ts,
 			BandwidthSec: c.world.machine.PtoP(len(m.data)) - c.world.machine.Ts,
 		})

@@ -14,7 +14,10 @@ import (
 // counts are transport-independent.
 type Link interface {
 	Send(dst, tag int, data []byte) error
-	Recv(src, tag int) ([]byte, error)
+	// RecvAt returns the payload and the wall time (unix ns) it arrived: the
+	// receive stamp of the message's flow edge, which with the sender's stamp
+	// measures its transit, whenever the receiver got round to taking it.
+	RecvAt(src, tag int) (data []byte, arrivedNs int64, err error)
 }
 
 // LinkError reports a failed Link operation, or a frame from the network too
@@ -38,12 +41,14 @@ func (e *LinkError) Unwrap() error { return e.Err }
 // across processes.
 type wire interface {
 	put(dst int, m message)
-	take(self, src, tag int) message
+	// take also returns the message's arrival wall time: 0 in-process,
+	// where the receive stamp is the take itself.
+	take(self, src, tag int) (m message, arrivedNs int64)
 }
 
 func (w *World) put(dst int, m message) { w.boxes[dst].put(m) }
 
-func (w *World) take(self, src, tag int) message { return w.boxes[self].take(src, tag) }
+func (w *World) take(self, src, tag int) (message, int64) { return w.boxes[self].take(src, tag), 0 }
 
 // linkPrefix precedes every payload mpi sends over a Link: four little-endian
 // words, the virtual arrival time (sender's post-send clock plus injected
@@ -68,8 +73,8 @@ func (lw linkWire) put(dst int, m message) {
 	}
 }
 
-func (lw linkWire) take(self, src, tag int) message {
-	b, err := lw.l.Recv(src, tag)
+func (lw linkWire) take(self, src, tag int) (message, int64) {
+	b, at, err := lw.l.RecvAt(src, tag)
 	if err == nil && len(b) < linkPrefix {
 		err = fmt.Errorf("frame of %d bytes is shorter than the %d-byte link prefix", len(b), linkPrefix)
 	}
@@ -81,7 +86,7 @@ func (lw linkWire) take(self, src, tag int) message {
 		clock:     math.Float64frombits(le.Uint64(b)),
 		sendClock: math.Float64frombits(le.Uint64(b[8:])),
 		sendNs:    int64(le.Uint64(b[16:])),
-		edgeID:    int64(le.Uint64(b[24:]))}
+		edgeID:    int64(le.Uint64(b[24:]))}, at
 }
 
 // RunLink runs f as rank `rank` of the world on the calling goroutine, its

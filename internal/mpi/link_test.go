@@ -18,8 +18,8 @@ type cannedLink struct {
 	err   error
 }
 
-func (l cannedLink) Send(int, int, []byte) error   { return l.err }
-func (l cannedLink) Recv(int, int) ([]byte, error) { return l.frame, l.err }
+func (l cannedLink) Send(int, int, []byte) error            { return l.err }
+func (l cannedLink) RecvAt(int, int) ([]byte, int64, error) { return l.frame, 0, l.err }
 
 // TestShortLinkFrameIsLinkError: a frame shorter than the link prefix comes
 // from the network, not from a bug here, so it must surface as a typed
@@ -93,8 +93,8 @@ func TestLinkFrameCarriesClock(t *testing.T) {
 // sentLink keeps the last frame sent over it.
 type sentLink struct{ frame *[]byte }
 
-func (l sentLink) Send(_, _ int, b []byte) error { *l.frame = b; return nil }
-func (sentLink) Recv(int, int) ([]byte, error)   { return nil, errors.New("no frames") }
+func (l sentLink) Send(_, _ int, b []byte) error        { *l.frame = b; return nil }
+func (sentLink) RecvAt(int, int) ([]byte, int64, error) { return nil, 0, errors.New("no frames") }
 
 // TestLinkSendCarriesEdge: a traced rank on a link names its send's edge
 // (rank+1)<<40 | n in the frame prefix and in its latency and bandwidth

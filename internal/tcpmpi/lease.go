@@ -6,10 +6,10 @@
 // worker id and its second the lease TTL in milliseconds. The connection
 // then stays open as the lease channel, a link like a mesh peer's: both sides
 // heartbeat every TTL/3, data frames carry cluster control messages either
-// way, and either read loop ends the lease after a TTL of silence — on the
-// registrar an expiry, the failure-detector verdict the cluster runtime
-// feeds into shrink/respawn recovery, as is a Revoke; a clean close is a
-// leave.
+// way, nothing else crosses it, and either read loop ends the lease after a
+// TTL of silence — on the registrar an expiry, the failure-detector verdict
+// the cluster runtime feeds into shrink/respawn recovery, as is a Revoke; a
+// clean close is a leave.
 //
 // No static rank table is involved: workers discover the coordinator by
 // address alone, and ids are assigned in registration order.
@@ -20,10 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -63,12 +61,7 @@ type RegistrarConfig struct {
 // lease is the registrar-side state of one registered connection.
 type lease struct {
 	*link
-	info WorkerInfo
-
-	// pongs carries clock-probe replies from the frame loop to ProbeClock.
-	// Buffered so a pong arriving after a probe timed out never blocks the
-	// frame loop; ProbeClock discards stale entries by probe id.
-	pongs chan []byte
+	info  WorkerInfo
 	ended chan struct{} // closed once the frame loop has reported the end
 }
 
@@ -269,7 +262,6 @@ func (r *Registrar) register(conn net.Conn) {
 	l := &lease{
 		link:  &link{conn: conn, silence: r.cfg.LeaseTTL, wait: r.cfg.LeaseTTL},
 		info:  WorkerInfo{ID: id, Addr: conn.RemoteAddr().String(), Client: h.flags&helloClient != 0},
-		pongs: make(chan []byte, 8),
 		ended: make(chan struct{}),
 	}
 	l.sendMu.Lock() // the reply goes out before any heartbeat
@@ -292,18 +284,11 @@ func (r *Registrar) register(conn net.Conn) {
 }
 
 // frameLoop consumes one lease connection until it ends: data frames go to
-// OnFrame, pongs to ProbeClock. A clean EOF is a leave; silence, a broken
-// connection, a failed write and a revocation are an expiry — unless the
-// registrar is closing.
+// OnFrame. A clean EOF is a leave; silence, a broken connection, a failed
+// write and a revocation are an expiry — unless the registrar is closing.
 func (r *Registrar) frameLoop(l *lease) {
 	err := l.readLoop(func(tag int, payload []byte) {
-		switch {
-		case tag == pongTag:
-			select {
-			case l.pongs <- payload:
-			default: // probe gave up; drop rather than block the frame loop
-			}
-		case r.cfg.OnFrame != nil:
+		if r.cfg.OnFrame != nil {
 			r.cfg.OnFrame(l.info, tag, payload)
 		}
 	})
@@ -317,119 +302,6 @@ func (r *Registrar) frameLoop(l *lease) {
 	case r.cfg.OnExpire != nil:
 		r.cfg.OnExpire(l.info)
 	}
-}
-
-// Clock-probe frames. The fleet telemetry plane needs per-worker clock
-// offsets to rebase wall-clock spans onto the coordinator's timeline; the
-// probe is the classic NTP exchange run over the lease connection itself,
-// so it measures exactly the path the traced frames travel.
-//
-//	coordinator t1 --ping--> worker t2 (recv) .. t3 (send) --pong--> t4
-//	offset = ((t2-t1)+(t3-t4))/2   rtt = (t4-t1)-(t3-t2)
-//
-// Every link's read loop answers pings inline (link.readLoop). Like
-// heartbeats, probe frames are invisible to OnFrame/Recv.
-const (
-	pingTag = hbTag + 1
-	pongTag = hbTag + 2
-
-	pingLen = 16 // probeID u64 | t1 i64
-	pongLen = 32 // probeID u64 | t1 i64 | t2 i64 | t3 i64
-)
-
-func putPing(b []byte, probeID uint64, t1 int64) {
-	binary.LittleEndian.PutUint64(b[0:8], probeID)
-	binary.LittleEndian.PutUint64(b[8:16], uint64(t1))
-}
-
-// makePong builds a pong payload from a ping, stamping the receive time t2
-// and (at encode time) the send time t3.
-func makePong(ping []byte, t2 int64) []byte {
-	b := make([]byte, pongLen)
-	copy(b[0:16], ping[0:16]) // probeID, t1 echoed back
-	binary.LittleEndian.PutUint64(b[16:24], uint64(t2))
-	binary.LittleEndian.PutUint64(b[24:32], uint64(time.Now().UnixNano()))
-	return b
-}
-
-func parsePong(b []byte) (probeID uint64, t1, t2, t3 int64, ok bool) {
-	if len(b) != pongLen {
-		return 0, 0, 0, 0, false
-	}
-	return binary.LittleEndian.Uint64(b[0:8]),
-		int64(binary.LittleEndian.Uint64(b[8:16])),
-		int64(binary.LittleEndian.Uint64(b[16:24])),
-		int64(binary.LittleEndian.Uint64(b[24:32])),
-		true
-}
-
-// ClockEstimate is the result of a ProbeClock exchange: the remote clock
-// minus the local clock (positive = remote runs ahead), taken from the
-// minimum-RTT sample of the burst — the sample least polluted by queueing.
-type ClockEstimate struct {
-	OffsetNs int64 // remote − local, nanoseconds
-	RTTNs    int64 // round-trip time of the winning sample
-	Samples  int   // how many pings were answered
-}
-
-// probeSeq allocates globally unique probe ids so interleaved probes (or a
-// stale pong from a timed-out burst) can never satisfy the wrong waiter.
-var probeSeq atomic.Uint64
-
-// ProbeClock estimates worker id's clock offset with a burst of n pings
-// (min 1) over the lease connection, keeping the minimum-RTT sample.
-// Probes of one worker must not run concurrently — their pongs would
-// interleave; run bursts sequentially (the cluster coordinator serializes
-// the bursts it sends when it merges a job's trace). Never call it from the
-// registrar's frame loop (an OnFrame callback): that loop delivers the
-// pongs.
-func (r *Registrar) ProbeClock(id, n int, timeout time.Duration) (ClockEstimate, error) {
-	n = max(n, 1)
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	l, err := r.lookup(id)
-	if err != nil {
-		return ClockEstimate{}, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	est := ClockEstimate{RTTNs: math.MaxInt64}
-burst:
-	for i := 0; i < n; i++ {
-		probeID := probeSeq.Add(1)
-		var ping [pingLen]byte
-		t1 := time.Now().UnixNano()
-		putPing(ping[:], probeID, t1)
-		if err := l.write(pingTag, ping[:]); err != nil {
-			l.conn.Close()
-			break
-		}
-		for {
-			var pong []byte
-			select {
-			case pong = <-l.pongs:
-			case <-timer.C:
-				break burst
-			}
-			t4 := time.Now().UnixNano()
-			id2, pt1, t2, t3, ok := parsePong(pong)
-			if !ok || id2 != probeID || pt1 != t1 {
-				continue // stale pong from an earlier burst
-			}
-			rtt := max((t4-t1)-(t3-t2), 0)
-			if rtt <= est.RTTNs {
-				est.RTTNs = rtt
-				est.OffsetNs = ((t2 - t1) + (t3 - t4)) / 2
-			}
-			est.Samples++
-			break
-		}
-	}
-	if est.Samples == 0 {
-		return ClockEstimate{}, fmt.Errorf("tcpmpi: clock probe of lease %d: no pongs within %v", id, timeout)
-	}
-	return est, nil
 }
 
 // putLeaseReply encodes the registration reply (the mesh reply's 8-byte
@@ -537,7 +409,7 @@ func (l *Lease) LocalAddr() net.Addr { return l.conn.LocalAddr() }
 // Close releases the lease: the coordinator sees a clean leave, after every
 // frame sent before Close. It half-closes the connection and reads on until
 // the coordinator closes its end, or for at most the TTL: closing with a
-// frame unread — a heartbeat, a clock ping — would reset the connection and
+// frame unread — a heartbeat, a data frame — would reset the connection and
 // discard the frames still in flight.
 func (l *Lease) Close() error {
 	l.doneOnce.Do(func() {
@@ -548,14 +420,10 @@ func (l *Lease) Close() error {
 			c.CloseWrite()
 		}
 		l.sendMu.Unlock()
-		// The read loop ends at the coordinator's close, or earlier on a
-		// pong it can no longer write; the rest is drained here.
-		deadline := time.Now().Add(l.ttl)
+		// The read loop ends at the coordinator's close.
 		select {
 		case <-l.readDone:
-			l.conn.SetReadDeadline(deadline)
-			io.Copy(io.Discard, l.conn)
-		case <-time.After(time.Until(deadline)):
+		case <-time.After(l.ttl):
 		}
 		l.conn.Close()
 	})

@@ -431,75 +431,10 @@ func TestMeshRejectsRegistrationHello(t *testing.T) {
 	}
 }
 
-// TestProbeClock runs the NTP-style clock probe against a live worker
-// lease: the offset of two processes sharing one machine clock must come
-// out near zero with a sane RTT, probe frames must stay invisible to
-// OnFrame, and ordinary control traffic must keep flowing afterwards.
-func TestProbeClock(t *testing.T) {
-	ev := &leaseEvents{}
-	reg, err := NewRegistrar("127.0.0.1:0", ev.config(2*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-
-	l, err := Register(reg.Addr(), RegisterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	waitFor(t, "join", func() bool { j, _, _ := ev.counts(); return j == 1 })
-
-	est, err := reg.ProbeClock(l.ID(), 5, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Samples < 1 || est.Samples > 5 {
-		t.Fatalf("samples = %d, want 1..5", est.Samples)
-	}
-	if est.RTTNs < 0 || est.RTTNs > int64(2*time.Second) {
-		t.Fatalf("rtt = %v, want a sane loopback round trip", time.Duration(est.RTTNs))
-	}
-	// Same machine, same clock: |offset| must be far below the probe
-	// timeout. Loopback scheduling noise keeps it well under a second.
-	if off := est.OffsetNs; off < -int64(time.Second) || off > int64(time.Second) {
-		t.Fatalf("same-host offset = %v, want ~0", time.Duration(off))
-	}
-
-	// Probe traffic must not leak into the control channel.
-	ev.mu.Lock()
-	frames := len(ev.frames)
-	ev.mu.Unlock()
-	if frames != 0 {
-		t.Fatalf("probe leaked %d frames into OnFrame", frames)
-	}
-
-	// The lease still carries ordinary control frames in both directions.
-	if err := l.Send(7, []byte("up")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "control frame", func() bool {
-		ev.mu.Lock()
-		defer ev.mu.Unlock()
-		return len(ev.frames) == 1 && ev.frames[0] == 7
-	})
-	if err := reg.Send(l.ID(), 9, []byte("down")); err != nil {
-		t.Fatal(err)
-	}
-	if b, err := l.Recv(9, 5*time.Second); err != nil || string(b) != "down" {
-		t.Fatalf("recv after probe: %q, %v", b, err)
-	}
-
-	// Unknown lease id errors instead of hanging.
-	if _, err := reg.ProbeClock(999, 1, 100*time.Millisecond); err == nil {
-		t.Fatal("probe of unknown lease must error")
-	}
-}
-
 // TestLeaseCloseDeliversQueuedFrames: frames a worker sent before Close
 // reach the coordinator even when it reads them only after Close returned
-// and clock pings keep arriving at the worker meanwhile, and the end is a
-// leave. A close that reset the connection dropped them.
+// and the coordinator's data frames keep arriving at the worker meanwhile,
+// and the end is a leave. A close that reset the connection dropped them.
 func TestLeaseCloseDeliversQueuedFrames(t *testing.T) {
 	for round := range 5 {
 		gate := make(chan struct{})
@@ -520,15 +455,15 @@ func TestLeaseCloseDeliversQueuedFrames(t *testing.T) {
 		}
 		waitFor(t, "join", func() bool { j, _, _ := ev.counts(); return j == 1 })
 		stop := make(chan struct{})
-		probing := make(chan struct{})
+		sending := make(chan struct{})
 		go func() {
-			defer close(probing)
+			defer close(sending)
 			for {
 				select {
 				case <-stop:
 					return
-				default:
-					reg.ProbeClock(l.ID(), 1, 20*time.Millisecond)
+				case <-time.After(100 * time.Microsecond):
+					reg.Send(l.ID(), 99, make([]byte, 16))
 				}
 			}
 		}()
@@ -548,7 +483,7 @@ func TestLeaseCloseDeliversQueuedFrames(t *testing.T) {
 		<-closed
 		waitFor(t, "leave or expiry", func() bool { _, ex, lv := ev.counts(); return ex+lv == 1 })
 		close(stop)
-		<-probing
+		<-sending
 		reg.Close()
 		ev.mu.Lock()
 		got := append([]int(nil), ev.frames...)

@@ -54,11 +54,9 @@ func (k *link) beat() error {
 	return k.send(hb[:])
 }
 
-// readLoop reads frames until the connection fails, the peer stays silent
-// past the budget, or a pong cannot be written, and returns why. Heartbeats
-// are dropped, pings answered inline — before any queueing or callback, so
-// only the (t3−t2)-corrected turnaround is left in the prober's RTT — and
-// every other frame goes to deliver.
+// readLoop reads frames until the connection fails or the peer stays silent
+// past the budget, and returns why. Heartbeats are dropped and every other
+// frame goes to deliver; the loop writes nothing.
 func (k *link) readLoop(deliver func(tag int, payload []byte)) error {
 	for {
 		k.conn.SetReadDeadline(time.Now().Add(k.silence))
@@ -68,12 +66,7 @@ func (k *link) readLoop(deliver func(tag int, payload []byte)) error {
 			return fmt.Errorf("silent for %v", k.silence)
 		case err != nil:
 			return err
-		case tag == hbTag, tag == pingTag && len(payload) != pingLen:
-		case tag == pingTag:
-			if err := k.write(pongTag, makePong(payload, time.Now().UnixNano())); err != nil {
-				return err
-			}
-		default:
+		case tag != hbTag:
 			deliver(tag, payload)
 		}
 	}
@@ -134,6 +127,7 @@ func tick(done <-chan struct{}, every time.Duration, f func()) {
 type message struct {
 	tag  int
 	data []byte
+	at   int64 // wall time (unix ns) a mesh frame was read off its connection
 }
 
 // mailbox is the selective receive shared by Comm.Recv and Lease.RecvAny:

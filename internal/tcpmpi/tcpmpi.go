@@ -13,8 +13,11 @@
 //
 // The payload is opaque here: a frame internal/mpi sends starts with its own
 // prefix (virtual clocks, wall time and flow-edge id), from which the
-// receiving mpi.Comm records the message's causal trace; this package
-// records none.
+// receiving mpi.Comm records the message's causal trace. This package records
+// none; it only stamps each mesh frame with the wall time its read loop read
+// it, which RecvAt returns as the edge's receive stamp (internal/telemetry/fleet
+// reads clock offsets off those edges). A connection carries heartbeats and
+// data frames, nothing else.
 //
 // Connection setup: rank i listens on addrs[i]; every pair (i < j) shares
 // one connection dialed by j, which introduces itself with an 8-byte hello
@@ -68,7 +71,9 @@ const maxFrame = 1 << 30
 const frameHeaderLen = 8
 
 // hbTag marks heartbeat frames; it lives outside the int32 range user and
-// collective tags occupy (they are non-negative).
+// collective tags occupy (they are non-negative). hbTag+1 and hbTag+2 (the
+// clock-probe ping and pong) are retired and never reassigned: a peer that
+// still sends them is handed to the owner like any unknown tag.
 const hbTag = math.MinInt32
 
 // silenceBeats is how many heartbeat intervals a peer may stay silent
@@ -429,7 +434,7 @@ func (c *Comm) Close() error {
 
 func (c *Comm) readLoop(src int, k *link) {
 	err := k.readLoop(func(tag int, data []byte) {
-		c.mb.put(src, message{tag: tag, data: data})
+		c.mb.put(src, message{tag: tag, data: data, at: time.Now().UnixNano()})
 	})
 	c.fail(src, fmt.Errorf("tcpmpi: read from rank %d: %w", src, err))
 }
@@ -468,7 +473,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if dst == c.rank {
 		// Copy: the caller may mutate data after Send returns, and the
 		// queued message must not alias it.
-		c.mb.put(dst, message{tag: tag, data: append([]byte(nil), data...)})
+		c.mb.put(dst, message{tag: tag, data: append([]byte(nil), data...), at: time.Now().UnixNano()})
 		return nil
 	}
 	if err := c.mb.err(dst); err != nil {
@@ -487,17 +492,25 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // fails, the Comm closes, or the per-operation deadline (Options.Timeout)
 // expires. Messages src sent before it failed are still delivered.
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
+	b, _, err := c.RecvAt(src, tag)
+	return b, err
+}
+
+// RecvAt is Recv, also returning the wall time (unix ns) the message's frame
+// was read off the connection: mpi.Link's receive, whose stamp is the
+// receive end of the message's flow edge.
+func (c *Comm) RecvAt(src, tag int) ([]byte, int64, error) {
 	if src < 0 || src >= c.size {
-		return nil, fmt.Errorf("tcpmpi: recv from invalid rank %d", src)
+		return nil, 0, fmt.Errorf("tcpmpi: recv from invalid rank %d", src)
 	}
 	m, err := c.mb.take(src, []int{tag}, c.opt.Timeout)
 	if err == errRecvTimeout {
-		return nil, fmt.Errorf("tcpmpi: recv from rank %d tag %d: timeout after %v", src, tag, c.opt.Timeout)
+		return nil, 0, fmt.Errorf("tcpmpi: recv from rank %d tag %d: timeout after %v", src, tag, c.opt.Timeout)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return m.data, nil
+	return m.data, m.at, nil
 }
 
 // collective runs one of internal/mpi's collectives over this mesh: the tree

@@ -139,17 +139,24 @@ func backToBaseline(t *testing.T, base int) {
 	}
 }
 
+// TestSendRecv: a message arrives whole, stamped with the time its frame was
+// read, not the time the receiver took it — the receive stamp of its flow
+// edge, which must measure transit alone.
 func TestSendRecv(t *testing.T) {
 	world(t, 2, func(c *Comm) error {
 		if c.rank == 0 {
 			return c.Send(1, 5, []byte("over tcp"))
 		}
-		got, err := c.Recv(0, 5)
+		time.Sleep(50 * time.Millisecond)
+		got, at, err := c.RecvAt(0, 5)
 		if err != nil {
 			return err
 		}
 		if string(got) != "over tcp" {
 			return fmt.Errorf("got %q", got)
+		}
+		if held := time.Now().UnixNano() - at; at <= 0 || held < int64(10*time.Millisecond) {
+			return fmt.Errorf("arrival stamp %d, %v before the take: stamped when taken", at, time.Duration(held))
 		}
 		return nil
 	})

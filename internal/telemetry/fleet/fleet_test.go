@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
+	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"casvm/internal/mpi"
+	"casvm/internal/perfmodel"
 	"casvm/internal/tcpmpi"
 	"casvm/internal/trace"
 	"casvm/internal/trace/critpath"
@@ -156,7 +162,8 @@ func TestStragglerFeed(t *testing.T) {
 }
 
 // skewedFixture is a three-rank job whose ranks run on clocks skewed by the
-// given offsets (ns), each rank's offset left 0 for the caller to set. True timeline, relative to an arbitrary origin:
+// given offsets (ns), its messages all one way. True timeline, relative to an
+// arbitrary origin:
 //
 //	rank 0: comp [0ms, 10ms), send → 1 at 10ms
 //	rank 1: comp [0ms, 4ms), recv from 0 at 12ms, comp [12ms, 20ms), send → 2 at 20ms
@@ -187,6 +194,36 @@ func skewedFixture(skew [3]int64) []Rank {
 			SendWallNs: at(1, 20*ms), RecvWallNs: at(2, 22*ms),
 		}}},
 	}
+}
+
+// withReturns adds to skewedFixture(skew) the return messages a collective
+// carries, each 2 ms in transit like the messages out: rank 1 answers rank 0
+// at 12 ms (arriving at 14 ms), rank 2 answers rank 1 at 22 ms (arriving at
+// 24 ms). Every pair then has edges both ways with symmetric transit, so the
+// estimate recovers the skews exactly.
+func withReturns(skew [3]int64) []Rank {
+	const ms = int64(time.Millisecond)
+	ranks := skewedFixture(skew)
+	origin := ranks[0].Events[0].WallStartNs - skew[0]
+	at := func(rank int, trueNs int64) int64 { return origin + trueNs + skew[rank] }
+	ranks[0].Edges = append(ranks[0].Edges, trace.FlowEdge{
+		ID: linkEdgeID(1, 8), Src: 1, Dst: 0, Tag: 6, Bytes: 8,
+		SendWallNs: at(1, 12*ms), RecvWallNs: at(0, 14*ms),
+	})
+	ranks[1].Edges = append(ranks[1].Edges, trace.FlowEdge{
+		ID: linkEdgeID(2, 8), Src: 2, Dst: 1, Tag: 6, Bytes: 8,
+		SendWallNs: at(2, 22*ms), RecvWallNs: at(1, 24*ms),
+	})
+	return ranks
+}
+
+// shippedEdges counts the edges the ranks shipped.
+func shippedEdges(ranks []Rank) int {
+	n := 0
+	for _, rk := range ranks {
+		n += len(rk.Edges)
+	}
+	return n
 }
 
 // writeMerged merges ranks, writes the merged timeline as a Chrome trace and
@@ -221,8 +258,8 @@ func checkMerged(t *testing.T, ranks []Rank, wantOffsets *[3]int64) (x *trace.Tr
 	if x.P != 3 {
 		t.Fatalf("p = %d, want 3", x.P)
 	}
-	if len(x.Edges) != 2 {
-		t.Fatalf("edges = %d, want 2", len(x.Edges))
+	if len(x.Edges) != shippedEdges(ranks) {
+		t.Fatalf("edges = %d, want the %d shipped", len(x.Edges), shippedEdges(ranks))
 	}
 	for _, e := range x.Edges {
 		if e.RecvVirtSec < e.SendVirtSec {
@@ -258,18 +295,14 @@ func checkMerged(t *testing.T, ranks []Rank, wantOffsets *[3]int64) (x *trace.Tr
 	return x, repairs
 }
 
-// TestMergeWithProbedSkew injects large known skews and passes them as the
-// probed offsets: the merge must recover the true relative timeline
-// bit-exactly (integer nanosecond arithmetic) and the critical path must
-// thread comp → latency hop → comp across all three ranks.
-func TestMergeWithProbedSkew(t *testing.T) {
+// TestMergeSkewFromEdges injects large known skews into a job whose
+// messages go both ways with symmetric transit: the offsets read off the
+// edges must be the skews exactly, the merge must recover the true relative
+// timeline bit-exactly (integer nanosecond arithmetic), and the critical
+// path must thread comp → latency hop → comp across all three ranks.
+func TestMergeSkewFromEdges(t *testing.T) {
 	skew := [3]int64{0, 2 * int64(time.Second), -int64(1500 * time.Millisecond)}
-	ranks := skewedFixture(skew)
-	for r := range ranks {
-		ranks[r].OffsetNs = skew[r]
-	}
-
-	x, repairs := checkMerged(t, ranks, &skew)
+	x, repairs := checkMerged(t, withReturns(skew), &skew)
 	if repairs != 0 {
 		t.Fatalf("%d offset repairs of exact offsets", repairs)
 	}
@@ -309,8 +342,8 @@ func TestMergeWithProbedSkew(t *testing.T) {
 	}
 }
 
-// TestMergeRepairsUnprobedSkew removes the probe entirely: offsets start
-// at 0, so the +2s/−1.5s skews surface as causality violations that the
+// TestMergeRepairsUnprobedSkew ships messages one way only, which estimate
+// nothing: offsets start at 0, so the +2s/−1.5s skews surface as causality violations that the
 // repair passes must absorb — every exported edge still satisfies
 // recv ≥ send and the analysis still telescopes.
 func TestMergeRepairsUnprobedSkew(t *testing.T) {
@@ -374,58 +407,145 @@ func TestMergeErrors(t *testing.T) {
 	}
 }
 
-// TestFleetOverRealLeases is the transport-level end-to-end: three workers
-// hold real leases, each rank's offset comes from a real clock probe over its
-// worker's lease, and the merged trace must parse strictly, keep every event,
-// and carry same-host offsets.
-func TestFleetOverRealLeases(t *testing.T) {
-	reg, err := tcpmpi.NewRegistrar("127.0.0.1:0", tcpmpi.RegistrarConfig{LeaseTTL: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+// TestEdgeOffsetsOneWayPair: edges between two ranks in one direction
+// bound their offset on one side only, so the estimate leaves the receiver
+// at 0, however skewed its stamps.
+func TestEdgeOffsetsOneWayPair(t *testing.T) {
+	edges := []trace.FlowEdge{
+		{Src: 0, Dst: 1, SendWallNs: 1000, RecvWallNs: 5e9},
+		{Src: 0, Dst: 1, SendWallNs: 2000, RecvWallNs: 6e9},
 	}
-	defer reg.Close()
+	if got := edgeOffsets(2, edges); !slices.Equal(got, []int64{0, 0}) {
+		t.Fatalf("one-way offsets %v, want [0 0]", got)
+	}
+}
 
+// TestEdgeOffsetsUnreachableRank: rank 3 exchanges messages both ways with
+// rank 2 only, and rank 2 with no one else, so neither has a two-way path to
+// rank 0 and both keep offset 0; rank 1, two-way with rank 0, is estimated
+// from the least transit each way.
+func TestEdgeOffsetsUnreachableRank(t *testing.T) {
+	edges := []trace.FlowEdge{
+		{Src: 0, Dst: 1, SendWallNs: 100, RecvWallNs: 1300},  // d(0→1) = 1200
+		{Src: 0, Dst: 1, SendWallNs: 100, RecvWallNs: 1100},  // least: 1000
+		{Src: 1, Dst: 0, SendWallNs: 2000, RecvWallNs: 1200}, // d(1→0) = −800
+		{Src: 2, Dst: 3, SendWallNs: 0, RecvWallNs: 9000},
+		{Src: 3, Dst: 2, SendWallNs: 0, RecvWallNs: 1000},
+		{Src: 0, Dst: 2, SendWallNs: 0, RecvWallNs: 1000}, // one way: no evidence
+	}
+	if got := edgeOffsets(4, edges); !slices.Equal(got, []int64{0, 900, 0, 0}) {
+		t.Fatalf("offsets %v, want [0 900 0 0]", got)
+	}
+}
+
+// TestEdgeOffsetsDeterministic: when a rank is reachable on several paths
+// that disagree, the estimate takes the fewest hops, through the lower rank,
+// whatever order the edges arrive in, and a merge of the same ranks writes
+// the same bytes every time.
+func TestEdgeOffsetsDeterministic(t *testing.T) {
+	two := func(a, b int, dab, dba int64) []trace.FlowEdge {
+		return []trace.FlowEdge{{Src: a, Dst: b, RecvWallNs: dab}, {Src: b, Dst: a, RecvWallNs: dba}}
+	}
+	var edges []trace.FlowEdge
+	edges = append(edges, two(0, 2, 400, 0)...)  // offset 2 = 200
+	edges = append(edges, two(0, 1, 200, 0)...)  // offset 1 = 100
+	edges = append(edges, two(2, 3, 1000, 0)...) // via 2: offset 3 = 700
+	edges = append(edges, two(1, 3, 0, 1000)...) // via 1: offset 3 = −400
+	edges = append(edges, two(3, 4, 2000, 0)...) // offset 4 = offset 3 + 1000
+	want := []int64{0, 100, 200, -400, 600}
+	for i := range 20 {
+		rng := rand.New(rand.NewPCG(uint64(i), 1))
+		rng.Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
+		if got := edgeOffsets(5, edges); !slices.Equal(got, want) {
+			t.Fatalf("shuffle %d: offsets %v, want %v", i, got, want)
+		}
+	}
+	ranks := withReturns([3]int64{0, 7, -3})
+	_, first, _, _ := writeMerged(t, ranks)
+	for range 3 {
+		if _, again, _, _ := writeMerged(t, ranks); !bytes.Equal(again, first) {
+			t.Fatal("two merges of the same ranks wrote different traces")
+		}
+	}
+}
+
+// TestFleetOverRealLeases is the transport-level end-to-end: three ranks run
+// a real tcpmpi mesh — the link type a lease runs on — with internal/mpi
+// recording each rank's timeline, rank 0 adds 800 spans, and the merged
+// trace must parse strictly, keep every event, satisfy causality, analyze,
+// and carry same-host offsets read off the mesh's own messages. Rank 1 takes
+// its one message from rank 0 100 ms after it arrived and answers at once:
+// an edge's receive stamp is the frame's arrival, so the late take moves no
+// offset (stamped at the take, it would put rank 1 ~50 ms ahead).
+func TestFleetOverRealLeases(t *testing.T) {
 	const p = 3
 	const ms = int64(time.Millisecond)
 	const rank0Events = 800
-	origin := time.Now().UnixNano()
-	ranks := make([]Rank, p)
-	for rank := 0; rank < p; rank++ {
-		l, err := tcpmpi.Register(reg.Addr(), tcpmpi.RegisterOptions{})
+	addrs := make([]string, p)
+	lns := make([]net.Listener, p)
+	for r := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer l.Close()
-		// A local timeline, plus one cross-rank edge recorded by receivers.
-		tl := trace.NewTimelineCap(p, 2048)
-		rec := tl.Rank(rank)
-		n := 8
-		if rank == 0 {
-			n = rank0Events
-		}
-		for i := 0; i < n; i++ {
-			rec.AddEvent(mkEvent(rank, trace.CatSolver, "scan", origin+int64(i)*ms, ms/2))
-		}
-		if rank > 0 {
-			rec.RecordFlow(trace.FlowEdge{
-				ID: linkEdgeID(rank-1, 9), Src: rank - 1, Dst: rank,
-				Tag: 3, Bytes: 128,
-				SendWallNs: origin + int64(n)*ms, RecvWallNs: origin + int64(n+2)*ms,
+		lns[r], addrs[r] = ln, ln.Addr().String()
+	}
+	origin := time.Now().UnixNano()
+	ranks := make([]Rank, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for rank := range p {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			comm, err := tcpmpi.DialOptions(rank, addrs, tcpmpi.Options{Listener: lns[rank], Timeout: 30 * time.Second})
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			defer comm.Close()
+			tl := trace.NewTimelineCap(p, 2048)
+			w := mpi.NewWorld(p, perfmodel.Machine{}, 0)
+			w.SetTimeline(tl)
+			errs[rank] = w.RunLink(rank, comm, func(c *mpi.Comm) error {
+				switch rank {
+				case 0:
+					for peer := 1; peer < p; peer++ {
+						c.Send(peer, 7, []byte("out"))
+						c.Recv(peer, 8)
+					}
+				default:
+					if rank == 1 {
+						time.Sleep(100 * time.Millisecond)
+					}
+					c.Recv(0, 7)
+					c.Send(0, 8, []byte("back"))
+				}
+				return nil
 			})
-		}
-		est, err := reg.ProbeClock(l.ID(), 5, 3*time.Second)
+			n := 8
+			if rank == 0 {
+				n = rank0Events
+			}
+			for i := range n {
+				tl.Rank(rank).AddEvent(mkEvent(rank, trace.CatSolver, "scan", origin+int64(i)*ms, ms/2))
+			}
+			ranks[rank] = Rank{Events: tl.Events(), Edges: tl.FlowEdges()}
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("clock probe over a live lease: %v", err)
+			t.Fatalf("rank %d: %v", r, err)
 		}
-		ranks[rank] = Rank{Events: tl.Events(), Edges: tl.FlowEdges(), OffsetNs: est.OffsetNs}
 	}
 
 	x, file, _, _ := writeMerged(t, ranks)
 	if x.P != p || x.Timebase != trace.TimebaseWall {
 		t.Fatalf("merged extra: p=%d timebase=%q", x.P, x.Timebase)
 	}
-	if len(x.Edges) != 2 {
-		t.Fatalf("edges %d, want 2", len(x.Edges))
+	if len(x.Edges) == 0 || len(x.Edges) != shippedEdges(ranks) {
+		t.Fatalf("edges %d, want the %d shipped", len(x.Edges), shippedEdges(ranks))
 	}
 	for _, e := range x.Edges {
 		if e.RecvVirtSec < e.SendVirtSec {
@@ -439,7 +559,7 @@ func TestFleetOverRealLeases(t *testing.T) {
 	}
 	for _, raw := range whole["traceEvents"].([]any) {
 		ev := raw.(map[string]any)
-		if ev["ph"] == "X" && ev["tid"].(float64) == 0 {
+		if ev["ph"] == "X" && ev["tid"].(float64) == 0 && ev["name"] == "scan" {
 			nEvents++
 		}
 	}
@@ -449,10 +569,14 @@ func TestFleetOverRealLeases(t *testing.T) {
 	if a, err := critpath.Analyze(critpath.FromExtra(x)); err != nil || a.MakespanSec <= 0 {
 		t.Fatalf("analysis: %+v, %v", a, err)
 	}
-	// Same-host probes: offsets must be tiny compared to the 1s scale.
+	// One host, one clock: offsets must be tiny compared to the 1s scale,
+	// and rank 1's far below the 50 ms a late take would have added.
 	for r, off := range x.ClockOffsetsNs {
 		if off < -int64(time.Second) || off > int64(time.Second) {
 			t.Fatalf("rank %d same-host offset %v", r, time.Duration(off))
 		}
+	}
+	if off := time.Duration(x.ClockOffsetsNs[1]); off < -10*time.Millisecond || off > 10*time.Millisecond {
+		t.Fatalf("rank 1 offset %v: its late take moved its clock", off)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"casvm/internal/trace"
@@ -13,10 +14,11 @@ import (
 // the coordinator has accepted them: a timeline of any shape (the JSON of a
 // rank-done frame's spans section) for a rank of a job of any claimed width,
 // merged twice — the second time as if the rank had moved to a worker whose
-// clock is off by epoch ns — and epoch durations of any value, entered in one
-// job's table. Nothing may panic: each merge returns, with an error or a
-// timeline that writes as a Chrome trace, and every verdict names a rank
-// beyond the factor of a median above the noise floor. Run with
+// clock is off by epoch ns, so its stamps are — and epoch durations of any
+// value, entered in one job's table. Nothing may panic: each merge returns,
+// with an error or a timeline whose every edge has recv ≥ send and that
+// writes as a Chrome trace, and every verdict names a rank beyond the factor
+// of a median above the noise floor. Run with
 // `go test -fuzz FuzzFleetFrames ./internal/telemetry/fleet` for extended
 // exploration; the seed corpus (testdata/fuzz plus the seeds below) runs in
 // normal test mode and in `make fuzz-smoke`.
@@ -52,6 +54,16 @@ func FuzzFleetFrames(f *testing.F) {
 		{3, -1, spans, -5, -1},
 		{1 << 16, 1<<16 - 1, spans, 1 << 30, 3},
 		{2, 0, []byte(`{not json`), 0, 0},
+		// Stamps at the ends of the int64 range, both ways between two ranks.
+		{2, 0, js(section{Events: []trace.Event{mkEvent(0, trace.CatSolver, "smo", 1000, 500)}, Edges: []trace.FlowEdge{
+			{ID: 1, Src: 1, Dst: 0, SendWallNs: math.MinInt64, RecvWallNs: math.MaxInt64},
+			{ID: 2, Src: 0, Dst: 1, SendWallNs: math.MaxInt64, RecvWallNs: math.MinInt64},
+			{ID: 3, Src: 0, Dst: 1, SendWallNs: 0, RecvWallNs: math.MaxInt64},
+		}}), math.MaxInt32, 1},
+		{2, 1, js(section{Edges: []trace.FlowEdge{
+			{ID: 1, Src: 0, Dst: 1, SendWallNs: math.MaxInt64, RecvWallNs: math.MaxInt64 - 1},
+			{ID: 2, Src: 1, Dst: 0, SendWallNs: math.MinInt64, RecvWallNs: math.MinInt64 + 1},
+		}}), math.MinInt32, 1},
 	} {
 		f.Add(s.p, s.rank, s.spans, s.epoch, s.sec)
 	}
@@ -62,11 +74,21 @@ func FuzzFleetFrames(f *testing.F) {
 		// its per-rank tables by it.
 		if p >= 1 && p <= 1<<16 && rank >= 0 && rank < p {
 			ranks := make([]Rank, p)
-			for _, off := range []int64{0, int64(epoch)} {
-				ranks[rank] = Rank{Events: s.Events, Edges: s.Edges, OffsetNs: off}
-				if tl, _, _, err := Merge(ranks); err == nil {
-					_ = tl.WriteChromeTrace(io.Discard)
+			for moved := range 2 {
+				ranks[rank] = Rank{Events: s.Events, Edges: s.Edges}
+				if moved == 1 {
+					ranks[rank] = skewed(ranks[rank], int64(epoch))
 				}
+				tl, _, _, err := Merge(ranks)
+				if err != nil {
+					continue
+				}
+				for _, e := range tl.FlowEdges() {
+					if e.RecvWallNs < e.SendWallNs || e.RecvVirtSec < e.SendVirtSec {
+						t.Fatalf("exported edge %+v has recv before send", e)
+					}
+				}
+				_ = tl.WriteChromeTrace(io.Discard)
 			}
 		}
 		var tab Epochs
@@ -78,4 +100,17 @@ func FuzzFleetFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// skewed returns rk as a worker whose clock reads off ns later stamps it: its
+// events and its receives move, wrapping at the int64 range.
+func skewed(rk Rank, off int64) Rank {
+	out := Rank{Events: slices.Clone(rk.Events), Edges: slices.Clone(rk.Edges)}
+	for i := range out.Events {
+		out.Events[i].WallStartNs += off
+	}
+	for i := range out.Edges {
+		out.Edges[i].RecvWallNs += off
+	}
+	return out
 }

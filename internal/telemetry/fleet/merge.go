@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"time"
 
 	"casvm/internal/trace"
 )
@@ -10,18 +12,23 @@ import (
 // Merging per-rank telemetry into one timeline.
 //
 // Worker timestamps are wall clocks from different machines; the merge
-// rebases them onto the coordinator's clock in three steps:
+// rebases them onto rank 0's clock in three steps, reading nothing but the
+// edges the ranks shipped, so the merged trace is a function of them alone:
 //
-//  1. Probe: the caller measured each rank's offset ≈ rank clock −
-//     coordinator clock (the coordinator, with one NTP-style lease
-//     exchange per worker, tcpmpi.Registrar.ProbeClock); rebased = raw −
-//     offset.
-//  2. Repair: probe error is bounded by half the RTT, so a rebased edge
-//     can still violate recv ≥ send. Each violated edge is a difference
-//     constraint on the two ranks' offsets; lowering the receiver's
-//     offset by the violation amount (≤ p+2 relaxation passes) resolves
-//     what the probes got wrong, from the send and receive wall times
-//     every edge carries.
+//  1. Estimate: for each ordered rank pair, d(a→b) is the least
+//     recv − send over its edges, transit plus (offset b − offset a). Where
+//     both directions exist, causality bounds offset b − offset a to
+//     [−d(b→a), d(a→b)], and the estimate is that interval's midpoint,
+//     (d(a→b) − d(b→a))/2 — the four timestamps of an NTP exchange, from
+//     the job's own messages. Offsets propagate from rank 0 (offset 0)
+//     breadth first, lower ranks first; a rank with no two-way path to rank
+//     0 keeps offset 0. Rebased = raw − offset.
+//  2. Repair: an estimate is off by half the asymmetry of the two least
+//     transits, once per hop, so a rebased edge can still violate
+//     recv ≥ send. Each violated edge is a difference constraint on the
+//     two ranks' offsets; lowering the receiver's offset by the violation
+//     amount (≤ p+2 relaxation passes) resolves what the estimate got
+//     wrong. The offsets are then restated relative to rank 0's.
 //  3. Clamp: any residual violation is clamped to recv = send and
 //     counted — the exported trace always satisfies the causality
 //     invariant the critical-path walker assumes.
@@ -45,6 +52,52 @@ var compCats = map[string]bool{
 	trace.CatInit:       true,
 	trace.CatCheckpoint: true,
 	trace.CatRecovery:   true,
+}
+
+// maxTransitNs bounds the recv − send an edge may show and still count as
+// clock evidence: rank-done frames arrive from unauthenticated leases, and a
+// stamp an hour or more off (or a difference that overflows) estimates
+// nothing. Repair and clamp still apply to such an edge.
+const maxTransitNs = int64(time.Hour)
+
+// edgeOffsets estimates each rank's clock offset from rank 0's (step 1
+// above): offsets are bounded by p·maxTransitNs, so none overflows.
+func edgeOffsets(p int, edges []trace.FlowEdge) []int64 {
+	offsets := make([]int64, p)
+	if p == 0 {
+		return offsets
+	}
+	type pair struct{ src, dst int }
+	least := map[pair]int64{} // least recv − send per ordered pair
+	for _, e := range edges {
+		d := e.RecvWallNs - e.SendWallNs
+		if (e.RecvWallNs >= e.SendWallNs) != (d >= 0) || d > maxTransitNs || d < -maxTransitNs {
+			continue // the difference wrapped, or passes the bound
+		}
+		if old, seen := least[pair{e.Src, e.Dst}]; !seen || d < old {
+			least[pair{e.Src, e.Dst}] = d
+		}
+	}
+	twoWay := make([][]int, p) // the ranks each rank has edges to and from
+	for k := range least {
+		if _, back := least[pair{k.dst, k.src}]; back {
+			twoWay[k.src] = append(twoWay[k.src], k.dst)
+		}
+	}
+	reached := make([]bool, p)
+	reached[0] = true
+	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
+		a := queue[0]
+		slices.Sort(twoWay[a])
+		for _, b := range twoWay[a] {
+			if !reached[b] {
+				reached[b] = true
+				offsets[b] = offsets[a] + (least[pair{a, b}]-least[pair{b, a}])/2
+				queue = append(queue, b)
+			}
+		}
+	}
+	return offsets
 }
 
 // repairOffsets relaxes the per-rank offsets against the causality
@@ -79,23 +132,21 @@ func repairOffsets(offsets []int64, edges []trace.FlowEdge) (adjustments int) {
 }
 
 // Merge builds one offset-rebased wall-timebase timeline from per-rank
-// telemetry, ranks[r] being rank r's: all ranks' spans on the coordinator
-// clock, cross-process flow edges (deduplicated by (dst, id), and dropped
-// when an end lies outside the ranks) with fresh ids, and synthesized
-// per-rank segment tilings that make the trace analyzable by critpath. It
-// returns how many per-rank offset repairs and how many edge clamps it
-// applied, and an error when the ranks shipped no span and no edge.
+// telemetry, ranks[r] being rank r's: all ranks' spans on rank 0's clock,
+// cross-process flow edges (deduplicated by (dst, id), and dropped when an
+// end lies outside the ranks) with fresh ids, and synthesized per-rank
+// segment tilings that make the trace analyzable by critpath. It returns how
+// many per-rank offset repairs and how many edge clamps it applied, and an
+// error when the ranks shipped no span and no edge.
 func Merge(ranks []Rank) (tl *trace.Timeline, repairs, clamped int, err error) {
 	p := len(ranks)
-	offsets := make([]int64, p)
 	var edges []trace.FlowEdge
 	type edgeKey struct {
 		dst int
 		id  int64
 	}
 	seen := map[edgeKey]bool{}
-	for r, rk := range ranks {
-		offsets[r] = rk.OffsetNs
+	for _, rk := range ranks {
 		for _, e := range rk.Edges {
 			k := edgeKey{e.Dst, e.ID}
 			if seen[k] || e.Src < 0 || e.Src >= p || e.Dst < 0 || e.Dst >= p {
@@ -105,7 +156,11 @@ func Merge(ranks []Rank) (tl *trace.Timeline, repairs, clamped int, err error) {
 			edges = append(edges, e)
 		}
 	}
+	offsets := edgeOffsets(p, edges)
 	repairs = repairOffsets(offsets, edges)
+	for r := p - 1; r >= 0; r-- {
+		offsets[r] -= offsets[0]
+	}
 
 	// Rebase everything and find the common origin.
 	type redge struct {
@@ -150,7 +205,9 @@ func Merge(ranks []Rank) (tl *trace.Timeline, repairs, clamped int, err error) {
 	if !haveBase {
 		return nil, repairs, clamped, fmt.Errorf("fleet: the ranks shipped no spans or edges")
 	}
-	toSec := func(ns int64) float64 { return float64(ns-base) / 1e9 }
+	// ns ≥ base, so ns − base as a uint64 is exact even where the int64
+	// difference of hostile stamps would wrap.
+	toSec := func(ns int64) float64 { return float64(uint64(ns-base)) / 1e9 }
 
 	// Fresh edge ids 1..n in arrival order: the processes' ids
 	// ((rank+1)<<40 | seq, from internal/mpi) are distinct but sparse.

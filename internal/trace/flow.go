@@ -232,7 +232,7 @@ type TraceExtra struct {
 	// Timebase is empty for in-process α–β traces and
 	// TimebaseWall for fleet-merged multi-process traces whose coordinates
 	// are offset-rebased wall seconds. ClockOffsetsNs, when present, is the
-	// per-rank offset (rank clock − coordinator clock, ns) the merge
+	// per-rank offset (rank clock − rank 0's clock, ns) the merge
 	// subtracted from each rank's timestamps.
 	Timebase       string  `json:"timebase,omitempty"`
 	ClockOffsetsNs []int64 `json:"clock_offsets_ns,omitempty"`
