@@ -21,7 +21,8 @@ cross-vet:
 # prefetched solves against their references, the loop over a filled-column
 # exchange and the column update, the Dis-SMO pins,
 # Dot4, MulTile and the batch-prediction paths over them (DecisionAll,
-# RouteAll, Set.PredictAll/EvalAll), the nearest-center distance block
+# RouteAll, Set.PredictAll/EvalAll, the routed pass's gather: RoutedPass,
+# SubsetInto), the nearest-center distance block
 # (la.SqDistTile, ArgMin) under Lloyd sweeps, FCFS, routing and CrossTile,
 # the one-column tile under the lazy row fill and Dis-SMO's columns
 # (DotList: MulTile's and SqDistTile's one-column path; ColumnTile and
@@ -40,7 +41,7 @@ cross-vet:
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe|ColumnCache|DecodeRowInto|DecodeBase64F64|DecodeBinary|DecodePredictRequest
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|RoutedPass|SubsetInto|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe|ColumnCache|DecodeRowInto|DecodeBase64F64|DecodeBinary|DecodePredictRequest
 lanes-off:
 	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model \
 		./internal/kmeans ./internal/partition ./internal/kernel ./internal/serve
@@ -261,8 +262,12 @@ bench-diff:
 # BenchmarkTrainFCFSCADense (casvm-dense: FCFS-CA, P=8, 3,600×32),
 # BenchmarkTrainFCFSCASparse (casvm-sparse: FCFS-CA, P=8, 1,500×2,048 CSR)
 # and BenchmarkTrainDisSMODense (dissmo-dense: Dis-SMO, P=4, 640×32), 150
-# jobs each, then each one's top 15 allocation sites by bytes
-# (alloc_space). The profiles and test binary stay in .bench_build/memprof.
+# jobs each, and then where a served request's memory comes from:
+# BenchmarkServeClients/1x256-b64 (serve-batch's shape: one client posting
+# 256×64 queries_b64 bodies over real HTTP) at -cpu 1, 2,000 requests. Each
+# prints its top 15 allocation sites by bytes (alloc_space); the serving
+# profile counts the benchmark's own HTTP client too. The profiles and test
+# binaries stay in .bench_build/memprof.
 MEMPROF_DIR = .bench_build/memprof
 MEMPROF_BENCHES = FCFSCADense FCFSCASparse DisSMODense
 memprof:
@@ -274,6 +279,11 @@ memprof:
 		$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 $(MEMPROF_DIR)/casvm.test \
 			$(MEMPROF_DIR)/$$b.out || exit 1; \
 	done
+	$(GO) test -c -o $(MEMPROF_DIR)/serve.test ./internal/serve
+	$(MEMPROF_DIR)/serve.test -test.run '^$$' -test.bench 'BenchmarkServeClients/1x256-b64$$' -test.benchmem \
+		-test.cpu 1 -test.benchtime 2000x -test.memprofile $(MEMPROF_DIR)/ServeBatch.out
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 $(MEMPROF_DIR)/serve.test \
+		$(MEMPROF_DIR)/ServeBatch.out
 
 # loc prints the root module's non-test Go lines per package and in total
 # (bench/ is its own module and is not counted; testdata/ holds fixtures the

@@ -309,6 +309,32 @@ func TestSubsetInheritsNorms(t *testing.T) {
 	}
 }
 
+// TestSubsetIntoMatchesSubset: a dense gather into caller storage holds
+// Subset's rows and norms bit for bit, written into the given (dirty)
+// slices, and stays lazy when the source holds no norms.
+func TestSubsetIntoMatchesSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	a := randDense(rng, 12, 7)
+	rows := []int{11, 0, 4, 4, 7}
+	data, norms := make([]float64, 64), make([]float64, 8)
+	for i := range data {
+		data[i] = math.NaN()
+	}
+	if g := a.SubsetInto(rows, data, norms); g.sqnorm != nil {
+		t.Fatal("a gather of an un-normed matrix holds norms")
+	}
+	a.EnsureNorms()
+	want, got := a.Subset(rows), a.SubsetInto(rows, data, norms)
+	if !Equal(got, want, 0) || &got.dense[0] != &data[0] || &got.sqnorm[0] != &norms[0] {
+		t.Fatal("the gather differs from Subset or is not in the given storage")
+	}
+	for k := range rows {
+		if math.Float64bits(got.sqnorm[k]) != math.Float64bits(want.sqnorm[k]) {
+			t.Fatalf("row %d: norm %v, Subset's %v", k, got.sqnorm[k], want.sqnorm[k])
+		}
+	}
+}
+
 // withEmptyRows returns a CSR matrix like randSparse whose every third row
 // is empty.
 func withEmptyRows(rng *rand.Rand, m, n int, density float64) *Matrix {

@@ -372,3 +372,79 @@ func TestSetEvalAllSinglePass(t *testing.T) {
 		t.Fatal("fixture: no query routed to the SV-less model")
 	}
 }
+
+// TestRoutedPassAllocatesNoRows: a warm P=8 Set.PredictAll over dense
+// queries allocates its labels and a fixed handful of small objects — the
+// same count at 64, 256 and 1,024 queries, with no query-sized buffer
+// beside the labels — and a pass whose grouped order is the identity (P = 1,
+// or every query routed to one model) gathers nothing, yet answers as the
+// per-row oracle does.
+func TestRoutedPassAllocatesNoRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	const feats, np = 16, 8
+	set := &Set{Centers: batchDense(rng, np, feats)}
+	for r := 0; r < np; r++ {
+		set.Models = append(set.Models, syntheticModel(rng, batchDense(rng, 40, feats), kernel.RBF(0.1)))
+	}
+	// near returns n queries close to the given centers in turn, so every
+	// listed model is routed a group at every size.
+	near := func(n int, centers ...int) *la.Matrix {
+		buf := make([]float64, n*feats)
+		for i := 0; i < n; i++ {
+			c := set.Centers.DenseRow(centers[i%len(centers)])
+			for j := range feats {
+				buf[i*feats+j] = c[j] + 0.01*rng.NormFloat64()
+			}
+		}
+		return la.NewDense(n, feats, buf)
+	}
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	if !raceDetector {
+		// On one P every Get finds the scratch the call before Put: a
+		// pool's per-P slot is not taken by another P, so a goroutine that
+		// moved would remake it.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var counts []float64
+		for _, n := range []int{64, 256, 1024} {
+			q := near(n, all...)
+			set.PredictAll(q) // q's norm cache and the scratch fill once
+			counts = append(counts, testing.AllocsPerRun(20, func() { set.PredictAll(q) }))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 20 {
+				set.PredictAll(q)
+			}
+			runtime.ReadMemStats(&after)
+			if got, labels := (after.TotalAlloc-before.TotalAlloc)/20, uint64(8*n); got > labels+4096 {
+				t.Errorf("PredictAll(%d queries): %d bytes per call, want ≤ %d (labels) + 4096", n, got, labels)
+			}
+		}
+		if counts[0] != counts[1] || counts[1] != counts[2] || counts[0] > np+8 {
+			t.Errorf("PredictAll at 64, 256, 1024 queries: %v allocations per call, want one count ≤ %d", counts, np+8)
+		}
+	}
+	single := Single(set.Models[0], set.Centers.DenseRow(0))
+	for _, c := range []struct {
+		name   string
+		set    *Set
+		q      *la.Matrix
+		gather bool
+	}{
+		{"P=8, every model", set, near(64, all...), true},
+		{"P=8, one model", set, near(64, 3), false},
+		{"P=1", single, near(64, all...), false},
+	} {
+		sc := new(evalScratch)
+		labels, decs := make([]float64, c.q.Rows()), make([]float64, c.q.Rows())
+		c.set.eval(c.q, sc, labels, decs)
+		if gathered := sc.gather != nil; gathered != c.gather {
+			t.Errorf("%s: gathered %v, want %v", c.name, gathered, c.gather)
+		}
+		for qi := range labels {
+			if labels[qi] != setPredict(c.set, c.q, qi) || decs[qi] != setDecision(c.set, c.q, qi) {
+				t.Fatalf("%s: query %d: label %v decision %v, per-row %v %v",
+					c.name, qi, labels[qi], decs[qi], setPredict(c.set, c.q, qi), setDecision(c.set, c.q, qi))
+			}
+		}
+	}
+}

@@ -62,7 +62,8 @@ func (cfg BatcherConfig) Defaulted() BatcherConfig {
 
 // batchReq is one enqueued request: flattened rows plus the reply channel.
 type batchReq struct {
-	rows      []float64 // nq × width, row-major
+	rows      []float64  // nq × width, row-major
+	block     *[]float64 // rows' pooled buffer when rows is a decoded query block
 	nq, width int
 	decisions bool
 	done      chan batchOut
@@ -144,6 +145,10 @@ type Batcher struct {
 	reqs     chan *batchReq
 	stop     chan struct{}
 	done     chan struct{}
+
+	// slab holds a coalesced flush's rows, reused from flush to flush. Only
+	// the loop goroutine touches it.
+	slab []float64
 }
 
 // newBatcher starts the coalescing loop for h. arriving is the count the
@@ -169,7 +174,16 @@ func (b *Batcher) Close() {
 }
 
 // Predict enqueues one validated request and blocks until its batch
-// flushes. rows is retained until the flush; callers must not reuse it.
+// flushes. The batcher reads rows from the enqueue until Predict (or await)
+// returns: by then the flush has evaluated them, or the loop has stopped and
+// never will, so the caller may reuse rows at once. The labels and decisions
+// handed back are the caller's to keep.
+//
+// The server decodes rows into a query block drawn from queryBlocks, and
+// handlePredict, once await has returned, is the one point that gives it
+// back — for a refused request, admit gives it back instead. A batch of one
+// is evaluated in its request's block, a coalesced one in the batcher's own
+// slab; nothing the flush hands a handler aliases either.
 func (b *Batcher) Predict(rows []float64, nq, width int, decisions bool) (batchOut, error) {
 	r, err := b.enqueue(rows, nq, width, decisions)
 	if err != nil {
@@ -181,12 +195,21 @@ func (b *Batcher) Predict(rows []float64, nq, width int, decisions bool) (batchO
 // enqueue hands one validated request to the coalescing loop without
 // waiting for its flush.
 func (b *Batcher) enqueue(rows []float64, nq, width int, decisions bool) (*batchReq, error) {
-	r := &batchReq{rows: rows, nq: nq, width: width, decisions: decisions, done: make(chan batchOut, 1)}
+	r := &batchReq{rows: rows, nq: nq, width: width, decisions: decisions}
+	if err := b.submit(r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// submit queues r, giving it its reply channel.
+func (b *Batcher) submit(r *batchReq) error {
+	r.done = make(chan batchOut, 1)
 	select {
 	case b.reqs <- r:
-		return r, nil
+		return nil
 	default:
-		return nil, unavailableError(fmt.Sprintf("serve: model %q queue full (%d requests pending)", b.handle.Name, cap(b.reqs)))
+		return unavailableError(fmt.Sprintf("serve: model %q queue full (%d requests pending)", b.handle.Name, cap(b.reqs)))
 	}
 }
 
@@ -315,13 +338,14 @@ func (b *Batcher) flush(pending []*batchReq, total int) {
 		return
 	}
 	// A batch of one request is that request's rows, evaluated where they
-	// lie; only a real coalescing pays for the concatenated slab.
+	// lie; only a real coalescing copies them, into the batcher's slab.
 	rows := live[0].rows
 	if len(live) > 1 {
-		rows = make([]float64, 0, liveQ*feats)
+		rows = b.slab[:0]
 		for _, r := range live {
 			rows = append(rows, r.rows...)
 		}
+		b.slab = rows
 	}
 	q := la.NewDense(liveQ, feats, rows)
 	var labels, decs []float64

@@ -106,7 +106,7 @@ func BenchmarkDecodePredictRequest(b *testing.B) {
 }
 
 // BenchmarkServeClients is the evidence that coalescing pays where there is
-// something to coalesce: three closed-loop client mixes against the default
+// something to coalesce: four closed-loop client mixes against the default
 // batcher budgets, from many clients with one query each (the batcher is all
 // the amortisation there is) to few clients with full blocks (each request
 // is a batch by itself). One op is one request; q/batch is the mean number of
@@ -123,6 +123,7 @@ func BenchmarkServeClients(b *testing.B) {
 		{"16x1-json", 16, 1, false},
 		{"16x16-b64", 16, 16, true},
 		{"4x256-b64", 4, 256, true},
+		{"1x256-b64", 1, 256, true}, // the serve-batch workload's shape
 	}
 	for _, c := range cells {
 		b.Run(c.name, func(b *testing.B) {

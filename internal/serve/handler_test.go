@@ -284,3 +284,124 @@ func TestRecycledBodyLeavesRequestIntact(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledQueryBlockLeavesReplyIntact: a request's query block goes back
+// to queryBlocks once its await returns, or once admit refuses it. A block
+// released while its batch still reads it would be decoded into by the next
+// request, and one released twice would be handed to two requests at once.
+// Concurrent clients of distinct b64 and JSON bodies must each get exactly
+// the offline answers, and so must the round that follows each refusal: an
+// unknown model, a full queue, a model without a batcher, a width mismatch
+// after a hot reload and a batcher shutdown. Run it under -race too.
+func TestRecycledQueryBlockLeavesReplyIntact(t *testing.T) {
+	s := startTestServer(t, Config{})
+	set, feats := testSet(3, 4), 4
+	if _, err := s.AddModelSet("default", set); err != nil {
+		t.Fatalf("AddModelSet: %v", err)
+	}
+	h, _ := s.Registry().Get("default")
+	client := &http.Client{}
+	t.Cleanup(client.CloseIdleConnections)
+	post := func(req PredictRequest) (*PredictResponse, int, error) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			return nil, 0, err
+		}
+		resp, err := client.Post(s.URL()+"/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, 0, err
+		}
+		defer resp.Body.Close()
+		var pr PredictResponse
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&pr)
+		}
+		return &pr, resp.StatusCode, err
+	}
+	// body sends n random queries as queries_b64 when n is even, else as a
+	// JSON array.
+	body := func(rng *rand.Rand, n int) (PredictRequest, []float64) {
+		flat := flatQueries(rng, n, feats)
+		req := PredictRequest{Decisions: true}
+		if n%2 == 0 {
+			req.QueriesB64, req.FeatureDim = EncodeQueriesB64(flat), feats
+			return req, flat
+		}
+		for r := 0; r < n; r++ {
+			req.Queries = append(req.Queries, flat[r*feats:(r+1)*feats])
+		}
+		return req, flat
+	}
+	round := func(after string, seed int64) {
+		t.Helper()
+		const clients, each = 4, 6
+		errs := make(chan error, clients)
+		for c := 0; c < clients; c++ {
+			go func(rng *rand.Rand) {
+				for i := 0; i < each; i++ {
+					n := 1 + rng.Intn(48)
+					req, flat := body(rng, n)
+					pr, code, err := post(req)
+					if err != nil || code != http.StatusOK {
+						errs <- fmt.Errorf("%d queries: status %d, %v", n, code, err)
+						return
+					}
+					q := la.NewDense(n, feats, flat)
+					labels, decs := set.PredictAll(q), set.DecisionAll(q)
+					for k := range labels {
+						if pr.Labels[k] != labels[k] || math.Float64bits(pr.Decisions[k]) != math.Float64bits(decs[k]) {
+							errs <- fmt.Errorf("query %d of %d: label %v decision %v, want %v %v",
+								k, n, pr.Labels[k], pr.Decisions[k], labels[k], decs[k])
+							return
+						}
+					}
+				}
+				errs <- nil
+			}(rand.New(rand.NewSource(seed + int64(c))))
+		}
+		for c := 0; c < clients; c++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("after %s: %v", after, err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(49))
+	refuse := func(name string, req PredictRequest, code int) {
+		t.Helper()
+		if _, got, err := post(req); err != nil || got != code {
+			t.Fatalf("%s: status %d, %v; want %d", name, got, err, code)
+		}
+	}
+	round("nothing", 1)
+
+	unknown, _ := body(rng, 32)
+	unknown.Model = "nosuch"
+	refuse("unknown model", unknown, http.StatusNotFound)
+	round("an unknown model", 2)
+
+	live := h.Batcher()
+	h.batcher.Store(deadBatcher(h, true))
+	req, _ := body(rng, 32)
+	refuse("queue full", req, http.StatusServiceUnavailable)
+	h.batcher.Store(nil)
+	req, _ = body(rng, 32)
+	refuse("no batcher", req, http.StatusServiceUnavailable)
+	h.batcher.Store(live)
+	round("a full queue and a missing batcher", 3)
+
+	old, _ := body(rng, 32)
+	set, feats = testSet(5, 6), 6
+	if _, err := s.AddModelSet("default", set); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	refuse("width mismatch", old, http.StatusBadRequest)
+	round("a width mismatch", 4)
+
+	h.Batcher().Close()
+	h.batcher.Store(deadBatcher(h, false))
+	req, _ = body(rng, 32)
+	refuse("batcher shut down", req, http.StatusServiceUnavailable)
+	h.batcher.Store(nil)
+	s.ensureBatcher(h)
+	round("a batcher shutdown", 5)
+}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"casvm/internal/la"
@@ -27,8 +28,8 @@ import (
 //     decodes in ≈ 9 µs (16 µs through encoding/json);
 //   - QueriesB64 + FeatureDim: base64 of little-endian float64 values,
 //     row-major — the production client path: a 256×64 block decodes in
-//     ≈ 0.08 ms on AVX2 (≈ 0.32 ms without), allocating 131 KB in three
-//     allocations, of which its 128 KB of floats is the only large one
+//     ≈ 0.08 ms on AVX2 (≈ 0.32 ms without) into a pooled 128 KB query
+//     block, unzeroed, so a served request allocates no query-sized buffer
 //     (1.0 ms and 312 KB through encoding/json).
 //     FeatureDim gives the row width (the flat value count must divide by
 //     it); row count is inferred.
@@ -53,9 +54,42 @@ type PredictRequest struct {
 	// query alongside the ±1 labels.
 	Decisions bool `json:"decisions,omitempty"`
 
-	// Validated flat form, filled by DecodePredictRequest.
+	// Validated flat form, filled by DecodePredictRequest. A pooled decode
+	// (the server's) draws flat from queryBlocks; block is then the pooled
+	// buffer behind it, nil when flat was made fresh.
 	flat        []float64
+	block       *[]float64
+	pooled      bool
 	rows, width int
+}
+
+// queryBlocks recycles the query blocks requests decode into, each a
+// *[]float64 at its full capacity. A block is drawn by the decoder and put
+// back by releaseBlock exactly once, at the point Batcher.Predict names.
+var queryBlocks sync.Pool
+
+// drawBlock returns an empty query block of capacity exactly n — so the
+// base64 lanes, which write up to cap, keep their exact bound — and the
+// pooled buffer behind it. A pooled request takes an unzeroed block from
+// queryBlocks when one is large enough; otherwise the block is fresh and the
+// buffer nil.
+func (r *PredictRequest) drawBlock(n int) ([]float64, *[]float64) {
+	if r.pooled {
+		if p, _ := queryBlocks.Get().(*[]float64); p != nil && cap(*p) >= n {
+			return (*p)[:0:n], p
+		}
+	}
+	return make([]float64, 0, n), nil
+}
+
+// releaseBlock returns the query block flat, drawn with buffer p, to the
+// pool. After it, flat may be handed to another request at any moment.
+func releaseBlock(flat []float64, p *[]float64) {
+	if p == nil { // fresh: flat holds the whole allocation
+		p = new([]float64)
+		*p = flat
+	}
+	queryBlocks.Put(p)
 }
 
 // PredictResponse answers a PredictRequest.
@@ -108,13 +142,19 @@ func (lim Limits) Defaulted() Limits {
 // array is checked against the limits before anything is stored, then parsed
 // number by number into the flat buffer; a queries_b64 string is
 // base64-decoded out of data itself, unquoted first only if it holds an
-// escape.
+// escape. The queries land in fresh storage the caller owns.
 func DecodePredictRequest(data []byte, lim Limits) (*PredictRequest, error) {
+	return decodeRequest(data, lim, false)
+}
+
+// decodeRequest is DecodePredictRequest; a pooled request's queries are
+// decoded into a block drawn from queryBlocks.
+func decodeRequest(data []byte, lim Limits, pooled bool) (*PredictRequest, error) {
 	lim = lim.Defaulted()
 	if int64(len(data)) > lim.MaxBody {
 		return nil, fmt.Errorf("serve: request body %d bytes exceeds limit %d", len(data), lim.MaxBody)
 	}
-	req := &PredictRequest{}
+	req := &PredictRequest{pooled: pooled}
 	p := reqParser{b: data, lim: lim}
 	if err := p.object(req); err != nil {
 		return nil, err
@@ -134,7 +174,7 @@ func DecodePredictRequest(data []byte, lim Limits) (*PredictRequest, error) {
 		if q.err != nil {
 			return nil, q.err
 		}
-		req.flat, req.rows, req.width = q.flat, q.rows, q.width
+		req.flat, req.block, req.rows, req.width = q.flat, q.block, q.rows, q.width
 	default:
 		return nil, fmt.Errorf("serve: request has no queries")
 	}
@@ -168,6 +208,7 @@ type reqParser struct {
 // stored.
 type queryArrays struct {
 	flat        []float64
+	block       *[]float64 // flat's pooled buffer, as in PredictRequest
 	rows, width int
 	err         error
 }
@@ -258,7 +299,7 @@ func (p *reqParser) member(r *PredictRequest) error {
 	case bytes.EqualFold(key, []byte("queries_b64")):
 		return p.queriesB64()
 	case bytes.EqualFold(key, []byte("queries")):
-		return p.arrays()
+		return p.arrays(r)
 	case bytes.EqualFold(key, []byte("features")):
 		return p.scalar(&r.FeatureDim)
 	case bytes.EqualFold(key, []byte("model")):
@@ -373,9 +414,9 @@ func (p *reqParser) queriesB64() error {
 // range, the row count, row 0's width, raggedness, null features — and
 // stores nothing, so a value over a limit is refused having allocated
 // nothing. Only a value that passes is walked again, parsed straight into a
-// flat buffer made once at its exact size. A null clears the field, as
+// query block drawn once at its exact size. A null clears the field, as
 // encoding/json sets a slice to nil.
-func (p *reqParser) arrays() error {
+func (p *reqParser) arrays(r *PredictRequest) error {
 	q := &p.queries
 	*q = queryArrays{}
 	if p.null() {
@@ -385,7 +426,8 @@ func (p *reqParser) arrays() error {
 	if err := p.rows(q, false); err != nil || q.err != nil {
 		return err
 	}
-	p.i, q.flat = at, make([]float64, 0, q.rows*q.width)
+	p.i = at
+	q.flat, q.block = r.drawBlock(q.rows * q.width)
 	return p.rows(q, true)
 }
 
@@ -580,8 +622,8 @@ const b64Chunk = 4096
 // into flat, a chunk at a time, refusing a NaN or Inf as it meets one; a
 // chunk without newlines goes to la.DecodeBase64F64's AVX2 lanes first. The
 // row count and divisibility are settled from the encoded length and the
-// trailing padding before flat is allocated, so a payload that cannot be
-// accepted costs no query-sized buffer; whatever that arithmetic assumed
+// trailing padding before a query block is drawn, so a payload that cannot
+// be accepted costs no query-sized buffer; whatever that arithmetic assumed
 // about the payload being well-formed the chunk decoder then verifies.
 // Accepts exactly what base64.StdEncoding.Decode does, CR and LF anywhere
 // included.
@@ -615,7 +657,7 @@ func (r *PredictRequest) decodeB64(s []byte, newlines int, lim Limits) error {
 		return fmt.Errorf("serve: %d queries exceeds limit %d", rows, lim.MaxQueries)
 	}
 
-	flat := make([]float64, 0, n)
+	flat, block := r.drawBlock(n)
 	var enc [b64Chunk]byte
 	var dec [b64Chunk / 4 * 3]byte
 	for i := 0; i < len(s); {
@@ -677,7 +719,7 @@ func (r *PredictRequest) decodeB64(s []byte, newlines int, lim Limits) error {
 	if len(flat) != n { // the length arithmetic and the decoder must agree
 		return fmt.Errorf("serve: bad queries_b64: %w", base64.CorruptInputError(len(s)))
 	}
-	r.flat, r.rows, r.width = flat, rows, r.FeatureDim
+	r.flat, r.block, r.rows, r.width = flat, block, rows, r.FeatureDim
 	return nil
 }
 

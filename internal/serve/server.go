@@ -210,22 +210,30 @@ func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error)
 
 // bodies recycles /predict body buffers. A body is dead once admit returns:
 // nothing DecodePredictRequest returns aliases it (Model is a copied string,
-// the queries are decoded into their own buffer, errors are formatted), so
-// the next request reads into it instead of zeroing a fresh allocation.
+// the queries are decoded into a query block of their own, errors are
+// formatted), so the next request reads into it instead of zeroing a fresh
+// allocation.
 var bodies sync.Pool // of *[]byte
 
 // admit takes a request from body bytes to its model's batcher queue, or
 // rejects it with an HTTP status. It is counted as arriving for exactly that
 // stretch — announced before the decode, retired after the enqueue or on any
 // rejection — so a pending batch waits for it and for nothing slower: the
-// body upload is over before the count starts.
+// body upload is over before the count starts. A request refused after its
+// decode gives its query block back here; an admitted one's block travels in
+// r to handlePredict.
 func (s *Server) admit(body []byte) (b *Batcher, r *batchReq, code int, err error) {
 	s.arriving.announce()
 	defer s.arriving.retire()
-	req, err := DecodePredictRequest(body, s.cfg.Limits)
+	req, err := decodeRequest(body, s.cfg.Limits, true)
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
+	defer func() {
+		if err != nil {
+			releaseBlock(req.flat, req.block)
+		}
+	}()
 	h, err := s.reg.Resolve(req.Model)
 	if err != nil {
 		return nil, nil, http.StatusNotFound, err
@@ -233,7 +241,8 @@ func (s *Server) admit(body []byte) (b *Batcher, r *batchReq, code int, err erro
 	if b = h.Batcher(); b == nil {
 		return nil, nil, http.StatusServiceUnavailable, fmt.Errorf("serve: model %q not ready", h.Name)
 	}
-	if r, err = b.enqueue(req.flatten(), req.NumQueries(), req.Features(), req.Decisions); err != nil {
+	r = &batchReq{rows: req.flatten(), block: req.block, nq: req.NumQueries(), width: req.Features(), decisions: req.Decisions}
+	if err = b.submit(r); err != nil {
 		return nil, nil, predictStatus(err), err
 	}
 	return b, r, 0, nil
@@ -273,6 +282,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out, err := b.await(req)
+	// The one release point of an admitted request's query block: the
+	// flush has evaluated the rows, or the loop has stopped without them.
+	releaseBlock(req.rows, req.block)
 	if err != nil {
 		s.httpError(w, predictStatus(err), err)
 		return
