@@ -234,10 +234,12 @@ bench: bench-kernel
 # MulTile vs the row loop, CrossTile vs per-element Eval, batched
 # PredictAll vs the per-row loop it replaced (the mixed-storage cases are
 # the headline: the row path re-densifies the sparse side per support
-# vector), the two LIBSVM readers, and the Gaussian kernel's four-lane exp
+# vector), the streaming LIBSVM reader against the grow-as-you-go one and
+# on the writer's own output (LoadLIBSVM), the strconv LIBSVM writer against
+# the fmt one (WriteLIBSVM), and the Gaussian kernel's four-lane exp
 # (ExpScaled) and the one-column MulTile, one row against listed rows
 # (DotList), against the scalar loops.
-KERNEL_BENCH = BenchmarkMulTile|BenchmarkCrossTile|BenchmarkPredictAll|BenchmarkLoadLIBSVM|BenchmarkExpScaled|BenchmarkDotList
+KERNEL_BENCH = BenchmarkMulTile|BenchmarkCrossTile|BenchmarkPredictAll|BenchmarkLoadLIBSVM|BenchmarkWriteLIBSVM|BenchmarkExpScaled|BenchmarkDotList
 KERNEL_BENCH_PKGS = ./internal/la ./internal/kernel ./internal/model ./internal/data
 bench-kernel:
 	$(GO) test $(KERNEL_BENCH_PKGS) -run '^$$' -bench '$(KERNEL_BENCH)' \

@@ -107,6 +107,65 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// requireWriteMatchesFmt writes (x, y) through WriteLIBSVM and through the
+// fmt oracle and fails unless the bytes are identical.
+func requireWriteMatchesFmt(t testing.TB, x *la.Matrix, y []float64) {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := WriteLIBSVM(&got, x, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeLIBSVMFmt(&want, x, y); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		g, w := got.Bytes(), want.Bytes()
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		t.Fatalf("WriteLIBSVM differs from fmt at byte %d of %d/%d: %q vs %q",
+			i, len(g), len(w), g[i:min(i+40, len(g))], w[i:min(i+40, len(w))])
+	}
+}
+
+// TestWriteLIBSVMMatchesFmt holds the strconv writer to fmt's "%g" bytes on
+// every registered dataset's train and test split (dense, and webspam's
+// CSR) and on hand-made rows of edge values.
+func TestWriteLIBSVMMatchesFmt(t *testing.T) {
+	for _, name := range Names() {
+		d, _, err := Load(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireWriteMatchesFmt(t, d.X, d.Y)
+		requireWriteMatchesFmt(t, d.TestX, d.TestY)
+	}
+	labels := []float64{0, 1, -1, 1e21, 1e-7, math.Copysign(0, -1)}
+	vals := []float64{
+		math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, 2.2250738585072014e-308,
+		0.1 + 0.2, 1.0 / 3, -2.0 / 3, 12345678901234567, 1.2345678901234567e-100,
+		1e20, 1e21, 1e-4, 1e-5, 123456, 1234567, 0,
+	}
+	n := len(vals)
+	dense := make([]float64, 0, len(labels)*n)
+	rowptr := []int32{0}
+	var idx []int32
+	var val []float64
+	for i := range labels {
+		for j := range vals {
+			v := vals[(i+j)%n]
+			dense = append(dense, v)
+			idx, val = append(idx, int32(j)), append(val, v) // zeros stored too
+		}
+		rowptr = append(rowptr, int32(len(idx)))
+	}
+	requireWriteMatchesFmt(t, la.NewDense(len(labels), n, dense), labels)
+	requireWriteMatchesFmt(t, la.NewSparse(len(labels), n, rowptr, idx, val), labels)
+	requireWriteMatchesFmt(t, la.NewDense(0, 3, nil), nil)
+}
+
 func TestWriteLIBSVMLengthMismatch(t *testing.T) {
 	x := la.NewDense(2, 1, []float64{1, 2})
 	if err := WriteLIBSVM(&bytes.Buffer{}, x, []float64{1}); err == nil {

@@ -2,6 +2,7 @@ package data
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -23,17 +24,22 @@ import (
 // align train and test files). Labels are returned as parsed; callers
 // typically Binarize them.
 //
-// It reads a seekable source in two passes: the first counts rows and
-// feature pairs, the second fills CSR arrays allocated exactly once. No
-// per-line field slices, no append-grown global slices — the only
-// steady-state allocation is the scanner's line buffer, which is what lets
-// this scale to webspam-sized files without doubling peak memory.
+// It reads a seekable source in two passes. The first (countLIBSVM) counts
+// bytes, not lines: upper bounds on the rows and feature pairs, so the CSR
+// arrays are allocated once. The second scans line by line, cuts the comment
+// off before the line's one string copy, and splits fields in one walk per
+// field that also finds its ':'. No per-line field slices, no append-grown
+// arrays: peak memory is the CSR arrays plus one line, which is what lets
+// this scale to webspam-sized files. strconv parses every label, index and
+// value.
 //
 // The result is identical to the grow-as-you-go reference reader in the
 // tests on any input, including the error cases (bad labels/indices/values,
-// duplicate indices) — the equivalence test and fuzz harness pin that.
+// duplicate indices, a line over the 16 MiB cap) — the equivalence tests and
+// fuzz harness pin that.
 func ReadLIBSVMStream(rs io.ReadSeeker, minFeatures int) (*la.Matrix, []float64, error) {
-	rows, pairBound, err := countLIBSVM(rs)
+	buf := make([]byte, 1<<20) // the sizing pass's blocks, then the scanner's line buffer
+	rows, pairBound, err := countLIBSVM(rs, buf)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -50,15 +56,19 @@ func ReadLIBSVMStream(rs io.ReadSeeker, minFeatures int) (*la.Matrix, []float64,
 		lineNo = 0
 	)
 	sc := bufio.NewScanner(rs)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(buf, 1<<24)
 	for sc.Scan() {
 		lineNo++
-		line := trimComment(sc.Text())
+		raw := sc.Bytes()
+		if i := bytes.IndexByte(raw, '#'); i >= 0 {
+			raw = raw[:i]
+		}
+		line := string(raw)
 		pos := skipSpace(line, 0)
 		if pos == len(line) {
 			continue
 		}
-		end := fieldEnd(line, pos)
+		end, _ := fieldEnd(line, pos)
 		label, err := strconv.ParseFloat(line[pos:end], 64)
 		if err != nil {
 			return nil, nil, fmt.Errorf("data: line %d: bad label %q: %v", lineNo, line[pos:end], err)
@@ -67,19 +77,19 @@ func ReadLIBSVMStream(rs io.ReadSeeker, minFeatures int) (*la.Matrix, []float64,
 		rowStart := len(idx)
 		sorted := true
 		for pos = skipSpace(line, end); pos < len(line); pos = skipSpace(line, end) {
-			end = fieldEnd(line, pos)
+			var colon int
+			end, colon = fieldEnd(line, pos)
 			f := line[pos:end]
-			colon := indexColon(f)
-			if colon <= 0 {
+			if colon <= pos {
 				return nil, nil, fmt.Errorf("data: line %d: bad feature %q", lineNo, f)
 			}
-			k, err := strconv.Atoi(f[:colon])
+			k, err := strconv.Atoi(line[pos:colon])
 			if err != nil || k < 1 {
-				return nil, nil, fmt.Errorf("data: line %d: bad index %q", lineNo, f[:colon])
+				return nil, nil, fmt.Errorf("data: line %d: bad index %q", lineNo, line[pos:colon])
 			}
-			v, err := strconv.ParseFloat(f[colon+1:], 64)
+			v, err := strconv.ParseFloat(line[colon+1:end], 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("data: line %d: bad value %q", lineNo, f[colon+1:])
+				return nil, nil, fmt.Errorf("data: line %d: bad value %q", lineNo, line[colon+1:end])
 			}
 			if v == 0 {
 				continue
@@ -126,90 +136,100 @@ func LoadLIBSVMFile(path string, minFeatures int) (*la.Matrix, []float64, error)
 	return ReadLIBSVMStream(f, minFeatures)
 }
 
-// countLIBSVM is the sizing pass: non-blank data lines and an upper bound
-// on feature pairs (every ':' starts one; explicit zeros are dropped later,
-// so the bound can exceed the final nnz but never undershoots).
-func countLIBSVM(r io.Reader) (rows, pairBound int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := trimComment(sc.Text())
-		blank := true
-		for i := 0; i < len(line); i++ {
-			switch line[i] {
-			case ' ', '\t':
-			case ':':
-				pairBound++
-				blank = false
-			default:
-				blank = false
-			}
+// countLIBSVM is the sizing pass. It reads r in 64 KiB blocks of buf and
+// counts bytes only: the parse pass's scanner yields at most one line per
+// '\n' plus a last one without it, so rows ≤ newlines + 1, and every pair it
+// keeps is a field holding a ':' of its own, so pairs ≤ colons (which
+// over-counts only the colons in comments, and explicit zeros the parse
+// drops). Both are capacities, so upper bounds are all the parse needs.
+func countLIBSVM(r io.Reader, buf []byte) (rows, pairBound int, err error) {
+	rows = 1
+	blk := buf[:min(len(buf), 64<<10)]
+	for empty := 0; ; {
+		n, err := r.Read(blk)
+		rows += bytes.Count(blk[:n], []byte{'\n'})
+		pairBound += bytes.Count(blk[:n], []byte{':'})
+		if err == io.EOF {
+			return rows, pairBound, nil
 		}
-		if !blank {
-			rows++
+		if err != nil {
+			return 0, 0, fmt.Errorf("data: read: %v", err)
+		}
+		if n > 0 {
+			empty = 0
+		} else if empty++; empty == 100 { // bufio.Scanner's bound on reads that make no progress
+			return 0, 0, fmt.Errorf("data: read: %v", io.ErrNoProgress)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, fmt.Errorf("data: read: %v", err)
-	}
-	return rows, pairBound, nil
 }
 
-func trimComment(line string) string {
-	for i := 0; i < len(line); i++ {
-		if line[i] == '#' {
-			return line[:i]
-		}
+// Byte classes of the field split. Below utf8.RuneSelf, strings.Fields
+// separates on exactly the cSpace bytes; a byte at or above it starts a
+// rune that unicode.IsSpace must judge.
+const (
+	cField = iota // any other byte of a field
+	cSpace        // '\t', '\n', '\v', '\f', '\r', ' '
+	cColon        // ':', a field byte the pair split looks for
+	cRune         // ≥ utf8.RuneSelf
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range "\t\n\v\f\r " {
+		t[c] = cSpace
 	}
-	return line
-}
+	t[':'] = cColon
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = cRune
+	}
+	return t
+}()
 
 // skipSpace and fieldEnd split exactly like strings.Fields (Unicode
 // whitespace separators) so the streaming parse accepts and rejects the
-// same inputs as the reference reader, byte for byte.
+// same inputs as the reference reader, byte for byte. ASCII bytes cost one
+// table lookup; only a byte ≥ utf8.RuneSelf decodes a rune.
 func skipSpace(line string, i int) int {
 	for i < len(line) {
-		if c := line[i]; c < utf8.RuneSelf {
-			if c != ' ' && c != '\t' && c != '\n' && c != '\v' && c != '\f' && c != '\r' {
+		switch byteClass[line[i]] {
+		case cSpace:
+			i++
+		case cRune:
+			r, w := utf8.DecodeRuneInString(line[i:])
+			if !unicode.IsSpace(r) {
 				return i
 			}
-			i++
-			continue
-		}
-		r, w := utf8.DecodeRuneInString(line[i:])
-		if !unicode.IsSpace(r) {
+			i += w
+		default:
 			return i
 		}
-		i += w
 	}
 	return i
 }
 
-func fieldEnd(line string, i int) int {
+// fieldEnd returns the end of the field that starts at i and the index of
+// its first ':' (−1 when it has none), found in the same walk.
+func fieldEnd(line string, i int) (end, colon int) {
+	colon = -1
 	for i < len(line) {
-		if c := line[i]; c < utf8.RuneSelf {
-			if c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r' {
-				return i
+		switch byteClass[line[i]] {
+		case cField:
+			i++
+		case cColon:
+			if colon < 0 {
+				colon = i
 			}
 			i++
-			continue
-		}
-		r, w := utf8.DecodeRuneInString(line[i:])
-		if unicode.IsSpace(r) {
-			return i
-		}
-		i += w
-	}
-	return i
-}
-
-func indexColon(f string) int {
-	for i := 0; i < len(f); i++ {
-		if f[i] == ':' {
-			return i
+		case cSpace:
+			return i, colon
+		default:
+			r, w := utf8.DecodeRuneInString(line[i:])
+			if unicode.IsSpace(r) {
+				return i, colon
+			}
+			i += w
 		}
 	}
-	return -1
+	return i, colon
 }
 
 // pairSorter sorts a CSR row's (idx, val) pair slices by column in step.

@@ -1,7 +1,9 @@
 package data
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -114,6 +116,61 @@ func TestStreamMatchesGrowRandom(t *testing.T) {
 	requireSameParse(t, x, y, sx, sy)
 }
 
+// TestStreamEdgeCases covers the line shapes the byte-counting sizing pass
+// must bound and the scanner must split as the grow reader does: each input
+// parses to the same matrix or fails with the same error text, and the
+// sizing pass's counts bound the rows and pairs the parse kept.
+func TestStreamEdgeCases(t *testing.T) {
+	longLine := func(bytes int) string {
+		var b strings.Builder
+		b.WriteString("1")
+		for k := 1; b.Len() < bytes; k++ {
+			fmt.Fprintf(&b, " %d:%d.25", k, k%7+1)
+		}
+		return b.String()
+	}
+	cases := []struct{ name, in string }{
+		{"crlf", "1 1:1 3:2\r\n-1 2:-1\r\n"},
+		{"no final newline", "1 1:1\n-1 2:2"},
+		{"crlf no final newline", "1 1:1\r\n-1 2:2\r"},
+		{"blank and comment lines with colons", "\n\n# a:b c:d 1:2\n1 1:1 # 3:4 5:6\n   \n#::::\n-1 2:2\n\n"},
+		{"cr-only accepted", "1 1:1\r2:2\r"},    // one scanner line
+		{"cr-only rejected", "1 1:1\r-1 2:2\r"}, // "-1" is a field with no ':'
+		{"colon in value", "1 1:2:3\n"},         // the first ':' splits
+		{"only newlines", "\n\n\n"},
+		{"2 MiB line", longLine(2<<20) + "\n-1 1:1\n"},
+		{"bad line before a long one", "x\n" + longLine(2<<20)},
+	}
+	for _, c := range cases {
+		x, y, err := ReadLIBSVM(strings.NewReader(c.in), 0)
+		sx, sy, serr := ReadLIBSVMStream(strings.NewReader(c.in), 0)
+		if (err == nil) != (serr == nil) || err != nil && err.Error() != serr.Error() {
+			t.Fatalf("%s: grow reader error %v, stream reader error %v", c.name, err, serr)
+		}
+		if err != nil {
+			continue
+		}
+		requireSameParse(t, x, y, sx, sy)
+		rows, pairs, err := countLIBSVM(strings.NewReader(c.in), make([]byte, 1<<20))
+		if err != nil || rows < sx.Rows() || pairs < sx.NNZ() {
+			t.Fatalf("%s: sizing pass %d rows, %d pairs (%v) for %d rows, %d pairs", c.name, rows, pairs, err, sx.Rows(), sx.NNZ())
+		}
+	}
+}
+
+// TestStreamRefusesLineOverCap: a line past the scanner's 16 MiB cap is
+// refused by both readers with the error text it has always had.
+func TestStreamRefusesLineOverCap(t *testing.T) {
+	in := "1 1:1\n1 " + strings.Repeat("7", 1<<24) + "\n"
+	const want = "data: read: bufio.Scanner: token too long"
+	if _, _, err := ReadLIBSVM(strings.NewReader(in), 0); err == nil || err.Error() != want {
+		t.Fatalf("grow reader: %v, want %q", err, want)
+	}
+	if _, _, err := ReadLIBSVMStream(strings.NewReader(in), 0); err == nil || err.Error() != want {
+		t.Fatalf("stream reader: %v, want %q", err, want)
+	}
+}
+
 func TestLoadLIBSVMFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "train.svm")
 	if err := os.WriteFile(path, []byte("+1 1:1 3:2\n-1 2:-1\n"), 0o644); err != nil {
@@ -131,8 +188,44 @@ func TestLoadLIBSVMFile(t *testing.T) {
 	}
 }
 
+// faceFile is the face corpus (4,000×64 dense) as WriteLIBSVM writes it.
+func faceFile(b *testing.B) (*Dataset, []byte) {
+	d, _, err := Load("face", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteLIBSVM(&buf, d.X, d.Y); err != nil {
+		b.Fatal(err)
+	}
+	return d, buf.Bytes()
+}
+
+// BenchmarkWriteLIBSVM prices the strconv writer against the fmt oracle it
+// replaced on the face corpus; the bytes are the same.
+func BenchmarkWriteLIBSVM(b *testing.B) {
+	d, file := faceFile(b)
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer, *la.Matrix, []float64) error
+	}{{"fmt", writeLIBSVMFmt}, {"strconv", WriteLIBSVM}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(file)))
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if err := c.write(io.Discard, d.X, d.Y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLoadLIBSVM guards the streaming reader's raison d'être: same
-// parse, fewer and flatter allocations than the slice-growing reader.
+// parse, fewer and flatter allocations than the slice-growing reader. grow
+// and stream read 20,000 rows of 30 "%.6f" pairs; stream-face reads the face
+// corpus as WriteLIBSVM writes it, whose shortest round-trip values run 17–20
+// characters.
 func BenchmarkLoadLIBSVM(b *testing.B) {
 	rng := rand.New(rand.NewSource(72))
 	var sb strings.Builder
@@ -160,6 +253,16 @@ func BenchmarkLoadLIBSVM(b *testing.B) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
 			if _, _, err := ReadLIBSVMStream(strings.NewReader(in), 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	_, face := faceFile(b)
+	b.Run("stream-face", func(b *testing.B) {
+		b.SetBytes(int64(len(face)))
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			if _, _, err := ReadLIBSVMStream(bytes.NewReader(face), 0); err != nil {
 				b.Fatal(err)
 			}
 		}

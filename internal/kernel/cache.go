@@ -390,7 +390,7 @@ func compact(a *la.Matrix, minDensity float64) (d denseCopy, ok bool) {
 	}
 	d.rows, d.partRows = m, slabChunkLen/(w*wholeBlock)*wholeBlock
 	for lo := 0; lo < m; lo += d.partRows {
-		ch := slabChunks.Get().(*slabChunk)
+		ch := slabChunks.Get()
 		d.chunks = append(d.chunks, ch)
 		d.parts = append(d.parts, s.Compact(a, lo, min(lo+d.partRows, m), ch[:]))
 	}

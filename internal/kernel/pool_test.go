@@ -23,11 +23,11 @@ func poisonSlabPool(n int) {
 	}
 }
 
-// emptySlabPool drops whatever the chunk pool holds: a sync.Pool survives
-// one collection in its victim cache and not two.
+// emptySlabPool drops whatever the chunk pool holds.
 func emptySlabPool() {
-	runtime.GC()
-	runtime.GC()
+	slabChunks.mu.Lock()
+	slabChunks.free = nil
+	slabChunks.mu.Unlock()
 }
 
 // TestColumnCacheFillOverPoison: a sample inserted the way distributed SMO
@@ -100,19 +100,12 @@ func TestColumnCacheFillOverPoison(t *testing.T) {
 
 // TestReleaseRecyclesChunks: a released cache's chunks go back to the pool
 // and a second cache of the same shape gets exactly those backing arrays,
+// even with two collections between them,
 // for both caches — a short last chunk included; the second fills them to
 // the right values over what the first left there. A cache smaller than one
 // chunk still takes a whole pooled array. A chunk bigger than one array is
 // never pooled.
-//
-// Under the race detector sync.Pool drops a quarter of its Puts on purpose,
-// so which arrays come back is not deterministic there. One P keeps every
-// Put and Get on the same per-P pool shard.
 func TestReleaseRecyclesChunks(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops Puts at random under -race")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	addrs := func(stores ...*rowStore) map[*float64]bool {
 		out := map[*float64]bool{}
 		for _, st := range stores {
@@ -150,12 +143,14 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	if len(first.lru.chunks) != 0 || first.lru.used != 0 {
 		t.Fatalf("after Release the slab keeps %d chunks and %d slots", len(first.lru.chunks), first.lru.used)
 	}
+	runtime.GC() // two collections would empty a sync.Pool, not the chunk list
+	runtime.GC()
 	second := NewRowCache(p, a, 40)
 	for i := range 40 {
 		second.Row(40 + i)
 	}
 	if !same(was, addrs(&second.lru.rowStore)) {
-		t.Fatal("the second row cache did not get the first one's chunks back")
+		t.Fatal("the second row cache did not get the first one's chunks back across two collections")
 	}
 	want := make([]float64, a.Rows())
 	for i := range 40 {
@@ -212,8 +207,29 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	was = addrs(&big.lru.rowStore)
 	big.Release()
 	for range 4 {
-		if c := slabChunks.Get().(*slabChunk); was[&c[0]] {
+		if c := slabChunks.Get(); was[&c[0]] {
 			t.Fatal("an over-size chunk went into the pool")
 		}
+	}
+}
+
+// TestChunkListBound: the chunk list keeps at most maxFreeChunks chunks; one
+// given back past that is dropped, and Get hands back the last kept first.
+func TestChunkListBound(t *testing.T) {
+	emptySlabPool()
+	defer emptySlabPool()
+	var last *slabChunk
+	for range maxFreeChunks + 1 {
+		c := new(slabChunk)
+		if len(slabChunks.free) < maxFreeChunks {
+			last = c
+		}
+		slabChunks.Put(c)
+	}
+	if n := len(slabChunks.free); n != maxFreeChunks {
+		t.Fatalf("the list keeps %d chunks, want %d", n, maxFreeChunks)
+	}
+	if slabChunks.Get() != last {
+		t.Fatal("Get did not return the last chunk kept")
 	}
 }

@@ -59,12 +59,48 @@ const slabChunkLen = slabChunkBytes / 8
 // slabChunk is one pooled chunk of row storage.
 type slabChunk [slabChunkLen]float64
 
-// slabChunks recycles chunks across caches and across the rank goroutines
-// that own them. It hands chunks out unzeroed and has no size bound of its
-// own: the garbage collector empties it, as it does every sync.Pool. A row
-// longer than one chunk (more than slabChunkLen values) gets a chunk of
-// its own size, allocated and dropped as before.
-var slabChunks = sync.Pool{New: func() any { return new(slabChunk) }}
+// slabChunks recycles chunks across caches, across the rank goroutines that
+// own them and across jobs. It hands chunks out unzeroed. A row longer than
+// one chunk (more than slabChunkLen values) gets a chunk of its own size,
+// allocated and dropped as before.
+var slabChunks chunkList
+
+// maxFreeChunks bounds what slabChunks keeps while no cache holds it:
+// 32 MiB, eight times the most any benchmark job holds at once (Dis-SMO at
+// P = 4, 32 chunks). A chunk given back past the bound is dropped.
+const maxFreeChunks = 256
+
+// chunkList is a free list of chunks, not a sync.Pool: a collection does
+// not empty it. A sync.Pool drops whatever two collections find unused, so a
+// job that followed two collections took every chunk afresh, and how often
+// that happened turned on where collections fell, not on the job.
+type chunkList struct {
+	mu   sync.Mutex
+	free []*slabChunk
+}
+
+// Get returns the chunk given back last, or a new one.
+func (l *chunkList) Get() *slabChunk {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(slabChunk)
+	}
+	c := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return c
+}
+
+// Put gives c back, or drops it when the list holds maxFreeChunks.
+func (l *chunkList) Put(c *slabChunk) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < maxFreeChunks {
+		l.free = append(l.free, c)
+	}
+}
 
 // newLRUSlab sizes a slab for keys in [0, keys) holding at most capacity
 // rows of rowLen values. Row storage is taken as slots are acquired.
@@ -199,7 +235,7 @@ func takeChunk(n int) []float64 {
 	if n > slabChunkLen {
 		return make([]float64, n)
 	}
-	return slabChunks.Get().(*slabChunk)[:n]
+	return slabChunks.Get()[:n]
 }
 
 // release gives every chunk back (rowStore.release) and empties the slab,

@@ -127,10 +127,20 @@ func (a *Matrix) At(i, j int) float64 {
 // EnsureNorms computes and caches the squared norm of every row, the norms
 // every squared distance (SqDistOf) takes. It is idempotent.
 func (a *Matrix) EnsureNorms() {
+	if a.sqnorm == nil {
+		a.EnsureNormsInto(make([]float64, a.m))
+	}
+}
+
+// EnsureNormsInto is EnsureNorms into caller-owned storage: when a has no
+// norm cache, the norms go to norms[:a.Rows()], which becomes its cache, so
+// the caller must not reuse norms while a is in use. A matrix that holds its
+// cache keeps it.
+func (a *Matrix) EnsureNormsInto(norms []float64) {
 	if a.sqnorm != nil {
 		return
 	}
-	sq := make([]float64, a.m)
+	sq := norms[:a.m]
 	for i := 0; i < a.m; i++ {
 		if a.sparse {
 			_, vx := a.SparseRow(i)

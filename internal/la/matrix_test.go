@@ -335,6 +335,28 @@ func TestSubsetIntoMatchesSubset(t *testing.T) {
 	}
 }
 
+func TestEnsureNormsIntoMatchesEnsureNorms(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, a := range []*Matrix{randDense(rng, 9, 5), randSparse(rng, 9, 40, 0.2)} {
+		want, got := a.Subset([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}), a
+		want.EnsureNorms()
+		buf := make([]float64, 16)
+		got.EnsureNormsInto(buf)
+		if &got.sqnorm[0] != &buf[0] || len(got.sqnorm) != 9 {
+			t.Fatal("the norm cache is not in the given storage")
+		}
+		for i := range want.sqnorm {
+			if math.Float64bits(got.sqnorm[i]) != math.Float64bits(want.sqnorm[i]) {
+				t.Fatalf("row %d: norm %v, EnsureNorms' %v", i, got.sqnorm[i], want.sqnorm[i])
+			}
+		}
+		got.EnsureNormsInto(make([]float64, 9)) // a held cache stays
+		if &got.sqnorm[0] != &buf[0] {
+			t.Fatal("EnsureNormsInto replaced a held cache")
+		}
+	}
+}
+
 // withEmptyRows returns a CSR matrix like randSparse whose every third row
 // is empty.
 func withEmptyRows(rng *rand.Rand, m, n int, density float64) *Matrix {

@@ -146,9 +146,10 @@ type Batcher struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	// slab holds a coalesced flush's rows, reused from flush to flush. Only
-	// the loop goroutine touches it.
-	slab []float64
+	// slab holds a coalesced flush's rows and norms the squared norms of a
+	// flush's rows, both reused from flush to flush. Only the loop goroutine
+	// touches them.
+	slab, norms []float64
 }
 
 // newBatcher starts the coalescing loop for h. arriving is the count the
@@ -348,6 +349,10 @@ func (b *Batcher) flush(pending []*batchReq, total int) {
 		b.slab = rows
 	}
 	q := la.NewDense(liveQ, feats, rows)
+	if cap(b.norms) < liveQ {
+		b.norms = make([]float64, liveQ)
+	}
+	q.EnsureNormsInto(b.norms) // recomputed every flush: the cache routing would make
 	var labels, decs []float64
 	if wantDecisions {
 		labels, decs = set.EvalAll(q)

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -282,5 +283,51 @@ func TestSlowUploadHoldsNobody(t *testing.T) {
 	late.Body.Close()
 	if late.StatusCode != http.StatusOK {
 		t.Fatalf("slow client: status %d", late.StatusCode)
+	}
+}
+
+// TestWarmFlushAllocatesNoNorms: a warm flush takes its rows' norm cache
+// from the batcher's own buffer, so at 64 and at 256 queries it makes the
+// same number of allocations and its bytes grow by the labels alone, 8 a
+// query; a norm cache made per flush would add 8 more.
+func TestWarmFlushAllocatesNoNorms(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts under -race; the routed pass's scratch is remade")
+	}
+	// On one P the routed pass's pooled scratch is the one the last flush
+	// put back (see model's TestRoutedPassAllocatesNoRows).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	reg := NewRegistry()
+	h, _, err := reg.AddSet("m", testSet(11, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &Batcher{handle: h, cfg: BatcherConfig{}.Defaulted()} // flushed here, no loop
+	rng := rand.New(rand.NewSource(12))
+	var counts []float64
+	var bytes []uint64
+	for _, n := range []int{64, 256} {
+		r := &batchReq{rows: flatQueries(rng, n, 8), nq: n, width: 8, done: make(chan batchOut, 1)}
+		flush := func() {
+			b.flush([]*batchReq{r}, n)
+			if out := <-r.done; out.err != nil || len(out.labels) != n {
+				t.Fatalf("flush of %d: %d labels, %v", n, len(out.labels), out.err)
+			}
+		}
+		flush() // the norm buffer and the routed pass's scratch fill once
+		counts = append(counts, testing.AllocsPerRun(20, flush))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			flush()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = append(bytes, (after.TotalAlloc-before.TotalAlloc)/20)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("warm flush of 64 and 256 queries: %v allocations, want one count", counts)
+	}
+	if grow, labels := bytes[1]-bytes[0], uint64(8*(256-64)); grow > labels {
+		t.Errorf("warm flush bytes %d → %d from 64 to 256 queries: +%d, want ≤ %d (the labels)", bytes[0], bytes[1], grow, labels)
 	}
 }
