@@ -59,7 +59,8 @@ type Config struct {
 	OnJobDone func(*Job)
 
 	// Logf, when non-nil, receives one line per membership and job
-	// lifecycle event.
+	// lifecycle event. It is called with the coordinator's lock held, so it
+	// must not call back into the coordinator.
 	Logf func(format string, args ...any)
 }
 
@@ -187,9 +188,7 @@ func (c *Coordinator) Close() error {
 	// Wake running supervisors so their goroutines observe the shutdown
 	// instead of waiting on frames that will never arrive.
 	for _, j := range c.jobs {
-		if j.state == JobRunning {
-			j.remote.closeRun()
-		}
+		j.cond.Broadcast()
 	}
 	c.mu.Unlock()
 	err := c.reg.Close()
@@ -241,17 +240,7 @@ func (c *Coordinator) Submit(spec JobSpec) (*Job, error) {
 	if spec.ID != "" {
 		id = fmt.Sprintf("%s-%d", spec.ID, c.nextJob)
 	}
-	j := &Job{
-		c:       c,
-		id:      id,
-		spec:    spec,
-		params:  pr,
-		ds:      ds,
-		metrics: trace.NewRegistry(),
-		done:    make(chan struct{}),
-		state:   JobQueued,
-	}
-	j.remote = newRemoteRun(j, ds.X.Rows(), ds.Features())
+	j := newJob(c, id, spec, pr, ds)
 	c.jobs = append(c.jobs, j)
 	c.byID[id] = j
 	if spec.SubmitKey != "" {
@@ -303,7 +292,8 @@ func (c *Coordinator) onGone(w tcpmpi.WorkerInfo, expired bool) {
 		j.gang = removeID(j.gang, w.ID)
 		c.gBusy.Set(float64(len(c.owner)))
 		if j.state == JobRunning {
-			j.remote.workerLost(w.ID)
+			j.workerLost(w.ID)
+			j.cond.Broadcast()
 			c.logf("cluster: worker %d lost (expired=%v); re-ganging job %s", w.ID, expired, j.id)
 		}
 		return
@@ -332,7 +322,7 @@ func (c *Coordinator) schedule() {
 		}
 		// The supervisor decides whether the new workers widen a re-gang
 		// or backfill the next generation.
-		j.remote.kick()
+		j.cond.Broadcast()
 	}
 	c.gBusy.Set(float64(len(c.owner)))
 	for len(c.queue) > 0 && len(c.free) >= c.queue[0].spec.P {
@@ -384,7 +374,8 @@ func (c *Coordinator) finishJob(j *Job, res *JobResult) {
 	}
 	c.fleetDone = append(c.fleetDone, j)
 	if len(c.fleetDone) > fleetKeepJobs {
-		c.fleetDone[0].remote.dropTelemetry()
+		old := c.fleetDone[0]
+		old.spans, old.epochs = nil, fleet.Epochs{}
 		c.fleetDone = c.fleetDone[1:]
 	}
 	close(j.done)

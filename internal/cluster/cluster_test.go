@@ -356,3 +356,66 @@ func leaseEnded(l *tcpmpi.Lease) <-chan struct{} {
 	go func() { l.Recv(-1, 0); close(ch) }()
 	return ch
 }
+
+// TestCloseEndsRunningJobs: Close ends every job, whatever its supervisor is
+// waiting on — a respawn job that lost a worker with no spare to backfill it
+// waits for its gang, an RA-CA job whose executors are still solving waits
+// for its generation, and a third job is still queued — and returns within
+// closeBound. Every job's Done is closed and its error names the closed
+// coordinator.
+func TestCloseEndsRunningJobs(t *testing.T) {
+	const closeBound = 5 * time.Second
+	c, logged := newLoggedCoordinator(t, Config{})
+	// Four slow executors: two for each running job, none spare.
+	startExecutors(t, c, 4, 20*time.Millisecond)
+	waitFor(t, "four executors registered", func() bool { return len(c.Workers()) == 4 })
+
+	gangWait, err := c.Submit(remoteSpec("gang-wait", 2, 480, "respawn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genWait, err := c.Submit(remoteSpec("gen-wait", 2, 480, "shrink"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := c.Submit(remoteSpec("queued", 2, 480, "shrink"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := queued.State(); s != JobQueued {
+		t.Fatalf("third job %s, want queued", s)
+	}
+
+	waitFor(t, "the respawn job's generation dispatched", func() bool { return len(gangWait.Remote().Workers) == 2 })
+	if err := c.Revoke(gangWait.Gang()[1]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the respawn job waiting for its gang", func() bool {
+		return logged("job "+gangWait.ID()+" waiting for its gang") > 0
+	})
+	waitFor(t, "the RA-CA job's ranks mid-generation", func() bool {
+		p := genWait.Remote()
+		return len(p.CkptIters) == 2 && len(p.DoneRanks) == 0
+	})
+
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(closeBound):
+		t.Fatalf("Close did not return within %v", closeBound)
+	}
+	for _, j := range []*Job{gangWait, genWait, queued} {
+		select {
+		case <-j.Done():
+		default:
+			t.Fatalf("job %s not done after Close", j.ID())
+		}
+		if res := j.Result(); res == nil || !strings.Contains(res.Err, "coordinator closed") {
+			t.Errorf("job %s: result %+v, want an error naming the closed coordinator", j.ID(), res)
+		}
+	}
+}

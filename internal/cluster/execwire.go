@@ -316,7 +316,7 @@ func decodeExecCkpt(b []byte) (execRank, []byte, error) {
 
 // decodeExecRankDone returns the header, the timeline section and the
 // shard's sections (none from a rank without a model), all still encoded: the
-// owning job decodes them (decodeExecSpans, remoteRun.decodeShard).
+// owning job decodes them (decodeExecSpans, Job.decodeShard).
 func decodeExecRankDone(b []byte) (execRank, []byte, [][]byte, error) {
 	if len(b) > maxExecModelBytes {
 		return execRank{}, nil, nil, fmt.Errorf("cluster: rank-done frame of %d bytes out of range", len(b))

@@ -350,8 +350,11 @@ func TestMergedTraceOneGeneration(t *testing.T) {
 // not advance the rank's iteration count (a stale generation's, or a Final
 // one at the count of the last) ends no epoch.
 func TestResumedRankEpochIndex(t *testing.T) {
-	spec := JobSpec{Method: string(core.MethodRACA), P: 2, CheckpointEvery: 64}
-	rr := newRemoteRun(&Job{spec: spec, params: core.Params{Recovery: core.Recovery{CheckpointEvery: 64}}}, 0, 0)
+	spec := remoteSpec("epochs", 2, 40, "shrink")
+	spec.CheckpointEvery = 64
+	j := testJob(t, spec)
+	j.c.mu.Lock()
+	defer j.c.mu.Unlock()
 	for _, d := range []struct {
 		gen, rank, iters int
 		epoch            int
@@ -367,7 +370,7 @@ func TestResumedRankEpochIndex(t *testing.T) {
 		{2, 1, 200, 3, true},  // a Final deposit past it ends a short epoch
 		{1, 1, 130, 0, false}, // a stale deposit behind the resume point
 	} {
-		epoch, ended := rr.onCkpt(execRank{Gen: d.gen, Rank: d.rank, Iters: d.iters}, nil)
+		epoch, ended := j.onCkpt(execRank{Gen: d.gen, Rank: d.rank, Iters: d.iters}, nil)
 		if ended != d.ended || (ended && epoch != d.epoch) {
 			t.Errorf("gen %d rank %d deposit at %d: epoch %d ended=%v, want %d ended=%v",
 				d.gen, d.rank, d.iters, epoch, ended, d.epoch, d.ended)
@@ -422,9 +425,9 @@ func TestFleetStateBoundedAcrossJobs(t *testing.T) {
 
 // hasTrace reports whether the job holds shipped spans, without merging.
 func hasTrace(j *Job) bool {
-	j.remote.mu.Lock()
-	defer j.remote.mu.Unlock()
-	return len(j.remote.spans) > 0
+	j.c.mu.Lock()
+	defer j.c.mu.Unlock()
+	return len(j.spans) > 0
 }
 
 // TestConcurrentTracesShareWorkers: two mesh jobs run one after the other on

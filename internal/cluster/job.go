@@ -8,6 +8,7 @@ import (
 	"casvm/internal/core"
 	"casvm/internal/data"
 	"casvm/internal/kernel"
+	"casvm/internal/telemetry/fleet"
 	"casvm/internal/trace"
 )
 
@@ -232,8 +233,11 @@ type JobResult struct {
 	Err string `json:"error,omitempty"`
 }
 
-// Job is one supervised training run inside a coordinator. All mutable
-// state is guarded by the owning coordinator's lock; accessors take it.
+// Job is one supervised training run inside a coordinator: its lifecycle,
+// its gang, its generations and its ranks' telemetry. All mutable state is
+// guarded by the owning coordinator's lock, and every change to it
+// broadcasts cond; the accessors take the lock, and the unexported methods
+// that read or change that state are called with it held.
 type Job struct {
 	c    *Coordinator
 	id   string
@@ -241,17 +245,61 @@ type Job struct {
 
 	// params and ds are the spec resolved once at Submit; the job
 	// goroutine reads them and finishJob drops the dataset.
-	params core.Params
-	ds     *data.Dataset
+	params         core.Params
+	ds             *data.Dataset
+	rows, features int  // of the job's dataset: what a returned shard is held to
+	mesh           bool // a communicating method: each generation is a tcpmpi mesh
 
-	remote  *remoteRun      // the generations' state and the ranks' telemetry; own lock
 	metrics *trace.Registry // per-job namespace: recoveries, grows, straggler verdicts
 	done    chan struct{}
+	cond    *sync.Cond // on c.mu: wakes the supervisor
 
 	// guarded by c.mu
 	state  JobState
 	gang   []int // live worker ids assigned to this job
 	result *JobResult
+	fatal  string
+
+	gen        int
+	genActive  bool
+	genBase    float64
+	genWorkers []int         // assignment order of the active generation
+	assign     map[int][]int // worker id -> assigned shard ranks (active gen)
+	lost       bool          // an active-generation worker died
+	width      int           // ranks the model is built from: Spec.P, or the mesh generation's width
+
+	ckptBlob    map[int][]byte
+	ckptIters   map[int]int
+	doneRank    map[int]*core.ShardResult
+	msgs, bytes int64 // summed over doneRank's headers
+
+	spans  map[int]fleet.Rank // doneRank's shipped timelines, those not empty
+	epochs fleet.Epochs       // the ranks' epoch seconds and the verdicts raised
+
+	base       float64 // virtual-time origin of the next generation
+	maxVirt    float64 // highest α–β virtual time any rank reached
+	recoveries int
+	grows      int
+	joined     int
+	lostRanks  []int
+}
+
+func newJob(c *Coordinator, id string, spec JobSpec, pr core.Params, ds *data.Dataset) *Job {
+	return &Job{
+		c: c, id: id, spec: spec, params: pr, ds: ds,
+		rows: ds.X.Rows(), features: ds.Features(),
+		mesh:    spec.Method != string(core.MethodRACA),
+		metrics: trace.NewRegistry(),
+		done:    make(chan struct{}),
+		cond:    sync.NewCond(&c.mu),
+		state:   JobQueued,
+		width:   spec.P,
+
+		ckptBlob:  map[int][]byte{},
+		ckptIters: map[int]int{},
+		doneRank:  map[int]*core.ShardResult{},
+		spans:     map[int]fleet.Rank{},
+	}
 }
 
 // ID returns the coordinator-assigned unique job id.

@@ -29,17 +29,24 @@
 // reached (observed via checkpoint and rank-done frames) plus the modeled
 // relaunch penalty, so TotalSec carries the cost of lost work instead of
 // hiding it.
+//
+// A job's generations live on its Job under the coordinator's one lock,
+// c.mu: the supervising goroutine, the membership callbacks and the exec
+// frames all read and change them there, and every change wakes the
+// supervisor through the job's cond. What can block on a peer or grows with
+// a payload — a send, a frame's model and timeline decodes, the trace merge,
+// the model's assembly and scoring — runs outside the lock.
 package cluster
 
 import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"math"
 	"net"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"casvm/internal/core"
@@ -60,123 +67,36 @@ const (
 	genClosed                   // the coordinator is shutting down
 )
 
-// remoteRun is the mutable state of one job's generations, shared between
-// the job's supervising goroutine and the registrar callbacks (frames, lease
-// expiries, scheduler attaches). Guarded by its own mutex; the lock order
-// is c.mu before rr.mu, never the reverse.
-type remoteRun struct {
-	j              *Job
-	rows, features int  // of the job's dataset: what a returned shard is held to
-	mesh           bool // a communicating method: each generation is a tcpmpi mesh
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	// events counts membership/frame wakeups so waiters snapshotting
-	// coordinator state outside rr.mu never miss one.
-	events int
-
-	closed bool
-	fatal  string
-
-	gen        int
-	genActive  bool
-	genBase    float64
-	genWorkers []int         // assignment order of the active generation
-	assign     map[int][]int // worker id -> assigned shard ranks (active gen)
-	lost       bool          // an active-generation worker died
-	width      int           // ranks the model is built from: Spec.P, or the mesh generation's width
-
-	ckptBlob    map[int][]byte
-	ckptIters   map[int]int
-	doneRank    map[int]*core.ShardResult
-	msgs, bytes int64 // summed over doneRank's headers
-
-	spans  map[int]fleet.Rank // doneRank's shipped timelines, those not empty
-	epochs fleet.Epochs       // the ranks' epoch seconds and the verdicts raised
-
-	base       float64 // virtual-time origin of the next generation
-	maxVirt    float64 // highest α–β virtual time any rank reached
-	recoveries int
-	grows      int
-	joined     int
-	lostRanks  []int
-}
-
-func newRemoteRun(j *Job, rows, features int) *remoteRun {
-	rr := &remoteRun{
-		j:         j,
-		rows:      rows,
-		features:  features,
-		mesh:      j.spec.Method != string(core.MethodRACA),
-		width:     j.spec.P,
-		ckptBlob:  map[int][]byte{},
-		ckptIters: map[int]int{},
-		doneRank:  map[int]*core.ShardResult{},
-		spans:     map[int]fleet.Rank{},
-	}
-	rr.cond = sync.NewCond(&rr.mu)
-	return rr
-}
-
-// dropTelemetry forgets the job's timelines and epoch table: the job has
-// left the coordinator's retention window.
-func (rr *remoteRun) dropTelemetry() {
-	rr.mu.Lock()
-	rr.spans, rr.epochs = map[int]fleet.Rank{}, fleet.Epochs{}
-	rr.mu.Unlock()
-}
-
-// update applies f to the run's state under its lock, counts the event and
-// wakes every waiter. Callers may hold c.mu; update only takes rr.mu.
-func (rr *remoteRun) update(f func()) {
-	rr.mu.Lock()
-	f()
-	rr.events++
-	rr.mu.Unlock()
-	rr.cond.Broadcast()
-}
-
-// kick wakes every waiter after external state (gang membership) changed.
-func (rr *remoteRun) kick() { rr.update(func() {}) }
-
-// closeRun unblocks the supervising goroutine for coordinator shutdown.
-func (rr *remoteRun) closeRun() { rr.update(func() { rr.closed = true }) }
-
 // workerLost records a generation member's death: its pending ranks go on
-// the lost ledger and the supervisor is woken to abort and re-gang. Called
-// under c.mu from onGone.
-func (rr *remoteRun) workerLost(id int) {
-	rr.update(func() {
-		ranks, ok := rr.assign[id]
-		if !rr.genActive || !ok {
-			return
+// the lost ledger, and the woken supervisor aborts and re-gangs.
+func (j *Job) workerLost(id int) {
+	ranks, ok := j.assign[id]
+	if !j.genActive || !ok {
+		return
+	}
+	j.lost = true
+	for _, r := range ranks {
+		if j.doneRank[r] == nil {
+			j.lostRanks = append(j.lostRanks, r)
 		}
-		rr.lost = true
-		for _, r := range ranks {
-			if rr.doneRank[r] == nil {
-				rr.lostRanks = append(rr.lostRanks, r)
-			}
-		}
-	})
+	}
 }
 
-// portFrom wakes the supervisor for a worker's fresh mesh port. From a
-// member of the active mesh generation whose rank has not reported, it means
-// that rank's run ended without a result — a peer failed, or the mesh never
-// came up — so the generation is lost.
-func (rr *remoteRun) portFrom(id int) {
-	rr.update(func() {
-		if ranks, ok := rr.assign[id]; ok && rr.mesh && rr.genActive && rr.doneRank[ranks[0]] == nil {
-			rr.lost = true
-		}
-	})
+// portFrom notes a worker's fresh mesh port. From a member of the active
+// mesh generation whose rank has not reported, it means that rank's run
+// ended without a result — a peer failed, or the mesh never came up — so
+// the generation is lost.
+func (j *Job) portFrom(id int) {
+	if ranks, ok := j.assign[id]; ok && j.mesh && j.genActive && j.doneRank[ranks[0]] == nil {
+		j.lost = true
+	}
 }
 
 // pendingRanks lists ranks without a reported result, sorted.
-func (rr *remoteRun) pendingRanksLocked() []int {
+func (j *Job) pendingRanks() []int {
 	var out []int
-	for r := 0; r < rr.width; r++ {
-		if rr.doneRank[r] == nil {
+	for r := 0; r < j.width; r++ {
+		if j.doneRank[r] == nil {
 			out = append(out, r)
 		}
 	}
@@ -190,41 +110,42 @@ func (rr *remoteRun) pendingRanksLocked() []int {
 // 1 at the cadence the coordinator dispatched, the same for a rank resumed in
 // a later generation as for one that never stopped. A Final deposit at the
 // count of the last one ends no epoch.
-func (rr *remoteRun) onCkpt(m execRank, blob []byte) (epoch int, ended bool) {
-	rr.update(func() {
-		if m.Rank < rr.width && rr.doneRank[m.Rank] == nil && m.Iters >= rr.ckptIters[m.Rank] {
-			every := rr.j.params.Recovery.Cadence()
-			epoch, ended = (m.Iters+every-1)/every-1, m.Iters > rr.ckptIters[m.Rank]
-			rr.ckptBlob[m.Rank] = blob
-			rr.ckptIters[m.Rank] = m.Iters
-			rr.maxVirt = math.Max(rr.maxVirt, rr.genBase+m.VirtSec)
-		}
-	})
+func (j *Job) onCkpt(m execRank, blob []byte) (epoch int, ended bool) {
+	if m.Rank >= j.width || j.doneRank[m.Rank] != nil || m.Iters < j.ckptIters[m.Rank] {
+		return 0, false
+	}
+	every := j.params.Recovery.Cadence()
+	epoch, ended = (m.Iters+every-1)/every-1, m.Iters > j.ckptIters[m.Rank]
+	j.ckptBlob[m.Rank] = blob
+	j.ckptIters[m.Rank] = m.Iters
+	j.maxVirt = math.Max(j.maxVirt, j.genBase+m.VirtSec)
 	return epoch, ended
 }
 
-// decodeShard turns a rank-done frame's sections into a shard result. A rank
-// holds a model exactly when the method trains one per rank, or it is rank 0;
-// the model must decode under the job's kernel at the dataset's width and
-// cannot have more support vectors than the dataset has rows.
-func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, error) {
-	method := rr.j.params.Method
+// decodeShard turns a rank-done frame's sections into a shard result, for a
+// job whose ranks number width. A rank holds a model exactly when the method
+// trains one per rank, or it is rank 0; the model must decode under the
+// job's kernel at the dataset's width and cannot have more support vectors
+// than the dataset has rows. It reads only what never changes, so it runs
+// without c.mu.
+func (j *Job) decodeShard(h execRank, secs [][]byte, width int) (*core.ShardResult, error) {
+	method := j.params.Method
 	if want := h.Rank == 0 || method.IndependentModels(); want != (len(secs) > 0) {
 		return nil, fmt.Errorf("cluster: rank %d of a %s job sent %d model sections", h.Rank, method, len(secs))
 	}
-	if len(h.Layers) > core.TreeLayers(rr.width) {
-		return nil, fmt.Errorf("cluster: rank %d reports %d tree layers at p=%d", h.Rank, len(h.Layers), rr.width)
+	if len(h.Layers) > core.TreeLayers(width) {
+		return nil, fmt.Errorf("cluster: rank %d reports %d tree layers at p=%d", h.Rank, len(h.Layers), width)
 	}
 	sh := &core.ShardResult{Iters: h.Iters, LayerIters: h.Layers}
 	if len(secs) == 0 {
 		return sh, nil
 	}
-	m, center, err := model.DecodeShard(secs, rr.j.params.Kernel, rr.features)
+	m, center, err := model.DecodeShard(secs, j.params.Kernel, j.features)
 	if err != nil {
 		return nil, err
 	}
-	if m.NSV() > rr.rows {
-		return nil, fmt.Errorf("cluster: shard of %d support vectors from a dataset of %d rows", m.NSV(), rr.rows)
+	if m.NSV() > j.rows {
+		return nil, fmt.Errorf("cluster: shard of %d support vectors from a dataset of %d rows", m.NSV(), j.rows)
 	}
 	sh.Model, sh.Center = m, center
 	return sh, nil
@@ -235,34 +156,28 @@ func (rr *remoteRun) decodeShard(h execRank, secs [][]byte) (*core.ShardResult, 
 // ignored — shard solves are deterministic, so the first result is as good
 // as any; a mesh rank counts only from the active generation, whose width it
 // was run at.
-func (rr *remoteRun) onRankDone(m execRank, sh *core.ShardResult, sp execSpans) {
-	rr.update(func() {
-		if rr.mesh && (!rr.genActive || m.Gen != rr.gen) {
-			return
-		}
-		if m.Rank < rr.width && rr.doneRank[m.Rank] == nil {
-			if len(sp.Events)+len(sp.Edges) > 0 {
-				rr.spans[m.Rank] = fleet.Rank(sp)
-				rr.j.c.cFleetEvents.Add(int64(len(sp.Events)))
-				rr.j.c.cFleetEdges.Add(int64(len(sp.Edges)))
-			}
-			rr.doneRank[m.Rank] = sh
-			rr.msgs += m.Msgs
-			rr.bytes += m.Bytes
-			delete(rr.ckptBlob, m.Rank)
-			rr.maxVirt = math.Max(rr.maxVirt, rr.genBase+m.VirtSec)
-		}
-	})
+func (j *Job) onRankDone(m execRank, sh *core.ShardResult, sp execSpans) {
+	if (j.mesh && (!j.genActive || m.Gen != j.gen)) || m.Rank >= j.width || j.doneRank[m.Rank] != nil {
+		return
+	}
+	if len(sp.Events)+len(sp.Edges) > 0 {
+		j.spans[m.Rank] = fleet.Rank(sp)
+		j.c.cFleetEvents.Add(int64(len(sp.Events)))
+		j.c.cFleetEdges.Add(int64(len(sp.Edges)))
+	}
+	j.doneRank[m.Rank] = sh
+	j.msgs += m.Msgs
+	j.bytes += m.Bytes
+	delete(j.ckptBlob, m.Rank)
+	j.maxVirt = math.Max(j.maxVirt, j.genBase+m.VirtSec)
 }
 
 // onFail records a worker-reported solve failure, which fails the job: a
 // spec or solver error repeats on any gang.
-func (rr *remoteRun) onFail(m execFail) {
-	rr.update(func() {
-		if rr.genActive && m.Gen == rr.gen {
-			rr.fatal = fmt.Sprintf("rank %d: %s", m.Rank, m.Err)
-		}
-	})
+func (j *Job) onFail(m execFail) {
+	if j.genActive && m.Gen == j.gen {
+		j.fatal = fmt.Sprintf("rank %d: %s", m.Rank, m.Err)
+	}
 }
 
 // RemoteProgress is a snapshot of a job's execution state, for status
@@ -278,20 +193,19 @@ type RemoteProgress struct {
 
 // Remote reports the job's live execution progress on its workers.
 func (j *Job) Remote() *RemoteProgress {
-	rr := j.remote
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
+	j.c.mu.Lock()
+	defer j.c.mu.Unlock()
 	p := &RemoteProgress{
-		Generation: rr.gen,
-		Workers:    append([]int(nil), rr.genWorkers...),
+		Generation: j.gen,
+		Workers:    append([]int(nil), j.genWorkers...),
 		CkptIters:  map[int]int{},
-		Recoveries: rr.recoveries,
-		Grows:      rr.grows,
+		Recoveries: j.recoveries,
+		Grows:      j.grows,
 	}
-	for r, it := range rr.ckptIters {
+	for r, it := range j.ckptIters {
 		p.CkptIters[r] = it
 	}
-	for r := range rr.doneRank {
+	for r := range j.doneRank {
 		p.DoneRanks = append(p.DoneRanks, r)
 	}
 	sort.Ints(p.DoneRanks)
@@ -306,14 +220,13 @@ func (j *Job) Remote() *RemoteProgress {
 // that has left the retention window, has no timeline: the error wraps
 // fs.ErrNotExist.
 func (j *Job) Timeline() (*trace.Timeline, error) {
-	rr := j.remote
-	rr.mu.Lock()
-	ranks := make([]fleet.Rank, rr.width)
-	for r, sp := range rr.spans {
+	j.c.mu.Lock()
+	ranks := make([]fleet.Rank, j.width)
+	for r, sp := range j.spans {
 		ranks[r] = sp
 	}
-	shipped := len(rr.spans)
-	rr.mu.Unlock()
+	shipped := len(j.spans)
+	j.c.mu.Unlock()
 	if shipped == 0 {
 		return nil, fmt.Errorf("cluster: job %s holds no trace: %w", j.id, fs.ErrNotExist)
 	}
@@ -341,19 +254,17 @@ func (j *Job) WriteTrace(w io.Writer) error {
 	return tl.WriteChromeTrace(w)
 }
 
-// execFrame routes an executor control frame into the owning job's
-// runtime, or records a worker's mesh port; the error is a frame refused.
-// Frames from leases the job does not own are dropped — a departed worker's
-// late frames carry no authority, and neither does the telemetry they carry.
+// execFrame routes an executor control frame into the owning job, or records
+// a worker's mesh port; the error is a frame refused. Frames from leases the
+// job does not own are dropped — a departed worker's late frames carry no
+// authority, and neither does the telemetry they carry. Each frame a job
+// takes wakes its supervisor.
 func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) error {
-	ident := func(job string) *remoteRun {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		j := c.byID[job]
-		if j == nil || c.owner[w.ID] != j {
-			return nil
+	owned := func(job string) *Job { // with c.mu held
+		if j := c.byID[job]; j != nil && c.owner[w.ID] == j {
+			return j
 		}
-		return j.remote
+		return nil
 	}
 	switch tag {
 	case tagExecCkpt:
@@ -361,10 +272,13 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 		if err != nil {
 			return err
 		}
-		if rr := ident(m.Job); rr != nil {
-			if epoch, ended := rr.onCkpt(m, blob); ended {
-				c.observeEpoch(rr, m.Rank, epoch, m.EpochSec)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if j := owned(m.Job); j != nil {
+			if epoch, ended := j.onCkpt(m, blob); ended {
+				c.observeEpoch(j, m.Rank, epoch, m.EpochSec)
 			}
+			j.cond.Broadcast()
 		}
 	case tagExecRankDone:
 		m, spans, secs, err := decodeExecRankDone(payload)
@@ -372,27 +286,42 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 			return err
 		}
 		// Ownership first: only a lease the named job actually holds gets
-		// to spend coordinator cycles decoding a model or a timeline.
-		if rr := ident(m.Job); rr != nil {
-			sh, err := rr.decodeShard(m, secs)
-			if err != nil {
-				return fmt.Errorf("rank-done shard rejected: %w", err)
-			}
-			sp, err := decodeExecSpans(m, spans)
-			if err != nil {
-				return err
-			}
-			rr.onRankDone(m, sh, sp)
+		// to spend coordinator cycles decoding a model or a timeline, which
+		// it does outside the lock.
+		c.mu.Lock()
+		j := owned(m.Job)
+		width := 0
+		if j != nil {
+			width = j.width
 		}
+		c.mu.Unlock()
+		if j == nil {
+			return nil
+		}
+		sh, err := j.decodeShard(m, secs, width)
+		if err != nil {
+			return fmt.Errorf("rank-done shard rejected: %w", err)
+		}
+		sp, err := decodeExecSpans(m, spans)
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		j.onRankDone(m, sh, sp)
+		j.cond.Broadcast()
 	case tagExecFail:
 		m, err := decodeExecFail(payload)
 		if err != nil {
 			return err
 		}
-		if rr := ident(m.Job); rr != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if j := owned(m.Job); j != nil {
 			c.logf("cluster: job %s gen %d rank %d failed on lease %d: %s",
 				m.Job, m.Gen, m.Rank, w.ID, m.Err)
-			rr.onFail(m)
+			j.onFail(m)
+			j.cond.Broadcast()
 		}
 	case tagExecPort:
 		m, err := decodeExecPort(payload)
@@ -412,7 +341,8 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 		}
 		c.ports[w.ID] = net.JoinHostPort(host, strconv.Itoa(m.Port))
 		if j := c.owner[w.ID]; j != nil {
-			j.remote.portFrom(w.ID)
+			j.portFrom(w.ID)
+			j.cond.Broadcast()
 		}
 	}
 	return nil
@@ -420,13 +350,9 @@ func (c *Coordinator) execFrame(w tcpmpi.WorkerInfo, tag int, payload []byte) er
 
 // observeEpoch enters one rank's epoch in the job's epoch table and puts
 // each verdict it raises on the straggler feed, counted in the coordinator's
-// registry and the job's.
-func (c *Coordinator) observeEpoch(rr *remoteRun, rank, epoch int, sec float64) {
-	j := rr.j
-	rr.mu.Lock()
-	verdicts := rr.epochs.Observe(j.id, rank, epoch, sec)
-	rr.mu.Unlock()
-	for _, e := range verdicts {
+// registry and the job's. Called with c.mu held.
+func (c *Coordinator) observeEpoch(j *Job, rank, epoch int, sec float64) {
+	for _, e := range j.epochs.Observe(j.id, rank, epoch, sec) {
 		c.stragglers.Record(e)
 		c.cStragglers.Inc()
 		c.gStragglerFactor.Set(e.Factor)
@@ -440,41 +366,26 @@ func (c *Coordinator) observeEpoch(rr *remoteRun, rank, epoch int, sec float64) 
 // respawn insists on the full requested width before (re)launching, shrink
 // proceeds with any survivor, and either policy picks up spares the
 // scheduler attached; a mesh job also needs a fresh port from every gang
-// worker — or the coordinator closes.
+// worker — or the coordinator closes. Called with c.mu held.
 func (c *Coordinator) awaitRemoteGang(j *Job) ([]int, error) {
-	rr := j.remote
 	need := 1
 	if j.spec.policy() == core.RecoverRespawn {
 		need = j.spec.P
 	}
-	for {
-		rr.mu.Lock()
-		seen := rr.events
-		closed := rr.closed
-		rr.mu.Unlock()
-		c.mu.Lock()
-		gang := append([]int(nil), j.gang...)
-		closed = closed || c.closed
+	for !c.closed {
 		ready := 0 // a mesh member is ready once it has a fresh port
-		for _, id := range gang {
-			if _, ok := c.ports[id]; ok || !rr.mesh {
+		for _, id := range j.gang {
+			if _, ok := c.ports[id]; ok || !j.mesh {
 				ready++
 			}
 		}
-		c.mu.Unlock()
-		if closed {
-			return nil, fmt.Errorf("cluster: coordinator closed while job %s awaited a gang", j.id)
+		if len(j.gang) >= need && ready == len(j.gang) {
+			return append([]int(nil), j.gang...), nil
 		}
-		if len(gang) >= need && ready == len(gang) {
-			return gang, nil
-		}
-		c.logf("cluster: job %s waiting for its gang: %d worker(s) needed, %d attached, %d ready", j.id, need, len(gang), ready)
-		rr.mu.Lock()
-		for rr.events == seen && !rr.closed {
-			rr.cond.Wait()
-		}
-		rr.mu.Unlock()
+		c.logf("cluster: job %s waiting for its gang: %d worker(s) needed, %d attached, %d ready", j.id, need, len(j.gang), ready)
+		j.cond.Wait()
 	}
+	return nil, fmt.Errorf("cluster: coordinator closed while job %s awaited a gang", j.id)
 }
 
 // beginGeneration opens generation state for the given gang and assigns
@@ -487,39 +398,36 @@ func (c *Coordinator) awaitRemoteGang(j *Job) ([]int, error) {
 // attached post-shrink) has nothing to execute, and a start frame that
 // assigns no ranks is one the executor's decoder rejects. The returned gang
 // is the truncated one the generation actually runs on; extra workers stay
-// attached to the job and join the next generation that needs them.
-func (rr *remoteRun) beginGeneration(gang []int) (gen int, genGang []int, assign map[int][]int, pending []int) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	rr.gen++
-	rr.genActive = true
-	rr.genBase = rr.base
-	if rr.mesh {
-		rr.width = len(gang)
-		rr.doneRank = map[int]*core.ShardResult{}
-		rr.spans = map[int]fleet.Rank{}
-		rr.msgs, rr.bytes = 0, 0
+// attached to the job and join the next generation that needs them. The
+// assignment is never changed once returned, so it is read without c.mu.
+func (j *Job) beginGeneration(gang []int) (gen int, genGang []int, assign map[int][]int, pending []int) {
+	j.gen++
+	j.genActive = true
+	j.genBase = j.base
+	if j.mesh {
+		j.width = len(gang)
+		j.doneRank = map[int]*core.ShardResult{}
+		j.spans = map[int]fleet.Rank{}
+		j.msgs, j.bytes = 0, 0
 	}
-	pending = rr.pendingRanksLocked()
+	pending = j.pendingRanks()
 	if len(pending) > 0 && len(gang) > len(pending) {
 		gang = gang[:len(pending)]
 	}
-	rr.genWorkers = append([]int(nil), gang...)
-	rr.assign = map[int][]int{}
-	rr.lost = false
+	j.genWorkers = append([]int(nil), gang...)
+	j.assign = map[int][]int{}
+	j.lost = false
 	for i, r := range pending {
 		id := gang[i%len(gang)]
-		rr.assign[id] = append(rr.assign[id], r)
+		j.assign[id] = append(j.assign[id], r)
 	}
-	return rr.gen, rr.genWorkers, rr.assign, pending
+	return j.gen, j.genWorkers, j.assign, pending
 }
 
 // endGeneration closes the active generation's bookkeeping.
-func (rr *remoteRun) endGeneration() {
-	rr.mu.Lock()
-	rr.genActive = false
-	rr.assign = map[int][]int{}
-	rr.mu.Unlock()
+func (j *Job) endGeneration() {
+	j.genActive = false
+	j.assign = map[int][]int{}
 }
 
 // errRegang signals a dispatch that could not complete because membership
@@ -551,12 +459,12 @@ func meshReachable(mesh []string) error {
 // is sent its frame even when one send fails, so each mesh member whose port
 // was consumed ends its run and announces a new one. A peer table that
 // meshReachable refuses is an error other than errRegang, and sends nothing.
-func (c *Coordinator) dispatchGeneration(j *Job, gang []int, gen int, every int) error {
-	rr := j.remote
+// The frames are encoded and sent without c.mu.
+func (c *Coordinator) dispatchGeneration(j *Job, gang []int, gen int, assign map[int][]int, every int) error {
 	spec, resume := j.spec, map[int][]byte(nil)
 	var mesh []string
-	if rr.mesh {
-		c.mu.Lock()
+	c.mu.Lock()
+	if j.mesh {
 		for _, id := range gang {
 			if addr, ok := c.ports[id]; ok {
 				mesh = append(mesh, addr)
@@ -573,23 +481,17 @@ func (c *Coordinator) dispatchGeneration(j *Job, gang []int, gen int, every int)
 		for _, id := range gang {
 			delete(c.ports, id)
 		}
-		c.mu.Unlock()
 		spec.P = len(gang)
+	} else {
+		resume = maps.Clone(j.ckptBlob) // a stored blob is never written again
 	}
-	rr.mu.Lock()
-	if !rr.mesh {
-		resume = rr.ckptBlob
-	}
-	starts := make([][]byte, len(gang))
-	for i, id := range gang {
-		starts[i] = encodeExecStart(execStart{
-			Job: j.id, Gen: gen, Spec: spec, Ranks: rr.assign[id], CheckpointEvery: every, Mesh: mesh,
-		}, resume)
-	}
-	rr.mu.Unlock()
+	c.mu.Unlock()
 	var err error
-	for i, id := range gang {
-		if serr := c.reg.Send(id, tagExecStart, starts[i]); serr != nil {
+	for _, id := range gang {
+		start := encodeExecStart(execStart{
+			Job: j.id, Gen: gen, Spec: spec, Ranks: assign[id], CheckpointEvery: every, Mesh: mesh,
+		}, resume)
+		if serr := c.reg.Send(id, tagExecStart, start); serr != nil {
 			c.logf("cluster: job %s gen %d: start to worker %d: %v", j.id, gen, id, serr)
 			err = errRegang
 		}
@@ -600,49 +502,26 @@ func (c *Coordinator) dispatchGeneration(j *Job, gang []int, gen int, every int)
 // awaitGeneration blocks until the active generation resolves and reports
 // how. A gang that outgrew the generation only forces a re-spread when a
 // worker is carrying more than one pending rank — otherwise the spare
-// waits for the next membership event.
+// waits for the next membership event. Called with c.mu held.
 func (c *Coordinator) awaitGeneration(j *Job) genOutcome {
-	rr := j.remote
 	for {
-		rr.mu.Lock()
-		seen := rr.events
+		pending, width := len(j.pendingRanks()), len(j.genWorkers)
 		switch {
-		case rr.fatal != "":
-			rr.mu.Unlock()
+		case j.fatal != "":
 			return genFatal
-		case rr.closed:
-			rr.mu.Unlock()
+		case c.closed:
 			return genClosed
 		// Done outranks lost: a worker dying after its final rank-done
 		// frame already delivered everything; re-ganging would price a
 		// recovery nothing needs.
-		case len(rr.pendingRanksLocked()) == 0:
-			rr.mu.Unlock()
+		case pending == 0:
 			return genDone
-		case rr.lost:
-			rr.mu.Unlock()
+		case j.lost:
 			return genLost
-		}
-		pending := len(rr.pendingRanksLocked())
-		width := len(rr.genWorkers)
-		rr.mu.Unlock()
-
-		c.mu.Lock()
-		gangNow := len(j.gang)
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return genClosed
-		}
-		if gangNow > width && pending > width {
+		case len(j.gang) > width && pending > width:
 			return genGrew
 		}
-
-		rr.mu.Lock()
-		for rr.events == seen && !rr.closed {
-			rr.cond.Wait()
-		}
-		rr.mu.Unlock()
+		j.cond.Wait()
 	}
 }
 
@@ -664,31 +543,25 @@ func (c *Coordinator) abortGeneration(j *Job, gen int, reason string) {
 // generation — the highest virtual time any rank reached plus the modeled
 // relaunch penalty — mirroring the in-process supervisor's failClock +
 // penalty accounting.
-func (rr *remoteRun) priceRegang() {
-	rr.mu.Lock()
-	base := rr.base
-	if rr.maxVirt > base {
-		base = rr.maxVirt
-	}
-	rr.base = base + core.RestartPenaltySec
-	rr.mu.Unlock()
+func (j *Job) priceRegang() {
+	j.base = math.Max(j.base, j.maxVirt) + core.RestartPenaltySec
 }
 
 // runRemoteJob supervises one job end to end on the goroutine schedule
 // spawns: gang → start → stream → (re-gang)* → assemble, then publishes
-// through finishJob.
+// through finishJob. It holds c.mu except while it sends frames and while it
+// assembles and scores the model.
 func (c *Coordinator) runRemoteJob(j *Job) {
 	defer c.wg.Done()
-	rr := j.remote
 	res := &JobResult{ID: j.id, Method: j.spec.Method, Dataset: datasetName(j.spec), P: j.spec.P}
 	start := time.Now()
 	ds := j.ds
-	rec := j.params.Recovery
-	every := rec.Cadence()
+	every := j.params.Recovery.Cadence()
 
 	fail := func(format string, args ...any) {
 		res.Err = fmt.Sprintf(format, args...)
 	}
+	c.mu.Lock()
 supervise:
 	for {
 		gang, err := c.awaitRemoteGang(j)
@@ -696,50 +569,44 @@ supervise:
 			fail("%v", err)
 			break
 		}
-		gen, genGang, assign, pending := rr.beginGeneration(gang)
+		gen, genGang, assign, pending := j.beginGeneration(gang)
 		if len(pending) == 0 {
-			rr.endGeneration()
+			j.endGeneration()
 			break // every shard already delivered by an earlier generation
 		}
 		c.met.Counter("cluster_remote_generations_total",
 			"remote-execution generations dispatched (first launches and re-gangs)").Inc()
 		c.logf("cluster: job %s gen %d on workers %v (pending ranks %v, assignment %v)",
 			j.id, gen, genGang, pending, assign)
+		c.mu.Unlock()
+		err = c.dispatchGeneration(j, genGang, gen, assign, every)
+		c.mu.Lock()
 		outcome := genLost
-		switch err := c.dispatchGeneration(j, genGang, gen, every); {
-		case err == nil:
+		if err == nil {
 			outcome = c.awaitGeneration(j)
-		case err != errRegang: // the gang's peers cannot reach each other
-			rr.endGeneration()
-			fail("%v", err)
-			break supervise
 		}
-		rr.endGeneration()
+		j.endGeneration()
+		if err != nil && err != errRegang { // the gang's peers cannot reach each other
+			fail("%v", err)
+			break
+		}
 		switch outcome {
 		case genDone:
 			break supervise
 		case genFatal:
-			rr.mu.Lock()
-			msg := rr.fatal
-			rr.mu.Unlock()
-			fail("cluster: job %s failed remotely: %s", j.id, msg)
+			fail("cluster: job %s failed remotely: %s", j.id, j.fatal)
 			break supervise
 		case genClosed:
 			fail("cluster: coordinator closed while job %s ran", j.id)
 			break supervise
 		case genGrew:
+			c.mu.Unlock()
 			c.abortGeneration(j, gen, "gang grew; re-spreading ranks")
 			c.mu.Lock()
-			added := len(j.gang) - len(gang)
-			c.mu.Unlock()
-			if added < 0 {
-				added = 0
-			}
-			rr.mu.Lock()
-			rr.grows++
-			rr.joined += added
-			rr.mu.Unlock()
-			rr.priceRegang()
+			added := max(len(j.gang)-len(gang), 0)
+			j.grows++
+			j.joined += added
+			j.priceRegang()
 			c.cScaleups.Inc()
 			j.metrics.Counter("casvm_grows_total", "elastic world scale-ups").Inc()
 			c.logf("cluster: job %s gen %d re-gangs wider (+%d worker(s))", j.id, gen, added)
@@ -747,47 +614,44 @@ supervise:
 			// RA-CA ranks resume from their streamed checkpoints; a mesh
 			// generation streams none and reruns from zero.
 			regang := "re-ganging from last streamed checkpoints"
-			if rr.mesh {
+			if j.mesh {
 				regang = "re-ganging to rerun the generation from zero"
 			}
+			c.mu.Unlock()
 			c.abortGeneration(j, gen, "worker lost; "+regang)
-			rr.mu.Lock()
-			recov := rr.recoveries
-			rr.mu.Unlock()
-			if recov >= core.MaxRestarts {
-				fail("cluster: recovery budget exhausted after %d restarts of job %s", recov, j.id)
+			c.mu.Lock()
+			if j.recoveries >= core.MaxRestarts {
+				fail("cluster: recovery budget exhausted after %d restarts of job %s", j.recoveries, j.id)
 				break supervise
 			}
-			rr.mu.Lock()
-			rr.recoveries++
-			rr.mu.Unlock()
-			rr.priceRegang()
+			j.recoveries++
+			j.priceRegang()
 			j.metrics.Counter("casvm_recoveries_total", "supervised crash recoveries").Inc()
 			c.logf("cluster: job %s gen %d aborted (worker lost); %s", j.id, gen, regang)
 		}
 	}
 	res.WallSec = time.Since(start).Seconds()
-
+	shards := make(map[int]*core.ShardResult, len(j.doneRank))
 	if res.Err == "" {
-		rr.mu.Lock()
-		res.FinalP = rr.width
-		res.Messages, res.Bytes = rr.msgs, rr.bytes
-		res.Recoveries = rr.recoveries
-		res.Grows = rr.grows
-		res.JoinedRanks = rr.joined
-		res.LostRanks = append([]int(nil), rr.lostRanks...)
-		res.Generations = rr.gen
-		res.TotalSec = rr.maxVirt
-		shards := make(map[int]*core.ShardResult, len(rr.doneRank))
-		ranks := make([]*core.ShardResult, rr.width)
-		for r, sh := range rr.doneRank {
+		res.FinalP = j.width
+		res.Messages, res.Bytes = j.msgs, j.bytes
+		res.Recoveries = j.recoveries
+		res.Grows = j.grows
+		res.JoinedRanks = j.joined
+		res.LostRanks = append([]int(nil), j.lostRanks...)
+		res.Generations = j.gen
+		res.TotalSec = j.maxVirt
+		ranks := make([]*core.ShardResult, j.width)
+		for r, sh := range j.doneRank {
 			if sh.Model != nil {
 				shards[r] = sh
 			}
 			ranks[r] = sh
 		}
 		res.Iters = core.JobIters(j.params.Method, ranks)
-		rr.mu.Unlock()
+	}
+	c.mu.Unlock()
+	if res.Err == "" {
 		set, err := core.AssembleShards(shards, ds.Features())
 		if err != nil {
 			fail("%v", err)

@@ -991,12 +991,14 @@ func TestRemoteRespawnRecovery(t *testing.T) {
 // sent a start frame that assigns them nothing, which the executor's
 // decoder rejects.
 func TestBeginGenerationCapsSurplusGang(t *testing.T) {
-	raca := JobSpec{Method: string(core.MethodRACA), P: 3}
-	rr := newRemoteRun(&Job{spec: raca}, 0, 0)
-	rr.doneRank[0] = &core.ShardResult{}
-	rr.doneRank[2] = &core.ShardResult{}
+	raca := remoteSpec("caps", 3, 40, "shrink")
+	j := testJob(t, raca)
+	j.c.mu.Lock()
+	defer j.c.mu.Unlock()
+	j.doneRank[0] = &core.ShardResult{}
+	j.doneRank[2] = &core.ShardResult{}
 
-	_, gang, assign, pending := rr.beginGeneration([]int{7, 8, 9})
+	_, gang, assign, pending := j.beginGeneration([]int{7, 8, 9})
 	if len(pending) != 1 || pending[0] != 1 {
 		t.Fatalf("pending = %v, want [1]", pending)
 	}
@@ -1006,14 +1008,26 @@ func TestBeginGenerationCapsSurplusGang(t *testing.T) {
 	if len(assign) != 1 || len(assign[7]) != 1 || assign[7][0] != 1 {
 		t.Fatalf("assignment = %v, want worker 7 -> [1]", assign)
 	}
-	rr.endGeneration()
+	j.endGeneration()
 
 	// At full width nothing is truncated: one rank per worker.
-	rr2 := newRemoteRun(&Job{spec: raca}, 0, 0)
-	_, gang2, assign2, _ := rr2.beginGeneration([]int{4, 5, 6})
+	j2 := testJob(t, raca)
+	_, gang2, assign2, _ := j2.beginGeneration([]int{4, 5, 6})
 	if len(gang2) != 3 || len(assign2) != 3 {
 		t.Fatalf("full-width generation truncated: gang %v assign %v", gang2, assign2)
 	}
+}
+
+// testJob is a job of spec on a coordinator that serves nothing, for tests
+// that drive a job's generation bookkeeping directly, holding c.mu as the
+// coordinator does.
+func testJob(t *testing.T, spec JobSpec) *Job {
+	t.Helper()
+	pr, ds, err := trainParams(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newJob(new(Coordinator), "test", spec, pr, ds)
 }
 
 // pollOnly is a core.FaultInjector that only interrupts: f is polled every
