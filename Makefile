@@ -21,9 +21,10 @@ cross-vet:
 # prefetched solves against their references, the loop over a filled-column
 # exchange and the column update, the Dis-SMO pins,
 # Dot4, MulTile and the batch-prediction paths over them (DecisionAll,
-# RouteAll, Set.PredictAll/EvalAll, the routed pass's gather: RoutedPass,
-# SubsetInto), the nearest-center distance block
-# (la.SqDistTile, ArgMin) under Lloyd sweeps, FCFS, routing and CrossTile,
+# RouteAll, Set.PredictAll/EvalAll, the routed pass: RoutedPass; the query
+# panels: ExpDistSum, DecisionPanels), the nearest-center distance block
+# (la.SqDistTile and its distance panels, ArgMin) under Lloyd sweeps, FCFS,
+# routing and CrossTile,
 # the one-column tile under the lazy row fill and Dis-SMO's columns
 # (DotList: MulTile's and SqDistTile's one-column path; ColumnTile and
 # TileMatchesRow: CrossTile's columns and the lazy fill's transposed tile), the
@@ -33,7 +34,8 @@ cross-vet:
 # over poisoned storage; DecodeRowInto: a slot's row and norm against
 # DecodeMatrix), the one kernel recipe across every fill (OneRecipe), and the
 # served queries_b64 decode (DecodeBase64F64: the base64 lanes against
-# encoding/base64; DecodeBinary and DecodePredictRequest: serve's chunked
+# encoding/base64; QuotedSpan and QueriesB64: the value's one-walk bound and
+# its refused bytes; DecodeBinary and DecodePredictRequest: serve's chunked
 # decoder, its pinned queries and error strings and its fuzz seeds)
 # against their scalar references — with internal/la's four-lane kernels off,
 # so the portable loops must land on the same numbers
@@ -41,7 +43,7 @@ cross-vet:
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|RoutedPass|SubsetInto|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe|ColumnCache|DecodeRowInto|DecodeBase64F64|DecodeBinary|DecodePredictRequest
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|RoutedPass|ExpDistSum|DecisionPanels|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe|ColumnCache|DecodeRowInto|DecodeBase64F64|QuotedSpan|QueriesB64|DecodeBinary|DecodePredictRequest
 lanes-off:
 	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model \
 		./internal/kmeans ./internal/partition ./internal/kernel ./internal/serve

@@ -100,6 +100,10 @@ type Coordinator struct {
 	closed    bool
 
 	wg sync.WaitGroup // running job goroutines
+
+	// afterGrowAbort, when set, runs between a widening re-gang's abort and
+	// its next dispatch, without c.mu: a test attaches a worker there.
+	afterGrowAbort func(*Job)
 }
 
 // New starts a coordinator listening for worker and client registrations

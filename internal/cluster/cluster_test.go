@@ -124,6 +124,86 @@ func TestClusterGoldenScaleUp(t *testing.T) {
 	}
 }
 
+// TestGrowCountsWorkerAttachedBeforeDispatch: a worker that attaches after a
+// widening re-gang's abort, before the wider generation is dispatched, runs in
+// that generation and counts among the joined ranks. The scale-up of
+// TestClusterGoldenScaleUp, with the second replacement executor started
+// inside that window (the coordinator's afterGrowAbort) and attached before
+// the supervisor goes on.
+func TestGrowCountsWorkerAttachedBeforeDispatch(t *testing.T) {
+	spec := remoteSpec("late-joiner", 4, 480, "shrink")
+	want := referenceHash(t, spec)
+
+	c := newTestCoordinator(t, 500*time.Millisecond)
+	attached := func(j *Job) int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(j.gang)
+	}
+	// join starts one executor without waiting for it: the hook runs on the
+	// job's goroutine, where a test may not fail.
+	join := func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = RunExecutor(ctx, c.Addr(), ExecutorOptions{Fleet: true, IterDelay: time.Millisecond})
+		}()
+		t.Cleanup(func() { cancel(); <-done })
+	}
+	var fired atomic.Int32
+	hookErr := make(chan string, 1)
+	c.afterGrowAbort = func(j *Job) {
+		if fired.Add(1) > 1 {
+			return
+		}
+		before := attached(j)
+		join()
+		for deadline := time.Now().Add(30 * time.Second); attached(j) <= before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				hookErr <- "the late executor never attached"
+				return
+			}
+		}
+	}
+	startExecutors(t, c, 4, time.Millisecond)
+	j, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killGangMemberMidEpoch(t, c, j)
+	waitFor(t, "the survivors' generation", func() bool { return j.Remote().Generation == 2 })
+	gang := j.Remote().Workers
+	if err := c.Revoke(gang[len(gang)-1]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the second re-gang", func() bool { return j.Remote().Generation == 3 })
+
+	// One replacement executor: its attach grows the gang, and the hook
+	// attaches the other inside the window.
+	join()
+	select {
+	case <-j.Done():
+	case <-time.After(120 * time.Second):
+		t.Fatalf("job never finished (progress %+v)", j.Remote())
+	}
+	select {
+	case msg := <-hookErr:
+		t.Fatal(msg)
+	default:
+	}
+	res := j.Result()
+	if res.Err != "" {
+		t.Fatalf("job failed: %s", res.Err)
+	}
+	if res.ModelHash != want {
+		t.Fatalf("hash %s != fault-free hash %s", res.ModelHash, want)
+	}
+	if fired.Load() != 1 || res.Grows != 1 || res.JoinedRanks != 2 {
+		t.Fatalf("hook fired %d times, Grows=%d JoinedRanks=%d, want 1, 1 and 2", fired.Load(), res.Grows, res.JoinedRanks)
+	}
+}
+
 // TestRespawnBackfill: under the respawn policy a Dis-SMO mesh that loses an
 // executor waits for a joining one to backfill the gang to full width, then
 // reruns the generation; the world never grows, and the rerun lands on the

@@ -562,12 +562,21 @@ func (c *Coordinator) runRemoteJob(j *Job) {
 		res.Err = fmt.Sprintf(format, args...)
 	}
 	c.mu.Lock()
+	grewFrom := -1 // the gang a wider re-gang outgrew, until it is dispatched
 supervise:
 	for {
 		gang, err := c.awaitRemoteGang(j)
 		if err != nil {
 			fail("%v", err)
 			break
+		}
+		if grewFrom >= 0 {
+			// Counted from the gang the wider generation is ganged from, so a
+			// worker attached after the abort, before this dispatch, counts.
+			added := max(len(gang)-grewFrom, 0)
+			j.joined += added
+			c.logf("cluster: job %s re-gangs wider (+%d worker(s))", j.id, added)
+			grewFrom = -1
 		}
 		gen, genGang, assign, pending := j.beginGeneration(gang)
 		if len(pending) == 0 {
@@ -602,14 +611,16 @@ supervise:
 		case genGrew:
 			c.mu.Unlock()
 			c.abortGeneration(j, gen, "gang grew; re-spreading ranks")
+			if c.afterGrowAbort != nil {
+				c.afterGrowAbort(j)
+			}
 			c.mu.Lock()
-			added := max(len(j.gang)-len(gang), 0)
+			grewFrom = len(gang)
 			j.grows++
-			j.joined += added
 			j.priceRegang()
 			c.cScaleups.Inc()
 			j.metrics.Counter("casvm_grows_total", "elastic world scale-ups").Inc()
-			c.logf("cluster: job %s gen %d re-gangs wider (+%d worker(s))", j.id, gen, added)
+			c.logf("cluster: job %s gen %d aborted (gang grew)", j.id, gen)
 		default: // genLost: a failure to recover from
 			// RA-CA ranks resume from their streamed checkpoints; a mesh
 			// generation streams none and reruns from zero.

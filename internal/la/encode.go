@@ -285,6 +285,26 @@ func DecodeBase64F64(dst []float64, src []byte) int {
 	return base64F64Vec(dst, src)
 }
 
+// QuotedSpan returns n, the index of the first '"' or '\\' in s (len(s)
+// when there is none), and whether a LF or CR comes before n: in one pass
+// over the bytes after a JSON string's opening quote, where an escape-free
+// string ends and whether its body holds a line break. The lanes take 32
+// bytes a step; the tail, and every byte without the lanes, go one at a time.
+func QuotedSpan(s []byte) (n int, ctl bool) {
+	if vectorKernels {
+		n, ctl = quotedSpanVec(s)
+	}
+	for ; n < len(s); n++ {
+		switch s[n] {
+		case '"', '\\':
+			return n, ctl
+		case '\n', '\r':
+			ctl = true
+		}
+	}
+	return n, ctl
+}
+
 // EncodeF64 serialises a []float64 as 8-byte little-endian words with a
 // 4-byte length prefix. Used for labels and Lagrange multipliers, which
 // travel at full precision.

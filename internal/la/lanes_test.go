@@ -350,7 +350,7 @@ func TestDot4TakesLanes(t *testing.T) {
 		MulTile(a, rows, b, 0, 5, tile, 5)
 		lanes := make([]float64, 4*5)
 		if vectorKernels {
-			dot4PanelVec(a.DenseRow(0), a.DenseRow(1), a.DenseRow(2), a.DenseRow(3), b.dense, 5, lanes, 5)
+			dot4PanelVec(a.DenseRow(0), a.DenseRow(1), a.DenseRow(2), a.DenseRow(3), b.dense, 5, lanes, 5, nil, nil)
 		} else {
 			copy(lanes, tile)
 		}
@@ -613,7 +613,8 @@ func FuzzUpdateScan(f *testing.F) {
 }
 
 // checkDot4 holds Dot4, its portable loop and a two-column panel (columns x
-// and y against the rows b[k]) to Dot bitwise, NaNs aside.
+// and y against the rows b[k]) to Dot bitwise, NaNs aside, and the panel
+// finished as distances to SqDistOf over those dots.
 func checkDot4(t *testing.T, x, y []float64, b [4][]float64) {
 	t.Helper()
 	var got, loop [4]float64
@@ -624,7 +625,31 @@ func checkDot4(t *testing.T, x, y []float64, b [4][]float64) {
 	panel := make([]float64, 3*ld+2+1)
 	panel[3*ld+2] = 42
 	cols := append(append([]float64(nil), x...), y...)
-	panel4(b[0], b[1], b[2], b[3], cols, 2, panel[:3*ld+2], ld)
+	panel4(b[0], b[1], b[2], b[3], cols, 2, panel[:3*ld+2], ld, nil, nil)
+	// The same panel finished as distances, against norms cut from the
+	// case's own values, so clamps, NaN, ±Inf and −0 all arise.
+	at := func(v []float64, i int) float64 {
+		if i < len(v) {
+			return v[i]
+		}
+		return 0
+	}
+	xn := [4]float64{at(b[0], 0), at(b[1], 1), at(b[2], 0), at(b[3], 1)}
+	bn := []float64{at(x, 0), at(y, 1)}
+	dist := make([]float64, 3*ld+2+1)
+	dist[3*ld+2] = 42
+	panel4(b[0], b[1], b[2], b[3], cols, 2, dist[:3*ld+2], ld, xn[:], bn)
+	for k := range b {
+		for c, col := range [][]float64{x, y} {
+			if want := SqDistOf(xn[k], bn[c], Dot(b[k], col)); !same(dist[k*ld+c], want) {
+				t.Fatalf("n=%d output %d col %d: distance panel %v (%#x), SqDistOf %v (%#x)", len(x), k, c,
+					dist[k*ld+c], math.Float64bits(dist[k*ld+c]), want, math.Float64bits(want))
+			}
+		}
+	}
+	if dist[3*ld+2] != 42 {
+		t.Fatalf("n=%d: the distance panel wrote past its last output", len(x))
+	}
 	for k := range b {
 		want := Dot(b[k], x)
 		if !same(got[k], want) || !same(loop[k], want) {
@@ -684,8 +709,8 @@ func TestDot4SpecialsMatchLoop(t *testing.T) {
 	}
 }
 
-// FuzzDot4 holds Dot4 and the dense panels to the portable loop and to Dot
-// bitwise on arbitrary bit patterns: raw, cycled, fills five vectors of
+// FuzzDot4 holds Dot4 and the dense panels to the portable loop and to Dot,
+// and the distance panels to SqDistOf, bitwise on arbitrary bit patterns: raw, cycled, fills five vectors of
 // length%68 floats and one more, offset%4 floats into a backing array.
 func FuzzDot4(f *testing.F) {
 	f.Add(bytesOf(1, 2, 3, 4, 5, 6, 7, 8, 9), uint8(9), uint8(0))
@@ -693,6 +718,11 @@ func FuzzDot4(f *testing.F) {
 	f.Add(bytesOf(1e308, 1e308, -1e308, 1, math.Copysign(0, -1), 5e-324, 3), uint8(7), uint8(2))
 	f.Add(bytesOf(0.5, -0.25), uint8(3), uint8(3))
 	f.Add([]byte{}, uint8(0), uint8(0))
+	// Distance panels: norms far below twice the dot (every output clamps),
+	// signed zeros throughout (−0 norms, −0 sums), and a NaN norm.
+	f.Add(bytesOf(1, 2, 3, 4, 5, 6), uint8(5), uint8(0))
+	f.Add(bytesOf(math.Copysign(0, -1), 0, math.Copysign(0, -1)), uint8(4), uint8(1))
+	f.Add(bytesOf(math.NaN(), 1, 2, 3e-320, math.Inf(-1), 7), uint8(6), uint8(2))
 	f.Fuzz(func(t *testing.T, raw []byte, length, offset uint8) {
 		x, y, b := dot4Case(float64s(raw), int(length%68), int(offset%4))
 		checkDot4(t, x, y, b)

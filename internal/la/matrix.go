@@ -209,30 +209,6 @@ func (a *Matrix) RowRange(lo, hi int) *Matrix {
 	return out
 }
 
-// SubsetInto is Subset of a dense a written into caller-owned storage: the
-// rows go to data[:len(rows)·n] and, when a holds its norm cache, their norms
-// to norms[:len(rows)], which become the result's cache. Nothing is zeroed
-// first, and the result keeps both slices: the caller must not reuse them
-// while it is in use.
-func (a *Matrix) SubsetInto(rows []int, data, norms []float64) *Matrix {
-	if a.sparse {
-		panic("la: SubsetInto on sparse matrix")
-	}
-	n := a.n
-	data = data[:len(rows)*n]
-	for k, r := range rows {
-		copy(data[k*n:(k+1)*n], a.DenseRow(r))
-	}
-	out := NewDense(len(rows), n, data)
-	if a.sqnorm != nil {
-		out.sqnorm = norms[:len(rows)]
-		for k, r := range rows {
-			out.sqnorm[k] = a.sqnorm[r]
-		}
-	}
-	return out
-}
-
 // subsetRows is Subset's copy of the rows, without the norm cache.
 func (a *Matrix) subsetRows(rows []int) *Matrix {
 	if !a.sparse {

@@ -25,24 +25,34 @@ import "math"
 // j is Dot's accumulator s_j; elsewhere dot4Loop runs.
 func Dot4(x, b0, b1, b2, b3 []float64, dst []float64) {
 	n := len(x)
-	panel4(b0[:n], b1, b2, b3, x, 1, dst, 1)
+	panel4(b0[:n], b1, b2, b3, x, 1, dst, 1, nil, nil)
 }
 
 // panel4 sets dst[k*ld + c] = Dot(x_k, b[c*n : c*n+n]) for the four vectors
 // x0..x3 and each of the w n-float rows of b, n being len(x0): one pass over
-// a row of b serves four outputs. It is Dot4 over a run of columns, and
-// MulTile's dense×dense path calls it once per four tile rows so the lanes
-// sweep every column in one assembly call.
-func panel4(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int) {
+// a row of b serves four outputs. When bn is not empty each output is
+// finished in the same pass as SqDistOf(xn[k], bn[c], dot), x_k's and row
+// c's squared norms. It is Dot4 over a run of columns, and MulTile's and
+// SqDistTile's dense×dense paths call it once per four tile rows so the
+// lanes sweep every column in one assembly call.
+func panel4(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int, xn, bn []float64) {
 	n := len(x0)
 	x1, x2, x3, b, dst = x1[:n], x2[:n], x3[:n], b[:w*n], dst[:3*ld+w]
+	if len(bn) > 0 {
+		xn, bn = xn[:4], bn[:w]
+	}
 	if vectorKernels {
-		dot4PanelVec(x0, x1, x2, x3, b, w, dst, ld)
+		dot4PanelVec(x0, x1, x2, x3, b, w, dst, ld, xn, bn)
 		return
 	}
 	var tmp [4]float64
 	for c := 0; c < w; c++ {
 		dot4Loop(b[c*n:c*n+n], x0, x1, x2, x3, tmp[:])
+		if len(bn) > 0 {
+			for k, dot := range tmp {
+				tmp[k] = SqDistOf(xn[k], bn[c], dot)
+			}
+		}
 		dst[c], dst[ld+c], dst[2*ld+c], dst[3*ld+c] = tmp[0], tmp[1], tmp[2], tmp[3]
 	}
 }
@@ -132,22 +142,7 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 	case oneColumn(a, b, w, ld):
 		dotList(b.DenseRow(clo), a, 0, rows, dst[:len(rows)], nil, 0)
 	case !a.Sparse() && !b.Sparse():
-		// Column-outer, 4 a-rows per pass: each b row is streamed once per
-		// quad of outputs instead of once per output — a 4× cut in b-side
-		// memory traffic, which is what makes large-SV batch predict win.
-		// Dot is bitwise symmetric in its arguments (same products, same
-		// order), so a panel with the b row as the shared vector equals
-		// Dot(a_r, b_c) per row.
-		n := b.n
-		cols := b.dense[clo*n : chi*n]
-		r := 0
-		for ; r+4 <= len(rows); r += 4 {
-			panel4(a.DenseRow(rows[r])[:n], a.DenseRow(rows[r+1]), a.DenseRow(rows[r+2]),
-				a.DenseRow(rows[r+3]), cols, w, dst[r*ld:], ld)
-		}
-		for ; r < len(rows); r++ {
-			dotList(a.DenseRow(rows[r]), b, clo, nil, dst[r*ld:r*ld+w], nil, 0)
-		}
+		denseTile(a, rows, b, clo, chi, dst, ld, false)
 	case a.Sparse() && b.Sparse():
 		// Scatter the side whose rows are each reused more: SpDot is
 		// bitwise symmetric, so gathering a rows against a scattered b row
@@ -206,26 +201,66 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 	}
 }
 
+// denseTile is MulTile's dense×dense block, and with dist SqDistTile's:
+// each dot finished as SqDistOf(‖a_r‖², ‖b_c‖², dot) from the norm caches,
+// which the caller has filled. Column-outer, 4 a-rows per pass: each b row is
+// streamed once per quad of outputs instead of once per output — a 4× cut in
+// b-side memory traffic, which is what makes large-SV batch predict win. Dot
+// is bitwise symmetric in its arguments (same products, same order), so a
+// panel with the b row as the shared vector equals Dot(a_r, b_c) per row,
+// and the sum of the norms commutes, so the last len(rows)%4 rows' one-row
+// passes finish as SqDistOf(‖a_r‖², ‖b_c‖², dot) too.
+func denseTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld int, dist bool) {
+	w, n := chi-clo, b.n
+	cols := b.dense[clo*n : chi*n]
+	var xn [4]float64
+	var bn []float64
+	if dist {
+		bn = b.sqnorm[clo:chi]
+	}
+	r := 0
+	for ; r+4 <= len(rows); r += 4 {
+		if dist {
+			xn = [4]float64{a.sqnorm[rows[r]], a.sqnorm[rows[r+1]], a.sqnorm[rows[r+2]], a.sqnorm[rows[r+3]]}
+		}
+		panel4(a.DenseRow(rows[r])[:n], a.DenseRow(rows[r+1]), a.DenseRow(rows[r+2]),
+			a.DenseRow(rows[r+3]), cols, w, dst[r*ld:], ld, xn[:], bn)
+	}
+	for ; r < len(rows); r++ {
+		var xsq float64
+		if dist {
+			xsq = a.sqnorm[rows[r]]
+		}
+		dotList(a.DenseRow(rows[r]), b, clo, nil, dst[r*ld:r*ld+w], bn, xsq)
+	}
+}
+
 // SqDistTile computes the squared-distance block
 //
 //	dst[r*ld + (c-clo)] = max(0, ‖a_row(rows[r])‖² + ‖b_row(c)‖² − 2·<a_r, b_c>)
 //
-// for c in [clo, chi): one MulTile block finished with each matrix's norm
-// cache (EnsureNorms) through SqDistOf. It is the one nearest-center distance
-// — Lloyd sweeps, FCFS, balanced K-means and query routing — and the Gaussian
+// for c in [clo, chi): MulTile's block with each matrix's norm cache
+// (EnsureNorms) through SqDistOf. It is the one nearest-center distance —
+// Lloyd sweeps, FCFS, balanced K-means and query routing — and the Gaussian
 // kernel's distance. Each element is bit-identical to SqDistOf over the
 // scalar dot MulTile matches for the storage pairing (DotVec when b is
-// dense). A one-column tile (MulTile's one-column path) finishes each
-// distance in the lanes, as SqDistOf(‖b_c‖², ‖a_r‖², dot): the sum of the
-// norms commutes. Same dst and ld contract as MulTile.
+// dense). A dense×dense tile finishes each distance in the pass that computes
+// its dot — the panels' and one-column tiles' lanes, as SqDistOf(‖a_r‖²,
+// ‖b_c‖², dot) or, in a one-column tile, SqDistOf(‖b_c‖², ‖a_r‖², dot): the
+// sum of the norms commutes. Other pairings finish the MulTile block in a
+// second pass. Same dst and ld contract as MulTile.
 func SqDistTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld int) {
 	if chi <= clo || len(rows) == 0 {
 		return
 	}
 	a.EnsureNorms()
 	b.EnsureNorms()
-	if oneColumn(a, b, chi-clo, ld) {
+	switch {
+	case oneColumn(a, b, chi-clo, ld):
 		dotList(b.DenseRow(clo), a, 0, rows, dst[:len(rows)], a.sqnorm, b.sqnorm[clo])
+		return
+	case !a.sparse && !b.sparse:
+		denseTile(a, rows, b, clo, chi, dst, ld, true)
 		return
 	}
 	MulTile(a, rows, b, clo, chi, dst, ld)
@@ -235,6 +270,100 @@ func SqDistTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, l
 		out := dst[r*ld : r*ld+len(bn)]
 		for k, nc := range bn {
 			out[k] = SqDistOf(ni, nc, out[k])
+		}
+	}
+}
+
+// sumPanel is the state expDistSumVec carries for its four rows: their
+// running sums and squared norms, the exponent's scale in every lane, their
+// elements past the last whole quad, and the distances of the batch of
+// columns under way (a batch the lanes stop before is left there).
+type sumPanel struct {
+	acc, xn, s [4]float64
+	tail       [3][4]float64
+	d          [sumBatch][4]float64
+}
+
+// sumBatch is how many columns expDistSumVec finishes the distances of
+// before it takes their exps, which then overlap.
+const sumBatch = 8
+
+// sumChunk is how many distances ExpDistSum's one-row path finishes per
+// dotList and ExpScaled call, in a buffer on the stack.
+const sumChunk = 128
+
+// ExpDistSum adds coef[c-clo]·exp(s·d) to out[k] for every row c of b in
+// [clo, chi), in ascending c, one addition a term, d being the SqDistTile
+// distance from listed row rows[k] of a (row k when rows is nil) to row c of
+// b. With s = −γ and coef the αy coefficients it is the Gaussian decision
+// sum, and each term is the per-row recipe's: out[k] + coef·exp(−γ·SqDistOf(
+// ‖a_r‖², ‖b_c‖², Dot(a_r, b_c))), so a caller that hands it the blocks of b
+// in ascending order leaves the per-row sum in out bit for bit, however it
+// blocks them. a and b must be dense; out holds one value per listed row.
+//
+// Where the lanes run, four rows go through a panel at a time: each b row
+// is streamed once per quad, and its dots, exps and terms stay in registers,
+// its distances in the panel's stack state for a batch of up to sumBatch
+// columns (expDistSumVec). A term whose exponent is outside [−708, 709] or
+// not finite takes math.Exp, as ExpScaled does. The last
+// len(out)%4 rows, and every row without the lanes, go one at a time through
+// the one-column path: dotList's distances into a stack buffer, ExpScaled,
+// and the sum.
+func ExpDistSum(a *Matrix, rows []int, b *Matrix, clo, chi int, coef []float64, s float64, out []float64) {
+	w, n := chi-clo, b.n
+	if w <= 0 || len(out) == 0 {
+		return
+	}
+	a.EnsureNorms()
+	b.EnsureNorms()
+	cols, bn, coef := b.dense[clo*n:chi*n], b.sqnorm[clo:chi], coef[:w]
+	row := func(k int) int {
+		if rows == nil {
+			return k
+		}
+		return rows[k]
+	}
+	k := 0
+	if vectorKernels && a.n == n {
+		for ; k+4 <= len(out); k += 4 {
+			i0, i1, i2, i3 := row(k), row(k+1), row(k+2), row(k+3)
+			x0, x1, x2, x3 := a.DenseRow(i0), a.DenseRow(i1), a.DenseRow(i2), a.DenseRow(i3)
+			p := sumPanel{
+				acc: [4]float64(out[k : k+4]),
+				xn:  [4]float64{a.sqnorm[i0], a.sqnorm[i1], a.sqnorm[i2], a.sqnorm[i3]},
+				s:   [4]float64{s, s, s, s},
+			}
+			for t := range n - n&^3 {
+				i := n&^3 + t
+				p.tail[t] = [4]float64{x0[i], x1[i], x2[i], x3[i]}
+			}
+			for c := 0; ; {
+				c += expDistSumVec(x0, x1, x2, x3, cols[c*n:], w-c, bn[c:], coef[c:], &p)
+				if c == w {
+					break
+				}
+				// A batch holding an exponent the lanes leave to math.Exp.
+				for _, d := range p.d[:min(sumBatch, w-c)] {
+					for j, dj := range d {
+						p.acc[j] += coef[c] * math.Exp(s*dj)
+					}
+					c++
+				}
+			}
+			copy(out[k:k+4], p.acc[:])
+		}
+	}
+	var buf [sumChunk]float64
+	for ; k < len(out); k++ {
+		i := row(k)
+		x, xsq := a.DenseRow(i), a.sqnorm[i]
+		for lo := 0; lo < w; lo += sumChunk {
+			kv := buf[:min(sumChunk, w-lo)]
+			dotList(x, b, clo+lo, nil, kv, bn[lo:], xsq)
+			ExpScaled(kv, s)
+			for c, v := range kv {
+				out[k] += coef[lo+c] * v
+			}
 		}
 	}
 }

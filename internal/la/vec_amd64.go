@@ -7,8 +7,9 @@ import (
 )
 
 // vectorKernels selects the four-lane assembly behind ExpScaled, UpdateScan,
-// Dot4 and MulTile's dense panels and one-column tiles, and the base64 decode
-// behind DecodeBase64F64 (vec_amd64.s): the
+// Dot4, MulTile's and SqDistTile's dense panels and one-column tiles and
+// ExpDistSum's query panels, and the byte scans behind DecodeBase64F64 and
+// QuotedSpan (vec_amd64.s): the
 // CPU has AVX2 and FMA, the OS saves YMM state, and the exp lanes agree with
 // this process's math.Exp bit for bit.
 // The last condition keeps the path exact wherever math.Exp does not run the
@@ -46,11 +47,31 @@ func dotRowsVec(x, dense []float64, m int, rows []int, out, norms []float64, xsq
 func updateScanVec(f, rh, rl, outHigh, outLow []float64, ch, cl float64, e *laneExtremes)
 
 // dot4PanelVec sets dst[k*ld + c] = Dot(x_k, b[c*n : c*n+n]) for k < 4 and
-// c < w, n being len(x0). x1..x3 hold at least n floats, b at least w·n and
-// dst at least 3·ld + w.
+// c < w, n being len(x0), or, when bn is not empty, SqDistOf(xn[k], bn[c],
+// that dot). x1..x3 hold at least n floats, b at least w·n, dst at least
+// 3·ld + w, and xn four and bn w when bn is not empty.
 //
 //go:noescape
-func dot4PanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int)
+func dot4PanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int, xn, bn []float64)
+
+// expDistSumVec adds coef[c]·exp(s·SqDistOf(p.xn[k], bn[c], Dot(x_k,
+// b[c*n : c*n+n]))) to p.acc[k] for k < 4 and c = 0, 1, … < w in order, n
+// being len(x0) and s every lane of p.s, with p.tail[t] holding x0..x3's
+// element n&^3 + t, and returns how many columns it added. It takes the
+// columns in batches of sumBatch and stops before a batch with a lane whose
+// exponent s·d is outside [−708, 709] or not finite, leaving the batch's
+// distances in p.d. x1..x3 hold at least n floats, b at least w·n, and bn
+// and coef at least w.
+//
+//go:noescape
+func expDistSumVec(x0, x1, x2, x3, b []float64, w int, bn, coef []float64, p *sumPanel) int
+
+// quotedSpanVec returns n, the index of the first '"' or '\\' in s's whole
+// 32-byte blocks (their length when none holds one), and whether a LF or CR
+// comes before n.
+//
+//go:noescape
+func quotedSpanVec(s []byte) (n int, ctl bool)
 
 // base64F64Vec decodes src's 32-character standard-base64 blocks into dst,
 // three little-endian float64 values each, and returns how many values it

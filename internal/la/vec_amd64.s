@@ -1,109 +1,111 @@
 #include "textflag.h"
 
 // Four-lane kernels behind ExpScaled and UpdateScan (vec.go) and behind
-// Dot4 and MulTile's dense panels and one-column tiles (tile.go). Each lane performs
-// exactly the instruction sequence of the scalar code it stands in for, so
-// every result is the scalar result bit for bit. The base64 decode behind
-// DecodeBase64F64 (encode.go) writes encoding/base64's bytes.
+// Dot4, MulTile's and SqDistTile's dense panels and one-column tiles, and
+// ExpDistSum's query panels (tile.go). Each lane performs exactly the
+// instruction sequence of the scalar code it stands in for, so every result
+// is the scalar result bit for bit. The base64 decode behind
+// DecodeBase64F64 (encode.go) writes encoding/base64's bytes, and the scan
+// behind QuotedSpan finds the bytes a byte loop would.
 
 // The constants of math.archExp (src/math/exp_amd64.s), written with the
-// same literals so the assembler rounds them to the same float64s.
+// same literals so the assembler rounds them to the same float64s, each four
+// times over: a 32-byte row is one lane operand, and its first 8 bytes a
+// VBROADCASTSD source.
 #define LOG2E 1.4426950408889634073599246810018920
 #define LN2U 0.69314718055966295651160180568695068359375
 #define LN2L 0.28235290563031577122588448175013436025525412068e-12
 
-DATA expc<>+0(SB)/8, $0.5
-DATA expc<>+8(SB)/8, $1.0
-DATA expc<>+16(SB)/8, $2.0
-DATA expc<>+24(SB)/8, $1.6666666666666666667e-1
-DATA expc<>+32(SB)/8, $4.1666666666666666667e-2
-DATA expc<>+40(SB)/8, $8.3333333333333333333e-3
-DATA expc<>+48(SB)/8, $1.3888888888888888889e-3
-DATA expc<>+56(SB)/8, $1.9841269841269841270e-4
-DATA expc<>+64(SB)/8, $2.4801587301587301587e-5
-DATA expc<>+72(SB)/8, $LOG2E
-DATA expc<>+80(SB)/8, $LN2U
-DATA expc<>+88(SB)/8, $LN2L
-DATA expc<>+96(SB)/8, $0.0625
-DATA expc<>+104(SB)/8, $-708.0
-DATA expc<>+112(SB)/8, $709.0
-DATA expc<>+120(SB)/4, $1023
-GLOBL expc<>(SB), RODATA|NOPTR, $124
+#define EXPV(off, v) \
+	DATA expv<>+off+0(SB)/8, v; \
+	DATA expv<>+off+8(SB)/8, v; \
+	DATA expv<>+off+16(SB)/8, v; \
+	DATA expv<>+off+24(SB)/8, v
+
+EXPV(0, $0.5)
+EXPV(32, $1.0)
+EXPV(64, $2.0)
+EXPV(96, $1.6666666666666666667e-1)
+EXPV(128, $4.1666666666666666667e-2)
+EXPV(160, $8.3333333333333333333e-3)
+EXPV(192, $1.3888888888888888889e-3)
+EXPV(224, $1.9841269841269841270e-4)
+EXPV(256, $2.4801587301587301587e-5)
+EXPV(288, $LOG2E)
+EXPV(320, $LN2U)
+EXPV(352, $LN2L)
+EXPV(384, $0.0625)
+EXPV(416, $-708.0)
+EXPV(448, $709.0)
+DATA expv<>+480(SB)/4, $1023
+DATA expv<>+484(SB)/4, $1023
+DATA expv<>+488(SB)/4, $1023
+DATA expv<>+492(SB)/4, $1023
+GLOBL expv<>(SB), RODATA|NOPTR, $496
+
+// EXP_IN leaves in t1 a mask of the lanes of y in [−708, 709] (ordered: a
+// NaN fails), where archExp takes none of its overflow, denormal or
+// non-finite branches. t2 clobbered.
+#define EXP_IN(y, t1, t2) \
+	VCMPPD $0x1d, expv<>+416(SB), y, t1; \
+	VCMPPD $0x12, expv<>+448(SB), y, t2; \
+	VANDPD t1, t2, t1
+
+// EXP_LANES replaces each lane t of y with exp(t), replaying the avxfma
+// branch of math.archExp: k = round(t·LOG2E); r = (t − k·LN2U − k·LN2L)/16,
+// each step fused; the Taylor polynomial in r, Horner order, one fused step
+// per coefficient; the 1/16 undone by squaring four times, e ← e·(e+2), the
+// last fused with the final +1; then the product with 2**k, built from the
+// biased exponent. t1 and t2 (whose low half is x2) clobbered.
+#define EXP_LANES(y, t1, t2, x2) \
+	VMULPD expv<>+288(SB), y, t1; \
+	VCVTPD2DQY t1, x2; \
+	VCVTDQ2PD x2, t1; \
+	VFNMADD231PD expv<>+320(SB), t1, y; \
+	VFNMADD231PD expv<>+352(SB), t1, y; \
+	VMULPD expv<>+384(SB), y, y; \
+	VMOVUPD expv<>+256(SB), t1; \
+	VFMADD213PD expv<>+224(SB), y, t1; \
+	VFMADD213PD expv<>+192(SB), y, t1; \
+	VFMADD213PD expv<>+160(SB), y, t1; \
+	VFMADD213PD expv<>+128(SB), y, t1; \
+	VFMADD213PD expv<>+96(SB), y, t1; \
+	VFMADD213PD expv<>+0(SB), y, t1; \
+	VFMADD213PD expv<>+32(SB), y, t1; \
+	VMULPD t1, y, y; \
+	VADDPD expv<>+64(SB), y, t1; \
+	VMULPD t1, y, y; \
+	VADDPD expv<>+64(SB), y, t1; \
+	VMULPD t1, y, y; \
+	VADDPD expv<>+64(SB), y, t1; \
+	VMULPD t1, y, y; \
+	VADDPD expv<>+64(SB), y, t1; \
+	VFMADD213PD expv<>+32(SB), t1, y; \
+	VPADDD expv<>+480(SB), x2, x2; \
+	VPMOVZXDQ x2, t2; \
+	VPSLLQ $52, t2, t2; \
+	VMULPD t2, y, y
 
 // func expScaledVec(x []float64, s float64) int
 //
-// Every lane replays the avxfma branch of math.archExp. Inside [−708, 709]
-// archExp takes none of its overflow, denormal or non-finite branches, so a
-// group with a lane outside it (NaN and ±Inf included) is left to the caller.
+// Every lane replays math.archExp (EXP_LANES); a group with a lane outside
+// [−708, 709], NaN and ±Inf included, is left to the caller.
 TEXT ·expScaledVec(SB), NOSPLIT, $0-40
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), CX
 	ANDQ $~3, CX
 	VBROADCASTSD s+24(FP), Y15
-	VBROADCASTSD expc<>+104(SB), Y14 // −708
-	VBROADCASTSD expc<>+112(SB), Y13 // 709
-	VBROADCASTSD expc<>+72(SB), Y12  // LOG2E
-	VBROADCASTSD expc<>+80(SB), Y11  // LN2U
-	VBROADCASTSD expc<>+88(SB), Y10  // LN2L
-	VBROADCASTSD expc<>+96(SB), Y9   // 0.0625
-	VBROADCASTSD expc<>+64(SB), Y8   // c8
-	VBROADCASTSD expc<>+16(SB), Y7   // 2.0
-	VBROADCASTSD expc<>+8(SB), Y6    // 1.0
-	VPBROADCASTD expc<>+120(SB), X5  // exponent bias
 	XORQ AX, AX
 
 loop:
 	CMPQ AX, CX
 	JGE  done
 	VMULPD (SI)(AX*8), Y15, Y0 // t = s·x
-	VCMPPD $0x1d, Y14, Y0, Y1  // t ≥ −708, ordered
-	VCMPPD $0x12, Y13, Y0, Y2  // t ≤ 709, ordered
-	VANDPD Y1, Y2, Y1
-	VMOVMSKPD Y1, DX
+	EXP_IN(Y0, Y2, Y3)
+	VMOVMSKPD Y2, DX
 	CMPQ DX, $15
 	JNE  done
-
-	// k = round(t·LOG2E); r = (t − k·LN2U − k·LN2L)/16, each step fused.
-	VMULPD Y12, Y0, Y1
-	VCVTPD2DQY Y1, X2
-	VCVTDQ2PD X2, Y1
-	VFNMADD231PD Y11, Y1, Y0
-	VFNMADD231PD Y10, Y1, Y0
-	VMULPD Y9, Y0, Y0
-
-	// Taylor polynomial in r, Horner order, one fused step per coefficient.
-	VMOVAPD Y8, Y1
-	VBROADCASTSD expc<>+56(SB), Y3
-	VFMADD213PD Y3, Y0, Y1
-	VBROADCASTSD expc<>+48(SB), Y3
-	VFMADD213PD Y3, Y0, Y1
-	VBROADCASTSD expc<>+40(SB), Y3
-	VFMADD213PD Y3, Y0, Y1
-	VBROADCASTSD expc<>+32(SB), Y3
-	VFMADD213PD Y3, Y0, Y1
-	VBROADCASTSD expc<>+24(SB), Y3
-	VFMADD213PD Y3, Y0, Y1
-	VBROADCASTSD expc<>+0(SB), Y3
-	VFMADD213PD Y3, Y0, Y1
-	VFMADD213PD Y6, Y0, Y1
-	VMULPD Y1, Y0, Y0
-
-	// Undo the 1/16 by squaring four times: e ← e·(e+2), the last fused
-	// with the final +1.
-	VADDPD Y7, Y0, Y1
-	VMULPD Y1, Y0, Y0
-	VADDPD Y7, Y0, Y1
-	VMULPD Y1, Y0, Y0
-	VADDPD Y7, Y0, Y1
-	VMULPD Y1, Y0, Y0
-	VADDPD Y7, Y0, Y1
-	VFMADD213PD Y6, Y1, Y0
-
-	// Multiply by 2**k, built from the biased exponent.
-	VPADDD X5, X2, X2
-	VPMOVZXDQ X2, Y2
-	VPSLLQ $52, Y2, Y2
-	VMULPD Y2, Y0, Y0
+	EXP_LANES(Y0, Y1, Y2, X2)
 	VMOVUPD Y0, (SI)(AX*8)
 	ADDQ $4, AX
 	JMP  loop
@@ -395,15 +397,12 @@ scandone:
 	VZEROUPPER
 	RET
 
-// func dot4PanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int)
+// func dot4PanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int, xn, bn []float64)
 //
-// Output k of a column is one accumulator register whose lane j is Dot's s_j
-// over x_k and the column, fed by a separate VMULPD and VADDPD per quad, never
-// fused. Two VHADDPDs and a 128-bit transpose combine the four accumulators
-// into the four outputs' (s0+s1)+(s2+s3) at once; each len%4 tail element is
-// then one broadcast of the column's value against (x0[i], x1[i], x2[i],
-// x3[i]), gathered once per call into Y13–Y15, so every output adds its tail
-// products in order.
+// Two columns a step (DOT2_COLUMNS) and a last odd column alone
+// (DOT4_COLUMN), the x lanes of the len%4 tail gathered once per call into
+// Y13–Y15 (DOT4_SETUP). With bn, each
+// output is then SqDistOf(xn[k], bn[c], dot) (DIST_FINISH).
 //
 // DOT4_TAIL_LANES(off, y, x) gathers x0..x3 at element R12 + off/8 into y.
 #define DOT4_TAIL_LANES(off, y, x) \
@@ -413,76 +412,186 @@ scandone:
 	VMOVHPD off(R9)(R12*8), X12, X12; \
 	VINSERTF128 $1, X12, y, y
 
-TEXT ·dot4PanelVec(SB), NOSPLIT, $0-160
+// DOT4_SETUP takes the four x bases in SI, DI, R8 and R9 and n in CX, sets
+// R12 to n&^3, and gathers the tail lanes into Y13–Y15; AX and Y12
+// clobbered.
+#define DOT4_SETUP \
+	MOVQ CX, R12; \
+	ANDQ $~3, R12; \
+	MOVQ CX, AX; \
+	SUBQ R12, AX; \
+	CMPQ AX, $1; \
+	JLT  setupdone; \
+	DOT4_TAIL_LANES(0, Y13, X13); \
+	CMPQ AX, $2; \
+	JLT  setupdone; \
+	DOT4_TAIL_LANES(8, Y14, X14); \
+	CMPQ AX, $3; \
+	JLT  setupdone; \
+	DOT4_TAIL_LANES(16, Y15, X15); \
+setupdone:
+
+// DOT4_SUM combines four accumulators, a_k's lane j Dot's s_j for output k,
+// into a0's four (s0+s1)+(s2+s3): two VHADDPDs and a 128-bit transpose. a1
+// and a3 clobbered.
+#define DOT4_SUM(a0, a1, a2, a3) \
+	VHADDPD a1, a0, a0; \
+	VHADDPD a3, a2, a2; \
+	VPERM2F128 $0x20, a2, a0, a1; \
+	VPERM2F128 $0x31, a2, a0, a3; \
+	VADDPD a3, a1, a0
+
+// DOT2_QUAD(x, a0, a1) adds x's quad at BX times each column's quad (Y8,
+// Y9) into a0 and a1.
+#define DOT2_QUAD(x, a0, a1) \
+	VMULPD (x)(BX*8), Y8, Y10; \
+	VMULPD (x)(BX*8), Y9, Y11; \
+	VADDPD Y10, a0, a0; \
+	VADDPD Y11, a1, a1
+
+// DOT2_TAIL(off, lanes, c2) adds element R12 + off/8 of the columns at DX
+// and c2 times the x lanes (x0[i], x1[i], x2[i], x3[i]) into Y0 and Y4.
+#define DOT2_TAIL(off, lanes, c2) \
+	VBROADCASTSD off(DX)(R12*8), Y8; \
+	VBROADCASTSD off(c2)(R12*8), Y9; \
+	VMULPD lanes, Y8, Y8; \
+	VMULPD lanes, Y9, Y9; \
+	VADDPD Y8, Y0, Y0; \
+	VADDPD Y9, Y4, Y4
+
+// DOT2_COLUMNS leaves in Y0 the four dots of x0..x3 with the n-float column
+// at DX and in Y4 those with the column at c2, two columns at a time so
+// eight accumulator chains run at once: each quad of both columns is
+// multiplied by each x_k's (DOT2_QUAD) — Dot's s_j of output k in lane j of
+// Y(k) for the first column and Y(k+4) for the second, a separate VMULPD
+// and VADDPD, never fused — then DOT4_SUM, and the len%4 tail against the x
+// lanes l0..l2 (DOT2_TAIL), t its length. Y0–Y11, BX and t clobbered.
+#define DOT2_COLUMNS(c2, l0, l1, l2, t) \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7; \
+	XORQ BX, BX; \
+	CMPQ BX, R12; \
+	JGE  sums; \
+quads: \
+	VMOVUPD (DX)(BX*8), Y8; \
+	VMOVUPD (c2)(BX*8), Y9; \
+	DOT2_QUAD(SI, Y0, Y4); \
+	DOT2_QUAD(DI, Y1, Y5); \
+	DOT2_QUAD(R8, Y2, Y6); \
+	DOT2_QUAD(R9, Y3, Y7); \
+	ADDQ $4, BX; \
+	CMPQ BX, R12; \
+	JLT  quads; \
+sums: \
+	DOT4_SUM(Y0, Y1, Y2, Y3); \
+	DOT4_SUM(Y4, Y5, Y6, Y7); \
+	MOVQ CX, t; \
+	SUBQ R12, t; \
+	CMPQ t, $1; \
+	JLT  tailed; \
+	DOT2_TAIL(0, l0, c2); \
+	CMPQ t, $2; \
+	JLT  tailed; \
+	DOT2_TAIL(8, l1, c2); \
+	CMPQ t, $3; \
+	JLT  tailed; \
+	DOT2_TAIL(16, l2, c2); \
+tailed:
+
+// DOT4_COLUMN leaves in Y0 the four dots of x0..x3 with the n-float column
+// at DX, one column alone: the quads into Y0–Y3 (BX the element index),
+// DOT4_SUM, and the tail against Y13–Y15, t its length. Y0–Y8, BX and t
+// clobbered.
+#define DOT4_COLUMN(t) \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	XORQ BX, BX; \
+	CMPQ BX, R12; \
+	JGE  sum1; \
+quad1: \
+	VMOVUPD (DX)(BX*8), Y4; \
+	VMULPD (SI)(BX*8), Y4, Y5; \
+	VMULPD (DI)(BX*8), Y4, Y6; \
+	VMULPD (R8)(BX*8), Y4, Y7; \
+	VMULPD (R9)(BX*8), Y4, Y8; \
+	VADDPD Y5, Y0, Y0; \
+	VADDPD Y6, Y1, Y1; \
+	VADDPD Y7, Y2, Y2; \
+	VADDPD Y8, Y3, Y3; \
+	ADDQ $4, BX; \
+	CMPQ BX, R12; \
+	JLT  quad1; \
+sum1: \
+	DOT4_SUM(Y0, Y1, Y2, Y3); \
+	MOVQ CX, t; \
+	SUBQ R12, t; \
+	CMPQ t, $1; \
+	JLT  tailed1; \
+	VBROADCASTSD (DX)(R12*8), Y4; \
+	VMULPD Y13, Y4, Y4; \
+	VADDPD Y4, Y0, Y0; \
+	CMPQ t, $2; \
+	JLT  tailed1; \
+	VBROADCASTSD 8(DX)(R12*8), Y4; \
+	VMULPD Y14, Y4, Y4; \
+	VADDPD Y4, Y0, Y0; \
+	CMPQ t, $3; \
+	JLT  tailed1; \
+	VBROADCASTSD 16(DX)(R12*8), Y4; \
+	VMULPD Y15, Y4, Y4; \
+	VADDPD Y4, Y0, Y0; \
+tailed1:
+
+// DIST_FINISH turns the four dots in y into SqDistOf(xn, norm, dot), xn
+// holding the four rows' norms and nb the column's: (xn + norm) − (dot +
+// dot), and VMAXPD's (0 > d ? 0 : d) for the clamp, which passes NaN and
+// −0 through as the Go comparison does. t clobbered.
+#define DIST_FINISH(y, nb, xn, t) \
+	VADDPD y, y, y; \
+	VBROADCASTSD nb, t; \
+	VADDPD xn, t, t; \
+	VSUBPD y, t, y; \
+	VXORPD t, t, t; \
+	VMAXPD y, t, y
+
+TEXT ·dot4PanelVec(SB), NOSPLIT, $0-208
 	MOVQ x0_base+0(FP), SI
 	MOVQ x0_len+8(FP), CX
 	MOVQ x1_base+24(FP), DI
 	MOVQ x2_base+48(FP), R8
 	MOVQ x3_base+72(FP), R9
+	DOT4_SETUP
 	MOVQ b_base+96(FP), DX
-	MOVQ w+120(FP), R13
+	MOVQ w+120(FP), R13 // columns left
 	MOVQ dst_base+128(FP), R10
 	MOVQ ld+152(FP), R11
 	SHLQ $3, R11 // output row stride in bytes
-	MOVQ CX, R12
-	ANDQ $~3, R12
-	MOVQ CX, AX
-	SUBQ R12, AX // tail length, 0–3
-	JZ   col
-	DOT4_TAIL_LANES(0, Y13, X13)
-	CMPQ AX, $1
-	JEQ  col
-	DOT4_TAIL_LANES(8, Y14, X14)
-	CMPQ AX, $2
-	JEQ  col
-	DOT4_TAIL_LANES(16, Y15, X15)
+	MOVQ bn_len+192(FP), R14
+	TESTQ R14, R14
+	JZ   pair
+	MOVQ xn_base+160(FP), BX
+	VMOVUPD (BX), Y12
+	MOVQ bn_base+184(FP), R14
 
-col:
-	TESTQ R13, R13
-	JZ    done
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	XORQ BX, BX
-	CMPQ BX, R12
-	JGE  sum
-
-quad:
-	VMOVUPD (DX)(BX*8), Y4
-	VMULPD (SI)(BX*8), Y4, Y5
-	VMULPD (DI)(BX*8), Y4, Y6
-	VMULPD (R8)(BX*8), Y4, Y7
-	VMULPD (R9)(BX*8), Y4, Y8
-	VADDPD Y5, Y0, Y0
-	VADDPD Y6, Y1, Y1
-	VADDPD Y7, Y2, Y2
-	VADDPD Y8, Y3, Y3
-	ADDQ $4, BX
-	CMPQ BX, R12
-	JLT  quad
-
-sum:
-	VHADDPD Y1, Y0, Y0                // s0+s1 and s2+s3 of outputs 0, 1
-	VHADDPD Y3, Y2, Y2                // and of outputs 2, 3
-	VPERM2F128 $0x20, Y2, Y0, Y1      // the four s0+s1
-	VPERM2F128 $0x31, Y2, Y0, Y3      // the four s2+s3
-	VADDPD Y3, Y1, Y0
-	TESTQ AX, AX
+pair:
+	CMPQ R13, $1
+	JLT  done
+	JEQ  single
+	LEAQ (DX)(CX*8), AX // the second column
+	DOT2_COLUMNS(AX, Y13, Y14, Y15, BX)
+	TESTQ R14, R14
 	JZ    store
-	VBROADCASTSD (DX)(R12*8), Y4
-	VMULPD Y13, Y4, Y4
-	VADDPD Y4, Y0, Y0
-	CMPQ AX, $1
-	JEQ  store
-	VBROADCASTSD 8(DX)(R12*8), Y4
-	VMULPD Y14, Y4, Y4
-	VADDPD Y4, Y0, Y0
-	CMPQ AX, $2
-	JEQ  store
-	VBROADCASTSD 16(DX)(R12*8), Y4
-	VMULPD Y15, Y4, Y4
-	VADDPD Y4, Y0, Y0
+	DIST_FINISH(Y0, (R14), Y12, Y8)
+	DIST_FINISH(Y4, 8(R14), Y12, Y9)
+	ADDQ $16, R14
 
 store:
 	VMOVSD X0, (R10)
@@ -491,12 +600,196 @@ store:
 	LEAQ (R10)(R11*2), BX
 	VMOVSD X1, (BX)
 	VMOVHPD X1, (BX)(R11*1)
-	ADDQ $8, R10
-	LEAQ (DX)(CX*8), DX // the next column
-	DECQ R13
-	JMP  col
+	VMOVSD X4, 8(R10)
+	VMOVHPD X4, 8(R10)(R11*1)
+	VEXTRACTF128 $1, Y4, X5
+	VMOVSD X5, 8(BX)
+	VMOVHPD X5, 8(BX)(R11*1)
+	ADDQ $16, R10
+	LEAQ (AX)(CX*8), DX // the next step's first column
+	SUBQ $2, R13
+	JMP  pair
+
+single:
+	DOT4_COLUMN(AX)
+	TESTQ R14, R14
+	JZ    store1
+	DIST_FINISH(Y0, (R14), Y12, Y1)
+
+store1:
+	VMOVSD X0, (R10)
+	VMOVHPD X0, (R10)(R11*1)
+	VEXTRACTF128 $1, Y0, X1
+	LEAQ (R10)(R11*2), BX
+	VMOVSD X1, (BX)
+	VMOVHPD X1, (BX)(R11*1)
 
 done:
+	VZEROUPPER
+	RET
+
+// func expDistSumVec(x0, x1, x2, x3, b []float64, w int, bn, coef []float64, p *sumPanel) int
+//
+// A batch of up to eight columns a step, in two phases. The distances go
+// first, two columns at a time (DOT2_COLUMNS, the x lanes of the len%4 tail
+// gathered in p.tail) and DIST_FINISH, each column's four distances into
+// p.d; a last odd column is computed as both columns of its pair. A batch
+// with a lane whose s·d is outside [−708, 709] ends the call before it, its
+// distances left in p.d. Otherwise exp(s·d) (EXP_LANES) runs over the
+// batch's columns, which are independent, so their latencies overlap, and
+// each column's term coef·K goes into the running sums (Y12) in column
+// order, a VMULPD and a VADDPD.
+//
+// BATCH_END lowers r, holding w, to min(R13 + 8, w): the end of the batch
+// from R13. BX clobbered.
+#define BATCH_END(r) \
+	LEAQ 8(R13), BX; \
+	CMPQ BX, r; \
+	CMOVQLT BX, r
+
+TEXT ·expDistSumVec(SB), NOSPLIT, $0-192
+	MOVQ x0_base+0(FP), SI
+	MOVQ x0_len+8(FP), CX
+	MOVQ x1_base+24(FP), DI
+	MOVQ x2_base+48(FP), R8
+	MOVQ x3_base+72(FP), R9
+	MOVQ b_base+96(FP), DX // the next column's row
+	MOVQ p+176(FP), R14
+	MOVQ CX, R12
+	ANDQ $~3, R12
+	VMOVUPD 0(R14), Y12 // the running sums
+	XORQ R13, R13       // columns added
+
+batch:
+	CMPQ R13, w+120(FP)
+	JGE  done
+	MOVQ R13, R11          // the next column's index
+	VPCMPEQQ Y13, Y13, Y13 // every exponent in range so far
+
+pair:
+	MOVQ w+120(FP), AX
+	BATCH_END(AX)
+	SUBQ R11, AX
+	JLE  exps
+	LEAQ (DX)(CX*8), R10 // the second column
+	CMPQ AX, $1
+	JGT  dots
+	MOVQ DX, R10
+
+dots:
+	DOT2_COLUMNS(R10, 96(R14), 128(R14), 160(R14), AX)
+
+dists:
+	MOVQ w+120(FP), AX
+	BATCH_END(AX)
+	LEAQ 1(R11), BX
+	CMPQ BX, AX
+	MOVQ bn_base+128(FP), AX
+	LEAQ (AX)(R11*8), AX
+	LEAQ 8(AX), BX
+	CMOVQGE AX, BX // the one column, twice
+	DIST_FINISH(Y0, (AX), 32(R14), Y1)
+	DIST_FINISH(Y4, (BX), 32(R14), Y5)
+	MOVQ R11, AX
+	SUBQ R13, AX
+	SHLQ $5, AX
+	VMOVUPD Y0, 192(R14)(AX*1)
+	VMOVUPD Y4, 224(R14)(AX*1)
+	VMULPD 64(R14), Y0, Y0 // t = s·d
+	VMULPD 64(R14), Y4, Y4
+	EXP_IN(Y0, Y2, Y3)
+	EXP_IN(Y4, Y6, Y7)
+	VANDPD Y2, Y13, Y13
+	VANDPD Y6, Y13, Y13
+	ADDQ $2, R11
+	LEAQ (R10)(CX*8), DX
+	JMP  pair
+
+exps:
+	VMOVMSKPD Y13, AX
+	CMPQ AX, $15
+	JNE  done
+	MOVQ w+120(FP), R11
+	BATCH_END(R11)
+	MOVQ coef_base+152(FP), R10
+	LEAQ 192(R14), AX
+
+exp:
+	CMPQ R13, R11
+	JGE  batch
+	VMOVUPD (AX), Y0
+	VMULPD 64(R14), Y0, Y0
+	EXP_LANES(Y0, Y1, Y2, X2)
+	VBROADCASTSD (R10)(R13*8), Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD Y1, Y12, Y12
+	INCQ R13
+	ADDQ $32, AX
+	JMP  exp
+
+done:
+	VMOVUPD Y12, 0(R14)
+	MOVQ R13, ret+184(FP)
+	VZEROUPPER
+	RET
+
+// func quotedSpanVec(s []byte) (n int, ctl bool)
+//
+// 32 bytes a step: a VPCMPEQB per byte of interest, the stops ('"', '\\')
+// and the controls (LF, CR) each ORed into one VPMOVMSKB mask. The first
+// block with a stop ends the call at that stop, counting only the controls
+// below it; a tail under 32 bytes is left to the caller.
+TEXT ·quotedSpanVec(SB), NOSPLIT, $0-33
+	MOVQ s_base+0(FP), SI
+	MOVQ s_len+8(FP), CX
+	ANDQ $~31, CX
+	MOVL $0x22, AX
+	MOVQ AX, X15
+	VPBROADCASTB X15, Y15
+	MOVL $0x5c, AX
+	MOVQ AX, X14
+	VPBROADCASTB X14, Y14
+	MOVL $0x0a, AX
+	MOVQ AX, X13
+	VPBROADCASTB X13, Y13
+	MOVL $0x0d, AX
+	MOVQ AX, X12
+	VPBROADCASTB X12, Y12
+	XORQ AX, AX // bytes scanned
+	XORL R8, R8 // controls seen
+
+qblock:
+	CMPQ AX, CX
+	JGE  qdone
+	VMOVDQU (SI)(AX*1), Y0
+	VPCMPEQB Y15, Y0, Y1
+	VPCMPEQB Y14, Y0, Y2
+	VPOR     Y2, Y1, Y1
+	VPCMPEQB Y13, Y0, Y2
+	VPCMPEQB Y12, Y0, Y3
+	VPOR     Y3, Y2, Y2
+	VPMOVMSKB Y1, DX
+	VPMOVMSKB Y2, BX
+	TESTL DX, DX
+	JNZ   qstop
+	ORL  BX, R8
+	ADDQ $32, AX
+	JMP  qblock
+
+qstop:
+	LEAL -1(DX), R9 // (stops − 1) &^ stops: the bits below the first stop
+	MOVL DX, R10
+	NOTL R10
+	ANDL R10, R9
+	ANDL R9, BX
+	ORL  BX, R8
+	BSFL DX, DX
+	ADDQ DX, AX
+
+qdone:
+	MOVQ AX, n+24(FP)
+	TESTL R8, R8
+	SETNE ctl+32(FP)
 	VZEROUPPER
 	RET
 

@@ -1,24 +1,29 @@
 package model
 
 import (
-	"slices"
 	"sync"
 
+	"casvm/internal/kernel"
 	"casvm/internal/la"
 )
 
-// Batched prediction through the kernel tile engine. Classifying a query
-// block against the support vectors is a K(Q_blk, SV_blk) tile (one GEMM
-// block plus the kernel finish) followed by a mat-vec with the αy
-// coefficients — so the SV matrix is streamed once per query block instead
-// of once per query, and the inner products run through the register-
-// blocked microkernels (la.MulTile).
+// Batched prediction. A dense Gaussian model decides through query panels
+// (la.ExpDistSum): four queries at a time, taken by index into the query
+// matrix with its norm cache, stream the support vectors in ascending order,
+// and each lane finishes exp(−γ·d) and adds αy·K to its query's running
+// decision in registers, so no kernel tile is written. The support vectors
+// go in blocks of about svPanelBytes, which stay in L2 across every quad of
+// queries. Sparse and non-Gaussian models classify a query block through a
+// K(SV_blk, Q_blk) tile (kernel.CrossTile) followed by a mat-vec with the αy
+// coefficients, so the SV matrix is streamed once per query block instead of
+// once per query.
 //
 // Every result is bit-identical to the scalar per-row oracle (one Eval per
-// support vector, oracle_test.go): each kernel element matches Params.Eval
-// exactly (kernel.CrossTile's contract), coefficients multiply in the same
-// (α·y)·K order, and each query's sum
-// accumulates over support vectors in ascending index order across blocks.
+// support vector, oracle_test.go): each kernel value matches Params.Eval
+// exactly (la.ExpDistSum's and kernel.CrossTile's contracts), coefficients
+// multiply in the same (α·y)·K order, and each query's sum accumulates over
+// support vectors in ascending index order across blocks, one addition a
+// term, starting from zero as the oracle's does.
 
 const (
 	// svBlock rows of the SV matrix per tile: bounds tile storage at
@@ -29,6 +34,9 @@ const (
 	// qBlock query rows per tile: the panel of query rows kept hot across
 	// one full sweep of the support vectors.
 	qBlock = 64
+	// svPanelBytes is the size of the SV block each query panel streams:
+	// small enough to stay in L2 while every quad of a group sweeps it.
+	svPanelBytes = 128 << 10
 )
 
 // evalScratch is the working storage of one batched call (Set.evalAll or
@@ -37,9 +45,9 @@ const (
 // call allocates what it returns and a constant number of small objects.
 type evalScratch struct {
 	route, order, bound []int     // eval: each query's model, the grouped order, group ends
-	gather, norms, vals []float64 // eval: the regrouped dense queries, their norms, their decisions
-	coef, tile          []float64 // decisionInto: one model's αy, one K tile
-	svRows              []int     // decisionInto: one SV block's indices
+	vals, coef          []float64 // eval: the grouped decisions; decisionInto: one model's αy
+	tile                []float64 // decisionInto's tile path: one K tile
+	svRows              []int     // decisionInto's tile path: one SV block's indices
 }
 
 var scratches = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -58,15 +66,22 @@ func grow[T any](s []T, n int) []T {
 func (m *Model) DecisionAll(q *la.Matrix) []float64 {
 	out := make([]float64, q.Rows())
 	sc := scratches.Get().(*evalScratch)
-	m.decisionInto(q, sc, out)
+	m.decisionInto(q, nil, sc, out)
 	scratches.Put(sc)
 	return out
 }
 
-// decisionInto is DecisionAll into out (one value per row of q), with its
-// coefficients, SV indices and tile in sc.
-func (m *Model) decisionInto(q *la.Matrix, sc *evalScratch, out []float64) {
-	nq := q.Rows()
+// panels reports whether m decides q's rows through query panels: a dense
+// Gaussian model over dense queries.
+func (m *Model) panels(q *la.Matrix) bool {
+	return m.Kernel.Kind == kernel.Gaussian && !m.SVX.Sparse() && !q.Sparse()
+}
+
+// decisionInto sets out[k] to the decision value of row rows[k] of q (row k
+// when rows is nil), rows ascending, with its coefficients and any tile in
+// sc. The tile path evaluates a contiguous run of rows as a view of q and
+// copies any other list once (la.Matrix.Subset).
+func (m *Model) decisionInto(q *la.Matrix, rows []int, sc *evalScratch, out []float64) {
 	nsv := m.NSV()
 	if nsv == 0 {
 		for i := range out {
@@ -82,9 +97,34 @@ func (m *Model) decisionInto(q *la.Matrix, sc *evalScratch, out []float64) {
 		// coefficient product folds out of the loop without changing a bit.
 		coef[i] = m.Alpha[i] * m.SVY[i]
 	}
+	if m.panels(q) {
+		blk := max(1, svPanelBytes/(8*max(1, m.SVX.Features())))
+		for slo := 0; slo < nsv; slo += blk {
+			shi := min(slo+blk, nsv)
+			la.ExpDistSum(q, rows, m.SVX, slo, shi, coef[slo:shi], -m.Kernel.Gamma, out)
+		}
+	} else {
+		if n := len(rows); n > 0 {
+			if rows[n-1]-rows[0] == n-1 {
+				q = q.RowRange(rows[0], rows[0]+n)
+			} else {
+				q = q.Subset(rows)
+			}
+		}
+		m.tileInto(q, sc, out)
+	}
+	for i := range out {
+		out[i] -= m.B
+	}
+}
+
+// tileInto adds Σᵢ αᵢyᵢK(q_row, svᵢ) to out for every row of q through
+// CrossTile tiles, the coefficients in sc.coef.
+func (m *Model) tileInto(q *la.Matrix, sc *evalScratch, out []float64) {
+	nq, nsv := q.Rows(), m.NSV()
 	th, tw := min(svBlock, nsv), min(qBlock, nq)
 	sc.svRows, sc.tile = grow(sc.svRows, th), grow(sc.tile, th*tw)
-	dst := sc.tile
+	coef, dst := sc.coef, sc.tile
 	for qlo := 0; qlo < nq; qlo += qBlock {
 		qhi := min(qlo+qBlock, nq)
 		w := qhi - qlo
@@ -105,9 +145,6 @@ func (m *Model) decisionInto(q *la.Matrix, sc *evalScratch, out []float64) {
 				}
 			}
 		}
-	}
-	for i := range out {
-		out[i] -= m.B
 	}
 }
 
@@ -165,14 +202,11 @@ func (s *Set) evalAll(q *la.Matrix, labels, decs []float64) {
 
 // eval routes every query to its model, counting-sorts the query indices by
 // model (stably, so each group keeps ascending query order), and has each
-// model evaluate its group through the tiled decisionInto as one contiguous
-// row range; the group's values scatter into whichever of labels and decs is
-// non-nil. When the grouped order is the identity (P = 1, or every query
-// routed to one model) the ranges are views of q itself; otherwise a dense q
-// is gathered once, in that order, into sc, norms and all, and a sparse q is
-// copied once by Subset. Either way each model sees exactly the rows and
-// norms of its group, so every value is bit-identical to the per-row oracles,
-// including the tiny fallback-signed decision an SV-less model yields.
+// model evaluate its group by index into q (decisionInto); the group's values
+// scatter into whichever of labels and decs is non-nil. Each model sees
+// exactly the rows and norms of its group, so every value is bit-identical
+// to the per-row oracles, including the tiny fallback-signed decision an
+// SV-less model yields.
 func (s *Set) eval(q *la.Matrix, sc *evalScratch, labels, decs []float64) {
 	nq, p := q.Rows(), s.P()
 	sc.route, sc.order, sc.bound = grow(sc.route, nq), grow(sc.order, nq), grow(sc.bound, p+1)
@@ -188,15 +222,6 @@ func (s *Set) eval(q *la.Matrix, sc *evalScratch, labels, decs []float64) {
 	for qi, r := range route {
 		order[bound[r]] = qi
 		bound[r]++ // after the loop, bound[r]: where group r ends
-	}
-	src := q
-	switch {
-	case slices.IsSorted(route): // the grouped order is the identity
-	case q.Sparse():
-		src = q.Subset(order)
-	default:
-		sc.gather, sc.norms = grow(sc.gather, nq*q.Features()), grow(sc.norms, nq)
-		src = q.SubsetInto(order, sc.gather, sc.norms)
 	}
 	sc.vals = grow(sc.vals, nq)
 	for r, lo := 0, 0; r < p; r++ {
@@ -215,7 +240,7 @@ func (s *Set) eval(q *la.Matrix, sc *evalScratch, labels, decs []float64) {
 				}
 			}
 		default:
-			m.decisionInto(src.RowRange(lo, hi), sc, vals)
+			m.decisionInto(q, group, sc, vals)
 			for k, qi := range group {
 				if labels != nil {
 					labels[qi] = m.label(vals[k])

@@ -232,6 +232,67 @@ func TestSetPredictAllMatchesPerRow(t *testing.T) {
 	}
 }
 
+// TestDecisionPanelsMatchOracle: a dense Gaussian model decides through
+// query panels, and every decision — unrouted and routed — equals the
+// per-row oracle's bit for bit: at query counts 0–9 and 63–65 (whole panels
+// and every remainder), SV counts either side of one and two panel blocks,
+// queries holding ±0, NaN, ±Inf and subnormals, and a γ whose exponents
+// fall below −708, where the lanes hand a term to math.Exp.
+func TestDecisionPanelsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(69))
+	const feats = 64
+	blk := svPanelBytes / (8 * feats)
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1e-310}
+	queries := func(nq int, planted bool) *la.Matrix {
+		q := batchDense(rng, nq, feats)
+		if planted {
+			for qi := 0; qi < nq; qi += 3 {
+				row := q.DenseRow(qi)
+				row[rng.Intn(feats)] = specials[rng.Intn(len(specials))]
+			}
+		}
+		return q
+	}
+	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
+	for _, nsv := range []int{1, 2, blk - 1, blk, blk + 1, 2*blk + 3} {
+		for _, gamma := range []float64{0.02, 40} {
+			m := syntheticModel(rng, batchDense(rng, nsv, feats), kernel.RBF(gamma))
+			for _, nq := range counts {
+				for _, planted := range []bool{false, true} {
+					q := queries(nq, planted)
+					got := m.DecisionAll(q)
+					for qi := range got {
+						if want := decision(m, q, qi); math.Float64bits(got[qi]) != math.Float64bits(want) &&
+							!(math.IsNaN(got[qi]) && math.IsNaN(want)) {
+							t.Fatalf("nsv=%d γ=%v nq=%d specials=%v: decision[%d] %v (%#x) != oracle %v (%#x)",
+								nsv, gamma, nq, planted, qi, got[qi], math.Float64bits(got[qi]), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+	// Routed: three models, one across a block, so groups of every size
+	// meet panels and remainders.
+	set := &Set{Centers: batchDense(rng, 3, feats)}
+	for _, nsv := range []int{3, blk + 5, 40} {
+		set.Models = append(set.Models, syntheticModel(rng, batchDense(rng, nsv, feats), kernel.RBF(0.02)))
+	}
+	for _, nq := range counts {
+		q := queries(nq, true)
+		labels, decs := set.EvalAll(q)
+		for qi := range decs {
+			want := setDecision(set, q, qi)
+			if math.Float64bits(decs[qi]) != math.Float64bits(want) && !(math.IsNaN(decs[qi]) && math.IsNaN(want)) {
+				t.Fatalf("routed nq=%d: decision[%d] %v != oracle %v", nq, qi, decs[qi], want)
+			}
+			if labels[qi] != setPredict(set, q, qi) {
+				t.Fatalf("routed nq=%d: label[%d] %v != oracle %v", nq, qi, labels[qi], setPredict(set, q, qi))
+			}
+		}
+	}
+}
+
 // BenchmarkPredictAll compares the tiled batch path against the per-row
 // loop it replaced, on the shapes the README quotes.
 func BenchmarkPredictAll(b *testing.B) {
@@ -269,6 +330,33 @@ func BenchmarkPredictAll(b *testing.B) {
 				_ = m.PredictAll(tc.q)
 			}
 		})
+	}
+}
+
+// BenchmarkPredictAllServed prices the routed pass on the served model's
+// shape (serve-batch): P = 8 dense Gaussian models of 32 support vectors over
+// 64 features, one 256-query batch, the routing included.
+func BenchmarkPredictAllServed(b *testing.B) {
+	rng := rand.New(rand.NewSource(66))
+	const np, nsv, feats, nq = 8, 32, 64, 256
+	set := &Set{Centers: batchDense(rng, np, feats)}
+	near := func(n int) *la.Matrix {
+		buf := make([]float64, n*feats)
+		for i := 0; i < n; i++ {
+			c := set.Centers.DenseRow(i % np)
+			for j := range feats {
+				buf[i*feats+j] = 3*c[j] + rng.NormFloat64()
+			}
+		}
+		return la.NewDense(n, feats, buf)
+	}
+	for r := 0; r < np; r++ {
+		set.Models = append(set.Models, syntheticModel(rng, near(nsv), kernel.RBF(1.0/128)))
+	}
+	q := near(nq)
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		_ = set.PredictAll(q)
 	}
 }
 
@@ -376,9 +464,9 @@ func TestSetEvalAllSinglePass(t *testing.T) {
 // TestRoutedPassAllocatesNoRows: a warm P=8 Set.PredictAll over dense
 // queries allocates its labels and a fixed handful of small objects — the
 // same count at 64, 256 and 1,024 queries, with no query-sized buffer
-// beside the labels — and a pass whose grouped order is the identity (P = 1,
-// or every query routed to one model) gathers nothing, yet answers as the
-// per-row oracle does.
+// beside the labels — and a pass over every model, over one model and at
+// P = 1 writes no kernel tile (the dense Gaussian models decide through
+// query panels) yet answers as the per-row oracle does.
 func TestRoutedPassAllocatesNoRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	const feats, np = 16, 8
@@ -425,20 +513,19 @@ func TestRoutedPassAllocatesNoRows(t *testing.T) {
 	}
 	single := Single(set.Models[0], set.Centers.DenseRow(0))
 	for _, c := range []struct {
-		name   string
-		set    *Set
-		q      *la.Matrix
-		gather bool
+		name string
+		set  *Set
+		q    *la.Matrix
 	}{
-		{"P=8, every model", set, near(64, all...), true},
-		{"P=8, one model", set, near(64, 3), false},
-		{"P=1", single, near(64, all...), false},
+		{"P=8, every model", set, near(64, all...)},
+		{"P=8, one model", set, near(64, 3)},
+		{"P=1", single, near(64, all...)},
 	} {
 		sc := new(evalScratch)
 		labels, decs := make([]float64, c.q.Rows()), make([]float64, c.q.Rows())
 		c.set.eval(c.q, sc, labels, decs)
-		if gathered := sc.gather != nil; gathered != c.gather {
-			t.Errorf("%s: gathered %v, want %v", c.name, gathered, c.gather)
+		if sc.tile != nil {
+			t.Errorf("%s: the pass made a %d-value kernel tile", c.name, len(sc.tile))
 		}
 		for qi := range labels {
 			if labels[qi] != setPredict(c.set, c.q, qi) || decs[qi] != setDecision(c.set, c.q, qi) {

@@ -381,10 +381,10 @@ func (p *reqParser) text() ([]byte, error) {
 
 // queriesB64 reads a queries_b64 value. A string with no escape — what every
 // client's encoder writes — is taken as the body bytes between its quotes,
-// found with one IndexByte and not copied. A raw CR or LF there is invalid
-// JSON that base64 would skip, so it is refused here; every other control
-// character base64 refuses itself, so that check is left to the decoder, or
-// made here if a later duplicate replaces the string undecoded.
+// found in one walk (la.QuotedSpan) and not copied. A raw CR or LF there is
+// invalid JSON that base64 would skip, so it is refused here; every other
+// control character base64 refuses itself, so that check is left to the
+// decoder, or made here if a later duplicate replaces the string undecoded.
 func (p *reqParser) queriesB64() error {
 	if p.null() {
 		return nil
@@ -394,13 +394,12 @@ func (p *reqParser) queriesB64() error {
 	}
 	if p.i < len(p.b) && p.b[p.i] == '"' {
 		s := p.b[p.i+1:]
-		if n := bytes.IndexByte(s, '"'); n >= 0 && bytes.IndexByte(s[:n], '\\') < 0 {
-			s = s[:n]
-			if bytes.IndexByte(s, '\n') >= 0 || bytes.IndexByte(s, '\r') >= 0 {
+		if n, ctl := la.QuotedSpan(s); n < len(s) && s[n] == '"' {
+			if ctl {
 				return p.bad("control character in string")
 			}
 			p.i += n + 2
-			p.b64, p.b64Raw = s, true
+			p.b64, p.b64Raw = s[:n], true
 			return nil
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -344,4 +345,45 @@ func referenceDecode(data []byte, lim Limits) (*PredictRequest, error) {
 		}
 	}
 	return req, nil
+}
+
+// TestQueriesB64RefusedBytes: a 175 KB queries_b64 value with a backslash,
+// LF or CR at its first, a middle or its last byte is refused with the text
+// the reader has always given — a raw line break names the string's opening
+// quote; a backslash sends the string through the escape-aware reader,
+// which names the bad escape, or, where the backslash escapes the closing
+// quote, the unterminated string — and the value as sent decodes.
+func TestQueriesB64RefusedBytes(t *testing.T) {
+	const feats, nq = 64, 262
+	lim := Limits{MaxQueries: nq, MaxFeatures: feats, MaxBody: 1 << 20}
+	flat := make([]float64, feats*nq)
+	val := EncodeQueriesB64(flat)
+	if len(val) < 175_000 {
+		t.Fatalf("value of %d bytes, want 175 KB", len(val))
+	}
+	prefix := `{"features": 64, "queries_b64": "`
+	body := prefix + val + `"}`
+	if req, err := DecodePredictRequest([]byte(body), lim); err != nil || req.NumQueries() != nq {
+		t.Fatalf("clean value: err %v", err)
+	}
+	quote := len(prefix) - 1
+	for _, pos := range []int{0, len(val) / 2, len(val) - 1} {
+		at := len(prefix) + pos
+		for _, c := range []byte{'\\', '\n', '\r'} {
+			b := []byte(body)
+			b[at] = c
+			var want string
+			switch {
+			case c != '\\':
+				want = fmt.Sprintf("serve: bad request JSON: control character in string at offset %d", quote)
+			case pos == len(val)-1: // \" escapes the closing quote
+				want = fmt.Sprintf("serve: bad request JSON: unterminated string at offset %d", len(b))
+			default: // \A
+				want = fmt.Sprintf("serve: bad request JSON: invalid escape in string at offset %d", at)
+			}
+			if _, err := DecodePredictRequest(b, lim); err == nil || err.Error() != want {
+				t.Errorf("%q at byte %d of the value: err %v, want %q", c, pos, err, want)
+			}
+		}
+	}
 }
