@@ -28,7 +28,9 @@ cross-vet:
 # the one-column tile under the lazy row fill and Dis-SMO's columns
 # (DotList: MulTile's and SqDistTile's one-column path; ColumnTile and
 # TileMatchesRow: CrossTile's columns and the lazy fill's transposed tile), the
-# whole-matrix fill, a CSR block's whole fill over its dense copy (Compacted:
+# whole-matrix fill (WholeFill; ExpDistTile: its Gaussian panels, which store
+# both triangles, against the recipe and the lane panel against its loop), a
+# CSR block's whole fill over its dense copy (Compacted:
 # Dot4 panels over the compacted rows), the Dis-SMO column cache's slots
 # (ColumnCache: decoded samples, norms, columns, diagonals and K(high, low)
 # over poisoned storage; DecodeRowInto: a slot's row and norm against
@@ -43,7 +45,7 @@ cross-vet:
 # GODEBUG=cpu.avx2=off turns the lanes off and leaves math.Exp on its FMA
 # branch; cpu.fma=off would move math.Exp itself, and every pinned Gaussian
 # hash with it.
-LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|RoutedPass|ExpDistSum|DecisionPanels|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|Compacted|OneRecipe|ColumnCache|DecodeRowInto|DecodeBase64F64|QuotedSpan|QueriesB64|DecodeBinary|DecodePredictRequest
+LANES_OFF_TESTS = Golden|Repin|Fused|ParallelMatches|Prefetch|Exchange|Columns|DisSMO|VectorKernelsActive|Dot4|MulTile|DecisionAll|RouteAll|SetPredictAll|EvalAll|RoutedPass|ExpDistSum|DecisionPanels|SqDistTile|ArgMin|AssignAll|ScalarWalk|Ties|CrossTile|DotList|ColumnTile|TileMatchesRow|WholeFill|ExpDistTile|Compacted|OneRecipe|ColumnCache|DecodeRowInto|DecodeBase64F64|QuotedSpan|QueriesB64|DecodeBinary|DecodePredictRequest
 lanes-off:
 	GODEBUG=cpu.avx2=off $(GO) test -count=1 -run '$(LANES_OFF_TESTS)' . ./internal/smo ./internal/core ./internal/la ./internal/model \
 		./internal/kmeans ./internal/partition ./internal/kernel ./internal/serve

@@ -272,20 +272,31 @@ func (c *RowCache) fill() {
 // the chunk's rows stay cache-resident while both missing rows take them.
 const fillChunk = 128
 
-// wholeBlock is how many rows fillWhole evaluates per CrossTile call: four
-// Dot4 panels, so every column row streamed serves sixteen entries, while the
+// wholeBlock is how many rows fillWhole evaluates per tile: four Dot4
+// panels, so every column row streamed serves sixteen entries, while the
 // block's own rows stay in L1.
 const wholeBlock = 16
 
-// fillWhole fills every row of an empty whole cache: m misses, slots acquired
-// in row order so that slot s holds row s. The upper triangle is evaluated in
-// blocks of up to wholeBlock consecutive rows, each one CrossTile over
-// columns [lo, m) written straight into the block's rows (ld = m; a block
-// never straddles a storage chunk, so its rows are back to back). That
-// evaluates a block's own lower triangle too; every column left of a block is
-// then copied from the rows above it, a block of destination rows per source
-// row. The copies are exact for the reason fill's are, and a pooled chunk's
-// stale contents are all overwritten.
+// fillWhole fills every row of an empty whole cache: m misses, and all m
+// slots acquired up front, in row order, so that slot s holds row s and every
+// row has its storage before any block is evaluated. The upper triangle is
+// evaluated in blocks of up to wholeBlock consecutive rows [lo, hi) that never
+// straddle a storage chunk, so a block's rows are back to back (ld = m). A
+// block takes one tile over its own columns [lo, hi), which evaluates its own
+// lower triangle too, and one over the columns right of it, [hi, m), which
+// stores K(r, c) into the block's row r and, as the mirror, into row c at
+// column r (wholeTile; la.Mirror over the cache's chunks). A row's columns
+// left of its block are thus stored by the blocks above it, and a pooled
+// chunk's stale contents are all overwritten. The mirrored value is the entry
+// itself, which equals Eval(c, r) because entries are bitwise symmetric
+// (fill).
+//
+// A Gaussian block over dense rows goes through la.ExpDistTile: each panel
+// finishes its distances and their exps in registers and stores every value
+// into both triangles from there, stepping from one storage chunk of mirror
+// rows to the next itself, so the block is not read back. Other kernels, and
+// CSR blocks that do not compact, take CrossTile, and their mirror is stored
+// from its tile in the same push order (la.Mirror.Store).
 //
 // A CSR block dense enough on its column support (compact, at minDensity;
 // Row and PrefetchPair pass compactDensity) is evaluated over its dense copy
@@ -296,50 +307,56 @@ const wholeBlock = 16
 // changes those only by rounding (within 1e-14 of CSR Eval, which
 // TestCompactedFillOracle holds). A Gaussian diagonal entry is still exactly
 // 1, Diag's value, since the copy's norm is the Dot of its row with itself.
-// Every other block's entries are Eval's over the CSR rows. Slots are
-// acquired a block at a time and each part of the copy goes back to the pool
-// once the blocks have passed its rows, so the cache's later chunks can reuse
-// the copy's earlier ones: with 8 ranks filling at once, taking the cache's
-// chunks up front held both sets and added fresh chunks to every collection
-// cycle (+1.5% B/op on BenchmarkTrainFCFSCASparse against +0.4%).
+// Every other block's entries are Eval's over the CSR rows. Each part of the
+// copy goes back to the pool once the blocks have passed its rows.
 //
 // Flops follow the work, as in fill: every evaluated entry charges the
 // storage's per-row formula, 2·nnz(row)·w + w over the block's w = m − lo
 // columns, nnz counted in the CSR row whether or not the block was
-// compacted; a copied entry charges nothing.
+// compacted; a mirrored entry charges nothing.
 func (c *RowCache) fillWhole(minDensity float64) {
 	sp := c.rec.Begin(trace.CatKernel, "row-fill")
 	l, m := &c.lru, c.m
 	c.misses += int64(m)
+	for i := range m {
+		l.acquire(i)
+	}
 	dc, compacted := compact(c.data, minDensity)
-	var rows [wholeBlock]int
-	var dst [wholeBlock][]float64
+	if !compacted {
+		dc = denseCopy{rows: m, partRows: m, parts: []*la.Matrix{c.data}}
+	}
 	var f float64
 	for lo := 0; lo < m; {
 		dc.releaseBelow(lo)
 		hi := min(lo+wholeBlock, (lo/int(l.chunkRows)+1)*int(l.chunkRows), m)
-		for k := range hi - lo {
-			l.acquire(lo + k)
-			rows[k] = lo + k
-			dst[k] = l.row(int32(lo + k))
-			f += tileFlops(c.data, lo+k, m-lo)
+		for r := lo; r < hi; r++ {
+			f += tileFlops(c.data, r, m-lo)
 		}
 		block := l.rowsFrom(int32(lo))[lo:]
-		if compacted {
-			dc.tile(c.params, lo, hi, block, m)
-		} else {
-			c.params.CrossTile(c.data, rows[:hi-lo], c.data, lo, m, block, m)
-		}
-		for j := range lo {
-			for k, v := range l.row(int32(j))[lo:hi] {
-				dst[k][j] = v
-			}
-		}
+		dc.tile(c.params, lo, hi, lo, hi, block, m, la.Mirror{})
+		dc.tile(c.params, lo, hi, hi, m, block[hi-lo:], m,
+			la.Mirror{Chunks: l.chunks, Per: int(l.chunkRows), Row: hi, Col: lo})
 		lo = hi
 	}
 	dc.releaseBelow(m)
 	c.rec.EndFlops(sp, f)
 	c.flops += f
+}
+
+// wholeTile is CrossTile that also stores the tile's transpose into mirror
+// (la.Mirror), unless that is the zero Mirror. A Gaussian tile over dense
+// rows is one la.ExpDistTile, whose panels store both from their registers;
+// any other is CrossTile and then the mirror from its tile, a column at a
+// time.
+func (p Params) wholeTile(a *la.Matrix, rows []int, b *la.Matrix, clo, chi int, dst []float64, ld int, mirror la.Mirror) {
+	if p.Kind == Gaussian && !a.Sparse() && !b.Sparse() {
+		la.ExpDistTile(a, rows, b, clo, chi, -p.Gamma, dst, ld, mirror)
+		return
+	}
+	p.CrossTile(a, rows, b, clo, chi, dst, ld)
+	if mirror.Chunks != nil {
+		mirror.Store(dst, ld, len(rows), chi-clo)
+	}
 }
 
 // compactDensity is the least density on its column support, stored entries
@@ -365,7 +382,8 @@ var supports = sync.Pool{New: func() any { return new(la.ColumnSupport) }}
 // (la.ColumnSupport.Compact) into storage chunks borrowed from the chunk
 // pool: part k is one dense matrix over one chunk holding rows
 // [k·partRows, (k+1)·partRows) of the block, partRows a multiple of
-// wholeBlock. The zero value holds nothing.
+// wholeBlock. fillWhole also wraps a block it does not copy as the one part
+// of a denseCopy without chunks. The zero value holds nothing.
 type denseCopy struct {
 	rows     int
 	partRows int
@@ -397,11 +415,12 @@ func compact(a *la.Matrix, minDensity float64) (d denseCopy, ok bool) {
 	return d, true
 }
 
-// tile sets dst[r*ld + (c−lo)] = K(lo+r, c) over the copy for the rows
-// [lo, hi), at most wholeBlock of them, and the columns [lo, d.rows): one
-// CrossTile for every part the rows span against every part the columns
-// span.
-func (d *denseCopy) tile(p Params, lo, hi int, dst []float64, ld int) {
+// tile sets dst[r*ld + (c−c0)] = K(lo+r, c) over the copy for the rows
+// [lo, hi), at most wholeBlock of them, and the columns [c0, c1), and stores
+// their transpose into mirror, whose first row and column are c0's and lo's,
+// unless it is the zero Mirror: one wholeTile for every part the rows span
+// against every part the columns span.
+func (d *denseCopy) tile(p Params, lo, hi, c0, c1 int, dst []float64, ld int, mirror la.Mirror) {
 	var rows [wholeBlock]int
 	for r0 := lo; r0 < hi; {
 		pr := r0 / d.partRows
@@ -409,12 +428,14 @@ func (d *denseCopy) tile(p Params, lo, hi int, dst []float64, ld int) {
 		for k := range r1 - r0 {
 			rows[k] = r0 - pr*d.partRows + k
 		}
-		for c0 := lo; c0 < d.rows; {
-			pc := c0 / d.partRows
-			c1 := min(d.rows, (pc+1)*d.partRows)
-			p.CrossTile(d.parts[pr], rows[:r1-r0], d.parts[pc], c0-pc*d.partRows, c1-pc*d.partRows,
-				dst[(r0-lo)*ld+c0-lo:], ld)
-			c0 = c1
+		for cc := c0; cc < c1; {
+			pc := cc / d.partRows
+			ce := min(c1, (pc+1)*d.partRows)
+			mr := mirror
+			mr.Row, mr.Col = mirror.Row+cc-c0, mirror.Col+r0-lo
+			p.wholeTile(d.parts[pr], rows[:r1-r0], d.parts[pc], cc-pc*d.partRows, ce-pc*d.partRows,
+				dst[(r0-lo)*ld+cc-c0:], ld, mr)
+			cc = ce
 		}
 		r0 = r1
 	}

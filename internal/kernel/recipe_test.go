@@ -97,24 +97,35 @@ func TestOneRecipeEverywhere(t *testing.T) {
 // TestWholeFillMatchesOracle: a cache whose capacity covers every row fills
 // them all at its first Row or PrefetchPair — m misses, no hit, the whole
 // fill's charge, and storage for every row — and every row then equals the
-// oracle bit for bit, over NaN-poisoned pool chunks. The shapes put chunk
-// boundaries inside and between the 16-row blocks (a 450-value row leaves 36
-// rows to a chunk), and include the one- and two-row caches (a one-row cache
-// has two slots, the minimum). After Release
-// the cache fills whole again, over its own stale storage. The oracle of a
-// CSR block that compacts is Params.Row over its compacted matrix, and its
-// rows are held within compactTol of Row over the CSR rows too; the charge is
-// the CSR one either way.
+// oracle bit for bit, over NaN-poisoned pool chunks. The shapes cover every
+// m%4 with m%16 ≠ 0, and put chunk boundaries inside and between the 16-row
+// blocks (a 450-value row leaves 36 rows to a chunk, a 700-value row 23),
+// and include the one- and two-row caches (a one-row cache has two slots,
+// the minimum). One dense block holds rows far from the rest, so that its
+// Gaussian panels meet exponents below −708 mid-batch and hand them back to
+// math.Exp. The Gaussian takes the lane panels, which store both triangles;
+// the polynomial and linear kernels take CrossTile and the mirror from it.
+// After Release the cache fills whole again, over its own stale storage. The
+// oracle of a CSR block that compacts is Params.Row over its compacted
+// matrix, and its rows are held within compactTol of Row over the CSR rows
+// too; the charge is the CSR one either way.
 func TestWholeFillMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
+	far := denseMat(rng, 90, 4)
+	for i := 2; i < far.Rows(); i += 5 {
+		for j, v := range far.DenseRow(i) {
+			far.DenseRow(i)[j] = 30 * v
+		}
+	}
 	for _, a := range []*la.Matrix{denseMat(rng, 450, 5), sparseMat(rng, 450, 60, 0.1),
-		denseMat(rng, 1, 3), denseMat(rng, 2, 3), denseMat(rng, 17, 4), sparseMat(rng, 33, 20, 0.3)} {
+		denseMat(rng, 1, 3), denseMat(rng, 2, 3), denseMat(rng, 17, 4), sparseMat(rng, 33, 20, 0.3),
+		denseMat(rng, 67, 7), denseMat(rng, 100, 6), denseMat(rng, 700, 3), far} {
 		m := a.Rows()
 		oracle := a
 		if cm := compacted(a); cm != nil {
 			oracle = cm
 		}
-		for _, p := range []Params{RBF(0.3), {Kind: Polynomial, Coef: 1, Degree: 2}} {
+		for _, p := range []Params{RBF(0.3), {Kind: Polynomial, Coef: 1, Degree: 2}, {Kind: Linear}} {
 			want := make([][]float64, m)
 			for i := range want {
 				want[i] = make([]float64, m)

@@ -13,7 +13,10 @@ import "casvm/internal/la"
 // There is one fill, CrossTile, over la.MulTile (la.SqDistTile for the
 // Gaussian), and every entry it writes is that value bit for bit, so a row
 // filled lazily, a row of a whole-filled RowCache, a Dis-SMO column and a
-// batch-prediction tile agree to the last bit. The one exception is
+// batch-prediction tile agree to the last bit. The whole fill's Gaussian
+// tiles over dense rows take la.ExpDistTile instead, CrossTile's block with
+// the exps taken and the transpose stored in the distance panels, the same
+// value bit for bit (wholeTile). The one exception is
 // deliberate: a whole RowCache over a CSR block that compacts runs CrossTile
 // over the block's dense copy (compact), so its entries are Eval over that
 // compacted matrix bit for bit — dot products and norms are invariant under
@@ -21,8 +24,9 @@ import "casvm/internal/la"
 // differ only in the shape of the tile they ask for:
 //
 //   - RowCache's whole fill asks for blocks of rows against the columns from
-//     the block on (Dot4 panels), batch prediction for queries against
-//     support vectors.
+//     the block on (Dot4 panels), each column's entries also stored into
+//     that column's row, batch prediction for queries against support
+//     vectors.
 //   - RowCache's lazy fill and smo.Solver.FillColumn ask for one column: the
 //     listed rows against one row, into contiguous storage. A dense tile of
 //     that shape is one la.MulTile pass of the one row against the listed

@@ -1,6 +1,9 @@
 package la
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Blocked-GEMM tile layer. Kernel matrices are rank-k products in disguise
 // — K = f(X·Zᵀ, ‖x‖², ‖z‖²) — so the dominant flops of both training scans
@@ -180,7 +183,11 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 			}
 		}
 	default: // dense × sparse: densify each b column once, 4 a rows per pass
-		buf := make([]float64, b.Features())
+		bp := densified.Get().(*[]float64)
+		if cap(*bp) < b.n {
+			*bp = make([]float64, b.n)
+		}
+		buf := *bp
 		var tmp [4]float64
 		for c := clo; c < chi; c++ {
 			xc := b.RowInto(c, buf)
@@ -198,8 +205,14 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 				dst[r*ld+o] = Dot(a.DenseRow(rows[r]), xc)
 			}
 		}
+		densified.Put(bp)
 	}
 }
+
+// densified recycles the row buffer MulTile's dense×sparse case densifies
+// each b row into (RowInto clears it first), so a tile allocates nothing once
+// a buffer of the feature width exists.
+var densified = sync.Pool{New: func() any { return new([]float64) }}
 
 // denseTile is MulTile's dense×dense block, and with dist SqDistTile's:
 // each dot finished as SqDistOf(‖a_r‖², ‖b_c‖², dot) from the norm caches,
@@ -274,18 +287,174 @@ func SqDistTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, l
 	}
 }
 
-// sumPanel is the state expDistSumVec carries for its four rows: their
-// running sums and squared norms, the exponent's scale in every lane, their
-// elements past the last whole quad, and the distances of the batch of
-// columns under way (a batch the lanes stop before is left there).
+// Mirror is where ExpDistTile stores a tile's transpose: rows of a matrix
+// kept in chunks of Per rows each (internal/kernel's row storage), a row of
+// the tile's ld values. Tile column c goes to row Row + c − clo and tile row
+// r to column Col + r. The zero Mirror stores nothing.
+type Mirror struct {
+	Chunks   [][]float64
+	Per      int
+	Row, Col int
+}
+
+// run returns the storage from tile column c's mirror entry for tile row 0
+// on, and how many columns from c have their rows in that chunk.
+func (m Mirror) run(c, ld int) ([]float64, int) {
+	j := m.Row + c
+	q, i := j/m.Per, j%m.Per
+	return m.Chunks[q][i*ld+m.Col:], m.Per - i
+}
+
+// Store sets the mirror entries of a rows × w tile at row stride ld: row
+// Row + c, column Col + r takes tile[r*ld + c], pushed a column at a time.
+func (m Mirror) Store(tile []float64, ld, rows, w int) {
+	for c := 0; c < w; {
+		mc, k := m.run(c, ld)
+		k = min(k, w-c)
+		for j := range k {
+			for r := range rows {
+				mc[j*ld+r] = tile[r*ld+c+j]
+			}
+		}
+		c += k
+	}
+}
+
+// ExpDistTile sets dst[r*ld + (c-clo)] = math.Exp(s·d) bit for bit for c in
+// [clo, chi), d being SqDistTile's distance from listed row rows[r] of a to
+// row c of b: with s = −γ, the Gaussian kernel block CrossTile writes. With
+// mirror not the zero Mirror it also stores the same values as the tile's
+// transpose there, whose rows must be ld values long: a caller whose rows
+// are consecutive rows of b, and whose mirror rows are b's, stores K's other
+// triangle in the same pass. a and b must be dense, and dst must hold
+// (len(rows)-1)*ld + (chi-clo) values.
+//
+// Four rows go through a panel at a time (expPanel4): each column's four
+// distances are finished, exponentiated and stored into both places from
+// the panel's registers where the lanes run, across the mirror's chunks in
+// one call. The last len(rows)%4 rows go one at a time: dotList's distances
+// into the row, ExpScaled, and their mirror entries from the row.
+func ExpDistTile(a *Matrix, rows []int, b *Matrix, clo, chi int, s float64, dst []float64, ld int, mirror Mirror) {
+	w, n := chi-clo, b.n
+	if w <= 0 || len(rows) == 0 {
+		return
+	}
+	a.EnsureNorms()
+	b.EnsureNorms()
+	cols, bn, dst := b.dense[clo*n:chi*n], b.sqnorm[clo:chi], dst[:(len(rows)-1)*ld+w]
+	if mirror.Chunks != nil {
+		// Every mirror row holds the tile's rows: the lanes store into them.
+		for c := 0; c < w; {
+			mc, k := mirror.run(c, ld)
+			_ = mc[(min(k, w-c)-1)*ld+len(rows)-1]
+			c += k
+		}
+	}
+	p := sumPanel{s: [4]float64{s, s, s, s}}
+	r := 0
+	for ; r+4 <= len(rows); r += 4 {
+		x0, x1, x2, x3 := a.DenseRow(rows[r])[:n], a.DenseRow(rows[r+1]), a.DenseRow(rows[r+2]), a.DenseRow(rows[r+3])
+		p.xn = [4]float64{a.sqnorm[rows[r]], a.sqnorm[rows[r+1]], a.sqnorm[rows[r+2]], a.sqnorm[rows[r+3]]}
+		pm := mirror
+		pm.Col += r
+		expPanel4(x0, x1, x2, x3, cols, w, dst[r*ld:], ld, bn, pm, &p)
+	}
+	for ; r < len(rows); r++ {
+		out := dst[r*ld : r*ld+w]
+		dotList(a.DenseRow(rows[r]), b, clo, nil, out, bn, a.sqnorm[rows[r]])
+		ExpScaled(out, s)
+		if mirror.Chunks != nil {
+			row := mirror
+			row.Col += r
+			row.Store(out, ld, 1, w)
+		}
+	}
+}
+
+// expPanel4 is ExpDistTile's panel: dst[k*ld + c] = math.Exp(s·SqDistOf(
+// p.xn[k], bn[c], Dot(x_k, b[c*n : c*n+n]))) for the four vectors x0..x3 and
+// each of the w n-float rows of b, n being len(x0) and s every lane of p.s,
+// and the same four values at mirror column c's entry for tile row 0 on,
+// unless mirror is the zero Mirror. Where the lanes run and s ≤ 0, as the
+// Gaussian's −γ is, expPanelVec finishes batches of up to sumBatch columns in
+// registers; a batch it hands back, holding an exponent outside [−708, 709]
+// or not finite, has its exponents s·d in p.d, which math.Exp finishes here
+// as ExpScaled would. Elsewhere expPanelLoop runs.
+func expPanel4(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int, bn []float64, mirror Mirror, p *sumPanel) {
+	n := len(x0)
+	x1, x2, x3, b, dst, bn = x1[:n], x2[:n], x3[:n], b[:w*n], dst[:3*ld+w], bn[:w]
+	if !vectorKernels || !(p.s[0] <= 0) {
+		expPanelLoop(x0, x1, x2, x3, b, w, dst, ld, bn, mirror, p)
+		return
+	}
+	p.setTail(x0, x1, x2, x3)
+	for c := 0; c < w; {
+		c += expPanelVec(x0, x1, x2, x3, b[c*n:], w-c, dst[c:], ld, bn[c:],
+			mirror.Chunks, mirror.Per, mirror.Row+c, mirror.Col, p)
+		if c == w {
+			break
+		}
+		// A batch holding an exponent the lanes leave to math.Exp.
+		for _, t := range p.d[:min(sumBatch, w-c)] {
+			for k, tk := range t {
+				t[k] = math.Exp(tk)
+			}
+			put(t, c, dst, ld, mirror)
+			c++
+		}
+	}
+}
+
+// expPanelLoop is expPanel4's portable loop: a column's four dots (dot4Loop),
+// each finished as math.Exp(s·SqDistOf(p.xn[k], bn[c], dot)) and stored into
+// dst and mirror (put).
+func expPanelLoop(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int, bn []float64, mirror Mirror, p *sumPanel) {
+	n := len(x0)
+	var d [4]float64
+	for c := range w {
+		dot4Loop(b[c*n:c*n+n], x0, x1, x2, x3, d[:])
+		for k, dot := range d {
+			d[k] = math.Exp(p.s[k] * SqDistOf(p.xn[k], bn[c], dot))
+		}
+		put(d, c, dst, ld, mirror)
+	}
+}
+
+// put stores column c's four values v down the column in dst and, unless it
+// is the zero Mirror, along the column's row of mirror.
+func put(v [4]float64, c int, dst []float64, ld int, mirror Mirror) {
+	for k, x := range v {
+		dst[k*ld+c] = x
+	}
+	if mirror.Chunks != nil {
+		mc, _ := mirror.run(c, ld)
+		copy(mc[:4], v[:])
+	}
+}
+
+// sumPanel is the state expDistSumVec and expPanelVec carry for their four
+// rows: their running sums (expDistSumVec's alone) and squared norms, the
+// exponent's scale in every lane, their elements past the last whole quad,
+// and the batch of columns under way — its distances in expDistSumVec, its
+// exponents s·d in expPanelVec (a batch the lanes stop before is left
+// there).
 type sumPanel struct {
 	acc, xn, s [4]float64
 	tail       [3][4]float64
 	d          [sumBatch][4]float64
 }
 
-// sumBatch is how many columns expDistSumVec finishes the distances of
-// before it takes their exps, which then overlap.
+// setTail puts x0..x3's elements past their last whole quad into p.tail.
+func (p *sumPanel) setTail(x0, x1, x2, x3 []float64) {
+	n := len(x0)
+	for t := range n - n&^3 {
+		i := n&^3 + t
+		p.tail[t] = [4]float64{x0[i], x1[i], x2[i], x3[i]}
+	}
+}
+
+// sumBatch is how many columns expDistSumVec and expPanelVec finish the
+// distances of before they take their exps, which then overlap.
 const sumBatch = 8
 
 // sumChunk is how many distances ExpDistSum's one-row path finishes per
@@ -333,10 +502,7 @@ func ExpDistSum(a *Matrix, rows []int, b *Matrix, clo, chi int, coef []float64, 
 				xn:  [4]float64{a.sqnorm[i0], a.sqnorm[i1], a.sqnorm[i2], a.sqnorm[i3]},
 				s:   [4]float64{s, s, s, s},
 			}
-			for t := range n - n&^3 {
-				i := n&^3 + t
-				p.tail[t] = [4]float64{x0[i], x1[i], x2[i], x3[i]}
-			}
+			p.setTail(x0, x1, x2, x3)
 			for c := 0; ; {
 				c += expDistSumVec(x0, x1, x2, x3, cols[c*n:], w-c, bn[c:], coef[c:], &p)
 				if c == w {

@@ -13,8 +13,9 @@
 //
 // ExpScaled, the Gaussian kernel's batched finish, UpdateScan, the SMO
 // iteration tail, Dot4, MulTile's and SqDistTile's dense panels and
-// one-column tiles (one row against listed rows), and ExpDistSum, the
-// Gaussian decision sum, run four lanes wide in amd64 assembly
+// one-column tiles (one row against listed rows), ExpDistTile, the whole
+// kernel fill's Gaussian tiles stored into both triangles, and ExpDistSum,
+// the Gaussian decision sum, run four lanes wide in amd64 assembly
 // (vec_amd64.s) when the CPU has AVX2 and FMA, and as the portable loops
 // otherwise; both paths give the scalar results bit for bit.
 package la

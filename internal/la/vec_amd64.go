@@ -7,9 +7,9 @@ import (
 )
 
 // vectorKernels selects the four-lane assembly behind ExpScaled, UpdateScan,
-// Dot4, MulTile's and SqDistTile's dense panels and one-column tiles and
-// ExpDistSum's query panels, and the byte scans behind DecodeBase64F64 and
-// QuotedSpan (vec_amd64.s): the
+// Dot4, MulTile's and SqDistTile's dense panels and one-column tiles,
+// ExpDistTile's whole-fill panels and ExpDistSum's query panels, and the
+// byte scans behind DecodeBase64F64 and QuotedSpan (vec_amd64.s): the
 // CPU has AVX2 and FMA, the OS saves YMM state, and the exp lanes agree with
 // this process's math.Exp bit for bit.
 // The last condition keeps the path exact wherever math.Exp does not run the
@@ -65,6 +65,20 @@ func dot4PanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int, xn,
 //
 //go:noescape
 func expDistSumVec(x0, x1, x2, x3, b []float64, w int, bn, coef []float64, p *sumPanel) int
+
+// expPanelVec sets dst[k*ld + c] = exp(s·SqDistOf(p.xn[k], bn[c], Dot(x_k,
+// b[c*n : c*n+n]))) for k < 4 and c = 0, 1, … < w in order, n being len(x0)
+// and s ≤ 0 every lane of p.s, with p.tail[t] holding x0..x3's element
+// n&^3 + t, and, when chunks is not empty, stores the same four values at
+// column col of row row + c of the mirror rows chunks holds, per rows of ld
+// values to a chunk (la.Mirror); it returns how many columns it set. It takes the
+// columns in batches of sumBatch and stops before a batch with a lane whose
+// exponent s·d is outside [−708, 709] or not finite, leaving the batch's
+// exponents in p.d. x1..x3 hold at least n floats, b at least w·n, dst at
+// least 3·ld + w, bn w, and every mirror row four values from col on.
+//
+//go:noescape
+func expPanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int, bn []float64, chunks [][]float64, per, row, col int, p *sumPanel) int
 
 // quotedSpanVec returns n, the index of the first '"' or '\\' in s's whole
 // 32-byte blocks (their length when none holds one), and whether a LF or CR

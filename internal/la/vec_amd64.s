@@ -1,8 +1,8 @@
 #include "textflag.h"
 
 // Four-lane kernels behind ExpScaled and UpdateScan (vec.go) and behind
-// Dot4, MulTile's and SqDistTile's dense panels and one-column tiles, and
-// ExpDistSum's query panels (tile.go). Each lane performs exactly the
+// Dot4, MulTile's and SqDistTile's dense panels and one-column tiles,
+// ExpDistTile's whole-fill panels and ExpDistSum's query panels (tile.go). Each lane performs exactly the
 // instruction sequence of the scalar code it stands in for, so every result
 // is the scalar result bit for bit. The base64 decode behind
 // DecodeBase64F64 (encode.go) writes encoding/base64's bytes, and the scan
@@ -562,6 +562,17 @@ tailed1:
 	VXORPD t, t, t; \
 	VMAXPD y, t, y
 
+// DOT4_STORE(y, x, xh, off, p, ld) stores y's four lanes down a column of
+// output rows ld bytes apart: lane k at off(p) + k·ld. x is y's low half and
+// xh, clobbered, takes its high one. BX clobbered.
+#define DOT4_STORE(y, x, xh, off, p, ld) \
+	VMOVSD x, off(p); \
+	VMOVHPD x, off(p)(ld*1); \
+	VEXTRACTF128 $1, y, xh; \
+	LEAQ (p)(ld*2), BX; \
+	VMOVSD xh, off(BX); \
+	VMOVHPD xh, off(BX)(ld*1)
+
 TEXT ·dot4PanelVec(SB), NOSPLIT, $0-208
 	MOVQ x0_base+0(FP), SI
 	MOVQ x0_len+8(FP), CX
@@ -594,17 +605,8 @@ pair:
 	ADDQ $16, R14
 
 store:
-	VMOVSD X0, (R10)
-	VMOVHPD X0, (R10)(R11*1)
-	VEXTRACTF128 $1, Y0, X1
-	LEAQ (R10)(R11*2), BX
-	VMOVSD X1, (BX)
-	VMOVHPD X1, (BX)(R11*1)
-	VMOVSD X4, 8(R10)
-	VMOVHPD X4, 8(R10)(R11*1)
-	VEXTRACTF128 $1, Y4, X5
-	VMOVSD X5, 8(BX)
-	VMOVHPD X5, 8(BX)(R11*1)
+	DOT4_STORE(Y0, X0, X1, 0, R10, R11)
+	DOT4_STORE(Y4, X4, X5, 8, R10, R11)
 	ADDQ $16, R10
 	LEAQ (AX)(CX*8), DX // the next step's first column
 	SUBQ $2, R13
@@ -617,12 +619,7 @@ single:
 	DIST_FINISH(Y0, (R14), Y12, Y1)
 
 store1:
-	VMOVSD X0, (R10)
-	VMOVHPD X0, (R10)(R11*1)
-	VEXTRACTF128 $1, Y0, X1
-	LEAQ (R10)(R11*2), BX
-	VMOVSD X1, (BX)
-	VMOVHPD X1, (BX)(R11*1)
+	DOT4_STORE(Y0, X0, X1, 0, R10, R11)
 
 done:
 	VZEROUPPER
@@ -730,6 +727,213 @@ exp:
 done:
 	VMOVUPD Y12, 0(R14)
 	MOVQ R13, ret+184(FP)
+	VZEROUPPER
+	RET
+
+// func expPanelVec(x0, x1, x2, x3, b []float64, w int, dst []float64, ld int, bn []float64, chunks [][]float64, per, row, col int, p *sumPanel) int
+//
+// expDistSumVec's batches with the exps stored instead of summed: the
+// exponents t = s·d of up to eight columns go first, two columns at a time,
+// into p.d, and a batch with one outside [−708, 709] ends the call before
+// it. The scale is not positive and a distance is +0 or more, −0 or NaN, so
+// t is at most +0 or NaN, and one ordered compare, t ≥ −708, is EXP_IN's
+// test. Otherwise the batch's exps (EXP_LANES) go four columns at a time, the
+// columns independent, so their latencies overlap, and the batch's last
+// len%4 columns one at a time. Each column's four values go down the column
+// in dst (DOT4_STORE) and, when chunks is not empty, as one 32-byte store
+// along the column's mirror row.
+//
+// At a batch's exps R10 points at the column's dst entries and DX holds ld
+// in bytes; SI points at the column's mirror entry (0 without a mirror), in
+// chunk R9, whose rows R12 counts down (NEXT_CHUNK moves to the next one).
+// A batch finds its mirror entry with one DIVQ, and x0..x3 and its first
+// column's row again from the arguments and R13: the exps reuse their
+// registers. The batch's end is a local, end.
+//
+// NEXT_CHUNK(chunks, per, col) points SI at column col of chunk R9 + 1's
+// first row, chunks being the chunk list's base, and sets R12 to per. BX
+// clobbered.
+#define NEXT_CHUNK(chunks, per, col) \
+	INCQ R9; \
+	LEAQ (R9)(R9*2), BX; \
+	SHLQ $3, BX; \
+	ADDQ chunks, BX; \
+	MOVQ (BX), SI; \
+	MOVQ col, BX; \
+	LEAQ (SI)(BX*8), SI; \
+	MOVQ per, R12
+
+TEXT ·expPanelVec(SB), NOSPLIT, $8-248
+	MOVQ p+232(FP), R14
+	XORQ R13, R13 // columns stored
+
+batch:
+	CMPQ R13, w+120(FP)
+	JGE  done
+	MOVQ x0_base+0(FP), SI
+	MOVQ x0_len+8(FP), CX
+	MOVQ x1_base+24(FP), DI
+	MOVQ x2_base+48(FP), R8
+	MOVQ x3_base+72(FP), R9
+	MOVQ CX, R12
+	ANDQ $~3, R12
+	MOVQ R13, R11 // the next column's index
+	MOVQ R13, DX
+	IMULQ CX, DX
+	SHLQ $3, DX
+	ADDQ b_base+96(FP), DX // and its row
+	MOVQ w+120(FP), AX
+	BATCH_END(AX)
+	MOVQ AX, end-8(SP)
+	VPCMPEQQ Y13, Y13, Y13 // every exponent in range so far
+
+pair:
+	MOVQ end-8(SP), AX
+	SUBQ R11, AX
+	JLE  exps
+	LEAQ (DX)(CX*8), R10 // the second column
+	CMPQ AX, $1
+	JGT  dots
+	MOVQ DX, R10
+
+dots:
+	DOT2_COLUMNS(R10, 96(R14), 128(R14), 160(R14), AX)
+	LEAQ 1(R11), BX
+	CMPQ BX, end-8(SP)
+	MOVQ bn_base+160(FP), AX
+	LEAQ (AX)(R11*8), AX
+	LEAQ 8(AX), BX
+	CMOVQGE AX, BX // the one column, twice
+	DIST_FINISH(Y0, (AX), 32(R14), Y1)
+	DIST_FINISH(Y4, (BX), 32(R14), Y5)
+	VMULPD 64(R14), Y0, Y0 // t = s·d
+	VMULPD 64(R14), Y4, Y4
+	MOVQ R11, AX
+	SUBQ R13, AX
+	SHLQ $5, AX
+	VMOVUPD Y0, 192(R14)(AX*1)
+	VMOVUPD Y4, 224(R14)(AX*1)
+	VCMPPD $0x1d, expv<>+416(SB), Y0, Y2 // t ≥ −708, ordered
+	VCMPPD $0x1d, expv<>+416(SB), Y4, Y6
+	VANDPD Y2, Y13, Y13
+	VANDPD Y6, Y13, Y13
+	ADDQ $2, R11
+	LEAQ (R10)(CX*8), DX
+	JMP  pair
+
+exps:
+	VMOVMSKPD Y13, AX
+	CMPQ AX, $15
+	JNE  done
+	XORQ SI, SI // no mirror
+	MOVQ chunks_len+192(FP), AX
+	TESTQ AX, AX
+	JZ   dstrow
+	MOVQ row+216(FP), AX
+	ADDQ R13, AX
+	XORQ DX, DX
+	DIVQ per+208(FP) // AX: the chunk, DX: the row in it
+	MOVQ per+208(FP), R12
+	SUBQ DX, R12
+	MOVQ AX, R9
+	IMULQ ld+152(FP), DX
+	ADDQ col+224(FP), DX
+	LEAQ (AX)(AX*2), AX
+	MOVQ chunks_base+184(FP), BX
+	MOVQ (BX)(AX*8), SI
+	LEAQ (SI)(DX*8), SI
+
+dstrow:
+	MOVQ end-8(SP), R11
+	MOVQ dst_base+128(FP), R10
+	LEAQ (R10)(R13*8), R10
+	MOVQ ld+152(FP), DX
+	SHLQ $3, DX
+	LEAQ 192(R14), AX
+
+exp:
+	MOVQ R11, BX
+	SUBQ R13, BX
+	CMPQ BX, $4
+	JLT  exp1
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD 64(AX), Y2
+	VMOVUPD 96(AX), Y3
+	EXP_LANES(Y0, Y4, Y5, X5)
+	EXP_LANES(Y1, Y6, Y7, X7)
+	EXP_LANES(Y2, Y8, Y9, X9)
+	EXP_LANES(Y3, Y10, Y11, X11)
+	TESTQ SI, SI
+	JZ   rows4
+	CMPQ R12, $4
+	JLT  mirror4
+	VMOVUPD Y0, (SI)
+	VMOVUPD Y1, (SI)(DX*1)
+	LEAQ (SI)(DX*2), SI
+	VMOVUPD Y2, (SI)
+	VMOVUPD Y3, (SI)(DX*1)
+	LEAQ (SI)(DX*2), SI
+	SUBQ $4, R12
+	JMP  rows4
+
+mirror4:
+	// The chunk ends within the four columns: one at a time, from p.d.
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+	XORQ R8, R8
+
+mirror4col:
+	TESTQ R12, R12
+	JNZ  mirror4at
+	NEXT_CHUNK(chunks_base+184(FP), per+208(FP), col+224(FP))
+
+mirror4at:
+	VMOVUPD (AX)(R8*1), Y4
+	VMOVUPD Y4, (SI)
+	ADDQ DX, SI
+	DECQ R12
+	ADDQ $32, R8
+	CMPQ R8, $128
+	JLT  mirror4col
+
+rows4:
+	DOT4_STORE(Y0, X0, X4, 0, R10, DX)
+	DOT4_STORE(Y1, X1, X5, 8, R10, DX)
+	DOT4_STORE(Y2, X2, X6, 16, R10, DX)
+	DOT4_STORE(Y3, X3, X7, 24, R10, DX)
+	ADDQ $4, R13
+	ADDQ $32, R10
+	ADDQ $128, AX
+	JMP  exp
+
+exp1:
+	CMPQ R13, R11
+	JGE  batch
+	VMOVUPD (AX), Y0
+	EXP_LANES(Y0, Y1, Y2, X2)
+	DOT4_STORE(Y0, X0, X1, 0, R10, DX)
+	TESTQ SI, SI
+	JZ   stored
+	TESTQ R12, R12
+	JNZ  mirror1at
+	NEXT_CHUNK(chunks_base+184(FP), per+208(FP), col+224(FP))
+
+mirror1at:
+	VMOVUPD Y0, (SI)
+	ADDQ DX, SI
+	DECQ R12
+
+stored:
+	INCQ R13
+	ADDQ $8, R10
+	ADDQ $32, AX
+	JMP  exp
+
+done:
+	MOVQ R13, ret+240(FP)
 	VZEROUPPER
 	RET
 

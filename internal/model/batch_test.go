@@ -409,6 +409,31 @@ func TestDecisionAllScratchProportional(t *testing.T) {
 	}
 }
 
+// TestPredictAllMixedAllocatesAsDense holds BenchmarkPredictAll's mixed case
+// (dense support vectors, CSR queries), whose tiles densify each query row
+// into a pooled buffer, to the allocations per call of its dense case, on
+// the benchmark's shape: many tiles a call.
+func TestPredictAllMixedAllocatesAsDense(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(67))
+	const nsv, nq, feats = 2048, 512, 64
+	svs := batchDense(rng, nsv, feats)
+	allocs := func(k kernel.Params, q *la.Matrix) float64 {
+		m := syntheticModel(rng, svs, k)
+		m.PredictAll(q) // norm caches and pooled buffers fill once
+		return testing.AllocsPerRun(3, func() { m.PredictAll(q) })
+	}
+	for _, k := range []kernel.Params{kernel.RBF(0.05), {Kind: kernel.Linear}} {
+		dense, mixed := allocs(k, batchDense(rng, nq, feats)), allocs(k, batchSparse(rng, nq, feats))
+		if mixed > dense {
+			t.Errorf("kind=%v: PredictAll of CSR queries %v allocations per call, of dense ones %v", k.Kind, mixed, dense)
+		}
+	}
+}
+
 // TestSetEvalAllSinglePass: the one-pass labels and decisions equal the
 // per-row references bit for bit, on a set with an SV-less partition and a
 // query whose decision is exactly zero (so the label is the Fallback).
