@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-matrix vet cross-vet lanes-off fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff memprof serve-smoke dist-smoke paper-golden soak soak-cluster cover loc
+.PHONY: build test race race-matrix vet cross-vet lanes-off fmt dead bench-build check benchmark bench-pairs fuzz fuzz-smoke bench bench-kernel bench-diff memprof cpuprof serve-smoke dist-smoke paper-golden soak soak-cluster cover loc
 
 build:
 	$(GO) build ./...
@@ -290,6 +290,24 @@ memprof:
 		-test.cpu 1 -test.benchtime 2000x -test.memprofile $(MEMPROF_DIR)/ServeBatch.out
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 $(MEMPROF_DIR)/serve.test \
 		$(MEMPROF_DIR)/ServeBatch.out
+
+# cpuprof profiles where a training job's CPU time goes, for the same three
+# training benchmarks memprof profiles, each at -cpu 1 (the ranks take turns
+# on one thread, so every site's share is of the whole job's work) and a
+# fixed 600 jobs (4–6 s each, ≈500 samples; at 300 a share moved by ±3
+# points between runs): it prints the top 15 sites by flat time, then by
+# cumulative time. The profiles and the test binary stay in
+# .bench_build/cpuprof.
+CPUPROF_DIR = .bench_build/cpuprof
+cpuprof:
+	@mkdir -p $(CPUPROF_DIR)
+	$(GO) test -c -o $(CPUPROF_DIR)/casvm.test .
+	@for b in $(MEMPROF_BENCHES); do \
+		$(CPUPROF_DIR)/casvm.test -test.run '^$$' -test.bench "BenchmarkTrain$$b\$$" -test.cpu 1 \
+			-test.benchtime 600x -test.cpuprofile $(CPUPROF_DIR)/$$b.out || exit 1; \
+		$(GO) tool pprof -top -nodecount 15 $(CPUPROF_DIR)/casvm.test $(CPUPROF_DIR)/$$b.out || exit 1; \
+		$(GO) tool pprof -top -cum -nodecount 15 $(CPUPROF_DIR)/casvm.test $(CPUPROF_DIR)/$$b.out || exit 1; \
+	done
 
 # loc prints the root module's non-test Go lines per package and in total
 # (bench/ is its own module and is not counted; testdata/ holds fixtures the

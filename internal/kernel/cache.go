@@ -18,7 +18,9 @@ import (
 // upper triangle in blocks of rows on the Dot4 panels, the lower one
 // mirrored. That is a CA-SVM rank's case — its m/P samples fit the default
 // capacity — and it evaluates each entry about once, where row-at-a-time
-// misses evaluate and copy most of the matrix piecemeal. A CSR block dense
+// misses evaluate and copy most of the matrix piecemeal. Its slot s holds
+// row s from then on, so its reads index the slot directly and leave the LRU
+// order alone: nothing is ever evicted from it. A CSR block dense
 // enough on its column support is evaluated as the dense matrix it is copied
 // into, over that support (compact): its entries are Eval over the compacted
 // matrix, which equals CSR Eval up to rounding because dot products and norms
@@ -113,13 +115,18 @@ func NewRowCache(p Params, data *la.Matrix, capacity int) *RowCache {
 // until its entry is evicted (SMO's two live rows per iteration are safe
 // for any capacity ≥ 2) or the cache is released, whichever comes first.
 func (c *RowCache) Row(i int) []float64 {
+	if c.whole {
+		_ = c.lru.slotOf[i] // a row out of range panics, as on the LRU path
+		if c.lru.used == 0 {
+			c.fillWhole(compactDensity)
+		} else {
+			c.hits++
+		}
+		return c.lru.row(int32(i))
+	}
 	if s := c.lru.touch(i); s >= 0 {
 		c.hits++
 		return c.lru.row(s)
-	}
-	if c.whole {
-		c.fillWhole(compactDensity)
-		return c.lru.row(c.lru.touch(i))
 	}
 	c.missRows, c.missDst = c.missRows[:0], c.missDst[:0]
 	c.miss(i)
@@ -138,14 +145,13 @@ func (c *RowCache) Row(i int) []float64 {
 // except in a double miss whose second acquisition evicts: Row(i) would
 // still find that victim resident and copy its column, while the pair has
 // evicted both victims before it fills and evaluates that one entry more. On
-// a whole cache the pair's first call fills every row, as Row(i) would.
+// a whole cache the pair's first call fills every row, as Row(i) would, and
+// later calls do nothing: every row is resident and the LRU order unused.
 func (c *RowCache) PrefetchPair(i, j int) {
 	if c.whole {
 		if c.lru.used == 0 {
 			c.fillWhole(compactDensity)
 		}
-		c.lru.touch(i)
-		c.lru.touch(j)
 		return
 	}
 	c.missRows, c.missDst = c.missRows[:0], c.missDst[:0]

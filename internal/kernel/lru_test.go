@@ -108,15 +108,19 @@ func (c *refLRU) fill(e *refEntry, evaluated int) {
 }
 
 func (c *refLRU) Row(i int) []float64 {
+	if c.whole {
+		// A whole cache never evicts, so its reads leave the LRU order as
+		// the fill left it.
+		if c.lru.Len() == 0 {
+			c.fillWhole()
+		} else {
+			c.hits++
+		}
+		return c.rows[i].Value.(*refEntry).row
+	}
 	if el, ok := c.rows[i]; ok {
 		c.lru.MoveToFront(el)
 		c.hits++
-		return el.Value.(*refEntry).row
-	}
-	if c.whole {
-		c.fillWhole()
-		el := c.rows[i]
-		c.lru.MoveToFront(el)
 		return el.Value.(*refEntry).row
 	}
 	e := c.acquire(i)
@@ -128,8 +132,11 @@ func (c *refLRU) Row(i int) []float64 {
 // either row is filled, so neither is a source for the other, and the second
 // row takes K(i, j) from the first.
 func (c *refLRU) PrefetchPair(i, j int) {
-	if c.whole && c.lru.Len() == 0 {
-		c.fillWhole()
+	if c.whole {
+		if c.lru.Len() == 0 {
+			c.fillWhole()
+		}
+		return
 	}
 	var missed []*refEntry
 	keys := []int{i, j}
@@ -164,6 +171,45 @@ func (l *lruSlab) order() []int {
 		out = append(out, int(l.keyOf[s]))
 	}
 	return out
+}
+
+// TestWholeCacheReadsSkipLRU: a filled whole cache's reads count their hits
+// and leave the LRU order as the fill left it, and a released whole cache
+// refills at its next read, Row or PrefetchPair: m more misses, the fill's
+// charge again and the same rows.
+func TestWholeCacheReadsSkipLRU(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const m = 40
+	a, p := denseMat(rng, m, 5), RBF(0.25)
+	want := make([][]float64, m)
+	for i := range want {
+		want[i] = make([]float64, m)
+		p.Row(a, i, want[i])
+	}
+	c := NewRowCache(p, a, m)
+	for round, first := range []func(){func() { c.PrefetchPair(3, 7) }, func() { _ = c.Row(5) }} {
+		first()
+		_, _, fill := c.Stats()
+		fill /= float64(round + 1)
+		order := c.lru.order()
+		for i := range m {
+			for j, v := range c.Row(i) {
+				if v != want[i][j] {
+					t.Fatalf("round %d: row %d col %d: %v != %v", round, i, j, v, want[i][j])
+				}
+			}
+			c.PrefetchPair(i, m-1-i)
+		}
+		// The fill is no hit, each later Row one, a PrefetchPair none.
+		n := int64((round + 1) * m)
+		if hits, misses, flops := c.Stats(); hits != n || misses != n || flops != float64(round+1)*fill {
+			t.Fatalf("round %d: stats (%d, %d, %g), want (%d, %d, %g)", round, hits, misses, flops, n, n, float64(round+1)*fill)
+		}
+		if got := c.lru.order(); !slices.Equal(got, order) {
+			t.Fatalf("round %d: LRU order %v after reads, %v after the fill", round, got, order)
+		}
+		c.Release()
+	}
 }
 
 // TestLRUMatchesReference drives the new cache and the seed-equivalent

@@ -500,9 +500,10 @@ func planted(f, outHigh, outLow []float64) scanCase {
 }
 
 // TestUpdateScanMatchesLoop holds UpdateScan to its portable loop: lengths
-// 0–17 at offsets 0–3 of a backing array (both lane groups, the odd quad,
-// the len%4 tails and unaligned loads), equal extremes — ±0 among them — on
-// every lane and in the tails,
+// 0–70 at offsets 0–3 of a backing array (zero to four whole blocks of
+// scanBlock, a last block of every length, every len%4 tail, unaligned
+// loads), equal extremes — ±0 among them — on every lane, in every block and
+// in the tails,
 // empty and one-member sets, NaN and ±Inf in f, in the rows and in the
 // coefficients, and unaligned sub-slices of a long row.
 func TestUpdateScanMatchesLoop(t *testing.T) {
@@ -516,8 +517,8 @@ func TestUpdateScanMatchesLoop(t *testing.T) {
 		return b
 	}
 	for off := 0; off < 4; off++ {
-		for n := 0; n <= 17; n++ {
-			for trial := 0; trial < 200; trial++ {
+		for n := 0; n <= 70; n++ {
+			for trial := 0; trial < 120; trial++ {
 				tie := func() float64 { return tieValues[rng.Intn(len(tieValues))] }
 				c := planted(backing(n+4, tie)[off:off+n],
 					memberships(rng, n+4, 0.7)[off:off+n], memberships(rng, n+4, 0.7)[off:off+n])
@@ -583,6 +584,115 @@ func TestUpdateScanMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestUpdateScanBlocks plants the cases where the lanes' block records
+// decide UpdateScan's answer, each at offsets 0–3 of a backing array, with
+// every element a member and with every third one out of both sets, as the
+// minimum (on f) and as the maximum (on −f): the extreme at the first and at
+// the last element of each block, in the last block and in the tail; a lane
+// whose best improves in a later block while the extreme stays in an earlier
+// one; equal extremes, ±0 among them, in different blocks and lanes, in one
+// lane and in the tail; NaNs in the extreme's lane and block; strictly
+// decreasing and increasing f, where every block moves a best; and all-NaN
+// f, NaN updates, ±Inf f and empty sets, where nothing wins.
+func TestUpdateScanBlocks(t *testing.T) {
+	const n = 70 // four whole blocks, a last block of one quad, a tail of two
+	negZero := math.Copysign(0, -1)
+	// base is above every planted minimum: values in [1, 1.625].
+	base := func() []float64 {
+		f := make([]float64, n)
+		for k := range f {
+			f[k] = 1 + float64(k*7%11)/16
+		}
+		return f
+	}
+	fill := func(v float64) []float64 {
+		x := make([]float64, n)
+		for k := range x {
+			x[k] = v
+		}
+		return x
+	}
+	everyThirdOut := fill(0)
+	for k := 0; k < n; k += 3 {
+		everyThirdOut[k] = math.Inf(1)
+	}
+	check := func(name string, f, rh, outHigh, outLow []float64, ch float64) {
+		t.Helper()
+		for off := 0; off < 4; off++ {
+			at := func(x []float64) []float64 {
+				b := make([]float64, n+off)
+				copy(b[off:], x)
+				return b[off:]
+			}
+			checkUpdateScan(t, fmt.Sprintf("%s off=%d", name, off), scanCase{
+				f: at(f), rh: at(rh), rl: at(fill(negZero)), outHigh: at(outHigh), outLow: at(outLow), ch: ch, cl: 1,
+			})
+		}
+	}
+	// scenario checks f with the planted values as the minimum and, negated,
+	// as the maximum, under both memberships; (f + 1·(−0)) + 1·(−0) is f.
+	scenario := func(name string, planted map[int]float64) {
+		t.Helper()
+		f := base()
+		for k, v := range planted {
+			f[k] = v
+		}
+		neg := make([]float64, n)
+		for k, v := range f {
+			neg[k] = -v
+		}
+		for _, in := range [][]float64{fill(0), everyThirdOut} {
+			check(name+" min", f, fill(negZero), in, in, 1)
+			check(name+" max", neg, fill(negZero), in, in, 1)
+		}
+	}
+
+	for b := 0; b < n; b += scanBlock {
+		for _, k := range []int{b, min(b+scanBlock, n) - 1} {
+			scenario(fmt.Sprintf("extreme at %d", k), map[int]float64{k: -3})
+		}
+	}
+	for name, planted := range map[string]map[int]float64{
+		"lane improves later":           {1: -10, 34: -5, 49: -7},
+		"other lane improves later":     {5: -10, 20: -9, 36: -9.5, 68: -9.9},
+		"tie later in the same lane":    {1: -10, 49: -10},
+		"tie in a later block":          {50: -10, 3: -10},
+		"tie, lower lane later":         {17: -10, 3: -5, 19: -10, 35: -10},
+		"tie across lanes of one block": {18: -10, 33: -10, 34: -10, 2: -3},
+		"tie in the last block":         {66: -10, 2: -10},
+		"extreme in the last block":     {66: -10, 50: -9},
+		"tie in the tail":               {69: -10, 2: -10},
+		"extreme in the tail":           {68: -10, 65: -9},
+		"+0 then -0":                    {7: 0, 20: negZero},
+		"-0 then +0":                    {7: negZero, 20: 0},
+		"zeros, later block first lane": {22: negZero, 9: 0},
+		"zeros in one block":            {33: 0, 34: negZero, 36: 0},
+		"zeros in one lane":             {32: negZero, 48: 0, 64: negZero},
+		"zero in the last block":        {67: negZero, 4: 0},
+		"zero in the tail":              {69: negZero, 5: 0},
+		"NaN behind it in its lane":     {17: -10, 25: math.NaN(), 29: math.NaN()},
+	} {
+		scenario(name, planted)
+	}
+
+	down, up := make([]float64, n), make([]float64, n)
+	for k := range down {
+		down[k], up[k] = float64(n-k), float64(k)
+	}
+	for _, in := range [][]float64{fill(0), everyThirdOut} {
+		check("decreasing", down, fill(negZero), in, in, 1)
+		check("increasing", up, fill(negZero), in, in, 1)
+	}
+
+	nan, none := fill(math.NaN()), fill(math.Inf(1))
+	check("all-NaN f", nan, fill(negZero), fill(0), fill(0), 1)
+	check("NaN update", base(), fill(math.NaN()), fill(0), fill(0), 1)
+	check("empty sets", base(), fill(negZero), none, none, 1)
+	check("+Inf f", fill(math.Inf(1)), fill(negZero), fill(0), none, 1)
+	check("-Inf f", fill(math.Inf(-1)), fill(negZero), none, fill(0), 1)
+	check("-Inf f, no members", fill(math.Inf(-1)), fill(negZero), none, none, 1)
+}
+
 // FuzzUpdateScan holds UpdateScan to its portable loop on arbitrary bit
 // patterns: raw fills f, rh and rl by thirds, offset%4 shifts all three, and
 // bit 0 (1) of member[k] takes k out of I_high (I_low).
@@ -593,6 +703,29 @@ func FuzzUpdateScan(f *testing.F) {
 		[]byte{}, math.Copysign(0, -1), 0.0, uint8(2))
 	f.Add(bytesOf(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15), []byte{3, 3, 3, 0, 3}, math.Inf(1), math.NaN(), uint8(3))
 	f.Add([]byte{}, []byte{}, 0.0, 0.0, uint8(0))
+	// Whole blocks: f decreasing over 50 elements, so every block moves a
+	// best; equal values and ±0 over 64, the equal pair in one lane two
+	// blocks apart; and 48 with a NaN in one row.
+	var down, rows []float64
+	for k := range 50 {
+		down = append(down, float64(50-k))
+	}
+	for range 2 * 50 {
+		rows = append(rows, math.Copysign(0, -1))
+	}
+	f.Add(bytesOf(append(down, rows...)...), []byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1}, 1.0, 1.0, uint8(0))
+	ties := make([]float64, 3*64)
+	for k := range 64 {
+		ties[k] = tieValues[k*7%len(tieValues)]
+	}
+	ties[5], ties[37], ties[20] = -3, -3, math.Copysign(0, -1)
+	f.Add(bytesOf(ties...), []byte{1, 0, 2, 0, 3, 0, 0, 0, 1, 1, 2, 2}, 0.5, -0.25, uint8(3))
+	poisoned := make([]float64, 3*48)
+	for k := range 48 {
+		poisoned[k], poisoned[48+k] = float64(k%9)-4, float64(k%5)
+	}
+	poisoned[96+33] = math.NaN()
+	f.Add(bytesOf(poisoned...), []byte{}, -1.0, 2.0, uint8(1))
 	f.Fuzz(func(t *testing.T, raw, member []byte, ch, cl float64, offset uint8) {
 		vals := float64s(raw)
 		n := len(vals) / 3
@@ -731,8 +864,10 @@ func FuzzDot4(f *testing.F) {
 
 // BenchmarkUpdateScan prices one SMO iteration tail on a casvm-dense rank's
 // m = 450, with membership as a solve under way leaves it: UpdateScan
-// against its portable loop. Zero coefficients keep f fixed across
-// iterations while costing the same arithmetic.
+// against its portable loop, and UpdateScan on strictly decreasing f with
+// every element a member (descending), where every block moves every lane's
+// best on both sides. Zero coefficients keep f fixed across iterations while
+// costing the same arithmetic.
 func BenchmarkUpdateScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 450
@@ -749,6 +884,15 @@ func BenchmarkUpdateScan(b *testing.B) {
 	b.Run("loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			updateScanLoop(c.f, c.rh, c.rl, c.outHigh, c.outLow, 0, 0, 0, NoExtremes())
+		}
+	})
+	d := scanCase{f: make([]float64, n), rh: c.rh, rl: c.rl, outHigh: make([]float64, n), outLow: make([]float64, n)}
+	for k := range d.f {
+		d.f[k] = float64(n - k)
+	}
+	b.Run("descending", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			UpdateScan(d.f, d.rh, d.rl, d.outHigh, d.outLow, 0, 0)
 		}
 	})
 }

@@ -140,10 +140,11 @@ func NoExtremes() Extremes {
 // f[k] − outLow[k] > BLow, so a non-member never wins and the first of equal
 // extremes does. rh, rl, outHigh and outLow must hold at least len(f) values.
 //
-// The lanes give the portable loop's f and Extremes bit for bit: each lane
-// keeps its own candidates under the same strict comparisons (a member's
-// test is f[k] < best, whatever else the lane saw), and the lane reduction
-// takes the lower index of equal extremes.
+// The lanes give the portable loop's f and Extremes bit for bit. They keep
+// each lane's extreme test value and the block of scanBlock elements in
+// which it first appeared (laneExtremes), not its position; the position is
+// found once per pass (laneExtremes.extremes), and the loop continues the
+// scan over the len%4 tail from there.
 func UpdateScan(f, rh, rl, outHigh, outLow []float64, ch, cl float64) Extremes {
 	n := len(f)
 	rh, rl, outHigh, outLow = rh[:n], rl[:n], outHigh[:n], outLow[:n]
@@ -151,30 +152,65 @@ func UpdateScan(f, rh, rl, outHigh, outLow []float64, ch, cl float64) Extremes {
 	if vectorKernels && n >= 4 {
 		var l laneExtremes
 		updateScanVec(f, rh, rl, outHigh, outLow, ch, cl, &l)
-		for j := range l.bHigh {
-			if v, i := l.bHigh[j], int(l.iHigh[j]); v < e.BHigh || v == e.BHigh && i < e.IHigh {
-				e.BHigh, e.IHigh = v, i
-			}
-			if v, i := l.bLow[j], int(l.iLow[j]); v > e.BLow || v == e.BLow && i < e.ILow {
-				e.BLow, e.ILow = v, i
-			}
-		}
 		k = n &^ 3
+		e = l.extremes(f[:k], outHigh, outLow)
 	}
 	return updateScanLoop(f, rh, rl, outHigh, outLow, ch, cl, k, e)
 }
 
-// laneExtremes is what updateScanVec leaves: the candidates of its two
-// groups of four lanes, the first group's in [0:4].
+// scanBlock is the block updateScanVec moves its lanes' bests and records
+// their positions by: four quads, four elements of each lane. The last
+// block may be one to three quads.
+const scanBlock = 16
+
+// laneExtremes is what updateScanVec leaves for each side and each of its
+// four lanes (lane j takes the indices k ≡ j mod 4): the lane's best test
+// value, the least f[k] + outHigh[k] or the greatest f[k] − outLow[k], NaNs
+// skipped, and the first index of the block in which that best first
+// appears, the last block that strictly improved it (−1 while none has: an
+// empty side's lanes keep ±Inf).
 type laneExtremes struct {
-	bHigh [8]float64
-	iHigh [8]int64
-	bLow  [8]float64
-	iLow  [8]int64
+	bHigh, bLow     [4]float64
+	blkHigh, blkLow [4]int64
+}
+
+// extremes reduces the lanes to the scan's Extremes over f, the elements
+// the lanes updated. The set's extreme value is the lanes' best, and its
+// first index lies in the lowest block recorded for a lane holding it: every
+// element testing equal to the extreme is in such a lane, whose first one is
+// in its recorded block. That block is rescanned in index order for the
+// first element testing equal — −0 and +0 alike, as the loop's strict
+// comparisons take them — and the extreme is that element's own f, as the
+// loop keeps it.
+func (l *laneExtremes) extremes(f, outHigh, outLow []float64) Extremes {
+	e := NoExtremes()
+	bh, bl, kh, kl := math.Inf(1), math.Inf(-1), -1, -1
+	for j := range l.bHigh {
+		if v, b := l.bHigh[j], int(l.blkHigh[j]); v < bh || v == bh && b < kh {
+			bh, kh = v, b
+		}
+		if v, b := l.bLow[j], int(l.blkLow[j]); v > bl || v == bl && b < kl {
+			bl, kl = v, b
+		}
+	}
+	for k := kh; k >= 0 && k < min(kh+scanBlock, len(f)); k++ {
+		if f[k]+outHigh[k] == bh {
+			e.BHigh, e.IHigh = f[k], k
+			break
+		}
+	}
+	for k := kl; k >= 0 && k < min(kl+scanBlock, len(f)); k++ {
+		if f[k]-outLow[k] == bl {
+			e.BLow, e.ILow = f[k], k
+			break
+		}
+	}
+	return e
 }
 
 // updateScanLoop is UpdateScan's portable loop over f[from:], continuing the
-// scan from e: the whole pass without the lanes, their len%4 tail with them.
+// scan from e: the whole pass without the lanes, their len%4 tail with
+// them.
 func updateScanLoop(f, rh, rl, outHigh, outLow []float64, ch, cl float64, from int, e Extremes) Extremes {
 	n := len(f)
 	f, rh, rl, outHigh, outLow = f[from:n], rh[from:n], rl[from:n], outHigh[from:n], outLow[from:n]

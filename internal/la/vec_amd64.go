@@ -38,10 +38,12 @@ func expScaledVec(x []float64, s float64) int
 //go:noescape
 func dotRowsVec(x, dense []float64, m int, rows []int, out, norms []float64, xsq float64) int
 
-// updateScanVec runs UpdateScan's update and scan over the first len(f)&^3
-// elements and leaves each lane's candidates in e: lane j of group g takes
-// the indices k ≡ 4g+j (mod 8), and the first group also a last odd quad.
-// The other slices are at least len(f) long.
+// updateScanVec runs UpdateScan's update and scan over the first
+// len(f)&^3 elements, in blocks of scanBlock and a last one of fewer quads,
+// and leaves in e each lane's best test values and the blocks they first
+// appear in: lane j takes the indices k ≡ j (mod 4). It keeps no index per
+// element; UpdateScan finds the winners' positions from e
+// (laneExtremes.extremes). The other slices are at least len(f) long.
 //
 //go:noescape
 func updateScanVec(f, rh, rl, outHigh, outLow []float64, ch, cl float64, e *laneExtremes)

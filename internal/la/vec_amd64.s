@@ -4,7 +4,9 @@
 // Dot4, MulTile's and SqDistTile's dense panels and one-column tiles,
 // ExpDistTile's whole-fill panels and ExpDistSum's query panels (tile.go). Each lane performs exactly the
 // instruction sequence of the scalar code it stands in for, so every result
-// is the scalar result bit for bit. The base64 decode behind
+// is the scalar result bit for bit; UpdateScan's scan keeps each lane's
+// extremes, and vec.go finds their first positions from the blocks the lanes
+// record, as the loop's strict comparisons would. The base64 decode behind
 // DecodeBase64F64 (encode.go) writes encoding/base64's bytes, and the scan
 // behind QuotedSpan finds the bytes a byte loop would.
 
@@ -309,43 +311,55 @@ done:
 	VZEROUPPER
 	RET
 
-DATA lanec<>+0(SB)/8, $0 // the first group's indices
-DATA lanec<>+8(SB)/8, $1
-DATA lanec<>+16(SB)/8, $2
-DATA lanec<>+24(SB)/8, $3
-DATA lanec<>+32(SB)/8, $4                   // index step
-DATA lanec<>+40(SB)/8, $-1                  // index of an empty set
-DATA lanec<>+48(SB)/8, $0x7ff0000000000000 // +Inf
-DATA lanec<>+56(SB)/8, $0xfff0000000000000 // −Inf
-GLOBL lanec<>(SB), RODATA|NOPTR, $64
+DATA scanc<>+0(SB)/8, $0x7ff0000000000000 // +Inf, an empty high side's best
+DATA scanc<>+8(SB)/8, $0xfff0000000000000 // −Inf, an empty low side's best
+DATA scanc<>+16(SB)/8, $16                // a block's length, four times
+DATA scanc<>+24(SB)/8, $16
+DATA scanc<>+32(SB)/8, $16
+DATA scanc<>+40(SB)/8, $16
+GLOBL scanc<>(SB), RODATA|NOPTR, $48
 
 // func updateScanVec(f, rh, rl, outHigh, outLow []float64, ch, cl float64, e *laneExtremes)
 //
 // v = (f + ch·rh) + cl·rl with separate multiplies and adds, never fused, as
-// the Go compiler emits them; then a lane takes v as its high candidate when
-// v + outHigh < its best (ordered, so NaN never wins) and as its low one when
-// v − outLow > its best, so a later equal value does not replace an earlier
-// one. Two groups of four lanes take alternate quads of f, each with its own
-// chain of candidates; a last odd quad goes to the first group.
+// the Go compiler emits them. Lane j takes the indices k ≡ j (mod 4) and
+// keeps only its extreme test values, not their positions, a 16-element
+// block at a time. A high test value v + outHigh enters the block's minimum
+// through VMINPD with the minimum so far as the second operand, which
+// returns that operand on a tie and on a NaN: a NaN never enters. Quads 0
+// and 2 of a block go to one running minimum and quads 1 and 3 to another,
+// each started against +Inf, so two chains run at once. A low test value
+// v − outLow enters the block's maximum through VMAXPD likewise. At the
+// block's end a lane's best moves only where the block's extreme is strictly
+// better (an ordered compare), and those lanes record the block's first
+// index: the block in which each lane's best first appears. The last block
+// is the one to three quads left before the len%4 tail, taken a quad at a
+// time into one chain. No branch depends on the data.
 //
-// UPDATE_SCAN_QUAD(off, bh, ih, bl, il) runs the quad at f[AX:] + off bytes
-// against the lanes' best high (bh, ih) and low (bl, il) and advances Y13,
-// the quad's indices, by four.
-#define UPDATE_SCAN_QUAD(off, bh, ih, bl, il) \
+// UPDATE_SCAN_QUAD(off, hsrc, hi, lsrc, lo) runs the quad at f[AX:] + off
+// bytes, its high test values into hi = min(them, hsrc) and its low ones
+// into lo = max(them, lsrc).
+#define UPDATE_SCAN_QUAD(off, hsrc, hi, lsrc, lo) \
 	VMULPD off(DI)(AX*8), Y15, Y1; \
 	VADDPD off(SI)(AX*8), Y1, Y0; \
 	VMULPD off(R8)(AX*8), Y14, Y2; \
 	VADDPD Y2, Y0, Y0; \
 	VMOVUPD Y0, off(SI)(AX*8); \
 	VADDPD off(R9)(AX*8), Y0, Y1; \
-	VCMPPD $0x11, bh, Y1, Y1; \
-	VBLENDVPD Y1, Y0, bh, bh; \
-	VBLENDVPD Y1, Y13, ih, ih; \
 	VSUBPD off(R10)(AX*8), Y0, Y2; \
-	VCMPPD $0x11, Y2, bl, Y2; \
-	VBLENDVPD Y2, Y0, bl, bl; \
-	VBLENDVPD Y2, Y13, il, il; \
-	VPADDQ Y12, Y13, Y13
+	VMINPD hsrc, Y1, hi; \
+	VMAXPD lsrc, Y2, lo
+
+// SCAN_BLOCK_END moves the lanes' bests (Y12, Y8) to the block's extremes
+// (Y10, Y6) where those are strictly better, and records there the block's
+// first index (Y13) as the lanes' blocks (Y11, Y7).
+#define SCAN_BLOCK_END \
+	VCMPPD $0x11, Y12, Y10, Y1; \
+	VMINPD Y12, Y10, Y12; \
+	VBLENDVPD Y1, Y13, Y11, Y11; \
+	VCMPPD $0x11, Y6, Y8, Y2; \
+	VMAXPD Y8, Y6, Y8; \
+	VBLENDVPD Y2, Y13, Y7, Y7
 
 TEXT ·updateScanVec(SB), NOSPLIT, $0-144
 	MOVQ f_base+0(FP), SI
@@ -356,44 +370,51 @@ TEXT ·updateScanVec(SB), NOSPLIT, $0-144
 	MOVQ outLow_base+96(FP), R10
 	MOVQ e+136(FP), R11
 	MOVQ CX, DX
-	ANDQ $~7, DX
-	ANDQ $~3, CX
+	ANDQ $~3, DX
+	ANDQ $~15, CX
 	VBROADCASTSD ch+120(FP), Y15
 	VBROADCASTSD cl+128(FP), Y14
-	VMOVDQU lanec<>+0(SB), Y13
-	VPBROADCASTQ lanec<>+32(SB), Y12
-	VBROADCASTSD lanec<>+48(SB), Y11 // first group: best high value
-	VPBROADCASTQ lanec<>+40(SB), Y10 // and index
-	VBROADCASTSD lanec<>+56(SB), Y9  // best low value
-	VMOVDQA Y10, Y8                  // and index
-	VMOVAPD Y11, Y7                  // second group: the same
-	VMOVDQA Y10, Y6
-	VMOVAPD Y9, Y5
-	VMOVDQA Y10, Y4
+	VBROADCASTSD scanc<>+0(SB), Y4 // +Inf
+	VBROADCASTSD scanc<>+8(SB), Y3 // −Inf
+	VMOVAPD Y4, Y12                // the lanes' best high
+	VMOVAPD Y3, Y8                 // and low
+	VPCMPEQQ Y11, Y11, Y11         // their blocks: −1, none yet
+	VMOVDQA Y11, Y7
+	VPXOR Y13, Y13, Y13            // the block's first index
 	XORQ AX, AX
 
 scan:
-	CMPQ AX, DX
-	JGE  scanodd
-	UPDATE_SCAN_QUAD(0, Y11, Y10, Y9, Y8)
-	UPDATE_SCAN_QUAD(32, Y7, Y6, Y5, Y4)
-	ADDQ $8, AX
-	JMP  scan
-
-scanodd:
 	CMPQ AX, CX
 	JGE  scandone
-	UPDATE_SCAN_QUAD(0, Y11, Y10, Y9, Y8)
+	UPDATE_SCAN_QUAD(0, Y4, Y10, Y3, Y6)
+	UPDATE_SCAN_QUAD(32, Y4, Y9, Y3, Y5)
+	UPDATE_SCAN_QUAD(64, Y10, Y10, Y6, Y6)
+	UPDATE_SCAN_QUAD(96, Y9, Y9, Y5, Y5)
+	VMINPD Y9, Y10, Y10 // the block's minima
+	VMAXPD Y5, Y6, Y6   // and maxima
+	SCAN_BLOCK_END
+	VPADDQ scanc<>+16(SB), Y13, Y13
+	ADDQ $16, AX
+	JMP  scan
 
 scandone:
-	VMOVUPD Y11, 0(R11)
-	VMOVUPD Y7, 32(R11)
-	VMOVDQU Y10, 64(R11)
-	VMOVDQU Y6, 96(R11)
-	VMOVUPD Y9, 128(R11)
-	VMOVUPD Y5, 160(R11)
-	VMOVDQU Y8, 192(R11)
-	VMOVDQU Y4, 224(R11)
+	CMPQ AX, DX
+	JGE  store
+	VMOVAPD Y4, Y10
+	VMOVAPD Y3, Y6
+
+lastblock:
+	UPDATE_SCAN_QUAD(0, Y10, Y10, Y6, Y6)
+	ADDQ $4, AX
+	CMPQ AX, DX
+	JLT  lastblock
+	SCAN_BLOCK_END
+
+store:
+	VMOVUPD Y12, 0(R11)
+	VMOVUPD Y8, 32(R11)
+	VMOVDQU Y11, 64(R11)
+	VMOVDQU Y7, 96(R11)
 	VZEROUPPER
 	RET
 

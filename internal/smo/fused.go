@@ -13,10 +13,12 @@ package smo
 //   - Bit-identity. The per-element update is computed as two dependent
 //     additions (f + ch·rh, then + cl·rl), exactly the arithmetic of the
 //     seed's two separate axpy passes, in the lanes and in the portable
-//     loop alike; extremes reduce across lanes with strict comparisons,
-//     ties to the lower index, which reproduces the scalar scan's
-//     lowest-index tie-breaking. Results are therefore identical with the
-//     lanes or without.
+//     loop alike. The lanes keep only each lane's extreme value and the
+//     block (at most 16 elements) in which it first appeared; la.UpdateScan
+//     then rescans the winning block in index order for the first element
+//     equal to the extreme, which reproduces the scalar scan's lowest-index
+//     tie-breaking. Results are therefore identical with the lanes or
+//     without.
 //
 //   - Flop accounting. The fused pass charges only the update's 4·m; the
 //     scan's 2·m is charged when the cached extremes are consumed by
