@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Wire format for shipping sample blocks between ranks. Features travel as
@@ -18,6 +19,16 @@ import (
 //	int32 m, n  : rows, features
 //	dense : m*n float32 values
 //	sparse: (m+1) int32 rowptr, nnz int32 idx, nnz float32 val
+//
+// Every array section this repository puts on a wire or reads off one goes
+// through the one array codec at the end of this file: raw little-endian
+// float64 words (PutF64s, GetF64s, AppendF64s, and AddF64s, which sums two
+// such sections in place), int32 words (PutI32s, GetI32s) and the float32
+// feature words (PutF32s narrows, GetF32s widens). Each writes into or reads
+// from storage its caller sized, in one loop over the section: the sample
+// blocks here, EncodeF64's sections, mpi's allreduce sum, the model shard
+// codec (internal/model), the solver checkpoint (internal/smo) and the served
+// queries_b64 body (internal/serve).
 
 const (
 	wireDense  = 0
@@ -46,52 +57,35 @@ func (a *Matrix) EncodeRows(rows []int) []byte {
 // and returns the extended slice, so a caller with a reusable buffer encodes
 // without allocating.
 func (a *Matrix) AppendRows(buf []byte, rows []int) []byte {
+	buf, out := grow(buf, a.EncodedSize(rows))
 	le := binary.LittleEndian
-	var hdr [9]byte
+	out[0] = wireDense
 	if a.sparse {
-		hdr[0] = wireSparse
-	} else {
-		hdr[0] = wireDense
+		out[0] = wireSparse
 	}
-	le.PutUint32(hdr[1:5], uint32(len(rows)))
-	le.PutUint32(hdr[5:9], uint32(a.n))
-	buf = append(buf, hdr[:]...)
-
-	var w4 [4]byte
-	putF32 := func(v float64) {
-		le.PutUint32(w4[:], math.Float32bits(float32(v)))
-		buf = append(buf, w4[:]...)
-	}
-	putI32 := func(v int32) {
-		le.PutUint32(w4[:], uint32(v))
-		buf = append(buf, w4[:]...)
-	}
-
+	le.PutUint32(out[1:5], uint32(len(rows)))
+	le.PutUint32(out[5:9], uint32(a.n))
+	out = out[9:]
 	if !a.sparse {
 		for _, r := range rows {
-			for _, v := range a.DenseRow(r) {
-				putF32(v)
-			}
+			PutF32s(out, a.DenseRow(r))
+			out = out[4*a.n:]
 		}
 		return buf
 	}
+	rp, idx := out[:4*(len(rows)+1)], out[4*(len(rows)+1):]
 	off := int32(0)
-	putI32(0)
-	for _, r := range rows {
+	le.PutUint32(rp, 0)
+	for k, r := range rows {
 		off += a.rowptr[r+1] - a.rowptr[r]
-		putI32(off)
+		le.PutUint32(rp[4*k+4:], uint32(off))
 	}
+	val := idx[4*off:]
 	for _, r := range rows {
-		ix, _ := a.SparseRow(r)
-		for _, j := range ix {
-			putI32(j)
-		}
-	}
-	for _, r := range rows {
-		_, vx := a.SparseRow(r)
-		for _, v := range vx {
-			putF32(v)
-		}
+		ix, vx := a.SparseRow(r)
+		PutI32s(idx, ix)
+		PutF32s(val, vx)
+		idx, val = idx[4*len(ix):], val[4*len(vx):]
 	}
 	return buf
 }
@@ -125,7 +119,8 @@ func (a *Matrix) DecodeRowInto(i int, buf []byte) error {
 		return fmt.Errorf("la: decode row: kind %d, %d×%d into a dense row of %d (sparse=%v)", b.kind, b.m, b.n, a.n, a.sparse)
 	}
 	a.EnsureNorms()
-	row := appendF32s(a.DenseRow(i)[:0], b.body)
+	row := a.DenseRow(i)
+	GetF32s(row, b.body)
 	a.sqnorm[i] = SqNorm(row)
 	return nil
 }
@@ -160,36 +155,33 @@ func DecodeMatrices(bufs [][]byte) (*Matrix, error) {
 	}
 	n := blocks[0].n
 	if blocks[0].kind == wireDense {
-		data := make([]float64, 0, m*n)
+		data := make([]float64, m*n)
+		off := 0
 		for _, b := range blocks {
-			data = appendF32s(data, b.body)
+			GetF32s(data[off:off+b.m*n], b.body)
+			off += b.m * n
 		}
 		return NewDense(m, n, data), nil
 	}
-	le := binary.LittleEndian
 	rp := make([]int32, m+1)
 	ix := make([]int32, nnz)
-	vx := make([]float64, 0, nnz)
+	vx := make([]float64, nnz)
 	r0, z0 := 0, 0
 	for _, b := range blocks {
 		// The block's own rowptr lands over the previous block's last entry
 		// (its first must be 0), is checked, and is then shifted by the
 		// entries before it.
 		brp, bix := rp[r0:r0+b.m+1], ix[z0:z0+b.nnz]
-		for i := range brp {
-			brp[i] = int32(le.Uint32(b.body[4*i:]))
-		}
+		GetI32s(brp, b.body)
 		idx := b.body[4*(b.m+1):]
-		for i := range bix {
-			bix[i] = int32(le.Uint32(idx[4*i:]))
-		}
+		GetI32s(bix, idx)
 		if err := CheckCSR(n, brp, bix); err != nil {
 			return nil, err
 		}
 		for i := range brp {
 			brp[i] += int32(z0)
 		}
-		vx = appendF32s(vx, idx[4*b.nnz:])
+		GetF32s(vx[z0:z0+b.nnz], idx[4*b.nnz:])
 		r0, z0 = r0+b.m, z0+b.nnz
 	}
 	return NewSparse(m, n, rp, ix, vx), nil
@@ -233,14 +225,6 @@ func parseBlock(buf []byte) (wireBlock, error) {
 		return wireBlock{}, fmt.Errorf("la: decode: unknown kind %d", b.kind)
 	}
 	return b, nil
-}
-
-// appendF32s appends the float32 wire values in p, widened.
-func appendF32s(dst []float64, p []byte) []float64 {
-	for ; len(p) > 0; p = p[4:] {
-		dst = append(dst, float64(math.Float32frombits(binary.LittleEndian.Uint32(p))))
-	}
-	return dst
 }
 
 // CheckCSR verifies what every sparse kernel takes on trust — rowptr starts
@@ -309,11 +293,9 @@ func QuotedSpan(s []byte) (n int, ctl bool) {
 // 4-byte length prefix. Used for labels and Lagrange multipliers, which
 // travel at full precision.
 func EncodeF64(x []float64) []byte {
-	buf := make([]byte, 4+8*len(x))
+	buf := make([]byte, F64Size(len(x)))
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(x)))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(buf[4+8*i:], math.Float64bits(v))
-	}
+	PutF64s(buf[4:], x)
 	return buf
 }
 
@@ -323,9 +305,12 @@ func F64Size(n int) int { return 4 + 8*n }
 // AppendF64Rows appends EncodeF64's form of x's values at rows, in order,
 // to buf.
 func AppendF64Rows(buf []byte, x []float64, rows []int) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
+	buf, out := grow(buf, F64Size(len(rows)))
+	binary.LittleEndian.PutUint32(out, uint32(len(rows)))
+	out = out[4:]
 	for _, r := range rows {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x[r]))
+		binary.LittleEndian.PutUint64(out[:8], math.Float64bits(x[r]))
+		out = out[8:]
 	}
 	return buf
 }
@@ -336,7 +321,9 @@ func DecodeF64(buf []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendF64s(make([]float64, 0, n), buf), nil
+	x := make([]float64, n)
+	GetF64s(x, buf[4:])
+	return x, nil
 }
 
 // DecodeF64Into parses a buffer produced by EncodeF64 into dst, which must
@@ -349,7 +336,7 @@ func DecodeF64Into(dst []float64, buf []byte) error {
 	if n != len(dst) {
 		return fmt.Errorf("la: DecodeF64Into: buffer holds %d values, want %d", n, len(dst))
 	}
-	appendF64s(dst[:0], buf)
+	GetF64s(dst, buf[4:])
 	return nil
 }
 
@@ -368,9 +355,11 @@ func DecodeF64s(bufs [][]byte, counts []int) ([]float64, error) {
 		}
 		total += n
 	}
-	out := make([]float64, 0, total)
-	for _, buf := range bufs {
-		out = appendF64s(out, buf)
+	out := make([]float64, total)
+	off := 0
+	for k, buf := range bufs {
+		GetF64s(out[off:off+counts[k]], buf[4:])
+		off += counts[k]
 	}
 	return out, nil
 }
@@ -388,10 +377,156 @@ func f64Count(buf []byte) (int, error) {
 	return n, nil
 }
 
-// appendF64s appends the values of a checked EncodeF64 buffer.
-func appendF64s(dst []float64, buf []byte) []float64 {
-	for p := buf[4:]; len(p) > 0; p = p[8:] {
-		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(p)))
+// The array codec. Each function covers one section of little-endian words
+// in storage its caller sized: the byte side must hold at least the words
+// the value side says (a shorter one panics before anything is written), and
+// the loop walks both sides once with no per-word append, four words a step
+// (the bound checks and the loop's own count then cost a quarter as much)
+// and the last len%4 one at a time.
+
+// PutF64s writes v into dst[:8*len(v)] as little-endian float64 words.
+func PutF64s(dst []byte, v []float64) {
+	le := binary.LittleEndian
+	dst = section(dst, 8*len(v))
+	for ; len(v) >= 4; v, dst = v[4:], dst[32:] {
+		d := dst[:32]
+		le.PutUint64(d[0:8], math.Float64bits(v[0]))
+		le.PutUint64(d[8:16], math.Float64bits(v[1]))
+		le.PutUint64(d[16:24], math.Float64bits(v[2]))
+		le.PutUint64(d[24:32], math.Float64bits(v[3]))
 	}
-	return dst
+	for i, x := range v {
+		le.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
+}
+
+// GetF64s sets dst to the len(dst) little-endian float64 words at the front
+// of src.
+func GetF64s(dst []float64, src []byte) {
+	le := binary.LittleEndian
+	src = section(src, 8*len(dst))
+	for ; len(dst) >= 4; dst, src = dst[4:], src[32:] {
+		s := src[:32]
+		dst[0] = math.Float64frombits(le.Uint64(s[0:8]))
+		dst[1] = math.Float64frombits(le.Uint64(s[8:16]))
+		dst[2] = math.Float64frombits(le.Uint64(s[16:24]))
+		dst[3] = math.Float64frombits(le.Uint64(s[24:32]))
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(le.Uint64(src[8*i:]))
+	}
+}
+
+// AppendF64s appends v to buf as little-endian float64 words.
+func AppendF64s(buf []byte, v []float64) []byte {
+	buf, out := grow(buf, 8*len(v))
+	PutF64s(out, v)
+	return buf
+}
+
+// AddF64s adds the little-endian float64 words of in to those of acc, in
+// place, word by word: acc[k] = acc[k] + in[k] for each of acc's len(acc)/8
+// words. in must be at least as long as acc. As with any Go float addition,
+// when both words are NaNs which one's payload the sum carries is not
+// specified.
+func AddF64s(acc, in []byte) {
+	le := binary.LittleEndian
+	in = section(in, len(acc))
+	add := func(a, b []byte) { // one word
+		le.PutUint64(a, math.Float64bits(math.Float64frombits(le.Uint64(a))+math.Float64frombits(le.Uint64(b))))
+	}
+	for ; len(acc) >= 32; acc, in = acc[32:], in[32:] {
+		a, b := acc[:32], in[:32]
+		add(a[0:8], b[0:8])
+		add(a[8:16], b[8:16])
+		add(a[16:24], b[16:24])
+		add(a[24:32], b[24:32])
+	}
+	for ; len(acc) >= 8; acc, in = acc[8:], in[8:] {
+		add(acc[:8], in[:8])
+	}
+}
+
+// PutI32s writes v into dst[:4*len(v)] as little-endian int32 words.
+func PutI32s(dst []byte, v []int32) {
+	le := binary.LittleEndian
+	dst = section(dst, 4*len(v))
+	for ; len(v) >= 4; v, dst = v[4:], dst[16:] {
+		d := dst[:16]
+		le.PutUint32(d[0:4], uint32(v[0]))
+		le.PutUint32(d[4:8], uint32(v[1]))
+		le.PutUint32(d[8:12], uint32(v[2]))
+		le.PutUint32(d[12:16], uint32(v[3]))
+	}
+	for i, x := range v {
+		le.PutUint32(dst[4*i:], uint32(x))
+	}
+}
+
+// GetI32s sets dst to the len(dst) little-endian int32 words at the front of
+// src.
+func GetI32s(dst []int32, src []byte) {
+	le := binary.LittleEndian
+	src = section(src, 4*len(dst))
+	for ; len(dst) >= 4; dst, src = dst[4:], src[16:] {
+		s := src[:16]
+		dst[0] = int32(le.Uint32(s[0:4]))
+		dst[1] = int32(le.Uint32(s[4:8]))
+		dst[2] = int32(le.Uint32(s[8:12]))
+		dst[3] = int32(le.Uint32(s[12:16]))
+	}
+	for i := range dst {
+		dst[i] = int32(le.Uint32(src[4*i:]))
+	}
+}
+
+// PutF32s writes v into dst[:4*len(v)] as the feature words: each value
+// narrowed to float32 (Go's conversion, round to nearest even), little
+// endian.
+func PutF32s(dst []byte, v []float64) {
+	le := binary.LittleEndian
+	dst = section(dst, 4*len(v))
+	for ; len(v) >= 4; v, dst = v[4:], dst[16:] {
+		d := dst[:16]
+		le.PutUint32(d[0:4], math.Float32bits(float32(v[0])))
+		le.PutUint32(d[4:8], math.Float32bits(float32(v[1])))
+		le.PutUint32(d[8:12], math.Float32bits(float32(v[2])))
+		le.PutUint32(d[12:16], math.Float32bits(float32(v[3])))
+	}
+	for i, x := range v {
+		le.PutUint32(dst[4*i:], math.Float32bits(float32(x)))
+	}
+}
+
+// GetF32s sets dst to the len(dst) feature words at the front of src,
+// widened to float64.
+func GetF32s(dst []float64, src []byte) {
+	le := binary.LittleEndian
+	src = section(src, 4*len(dst))
+	for ; len(dst) >= 4; dst, src = dst[4:], src[16:] {
+		s := src[:16]
+		dst[0] = float64(math.Float32frombits(le.Uint32(s[0:4])))
+		dst[1] = float64(math.Float32frombits(le.Uint32(s[4:8])))
+		dst[2] = float64(math.Float32frombits(le.Uint32(s[8:12])))
+		dst[3] = float64(math.Float32frombits(le.Uint32(s[12:16])))
+	}
+	for i := range dst {
+		dst[i] = float64(math.Float32frombits(le.Uint32(src[4*i:])))
+	}
+}
+
+// section returns b[:n] after checking that b holds n bytes: the reslice
+// alone would reach into b's spare capacity.
+func section(b []byte, n int) []byte {
+	if len(b) < n {
+		panic(fmt.Sprintf("la: %d bytes for a %d-byte array section", len(b), n))
+	}
+	return b[:n]
+}
+
+// grow extends buf by n bytes, reallocating at most once, and returns the
+// extended slice and its last n bytes.
+func grow(buf []byte, n int) (all, tail []byte) {
+	all = slices.Grow(buf, n)[:len(buf)+n]
+	return all, all[len(buf):]
 }

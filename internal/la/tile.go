@@ -123,7 +123,9 @@ func dot4Loop(x, b0, b1, b2, b3 []float64, dst []float64) {
 //	sparse×sparse→ SpDot(a_r, b_c)         (via ScatteredRow: the side used
 //	                                        more often scattered once per
 //	                                        row, one gather per element)
-//	sparse×dense → SpDenseDot(a_r, b_c)    (DotVec's arithmetic)
+//	sparse×dense → SpDenseDot(a_r, b_c)    (DotVec's arithmetic; one pass
+//	                                        over a_r per 4 columns, each
+//	                                        its own chain: spDenseDot4)
 //	dense×sparse → Dot(a_r, densify(b_c))  (each b row densified once per
 //	                                        tile column, not per element)
 //
@@ -174,12 +176,17 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 		}
 		s.Release()
 		scatters.Put(s)
-	case a.Sparse(): // sparse × dense
+	case a.Sparse(): // sparse × dense: one pass over a CSR row per 4 b rows
 		for r, ar := range rows {
 			ri, rv := a.SparseRow(ar)
-			out := dst[r*ld:]
-			for c := clo; c < chi; c++ {
-				out[c-clo] = SpDenseDot(ri, rv, b.DenseRow(c))
+			out := dst[r*ld : r*ld+w]
+			c := 0
+			for ; c+4 <= w; c += 4 {
+				spDenseDot4(ri, rv, b.DenseRow(clo+c), b.DenseRow(clo+c+1),
+					b.DenseRow(clo+c+2), b.DenseRow(clo+c+3), out[c:c+4])
+			}
+			for ; c < w; c++ {
+				out[c] = SpDenseDot(ri, rv, b.DenseRow(clo+c))
 			}
 		}
 	default: // dense × sparse: densify each b column once, 4 a rows per pass
@@ -207,6 +214,27 @@ func MulTile(a *Matrix, rows []int, b *Matrix, clo, chi int, dst []float64, ld i
 		}
 		densified.Put(bp)
 	}
+}
+
+// spDenseDot4 sets dst[k] = SpDenseDot(ai, av, d_k) for the four dense rows
+// d0..d3, which share one length, in one pass over the sparse row: four
+// independent chains, each summed in SpDenseDot's order and skipping the
+// same indices (those at or past the rows' length), so each output is
+// SpDenseDot's bit for bit.
+func spDenseDot4(ai []int32, av []float64, d0, d1, d2, d3 []float64, dst []float64) {
+	n := len(d0)
+	d1, d2, d3, av = d1[:n], d2[:n], d3[:n], av[:len(ai)]
+	var s0, s1, s2, s3 float64
+	for k, idx := range ai {
+		if j := int(idx); j < n {
+			v := av[k]
+			s0 += v * d0[j]
+			s1 += v * d1[j]
+			s2 += v * d2[j]
+			s3 += v * d3[j]
+		}
+	}
+	dst[0], dst[1], dst[2], dst[3] = s0, s1, s2, s3
 }
 
 // densified recycles the row buffer MulTile's dense×sparse case densifies

@@ -289,6 +289,69 @@ func TestMulTileSparseSides(t *testing.T) {
 	}
 }
 
+// TestMulTileSparseDenseWindows holds the sparse×dense tile, whose CSR row
+// is walked once per four dense rows (spDenseDot4) and once per row for the
+// window's last w%4 columns, to SpDenseDot and its distance to SqDistOf bit
+// for bit: at every window width 1–9, at column windows that start past 0,
+// with ld wider than the window (the padding stays untouched), and over CSR
+// rows that are empty, that end on the last feature, and that run past the
+// dense rows' width (a CSR a wider than b: SpDenseDot skips those indices).
+func TestMulTileSparseDenseWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	const m, bm = 11, 12
+	for _, sh := range []struct{ an, bn int }{{29, 29}, {2048, 2048}, {37, 29}} {
+		density := 0.35
+		if sh.an > 1000 {
+			density = 0.02
+		}
+		a0 := randSparse(rng, m, sh.an, density)
+		// Rows 0 and 1 empty, row 2 only the last feature, row 3 the last
+		// feature of b and the last of a.
+		rp, ix, vx := []int32{0, 0, 0}, []int32{int32(sh.an - 1)}, []float64{rng.NormFloat64()}
+		rp = append(rp, 1)
+		ix, vx = append(ix, int32(sh.bn-1)), append(vx, rng.NormFloat64())
+		if sh.an > sh.bn {
+			ix, vx = append(ix, int32(sh.an-1)), append(vx, rng.NormFloat64())
+		}
+		rp = append(rp, int32(len(ix)))
+		for i := 4; i < m; i++ {
+			ri, rv := a0.SparseRow(i)
+			ix, vx = append(ix, ri...), append(vx, rv...)
+			rp = append(rp, int32(len(ix)))
+		}
+		a, b := NewSparse(m, sh.an, rp, ix, vx), randDense(rng, bm, sh.bn)
+		rows := rng.Perm(m)
+		for w := 1; w <= 9; w++ {
+			for _, clo := range []int{0, bm - w} {
+				for _, ld := range []int{w, w + 3} {
+					dot, dist := make([]float64, m*ld), make([]float64, m*ld)
+					for i := range dot {
+						dot[i], dist[i] = -1, -1
+					}
+					MulTile(a, rows, b, clo, clo+w, dot, ld)
+					SqDistTile(a, rows, b, clo, clo+w, dist, ld)
+					for r, i := range rows {
+						ai, av := a.SparseRow(i)
+						for c := 0; c < ld; c++ {
+							wantDot, wantDist := -1.0, -1.0
+							if c < w {
+								wantDot = SpDenseDot(ai, av, b.DenseRow(clo+c))
+								wantDist = SqDistOf(a.SqNormRow(i), b.SqNormRow(clo+c), wantDot)
+							}
+							if got := dot[r*ld+c]; math.Float64bits(got) != math.Float64bits(wantDot) {
+								t.Fatalf("%+v w=%d clo=%d ld=%d: MulTile (%d,%d) %v, want %v", sh, w, clo, ld, i, c, got, wantDot)
+							}
+							if got := dist[r*ld+c]; math.Float64bits(got) != math.Float64bits(wantDist) {
+								t.Fatalf("%+v w=%d clo=%d ld=%d: SqDistTile (%d,%d) %v, want %v", sh, w, clo, ld, i, c, got, wantDist)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkMulTile prices the blocked tile against the equivalent scalar
 // row-at-a-time loop — the microbench half of BENCH_kernel.json.
 func BenchmarkMulTile(b *testing.B) {
@@ -315,6 +378,23 @@ func BenchmarkMulTile(b *testing.B) {
 				for c := 0; c < m; c++ {
 					out[c] = Dot(x, a.DenseRow(c))
 				}
+			}
+		}
+	})
+	// One casvm-sparse rank's FCFS walk: its 188 CSR rows of 2,048 features
+	// at density 0.02 against the 8 dense centers, in SqDistEach's tiles.
+	b.Run("sparse-dense", func(b *testing.B) {
+		const sm, sn, k = 188, 2048, 8
+		x, centers := randSparse(rng, sm, sn, 0.02), randDense(rng, k, sn)
+		out := make([]float64, distBlock*k)
+		tile := make([]int, 0, distBlock)
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < sm; lo += distBlock {
+				tile = tile[:0]
+				for r := lo; r < min(lo+distBlock, sm); r++ {
+					tile = append(tile, r)
+				}
+				MulTile(x, tile, centers, 0, k, out, k)
 			}
 		}
 	})

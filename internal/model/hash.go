@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"io"
 	"math"
+
+	"casvm/internal/la"
 )
 
 // headTag opens a set's head; hashChunk is how much Hash writes at a time.
@@ -30,13 +32,13 @@ func (s *Set) Hash() string {
 	h := sha256.New()
 	b := appendHead(make([]byte, 0, hashChunk+hashChunk/4), s)
 	for c := 0; c < s.Centers.Rows(); c++ {
-		b = spill(h, appendF64s(b, s.Centers.DenseRow(c)))
+		b = spill(h, la.AppendF64s(b, s.Centers.DenseRow(c)))
 	}
 	for _, m := range s.Models {
 		b = binary.LittleEndian.AppendUint32(b, uint32(m.NSV()))
-		b = appendF64s(b, []float64{m.B, m.Fallback})
+		b = la.AppendF64s(b, []float64{m.B, m.Fallback})
 		for i := 0; i < m.NSV(); i++ {
-			b = appendF64s(b, []float64{m.Alpha[i], m.SVY[i]})
+			b = la.AppendF64s(b, []float64{m.Alpha[i], m.SVY[i]})
 			at := len(b)
 			b = append(b, 0, 0, 0, 0) // nonzeros, filled in below
 			if m.SVX.Sparse() {

@@ -52,7 +52,7 @@ func appendHead(b []byte, s *Set) []byte {
 	b = appendStr(b, headTag)
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.P()))
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.Centers.Features()))
-	b = appendF64s(appendStr(b, k.Kind.String()), []float64{k.Gamma, k.Coef, k.ScaleA})
+	b = la.AppendF64s(appendStr(b, k.Kind.String()), []float64{k.Gamma, k.Coef, k.ScaleA})
 	b = binary.LittleEndian.AppendUint32(b, uint32(k.Degree))
 	keys := make([]string, 0, len(s.Meta))
 	for key := range s.Meta {

@@ -205,7 +205,7 @@ func TestLoadSetRefusesPrefixes(t *testing.T) {
 func rawHead(kind string, gamma float64, keys ...string) []byte {
 	b := appendStr(nil, headTag)
 	b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(b, 1), 2)
-	b = appendF64s(appendStr(b, kind), []float64{gamma, 0, 0})
+	b = la.AppendF64s(appendStr(b, kind), []float64{gamma, 0, 0})
 	b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(b, 0), uint32(len(keys)))
 	for _, key := range keys {
 		b = appendStr(appendStr(b, key), "v")

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"casvm/internal/kernel"
 	"casvm/internal/la"
@@ -26,6 +25,10 @@ import (
 //
 // nsv, features and nnz are the section lengths — a frame cannot declare more
 // than it carries. The kernel does not travel: the receiver knows the job's.
+// Every array section is written and read by la's one array codec (PutF64s,
+// GetF64s, PutI32s, GetI32s, AppendF64s) into storage sized from the section
+// lengths, as the model file's head and the hash's stream take their floats
+// from AppendF64s.
 const ShardSections = 7
 
 const (
@@ -48,30 +51,27 @@ func EncodeShard(m *Model, center []float64) [][]byte {
 	binary.LittleEndian.PutUint64(head[9:], math.Float64bits(m.Fallback))
 	secs := make([][]byte, ShardSections)
 	secs[secHead] = head
-	secs[secAlpha] = appendF64s(nil, m.Alpha)
-	secs[secY] = appendF64s(nil, m.SVY)
-	secs[secCenter] = appendF64s(nil, center)
-	nsv := m.NSV()
+	secs[secAlpha] = la.AppendF64s(nil, m.Alpha)
+	secs[secY] = la.AppendF64s(nil, m.SVY)
+	secs[secCenter] = la.AppendF64s(nil, center)
+	nsv, n := m.NSV(), m.SVX.Features()
 	if !m.SVX.Sparse() {
-		val := make([]byte, 0, 8*nsv*m.SVX.Features())
+		val := make([]byte, 8*nsv*n)
 		for i := 0; i < nsv; i++ {
-			val = appendF64s(val, m.SVX.DenseRow(i))
+			la.PutF64s(val[8*n*i:], m.SVX.DenseRow(i))
 		}
 		secs[secVal] = val
 		return secs
 	}
 	head[0] = 1
 	nnz := m.SVX.NNZ()
-	rowptr := binary.LittleEndian.AppendUint32(make([]byte, 0, 4*(nsv+1)), 0)
-	idx, val := make([]byte, 0, 4*nnz), make([]byte, 0, 8*nnz)
+	rowptr, idx, val := make([]byte, 4*(nsv+1)), make([]byte, 4*nnz), make([]byte, 8*nnz)
 	for i, end := 0, 0; i < nsv; i++ {
 		ix, vx := m.SVX.SparseRow(i)
+		la.PutI32s(idx[4*end:], ix)
+		la.PutF64s(val[8*end:], vx)
 		end += len(ix)
-		rowptr = binary.LittleEndian.AppendUint32(rowptr, uint32(end))
-		for _, f := range ix {
-			idx = binary.LittleEndian.AppendUint32(idx, uint32(f))
-		}
-		val = appendF64s(val, vx)
+		binary.LittleEndian.PutUint32(rowptr[4*i+4:], uint32(end))
 	}
 	secs[secRowptr], secs[secIdx], secs[secVal] = rowptr, idx, val
 	return secs
@@ -110,10 +110,14 @@ func DecodeShard(secs [][]byte, k kernel.Params, features int) (*Model, []float6
 	case !sparse && (len(secs[secRowptr]) != 0 || len(secs[secIdx]) != 0 || nnz/n != nsv || nnz%n != 0):
 		return nil, nil, fmt.Errorf("model: dense shard of %d SVs × %d features carries %d values", nsv, n, nnz)
 	}
-	m := &Model{Kernel: k, Alpha: f64s(secs[secAlpha]), SVY: f64s(secs[secY]),
+	m := &Model{Kernel: k, Alpha: make([]float64, nsv), SVY: make([]float64, nsv),
 		B:        math.Float64frombits(binary.LittleEndian.Uint64(head[1:])),
 		Fallback: math.Float64frombits(binary.LittleEndian.Uint64(head[9:]))}
-	center, val := f64s(secs[secCenter]), f64s(secs[secVal])
+	center, val := make([]float64, n), make([]float64, nnz)
+	la.GetF64s(m.Alpha, secs[secAlpha])
+	la.GetF64s(m.SVY, secs[secY])
+	la.GetF64s(center, secs[secCenter])
+	la.GetF64s(val, secs[secVal])
 	for _, v := range [][]float64{{m.B, m.Fallback}, m.Alpha, m.SVY, center, val} {
 		if !allFinite(v) {
 			return nil, nil, fmt.Errorf("model: shard carries a non-finite number")
@@ -123,7 +127,9 @@ func DecodeShard(secs [][]byte, k kernel.Params, features int) (*Model, []float6
 		return nil, nil, fmt.Errorf("model: shard fallback %v is not a ±1 label", m.Fallback)
 	}
 	if sparse {
-		rowptr, idx := i32s(secs[secRowptr]), i32s(secs[secIdx])
+		rowptr, idx := make([]int32, nsv+1), make([]int32, nnz)
+		la.GetI32s(rowptr, secs[secRowptr])
+		la.GetI32s(idx, secs[secIdx])
 		if err := la.CheckCSR(n, rowptr, idx); err != nil {
 			return nil, nil, err
 		}
@@ -138,32 +144,6 @@ func DecodeShard(secs [][]byte, k kernel.Params, features int) (*Model, []float6
 		return nil, nil, err
 	}
 	return m, center, nil
-}
-
-func appendF64s(b []byte, v []float64) []byte {
-	b = slices.Grow(b, 8*len(v))
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	return b
-}
-
-// f64s reads len(b)/8 little-endian float64s.
-func f64s(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v
-}
-
-// i32s reads len(b)/4 little-endian int32s.
-func i32s(b []byte) []int32 {
-	v := make([]int32, len(b)/4)
-	for i := range v {
-		v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return v
 }
 
 func allFinite(v []float64) bool {

@@ -58,11 +58,7 @@ func (c *Comm) AllreduceSum(x []float64) []float64 {
 		if len(in) != len(acc) || len(in) < 4 || binary.LittleEndian.Uint32(in) != uint32(len(x)) {
 			return nil, fmt.Errorf("payload of %d bytes, want %d", len(in), len(acc))
 		}
-		for off := 4; off < len(acc); off += 8 {
-			a := math.Float64frombits(binary.LittleEndian.Uint64(acc[off:]))
-			b := math.Float64frombits(binary.LittleEndian.Uint64(in[off:]))
-			binary.LittleEndian.PutUint64(acc[off:], math.Float64bits(a+b))
-		}
+		la.AddF64s(acc[4:], in[4:])
 		c.Charge(float64(len(x)))
 		return acc, nil
 	})

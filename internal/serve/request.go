@@ -726,9 +726,7 @@ func (r *PredictRequest) decodeB64(s []byte, newlines int, lim Limits) error {
 // form (the client-side counterpart of decodeBinary).
 func EncodeQueriesB64(flat []float64) string {
 	raw := make([]byte, 8*len(flat))
-	for i, v := range flat {
-		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
-	}
+	la.PutF64s(raw, flat)
 	return base64.StdEncoding.EncodeToString(raw)
 }
 

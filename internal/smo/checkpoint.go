@@ -3,7 +3,8 @@ package smo
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+
+	"casvm/internal/la"
 )
 
 // Checkpoint is a deterministic snapshot of a solver's optimisation state:
@@ -71,21 +72,16 @@ const ckptHeader = len(ckptMagic) + 1 + 4 + 8
 // header, fixed-width scalars, then the float64 vectors at full precision
 // — snapshots must be exact for restored trajectories to be bit-identical.
 func (ck *Checkpoint) Encode() []byte {
-	buf := make([]byte, 0, ck.Bytes())
-	buf = append(buf, ckptMagic...)
-	var flags byte
+	buf := make([]byte, ck.Bytes())
+	copy(buf, ckptMagic)
+	hdr := buf[len(ckptMagic):ckptHeader]
 	if ck.Final {
-		flags |= 1
+		hdr[0] = 1
 	}
-	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ck.Alpha)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ck.Iters))
-	for _, v := range ck.Alpha {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	for _, v := range ck.F {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(ck.Alpha)))
+	binary.LittleEndian.PutUint64(hdr[5:], uint64(ck.Iters))
+	la.PutF64s(buf[ckptHeader:], ck.Alpha)
+	la.PutF64s(buf[ckptHeader+8*len(ck.Alpha):], ck.F)
 	return buf
 }
 
@@ -111,14 +107,8 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 		Alpha: make([]float64, m),
 		F:     make([]float64, m),
 	}
-	p := buf[ckptHeader:]
-	for i := range ck.Alpha {
-		ck.Alpha[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	p = p[8*m:]
-	for i := range ck.F {
-		ck.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
+	la.GetF64s(ck.Alpha, buf[ckptHeader:])
+	la.GetF64s(ck.F, buf[ckptHeader+8*m:])
 	return ck, nil
 }
 

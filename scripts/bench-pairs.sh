@@ -9,9 +9,14 @@
 # run.sh. Per workload the two sides run `pairs` times, alternating which
 # runs first, and each run's last line — the benchmark's JSON — is read. For
 # every workload × end-to-end metric the table gives both medians with their
-# quartiles, the relative difference of the medians, and in how many pairs the
-# change read better (direction from BENCHMARK.json; ties count for neither):
-# the rule of bench/README.md § Citing. Raw values stay in
+# quartiles, the relative difference of the medians, the median of the
+# per-pair change/parent ratios with a 90% bootstrap interval (2,000
+# resamples of the pairs, with replacement, from a fixed seed per row, so a
+# rerun over the same runs prints the same interval; "n/a" when a parent
+# value is 0), and in how many pairs the change read better (direction from
+# BENCHMARK.json; ties count for neither): the rule of bench/README.md
+# § Citing. A claim cites the interval: one that excludes 1 says the pairs
+# moved together, not only their medians. Raw values stay in
 # .bench_build/pairs/runs.tsv. Nothing here edits bench/ or BENCHMARK.json.
 set -euo pipefail
 
@@ -59,8 +64,8 @@ done
 
 echo "parent $(git rev-parse --short "$parent_rev") vs working tree, $pairs alternating pairs, bench args: ${args[*]:-none}"
 echo
-echo "| workload | metric | parent median [q1, q3] | change median [q1, q3] | Δ median | change better | failed/attempted (parent, change) |"
-echo "|---|---|---|---|---|---|---|"
+echo "| workload | metric | parent median [q1, q3] | change median [q1, q3] | Δ median | change/parent ratio, median [90% CI] | change better | failed/attempted (parent, change) |"
+echo "|---|---|---|---|---|---|---|---|"
 # Direction per metric from BENCHMARK.json, then the table in first-seen order.
 awk -F'\t' '
 	FNR == NR {
@@ -83,6 +88,39 @@ awk -F'\t' '
 		pos = 1 + q * (k - 1); lo = int(pos)
 		return lo >= k ? x[k] : x[lo] + (pos - lo) * (x[lo + 1] - x[lo])
 	}
+	# sorted sorts x[1..k] ascending in place (a Shell sort) and returns k.
+	function sorted(x, k,    gap, i, j, t) {
+		for (gap = int(k / 2); gap > 0; gap = int(gap / 2))
+			for (i = gap + 1; i <= k; i++) {
+				t = x[i]
+				for (j = i; j > gap && x[j - gap] > t; j -= gap) x[j] = x[j - gap]
+				x[j] = t
+			}
+		return k
+	}
+	# at is the q-quantile of the sorted x[1..k], as quantile takes it.
+	function at(x, k, q,    pos, lo) {
+		pos = 1 + q * (k - 1); lo = int(pos)
+		return lo >= k ? x[k] : x[lo] + (pos - lo) * (x[lo + 1] - x[lo])
+	}
+	# ratios prints the median of the per-pair change/parent ratios and its
+	# 90% bootstrap interval over pairs.
+	function ratios(key,    i, k, b, j, r, s, med, nb) {
+		k = 0
+		for (i = 1; i <= np; i++) {
+			if (!(("parent", key, i) in v) || !(("change", key, i) in v)) continue
+			if (v["parent", key, i] + 0 == 0) return "n/a"
+			r[++k] = (v["change", key, i] + 0) / (v["parent", key, i] + 0)
+		}
+		if (k == 0) return "n/a"
+		srand(7); nb = 2000
+		for (b = 1; b <= nb; b++) {
+			for (j = 1; j <= k; j++) s[j] = r[1 + int(rand() * k)]
+			med[b] = at(s, sorted(s, k), 0.5)
+		}
+		sorted(med, nb)
+		return sprintf("%.4f [%.4f, %.4f]", at(r, sorted(r, k), 0.5), at(med, nb, 0.05), at(med, nb, 0.95))
+	}
 	END {
 		for (o = 1; o <= n; o++) {
 			key = order[o]; split(key, wm, SUBSEP)
@@ -94,10 +132,10 @@ awk -F'\t' '
 				if ((better[wm[2]] == "higher") == (c > p)) wins++
 			}
 			pm = quantile("parent", key, 0.5); cm = quantile("change", key, 0.5)
-			printf "| %s | %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %+.1f%% | %d/%d | %d/%d, %d/%d |\n",
+			printf "| %s | %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %+.1f%% | %s | %d/%d | %d/%d, %d/%d |\n",
 				wm[1], wm[2], pm, quantile("parent", key, 0.25), quantile("parent", key, 0.75),
 				cm, quantile("change", key, 0.25), quantile("change", key, 0.75),
-				pm == 0 ? 0 : 100 * (cm - pm) / pm, wins, decided,
+				pm == 0 ? 0 : 100 * (cm - pm) / pm, ratios(key), wins, decided,
 				failed["parent", wm[1]], attempted["parent", wm[1]], failed["change", wm[1]], attempted["change", wm[1]]
 		}
 	}
